@@ -1,5 +1,5 @@
-//! Criterion bench for the DESIGN.md ablations: the Listing 3 frontier, the
-//! iterative-vs-monolithic e-graph, and relation pruning.
+//! Criterion bench for the DESIGN.md ablations: shard hints, relation
+//! pruning, and certification.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use entangle::CheckOptions;
@@ -14,21 +14,6 @@ fn bench_ablations(c: &mut Criterion) {
     let configs: Vec<(&str, CheckOptions)> = vec![
         ("shard_hinted", entangle_bench::hinted_opts()),
         ("frontier_iterative", entangle_bench::saturation_opts()),
-        (
-            "no_frontier",
-            CheckOptions {
-                frontier: false,
-                ..entangle_bench::saturation_opts()
-            },
-        ),
-        (
-            "monolithic",
-            CheckOptions {
-                frontier: false,
-                fresh_egraph_per_op: false,
-                ..entangle_bench::saturation_opts()
-            },
-        ),
         (
             "prune_to_1",
             CheckOptions {

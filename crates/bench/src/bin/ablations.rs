@@ -1,12 +1,8 @@
 //! Ablations of the DESIGN.md design decisions:
 //!
-//! 1. per-operator iterative checking (Listing 1) vs one monolithic e-graph;
-//! 2. the Listing 3 frontier vs encoding all of `G_d` for every operator;
-//! 3. §4.3.2 relation pruning (mappings kept per tensor).
-//!
-//! Expected shape: the iterative + frontier configuration is fastest and its
-//! per-operator e-graphs stay small; the monolithic graph grows with every
-//! processed operator.
+//! 1. shard hints on top of the paper's iterative + frontier engine;
+//! 2. §4.3.2 relation pruning (mappings kept per tensor);
+//! 3. constrained vs. free associativity lemmas.
 
 use entangle::CheckOptions;
 use entangle_bench::{gpt_workload, print_table, secs};
@@ -46,23 +42,6 @@ fn main() {
     run(
         "  + shard hints (this work)",
         &entangle_bench::hinted_opts(),
-        &mut rows,
-    );
-    run(
-        "iterative, no frontier",
-        &CheckOptions {
-            frontier: false,
-            ..entangle_bench::saturation_opts()
-        },
-        &mut rows,
-    );
-    run(
-        "monolithic e-graph",
-        &CheckOptions {
-            frontier: false,
-            fresh_egraph_per_op: false,
-            ..entangle_bench::saturation_opts()
-        },
         &mut rows,
     );
     run(
@@ -139,7 +118,7 @@ fn main() {
         ],
         &rows,
     );
-    println!("\nExpected shape: frontier < no-frontier < monolithic in e-graph size;");
+    println!("\nExpected shape: shard hints shrink the mean per-operator e-graph;");
     println!("keeping more mappings costs time without changing the verdict;");
     println!("free association is orders of magnitude more expensive at width 8.");
 }

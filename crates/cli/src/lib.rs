@@ -205,15 +205,11 @@ GLOBAL FLAGS (any subcommand):
                  FILE; never changes stdout output or the exit code
   --jobs N       worker threads for the refinement checker's dependency-
                  aware scheduler (default: detected cores). Results are
-                 identical for any N; N=1 is the sequential engine
+                 identical for any N; N=1 runs on the calling thread
   --ledger FILE  run-ledger path for check/certify/trace appends and for
                  `entangle report` (default: results/ledger.jsonl; appends
                  only engage when a results/ directory already exists)
   --no-ledger    never append to or read a run ledger
-  --no-compiled-matcher
-                 use the legacy per-rule e-matching searcher instead of the
-                 compiled shared discrimination tree (A/B ablation; match
-                 sets and verdicts are identical, only speed differs)
 
 Mappings relate each G_s input tensor to an s-expression over G_d tensor
 names, e.g.  --map 'A=(concat A1 A2 1)'. A --maps file holds one mapping
@@ -654,11 +650,6 @@ pub struct GlobalFlags {
     pub ledger: Option<String>,
     /// `--no-ledger`: never append to (or read) a run ledger.
     pub no_ledger: bool,
-    /// `--no-compiled-matcher`: run saturation with the legacy per-rule
-    /// e-matching searcher instead of the compiled shared discrimination
-    /// tree. Verdicts are identical either way (pinned by the differential
-    /// matcher oracle); the flag exists for A/B debugging and benchmarks.
-    pub no_compiled_matcher: bool,
 }
 
 /// Parses a full argv (without the program name), extracting the global
@@ -694,8 +685,6 @@ pub fn parse_invocation(args: &[String]) -> Result<(Command, GlobalFlags), CliEr
             flags.ledger = Some(path.clone());
         } else if a == "--no-ledger" {
             flags.no_ledger = true;
-        } else if a == "--no-compiled-matcher" {
-            flags.no_compiled_matcher = true;
         } else {
             rest.push(a.clone());
         }
@@ -816,8 +805,8 @@ pub fn run_with(cmd: &Command, flags: &GlobalFlags) -> i32 {
 }
 
 /// The default [`CheckOptions`] for a CLI invocation: tracing into the
-/// invocation's tracer, worker count from `--jobs` when given, the search
-/// path from `--no-compiled-matcher`, and a live metrics registry — every
+/// invocation's tracer, worker count from `--jobs` when given, and a live
+/// metrics registry — every
 /// CLI check collects the full instrument set (the `bench_metrics`
 /// overhead gate keeps this affordable), feeding both the stats line after
 /// the verdict and the run-ledger record.
@@ -825,7 +814,6 @@ fn check_options(tracer: &Tracer, flags: &GlobalFlags) -> CheckOptions {
     let mut opts = CheckOptions {
         trace: tracer.clone(),
         metrics: Registry::new(),
-        compiled_matcher: !flags.no_compiled_matcher,
         ..CheckOptions::default()
     };
     if let Some(j) = flags.jobs {

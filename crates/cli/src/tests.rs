@@ -7,8 +7,10 @@ use crate::{
     parse_args, parse_invocation, parse_map_spec, parse_maps_file, run, run_traced, Command,
 };
 
-fn tmpdir() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("entangle-cli-test-{}", std::process::id()));
+/// A directory private to one test: tests run on parallel threads and each
+/// removes its directory on exit.
+fn tmpdir(test: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("entangle-cli-test-{}-{test}", std::process::id()));
     fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -86,7 +88,7 @@ fn parse_shard_command() {
 
 #[test]
 fn shard_command_end_to_end() {
-    let dir = tmpdir();
+    let dir = tmpdir("shard_command_end_to_end");
     let cfg = ModelConfig::tiny();
     let gs = gpt(&cfg);
     let dist = parallelize(&cfg, Arch::Gpt, &Strategy::tp(2));
@@ -120,6 +122,7 @@ fn shard_command_end_to_end() {
         json: true,
     };
     assert_eq!(run(&cmd), 0, "self-seeded shard analysis is clean");
+    fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -212,11 +215,14 @@ fn parse_invocation_extracts_global_flags() {
     assert!(parse_invocation(&to_args(&["lint", "g.json", "--jobs"])).is_err());
     assert!(parse_invocation(&to_args(&["lint", "g.json", "--jobs", "many"])).is_err());
     assert!(parse_invocation(&to_args(&["check", "a", "b", "--jobs", "-2"])).is_err());
+    // Anything else is not a global flag and is left for the subcommand to
+    // reject.
+    assert!(parse_invocation(&to_args(&["--no-compiled-matcher", "check", "a", "b"])).is_err());
 }
 
 #[test]
 fn trace_subcommand_end_to_end() {
-    let dir = tmpdir();
+    let dir = tmpdir("trace_subcommand_end_to_end");
     let cfg = ModelConfig::tiny();
     let gs = gpt(&cfg);
     let dist = parallelize(&cfg, Arch::Gpt, &Strategy::tp(2));
@@ -303,7 +309,7 @@ fn trace_subcommand_end_to_end() {
 
 #[test]
 fn global_trace_flag_is_exit_code_neutral() {
-    let dir = tmpdir();
+    let dir = tmpdir("global_trace_flag_is_exit_code_neutral");
     let cfg = ModelConfig::tiny();
     let gs = gpt(&cfg);
     let dist = parallelize(&cfg, Arch::Gpt, &Strategy::tp(2));
@@ -366,7 +372,7 @@ fn maps_file_parsing() {
 
 #[test]
 fn end_to_end_check_via_files() {
-    let dir = tmpdir();
+    let dir = tmpdir("end_to_end_check_via_files");
     let cfg = ModelConfig::tiny();
     let gs = gpt(&cfg);
     let dist = parallelize(&cfg, Arch::Gpt, &Strategy::tp(2));
@@ -429,7 +435,7 @@ fn end_to_end_check_via_files() {
 #[test]
 fn expect_subcommand_end_to_end() {
     use entangle_ir::{DType, GraphBuilder, Op};
-    let dir = tmpdir();
+    let dir = tmpdir("expect_subcommand_end_to_end");
     // G_s: g = sum over rows; G_d: per-rank partials + aggregate.
     let mut gs = GraphBuilder::new("seq");
     let x = gs.input("x", &[4, 2], DType::F32);
@@ -511,7 +517,7 @@ fn lint_subcommand_parsing() {
 #[test]
 fn lint_subcommand_end_to_end() {
     use entangle_ir::{DType, Dim, GraphBuilder, Op};
-    let dir = tmpdir();
+    let dir = tmpdir("lint_subcommand_end_to_end");
 
     // A well-formed graph lints clean: exit code 0.
     let cfg = ModelConfig::tiny();

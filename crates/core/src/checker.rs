@@ -8,8 +8,8 @@ use std::time::{Duration, Instant};
 
 use entangle_cert::{CertError, Certificate, MappingCert};
 use entangle_egraph::{
-    BackoffSchedule, EGraph, ENode, Extractor, Id, Justification, Proof, RecExpr, Rewrite, Runner,
-    SaturationReport, StopReason, Symbol,
+    BackoffSchedule, EGraph, ENode, Extractor, Id, Proof, RecExpr, Rewrite, SaturationReport,
+    StopReason, Symbol,
 };
 use entangle_ir::{Graph, Node, NodeId, TensorId};
 use entangle_lemmas::{registry, rewrites_of, TensorAnalysis};
@@ -17,11 +17,12 @@ use entangle_par::{with_pool, Renamer, ShardedCache};
 use entangle_symbolic::SymCtx;
 use entangle_trace::{Record, Tracer};
 
-use crate::encode::{clean_cost, encode_node, encode_op, CleanOps};
+use crate::encode::{clean_cost, CleanOps};
 use crate::memo::{build_problem, solve_problem, GdConsumers, Solved, TemplateKey};
 use crate::relation::Relation;
 
-/// Tuning knobs and ablation switches for [`check_refinement`].
+/// Tuning knobs for [`check_refinement`]. Every option is independent:
+/// none changes which engine runs, only what that one engine is given.
 pub struct CheckOptions {
     /// Saturation iteration limit per round.
     pub iter_limit: usize,
@@ -29,14 +30,6 @@ pub struct CheckOptions {
     pub node_limit: usize,
     /// Wall-clock limit per operator.
     pub time_limit: Duration,
-    /// The Listing 3 frontier optimization: only pull `G_d` operators whose
-    /// inputs are related to the current operator into the e-graph. Turning
-    /// this off reproduces the unoptimized Listing 2 step 3 (ablation).
-    pub frontier: bool,
-    /// Process each `G_s` operator in a fresh e-graph (the paper's iterative
-    /// design). `false` keeps one monolithic e-graph across operators — the
-    /// whole-graph-saturation ablation.
-    pub fresh_egraph_per_op: bool,
     /// §4.3.2 pruning: how many simplest mappings to keep per tensor.
     pub max_mappings: usize,
     /// The clean-operator set.
@@ -78,26 +71,13 @@ pub struct CheckOptions {
     pub trace: Tracer,
     /// Worker threads for the dependency-aware operator scheduler (the
     /// `--jobs` flag). Defaults to the detected core count; `0` is treated
-    /// as `1`. Parallel scheduling needs the per-operator e-graphs of the
-    /// frontier design, so it only engages when both
-    /// [`CheckOptions::fresh_egraph_per_op`] and [`CheckOptions::frontier`]
-    /// are on; the ablation modes always run sequentially. Verdicts,
-    /// reports, certificates, and trace structure are identical for any
-    /// `jobs` (see DESIGN.md's determinism contract).
+    /// as `1`, and `1` solves every operator on the calling thread.
+    /// Verdicts, reports, certificates, and trace structure are identical
+    /// for any `jobs` (see DESIGN.md's determinism contract).
     pub jobs: usize,
-    /// The cross-operator saturation memo (on by default): per-operator
-    /// problems are canonicalized (tensor names become `$t0, $t1, …`) and
-    /// solved results are shared between structurally identical operators —
-    /// the repeated-layer/expert win. Hits replay the stored result through
-    /// an inverse renaming, so reports, telemetry, and certificates are
-    /// indistinguishable from a miss. Disabled automatically under symbolic
-    /// dimensions or assumptions (the context is part of the problem but
-    /// not the key) and in the ablation modes. Turn off to measure the
-    /// uncached engine (`bench_par`'s baseline).
-    pub cache: bool,
     /// Template-lifted memoization (on by default): the `entangle-iso`
     /// static analysis partitions `G_s` into repeated structure classes
-    /// before any saturation, and the memo is lifted from per-operator to
+    /// before any saturation, and the per-operator saturation memo gains
     /// per-template keys — concrete integer slice bounds become `$b{i}`
     /// placeholders, so the N experts of an MoE or the repeated layers of
     /// a deep model share one solved representative. A member whose bounds
@@ -107,8 +87,8 @@ pub struct CheckOptions {
     /// to a concrete solve, so verdicts never depend on instantiation.
     /// With `certify` off, cross-bound instantiation is disabled (there is
     /// no proof to re-check) and only equal-bound template hits replay.
-    /// Requires the saturation memo (`cache`); turn off to measure the
-    /// per-operator-only memo (`bench_scale`'s ablation baseline).
+    /// Turn off to measure the per-operator-only memo (`bench_scale`'s
+    /// ablation baseline).
     pub templates: bool,
     /// Rule-class-driven backoff scheduling (on by default): the static
     /// corpus analysis (`entangle-rules`) classifies every rewrite and
@@ -129,11 +109,11 @@ pub struct CheckOptions {
     /// serves every rule instead of one recursive walk per rule. The
     /// compiled and legacy searchers yield identical match sets (pinned by
     /// the differential matcher oracle), so verdicts, relations, and
-    /// certificates never depend on this flag — it exists as an A/B
-    /// ablation (`--no-compiled-matcher`, `bench_ematch`'s baseline). The
-    /// matcher generation participates in the engine fingerprint, so
-    /// flipping it (or revising the matcher) can never replay a stale
-    /// saturation-memo entry.
+    /// certificates never depend on this flag — `false` selects the
+    /// reference searcher that oracle (`tests/ematch_oracle.rs`) and
+    /// `bench_ematch`'s baseline compare against. The matcher generation
+    /// participates in the engine fingerprint, so flipping it (or revising
+    /// the matcher) can never replay a stale saturation-memo entry.
     pub compiled_matcher: bool,
     /// Static numeric-soundness analysis (on by default, requires
     /// [`CheckOptions::certify`]): after the trusted kernel accepts the
@@ -162,8 +142,6 @@ impl Default for CheckOptions {
             iter_limit: 12,
             node_limit: 30_000,
             time_limit: Duration::from_secs(10),
-            frontier: true,
-            fresh_egraph_per_op: true,
             max_mappings: 4,
             clean: CleanOps::default(),
             sym_ctx: SymCtx::new(),
@@ -173,7 +151,6 @@ impl Default for CheckOptions {
             certify: true,
             trace: Tracer::null(),
             jobs: entangle_par::available_jobs(),
-            cache: true,
             templates: true,
             rule_backoff: true,
             compiled_matcher: true,
@@ -186,13 +163,10 @@ impl Default for CheckOptions {
 /// How the scheduler and saturation memo behaved during one check.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ParStats {
-    /// Worker threads the scheduler actually used (1 in the sequential
-    /// ablation modes regardless of [`CheckOptions::jobs`]).
+    /// Worker threads the scheduler used ([`CheckOptions::jobs`], at least 1).
     pub jobs: usize,
     /// Cores detected on this machine.
     pub cores: usize,
-    /// Whether the saturation memo was active.
-    pub cache_enabled: bool,
     /// Memo lookups that found a previously solved canonical problem.
     pub cache_hits: u64,
     /// Memo lookups that had to solve from scratch.
@@ -375,10 +349,10 @@ pub struct CheckOutcome {
     /// plus any `NU##` diagnostics. Advisory — present only on *successful*
     /// checks and never part of the verdict.
     pub numeric: Option<entangle_num::CertAnalysis>,
-    /// Scheduler and saturation-memo statistics (`entangle info` /
-    /// `bench_par` data). The only [`CheckOutcome`] field allowed to vary
-    /// with [`CheckOptions::jobs`]: hit/miss counts depend on which of two
-    /// racing workers reaches a key first.
+    /// Scheduler and saturation-memo statistics (the CLI's `parallel :`
+    /// line and the benchmark's `par.*` rows). The only [`CheckOutcome`]
+    /// field allowed to vary with [`CheckOptions::jobs`]: hit/miss counts
+    /// depend on which of two racing workers reaches a key first.
     pub par: ParStats,
     /// Snapshot of [`CheckOptions::metrics`] taken as the check returned
     /// (empty for the default null registry). Counter/gauge values other
@@ -758,38 +732,23 @@ fn check_refinement_inner(
         .iter()
         .map(|&t| gd.tensor(t).name.as_str())
         .collect();
-    let gs_output_set: HashSet<TensorId> = gs.outputs().iter().copied().collect();
 
-    // Engine selection. The dependency-aware scheduler (and the memo built
-    // on it) needs per-operator e-graphs and the frontier rule — the
-    // ablation modes keep the exact sequential code path below. The memo
-    // additionally requires a concrete symbolic context: SymCtx is part of
-    // every problem but not of the cache key.
-    let can_schedule = opts.fresh_egraph_per_op && opts.frontier;
-    let use_cache = opts.cache
-        && can_schedule
-        && opts.sym_ctx.num_vars() == 0
-        && opts.sym_ctx.num_assumptions() == 0;
-    let jobs = if can_schedule { opts.jobs.max(1) } else { 1 };
-    let scheduled = can_schedule && (use_cache || jobs > 1);
-    let cache: Option<ShardedCache<Solved>> = use_cache.then(|| {
-        ShardedCache::with_counters(
-            16,
-            metrics.counter("par.cache.hits"),
-            metrics.counter("par.cache.misses"),
-        )
-    });
-    let cfg_fp = if use_cache {
-        engine_fingerprint(opts, &rewrites)
-    } else {
-        String::new()
-    };
-    // Static template analysis: with the memo on, the `entangle-iso`
-    // partition lifts the cache from per-operator to per-template keys —
-    // each repeated-structure class solves its representative once, and
-    // members replay or instantiate its certificate instead of
-    // re-saturating. Off (`opts.templates = false`) is the ablation.
-    let iso_partition = (opts.templates && use_cache).then(|| entangle_iso::analyze(gs));
+    let jobs = opts.jobs.max(1);
+    // The saturation memo fronts the one engine for every input. Its key
+    // renders the canonical problem — symbolic shapes and slice bounds
+    // included — and both the memo and `opts.sym_ctx` live exactly as long
+    // as this check, so equal keys pose equal problems.
+    let cache: ShardedCache<Solved> = ShardedCache::with_counters(
+        16,
+        metrics.counter("par.cache.hits"),
+        metrics.counter("par.cache.misses"),
+    );
+    let cfg_fp = engine_fingerprint(opts, &rewrites);
+    // Static template analysis: the `entangle-iso` partition lifts the memo
+    // from per-operator to per-template keys — each repeated-structure
+    // class solves its representative once, and members replay or
+    // instantiate its certificate instead of re-saturating.
+    let iso_partition = opts.templates.then(|| entangle_iso::analyze(gs));
     if let Some(a) = &iso_partition {
         a.record_metrics(metrics);
     }
@@ -797,193 +756,28 @@ fn check_refinement_inner(
         .as_ref()
         .map(|a| TemplateInfo::new(a, gs.nodes().len(), metrics));
 
-    // Monolithic (ablation) mode: one shared e-graph with all of G_d.
-    let mut shared: Option<EGraph<TensorAnalysis>> = if opts.fresh_egraph_per_op {
-        None
-    } else {
-        let mut sp = tracer.span("encode:gd");
-        let mut eg = fresh_egraph(gd, opts);
-        for node in gd.nodes() {
-            encode_node(&mut eg, gd, node);
-        }
-        sp.attr("nodes", eg.total_nodes());
-        Some(eg)
-    };
-
     let map_timer = stage_timer();
     let map_stage = tracer.span("stage:map");
-    if scheduled {
-        let ctx = MapCtx::new(
-            gs,
-            gd,
-            opts,
-            &rewrites,
-            &hinted,
-            &gd_output_names,
-            &gs_output_set,
-            cache.as_ref(),
-            cfg_fp,
-            backoff.as_ref(),
-            templates.as_ref(),
-        );
-        let mut st = MapState {
-            relation: &mut relation,
-            stats: &mut stats,
-            saturation: &mut saturation,
-            op_reports: &mut op_reports,
-            certificate: &mut certificate,
-        };
-        map_stage_scheduled(&ctx, &mut st, jobs)?;
-    } else {
-        for node in gs.nodes() {
-            let start = Instant::now();
-            let mut osp = tracer.span(&format!("op:{}", node.name));
-            osp.attr("op", node.op.name());
-            let hint_exprs: &[RecExpr] = hinted.get(&node.output).map(Vec::as_slice).unwrap_or(&[]);
-
-            // A hint covers this operator when it proves at least one mapping —
-            // and, for a G_s *output*, at least one mapping over G_d outputs
-            // alone (otherwise the Listing 1 line 9 gate still needs whatever
-            // saturation can find). Clean-op nodes (add, concat, …) are never
-            // skipped: their saturation is cheap, and the alternate mappings it
-            // discovers carry the leaf diversity later frontiers seed from —
-            // skipping them can starve a downstream operator of the very G_d
-            // names it needs to pull producers into its frontier.
-            let covered = !hint_exprs.is_empty()
-                && !opts.clean.is_clean(node.op.name())
-                && (!gs_output_set.contains(&node.output)
-                    || hint_exprs.iter().any(|e| {
-                        e.leaf_symbols()
-                            .iter()
-                            .all(|s| gd_output_names.contains(s.as_str()))
-                    }));
-            if covered {
-                for expr in hint_exprs {
-                    relation.insert(node.output, expr.clone());
-                }
-                osp.attr("hinted", "true");
-                osp.attr("mappings", hint_exprs.len());
-                op_reports.push(OpReport {
-                    name: node.name.clone(),
-                    elapsed: start.elapsed(),
-                    egraph_nodes: 0,
-                    mappings: hint_exprs.len(),
-                    hinted: true,
-                    rounds: 0,
-                    stop: None,
-                });
-                continue;
-            }
-
-            // The inputs' first mappings, in operator order: the saturation base
-            // term applies the operator to exactly these (see node_out_rel step
-            // 1), so they are what a mapping certificate must record.
-            let first_inputs: Vec<RecExpr> = node
-                .inputs
-                .iter()
-                .filter_map(|&t| relation.mappings(t).and_then(<[RecExpr]>::first).cloned())
-                .collect();
-
-            let attempt = match &mut shared {
-                Some(eg) => {
-                    let m = node_out_rel(
-                        gs,
-                        gd,
-                        node,
-                        &relation,
-                        opts,
-                        &rewrites,
-                        &mut stats,
-                        &mut saturation,
-                        eg,
-                        false,
-                        backoff.as_ref(),
-                        tracer,
-                    );
-                    let n = eg.total_nodes();
-                    m.map(|m| (m, n))
-                }
-                None => {
-                    let mut eg = fresh_egraph(gd, opts);
-                    let m = node_out_rel(
-                        gs,
-                        gd,
-                        node,
-                        &relation,
-                        opts,
-                        &rewrites,
-                        &mut stats,
-                        &mut saturation,
-                        &mut eg,
-                        opts.frontier,
-                        backoff.as_ref(),
-                        tracer,
-                    );
-                    let n = eg.total_nodes();
-                    m.map(|m| (m, n))
-                }
-            };
-            let (search, nodes_after, rescued) = match attempt {
-                Ok((s, n)) => (s, n, false),
-                // Saturation found nothing, but the hints *prove* mappings over
-                // G_d intermediates: defer to the R_o gate below, which reports
-                // the sharper "reconstructs only from intermediates" failure.
-                Err(e) if !hint_exprs.is_empty() => {
-                    osp.attr("outcome", "rescued-by-hints");
-                    let _ = e;
-                    (NodeSearch::default(), 0, true)
-                }
-                Err(e) => {
-                    osp.attr("outcome", error_kind(&e));
-                    return Err(e);
-                }
-            };
-            let NodeSearch {
-                mappings,
-                rounds,
-                stop,
-            } = search;
-            for (expr, proof) in mappings {
-                if let Some(c) = &mut certificate {
-                    let proof = proof.ok_or_else(|| RefinementError::CertRejected {
-                        error: CertError::Rejected {
-                            tensor: gs.tensor(node.output).name.clone(),
-                            reason: format!(
-                                "the engine could not extract a rewrite chain for {expr}"
-                            ),
-                        },
-                    })?;
-                    c.mappings.push(MappingCert {
-                        tensor: gs.tensor(node.output).name.clone(),
-                        operator: node.name.clone(),
-                        inputs: first_inputs.clone(),
-                        expr: expr.clone(),
-                        proof,
-                    });
-                }
-                relation.insert(node.output, expr);
-            }
-            for expr in hint_exprs {
-                relation.insert(node.output, expr.clone());
-            }
-            let n_mappings = relation.mappings(node.output).map_or(0, <[RecExpr]>::len);
-            osp.attr("mappings", n_mappings);
-            osp.attr("egraph_nodes", nodes_after);
-            osp.attr("rounds", rounds);
-            if let Some(stop) = stop {
-                osp.attr("stop", stop);
-            }
-            op_reports.push(OpReport {
-                name: node.name.clone(),
-                elapsed: start.elapsed(),
-                egraph_nodes: nodes_after,
-                mappings: n_mappings,
-                hinted: rescued,
-                rounds,
-                stop,
-            });
-        }
-    }
+    let ctx = MapCtx::new(
+        gs,
+        gd,
+        opts,
+        &rewrites,
+        &hinted,
+        &gd_output_names,
+        &cache,
+        cfg_fp,
+        backoff.as_ref(),
+        templates.as_ref(),
+    );
+    let mut st = MapState {
+        relation: &mut relation,
+        stats: &mut stats,
+        saturation: &mut saturation,
+        op_reports: &mut op_reports,
+        certificate: &mut certificate,
+    };
+    map_stage_scheduled(&ctx, &mut st, jobs)?;
     drop(map_stage);
     record_stage("check.stage.map_us", map_timer);
 
@@ -1100,7 +894,7 @@ fn check_refinement_inner(
         }
     }
 
-    let cache_stats = cache.as_ref().map(|c| c.stats()).unwrap_or_default();
+    let cache_stats = cache.stats();
     let template_stats = templates
         .as_ref()
         .map(|t| t.cache.stats())
@@ -1136,7 +930,6 @@ fn check_refinement_inner(
         par: ParStats {
             jobs,
             cores: entangle_par::available_jobs(),
-            cache_enabled: use_cache,
             cache_hits: cache_stats.hits,
             cache_misses: cache_stats.misses,
             templates_enabled: templates.is_some(),
@@ -1293,14 +1086,6 @@ fn shard_pass(
     Ok(hinted)
 }
 
-fn fresh_egraph(gd: &Graph, opts: &CheckOptions) -> EGraph<TensorAnalysis> {
-    let mut analysis = TensorAnalysis::with_ctx(opts.sym_ctx.clone());
-    for t in gd.tensors() {
-        analysis.register_leaf(&t.name, t.shape.clone(), t.dtype);
-    }
-    EGraph::with_analysis(analysis)
-}
-
 // ---------------------------------------------------------------------------
 // The dependency-aware operator scheduler (entangle-par).
 //
@@ -1309,11 +1094,11 @@ fn fresh_egraph(gd: &Graph, opts: &CheckOptions) -> EGraph<TensorAnalysis> {
 // (its mappings and hints are staged in the relation — identical to its
 // post-merge state). Workers solve operators out of order; the coordinator
 // merges results strictly in G_s index order, so reports, relation contents,
-// certificates, and trace structure match the sequential engine for any
-// worker count. Failure handling relies on the same invariant: the first
-// error the merge cursor reaches is the same first error the sequential
-// loop would have hit, because every operator before it merged successfully
-// with identical inputs.
+// certificates, and trace structure match the `jobs = 1` in-order loop for
+// any worker count. Failure handling relies on the same invariant: the first
+// error the merge cursor reaches is the same first error that loop hits,
+// because every operator before it merged successfully with identical
+// inputs.
 // ---------------------------------------------------------------------------
 
 /// One solved template class: the representative's per-site bound values
@@ -1386,7 +1171,7 @@ struct MapCtx<'a> {
     hint_vecs: Vec<&'a [RecExpr]>,
     /// Per operator: `true` when hints fully cover it (no saturation).
     covered: Vec<bool>,
-    cache: Option<&'a ShardedCache<Solved>>,
+    cache: &'a ShardedCache<Solved>,
     cfg_fp: String,
     backoff: Option<&'a BackoffSchedule>,
     templates: Option<&'a TemplateInfo>,
@@ -1404,8 +1189,7 @@ impl<'a> MapCtx<'a> {
         rewrites: &'a [Rewrite<TensorAnalysis>],
         hinted: &'a HashMap<TensorId, Vec<RecExpr>>,
         gd_output_names: &HashSet<&str>,
-        gs_output_set: &HashSet<TensorId>,
-        cache: Option<&'a ShardedCache<Solved>>,
+        cache: &'a ShardedCache<Solved>,
         cfg_fp: String,
         backoff: Option<&'a BackoffSchedule>,
         templates: Option<&'a TemplateInfo>,
@@ -1415,9 +1199,15 @@ impl<'a> MapCtx<'a> {
             .iter()
             .map(|n| hinted.get(&n.output).map(Vec::as_slice).unwrap_or(&[]))
             .collect();
-        // Same coverage rule as the sequential loop: a hint covers an
-        // operator when it proves a mapping (for a G_s output: over G_d
-        // outputs alone), and clean-op nodes are never skipped.
+        // A hint covers an operator when it proves at least one mapping —
+        // and, for a G_s *output*, at least one mapping over G_d outputs
+        // alone (otherwise the Listing 1 line 9 gate still needs whatever
+        // saturation can find). Clean-op nodes (add, concat, …) are never
+        // skipped: their saturation is cheap, and the alternate mappings it
+        // discovers carry the leaf diversity later frontiers seed from —
+        // skipping them can starve a downstream operator of the very G_d
+        // names it needs to pull producers into its frontier.
+        let gs_output_set: HashSet<TensorId> = gs.outputs().iter().copied().collect();
         let covered: Vec<bool> = nodes
             .iter()
             .zip(&hint_vecs)
@@ -1697,7 +1487,7 @@ fn instantiate_template(
         }
         return None;
     }
-    // Restore the sequential engine's (cost, real text) ordering.
+    // Same (cost, real text) ordering as a plain replay in `run_op`.
     mapped.sort_by(|a, b| {
         a.0.partial_cmp(&b.0)
             .unwrap_or(std::cmp::Ordering::Equal)
@@ -1706,11 +1496,11 @@ fn instantiate_template(
     Some(mapped.into_iter().map(|(_, e, p)| (e, p)).collect())
 }
 
-/// Solves one operator on the current thread. `per_input` is the snapshot
-/// of its inputs' final mappings (operator order). With a cache, the
-/// canonical memo engine runs; without one, the classic per-operator search
-/// runs against a private e-graph. Either way the operator's spans go to a
-/// buffering sub-tracer for in-order replay.
+/// Solves one operator on the current thread: canonicalize it
+/// ([`build_problem`]), consult the template and saturation memos, and on a
+/// miss run [`solve_problem`]. `per_input` is the snapshot of its inputs'
+/// final mappings (operator order). The operator's spans go to a buffering
+/// sub-tracer for in-order replay.
 fn run_op(ctx: &MapCtx, idx: usize, per_input: &[Vec<RecExpr>], traced: bool) -> OpResult {
     let start = Instant::now();
     let node = ctx.nodes[idx];
@@ -1728,7 +1518,7 @@ fn run_op(ctx: &MapCtx, idx: usize, per_input: &[Vec<RecExpr>], traced: bool) ->
 
     let mut outcome: Result<OpSuccess, OpFail> = if per_input.iter().any(|m| m.is_empty()) {
         Err(OpFail { stop: None })
-    } else if let Some(cache) = ctx.cache {
+    } else {
         let (problem, back) = build_problem(ctx.gs, ctx.gd, node, per_input, &ctx.consumers);
         let key = problem.key(&ctx.cfg_fp);
         // Template lift: a node in a repeated class additionally gets a
@@ -1761,9 +1551,9 @@ fn run_op(ctx: &MapCtx, idx: usize, per_input: &[Vec<RecExpr>], traced: bool) ->
         };
         let solved = match from_template {
             Some(solved) => solved,
-            None => match cache.get(&key) {
+            None => match ctx.cache.get(&key) {
                 Some(v) => v,
-                None => cache.insert(
+                None => ctx.cache.insert(
                     key,
                     solve_problem(&problem, ctx.opts, ctx.rewrites, ctx.backoff),
                 ),
@@ -1802,8 +1592,8 @@ fn run_op(ctx: &MapCtx, idx: usize, per_input: &[Vec<RecExpr>], traced: bool) ->
         } else if solved.variants.is_empty() {
             Err(OpFail { stop: solved.stop })
         } else {
-            // Rename back to real G_d tensors, then restore the sequential
-            // engine's (cost, real text) ordering.
+            // Rename back to real G_d tensors, then order by (cost, real
+            // text) — canonical text order is not real text order.
             let mut mapped: Vec<(f64, RecExpr, Option<Proof>)> = solved
                 .variants
                 .iter()
@@ -1828,49 +1618,11 @@ fn run_op(ctx: &MapCtx, idx: usize, per_input: &[Vec<RecExpr>], traced: bool) ->
                 rescued: false,
             })
         }
-    } else {
-        // Direct engine: the classic search against a private e-graph, with
-        // the inputs' mappings staged in a local relation slice.
-        let mut local = Relation::new();
-        for (&t, exprs) in node.inputs.iter().zip(per_input) {
-            for e in exprs {
-                local.insert(t, e.clone());
-            }
-        }
-        let mut eg = fresh_egraph(ctx.gd, ctx.opts);
-        match node_out_rel(
-            ctx.gs,
-            ctx.gd,
-            node,
-            &local,
-            ctx.opts,
-            ctx.rewrites,
-            &mut stats,
-            &mut summary,
-            &mut eg,
-            true,
-            ctx.backoff,
-            &tracer,
-        ) {
-            Ok(search) => Ok(OpSuccess {
-                mappings: search.mappings,
-                rounds: search.rounds,
-                stop: search.stop,
-                egraph_nodes: eg.total_nodes(),
-                rescued: false,
-            }),
-            Err(e) => {
-                let stop = match &e {
-                    RefinementError::OperatorUnmapped { stop, .. } => *stop,
-                    _ => None,
-                };
-                Err(OpFail { stop })
-            }
-        }
     };
     if outcome.is_err() && !ctx.hint_vecs[idx].is_empty() {
         // Saturation found nothing, but the hints *prove* mappings over G_d
-        // intermediates: defer to the R_o gate, as the sequential loop does.
+        // intermediates: defer to the R_o gate, which reports the sharper
+        // "reconstructs only from intermediates" failure.
         osp.attr("outcome", "rescued-by-hints");
         outcome = Ok(OpSuccess {
             mappings: Vec::new(),
@@ -1949,8 +1701,8 @@ fn stage_result(ctx: &MapCtx, relation: &mut Relation, idx: usize, success: &OpS
     }
 }
 
-/// Merges a hint-covered operator at its turn: same span, report, and
-/// relation contents as the sequential loop's skip branch.
+/// Merges a hint-covered operator at its turn: the hints become its
+/// mappings and no saturation runs.
 fn merge_covered(ctx: &MapCtx, st: &mut MapState, idx: usize, elapsed: Duration) {
     let node = ctx.nodes[idx];
     let hint_exprs = ctx.hint_vecs[idx];
@@ -1976,8 +1728,8 @@ fn merge_covered(ctx: &MapCtx, st: &mut MapState, idx: usize, elapsed: Duration)
 /// Merges one solved operator at its in-order turn: certificate assembly,
 /// relation insertion, trace replay (with the coordinator-side outcome
 /// attributes appended), and the operator report — or the localized
-/// failure, which is the same failure the sequential loop reports because
-/// every earlier operator already merged with identical inputs.
+/// failure, which is the same for any worker count because every earlier
+/// operator already merged with identical inputs.
 fn merge_run(
     ctx: &MapCtx,
     st: &mut MapState,
@@ -2090,7 +1842,7 @@ enum Done {
 }
 
 /// Snapshot of an operator's input mappings at dispatch time. Producers
-/// have completed (and staged), so this equals the sequential engine's view.
+/// have completed (and staged), so this equals the in-order loop's view.
 fn snapshot_inputs(relation: &Relation, node: &Node) -> Vec<Vec<RecExpr>> {
     node.inputs
         .iter()
@@ -2114,9 +1866,7 @@ fn map_stage_scheduled(
     let traced = ctx.opts.trace.is_enabled();
 
     if jobs <= 1 {
-        // In-process scheduling: same engine, no worker threads. (Reached
-        // when the memo is on; jobs=1 with the memo off takes the exact
-        // sequential code path in the caller.)
+        // In-process scheduling: same engine, no worker threads.
         for idx in 0..n {
             if ctx.covered[idx] {
                 merge_covered(ctx, st, idx, Duration::ZERO);
@@ -2130,9 +1880,8 @@ fn map_stage_scheduled(
     }
 
     // Producer dependencies, restricted to earlier operators: a producer
-    // appearing *later* would leave this input unmapped in the sequential
-    // engine too, so the operator dispatches immediately and fails the
-    // same way.
+    // appearing *later* leaves this input unmapped in the in-order loop
+    // too, so the operator dispatches immediately and fails the same way.
     let out_to_idx: HashMap<TensorId, usize> = ctx
         .nodes
         .iter()
@@ -2251,276 +2000,21 @@ fn map_stage_scheduled(
     })
 }
 
-/// What one operator's mapping search produced (alongside the lemma stats
-/// and saturation telemetry accumulated through the `&mut` params).
-#[derive(Default)]
-struct NodeSearch {
-    /// Clean mappings with their optional proofs.
-    mappings: Vec<(RecExpr, Option<Proof>)>,
-    /// Frontier rounds (saturation runs) spent.
-    rounds: usize,
-    /// `Saturated` when every round ran the rules dry, otherwise the limit
-    /// the last cut-short round hit.
-    stop: Option<StopReason>,
-}
-
-/// Computes the clean output relation for one `G_s` operator (Listing 2,
-/// with the Listing 3 frontier when `frontier` is true).
-///
-/// Each returned mapping is paired with the rewrite [`Proof`] connecting it
-/// to the operator's encoded base term when [`CheckOptions::certify`] is on
-/// (`None` otherwise, and in the never-observed case where the explanation
-/// machinery finds no path — the caller turns that into a rejection).
-#[allow(clippy::too_many_arguments)]
-fn node_out_rel(
-    gs: &Graph,
-    gd: &Graph,
-    node: &Node,
-    relation: &Relation,
-    opts: &CheckOptions,
-    rewrites: &[Rewrite<TensorAnalysis>],
-    stats: &mut LemmaStats,
-    summary: &mut SaturationSummary,
-    eg: &mut EGraph<TensorAnalysis>,
-    frontier: bool,
-    backoff: Option<&BackoffSchedule>,
-    tracer: &Tracer,
-) -> Result<NodeSearch, RefinementError> {
-    let fail = |relation: &Relation, stop: Option<StopReason>| RefinementError::OperatorUnmapped {
-        operator: node.name.clone(),
-        op: node.op.name().to_owned(),
-        node: node.id,
-        input_mappings: node
-            .inputs
-            .iter()
-            .map(|&t| {
-                (
-                    gs.tensor(t).name.clone(),
-                    relation
-                        .mappings(t)
-                        .map(|ms| ms.iter().map(|m| m.to_string()).collect())
-                        .unwrap_or_default(),
-                )
-            })
-            .collect(),
-        stop,
-    };
-
-    // Step 1: express the operator's output over G_d tensors by substituting
-    // the relation's mappings for each input (rewrite_t_to_expr). Every
-    // mapping of one tensor denotes that tensor, so all of an input's
-    // expressions are unioned into one class before the operator is applied
-    // — the e-graph-native form of "return all rewritings".
-    let per_input: Vec<&[RecExpr]> = node
-        .inputs
-        .iter()
-        .map(|&t| relation.mappings(t).unwrap_or(&[]))
-        .collect();
-    if per_input.iter().any(|m| m.is_empty()) {
-        return Err(fail(relation, None));
-    }
-    let mut encode_span = tracer.span("encode");
-    let mut input_ids: Vec<Id> = Vec::with_capacity(per_input.len());
-    for (&t, exprs) in node.inputs.iter().zip(&per_input) {
-        // The *first* mapping's id stays the representative (it is
-        // term-faithful, and the certificate records the first mappings as
-        // the operator's inputs); later mappings are unioned into it under
-        // a fact the trusted kernel can re-check against the accepted set.
-        let mut rep: Option<Id> = None;
-        for e in *exprs {
-            let id = eg.add_expr(e);
-            match rep {
-                None => rep = Some(id),
-                Some(first) => {
-                    eg.union_with(
-                        first,
-                        id,
-                        Justification::Given(format!(
-                            "mappings of G_s tensor {}",
-                            gs.tensor(t).name
-                        )),
-                    );
-                }
-            }
-        }
-        input_ids.push(rep.expect("non-empty mapping list"));
-    }
-    let base = encode_op(eg, &node.op, &input_ids);
-    eg.rebuild();
-    encode_span.attr("nodes", eg.total_nodes());
-    drop(encode_span);
-
-    // Steps 2–3: saturate with lemmas while growing the frontier of G_d
-    // operators whose inputs relate to this operator (Listing 3), or with
-    // everything at once when the optimization is disabled.
-    let name_to_tensor: HashMap<&str, TensorId> = gd
-        .tensors()
-        .iter()
-        .map(|t| (t.name.as_str(), t.id))
-        .collect();
-    let mut t_rel: HashSet<TensorId> = HashSet::new();
-    for exprs in &per_input {
-        for e in *exprs {
-            for sym in e.leaf_symbols() {
-                if let Some(&t) = name_to_tensor.get(sym.as_str()) {
-                    t_rel.insert(t);
-                }
-            }
-        }
-    }
-    let mut defs_added: HashSet<NodeId> = HashSet::new();
-    if !frontier {
-        // The e-graph either already holds all of G_d (monolithic mode) or
-        // gets it here (fresh graph, frontier ablation). encode_node is
-        // idempotent thanks to hash-consing, so re-encoding is harmless.
-        for n in gd.nodes() {
-            encode_node(eg, gd, n);
-            defs_added.insert(n.id);
-        }
-    }
-
-    // Frontier iteration (Listing 3): repeatedly pull in G_d operators all
-    // of whose inputs are related to this operator, saturate, and extend the
-    // related set with the newly computable outputs. Operators consuming
-    // tensors *not* related to v (e.g. the E-branch of Figure 2, or the
-    // next layer's weights) are never encoded — the size win the paper's
-    // optimization is after.
-    let mut first_round = true;
-    let mut rounds = 0usize;
-    let mut stop: Option<StopReason> = None;
-    loop {
-        let mut added_any = false;
-        if frontier {
-            for n in gd.nodes() {
-                if defs_added.contains(&n.id) {
-                    continue;
-                }
-                if n.inputs.iter().all(|t| t_rel.contains(t)) {
-                    encode_node(eg, gd, n);
-                    defs_added.insert(n.id);
-                    t_rel.insert(n.output);
-                    added_any = true;
-                }
-            }
-        }
-        if !added_any && !first_round {
-            break;
-        }
-        first_round = false;
-        eg.rebuild();
-
-        rounds += 1;
-        let mut sat_span = tracer.span("saturate");
-        let run_start_us = tracer.now_us();
-        let owned = std::mem::replace(eg, EGraph::with_analysis(TensorAnalysis::default()));
-        let mut runner = Runner::new(owned)
-            .with_iter_limit(opts.iter_limit)
-            .with_node_limit(opts.node_limit)
-            .with_time_limit(opts.time_limit)
-            .with_backoff(backoff.cloned())
-            .with_compiled_matcher(opts.compiled_matcher)
-            .with_metrics(opts.metrics.clone());
-        let report = runner.run(rewrites);
-        *eg = runner.egraph;
-        stats.merge(&report.applications);
-        summary.record(&report);
-        // A limit on any round means this operator's search was cut short;
-        // only an all-rounds-saturated operator failure is a proven bug.
-        if report.stop_reason.is_limit() || stop.is_none() {
-            stop = Some(report.stop_reason);
-        }
-        if tracer.is_enabled() {
-            sat_span.attr("round", rounds);
-            sat_span.attr("stop", report.stop_reason);
-            sat_span.attr("iterations", report.iterations);
-            sat_span.attr("nodes", report.egraph_nodes);
-            sat_span.attr("classes", report.egraph_classes);
-            for it in &report.saturation.iterations {
-                tracer.event_at(
-                    "iteration",
-                    run_start_us + it.start_us,
-                    Some(it.search_us + it.apply_us + it.rebuild_us),
-                    &[
-                        ("nodes", it.nodes.to_string()),
-                        ("classes", it.classes.to_string()),
-                        ("memo", it.memo.to_string()),
-                        ("unions", it.unions.to_string()),
-                        ("search_us", it.search_us.to_string()),
-                        ("apply_us", it.apply_us.to_string()),
-                        ("rebuild_us", it.rebuild_us.to_string()),
-                    ],
-                );
-            }
-        }
-    }
-
-    // Step 4: extract the clean expressions in the output's class,
-    // preferring G_d output leaves on ties (Listing 1 line 9 only keeps
-    // output-leaf mappings for G_s outputs).
-    let gd_outputs: HashSet<&str> = gd
-        .outputs()
-        .iter()
-        .map(|&t| gd.tensor(t).name.as_str())
-        .collect();
-    let mut extract_span = tracer.span("extract");
-    let variants = extract_clean_variants(eg, base, &opts.clean, &gd_outputs, opts.max_mappings);
-    extract_span.attr("variants", variants.len());
-    if variants.is_empty() {
-        extract_span.attr("outcome", "unmapped");
-        return Err(fail(relation, stop));
-    }
-    if !opts.certify {
-        return Ok(NodeSearch {
-            mappings: variants.into_iter().map(|e| (e, None)).collect(),
-            rounds,
-            stop,
-        });
-    }
-    // Proof extraction: re-adding a variant yields its term-faithful id, and
-    // the explanation forest connects it to the encoded base term.
-    Ok(NodeSearch {
-        mappings: variants
-            .into_iter()
-            .map(|expr| {
-                let vid = eg.add_expr(&expr);
-                let proof = eg.explain_equivalence(base, vid);
-                (expr, proof)
-            })
-            .collect(),
-        rounds,
-        stop,
-    })
-}
-
 /// Extracts up to `max` distinct clean expressions from a class, simplest
 /// first (the §4.3.2 "simplest representative" pruning, but keeping a few
 /// alternates — the paper returns e.g. both `sum(C1, C2)` and
-/// `concat(D1, D2)` for Figure 2's `C`).
-fn extract_clean_variants(
-    eg: &EGraph<TensorAnalysis>,
-    class: Id,
-    clean: &CleanOps,
-    prefer: &HashSet<&str>,
-    max: usize,
-) -> Vec<RecExpr> {
-    extract_clean_variants_with_cost(eg, class, clean, prefer, max, &|_| 0.0)
-        .into_iter()
-        .map(|(_, e)| e)
-        .collect()
-}
-
-/// [`extract_clean_variants`] keeping each variant's extraction cost — the
-/// saturation memo stores costs so a cache hit can re-sort the renamed
-/// variants exactly as the sequential engine would have.
+/// `concat(D1, D2)` for Figure 2's `C`). Each variant keeps its extraction
+/// cost: the saturation memo stores costs so a replay can re-sort the
+/// renamed variants by `(cost, real text)`.
 ///
-/// `leaf_bias` adds a per-leaf cost on top of [`clean_cost`]. The
-/// sequential engine passes zero; the canonical memo engine passes a tiny
-/// first-occurrence-index bias so extraction ties between equal-cost leaves
-/// (e.g. a scale-half/scale-double chain collapsing several tensors into
-/// one class) break toward the most *upstream* leaf by construction instead
-/// of by tensor-name string order — which canonical renaming would
-/// otherwise scramble, starving downstream frontiers of producer tensors.
-pub(crate) fn extract_clean_variants_with_cost(
+/// `leaf_bias` adds a per-leaf cost on top of [`clean_cost`]:
+/// [`solve_problem`] passes a tiny first-occurrence-index bias so
+/// extraction ties between equal-cost leaves (e.g. a scale-half/scale-double
+/// chain collapsing several tensors into one class) break toward the most
+/// *upstream* leaf by construction instead of by tensor-name string order —
+/// which canonical renaming would otherwise scramble, starving downstream
+/// frontiers of producer tensors.
+pub(crate) fn extract_clean_variants(
     eg: &EGraph<TensorAnalysis>,
     class: Id,
     clean: &CleanOps,

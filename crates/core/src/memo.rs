@@ -1,4 +1,5 @@
-//! Canonical per-operator problems for the cross-operator saturation memo.
+//! Canonical per-operator problems: the checker's one implementation of
+//! Listing 2–3, and the key of the cross-operator saturation memo.
 //!
 //! Distributed ML graphs are towers of structurally identical blocks: every
 //! transformer layer, every MoE expert re-poses the *same* per-operator
@@ -28,7 +29,7 @@ use entangle_ir::{DType, Graph, Node, Op, Shape, TensorId};
 use entangle_lemmas::TensorAnalysis;
 use entangle_par::Renamer;
 
-use crate::checker::{extract_clean_variants_with_cost, CheckOptions};
+use crate::checker::{extract_clean_variants, CheckOptions};
 use crate::encode::{encode_def, encode_op};
 
 /// One `G_d` operator definition pulled into the frontier, in canonical
@@ -65,9 +66,10 @@ pub(crate) struct OpProblem {
     /// (`$i{k}`, used only in the union fact string) and the canonicalized
     /// clean mappings.
     pub inputs: Vec<(String, Vec<RecExpr>)>,
-    /// The frontier closure, round by round, exactly as the sequential
-    /// engine would discover it (round 1 may be empty — it still saturates
-    /// the base term once).
+    /// The Listing 3 frontier closure, one in-order scan of `G_d` per
+    /// round: a definition joins the current round when all its inputs are
+    /// related by the time the scan reaches it (round 1 may be empty — it
+    /// still saturates the base term once).
     pub def_rounds: Vec<Vec<CanonDef>>,
     /// Canonical leaves in `$t` index order.
     pub leaves: Vec<CanonLeaf>,
@@ -146,11 +148,10 @@ impl GdConsumers {
 /// current mappings (`per_input`, in operator order), plus the
 /// canonical→real [`Renamer`] that replays a solution.
 ///
-/// The frontier closure is *simulated* here — same rule, same round
-/// structure as `node_out_rel` — rather than discovered during saturation:
-/// the set of reachable `G_d` definitions depends only on the input
-/// mappings' leaves and the graph, never on what saturation derives, so the
-/// closure is a pure function of the problem.
+/// The frontier closure (Listing 3) is computed here, ahead of saturation,
+/// rather than discovered during it: the set of reachable `G_d` definitions
+/// depends only on the input mappings' leaves and the graph, never on what
+/// saturation derives, so the closure is a pure function of the problem.
 pub(crate) fn build_problem(
     gs: &Graph,
     gd: &Graph,
@@ -191,8 +192,8 @@ pub(crate) fn build_problem(
         inputs.push((cin, exprs.iter().map(|e| cz.fwd.rename_expr(e)).collect()));
     }
 
-    // Frontier closure with the exact round structure of the sequential
-    // engine's full-graph scan, driven by the consumer worklist instead: a
+    // Frontier closure with the exact round structure of an in-order
+    // full-graph scan per round, driven by the consumer worklist instead: a
     // node re-enters the *current* round only when an input became related
     // at a smaller scan position (the in-order scan would still reach it),
     // otherwise the next round. The first round runs even when empty.
@@ -530,8 +531,7 @@ pub(crate) struct Solved {
     pub rounds: usize,
     /// Limit-sticky stop reason across rounds.
     pub stop: Option<StopReason>,
-    /// E-graph size after extraction and proof generation (matches the
-    /// sequential engine's measurement point).
+    /// E-graph size after extraction and proof generation.
     pub egraph_nodes: usize,
     /// E-graph size right after base-term encoding (the `encode` span
     /// attribute).
@@ -622,7 +622,7 @@ pub(crate) fn solve_problem(
             .and_then(|k| k.parse::<u64>().ok())
             .map_or(0.0, |k| k as f64 * 1e-12)
     };
-    let with_cost = extract_clean_variants_with_cost(
+    let with_cost = extract_clean_variants(
         &eg,
         base,
         &opts.clean,

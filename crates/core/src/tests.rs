@@ -339,32 +339,6 @@ fn missing_all_reduce_detected_at_consumer() {
 }
 
 #[test]
-fn ablation_modes_agree_on_verdict() {
-    let (gs, gd, f, ..) = figure1();
-    let ri = figure1_relation(&gs, &gd);
-    for (frontier, fresh) in [(true, true), (false, true), (false, false)] {
-        let opts = CheckOptions {
-            frontier,
-            fresh_egraph_per_op: fresh,
-            ..CheckOptions::default()
-        };
-        let outcome = check_refinement(&gs, &gd, &ri, &opts)
-            .unwrap_or_else(|e| panic!("mode ({frontier},{fresh}) failed: {e}"));
-        let maps: Vec<String> = outcome
-            .output_relation
-            .mappings(f)
-            .unwrap()
-            .iter()
-            .map(|m| m.to_string())
-            .collect();
-        assert!(
-            maps.iter().any(|m| m == "(concat F1 F2 0)"),
-            "mode ({frontier},{fresh}): {maps:?}"
-        );
-    }
-}
-
-#[test]
 fn expectation_checking() {
     let (gs, gd, ..) = figure1();
     let ri = figure1_relation(&gs, &gd);
@@ -431,30 +405,36 @@ fn sequence_parallel_elementwise_chain() {
 }
 
 #[test]
-fn frontier_prunes_unrelated_subgraph() {
-    // The unrelated branch (E1/E2 path of Figure 2) must not be pulled into
-    // the e-graph when processing the matmul with the frontier enabled: its
-    // op report should show a smaller e-graph than the ablation.
+fn frontier_closure_prunes_unrelated_subgraph() {
+    // Listing 3 on Figure 1's matmul `C = A x B`: the closure pulls in the
+    // rank-local matmuls and the reduce-scatters they feed. The E1/E2
+    // branch (`F1 = D1 - E1`, `F2 = D2 - E2`) consumes tensors unrelated to
+    // C's inputs, so its definitions and leaves never enter the problem.
     let (gs, gd, ..) = figure1();
-    let ri = figure1_relation(&gs, &gd);
-    let with = check_refinement(&gs, &gd, &ri, &saturation_opts()).unwrap();
-    let without = check_refinement(
+    let per_input: Vec<Vec<entangle_egraph::RecExpr>> = vec![
+        vec!["(concat A1 A2 1)".parse().unwrap()],
+        vec!["(concat B1 B2 0)".parse().unwrap()],
+    ];
+    let (problem, back) = crate::memo::build_problem(
         &gs,
         &gd,
-        &ri,
-        &CheckOptions {
-            frontier: false,
-            ..saturation_opts()
-        },
-    )
-    .unwrap();
-    // First operator = the matmul producing C.
-    let matmul_with = with.op_reports[0].egraph_nodes;
-    let matmul_without = without.op_reports[0].egraph_nodes;
-    assert!(
-        matmul_with < matmul_without,
-        "frontier ({matmul_with} nodes) should be smaller than full ({matmul_without} nodes)"
+        &gs.nodes()[0],
+        &per_input,
+        &crate::memo::GdConsumers::new(&gd),
     );
+    let real = |canon: &str| {
+        back.rename_leaf(entangle_egraph::Symbol::new(canon))
+            .as_str()
+            .to_owned()
+    };
+    let rounds: Vec<Vec<String>> = problem
+        .def_rounds
+        .iter()
+        .map(|defs| defs.iter().map(|d| real(&d.output)).collect())
+        .collect();
+    assert_eq!(rounds, [["C1", "C2", "D1", "D2"]]);
+    let leaves: Vec<String> = problem.leaves.iter().map(|l| real(&l.name)).collect();
+    assert_eq!(leaves, ["A1", "A2", "B1", "B2", "C1", "C2", "D1", "D2"]);
 }
 
 #[test]

@@ -8,8 +8,8 @@ use std::sync::{Arc, Mutex};
 
 use entangle_metrics::Counter;
 
-/// Cache hit/miss/size statistics, as reported by `entangle info` and
-/// `bench_par`.
+/// Cache hit/miss/size statistics, as reported on the CLI's `parallel :`
+/// line.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that found an entry.

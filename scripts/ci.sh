@@ -7,8 +7,13 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
+
+echo "==> benchmark package smoke (stand-alone build against the public API, one round)"
+cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- run --smoke >/dev/null \
+  || { echo "benchmark smoke FAILED (a public-API change broke benchmark/?)"; exit 1; }
+echo "    benchmark/ builds and every workload judges correct"
 
 echo "==> model-zoo shard sweep (entangle shard over exported strategies)"
 cargo run --release -q -p entangle-bench --bin export_zoo -- examples/graphs
@@ -118,16 +123,6 @@ echo "    results/BENCH_rules.json written"
 echo "==> compiled e-matching smoke (bench_ematch: writes results/BENCH_ematch.json)"
 ./target/release/bench_ematch >/dev/null
 echo "    results/BENCH_ematch.json written"
-
-echo "==> matcher-ablation check (gpt_tp2 verdict identical with --no-compiled-matcher)"
-base=examples/graphs/gpt_tp2
-default_out=$(./target/release/entangle check "$base.gs.json" "$base.gd.json" --maps "$base.maps") \
-  || { echo "check (compiled matcher) FAILED on $base"; exit 1; }
-legacy_out=$(./target/release/entangle --no-compiled-matcher check "$base.gs.json" "$base.gd.json" --maps "$base.maps") \
-  || { echo "check --no-compiled-matcher FAILED on $base"; exit 1; }
-[ "$default_out" = "$legacy_out" ] \
-  || { echo "verdict output differs between compiled and legacy matcher on $base"; exit 1; }
-echo "    compiled and legacy matcher agree on gpt_tp2"
 
 echo "==> trace profile smoke (entangle trace gpt-tp2)"
 ./target/release/entangle trace gpt-tp2 >/dev/null \

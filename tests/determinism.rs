@@ -12,9 +12,11 @@
 //! - [`entangle::ParStats`] — hit/miss counts depend on scheduling order
 //!   by design (the one documented jobs-dependent field).
 
-use entangle::{check_refinement, CheckOptions, CheckOutcome, RefinementError};
+use entangle::{check_refinement, CheckOptions, CheckOutcome, RefinementError, Relation};
 use entangle_bench::zoo;
+use entangle_ir::{DType, Dim, Graph, GraphBuilder, Op, Shape};
 use entangle_parallel::bugs::{all_bugs, BugVerdict};
+use entangle_symbolic::{Rel, SymCtx, SymExpr};
 use entangle_trace::{Record, Tracer};
 
 /// Deterministic fingerprint of a trace: record order, kinds, names and
@@ -108,30 +110,77 @@ fn opts_with(jobs: usize, tracer: &Tracer) -> CheckOptions {
     }
 }
 
+/// An elementwise chain sequence-split over a *symbolic* row count `2n`
+/// (`n >= 1` assumed): the one zoo-external input class, whose shapes and
+/// seam arithmetic go through the `SymCtx` solver.
+fn symbolic_pair() -> (Graph, Graph, Relation, SymCtx) {
+    let mut ctx = SymCtx::new();
+    let n = ctx.var("n");
+    ctx.assume(n.clone(), Rel::Ge, SymExpr::constant(1));
+
+    let mut gs = GraphBuilder::new("sym-seq");
+    let x = gs.input_shaped(
+        "x",
+        Shape(vec![Dim(n.clone() * 2), Dim::from(6)]),
+        DType::F32,
+    );
+    let y = gs.apply("gelu", Op::Gelu, &[x]).unwrap();
+    let z = gs.apply("tanh", Op::Tanh, &[y]).unwrap();
+    gs.mark_output(z);
+    let gs = gs.finish().unwrap();
+
+    let mut gd = GraphBuilder::new("sym-dist");
+    let shard_shape = Shape(vec![Dim(n), Dim::from(6)]);
+    let x0 = gd.input_shaped("x.0", shard_shape.clone(), DType::F32);
+    let x1 = gd.input_shaped("x.1", shard_shape, DType::F32);
+    let y0 = gd.apply("gelu.0", Op::Gelu, &[x0]).unwrap();
+    let y1 = gd.apply("gelu.1", Op::Gelu, &[x1]).unwrap();
+    let z0 = gd.apply("tanh.0", Op::Tanh, &[y0]).unwrap();
+    let z1 = gd.apply("tanh.1", Op::Tanh, &[y1]).unwrap();
+    gd.mark_output(z0);
+    gd.mark_output(z1);
+    let gd = gd.finish().unwrap();
+
+    let mut ri = Relation::builder(&gs, &gd);
+    ri.map("x", "(concat x.0 x.1 0)").unwrap();
+    let ri = ri.build();
+    (gs, gd, ri, ctx)
+}
+
 #[test]
 fn zoo_outcomes_are_identical_across_jobs() {
-    for case in zoo() {
-        let ri = case.dist.relation(&case.gs).expect("relation builds");
+    let mut cases: Vec<(String, Graph, Graph, Relation, SymCtx)> = zoo()
+        .into_iter()
+        .map(|case| {
+            let ri = case.dist.relation(&case.gs).expect("relation builds");
+            (case.name, case.gs, case.dist.graph, ri, SymCtx::new())
+        })
+        .collect();
+    let (gs, gd, ri, ctx) = symbolic_pair();
+    cases.push(("symbolic_sp2".to_owned(), gs, gd, ri, ctx));
+    for (name, gs, gd, ri, ctx) in &cases {
         let mut baseline: Option<(String, String)> = None;
         for jobs in [1usize, 2, 4] {
             let (tracer, sink) = Tracer::collect();
-            let result =
-                check_refinement(&case.gs, &case.dist.graph, &ri, &opts_with(jobs, &tracer));
-            drop(tracer);
-            let sig = outcome_signature(&case.gs, &result);
+            let opts = CheckOptions {
+                sym_ctx: ctx.clone(),
+                ..opts_with(jobs, &tracer)
+            };
+            let result = check_refinement(gs, gd, ri, &opts);
+            drop((opts, tracer));
+            assert!(result.is_ok(), "{name}: jobs={jobs} failed: {result:?}");
+            let sig = outcome_signature(gs, &result);
             let trace_sig = trace_signature(&sink.records());
             match &baseline {
                 None => baseline = Some((sig, trace_sig)),
                 Some((s0, t0)) => {
                     assert_eq!(
                         s0, &sig,
-                        "{}: outcome differs between jobs=1 and jobs={jobs}",
-                        case.name
+                        "{name}: outcome differs between jobs=1 and jobs={jobs}"
                     );
                     assert_eq!(
                         t0, &trace_sig,
-                        "{}: trace structure differs between jobs=1 and jobs={jobs}",
-                        case.name
+                        "{name}: trace structure differs between jobs=1 and jobs={jobs}"
                     );
                 }
             }
