@@ -822,6 +822,26 @@ fn check_options(tracer: &Tracer, flags: &GlobalFlags) -> CheckOptions {
     opts
 }
 
+/// The `Numeric verdicts:` block of a successful check/certify: one line
+/// per `R_o` output and, when any of them is `unknown`, a note with why
+/// the analysis left the model.
+fn print_numeric_verdicts(num: &entangle::CertAnalysis) {
+    println!("\nNumeric verdicts:");
+    for o in &num.outputs {
+        println!(
+            "  {} : {}",
+            o.tensor,
+            entangle::describe_verdict(&o.verdict)
+        );
+    }
+    let unknown = |o: &entangle::OutputVerdict| o.verdict.class == entangle::NumClass::Unknown;
+    if num.outputs.iter().any(unknown) {
+        if let Some(why) = num.unclassified_reason() {
+            println!("  note: {why}");
+        }
+    }
+}
+
 /// One human-readable line summarizing the checker's scheduler and
 /// cross-operator cache behavior, printed after check/certify/trace
 /// verdicts — driven entirely by the run's metric snapshot.
@@ -1247,14 +1267,7 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
                     println!("\nOutput relation:");
                     print!("{}", outcome.output_relation.display(&gs));
                     if let Some(num) = &outcome.numeric {
-                        println!("\nNumeric verdicts:");
-                        for o in &num.outputs {
-                            println!(
-                                "  {} : {}",
-                                o.tensor,
-                                entangle::describe_verdict(&o.verdict)
-                            );
-                        }
+                        print_numeric_verdicts(num);
                     }
                     Ok(0)
                 }
@@ -1377,6 +1390,9 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
                         println!("{}", metrics_summary(&outcome.metrics));
                         println!("\nOutput relation:");
                         print!("{}", outcome.output_relation.display(&gs));
+                        if let Some(num) = &outcome.numeric {
+                            print_numeric_verdicts(num);
+                        }
                     }
                     Ok(0)
                 }

@@ -871,6 +871,9 @@ fn check_refinement_inner(
             }
             sp.attr("outputs", analysis.outputs.len());
             sp.attr("steps", analysis.steps_analyzed);
+            sp.attr("arena_nodes", analysis.arena_nodes);
+            sp.attr("subterms", analysis.subterms);
+            sp.attr("subterm_hits", analysis.subterm_hits);
             sp.attr(
                 "outcome",
                 if analysis.is_clean() {

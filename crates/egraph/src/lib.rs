@@ -56,7 +56,7 @@
 mod egraph;
 mod explain;
 mod extract;
-mod hashing;
+pub mod hashing;
 mod machine;
 mod node;
 mod pattern;

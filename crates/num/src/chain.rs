@@ -22,14 +22,15 @@
 //! derived relative bound`, or `don't trust a tolerance at all`).
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use entangle_cert::{exprs_eq, Certificate};
 use entangle_egraph::{ProofStep, RecExpr};
 use entangle_ir::Graph;
 use entangle_lint::{codes, Anchor, Diagnostic};
 
-use crate::eval::{eval_term, graph_tensors_sym};
-use crate::sym::{classify_tensors, Arena, NumClass, SymTensor, Verdict};
+use crate::eval::{graph_tensors_sym, TermTable, ARENA_CAP_MSG};
+use crate::sym::{classify_tensors, Arena, NumClass, SymTensor, Verdict, ARENA_CAP};
 
 /// Rounding-site counts above this are reported as too loose to be
 /// meaningful ([`codes::NUM_LOOSE_BOUND`]): `(1+ε)^k − 1` at `k = 2³²` is
@@ -57,6 +58,12 @@ pub struct CertAnalysis {
     pub diagnostics: Vec<Diagnostic>,
     /// Total proof steps classified.
     pub steps_analyzed: usize,
+    /// Arena nodes the walk ended with (what [`ARENA_CAP`] counts).
+    pub arena_nodes: usize,
+    /// Distinct subterms of the proof-step terms, each evaluated once.
+    pub subterms: usize,
+    /// Subterm occurrences answered from the subterm table instead.
+    pub subterm_hits: usize,
 }
 
 impl CertAnalysis {
@@ -80,6 +87,15 @@ impl CertAnalysis {
             .find(|o| o.tensor == tensor)
             .map(|o| &o.verdict)
     }
+
+    /// Why an output is `unknown`: the first [`codes::NUM_UNCLASSIFIED`]
+    /// message, when the walk raised one.
+    pub fn unclassified_reason(&self) -> Option<&str> {
+        self.diagnostics
+            .iter()
+            .find(|d| d.code == codes::NUM_UNCLASSIFIED)
+            .map(|d| d.message.as_str())
+    }
 }
 
 /// Shared state for one certificate walk.
@@ -89,31 +105,40 @@ struct ChainCtx<'a> {
     /// producer computes (graph inputs are leaves). Terms over `G_d`
     /// leaves and the tensor names that abbreviate them hash-cons to the
     /// same nodes, so `G_d`-definition substitutions classify bit-exact.
-    gd_values: HashMap<String, Result<SymTensor, String>>,
+    gd_values: HashMap<String, Result<Rc<SymTensor>, String>>,
     /// Accepted mappings per `G_s` tensor with their verdicts, mirroring
     /// the kernel's accepted-mapping table.
     accepted: HashMap<String, Vec<(&'a RecExpr, Verdict)>>,
-    /// Memoized symbolic evaluation per term (keyed by slot layout; a
-    /// structural-duplicate miss only costs a re-evaluation).
-    terms: HashMap<RecExpr, Result<SymTensor, String>>,
+    /// Every subterm of every step term, evaluated once.
+    table: TermTable,
     diagnostics: Vec<Diagnostic>,
+    /// The arena-cap warning is out: past the cap every later operator
+    /// step leaves the model for the same reason, reported once.
+    cap_reported: bool,
     steps: usize,
 }
 
 impl<'a> ChainCtx<'a> {
-    fn eval(&mut self, term: &RecExpr) -> Result<SymTensor, String> {
-        if let Some(r) = self.terms.get(term) {
-            return r.clone();
-        }
+    fn eval(&mut self, term: &RecExpr) -> Result<Rc<SymTensor>, String> {
         let gd_values = &self.gd_values;
-        let result = eval_term(&mut self.arena, term, &mut |_, name| {
+        self.table.eval(&mut self.arena, term, &mut |_, name| {
             gd_values
                 .get(name)
                 .cloned()
                 .unwrap_or_else(|| Err(format!("unknown G_d tensor {name:?}")))
-        });
-        self.terms.insert(term.clone(), result.clone());
-        result
+        })
+    }
+
+    /// NU05: `what` left the model because of `why`.
+    fn left_model(&mut self, anchor: Anchor, what: String, why: &str) {
+        if why == ARENA_CAP_MSG && std::mem::replace(&mut self.cap_reported, true) {
+            return;
+        }
+        self.diagnostics.push(Diagnostic::warning(
+            codes::NUM_UNCLASSIFIED,
+            anchor,
+            format!("{what} left the model: {why}"),
+        ));
     }
 
     /// Classifies one before/after term pair by symbolic evaluation.
@@ -194,11 +219,11 @@ impl<'a> ChainCtx<'a> {
                     v
                 }
                 Err(why) => {
-                    self.diagnostics.push(Diagnostic::warning(
-                        codes::NUM_UNCLASSIFIED,
+                    self.left_model(
                         Anchor::Lemma(name.clone()),
-                        format!("mapping {mapping}: step by lemma {name} left the model: {why}"),
-                    ));
+                        format!("mapping {mapping}: step by lemma {name}"),
+                        &why,
+                    );
                     Verdict::unknown()
                 }
             },
@@ -221,11 +246,11 @@ impl<'a> ChainCtx<'a> {
                         v
                     }
                     Err(why) => {
-                        self.diagnostics.push(Diagnostic::warning(
-                            codes::NUM_UNCLASSIFIED,
+                        self.left_model(
                             Anchor::Graph,
-                            format!("mapping {mapping}: congruence step left the model: {why}"),
-                        ));
+                            format!("mapping {mapping}: congruence step"),
+                            &why,
+                        );
                         Verdict::unknown()
                     }
                 }
@@ -248,10 +273,15 @@ pub fn analyze_certificate(cert: &Certificate, gs: &Graph, gd: &Graph) -> CertAn
         arena,
         gd_values,
         accepted: HashMap::new(),
-        terms: HashMap::new(),
+        table: TermTable::default(),
         diagnostics: Vec::new(),
+        cap_reported: false,
         steps: 0,
     };
+    if ctx.arena.len() > ARENA_CAP {
+        let what = format!("G_d pre-evaluation ({} nodes)", ctx.arena.len());
+        ctx.left_model(Anchor::Graph, what, ARENA_CAP_MSG);
+    }
 
     // R_i mappings are the certificate's axioms: the related inputs are
     // fed bit-identically on both sides, so they are exact by fiat.
@@ -350,5 +380,8 @@ pub fn analyze_certificate(cert: &Certificate, gs: &Graph, gd: &Graph) -> CertAn
         mappings: mapping_verdicts,
         diagnostics: ctx.diagnostics,
         steps_analyzed: ctx.steps,
+        arena_nodes: ctx.arena.len(),
+        subterms: ctx.table.subterms(),
+        subterm_hits: ctx.table.hits(),
     }
 }

@@ -27,12 +27,11 @@
 use std::collections::HashMap;
 
 use entangle_egraph::{PatternAst, Var};
-use entangle_ir::DType;
-use entangle_lemmas::{decode_op, registry, Lemma, Meta, SYNTHETIC_LEAF_PREFIX};
+use entangle_lemmas::{registry, Lemma, Meta};
 use entangle_lint::{codes, Anchor, Diagnostic};
 
 use crate::chain::K_LOOSE;
-use crate::eval::{eval_op_sym, leaf_tensor, ones_tensor};
+use crate::eval::{apply_op, leaf_tensor, synthetic_leaf, tensor_meta};
 use crate::sym::{classify_tensors, Arena, NumClass, SymTensor, Verdict};
 
 /// How a rule was classified.
@@ -128,30 +127,16 @@ fn eval_pattern(
 ) -> Result<(Meta, Option<SymTensor>), String> {
     match ast {
         PatternAst::Var(v) => match env.get(v) {
-            Some(Binding::Tensor(t)) => {
-                let idims: Vec<i64> = t.shape.iter().map(|&d| d as i64).collect();
-                Ok((
-                    Meta::tensor(entangle_ir::Shape::of(&idims), DType::F32),
-                    Some(t.clone()),
-                ))
-            }
+            Some(Binding::Tensor(t)) => Ok((tensor_meta(t), Some(t.clone()))),
             Some(Binding::Int(i)) => Ok((Meta::scalar((*i).into()), None)),
             None => Err(format!("unbound pattern variable {v}")),
         },
         PatternAst::Int(i) => Ok((Meta::scalar((*i).into()), None)),
         PatternAst::Op(sym, ch) if ch.is_empty() => {
             let name = sym.as_str();
-            let rest = name
-                .strip_prefix(SYNTHETIC_LEAF_PREFIX)
-                .ok_or_else(|| format!("concrete leaf {name:?} in pattern"))?;
-            let dims = parse_ones_dims(rest)
-                .ok_or_else(|| format!("unparseable synthetic leaf {name:?}"))?;
-            let idims: Vec<i64> = dims.iter().map(|&d| d as i64).collect();
-            let t = ones_tensor(arena, dims);
-            Ok((
-                Meta::tensor(entangle_ir::Shape::of(&idims), DType::F32),
-                Some(t),
-            ))
+            let t = synthetic_leaf(arena, name)
+                .ok_or_else(|| format!("concrete leaf {name:?} in pattern"))??;
+            Ok((tensor_meta(&t), Some(t)))
         }
         PatternAst::Op(sym, ch) => {
             let mut metas = Vec::with_capacity(ch.len());
@@ -161,37 +146,11 @@ fn eval_pattern(
                 metas.push(m);
                 tensors.push(t);
             }
-            let (op, tensor_count) = decode_op(sym.as_str(), &metas)
-                .ok_or_else(|| format!("cannot decode {}", sym.as_str()))?;
-            let inputs: Vec<&SymTensor> = tensors[..tensor_count]
-                .iter()
-                .map(|t| {
-                    t.as_ref()
-                        .ok_or_else(|| "tensor child has no value".to_owned())
-                })
-                .collect::<Result<_, _>>()?;
-            let t = eval_op_sym(arena, &op, &inputs)?;
-            let idims: Vec<i64> = t.shape.iter().map(|&d| d as i64).collect();
-            Ok((
-                Meta::tensor(entangle_ir::Shape::of(&idims), DType::F32),
-                Some(t),
-            ))
+            let tensors: Vec<Option<&SymTensor>> = tensors.iter().map(Option::as_ref).collect();
+            let (m, t) = apply_op(arena, sym.as_str(), &metas, &tensors)?;
+            Ok((m, Some(t)))
         }
     }
-}
-
-fn parse_ones_dims(rest: &str) -> Option<Vec<usize>> {
-    let body = rest
-        .strip_prefix("ones")?
-        .strip_prefix('[')?
-        .strip_suffix(']')?
-        .trim();
-    if body.is_empty() {
-        return Some(Vec::new());
-    }
-    body.split(',')
-        .map(|p| p.trim().parse::<usize>().ok())
-        .collect()
 }
 
 /// Counts operator applications in a pattern — the structural

@@ -15,12 +15,14 @@
 //! reduction folds skip their `0.0` seed (`fl(0 + x) = x`).
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
-use entangle_egraph::{ENode, RecExpr};
+use entangle_egraph::hashing::FxHashMap;
+use entangle_egraph::{ENode, Id, RecExpr};
 use entangle_ir::{DType, Graph, Op, Shape};
 use entangle_lemmas::{decode_op, Meta, SYNTHETIC_LEAF_PREFIX};
 
-use crate::sym::{Arena, ExprId, Rat, SymTensor};
+use crate::sym::{Arena, ExprId, Rat, SymTensor, ARENA_CAP};
 
 /// Per-tensor element cap: larger tensors leave the model (pessimistic).
 pub const NUMEL_CAP: usize = 1 << 16;
@@ -53,8 +55,8 @@ pub fn leaf_tensor(arena: &mut Arena, name: &str, shape: Vec<usize>) -> Result<S
 pub fn graph_tensors_sym(
     arena: &mut Arena,
     g: &Graph,
-) -> HashMap<String, Result<SymTensor, String>> {
-    let mut out: HashMap<String, Result<SymTensor, String>> = HashMap::new();
+) -> HashMap<String, Result<Rc<SymTensor>, String>> {
+    let mut out: HashMap<String, Result<Rc<SymTensor>, String>> = HashMap::new();
     for &t in g.inputs() {
         let tensor = g.tensor(t);
         let dims: Option<Vec<usize>> = tensor
@@ -67,46 +69,37 @@ pub fn graph_tensors_sym(
             Some(dims) => leaf_tensor(arena, &tensor.name, dims),
             None => Err(format!("symbolic shape on {:?}", tensor.name)),
         };
-        out.insert(tensor.name.clone(), r);
+        out.insert(tensor.name.clone(), r.map(Rc::new));
     }
     for node in g.nodes() {
-        let mut ins = Vec::with_capacity(node.inputs.len());
-        let mut err = None;
-        for &t in &node.inputs {
-            match out.get(&g.tensor(t).name) {
-                Some(Ok(v)) => ins.push(v.clone()),
-                Some(Err(e)) => {
-                    err = Some(e.clone());
-                    break;
-                }
-                None => {
-                    err = Some(format!(
-                        "tensor {:?} referenced before definition",
-                        g.tensor(t).name
-                    ));
-                    break;
-                }
-            }
-        }
-        let r = match err {
-            Some(e) => Err(e),
-            None => {
-                let refs: Vec<&SymTensor> = ins.iter().collect();
-                eval_op_sym(arena, &node.op, &refs)
-            }
-        };
-        out.insert(g.tensor(node.output).name.clone(), r);
+        let ins: Result<Vec<&SymTensor>, String> = node
+            .inputs
+            .iter()
+            .map(|&t| match out.get(&g.tensor(t).name) {
+                Some(Ok(v)) => Ok(&**v),
+                Some(Err(e)) => Err(e.clone()),
+                None => Err(format!(
+                    "tensor {:?} referenced before definition",
+                    g.tensor(t).name
+                )),
+            })
+            .collect();
+        let r = ins.and_then(|ins| eval_op_sym(arena, &node.op, &ins));
+        out.insert(g.tensor(node.output).name.clone(), r.map(Rc::new));
     }
     out
 }
+
+/// Why an evaluation past [`ARENA_CAP`] leaves the model.
+pub const ARENA_CAP_MSG: &str = "arena node cap exceeded";
 
 fn check_caps(arena: &Arena, shape: &[usize]) -> Result<(), String> {
     let n: usize = shape.iter().product();
     if n > NUMEL_CAP {
         return Err(format!("tensor exceeds element cap ({n})"));
     }
-    if arena.len() > crate::sym::ARENA_CAP {
-        return Err("arena node cap exceeded".to_owned());
+    if arena.len() > ARENA_CAP {
+        return Err(ARENA_CAP_MSG.to_owned());
     }
     Ok(())
 }
@@ -130,33 +123,62 @@ fn broadcast_shape(a: &[usize], b: &[usize]) -> Result<Vec<usize>, String> {
     Ok(out)
 }
 
-fn broadcast_index(full: &[usize], shape: &[usize]) -> Vec<usize> {
-    let offset = full.len() - shape.len();
+/// Flat offset into a tensor of `shape` of the element that broadcasts to
+/// position `full` of the (equal or higher rank) result.
+fn broadcast_offset(full: &[usize], shape: &[usize]) -> usize {
+    let skip = full.len() - shape.len();
     shape
         .iter()
-        .enumerate()
-        .map(|(i, &d)| if d == 1 { 0 } else { full[offset + i] })
-        .collect()
+        .zip(&full[skip..])
+        .fold(0, |acc, (&d, &ix)| acc * d + if d == 1 { 0 } else { ix })
 }
 
-fn indices_of(shape: &[usize]) -> Vec<Vec<usize>> {
-    if shape.contains(&0) {
-        return Vec::new();
-    }
-    let n: usize = shape.iter().product();
-    let mut out = Vec::with_capacity(n);
-    let mut idx = vec![0usize; shape.len()];
-    for _ in 0..n {
-        out.push(idx.clone());
-        for i in (0..shape.len()).rev() {
-            idx[i] += 1;
-            if idx[i] < shape[i] {
-                break;
-            }
-            idx[i] = 0;
+/// Row-major walk over every multi-index of `shape`, in one reused buffer.
+struct Indices<'a> {
+    shape: &'a [usize],
+    idx: Vec<usize>,
+    left: usize,
+    started: bool,
+}
+
+impl<'a> Indices<'a> {
+    fn new(shape: &'a [usize]) -> Indices<'a> {
+        Indices {
+            shape,
+            idx: vec![0; shape.len()],
+            left: shape.iter().product(),
+            started: false,
         }
     }
-    out
+
+    /// The next index, valid until the next call.
+    fn advance(&mut self) -> Option<&[usize]> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        if self.started {
+            for i in (0..self.shape.len()).rev() {
+                self.idx[i] += 1;
+                if self.idx[i] < self.shape[i] {
+                    break;
+                }
+                self.idx[i] = 0;
+            }
+        }
+        self.started = true;
+        Some(&self.idx)
+    }
+}
+
+/// Splits `shape` around `dim` into (product before, `shape[dim]`, product
+/// after): element `(o, k, r)` sits at flat offset `(o·n + k)·inner + r`.
+fn split_at_dim(shape: &[usize], dim: usize) -> (usize, usize, usize) {
+    (
+        shape[..dim].iter().product(),
+        shape[dim],
+        shape[dim + 1..].iter().product(),
+    )
 }
 
 fn broadcast_binary(
@@ -168,9 +190,10 @@ fn broadcast_binary(
     let shape = broadcast_shape(&a.shape, &b.shape)?;
     check_caps(arena, &shape)?;
     let mut elems = Vec::with_capacity(shape.iter().product());
-    for idx in indices_of(&shape) {
-        let av = a.get(&broadcast_index(&idx, &a.shape));
-        let bv = b.get(&broadcast_index(&idx, &b.shape));
+    let mut walk = Indices::new(&shape);
+    while let Some(idx) = walk.advance() {
+        let av = a.elems[broadcast_offset(idx, &a.shape)];
+        let bv = b.elems[broadcast_offset(idx, &b.shape)];
         elems.push(f(arena, av, bv));
     }
     Ok(SymTensor::new(shape, elems))
@@ -204,13 +227,10 @@ fn reduce_dim(
     shape[dim] = 1;
     let zero = arena.rat(Rat::zero());
     let mut out = SymTensor::new(shape.clone(), vec![zero; shape.iter().product()]);
-    for idx in indices_of(&x.shape) {
-        let mut oidx = idx.clone();
-        oidx[dim] = 0;
-        let off = out.offset(&oidx);
-        let cur = out.elems[off];
-        let xv = x.get(&idx);
-        out.elems[off] = arena.add(cur, xv);
+    let (_, _, inner) = split_at_dim(&x.shape, dim);
+    for (i, &xv) in x.elems.iter().enumerate() {
+        let off = i / (n * inner) * inner + i % inner;
+        out.elems[off] = arena.add(out.elems[off], xv);
     }
     if mean && n > 0 {
         for e in &mut out.elems {
@@ -233,8 +253,9 @@ fn softmax(arena: &mut Arena, x: &SymTensor, dim: usize) -> Result<SymTensor, St
     let mut out = x.clone();
     let mut outer = x.shape.clone();
     let n = outer.remove(dim);
-    for row in indices_of(&outer) {
-        let mut full = row.clone();
+    let mut rows = Indices::new(&outer);
+    while let Some(row) = rows.advance() {
+        let mut full = row.to_vec();
         full.insert(dim, 0);
         if n == 0 {
             continue;
@@ -269,8 +290,9 @@ fn softmax(arena: &mut Arena, x: &SymTensor, dim: usize) -> Result<SymTensor, St
 fn permute(x: &SymTensor, perm: &[usize]) -> SymTensor {
     let shape: Vec<usize> = perm.iter().map(|&p| x.shape[p]).collect();
     let mut elems = Vec::with_capacity(shape.iter().product());
-    for idx in indices_of(&shape) {
-        let mut src = vec![0; idx.len()];
+    let mut src = vec![0; shape.len()];
+    let mut walk = Indices::new(&shape);
+    while let Some(idx) = walk.advance() {
         for (i, &p) in perm.iter().enumerate() {
             src[p] = idx[i];
         }
@@ -286,10 +308,9 @@ fn slice_t(x: &SymTensor, dim: usize, start: usize, end: usize) -> Result<SymTen
     let mut shape = x.shape.clone();
     shape[dim] = end - start;
     let mut elems = Vec::with_capacity(shape.iter().product());
-    for idx in indices_of(&shape) {
-        let mut src = idx.clone();
-        src[dim] += start;
-        elems.push(x.get(&src));
+    let (outer, n, inner) = split_at_dim(&x.shape, dim);
+    for o in 0..outer {
+        elems.extend_from_slice(&x.elems[(o * n + start) * inner..(o * n + end) * inner]);
     }
     Ok(SymTensor::new(shape, elems))
 }
@@ -316,13 +337,13 @@ fn concat(arena: &mut Arena, inputs: &[&SymTensor], dim: usize) -> Result<SymTen
     check_caps(arena, &shape)?;
     let zero = arena.rat(Rat::zero());
     let mut out = SymTensor::new(shape.clone(), vec![zero; shape.iter().product()]);
+    let (outer, _, inner) = split_at_dim(&shape, dim);
     let mut offset = 0;
     for v in inputs {
-        for idx in indices_of(&v.shape) {
-            let mut dst = idx.clone();
-            dst[dim] += offset;
-            let off = out.offset(&dst);
-            out.elems[off] = v.get(&idx);
+        let run = v.shape[dim] * inner;
+        for o in 0..outer {
+            let dst = (o * total + offset) * inner;
+            out.elems[dst..dst + run].copy_from_slice(&v.elems[o * run..(o + 1) * run]);
         }
         offset += v.shape[dim];
     }
@@ -344,11 +365,11 @@ fn pad(
     check_caps(arena, &shape)?;
     let zero = arena.rat(Rat::zero());
     let mut out = SymTensor::new(shape.clone(), vec![zero; shape.iter().product()]);
-    for idx in indices_of(&x.shape) {
-        let mut dst = idx.clone();
-        dst[dim] += before;
-        let off = out.offset(&dst);
-        out.elems[off] = x.get(&idx);
+    let (outer, n, inner) = split_at_dim(&x.shape, dim);
+    let run = n * inner;
+    for o in 0..outer {
+        let dst = (o * shape[dim] + before) * inner;
+        out.elems[dst..dst + run].copy_from_slice(&x.elems[o * run..(o + 1) * run]);
     }
     Ok(out)
 }
@@ -369,23 +390,16 @@ fn matmul(arena: &mut Arena, a: &SymTensor, b: &SymTensor) -> Result<SymTensor, 
     shape.extend([m, n]);
     check_caps(arena, &shape)?;
     let mut elems = Vec::with_capacity(shape.iter().product());
-    let batches: Vec<Vec<usize>> = if batch.is_empty() {
-        vec![vec![]]
-    } else {
-        indices_of(&batch)
-    };
-    for bidx in batches {
-        let aidx_base = broadcast_index(&bidx, abatch);
-        let bidx_base = broadcast_index(&bidx, bbatch);
+    let mut batches = Indices::new(&batch);
+    while let Some(bidx) = batches.advance() {
+        let a_base = broadcast_offset(bidx, abatch) * m * k1;
+        let b_base = broadcast_offset(bidx, bbatch) * k1 * n;
         for i in 0..m {
             for j in 0..n {
                 let mut acc = arena.rat(Rat::zero());
                 for k in 0..k1 {
-                    let mut ai = aidx_base.clone();
-                    ai.extend([i, k]);
-                    let mut bi = bidx_base.clone();
-                    bi.extend([k, j]);
-                    let (ea, eb) = (a.get(&ai), b.get(&bi));
+                    let ea = a.elems[a_base + i * k1 + k];
+                    let eb = b.elems[b_base + k * n + j];
                     let prod = arena.mul(ea, eb);
                     acc = arena.add(acc, prod);
                 }
@@ -418,13 +432,12 @@ fn embedding(arena: &mut Arena, w: &SymTensor, ids: &SymTensor) -> Result<SymTen
     // exact (unrounded) selection domain of column j.
     let cols: Vec<ExprId> = (0..h)
         .map(|j| {
-            let col: Vec<ExprId> = (0..v).map(|r| w.get(&[r, j])).collect();
+            let col: Vec<ExprId> = (0..v).map(|r| w.elems[r * h + j]).collect();
             arena.fun("col", col)
         })
         .collect();
     let mut elems = Vec::with_capacity(shape.iter().product());
-    for idx in indices_of(&ids.shape) {
-        let id_e = ids.get(&idx);
+    for &id_e in &ids.elems {
         let known = const_index(arena.constant(id_e));
         for (j, &cj) in cols.iter().enumerate() {
             match known {
@@ -432,7 +445,7 @@ fn embedding(arena: &mut Arena, w: &SymTensor, ids: &SymTensor) -> Result<SymTen
                     if row >= v {
                         return Err(format!("index {row} out of vocab {v}"));
                     }
-                    elems.push(w.get(&[row, j]));
+                    elems.push(w.elems[row * h + j]);
                 }
                 None => elems.push(arena.fun("embed", vec![id_e, cj])),
             }
@@ -589,8 +602,8 @@ fn rope(
             let base = (r * s + t) * h;
             for j in (0..h).step_by(2) {
                 let (x0, x1) = (x.elems[base + j], x.elems[base + j + 1]);
-                let (c0, s0) = (cos.get(&[t, j]), sin.get(&[t, j]));
-                let (c1, s1) = (cos.get(&[t, j + 1]), sin.get(&[t, j + 1]));
+                let (c0, s0) = (cos.elems[t * h + j], sin.elems[t * h + j]);
+                let (c1, s1) = (cos.elems[t * h + j + 1], sin.elems[t * h + j + 1]);
                 let a = arena.mul(x0, c0);
                 let bmul = arena.mul(x1, s0);
                 let nb = arena.neg(bmul);
@@ -755,8 +768,8 @@ fn cross_entropy(
 /// model caps (the computation is too large to track — callers classify
 /// pessimistically).
 pub fn eval_op_sym(arena: &mut Arena, op: &Op, inputs: &[&SymTensor]) -> Result<SymTensor, String> {
-    if arena.len() > crate::sym::ARENA_CAP {
-        return Err("arena node cap exceeded".to_owned());
+    if arena.len() > ARENA_CAP {
+        return Err(ARENA_CAP_MSG.to_owned());
     }
     let need = |n: usize| -> Result<(), String> {
         if inputs.len() < n {
@@ -1044,63 +1057,162 @@ fn parse_ones_shape(rest: &str) -> Option<Vec<usize>> {
         .collect()
 }
 
-/// Evaluates a *ground* s-expression term (no pattern variables) bottom-up
-/// into a symbolic tensor — the static analogue of the runtime's ground
-/// evaluator. Leaf tensors are resolved by the caller's closure (certificate
-/// analysis resolves against `G_d` tensor shapes; the corpus sweep against
-/// palette bindings); synthetic `~ones[...]` leaves become exact-ones
-/// tensors.
+/// The metadata `decode_op` reads off a tensor child.
+pub(crate) fn tensor_meta(t: &SymTensor) -> Meta {
+    let dims: Vec<i64> = t.shape.iter().map(|&d| d as i64).collect();
+    Meta::tensor(Shape::of(&dims), DType::F32)
+}
+
+/// The exact-ones tensor a synthetic `~ones[...]` leaf denotes; `None`
+/// when `name` is not synthetic.
+pub(crate) fn synthetic_leaf(arena: &mut Arena, name: &str) -> Option<Result<SymTensor, String>> {
+    let rest = name.strip_prefix(SYNTHETIC_LEAF_PREFIX)?;
+    Some(
+        parse_ones_shape(rest)
+            .map(|dims| ones_tensor(arena, dims))
+            .ok_or_else(|| format!("unparseable synthetic leaf {name:?}")),
+    )
+}
+
+/// One operator application, shared by the term and the pattern evaluator:
+/// decodes `sym` against its children's metadata, evaluates it over the
+/// leading tensor children, and describes the result for its own parent.
+pub(crate) fn apply_op(
+    arena: &mut Arena,
+    sym: &str,
+    metas: &[Meta],
+    tensors: &[Option<&SymTensor>],
+) -> Result<(Meta, SymTensor), String> {
+    let (op, tensor_count) = decode_op(sym, metas).ok_or_else(|| format!("cannot decode {sym}"))?;
+    let inputs: Vec<&SymTensor> = tensors
+        .get(..tensor_count)
+        .ok_or_else(|| format!("{sym}: missing tensor children"))?
+        .iter()
+        .map(|t| t.ok_or_else(|| "tensor child has no value".to_owned()))
+        .collect::<Result<_, _>>()?;
+    let t = eval_op_sym(arena, &op, &inputs)?;
+    Ok((tensor_meta(&t), t))
+}
+
+/// Resolves a leaf tensor name to its symbolic value.
+pub type Leaves<'a> = dyn FnMut(&mut Arena, &str) -> Result<Rc<SymTensor>, String> + 'a;
+
+/// What one evaluated subterm is to its parents: the metadata `decode_op`
+/// reads, and the value when it is a tensor.
+type Slot = Result<(Meta, Option<Rc<SymTensor>>), String>;
+
+/// The hash-consed subterm table of one analysis: every distinct ground
+/// subterm (an [`ENode`] over table slots) is evaluated once, success or
+/// error, however many proof-step terms repeat it. Sound to share because
+/// re-evaluating a subterm in the same arena only ever re-derives the ids
+/// it produced the first time.
+#[derive(Default)]
+pub struct TermTable {
+    ids: FxHashMap<ENode, Id>,
+    slots: Vec<Slot>,
+    hits: usize,
+}
+
+impl TermTable {
+    /// Distinct subterms evaluated so far.
+    pub fn subterms(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Subterm occurrences answered from the table.
+    pub fn hits(&self) -> usize {
+        self.hits
+    }
+
+    /// Evaluates a *ground* s-expression term (no pattern variables)
+    /// bottom-up into a symbolic tensor — the static analogue of the
+    /// runtime's ground evaluator. Leaf tensors are resolved by `leaves`;
+    /// synthetic `~ones[...]` leaves become exact-ones tensors.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of the first subterm, in postorder, that has one:
+    /// unknown leaves, undecodable operators, shape violations, and model
+    /// caps. Callers treat this as "outside the model".
+    pub fn eval(
+        &mut self,
+        arena: &mut Arena,
+        expr: &RecExpr,
+        leaves: &mut Leaves,
+    ) -> Result<Rc<SymTensor>, String> {
+        let mut slot_of: Vec<Id> = Vec::with_capacity(expr.len());
+        for node in expr.nodes() {
+            let key = node.map_children(|c| slot_of[c.index()]);
+            // Past the cap every operator application is outside the
+            // model, whether or not the table has seen it.
+            if !key.is_leaf() && arena.len() > ARENA_CAP {
+                return Err(ARENA_CAP_MSG.to_owned());
+            }
+            let id = match self.ids.get(&key) {
+                Some(&id) => {
+                    self.hits += 1;
+                    id
+                }
+                None => {
+                    let slot = self.eval_node(arena, &key, leaves);
+                    let id = Id::from_index(self.slots.len());
+                    self.slots.push(slot);
+                    self.ids.insert(key, id);
+                    id
+                }
+            };
+            if let Err(e) = &self.slots[id.index()] {
+                return Err(e.clone());
+            }
+            slot_of.push(id);
+        }
+        let root = slot_of
+            .last()
+            .and_then(|id| self.slots[id.index()].as_ref().ok());
+        root.and_then(|(_, v)| v.clone())
+            .ok_or_else(|| "root has no value".to_owned())
+    }
+
+    /// Evaluates one node whose children are slots of this table (all of
+    /// them `Ok`: [`TermTable::eval`] stops at the first error).
+    fn eval_node(&self, arena: &mut Arena, node: &ENode, leaves: &mut Leaves) -> Slot {
+        let tensor = |t: Rc<SymTensor>| (tensor_meta(&t), Some(t));
+        match node {
+            ENode::Int(i) => Ok((Meta::scalar((*i).into()), None)),
+            ENode::Sym(e) => Ok((Meta::scalar(e.clone()), None)),
+            ENode::Op(sym, ch) if ch.is_empty() => {
+                let name = sym.as_str();
+                match synthetic_leaf(arena, name) {
+                    Some(ones) => ones.map(|t| tensor(Rc::new(t))),
+                    None => leaves(arena, name).map(tensor),
+                }
+            }
+            ENode::Op(sym, ch) => {
+                let child = |c: &Id| {
+                    self.slots[c.index()]
+                        .as_ref()
+                        .expect("children evaluated without error")
+                };
+                let metas: Vec<Meta> = ch.iter().map(|c| child(c).0.clone()).collect();
+                let tensors: Vec<Option<&SymTensor>> =
+                    ch.iter().map(|c| child(c).1.as_deref()).collect();
+                apply_op(arena, sym.as_str(), &metas, &tensors).map(|(m, t)| (m, Some(Rc::new(t))))
+            }
+        }
+    }
+}
+
+/// [`TermTable::eval`] of a single term over a fresh table.
 ///
 /// # Errors
 ///
-/// Returns `Err` on unknown leaves, undecodable operators, shape
-/// violations, and model caps. Callers treat this as "outside the model".
+/// As [`TermTable::eval`].
 pub fn eval_term(
     arena: &mut Arena,
     expr: &RecExpr,
     leaves: &mut dyn FnMut(&mut Arena, &str) -> Result<SymTensor, String>,
 ) -> Result<SymTensor, String> {
-    let mut slots: Vec<(Meta, Option<SymTensor>)> = Vec::with_capacity(expr.len());
-    for node in expr.nodes() {
-        let slot = match node {
-            ENode::Int(i) => (Meta::scalar((*i).into()), None),
-            ENode::Sym(e) => (Meta::scalar(e.clone()), None),
-            ENode::Op(sym, ch) if ch.is_empty() => {
-                let name = sym.as_str();
-                if let Some(rest) = name.strip_prefix(SYNTHETIC_LEAF_PREFIX) {
-                    let dims = parse_ones_shape(rest)
-                        .ok_or_else(|| format!("unparseable synthetic leaf {name:?}"))?;
-                    let idims: Vec<i64> = dims.iter().map(|&d| d as i64).collect();
-                    let t = ones_tensor(arena, dims);
-                    (Meta::tensor(Shape::of(&idims), DType::F32), Some(t))
-                } else {
-                    let t = leaves(arena, name)?;
-                    let idims: Vec<i64> = t.shape.iter().map(|&d| d as i64).collect();
-                    (Meta::tensor(Shape::of(&idims), DType::F32), Some(t))
-                }
-            }
-            ENode::Op(sym, ch) => {
-                let metas: Vec<Meta> = ch.iter().map(|&c| slots[c.index()].0.clone()).collect();
-                let (op, tensor_count) = decode_op(sym.as_str(), &metas)
-                    .ok_or_else(|| format!("cannot decode {}", sym.as_str()))?;
-                let inputs: Vec<&SymTensor> = ch[..tensor_count]
-                    .iter()
-                    .map(|&c| {
-                        slots[c.index()]
-                            .1
-                            .as_ref()
-                            .ok_or_else(|| "tensor child has no value".to_owned())
-                    })
-                    .collect::<Result<_, _>>()?;
-                let t = eval_op_sym(arena, &op, &inputs)?;
-                let idims: Vec<i64> = t.shape.iter().map(|&d| d as i64).collect();
-                (Meta::tensor(Shape::of(&idims), DType::F32), Some(t))
-            }
-        };
-        slots.push(slot);
-    }
-    slots
-        .pop()
-        .and_then(|(_, v)| v)
-        .ok_or_else(|| "root has no value".to_owned())
+    TermTable::default()
+        .eval(arena, expr, &mut |a, n| leaves(a, n).map(Rc::new))
+        .map(Rc::unwrap_or_clone)
 }

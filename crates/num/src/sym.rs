@@ -12,6 +12,9 @@
 //! real number, and differ at most by reassociation of rounded operations.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
+
+use entangle_egraph::hashing::{FxHashMap, FxHasher};
 
 /// A reduced rational with `i128` components; `den > 0`.
 ///
@@ -277,14 +280,51 @@ const EXPAND_CAP: usize = 100_000;
 /// binding sweep); beyond it the analysis bails out pessimistically.
 pub const ARENA_CAP: usize = 4_000_000;
 
+/// One intern-table slot: the high half of a node's hash, and its id.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    tag: u32,
+    id: ExprId,
+}
+
+/// An unoccupied slot.
+const EMPTY: Slot = Slot {
+    tag: 0,
+    id: u32::MAX,
+};
+
+/// Slots the intern table starts with. Small on purpose: the corpus sweep
+/// builds a fresh arena per palette binding, and most hold a few dozen
+/// nodes.
+const INITIAL_SLOTS: usize = 64;
+
+/// The high 32 bits of the node's FxHash (which ends in a multiply, so the
+/// well-mixed bits are the high ones).
+fn hash_tag(node: &Node) -> u32 {
+    let mut h = FxHasher::default();
+    node.hash(&mut h);
+    (h.finish() >> 32) as u32
+}
+
+/// Home slot of `tag` in a table of `2^bits` slots: its top `bits` bits,
+/// so that doubling the table splits slot `s` into `2s` and `2s + 1`.
+fn home_slot(tag: u32, bits: u32) -> usize {
+    (tag >> (32 - bits)) as usize
+}
+
 /// The hash-consing arena plus all per-analysis memo tables.
 #[derive(Debug, Default)]
 pub struct Arena {
+    /// The only copy of every node; an [`ExprId`] indexes it.
     nodes: Vec<Node>,
-    memo: HashMap<Node, ExprId>,
+    /// Open-addressing intern table over `nodes`: a power-of-two number of
+    /// slots (or none yet), each [`EMPTY`] or the id of a node whose home
+    /// is that slot or, by linear probing, one before it. Kept at most
+    /// three quarters full.
+    table: Vec<Slot>,
     names: Vec<String>,
     name_ids: HashMap<String, NameId>,
-    pair_memo: HashMap<(ExprId, ExprId), (NumClass, u64)>,
+    pair_memo: FxHashMap<(ExprId, ExprId), (NumClass, u64)>,
 }
 
 impl Arena {
@@ -315,13 +355,48 @@ impl Arena {
     }
 
     fn intern(&mut self, node: Node) -> ExprId {
-        if let Some(&id) = self.memo.get(&node) {
-            return id;
+        if self.nodes.len() * 4 >= self.table.len() * 3 {
+            self.grow_table();
         }
-        let id = u32::try_from(self.nodes.len()).expect("node count fits u32");
-        self.nodes.push(node.clone());
-        self.memo.insert(node, id);
+        let (bits, mask) = (self.table.len().trailing_zeros(), self.table.len() - 1);
+        let tag = hash_tag(&node);
+        let mut slot = home_slot(tag, bits);
+        loop {
+            let seen = self.table[slot];
+            if seen.id == EMPTY.id {
+                break;
+            }
+            if seen.tag == tag && self.nodes[seen.id as usize] == node {
+                return seen.id;
+            }
+            slot = (slot + 1) & mask;
+        }
+        let id = u32::try_from(self.nodes.len())
+            .ok()
+            .filter(|&id| id != EMPTY.id)
+            .expect("node count fits u32");
+        self.table[slot] = Slot { tag, id };
+        self.nodes.push(node);
         id
+    }
+
+    /// Doubles the intern table (or creates it). Slots carry their hash
+    /// tag and homes are its top bits, so re-seating them in slot order
+    /// reads no node and writes the new table front to back.
+    fn grow_table(&mut self) {
+        let slots = (self.table.len() * 2).max(INITIAL_SLOTS);
+        let (bits, mask) = (slots.trailing_zeros(), slots - 1);
+        let old = std::mem::replace(&mut self.table, vec![EMPTY; slots]);
+        for seen in old {
+            if seen.id == EMPTY.id {
+                continue;
+            }
+            let mut slot = home_slot(seen.tag, bits);
+            while self.table[slot].id != EMPTY.id {
+                slot = (slot + 1) & mask;
+            }
+            self.table[slot] = seen;
+        }
     }
 
     fn node(&self, id: ExprId) -> &Node {
@@ -355,7 +430,7 @@ impl Arena {
                 return a;
             }
         }
-        if let (Node::Rat(x), Node::Rat(y)) = (self.node(a).clone(), self.node(b).clone()) {
+        if let (&Node::Rat(x), &Node::Rat(y)) = (self.node(a), self.node(b)) {
             if let Some(s) = x.add(&y) {
                 // fl(x + y) is exact when both operands and the sum are
                 // representable dyadics.
@@ -375,7 +450,7 @@ impl Arena {
     /// Exact negation. `−(−x) = x`, `−c` folds, and `−(x·c) = x·(−c)`
     /// (IEEE sign symmetry of multiplication).
     pub fn neg(&mut self, a: ExprId) -> ExprId {
-        match self.node(a).clone() {
+        match *self.node(a) {
             Node::Neg(x) => x,
             Node::Rat(r) => self.rat(r.neg()),
             Node::ScaleMul(x, r) => self.scale_mul(x, r.neg()),
@@ -388,19 +463,19 @@ impl Arena {
     /// constants arise here), constant pairs fold when exact, and children
     /// are sorted (IEEE × is commutative).
     pub fn mul(&mut self, a: ExprId, b: ExprId) -> ExprId {
-        if let (Node::Rat(x), Node::Rat(y)) = (self.node(a).clone(), self.node(b).clone()) {
+        if let (&Node::Rat(x), &Node::Rat(y)) = (self.node(a), self.node(b)) {
             if let Some(p) = x.mul(&y) {
                 if x.is_representable() && y.is_representable() && p.is_representable() {
                     return self.rat(p);
                 }
             }
         }
-        if let Node::Rat(r) = self.node(a).clone() {
+        if let &Node::Rat(r) = self.node(a) {
             if r.is_representable() {
                 return self.scale_mul(b, r);
             }
         }
-        if let Node::Rat(r) = self.node(b).clone() {
+        if let &Node::Rat(r) = self.node(b) {
             if r.is_representable() {
                 return self.scale_mul(a, r);
             }
@@ -422,10 +497,10 @@ impl Arena {
         if r == Rat::int(-1) {
             return self.neg(x);
         }
-        if let Node::Neg(inner) = self.node(x).clone() {
+        if let &Node::Neg(inner) = self.node(x) {
             return self.scale_mul(inner, r.neg());
         }
-        if let Node::Rat(c) = self.node(x).clone() {
+        if let &Node::Rat(c) = self.node(x) {
             if let Some(p) = c.mul(&r) {
                 if c.is_representable() && r.is_representable() && p.is_representable() {
                     return self.rat(p);
@@ -441,7 +516,7 @@ impl Arena {
         if n == 1 {
             return x;
         }
-        if let Node::Rat(c) = self.node(x).clone() {
+        if let &Node::Rat(c) = self.node(x) {
             if let Some(q) = c.mul(&Rat::new(1, i128::from(n)).expect("n > 0")) {
                 if c.is_representable() && q.is_representable() {
                     return self.rat(q);
@@ -566,7 +641,7 @@ impl Arena {
         // quadratic in the region size). `occ` entries may go stale when a
         // monomial cancels — liveness is re-checked against `d` on use.
         let mut d = Poly::new();
-        let mut occ: HashMap<ExprId, Vec<Mono>> = HashMap::new();
+        let mut occ: FxHashMap<ExprId, Vec<Mono>> = FxHashMap::default();
         let mut cand: BTreeSet<ExprId> = BTreeSet::new();
         for (mono, c) in [(vec![a], Rat::one()), (vec![b], Rat::int(-1))] {
             if self
@@ -624,16 +699,17 @@ impl Arena {
                 let Some(c) = d.remove(&m) else { continue };
                 let occ_count = m.iter().filter(|&&i| i == x).count();
                 let rest: Mono = m.iter().copied().filter(|&i| i != x).collect();
-                // px^occ_count, term by term (occ_count is almost always 1).
-                let mut pw = Poly::new();
-                pw.insert(Vec::new(), Rat::one());
-                for _ in 0..occ_count {
-                    pw = match poly_mul(&pw, &px) {
-                        Some(p) => p,
+                // px^occ_count, term by term. `m` is indexed under `x`, so
+                // occ_count >= 1 — and almost always 1, where the power is
+                // px itself.
+                let mut pw: Option<Poly> = None;
+                for _ in 1..occ_count {
+                    pw = match poly_mul(pw.as_ref().unwrap_or(&px), &px) {
+                        Some(p) => Some(p),
                         None => return (NumClass::Unknown, 0),
                     };
                 }
-                for (mm, cc) in &pw {
+                for (mm, cc) in pw.as_ref().unwrap_or(&px) {
                     let mut mono = rest.clone();
                     mono.extend(mm.iter().copied());
                     mono.sort_unstable();
@@ -657,7 +733,7 @@ impl Arena {
     fn accum_indexed(
         &self,
         d: &mut Poly,
-        occ: &mut HashMap<ExprId, Vec<Mono>>,
+        occ: &mut FxHashMap<ExprId, Vec<Mono>>,
         cand: &mut BTreeSet<ExprId>,
         m: Mono,
         c: Rat,
@@ -860,10 +936,14 @@ impl SymTensor {
         s
     }
 
-    /// Flat offset of a multi-index.
+    /// Flat offset of a full-rank multi-index (Horner over the shape: the
+    /// same number as Σ index·stride, without building the strides).
     pub fn offset(&self, index: &[usize]) -> usize {
-        let strides = self.strides();
-        index.iter().zip(&strides).map(|(&ix, &st)| ix * st).sum()
+        debug_assert_eq!(index.len(), self.shape.len(), "full-rank index");
+        index
+            .iter()
+            .zip(&self.shape)
+            .fold(0, |acc, (&ix, &dim)| acc * dim + ix)
     }
 
     /// Element at a multi-index.

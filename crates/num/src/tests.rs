@@ -1,10 +1,11 @@
 use std::collections::HashMap;
+use std::rc::Rc;
 
-use entangle_egraph::RecExpr;
+use entangle_egraph::{ProofStep, RecExpr};
 use entangle_ir::Op;
 use entangle_runtime::{eval_op, reassoc_rel_bound, Tolerance, Value};
 
-use crate::eval::{eval_op_sym, eval_term, leaf_tensor};
+use crate::eval::{eval_op_sym, eval_term, graph_tensors_sym, leaf_tensor, TermTable};
 use crate::sym::{classify_tensors, Arena, NumClass, Rat, SymTensor, Verdict};
 
 // ---------------------------------------------------------------------------
@@ -88,6 +89,26 @@ fn reduced_fractions_share_nodes() {
     let s1 = a.scale_mul(x, Rat::new(2, 8).unwrap());
     let s2 = a.scale_mul(x, Rat::new(1, 4).unwrap());
     assert_eq!(s1, s2);
+}
+
+#[test]
+fn interned_ids_survive_table_growth() {
+    // 200k nodes from the 64-slot start: a dozen doublings. Every node,
+    // re-requested after the last one, must still answer its first id.
+    let mut a = Arena::new();
+    let n = a.name("x");
+    let leaves: Vec<_> = (0..100_000).map(|i| a.leaf(n, i)).collect();
+    let sums: Vec<_> = leaves.windows(2).map(|w| a.add(w[0], w[1])).collect();
+    let funs: Vec<_> = sums.iter().map(|&s| a.fun("exp", vec![s])).collect();
+    assert_eq!(a.len(), leaves.len() + sums.len() + funs.len());
+    for (i, &id) in leaves.iter().enumerate() {
+        assert_eq!(a.leaf(n, i as u64), id);
+    }
+    for (w, (&sum, &fun)) in leaves.windows(2).zip(sums.iter().zip(&funs)) {
+        assert_eq!(a.add(w[1], w[0]), sum);
+        assert_eq!(a.fun("exp", vec![sum]), fun);
+    }
+    assert_eq!(a.len(), leaves.len() + sums.len() + funs.len());
 }
 
 // ---------------------------------------------------------------------------
@@ -383,6 +404,72 @@ fn term_evaluator_resolves_leaves_and_ones() {
     assert_eq!(classify_tensors(&mut a, &t, &x), Verdict::exact());
 }
 
+/// The terms the chain walk evaluates: before/after of every rule and
+/// congruence step, in certificate order.
+fn step_terms(cert: &entangle_cert::Certificate) -> Vec<&RecExpr> {
+    let mut terms = Vec::new();
+    for mc in &cert.mappings {
+        for step in &mc.proof.steps {
+            match step {
+                ProofStep::Rule { before, after, .. }
+                | ProofStep::Congruence { before, after, .. } => terms.extend([before, after]),
+                ProofStep::Given { .. } => {}
+            }
+        }
+    }
+    terms
+}
+
+#[test]
+fn subterm_table_matches_per_term_evaluation_on_the_zoo() {
+    // The memoised evaluator must be indistinguishable from evaluating
+    // every term from scratch: same tensors, and — because skipped work
+    // would only have re-derived existing ids — the same arena.
+    for case in entangle_bench::zoo() {
+        let gd = &case.dist.graph;
+        let ri = case.dist.relation(&case.gs).expect("relation builds");
+        let opts = entangle::CheckOptions {
+            jobs: 1,
+            numeric: false,
+            ..entangle::CheckOptions::default()
+        };
+        let cert = entangle::check_refinement(&case.gs, gd, &ri, &opts)
+            .unwrap_or_else(|e| panic!("{} fails to verify: {e}", case.name))
+            .certificate
+            .expect("certify is on by default");
+
+        let (mut shared, mut scratch) = (Arena::new(), Arena::new());
+        let shared_gd = graph_tensors_sym(&mut shared, gd);
+        let scratch_gd = graph_tensors_sym(&mut scratch, gd);
+        let mut table = TermTable::default();
+        for term in step_terms(&cert) {
+            let memoised = table.eval(&mut shared, term, &mut |_, name| {
+                shared_gd.get(name).cloned().expect("G_d leaf")
+            });
+            let fresh = eval_term(&mut scratch, term, &mut |_, name| {
+                scratch_gd
+                    .get(name)
+                    .cloned()
+                    .expect("G_d leaf")
+                    .map(Rc::unwrap_or_clone)
+            });
+            assert_eq!(
+                memoised.map(Rc::unwrap_or_clone),
+                fresh,
+                "{}: {term}",
+                case.name
+            );
+        }
+        assert_eq!(
+            shared.len(),
+            scratch.len(),
+            "{}: arenas diverged",
+            case.name
+        );
+        assert!(table.hits() > table.subterms(), "{}: table idle", case.name);
+    }
+}
+
 #[test]
 fn cross_entropy_on_zero_rows_is_rejected_not_panicking() {
     let mut a = Arena::new();
@@ -483,7 +570,68 @@ mod prop {
     use super::*;
     use proptest::prelude::*;
 
+    /// Resolves the leaves of [`build_terms`]: `X`, `Y` are 2x2, `Z` is 2x3
+    /// (so mixing it in is a shape error), anything else is unknown.
+    fn small_leaves(arena: &mut Arena, name: &str) -> Result<SymTensor, String> {
+        match name {
+            "X" | "Y" => leaf_tensor(arena, name, vec![2, 2]),
+            "Z" => leaf_tensor(arena, name, vec![2, 3]),
+            _ => Err(format!("unknown leaf {name}")),
+        }
+    }
+
+    /// Grows a pool of terms bottom-up: instruction `(op, i, j)` applies a
+    /// binary operator to two earlier pool entries, so later terms repeat
+    /// earlier ones as subterms and an erroring subterm can sit on either
+    /// side of its parent.
+    fn build_terms(program: &[(usize, usize, usize)]) -> Vec<RecExpr> {
+        let mut pool: Vec<String> = ["X", "Y", "Z", "Q"].map(str::to_owned).to_vec();
+        for &(op, i, j) in program {
+            let op = ["add", "mul", "matmul", "sub"][op % 4];
+            let (l, r) = (&pool[i % pool.len()], &pool[j % pool.len()]);
+            pool.push(format!("({op} {l} {r})"));
+        }
+        pool.iter()
+            .map(|t| t.parse().expect("well-formed term"))
+            .collect()
+    }
+
     proptest! {
+        /// One table over a run of overlapping terms answers every term —
+        /// first visit and all-hits revisit alike — exactly as the
+        /// from-scratch walk does, error strings included.
+        #[test]
+        fn cached_results_equal_uncached(
+            program in proptest::collection::vec((0usize..4, 0usize..16, 0usize..16), 1..12),
+        ) {
+            let (mut shared, mut scratch) = (Arena::new(), Arena::new());
+            let mut table = TermTable::default();
+            for term in build_terms(&program) {
+                let fresh = eval_term(&mut scratch, &term, &mut small_leaves);
+                for _ in 0..2 {
+                    let cached = table
+                        .eval(&mut shared, &term, &mut |a, n| small_leaves(a, n).map(Rc::new))
+                        .map(Rc::unwrap_or_clone);
+                    prop_assert_eq!(&cached, &fresh, "{}", term);
+                }
+            }
+            prop_assert_eq!(shared.len(), scratch.len());
+        }
+
+        /// Horner over the shape is the strides dot product, on every
+        /// shape including size-1 dims and rank 0.
+        #[test]
+        fn offset_equals_strides_form(
+            dims in proptest::collection::vec((1usize..5, 0usize..5), 0..5),
+        ) {
+            let shape: Vec<usize> = dims.iter().map(|&(d, _)| d).collect();
+            let index: Vec<usize> = dims.iter().map(|&(d, i)| i % d).collect();
+            let t = SymTensor::new(shape.clone(), vec![0; shape.iter().product()]);
+            let by_strides: usize = index.iter().zip(t.strides()).map(|(i, s)| i * s).sum();
+            prop_assert_eq!(t.offset(&index), by_strides);
+            prop_assert!(by_strides < t.numel());
+        }
+
         /// Derived k grows (weakly) with shard count: finer splits can
         /// only move more rounding sites. Chunks must hold >= 2 elements:
         /// a 1-element "partial sum" is the leaf itself, so p == n

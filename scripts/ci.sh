@@ -10,6 +10,9 @@ cargo build --release --workspace
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> release-only perf budgets (the debug run above skips every timing assert)"
+cargo test --release -q --test ematch_perf --test moe_perf --test num_perf
+
 echo "==> benchmark package smoke (stand-alone build against the public API, one round)"
 cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- run --smoke >/dev/null \
   || { echo "benchmark smoke FAILED (a public-API change broke benchmark/?)"; exit 1; }
@@ -133,8 +136,11 @@ echo "==> trace-overhead smoke (bench_trace: <=5% instrumentation cost)"
 echo "    results/BENCH_trace.json written, overhead gate passed"
 
 echo "==> numeric-analysis overhead smoke (bench_num: <=5% steady-state cost, sound verdicts)"
-./target/release/bench_num >/dev/null
-echo "    results/BENCH_num.json written, overhead and soundness gates passed"
+# Bench bins write results/ relative to where they run: run the smoke from
+# a scratch directory so the tracked results/BENCH_num.json is not clobbered.
+mkdir -p target/bench-smoke
+(cd target/bench-smoke && ../release/bench_num >/dev/null)
+echo "    target/bench-smoke/results/BENCH_num.json written, overhead and soundness gates passed"
 
 echo "==> run-ledger + regression-report smoke (two clean runs, then forced regressions)"
 ledgerdir=$(mktemp -d)
