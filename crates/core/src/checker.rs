@@ -874,6 +874,13 @@ fn check_refinement_inner(
             sp.attr("arena_nodes", analysis.arena_nodes);
             sp.attr("subterms", analysis.subterms);
             sp.attr("subterm_hits", analysis.subterm_hits);
+            sp.attr("gd_pre_us", analysis.gd_pre_us);
+            sp.attr("eval_us", analysis.eval_us);
+            sp.attr("classify_us", analysis.classify_us);
+            sp.attr("dot_hits", analysis.dot_hits);
+            sp.attr("classified_pairs", analysis.classified_pairs);
+            sp.attr("expansions", analysis.expansions);
+            sp.attr("arena_bytes", analysis.arena_bytes);
             sp.attr(
                 "outcome",
                 if analysis.is_clean() {

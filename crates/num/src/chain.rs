@@ -23,6 +23,7 @@
 
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::time::{Duration, Instant};
 
 use entangle_cert::{exprs_eq, Certificate};
 use entangle_egraph::{ProofStep, RecExpr};
@@ -64,6 +65,20 @@ pub struct CertAnalysis {
     pub subterms: usize,
     /// Subterm occurrences answered from the subterm table instead.
     pub subterm_hits: usize,
+    /// Microseconds evaluating every `G_d` tensor before the walk.
+    pub gd_pre_us: u64,
+    /// Microseconds evaluating proof-step terms.
+    pub eval_us: u64,
+    /// Microseconds classifying the evaluated term pairs.
+    pub classify_us: u64,
+    /// Matmul output elements answered from the dot-product memo.
+    pub dot_hits: u64,
+    /// Differing element pairs that ran the difference expansion.
+    pub classified_pairs: u64,
+    /// Nodes those expansions unfolded, in total.
+    pub expansions: u64,
+    /// Bytes of the arena's nodes, intern tables and side tables.
+    pub arena_bytes: usize,
 }
 
 impl CertAnalysis {
@@ -116,6 +131,8 @@ struct ChainCtx<'a> {
     /// step leaves the model for the same reason, reported once.
     cap_reported: bool,
     steps: usize,
+    eval_time: Duration,
+    classify_time: Duration,
 }
 
 impl<'a> ChainCtx<'a> {
@@ -143,9 +160,14 @@ impl<'a> ChainCtx<'a> {
 
     /// Classifies one before/after term pair by symbolic evaluation.
     fn classify_step(&mut self, before: &RecExpr, after: &RecExpr) -> Result<Verdict, String> {
-        let a = self.eval(before)?;
-        let b = self.eval(after)?;
-        Ok(classify_tensors(&mut self.arena, &a, &b))
+        let start = Instant::now();
+        let terms = self.eval(before).and_then(|a| Ok((a, self.eval(after)?)));
+        let evaluated = Instant::now();
+        self.eval_time += evaluated - start;
+        let (a, b) = terms?;
+        let verdict = classify_tensors(&mut self.arena, &a, &b);
+        self.classify_time += evaluated.elapsed();
+        Ok(verdict)
     }
 
     fn lookup(&self, tensor: &str, expr: &RecExpr) -> Option<Verdict> {
@@ -268,7 +290,9 @@ impl<'a> ChainCtx<'a> {
 /// distributed graph (for leaf shapes).
 pub fn analyze_certificate(cert: &Certificate, gs: &Graph, gd: &Graph) -> CertAnalysis {
     let mut arena = Arena::new();
+    let start = Instant::now();
     let gd_values = graph_tensors_sym(&mut arena, gd);
+    let gd_pre = start.elapsed();
     let mut ctx = ChainCtx {
         arena,
         gd_values,
@@ -277,6 +301,8 @@ pub fn analyze_certificate(cert: &Certificate, gs: &Graph, gd: &Graph) -> CertAn
         diagnostics: Vec::new(),
         cap_reported: false,
         steps: 0,
+        eval_time: Duration::ZERO,
+        classify_time: Duration::ZERO,
     };
     if ctx.arena.len() > ARENA_CAP {
         let what = format!("G_d pre-evaluation ({} nodes)", ctx.arena.len());
@@ -375,6 +401,7 @@ pub fn analyze_certificate(cert: &Certificate, gs: &Graph, gd: &Graph) -> CertAn
         });
     }
 
+    let stats = ctx.arena.stats();
     CertAnalysis {
         outputs,
         mappings: mapping_verdicts,
@@ -383,5 +410,12 @@ pub fn analyze_certificate(cert: &Certificate, gs: &Graph, gd: &Graph) -> CertAn
         arena_nodes: ctx.arena.len(),
         subterms: ctx.table.subterms(),
         subterm_hits: ctx.table.hits(),
+        gd_pre_us: gd_pre.as_micros() as u64,
+        eval_us: ctx.eval_time.as_micros() as u64,
+        classify_us: ctx.classify_time.as_micros() as u64,
+        dot_hits: stats.dot_hits,
+        classified_pairs: stats.classified_pairs,
+        expansions: stats.expansions,
+        arena_bytes: ctx.arena.bytes(),
     }
 }

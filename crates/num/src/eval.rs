@@ -45,6 +45,123 @@ pub fn leaf_tensor(arena: &mut Arena, name: &str, shape: Vec<usize>) -> Result<S
     Ok(SymTensor::new(shape, elems))
 }
 
+/// The dims of a fully constant shape.
+fn const_dims(shape: &Shape) -> Option<Vec<usize>> {
+    shape
+        .dims()
+        .iter()
+        .map(|d| d.as_const().and_then(|c| usize::try_from(c).ok()))
+        .collect()
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Percentage of [`graph_nodes_hint`] that [`graph_tensors_sym`]
+    /// reserves: the tests force it to nothing and to a multiple to show
+    /// the hint is behaviour-free.
+    pub(crate) static HINT_PERCENT: std::cell::Cell<usize> = const { std::cell::Cell::new(100) };
+}
+
+/// How many nodes [`graph_tensors_sym`] interns for `g` if no two of its
+/// operators compute the same element: one leaf per input element, and per
+/// operator the count its kernel below makes from the declared shapes
+/// (symbolic or oversized tensors count as the element cap). Only ever a
+/// **capacity hint**. Hash-consing merges replicated work, so the true
+/// count is lower (0.2–16 % on the benchmark inputs that stay under the
+/// cap) — which is also why this number must not stand in for it against
+/// [`ARENA_CAP`]: it can exceed the cap when the arena never would.
+pub(crate) fn graph_nodes_hint(g: &Graph) -> usize {
+    let dims = |t: entangle_ir::TensorId| -> Vec<u64> {
+        match const_dims(&g.tensor(t).shape) {
+            Some(d) if d.iter().product::<usize>() <= NUMEL_CAP => {
+                d.iter().map(|&x| x as u64).collect()
+            }
+            _ => vec![NUMEL_CAP as u64],
+        }
+    };
+    let numel = |shape: &[u64]| shape.iter().product::<u64>();
+    let mut total = 0u64;
+    for &t in g.inputs() {
+        total = total.saturating_add(numel(&dims(t)));
+    }
+    for node in g.nodes() {
+        let ins: Vec<Vec<u64>> = node.inputs.iter().map(|&t| dims(t)).collect();
+        let out = numel(&dims(node.output));
+        let x = ins.first().map_or(0, |s| numel(s));
+        let last = ins.first().and_then(|s| s.last().copied()).unwrap_or(1);
+        let rows = x.checked_div(last).unwrap_or(0);
+        let nodes = match &node.op {
+            Op::Identity
+            | Op::OnesLike
+            | Op::Reshape { .. }
+            | Op::Transpose { .. }
+            | Op::Permute { .. }
+            | Op::Slice { .. }
+            | Op::Concat { .. }
+            | Op::Pad { .. }
+            | Op::AllGather { .. } => 0,
+            Op::Sub | Op::Rsqrt => 2 * out,
+            Op::Add
+            | Op::Mul
+            | Op::Div
+            | Op::Maximum
+            | Op::Neg
+            | Op::Exp
+            | Op::Sqrt
+            | Op::Tanh
+            | Op::Gelu
+            | Op::Silu
+            | Op::Relu
+            | Op::Sigmoid
+            | Op::Step
+            | Op::GeluGrad
+            | Op::SiluGrad
+            | Op::Cos
+            | Op::Sin
+            | Op::ScalarMul { .. } => out,
+            Op::SumDim { .. } | Op::SumAll => x,
+            Op::MeanDim { .. } | Op::MeanAll => x + out,
+            Op::Softmax { .. } => 5 * out,
+            // K multiplies and K − 1 adds per output element.
+            Op::Matmul => out * (2 * last).saturating_sub(1),
+            Op::Embedding => out + ins.get(1).map_or(0, |w| numel(w)),
+            // Opaque ids: an indicator per (id, row), a multiply-add per
+            // (id, row, column).
+            Op::EmbeddingGrad { vocab } => {
+                let grad = ins.get(1).map_or(0, |s| numel(s));
+                (*vocab as u64).saturating_mul(2 * grad + x + 1)
+            }
+            Op::LayerNorm => 7 * x + 4 * rows,
+            Op::RmsNorm => 4 * x + 2 * rows,
+            // Seven nodes per rotated pair.
+            Op::Rope => 4 * x,
+            // Per query row and head, over its `limit` visible keys: the
+            // score dot products (2·hd each), max, shift, exp, sum and
+            // weight (5), the weighted value sum (2·hd).
+            Op::Attention { heads, causal } => {
+                let s = ins
+                    .first()
+                    .and_then(|q| q.len().checked_sub(2).map(|i| q[i]))
+                    .unwrap_or(0);
+                let batches = rows.checked_div(s).unwrap_or(0);
+                let pairs = if *causal { s * (s + 1) / 2 } else { s * s };
+                let hd = last.checked_div(*heads as u64).unwrap_or(0);
+                (batches * pairs)
+                    .saturating_mul(*heads as u64)
+                    .saturating_mul(4 * hd + 5)
+            }
+            Op::MseLoss => 4 * x + 1,
+            Op::CrossEntropy => 4 * x + 8 * rows + 1,
+            Op::AllReduce | Op::ReduceScatter { .. } => {
+                (node.inputs.len() as u64).saturating_sub(1) * x
+            }
+        };
+        // The constants a kernel seeds its folds with.
+        total = total.saturating_add(nodes).saturating_add(2);
+    }
+    usize::try_from(total).unwrap_or(usize::MAX)
+}
+
 /// Symbolically evaluates every tensor of `g` in topological order: graph
 /// inputs become named leaf tensors, and every operator output the
 /// expression its producer computes. A tensor *name* therefore denotes the
@@ -56,16 +173,18 @@ pub fn graph_tensors_sym(
     arena: &mut Arena,
     g: &Graph,
 ) -> HashMap<String, Result<Rc<SymTensor>, String>> {
+    let hint = graph_nodes_hint(g);
+    #[cfg(test)]
+    let hint = hint.saturating_mul(HINT_PERCENT.get()) / 100;
+    // A quarter more than `g` itself: terms over its tensors are evaluated
+    // into the same arena next, and where they reassociate a sum they
+    // intern it again (1–14 % on top, on the benchmark inputs).
+    let hint = hint.saturating_add(hint / 4).min(ARENA_CAP + NUMEL_CAP);
+    arena.reserve(arena.len() + hint);
     let mut out: HashMap<String, Result<Rc<SymTensor>, String>> = HashMap::new();
     for &t in g.inputs() {
         let tensor = g.tensor(t);
-        let dims: Option<Vec<usize>> = tensor
-            .shape
-            .dims()
-            .iter()
-            .map(|d| d.as_const().and_then(|c| usize::try_from(c).ok()))
-            .collect();
-        let r = match dims {
+        let r = match const_dims(&tensor.shape) {
             Some(dims) => leaf_tensor(arena, &tensor.name, dims),
             None => Err(format!("symbolic shape on {:?}", tensor.name)),
         };
@@ -209,7 +328,7 @@ fn unary(
 }
 
 fn atom1(name: &'static str) -> impl FnMut(&mut Arena, ExprId) -> ExprId {
-    move |arena, e| arena.fun(name, vec![e])
+    move |arena, e| arena.fun(name, &[e])
 }
 
 fn reduce_dim(
@@ -265,7 +384,7 @@ fn softmax(arena: &mut Arena, x: &SymTensor, dim: usize) -> Result<SymTensor, St
         for k in 1..n {
             full[dim] = k;
             let e = x.get(&full);
-            max = arena.fun("max", vec![max, e]);
+            max = arena.fun("max", &[max, e]);
         }
         let mut denom = arena.rat(Rat::zero());
         let mut exps = Vec::with_capacity(n);
@@ -274,14 +393,14 @@ fn softmax(arena: &mut Arena, x: &SymTensor, dim: usize) -> Result<SymTensor, St
             let e = x.get(&full);
             let nm = arena.neg(max);
             let shifted = arena.add(e, nm);
-            let ex = arena.fun("exp", vec![shifted]);
+            let ex = arena.fun("exp", &[shifted]);
             exps.push(ex);
             denom = arena.add(denom, ex);
         }
         for (k, &ex) in exps.iter().enumerate() {
             full[dim] = k;
             let off = out.offset(&full);
-            out.elems[off] = arena.fun("div", vec![ex, denom]);
+            out.elems[off] = arena.fun("div", &[ex, denom]);
         }
     }
     Ok(out)
@@ -390,20 +509,27 @@ fn matmul(arena: &mut Arena, a: &SymTensor, b: &SymTensor) -> Result<SymTensor, 
     shape.extend([m, n]);
     check_caps(arena, &shape)?;
     let mut elems = Vec::with_capacity(shape.iter().product());
+    let (mut rows, mut cols) = (Vec::with_capacity(m), Vec::with_capacity(n));
+    let mut col = vec![0; k1];
     let mut batches = Indices::new(&batch);
     while let Some(bidx) = batches.advance() {
         let a_base = broadcast_offset(bidx, abatch) * m * k1;
         let b_base = broadcast_offset(bidx, bbatch) * k1 * n;
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = arena.rat(Rat::zero());
-                for k in 0..k1 {
-                    let ea = a.elems[a_base + i * k1 + k];
-                    let eb = b.elems[b_base + k * n + j];
-                    let prod = arena.mul(ea, eb);
-                    acc = arena.add(acc, prod);
-                }
-                elems.push(acc);
+        // Each row of `a` and column of `b` once, as an interned id list:
+        // a dot product some earlier matmul folded over the same two
+        // lists (a shard of this one, say) is then a lookup.
+        rows.clear();
+        rows.extend((0..m).map(|i| arena.list_id(&a.elems[a_base + i * k1..][..k1])));
+        cols.clear();
+        for j in 0..n {
+            for (k, e) in col.iter_mut().enumerate() {
+                *e = b.elems[b_base + k * n + j];
+            }
+            cols.push(arena.list_id(&col));
+        }
+        for &row in &rows {
+            for &col in &cols {
+                elems.push(arena.dot(row, col));
             }
         }
     }
@@ -433,7 +559,7 @@ fn embedding(arena: &mut Arena, w: &SymTensor, ids: &SymTensor) -> Result<SymTen
     let cols: Vec<ExprId> = (0..h)
         .map(|j| {
             let col: Vec<ExprId> = (0..v).map(|r| w.elems[r * h + j]).collect();
-            arena.fun("col", col)
+            arena.fun("col", &col)
         })
         .collect();
     let mut elems = Vec::with_capacity(shape.iter().product());
@@ -447,7 +573,7 @@ fn embedding(arena: &mut Arena, w: &SymTensor, ids: &SymTensor) -> Result<SymTen
                     }
                     elems.push(w.elems[row * h + j]);
                 }
-                None => elems.push(arena.fun("embed", vec![id_e, cj])),
+                None => elems.push(arena.fun("embed", &[id_e, cj])),
             }
         }
     }
@@ -491,7 +617,7 @@ fn embedding_grad(
                 None => {
                     for vr in 0..vocab {
                         let vc = arena.rat(Rat::int(vr as i64));
-                        let ind = arena.fun("ind", vec![id_e, vc]);
+                        let ind = arena.fun("ind", &[id_e, vc]);
                         let term = arena.mul(ind, g);
                         out[vr * h + j] = arena.add(out[vr * h + j], term);
                     }
@@ -540,7 +666,7 @@ fn layer_norm(
             vsum = arena.add(vsum, sq);
         }
         let var = arena.scale_div(vsum, h as u64);
-        let rstd = arena.fun("rstd_eps", vec![var]);
+        let rstd = arena.fun("rstd_eps", &[var]);
         for (j, &d) in devs.iter().enumerate() {
             let normed = arena.mul(d, rstd);
             let scaled = arena.mul(normed, w.elems[j]);
@@ -572,7 +698,7 @@ fn rms_norm(arena: &mut Arena, x: &SymTensor, w: &SymTensor) -> Result<SymTensor
             msum = arena.add(msum, sq);
         }
         let ms = arena.scale_div(msum, h as u64);
-        let rrms = arena.fun("rstd_eps", vec![ms]);
+        let rrms = arena.fun("rstd_eps", &[ms]);
         for (j, &v) in row.iter().enumerate() {
             let n = arena.mul(v, rrms);
             out.elems[base + j] = arena.mul(n, w.elems[j]);
@@ -664,7 +790,7 @@ fn attention(
                     }
                     let scaled = match pow2_scale {
                         Some(r) => arena.scale_mul(dot, r),
-                        None => arena.fun("attn_scale", vec![dot, hd_c]),
+                        None => arena.fun("attn_scale", &[dot, hd_c]),
                     };
                     scores.push(scaled);
                 }
@@ -675,14 +801,14 @@ fn attention(
                 // zeros, and add exactly; they are dropped from the model.
                 let mut max = scores[0];
                 for &sc in &scores[1..] {
-                    max = arena.fun("max", vec![max, sc]);
+                    max = arena.fun("max", &[max, sc]);
                 }
                 let nmax = arena.neg(max);
                 let mut denom = arena.rat(Rat::zero());
                 let mut exps = Vec::with_capacity(scores.len());
                 for &sc in &scores {
                     let shifted = arena.add(sc, nmax);
-                    let ex = arena.fun("exp", vec![shifted]);
+                    let ex = arena.fun("exp", &[shifted]);
                     exps.push(ex);
                     denom = arena.add(denom, ex);
                 }
@@ -690,7 +816,7 @@ fn attention(
                     let mut acc = arena.rat(Rat::zero());
                     for (j, &ex) in exps.iter().enumerate() {
                         let vbase = (b * s + j) * h + col0;
-                        let wj = arena.fun("div", vec![ex, denom]);
+                        let wj = arena.fun("div", &[ex, denom]);
                         let term = arena.mul(wj, v.elems[vbase + c]);
                         acc = arena.add(acc, term);
                     }
@@ -727,16 +853,16 @@ fn cross_entropy(
         }
         let mut max = row[0];
         for &e in &row[1..] {
-            max = arena.fun("max", vec![max, e]);
+            max = arena.fun("max", &[max, e]);
         }
         let nmax = arena.neg(max);
         let mut sumexp = arena.rat(Rat::zero());
         for &e in row {
             let shifted = arena.add(e, nmax);
-            let ex = arena.fun("exp", vec![shifted]);
+            let ex = arena.fun("exp", &[shifted]);
             sumexp = arena.add(sumexp, ex);
         }
-        let ln = arena.fun("ln", vec![sumexp]);
+        let ln = arena.fun("ln", &[sumexp]);
         let logsum = arena.add(ln, max);
         let t_e = targets.elems[r];
         let sel = match const_index(arena.constant(t_e)) {
@@ -747,8 +873,8 @@ fn cross_entropy(
                 row[t]
             }
             None => {
-                let rh = arena.fun("row", row.to_vec());
-                arena.fun("sel", vec![t_e, rh])
+                let rh = arena.fun("row", row);
+                arena.fun("sel", &[t_e, rh])
             }
         };
         let nsel = arena.neg(sel);
@@ -802,15 +928,13 @@ pub fn eval_op_sym(arena: &mut Arena, op: &Op, inputs: &[&SymTensor]) -> Result<
                     // a/1 and a/−1 are exact.
                     Some(r) if r == Rat::one() => x,
                     Some(r) if r == Rat::int(-1) => a.neg(x),
-                    _ => a.fun("div", vec![x, y]),
+                    _ => a.fun("div", &[x, y]),
                 }
             })
         }
         Op::Maximum => {
             need(2)?;
-            broadcast_binary(arena, inputs[0], inputs[1], |a, x, y| {
-                a.fun("max", vec![x, y])
-            })
+            broadcast_binary(arena, inputs[0], inputs[1], |a, x, y| a.fun("max", &[x, y]))
         }
         Op::Neg => {
             need(1)?;
@@ -829,9 +953,9 @@ pub fn eval_op_sym(arena: &mut Arena, op: &Op, inputs: &[&SymTensor]) -> Result<
             // The runtime computes literally 1.0 / x.sqrt(): identical to
             // Div(ones, Sqrt(x)), so decompose for cross-op agreement.
             Ok(unary(arena, inputs[0], |a, e| {
-                let s = a.fun("sqrt", vec![e]);
+                let s = a.fun("sqrt", &[e]);
                 let one = a.rat(Rat::one());
-                a.fun("div", vec![one, s])
+                a.fun("div", &[one, s])
             }))
         }
         Op::Tanh => {

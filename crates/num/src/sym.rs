@@ -11,10 +11,14 @@
 //! over opaque atoms: two elements with equal normal forms compute the same
 //! real number, and differ at most by reassociation of rounded operations.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, HashMap};
 use std::hash::{Hash, Hasher};
 
 use entangle_egraph::hashing::{FxHashMap, FxHasher};
+
+#[cfg(test)]
+mod oracle;
 
 /// A reduced rational with `i128` components; `den > 0`.
 ///
@@ -137,6 +141,17 @@ pub type NameId = u32;
 /// Index of a node in the [`Arena`].
 pub type ExprId = u32;
 
+/// Index of a rational in the arena's constant table; equal rationals
+/// share one id.
+pub type RatId = u32;
+
+/// Index of an opaque-function name in the arena's name table.
+pub type FunId = u32;
+
+/// Handle of an interned id list (a `Fun`'s arguments, a matmul row or
+/// column); equal lists share one handle.
+pub type ListId = u32;
+
 /// Funs with names in this set are *exact*: selections and comparisons
 /// that return one of their (already rounded) inputs or an exact integer,
 /// never a freshly rounded result. Everything else rounds.
@@ -149,10 +164,15 @@ const EXACT_FUNS: &[&str] = &["max", "relu", "step", "embed", "col", "ind", "sel
 /// by the compile-time constant `fl(r)`; `ScaleDiv(x, n)` is division by
 /// the runtime integer `n` (the two round differently, so they are
 /// distinct constructors).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// Sixteen bytes, `Copy`: the wide payloads (rationals, fun names,
+/// argument lists) live once each in side tables of the [`Arena`] and are
+/// referred to by id. Those tables intern — equal values, equal ids — so
+/// the derived `Eq`/`Hash` compare exactly what the payloads would.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Node {
     /// An exact rational constant (zeros, ones, integer ids).
-    Rat(Rat),
+    Rat(RatId),
     /// Element `flat` of the named input tensor.
     Leaf(NameId, u64),
     /// Rounded sum `fl(a + b)`; children sorted (IEEE + is commutative).
@@ -162,11 +182,11 @@ pub enum Node {
     /// Rounded product `fl(a · b)`; children sorted.
     Mul(ExprId, ExprId),
     /// Multiplication by the rounded constant `fl(r)`.
-    ScaleMul(ExprId, Rat),
+    ScaleMul(ExprId, RatId),
     /// Division by the exact runtime integer `n > 0`.
     ScaleDiv(ExprId, u64),
     /// Deterministic opaque function of rounded arguments.
-    Fun(&'static str, Vec<ExprId>),
+    Fun(FunId, ListId),
 }
 
 /// Classification of one element pair (and, by max, a tensor pair).
@@ -259,12 +279,134 @@ impl Verdict {
     }
 }
 
-/// A monomial: sorted atom ids with multiplicity.
-type Mono = Vec<ExprId>;
+/// Atoms a [`Mono`] holds without touching the heap. Seven covers every
+/// monomial of the benchmark and golden inputs; wider products spill.
+const MONO_INLINE: usize = 7;
 
-/// Polynomial normal form over opaque atoms (leaves and `Fun`s), with
-/// exact rational coefficients. Equal polynomials ⇒ equal real values.
-type Poly = BTreeMap<Mono, Rat>;
+/// A monomial: sorted atom ids with multiplicity. Compared, ordered and
+/// hashed as the slice [`Mono::atoms`], whichever way it is stored.
+#[derive(Debug, Clone)]
+enum Mono {
+    Inline {
+        len: u8,
+        atoms: [ExprId; MONO_INLINE],
+    },
+    Heap(Vec<ExprId>),
+}
+
+impl Mono {
+    /// The empty monomial (the constant term).
+    fn new() -> Mono {
+        Mono::Inline {
+            len: 0,
+            atoms: [0; MONO_INLINE],
+        }
+    }
+
+    /// The monomial of `atoms`, which must be sorted.
+    fn of(atoms: &[ExprId]) -> Mono {
+        let mut m = Mono::new();
+        for &a in atoms {
+            m.push(a);
+        }
+        m
+    }
+
+    fn atoms(&self) -> &[ExprId] {
+        match self {
+            Mono::Inline { len, atoms } => &atoms[..usize::from(*len)],
+            Mono::Heap(v) => v,
+        }
+    }
+
+    /// Appends one atom; the caller restores the order with [`Mono::sort`].
+    fn push(&mut self, atom: ExprId) {
+        match self {
+            Mono::Inline { len, atoms } if usize::from(*len) < MONO_INLINE => {
+                atoms[usize::from(*len)] = atom;
+                *len += 1;
+            }
+            Mono::Inline { atoms, .. } => {
+                let mut v = Vec::with_capacity(2 * MONO_INLINE);
+                v.extend_from_slice(atoms);
+                v.push(atom);
+                *self = Mono::Heap(v);
+            }
+            Mono::Heap(v) => v.push(atom),
+        }
+    }
+
+    fn sort(&mut self) {
+        match self {
+            Mono::Inline { len, atoms } => atoms[..usize::from(*len)].sort_unstable(),
+            Mono::Heap(v) => v.sort_unstable(),
+        }
+    }
+
+    /// `self · other`, sorted.
+    fn times(&self, other: &Mono) -> Mono {
+        let mut m = self.clone();
+        for &a in other.atoms() {
+            m.push(a);
+        }
+        m.sort();
+        m
+    }
+}
+
+impl PartialEq for Mono {
+    fn eq(&self, other: &Mono) -> bool {
+        self.atoms() == other.atoms()
+    }
+}
+
+impl Eq for Mono {}
+
+impl Hash for Mono {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.atoms().hash(state);
+    }
+}
+
+impl PartialOrd for Mono {
+    fn partial_cmp(&self, other: &Mono) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Mono {
+    fn cmp(&self, other: &Mono) -> std::cmp::Ordering {
+        self.atoms().cmp(other.atoms())
+    }
+}
+
+/// A polynomial over opaque atoms (leaves and `Fun`s) with exact rational
+/// coefficients, as terms in ascending monomial order. Equal polynomials ⇒
+/// equal real values.
+type Terms = [(Mono, Rat)];
+
+/// The one-level expansion of a node: at most two terms.
+struct Step {
+    terms: [(Mono, Rat); 2],
+    len: usize,
+}
+
+impl Step {
+    fn of<const N: usize>(terms: [(Mono, Rat); N]) -> Step {
+        let mut step = Step {
+            terms: [(Mono::new(), Rat::zero()), (Mono::new(), Rat::zero())],
+            len: N,
+        };
+        for (slot, term) in step.terms.iter_mut().zip(terms) {
+            *slot = term;
+        }
+        step
+    }
+
+    fn terms(&self) -> &Terms {
+        &self.terms[..self.len]
+    }
+}
 
 /// Hard cap on distinct monomials in the lazy difference polynomial;
 /// past it the comparison bails out as [`NumClass::Unknown`].
@@ -280,11 +422,11 @@ const EXPAND_CAP: usize = 100_000;
 /// binding sweep); beyond it the analysis bails out pessimistically.
 pub const ARENA_CAP: usize = 4_000_000;
 
-/// One intern-table slot: the high half of a node's hash, and its id.
+/// One intern-table slot: the high half of an entry's hash, and its id.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     tag: u32,
-    id: ExprId,
+    id: u32,
 }
 
 /// An unoccupied slot.
@@ -293,38 +435,236 @@ const EMPTY: Slot = Slot {
     id: u32::MAX,
 };
 
-/// Slots the intern table starts with. Small on purpose: the corpus sweep
+/// Slots an intern table starts with. Small on purpose: the corpus sweep
 /// builds a fresh arena per palette binding, and most hold a few dozen
 /// nodes.
 const INITIAL_SLOTS: usize = 64;
 
-/// The high 32 bits of the node's FxHash (which ends in a multiply, so the
+/// The high 32 bits of the value's FxHash (which ends in a multiply, so the
 /// well-mixed bits are the high ones).
-fn hash_tag(node: &Node) -> u32 {
+fn hash_tag<T: Hash + ?Sized>(value: &T) -> u32 {
     let mut h = FxHasher::default();
-    node.hash(&mut h);
+    value.hash(&mut h);
     (h.finish() >> 32) as u32
 }
 
-/// Home slot of `tag` in a table of `2^bits` slots: its top `bits` bits,
-/// so that doubling the table splits slot `s` into `2s` and `2s + 1`.
-fn home_slot(tag: u32, bits: u32) -> usize {
-    (tag >> (32 - bits)) as usize
+/// Open-addressing index from a value's hash tag to the `u32` id its owner
+/// stores it under: the nodes, the rationals and the id lists of an
+/// [`Arena`] each keep their values in a vector of their own and one of
+/// these over it. Every slot is [`EMPTY`] or holds an id whose home is
+/// that slot or, by linear probing, one before it; kept at most three
+/// quarters full.
+#[derive(Debug, Default)]
+struct InternTable {
+    slots: Vec<Slot>,
+    len: usize,
+}
+
+impl InternTable {
+    /// Home slot of `tag` among `slots`: the tag scaled onto the table, so
+    /// any size serves (a capacity hint is not rounded up to a power of
+    /// two) and homes ascend with the tag.
+    fn home(tag: u32, slots: usize) -> usize {
+        ((u64::from(tag) * slots as u64) >> 32) as usize
+    }
+
+    /// Makes room for `n` entries in all, in one step.
+    fn reserve(&mut self, n: usize) {
+        let slots = n.saturating_add(n / 3 + 1).max(INITIAL_SLOTS);
+        if slots > self.slots.len() {
+            self.resize(slots);
+        }
+    }
+
+    /// Doubles the table (or creates it) when one more entry would fill it
+    /// past three quarters.
+    fn make_room(&mut self) {
+        if self.len * 4 >= self.slots.len() * 3 {
+            self.resize((self.slots.len() * 2).max(INITIAL_SLOTS));
+        }
+    }
+
+    /// Re-seats every entry in a table of `slots` slots. Slots carry their
+    /// hash tag and homes ascend with it, so walking the old table in slot
+    /// order reads no value and writes the new table front to back.
+    fn resize(&mut self, slots: usize) {
+        let old = std::mem::replace(&mut self.slots, vec![EMPTY; slots]);
+        for seen in old {
+            if seen.id == EMPTY.id {
+                continue;
+            }
+            let mut slot = InternTable::home(seen.tag, slots);
+            while self.slots[slot].id != EMPTY.id {
+                slot = self.next(slot);
+            }
+            self.slots[slot] = seen;
+        }
+    }
+
+    fn next(&self, slot: usize) -> usize {
+        if slot + 1 == self.slots.len() {
+            0
+        } else {
+            slot + 1
+        }
+    }
+
+    /// The id stored under `tag` that `is_it` accepts, or else the vacant
+    /// slot where [`InternTable::insert`] puts it. Call
+    /// [`InternTable::make_room`] first.
+    fn find(&self, tag: u32, mut is_it: impl FnMut(u32) -> bool) -> Result<u32, usize> {
+        let mut slot = InternTable::home(tag, self.slots.len());
+        loop {
+            let seen = self.slots[slot];
+            if seen.id == EMPTY.id {
+                return Err(slot);
+            }
+            if seen.tag == tag && is_it(seen.id) {
+                return Ok(seen.id);
+            }
+            slot = self.next(slot);
+        }
+    }
+
+    fn insert(&mut self, slot: usize, tag: u32, id: u32) {
+        self.slots[slot] = Slot { tag, id };
+        self.len += 1;
+    }
+
+    fn bytes(&self) -> usize {
+        std::mem::size_of_val(&self.slots[..])
+    }
+}
+
+/// The id the next value pushed onto a side vector of `len` entries gets.
+fn next_id(len: usize) -> u32 {
+    u32::try_from(len)
+        .ok()
+        .filter(|&id| id != EMPTY.id)
+        .expect("interned value count fits u32")
+}
+
+/// Values stored once each, in first-seen order, behind the index that
+/// finds them again: a value's id is its position.
+#[derive(Debug)]
+struct Interned<T> {
+    values: Vec<T>,
+    table: InternTable,
+}
+
+impl<T> Default for Interned<T> {
+    fn default() -> Interned<T> {
+        Interned {
+            values: Vec::new(),
+            table: InternTable::default(),
+        }
+    }
+}
+
+impl<T: Hash + Eq> Interned<T> {
+    fn intern(&mut self, value: T) -> u32 {
+        self.table.make_room();
+        let tag = hash_tag(&value);
+        let values = &self.values;
+        match self.table.find(tag, |id| values[id as usize] == value) {
+            Ok(id) => id,
+            Err(slot) => {
+                let id = next_id(self.values.len());
+                self.table.insert(slot, tag, id);
+                self.values.push(value);
+                id
+            }
+        }
+    }
+
+    fn get(&self, id: u32) -> &T {
+        &self.values[id as usize]
+    }
+
+    fn bytes(&self) -> usize {
+        std::mem::size_of_val(&self.values[..]) + self.table.bytes()
+    }
+}
+
+/// The difference polynomial of one [`Arena::classify_diff`] run, plus an
+/// occurrence index so each expansion touches only the monomials that
+/// actually contain the expanded atom (the polynomial stays large while
+/// the differing region unfolds; rebuilding it per step would make the
+/// analysis quadratic in the region size).
+#[derive(Debug, Default)]
+struct DiffIndex {
+    d: FxHashMap<Mono, Rat>,
+    /// Monomials that held each reducible atom when they entered `d`, in
+    /// insertion order. Entries may go stale when a monomial cancels —
+    /// liveness is re-checked against `d` on use.
+    occ: FxHashMap<ExprId, Vec<Mono>>,
+    /// The keys of `occ`, largest first.
+    cand: BinaryHeap<ExprId>,
+    /// Emptied `occ` lists, for the next atom.
+    spare: Vec<Vec<Mono>>,
+}
+
+impl DiffIndex {
+    fn retire(&mut self, mut list: Vec<Mono>) {
+        list.clear();
+        self.spare.push(list);
+    }
+
+    fn clear(&mut self) {
+        self.d.clear();
+        self.cand.clear();
+        for (_, mut list) in self.occ.drain() {
+            list.clear();
+            self.spare.push(list);
+        }
+    }
+}
+
+/// Containers [`Arena::classify_diff`] reuses from one element pair to the
+/// next: a reassociating step compares a thousand of them.
+#[derive(Debug, Default)]
+struct DiffScratch {
+    ix: DiffIndex,
+    /// A power of the expanded atom's polynomial, and the next one.
+    pw: Vec<(Mono, Rat)>,
+    pw_next: Vec<(Mono, Rat)>,
+}
+
+/// What an analysis did with its arena, for the `stage:numeric` span.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ArenaStats {
+    /// Matmul output elements answered from the dot-product memo.
+    pub dot_hits: u64,
+    /// Differing element pairs that ran the difference expansion.
+    pub classified_pairs: u64,
+    /// Nodes those runs expanded, in total.
+    pub expansions: u64,
 }
 
 /// The hash-consing arena plus all per-analysis memo tables.
 #[derive(Debug, Default)]
 pub struct Arena {
     /// The only copy of every node; an [`ExprId`] indexes it.
-    nodes: Vec<Node>,
-    /// Open-addressing intern table over `nodes`: a power-of-two number of
-    /// slots (or none yet), each [`EMPTY`] or the id of a node whose home
-    /// is that slot or, by linear probing, one before it. Kept at most
-    /// three quarters full.
-    table: Vec<Slot>,
+    nodes: Interned<Node>,
+    /// The distinct rationals of `Rat` and `ScaleMul` nodes.
+    rats: Interned<Rat>,
+    /// The distinct `Fun` names, each with whether it is exact.
+    funs: Vec<(&'static str, bool)>,
+    /// The distinct id lists, back to back, each behind its length; a
+    /// [`ListId`] is the offset of that length word.
+    lists: Vec<u32>,
+    list_table: InternTable,
     names: Vec<String>,
     name_ids: HashMap<String, NameId>,
     pair_memo: FxHashMap<(ExprId, ExprId), (NumClass, u64)>,
+    /// `(row, column) → Σₖ fl(rowₖ · columnₖ)` for every dot product
+    /// [`Arena::dot`] has folded.
+    dot_memo: FxHashMap<(ListId, ListId), ExprId>,
+    scratch: DiffScratch,
+    stats: ArenaStats,
+    /// Fold every dot product afresh (the memo's identity test).
+    #[cfg(test)]
+    pub(crate) bypass_dot_memo: bool,
 }
 
 impl Arena {
@@ -335,12 +675,35 @@ impl Arena {
 
     /// Number of live nodes (cap accounting).
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.nodes.values.len()
     }
 
     /// `true` when no nodes exist yet.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.nodes.values.is_empty()
+    }
+
+    /// Sizes the node storage for `nodes` nodes in all, so that interning
+    /// them never regrows it. A capacity hint and nothing else: fewer
+    /// nodes leave slack, more grow the storage as if never reserved.
+    pub(crate) fn reserve(&mut self, nodes: usize) {
+        let more = nodes.saturating_sub(self.nodes.values.len());
+        self.nodes.values.reserve(more);
+        self.nodes.table.reserve(nodes);
+    }
+
+    /// Bytes held by the nodes, their intern table and the side tables.
+    pub(crate) fn bytes(&self) -> usize {
+        self.nodes.bytes()
+            + self.rats.bytes()
+            + std::mem::size_of_val(&self.lists[..])
+            + self.list_table.bytes()
+            + self.dot_memo.len() * std::mem::size_of::<((ListId, ListId), ExprId)>()
+    }
+
+    /// Counters of the work done so far.
+    pub(crate) fn stats(&self) -> ArenaStats {
+        self.stats
     }
 
     /// Interns a leaf-tensor name.
@@ -354,63 +717,58 @@ impl Arena {
         id
     }
 
-    fn intern(&mut self, node: Node) -> ExprId {
-        if self.nodes.len() * 4 >= self.table.len() * 3 {
-            self.grow_table();
+    fn fun_id(&mut self, name: &'static str) -> FunId {
+        // A dozen names at most: a scan beats a hash.
+        if let Some(id) = self.funs.iter().position(|&(n, _)| n == name) {
+            return id as FunId;
         }
-        let (bits, mask) = (self.table.len().trailing_zeros(), self.table.len() - 1);
-        let tag = hash_tag(&node);
-        let mut slot = home_slot(tag, bits);
-        loop {
-            let seen = self.table[slot];
-            if seen.id == EMPTY.id {
-                break;
-            }
-            if seen.tag == tag && self.nodes[seen.id as usize] == node {
-                return seen.id;
-            }
-            slot = (slot + 1) & mask;
-        }
-        let id = u32::try_from(self.nodes.len())
-            .ok()
-            .filter(|&id| id != EMPTY.id)
-            .expect("node count fits u32");
-        self.table[slot] = Slot { tag, id };
-        self.nodes.push(node);
-        id
+        self.funs.push((name, EXACT_FUNS.contains(&name)));
+        (self.funs.len() - 1) as FunId
     }
 
-    /// Doubles the intern table (or creates it). Slots carry their hash
-    /// tag and homes are its top bits, so re-seating them in slot order
-    /// reads no node and writes the new table front to back.
-    fn grow_table(&mut self) {
-        let slots = (self.table.len() * 2).max(INITIAL_SLOTS);
-        let (bits, mask) = (slots.trailing_zeros(), slots - 1);
-        let old = std::mem::replace(&mut self.table, vec![EMPTY; slots]);
-        for seen in old {
-            if seen.id == EMPTY.id {
-                continue;
+    /// Interns an id list: the handle every equal list gets.
+    pub(crate) fn list_id(&mut self, ids: &[ExprId]) -> ListId {
+        self.list_table.make_room();
+        let tag = hash_tag(ids);
+        let lists = &self.lists;
+        let found = self.list_table.find(tag, |at| {
+            let at = at as usize;
+            lists[at] as usize == ids.len() && lists[at + 1..][..ids.len()] == *ids
+        });
+        match found {
+            Ok(id) => id,
+            Err(slot) => {
+                // Lists enter with the operators that intern nodes over
+                // them, so the arena cap bounds the pool long before u32.
+                let id = next_id(self.lists.len());
+                self.list_table.insert(slot, tag, id);
+                self.lists
+                    .push(u32::try_from(ids.len()).expect("list length fits u32"));
+                self.lists.extend_from_slice(ids);
+                id
             }
-            let mut slot = home_slot(seen.tag, bits);
-            while self.table[slot].id != EMPTY.id {
-                slot = (slot + 1) & mask;
-            }
-            self.table[slot] = seen;
         }
+    }
+
+    /// The ids of an interned list.
+    pub(crate) fn list(&self, id: ListId) -> &[ExprId] {
+        let at = id as usize;
+        &self.lists[at + 1..][..self.lists[at] as usize]
     }
 
     fn node(&self, id: ExprId) -> &Node {
-        &self.nodes[id as usize]
+        self.nodes.get(id)
     }
 
     /// An exact rational constant.
     pub fn rat(&mut self, r: Rat) -> ExprId {
-        self.intern(Node::Rat(r))
+        let r = self.rats.intern(r);
+        self.nodes.intern(Node::Rat(r))
     }
 
     /// Element `flat` of leaf tensor `name`.
     pub fn leaf(&mut self, name: NameId, flat: u64) -> ExprId {
-        self.intern(Node::Leaf(name, flat))
+        self.nodes.intern(Node::Leaf(name, flat))
     }
 
     /// `fl(a + b)`.
@@ -420,17 +778,14 @@ impl Arena {
     /// commutativity (children sorted by id), `x + x = 2·x` (exact
     /// doubling), and folding of representable constant pairs.
     pub fn add(&mut self, a: ExprId, b: ExprId) -> ExprId {
-        if let Node::Rat(r) = self.node(a) {
-            if r.is_zero() {
-                return b;
-            }
+        let (ca, cb) = (self.constant(a), self.constant(b));
+        if ca.is_some_and(|r| r.is_zero()) {
+            return b;
         }
-        if let Node::Rat(r) = self.node(b) {
-            if r.is_zero() {
-                return a;
-            }
+        if cb.is_some_and(|r| r.is_zero()) {
+            return a;
         }
-        if let (&Node::Rat(x), &Node::Rat(y)) = (self.node(a), self.node(b)) {
+        if let (Some(x), Some(y)) = (ca, cb) {
             if let Some(s) = x.add(&y) {
                 // fl(x + y) is exact when both operands and the sum are
                 // representable dyadics.
@@ -444,7 +799,7 @@ impl Arena {
             return self.scale_mul(a, Rat::int(2));
         }
         let (a, b) = if a <= b { (a, b) } else { (b, a) };
-        self.intern(Node::Add(a, b))
+        self.nodes.intern(Node::Add(a, b))
     }
 
     /// Exact negation. `−(−x) = x`, `−c` folds, and `−(x·c) = x·(−c)`
@@ -452,9 +807,9 @@ impl Arena {
     pub fn neg(&mut self, a: ExprId) -> ExprId {
         match *self.node(a) {
             Node::Neg(x) => x,
-            Node::Rat(r) => self.rat(r.neg()),
-            Node::ScaleMul(x, r) => self.scale_mul(x, r.neg()),
-            _ => self.intern(Node::Neg(a)),
+            Node::Rat(r) => self.rat(self.rats.get(r).neg()),
+            Node::ScaleMul(x, r) => self.scale_mul(x, self.rats.get(r).neg()),
+            _ => self.nodes.intern(Node::Neg(a)),
         }
     }
 
@@ -463,25 +818,22 @@ impl Arena {
     /// constants arise here), constant pairs fold when exact, and children
     /// are sorted (IEEE × is commutative).
     pub fn mul(&mut self, a: ExprId, b: ExprId) -> ExprId {
-        if let (&Node::Rat(x), &Node::Rat(y)) = (self.node(a), self.node(b)) {
+        let (ca, cb) = (self.constant(a), self.constant(b));
+        if let (Some(x), Some(y)) = (ca, cb) {
             if let Some(p) = x.mul(&y) {
                 if x.is_representable() && y.is_representable() && p.is_representable() {
                     return self.rat(p);
                 }
             }
         }
-        if let &Node::Rat(r) = self.node(a) {
-            if r.is_representable() {
-                return self.scale_mul(b, r);
-            }
+        if let Some(r) = ca.filter(Rat::is_representable) {
+            return self.scale_mul(b, r);
         }
-        if let &Node::Rat(r) = self.node(b) {
-            if r.is_representable() {
-                return self.scale_mul(a, r);
-            }
+        if let Some(r) = cb.filter(Rat::is_representable) {
+            return self.scale_mul(a, r);
         }
         let (a, b) = if a <= b { (a, b) } else { (b, a) };
-        self.intern(Node::Mul(a, b))
+        self.nodes.intern(Node::Mul(a, b))
     }
 
     /// `fl(fl(r) · x)`. `1·x = x`, `(−1)·x = −x`, `0·x = 0` (up to the
@@ -500,14 +852,15 @@ impl Arena {
         if let &Node::Neg(inner) = self.node(x) {
             return self.scale_mul(inner, r.neg());
         }
-        if let &Node::Rat(c) = self.node(x) {
+        if let Some(c) = self.constant(x) {
             if let Some(p) = c.mul(&r) {
                 if c.is_representable() && r.is_representable() && p.is_representable() {
                     return self.rat(p);
                 }
             }
         }
-        self.intern(Node::ScaleMul(x, r))
+        let r = self.rats.intern(r);
+        self.nodes.intern(Node::ScaleMul(x, r))
     }
 
     /// `fl(x / n)` for a runtime integer `n ≥ 1` (reduction widths).
@@ -516,37 +869,64 @@ impl Arena {
         if n == 1 {
             return x;
         }
-        if let &Node::Rat(c) = self.node(x) {
+        if let Some(c) = self.constant(x) {
             if let Some(q) = c.mul(&Rat::new(1, i128::from(n)).expect("n > 0")) {
                 if c.is_representable() && q.is_representable() {
                     return self.rat(q);
                 }
             }
         }
-        self.intern(Node::ScaleDiv(x, n))
+        self.nodes.intern(Node::ScaleDiv(x, n))
     }
 
     /// An opaque deterministic function application.
-    pub fn fun(&mut self, name: &'static str, args: Vec<ExprId>) -> ExprId {
-        self.intern(Node::Fun(name, args))
+    pub fn fun(&mut self, name: &'static str, args: &[ExprId]) -> ExprId {
+        let (name, args) = (self.fun_id(name), self.list_id(args));
+        self.nodes.intern(Node::Fun(name, args))
+    }
+
+    /// The dot product of two interned lists of one length, folded left to
+    /// right from the zero seed exactly as the runtime's matmul does:
+    /// `fl(… fl(fl(r₀·c₀) + fl(r₁·c₁)) …)`. Memoised per `(row, col)`: a
+    /// repeat returns the id the multiply-adds would intern to again —
+    /// those nodes exist, and canonicalisation reads only node contents,
+    /// which never change — so the arena is the same with or without it.
+    pub(crate) fn dot(&mut self, row: ListId, col: ListId) -> ExprId {
+        #[cfg(test)]
+        let bypass = self.bypass_dot_memo;
+        #[cfg(not(test))]
+        let bypass = false;
+        if !bypass {
+            if let Some(&acc) = self.dot_memo.get(&(row, col)) {
+                self.stats.dot_hits += 1;
+                return acc;
+            }
+        }
+        let mut acc = self.rat(Rat::zero());
+        for k in 0..self.list(row).len() {
+            let prod = self.mul(self.list(row)[k], self.list(col)[k]);
+            acc = self.add(acc, prod);
+        }
+        self.dot_memo.insert((row, col), acc);
+        acc
     }
 
     /// The exact rational value of a node, when it is a constant.
     pub fn constant(&self, id: ExprId) -> Option<Rat> {
-        match self.node(id) {
-            Node::Rat(r) => Some(*r),
+        match *self.node(id) {
+            Node::Rat(r) => Some(*self.rats.get(r)),
             _ => None,
         }
     }
 
     /// Does this node perform a fresh rounding?
     fn is_rounding(&self, id: ExprId) -> bool {
-        match self.node(id) {
+        match *self.node(id) {
             Node::Rat(_) | Node::Leaf(..) | Node::Neg(_) => false,
             Node::Add(..) | Node::Mul(..) => true,
-            Node::ScaleMul(_, r) => !r.is_pow2(),
+            Node::ScaleMul(_, r) => !self.rats.get(r).is_pow2(),
             Node::ScaleDiv(_, n) => !n.is_power_of_two(),
-            Node::Fun(name, _) => !EXACT_FUNS.contains(name),
+            Node::Fun(name, _) => !self.funs[name as usize].1,
         }
     }
 
@@ -562,41 +942,27 @@ impl Arena {
 
     /// One-level expansion of a node into a polynomial over its children,
     /// `None` when the node is a true atom.
-    fn one_step(&self, id: ExprId) -> Option<Poly> {
-        let mut p = Poly::new();
-        match self.node(id) {
+    fn one_step(&self, id: ExprId) -> Option<Step> {
+        let scaled = |a: ExprId, c: Rat| Step::of([(Mono::of(&[a]), c)]);
+        Some(match *self.node(id) {
             Node::Leaf(..) | Node::Fun(..) => return None,
-            Node::Rat(r) => {
-                if !r.is_zero() {
-                    p.insert(Vec::new(), *r);
-                }
-            }
-            Node::Neg(a) => {
-                p.insert(vec![*a], Rat::int(-1));
-            }
-            Node::Add(a, b) => {
-                if a == b {
-                    p.insert(vec![*a], Rat::int(2));
-                } else {
-                    p.insert(vec![*a], Rat::one());
-                    p.insert(vec![*b], Rat::one());
-                }
-            }
-            Node::Mul(a, b) => {
-                let mut m = vec![*a, *b];
-                m.sort_unstable();
-                p.insert(m, Rat::one());
-            }
-            Node::ScaleMul(a, r) => {
-                if !r.is_zero() {
-                    p.insert(vec![*a], *r);
-                }
-            }
-            Node::ScaleDiv(a, n) => {
-                p.insert(vec![*a], Rat::new(1, i128::from(*n))?);
-            }
-        }
-        Some(p)
+            Node::Rat(r) => match *self.rats.get(r) {
+                r if r.is_zero() => Step::of([]),
+                r => Step::of([(Mono::new(), r)]),
+            },
+            Node::Neg(a) => scaled(a, Rat::int(-1)),
+            Node::Add(a, b) if a == b => scaled(a, Rat::int(2)),
+            Node::Add(a, b) => Step::of([
+                (Mono::of(&[a.min(b)]), Rat::one()),
+                (Mono::of(&[a.max(b)]), Rat::one()),
+            ]),
+            Node::Mul(a, b) => Step::of([(Mono::of(&[a.min(b), a.max(b)]), Rat::one())]),
+            Node::ScaleMul(a, r) => match *self.rats.get(r) {
+                r if r.is_zero() => Step::of([]),
+                r => scaled(a, r),
+            },
+            Node::ScaleDiv(a, n) => scaled(a, Rat::new(1, i128::from(n))?),
+        })
     }
 
     /// Classifies one element pair. Identical ids are bit-exact by
@@ -634,135 +1000,142 @@ impl Arena {
     ///   generically different reals — value-changing.
     /// - cap overflow or coefficient overflow: unknown.
     fn classify_diff(&mut self, a: ExprId, b: ExprId) -> (NumClass, u64) {
-        // The difference polynomial, plus an occurrence index so each
-        // expansion touches only the monomials that actually contain the
-        // expanded atom (the polynomial stays large while the differing
-        // region unfolds; rebuilding it per step would make the analysis
-        // quadratic in the region size). `occ` entries may go stale when a
-        // monomial cancels — liveness is re-checked against `d` on use.
-        let mut d = Poly::new();
-        let mut occ: FxHashMap<ExprId, Vec<Mono>> = FxHashMap::default();
-        let mut cand: BTreeSet<ExprId> = BTreeSet::new();
-        for (mono, c) in [(vec![a], Rat::one()), (vec![b], Rat::int(-1))] {
-            if self
-                .accum_indexed(&mut d, &mut occ, &mut cand, mono, c)
-                .is_none()
-            {
-                return (NumClass::Unknown, 0);
-            }
-        }
+        // Congruence lifting re-enters for argument pairs: the nested run
+        // finds the scratch gone and works in a fresh one.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        self.stats.classified_pairs += 1;
+        let result = self
+            .expand_diff(&mut scratch, a, b)
+            .unwrap_or((NumClass::Unknown, 0));
+        scratch.ix.clear();
+        self.scratch = scratch;
+        result
+    }
+
+    /// The loop of [`Arena::classify_diff`]; `None` is unknown.
+    fn expand_diff(
+        &mut self,
+        s: &mut DiffScratch,
+        a: ExprId,
+        b: ExprId,
+    ) -> Option<(NumClass, u64)> {
+        self.accum(&mut s.ix, Mono::of(&[a]), Rat::one())?;
+        self.accum(&mut s.ix, Mono::of(&[b]), Rat::int(-1))?;
         let mut k: u64 = 0;
         let mut expansions = 0usize;
         loop {
-            if d.is_empty() {
-                return (NumClass::Reassoc, k);
+            if s.ix.d.is_empty() {
+                return Some((NumClass::Reassoc, k));
             }
             // Largest *live* reducible atom; prune fully-stale candidates.
             let next = loop {
-                let Some(&x) = cand.iter().next_back() else {
+                let Some(&x) = s.ix.cand.peek() else {
                     break None;
                 };
-                let live = occ.get_mut(&x).is_some_and(|v| {
+                let d = &s.ix.d;
+                let live = s.ix.occ.get_mut(&x).is_some_and(|v| {
                     v.retain(|m| d.contains_key(m));
                     !v.is_empty()
                 });
                 if live {
                     break Some(x);
                 }
-                cand.remove(&x);
-                occ.remove(&x);
+                s.ix.cand.pop();
+                if let Some(list) = s.ix.occ.remove(&x) {
+                    s.ix.retire(list);
+                }
             };
             let Some(x) = next else {
-                match self.merge_congruent_funs(&mut d) {
+                match self.merge_congruent_funs(&mut s.ix) {
                     MergeOutcome::Merged(dk) => {
                         k = k.saturating_add(dk);
                         continue;
                     }
-                    MergeOutcome::Stuck => return (NumClass::ValueChanging, 0),
-                    MergeOutcome::Unknown => return (NumClass::Unknown, 0),
+                    MergeOutcome::Stuck => return Some((NumClass::ValueChanging, 0)),
+                    MergeOutcome::Unknown => return None,
                 }
             };
             expansions += 1;
             if expansions > EXPAND_CAP {
-                return (NumClass::Unknown, 0);
+                return None;
             }
+            self.stats.expansions += 1;
             if self.is_rounding(x) {
                 k = k.saturating_add(1);
             }
-            let Some(px) = self.one_step(x) else {
-                return (NumClass::Unknown, 0);
-            };
-            cand.remove(&x);
-            let monos = occ.remove(&x).expect("picked candidate has live monomials");
-            for m in monos {
+            let px = self.one_step(x)?;
+            s.ix.cand.pop();
+            let monos =
+                s.ix.occ
+                    .remove(&x)
+                    .expect("picked candidate has live monomials");
+            for m in &monos {
                 // Duplicate index entries resolve here: first removal wins.
-                let Some(c) = d.remove(&m) else { continue };
-                let occ_count = m.iter().filter(|&&i| i == x).count();
-                let rest: Mono = m.iter().copied().filter(|&i| i != x).collect();
+                let Some(c) = s.ix.d.remove(m) else { continue };
+                let occ_count = m.atoms().iter().filter(|&&i| i == x).count();
+                let mut rest = Mono::new();
+                for &i in m.atoms().iter().filter(|&&i| i != x) {
+                    rest.push(i);
+                }
                 // px^occ_count, term by term. `m` is indexed under `x`, so
                 // occ_count >= 1 — and almost always 1, where the power is
                 // px itself.
-                let mut pw: Option<Poly> = None;
-                for _ in 1..occ_count {
-                    pw = match poly_mul(pw.as_ref().unwrap_or(&px), &px) {
-                        Some(p) => Some(p),
-                        None => return (NumClass::Unknown, 0),
-                    };
-                }
-                for (mm, cc) in pw.as_ref().unwrap_or(&px) {
-                    let mut mono = rest.clone();
-                    mono.extend(mm.iter().copied());
-                    mono.sort_unstable();
-                    let Some(coef) = c.mul(cc) else {
-                        return (NumClass::Unknown, 0);
-                    };
-                    if self
-                        .accum_indexed(&mut d, &mut occ, &mut cand, mono, coef)
-                        .is_none()
-                    {
-                        return (NumClass::Unknown, 0);
+                if occ_count > 1 {
+                    s.pw.clear();
+                    s.pw.extend_from_slice(px.terms());
+                    for _ in 2..=occ_count {
+                        poly_mul(&s.pw, px.terms(), &mut s.pw_next)?;
+                        std::mem::swap(&mut s.pw, &mut s.pw_next);
                     }
                 }
+                let power: &Terms = if occ_count > 1 { &s.pw } else { px.terms() };
+                for (mm, cc) in power {
+                    self.accum(&mut s.ix, rest.times(mm), c.mul(cc)?)?;
+                }
             }
+            s.ix.retire(monos);
         }
     }
 
-    /// Adds `c · m` into `d`, dropping cancelled monomials and indexing
-    /// the reducible atoms of newly created monomials in `occ`/`cand`.
-    /// `None` on coefficient overflow or monomial-count blowup.
-    fn accum_indexed(
-        &self,
-        d: &mut Poly,
-        occ: &mut FxHashMap<ExprId, Vec<Mono>>,
-        cand: &mut BTreeSet<ExprId>,
-        m: Mono,
-        c: Rat,
-    ) -> Option<()> {
+    /// Adds `c · m` into the difference, dropping cancelled monomials and
+    /// indexing the reducible atoms of newly created ones. `None` on
+    /// coefficient overflow or monomial-count blowup.
+    fn accum(&self, ix: &mut DiffIndex, m: Mono, c: Rat) -> Option<()> {
         if c.is_zero() {
             return Some(());
         }
-        match d.get(&m) {
-            Some(prev) => {
-                let s = prev.add(&c)?;
+        let DiffIndex {
+            d,
+            occ,
+            cand,
+            spare,
+        } = ix;
+        match d.entry(m) {
+            Entry::Occupied(mut e) => {
+                let s = e.get().add(&c)?;
                 if s.is_zero() {
-                    d.remove(&m);
+                    e.remove();
                 } else {
-                    d.insert(m, s);
+                    *e.get_mut() = s;
                 }
             }
-            None => {
+            Entry::Vacant(e) => {
                 let mut last = None;
-                for &atom in &m {
+                for &atom in e.key().atoms() {
                     if Some(atom) == last {
                         continue; // monomials are sorted; skip repeats
                     }
                     last = Some(atom);
                     if self.reducible(atom) {
-                        occ.entry(atom).or_default().push(m.clone());
-                        cand.insert(atom);
+                        occ.entry(atom)
+                            .or_insert_with(|| {
+                                cand.push(atom);
+                                spare.pop().unwrap_or_default()
+                            })
+                            .push(e.key().clone());
                     }
                 }
-                d.insert(m, c);
+                e.insert(c);
             }
         }
         if d.len() > POLY_CAP {
@@ -780,29 +1153,33 @@ impl Arena {
     /// merge is an *unclassifiable* argument pair, the difference is
     /// unknown — never value-changing through an opaque fun we could not
     /// see into.
-    fn merge_congruent_funs(&mut self, d: &mut Poly) -> MergeOutcome {
-        let atoms: BTreeSet<ExprId> = d.keys().flat_map(|m| m.iter().copied()).collect();
-        let funs: Vec<ExprId> = atoms
-            .into_iter()
-            .filter(|&x| matches!(self.node(x), Node::Fun(..)))
-            .collect();
+    ///
+    /// Runs once no reducible atom is left in the difference, and renames
+    /// one irreducible atom to another, so the occurrence index stays
+    /// empty throughout.
+    fn merge_congruent_funs(&mut self, ix: &mut DiffIndex) -> MergeOutcome {
+        let mut funs: Vec<ExprId> =
+            ix.d.keys()
+                .flat_map(|m| m.atoms().iter().copied())
+                .filter(|&x| matches!(self.node(x), Node::Fun(..)))
+                .collect();
+        funs.sort_unstable();
+        funs.dedup();
         let mut saw_unknown = false;
         for (i, &u) in funs.iter().enumerate() {
             for &v in &funs[i + 1..] {
-                let (nu, args_u) = match self.node(u) {
-                    Node::Fun(n, a) => (*n, a.clone()),
-                    _ => continue,
+                let (&Node::Fun(nu, args_u), &Node::Fun(nv, args_v)) = (self.node(u), self.node(v))
+                else {
+                    continue;
                 };
-                let (nv, args_v) = match self.node(v) {
-                    Node::Fun(n, a) => (*n, a.clone()),
-                    _ => continue,
-                };
-                if nu != nv || args_u.len() != args_v.len() {
+                let arity = self.list(args_u).len();
+                if nu != nv || arity != self.list(args_v).len() {
                     continue;
                 }
                 let mut dk: u64 = 0;
                 let mut mergeable = true;
-                for (&p, &q) in args_u.iter().zip(&args_v) {
+                for j in 0..arity {
+                    let (p, q) = (self.list(args_u)[j], self.list(args_v)[j]);
                     let (c, ka) = self.classify_pair(p, q);
                     match c {
                         NumClass::BitExact => {}
@@ -825,12 +1202,16 @@ impl Arena {
                     // Both applications round their (reassociated) inputs.
                     dk = dk.saturating_add(2);
                 }
-                let old = std::mem::take(d);
+                // Re-accumulate in monomial order, `v` renamed to `u`.
+                let mut old: Vec<(Mono, Rat)> = ix.d.drain().collect();
+                old.sort_unstable_by(|x, y| x.0.cmp(&y.0));
                 for (m, c) in old {
-                    let mut mono: Mono =
-                        m.into_iter().map(|x| if x == v { u } else { x }).collect();
-                    mono.sort_unstable();
-                    if poly_accum(d, mono, c).is_none() {
+                    let mut mono = Mono::new();
+                    for &x in m.atoms() {
+                        mono.push(if x == v { u } else { x });
+                    }
+                    mono.sort();
+                    if self.accum(ix, mono, c).is_none() {
                         return MergeOutcome::Unknown;
                     }
                 }
@@ -855,42 +1236,34 @@ enum MergeOutcome {
     Unknown,
 }
 
-/// Adds `c · m` into `out`, dropping cancelled monomials. `None` on
-/// coefficient overflow or monomial-count blowup.
-fn poly_accum(out: &mut Poly, m: Mono, c: Rat) -> Option<()> {
-    if c.is_zero() {
-        return Some(());
-    }
-    match out.get(&m) {
-        Some(prev) => {
-            let s = prev.add(&c)?;
-            if s.is_zero() {
-                out.remove(&m);
-            } else {
-                out.insert(m, s);
-            }
-        }
-        None => {
-            out.insert(m, c);
-        }
-    }
-    if out.len() > POLY_CAP {
-        return None;
-    }
-    Some(())
-}
-
-fn poly_mul(a: &Poly, b: &Poly) -> Option<Poly> {
-    let mut out = Poly::new();
+/// `out = a · b`, terms accumulated pair by pair in the order of `a` then
+/// `b`, cancelled monomials dropped. `None` on coefficient overflow or
+/// monomial-count blowup.
+fn poly_mul(a: &Terms, b: &Terms, out: &mut Vec<(Mono, Rat)>) -> Option<()> {
+    out.clear();
     for (ma, ca) in a {
         for (mb, cb) in b {
-            let mut m = ma.clone();
-            m.extend(mb.iter().copied());
-            m.sort_unstable();
-            poly_accum(&mut out, m, ca.mul(cb)?)?;
+            let (m, c) = (ma.times(mb), ca.mul(cb)?);
+            if c.is_zero() {
+                continue;
+            }
+            match out.binary_search_by(|(seen, _)| seen.cmp(&m)) {
+                Ok(at) => {
+                    let s = out[at].1.add(&c)?;
+                    if s.is_zero() {
+                        out.remove(at);
+                    } else {
+                        out[at].1 = s;
+                    }
+                }
+                Err(at) => out.insert(at, (m, c)),
+            }
+            if out.len() > POLY_CAP {
+                return None;
+            }
         }
     }
-    Some(out)
+    Some(())
 }
 
 /// A tensor of symbolic elements, row-major, mirroring

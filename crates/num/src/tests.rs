@@ -5,8 +5,11 @@ use entangle_egraph::{ProofStep, RecExpr};
 use entangle_ir::Op;
 use entangle_runtime::{eval_op, reassoc_rel_bound, Tolerance, Value};
 
-use crate::eval::{eval_op_sym, eval_term, graph_tensors_sym, leaf_tensor, TermTable};
-use crate::sym::{classify_tensors, Arena, NumClass, Rat, SymTensor, Verdict};
+use crate::eval::{
+    eval_op_sym, eval_term, graph_nodes_hint, graph_tensors_sym, leaf_tensor, TermTable,
+    HINT_PERCENT,
+};
+use crate::sym::{classify_tensors, Arena, ExprId, Node, NumClass, Rat, SymTensor, Verdict};
 
 // ---------------------------------------------------------------------------
 // Rational layer
@@ -99,16 +102,62 @@ fn interned_ids_survive_table_growth() {
     let n = a.name("x");
     let leaves: Vec<_> = (0..100_000).map(|i| a.leaf(n, i)).collect();
     let sums: Vec<_> = leaves.windows(2).map(|w| a.add(w[0], w[1])).collect();
-    let funs: Vec<_> = sums.iter().map(|&s| a.fun("exp", vec![s])).collect();
+    let funs: Vec<_> = sums.iter().map(|&s| a.fun("exp", &[s])).collect();
     assert_eq!(a.len(), leaves.len() + sums.len() + funs.len());
     for (i, &id) in leaves.iter().enumerate() {
         assert_eq!(a.leaf(n, i as u64), id);
     }
     for (w, (&sum, &fun)) in leaves.windows(2).zip(sums.iter().zip(&funs)) {
         assert_eq!(a.add(w[1], w[0]), sum);
-        assert_eq!(a.fun("exp", vec![sum]), fun);
+        assert_eq!(a.fun("exp", &[sum]), fun);
     }
     assert_eq!(a.len(), leaves.len() + sums.len() + funs.len());
+}
+
+#[test]
+fn nodes_are_sixteen_bytes_and_side_tables_intern() {
+    assert_eq!(std::mem::size_of::<Node>(), 16);
+    let mut a = Arena::new();
+    let n = a.name("x");
+    let x = a.leaf(n, 0);
+
+    // Rationals: equal values share a node (so a `RatId`), 10k distinct
+    // ones come back as themselves, before and after the table regrows.
+    assert_eq!(
+        a.rat(Rat::new(2, 8).unwrap()),
+        a.rat(Rat::new(1, 4).unwrap())
+    );
+    let rats: Vec<Rat> = (1..=10_000).map(|i| Rat::new(i, 10_007).unwrap()).collect();
+    let consts: Vec<ExprId> = rats.iter().map(|&r| a.rat(r)).collect();
+    let scaled: Vec<ExprId> = rats.iter().map(|&r| a.scale_mul(x, r)).collect();
+    for (i, &r) in rats.iter().enumerate() {
+        assert_eq!(a.constant(consts[i]), Some(r));
+        assert_eq!(a.rat(r), consts[i]);
+        assert_eq!(a.scale_mul(x, r), scaled[i]);
+    }
+    let distinct: std::collections::HashSet<_> = consts.iter().chain(&scaled).collect();
+    assert_eq!(distinct.len(), 20_000);
+
+    // Fun names compare by content, not by address.
+    let exp = String::from("exp");
+    let leaked: &'static str = Box::leak(exp.into_boxed_str());
+    assert_eq!(a.fun("exp", &[x]), a.fun(leaked, &[x]));
+    assert_ne!(a.fun("exp", &[x]), a.fun("ln", &[x]));
+
+    // Argument lists: 10k distinct windows of one to five leaves; equal
+    // lists get the handle back, and a handle reads as its ids.
+    let leaves: Vec<ExprId> = (0..10_005).map(|i| a.leaf(n, i)).collect();
+    let windows: Vec<&[ExprId]> = (0..10_000).map(|i| &leaves[i..i + 1 + i % 5]).collect();
+    let handles: Vec<_> = windows.iter().map(|w| a.list_id(w)).collect();
+    for (w, &h) in windows.iter().zip(&handles) {
+        assert_eq!(a.list(h), *w);
+        assert_eq!(a.list_id(w), h);
+    }
+    let distinct: std::collections::HashSet<_> = handles.iter().collect();
+    assert_eq!(distinct.len(), handles.len());
+    let before = a.len();
+    assert_eq!(a.fun("row", &leaves[..7]), a.fun("row", &leaves[..7]));
+    assert_eq!(a.len(), before + 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -182,11 +231,11 @@ fn opaque_fun_equality_is_bit_exact_only_on_identity() {
     let mut a = Arena::new();
     let n = a.name("x");
     let x = a.leaf(n, 0);
-    let e1 = a.fun("exp", vec![x]);
-    let e2 = a.fun("exp", vec![x]);
+    let e1 = a.fun("exp", &[x]);
+    let e2 = a.fun("exp", &[x]);
     assert_eq!(a.classify_pair(e1, e2), (NumClass::BitExact, 0));
     let y = a.leaf(n, 1);
-    let e3 = a.fun("exp", vec![y]);
+    let e3 = a.fun("exp", &[y]);
     assert_eq!(a.classify_pair(e1, e3).0, NumClass::ValueChanging);
 }
 
@@ -420,29 +469,56 @@ fn step_terms(cert: &entangle_cert::Certificate) -> Vec<&RecExpr> {
     terms
 }
 
-#[test]
-fn subterm_table_matches_per_term_evaluation_on_the_zoo() {
-    // The memoised evaluator must be indistinguishable from evaluating
-    // every term from scratch: same tensors, and — because skipped work
-    // would only have re-derived existing ids — the same arena.
-    for case in entangle_bench::zoo() {
-        let gd = &case.dist.graph;
-        let ri = case.dist.relation(&case.gs).expect("relation builds");
-        let opts = entangle::CheckOptions {
-            jobs: 1,
-            numeric: false,
-            ..entangle::CheckOptions::default()
-        };
-        let cert = entangle::check_refinement(&case.gs, gd, &ri, &opts)
-            .unwrap_or_else(|e| panic!("{} fails to verify: {e}", case.name))
-            .certificate
-            .expect("certify is on by default");
+/// One zoo pair with the certificate of its (numeric-free) check.
+struct ZooCert {
+    name: String,
+    gs: entangle_ir::Graph,
+    gd: entangle_ir::Graph,
+    cert: entangle_cert::Certificate,
+}
 
+/// Every zoo workload, certified once for all the tests below.
+fn zoo_certs() -> &'static [ZooCert] {
+    static CERTS: std::sync::OnceLock<Vec<ZooCert>> = std::sync::OnceLock::new();
+    CERTS.get_or_init(|| {
+        entangle_bench::zoo()
+            .into_iter()
+            .map(|case| {
+                let ri = case.dist.relation(&case.gs).expect("relation builds");
+                let opts = entangle::CheckOptions {
+                    jobs: 1,
+                    numeric: false,
+                    ..entangle::CheckOptions::default()
+                };
+                let cert = entangle::check_refinement(&case.gs, &case.dist.graph, &ri, &opts)
+                    .unwrap_or_else(|e| panic!("{} fails to verify: {e}", case.name))
+                    .certificate
+                    .expect("certify is on by default");
+                ZooCert {
+                    name: case.name,
+                    gs: case.gs,
+                    gd: case.dist.graph,
+                    cert,
+                }
+            })
+            .collect()
+    })
+}
+
+#[test]
+fn memoised_evaluation_matches_from_scratch_evaluation_on_the_zoo() {
+    // The subterm table and the dot-product memo must be indistinguishable
+    // from evaluating every term, and folding every dot product, from
+    // scratch: same tensors, and — because skipped work would only have
+    // re-derived existing ids — the same arena.
+    for case in zoo_certs() {
         let (mut shared, mut scratch) = (Arena::new(), Arena::new());
-        let shared_gd = graph_tensors_sym(&mut shared, gd);
-        let scratch_gd = graph_tensors_sym(&mut scratch, gd);
+        scratch.bypass_dot_memo = true;
+        let shared_gd = graph_tensors_sym(&mut shared, &case.gd);
+        let scratch_gd = graph_tensors_sym(&mut scratch, &case.gd);
+        assert_eq!(shared_gd, scratch_gd, "{}: G_d tensors", case.name);
         let mut table = TermTable::default();
-        for term in step_terms(&cert) {
+        for term in step_terms(&case.cert) {
             let memoised = table.eval(&mut shared, term, &mut |_, name| {
                 shared_gd.get(name).cloned().expect("G_d leaf")
             });
@@ -467,7 +543,37 @@ fn subterm_table_matches_per_term_evaluation_on_the_zoo() {
             case.name
         );
         assert!(table.hits() > table.subterms(), "{}: table idle", case.name);
+        assert!(shared.stats().dot_hits > 0, "{}: dot memo idle", case.name);
+        assert_eq!(scratch.stats().dot_hits, 0, "{}", case.name);
     }
+}
+
+#[test]
+fn the_capacity_hint_bounds_every_zoo_gd_and_decides_nothing() {
+    for case in zoo_certs() {
+        let mut arena = Arena::new();
+        graph_tensors_sym(&mut arena, &case.gd);
+        let hint = graph_nodes_hint(&case.gd);
+        assert!(
+            hint >= arena.len(),
+            "{}: hint {hint} under the {} nodes G_d interns",
+            case.name,
+            arena.len()
+        );
+    }
+    let case = zoo_certs()
+        .iter()
+        .find(|c| c.name == "gpt_tp2")
+        .expect("gpt_tp2 is in the workload zoo");
+    let analyze = |percent: usize| {
+        HINT_PERCENT.set(percent);
+        let a = crate::analyze_certificate(&case.cert, &case.gs, &case.gd);
+        HINT_PERCENT.set(100);
+        (a.outputs, a.mappings, a.diagnostics, a.arena_nodes)
+    };
+    let hinted = analyze(100);
+    assert_eq!(analyze(0), hinted, "no reservation at all");
+    assert_eq!(analyze(1000), hinted, "ten times the reservation");
 }
 
 #[test]
@@ -505,6 +611,63 @@ fn width_zero_reduction_is_finite() {
     )
     .unwrap();
     assert_eq!(m.shape, vec![1, 4]);
+}
+
+// ---------------------------------------------------------------------------
+// The difference classifier against its `BTreeMap` oracle
+
+/// `x` scaled alternately by `r` and `1/r`, `links` times: a chain the
+/// classifier unfolds one node per expansion while the difference stays
+/// two monomials wide and its coefficients stay small.
+fn scale_chain(a: &mut Arena, x: ExprId, r: i64, links: usize) -> ExprId {
+    let (up, down) = (Rat::int(r), Rat::new(1, i128::from(r)).unwrap());
+    (0..links).fold(x, |e, i| a.scale_mul(e, if i % 2 == 0 { up } else { down }))
+}
+
+/// `(l₀ + l₁)(l₂ + l₃)…`, `factors` binomials over fresh leaves.
+fn binomial_product(a: &mut Arena, name: &str, factors: u64) -> ExprId {
+    let n = a.name(name);
+    let sums: Vec<ExprId> = (0..factors)
+        .map(|i| {
+            let (l, r) = (a.leaf(n, 2 * i), a.leaf(n, 2 * i + 1));
+            a.add(l, r)
+        })
+        .collect();
+    sums[1..].iter().fold(sums[0], |p, &s| a.mul(p, s))
+}
+
+#[test]
+fn classifier_agrees_with_the_oracle_at_the_caps() {
+    let mut a = Arena::new();
+    let n = a.name("x");
+    let x = a.leaf(n, 0);
+
+    // EXPAND_CAP is 100 000 expansions: 80 000 cancel, 120 000 do not.
+    let (s3, s5) = (
+        scale_chain(&mut a, x, 3, 40_000),
+        scale_chain(&mut a, x, 5, 40_000),
+    );
+    let under = a.classify_pair(s3, s5);
+    assert_eq!(under, (NumClass::Reassoc, 80_000));
+    assert_eq!(under, a.classify_pair_oracle(s3, s5));
+    let (l3, l5) = (
+        scale_chain(&mut a, x, 3, 60_000),
+        scale_chain(&mut a, x, 5, 60_000),
+    );
+    let over = a.classify_pair(l3, l5);
+    assert_eq!(over, (NumClass::Unknown, 0));
+    assert_eq!(over, a.classify_pair_oracle(l3, l5));
+
+    // POLY_CAP is 4096 monomials: eleven binomials expand to half that
+    // (and then differ from a leaf for real), thirteen overflow.
+    let p11 = binomial_product(&mut a, "p", 11);
+    let fits = a.classify_pair(p11, x);
+    assert_eq!(fits.0, NumClass::ValueChanging);
+    assert_eq!(fits, a.classify_pair_oracle(p11, x));
+    let p13 = binomial_product(&mut a, "q", 13);
+    let spills = a.classify_pair(p13, x);
+    assert_eq!(spills, (NumClass::Unknown, 0));
+    assert_eq!(spills, a.classify_pair_oracle(p13, x));
 }
 
 // ---------------------------------------------------------------------------
@@ -596,7 +759,145 @@ mod prop {
             .collect()
     }
 
+    /// Random bytes read as a recipe, wrapping around at the end.
+    struct Tape<'a> {
+        bytes: &'a [u8],
+        at: usize,
+    }
+
+    impl Tape<'_> {
+        fn next(&mut self) -> usize {
+            self.at += 1;
+            usize::from(self.bytes[(self.at - 1) % self.bytes.len()])
+        }
+    }
+
+    /// Builds the expression the tape describes: sums and products of two
+    /// to four subterms, squares, products nine factors wide (one atom more
+    /// than a monomial keeps inline, times whatever multiplies it),
+    /// constant scalings, rounding and exact funs of one and two
+    /// arguments, over four leaves. `flip` folds every sum and product
+    /// right to left instead of left to right: the same real number,
+    /// rounded at different sites — and funs of such pairs, for
+    /// congruence lifting to merge.
+    fn realize(a: &mut Arena, tape: &mut Tape, depth: usize, flip: bool) -> ExprId {
+        let fold =
+            |a: &mut Arena, terms: Vec<ExprId>, op: fn(&mut Arena, ExprId, ExprId) -> ExprId| {
+                let mut terms = terms.into_iter();
+                if flip {
+                    let last = terms.next_back().expect("two terms or more");
+                    terms.rev().fold(last, |acc, t| op(a, t, acc))
+                } else {
+                    let first = terms.next().expect("two terms or more");
+                    terms.fold(first, |acc, t| op(a, acc, t))
+                }
+            };
+        let kind = if depth == 0 { 0 } else { tape.next() % 10 };
+        match kind {
+            0 => {
+                let n = a.name("v");
+                a.leaf(n, tape.next() as u64 % 4)
+            }
+            1..=3 => {
+                let count = 2 + tape.next() % 3;
+                let terms = (0..count)
+                    .map(|_| realize(a, tape, depth - 1, flip))
+                    .collect();
+                fold(a, terms, if kind == 3 { Arena::mul } else { Arena::add })
+            }
+            4 => {
+                let d = realize(a, tape, depth - 1, flip);
+                a.mul(d, d)
+            }
+            5 => {
+                let factors = (0..9)
+                    .map(|_| realize(a, tape, depth.min(2) - 1, flip))
+                    .collect();
+                fold(a, factors, Arena::mul)
+            }
+            6 => {
+                let r = Rat::new(tape.next() as i128 % 7 - 3, 3).expect("nonzero denominator");
+                let x = realize(a, tape, depth - 1, flip);
+                a.scale_mul(x, r)
+            }
+            7 => {
+                let n = tape.next() as u64 % 4 + 1;
+                let x = realize(a, tape, depth - 1, flip);
+                a.scale_div(x, n)
+            }
+            8 => {
+                let name = ["exp", "relu"][tape.next() % 2];
+                let x = realize(a, tape, depth - 1, flip);
+                a.fun(name, &[x])
+            }
+            _ => {
+                let name = ["div", "max"][tape.next() % 2];
+                let x = realize(a, tape, depth - 1, flip);
+                let y = realize(a, tape, depth - 1, flip);
+                a.fun(name, &[x, y])
+            }
+        }
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The allocation-free classifier and the `BTreeMap` oracle give
+        /// every pair the same class and the same `k`: an expression
+        /// against its reassociation, and against a neighbour whose recipe
+        /// differs in one byte.
+        #[test]
+        fn classifier_equals_oracle(
+            bytes in proptest::collection::vec(0u8..=255, 8..48),
+            (depth, at, to) in (1usize..5, 0usize..48, 0u8..=255),
+        ) {
+            let mut a = Arena::new();
+            let mut other = bytes.clone();
+            other[at % bytes.len()] = to;
+            let exprs = [(&bytes, false), (&bytes, true), (&other, false), (&other, true)]
+                .map(|(bytes, flip)| realize(&mut a, &mut Tape { bytes, at: 0 }, depth, flip));
+            for (i, &x) in exprs.iter().enumerate() {
+                for &y in &exprs[..i] {
+                    let expected = a.classify_pair_oracle(x, y);
+                    prop_assert_eq!(a.classify_pair(x, y), expected, "{} vs {}", x, y);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// A matmul over operands with repeated rows and columns and
+        /// broadcast batch dims is the same tensor, in the same arena,
+        /// with the dot-product memo and without.
+        #[test]
+        fn dot_memo_is_invisible(
+            (abatch, bbatch, m, k, n) in (0usize..3, 0usize..3, 1usize..4, 1usize..4, 1usize..4),
+            picks in proptest::collection::vec(0u64..5, 64),
+        ) {
+            let operand = |arena: &mut Arena, batch: usize, rows: usize, cols: usize, skip: usize| {
+                let name = arena.name("m");
+                let mut shape = vec![2; batch];
+                shape.extend([rows, cols]);
+                let numel = shape.iter().product();
+                let elems = picks.iter().cycle().skip(skip).take(numel);
+                SymTensor::new(shape, elems.map(|&p| arena.leaf(name, p)).collect())
+            };
+            let (mut memo, mut plain) = (Arena::new(), Arena::new());
+            plain.bypass_dot_memo = true;
+            let mut results = Vec::new();
+            for arena in [&mut memo, &mut plain] {
+                let x = operand(arena, abatch, m, k, 0);
+                let w = operand(arena, bbatch, k, n, 7);
+                let once = eval_op_sym(arena, &Op::Matmul, &[&x, &w]);
+                let again = eval_op_sym(arena, &Op::Matmul, &[&x, &w]);
+                prop_assert_eq!(&once, &again);
+                results.push((once, arena.len()));
+            }
+            prop_assert_eq!(&results[0], &results[1]);
+            prop_assert!(memo.stats().dot_hits > 0);
+            prop_assert_eq!(plain.stats().dot_hits, 0);
+        }
+
         /// One table over a run of overlapping terms answers every term —
         /// first visit and all-hits revisit alike — exactly as the
         /// from-scratch walk does, error strings included.

@@ -89,9 +89,15 @@ deep="$certdir/llama3_l16"
   || { echo "deep certify (re-check) FAILED"; exit 1; }
 echo "    16-layer certificate emitted and kernel-accepted"
 
-echo "==> depth-scaling smoke (bench_scale --layers 1,4: writes results/BENCH_scale.json)"
-./target/release/bench_scale --layers 1,4 >/dev/null
-echo "    results/BENCH_scale.json written, verdicts identical with templates on/off"
+# Bench bins write results/ relative to where they run: every smoke below
+# runs from a scratch directory, so the tracked results/BENCH_*.json (full
+# parameters) are never clobbered with smoke parameters.
+smoke=target/bench-smoke
+mkdir -p "$smoke"
+
+echo "==> depth-scaling smoke (bench_scale --layers 1,4: writes $smoke/results/BENCH_scale.json)"
+(cd "$smoke" && ../release/bench_scale --layers 1,4 >/dev/null)
+echo "    $smoke/results/BENCH_scale.json written, verdicts identical with templates on/off"
 
 echo "==> rule-corpus static analysis (entangle rules, clean corpus gate)"
 ./target/release/entangle rules --json > /dev/null \
@@ -119,28 +125,25 @@ for cert in "$certdir"/*.cert.json; do
 done
 echo "    $ncerts certificates carry sound embedded numeric verdicts"
 
-echo "==> rule-backoff smoke (bench_rules: writes results/BENCH_rules.json)"
-./target/release/bench_rules >/dev/null
-echo "    results/BENCH_rules.json written"
+echo "==> rule-backoff smoke (bench_rules: writes $smoke/results/BENCH_rules.json)"
+(cd "$smoke" && ../release/bench_rules >/dev/null)
+echo "    $smoke/results/BENCH_rules.json written"
 
-echo "==> compiled e-matching smoke (bench_ematch: writes results/BENCH_ematch.json)"
-./target/release/bench_ematch >/dev/null
-echo "    results/BENCH_ematch.json written"
+echo "==> compiled e-matching smoke (bench_ematch: writes $smoke/results/BENCH_ematch.json)"
+(cd "$smoke" && ../release/bench_ematch >/dev/null)
+echo "    $smoke/results/BENCH_ematch.json written"
 
 echo "==> trace profile smoke (entangle trace gpt-tp2)"
 ./target/release/entangle trace gpt-tp2 >/dev/null \
   || { echo "entangle trace gpt-tp2 FAILED"; exit 1; }
 
 echo "==> trace-overhead smoke (bench_trace: <=5% instrumentation cost)"
-./target/release/bench_trace >/dev/null
-echo "    results/BENCH_trace.json written, overhead gate passed"
+(cd "$smoke" && ../release/bench_trace >/dev/null)
+echo "    $smoke/results/BENCH_trace.json written, overhead gate passed"
 
 echo "==> numeric-analysis overhead smoke (bench_num: <=5% steady-state cost, sound verdicts)"
-# Bench bins write results/ relative to where they run: run the smoke from
-# a scratch directory so the tracked results/BENCH_num.json is not clobbered.
-mkdir -p target/bench-smoke
-(cd target/bench-smoke && ../release/bench_num >/dev/null)
-echo "    target/bench-smoke/results/BENCH_num.json written, overhead and soundness gates passed"
+(cd "$smoke" && ../release/bench_num >/dev/null)
+echo "    $smoke/results/BENCH_num.json written, overhead and soundness gates passed"
 
 echo "==> run-ledger + regression-report smoke (two clean runs, then forced regressions)"
 ledgerdir=$(mktemp -d)
@@ -172,8 +175,8 @@ rc=0; ./target/release/entangle --ledger "$ledgerdir/flip.jsonl" report >/dev/nu
 echo "    clean report on identical runs; injected slowdown and verdict flip both exit 8"
 
 echo "==> metrics-overhead smoke (bench_metrics: <=max(5%,1ms) cost, identical relations)"
-./target/release/bench_metrics >/dev/null
-echo "    results/BENCH_metrics.json written, overhead and non-perturbation gates passed"
+(cd "$smoke" && ../release/bench_metrics >/dev/null)
+echo "    $smoke/results/BENCH_metrics.json written, overhead and non-perturbation gates passed"
 
 echo "==> cargo fmt --check"
 cargo fmt --check

@@ -2,18 +2,23 @@
 //!
 //! `entangle_num::analyze_certificate` is what a cold `entangle check`
 //! spends most of its time in (`stage:numeric`, 86–98 % of every verifying
-//! check before PR 13). Three things keep it cheap: every distinct subterm
-//! of the proof-step terms is evaluated once through one hash-consed table
+//! check before PR 13). What keeps it cheap: every distinct subterm of the
+//! proof-step terms is evaluated once through one hash-consed table
 //! (adjacent terms differ in one small subterm), the element kernels index
-//! flat storage without allocating, and the arena interns through one
-//! open-addressing table over its own node vector. Together they took the
-//! first-in-process analysis of `gpt_tp2` from ~770 ms to 170–240 ms
-//! (release, 2-core box; `results/BENCH_num.json` records the cold column).
+//! flat storage without allocating, the arena interns 16-byte nodes
+//! through one open-addressing table sized once from the graph's shapes,
+//! matmul looks each (row, column) dot product up before folding it, and
+//! the difference classifier reuses its containers from pair to pair.
+//! Together they took the first-in-process analysis of `gpt_tp2` from
+//! ~770 ms to 70–120 ms (release, 2-core box; `results/BENCH_num.json`
+//! records the cold column).
 //!
 //! None of that may change *which* nodes the arena holds or in what order:
 //! `classify_diff` expands "largest id first", so the derived `k` depends
-//! on the interning order. The structural assertions — final arena size
-//! and the output verdict of the two pinned workloads — always run. The
+//! on the interning order. The structural assertions — final arena size,
+//! bytes per node (nodes, intern slots and side tables: ≈ 29 measured on
+//! `gpt_tp2`, ≈ 31 on the `gpt_tp8` input, 60 before the nodes shrank) and
+//! the output verdict of the two pinned workloads — always run. The
 //! time budget is asserted only in release builds, on the *uncached* entry
 //! point so the process-global analysis memo cannot make it warm, with the
 //! same ~3x headroom `tests/ematch_perf.rs` leaves itself on this noisy box.
@@ -52,6 +57,12 @@ fn analyze_pinned(name: &str, gs: &Graph, dist: &Distributed, nodes: usize, k: u
     let logits = analysis.output_verdict("logits").expect("logits output");
     assert_eq!((logits.class, logits.k), (NumClass::Reassoc, k), "{name}");
     assert!(
+        analysis.arena_bytes <= 44 * analysis.arena_nodes,
+        "{name}: {} bytes for {} nodes",
+        analysis.arena_bytes,
+        analysis.arena_nodes
+    );
+    assert!(
         analysis.subterm_hits > analysis.subterms,
         "{name}: the subterm table did not engage ({} hits over {} subterms)",
         analysis.subterm_hits,
@@ -70,9 +81,10 @@ fn cold_analysis_keeps_its_arena_and_stays_under_budget() {
     let elapsed = analyze_pinned("gpt_tp2", &tp2.gs, &tp2.dist, 714_050, 128);
     if !cfg!(debug_assertions) {
         assert!(
-            elapsed < Duration::from_millis(700),
-            "cold gpt_tp2 numeric analysis regressed: {elapsed:?} (budget 700 ms); \
-             check the subterm table, the flat-index kernels, and the arena intern table"
+            elapsed < Duration::from_millis(350),
+            "cold gpt_tp2 numeric analysis regressed: {elapsed:?} (budget 350 ms); \
+             check the subterm table, the capacity hint, the dot-product memo, and the \
+             classifier's scratch reuse"
         );
     }
     // The `gpt_tp8` benchmark input.
