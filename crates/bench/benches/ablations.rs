@@ -1,5 +1,5 @@
-//! Criterion bench for the DESIGN.md ablations: shard hints, relation
-//! pruning, and certification.
+//! Criterion bench for the DESIGN.md ablations: relation pruning and
+//! certification.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use entangle::CheckOptions;
@@ -12,13 +12,12 @@ fn bench_ablations(c: &mut Criterion) {
     let ri = w.dist.relation(&w.gs).expect("relation builds");
 
     let configs: Vec<(&str, CheckOptions)> = vec![
-        ("shard_hinted", entangle_bench::hinted_opts()),
         ("frontier_iterative", entangle_bench::saturation_opts()),
         (
             "prune_to_1",
             CheckOptions {
                 max_mappings: 1,
-                ..entangle_bench::hinted_opts()
+                ..entangle_bench::saturation_opts()
             },
         ),
         ("certified", CheckOptions::default()),

@@ -3,7 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use entangle_bench::{
-    gpt_workload, hinted_opts, llama_workload, moe_workload, qwen2_workload, regression_workload,
+    gpt_workload, llama_workload, moe_workload, qwen2_workload, regression_workload,
+    saturation_opts,
 };
 
 fn bench_models(c: &mut Criterion) {
@@ -20,7 +21,7 @@ fn bench_models(c: &mut Criterion) {
         let ri = w.dist.relation(&w.gs).expect("relation builds");
         group.bench_function(&w.name, |b| {
             b.iter(|| {
-                entangle::check_refinement(&w.gs, &w.dist.graph, &ri, &hinted_opts())
+                entangle::check_refinement(&w.gs, &w.dist.graph, &ri, &saturation_opts())
                     .expect("verifies")
             });
         });

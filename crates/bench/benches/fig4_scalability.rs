@@ -2,7 +2,7 @@
 //! layer count (GPT under TP+SP+VP; Llama-3 under TP).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use entangle_bench::{gpt_workload, hinted_opts, llama_workload};
+use entangle_bench::{gpt_workload, llama_workload, saturation_opts};
 
 fn bench_scalability(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig4_scalability");
@@ -19,8 +19,13 @@ fn bench_scalability(c: &mut Criterion) {
                     &w,
                     |b, w| {
                         b.iter(|| {
-                            entangle::check_refinement(&w.gs, &w.dist.graph, &ri, &hinted_opts())
-                                .expect("verifies")
+                            entangle::check_refinement(
+                                &w.gs,
+                                &w.dist.graph,
+                                &ri,
+                                &saturation_opts(),
+                            )
+                            .expect("verifies")
                         });
                     },
                 );

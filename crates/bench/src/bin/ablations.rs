@@ -1,8 +1,7 @@
 //! Ablations of the DESIGN.md design decisions:
 //!
-//! 1. shard hints on top of the paper's iterative + frontier engine;
-//! 2. §4.3.2 relation pruning (mappings kept per tensor);
-//! 3. constrained vs. free associativity lemmas.
+//! 1. §4.3.2 relation pruning (mappings kept per tensor);
+//! 2. constrained vs. free associativity lemmas.
 
 use entangle::CheckOptions;
 use entangle_bench::{gpt_workload, print_table, secs};
@@ -40,11 +39,6 @@ fn main() {
         &mut rows,
     );
     run(
-        "  + shard hints (this work)",
-        &entangle_bench::hinted_opts(),
-        &mut rows,
-    );
-    run(
         "pruning off (keep 16 mappings)",
         &CheckOptions {
             max_mappings: 16,
@@ -56,7 +50,7 @@ fn main() {
         "aggressive pruning (keep 1)",
         &CheckOptions {
             max_mappings: 1,
-            ..entangle_bench::hinted_opts()
+            ..entangle_bench::saturation_opts()
         },
         &mut rows,
     );
@@ -81,7 +75,7 @@ fn main() {
     ] {
         let opts = CheckOptions {
             rewrites,
-            ..entangle_bench::hinted_opts()
+            ..entangle_bench::saturation_opts()
         };
         let ri = w8.dist.relation(&w8.gs).expect("relation builds");
         let start = std::time::Instant::now();
@@ -118,7 +112,7 @@ fn main() {
         ],
         &rows,
     );
-    println!("\nExpected shape: shard hints shrink the mean per-operator e-graph;");
-    println!("keeping more mappings costs time without changing the verdict;");
+    println!("\nExpected shape: keeping more mappings costs time without changing");
+    println!("the verdict, keeping one shrinks the per-operator e-graph;");
     println!("free association is orders of magnitude more expensive at width 8.");
 }

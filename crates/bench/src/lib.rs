@@ -7,12 +7,10 @@
 
 #![forbid(unsafe_code)]
 
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use entangle::{check_refinement, CheckOptions, CheckOutcome};
 use entangle_ir::Graph;
-use entangle_metrics::{ledger, LedgerRecord, LEDGER_SCHEMA_VERSION};
 use entangle_models::{gpt, llama3, moe, qwen2, Arch, ModelConfig, MoeConfig, RegressionConfig};
 use entangle_parallel::{grad_accumulation, parallelize, parallelize_moe, Distributed, Strategy};
 
@@ -150,8 +148,8 @@ pub fn moe_workload(par: usize, backward: bool) -> Workload {
 }
 
 /// A deep MoE *stack* under TP+SP+EP: `layers` MoE layers, each with its
-/// own router, experts and load-balance head (the BENCH_scale deep-model
-/// sweeps; `moe_workload` keeps the paper's fixed 1/2-layer shapes).
+/// own router, experts and load-balance head (`tests/templates.rs`' deep
+/// builders; `moe_workload` keeps the paper's fixed 1/2-layer shapes).
 pub fn moe_deep_workload(par: usize, layers: usize) -> Workload {
     let cfg = MoeConfig {
         base: bench_config(),
@@ -192,42 +190,26 @@ pub fn regression_workload(microbatches: usize) -> Workload {
 pub struct ZooCase {
     /// File-stem name (`gpt_tp2`, matching `examples/graphs/<name>.*`).
     pub name: String,
-    /// Display name (`GPT/TP2`, the `BENCH_*.json` label).
-    pub display: String,
     /// Sequential model.
     pub gs: Graph,
     /// Distributed implementation with its input maps.
     pub dist: Distributed,
 }
 
-/// The 7-workload zoo exercised by `export_zoo`, the CI sweeps, and the
-/// `bench_shard`/`bench_trace` regressions: GPT / Llama-3 / Qwen2 under TP2
+/// The 7-workload zoo exercised by `export_zoo`, the CI sweeps, the golden
+/// suites and `benchmark/`: GPT / Llama-3 / Qwen2 under TP2
 /// and TP+SP2, plus the MoE model under TP+SP2, all at [`bench_config`].
 pub fn zoo() -> Vec<ZooCase> {
     let cfg = bench_config();
     let mut cases = Vec::new();
-    for (arch, stem, label, build) in [
-        (Arch::Gpt, "gpt", "GPT", gpt as fn(&ModelConfig) -> _),
-        (
-            Arch::Llama,
-            "llama3",
-            "Llama-3",
-            llama3 as fn(&ModelConfig) -> _,
-        ),
-        (
-            Arch::Qwen2,
-            "qwen2",
-            "Qwen2",
-            qwen2 as fn(&ModelConfig) -> _,
-        ),
+    for (arch, stem, build) in [
+        (Arch::Gpt, "gpt", gpt as fn(&ModelConfig) -> _),
+        (Arch::Llama, "llama3", llama3 as fn(&ModelConfig) -> _),
+        (Arch::Qwen2, "qwen2", qwen2 as fn(&ModelConfig) -> _),
     ] {
-        for (sstem, sname, strategy) in [
-            ("tp2", "TP2", Strategy::tp(2)),
-            ("tpsp2", "TP-SP2", Strategy::tp_sp(2)),
-        ] {
+        for (sstem, strategy) in [("tp2", Strategy::tp(2)), ("tpsp2", Strategy::tp_sp(2))] {
             cases.push(ZooCase {
                 name: format!("{stem}_{sstem}"),
-                display: format!("{label}/{sname}"),
                 gs: build(&cfg),
                 dist: parallelize(&cfg, arch, &strategy),
             });
@@ -239,7 +221,6 @@ pub fn zoo() -> Vec<ZooCase> {
     };
     cases.push(ZooCase {
         name: "moe_tpsp2".to_owned(),
-        display: "MoE/TP-SP2".to_owned(),
         gs: moe(&moe_cfg),
         dist: parallelize_moe(&moe_cfg, &Strategy::tp_sp(2)),
     });
@@ -256,110 +237,6 @@ pub fn figure3_suite() -> Vec<Workload> {
         qwen2_workload(2, 1),
         regression_workload(2),
     ]
-}
-
-/// The shared `results/BENCH_*.json` serializer: every bench bin renders
-/// its result file through this type, so all of them share one envelope
-/// (`bench` + `schema` + bench-level header fields + `cases`) and every
-/// case is a run-ledger record ([`LedgerRecord`], schema
-/// [`LEDGER_SCHEMA_VERSION`]). [`BenchReport::write`] also appends the
-/// cases to `results/ledger.jsonl`, which is what makes bench history and
-/// check history comparable under `entangle report`.
-pub struct BenchReport {
-    /// Bench name, the envelope's `bench` field (e.g. `num_overhead`).
-    pub bench: String,
-    /// Bench-level header fields as `(key, raw JSON value)` pairs,
-    /// rendered into the envelope in insertion order. Values must already
-    /// be valid JSON (use [`entangle_lint::json_str`] for strings).
-    header: Vec<(String, String)>,
-    /// One ledger record per bench case.
-    pub cases: Vec<LedgerRecord>,
-}
-
-impl BenchReport {
-    /// An empty report for the bench named `bench`.
-    pub fn new(bench: &str) -> BenchReport {
-        BenchReport {
-            bench: bench.to_owned(),
-            header: Vec::new(),
-            cases: Vec::new(),
-        }
-    }
-
-    /// Adds a bench-level header field. `raw` must be a valid JSON value
-    /// (number, string, array, object — already rendered).
-    pub fn header(&mut self, key: &str, raw: impl Into<String>) {
-        self.header.push((key.to_owned(), raw.into()));
-    }
-
-    /// A new `kind: "bench"` ledger record for one case, with the
-    /// workload namespaced under the bench name (`<bench>/<name>`) so
-    /// bench records never collide with check records — or with another
-    /// bench's — when `entangle report` groups the ledger by workload.
-    pub fn case(
-        &self,
-        name: &str,
-        fingerprint: &str,
-        verdict: &str,
-        wall: Duration,
-    ) -> LedgerRecord {
-        let mut rec = LedgerRecord::new(
-            "bench",
-            &format!("{}/{name}", self.bench),
-            fingerprint,
-            verdict,
-        );
-        rec.wall_ms = wall.as_secs_f64() * 1e3;
-        rec
-    }
-
-    /// Renders the envelope: stable field order `bench`, `schema`, the
-    /// header fields in insertion order, then `cases` (one ledger record
-    /// each). Ends with a newline.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        let _ = write!(
-            out,
-            "{{\"bench\":{},\"schema\":{LEDGER_SCHEMA_VERSION}",
-            entangle_lint::json_str(&self.bench)
-        );
-        for (k, v) in &self.header {
-            let _ = write!(out, ",{}:{v}", entangle_lint::json_str(k));
-        }
-        out.push_str(",\"cases\":[");
-        for (i, c) in self.cases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&c.to_json_line());
-        }
-        out.push_str("]}\n");
-        out
-    }
-
-    /// Writes `results/BENCH_<stem>.json` and appends every case to the
-    /// run ledger at `results/ledger.jsonl` (best-effort: a read-only
-    /// `results/` warns on stderr rather than failing the bench).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the result file itself cannot be written.
-    pub fn write(&self, stem: &str) {
-        std::fs::create_dir_all("results").expect("results dir");
-        let path = format!("results/BENCH_{stem}.json");
-        std::fs::write(&path, self.to_json()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        let ledger_path = std::path::Path::new("results/ledger.jsonl");
-        for rec in &self.cases {
-            if let Err(e) = ledger::append(ledger_path, rec) {
-                eprintln!(
-                    "warning: could not append to {}: {e}",
-                    ledger_path.display()
-                );
-                break;
-            }
-        }
-        println!("\nwrote {path}");
-    }
 }
 
 /// Renders an aligned text table.
@@ -386,24 +263,14 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Options measuring the *saturation* pipeline alone (Listings 1-3):
-/// shard hints would skip saturation for operators the propagation pass can
-/// prove, and certificate extraction + kernel re-checking adds work after
-/// saturation finishes — both are exactly what the figure benchmarks are
-/// *not* timing. `bench_cert` measures the certification overhead.
+/// Options measuring the *saturation* pipeline alone (Listings 1-3): the
+/// sharding pre-pass runs before saturation starts, and certificate
+/// extraction + kernel re-checking adds work after it finishes — both are
+/// exactly what the figure benchmarks are *not* timing. The `benchmark/`
+/// rows `core.stage_shard_ms` and `core.stage_certify_ms` measure them.
 pub fn saturation_opts() -> CheckOptions {
     CheckOptions {
-        shard_hints: false,
-        certify: false,
-        ..CheckOptions::default()
-    }
-}
-
-/// Options for timing the hinted pipeline: certification is off because
-/// certify-mode drops shard hints (hinted mappings carry no derivation the
-/// kernel could re-check), which would turn the comparison into a no-op.
-pub fn hinted_opts() -> CheckOptions {
-    CheckOptions {
+        shard: false,
         certify: false,
         ..CheckOptions::default()
     }

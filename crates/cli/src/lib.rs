@@ -261,7 +261,7 @@ trace-event file; --check parses a JSON-lines trace captured earlier with
 --trace and verifies every span balances.
 
 report reads the run ledger (one schema-versioned JSONL record per
-check/certify/trace/bench run: workload, problem fingerprint, verdict,
+check/certify/trace run: workload, problem fingerprint, verdict,
 wall time, metric snapshot) and compares each workload's latest run
 against its same-fingerprint history. Any verdict flip, and wall-time /
 peak-e-node / cache-hit-rate deltas beyond the documented noise bands
@@ -806,10 +806,10 @@ pub fn run_with(cmd: &Command, flags: &GlobalFlags) -> i32 {
 
 /// The default [`CheckOptions`] for a CLI invocation: tracing into the
 /// invocation's tracer, worker count from `--jobs` when given, and a live
-/// metrics registry — every
-/// CLI check collects the full instrument set (the `bench_metrics`
-/// overhead gate keeps this affordable), feeding both the stats line after
-/// the verdict and the run-ledger record.
+/// metrics registry — every CLI check collects the full instrument set
+/// (`metrics_do_not_perturb_the_search` pins that it cannot change the
+/// search), feeding both the stats line after the verdict and the
+/// run-ledger record.
 fn check_options(tracer: &Tracer, flags: &GlobalFlags) -> CheckOptions {
     let mut opts = CheckOptions {
         trace: tracer.clone(),
@@ -892,54 +892,67 @@ fn ledger_path(flags: &GlobalFlags, require_dir: bool) -> Option<std::path::Path
     (!require_dir || dir.is_dir()).then(|| dir.join("ledger.jsonl"))
 }
 
-/// Best-effort ledger append: a failed write warns on stderr and never
-/// changes the verdict or exit code.
-fn append_ledger(flags: &GlobalFlags, record: &LedgerRecord) {
-    if let Some(path) = ledger_path(flags, true) {
-        if let Err(e) = ledger::append(&path, record) {
-            eprintln!("warning: cannot append run ledger {}: {e}", path.display());
-        }
-    }
-}
-
-/// Builds one schema-versioned run-ledger record for a check-style
-/// invocation.
-fn check_record(
+/// The certified check behind `check`, `certify` and `trace`: runs
+/// [`check_refinement`] and, when a run ledger is in play, appends one
+/// schema-versioned record (verdict `verified` or `failed:<kind>`, stable
+/// across runs so `entangle report` can flag verdict flips precisely).
+/// The record — whose fingerprint re-renders both graphs and the lemma
+/// corpus — is only built when there is a ledger to write it to. The
+/// append is best-effort: a failed write warns on stderr and never changes
+/// the verdict or exit code.
+fn ledgered_check(
     gs: &Graph,
     gd: &Graph,
     ri: &Relation,
     opts: &CheckOptions,
-    verdict: &str,
-    wall: Duration,
-    metrics: Snapshot,
-) -> LedgerRecord {
-    let workload = format!("{}::{}", gs.name(), gd.name());
-    let fingerprint = entangle::problem_fingerprint(gs, gd, ri, opts);
-    let mut rec = LedgerRecord::new("check", &workload, &fingerprint, verdict);
-    rec.wall_ms = wall.as_secs_f64() * 1e3;
-    rec.extra.insert("gs".to_owned(), gs.name().to_owned());
-    rec.extra.insert("gd".to_owned(), gd.name().to_owned());
-    rec.metrics = metrics;
-    rec
-}
-
-/// The ledger verdict string for a failed check: `failed:<kind>`, stable
-/// across runs so `entangle report` can flag verdict flips precisely.
-fn verdict_of(result: &Result<entangle::CheckOutcome, entangle::RefinementError>) -> String {
-    match result {
-        Ok(_) => "verified".to_owned(),
-        Err(e) => {
-            let kind = match e {
-                entangle::RefinementError::Lint { .. } => "lint",
-                entangle::RefinementError::ShardViolation { .. } => "shard-violation",
-                entangle::RefinementError::MissingInputMapping { .. } => "missing-input-mapping",
-                entangle::RefinementError::OutputUnmapped { .. } => "output-unmapped",
-                entangle::RefinementError::CertRejected { .. } => "cert-rejected",
-                entangle::RefinementError::OperatorUnmapped { .. } => "operator-unmapped",
-            };
-            format!("failed:{kind}")
+    flags: &GlobalFlags,
+) -> (
+    Result<entangle::CheckOutcome, entangle::RefinementError>,
+    Duration,
+) {
+    let start = Instant::now();
+    let result = check_refinement(gs, gd, ri, opts);
+    let wall = start.elapsed();
+    if let Some(path) = ledger_path(flags, true) {
+        let verdict = match &result {
+            Ok(_) => "verified".to_owned(),
+            Err(e) => format!("failed:{}", e.kind()),
+        };
+        let workload = format!("{}::{}", gs.name(), gd.name());
+        let fingerprint = entangle::problem_fingerprint(gs, gd, ri, opts);
+        let mut rec = LedgerRecord::new("check", &workload, &fingerprint, &verdict);
+        rec.wall_ms = wall.as_secs_f64() * 1e3;
+        rec.extra.insert("gs".to_owned(), gs.name().to_owned());
+        rec.extra.insert("gd".to_owned(), gd.name().to_owned());
+        rec.metrics = match &result {
+            Ok(outcome) => outcome.metrics.clone(),
+            Err(_) => opts.metrics.snapshot(),
+        };
+        if let Err(e) = ledger::append(&path, &rec) {
+            eprintln!("warning: cannot append run ledger {}: {e}", path.display());
         }
     }
+    (result, wall)
+}
+
+/// The exit code of a failed check: 3 static lint errors, 4 certificate
+/// rejected, 1 any other refinement failure.
+fn failure_code(e: &entangle::RefinementError) -> i32 {
+    match e {
+        entangle::RefinementError::Lint { .. } => 3,
+        entangle::RefinementError::CertRejected { .. } => 4,
+        _ => 1,
+    }
+}
+
+/// Prints a failed `check`/`certify` and returns its exit code.
+fn report_failure(e: &entangle::RefinementError) -> i32 {
+    match e {
+        entangle::RefinementError::Lint { .. } => println!("{e}"),
+        entangle::RefinementError::CertRejected { .. } => println!("Certificate REJECTED:\n{e}"),
+        _ => println!("Refinement FAILED:\n{e}"),
+    }
+    failure_code(e)
 }
 
 fn command_name(cmd: &Command) -> &'static str {
@@ -1242,25 +1255,7 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
             let gd = load_graph(gd)?;
             let ri = build_relation(&gs, &gd, maps)?;
             let opts = check_options(tracer, flags);
-            let start = Instant::now();
-            let result = check_refinement(&gs, &gd, &ri, &opts);
-            let snapshot = match &result {
-                Ok(outcome) => outcome.metrics.clone(),
-                Err(_) => opts.metrics.snapshot(),
-            };
-            append_ledger(
-                flags,
-                &check_record(
-                    &gs,
-                    &gd,
-                    &ri,
-                    &opts,
-                    &verdict_of(&result),
-                    start.elapsed(),
-                    snapshot,
-                ),
-            );
-            match result {
+            match ledgered_check(&gs, &gd, &ri, &opts, flags).0 {
                 Ok(outcome) => {
                     println!("Refinement verification succeeded for {}.", gd.name());
                     println!("{}", metrics_summary(&outcome.metrics));
@@ -1271,18 +1266,7 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
                     }
                     Ok(0)
                 }
-                Err(e @ entangle::RefinementError::Lint { .. }) => {
-                    println!("{e}");
-                    Ok(3)
-                }
-                Err(e @ entangle::RefinementError::CertRejected { .. }) => {
-                    println!("Certificate REJECTED:\n{e}");
-                    Ok(4)
-                }
-                Err(e) => {
-                    println!("Refinement FAILED:\n{e}");
-                    Ok(1)
-                }
+                Err(e) => Ok(report_failure(&e)),
             }
         }
         Command::Certify {
@@ -1345,27 +1329,8 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
             }
 
             let ri = build_relation(&gs, &gd, maps)?;
-            let mut opts = check_options(tracer, flags);
-            opts.certify = true;
-            let start = Instant::now();
-            let result = check_refinement(&gs, &gd, &ri, &opts);
-            let snapshot = match &result {
-                Ok(outcome) => outcome.metrics.clone(),
-                Err(_) => opts.metrics.snapshot(),
-            };
-            append_ledger(
-                flags,
-                &check_record(
-                    &gs,
-                    &gd,
-                    &ri,
-                    &opts,
-                    &verdict_of(&result),
-                    start.elapsed(),
-                    snapshot,
-                ),
-            );
-            match result {
+            let opts = check_options(tracer, flags);
+            match ledgered_check(&gs, &gd, &ri, &opts, flags).0 {
                 Ok(outcome) => {
                     let cert = outcome
                         .certificate
@@ -1396,18 +1361,7 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
                     }
                     Ok(0)
                 }
-                Err(e @ entangle::RefinementError::Lint { .. }) => {
-                    println!("{e}");
-                    Ok(3)
-                }
-                Err(e @ entangle::RefinementError::CertRejected { .. }) => {
-                    println!("Certificate REJECTED:\n{e}");
-                    Ok(4)
-                }
-                Err(e) => {
-                    println!("Refinement FAILED:\n{e}");
-                    Ok(1)
-                }
+                Err(e) => Ok(report_failure(&e)),
             }
         }
         // Intercepted by `run_with`; kept for completeness if called
@@ -1436,8 +1390,8 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
             } else {
                 if read.records.is_empty() {
                     println!(
-                        "run ledger {} is empty — run `entangle check`/`certify` (or a \
-                         bench) with a results/ directory present, or pass --ledger FILE.",
+                        "run ledger {} is empty — run `entangle check`/`certify` with a \
+                         results/ directory present, or pass --ledger FILE.",
                         path.display()
                     );
                     return Ok(0);
@@ -1549,19 +1503,8 @@ fn run_trace(
     // Full certified pipeline: every stage — lint, shard, mapping search,
     // outputs gate, trusted kernel — shows up in the profile.
     let (tracer, sink) = Tracer::collect();
-    let mut opts = check_options(&tracer, flags);
-    opts.certify = true;
-    let start = Instant::now();
-    let result = check_refinement(&gs, &gd, &ri, &opts);
-    let wall = start.elapsed();
-    let snapshot = match &result {
-        Ok(outcome) => outcome.metrics.clone(),
-        Err(_) => opts.metrics.snapshot(),
-    };
-    append_ledger(
-        flags,
-        &check_record(&gs, &gd, &ri, &opts, &verdict_of(&result), wall, snapshot),
-    );
+    let opts = check_options(&tracer, flags);
+    let (result, wall) = ledgered_check(&gs, &gd, &ri, &opts, flags);
 
     let records = sink.records();
     let report = TraceReport::from_records(&records)
@@ -1576,12 +1519,7 @@ fn run_trace(
             .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
     }
 
-    let code = match &result {
-        Ok(_) => 0,
-        Err(entangle::RefinementError::Lint { .. }) => 3,
-        Err(entangle::RefinementError::CertRejected { .. }) => 4,
-        Err(_) => 1,
-    };
+    let code = result.as_ref().map_or_else(failure_code, |_| 0);
 
     if *json {
         println!("{}", report.to_json());

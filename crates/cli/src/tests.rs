@@ -4,7 +4,8 @@ use entangle_models::{gpt, Arch, ModelConfig};
 use entangle_parallel::{parallelize, Strategy};
 
 use crate::{
-    parse_args, parse_invocation, parse_map_spec, parse_maps_file, run, run_traced, Command,
+    parse_args, parse_invocation, parse_map_spec, parse_maps_file, run, run_traced, run_with,
+    Command, GlobalFlags,
 };
 
 /// A directory private to one test: tests run on parallel threads and each
@@ -370,9 +371,10 @@ fn maps_file_parsing() {
     assert!(parse_maps_file("bad line without equals").is_err());
 }
 
-#[test]
-fn end_to_end_check_via_files() {
-    let dir = tmpdir("end_to_end_check_via_files");
+/// Writes the tiny GPT/TP2 pair and its maps file into `dir`.
+fn write_gpt_tp2(
+    dir: &std::path::Path,
+) -> (std::path::PathBuf, std::path::PathBuf, std::path::PathBuf) {
     let cfg = ModelConfig::tiny();
     let gs = gpt(&cfg);
     let dist = parallelize(&cfg, Arch::Gpt, &Strategy::tp(2));
@@ -388,6 +390,13 @@ fn end_to_end_check_via_files() {
         .map(|(n, e)| format!("{n} = {e}\n"))
         .collect();
     fs::write(&maps_path, maps_text).unwrap();
+    (gs_path, gd_path, maps_path)
+}
+
+#[test]
+fn end_to_end_check_via_files() {
+    let dir = tmpdir("end_to_end_check_via_files");
+    let (gs_path, gd_path, maps_path) = write_gpt_tp2(&dir);
 
     let cmd = Command::Check {
         gs: gs_path.to_str().unwrap().to_owned(),
@@ -428,6 +437,46 @@ fn end_to_end_check_via_files() {
         dot: true,
     };
     assert_eq!(run(&cmd), 0);
+
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn ledger_record_is_written_only_when_a_ledger_is_in_play() {
+    let dir = tmpdir("ledger_record");
+    let (gs_path, gd_path, maps_path) = write_gpt_tp2(&dir);
+    let maps = parse_maps_file(&fs::read_to_string(&maps_path).unwrap()).unwrap();
+    let cmd = Command::Check {
+        gs: gs_path.to_str().unwrap().to_owned(),
+        gd: gd_path.to_str().unwrap().to_owned(),
+        maps: maps.clone(),
+    };
+    let ledger_path = dir.join("ledger.jsonl");
+    let mut flags = GlobalFlags {
+        ledger: Some(ledger_path.to_str().unwrap().to_owned()),
+        no_ledger: true,
+        ..GlobalFlags::default()
+    };
+
+    // --no-ledger wins over --ledger: the check verifies and leaves nothing.
+    assert_eq!(run_with(&cmd, &flags), 0);
+    assert!(!ledger_path.exists(), "--no-ledger leaves no file");
+
+    // An explicit ledger gets exactly one record, keyed by the library's
+    // problem fingerprint (which ignores --jobs, tracing and metrics).
+    flags.no_ledger = false;
+    assert_eq!(run_with(&cmd, &flags), 0);
+    let read = entangle_metrics::ledger::read(&ledger_path).unwrap();
+    assert_eq!((read.records.len(), read.malformed), (1, 0));
+    let gs = crate::load_graph(gs_path.to_str().unwrap()).unwrap();
+    let gd = crate::load_graph(gd_path.to_str().unwrap()).unwrap();
+    let ri = crate::build_relation(&gs, &gd, &maps).unwrap();
+    let rec = &read.records[0];
+    assert_eq!(
+        rec.fingerprint,
+        entangle::problem_fingerprint(&gs, &gd, &ri, &entangle::CheckOptions::default())
+    );
+    assert_eq!(rec.verdict, "verified");
 
     fs::remove_dir_all(&dir).ok();
 }

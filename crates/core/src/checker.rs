@@ -47,21 +47,18 @@ pub struct CheckOptions {
     /// Run the `entangle-shard` abstract sharding-propagation pass between
     /// lint and saturation (on by default). Provable layout violations fail
     /// fast with [`RefinementError::ShardViolation`], anchored at the first
-    /// inconsistent `G_d` operator; proven layouts are exported as relation
-    /// hints that seed — and, where they fully cover an operator's output —
-    /// skip per-operator saturation. Turning this off reproduces the pure
-    /// Listing 1–3 pipeline (ablation).
-    pub shard_hints: bool,
+    /// inconsistent `G_d` operator. The pass is a diagnostic only: it
+    /// contributes nothing to the relation, so a clean `G_d` checks
+    /// identically with it on or off. Turning it off leaves localization
+    /// to saturation alone (the pure Listing 1–3 pipeline).
+    pub shard: bool,
     /// Proof-carrying refinement (on by default): extract a rewrite
     /// [`Certificate`] from the saturation e-graph and re-check it with the
     /// `entangle-cert` trusted kernel before reporting success. A rejected
     /// certificate fails the check with [`RefinementError::CertRejected`] —
     /// the engine found a "proof" the independent kernel could not validate.
-    /// Certification disables the sharding-propagation *hints* (their
-    /// mappings enter the relation without a rewrite derivation, so nothing
-    /// downstream of them could be certified); the propagation pass itself
-    /// still runs for its fail-fast layout diagnostics. Turn off to measure
-    /// the uncertified engine (`bench_cert`'s baseline).
+    /// Turn off to measure the uncertified engine (the figure bins'
+    /// `saturation_opts`).
     pub certify: bool,
     /// Structured-tracing sink (`entangle-trace`). The default null tracer
     /// is a true no-op; a real sink receives one span per pipeline stage,
@@ -87,8 +84,8 @@ pub struct CheckOptions {
     /// to a concrete solve, so verdicts never depend on instantiation.
     /// With `certify` off, cross-bound instantiation is disabled (there is
     /// no proof to re-check) and only equal-bound template hits replay.
-    /// Turn off to measure the per-operator-only memo (`bench_scale`'s
-    /// ablation baseline).
+    /// Turn off to measure the per-operator-only memo (`tests/templates.rs`
+    /// pins verdict identity on/off).
     pub templates: bool,
     /// Rule-class-driven backoff scheduling (on by default): the static
     /// corpus analysis (`entangle-rules`) classifies every rewrite and
@@ -101,20 +98,9 @@ pub struct CheckOptions {
     /// changes is wasted e-matching on blowup pairs like
     /// `scalar_mul-distribute` ⇄ `scalar_mul-compose`. The schedule is
     /// derived once per check from the active rewrite set. Turn off to
-    /// measure the unthrottled engine (`bench_rules`' baseline).
+    /// measure the unthrottled engine (`tests/rules_dynamic.rs` pins
+    /// verdict identity on/off).
     pub rule_backoff: bool,
-    /// Compiled e-matching (on by default): the saturation engine compiles
-    /// the whole active rule corpus into one shared discrimination-tree
-    /// matcher per run, so a single traversal of the candidate e-nodes
-    /// serves every rule instead of one recursive walk per rule. The
-    /// compiled and legacy searchers yield identical match sets (pinned by
-    /// the differential matcher oracle), so verdicts, relations, and
-    /// certificates never depend on this flag — `false` selects the
-    /// reference searcher that oracle (`tests/ematch_oracle.rs`) and
-    /// `bench_ematch`'s baseline compare against. The matcher generation
-    /// participates in the engine fingerprint, so flipping it (or revising
-    /// the matcher) can never replay a stale saturation-memo entry.
-    pub compiled_matcher: bool,
     /// Static numeric-soundness analysis (on by default, requires
     /// [`CheckOptions::certify`]): after the trusted kernel accepts the
     /// certificate, `entangle-num` classifies every proof step as
@@ -147,13 +133,12 @@ impl Default for CheckOptions {
             sym_ctx: SymCtx::new(),
             rewrites: None,
             lint: true,
-            shard_hints: true,
+            shard: true,
             certify: true,
             trace: Tracer::null(),
             jobs: entangle_par::available_jobs(),
             templates: true,
             rule_backoff: true,
-            compiled_matcher: true,
             numeric: true,
             metrics: entangle_metrics::Registry::null(),
         }
@@ -306,20 +291,14 @@ pub struct OpReport {
     pub name: String,
     /// Wall-clock time to compute its output relation.
     pub elapsed: Duration,
-    /// E-graph size after processing (0 when the operator was skipped on a
-    /// shard hint).
+    /// E-graph size after processing.
     pub egraph_nodes: usize,
     /// Number of clean mappings found for its output.
     pub mappings: usize,
-    /// `true` when sharding-propagation hints covered this operator and
-    /// saturation was skipped entirely.
-    pub hinted: bool,
-    /// Frontier rounds (saturation runs) spent on this operator; 0 when it
-    /// was skipped on a hint.
+    /// Frontier rounds (saturation runs) spent on this operator.
     pub rounds: usize,
     /// Why this operator's saturation stopped: `Saturated` when every round
     /// ran the rules dry, otherwise the limit the last cut-short round hit.
-    /// `None` when saturation was skipped on a hint.
     pub stop: Option<StopReason>,
 }
 
@@ -385,7 +364,7 @@ pub enum RefinementError {
     /// diagnostics are anchored at the first inconsistent operator —
     /// usually a sharper localization than the saturation failure the same
     /// bug would eventually cause. Disable with
-    /// [`CheckOptions::shard_hints`].
+    /// [`CheckOptions::shard`].
     ShardViolation {
         /// The error-severity `SH##` diagnostics, in topological order.
         diagnostics: Vec<entangle_lint::Diagnostic>,
@@ -557,6 +536,21 @@ impl fmt::Display for RefinementError {
 
 impl std::error::Error for RefinementError {}
 
+impl RefinementError {
+    /// The stable lower-kebab name of the variant: the root trace span's
+    /// `outcome` attribute and the run ledger's `failed:<kind>` verdict.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            RefinementError::Lint { .. } => "lint",
+            RefinementError::ShardViolation { .. } => "shard-violation",
+            RefinementError::MissingInputMapping { .. } => "missing-input-mapping",
+            RefinementError::OutputUnmapped { .. } => "output-unmapped",
+            RefinementError::CertRejected { .. } => "cert-rejected",
+            RefinementError::OperatorUnmapped { .. } => "operator-unmapped",
+        }
+    }
+}
+
 /// Runs the `entangle-lint` static pre-pass over `G_s` and `G_d`.
 ///
 /// Returns `Err(RefinementError::Lint)` for the first graph with
@@ -608,21 +602,9 @@ pub fn check_refinement(
             root.attr("operators", outcome.op_reports.len());
             root.attr("saturation_runs", outcome.saturation.runs());
         }
-        Err(e) => root.attr("outcome", error_kind(e)),
+        Err(e) => root.attr("outcome", e.kind()),
     }
     result
-}
-
-/// The stable trace-attribute name of a [`RefinementError`] variant.
-fn error_kind(e: &RefinementError) -> &'static str {
-    match e {
-        RefinementError::Lint { .. } => "lint",
-        RefinementError::ShardViolation { .. } => "shard-violation",
-        RefinementError::MissingInputMapping { .. } => "missing-input-mapping",
-        RefinementError::OutputUnmapped { .. } => "output-unmapped",
-        RefinementError::CertRejected { .. } => "cert-rejected",
-        RefinementError::OperatorUnmapped { .. } => "operator-unmapped",
-    }
 }
 
 fn check_refinement_inner(
@@ -667,33 +649,22 @@ fn check_refinement_inner(
         }
     }
     // Abstract sharding propagation (entangle-shard): localize provable
-    // layout violations before any e-graph exists, and harvest proven
-    // layouts as per-operator relation hints. Certification keeps the
-    // fail-fast diagnostics but drops the hints: a hinted mapping enters
-    // the relation without a rewrite derivation, so neither it nor anything
-    // derived from it could be certified.
-    let hinted: HashMap<TensorId, Vec<RecExpr>> = if opts.shard_hints {
+    // layout violations before any e-graph exists.
+    if opts.shard {
         let t = stage_timer();
         let mut sp = tracer.span("stage:shard");
-        let r = shard_pass(gs, gd, ri, &opts.clean);
+        let r = shard_pass(gs, gd, ri);
         match &r {
             Ok(hints) => {
                 sp.attr("outcome", "ok");
-                sp.attr("hinted_tensors", hints.len());
+                sp.attr("hinted_tensors", *hints);
             }
             Err(_) => sp.attr("outcome", "violation"),
         }
         drop(sp);
         record_stage("check.stage.shard_us", t);
-        let hints = r?;
-        if opts.certify {
-            HashMap::new()
-        } else {
-            hints
-        }
-    } else {
-        HashMap::new()
-    };
+        r?;
+    }
 
     let rewrites = opts
         .rewrites
@@ -763,8 +734,6 @@ fn check_refinement_inner(
         gd,
         opts,
         &rewrites,
-        &hinted,
-        &gd_output_names,
         &cache,
         cfg_fp,
         backoff.as_ref(),
@@ -917,9 +886,6 @@ fn check_refinement_inner(
         metrics
             .counter("check.operators")
             .add(op_reports.len() as u64);
-        metrics
-            .counter("check.operators.hinted")
-            .add(op_reports.iter().filter(|r| r.hinted).count() as u64);
         if let Some(t) = &templates {
             metrics
                 .counter("par.template.instantiated")
@@ -973,14 +939,9 @@ fn engine_fingerprint(opts: &CheckOptions, rewrites: &[Rewrite<TensorAnalysis>])
         opts.max_mappings,
         opts.certify,
         opts.rule_backoff,
-        // The matcher *generation* (not just on/off) keys the memo: a
-        // revised compilation strategy must never replay entries produced
-        // by an older one.
-        if opts.compiled_matcher {
-            format!("g{}", entangle_egraph::MATCHER_GENERATION)
-        } else {
-            "off".to_owned()
-        },
+        // The matcher *generation* keys the memo: a revised compilation
+        // strategy must never replay entries produced by an older one.
+        format_args!("g{}", entangle_egraph::MATCHER_GENERATION),
         opts.clean,
     );
     for rw in rewrites {
@@ -1047,17 +1008,10 @@ pub fn problem_fingerprint(gs: &Graph, gd: &Graph, ri: &Relation, opts: &CheckOp
     format!("{h:016x}")
 }
 
-/// Runs the sharding-propagation pass and converts its products: errors
-/// become [`RefinementError::ShardViolation`]; hints are filtered to the
-/// clean-operator set, re-validated through the relation builder (shape,
-/// dtype, names), and keyed by `G_s` tensor id. A hint that fails
-/// validation is dropped — hints are an optimization, never an authority.
-fn shard_pass(
-    gs: &Graph,
-    gd: &Graph,
-    ri: &Relation,
-    clean: &CleanOps,
-) -> Result<HashMap<TensorId, Vec<RecExpr>>, RefinementError> {
+/// Runs the sharding-propagation pass: errors become
+/// [`RefinementError::ShardViolation`]; a clean pass reports how many
+/// layouts it proved (the `stage:shard` span's `hinted_tensors`).
+fn shard_pass(gs: &Graph, gd: &Graph, ri: &Relation) -> Result<usize, RefinementError> {
     let maps: Vec<(String, RecExpr)> = ri
         .iter()
         .flat_map(|(t, exprs)| {
@@ -1074,26 +1028,7 @@ fn shard_pass(
             rendered,
         });
     }
-    let mut hinted: HashMap<TensorId, Vec<RecExpr>> = HashMap::new();
-    for hint in &analysis.hints {
-        if hint.op.is_some_and(|op| !clean.is_clean(op)) {
-            continue;
-        }
-        let Some(t) = gs.tensor_by_name(&hint.gs_tensor) else {
-            continue;
-        };
-        let mut b = Relation::builder(gs, gd);
-        if b.map(&hint.gs_tensor, &hint.expr).is_err() {
-            continue;
-        }
-        for expr in b.build().mappings(t.id).unwrap_or(&[]) {
-            let entry = hinted.entry(t.id).or_default();
-            if !entry.contains(expr) {
-                entry.push(expr.clone());
-            }
-        }
-    }
-    Ok(hinted)
+    Ok(analysis.hints.len())
 }
 
 // ---------------------------------------------------------------------------
@@ -1101,8 +1036,8 @@ fn shard_pass(
 //
 // G_s operators only depend on each other through the relation: an operator
 // is dispatchable once every producer of one of its inputs has *completed*
-// (its mappings and hints are staged in the relation — identical to its
-// post-merge state). Workers solve operators out of order; the coordinator
+// (its mappings are staged in the relation — identical to its post-merge
+// state). Workers solve operators out of order; the coordinator
 // merges results strictly in G_s index order, so reports, relation contents,
 // certificates, and trace structure match the `jobs = 1` in-order loop for
 // any worker count. Failure handling relies on the same invariant: the first
@@ -1177,10 +1112,6 @@ struct MapCtx<'a> {
     opts: &'a CheckOptions,
     rewrites: &'a [Rewrite<TensorAnalysis>],
     nodes: Vec<&'a Node>,
-    /// Per operator: the shard hints proving mappings of its output.
-    hint_vecs: Vec<&'a [RecExpr]>,
-    /// Per operator: `true` when hints fully cover it (no saturation).
-    covered: Vec<bool>,
     cache: &'a ShardedCache<Solved>,
     cfg_fp: String,
     backoff: Option<&'a BackoffSchedule>,
@@ -1197,49 +1128,17 @@ impl<'a> MapCtx<'a> {
         gd: &'a Graph,
         opts: &'a CheckOptions,
         rewrites: &'a [Rewrite<TensorAnalysis>],
-        hinted: &'a HashMap<TensorId, Vec<RecExpr>>,
-        gd_output_names: &HashSet<&str>,
         cache: &'a ShardedCache<Solved>,
         cfg_fp: String,
         backoff: Option<&'a BackoffSchedule>,
         templates: Option<&'a TemplateInfo>,
     ) -> Self {
-        let nodes: Vec<&Node> = gs.nodes().iter().collect();
-        let hint_vecs: Vec<&[RecExpr]> = nodes
-            .iter()
-            .map(|n| hinted.get(&n.output).map(Vec::as_slice).unwrap_or(&[]))
-            .collect();
-        // A hint covers an operator when it proves at least one mapping —
-        // and, for a G_s *output*, at least one mapping over G_d outputs
-        // alone (otherwise the Listing 1 line 9 gate still needs whatever
-        // saturation can find). Clean-op nodes (add, concat, …) are never
-        // skipped: their saturation is cheap, and the alternate mappings it
-        // discovers carry the leaf diversity later frontiers seed from —
-        // skipping them can starve a downstream operator of the very G_d
-        // names it needs to pull producers into its frontier.
-        let gs_output_set: HashSet<TensorId> = gs.outputs().iter().copied().collect();
-        let covered: Vec<bool> = nodes
-            .iter()
-            .zip(&hint_vecs)
-            .map(|(node, hint_exprs)| {
-                !hint_exprs.is_empty()
-                    && !opts.clean.is_clean(node.op.name())
-                    && (!gs_output_set.contains(&node.output)
-                        || hint_exprs.iter().any(|e| {
-                            e.leaf_symbols()
-                                .iter()
-                                .all(|s| gd_output_names.contains(s.as_str()))
-                        }))
-            })
-            .collect();
         MapCtx {
             gs,
             gd,
             opts,
             rewrites,
-            nodes,
-            hint_vecs,
-            covered,
+            nodes: gs.nodes().iter().collect(),
             cache,
             cfg_fp,
             backoff,
@@ -1265,8 +1164,6 @@ struct OpSuccess {
     rounds: usize,
     stop: Option<StopReason>,
     egraph_nodes: usize,
-    /// Search failed but shard hints prove mappings: defer to the R_o gate.
-    rescued: bool,
 }
 
 struct OpFail {
@@ -1526,7 +1423,7 @@ fn run_op(ctx: &MapCtx, idx: usize, per_input: &[Vec<RecExpr>], traced: bool) ->
     let mut osp = tracer.span(&format!("op:{}", node.name));
     osp.attr("op", node.op.name());
 
-    let mut outcome: Result<OpSuccess, OpFail> = if per_input.iter().any(|m| m.is_empty()) {
+    let outcome: Result<OpSuccess, OpFail> = if per_input.iter().any(|m| m.is_empty()) {
         Err(OpFail { stop: None })
     } else {
         let (problem, back) = build_problem(ctx.gs, ctx.gd, node, per_input, &ctx.consumers);
@@ -1597,7 +1494,6 @@ fn run_op(ctx: &MapCtx, idx: usize, per_input: &[Vec<RecExpr>], traced: bool) ->
                 rounds: solved.rounds,
                 stop: solved.stop,
                 egraph_nodes: solved.egraph_nodes,
-                rescued: false,
             })
         } else if solved.variants.is_empty() {
             Err(OpFail { stop: solved.stop })
@@ -1625,23 +1521,9 @@ fn run_op(ctx: &MapCtx, idx: usize, per_input: &[Vec<RecExpr>], traced: bool) ->
                 rounds: solved.rounds,
                 stop: solved.stop,
                 egraph_nodes: solved.egraph_nodes,
-                rescued: false,
             })
         }
     };
-    if outcome.is_err() && !ctx.hint_vecs[idx].is_empty() {
-        // Saturation found nothing, but the hints *prove* mappings over G_d
-        // intermediates: defer to the R_o gate, which reports the sharper
-        // "reconstructs only from intermediates" failure.
-        osp.attr("outcome", "rescued-by-hints");
-        outcome = Ok(OpSuccess {
-            mappings: Vec::new(),
-            rounds: 0,
-            stop: None,
-            egraph_nodes: 0,
-            rescued: true,
-        });
-    }
     drop(osp);
     OpResult {
         outcome,
@@ -1706,33 +1588,6 @@ fn stage_result(ctx: &MapCtx, relation: &mut Relation, idx: usize, success: &OpS
     for (expr, _) in &success.mappings {
         relation.insert(out, expr.clone());
     }
-    for expr in ctx.hint_vecs[idx] {
-        relation.insert(out, expr.clone());
-    }
-}
-
-/// Merges a hint-covered operator at its turn: the hints become its
-/// mappings and no saturation runs.
-fn merge_covered(ctx: &MapCtx, st: &mut MapState, idx: usize, elapsed: Duration) {
-    let node = ctx.nodes[idx];
-    let hint_exprs = ctx.hint_vecs[idx];
-    for expr in hint_exprs {
-        st.relation.insert(node.output, expr.clone());
-    }
-    let mut osp = ctx.opts.trace.span(&format!("op:{}", node.name));
-    osp.attr("op", node.op.name());
-    osp.attr("hinted", "true");
-    osp.attr("mappings", hint_exprs.len());
-    drop(osp);
-    st.op_reports.push(OpReport {
-        name: node.name.clone(),
-        elapsed,
-        egraph_nodes: 0,
-        mappings: hint_exprs.len(),
-        hinted: true,
-        rounds: 0,
-        stop: None,
-    });
 }
 
 /// Merges one solved operator at its in-order turn: certificate assembly,
@@ -1788,9 +1643,6 @@ fn merge_run(
                 }
                 st.relation.insert(node.output, expr.clone());
             }
-            for expr in ctx.hint_vecs[idx] {
-                st.relation.insert(node.output, expr.clone());
-            }
             let n_mappings = st
                 .relation
                 .mappings(node.output)
@@ -1810,7 +1662,6 @@ fn merge_run(
                 elapsed: res.elapsed,
                 egraph_nodes: success.egraph_nodes,
                 mappings: n_mappings,
-                hinted: success.rescued,
                 rounds: success.rounds,
                 stop: success.stop,
             });
@@ -1845,12 +1696,6 @@ fn merge_run(
     }
 }
 
-/// What the coordinator holds for a completed-but-not-yet-merged operator.
-enum Done {
-    Covered,
-    Run(Box<OpResult>, usize),
-}
-
 /// Snapshot of an operator's input mappings at dispatch time. Producers
 /// have completed (and staged), so this equals the in-order loop's view.
 fn snapshot_inputs(relation: &Relation, node: &Node) -> Vec<Vec<RecExpr>> {
@@ -1878,10 +1723,6 @@ fn map_stage_scheduled(
     if jobs <= 1 {
         // In-process scheduling: same engine, no worker threads.
         for idx in 0..n {
-            if ctx.covered[idx] {
-                merge_covered(ctx, st, idx, Duration::ZERO);
-                continue;
-            }
             let per_input = snapshot_inputs(st.relation, ctx.nodes[idx]);
             let res = run_op(ctx, idx, &per_input, traced);
             merge_run(ctx, st, idx, res, 0)?;
@@ -1934,7 +1775,7 @@ fn map_stage_scheduled(
     let mut ready: std::collections::BTreeSet<usize> =
         (0..n).filter(|&i| dep_count[i] == 0).collect();
     let mut dispatched = vec![false; n];
-    let mut pending: HashMap<usize, Done> = HashMap::new();
+    let mut pending: HashMap<usize, (OpResult, usize)> = HashMap::new();
     let mut merge_ptr = 0usize;
     // Operators at or beyond the smallest failed index can never merge;
     // stop dispatching them so the check drains promptly.
@@ -1947,41 +1788,18 @@ fn map_stage_scheduled(
             if merge_ptr == n {
                 return Ok(());
             }
-            // Dispatch everything ready (covered operators complete inline,
-            // possibly readying their consumers within this loop).
-            while let Some(&idx) = ready.iter().next() {
-                ready.remove(&idx);
+            // Dispatch everything ready.
+            while let Some(idx) = ready.pop_first() {
                 if min_failed.is_some_and(|f| idx >= f) {
                     continue;
                 }
                 dispatched[idx] = true;
-                if ctx.covered[idx] {
-                    for expr in ctx.hint_vecs[idx] {
-                        st.relation.insert(ctx.nodes[idx].output, expr.clone());
-                    }
-                    pending.insert(idx, Done::Covered);
-                    for &c in &consumers[idx] {
-                        dep_count[c] -= 1;
-                        if dep_count[c] == 0 && !dispatched[c] {
-                            ready.insert(c);
-                        }
-                    }
-                } else {
-                    pool.submit(idx, snapshot_inputs(st.relation, ctx.nodes[idx]));
-                }
+                pool.submit(idx, snapshot_inputs(st.relation, ctx.nodes[idx]));
             }
             // Merge every consecutively completed operator.
-            while let Some(done) = pending.remove(&merge_ptr) {
-                let idx = merge_ptr;
+            while let Some((res, worker)) = pending.remove(&merge_ptr) {
+                merge_run(ctx, st, merge_ptr, res, worker)?;
                 merge_ptr += 1;
-                match done {
-                    Done::Covered => {
-                        // Hints were staged at dispatch; relation insertion
-                        // here dedups to the same contents.
-                        merge_covered(ctx, st, idx, Duration::ZERO);
-                    }
-                    Done::Run(res, worker) => merge_run(ctx, st, idx, *res, worker)?,
-                }
                 if merge_ptr == n {
                     return Ok(());
                 }
@@ -2005,7 +1823,7 @@ fn map_stage_scheduled(
                     min_failed = Some(min_failed.map_or(idx, |f| f.min(idx)));
                 }
             }
-            pending.insert(idx, Done::Run(Box::new(res), worker));
+            pending.insert(idx, (res, worker));
         }
     })
 }

@@ -596,7 +596,6 @@ pub(crate) fn solve_problem(
             .with_node_limit(opts.node_limit)
             .with_time_limit(opts.time_limit)
             .with_backoff(backoff.cloned())
-            .with_compiled_matcher(opts.compiled_matcher)
             .with_metrics(opts.metrics.clone());
         let report = runner.run(rewrites);
         eg = runner.egraph;

@@ -62,16 +62,6 @@ fn figure1() -> (
     (gs, gd, f, c, e)
 }
 
-/// Options with shard hints off, for tests asserting *saturation* side
-/// effects (lemma applications, e-graph sizes, mapping variants) that
-/// hint-covered operators legitimately skip.
-fn saturation_opts() -> CheckOptions {
-    CheckOptions {
-        shard_hints: false,
-        ..CheckOptions::default()
-    }
-}
-
 fn figure1_relation(gs: &entangle_ir::Graph, gd: &entangle_ir::Graph) -> Relation {
     let mut ri = Relation::builder(gs, gd);
     ri.map("A", "(concat A1 A2 1)").unwrap();
@@ -84,7 +74,7 @@ fn figure1_relation(gs: &entangle_ir::Graph, gd: &entangle_ir::Graph) -> Relatio
 fn figure1_refines() {
     let (gs, gd, f, c, _) = figure1();
     let ri = figure1_relation(&gs, &gd);
-    let outcome = check_refinement(&gs, &gd, &ri, &saturation_opts()).unwrap();
+    let outcome = check_refinement(&gs, &gd, &ri, &CheckOptions::default()).unwrap();
     // The output relation is complete and maps F to concat(F1, F2).
     assert!(outcome.output_relation.is_complete_for(gs.outputs()));
     let f_maps: Vec<String> = outcome
@@ -532,7 +522,7 @@ fn custom_clean_ops_tighten_the_check() {
 fn relation_display_uses_gs_names() {
     let (gs, gd, ..) = figure1();
     let ri = figure1_relation(&gs, &gd);
-    let outcome = check_refinement(&gs, &gd, &ri, &saturation_opts()).unwrap();
+    let outcome = check_refinement(&gs, &gd, &ri, &CheckOptions::default()).unwrap();
     let shown = outcome.output_relation.display(&gs).to_string();
     assert!(shown.contains("F -> "), "{shown}");
     assert!(shown.contains("(concat F1 F2 0)"), "{shown}");
@@ -542,7 +532,7 @@ fn relation_display_uses_gs_names() {
 fn lemma_stats_accumulate_and_iterate() {
     let (gs, gd, ..) = figure1();
     let ri = figure1_relation(&gs, &gd);
-    let outcome = check_refinement(&gs, &gd, &ri, &saturation_opts()).unwrap();
+    let outcome = check_refinement(&gs, &gd, &ri, &CheckOptions::default()).unwrap();
     let total: u64 = outcome.lemma_stats.iter().map(|(_, c)| c).sum();
     assert_eq!(total, outcome.lemma_stats.total());
     assert!(outcome.lemma_stats.count("matmul-concat-contraction") >= 1);
@@ -553,7 +543,7 @@ fn lemma_stats_accumulate_and_iterate() {
 fn op_reports_track_processing_order() {
     let (gs, gd, ..) = figure1();
     let ri = figure1_relation(&gs, &gd);
-    let outcome = check_refinement(&gs, &gd, &ri, &saturation_opts()).unwrap();
+    let outcome = check_refinement(&gs, &gd, &ri, &CheckOptions::default()).unwrap();
     let names: Vec<&str> = outcome.op_reports.iter().map(|r| r.name.as_str()).collect();
     assert_eq!(names, vec!["C", "F"]);
     assert!(outcome.op_reports.iter().all(|r| r.mappings >= 1));

@@ -15,9 +15,9 @@ use crate::rewrite::Rewrite;
 /// they misbehave — so the budget is deliberately tight: any sizable
 /// per-iteration match volume from a driver is the blowup signature, and
 /// the budget doubles with each ban, so well-behaved bursts recover.
-/// Swept on the MoE/TP-SP2 workload (`bench_rules`): 16/16 gives the
-/// best end-to-end time, and the budget's escalation keeps the shallow
-/// zoo workloads at noise level.
+/// Swept on the MoE/TP-SP2 workload (the `moe_ep` benchmark input): 16/16
+/// gives the best end-to-end time, and the budget's escalation keeps the
+/// shallow zoo workloads at noise level.
 pub const DEFAULT_MATCH_BUDGET: u64 = 16;
 
 /// Default ban length (iterations) for a rule that first exceeds its match
@@ -267,7 +267,6 @@ pub struct Runner<A: Analysis> {
     node_limit: usize,
     time_limit: Duration,
     backoff: Option<BackoffSchedule>,
-    compiled: bool,
     metrics: Registry,
 }
 
@@ -281,7 +280,6 @@ impl<A: Analysis> Runner<A> {
             node_limit: 50_000,
             time_limit: Duration::from_secs(10),
             backoff: None,
-            compiled: true,
             metrics: Registry::null(),
         }
     }
@@ -311,17 +309,6 @@ impl<A: Analysis> Runner<A> {
         self
     }
 
-    /// Selects the search path: `true` (the default) compiles the rule
-    /// corpus into one shared [`CompiledMatcher`] discrimination tree per
-    /// run; `false` keeps the legacy per-rule searcher. The two paths
-    /// yield identical match sets (pinned by the differential oracle
-    /// tests), so this only trades search time — it exists as an A/B
-    /// ablation switch.
-    pub fn with_compiled_matcher(mut self, compiled: bool) -> Self {
-        self.compiled = compiled;
-        self
-    }
-
     /// Installs a metrics registry (`entangle-metrics`). The default null
     /// registry records nothing. Recording happens once per run from the
     /// already-collected [`SaturationReport`] telemetry — never inside the
@@ -329,10 +316,10 @@ impl<A: Analysis> Runner<A> {
     /// growth and peak-size gauges (`egraph.peak_nodes`,
     /// `egraph.peak_classes`), run/iteration/union counters, per-phase
     /// timing histograms (`egraph.phase.{search,apply,rebuild}_us`), the
-    /// scheduler-path ban counter (`rules.backoff.bans`), and — on the
-    /// compiled search path — the e-matching instruments
-    /// (`ematch.trie.nodes`, `ematch.candidates.visited`,
-    /// `ematch.matches.yielded`, `ematch.search_us`).
+    /// scheduler-path ban counter (`rules.backoff.bans`), and the
+    /// e-matching instruments (`ematch.trie.nodes`,
+    /// `ematch.candidates.visited`, `ematch.matches.yielded`,
+    /// `ematch.search_us`).
     pub fn with_metrics(mut self, metrics: Registry) -> Self {
         self.metrics = metrics;
         self
@@ -342,11 +329,10 @@ impl<A: Analysis> Runner<A> {
     ///
     /// Each iteration searches *all* rules against the frozen e-graph, then
     /// applies all matches, then rebuilds — the standard egg schedule, which
-    /// keeps rule application order-independent. By default the search
-    /// phase compiles the corpus into a shared [`CompiledMatcher`]
-    /// discrimination tree once per run and walks the candidate e-nodes a
-    /// single time per iteration; [`Runner::with_compiled_matcher`]`(false)`
-    /// restores the legacy per-rule searcher, with identical match sets.
+    /// keeps rule application order-independent. The search phase compiles
+    /// the corpus into a shared [`CompiledMatcher`] discrimination tree
+    /// once per run and walks the candidate e-nodes a single time per
+    /// iteration.
     ///
     /// With a [`BackoffSchedule`] installed, throttled rules whose search
     /// exceeds the match budget are banned — their search is skipped — for
@@ -379,9 +365,8 @@ impl<A: Analysis> Runner<A> {
             })
             .collect();
         // Compile the whole corpus into one shared discrimination tree per
-        // run (the rule slice is fixed for the run's duration). `None`
-        // keeps the legacy per-rule searcher for A/B ablation.
-        let matcher = self.compiled.then(|| CompiledMatcher::compile(rewrites));
+        // run (the rule slice is fixed for the run's duration).
+        let matcher = CompiledMatcher::compile(rewrites);
         let mut ematch_candidates = 0u64;
         let mut ematch_yields = 0u64;
         let mut iterations = 0;
@@ -398,102 +383,59 @@ impl<A: Analysis> Runner<A> {
             }
             iterations += 1;
             let iter_start = start.elapsed();
-            // Search phase against the frozen graph. Banned rules are
-            // skipped outright — that skip, not apply dedup, is where the
-            // backoff win comes from.
-            let mut search_us = 0u64;
+            // Search phase against the frozen graph, as one shared
+            // traversal: a single walk of the candidate e-nodes serves
+            // every active rule. Banned rules are masked out of it (whole
+            // trie subtrees reaching only banned rules are pruned) — that
+            // skip, not apply dedup, is where the backoff win comes from.
             let mut any_banned = false;
-            let matches = if let Some(matcher) = &matcher {
-                // Shared traversal: one walk of the candidate e-nodes
-                // serves every active rule. Banned rules are masked out of
-                // the traversal (whole trie subtrees reaching only banned
-                // rules are pruned), which is the same skip the legacy
-                // scheduler performs per rule.
-                let mut active = vec![false; rewrites.len()];
-                for (i, bo) in backoff.iter().enumerate() {
-                    if bo.throttled && iterations <= bo.banned_until {
-                        any_banned = true;
-                    } else {
-                        active[i] = true;
-                    }
+            let mut active = vec![false; rewrites.len()];
+            for (i, bo) in backoff.iter().enumerate() {
+                if bo.throttled && iterations <= bo.banned_until {
+                    any_banned = true;
+                } else {
+                    active[i] = true;
                 }
-                let t0 = Instant::now();
-                let shared = matcher.search_all(&self.egraph, rewrites, &active);
-                let dt = t0.elapsed().as_micros() as u64;
-                search_us = dt;
-                saturation.searched_classes += shared.visited;
-                saturation.skipped_classes += shared.skipped;
-                ematch_candidates += shared.candidates;
-                ematch_yields += shared.yields;
-                // The traversal is shared, so per-rule search time is the
-                // even split of the phase across active rules — the only
-                // attribution that keeps per-rule sums equal to the phase
-                // total.
-                let share = dt / (active.iter().filter(|a| **a).count().max(1) as u64);
-                for (i, (stats, bo)) in per_rule.iter_mut().zip(&mut backoff).enumerate() {
-                    if !active[i] {
-                        continue;
-                    }
-                    stats.search_us += share;
-                    let found: u64 = shared.matches[i]
-                        .iter()
-                        .map(|m| m.substs.len() as u64)
-                        .sum();
-                    stats.matches += found;
-                    if bo.throttled {
-                        let budget = self
+            }
+            let t0 = Instant::now();
+            let shared = matcher.search_all(&self.egraph, rewrites, &active);
+            let search_us = t0.elapsed().as_micros() as u64;
+            saturation.searched_classes += shared.visited;
+            saturation.skipped_classes += shared.skipped;
+            ematch_candidates += shared.candidates;
+            ematch_yields += shared.yields;
+            // The traversal is shared, so per-rule search time is the even
+            // split of the phase across active rules — the only
+            // attribution that keeps per-rule sums equal to the phase
+            // total.
+            let share = search_us / (active.iter().filter(|a| **a).count().max(1) as u64);
+            for (i, (stats, bo)) in per_rule.iter_mut().zip(&mut backoff).enumerate() {
+                if !active[i] {
+                    continue;
+                }
+                stats.search_us += share;
+                let found: u64 = shared.matches[i]
+                    .iter()
+                    .map(|m| m.substs.len() as u64)
+                    .sum();
+                stats.matches += found;
+                if bo.throttled {
+                    let budget = self
+                        .backoff
+                        .as_ref()
+                        .map_or(u64::MAX, |s| s.match_budget << bo.times_banned.min(16));
+                    if found > budget {
+                        let ban = self
                             .backoff
                             .as_ref()
-                            .map_or(u64::MAX, |s| s.match_budget << bo.times_banned.min(16));
-                        if found > budget {
-                            let ban = self
-                                .backoff
-                                .as_ref()
-                                .map_or(0, |s| s.ban_length << bo.times_banned.min(16));
-                            bo.banned_until = iterations + ban;
-                            bo.times_banned += 1;
-                            bans += 1;
-                        }
+                            .map_or(0, |s| s.ban_length << bo.times_banned.min(16));
+                        bo.banned_until = iterations + ban;
+                        bo.times_banned += 1;
+                        bans += 1;
                     }
                 }
-                shared.matches
-            } else {
-                let mut matches = Vec::with_capacity(rewrites.len());
-                for ((rw, stats), bo) in rewrites.iter().zip(per_rule.iter_mut()).zip(&mut backoff)
-                {
-                    if bo.throttled && iterations <= bo.banned_until {
-                        any_banned = true;
-                        matches.push(Vec::new());
-                        continue;
-                    }
-                    let t0 = Instant::now();
-                    let (ms, visited, skipped) = rw.search_with_stats(&self.egraph);
-                    let dt = t0.elapsed().as_micros() as u64;
-                    stats.search_us += dt;
-                    search_us += dt;
-                    let found: u64 = ms.iter().map(|m| m.substs.len() as u64).sum();
-                    stats.matches += found;
-                    saturation.searched_classes += visited;
-                    saturation.skipped_classes += skipped;
-                    if bo.throttled {
-                        let budget = self
-                            .backoff
-                            .as_ref()
-                            .map_or(u64::MAX, |s| s.match_budget << bo.times_banned.min(16));
-                        if found > budget {
-                            let ban = self
-                                .backoff
-                                .as_ref()
-                                .map_or(0, |s| s.ban_length << bo.times_banned.min(16));
-                            bo.banned_until = iterations + ban;
-                            bo.times_banned += 1;
-                            bans += 1;
-                        }
-                    }
-                    matches.push(ms);
-                }
-                matches
-            };
+            }
+            let matches = shared.matches;
             // Apply phase.
             let unions_before = self.egraph.union_count();
             let mut apply_us = 0u64;
@@ -554,13 +496,7 @@ impl<A: Analysis> Runner<A> {
             applications,
             saturation,
         };
-        self.record_metrics(
-            &report,
-            bans,
-            matcher.as_ref(),
-            ematch_candidates,
-            ematch_yields,
-        );
+        self.record_metrics(&report, bans, &matcher, ematch_candidates, ematch_yields);
         report
     }
 
@@ -571,7 +507,7 @@ impl<A: Analysis> Runner<A> {
         &self,
         report: &RunReport,
         bans: u64,
-        matcher: Option<&CompiledMatcher>,
+        matcher: &CompiledMatcher,
         ematch_candidates: u64,
         ematch_yields: u64,
     ) {
@@ -603,21 +539,15 @@ impl<A: Analysis> Runner<A> {
         if bans > 0 {
             m.counter("rules.backoff.bans").add(bans);
         }
-        // Compiled e-matching instruments: absent entirely under the
-        // legacy ablation path, so their presence also records which
-        // search path a run took.
-        if let Some(matcher) = matcher {
-            m.gauge("ematch.trie.nodes")
-                .set_max(matcher.trie_nodes() as u64);
-            m.counter("ematch.candidates.visited")
-                .add(ematch_candidates);
-            m.counter("ematch.matches.yielded").add(ematch_yields);
-            let shared = m.histogram("ematch.search_us");
-            for it in &report.saturation.iterations {
-                // Under the compiled path the whole search phase is the
-                // shared traversal.
-                shared.observe(it.search_us);
-            }
+        m.gauge("ematch.trie.nodes")
+            .set_max(matcher.trie_nodes() as u64);
+        m.counter("ematch.candidates.visited")
+            .add(ematch_candidates);
+        m.counter("ematch.matches.yielded").add(ematch_yields);
+        // The whole search phase is the shared traversal.
+        let shared = m.histogram("ematch.search_us");
+        for it in &report.saturation.iterations {
+            shared.observe(it.search_us);
         }
     }
 }

@@ -853,7 +853,7 @@ mod backoff_tests {
     }
 }
 
-mod compiled_matcher {
+mod shared_matcher {
     use super::*;
 
     /// Identity rewrites let us drive the full `Rewrite` search surface
@@ -988,93 +988,5 @@ mod compiled_matcher {
         assert!(full.candidates > 0);
         assert_eq!(banned.candidates, 0, "banned subtrees must be pruned");
         assert_eq!(banned.yields, 0);
-    }
-
-    /// End-to-end: a saturation run under the compiled matcher reaches the
-    /// same fixpoint, per-rule match counts, applications, and stop reason
-    /// as the legacy searcher.
-    #[test]
-    fn runner_paths_agree() {
-        let rules = || -> Vec<Rewrite<()>> {
-            vec![
-                Rewrite::parse("comm", "(add ?a ?b)", "(add ?b ?a)").expect("valid"),
-                Rewrite::parse("assoc", "(add (add ?a ?b) ?c)", "(add ?a (add ?b ?c))")
-                    .expect("valid"),
-            ]
-        };
-        let run = |compiled: bool| {
-            let mut eg = EGraph::<()>::default();
-            eg.add_expr(
-                &"(add (add a b) (add c d))"
-                    .parse::<RecExpr>()
-                    .expect("valid expr"),
-            );
-            let mut runner = Runner::new(eg)
-                .with_iter_limit(64)
-                .with_node_limit(100_000)
-                .with_compiled_matcher(compiled);
-            let report = runner.run(&rules());
-            (runner, report)
-        };
-        let (r1, rep1) = run(true);
-        let (r2, rep2) = run(false);
-        assert_eq!(rep1.stop_reason, rep2.stop_reason);
-        assert_eq!(rep1.iterations, rep2.iterations);
-        assert_eq!(r1.egraph.total_nodes(), r2.egraph.total_nodes());
-        assert_eq!(r1.egraph.num_classes(), r2.egraph.num_classes());
-        assert_eq!(rep1.applications, rep2.applications);
-        for name in ["comm", "assoc"] {
-            assert_eq!(
-                rep1.saturation.rules[name].matches, rep2.saturation.rules[name].matches,
-                "per-rule match telemetry differs for {name}"
-            );
-        }
-        assert_eq!(
-            rep1.saturation.searched_classes,
-            rep2.saturation.searched_classes
-        );
-        assert_eq!(
-            rep1.saturation.skipped_classes,
-            rep2.saturation.skipped_classes
-        );
-    }
-
-    /// Backoff bans behave identically across search paths: same ban
-    /// count signature (via match telemetry) and the same fixpoint.
-    #[test]
-    fn backoff_agrees_across_paths() {
-        let run = |compiled: bool| {
-            let mut eg = EGraph::<()>::default();
-            eg.add_expr(
-                &"(add (add a b) (add c d))"
-                    .parse::<RecExpr>()
-                    .expect("valid expr"),
-            );
-            let schedule = BackoffSchedule::new(["comm".to_owned()])
-                .with_match_budget(1)
-                .with_ban_length(2);
-            let mut runner = Runner::new(eg)
-                .with_iter_limit(64)
-                .with_node_limit(100_000)
-                .with_backoff(Some(schedule))
-                .with_compiled_matcher(compiled);
-            let report = runner.run(&[
-                Rewrite::parse("comm", "(add ?a ?b)", "(add ?b ?a)").expect("valid"),
-                Rewrite::parse("assoc", "(add (add ?a ?b) ?c)", "(add ?a (add ?b ?c))")
-                    .expect("valid"),
-            ]);
-            (runner.egraph.total_nodes(), report)
-        };
-        let (n1, rep1) = run(true);
-        let (n2, rep2) = run(false);
-        assert_eq!(rep1.stop_reason, StopReason::Saturated);
-        assert_eq!(rep1.stop_reason, rep2.stop_reason);
-        assert_eq!(n1, n2);
-        assert_eq!(rep1.iterations, rep2.iterations);
-        assert_eq!(rep1.applications, rep2.applications);
-        assert_eq!(
-            rep1.saturation.rules["comm"].matches,
-            rep2.saturation.rules["comm"].matches
-        );
     }
 }

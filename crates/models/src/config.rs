@@ -84,7 +84,7 @@ impl MoeConfig {
 
     /// Returns a copy with a different layer count: a deep MoE *stack*,
     /// each layer carrying its own router, experts and load-balance head
-    /// (the BENCH_scale deep-model sweeps).
+    /// (the deep models of `tests/templates.rs`).
     pub fn with_layers(&self, layers: usize) -> MoeConfig {
         MoeConfig {
             base: self.base.with_layers(layers),

@@ -113,7 +113,7 @@ fn moe_layers_scale_stack_linearly() {
 
 #[test]
 fn deep_builders_validate() {
-    // The BENCH_scale deep models: 32-layer dense stacks and a deep MoE
+    // The deep models: 32-layer dense stacks and a deep MoE
     // stack must stay well-formed (every layer re-wires residuals, rope
     // tables and per-layer weights correctly).
     let cfg = ModelConfig::tiny().with_layers(32);

@@ -340,9 +340,9 @@ fn bug1_localizes_to_rope_operator() {
         }
         other => panic!("expected SH02 rope localization, got {other:?}"),
     }
-    // Pure saturation (hints ablated) still localizes to the same operator.
+    // Pure saturation (pre-pass off) still localizes to the same operator.
     let opts = CheckOptions {
-        shard_hints: false,
+        shard: false,
         ..CheckOptions::default()
     };
     match case.run(&opts) {
@@ -409,7 +409,7 @@ fn bug7_localizes_to_second_matmul() {
         other => panic!("expected SH04 partial-sum localization, got {other:?}"),
     }
     let opts = CheckOptions {
-        shard_hints: false,
+        shard: false,
         ..CheckOptions::default()
     };
     match case.run(&opts) {

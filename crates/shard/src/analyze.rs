@@ -22,8 +22,8 @@ pub struct ShardAnalysis {
     pub values: Vec<AbsVal>,
     /// Diagnostics: `SH##` errors in topological order, then warnings.
     pub report: LintReport,
-    /// Relation hints for the refinement checker (empty in self-seeded
-    /// mode).
+    /// Relation hints: the mappings the layouts prove (empty in
+    /// self-seeded mode).
     pub hints: Vec<Hint>,
 }
 

@@ -1,10 +1,9 @@
-//! Relation hints: inferred layouts exported as candidate mappings for the
-//! refinement checker.
+//! Relation hints: inferred layouts exported as candidate mappings.
 //!
 //! When the analysis proves a set of `G_d` tensors reconstructs a `G_s`
 //! tensor — identical replicas, shards tiling a dimension, or partial sums
-//! tiling a range — that proof *is* a relation mapping, and the checker can
-//! seed (or entirely skip) equality saturation with it.
+//! tiling a range — that proof *is* a relation mapping, which
+//! `entangle shard` prints.
 
 use std::collections::HashMap;
 
@@ -23,9 +22,6 @@ pub struct Hint {
     /// Mapping expression over `G_d` tensor names (paper s-expression
     /// syntax).
     pub expr: String,
-    /// The clean operator the expression is built from (`None` for a bare
-    /// identity leaf) — lets the checker respect a restricted clean-op set.
-    pub op: Option<&'static str>,
 }
 
 /// Derives hints for every `G_s` operator output whose logical term is
@@ -63,7 +59,6 @@ pub(crate) fn generate(
                 AbsVal::Rep(_) => hints.push(Hint {
                     gs_tensor: gs_tensor.name.clone(),
                     expr: name,
-                    op: None,
                 }),
                 AbsVal::Window {
                     dim, full, segs, ..
@@ -100,7 +95,6 @@ pub(crate) fn generate(
                 hints.push(Hint {
                     gs_tensor: gs_tensor.name.clone(),
                     expr: fold(&names, &format!(" {dim})"), "(concat "),
-                    op: Some("concat"),
                 });
             }
         }
@@ -109,7 +103,6 @@ pub(crate) fn generate(
                 hints.push(Hint {
                     gs_tensor: gs_tensor.name.clone(),
                     expr: fold(&names, ")", "(add "),
-                    op: Some("add"),
                 });
             }
         }

@@ -21,9 +21,10 @@
 //!    before any e-graph exists.
 //! 2. **Relation hints** ([`Hint`]): when layouts *prove* a mapping (shards
 //!    tile a dimension, partials tile a range, a tensor is an exact
-//!    replica), the proof is exported as a candidate mapping the checker
-//!    can use to seed — or skip — per-operator saturation
-//!    (`CheckOptions::shard_hints`).
+//!    replica), the proof is exported as a candidate mapping: the
+//!    `entangle shard` report and the `benchmark/` row
+//!    `shard.hinted_tensors`. The checker consumes none of them — a hint
+//!    carries no rewrite derivation the trusted kernel could re-check.
 //!
 //! Soundness: the analysis only ever *claims* something when the claim is
 //! forced (hash-consed logical terms built over `G_s` names must coincide);

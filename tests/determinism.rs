@@ -58,8 +58,8 @@ fn outcome_signature(
             out.push_str("== op reports ==\n");
             for r in &o.op_reports {
                 out.push_str(&format!(
-                    "{} nodes={} mappings={} hinted={} rounds={} stop={:?}\n",
-                    r.name, r.egraph_nodes, r.mappings, r.hinted, r.rounds, r.stop
+                    "{} nodes={} mappings={} rounds={} stop={:?}\n",
+                    r.name, r.egraph_nodes, r.mappings, r.rounds, r.stop
                 ));
             }
             out.push_str("== lemma stats ==\n");

@@ -6,11 +6,12 @@
 //! GPT par=8 at 4 layers took ~1.14 s at the PR 9 baseline. The shared
 //! discrimination-tree matcher (one traversal serves the whole corpus),
 //! the arena-flattened e-graph tables, the union-find flattening pass, and
-//! the symbolic-verdict memo brought that to ~0.29 s (release, best of 3;
-//! `results/BENCH_ematch.json` records the >= 3x ratio as
-//! `speedup_vs_pr9`). This test pins the end-to-end budget with ample
-//! noise headroom: the deep GPT check must stay under 700 ms — roughly
-//! 2.4x the measured wall, and still well below the old baseline.
+//! the symbolic-verdict memo brought that to ~0.29 s (release, best of
+//! 3). The cold counterpart is the `benchmark/` row `core.stage_map_ms`
+//! (with `egraph.search_ms` beside it) on `gpt_tp8`; this test guards it
+//! in-process with ample noise headroom: the deep GPT check must stay
+//! under 700 ms — roughly 2.4x the measured wall, and still well below
+//! the old baseline.
 //!
 //! Timing is asserted only in release builds — debug builds are ~10x
 //! slower and would make the bound meaningless — but the structural
@@ -33,7 +34,7 @@ fn deep_gpt_par8_check_stays_under_budget_with_compiled_matching() {
     };
     let (outcome, mut elapsed) = w.check(&opts);
 
-    // The compiled matcher must actually engage (default-on flag).
+    // The compiled matcher must actually engage.
     let snap = metrics.snapshot();
     assert!(
         snap.gauges.get("ematch.trie.nodes").copied().unwrap_or(0) > 0,

@@ -54,15 +54,9 @@ fn verification_time_grows_with_operator_count() {
 
 #[test]
 fn lemma_stats_are_collected_per_model() {
-    // Lemma application is a saturation-side effect; shard hints skip
-    // saturation for hinted operators, so this test pins them off.
     let check = |gs: &entangle_ir::Graph, dist: &Distributed| {
         let ri = dist.relation(gs).expect("relation builds");
-        let opts = CheckOptions {
-            shard_hints: false,
-            ..CheckOptions::default()
-        };
-        check_refinement(gs, &dist.graph, &ri, &opts)
+        check_refinement(gs, &dist.graph, &ri, &CheckOptions::default())
             .unwrap_or_else(|e| panic!("{} should refine: {e}", dist.graph.name()))
     };
     let cfg = ModelConfig::tiny();

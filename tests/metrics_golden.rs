@@ -122,10 +122,9 @@ fn golden_snapshot_gpt_tp2() {
         let h = &a.histograms[&format!("check.stage.{stage}_us")];
         assert_eq!(h.count, 1, "stage {stage} timed once");
     }
-    // Compiled e-matching instruments (the default search path): the
-    // shared trie exists, the traversal examines candidates and yields
-    // matches, and the shared-traversal histogram observes once per
-    // saturation iteration.
+    // Compiled e-matching instruments: the shared trie exists, the
+    // traversal examines candidates and yields matches, and the
+    // shared-traversal histogram observes once per saturation iteration.
     assert!(a.gauge("ematch.trie.nodes") > 0, "shared trie built");
     assert!(
         a.counter("ematch.candidates.visited") > 0,
@@ -140,20 +139,6 @@ fn golden_snapshot_gpt_tp2() {
         a.counter("egraph.iterations"),
         "one shared-traversal observation per saturation iteration"
     );
-
-    // The legacy ablation path records none of the ematch instruments —
-    // their absence marks which search path a run took.
-    let legacy_opts = CheckOptions {
-        compiled_matcher: false,
-        ..metered_opts()
-    };
-    let (gs2, dist2, ri2) = gpt_tp2();
-    let legacy = check_refinement(&gs2, &dist2.graph, &ri2, &legacy_opts)
-        .expect("workload verifies on the legacy path")
-        .metrics;
-    assert_eq!(legacy.gauge("ematch.trie.nodes"), 0);
-    assert_eq!(legacy.counter("ematch.candidates.visited"), 0);
-    assert!(!legacy.histograms.contains_key("ematch.search_us"));
 }
 
 #[test]

@@ -7,9 +7,11 @@
 //! standard egg schedule re-discovers (and re-applies, as an expensive
 //! no-op) every prior match each iteration. The cross-iteration apply-dedup
 //! memo plus the cross-operator saturation cache brought the heaviest
-//! operator from ~250 ms to under 200 ms (release). This test pins that:
-//! with the cache enabled, no single MoE operator may spend 500 ms or more
-//! in saturation again.
+//! operator from ~250 ms to under 200 ms (release). The cold counterpart
+//! is the `benchmark/` row `core.stage_map_ms` (with `egraph.apply_ms` and
+//! `egraph.useful_ratio` beside it) on `moe_ep`; this test guards it
+//! in-process: with the cache enabled, no single MoE operator may spend
+//! 500 ms or more in saturation again.
 //!
 //! Timing is asserted only in release builds — debug builds are ~10x
 //! slower and would make the bound meaningless — but the structural

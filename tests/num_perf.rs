@@ -10,8 +10,9 @@
 //! matmul looks each (row, column) dot product up before folding it, and
 //! the difference classifier reuses its containers from pair to pair.
 //! Together they took the first-in-process analysis of `gpt_tp2` from
-//! ~770 ms to 70–120 ms (release, 2-core box; `results/BENCH_num.json`
-//! records the cold column).
+//! ~770 ms to 70–120 ms (release, 2-core box); the `benchmark/` rows
+//! `num.analyze_ms` and `core.stage_numeric_ms` on `zoo_tp2` and `gpt_tp8`
+//! are the measured cold figure this test guards.
 //!
 //! None of that may change *which* nodes the arena holds or in what order:
 //! `classify_diff` expands "largest id first", so the derived `k` depends

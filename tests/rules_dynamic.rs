@@ -88,10 +88,7 @@ fn verdict_signature(
             out.push_str(&o.output_relation.display(gs).to_string());
             out.push_str(&o.full_relation.display(gs).to_string());
             for r in &o.op_reports {
-                out.push_str(&format!(
-                    "{} mappings={} hinted={}\n",
-                    r.name, r.mappings, r.hinted
-                ));
+                out.push_str(&format!("{} mappings={}\n", r.name, r.mappings));
             }
             out
         }

@@ -108,21 +108,22 @@ fn fixed_cases_have_no_false_positives() {
 
 #[test]
 fn buggy_cases_all_detected_with_hints_on_and_off() {
-    // The hint machinery must never *mask* a bug: every Table 3 fault is
-    // detected under both configurations.
+    // The pre-pass must never *mask* a bug: every Table 3 fault is
+    // detected with it (fail-fast SH## or saturation) and without it
+    // (saturation alone).
     for case in all_bugs(true) {
         assert!(
             case.run(&CheckOptions::default()).detected(),
-            "bug {} undetected with shard hints",
+            "bug {} undetected with the shard pre-pass",
             case.id
         );
         let opts = CheckOptions {
-            shard_hints: false,
+            shard: false,
             ..CheckOptions::default()
         };
         assert!(
             case.run(&opts).detected(),
-            "bug {} undetected without shard hints",
+            "bug {} undetected without the shard pre-pass",
             case.id
         );
     }

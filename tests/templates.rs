@@ -12,8 +12,9 @@
 //!    memo must actually fire: template hits, certificate-instantiated
 //!    replays, fewer concrete solves, and a higher effective hit rate than
 //!    the per-operator memo alone.
-//! 3. **Determinism at depth** — the new deep-model builders produce
-//!    identical outcomes at `jobs` = 1 and 4.
+//! 3. **Determinism at depth** — the deep-model builders produce
+//!    identical outcomes at `jobs` = 1 and 4, and deeper models replay
+//!    templates instead of posing new saturation problems.
 
 use entangle::{check_refinement, CheckOptions, CheckOutcome, RefinementError};
 use entangle_bench::{llama_workload, moe_deep_workload, qwen2_workload, zoo, Workload};
@@ -133,11 +134,14 @@ fn moe_templates_engage_and_raise_effective_hit_rate() {
 
 #[test]
 fn deep_builders_deterministic_across_jobs() {
-    let deep: [Workload; 3] = [
+    let deep: [Workload; 4] = [
         llama_workload(8, 8),
+        llama_workload(8, 4),
         qwen2_workload(8, 8),
         moe_deep_workload(2, 2),
     ];
+    // Per workload: (concrete-memo misses, template hits) at `jobs = 1`.
+    let mut sequential_par = Vec::new();
     for w in &deep {
         let ri = w.dist.relation(&w.gs).expect("relation builds");
         let mut baseline: Option<String> = None;
@@ -151,6 +155,9 @@ fn deep_builders_deterministic_across_jobs() {
                     ..CheckOptions::default()
                 },
             );
+            if let (1, Ok(o)) = (jobs, &o) {
+                sequential_par.push((o.par.cache_misses, o.par.template_hits));
+            }
             let sig = signature(&w.gs, &o);
             match &baseline {
                 None => baseline = Some(sig),
@@ -162,4 +169,11 @@ fn deep_builders_deterministic_across_jobs() {
             }
         }
     }
+    // Depth adds replays, not saturation problems: twice the layers pose
+    // no new canonical problem (equal misses) and every added operator is
+    // a template hit. Fails if the template or the concrete memo stops
+    // amortising across layers.
+    let (l8, l4) = (sequential_par[0], sequential_par[1]);
+    assert_eq!(l8.0, l4.0, "Llama tp8: 8 layers solve more than 4 do");
+    assert!(l8.1 > l4.1, "Llama tp8: template hits {l4:?} -> {l8:?}");
 }
