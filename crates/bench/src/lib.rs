@@ -1,9 +1,8 @@
 //! Shared harness utilities for regenerating the paper's evaluation
 //! (Figures 3–6, Table 3) and the DESIGN.md ablations.
 //!
-//! Each figure/table has a dedicated binary under `src/bin/`; Criterion
-//! benches under `benches/` time the same workloads. See EXPERIMENTS.md for
-//! the paper-vs-measured comparison.
+//! Each figure/table has a dedicated binary under `src/bin/`. See
+//! EXPERIMENTS.md for the paper-vs-measured comparison.
 
 #![forbid(unsafe_code)]
 
@@ -288,7 +287,7 @@ mod tests {
     #[test]
     fn figure3_suite_builds() {
         // Full verification of the suite is minutes of work in debug mode;
-        // the binaries and Criterion benches run it in release. Here we
+        // the binaries run it in release. Here we
         // only check the workloads construct and their relations validate.
         let suite = figure3_suite();
         assert_eq!(suite.len(), 6);

@@ -164,69 +164,6 @@ pub fn verify_mapping(
     check_mapping(mc, gs, gd, &lemma_index, ctx, accepted)
 }
 
-/// [`verify`], with kernel latency and the accept/reject outcome recorded
-/// into the registry (`cert.verify_us` histogram,
-/// `cert.verify.accepted`/`cert.verify.rejected` counters). The timing is
-/// taken *around* the untouched kernel call, so enabling metrics cannot
-/// change what the kernel accepts.
-///
-/// # Errors
-///
-/// Exactly the errors of [`verify`].
-pub fn verify_with_metrics(
-    cert: &Certificate,
-    gs: &Graph,
-    gd: &Graph,
-    lemmas: &[Rewrite<TensorAnalysis>],
-    ctx: &SymCtx,
-    metrics: &entangle_metrics::Registry,
-) -> Result<(), CertError> {
-    if !metrics.is_enabled() {
-        return verify(cert, gs, gd, lemmas, ctx);
-    }
-    let start = std::time::Instant::now();
-    let result = verify(cert, gs, gd, lemmas, ctx);
-    metrics
-        .histogram("cert.verify_us")
-        .observe(start.elapsed().as_micros() as u64);
-    match &result {
-        Ok(()) => metrics.counter("cert.verify.accepted").inc(),
-        Err(_) => metrics.counter("cert.verify.rejected").inc(),
-    }
-    result
-}
-
-/// [`verify_mapping`], with per-mapping kernel latency recorded into the
-/// `cert.verify_mapping_us` histogram and the outcome into the shared
-/// `cert.verify.accepted`/`cert.verify.rejected` counters.
-///
-/// # Errors
-///
-/// Exactly the errors of [`verify_mapping`].
-pub fn verify_mapping_with_metrics(
-    mc: &MappingCert,
-    gs: &Graph,
-    gd: &Graph,
-    lemmas: &[Rewrite<TensorAnalysis>],
-    ctx: &SymCtx,
-    accepted: &HashMap<String, Vec<RecExpr>>,
-    metrics: &entangle_metrics::Registry,
-) -> Result<(), CertError> {
-    if !metrics.is_enabled() {
-        return verify_mapping(mc, gs, gd, lemmas, ctx, accepted);
-    }
-    let start = std::time::Instant::now();
-    let result = verify_mapping(mc, gs, gd, lemmas, ctx, accepted);
-    metrics
-        .histogram("cert.verify_mapping_us")
-        .observe(start.elapsed().as_micros() as u64);
-    match &result {
-        Ok(()) => metrics.counter("cert.verify.accepted").inc(),
-        Err(_) => metrics.counter("cert.verify.rejected").inc(),
-    }
-    result
-}
-
 fn check_mapping(
     mc: &MappingCert,
     gs: &Graph,

@@ -38,4 +38,4 @@ mod tests;
 pub use cert::{exprs_eq, term_eq, CertError, Certificate, MappingCert, NumericVerdict};
 pub use instantiate::{retarget_proof, retarget_slice_bounds};
 pub use json::{from_json, to_json};
-pub use kernel::{verify, verify_mapping, verify_mapping_with_metrics, verify_with_metrics};
+pub use kernel::{verify, verify_mapping};

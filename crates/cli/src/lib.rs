@@ -276,6 +276,34 @@ EXIT CODES:  0 verified   1 refinement/expectation failed   2 usage error
              6 template-analysis errors   7 numeric-analysis errors
              8 report found a regression against ledger history";
 
+/// The value after `flag`, or the usage error "`flag` needs `what`".
+fn take_value<'a>(
+    it: &mut std::slice::Iter<'a, String>,
+    flag: &str,
+    what: &str,
+) -> Result<&'a String, CliError> {
+    it.next()
+        .ok_or_else(|| CliError(format!("{flag} needs {what}")))
+}
+
+/// Consumes the value of a `--map name=expr` or `--maps FILE` flag into
+/// `maps`.
+fn push_map_flag(
+    it: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+    maps: &mut Vec<(String, String)>,
+) -> Result<(), CliError> {
+    if flag == "--map" {
+        maps.push(parse_map_spec(take_value(it, flag, "name=expr")?)?);
+    } else {
+        let path = take_value(it, flag, "a file path")?;
+        let text =
+            fs::read_to_string(path).map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
+        maps.extend(parse_maps_file(&text)?);
+    }
+    Ok(())
+}
+
 /// Parses argv (without the program name).
 ///
 /// # Errors
@@ -340,27 +368,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             let mut json = false;
             while let Some(flag) = it.next() {
                 match flag.as_str() {
-                    "--gs" => {
-                        gs = Some(
-                            it.next()
-                                .ok_or_else(|| CliError("--gs needs a file path".into()))?
-                                .clone(),
-                        );
-                    }
-                    "--map" => {
-                        let spec = it
-                            .next()
-                            .ok_or_else(|| CliError("--map needs name=expr".into()))?;
-                        maps.push(parse_map_spec(spec)?);
-                    }
-                    "--maps" => {
-                        let path = it
-                            .next()
-                            .ok_or_else(|| CliError("--maps needs a file path".into()))?;
-                        let text = fs::read_to_string(path)
-                            .map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
-                        maps.extend(parse_maps_file(&text)?);
-                    }
+                    "--gs" => gs = Some(take_value(&mut it, flag, "a file path")?.clone()),
+                    "--map" | "--maps" => push_map_flag(&mut it, flag, &mut maps)?,
                     "--json" => json = true,
                     other => return Err(CliError(format!("shard: unknown flag {other}"))),
                 }
@@ -380,9 +389,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             while let Some(flag) = it.next() {
                 match flag.as_str() {
                     "--radius" => {
-                        let n = it
-                            .next()
-                            .ok_or_else(|| CliError("--radius needs a number".into()))?;
+                        let n = take_value(&mut it, flag, "a number")?;
                         radius = Some(
                             n.parse()
                                 .map_err(|_| CliError(format!("--radius: not a number: {n:?}")))?,
@@ -425,34 +432,9 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             let mut json = false;
             while let Some(flag) = it.next() {
                 match flag.as_str() {
-                    "--map" => {
-                        let spec = it
-                            .next()
-                            .ok_or_else(|| CliError("--map needs name=expr".into()))?;
-                        maps.push(parse_map_spec(spec)?);
-                    }
-                    "--maps" => {
-                        let path = it
-                            .next()
-                            .ok_or_else(|| CliError("--maps needs a file path".into()))?;
-                        let text = fs::read_to_string(path)
-                            .map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
-                        maps.extend(parse_maps_file(&text)?);
-                    }
-                    "--emit" => {
-                        emit = Some(
-                            it.next()
-                                .ok_or_else(|| CliError("--emit needs a file path".into()))?
-                                .clone(),
-                        );
-                    }
-                    "--check" => {
-                        check = Some(
-                            it.next()
-                                .ok_or_else(|| CliError("--check needs a file path".into()))?
-                                .clone(),
-                        );
-                    }
+                    "--map" | "--maps" => push_map_flag(&mut it, flag, &mut maps)?,
+                    "--emit" => emit = Some(take_value(&mut it, flag, "a file path")?.clone()),
+                    "--check" => check = Some(take_value(&mut it, flag, "a file path")?.clone()),
                     "--json" => json = true,
                     other => return Err(CliError(format!("certify: unknown flag {other}"))),
                 }
@@ -482,43 +464,18 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             let mut check = None;
             while let Some(arg) = it.next() {
                 match arg.as_str() {
-                    "--map" => {
-                        let spec = it
-                            .next()
-                            .ok_or_else(|| CliError("--map needs name=expr".into()))?;
-                        maps.push(parse_map_spec(spec)?);
-                    }
-                    "--maps" => {
-                        let path = it
-                            .next()
-                            .ok_or_else(|| CliError("--maps needs a file path".into()))?;
-                        let text = fs::read_to_string(path)
-                            .map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
-                        maps.extend(parse_maps_file(&text)?);
-                    }
+                    "--map" | "--maps" => push_map_flag(&mut it, arg, &mut maps)?,
                     "--top" => {
-                        let n = it
-                            .next()
-                            .ok_or_else(|| CliError("--top needs a number".into()))?;
+                        let n = take_value(&mut it, arg, "a number")?;
                         top = n
                             .parse()
                             .map_err(|_| CliError(format!("--top: not a number: {n:?}")))?;
                     }
                     "--json" => json = true,
                     "--perfetto" => {
-                        perfetto = Some(
-                            it.next()
-                                .ok_or_else(|| CliError("--perfetto needs a file path".into()))?
-                                .clone(),
-                        );
+                        perfetto = Some(take_value(&mut it, arg, "a file path")?.clone());
                     }
-                    "--check" => {
-                        check = Some(
-                            it.next()
-                                .ok_or_else(|| CliError("--check needs a file path".into()))?
-                                .clone(),
-                        );
-                    }
+                    "--check" => check = Some(take_value(&mut it, arg, "a file path")?.clone()),
                     flag if flag.starts_with("--") => {
                         return Err(CliError(format!("trace: unknown flag {flag}")))
                     }
@@ -586,34 +543,9 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             let mut fd = None;
             while let Some(flag) = it.next() {
                 match flag.as_str() {
-                    "--map" => {
-                        let spec = it
-                            .next()
-                            .ok_or_else(|| CliError("--map needs name=expr".into()))?;
-                        maps.push(parse_map_spec(spec)?);
-                    }
-                    "--maps" => {
-                        let path = it
-                            .next()
-                            .ok_or_else(|| CliError("--maps needs a file path".into()))?;
-                        let text = fs::read_to_string(path)
-                            .map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
-                        maps.extend(parse_maps_file(&text)?);
-                    }
-                    "--fs" => {
-                        fs = Some(
-                            it.next()
-                                .ok_or_else(|| CliError("--fs needs an expression".into()))?
-                                .clone(),
-                        );
-                    }
-                    "--fd" => {
-                        fd = Some(
-                            it.next()
-                                .ok_or_else(|| CliError("--fd needs an expression".into()))?
-                                .clone(),
-                        );
-                    }
+                    "--map" | "--maps" => push_map_flag(&mut it, flag, &mut maps)?,
+                    "--fs" => fs = Some(take_value(&mut it, flag, "an expression")?.clone()),
+                    "--fd" => fd = Some(take_value(&mut it, flag, "an expression")?.clone()),
                     other => return Err(CliError(format!("unknown flag {other}"))),
                 }
             }
@@ -666,23 +598,15 @@ pub fn parse_invocation(args: &[String]) -> Result<(Command, GlobalFlags), CliEr
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if a == "--trace" {
-            let path = it
-                .next()
-                .ok_or_else(|| CliError("--trace needs a file path".into()))?;
-            flags.trace = Some(path.clone());
+            flags.trace = Some(take_value(&mut it, a, "a file path")?.clone());
         } else if a == "--jobs" {
-            let n = it
-                .next()
-                .ok_or_else(|| CliError("--jobs needs a thread count".into()))?;
+            let n = take_value(&mut it, a, "a thread count")?;
             let n: usize = n
                 .parse()
                 .map_err(|_| CliError(format!("--jobs: not a thread count: {n:?}")))?;
             flags.jobs = Some(n);
         } else if a == "--ledger" {
-            let path = it
-                .next()
-                .ok_or_else(|| CliError("--ledger needs a file path".into()))?;
-            flags.ledger = Some(path.clone());
+            flags.ledger = Some(take_value(&mut it, a, "a file path")?.clone());
         } else if a == "--no-ledger" {
             flags.no_ledger = true;
         } else {
@@ -1199,7 +1123,9 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
                 entangle_iso::analyze(&g)
             };
             let t_iso = t3.elapsed();
-            iso.record_metrics(&m);
+            m.gauge("iso.template.classes")
+                .set(iso.class_count() as u64);
+            m.gauge("iso.template.covered").set(iso.covered() as u64);
             m.histogram("check.stage.lint_us")
                 .observe(t_lint.as_micros() as u64);
             m.histogram("check.stage.shard_us")

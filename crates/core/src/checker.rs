@@ -8,14 +8,14 @@ use std::time::{Duration, Instant};
 
 use entangle_cert::{CertError, Certificate, MappingCert};
 use entangle_egraph::{
-    BackoffSchedule, EGraph, ENode, Extractor, Id, Proof, RecExpr, Rewrite, SaturationReport,
-    StopReason, Symbol,
+    BackoffSchedule, EGraph, ENode, Extractor, Id, Proof, RecExpr, Rewrite, RunReport,
+    SaturationReport, StopReason, Symbol,
 };
 use entangle_ir::{Graph, Node, NodeId, TensorId};
 use entangle_lemmas::{registry, rewrites_of, TensorAnalysis};
 use entangle_par::{with_pool, Renamer, ShardedCache};
 use entangle_symbolic::SymCtx;
-use entangle_trace::{Record, Tracer};
+use entangle_trace::{SpanGuard, Tracer};
 
 use crate::encode::{clean_cost, CleanOps};
 use crate::memo::{build_problem, solve_problem, GdConsumers, Solved, TemplateKey};
@@ -115,10 +115,11 @@ pub struct CheckOptions {
     /// Metrics registry (`entangle-metrics`). The default null registry is
     /// a true no-op, same contract as [`CheckOptions::trace`]; an enabled
     /// registry collects the whole pipeline's counters, gauges, and timing
-    /// histograms, snapshotted into [`CheckOutcome::metrics`]. Metrics are
-    /// recorded outside the saturation loop (or mirrored from telemetry
-    /// the engine already collects unconditionally), so enabling them
-    /// never changes verdicts, relations, or certificates.
+    /// histograms, snapshotted into [`CheckOutcome::metrics`]. Every
+    /// instrument is recorded by this crate from a report an engine
+    /// returned unconditionally (or from a clock read around an engine
+    /// call), so enabling them never changes verdicts, relations, or
+    /// certificates.
     pub metrics: entangle_metrics::Registry,
 }
 
@@ -202,7 +203,7 @@ pub struct SaturationSummary {
 }
 
 impl SaturationSummary {
-    fn record(&mut self, report: &entangle_egraph::RunReport) {
+    fn record(&mut self, report: &RunReport) {
         self.stops.push(report.stop_reason);
         self.telemetry.merge(&report.saturation);
     }
@@ -249,23 +250,24 @@ impl SaturationSummary {
 }
 
 /// Per-lemma application counts, aggregated over the whole check — the raw
-/// data of the paper's Figure 6 heatmap.
+/// data of the paper's Figure 6 heatmap. A view of
+/// [`SaturationSummary::telemetry`]: its rules with at least one
+/// application.
 #[derive(Debug, Clone, Default)]
 pub struct LemmaStats {
     counts: HashMap<String, u64>,
 }
 
 impl LemmaStats {
-    /// Merges another run's counts in.
-    pub fn merge(&mut self, other: &HashMap<String, u64>) {
-        for (k, v) in other {
-            *self.counts.entry(k.clone()).or_insert(0) += v;
+    fn of(telemetry: &SaturationReport) -> LemmaStats {
+        LemmaStats {
+            counts: telemetry
+                .rules
+                .iter()
+                .filter(|(_, r)| r.applications > 0)
+                .map(|(name, r)| (name.clone(), r.applications))
+                .collect(),
         }
-    }
-
-    /// Merges another stats collection in (worker-local → whole-check).
-    pub fn absorb(&mut self, other: &LemmaStats) {
-        self.merge(&other.counts);
     }
 
     /// Applications of one lemma.
@@ -607,39 +609,114 @@ pub fn check_refinement(
     result
 }
 
+/// Runs one pipeline stage under its `stage:{name}` span. The stage is
+/// timed once: the same duration closes the span and is observed into the
+/// `check.stage.{name}_us` histogram, so the two can never disagree — and a
+/// stage that fails is timed like one that succeeds. No clock is read when
+/// both sinks are null.
+fn stage<T>(opts: &CheckOptions, name: &str, body: impl FnOnce(&mut SpanGuard) -> T) -> T {
+    let start = (opts.trace.is_enabled() || opts.metrics.is_enabled()).then(Instant::now);
+    let mut span = opts.trace.span(&format!("stage:{name}"));
+    let out = body(&mut span);
+    if let Some(start) = start {
+        let us = start.elapsed().as_micros() as u64;
+        span.set_elapsed_us(us);
+        opts.metrics
+            .histogram(&format!("check.stage.{name}_us"))
+            .observe(us);
+    }
+    out
+}
+
+/// Runs a trusted-kernel call and records its latency into `histogram` and
+/// its verdict into `cert.verify.{accepted,rejected}`. The clock is read
+/// *around* the untouched call, so metrics cannot change what the kernel
+/// accepts.
+fn timed_kernel(
+    metrics: &entangle_metrics::Registry,
+    histogram: &str,
+    call: impl FnOnce() -> Result<(), CertError>,
+) -> Result<(), CertError> {
+    if !metrics.is_enabled() {
+        return call();
+    }
+    let start = Instant::now();
+    let result = call();
+    metrics
+        .histogram(histogram)
+        .observe(start.elapsed().as_micros() as u64);
+    let verdict = match &result {
+        Ok(()) => "cert.verify.accepted",
+        Err(_) => "cert.verify.rejected",
+    };
+    metrics.counter(verdict).inc();
+    result
+}
+
+/// Records one *fresh* saturation run (a memo replay describes a run
+/// already counted): growth and peak-size gauges, run/iteration/union
+/// counters, per-phase timing histograms, the backoff ban counter and the
+/// e-matching instruments — all read from the report the runner returns
+/// whether or not anyone is measuring.
+fn record_run(m: &entangle_metrics::Registry, report: &RunReport) {
+    if !m.is_enabled() {
+        return;
+    }
+    m.counter("egraph.runs").inc();
+    m.counter("egraph.iterations").add(report.iterations as u64);
+    let search = m.histogram("egraph.phase.search_us");
+    let apply = m.histogram("egraph.phase.apply_us");
+    let rebuild = m.histogram("egraph.phase.rebuild_us");
+    // The whole search phase is the shared traversal.
+    let shared = m.histogram("ematch.search_us");
+    let peak_nodes = m.gauge("egraph.peak_nodes");
+    let peak_classes = m.gauge("egraph.peak_classes");
+    let mut unions = 0u64;
+    for it in &report.saturation.iterations {
+        search.observe(it.search_us);
+        shared.observe(it.search_us);
+        apply.observe(it.apply_us);
+        rebuild.observe(it.rebuild_us);
+        peak_nodes.set_max(it.nodes as u64);
+        peak_classes.set_max(it.classes as u64);
+        unions += it.unions;
+    }
+    // A run cut short before its first iteration boundary still has a
+    // real final size.
+    peak_nodes.set_max(report.egraph_nodes as u64);
+    peak_classes.set_max(report.egraph_classes as u64);
+    m.counter("egraph.unions").add(unions);
+    if report.bans > 0 {
+        m.counter("rules.backoff.bans").add(report.bans);
+    }
+    m.gauge("ematch.trie.nodes")
+        .set_max(report.trie_nodes as u64);
+    m.counter("ematch.candidates.visited")
+        .add(report.ematch_candidates);
+    m.counter("ematch.matches.yielded")
+        .add(report.ematch_yields);
+}
+
 fn check_refinement_inner(
     gs: &Graph,
     gd: &Graph,
     ri: &Relation,
     opts: &CheckOptions,
 ) -> Result<CheckOutcome, RefinementError> {
-    let tracer = &opts.trace;
     let metrics = &opts.metrics;
-    // Stage timers are only armed when a registry is attached; with the
-    // default null registry every stage below runs the identical code.
-    let stage_timer = || metrics.is_enabled().then(Instant::now);
-    let record_stage = |name: &str, t: Option<Instant>| {
-        if let Some(t) = t {
-            metrics
-                .histogram(name)
-                .observe(t.elapsed().as_micros() as u64);
-        }
-    };
     if opts.lint {
-        let t = stage_timer();
-        let mut sp = tracer.span("stage:lint");
-        let r = check_lint(gs, gd);
-        sp.attr(
-            "outcome",
-            match &r {
-                Ok(()) => "ok".to_owned(),
-                Err(RefinementError::Lint { graph, .. }) => format!("errors:{graph}"),
-                Err(_) => unreachable!("check_lint only fails with Lint"),
-            },
-        );
-        drop(sp);
-        record_stage("check.stage.lint_us", t);
-        r?;
+        stage(opts, "lint", |sp| {
+            let r = check_lint(gs, gd);
+            sp.attr(
+                "outcome",
+                match &r {
+                    Ok(()) => "ok".to_owned(),
+                    Err(RefinementError::Lint { graph, .. }) => format!("errors:{graph}"),
+                    Err(_) => unreachable!("check_lint only fails with Lint"),
+                },
+            );
+            r
+        })?;
     }
     for &input in gs.inputs() {
         if !ri.contains(input) {
@@ -651,19 +728,17 @@ fn check_refinement_inner(
     // Abstract sharding propagation (entangle-shard): localize provable
     // layout violations before any e-graph exists.
     if opts.shard {
-        let t = stage_timer();
-        let mut sp = tracer.span("stage:shard");
-        let r = shard_pass(gs, gd, ri);
-        match &r {
-            Ok(hints) => {
-                sp.attr("outcome", "ok");
-                sp.attr("hinted_tensors", *hints);
+        stage(opts, "shard", |sp| {
+            let r = shard_pass(gs, gd, ri);
+            match &r {
+                Ok(hints) => {
+                    sp.attr("outcome", "ok");
+                    sp.attr("hinted_tensors", *hints);
+                }
+                Err(_) => sp.attr("outcome", "violation"),
             }
-            Err(_) => sp.attr("outcome", "violation"),
-        }
-        drop(sp);
-        record_stage("check.stage.shard_us", t);
-        r?;
+            r
+        })?;
     }
 
     let rewrites = opts
@@ -679,7 +754,9 @@ fn check_refinement_inner(
     } else {
         None
     };
-    entangle_rules::record_backoff_metrics(backoff.as_ref(), metrics);
+    metrics
+        .gauge("rules.backoff.throttled")
+        .set(backoff.as_ref().map_or(0, BackoffSchedule::len) as u64);
 
     let mut certificate = opts.certify.then(|| Certificate {
         gs: gs.name().to_owned(),
@@ -694,7 +771,6 @@ fn check_refinement_inner(
     });
 
     let mut relation = ri.clone();
-    let mut stats = LemmaStats::default();
     let mut saturation = SaturationSummary::default();
     let mut op_reports = Vec::with_capacity(gs.num_nodes());
 
@@ -706,88 +782,101 @@ fn check_refinement_inner(
 
     let jobs = opts.jobs.max(1);
     // The saturation memo fronts the one engine for every input. Its key
-    // renders the canonical problem — symbolic shapes and slice bounds
-    // included — and both the memo and `opts.sym_ctx` live exactly as long
-    // as this check, so equal keys pose equal problems.
-    let cache: ShardedCache<Solved> = ShardedCache::with_counters(
-        16,
-        metrics.counter("par.cache.hits"),
-        metrics.counter("par.cache.misses"),
-    );
-    let cfg_fp = engine_fingerprint(opts, &rewrites);
+    // renders the canonical problem only — symbolic shapes and slice bounds
+    // included — and not the engine configuration: the memo, `opts` (limits,
+    // clean set, `sym_ctx`) and the rewrite set all live exactly as long as
+    // this check, so equal keys pose equal problems to the same engine.
+    let cache: ShardedCache<Solved> = ShardedCache::new(16);
     // Static template analysis: the `entangle-iso` partition lifts the memo
     // from per-operator to per-template keys — each repeated-structure
     // class solves its representative once, and members replay or
     // instantiate its certificate instead of re-saturating.
-    let iso_partition = opts.templates.then(|| entangle_iso::analyze(gs));
-    if let Some(a) = &iso_partition {
-        a.record_metrics(metrics);
-    }
-    let templates = iso_partition
-        .as_ref()
-        .map(|a| TemplateInfo::new(a, gs.nodes().len(), metrics));
+    let templates = opts.templates.then(|| {
+        let partition = entangle_iso::analyze(gs);
+        metrics
+            .gauge("iso.template.classes")
+            .set(partition.class_count() as u64);
+        metrics
+            .gauge("iso.template.covered")
+            .set(partition.covered() as u64);
+        TemplateInfo::new(&partition, gs.nodes().len())
+    });
 
-    let map_timer = stage_timer();
-    let map_stage = tracer.span("stage:map");
-    let ctx = MapCtx::new(
-        gs,
-        gd,
-        opts,
-        &rewrites,
-        &cache,
-        cfg_fp,
-        backoff.as_ref(),
-        templates.as_ref(),
-    );
-    let mut st = MapState {
-        relation: &mut relation,
-        stats: &mut stats,
-        saturation: &mut saturation,
-        op_reports: &mut op_reports,
-        certificate: &mut certificate,
-    };
-    map_stage_scheduled(&ctx, &mut st, jobs)?;
-    drop(map_stage);
-    record_stage("check.stage.map_us", map_timer);
+    let mapped = stage(opts, "map", |_| {
+        let ctx = MapCtx::new(
+            gs,
+            gd,
+            opts,
+            &rewrites,
+            &cache,
+            backoff.as_ref(),
+            templates.as_ref(),
+        );
+        let mut st = MapState {
+            relation: &mut relation,
+            saturation: &mut saturation,
+            op_reports: &mut op_reports,
+            certificate: &mut certificate,
+        };
+        map_stage_scheduled(&ctx, &mut st, jobs)
+    });
+    // Read on the failure path too: a failed check has no `CheckOutcome`,
+    // so the registry is all that says how far the memos got.
+    let cache_stats = cache.stats();
+    metrics.counter("par.cache.hits").add(cache_stats.hits);
+    metrics.counter("par.cache.misses").add(cache_stats.misses);
+    let template_stats = templates
+        .as_ref()
+        .map(|t| t.cache.stats())
+        .unwrap_or_default();
+    if templates.is_some() {
+        metrics
+            .counter("par.template.hits")
+            .add(template_stats.hits);
+        metrics
+            .counter("par.template.misses")
+            .add(template_stats.misses);
+    }
+    mapped?;
 
     // Listing 1 line 9: R_o keeps only mappings whose leaves are G_d
     // *outputs* — the tensors a deployed implementation actually emits.
-    let outputs_timer = stage_timer();
-    let mut outputs_stage = tracer.span("stage:outputs");
-    let mut output_relation = Relation::new();
-    for &out in gs.outputs() {
-        let Some(maps) = relation.mappings(out) else {
-            // An output that is a graph input must be covered by R_i (already
-            // checked); an operator output is covered by the loop above.
-            unreachable!("relation must cover every produced tensor");
-        };
-        let over_outputs: Vec<_> = maps
-            .iter()
-            .filter(|m| {
-                m.leaf_symbols()
-                    .iter()
-                    .all(|s| gd_output_names.contains(s.as_str()))
-            })
-            .cloned()
-            .collect();
-        if over_outputs.is_empty() {
-            outputs_stage.attr("outcome", "output-unmapped");
-            return Err(RefinementError::OutputUnmapped {
-                tensor: gs.tensor(out).name.clone(),
-                operator: gs
-                    .producer(out)
-                    .map(|n| n.name.clone())
-                    .unwrap_or_else(|| "<input>".to_owned()),
-                intermediate_mappings: maps.iter().map(|m| m.to_string()).collect(),
-            });
+    let output_relation = stage(opts, "outputs", |sp| {
+        let mut output_relation = Relation::new();
+        for &out in gs.outputs() {
+            let Some(maps) = relation.mappings(out) else {
+                // An output that is a graph input must be covered by R_i
+                // (already checked); an operator output is covered by the
+                // map stage.
+                unreachable!("relation must cover every produced tensor");
+            };
+            let over_outputs: Vec<_> = maps
+                .iter()
+                .filter(|m| {
+                    m.leaf_symbols()
+                        .iter()
+                        .all(|s| gd_output_names.contains(s.as_str()))
+                })
+                .cloned()
+                .collect();
+            if over_outputs.is_empty() {
+                sp.attr("outcome", "output-unmapped");
+                return Err(RefinementError::OutputUnmapped {
+                    tensor: gs.tensor(out).name.clone(),
+                    operator: gs
+                        .producer(out)
+                        .map(|n| n.name.clone())
+                        .unwrap_or_else(|| "<input>".to_owned()),
+                    intermediate_mappings: maps.iter().map(|m| m.to_string()).collect(),
+                });
+            }
+            for m in over_outputs {
+                output_relation.insert(out, m);
+            }
         }
-        for m in over_outputs {
-            output_relation.insert(out, m);
-        }
-    }
-    outputs_stage.attr("outcome", "ok");
-    drop(outputs_stage);
-    record_stage("check.stage.outputs_us", outputs_timer);
+        sp.attr("outcome", "ok");
+        Ok(output_relation)
+    })?;
 
     // Proof-carrying refinement: hand the assembled certificate to the
     // independent trusted kernel. Only a kernel-accepted derivation counts
@@ -800,65 +889,58 @@ fn check_refinement_inner(
                 exprs.iter().map(move |e| (name.clone(), e.clone()))
             })
             .collect();
-        let t = stage_timer();
-        let mut sp = tracer.span("stage:certify");
-        sp.attr("mappings", c.mappings.len());
-        sp.attr("steps", c.total_steps());
-        let r = entangle_cert::verify_with_metrics(c, gs, gd, &rewrites, &opts.sym_ctx, metrics);
-        sp.attr("outcome", if r.is_ok() { "accepted" } else { "rejected" });
-        drop(sp);
-        record_stage("check.stage.certify_us", t);
-        r.map_err(|error| RefinementError::CertRejected { error })?;
+        stage(opts, "certify", |sp| {
+            sp.attr("mappings", c.mappings.len());
+            sp.attr("steps", c.total_steps());
+            let r = timed_kernel(metrics, "cert.verify_us", || {
+                entangle_cert::verify(c, gs, gd, &rewrites, &opts.sym_ctx)
+            });
+            sp.attr("outcome", if r.is_ok() { "accepted" } else { "rejected" });
+            r
+        })
+        .map_err(|error| RefinementError::CertRejected { error })?;
     }
 
     // Static numeric-soundness analysis of the accepted derivation. Runs
     // strictly after the kernel's verdict and can only annotate: per-output
     // verdicts land in the outcome and (as plain tags) in the certificate's
-    // advisory `numeric` section. Deliberately NOT part of
-    // `engine_fingerprint`: the analysis never changes what the solver
-    // computes, so memo entries stay valid across the toggle.
+    // advisory `numeric` section.
     let mut numeric = None;
     if opts.numeric {
         if let Some(c) = &mut certificate {
-            let t = stage_timer();
-            let mut sp = tracer.span("stage:numeric");
-            // The cached front door: repeated checks of the same triple
-            // (CI sweeps, paired benchmarks) replay the stored verdicts
-            // instead of re-walking the chains. The memo is process-global,
-            // so this run's share of its traffic is taken as a delta.
-            let memo_before = entangle_num::memo_stats();
-            let analysis = entangle_num::analyze_certificate_cached(c, gs, gd);
-            if metrics.is_enabled() {
-                // Saturating: concurrent checks share the memo's counters.
-                let memo_after = entangle_num::memo_stats();
-                metrics
-                    .counter("num.memo.hits")
-                    .add(memo_after.0.saturating_sub(memo_before.0));
-                metrics
-                    .counter("num.memo.misses")
-                    .add(memo_after.1.saturating_sub(memo_before.1));
-            }
-            sp.attr("outputs", analysis.outputs.len());
-            sp.attr("steps", analysis.steps_analyzed);
-            sp.attr("arena_nodes", analysis.arena_nodes);
-            sp.attr("subterms", analysis.subterms);
-            sp.attr("subterm_hits", analysis.subterm_hits);
-            sp.attr("gd_pre_us", analysis.gd_pre_us);
-            sp.attr("eval_us", analysis.eval_us);
-            sp.attr("classify_us", analysis.classify_us);
-            sp.attr("dot_hits", analysis.dot_hits);
-            sp.attr("classified_pairs", analysis.classified_pairs);
-            sp.attr("expansions", analysis.expansions);
-            sp.attr("arena_bytes", analysis.arena_bytes);
-            sp.attr(
-                "outcome",
-                if analysis.is_clean() {
-                    "clean"
-                } else {
-                    "flagged"
-                },
-            );
-            drop(sp);
+            let analysis = stage(opts, "numeric", |sp| {
+                // The cached front door: repeated checks of the same triple
+                // (CI sweeps, paired benchmarks) replay the stored verdicts
+                // instead of re-walking the chains.
+                let analysis = entangle_num::analyze_certificate_cached(c, gs, gd);
+                sp.attr("outputs", analysis.outputs.len());
+                sp.attr("steps", analysis.steps_analyzed);
+                sp.attr("arena_nodes", analysis.arena_nodes);
+                sp.attr("subterms", analysis.subterms);
+                sp.attr("subterm_hits", analysis.subterm_hits);
+                sp.attr("gd_pre_us", analysis.gd_pre_us);
+                sp.attr("eval_us", analysis.eval_us);
+                sp.attr("classify_us", analysis.classify_us);
+                sp.attr("dot_hits", analysis.dot_hits);
+                sp.attr("classified_pairs", analysis.classified_pairs);
+                sp.attr("expansions", analysis.expansions);
+                sp.attr("arena_bytes", analysis.arena_bytes);
+                sp.attr(
+                    "outcome",
+                    if analysis.is_clean() {
+                        "clean"
+                    } else {
+                        "flagged"
+                    },
+                );
+                analysis
+            });
+            metrics
+                .counter("num.memo.hits")
+                .add(u64::from(analysis.replayed));
+            metrics
+                .counter("num.memo.misses")
+                .add(u64::from(!analysis.replayed));
             c.numeric = analysis
                 .outputs
                 .iter()
@@ -868,44 +950,37 @@ fn check_refinement_inner(
                     k: o.verdict.k,
                 })
                 .collect();
-            record_stage("check.stage.numeric_us", t);
             numeric = Some(analysis);
         }
     }
 
-    let cache_stats = cache.stats();
-    let template_stats = templates
+    let instantiated = templates
         .as_ref()
-        .map(|t| t.cache.stats())
-        .unwrap_or_default();
-    if metrics.is_enabled() {
-        metrics.gauge("par.jobs").set(jobs as u64);
+        .map_or(0, |t| t.instantiated.load(Relaxed));
+    let fallbacks = templates.as_ref().map_or(0, |t| t.fallbacks.load(Relaxed));
+    let cores = entangle_par::available_jobs();
+    metrics.gauge("par.jobs").set(jobs as u64);
+    metrics.gauge("par.cores").set(cores as u64);
+    metrics
+        .counter("check.operators")
+        .add(op_reports.len() as u64);
+    if templates.is_some() {
         metrics
-            .gauge("par.cores")
-            .set(entangle_par::available_jobs() as u64);
-        metrics
-            .counter("check.operators")
-            .add(op_reports.len() as u64);
-        if let Some(t) = &templates {
-            metrics
-                .counter("par.template.instantiated")
-                .add(t.instantiated.load(Relaxed));
-            metrics
-                .counter("par.template.fallbacks")
-                .add(t.fallbacks.load(Relaxed));
-        }
+            .counter("par.template.instantiated")
+            .add(instantiated);
+        metrics.counter("par.template.fallbacks").add(fallbacks);
     }
     Ok(CheckOutcome {
         output_relation,
         full_relation: relation,
-        lemma_stats: stats,
+        lemma_stats: LemmaStats::of(&saturation.telemetry),
         op_reports,
         saturation,
         certificate,
         numeric,
         par: ParStats {
             jobs,
-            cores: entangle_par::available_jobs(),
+            cores,
             cache_hits: cache_stats.hits,
             cache_misses: cache_stats.misses,
             templates_enabled: templates.is_some(),
@@ -913,20 +988,19 @@ fn check_refinement_inner(
             template_covered: templates.as_ref().map_or(0, |t| t.covered),
             template_hits: template_stats.hits,
             template_misses: template_stats.misses,
-            template_instantiated: templates
-                .as_ref()
-                .map_or(0, |t| t.instantiated.load(Relaxed)),
-            template_fallbacks: templates.as_ref().map_or(0, |t| t.fallbacks.load(Relaxed)),
+            template_instantiated: instantiated,
+            template_fallbacks: fallbacks,
         },
         metrics: metrics.snapshot(),
     })
 }
 
-/// The engine-configuration half of the memo key: everything other than the
-/// canonical problem that can change what [`solve_problem`] computes —
-/// saturation limits, pruning width, certification, the clean-operator set,
-/// and a fingerprint of the lemma corpus (name, searcher, right-hand side —
-/// `~dyn` for programmatic appliers — and conditionality per rewrite).
+/// The engine-configuration half of [`problem_fingerprint`]: everything
+/// other than the graphs and `R_i` that can change what [`solve_problem`]
+/// computes — saturation limits, pruning width, certification, the
+/// clean-operator set, and a fingerprint of the lemma corpus (name,
+/// searcher, right-hand side — `~dyn` for programmatic appliers — and
+/// conditionality per rewrite).
 fn engine_fingerprint(opts: &CheckOptions, rewrites: &[Rewrite<TensorAnalysis>]) -> String {
     use std::fmt::Write;
     let mut fp = String::with_capacity(64 * rewrites.len());
@@ -939,8 +1013,8 @@ fn engine_fingerprint(opts: &CheckOptions, rewrites: &[Rewrite<TensorAnalysis>])
         opts.max_mappings,
         opts.certify,
         opts.rule_backoff,
-        // The matcher *generation* keys the memo: a revised compilation
-        // strategy must never replay entries produced by an older one.
+        // The matcher *generation* keys the baseline: a revised compilation
+        // strategy must not be compared against an older one's numbers.
         format_args!("g{}", entangle_egraph::MATCHER_GENERATION),
         opts.clean,
     );
@@ -1079,11 +1153,7 @@ struct TemplateInfo {
 }
 
 impl TemplateInfo {
-    fn new(
-        analysis: &entangle_iso::IsoAnalysis,
-        num_nodes: usize,
-        metrics: &entangle_metrics::Registry,
-    ) -> TemplateInfo {
+    fn new(analysis: &entangle_iso::IsoAnalysis, num_nodes: usize) -> TemplateInfo {
         let mut class_rep = vec![None; num_nodes];
         for (idx, slot) in class_rep.iter_mut().enumerate() {
             if let Some(class) = analysis.class_of(idx) {
@@ -1094,11 +1164,7 @@ impl TemplateInfo {
             class_rep,
             classes: analysis.class_count(),
             covered: analysis.covered(),
-            cache: ShardedCache::with_counters(
-                16,
-                metrics.counter("par.template.hits"),
-                metrics.counter("par.template.misses"),
-            ),
+            cache: ShardedCache::new(16),
             instantiated: AtomicU64::new(0),
             fallbacks: AtomicU64::new(0),
         }
@@ -1113,7 +1179,6 @@ struct MapCtx<'a> {
     rewrites: &'a [Rewrite<TensorAnalysis>],
     nodes: Vec<&'a Node>,
     cache: &'a ShardedCache<Solved>,
-    cfg_fp: String,
     backoff: Option<&'a BackoffSchedule>,
     templates: Option<&'a TemplateInfo>,
     /// Consumer index over `G_d`, built once and shared by every
@@ -1122,14 +1187,12 @@ struct MapCtx<'a> {
 }
 
 impl<'a> MapCtx<'a> {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         gs: &'a Graph,
         gd: &'a Graph,
         opts: &'a CheckOptions,
         rewrites: &'a [Rewrite<TensorAnalysis>],
         cache: &'a ShardedCache<Solved>,
-        cfg_fp: String,
         backoff: Option<&'a BackoffSchedule>,
         templates: Option<&'a TemplateInfo>,
     ) -> Self {
@@ -1140,7 +1203,6 @@ impl<'a> MapCtx<'a> {
             rewrites,
             nodes: gs.nodes().iter().collect(),
             cache,
-            cfg_fp,
             backoff,
             templates,
             consumers: GdConsumers::new(gd),
@@ -1151,33 +1213,22 @@ impl<'a> MapCtx<'a> {
 /// The coordinator's mutable check state (owned by the calling thread).
 struct MapState<'a> {
     relation: &'a mut Relation,
-    stats: &'a mut LemmaStats,
     saturation: &'a mut SaturationSummary,
     op_reports: &'a mut Vec<OpReport>,
     certificate: &'a mut Option<Certificate>,
 }
 
-/// One operator's successfully computed result, in real (non-canonical)
-/// names.
-struct OpSuccess {
-    mappings: Vec<(RecExpr, Option<Proof>)>,
-    rounds: usize,
-    stop: Option<StopReason>,
-    egraph_nodes: usize,
-}
-
-struct OpFail {
-    stop: Option<StopReason>,
-}
-
-/// Everything a worker hands back for one operator.
+/// Everything a worker hands back for one operator: plain data, recorded
+/// (trace, telemetry, certificate, relation) by the coordinator alone at
+/// the operator's in-order merge turn.
 struct OpResult {
-    outcome: Result<OpSuccess, OpFail>,
-    stats: LemmaStats,
-    summary: SaturationSummary,
-    /// Buffered sub-tracer records (empty when tracing is off), replayed by
-    /// the coordinator at this operator's merge turn.
-    records: Vec<Record>,
+    /// The operator's clean mappings in real (non-canonical) names, ordered
+    /// by `(cost, real text)`; empty when the search found none.
+    mappings: Vec<(RecExpr, Option<Proof>)>,
+    /// The solved canonical problem behind `mappings` — freshly computed or
+    /// replayed from a memo, indistinguishably. `None` when an input had no
+    /// mapping, so no problem could be posed.
+    solved: Option<Arc<Solved>>,
     elapsed: Duration,
 }
 
@@ -1377,15 +1428,16 @@ fn instantiate_template(
                 expr: real_expr.clone(),
                 proof: real_proof.clone(),
             };
-            if entangle_cert::verify_mapping_with_metrics(
-                &mc,
-                ctx.gs,
-                ctx.gd,
-                ctx.rewrites,
-                &ctx.opts.sym_ctx,
-                &accepted,
-                &ctx.opts.metrics,
-            )
+            if timed_kernel(&ctx.opts.metrics, "cert.verify_mapping_us", || {
+                entangle_cert::verify_mapping(
+                    &mc,
+                    ctx.gs,
+                    ctx.gd,
+                    ctx.rewrites,
+                    &ctx.opts.sym_ctx,
+                    &accepted,
+                )
+            })
             .is_ok()
             {
                 mapped.push((*cost, real_expr, Some(real_proof)));
@@ -1406,141 +1458,132 @@ fn instantiate_template(
 /// Solves one operator on the current thread: canonicalize it
 /// ([`build_problem`]), consult the template and saturation memos, and on a
 /// miss run [`solve_problem`]. `per_input` is the snapshot of its inputs'
-/// final mappings (operator order). The operator's spans go to a buffering
-/// sub-tracer for in-order replay.
-fn run_op(ctx: &MapCtx, idx: usize, per_input: &[Vec<RecExpr>], traced: bool) -> OpResult {
+/// final mappings (operator order).
+fn run_op(ctx: &MapCtx, idx: usize, per_input: &[Vec<RecExpr>]) -> OpResult {
     let start = Instant::now();
     let node = ctx.nodes[idx];
-    let (tracer, sink) = if traced {
-        let (t, s) = Tracer::collect();
-        (t, Some(s))
-    } else {
-        (Tracer::null(), None)
+    if per_input.iter().any(|m| m.is_empty()) {
+        return OpResult {
+            mappings: Vec::new(),
+            solved: None,
+            elapsed: start.elapsed(),
+        };
+    }
+    let (problem, back) = build_problem(ctx.gs, ctx.gd, node, per_input, &ctx.consumers);
+    let key = problem.key();
+    // Template lift: a node in a repeated class additionally gets a
+    // per-template key with slice bounds abstracted to placeholders and
+    // frontier-definition names structure-normalized.
+    let tpl = ctx.templates.and_then(|t| {
+        let (class, rep) = t.class_rep[idx]?;
+        let tk = problem.template_key(class)?;
+        Some((t, rep, tk))
+    });
+    // Mappings instantiated from the representative's certificate, in real
+    // names and final order (only set on a cross-bound template hit);
+    // `solved` always remains the telemetry source.
+    let mut instantiated: Option<Vec<(RecExpr, Option<Proof>)>> = None;
+    // Members consult the template memo *before* the concrete memo: the
+    // representative publishes before any member dispatches, so the chosen
+    // path is a static property of the node — never a function of
+    // concrete-cache timing — and member results stay bit-equal for any
+    // worker count. The concrete memo in turn only ever holds
+    // `solve_problem` outputs (instantiated mappings are never inserted
+    // there), keeping its values a pure function of the key.
+    let from_template = match &tpl {
+        Some((t, rep, tk)) if *rep != idx => template_lookup(ctx, node, per_input, &back, t, tk)
+            .map(|(solved, inst)| {
+                instantiated = inst;
+                solved
+            }),
+        _ => None,
     };
-    let mut stats = LemmaStats::default();
-    let mut summary = SaturationSummary::default();
-
-    let mut osp = tracer.span(&format!("op:{}", node.name));
-    osp.attr("op", node.op.name());
-
-    let outcome: Result<OpSuccess, OpFail> = if per_input.iter().any(|m| m.is_empty()) {
-        Err(OpFail { stop: None })
-    } else {
-        let (problem, back) = build_problem(ctx.gs, ctx.gd, node, per_input, &ctx.consumers);
-        let key = problem.key(&ctx.cfg_fp);
-        // Template lift: a node in a repeated class additionally gets a
-        // per-template key with slice bounds abstracted to placeholders and
-        // frontier-definition names structure-normalized.
-        let tpl = ctx.templates.and_then(|t| {
-            let (class, rep) = t.class_rep[idx]?;
-            let tk = problem.template_key(&ctx.cfg_fp, class)?;
-            Some((t, rep, tk))
+    let solved = match from_template {
+        Some(solved) => solved,
+        None => match ctx.cache.get(&key) {
+            Some(v) => v,
+            None => {
+                let fresh = solve_problem(&problem, ctx.opts, ctx.rewrites, ctx.backoff);
+                for report in &fresh.run_reports {
+                    record_run(&ctx.opts.metrics, report);
+                }
+                ctx.cache.insert(key, fresh)
+            }
+        },
+    };
+    // The representative publishes the class entry — whether its own solve
+    // was fresh or a concrete-memo hit — so member behaviour depends only on
+    // the schedule order, not on cache timing. A failed representative
+    // publishes nothing: members with different bounds might still succeed
+    // and must search for themselves.
+    if let Some((t, rep, tk)) = tpl {
+        if rep == idx && !solved.variants.is_empty() {
+            t.cache.insert(
+                tk.key,
+                TemplateEntry {
+                    bounds: tk.bounds,
+                    defs: tk.defs,
+                    solved: solved.clone(),
+                },
+            );
+        }
+    }
+    let mappings = instantiated.unwrap_or_else(|| {
+        // Rename back to real G_d tensors, then order by (cost, real text)
+        // — canonical text order is not real text order.
+        let mut mapped: Vec<(f64, RecExpr, Option<Proof>)> = solved
+            .variants
+            .iter()
+            .map(|(c, e, p)| {
+                (
+                    *c,
+                    back.rename_expr(e),
+                    p.as_ref().map(|p| back.rename_proof(p)),
+                )
+            })
+            .collect();
+        mapped.sort_by(|a, b| {
+            a.0.partial_cmp(&b.0)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| a.1.to_string().cmp(&b.1.to_string()))
         });
-        // Mappings instantiated from the representative's certificate, in
-        // real names and final order (only set on a cross-bound template
-        // hit); `solved` always remains the telemetry source.
-        let mut instantiated: Option<Vec<(RecExpr, Option<Proof>)>> = None;
-        // Members consult the template memo *before* the concrete memo: the
-        // representative publishes before any member dispatches, so the
-        // chosen path is a static property of the node — never a function
-        // of concrete-cache timing — and member results stay bit-equal for
-        // any worker count. The concrete memo in turn only ever holds
-        // `solve_problem` outputs (instantiated mappings are never inserted
-        // there), keeping its values a pure function of the key.
-        let from_template = match &tpl {
-            Some((t, rep, tk)) if *rep != idx => {
-                template_lookup(ctx, node, per_input, &back, t, tk).map(|(solved, inst)| {
-                    instantiated = inst;
-                    solved
-                })
-            }
-            _ => None,
-        };
-        let solved = match from_template {
-            Some(solved) => solved,
-            None => match ctx.cache.get(&key) {
-                Some(v) => v,
-                None => ctx.cache.insert(
-                    key,
-                    solve_problem(&problem, ctx.opts, ctx.rewrites, ctx.backoff),
-                ),
-            },
-        };
-        // The representative publishes the class entry — whether its own
-        // solve was fresh or a concrete-memo hit — so member behaviour
-        // depends only on the schedule order, not on cache timing. A
-        // failed representative publishes nothing: members with different
-        // bounds might still succeed and must search for themselves.
-        if let Some((t, rep, tk)) = tpl {
-            if rep == idx && !solved.variants.is_empty() {
-                t.cache.insert(
-                    tk.key,
-                    TemplateEntry {
-                        bounds: tk.bounds,
-                        defs: tk.defs,
-                        solved: solved.clone(),
-                    },
-                );
-            }
-        }
-        emit_solved_trace(&tracer, &solved);
-        for r in &solved.run_reports {
-            stats.merge(&r.applications);
-            summary.record(r);
-        }
-        if let Some(mappings) = instantiated {
-            Ok(OpSuccess {
-                mappings,
-                rounds: solved.rounds,
-                stop: solved.stop,
-                egraph_nodes: solved.egraph_nodes,
-            })
-        } else if solved.variants.is_empty() {
-            Err(OpFail { stop: solved.stop })
-        } else {
-            // Rename back to real G_d tensors, then order by (cost, real
-            // text) — canonical text order is not real text order.
-            let mut mapped: Vec<(f64, RecExpr, Option<Proof>)> = solved
-                .variants
-                .iter()
-                .map(|(c, e, p)| {
-                    (
-                        *c,
-                        back.rename_expr(e),
-                        p.as_ref().map(|p| back.rename_proof(p)),
-                    )
-                })
-                .collect();
-            mapped.sort_by(|a, b| {
-                a.0.partial_cmp(&b.0)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| a.1.to_string().cmp(&b.1.to_string()))
-            });
-            Ok(OpSuccess {
-                mappings: mapped.into_iter().map(|(_, e, p)| (e, p)).collect(),
-                rounds: solved.rounds,
-                stop: solved.stop,
-                egraph_nodes: solved.egraph_nodes,
-            })
-        }
-    };
-    drop(osp);
+        mapped.into_iter().map(|(_, e, p)| (e, p)).collect()
+    });
     OpResult {
-        outcome,
-        stats,
-        summary,
-        records: sink.map(|s| s.records()).unwrap_or_default(),
+        mappings,
+        solved: Some(solved),
         elapsed: start.elapsed(),
     }
+}
+
+/// Emits one merged operator's `op:` span on the check's tracer, with the
+/// encode/saturate/extract spans of its solved problem nested inside. The
+/// span describes work a worker already did, so it reports that worker's
+/// wall clock; `outcome` sets the coordinator-side attributes.
+fn emit_op_trace(
+    tracer: &Tracer,
+    node: &Node,
+    res: &OpResult,
+    worker: usize,
+    outcome: impl FnOnce(&mut SpanGuard),
+) {
+    if !tracer.is_enabled() {
+        return;
+    }
+    let mut span = tracer.span(&format!("op:{}", node.name));
+    span.set_elapsed_us(res.elapsed.as_micros() as u64);
+    span.attr("op", node.op.name());
+    if let Some(solved) = &res.solved {
+        emit_solved_trace(tracer, solved);
+    }
+    outcome(&mut span);
+    span.attr("worker", worker);
 }
 
 /// Emits the encode/saturate/extract spans for a memoized solution —
 /// identical structure whether the solution was just computed or replayed
 /// from the cache, so trace files are hit/miss-invariant.
 fn emit_solved_trace(tracer: &Tracer, solved: &Solved) {
-    if !tracer.is_enabled() {
-        return;
-    }
     {
         let mut sp = tracer.span("encode");
         sp.attr("nodes", solved.encode_nodes);
@@ -1583,18 +1626,19 @@ fn emit_solved_trace(tracer: &Tracer, solved: &Solved) {
 /// Stages a completed operator's products into the relation so its
 /// consumers can snapshot them. Idempotent (the relation dedups), and
 /// byte-equal to what the in-order merge inserts.
-fn stage_result(ctx: &MapCtx, relation: &mut Relation, idx: usize, success: &OpSuccess) {
+fn stage_result(ctx: &MapCtx, relation: &mut Relation, idx: usize, res: &OpResult) {
     let out = ctx.nodes[idx].output;
-    for (expr, _) in &success.mappings {
+    for (expr, _) in &res.mappings {
         relation.insert(out, expr.clone());
     }
 }
 
-/// Merges one solved operator at its in-order turn: certificate assembly,
-/// relation insertion, trace replay (with the coordinator-side outcome
-/// attributes appended), and the operator report — or the localized
-/// failure, which is the same for any worker count because every earlier
-/// operator already merged with identical inputs.
+/// Merges one solved operator at its in-order turn — the one place a
+/// worker's result is recorded: its run reports fold into the check's
+/// saturation telemetry (once each), then certificate assembly, relation
+/// insertion, the operator's trace spans and the operator report — or the
+/// localized failure, which is the same for any worker count because every
+/// earlier operator already merged with identical inputs.
 fn merge_run(
     ctx: &MapCtx,
     st: &mut MapState,
@@ -1604,76 +1648,16 @@ fn merge_run(
 ) -> Result<(), RefinementError> {
     let node = ctx.nodes[idx];
     let tracer = &ctx.opts.trace;
-    st.stats.absorb(&res.stats);
-    st.saturation
-        .stops
-        .extend(res.summary.stops.iter().copied());
-    st.saturation.telemetry.merge(&res.summary.telemetry);
-    match res.outcome {
-        Ok(success) => {
-            // The inputs' first mappings, read from the already-merged
-            // relation (the certificate's recorded operator inputs).
-            let first_inputs: Vec<RecExpr> = node
-                .inputs
-                .iter()
-                .filter_map(|&t| {
-                    st.relation
-                        .mappings(t)
-                        .and_then(<[RecExpr]>::first)
-                        .cloned()
-                })
-                .collect();
-            for (expr, proof) in &success.mappings {
-                if let Some(c) = st.certificate.as_mut() {
-                    let proof = proof.clone().ok_or_else(|| RefinementError::CertRejected {
-                        error: CertError::Rejected {
-                            tensor: ctx.gs.tensor(node.output).name.clone(),
-                            reason: format!(
-                                "the engine could not extract a rewrite chain for {expr}"
-                            ),
-                        },
-                    })?;
-                    c.mappings.push(MappingCert {
-                        tensor: ctx.gs.tensor(node.output).name.clone(),
-                        operator: node.name.clone(),
-                        inputs: first_inputs.clone(),
-                        expr: expr.clone(),
-                        proof,
-                    });
-                }
-                st.relation.insert(node.output, expr.clone());
-            }
-            let n_mappings = st
-                .relation
-                .mappings(node.output)
-                .map_or(0, <[RecExpr]>::len);
-            let mut extra: Vec<(String, String)> = vec![
-                ("mappings".to_owned(), n_mappings.to_string()),
-                ("egraph_nodes".to_owned(), success.egraph_nodes.to_string()),
-                ("rounds".to_owned(), success.rounds.to_string()),
-            ];
-            if let Some(stop) = success.stop {
-                extra.push(("stop".to_owned(), stop.to_string()));
-            }
-            extra.push(("worker".to_owned(), worker.to_string()));
-            tracer.replay_records(&res.records, &extra);
-            st.op_reports.push(OpReport {
-                name: node.name.clone(),
-                elapsed: res.elapsed,
-                egraph_nodes: success.egraph_nodes,
-                mappings: n_mappings,
-                rounds: success.rounds,
-                stop: success.stop,
+    for report in res.solved.iter().flat_map(|s| &s.run_reports) {
+        st.saturation.record(report);
+    }
+    let solved = match &res.solved {
+        Some(solved) if !res.mappings.is_empty() => solved,
+        unmapped => {
+            emit_op_trace(tracer, node, &res, worker, |sp| {
+                sp.attr("outcome", "operator-unmapped");
             });
-            Ok(())
-        }
-        Err(failure) => {
-            let extra = vec![
-                ("outcome".to_owned(), "operator-unmapped".to_owned()),
-                ("worker".to_owned(), worker.to_string()),
-            ];
-            tracer.replay_records(&res.records, &extra);
-            Err(RefinementError::OperatorUnmapped {
+            return Err(RefinementError::OperatorUnmapped {
                 operator: node.name.clone(),
                 op: node.op.name().to_owned(),
                 node: node.id,
@@ -1690,10 +1674,61 @@ fn merge_run(
                         )
                     })
                     .collect(),
-                stop: failure.stop,
-            })
+                stop: unmapped.as_ref().and_then(|s| s.stop),
+            });
         }
+    };
+    // The inputs' first mappings, read from the already-merged relation
+    // (the certificate's recorded operator inputs).
+    let first_inputs: Vec<RecExpr> = node
+        .inputs
+        .iter()
+        .filter_map(|&t| {
+            st.relation
+                .mappings(t)
+                .and_then(<[RecExpr]>::first)
+                .cloned()
+        })
+        .collect();
+    for (expr, proof) in &res.mappings {
+        if let Some(c) = st.certificate.as_mut() {
+            let proof = proof.clone().ok_or_else(|| RefinementError::CertRejected {
+                error: CertError::Rejected {
+                    tensor: ctx.gs.tensor(node.output).name.clone(),
+                    reason: format!("the engine could not extract a rewrite chain for {expr}"),
+                },
+            })?;
+            c.mappings.push(MappingCert {
+                tensor: ctx.gs.tensor(node.output).name.clone(),
+                operator: node.name.clone(),
+                inputs: first_inputs.clone(),
+                expr: expr.clone(),
+                proof,
+            });
+        }
+        st.relation.insert(node.output, expr.clone());
     }
+    let n_mappings = st
+        .relation
+        .mappings(node.output)
+        .map_or(0, <[RecExpr]>::len);
+    emit_op_trace(tracer, node, &res, worker, |sp| {
+        sp.attr("mappings", n_mappings);
+        sp.attr("egraph_nodes", solved.egraph_nodes);
+        sp.attr("rounds", solved.rounds);
+        if let Some(stop) = solved.stop {
+            sp.attr("stop", stop);
+        }
+    });
+    st.op_reports.push(OpReport {
+        name: node.name.clone(),
+        elapsed: res.elapsed,
+        egraph_nodes: solved.egraph_nodes,
+        mappings: n_mappings,
+        rounds: solved.rounds,
+        stop: solved.stop,
+    });
+    Ok(())
 }
 
 /// Snapshot of an operator's input mappings at dispatch time. Producers
@@ -1718,13 +1753,12 @@ fn map_stage_scheduled(
     jobs: usize,
 ) -> Result<(), RefinementError> {
     let n = ctx.nodes.len();
-    let traced = ctx.opts.trace.is_enabled();
 
     if jobs <= 1 {
         // In-process scheduling: same engine, no worker threads.
         for idx in 0..n {
             let per_input = snapshot_inputs(st.relation, ctx.nodes[idx]);
-            let res = run_op(ctx, idx, &per_input, traced);
+            let res = run_op(ctx, idx, &per_input);
             merge_run(ctx, st, idx, res, 0)?;
         }
         return Ok(());
@@ -1781,7 +1815,7 @@ fn map_stage_scheduled(
     // stop dispatching them so the check drains promptly.
     let mut min_failed: Option<usize> = None;
 
-    let work = |idx: usize, per_input: Vec<Vec<RecExpr>>| run_op(ctx, idx, &per_input, traced);
+    let work = |idx: usize, per_input: Vec<Vec<RecExpr>>| run_op(ctx, idx, &per_input);
 
     with_pool(jobs, work, |pool| -> Result<(), RefinementError> {
         loop {
@@ -1809,18 +1843,15 @@ fn map_stage_scheduled(
                 "scheduler stalled: operator {merge_ptr} of {n} neither completed nor in flight"
             );
             let (idx, worker, res) = pool.recv();
-            match &res.outcome {
-                Ok(success) => {
-                    stage_result(ctx, st.relation, idx, success);
-                    for &c in &consumers[idx] {
-                        dep_count[c] -= 1;
-                        if dep_count[c] == 0 && !dispatched[c] {
-                            ready.insert(c);
-                        }
+            if res.mappings.is_empty() {
+                min_failed = Some(min_failed.map_or(idx, |f| f.min(idx)));
+            } else {
+                stage_result(ctx, st.relation, idx, &res);
+                for &c in &consumers[idx] {
+                    dep_count[c] -= 1;
+                    if dep_count[c] == 0 && !dispatched[c] {
+                        ready.insert(c);
                     }
-                }
-                Err(_) => {
-                    min_failed = Some(min_failed.map_or(idx, |f| f.min(idx)));
                 }
             }
             pending.insert(idx, (res, worker));

@@ -57,8 +57,8 @@ pub(crate) struct CanonLeaf {
 }
 
 /// A naming-independent per-operator mapping problem: everything
-/// [`solve_problem`] reads. Two operators with equal problems (and equal
-/// engine configuration) have byte-identical solutions.
+/// [`solve_problem`] reads. Two operators of one check with equal problems
+/// have byte-identical solutions.
 #[derive(Debug)]
 pub(crate) struct OpProblem {
     pub op: Op,
@@ -262,12 +262,14 @@ pub(crate) fn build_problem(
 }
 
 impl OpProblem {
-    /// The cache key: the problem rendered canonically, plus the engine
-    /// configuration fingerprint (`cfg` — limits, clean set, lemma corpus)
-    /// computed once per check.
-    pub(crate) fn key(&self, cfg: &str) -> String {
+    /// The cache key: the problem rendered canonically. The engine
+    /// configuration (limits, clean set, lemma corpus) is deliberately not
+    /// part of it: both memos are created inside one `check_refinement`
+    /// call and die with it, so every key they ever hold was posed under
+    /// the same `opts` and rewrite set.
+    pub(crate) fn key(&self) -> String {
         use std::fmt::Write;
-        let mut k = String::with_capacity(256 + cfg.len());
+        let mut k = String::with_capacity(256);
         let _ = write!(k, "op={:?};", self.op);
         for (name, exprs) in &self.inputs {
             let _ = write!(k, "in {name}:");
@@ -285,7 +287,6 @@ impl OpProblem {
         for l in &self.leaves {
             let _ = write!(k, "leaf {}:{}:{:?}:{};", l.name, l.shape, l.dtype, l.prefer);
         }
-        k.push_str(cfg);
         k
     }
 
@@ -315,10 +316,10 @@ impl OpProblem {
     ///
     /// Returns `None` when a closure round cannot be topologically ordered
     /// (never happens for frontier output — defensive only).
-    pub(crate) fn template_key(&self, cfg: &str, class: usize) -> Option<TemplateKey> {
+    pub(crate) fn template_key(&self, class: usize) -> Option<TemplateKey> {
         use std::fmt::Write;
         let mut bounds = Vec::new();
-        let mut key = String::with_capacity(512 + cfg.len());
+        let mut key = String::with_capacity(512);
         let _ = write!(key, "class={class};op=");
         abstract_op(&mut key, &self.op, &mut bounds);
         key.push(';');
@@ -446,7 +447,6 @@ impl OpProblem {
                 norm[out], l.shape, l.dtype, l.prefer
             );
         }
-        key.push_str(cfg);
         Some(TemplateKey {
             key,
             bounds,
@@ -595,8 +595,7 @@ pub(crate) fn solve_problem(
             .with_iter_limit(opts.iter_limit)
             .with_node_limit(opts.node_limit)
             .with_time_limit(opts.time_limit)
-            .with_backoff(backoff.cloned())
-            .with_metrics(opts.metrics.clone());
+            .with_backoff(backoff.cloned());
         let report = runner.run(rewrites);
         eg = runner.egraph;
         if report.stop_reason.is_limit() || stop.is_none() {

@@ -3,8 +3,6 @@
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
-use entangle_metrics::Registry;
-
 use crate::egraph::{Analysis, EGraph};
 use crate::machine::CompiledMatcher;
 use crate::rewrite::Rewrite;
@@ -237,8 +235,14 @@ pub struct RunReport {
     pub egraph_classes: usize,
     /// Wall-clock time of the run.
     pub elapsed: Duration,
-    /// Per-rule count of e-graph-changing applications.
-    pub applications: HashMap<String, u64>,
+    /// Times the [`BackoffSchedule`] banned a throttled rule.
+    pub bans: u64,
+    /// Candidate e-nodes the shared traversal examined, over all iterations.
+    pub ematch_candidates: u64,
+    /// Substitutions the shared traversal yielded, over all iterations.
+    pub ematch_yields: u64,
+    /// Nodes of the [`CompiledMatcher`] discrimination tree the run built.
+    pub trie_nodes: usize,
     /// Per-iteration and per-rule telemetry.
     pub saturation: SaturationReport,
 }
@@ -257,7 +261,7 @@ pub struct RunReport {
 /// let mut runner = Runner::new(eg);
 /// let report = runner.run(&[comm]);
 /// assert_eq!(runner.egraph.find(ab), runner.egraph.find(ba));
-/// assert!(report.applications["add-comm"] >= 1);
+/// assert!(report.saturation.rules["add-comm"].applications >= 1);
 /// assert!(report.saturation.rules["add-comm"].matches >= 1);
 /// ```
 pub struct Runner<A: Analysis> {
@@ -267,7 +271,6 @@ pub struct Runner<A: Analysis> {
     node_limit: usize,
     time_limit: Duration,
     backoff: Option<BackoffSchedule>,
-    metrics: Registry,
 }
 
 impl<A: Analysis> Runner<A> {
@@ -280,7 +283,6 @@ impl<A: Analysis> Runner<A> {
             node_limit: 50_000,
             time_limit: Duration::from_secs(10),
             backoff: None,
-            metrics: Registry::null(),
         }
     }
 
@@ -309,22 +311,6 @@ impl<A: Analysis> Runner<A> {
         self
     }
 
-    /// Installs a metrics registry (`entangle-metrics`). The default null
-    /// registry records nothing. Recording happens once per run from the
-    /// already-collected [`SaturationReport`] telemetry — never inside the
-    /// search/apply/rebuild loop — so metrics cannot perturb the search:
-    /// growth and peak-size gauges (`egraph.peak_nodes`,
-    /// `egraph.peak_classes`), run/iteration/union counters, per-phase
-    /// timing histograms (`egraph.phase.{search,apply,rebuild}_us`), the
-    /// scheduler-path ban counter (`rules.backoff.bans`), and the
-    /// e-matching instruments (`ematch.trie.nodes`,
-    /// `ematch.candidates.visited`, `ematch.matches.yielded`,
-    /// `ematch.search_us`).
-    pub fn with_metrics(mut self, metrics: Registry) -> Self {
-        self.metrics = metrics;
-        self
-    }
-
     /// Runs the rewrites to saturation or a limit.
     ///
     /// Each iteration searches *all* rules against the frozen e-graph, then
@@ -343,7 +329,6 @@ impl<A: Analysis> Runner<A> {
     /// unchanged from the unthrottled schedule.
     pub fn run(&mut self, rewrites: &[Rewrite<A>]) -> RunReport {
         let start = Instant::now();
-        let mut applications: HashMap<String, u64> = HashMap::new();
         let mut saturation = SaturationReport::default();
         // Indexed alongside `rewrites` to avoid hashing rule names in the
         // hot loop; folded into the name-keyed map at the end.
@@ -445,10 +430,7 @@ impl<A: Analysis> Runner<A> {
                 let dt = t0.elapsed().as_micros() as u64;
                 per_rule[i].apply_us += dt;
                 apply_us += dt;
-                if changed > 0 {
-                    per_rule[i].applications += changed as u64;
-                    *applications.entry(rw.name().to_owned()).or_insert(0) += changed as u64;
-                }
+                per_rule[i].applications += changed as u64;
             }
             let t0 = Instant::now();
             self.egraph.rebuild();
@@ -487,67 +469,17 @@ impl<A: Analysis> Runner<A> {
             e.search_us += stats.search_us;
             e.apply_us += stats.apply_us;
         }
-        let report = RunReport {
+        RunReport {
             stop_reason,
             iterations,
             egraph_nodes: self.egraph.total_nodes(),
             egraph_classes: self.egraph.num_classes(),
             elapsed: start.elapsed(),
-            applications,
+            bans,
+            ematch_candidates,
+            ematch_yields,
+            trie_nodes: matcher.trie_nodes(),
             saturation,
-        };
-        self.record_metrics(&report, bans, &matcher, ematch_candidates, ematch_yields);
-        report
-    }
-
-    /// Folds one run's already-collected telemetry into the registry.
-    /// Strictly post-run and read-only over the report, so an enabled
-    /// registry observes the identical search a null registry would.
-    fn record_metrics(
-        &self,
-        report: &RunReport,
-        bans: u64,
-        matcher: &CompiledMatcher,
-        ematch_candidates: u64,
-        ematch_yields: u64,
-    ) {
-        if !self.metrics.is_enabled() {
-            return;
-        }
-        let m = &self.metrics;
-        m.counter("egraph.runs").inc();
-        m.counter("egraph.iterations").add(report.iterations as u64);
-        let search = m.histogram("egraph.phase.search_us");
-        let apply = m.histogram("egraph.phase.apply_us");
-        let rebuild = m.histogram("egraph.phase.rebuild_us");
-        let peak_nodes = m.gauge("egraph.peak_nodes");
-        let peak_classes = m.gauge("egraph.peak_classes");
-        let mut unions = 0u64;
-        for it in &report.saturation.iterations {
-            search.observe(it.search_us);
-            apply.observe(it.apply_us);
-            rebuild.observe(it.rebuild_us);
-            peak_nodes.set_max(it.nodes as u64);
-            peak_classes.set_max(it.classes as u64);
-            unions += it.unions;
-        }
-        // A run cut short before its first iteration boundary still has a
-        // real final size.
-        peak_nodes.set_max(report.egraph_nodes as u64);
-        peak_classes.set_max(report.egraph_classes as u64);
-        m.counter("egraph.unions").add(unions);
-        if bans > 0 {
-            m.counter("rules.backoff.bans").add(bans);
-        }
-        m.gauge("ematch.trie.nodes")
-            .set_max(matcher.trie_nodes() as u64);
-        m.counter("ematch.candidates.visited")
-            .add(ematch_candidates);
-        m.counter("ematch.matches.yielded").add(ematch_yields);
-        // The whole search phase is the shared traversal.
-        let shared = m.histogram("ematch.search_us");
-        for it in &report.saturation.iterations {
-            shared.observe(it.search_us);
         }
     }
 }

@@ -293,8 +293,8 @@ fn application_counts_reported() {
     eg.add_expr(&expr("(add p q)"));
     let mut runner = Runner::new(eg);
     let report = runner.run(&rules);
-    assert!(report.applications.get("comm").copied().unwrap_or(0) >= 1);
-    assert_eq!(report.applications.get("never"), None);
+    assert!(report.saturation.rules["comm"].applications >= 1);
+    assert_eq!(report.saturation.rules["never"].applications, 0);
 }
 
 #[test]

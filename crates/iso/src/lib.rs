@@ -118,21 +118,6 @@ impl IsoAnalysis {
         self.class_of.len()
     }
 
-    /// Publishes the partition shape as registry gauges
-    /// (`iso.template.classes`, `iso.template.covered`). A no-op against a
-    /// null registry.
-    pub fn record_metrics(&self, metrics: &entangle_metrics::Registry) {
-        if !metrics.is_enabled() {
-            return;
-        }
-        metrics
-            .gauge("iso.template.classes")
-            .set(self.class_count() as u64);
-        metrics
-            .gauge("iso.template.covered")
-            .set(self.covered() as u64);
-    }
-
     /// Fraction of operators in a repeated class, in percent.
     pub fn coverage_percent(&self) -> f64 {
         if self.operators == 0 {

@@ -79,6 +79,9 @@ pub struct CertAnalysis {
     pub expansions: u64,
     /// Bytes of the arena's nodes, intern tables and side tables.
     pub arena_bytes: usize,
+    /// `true` when [`crate::analyze_certificate_cached`] answered from its
+    /// memo instead of walking the chains.
+    pub replayed: bool,
 }
 
 impl CertAnalysis {
@@ -417,5 +420,6 @@ pub fn analyze_certificate(cert: &Certificate, gs: &Graph, gd: &Graph) -> CertAn
         classified_pairs: stats.classified_pairs,
         expansions: stats.expansions,
         arena_bytes: ctx.arena.bytes(),
+        replayed: false,
     }
 }

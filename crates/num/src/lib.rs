@@ -40,7 +40,7 @@ pub mod sym;
 pub use chain::{analyze_certificate, CertAnalysis, OutputVerdict, K_LOOSE};
 pub use corpus::{analyze_corpus, analyze_registry, CorpusNumAnalysis, RuleMode, RuleNumEntry};
 pub use eval::{eval_op_sym, eval_term, leaf_tensor, ones_tensor, NUMEL_CAP};
-pub use memo::{analyze_certificate_cached, memo_stats};
+pub use memo::analyze_certificate_cached;
 pub use sym::{classify_tensors, Arena, NumClass, Rat, SymTensor, Verdict};
 
 use entangle_lint::json_str;

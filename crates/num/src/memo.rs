@@ -20,7 +20,6 @@
 
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Mutex, OnceLock};
 
 use entangle_cert::Certificate;
@@ -30,15 +29,6 @@ use entangle_ir::Graph;
 use crate::chain::{analyze_certificate, CertAnalysis};
 
 static CACHE: OnceLock<Mutex<HashMap<u64, CertAnalysis>>> = OnceLock::new();
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// Cumulative process-global memo `(hits, misses)`. The checker snapshots
-/// this around each [`analyze_certificate_cached`] call to attribute the
-/// delta to the run's `num.memo.hits`/`num.memo.misses` counters.
-pub fn memo_stats() -> (u64, u64) {
-    (HITS.load(Relaxed), MISSES.load(Relaxed))
-}
 
 /// [`analyze_certificate`] behind the process-global fingerprint table.
 /// The same verdicts, diagnostics and counts as the uncached call.
@@ -46,17 +36,16 @@ pub fn analyze_certificate_cached(cert: &Certificate, gs: &Graph, gd: &Graph) ->
     let key = fingerprint(cert, gs, gd);
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     if let Some(hit) = cache.lock().expect("analysis cache lock").get(&key) {
-        HITS.fetch_add(1, Relaxed);
         // The counts describe the analysis; the times are this call's,
         // and a replay spends none.
         return CertAnalysis {
             gd_pre_us: 0,
             eval_us: 0,
             classify_us: 0,
+            replayed: true,
             ..hit.clone()
         };
     }
-    MISSES.fetch_add(1, Relaxed);
     let analysis = analyze_certificate(cert, gs, gd);
     cache
         .lock()

@@ -6,8 +6,6 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use entangle_metrics::Counter;
-
 /// Cache hit/miss/size statistics, as reported on the CLI's `parallel :`
 /// line.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -56,27 +54,16 @@ pub struct ShardedCache<V> {
     shards: Vec<Mutex<HashMap<String, Arc<V>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    hit_counter: Counter,
-    miss_counter: Counter,
 }
 
 impl<V> ShardedCache<V> {
     /// Creates a cache with `shards` independently locked partitions.
     pub fn new(shards: usize) -> Self {
-        Self::with_counters(shards, Counter::null(), Counter::null())
-    }
-
-    /// Like [`ShardedCache::new`], but mirrors every hit/miss into the
-    /// given registry counters (e.g. `par.cache.hits`/`par.cache.misses`)
-    /// in addition to the local [`CacheStats`] view.
-    pub fn with_counters(shards: usize, hit_counter: Counter, miss_counter: Counter) -> Self {
         let shards = shards.max(1);
         ShardedCache {
             shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            hit_counter,
-            miss_counter,
         }
     }
 
@@ -92,15 +79,9 @@ impl<V> ShardedCache<V> {
     pub fn get(&self, key: &str) -> Option<Arc<V>> {
         let found = self.shard(key).lock().unwrap().get(key).cloned();
         match &found {
-            Some(_) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.hit_counter.inc();
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.miss_counter.inc();
-            }
-        }
+            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
+            None => self.misses.fetch_add(1, Ordering::Relaxed),
+        };
         found
     }
 

@@ -446,21 +446,5 @@ pub fn backoff_schedule(rewrites: &[Rewrite<TensorAnalysis>]) -> Option<BackoffS
     schedule
 }
 
-/// Publishes the derived backoff schedule's shape as the
-/// `rules.backoff.throttled` gauge (0 when no schedule was needed). The
-/// per-run ban count is recorded by the saturation runner itself
-/// (`rules.backoff.bans`), since bans only happen during search.
-pub fn record_backoff_metrics(
-    schedule: Option<&BackoffSchedule>,
-    metrics: &entangle_metrics::Registry,
-) {
-    if !metrics.is_enabled() {
-        return;
-    }
-    metrics
-        .gauge("rules.backoff.throttled")
-        .set(schedule.map_or(0, |s| s.len()) as u64);
-}
-
 #[cfg(test)]
 mod tests;

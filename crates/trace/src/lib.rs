@@ -193,68 +193,6 @@ impl Tracer {
         self.event_at(name, self.now_us(), None, attrs);
     }
 
-    /// Replays records captured by a [`Tracer::collect`] sub-tracer into
-    /// this tracer, as if the work had run inline just now.
-    ///
-    /// Ids are re-assigned from this tracer's counter in record order — the
-    /// same order direct emission would have allocated them — so a check
-    /// whose per-operator spans were buffered on worker threads and replayed
-    /// in operator order produces the *same id sequence* as a sequential
-    /// check emitting directly. Top-level records (parent `None` in the
-    /// sub-tracer) are re-parented onto this tracer's currently open span;
-    /// timestamps are shifted by this tracer's current clock so the stream
-    /// stays monotone. `extra_attrs` are appended to the first top-level
-    /// span's `end` record — the checker adds its coordinator-side outcome
-    /// attributes and the `worker` tag there.
-    pub fn replay_records(&self, records: &[Record], extra_attrs: &[(String, String)]) {
-        let Some(inner) = &self.inner else { return };
-        let base_us = inner.epoch.elapsed().as_micros() as u64;
-        let ambient = inner.stack.lock().unwrap().last().copied();
-        let mut ids: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-        let mut first_top: Option<u64> = None;
-        for rec in records {
-            match rec.kind {
-                RecordKind::Begin | RecordKind::Event => {
-                    let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
-                    ids.insert(rec.id, id);
-                    if rec.kind == RecordKind::Begin && rec.parent.is_none() && first_top.is_none()
-                    {
-                        first_top = Some(rec.id);
-                    }
-                    let parent = match rec.parent {
-                        Some(p) => ids.get(&p).copied(),
-                        None => ambient,
-                    };
-                    inner.sink.record(&Record {
-                        kind: rec.kind,
-                        id,
-                        parent,
-                        name: rec.name.clone(),
-                        t_us: base_us + rec.t_us,
-                        dur_us: rec.dur_us,
-                        attrs: rec.attrs.clone(),
-                    });
-                }
-                RecordKind::End => {
-                    let id = ids.get(&rec.id).copied().unwrap_or(rec.id);
-                    let mut attrs = rec.attrs.clone();
-                    if first_top == Some(rec.id) {
-                        attrs.extend(extra_attrs.iter().cloned());
-                    }
-                    inner.sink.record(&Record {
-                        kind: RecordKind::End,
-                        id,
-                        parent: None,
-                        name: rec.name.clone(),
-                        t_us: base_us + rec.t_us,
-                        dur_us: rec.dur_us,
-                        attrs,
-                    });
-                }
-            }
-        }
-    }
-
     /// Emits an event with an explicit timestamp (and optional duration) —
     /// used to replay telemetry recorded outside the tracer, e.g. the
     /// per-iteration saturation stats the `Runner` collects with its own

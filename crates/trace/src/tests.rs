@@ -144,53 +144,3 @@ fn tracer_clones_share_one_stack() {
     let outer = report.find("outer").unwrap();
     assert_eq!(report.find("inner").unwrap().parent, Some(outer.id));
 }
-
-#[test]
-fn replay_matches_direct_emission_ids_and_structure() {
-    // Direct: a parent span with an op span emitted inline.
-    let (direct, direct_sink) = Tracer::collect();
-    {
-        let _stage = direct.span("stage:map");
-        {
-            let mut op = direct.span("op:q");
-            op.attr("outcome", "ok");
-            direct.event("iteration", &[("unions", "3".to_owned())]);
-        }
-    }
-    // Replayed: the op span buffered on a sub-tracer, then replayed under
-    // the same parent with the outcome attr added coordinator-side.
-    let (main, main_sink) = Tracer::collect();
-    let (sub, sub_sink) = Tracer::collect();
-    {
-        let _op = sub.span("op:q");
-        sub.event("iteration", &[("unions", "3".to_owned())]);
-    }
-    {
-        let _stage = main.span("stage:map");
-        main.replay_records(
-            &sub_sink.records(),
-            &[("outcome".to_owned(), "ok".to_owned())],
-        );
-    }
-    type Stripped = (RecordKind, u64, Option<u64>, String, Vec<(String, String)>);
-    let strip_times = |recs: Vec<Record>| -> Vec<Stripped> {
-        recs.into_iter()
-            .map(|r| (r.kind, r.id, r.parent, r.name, r.attrs))
-            .collect()
-    };
-    assert_eq!(
-        strip_times(direct_sink.records()),
-        strip_times(main_sink.records())
-    );
-    // The replayed stream is still a valid, well-nested trace.
-    TraceReport::from_records(&main_sink.records()).unwrap();
-}
-
-#[test]
-fn replay_into_null_tracer_is_inert() {
-    let (sub, sub_sink) = Tracer::collect();
-    {
-        let _sp = sub.span("op:x");
-    }
-    Tracer::null().replay_records(&sub_sink.records(), &[]);
-}

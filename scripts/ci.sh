@@ -21,6 +21,11 @@ echo "    benchmark/ builds and every workload judges correct"
 # fails here, not as a dirtied benchmark path at run time.
 cargo metadata --format-version 1 --locked --offline --manifest-path benchmark/Cargo.toml >/dev/null \
   || { echo "benchmark/Cargo.lock is stale (a crate manifest changed its dependencies?)"; exit 1; }
+# The telemetry boundary (DESIGN.md): engines return reports, only `entangle`
+# and `entangle-cli` record them. One `_with_metrics` twin here erodes it.
+if grep -rnE 'entangle_metrics|entangle_trace::Tracer' crates/{egraph,cert,iso,rules,par,num,shard}/src; then
+  echo "an engine crate touches the metrics registry or the tracer (return a report instead)"; exit 1
+fi
 
 echo "==> model-zoo shard sweep (entangle shard over exported strategies)"
 cargo run --release -q -p entangle-bench --bin export_zoo -- examples/graphs

@@ -1,10 +1,15 @@
 //! Golden metrics tests: the snapshot a full checker run collects is
-//! deterministic at `jobs = 1` (modulo timing histograms and the
-//! process-global numeric memo), carries the documented instrument
-//! catalogue, and cannot perturb the search; histogram bucket arithmetic
-//! holds for arbitrary values; and ledger records survive the JSONL
-//! round-trip with malformed-line-tolerant reads and the documented
-//! regression noise bands.
+//! pinned, instrument by instrument, against `tests/golden/metrics/*.txt`
+//! (captured at the commit before the registry left the engine crates, so
+//! "same names, same values" is a fact about two commits, not about two
+//! runs of one), on the verified path and on both failure exits that have
+//! no `CheckOutcome`; it carries the documented instrument catalogue and
+//! cannot perturb the search; histogram bucket arithmetic holds for
+//! arbitrary values; and ledger records survive the JSONL round-trip with
+//! malformed-line-tolerant reads and the documented regression noise bands.
+//!
+//! Regenerate after an intentional change with:
+//! `UPDATE_GOLDEN=1 cargo test --test metrics_golden`
 
 use std::collections::BTreeMap;
 
@@ -54,31 +59,59 @@ fn metered_opts() -> CheckOptions {
 }
 
 /// The deterministic projection of a snapshot: counters and gauges minus
-/// the process-global numeric-memo counters (shared across every check in
-/// the test binary), with timing histograms reduced to their observation
-/// *counts* (values are wall-clock noise; how many observations each
-/// instrument takes is not).
-fn deterministic_projection(s: &Snapshot) -> (BTreeMap<String, u64>, BTreeMap<String, u64>) {
-    let scalars: BTreeMap<String, u64> = s
+/// `par.cores` (a property of the machine), with timing histograms reduced
+/// to their observation *counts* (values are wall-clock noise; how many
+/// observations each instrument takes is not). One `name value` line per
+/// scalar, then one `name count N` line per histogram.
+fn deterministic_projection(s: &Snapshot) -> String {
+    let scalars: BTreeMap<&String, &u64> = s
         .counters
         .iter()
-        .filter(|(k, _)| !k.starts_with("num.memo."))
         .chain(s.gauges.iter())
-        .map(|(k, v)| (k.clone(), *v))
+        .filter(|(k, _)| *k != "par.cores")
         .collect();
-    let hist_counts = s
-        .histograms
-        .iter()
-        .map(|(k, h)| (k.clone(), h.count))
-        .collect();
-    (scalars, hist_counts)
+    let mut out = String::new();
+    for (k, v) in scalars {
+        out.push_str(&format!("{k} {v}\n"));
+    }
+    for (k, h) in &s.histograms {
+        out.push_str(&format!("{k} count {}\n", h.count));
+    }
+    out
 }
 
+fn assert_matches_golden(name: &str, got: &str) {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/metrics");
+    let path = format!("{dir}/{name}.txt");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::create_dir_all(dir).expect("golden dir");
+        std::fs::write(&path, got).expect("golden written");
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|_| {
+        panic!("{path} missing — run UPDATE_GOLDEN=1 cargo test --test metrics_golden")
+    });
+    assert_eq!(
+        got, want,
+        "{name}: the metrics snapshot drifted from the golden; if intentional, \
+         regenerate with UPDATE_GOLDEN=1 cargo test --test metrics_golden"
+    );
+}
+
+/// The snapshot of a metered `jobs = 1` check. An unmetered run of the same
+/// triple goes first: the numeric-analysis memo is process-global, so this
+/// makes the metered run a replay (`num.memo.hits 1`) whichever test of
+/// this binary reaches the triple first.
 fn golden_snapshot(
     gs: &entangle_ir::Graph,
     gd: &entangle_ir::Graph,
     ri: &entangle::Relation,
 ) -> Snapshot {
+    let unmetered = CheckOptions {
+        jobs: 1,
+        ..CheckOptions::default()
+    };
+    check_refinement(gs, gd, ri, &unmetered).expect("workload verifies");
     let opts = metered_opts();
     let outcome = check_refinement(gs, gd, ri, &opts).expect("workload verifies");
     assert!(
@@ -92,12 +125,7 @@ fn golden_snapshot(
 fn golden_snapshot_gpt_tp2() {
     let (gs, dist, ri) = gpt_tp2();
     let a = golden_snapshot(&gs, &dist.graph, &ri);
-    let b = golden_snapshot(&gs, &dist.graph, &ri);
-    assert_eq!(
-        deterministic_projection(&a),
-        deterministic_projection(&b),
-        "snapshots at jobs=1 are deterministic across identical runs"
-    );
+    assert_matches_golden("gpt_tp2", &deterministic_projection(&a));
 
     // The instrument catalogue the pipeline documents: e-graph growth,
     // per-operator accounting, scheduler gauges, kernel verdicts.
@@ -145,15 +173,39 @@ fn golden_snapshot_gpt_tp2() {
 fn golden_snapshot_regression_workload() {
     let (gs, dist, ri) = regression_workload();
     let a = golden_snapshot(&gs, &dist.graph, &ri);
-    let b = golden_snapshot(&gs, &dist.graph, &ri);
-    assert_eq!(
-        deterministic_projection(&a),
-        deterministic_projection(&b),
-        "snapshots at jobs=1 are deterministic across identical runs"
-    );
+    assert_matches_golden("regression", &deterministic_projection(&a));
     assert_eq!(a.counter("check.operators"), gs.nodes().len() as u64);
     assert!(a.counter("egraph.runs") > 0);
     assert!(a.counter("egraph.unions") > 0, "saturation performs unions");
+}
+
+/// A failed check has no `CheckOutcome`: the registry the caller passed in
+/// is the only structured record of it (the ledger line of a failed run is
+/// built from exactly this snapshot). Bug 6 fails inside the map stage,
+/// bug 2 at the outputs stage after a complete map.
+#[test]
+fn golden_snapshot_failed_checks() {
+    for (id, kind, failed_stage) in [
+        (6, "operator-unmapped", "map"),
+        (2, "output-unmapped", "outputs"),
+    ] {
+        let case = entangle_parallel::bugs::bug(id, true);
+        let ri = case.relation().expect("bug-case relation is valid");
+        let opts = metered_opts();
+        let err = check_refinement(&case.gs, &case.dist.graph, &ri, &opts)
+            .expect_err("the bug is detected");
+        assert_eq!(err.kind(), kind, "bug {id}");
+        let snapshot = opts.metrics.snapshot();
+        assert_matches_golden(
+            &format!("bug{id}_failed"),
+            &deterministic_projection(&snapshot),
+        );
+        assert_eq!(
+            snapshot.histograms[&format!("check.stage.{failed_stage}_us")].count,
+            1,
+            "bug {id}: the stage that failed is timed like its span"
+        );
+    }
 }
 
 #[test]
