@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 use entangle::{check_expectation, check_refinement, CheckOptions, ExpectationError, Relation};
 use entangle_ir::Graph;
 use entangle_metrics::{ledger, LedgerRecord, NoiseBand, Registry, Snapshot};
-use entangle_trace::{TraceReport, Tracer};
+use entangle_trace::{SpanGuard, TraceReport, Tracer};
 
 /// A parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -646,9 +646,39 @@ pub fn parse_maps_file(text: &str) -> Result<Vec<(String, String)>, CliError> {
 }
 
 fn load_graph(path: &str) -> Result<Graph, CliError> {
+    load_graph_sized(path).map(|(g, _)| g)
+}
+
+/// [`load_graph`], and how many bytes it read.
+fn load_graph_sized(path: &str) -> Result<(Graph, usize), CliError> {
     let text =
         fs::read_to_string(path).map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
-    Graph::from_json(&text).map_err(|e| CliError(format!("{path}: {e}")))
+    let g = Graph::from_json(&text).map_err(|e| CliError(format!("{path}: {e}")))?;
+    Ok((g, text.len()))
+}
+
+/// Reads and validates `G_s` and `G_d` under `sp` (a `stage:parse` span),
+/// which gets the bytes read and the operators decoded.
+fn load_pair(sp: &mut SpanGuard, gs: &str, gd: &str) -> Result<(Graph, Graph), CliError> {
+    let (gs, gs_bytes) = load_graph_sized(gs)?;
+    let (gd, gd_bytes) = load_graph_sized(gd)?;
+    sp.attr("bytes", gs_bytes + gd_bytes);
+    sp.attr("nodes", gs.nodes().len() + gd.nodes().len());
+    Ok((gs, gd))
+}
+
+/// The `stage:parse` of a check: everything between the command line and
+/// `check_refinement` — both graphs read and validated, `R_i` built.
+fn parse_stage(
+    tracer: &Tracer,
+    gs: &str,
+    gd: &str,
+    maps: &[(String, String)],
+) -> Result<(Graph, Graph, Relation), CliError> {
+    let mut sp = tracer.span("stage:parse");
+    let (gs, gd) = load_pair(&mut sp, gs, gd)?;
+    let ri = build_relation(&gs, &gd, maps)?;
+    Ok((gs, gd, ri))
 }
 
 /// Loads a graph for linting: decode-level checks only, so graphs the full
@@ -1177,9 +1207,7 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
             Ok(0)
         }
         Command::Check { gs, gd, maps } => {
-            let gs = load_graph(gs)?;
-            let gd = load_graph(gd)?;
-            let ri = build_relation(&gs, &gd, maps)?;
+            let (gs, gd, ri) = parse_stage(tracer, gs, gd, maps)?;
             let opts = check_options(tracer, flags);
             match ledgered_check(&gs, &gd, &ri, &opts, flags).0 {
                 Ok(outcome) => {
@@ -1203,14 +1231,14 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
             check,
             json,
         } => {
-            let gs = load_graph(gs)?;
-            let gd = load_graph(gd)?;
-
             // Re-check mode: validate a saved certificate with the trusted
             // kernel alone — no relation building, no saturation.
             if let Some(path) = check {
+                let mut sp = tracer.span("stage:parse");
+                let (gs, gd) = load_pair(&mut sp, gs, gd)?;
                 let text = fs::read_to_string(path)
                     .map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
+                sp.attr("cert_bytes", text.len());
                 let cert = match entangle_cert::from_json(&text) {
                     Ok(cert) => cert,
                     Err(e) => {
@@ -1218,6 +1246,7 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
                         return Ok(4);
                     }
                 };
+                drop(sp);
                 let lemmas = entangle_lemmas::rewrites_of(&entangle_lemmas::registry());
                 let mut sp = tracer.span("stage:certify");
                 sp.attr("mappings", cert.mappings.len());
@@ -1254,7 +1283,7 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
                 };
             }
 
-            let ri = build_relation(&gs, &gd, maps)?;
+            let (gs, gd, ri) = parse_stage(tracer, gs, gd, maps)?;
             let opts = check_options(tracer, flags);
             match ledgered_check(&gs, &gd, &ri, &opts, flags).0 {
                 Ok(outcome) => {
@@ -1262,12 +1291,17 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
                         .certificate
                         .as_ref()
                         .expect("certify mode always produces a certificate");
-                    let text = entangle_cert::to_json(cert)
-                        .map_err(|e| CliError(format!("cannot serialize certificate: {e}")))?;
-                    if let Some(path) = emit {
-                        fs::write(path, &text)
-                            .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
-                    }
+                    let text = {
+                        let mut sp = tracer.span("stage:emit");
+                        let text = entangle_cert::to_json(cert)
+                            .map_err(|e| CliError(format!("cannot serialize certificate: {e}")))?;
+                        if let Some(path) = emit {
+                            fs::write(path, &text)
+                                .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
+                        }
+                        sp.attr("bytes", text.len());
+                        text
+                    };
                     if *json {
                         println!("{text}");
                     } else {
@@ -1333,9 +1367,7 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
             fs,
             fd,
         } => {
-            let gs = load_graph(gs)?;
-            let gd = load_graph(gd)?;
-            let ri = build_relation(&gs, &gd, maps)?;
+            let (gs, gd, ri) = parse_stage(tracer, gs, gd, maps)?;
             let fs = fs.parse().map_err(|e| CliError(format!("--fs: {e}")))?;
             let fd = fd.parse().map_err(|e| CliError(format!("--fd: {e}")))?;
             let opts = check_options(tracer, flags);

@@ -346,6 +346,7 @@ fn global_trace_flag_is_exit_code_neutral() {
     assert_eq!(root.attr("exit"), Some("1"));
     // The swapped shards are caught by the propagation pass, before any
     // saturation runs.
+    assert!(report.find("stage:parse").is_some(), "the inputs were read");
     let check = report.find("check_refinement").expect("checker root span");
     assert_eq!(check.attr("outcome"), Some("shard-violation"));
     assert!(report.find("stage:map").is_none(), "search never started");
@@ -437,6 +438,54 @@ fn end_to_end_check_via_files() {
         dot: true,
     };
     assert_eq!(run(&cmd), 0);
+
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// What a certified run does outside `check_refinement` is spanned too:
+/// reading the inputs (`stage:parse`) and writing the certificate
+/// (`stage:emit`), both directly under the `cli:*` root where
+/// `benchmark/`'s stage sum finds them.
+#[test]
+fn parse_and_emit_are_stages_of_the_cli_root() {
+    let dir = tmpdir("parse_and_emit_are_stages");
+    let (gs_path, gd_path, maps_path) = write_gpt_tp2(&dir);
+    let path = |p: &std::path::Path| p.to_str().unwrap().to_owned();
+    let size = |p: &std::path::Path| fs::metadata(p).unwrap().len().to_string();
+    let cert_path = dir.join("cert.json");
+    let trace_path = dir.join("trace.jsonl");
+    let traced = |cmd: &Command| {
+        assert_eq!(run_traced(cmd, Some(trace_path.to_str().unwrap())), 0);
+        entangle_trace::TraceReport::from_jsonl(&fs::read_to_string(&trace_path).unwrap())
+            .expect("balanced trace")
+    };
+    let certify = |emit: Option<String>, check: Option<String>| Command::Certify {
+        gs: path(&gs_path),
+        gd: path(&gd_path),
+        maps: parse_maps_file(&fs::read_to_string(&maps_path).unwrap()).unwrap(),
+        emit,
+        check,
+        json: false,
+    };
+    let graph_bytes =
+        (fs::metadata(&gs_path).unwrap().len() + fs::metadata(&gd_path).unwrap().len()).to_string();
+
+    let report = traced(&certify(Some(path(&cert_path)), None));
+    let root = report.find("cli:certify").expect("cli root span");
+    let parse = report.find("stage:parse").expect("inputs are spanned");
+    assert_eq!(parse.parent, Some(root.id));
+    assert_eq!(parse.attr("bytes"), Some(graph_bytes.as_str()));
+    assert!(parse.attr("nodes").is_some_and(|n| n != "0"));
+    let emit = report.find("stage:emit").expect("the write is spanned");
+    assert_eq!(emit.parent, Some(root.id));
+    assert_eq!(emit.attr("bytes"), Some(size(&cert_path).as_str()));
+
+    // The re-check reads one more file and writes none.
+    let report = traced(&certify(None, Some(path(&cert_path))));
+    let parse = report.find("stage:parse").expect("inputs are spanned");
+    assert_eq!(parse.attr("bytes"), Some(graph_bytes.as_str()));
+    assert_eq!(parse.attr("cert_bytes"), Some(size(&cert_path).as_str()));
+    assert!(report.find("stage:emit").is_none());
 
     fs::remove_dir_all(&dir).ok();
 }

@@ -13,7 +13,7 @@
 //! 4. **numeric soundness**: ground terms are extracted from both classes
 //!    and evaluated through `entangle-runtime` on random leaf tensors; the
 //!    results must agree within a tolerance *derived* from the structure
-//!    of the compared terms (see [`AuditTolerance`]) — pairs that perform
+//!    of the compared terms (`derive_tolerance`) — pairs that perform
 //!    no rounding arithmetic on either side must compare **bit-exact**.
 //!
 //! A lemma that never fires on the corpus is reported as a coverage warning
@@ -59,30 +59,11 @@ const EXACT_OPS: &[&str] = &[
     "embedding",
 ];
 
-/// How the numeric comparison tolerance for a matched/produced term pair
-/// is chosen.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AuditTolerance {
-    /// Derive a per-pair tolerance from term structure: count the op
-    /// applications on both sides that round (anything outside
-    /// [`EXACT_OPS`]), charge each `MAX_REDUCE_WIDTH` rounding sites, and
-    /// require agreement within
-    /// [`entangle_runtime::reassoc_rel_bound`] of the total. A pair with
-    /// zero rounding ops is pure rearrangement and must compare
-    /// **bit-exact** ([`Tolerance::Exact`]).
-    Derived,
-    /// A fixed absolute epsilon, for experiments that need the audit to
-    /// accept a known looseness. Not used on any default path.
-    Fixed(f64),
-}
-
 /// Audit configuration.
 #[derive(Debug, Clone)]
 pub struct AuditOptions {
     /// RNG seed for leaf tensor values.
     pub seed: u64,
-    /// Numeric comparison tolerance policy (derived per pair by default).
-    pub tolerance: AuditTolerance,
     /// Cap on audited matches per lemma (search can yield many bindings of
     /// the same seed; past this many, further matches add no signal).
     pub max_matches_per_lemma: usize,
@@ -92,7 +73,6 @@ impl Default for AuditOptions {
     fn default() -> AuditOptions {
         AuditOptions {
             seed: 0xE17A,
-            tolerance: AuditTolerance::Derived,
             max_matches_per_lemma: 8,
         }
     }
@@ -501,7 +481,6 @@ pub fn audit_lemmas(lemmas: &[Lemma], opts: &AuditOptions) -> AuditReport {
                         lhs_term.as_ref(),
                         rid,
                         &leaves,
-                        opts.tolerance,
                     );
                 }
             }
@@ -531,7 +510,6 @@ fn check_pair(
     lhs_term: Option<&RecExpr>,
     rid: entangle_egraph::Id,
     leaves: &HashMap<String, (Shape, DType, Value)>,
-    tolerance: AuditTolerance,
 ) {
     let rhs_meta = eg[eg.find(rid)].data.clone();
     if let (Some(ls), Some(rs)) = (&lhs_meta.shape, &rhs_meta.shape) {
@@ -564,18 +542,12 @@ fn check_pair(
         return; // NaN/inf noise, not a lemma soundness signal
     }
     entry.numeric_checked += 1;
-    let (ok, demanded) = match tolerance {
-        AuditTolerance::Fixed(eps) => (lv.allclose(&rv, eps), format!("|Δ| ≤ {eps:.1e}")),
-        AuditTolerance::Derived => {
-            let tol = derive_tolerance(lhs_term, &rhs_term);
-            let label = match &tol {
-                Tolerance::Exact => "bit-exact (no rounding ops)".to_owned(),
-                Tolerance::Relative(b) => format!("derived rel ≤ {b:.3e}"),
-            };
-            (lv.within(&rv, &tol), label)
-        }
-    };
-    if !ok {
+    let tol = derive_tolerance(lhs_term, &rhs_term);
+    if !lv.within(&rv, &tol) {
+        let demanded = match &tol {
+            Tolerance::Exact => "bit-exact (no rounding ops)".to_owned(),
+            Tolerance::Relative(b) => format!("derived rel ≤ {b:.3e}"),
+        };
         let diff = lv
             .max_abs_diff(&rv)
             .map_or("shape mismatch".to_owned(), |d| {
@@ -595,10 +567,12 @@ fn check_pair(
     }
 }
 
-/// Derives the comparison tolerance for one term pair: each op application
-/// outside [`EXACT_OPS`] on *either* side contributes `MAX_REDUCE_WIDTH`
-/// rounding sites; zero rounding sites means the pair is pure data
-/// movement and must agree bitwise.
+/// Derives the comparison tolerance for one term pair from term structure:
+/// each op application outside [`EXACT_OPS`] on *either* side contributes
+/// `MAX_REDUCE_WIDTH` rounding sites, and the pair must agree within
+/// [`entangle_runtime::reassoc_rel_bound`] of the total. Zero rounding
+/// sites means the pair is pure data movement and must agree **bit-exact**
+/// ([`Tolerance::Exact`]).
 fn derive_tolerance(lhs: &RecExpr, rhs: &RecExpr) -> Tolerance {
     let k = (rounding_ops(lhs) + rounding_ops(rhs)).saturating_mul(MAX_REDUCE_WIDTH);
     if k == 0 {

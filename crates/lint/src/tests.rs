@@ -2,7 +2,7 @@ use entangle_egraph::Rewrite;
 use entangle_ir::{DType, Dim, Graph, GraphBuilder, Node, NodeId, Op, Shape, Tensor, TensorId};
 use entangle_lemmas::{registry, Category, Lemma, TensorAnalysis};
 
-use crate::audit::{audit_lemmas, AuditOptions, AuditTolerance};
+use crate::audit::{audit_lemmas, AuditOptions};
 use crate::{codes, lint_graph, Anchor, Diagnostic, LintReport, Severity};
 
 fn has_code(report: &crate::LintReport, code: &str) -> bool {
@@ -467,29 +467,6 @@ fn audit_derived_tolerance_catches_sub_epsilon_drift() {
     let report = audit_lemmas(&[broken], &quick_audit());
     assert!(
         report
-            .diagnostics
-            .iter()
-            .any(|d| d.code == codes::LEMMA_NUMERIC_UNSOUND),
-        "{}",
-        report.render()
-    );
-    // A fixed epsilon coarser than the drift does not see it — the derived
-    // tolerance is strictly sharper here.
-    let loose = AuditOptions {
-        tolerance: AuditTolerance::Fixed(1e-6),
-        ..quick_audit()
-    };
-    let broken = fake_lemma(
-        Rewrite::parse(
-            "broken-tiny-scale",
-            "(slice ?x 0 0 1)",
-            "(scalar_mul (slice ?x 0 0 1) 1000000001 1000000000)",
-        )
-        .unwrap(),
-    );
-    let report = audit_lemmas(&[broken], &loose);
-    assert!(
-        !report
             .diagnostics
             .iter()
             .any(|d| d.code == codes::LEMMA_NUMERIC_UNSOUND),

@@ -18,9 +18,10 @@
 //! - **value-changing** — provably different reals: flagged, never given a
 //!   tolerance ([`NumClass::ValueChanging`]).
 //!
-//! The domain ([`sym`]) mirrors the runtime interpreter element by element
-//! over hash-consed symbolic expressions with exact rational coefficients;
-//! [`eval`] is the bit-faithful mirror itself; [`chain`] composes per-step
+//! The domain ([`sym`]) is hash-consed symbolic f64 expressions with exact
+//! rational coefficients; [`eval`] runs `entangle-runtime`'s own operator
+//! kernels over it, so model and oracle are one piece of code at two
+//! element types; [`chain`] composes per-step
 //! verdicts along `entangle-cert` proof chains into one verdict and one
 //! derived tolerance per `R_o` output; [`corpus`] sweeps the whole lemma
 //! registry over a ground palette, catching forged lemmas before they are

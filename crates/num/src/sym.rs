@@ -1,13 +1,14 @@
 //! The abstract domain: hash-consed symbolic f64 expressions with exact
 //! rational coefficients.
 //!
-//! Every tensor element the runtime would compute is mirrored by a node in
-//! an [`Arena`]. The node language is chosen so that *node identity implies
-//! bitwise-equal runtime values*: two elements canonicalize to the same
-//! [`ExprId`] exactly when the interpreter in `entangle-runtime` produces
-//! the same f64 for both (under the canonicalization laws documented on
-//! [`Arena::add`] etc., each of which is justified by an IEEE-754
-//! identity). On top of the exact layer sits a *polynomial normal form*
+//! Every tensor element the runtime would compute is a node in an
+//! [`Arena`]: the runtime's operator kernels run over these nodes exactly
+//! as they run over floats (`crate::eval`). The node language is chosen so
+//! that *node identity implies bitwise-equal runtime values*: two elements
+//! canonicalize to the same [`ExprId`] exactly when the interpreter in
+//! `entangle-runtime` produces the same f64 for both (under the
+//! canonicalization laws documented on [`Arena::add`] etc., each of which
+//! is justified by an IEEE-754 identity). On top of the exact layer sits a *polynomial normal form*
 //! over opaque atoms: two elements with equal normal forms compute the same
 //! real number, and differ at most by reassociation of rounded operations.
 
@@ -1266,8 +1267,9 @@ fn poly_mul(a: &Terms, b: &Terms, out: &mut Vec<(Mono, Rat)>) -> Option<()> {
     Some(())
 }
 
-/// A tensor of symbolic elements, row-major, mirroring
-/// `entangle_runtime::Value` exactly.
+/// A tensor of symbolic elements, row-major: what
+/// `entangle_runtime::Value` is to `f64`. The operator kernels read either
+/// through the same borrowed `entangle_runtime::kernels::View`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SymTensor {
     /// The shape.

@@ -415,14 +415,19 @@ fn throttle_set(classes: &[RuleClass], cycles: &[GenerativeCycle]) -> BTreeSet<S
 /// size-preserving cycle members that fold the drivers' output back down —
 /// runs unthrottled (see [`throttle_set`]).
 pub fn backoff_schedule(rewrites: &[Rewrite<TensorAnalysis>]) -> Option<BackoffSchedule> {
-    // The schedule depends only on the rule list; the registry rejects
-    // duplicate names, so the ordered name sequence identifies it. Memoize
-    // process-wide: parallel sweeps re-derive per check otherwise.
+    // Memoized process-wide (parallel sweeps re-derive per check
+    // otherwise), keyed by everything the passes below read off a rewrite:
+    // a name alone does not identify a rule, since an override may keep the
+    // name and swap the body.
     static CACHE: OnceLock<Mutex<HashMap<u64, Option<BackoffSchedule>>>> = OnceLock::new();
     let key = {
         let mut h = DefaultHasher::new();
         for rw in rewrites {
             rw.name().hash(&mut h);
+            rw.searcher().to_string().hash(&mut h);
+            rw.rhs().map(ToString::to_string).hash(&mut h);
+            rw.rhs_hint().map(ToString::to_string).hash(&mut h);
+            rw.has_condition().hash(&mut h);
         }
         h.finish()
     };

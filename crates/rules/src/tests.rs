@@ -93,6 +93,46 @@ fn throttle_set_spares_simplifying_rules() {
     assert_eq!(schedule.len(), analysis.throttled.len());
 }
 
+/// The schedule memo is keyed by rule bodies, not names: a corpus that
+/// keeps a driver's name and swaps its body for an inert one (what the
+/// `ablations` bin does with `add-assoc`, what any `CheckOptions.rewrites`
+/// override may do) gets its own schedule, whichever of the two is derived
+/// first. The memo is process-wide, so the second call order needs a
+/// second pair of corpora; an inert extra rule makes one.
+#[test]
+fn schedule_memo_tells_same_named_corpora_apart() {
+    let parse = |name: &str, lhs: &str, rhs: &str| {
+        entangle_egraph::Rewrite::parse(name, lhs, rhs).expect("test rule parses")
+    };
+    let pair = |extra: Option<&str>| {
+        let mut shipped = corpus();
+        shipped.extend(extra.map(|name| parse(name, "(sin (cos ?x))", "(cos ?x)")));
+        let mut defused = shipped.clone();
+        for rw in &mut defused {
+            if rw.name() == "scalar_mul-distribute" {
+                *rw = parse(rw.name(), "(cos (sin ?x))", "(sin ?x)");
+            }
+        }
+        (shipped, defused)
+    };
+    let agrees = |rewrites: &[entangle_egraph::Rewrite<entangle_lemmas::TensorAnalysis>]| {
+        let fresh = analyze(rewrites).throttled;
+        let schedule = backoff_schedule(rewrites);
+        assert_eq!(schedule.as_ref().map_or(0, |s| s.len()), fresh.len());
+        for name in &fresh {
+            assert!(
+                schedule.as_ref().is_some_and(|s| s.is_throttled(name)),
+                "{name} is throttled by a fresh analysis, not by the memoized schedule"
+            );
+        }
+        fresh
+    };
+    let (shipped, defused) = pair(None);
+    assert_ne!(agrees(&shipped), agrees(&defused));
+    let (shipped, defused) = pair(Some("schedule-memo-test-pad"));
+    assert_ne!(agrees(&defused), agrees(&shipped));
+}
+
 #[test]
 fn shipped_corpus_has_no_errors() {
     let rewrites = corpus();

@@ -5,6 +5,7 @@ use std::fmt;
 
 use entangle_ir::{Graph, Op, TensorId};
 
+use crate::kernels::{eval_op_in, Algebra, Atom, View};
 use crate::value::Value;
 
 /// Errors raised during evaluation.
@@ -30,149 +31,125 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-fn shape_err(op: &Op, msg: impl fmt::Display) -> EvalError {
-    EvalError::Shape(format!("{op}: {msg}"))
+/// The `f64` algebra: every method is the IEEE-754 operation it names.
+struct F64;
+
+impl Algebra for F64 {
+    type Elem = f64;
+
+    fn int(&mut self, v: i64) -> f64 {
+        v as f64
+    }
+
+    fn add(&mut self, a: f64, b: f64) -> f64 {
+        a + b
+    }
+
+    fn neg(&mut self, a: f64) -> f64 {
+        -a
+    }
+
+    fn mul(&mut self, a: f64, b: f64) -> f64 {
+        a * b
+    }
+
+    fn scale_mul(&mut self, x: f64, numer: i64, denom: i64) -> f64 {
+        (numer as f64 / denom as f64) * x
+    }
+
+    fn scale_div(&mut self, x: f64, n: u64) -> f64 {
+        x / n as f64
+    }
+
+    fn fun(&mut self, atom: Atom, args: &[f64]) -> f64 {
+        const GELU_C: f64 = 0.044715;
+        // Only a handle over an empty table (`Col` of a zero-row embedding)
+        // has no first argument.
+        let x = args.first().copied().unwrap_or(f64::NAN);
+        match atom {
+            Atom::Div => x / args[1],
+            Atom::Max => x.max(args[1]),
+            Atom::Exp => x.exp(),
+            Atom::Ln => x.ln(),
+            Atom::Sqrt => x.sqrt(),
+            Atom::Tanh => x.tanh(),
+            Atom::Gelu => {
+                0.5 * x
+                    * (1.0
+                        + ((2.0 / std::f64::consts::PI).sqrt() * (x + GELU_C * x * x * x)).tanh())
+            }
+            Atom::Silu => x / (1.0 + (-x).exp()),
+            Atom::Relu => x.max(0.0),
+            Atom::Sigmoid => 1.0 / (1.0 + (-x).exp()),
+            Atom::Step => {
+                if x > 0.0 {
+                    1.0
+                } else {
+                    0.0
+                }
+            }
+            Atom::GeluGrad => {
+                let c = (2.0 / std::f64::consts::PI).sqrt();
+                let t = (c * (x + GELU_C * x * x * x)).tanh();
+                0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3.0 * GELU_C * x * x)
+            }
+            Atom::SiluGrad => {
+                let s = 1.0 / (1.0 + (-x).exp());
+                s * (1.0 + x * (1.0 - s))
+            }
+            Atom::Cos => x.cos(),
+            Atom::Sin => x.sin(),
+            Atom::RstdEps => 1.0 / (x + 1e-5).sqrt(),
+            Atom::AttnScale => x * (1.0 / args[1].sqrt()),
+            // Selections by an id that cannot be read. `index` reads every
+            // id, so no kernel result depends on these.
+            Atom::Col | Atom::Row | Atom::Embed | Atom::Sel | Atom::Ind => f64::NAN,
+        }
+    }
+
+    fn dot(
+        &mut self,
+        rows: &[f64],
+        cols: &[f64],
+        (m, k, n): (usize, usize, usize),
+        out: &mut Vec<f64>,
+    ) {
+        for i in 0..m {
+            for j in 0..n {
+                let (row, col) = (&rows[i * k..][..k], &cols[j * k..][..k]);
+                out.push(row.iter().zip(col).fold(0.0, |acc, (a, b)| acc + a * b));
+            }
+        }
+    }
+
+    fn index(&self, e: f64) -> Option<usize> {
+        Some(e.round() as usize)
+    }
+
+    fn admit(&self, _shape: &[usize]) -> Result<(), String> {
+        Ok(())
+    }
 }
 
-fn dim_const(op: &Op, d: &entangle_ir::Dim) -> Result<i64, EvalError> {
-    d.as_const()
-        .ok_or_else(|| EvalError::Symbolic(format!("{op}: attribute {d} is symbolic")))
-}
-
-/// Evaluates one operator on concrete inputs.
+/// Evaluates one operator on concrete inputs: [`eval_op_in`] at `f64`.
 ///
 /// # Errors
 ///
-/// Returns [`EvalError`] on shape violations or unresolved symbolic
-/// attributes.
+/// Returns [`EvalError`] on too few inputs, shape violations, degenerate
+/// attributes, or unresolved symbolic attributes.
 pub fn eval_op(op: &Op, inputs: &[&Value]) -> Result<Value, EvalError> {
-    match op {
-        Op::Add => broadcast_binary(op, inputs, |a, b| a + b),
-        Op::Sub => broadcast_binary(op, inputs, |a, b| a - b),
-        Op::Mul => broadcast_binary(op, inputs, |a, b| a * b),
-        Op::Div => broadcast_binary(op, inputs, |a, b| a / b),
-        Op::Maximum => broadcast_binary(op, inputs, f64::max),
-        Op::Neg => unary(inputs, |x| -x),
-        Op::Exp => unary(inputs, f64::exp),
-        Op::Sqrt => unary(inputs, f64::sqrt),
-        Op::Rsqrt => unary(inputs, |x| 1.0 / x.sqrt()),
-        Op::Tanh => unary(inputs, f64::tanh),
-        Op::Gelu => unary(inputs, |x| {
-            0.5 * x
-                * (1.0 + ((2.0 / std::f64::consts::PI).sqrt() * (x + 0.044715 * x * x * x)).tanh())
-        }),
-        Op::Silu => unary(inputs, |x| x / (1.0 + (-x).exp())),
-        Op::Relu => unary(inputs, |x| x.max(0.0)),
-        Op::Sigmoid => unary(inputs, |x| 1.0 / (1.0 + (-x).exp())),
-        Op::Step => unary(inputs, |x| if x > 0.0 { 1.0 } else { 0.0 }),
-        Op::GeluGrad => unary(inputs, |x| {
-            let c = (2.0 / std::f64::consts::PI).sqrt();
-            let k = 0.044715;
-            let t = (c * (x + k * x * x * x)).tanh();
-            0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3.0 * k * x * x)
-        }),
-        Op::SiluGrad => unary(inputs, |x| {
-            let s = 1.0 / (1.0 + (-x).exp());
-            s * (1.0 + x * (1.0 - s))
-        }),
-        Op::OnesLike => unary(inputs, |_| 1.0),
-        Op::Cos => unary(inputs, f64::cos),
-        Op::Sin => unary(inputs, f64::sin),
-        Op::ScalarMul { numer, denom } => {
-            let k = *numer as f64 / *denom as f64;
-            unary(inputs, |x| k * x)
-        }
-        Op::Identity => Ok(inputs[0].clone()),
-        Op::SumDim { dim, keepdim } => reduce_dim(op, inputs[0], *dim, *keepdim, false),
-        Op::MeanDim { dim, keepdim } => reduce_dim(op, inputs[0], *dim, *keepdim, true),
-        Op::SumAll => Ok(Value::scalar(inputs[0].data().iter().sum())),
-        Op::MeanAll => {
-            let n = inputs[0].numel().max(1) as f64;
-            Ok(Value::scalar(inputs[0].data().iter().sum::<f64>() / n))
-        }
-        Op::Softmax { dim } => softmax(op, inputs[0], *dim),
-        Op::Reshape { shape } => {
-            let dims: Result<Vec<i64>, _> = shape.iter().map(|d| dim_const(op, d)).collect();
-            let dims: Vec<usize> = dims?.into_iter().map(|d| d as usize).collect();
-            let n: usize = dims.iter().product();
-            if n != inputs[0].numel() {
-                return Err(shape_err(op, "reshape changes element count"));
-            }
-            Ok(Value::new(dims, inputs[0].data().to_vec()).expect("checked"))
-        }
-        Op::Transpose { d0, d1 } => {
-            let mut perm: Vec<usize> = (0..inputs[0].rank()).collect();
-            if *d0 >= perm.len() || *d1 >= perm.len() {
-                return Err(shape_err(op, "dim out of range"));
-            }
-            perm.swap(*d0, *d1);
-            Ok(permute(inputs[0], &perm))
-        }
-        Op::Permute { perm } => {
-            if perm.len() != inputs[0].rank() {
-                return Err(shape_err(op, "perm length mismatch"));
-            }
-            Ok(permute(inputs[0], perm))
-        }
-        Op::Slice { dim, start, end } => {
-            let s = dim_const(op, start)? as usize;
-            let e = dim_const(op, end)? as usize;
-            slice(op, inputs[0], *dim, s, e)
-        }
-        Op::Concat { dim } => concat(op, inputs, *dim),
-        Op::Pad { dim, before, after } => {
-            let b = dim_const(op, before)? as usize;
-            let a = dim_const(op, after)? as usize;
-            pad(op, inputs[0], *dim, b, a)
-        }
-        Op::Matmul => matmul(op, inputs[0], inputs[1]),
-        Op::Embedding => embedding(op, inputs[0], inputs[1]),
-        Op::EmbeddingGrad { vocab } => embedding_grad(op, inputs[0], inputs[1], *vocab),
-        Op::LayerNorm => layer_norm(op, inputs[0], inputs[1], Some(inputs[2])),
-        Op::RmsNorm => rms_norm(op, inputs[0], inputs[1]),
-        Op::Rope => rope(op, inputs[0], inputs[1], inputs[2]),
-        Op::Attention { heads, causal } => {
-            attention(op, inputs[0], inputs[1], inputs[2], *heads, *causal)
-        }
-        Op::MseLoss => {
-            if inputs[0].shape() != inputs[1].shape() {
-                return Err(shape_err(op, "pred/target shape mismatch"));
-            }
-            let n = inputs[0].numel().max(1) as f64;
-            let sum: f64 = inputs[0]
-                .data()
-                .iter()
-                .zip(inputs[1].data())
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum();
-            Ok(Value::scalar(sum / n))
-        }
-        Op::CrossEntropy => cross_entropy(op, inputs[0], inputs[1]),
-        Op::AllReduce => {
-            let mut acc = inputs[0].clone();
-            for v in &inputs[1..] {
-                if v.shape() != acc.shape() {
-                    return Err(shape_err(op, "input shape mismatch"));
-                }
-                for (a, b) in acc.data_mut().iter_mut().zip(v.data()) {
-                    *a += b;
-                }
-            }
-            Ok(acc)
-        }
-        Op::AllGather { dim } => concat(op, inputs, *dim),
-        Op::ReduceScatter { dim, rank, world } => {
-            let summed = eval_op(&Op::AllReduce, inputs)?;
-            let size = *summed
-                .shape()
-                .get(*dim)
-                .ok_or_else(|| shape_err(op, "dim out of range"))?;
-            if size % world != 0 {
-                return Err(shape_err(op, "dim not divisible by world size"));
-            }
-            let chunk = size / world;
-            slice(op, &summed, *dim, rank * chunk, (rank + 1) * chunk)
-        }
+    let views: Vec<View<'_, f64>> = inputs
+        .iter()
+        .map(|v| View {
+            shape: v.shape(),
+            data: v.data(),
+        })
+        .collect();
+    match eval_op_in(&mut F64, op, &views) {
+        Ok(t) => Ok(Value::new(t.shape, t.data).expect("kernels size their output")),
+        Err(EvalError::Shape(m)) => Err(EvalError::Shape(format!("{op}: {m}"))),
+        Err(EvalError::Symbolic(m)) => Err(EvalError::Symbolic(format!("{op}: {m}"))),
+        Err(e) => Err(e),
     }
 }
 
@@ -202,457 +179,4 @@ pub fn eval_graph(
         env.insert(node.output, out);
     }
     Ok(env)
-}
-
-// ----- helpers -----
-
-fn unary(inputs: &[&Value], f: impl Fn(f64) -> f64) -> Result<Value, EvalError> {
-    let mut out = inputs[0].clone();
-    for v in out.data_mut() {
-        *v = f(*v);
-    }
-    Ok(out)
-}
-
-fn broadcast_shape(op: &Op, a: &[usize], b: &[usize]) -> Result<Vec<usize>, EvalError> {
-    let rank = a.len().max(b.len());
-    let mut out = vec![0; rank];
-    for (i, slot) in out.iter_mut().enumerate() {
-        let x = a.len().checked_sub(rank - i).map(|j| a[j]).unwrap_or(1);
-        let y = b.len().checked_sub(rank - i).map(|j| b[j]).unwrap_or(1);
-        *slot = if x == y {
-            x
-        } else if x == 1 {
-            y
-        } else if y == 1 {
-            x
-        } else {
-            return Err(shape_err(op, format!("cannot broadcast {a:?} with {b:?}")));
-        };
-    }
-    Ok(out)
-}
-
-fn broadcast_index(full: &[usize], shape: &[usize]) -> Vec<usize> {
-    let offset = full.len() - shape.len();
-    shape
-        .iter()
-        .enumerate()
-        .map(|(i, &d)| if d == 1 { 0 } else { full[offset + i] })
-        .collect()
-}
-
-fn broadcast_binary(
-    op: &Op,
-    inputs: &[&Value],
-    f: impl Fn(f64, f64) -> f64,
-) -> Result<Value, EvalError> {
-    let (a, b) = (inputs[0], inputs[1]);
-    let shape = broadcast_shape(op, a.shape(), b.shape())?;
-    let mut out = Value::zeros(shape);
-    let indices: Vec<Vec<usize>> = out.indices().collect();
-    for idx in indices {
-        let av = a.get(&broadcast_index(&idx, a.shape()));
-        let bv = b.get(&broadcast_index(&idx, b.shape()));
-        out.set(&idx, f(av, bv));
-    }
-    Ok(out)
-}
-
-fn reduce_dim(
-    op: &Op,
-    x: &Value,
-    dim: usize,
-    keepdim: bool,
-    mean: bool,
-) -> Result<Value, EvalError> {
-    if dim >= x.rank() {
-        return Err(shape_err(op, "dim out of range"));
-    }
-    let mut shape = x.shape().to_vec();
-    let n = shape[dim];
-    shape[dim] = 1;
-    let mut out = Value::zeros(shape.clone());
-    let indices: Vec<Vec<usize>> = x.indices().collect();
-    for idx in indices {
-        let mut oidx = idx.clone();
-        oidx[dim] = 0;
-        let cur = out.get(&oidx);
-        out.set(&oidx, cur + x.get(&idx));
-    }
-    if mean && n > 0 {
-        for v in out.data_mut() {
-            *v /= n as f64;
-        }
-    }
-    if keepdim {
-        Ok(out)
-    } else {
-        let mut s = shape;
-        s.remove(dim);
-        Ok(Value::new(s, out.data().to_vec()).expect("consistent"))
-    }
-}
-
-fn softmax(op: &Op, x: &Value, dim: usize) -> Result<Value, EvalError> {
-    if dim >= x.rank() {
-        return Err(shape_err(op, "dim out of range"));
-    }
-    let mut out = x.clone();
-    // Iterate all "rows" along `dim`.
-    let mut outer = x.shape().to_vec();
-    let n = outer.remove(dim);
-    let iter = Value::zeros(outer.clone());
-    let rows: Vec<Vec<usize>> = iter.indices().collect();
-    for row in rows {
-        let mut full = row.clone();
-        full.insert(dim, 0);
-        let mut max = f64::NEG_INFINITY;
-        for k in 0..n {
-            full[dim] = k;
-            max = max.max(x.get(&full));
-        }
-        let mut denom = 0.0;
-        for k in 0..n {
-            full[dim] = k;
-            denom += (x.get(&full) - max).exp();
-        }
-        for k in 0..n {
-            full[dim] = k;
-            out.set(&full, (x.get(&full) - max).exp() / denom);
-        }
-    }
-    Ok(out)
-}
-
-fn permute(x: &Value, perm: &[usize]) -> Value {
-    let shape: Vec<usize> = perm.iter().map(|&p| x.shape()[p]).collect();
-    let mut out = Value::zeros(shape);
-    let indices: Vec<Vec<usize>> = out.indices().collect();
-    for idx in indices {
-        let src: Vec<usize> = {
-            let mut s = vec![0; idx.len()];
-            for (i, &p) in perm.iter().enumerate() {
-                s[p] = idx[i];
-            }
-            s
-        };
-        out.set(&idx, x.get(&src));
-    }
-    out
-}
-
-fn slice(op: &Op, x: &Value, dim: usize, start: usize, end: usize) -> Result<Value, EvalError> {
-    if dim >= x.rank() || end > x.shape()[dim] || start > end {
-        return Err(shape_err(
-            op,
-            format!("invalid slice [{start},{end}) on {:?}", x.shape()),
-        ));
-    }
-    let mut shape = x.shape().to_vec();
-    shape[dim] = end - start;
-    let mut out = Value::zeros(shape);
-    let indices: Vec<Vec<usize>> = out.indices().collect();
-    for idx in indices {
-        let mut src = idx.clone();
-        src[dim] += start;
-        out.set(&idx, x.get(&src));
-    }
-    Ok(out)
-}
-
-fn concat(op: &Op, inputs: &[&Value], dim: usize) -> Result<Value, EvalError> {
-    let first = inputs[0];
-    if dim >= first.rank() {
-        return Err(shape_err(op, "dim out of range"));
-    }
-    let mut total = 0;
-    for v in inputs {
-        if v.rank() != first.rank() {
-            return Err(shape_err(op, "rank mismatch"));
-        }
-        for i in 0..first.rank() {
-            if i != dim && v.shape()[i] != first.shape()[i] {
-                return Err(shape_err(op, "non-concat dim mismatch"));
-            }
-        }
-        total += v.shape()[dim];
-    }
-    let mut shape = first.shape().to_vec();
-    shape[dim] = total;
-    let mut out = Value::zeros(shape);
-    let mut offset = 0;
-    for v in inputs {
-        let indices: Vec<Vec<usize>> = v.indices().collect();
-        for idx in indices {
-            let mut dst = idx.clone();
-            dst[dim] += offset;
-            out.set(&dst, v.get(&idx));
-        }
-        offset += v.shape()[dim];
-    }
-    Ok(out)
-}
-
-fn pad(op: &Op, x: &Value, dim: usize, before: usize, after: usize) -> Result<Value, EvalError> {
-    if dim >= x.rank() {
-        return Err(shape_err(op, "dim out of range"));
-    }
-    let mut shape = x.shape().to_vec();
-    shape[dim] += before + after;
-    let mut out = Value::zeros(shape);
-    let indices: Vec<Vec<usize>> = x.indices().collect();
-    for idx in indices {
-        let mut dst = idx.clone();
-        dst[dim] += before;
-        out.set(&dst, x.get(&idx));
-    }
-    Ok(out)
-}
-
-fn matmul(op: &Op, a: &Value, b: &Value) -> Result<Value, EvalError> {
-    if a.rank() < 2 || b.rank() < 2 {
-        return Err(shape_err(op, "matmul needs rank >= 2"));
-    }
-    let (m, k1) = (a.shape()[a.rank() - 2], a.shape()[a.rank() - 1]);
-    let (k2, n) = (b.shape()[b.rank() - 2], b.shape()[b.rank() - 1]);
-    if k1 != k2 {
-        return Err(shape_err(op, "inner dims differ"));
-    }
-    let abatch = &a.shape()[..a.rank() - 2];
-    let bbatch = &b.shape()[..b.rank() - 2];
-    let batch = broadcast_shape(op, abatch, bbatch)?;
-    let mut shape = batch.clone();
-    shape.extend([m, n]);
-    let mut out = Value::zeros(shape);
-    let biter = Value::zeros(batch.clone());
-    let batches: Vec<Vec<usize>> = if batch.is_empty() {
-        vec![vec![]]
-    } else {
-        biter.indices().collect()
-    };
-    for bidx in batches {
-        let aidx_base = broadcast_index(&bidx, abatch);
-        let bidx_base = broadcast_index(&bidx, bbatch);
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0;
-                for k in 0..k1 {
-                    let mut ai = aidx_base.clone();
-                    ai.extend([i, k]);
-                    let mut bi = bidx_base.clone();
-                    bi.extend([k, j]);
-                    acc += a.get(&ai) * b.get(&bi);
-                }
-                let mut oi = bidx.clone();
-                oi.extend([i, j]);
-                out.set(&oi, acc);
-            }
-        }
-    }
-    Ok(out)
-}
-
-fn embedding(op: &Op, w: &Value, ids: &Value) -> Result<Value, EvalError> {
-    if w.rank() != 2 {
-        return Err(shape_err(op, "weight must be rank 2"));
-    }
-    let (v, h) = (w.shape()[0], w.shape()[1]);
-    let mut shape = ids.shape().to_vec();
-    shape.push(h);
-    let mut out = Value::zeros(shape);
-    let indices: Vec<Vec<usize>> = ids.indices().collect();
-    for idx in indices {
-        let row = ids.get(&idx).round() as usize;
-        if row >= v {
-            return Err(shape_err(op, format!("index {row} out of vocab {v}")));
-        }
-        for j in 0..h {
-            let mut dst = idx.clone();
-            dst.push(j);
-            out.set(&dst, w.get(&[row, j]));
-        }
-    }
-    Ok(out)
-}
-
-fn embedding_grad(op: &Op, ids: &Value, grad: &Value, vocab: usize) -> Result<Value, EvalError> {
-    if grad.rank() != ids.rank() + 1 {
-        return Err(shape_err(op, "grad rank must be ids rank + 1"));
-    }
-    let h = grad.shape()[grad.rank() - 1];
-    if grad.numel() / h.max(1) != ids.numel() {
-        return Err(shape_err(op, "grad batch dims mismatch"));
-    }
-    let mut out = Value::zeros(vec![vocab, h]);
-    for (row, idx) in ids.data().iter().enumerate() {
-        let v = idx.round() as usize;
-        if v >= vocab {
-            return Err(shape_err(op, format!("index {v} out of vocab {vocab}")));
-        }
-        for j in 0..h {
-            out.data_mut()[v * h + j] += grad.data()[row * h + j];
-        }
-    }
-    Ok(out)
-}
-
-const NORM_EPS: f64 = 1e-5;
-
-fn layer_norm(op: &Op, x: &Value, w: &Value, b: Option<&Value>) -> Result<Value, EvalError> {
-    if x.rank() == 0 {
-        return Err(shape_err(op, "rank must be >= 1"));
-    }
-    let h = x.shape()[x.rank() - 1];
-    if w.shape() != [h] {
-        return Err(shape_err(op, "weight size mismatch"));
-    }
-    let mut out = x.clone();
-    let rows = x.numel() / h.max(1);
-    for r in 0..rows {
-        let base = r * h;
-        let row = &x.data()[base..base + h];
-        let mean = row.iter().sum::<f64>() / h as f64;
-        let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / h as f64;
-        let rstd = 1.0 / (var + NORM_EPS).sqrt();
-        for (j, &xv) in row.iter().enumerate() {
-            let normed = (xv - mean) * rstd;
-            let bias = b.map(|bb| bb.data()[j]).unwrap_or(0.0);
-            out.data_mut()[base + j] = normed * w.data()[j] + bias;
-        }
-    }
-    Ok(out)
-}
-
-fn rms_norm(op: &Op, x: &Value, w: &Value) -> Result<Value, EvalError> {
-    if x.rank() == 0 {
-        return Err(shape_err(op, "rank must be >= 1"));
-    }
-    let h = x.shape()[x.rank() - 1];
-    if w.shape() != [h] {
-        return Err(shape_err(op, "weight size mismatch"));
-    }
-    let mut out = x.clone();
-    let rows = x.numel() / h.max(1);
-    for r in 0..rows {
-        let base = r * h;
-        let row = &x.data()[base..base + h];
-        let ms = row.iter().map(|v| v * v).sum::<f64>() / h as f64;
-        let rrms = 1.0 / (ms + NORM_EPS).sqrt();
-        for (j, &xv) in row.iter().enumerate() {
-            out.data_mut()[base + j] = xv * rrms * w.data()[j];
-        }
-    }
-    Ok(out)
-}
-
-fn rope(op: &Op, x: &Value, cos: &Value, sin: &Value) -> Result<Value, EvalError> {
-    // x: [..., s, h]; cos/sin: [s, h]. Interleaved-pair formulation (the
-    // original RoFormer convention): element 2i pairs with 2i+1. Unlike
-    // rotate-half, this convention commutes with even-boundary hidden-dim
-    // splits, which is what lets tensor-parallel head sharding slice the
-    // tables — the property the rope lemmas encode.
-    if x.rank() < 2 || cos.rank() != 2 || cos.shape() != sin.shape() {
-        return Err(shape_err(op, "bad rope inputs"));
-    }
-    let s = x.shape()[x.rank() - 2];
-    let h = x.shape()[x.rank() - 1];
-    if cos.shape() != [s, h] || !h.is_multiple_of(2) {
-        return Err(shape_err(op, "cos table mismatch or odd head dim"));
-    }
-    let mut out = x.clone();
-    let rows = x.numel() / (s * h);
-    for r in 0..rows {
-        for t in 0..s {
-            let base = (r * s + t) * h;
-            for j in (0..h).step_by(2) {
-                let (x0, x1) = (x.data()[base + j], x.data()[base + j + 1]);
-                let (c0, s0) = (cos.get(&[t, j]), sin.get(&[t, j]));
-                let (c1, s1) = (cos.get(&[t, j + 1]), sin.get(&[t, j + 1]));
-                out.data_mut()[base + j] = x0 * c0 - x1 * s0;
-                out.data_mut()[base + j + 1] = x1 * c1 + x0 * s1;
-            }
-        }
-    }
-    Ok(out)
-}
-
-fn attention(
-    op: &Op,
-    q: &Value,
-    k: &Value,
-    v: &Value,
-    heads: usize,
-    causal: bool,
-) -> Result<Value, EvalError> {
-    if q.rank() < 2 || q.shape() != k.shape() || q.shape() != v.shape() {
-        return Err(shape_err(op, "q/k/v shapes must match with rank >= 2"));
-    }
-    let h = q.shape()[q.rank() - 1];
-    let s = q.shape()[q.rank() - 2];
-    if heads == 0 || !h.is_multiple_of(heads) {
-        return Err(shape_err(op, "hidden not divisible by heads"));
-    }
-    let hd = h / heads;
-    let scale = 1.0 / (hd as f64).sqrt();
-    let batches = q.numel() / (s * h);
-    let mut out = Value::zeros(q.shape().to_vec());
-    for b in 0..batches {
-        for head in 0..heads {
-            let col0 = head * hd;
-            // scores[i][j] = q_i · k_j / sqrt(hd), masked, softmaxed; then ×V.
-            for i in 0..s {
-                let qbase = (b * s + i) * h + col0;
-                let mut scores = vec![f64::NEG_INFINITY; s];
-                let limit = if causal { i + 1 } else { s };
-                for (j, score) in scores.iter_mut().enumerate().take(limit) {
-                    let kbase = (b * s + j) * h + col0;
-                    let mut dot = 0.0;
-                    for c in 0..hd {
-                        dot += q.data()[qbase + c] * k.data()[kbase + c];
-                    }
-                    *score = dot * scale;
-                }
-                let max = scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                let mut denom = 0.0;
-                for sc in &mut scores {
-                    *sc = (*sc - max).exp();
-                    denom += *sc;
-                }
-                for c in 0..hd {
-                    let mut acc = 0.0;
-                    for (j, sc) in scores.iter().enumerate() {
-                        let vbase = (b * s + j) * h + col0;
-                        acc += sc / denom * v.data()[vbase + c];
-                    }
-                    out.data_mut()[qbase + c] = acc;
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-fn cross_entropy(op: &Op, logits: &Value, targets: &Value) -> Result<Value, EvalError> {
-    if logits.rank() != targets.rank() + 1 {
-        return Err(shape_err(op, "logits rank must be targets rank + 1"));
-    }
-    let v = logits.shape()[logits.rank() - 1];
-    let rows = logits.numel() / v.max(1);
-    if rows != targets.numel() {
-        return Err(shape_err(op, "batch dims mismatch"));
-    }
-    let mut total = 0.0;
-    for r in 0..rows {
-        let base = r * v;
-        let row = &logits.data()[base..base + v];
-        let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let logsum = row.iter().map(|x| (x - max).exp()).sum::<f64>().ln() + max;
-        let t = targets.data()[r].round() as usize;
-        if t >= v {
-            return Err(shape_err(op, format!("target {t} out of vocab {v}")));
-        }
-        total += logsum - row[t];
-    }
-    Ok(Value::scalar(total / rows as f64))
 }

@@ -15,6 +15,11 @@
 //! This is the substitution for "run it on the GPU cluster": same property,
 //! CPU-sized tensors.
 //!
+//! The operator semantics live in [`kernels`], written once and generic
+//! over the element algebra. [`eval_op`] is that code at `f64`;
+//! `entangle-num` runs the same code over symbolic expressions to derive
+//! the tolerance this interpreter is held to.
+//!
 //! # Examples
 //!
 //! ```
@@ -39,6 +44,7 @@
 #![forbid(unsafe_code)]
 
 mod eval;
+pub mod kernels;
 mod value;
 
 pub use eval::{eval_graph, eval_op, EvalError};

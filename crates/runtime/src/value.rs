@@ -121,11 +121,6 @@ impl Value {
         self.data[off] = v;
     }
 
-    /// Iterates all multi-indices of this shape in row-major order.
-    pub fn indices(&self) -> IndexIter {
-        IndexIter::new(self.shape.clone())
-    }
-
     /// Max absolute difference to another value; `None` on shape mismatch.
     pub fn max_abs_diff(&self, other: &Value) -> Option<f64> {
         if self.shape != other.shape {
@@ -216,48 +211,5 @@ impl fmt::Display for Value {
             write!(f, " {:?}", self.data)?;
         }
         Ok(())
-    }
-}
-
-/// Row-major multi-index iterator over a shape.
-#[derive(Debug, Clone)]
-pub struct IndexIter {
-    shape: Vec<usize>,
-    next: Option<Vec<usize>>,
-}
-
-impl IndexIter {
-    fn new(shape: Vec<usize>) -> IndexIter {
-        let next = if shape.contains(&0) {
-            None
-        } else {
-            Some(vec![0; shape.len()])
-        };
-        IndexIter { shape, next }
-    }
-}
-
-impl Iterator for IndexIter {
-    type Item = Vec<usize>;
-
-    fn next(&mut self) -> Option<Vec<usize>> {
-        let current = self.next.clone()?;
-        // Advance.
-        let mut idx = current.clone();
-        let mut carried = true;
-        for i in (0..self.shape.len()).rev() {
-            idx[i] += 1;
-            if idx[i] < self.shape[i] {
-                carried = false;
-                break;
-            }
-            idx[i] = 0;
-        }
-        self.next = if carried || self.shape.is_empty() {
-            None
-        } else {
-            Some(idx)
-        };
-        Some(current)
     }
 }

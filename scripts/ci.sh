@@ -27,6 +27,16 @@ if grep -rnE 'entangle_metrics|entangle_trace::Tracer' crates/{egraph,cert,iso,r
   echo "an engine crate touches the metrics registry or the tracer (return a report instead)"; exit 1
 fi
 
+# One operator evaluator: `entangle_runtime::kernels::eval_op_in`, which the
+# f64 oracle and the symbolic model both run. An arm that reads an operator's
+# attribute is an evaluator's (the capacity hint in crates/num names every
+# operator too, as `Op::Softmax { .. }`): a second one must not grow back.
+evaluators=$(grep -rn 'Op::Softmax { dim }' crates/runtime/src crates/num/src --include='*.rs' \
+  | grep -v 'tests.rs' | wc -l)
+if [ "$evaluators" -ne 1 ]; then
+  echo "expected one operator evaluator under crates/runtime and crates/num, found $evaluators"; exit 1
+fi
+
 echo "==> model-zoo shard sweep (entangle shard over exported strategies)"
 cargo run --release -q -p entangle-bench --bin export_zoo -- examples/graphs
 for gd in examples/graphs/*.gd.json; do
