@@ -916,14 +916,16 @@ fn check_refinement_inner(
                 sp.attr("outputs", analysis.outputs.len());
                 sp.attr("steps", analysis.steps_analyzed);
                 sp.attr("arena_nodes", analysis.arena_nodes);
+                sp.attr("modelled_nodes", analysis.modelled_nodes);
                 sp.attr("subterms", analysis.subterms);
                 sp.attr("subterm_hits", analysis.subterm_hits);
                 sp.attr("gd_pre_us", analysis.gd_pre_us);
                 sp.attr("eval_us", analysis.eval_us);
                 sp.attr("classify_us", analysis.classify_us);
-                sp.attr("dot_hits", analysis.dot_hits);
+                sp.attr("dots", analysis.dots);
                 sp.attr("classified_pairs", analysis.classified_pairs);
                 sp.attr("expansions", analysis.expansions);
+                sp.attr("dots_unfolded", analysis.dots_unfolded);
                 sp.attr("arena_bytes", analysis.arena_bytes);
                 sp.attr(
                     "outcome",

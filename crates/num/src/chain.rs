@@ -59,8 +59,11 @@ pub struct CertAnalysis {
     pub diagnostics: Vec<Diagnostic>,
     /// Total proof steps classified.
     pub steps_analyzed: usize,
-    /// Arena nodes the walk ended with (what [`ARENA_CAP`] counts).
+    /// Arena nodes the walk ended with, as stored.
     pub arena_nodes: usize,
+    /// Operations those nodes stand for (what [`ARENA_CAP`] counts): a
+    /// `Dot` node is the `2K − 1` multiply-adds of its fold.
+    pub modelled_nodes: usize,
     /// Distinct subterms of the proof-step terms, each evaluated once.
     pub subterms: usize,
     /// Subterm occurrences answered from the subterm table instead.
@@ -71,12 +74,15 @@ pub struct CertAnalysis {
     pub eval_us: u64,
     /// Microseconds classifying the evaluated term pairs.
     pub classify_us: u64,
-    /// Matmul output elements answered from the dot-product memo.
-    pub dot_hits: u64,
+    /// `Dot` nodes interned: one per distinct matmul element.
+    pub dots: u64,
     /// Differing element pairs that ran the difference expansion.
     pub classified_pairs: u64,
     /// Nodes those expansions unfolded, in total.
     pub expansions: u64,
+    /// The `Dot`s among them: the matmul elements a proof step looked
+    /// inside.
+    pub dots_unfolded: u64,
     /// Bytes of the arena's nodes, intern tables and side tables.
     pub arena_bytes: usize,
     /// `true` when [`crate::analyze_certificate_cached`] answered from its
@@ -307,8 +313,8 @@ pub fn analyze_certificate(cert: &Certificate, gs: &Graph, gd: &Graph) -> CertAn
         eval_time: Duration::ZERO,
         classify_time: Duration::ZERO,
     };
-    if ctx.arena.len() > ARENA_CAP {
-        let what = format!("G_d pre-evaluation ({} nodes)", ctx.arena.len());
+    if ctx.arena.modelled() > ARENA_CAP {
+        let what = format!("G_d pre-evaluation ({} nodes)", ctx.arena.modelled());
         ctx.left_model(Anchor::Graph, what, ARENA_CAP_MSG);
     }
 
@@ -411,14 +417,16 @@ pub fn analyze_certificate(cert: &Certificate, gs: &Graph, gd: &Graph) -> CertAn
         diagnostics: ctx.diagnostics,
         steps_analyzed: ctx.steps,
         arena_nodes: ctx.arena.len(),
+        modelled_nodes: ctx.arena.modelled(),
         subterms: ctx.table.subterms(),
         subterm_hits: ctx.table.hits(),
         gd_pre_us: gd_pre.as_micros() as u64,
         eval_us: ctx.eval_time.as_micros() as u64,
         classify_us: ctx.classify_time.as_micros() as u64,
-        dot_hits: stats.dot_hits,
+        dots: stats.dots,
         classified_pairs: stats.classified_pairs,
         expansions: stats.expansions,
+        dots_unfolded: stats.dots_unfolded,
         arena_bytes: ctx.arena.bytes(),
         replayed: false,
     }

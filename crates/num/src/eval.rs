@@ -66,13 +66,15 @@ thread_local! {
 
 /// How many nodes [`graph_tensors_sym`] interns for `g` if no two of its
 /// operators compute the same element: one leaf per input element, and per
-/// operator the count of algebra calls its kernel
-/// (`entangle_runtime::kernels`) makes from the declared shapes
+/// operator the nodes the algebra calls of its kernel
+/// (`entangle_runtime::kernels`) intern, from the declared shapes
 /// (symbolic or oversized tensors count as the element cap). Only ever a
-/// **capacity hint**. Hash-consing merges replicated work, so the true
-/// count is lower (0.2–16 % on the benchmark inputs that stay under the
-/// cap) — which is also why this number must not stand in for it against
-/// [`ARENA_CAP`]: it can exceed the cap when the arena never would.
+/// **capacity hint**, in nodes as stored — not the operations
+/// [`ARENA_CAP`] counts ([`Arena::modelled`]), and not a bound on those
+/// either: hash-consing merges replicated work, so the true count is lower
+/// (2–5 % on the zoo, 90 % on the `gpt_tp8` benchmark input), and an
+/// estimate in the cap's place could leave the model when the arena never
+/// would.
 pub(crate) fn graph_nodes_hint(g: &Graph) -> usize {
     let dims = |t: entangle_ir::TensorId| -> Vec<u64> {
         match const_dims(&g.tensor(t).shape) {
@@ -125,8 +127,8 @@ pub(crate) fn graph_nodes_hint(g: &Graph) -> usize {
             Op::SumDim { .. } | Op::SumAll => x,
             Op::MeanDim { .. } | Op::MeanAll => x + out,
             Op::Softmax { .. } => 5 * out,
-            // K multiplies and K − 1 adds per output element.
-            Op::Matmul => out * (2 * last).saturating_sub(1),
+            // One `Dot` per output element.
+            Op::Matmul => out,
             Op::Embedding => out + ins.get(1).map_or(0, |w| numel(w)),
             // Opaque ids: an indicator per (id, row), a multiply-add per
             // (id, row, column).
@@ -180,8 +182,9 @@ pub fn graph_tensors_sym(
     #[cfg(test)]
     let hint = hint.saturating_mul(HINT_PERCENT.get()) / 100;
     // A quarter more than `g` itself: terms over its tensors are evaluated
-    // into the same arena next, and where they reassociate a sum they
-    // intern it again (1–14 % on top, on the benchmark inputs).
+    // into the same arena next, and where a step reassociates a matmul its
+    // products are interned as the `Dot`s unfold (14–54 % on top on the zoo:
+    // past the reservation the table doubles, once).
     let hint = hint.saturating_add(hint / 4).min(ARENA_CAP + NUMEL_CAP);
     arena.reserve(arena.len() + hint);
     let mut out: HashMap<String, Result<Rc<SymTensor>, String>> = HashMap::new();
@@ -290,9 +293,8 @@ impl Algebra for Arena {
         Arena::fun(self, atom_name(atom), args)
     }
 
-    /// Each row and column once, as an interned id list: a dot product
-    /// some earlier matmul folded over the same two lists (a shard of this
-    /// one, say) is then a lookup.
+    /// Each row and column once, as an interned id list; each output
+    /// element one [`Arena::dot`] of two of them.
     fn dot(
         &mut self,
         rows: &[ExprId],
@@ -324,7 +326,7 @@ impl Algebra for Arena {
         if n > NUMEL_CAP {
             return Err(format!("tensor exceeds element cap ({n})"));
         }
-        if self.len() > ARENA_CAP {
+        if self.modelled() > ARENA_CAP {
             return Err(ARENA_CAP_MSG.to_owned());
         }
         Ok(())
@@ -342,7 +344,7 @@ impl Algebra for Arena {
 /// model caps (the computation is too large to track — callers classify
 /// pessimistically).
 pub fn eval_op_sym(arena: &mut Arena, op: &Op, inputs: &[&SymTensor]) -> Result<SymTensor, String> {
-    if arena.len() > ARENA_CAP {
+    if arena.modelled() > ARENA_CAP {
         return Err(ARENA_CAP_MSG.to_owned());
     }
     let views: Vec<View<'_, ExprId>> = inputs
@@ -461,7 +463,7 @@ impl TermTable {
             let key = node.map_children(|c| slot_of[c.index()]);
             // Past the cap every operator application is outside the
             // model, whether or not the table has seen it.
-            if !key.is_leaf() && arena.len() > ARENA_CAP {
+            if !key.is_leaf() && arena.modelled() > ARENA_CAP {
                 return Err(ARENA_CAP_MSG.to_owned());
             }
             let id = match self.ids.get(&key) {

@@ -188,6 +188,13 @@ pub enum Node {
     ScaleDiv(ExprId, u64),
     /// Deterministic opaque function of rounded arguments.
     Fun(FunId, ListId),
+    /// The dot product of two lists of one length `K ≥ 2`, neither holding
+    /// a constant, folded left to right from the zero seed:
+    /// `fl(… fl(fl(r₀·c₀) + fl(r₁·c₁)) … + fl(r_{K−1}·c_{K−1}))`. Handles
+    /// sorted (`fl(a·b) = fl(b·a)`, product by product). One node for the
+    /// `2K − 1` operations it stands for; [`Arena::classify_pair`] unfolds
+    /// it only where a comparison has to look inside.
+    Dot(ListId, ListId),
 }
 
 /// Classification of one element pair (and, by max, a tensor pair).
@@ -386,29 +393,6 @@ impl Ord for Mono {
 /// equal real values.
 type Terms = [(Mono, Rat)];
 
-/// The one-level expansion of a node: at most two terms.
-struct Step {
-    terms: [(Mono, Rat); 2],
-    len: usize,
-}
-
-impl Step {
-    fn of<const N: usize>(terms: [(Mono, Rat); N]) -> Step {
-        let mut step = Step {
-            terms: [(Mono::new(), Rat::zero()), (Mono::new(), Rat::zero())],
-            len: N,
-        };
-        for (slot, term) in step.terms.iter_mut().zip(terms) {
-            *slot = term;
-        }
-        step
-    }
-
-    fn terms(&self) -> &Terms {
-        &self.terms[..self.len]
-    }
-}
-
 /// Hard cap on distinct monomials in the lazy difference polynomial;
 /// past it the comparison bails out as [`NumClass::Unknown`].
 const POLY_CAP: usize = 4096;
@@ -419,8 +403,9 @@ const POLY_CAP: usize = 4096;
 /// terms may have while still being classified.
 const EXPAND_CAP: usize = 100_000;
 
-/// Hard cap on arena nodes per analysis unit (one certificate or one rule
-/// binding sweep); beyond it the analysis bails out pessimistically.
+/// Hard cap on the operations one analysis unit (one certificate or one
+/// rule binding sweep) may model, counted by [`Arena::modelled`]; beyond it
+/// the analysis bails out pessimistically.
 pub const ARENA_CAP: usize = 4_000_000;
 
 /// One intern-table slot: the high half of an entry's hash, and its id.
@@ -429,6 +414,11 @@ struct Slot {
     tag: u32,
     id: u32,
 }
+
+/// Set in the length word of an interned list one of whose elements is a
+/// constant: [`Arena::dot`] folds over such a list, so that `x·1 = x`,
+/// `x + 0 = x` and constant folding apply to its products.
+const LIST_HOLDS_CONSTANT: u32 = 1 << 31;
 
 /// An unoccupied slot.
 const EMPTY: Slot = Slot {
@@ -599,8 +589,8 @@ struct DiffIndex {
     /// insertion order. Entries may go stale when a monomial cancels —
     /// liveness is re-checked against `d` on use.
     occ: FxHashMap<ExprId, Vec<Mono>>,
-    /// The keys of `occ`, largest first.
-    cand: BinaryHeap<ExprId>,
+    /// The keys of `occ` under their [`Arena::cand_key`], largest first.
+    cand: BinaryHeap<CandKey>,
     /// Emptied `occ` lists, for the next atom.
     spare: Vec<Vec<Mono>>,
 }
@@ -626,20 +616,31 @@ impl DiffIndex {
 #[derive(Debug, Default)]
 struct DiffScratch {
     ix: DiffIndex,
-    /// A power of the expanded atom's polynomial, and the next one.
+    /// The expanded atom's polynomial, and the atoms a `Dot` unfolds into
+    /// on their way there.
+    px: Vec<(Mono, Rat)>,
+    unfolded: Vec<ExprId>,
+    /// A power of that polynomial, and the next one.
     pw: Vec<(Mono, Rat)>,
     pw_next: Vec<(Mono, Rat)>,
 }
 
+/// Where a reducible atom stands in the expansion order of
+/// [`Arena::classify_pair`], largest first: the largest id it reads, then
+/// the length of a `Dot` (0 for every other node), then its own id.
+type CandKey = (ExprId, u32, ExprId);
+
 /// What an analysis did with its arena, for the `stage:numeric` span.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct ArenaStats {
-    /// Matmul output elements answered from the dot-product memo.
-    pub dot_hits: u64,
+    /// `Dot` nodes interned.
+    pub dots: u64,
     /// Differing element pairs that ran the difference expansion.
     pub classified_pairs: u64,
     /// Nodes those runs expanded, in total.
     pub expansions: u64,
+    /// The `Dot`s among them.
+    pub dots_unfolded: u64,
 }
 
 /// The hash-consing arena plus all per-analysis memo tables.
@@ -651,21 +652,23 @@ pub struct Arena {
     rats: Interned<Rat>,
     /// The distinct `Fun` names, each with whether it is exact.
     funs: Vec<(&'static str, bool)>,
-    /// The distinct id lists, back to back, each behind its length; a
-    /// [`ListId`] is the offset of that length word.
+    /// The distinct id lists, back to back, each behind its length
+    /// ([`LIST_HOLDS_CONSTANT`] set in that word when an element is a
+    /// `Rat` node); a [`ListId`] is the offset of that length word.
     lists: Vec<u32>,
     list_table: InternTable,
     names: Vec<String>,
     name_ids: HashMap<String, NameId>,
     pair_memo: FxHashMap<(ExprId, ExprId), (NumClass, u64)>,
-    /// `(row, column) → Σₖ fl(rowₖ · columnₖ)` for every dot product
-    /// [`Arena::dot`] has folded.
-    dot_memo: FxHashMap<(ListId, ListId), ExprId>,
+    /// Operations the interned `Dot`s stand for beyond their one node
+    /// each: `2K − 2` per `Dot` over `K` pairs.
+    folded_ops: usize,
     scratch: DiffScratch,
     stats: ArenaStats,
-    /// Fold every dot product afresh (the memo's identity test).
+    /// Fold every dot product into its multiply-adds (the reference the
+    /// tests hold [`Node::Dot`] to).
     #[cfg(test)]
-    pub(crate) bypass_dot_memo: bool,
+    pub(crate) eager_dots: bool,
 }
 
 impl Arena {
@@ -674,9 +677,17 @@ impl Arena {
         Arena::default()
     }
 
-    /// Number of live nodes (cap accounting).
+    /// Number of nodes stored.
     pub fn len(&self) -> usize {
         self.nodes.values.len()
+    }
+
+    /// Number of operations modelled — what [`ARENA_CAP`] bounds: a node
+    /// each, and a `Dot` the `2K − 1` nodes of its fold. The arena's own
+    /// tally, taken as it interns, so that which computations leave the
+    /// model does not depend on how compactly they are stored.
+    pub fn modelled(&self) -> usize {
+        self.len() + self.folded_ops
     }
 
     /// `true` when no nodes exist yet.
@@ -699,7 +710,6 @@ impl Arena {
             + self.rats.bytes()
             + std::mem::size_of_val(&self.lists[..])
             + self.list_table.bytes()
-            + self.dot_memo.len() * std::mem::size_of::<((ListId, ListId), ExprId)>()
     }
 
     /// Counters of the work done so far.
@@ -734,7 +744,8 @@ impl Arena {
         let lists = &self.lists;
         let found = self.list_table.find(tag, |at| {
             let at = at as usize;
-            lists[at] as usize == ids.len() && lists[at + 1..][..ids.len()] == *ids
+            (lists[at] & !LIST_HOLDS_CONSTANT) as usize == ids.len()
+                && lists[at + 1..][..ids.len()] == *ids
         });
         match found {
             Ok(id) => id,
@@ -743,8 +754,13 @@ impl Arena {
                 // them, so the arena cap bounds the pool long before u32.
                 let id = next_id(self.lists.len());
                 self.list_table.insert(slot, tag, id);
+                let len = u32::try_from(ids.len())
+                    .ok()
+                    .filter(|len| len & LIST_HOLDS_CONSTANT == 0)
+                    .expect("list length fits 31 bits");
+                let constant = ids.iter().any(|&e| self.constant(e).is_some());
                 self.lists
-                    .push(u32::try_from(ids.len()).expect("list length fits u32"));
+                    .push(len | if constant { LIST_HOLDS_CONSTANT } else { 0 });
                 self.lists.extend_from_slice(ids);
                 id
             }
@@ -754,7 +770,11 @@ impl Arena {
     /// The ids of an interned list.
     pub(crate) fn list(&self, id: ListId) -> &[ExprId] {
         let at = id as usize;
-        &self.lists[at + 1..][..self.lists[at] as usize]
+        &self.lists[at + 1..][..(self.lists[at] & !LIST_HOLDS_CONSTANT) as usize]
+    }
+
+    fn list_holds_constant(&self, id: ListId) -> bool {
+        self.lists[id as usize] & LIST_HOLDS_CONSTANT != 0
     }
 
     fn node(&self, id: ExprId) -> &Node {
@@ -888,28 +908,31 @@ impl Arena {
 
     /// The dot product of two interned lists of one length, folded left to
     /// right from the zero seed exactly as the runtime's matmul does:
-    /// `fl(… fl(fl(r₀·c₀) + fl(r₁·c₁)) …)`. Memoised per `(row, col)`: a
-    /// repeat returns the id the multiply-adds would intern to again —
-    /// those nodes exist, and canonicalisation reads only node contents,
-    /// which never change — so the arena is the same with or without it.
+    /// `fl(… fl(fl(r₀·c₀) + fl(r₁·c₁)) …)` — as one [`Node::Dot`], so the
+    /// same two lists (a shard of an earlier matmul, say) are the same id
+    /// by interning. Fewer than two pairs, or a constant in either list,
+    /// are folded into their multiply-adds here instead, where the
+    /// canonicalisations of [`Arena::mul`] and [`Arena::add`] apply.
     pub(crate) fn dot(&mut self, row: ListId, col: ListId) -> ExprId {
+        let pairs = self.list(row).len();
+        let fold = pairs < 2 || self.list_holds_constant(row) || self.list_holds_constant(col);
         #[cfg(test)]
-        let bypass = self.bypass_dot_memo;
-        #[cfg(not(test))]
-        let bypass = false;
-        if !bypass {
-            if let Some(&acc) = self.dot_memo.get(&(row, col)) {
-                self.stats.dot_hits += 1;
-                return acc;
+        let fold = fold || self.eager_dots;
+        if fold {
+            let mut acc = self.rat(Rat::zero());
+            for k in 0..pairs {
+                let prod = self.mul(self.list(row)[k], self.list(col)[k]);
+                acc = self.add(acc, prod);
             }
+            return acc;
         }
-        let mut acc = self.rat(Rat::zero());
-        for k in 0..self.list(row).len() {
-            let prod = self.mul(self.list(row)[k], self.list(col)[k]);
-            acc = self.add(acc, prod);
+        let before = self.len();
+        let dot = self.nodes.intern(Node::Dot(row.min(col), row.max(col)));
+        if self.len() > before {
+            self.stats.dots += 1;
+            self.folded_ops += 2 * pairs - 2;
         }
-        self.dot_memo.insert((row, col), acc);
-        acc
+        dot
     }
 
     /// The exact rational value of a node, when it is a constant.
@@ -924,7 +947,7 @@ impl Arena {
     fn is_rounding(&self, id: ExprId) -> bool {
         match *self.node(id) {
             Node::Rat(_) | Node::Leaf(..) | Node::Neg(_) => false,
-            Node::Add(..) | Node::Mul(..) => true,
+            Node::Add(..) | Node::Mul(..) | Node::Dot(..) => true,
             Node::ScaleMul(_, r) => !self.rats.get(r).is_pow2(),
             Node::ScaleDiv(_, n) => !n.is_power_of_two(),
             Node::Fun(name, _) => !self.funs[name as usize].1,
@@ -941,29 +964,125 @@ impl Arena {
         }
     }
 
-    /// One-level expansion of a node into a polynomial over its children,
-    /// `None` when the node is a true atom.
-    fn one_step(&self, id: ExprId) -> Option<Step> {
-        let scaled = |a: ExprId, c: Rat| Step::of([(Mono::of(&[a]), c)]);
-        Some(match *self.node(id) {
+    /// Where the reducible atom `id` stands in the expansion order: see
+    /// [`CandKey`]. A node is interned after its children, whenever that
+    /// is, so the largest id a node reads is at least each child's own id
+    /// and therefore above the largest id that child reads: the order is
+    /// reverse-topological without any node storing a rank — also over the
+    /// product atoms a `Dot` interns as it unfolds, which are new but above
+    /// nothing. A `Dot` goes before the other nodes reading up to the same
+    /// id (its own last product among them), the longer of two first, so
+    /// that every fold over a prefix of its lists is still whole when it
+    /// unfolds.
+    fn cand_key(&self, id: ExprId) -> CandKey {
+        let max = |list: ListId| self.list(list).iter().copied().max().unwrap_or(0);
+        match *self.node(id) {
+            Node::Rat(_) | Node::Leaf(..) | Node::Fun(..) => (0, 0, id),
+            Node::Neg(a) | Node::ScaleMul(a, _) | Node::ScaleDiv(a, _) => (a, 0, id),
+            Node::Add(a, b) | Node::Mul(a, b) => (a.max(b), 0, id),
+            Node::Dot(r, c) => (max(r).max(max(c)), self.list(r).len() as u32, id),
+        }
+    }
+
+    /// The number of pairs the `Dot` `y` folds over, when they are the
+    /// leading pairs of the longer `Dot` `x` — whose fold is then `y`'s,
+    /// extended by one multiply-add per remaining pair, bit for bit.
+    fn prefix_fold_len(&self, x: ExprId, y: ExprId) -> Option<usize> {
+        let (&Node::Dot(xr, xc), &Node::Dot(yr, yc)) = (self.node(x), self.node(y)) else {
+            return None;
+        };
+        let (xr, xc, yr, yc) = (self.list(xr), self.list(xc), self.list(yr), self.list(yc));
+        let leads = yr.len() < xr.len()
+            && ((xr.starts_with(yr) && xc.starts_with(yc))
+                || (xr.starts_with(yc) && xc.starts_with(yr)));
+        leads.then_some(yr.len())
+    }
+
+    /// The atoms the `Dot` `x` unfolds into, written to `out`: `prefix` (a
+    /// `Dot` over its leading pairs, with their number) when there is one,
+    /// and the product `fl(rₖ·cₖ)` of every pair after those, interned
+    /// now. Returns the adds unfolded: one between each two atoms.
+    fn unfold_dot(
+        &mut self,
+        x: ExprId,
+        prefix: Option<(ExprId, usize)>,
+        out: &mut Vec<ExprId>,
+    ) -> u64 {
+        let &Node::Dot(r, c) = self.node(x) else {
+            unreachable!("unfold_dot of a non-Dot node")
+        };
+        out.clear();
+        let from = prefix.map_or(0, |(y, len)| {
+            out.push(y);
+            len
+        });
+        for k in from..self.list(r).len() {
+            let prod = self.mul(self.list(r)[k], self.list(c)[k]);
+            out.push(prod);
+        }
+        self.stats.dots_unfolded += 1;
+        (out.len() - 1) as u64
+    }
+
+    /// One-level expansion of the reducible atom `x` of the difference
+    /// `ix` into a polynomial over its children, written to `px` in
+    /// ascending monomial order (`unfolded` is scratch); returns the
+    /// rounding sites unfolded.
+    ///
+    /// A `Dot` unfolds into the longest `Dot` still alive in the
+    /// difference that folds over a prefix of its lists, plus its remaining
+    /// products as atoms, at one site per add between them: the shard a
+    /// row-parallel contraction shares with the full fold cancels as a
+    /// whole, the way the shared prefix of two multiply-add chains would.
+    ///
+    /// `None` when `x` has no expansion (a division by zero width).
+    fn one_step(
+        &mut self,
+        ix: &DiffIndex,
+        x: ExprId,
+        unfolded: &mut Vec<ExprId>,
+        px: &mut Vec<(Mono, Rat)>,
+    ) -> Option<u64> {
+        px.clear();
+        let mut scaled = |a: ExprId, c: Rat| {
+            if !c.is_zero() {
+                px.push((Mono::of(&[a]), c));
+            }
+        };
+        match *self.node(x) {
             Node::Leaf(..) | Node::Fun(..) => return None,
             Node::Rat(r) => match *self.rats.get(r) {
-                r if r.is_zero() => Step::of([]),
-                r => Step::of([(Mono::new(), r)]),
+                r if r.is_zero() => {}
+                r => px.push((Mono::new(), r)),
             },
             Node::Neg(a) => scaled(a, Rat::int(-1)),
             Node::Add(a, b) if a == b => scaled(a, Rat::int(2)),
-            Node::Add(a, b) => Step::of([
-                (Mono::of(&[a.min(b)]), Rat::one()),
-                (Mono::of(&[a.max(b)]), Rat::one()),
-            ]),
-            Node::Mul(a, b) => Step::of([(Mono::of(&[a.min(b), a.max(b)]), Rat::one())]),
-            Node::ScaleMul(a, r) => match *self.rats.get(r) {
-                r if r.is_zero() => Step::of([]),
-                r => scaled(a, r),
-            },
+            Node::Add(a, b) => {
+                scaled(a.min(b), Rat::one());
+                scaled(a.max(b), Rat::one());
+            }
+            Node::Mul(a, b) => px.push((Mono::of(&[a.min(b), a.max(b)]), Rat::one())),
+            Node::ScaleMul(a, r) => scaled(a, *self.rats.get(r)),
             Node::ScaleDiv(a, n) => scaled(a, Rat::new(1, i128::from(n))?),
-        })
+            Node::Dot(..) => {
+                let prefix = ix
+                    .occ
+                    .iter()
+                    .filter_map(|(&y, monos)| {
+                        let len = self.prefix_fold_len(x, y)?;
+                        let live = monos.iter().any(|m| ix.d.contains_key(m));
+                        live.then_some((y, len))
+                    })
+                    .max_by_key(|&(_, len)| len);
+                let adds = self.unfold_dot(x, prefix, unfolded);
+                unfolded.sort_unstable();
+                for run in unfolded.chunk_by(|a, b| a == b) {
+                    px.push((Mono::of(&run[..1]), Rat::int(run.len() as i64)));
+                }
+                return Some(adds);
+            }
+        }
+        Some(u64::from(self.is_rounding(x)))
     }
 
     /// Classifies one element pair. Identical ids are bit-exact by
@@ -983,14 +1102,13 @@ impl Arena {
     }
 
     /// Lazy lockstep difference: maintain `D = expand(a) − expand(b)` with
-    /// unexpanded nodes as opaque atoms, always expanding the largest-id
-    /// reducible atom first. Children are interned before parents, so this
-    /// order is reverse-topological: every subterm shared by both sides
-    /// surfaces as identical monomials with cancelling coefficients
-    /// *before* it would be expanded, and is never unfolded at all. Only
-    /// the region where the two terms genuinely differ is expanded — the
-    /// caps bound the difference, not the (arbitrarily deep) shared
-    /// context.
+    /// unexpanded nodes as opaque atoms, always expanding the reducible
+    /// atom with the largest [`Arena::cand_key`] first. That order is
+    /// reverse-topological: every subterm shared by both sides surfaces as
+    /// identical monomials with cancelling coefficients *before* it would
+    /// be expanded, and is never unfolded at all. Only the region where
+    /// the two terms genuinely differ is expanded — the caps bound the
+    /// difference, not the (arbitrarily deep) shared context.
     ///
     /// - `D = 0`: the sides compute the same real number —
     ///   reassociation-only, with `k` the number of rounding nodes that
@@ -1030,7 +1148,7 @@ impl Arena {
             }
             // Largest *live* reducible atom; prune fully-stale candidates.
             let next = loop {
-                let Some(&x) = s.ix.cand.peek() else {
+                let Some(&(.., x)) = s.ix.cand.peek() else {
                     break None;
                 };
                 let d = &s.ix.d;
@@ -1061,10 +1179,8 @@ impl Arena {
                 return None;
             }
             self.stats.expansions += 1;
-            if self.is_rounding(x) {
-                k = k.saturating_add(1);
-            }
-            let px = self.one_step(x)?;
+            k = k.saturating_add(self.one_step(&s.ix, x, &mut s.unfolded, &mut s.px)?);
+            let px: &Terms = &s.px;
             s.ix.cand.pop();
             let monos =
                 s.ix.occ
@@ -1083,13 +1199,13 @@ impl Arena {
                 // px itself.
                 if occ_count > 1 {
                     s.pw.clear();
-                    s.pw.extend_from_slice(px.terms());
+                    s.pw.extend_from_slice(px);
                     for _ in 2..=occ_count {
-                        poly_mul(&s.pw, px.terms(), &mut s.pw_next)?;
+                        poly_mul(&s.pw, px, &mut s.pw_next)?;
                         std::mem::swap(&mut s.pw, &mut s.pw_next);
                     }
                 }
-                let power: &Terms = if occ_count > 1 { &s.pw } else { px.terms() };
+                let power: &Terms = if occ_count > 1 { &s.pw } else { px };
                 for (mm, cc) in power {
                     self.accum(&mut s.ix, rest.times(mm), c.mul(cc)?)?;
                 }
@@ -1130,7 +1246,7 @@ impl Arena {
                     if self.reducible(atom) {
                         occ.entry(atom)
                             .or_insert_with(|| {
-                                cand.push(atom);
+                                cand.push(self.cand_key(atom));
                                 spare.pop().unwrap_or_default()
                             })
                             .push(e.key().clone());

@@ -3,18 +3,24 @@
 //! the plainest containers — a fresh `BTreeMap<Vec<ExprId>, Rat>`
 //! polynomial, `Vec` monomial keys and a `BTreeSet` of candidates per
 //! pair. Nested comparisons (congruence lifting) stay inside the oracle,
-//! and nothing here reads or writes the arena's pair memo or scratch.
+//! and nothing here reads or writes the arena's pair memo or scratch; the
+//! products a `Dot` unfolds into are interned, as the classifier interns
+//! them. What the two share is what a node *is* — its candidate key,
+//! whether it rounds, which `Dot` folds a prefix of which — not how a
+//! difference is stored or searched.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use super::{Arena, ExprId, FxHashMap, MergeOutcome, Node, NumClass, Rat, EXPAND_CAP, POLY_CAP};
+use super::{
+    Arena, CandKey, ExprId, FxHashMap, MergeOutcome, Node, NumClass, Rat, EXPAND_CAP, POLY_CAP,
+};
 
 type Mono = Vec<ExprId>;
 type Poly = BTreeMap<Mono, Rat>;
 
 impl Arena {
     /// [`Arena::classify_pair`], unmemoised, by the oracle.
-    pub(crate) fn classify_pair_oracle(&self, a: ExprId, b: ExprId) -> (NumClass, u64) {
+    pub(crate) fn classify_pair_oracle(&mut self, a: ExprId, b: ExprId) -> (NumClass, u64) {
         if a == b {
             return (NumClass::BitExact, 0);
         }
@@ -22,7 +28,10 @@ impl Arena {
         self.classify_diff_oracle(a, b)
     }
 
-    fn one_step_oracle(&self, id: ExprId) -> Option<Poly> {
+    /// The expansion of `id`, and the rounding sites it unfolds. A `Dot`
+    /// unfolds into the longest live `Dot` of `d` over a prefix of its
+    /// lists plus its remaining products.
+    fn one_step_oracle(&mut self, id: ExprId, d: &Poly) -> Option<(Poly, u64)> {
         let mut p = Poly::new();
         match *self.node(id) {
             Node::Leaf(..) | Node::Fun(..) => return None,
@@ -57,14 +66,27 @@ impl Arena {
             Node::ScaleDiv(a, n) => {
                 p.insert(vec![a], Rat::new(1, i128::from(n))?);
             }
+            Node::Dot(..) => {
+                let atoms: BTreeSet<ExprId> = d.keys().flatten().copied().collect();
+                let prefix = atoms
+                    .into_iter()
+                    .filter_map(|y| Some((y, self.prefix_fold_len(id, y)?)))
+                    .max_by_key(|&(_, len)| len);
+                let mut unfolded = Vec::new();
+                let adds = self.unfold_dot(id, prefix, &mut unfolded);
+                for atom in unfolded {
+                    poly_accum(&mut p, vec![atom], Rat::one())?;
+                }
+                return Some((p, adds));
+            }
         }
-        Some(p)
+        Some((p, u64::from(self.is_rounding(id))))
     }
 
-    fn classify_diff_oracle(&self, a: ExprId, b: ExprId) -> (NumClass, u64) {
+    fn classify_diff_oracle(&mut self, a: ExprId, b: ExprId) -> (NumClass, u64) {
         let mut d = Poly::new();
         let mut occ: FxHashMap<ExprId, Vec<Mono>> = FxHashMap::default();
-        let mut cand: BTreeSet<ExprId> = BTreeSet::new();
+        let mut cand: BTreeSet<CandKey> = BTreeSet::new();
         for (mono, c) in [(vec![a], Rat::one()), (vec![b], Rat::int(-1))] {
             if self
                 .accum_indexed_oracle(&mut d, &mut occ, &mut cand, mono, c)
@@ -80,7 +102,7 @@ impl Arena {
                 return (NumClass::Reassoc, k);
             }
             let next = loop {
-                let Some(&x) = cand.iter().next_back() else {
+                let Some(&(reads, len, x)) = cand.iter().next_back() else {
                     break None;
                 };
                 let live = occ.get_mut(&x).is_some_and(|v| {
@@ -90,7 +112,7 @@ impl Arena {
                 if live {
                     break Some(x);
                 }
-                cand.remove(&x);
+                cand.remove(&(reads, len, x));
                 occ.remove(&x);
             };
             let Some(x) = next else {
@@ -107,13 +129,11 @@ impl Arena {
             if expansions > EXPAND_CAP {
                 return (NumClass::Unknown, 0);
             }
-            if self.is_rounding(x) {
-                k = k.saturating_add(1);
-            }
-            let Some(px) = self.one_step_oracle(x) else {
+            let Some((px, sites)) = self.one_step_oracle(x, &d) else {
                 return (NumClass::Unknown, 0);
             };
-            cand.remove(&x);
+            k = k.saturating_add(sites);
+            cand.remove(&self.cand_key(x));
             let monos = occ.remove(&x).expect("picked candidate has live monomials");
             for m in monos {
                 let Some(c) = d.remove(&m) else { continue };
@@ -148,7 +168,7 @@ impl Arena {
         &self,
         d: &mut Poly,
         occ: &mut FxHashMap<ExprId, Vec<Mono>>,
-        cand: &mut BTreeSet<ExprId>,
+        cand: &mut BTreeSet<CandKey>,
         m: Mono,
         c: Rat,
     ) -> Option<()> {
@@ -173,7 +193,7 @@ impl Arena {
                     last = Some(atom);
                     if self.reducible(atom) {
                         occ.entry(atom).or_default().push(m.clone());
-                        cand.insert(atom);
+                        cand.insert(self.cand_key(atom));
                     }
                 }
                 d.insert(m, c);
@@ -185,7 +205,7 @@ impl Arena {
         Some(())
     }
 
-    fn merge_congruent_funs_oracle(&self, d: &mut Poly) -> MergeOutcome {
+    fn merge_congruent_funs_oracle(&mut self, d: &mut Poly) -> MergeOutcome {
         let atoms: BTreeSet<ExprId> = d.keys().flat_map(|m| m.iter().copied()).collect();
         let funs: Vec<ExprId> = atoms
             .into_iter()
@@ -198,13 +218,13 @@ impl Arena {
                 else {
                     continue;
                 };
-                let (args_u, args_v) = (self.list(args_u), self.list(args_v));
+                let (args_u, args_v) = (self.list(args_u).to_vec(), self.list(args_v).to_vec());
                 if nu != nv || args_u.len() != args_v.len() {
                     continue;
                 }
                 let mut dk: u64 = 0;
                 let mut mergeable = true;
-                for (&p, &q) in args_u.iter().zip(args_v) {
+                for (&p, &q) in args_u.iter().zip(&args_v) {
                     let (c, ka) = self.classify_pair_oracle(p, q);
                     match c {
                         NumClass::BitExact => {}

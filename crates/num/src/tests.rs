@@ -507,13 +507,11 @@ fn zoo_certs() -> &'static [ZooCert] {
 
 #[test]
 fn memoised_evaluation_matches_from_scratch_evaluation_on_the_zoo() {
-    // The subterm table and the dot-product memo must be indistinguishable
-    // from evaluating every term, and folding every dot product, from
-    // scratch: same tensors, and — because skipped work would only have
-    // re-derived existing ids — the same arena.
+    // The subterm table must be indistinguishable from evaluating every
+    // term from scratch: same tensors, and — because skipped work would
+    // only have re-derived existing ids — the same arena.
     for case in zoo_certs() {
         let (mut shared, mut scratch) = (Arena::new(), Arena::new());
-        scratch.bypass_dot_memo = true;
         let shared_gd = graph_tensors_sym(&mut shared, &case.gd);
         let scratch_gd = graph_tensors_sym(&mut scratch, &case.gd);
         assert_eq!(shared_gd, scratch_gd, "{}: G_d tensors", case.name);
@@ -543,8 +541,44 @@ fn memoised_evaluation_matches_from_scratch_evaluation_on_the_zoo() {
             case.name
         );
         assert!(table.hits() > table.subterms(), "{}: table idle", case.name);
-        assert!(shared.stats().dot_hits > 0, "{}: dot memo idle", case.name);
-        assert_eq!(scratch.stats().dot_hits, 0, "{}", case.name);
+    }
+}
+
+#[test]
+fn folded_dots_classify_every_zoo_step_like_the_eager_fold() {
+    // A `Dot` stands for the multiply-add chain `eager_dots` interns in its
+    // place. Every rule and congruence step of every zoo certificate must
+    // read the same class and the same `k` either way, and the operations
+    // the folded arena says it models must cover the nodes the eager one
+    // really holds (what keeps `ARENA_CAP` pessimistic, never wrong).
+    for case in zoo_certs() {
+        let mut sides = [false, true].map(|eager| {
+            let mut arena = Arena::new();
+            arena.eager_dots = eager;
+            let gd = graph_tensors_sym(&mut arena, &case.gd);
+            (arena, gd, TermTable::default())
+        });
+        assert!(sides[0].0.modelled() >= sides[1].0.len(), "{}", case.name);
+        for step in step_terms(&case.cert).chunks(2) {
+            let verdicts = sides.each_mut().map(|(arena, gd, table)| {
+                let mut eval = |term: &RecExpr| {
+                    let leaves = &mut |_: &mut Arena, name: &str| gd[name].clone();
+                    table.eval(arena, term, leaves).expect("step term")
+                };
+                let (before, after) = (eval(step[0]), eval(step[1]));
+                classify_tensors(arena, &before, &after)
+            });
+            assert_eq!(
+                verdicts[0], verdicts[1],
+                "{}: {} vs {}",
+                case.name, step[0], step[1]
+            );
+        }
+        let [(folded, ..), (eager, ..)] = &sides;
+        assert!(folded.modelled() >= eager.len(), "{}", case.name);
+        assert!(folded.len() < eager.len(), "{}", case.name);
+        assert!(folded.stats().dots_unfolded > 0, "{}", case.name);
+        assert_eq!(eager.stats().dots, 0, "{}", case.name);
     }
 }
 
@@ -776,10 +810,10 @@ mod prop {
     /// to four subterms, squares, products nine factors wide (one atom more
     /// than a monomial keeps inline, times whatever multiplies it),
     /// constant scalings, rounding and exact funs of one and two
-    /// arguments, over four leaves. `flip` folds every sum and product
-    /// right to left instead of left to right: the same real number,
-    /// rounded at different sites — and funs of such pairs, for
-    /// congruence lifting to merge.
+    /// arguments, dot products, over four leaves. `flip` folds every sum
+    /// and product right to left instead of left to right, and a dot
+    /// product shard by shard: the same real number, rounded at different
+    /// sites — and funs of such pairs, for congruence lifting to merge.
     fn realize(a: &mut Arena, tape: &mut Tape, depth: usize, flip: bool) -> ExprId {
         let fold =
             |a: &mut Arena, terms: Vec<ExprId>, op: fn(&mut Arena, ExprId, ExprId) -> ExprId| {
@@ -792,7 +826,7 @@ mod prop {
                     terms.fold(first, |acc, t| op(a, acc, t))
                 }
             };
-        let kind = if depth == 0 { 0 } else { tape.next() % 10 };
+        let kind = if depth == 0 { 0 } else { tape.next() % 11 };
         match kind {
             0 => {
                 let n = a.name("v");
@@ -830,11 +864,30 @@ mod prop {
                 let x = realize(a, tape, depth - 1, flip);
                 a.fun(name, &[x])
             }
-            _ => {
+            9 => {
                 let name = ["div", "max"][tape.next() % 2];
                 let x = realize(a, tape, depth - 1, flip);
                 let y = realize(a, tape, depth - 1, flip);
                 a.fun(name, &[x, y])
+            }
+            _ => {
+                let (shards, width) = (1 + tape.next() % 3, 1 + tape.next() % 3);
+                let mut list = || -> Vec<ExprId> {
+                    (0..shards * width)
+                        .map(|_| realize(a, tape, depth.min(2) - 1, flip))
+                        .collect()
+                };
+                let (row, col) = (list(), list());
+                let run = if flip { width } else { shards * width };
+                let partials = row
+                    .chunks(run)
+                    .zip(col.chunks(run))
+                    .map(|(r, c)| {
+                        let (r, c) = (a.list_id(r), a.list_id(c));
+                        a.dot(r, c)
+                    })
+                    .collect();
+                fold(a, partials, Arena::add)
             }
         }
     }
@@ -866,36 +919,89 @@ mod prop {
     }
 
     proptest! {
-        /// A matmul over operands with repeated rows and columns and
-        /// broadcast batch dims is the same tensor, in the same arena,
-        /// with the dot-product memo and without.
+        /// An `[m, K] × [K, n]` matmul against its splits, with its dot
+        /// products folded into one node each and with every multiply-add
+        /// interned: `p` row-parallel shards summed reassociate it at
+        /// exactly the sites a shared first shard leaves — the rest of the
+        /// full fold, the sum, and the other shards' own folds — and
+        /// column shards, batch slices and tiled repeats are it bit for
+        /// bit.
         #[test]
-        fn dot_memo_is_invisible(
-            (abatch, bbatch, m, k, n) in (0usize..3, 0usize..3, 1usize..4, 1usize..4, 1usize..4),
-            picks in proptest::collection::vec(0u64..5, 64),
+        fn matmul_splits_classify_alike_folded_and_eager(
+            (m, n, p, width, batch) in (1usize..4, 2usize..4, 2usize..5, 2usize..5, 1usize..3),
         ) {
-            let operand = |arena: &mut Arena, batch: usize, rows: usize, cols: usize, skip: usize| {
-                let name = arena.name("m");
-                let mut shape = vec![2; batch];
-                shape.extend([rows, cols]);
-                let numel = shape.iter().product();
-                let elems = picks.iter().cycle().skip(skip).take(numel);
-                SymTensor::new(shape, elems.map(|&p| arena.leaf(name, p)).collect())
+            let k = p * width;
+            let op = |a: &mut Arena, op: Op, ins: &[&SymTensor]| eval_op_sym(a, &op, ins).unwrap();
+            let slice = |a: &mut Arena, t: &SymTensor, dim: usize, start: usize, end: usize| {
+                let (start, end) = ((start as i64).into(), (end as i64).into());
+                op(a, Op::Slice { dim, start, end }, &[t])
             };
-            let (mut memo, mut plain) = (Arena::new(), Arena::new());
-            plain.bypass_dot_memo = true;
-            let mut results = Vec::new();
-            for arena in [&mut memo, &mut plain] {
-                let x = operand(arena, abatch, m, k, 0);
-                let w = operand(arena, bbatch, k, n, 7);
-                let once = eval_op_sym(arena, &Op::Matmul, &[&x, &w]);
-                let again = eval_op_sym(arena, &Op::Matmul, &[&x, &w]);
-                prop_assert_eq!(&once, &again);
-                results.push((once, arena.len()));
+            let reassoc = Verdict {
+                class: NumClass::Reassoc,
+                k: ((k - width) + (p - 1) + (p - 1) * (width - 1)) as u64,
+            };
+            for eager in [false, true] {
+                let a = &mut Arena::new();
+                a.eager_dots = eager;
+                let x = leaf_tensor(a, "x", vec![m, k]).unwrap();
+                let w = leaf_tensor(a, "w", vec![k, n]).unwrap();
+                let full = op(a, Op::Matmul, &[&x, &w]);
+
+                let shards: Vec<SymTensor> = (0..p)
+                    .map(|i| {
+                        let xs = slice(a, &x, 1, i * width, (i + 1) * width);
+                        let ws = slice(a, &w, 0, i * width, (i + 1) * width);
+                        op(a, Op::Matmul, &[&xs, &ws])
+                    })
+                    .collect();
+                let mut sum = shards[0].clone();
+                for shard in &shards[1..] {
+                    sum = op(a, Op::Add, &[&sum, shard]);
+                }
+                prop_assert_eq!(classify_tensors(a, &full, &sum), reassoc, "eager: {}", eager);
+
+                let (left, right) = (slice(a, &w, 1, 0, 1), slice(a, &w, 1, 1, n));
+                let (left, right) = (op(a, Op::Matmul, &[&x, &left]), op(a, Op::Matmul, &[&x, &right]));
+                prop_assert_eq!(op(a, Op::Concat { dim: 1 }, &[&left, &right]), full.clone());
+
+                let xb = leaf_tensor(a, "b", vec![batch, m, k]).unwrap();
+                let slices: Vec<SymTensor> = (0..batch)
+                    .map(|i| {
+                        let xi = slice(a, &xb, 0, i, i + 1);
+                        op(a, Op::Matmul, &[&xi, &w])
+                    })
+                    .collect();
+                let slices: Vec<&SymTensor> = slices.iter().collect();
+                prop_assert_eq!(op(a, Op::Concat { dim: 0 }, &slices), op(a, Op::Matmul, &[&xb, &w]));
+
+                let xx = op(a, Op::Concat { dim: 0 }, &[&x, &x]);
+                let ww = op(a, Op::Concat { dim: 1 }, &[&w, &w]);
+                let wide = op(a, Op::Concat { dim: 1 }, &[&full, &full]);
+                prop_assert_eq!(op(a, Op::Matmul, &[&xx, &ww]), op(a, Op::Concat { dim: 0 }, &[&wide, &wide]));
+
+                let row = a.list_id(&x.elems[..k]);
+                let col: Vec<ExprId> = (0..k).map(|i| w.elems[i * n]).collect();
+                let col = a.list_id(&col);
+                prop_assert_eq!(a.dot(row, col), full.elems[0]);
+                prop_assert_eq!(a.dot(col, row), full.elems[0]);
+
+                // Shards whose lists were interned column first keep their
+                // handles the other way round than the full fold does, and
+                // the first is still the prefix the two share.
+                let y = leaf_tensor(a, "y", vec![k]).unwrap().elems;
+                let z = leaf_tensor(a, "z", vec![k]).unwrap().elems;
+                let (row, col) = (a.list_id(&y), a.list_id(&z));
+                let whole = a.dot(row, col);
+                let mut sum = None;
+                for at in (0..k).step_by(width) {
+                    let (col, row) = (a.list_id(&z[at..][..width]), a.list_id(&y[at..][..width]));
+                    let shard = a.dot(row, col);
+                    sum = Some(sum.map_or(shard, |sum| a.add(sum, shard)));
+                }
+                let split = a.classify_pair(whole, sum.unwrap());
+                prop_assert_eq!(split, (reassoc.class, reassoc.k), "eager: {}", eager);
+                prop_assert_eq!(a.stats().dots == 0, eager);
             }
-            prop_assert_eq!(&results[0], &results[1]);
-            prop_assert!(memo.stats().dot_hits > 0);
-            prop_assert_eq!(plain.stats().dot_hits, 0);
         }
 
         /// One table over a run of overlapping terms answers every term —

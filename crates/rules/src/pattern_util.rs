@@ -58,20 +58,6 @@ pub fn op_subterms(ast: &PatternAst) -> Vec<&PatternAst> {
     out
 }
 
-/// Applies a substitution, leaving unbound variables in place.
-fn apply(ast: &PatternAst, subst: &HashMap<Var, PatternAst>) -> PatternAst {
-    match ast {
-        PatternAst::Var(v) => match subst.get(v) {
-            Some(t) => apply(t, subst),
-            None => ast.clone(),
-        },
-        PatternAst::Int(i) => PatternAst::Int(*i),
-        PatternAst::Op(sym, ch) => {
-            PatternAst::Op(*sym, ch.iter().map(|c| apply(c, subst)).collect())
-        }
-    }
-}
-
 fn occurs(v: Var, ast: &PatternAst, subst: &HashMap<Var, PatternAst>) -> bool {
     match ast {
         PatternAst::Var(w) => *w == v || subst.get(w).is_some_and(|t| occurs(v, t, subst)),
@@ -177,7 +163,18 @@ pub fn alpha_eq(a: &[&PatternAst], b: &[&PatternAst]) -> bool {
 
 /// Instantiates `general`'s substitution into its right-hand side — used
 /// by the subsumption check to verify that the more specific rule's RHS is
-/// exactly what the general rule would have produced.
+/// exactly what the general rule would have produced. One pass, unbound
+/// variables left in place: a [`match_onto`] result binds `general`'s
+/// variables to terms over `specific`'s, which are constants to it even
+/// where the two rules spell them alike (`{a ↦ ?b, b ↦ ?c, c ↦ ?a}` when
+/// an associativity rule meets its own rotation), so the image of a
+/// variable is final and must not be substituted into again.
 pub fn substitute(ast: &PatternAst, subst: &HashMap<Var, PatternAst>) -> PatternAst {
-    apply(ast, subst)
+    match ast {
+        PatternAst::Var(v) => subst.get(v).unwrap_or(ast).clone(),
+        PatternAst::Int(i) => PatternAst::Int(*i),
+        PatternAst::Op(sym, ch) => {
+            PatternAst::Op(*sym, ch.iter().map(|c| substitute(c, subst)).collect())
+        }
+    }
 }

@@ -150,6 +150,37 @@ fn shipped_corpus_has_no_errors() {
     assert!(analysis.report.is_clean());
 }
 
+/// RL04 instantiates one rule's right-hand side with its match onto
+/// another's left-hand side, and the two spell their variables alike: a
+/// rule over `(neg ?x)` matches `(neg (neg ?x))` with `x ↦ (neg ?x)`,
+/// `add-comm` matches a free `add-assoc` with `a ↦ (add ?a ?b)`. Applying
+/// such a binding to its own image never ends.
+#[test]
+fn subsumption_instantiates_in_one_pass() {
+    let parse = |name: &str, lhs: &str, rhs: &str| {
+        entangle_egraph::Rewrite::parse(name, lhs, rhs).expect("test rule parses")
+    };
+    let findings = |rewrites: &[entangle_egraph::Rewrite<entangle_lemmas::TensorAnalysis>]| {
+        let analysis = analyze(rewrites);
+        let rendered = analysis.report.diagnostics.iter().map(|d| d.render(None));
+        rendered.collect::<Vec<String>>()
+    };
+    let shipped = findings(&corpus());
+
+    let mut double_negation = corpus();
+    double_negation.push(parse("neg-neg", "(neg (neg ?x))", "?x"));
+    assert_eq!(findings(&double_negation), shipped);
+
+    // What `ablations` does: the constrained association, freed.
+    let mut free_assoc = corpus();
+    for rw in &mut free_assoc {
+        if rw.name() == "add-assoc" {
+            *rw = parse("add-assoc", "(add (add ?a ?b) ?c)", "(add ?a (add ?b ?c))");
+        }
+    }
+    assert_eq!(findings(&free_assoc), shipped);
+}
+
 #[test]
 fn json_is_stable_and_complete() {
     let rewrites = corpus();

@@ -37,6 +37,13 @@ if [ "$evaluators" -ne 1 ]; then
   echo "expected one operator evaluator under crates/runtime and crates/num, found $evaluators"; exit 1
 fi
 
+# One matmul element: a `Node::Dot`, built by `Arena::dot` and shared by
+# interning. The memo that used to stand beside the multiply-add chains must
+# not come back as a second path beside the node.
+if grep -rnE 'dot_memo|bypass_dot_memo|dot_hits' crates/ tests/ benchmark/src; then
+  echo "the dot-product memo is back (interning a Dot node is the memo)"; exit 1
+fi
+
 echo "==> model-zoo shard sweep (entangle shard over exported strategies)"
 cargo run --release -q -p entangle-bench --bin export_zoo -- examples/graphs
 for gd in examples/graphs/*.gd.json; do

@@ -1,6 +1,8 @@
 //! Golden-file pin of the numeric-soundness analysis. The exact
-//! `entangle-num-cert-v1` JSON derived for every zoo workload is checked
-//! in under `tests/golden/num/`. Any analysis change — a class flip, a
+//! `entangle-num-cert-v1` JSON derived for every zoo workload, and for the
+//! benchmark's `gpt_tp8` input (par 8, two layers: the one whose
+//! row-parallel contractions fold over eight shards), is checked in under
+//! `tests/golden/num/`. Any analysis change — a class flip, a
 //! different composed `k`, a new NU diagnostic — shows up as a diff here
 //! and must be reviewed deliberately.
 //!
@@ -8,13 +10,25 @@
 //! `UPDATE_GOLDEN=1 cargo test --test num_golden`
 
 use entangle::{CheckOptions, NumClass};
-use entangle_bench::zoo;
+use entangle_bench::{gpt_workload, zoo, ZooCase};
 
-fn case_json(case: &entangle_bench::ZooCase) -> String {
+/// The zoo plus `gpt_tp8_l2`, the `gpt_workload` the benchmark runs.
+fn golden_cases() -> Vec<ZooCase> {
+    let mut cases = zoo();
+    let tp8 = gpt_workload(8, 2);
+    cases.push(ZooCase {
+        name: "gpt_tp8_l2".to_owned(),
+        gs: tp8.gs,
+        dist: tp8.dist,
+    });
+    cases
+}
+
+fn case_json(case: &ZooCase) -> String {
     let ri = case.dist.relation(&case.gs).expect("relation");
     let outcome =
         entangle::check_refinement(&case.gs, &case.dist.graph, &ri, &CheckOptions::default())
-            .expect("zoo case checks");
+            .expect("golden case checks");
     let mut json = outcome.numeric.expect("numeric analysis ran").to_json();
     json.push('\n');
     json
@@ -27,7 +41,7 @@ fn zoo_numeric_verdicts_match_golden() {
     if update {
         std::fs::create_dir_all(dir).expect("golden dir");
     }
-    for case in &zoo() {
+    for case in &golden_cases() {
         let got = case_json(case);
         let path = format!("{dir}/{}.json", case.name);
         if update {
