@@ -1510,7 +1510,9 @@ fn run_trace(
 
 /// Prints the per-stage wall-clock table from a collected trace. The
 /// indented encode/saturate/extract rows are children of `stage:map` (per
-/// sequential operator), so they sub-divide it rather than add to it.
+/// sequential operator), so they sub-divide it rather than add to it. A
+/// `saturate` span marked `replayed` repeats the duration of the run it
+/// replays: it counts as a span, and adds no time.
 fn print_stage_table(report: &TraceReport) {
     let total = report
         .find("check_refinement")
@@ -1520,6 +1522,7 @@ fn print_stage_table(report: &TraceReport) {
     let stages = [
         ("lint", "stage:lint"),
         ("shard", "stage:shard"),
+        ("setup", "stage:setup"),
         ("map", "stage:map"),
         ("  encode", "encode"),
         ("  saturate", "saturate"),
@@ -1533,7 +1536,11 @@ fn print_stage_table(report: &TraceReport) {
         if n == 0 {
             continue; // stage skipped (e.g. shard short-circuited the run)
         }
-        let us = report.total_us(span);
+        let us: u64 = report
+            .spans_named(span)
+            .filter(|s| s.attr("replayed").is_none())
+            .map(|s| s.dur_us)
+            .sum();
         rows.push(vec![
             label.to_owned(),
             n.to_string(),
@@ -1545,12 +1552,17 @@ fn print_stage_table(report: &TraceReport) {
 }
 
 /// Prints the hot-rule table, the stop-reason tally and the e-graph growth
-/// curve from the checker's saturation telemetry.
+/// curve from the checker's saturation telemetry. Runs and iterations are
+/// counted per operator with the executed ("fresh") share beside them; the
+/// hot-rule table is built from the executed runs alone, so its times are
+/// time the check spent.
 fn print_saturation_profile(summary: &entangle::SaturationSummary, top: usize) {
     println!(
-        "\nsaturation: {} runs, {} iterations, peak {} e-nodes",
+        "\nsaturation: {} runs ({} fresh), {} iterations ({} fresh), peak {} e-nodes",
         summary.runs(),
+        summary.fresh_runs(),
         summary.iterations(),
+        summary.fresh_iterations(),
         summary.peak_nodes()
     );
     let stops: Vec<String> = summary
@@ -1562,10 +1574,10 @@ fn print_saturation_profile(summary: &entangle::SaturationSummary, top: usize) {
     println!("stops     : {}", stops.join(", "));
     println!("growth    : {}", sparkline(&summary.growth()));
 
-    let rules = summary.telemetry.rules_by_apply_time();
+    let rules = summary.fresh.rules_by_apply_time();
     let shown = top.min(rules.len());
     println!(
-        "\nhot rules ({shown} of {} by cumulative apply time):",
+        "\nhot rules ({shown} of {} by cumulative apply time, fresh runs only):",
         rules.len()
     );
     let rows: Vec<Vec<String>> = rules

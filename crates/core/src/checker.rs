@@ -8,8 +8,8 @@ use std::time::{Duration, Instant};
 
 use entangle_cert::{CertError, Certificate, MappingCert};
 use entangle_egraph::{
-    BackoffSchedule, EGraph, ENode, Extractor, Id, Proof, RecExpr, Rewrite, RunReport,
-    SaturationReport, StopReason, Symbol,
+    BackoffSchedule, CompiledMatcher, EGraph, ENode, Extractor, Id, Proof, RecExpr, Rewrite,
+    RunReport, SaturationReport, StopReason, Symbol,
 };
 use entangle_ir::{Graph, Node, NodeId, TensorId};
 use entangle_lemmas::{registry, rewrites_of, TensorAnalysis};
@@ -193,29 +193,55 @@ impl ParStats {
 /// and the merged per-iteration / per-rule [`SaturationReport`]. Collected
 /// unconditionally (no tracer required) — this is what `entangle trace`
 /// renders as the per-rule table and e-graph growth curve.
+///
+/// Two tallies, because a memo or template replay hands an operator the
+/// report of a run that already happened: [`SaturationSummary::telemetry`]
+/// counts every operator's runs — per operator, as the paper's Figure 6
+/// does — while [`SaturationSummary::fresh`] counts each run once, which is
+/// what the check actually executed and the only tally whose times add up
+/// to time spent.
 #[derive(Debug, Clone, Default)]
 pub struct SaturationSummary {
     /// One entry per saturation run (operators × frontier rounds), in
-    /// processing order.
+    /// processing order, replays included.
     pub stops: Vec<StopReason>,
-    /// Merged telemetry across all runs.
+    /// Merged telemetry across all runs, replays included.
     pub telemetry: SaturationReport,
+    /// Merged telemetry of the runs that executed: each solved problem's
+    /// reports folded at its first merge only.
+    pub fresh: SaturationReport,
+    fresh_runs: usize,
 }
 
 impl SaturationSummary {
-    fn record(&mut self, report: &RunReport) {
+    fn record(&mut self, report: &RunReport, replayed: bool) {
         self.stops.push(report.stop_reason);
         self.telemetry.merge(&report.saturation);
+        if !replayed {
+            self.fresh_runs += 1;
+            self.fresh.merge(&report.saturation);
+        }
     }
 
-    /// Number of saturation runs.
+    /// Number of saturation runs, replays included.
     pub fn runs(&self) -> usize {
         self.stops.len()
     }
 
-    /// Total iterations across all runs.
+    /// Total iterations across all runs, replays included.
     pub fn iterations(&self) -> usize {
         self.telemetry.iterations.len()
+    }
+
+    /// Saturation runs that executed (the rest of [`Self::runs`] replayed
+    /// one of these).
+    pub fn fresh_runs(&self) -> usize {
+        self.fresh_runs
+    }
+
+    /// Iterations of the runs that executed.
+    pub fn fresh_iterations(&self) -> usize {
+        self.fresh.iterations.len()
     }
 
     /// Largest e-graph observed at any iteration boundary.
@@ -741,22 +767,49 @@ fn check_refinement_inner(
         })?;
     }
 
-    let rewrites = opts
-        .rewrites
-        .clone()
-        .unwrap_or_else(|| rewrites_of(&registry()));
-
-    // Rule-class-driven backoff: derive the throttle schedule ONCE per check
-    // from the active rewrite set (classification + interaction-cycle
-    // analysis, no e-graph) and share it with every per-operator runner.
-    let backoff: Option<BackoffSchedule> = if opts.rule_backoff {
-        entangle_rules::backoff_schedule(&rewrites)
-    } else {
-        None
-    };
-    metrics
-        .gauge("rules.backoff.throttled")
-        .set(backoff.as_ref().map_or(0, BackoffSchedule::len) as u64);
+    // Everything the map stage needs that depends on the rule corpus or
+    // on `G_s` alone, derived once per check and shared with every
+    // per-operator solve.
+    let (rewrites, backoff, matcher, templates) = stage(opts, "setup", |sp| {
+        let rewrites = opts
+            .rewrites
+            .clone()
+            .unwrap_or_else(|| rewrites_of(&registry()));
+        // Rule-class-driven backoff: the throttle schedule of the active
+        // rewrite set (classification + interaction-cycle analysis, no
+        // e-graph).
+        let (backoff, unifications) = if opts.rule_backoff {
+            entangle_rules::backoff_schedule_counted(&rewrites)
+        } else {
+            (None, 0)
+        };
+        let throttled = backoff.as_ref().map_or(0, BackoffSchedule::len);
+        metrics
+            .gauge("rules.backoff.throttled")
+            .set(throttled as u64);
+        // The discrimination tree every saturation run searches with.
+        let matcher = CompiledMatcher::compile(&rewrites);
+        // Static template analysis: the `entangle-iso` partition lifts the
+        // memo from per-operator to per-template keys — each
+        // repeated-structure class solves its representative once, and
+        // members replay or instantiate its certificate instead of
+        // re-saturating.
+        let templates = opts.templates.then(|| {
+            let partition = entangle_iso::analyze(gs);
+            metrics
+                .gauge("iso.template.classes")
+                .set(partition.class_count() as u64);
+            metrics
+                .gauge("iso.template.covered")
+                .set(partition.covered() as u64);
+            TemplateInfo::new(&partition, gs.nodes().len())
+        });
+        sp.attr("rules", rewrites.len());
+        sp.attr("throttled", throttled);
+        sp.attr("trie_nodes", matcher.trie_nodes());
+        sp.attr("unifications", unifications);
+        (rewrites, backoff, matcher, templates)
+    });
 
     let mut certificate = opts.certify.then(|| Certificate {
         gs: gs.name().to_owned(),
@@ -787,36 +840,25 @@ fn check_refinement_inner(
     // clean set, `sym_ctx`) and the rewrite set all live exactly as long as
     // this check, so equal keys pose equal problems to the same engine.
     let cache: ShardedCache<Solved> = ShardedCache::new(16);
-    // Static template analysis: the `entangle-iso` partition lifts the memo
-    // from per-operator to per-template keys — each repeated-structure
-    // class solves its representative once, and members replay or
-    // instantiate its certificate instead of re-saturating.
-    let templates = opts.templates.then(|| {
-        let partition = entangle_iso::analyze(gs);
-        metrics
-            .gauge("iso.template.classes")
-            .set(partition.class_count() as u64);
-        metrics
-            .gauge("iso.template.covered")
-            .set(partition.covered() as u64);
-        TemplateInfo::new(&partition, gs.nodes().len())
-    });
-
     let mapped = stage(opts, "map", |_| {
-        let ctx = MapCtx::new(
+        let ctx = MapCtx {
             gs,
             gd,
             opts,
-            &rewrites,
-            &cache,
-            backoff.as_ref(),
-            templates.as_ref(),
-        );
+            rewrites: &rewrites,
+            matcher: &matcher,
+            nodes: gs.nodes().iter().collect(),
+            cache: &cache,
+            backoff: backoff.as_ref(),
+            templates: templates.as_ref(),
+            consumers: GdConsumers::new(gd),
+        };
         let mut st = MapState {
             relation: &mut relation,
             saturation: &mut saturation,
             op_reports: &mut op_reports,
             certificate: &mut certificate,
+            merged: HashSet::new(),
         };
         map_stage_scheduled(&ctx, &mut st, jobs)
     });
@@ -1113,13 +1155,13 @@ fn shard_pass(gs: &Graph, gd: &Graph, ri: &Relation) -> Result<usize, Refinement
 // G_s operators only depend on each other through the relation: an operator
 // is dispatchable once every producer of one of its inputs has *completed*
 // (its mappings are staged in the relation — identical to its post-merge
-// state). Workers solve operators out of order; the coordinator
-// merges results strictly in G_s index order, so reports, relation contents,
-// certificates, and trace structure match the `jobs = 1` in-order loop for
-// any worker count. Failure handling relies on the same invariant: the first
-// error the merge cursor reaches is the same first error that loop hits,
-// because every operator before it merged successfully with identical
-// inputs.
+// state). Operators are solved out of order — by pool workers, or by the
+// coordinator when one is ready alone — and merged strictly in G_s index
+// order, so reports, relation contents, certificates, and trace structure
+// match the `jobs = 1` in-order run for any worker count. Failure handling
+// relies on the same invariant: the first error the merge cursor reaches is
+// the same first error that run hits, because every operator before it
+// merged successfully with identical inputs.
 // ---------------------------------------------------------------------------
 
 /// One solved template class: the representative's per-site bound values
@@ -1179,6 +1221,8 @@ struct MapCtx<'a> {
     gd: &'a Graph,
     opts: &'a CheckOptions,
     rewrites: &'a [Rewrite<TensorAnalysis>],
+    /// `rewrites` compiled, once, for every saturation run of the check.
+    matcher: &'a CompiledMatcher,
     nodes: Vec<&'a Node>,
     cache: &'a ShardedCache<Solved>,
     backoff: Option<&'a BackoffSchedule>,
@@ -1188,36 +1232,17 @@ struct MapCtx<'a> {
     consumers: GdConsumers,
 }
 
-impl<'a> MapCtx<'a> {
-    fn new(
-        gs: &'a Graph,
-        gd: &'a Graph,
-        opts: &'a CheckOptions,
-        rewrites: &'a [Rewrite<TensorAnalysis>],
-        cache: &'a ShardedCache<Solved>,
-        backoff: Option<&'a BackoffSchedule>,
-        templates: Option<&'a TemplateInfo>,
-    ) -> Self {
-        MapCtx {
-            gs,
-            gd,
-            opts,
-            rewrites,
-            nodes: gs.nodes().iter().collect(),
-            cache,
-            backoff,
-            templates,
-            consumers: GdConsumers::new(gd),
-        }
-    }
-}
-
 /// The coordinator's mutable check state (owned by the calling thread).
 struct MapState<'a> {
     relation: &'a mut Relation,
     saturation: &'a mut SaturationSummary,
     op_reports: &'a mut Vec<OpReport>,
     certificate: &'a mut Option<Certificate>,
+    /// The solved problems merged so far, by identity. Both memos hand out
+    /// the one `Arc` stored under a key, so an operator whose solution is
+    /// already in here replays a run an earlier operator reported — the
+    /// same operators for any worker count, because merging is in order.
+    merged: HashSet<*const Solved>,
 }
 
 /// Everything a worker hands back for one operator: plain data, recorded
@@ -1505,7 +1530,8 @@ fn run_op(ctx: &MapCtx, idx: usize, per_input: &[Vec<RecExpr>]) -> OpResult {
         None => match ctx.cache.get(&key) {
             Some(v) => v,
             None => {
-                let fresh = solve_problem(&problem, ctx.opts, ctx.rewrites, ctx.backoff);
+                let fresh =
+                    solve_problem(&problem, ctx.opts, ctx.rewrites, ctx.matcher, ctx.backoff);
                 for report in &fresh.run_reports {
                     record_run(&ctx.opts.metrics, report);
                 }
@@ -1561,12 +1587,15 @@ fn run_op(ctx: &MapCtx, idx: usize, per_input: &[Vec<RecExpr>]) -> OpResult {
 /// Emits one merged operator's `op:` span on the check's tracer, with the
 /// encode/saturate/extract spans of its solved problem nested inside. The
 /// span describes work a worker already did, so it reports that worker's
-/// wall clock; `outcome` sets the coordinator-side attributes.
+/// wall clock; `outcome` sets the coordinator-side attributes. `worker` is
+/// [`COORDINATOR`] or a pool thread's number; `replayed` marks a solution
+/// an earlier operator already reported.
 fn emit_op_trace(
     tracer: &Tracer,
     node: &Node,
     res: &OpResult,
     worker: usize,
+    replayed: bool,
     outcome: impl FnOnce(&mut SpanGuard),
 ) {
     if !tracer.is_enabled() {
@@ -1576,7 +1605,7 @@ fn emit_op_trace(
     span.set_elapsed_us(res.elapsed.as_micros() as u64);
     span.attr("op", node.op.name());
     if let Some(solved) = &res.solved {
-        emit_solved_trace(tracer, solved);
+        emit_solved_trace(tracer, solved, replayed);
     }
     outcome(&mut span);
     span.attr("worker", worker);
@@ -1584,8 +1613,10 @@ fn emit_op_trace(
 
 /// Emits the encode/saturate/extract spans for a memoized solution —
 /// identical structure whether the solution was just computed or replayed
-/// from the cache, so trace files are hit/miss-invariant.
-fn emit_solved_trace(tracer: &Tracer, solved: &Solved) {
+/// from the cache, so trace files are hit/miss-invariant. A replayed
+/// `saturate` span says so (`replayed`): its duration is the original
+/// run's, already counted where that run was reported.
+fn emit_solved_trace(tracer: &Tracer, solved: &Solved, replayed: bool) {
     {
         let mut sp = tracer.span("encode");
         sp.attr("nodes", solved.encode_nodes);
@@ -1601,6 +1632,9 @@ fn emit_solved_trace(tracer: &Tracer, solved: &Solved) {
         sat_span.attr("iterations", report.iterations);
         sat_span.attr("nodes", report.egraph_nodes);
         sat_span.attr("classes", report.egraph_classes);
+        if replayed {
+            sat_span.attr("replayed", true);
+        }
         for it in &report.saturation.iterations {
             tracer.event_at(
                 "iteration",
@@ -1637,7 +1671,8 @@ fn stage_result(ctx: &MapCtx, relation: &mut Relation, idx: usize, res: &OpResul
 
 /// Merges one solved operator at its in-order turn — the one place a
 /// worker's result is recorded: its run reports fold into the check's
-/// saturation telemetry (once each), then certificate assembly, relation
+/// saturation telemetry (once each; into the fresh tally only if no earlier
+/// operator merged the same solution), then certificate assembly, relation
 /// insertion, the operator's trace spans and the operator report — or the
 /// localized failure, which is the same for any worker count because every
 /// earlier operator already merged with identical inputs.
@@ -1650,13 +1685,17 @@ fn merge_run(
 ) -> Result<(), RefinementError> {
     let node = ctx.nodes[idx];
     let tracer = &ctx.opts.trace;
+    let replayed = res
+        .solved
+        .as_ref()
+        .is_some_and(|s| !st.merged.insert(Arc::as_ptr(s)));
     for report in res.solved.iter().flat_map(|s| &s.run_reports) {
-        st.saturation.record(report);
+        st.saturation.record(report, replayed);
     }
     let solved = match &res.solved {
         Some(solved) if !res.mappings.is_empty() => solved,
         unmapped => {
-            emit_op_trace(tracer, node, &res, worker, |sp| {
+            emit_op_trace(tracer, node, &res, worker, replayed, |sp| {
                 sp.attr("outcome", "operator-unmapped");
             });
             return Err(RefinementError::OperatorUnmapped {
@@ -1714,7 +1753,7 @@ fn merge_run(
         .relation
         .mappings(node.output)
         .map_or(0, <[RecExpr]>::len);
-    emit_op_trace(tracer, node, &res, worker, |sp| {
+    emit_op_trace(tracer, node, &res, worker, replayed, |sp| {
         sp.attr("mappings", n_mappings);
         sp.attr("egraph_nodes", solved.egraph_nodes);
         sp.attr("rounds", solved.rounds);
@@ -1747,8 +1786,21 @@ fn snapshot_inputs(relation: &Relation, node: &Node) -> Vec<Vec<RecExpr>> {
         .collect()
 }
 
+/// The `worker` an operator reports when the coordinating thread solved it
+/// (every operator at `jobs = 1`); pool thread `k` reports `k + 1`.
+const COORDINATOR: usize = 0;
+
 /// The scheduled map stage: dispatch operators as their producers complete,
 /// merge strictly in G_s index order.
+///
+/// An operator that is the only one ready while nothing is in flight has
+/// nothing to overlap with — whatever else remains waits on it — so the
+/// coordinator solves it itself instead of handing it to a worker and
+/// sleeping. A chain-shaped `G_s` therefore never leaves the calling thread
+/// (and the pool, which spawns at its first submission, never starts one),
+/// while every operator of a wide wave is submitted. At `jobs = 1` every
+/// operator is solved that way, in index order: the smallest ready index is
+/// always the merge cursor.
 fn map_stage_scheduled(
     ctx: &MapCtx,
     st: &mut MapState,
@@ -1756,18 +1808,8 @@ fn map_stage_scheduled(
 ) -> Result<(), RefinementError> {
     let n = ctx.nodes.len();
 
-    if jobs <= 1 {
-        // In-process scheduling: same engine, no worker threads.
-        for idx in 0..n {
-            let per_input = snapshot_inputs(st.relation, ctx.nodes[idx]);
-            let res = run_op(ctx, idx, &per_input);
-            merge_run(ctx, st, idx, res, 0)?;
-        }
-        return Ok(());
-    }
-
     // Producer dependencies, restricted to earlier operators: a producer
-    // appearing *later* leaves this input unmapped in the in-order loop
+    // appearing *later* leaves this input unmapped in an in-order loop
     // too, so the operator dispatches immediately and fails the same way.
     let out_to_idx: HashMap<TensorId, usize> = ctx
         .nodes
@@ -1810,7 +1852,6 @@ fn map_stage_scheduled(
     let mut dep_count: Vec<usize> = deps.iter().map(Vec::len).collect();
     let mut ready: std::collections::BTreeSet<usize> =
         (0..n).filter(|&i| dep_count[i] == 0).collect();
-    let mut dispatched = vec![false; n];
     let mut pending: HashMap<usize, (OpResult, usize)> = HashMap::new();
     let mut merge_ptr = 0usize;
     // Operators at or beyond the smallest failed index can never merge;
@@ -1821,37 +1862,42 @@ fn map_stage_scheduled(
 
     with_pool(jobs, work, |pool| -> Result<(), RefinementError> {
         loop {
-            if merge_ptr == n {
-                return Ok(());
-            }
-            // Dispatch everything ready.
-            while let Some(idx) = ready.pop_first() {
-                if min_failed.is_some_and(|f| idx >= f) {
-                    continue;
-                }
-                dispatched[idx] = true;
-                pool.submit(idx, snapshot_inputs(st.relation, ctx.nodes[idx]));
-            }
             // Merge every consecutively completed operator.
             while let Some((res, worker)) = pending.remove(&merge_ptr) {
                 merge_run(ctx, st, merge_ptr, res, worker)?;
                 merge_ptr += 1;
-                if merge_ptr == n {
-                    return Ok(());
-                }
             }
-            assert!(
-                pool.in_flight() > 0,
-                "scheduler stalled: operator {merge_ptr} of {n} neither completed nor in flight"
-            );
-            let (idx, worker, res) = pool.recv();
+            if merge_ptr == n {
+                return Ok(());
+            }
+            // Dispatch everything ready — or solve it here, if it is alone.
+            let mut solved_here = None;
+            while let Some(idx) = ready.pop_first() {
+                if min_failed.is_some_and(|f| idx >= f) {
+                    continue;
+                }
+                let per_input = snapshot_inputs(st.relation, ctx.nodes[idx]);
+                if jobs == 1 || (ready.is_empty() && pool.in_flight() == 0) {
+                    solved_here = Some((idx, COORDINATOR, run_op(ctx, idx, &per_input)));
+                    break;
+                }
+                pool.submit(idx, per_input);
+            }
+            let (idx, worker, res) = solved_here.unwrap_or_else(|| {
+                assert!(
+                    pool.in_flight() > 0,
+                    "scheduler stalled: operator {merge_ptr} of {n} neither completed nor in flight"
+                );
+                let (idx, thread, res) = pool.recv();
+                (idx, thread + 1, res)
+            });
             if res.mappings.is_empty() {
                 min_failed = Some(min_failed.map_or(idx, |f| f.min(idx)));
             } else {
                 stage_result(ctx, st.relation, idx, &res);
                 for &c in &consumers[idx] {
                     dep_count[c] -= 1;
-                    if dep_count[c] == 0 && !dispatched[c] {
+                    if dep_count[c] == 0 {
                         ready.insert(c);
                     }
                 }

@@ -22,8 +22,8 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 use entangle_egraph::{
-    BackoffSchedule, EGraph, ENode, Id, Justification, Proof, RecExpr, Rewrite, RunReport, Runner,
-    StopReason, Symbol,
+    BackoffSchedule, CompiledMatcher, EGraph, ENode, Id, Justification, Proof, RecExpr, Rewrite,
+    RunReport, Runner, StopReason, Symbol,
 };
 use entangle_ir::{DType, Graph, Node, Op, Shape, TensorId};
 use entangle_lemmas::TensorAnalysis;
@@ -548,10 +548,12 @@ pub(crate) struct Solved {
 /// Deterministic given `(problem, opts, rewrites)` — the foundation of the
 /// cache's correctness under racing misses — up to `StopReason::TimeLimit`
 /// cuts, which depend on wall clock (see DESIGN.md's determinism contract).
+/// `matcher` is `rewrites` compiled (once per check, by the caller).
 pub(crate) fn solve_problem(
     p: &OpProblem,
     opts: &CheckOptions,
     rewrites: &[Rewrite<TensorAnalysis>],
+    matcher: &CompiledMatcher,
     backoff: Option<&BackoffSchedule>,
 ) -> Solved {
     let mut analysis = TensorAnalysis::with_ctx(opts.sym_ctx.clone());
@@ -596,7 +598,7 @@ pub(crate) fn solve_problem(
             .with_node_limit(opts.node_limit)
             .with_time_limit(opts.time_limit)
             .with_backoff(backoff.cloned());
-        let report = runner.run(rewrites);
+        let report = runner.run_with(rewrites, matcher);
         eg = runner.egraph;
         if report.stop_reason.is_limit() || stop.is_none() {
             stop = Some(report.stop_reason);

@@ -110,6 +110,11 @@ pub struct EGraph<A: Analysis> {
     /// [`EGraph::num_classes`] stays O(1) (it is read per rule per
     /// saturation iteration for skip accounting).
     n_classes: usize,
+    /// E-nodes across all classes, maintained where a class's node list
+    /// changes (a new class adds one, a union moves nodes, a repair's dedup
+    /// drops the duplicates) so [`EGraph::total_nodes`] is O(1): the runner
+    /// reads it for the node limit and the report of every iteration.
+    n_nodes: usize,
     /// Classes whose parents need congruence repair.
     pending: Vec<Id>,
     /// Classes whose data changed and whose parents need re-analysis.
@@ -157,6 +162,7 @@ impl<A: Analysis> EGraph<A> {
             memo: FxHashMap::default(),
             classes: Vec::new(),
             n_classes: 0,
+            n_nodes: 0,
             pending: Vec::new(),
             analysis_pending: Vec::new(),
             union_count: 0,
@@ -171,7 +177,7 @@ impl<A: Analysis> EGraph<A> {
 
     /// Total number of e-nodes across all classes.
     pub fn total_nodes(&self) -> usize {
-        self.classes.iter().flatten().map(|c| c.nodes.len()).sum()
+        self.n_nodes
     }
 
     /// Number of canonical e-classes.
@@ -288,6 +294,7 @@ impl<A: Analysis> EGraph<A> {
         }
         self.classes[id.index()] = Some(class);
         self.n_classes += 1;
+        self.n_nodes += 1;
         self.memo.insert(canonical.clone(), id);
         A::modify(self, id);
         self.faithful(enode, &canonical, id)
@@ -464,6 +471,11 @@ impl<A: Analysis> EGraph<A> {
         // the upcoming search phase are single array reads.
         self.unionfind.compress_all();
         debug_assert!(self.check_memo_canonical());
+        debug_assert_eq!(
+            self.n_nodes,
+            self.classes().map(EClass::len).sum::<usize>(),
+            "running e-node count drifted from the classes"
+        );
     }
 
     fn repair(&mut self, id: Id) {
@@ -534,6 +546,7 @@ impl<A: Analysis> EGraph<A> {
                 .map(|n| n.map_children(|c| self.unionfind.find_immutable(c)))
                 .collect();
             let class = self.classes[id.index()].as_mut().expect("class must exist");
+            self.n_nodes -= class.nodes.len() - canon_nodes.len();
             class.nodes = canon_nodes.into_iter().collect();
             class.nodes.sort();
         }

@@ -125,7 +125,8 @@ pub struct SharedSearch {
 
 /// A rule corpus compiled into one shared discrimination tree.
 ///
-/// Compiled once per [`crate::Runner::run`]; patterns rooted at a variable
+/// Compiled once per check and handed to every [`crate::Runner::run_with`]
+/// ([`crate::Runner::run`] compiles its own); patterns rooted at a variable
 /// or integer literal (none exist in the registry corpus, but the pattern
 /// language allows them) fall back to the legacy per-rule searcher inside
 /// [`CompiledMatcher::search_all`].

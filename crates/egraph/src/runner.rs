@@ -315,10 +315,11 @@ impl<A: Analysis> Runner<A> {
     ///
     /// Each iteration searches *all* rules against the frozen e-graph, then
     /// applies all matches, then rebuilds — the standard egg schedule, which
-    /// keeps rule application order-independent. The search phase compiles
-    /// the corpus into a shared [`CompiledMatcher`] discrimination tree
-    /// once per run and walks the candidate e-nodes a single time per
-    /// iteration.
+    /// keeps rule application order-independent. The search phase walks
+    /// the candidate e-nodes a single time per iteration through a shared
+    /// [`CompiledMatcher`] discrimination tree; this entry point compiles
+    /// one for the run, [`Runner::run_with`] takes one the caller compiled
+    /// (a check runs the same corpus dozens of times).
     ///
     /// With a [`BackoffSchedule`] installed, throttled rules whose search
     /// exceeds the match budget are banned — their search is skipped — for
@@ -328,6 +329,15 @@ impl<A: Analysis> Runner<A> {
     /// certifies a fixpoint of the *full* rule set and the verdict is
     /// unchanged from the unthrottled schedule.
     pub fn run(&mut self, rewrites: &[Rewrite<A>]) -> RunReport {
+        self.run_with(rewrites, &CompiledMatcher::compile(rewrites))
+    }
+
+    /// [`Runner::run`] with a matcher compiled from `rewrites` beforehand.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `matcher` was compiled from a corpus of another length.
+    pub fn run_with(&mut self, rewrites: &[Rewrite<A>], matcher: &CompiledMatcher) -> RunReport {
         let start = Instant::now();
         let mut saturation = SaturationReport::default();
         // Indexed alongside `rewrites` to avoid hashing rule names in the
@@ -349,9 +359,6 @@ impl<A: Analysis> Runner<A> {
                 ..BackoffState::default()
             })
             .collect();
-        // Compile the whole corpus into one shared discrimination tree per
-        // run (the rule slice is fixed for the run's duration).
-        let matcher = CompiledMatcher::compile(rewrites);
         let mut ematch_candidates = 0u64;
         let mut ematch_yields = 0u64;
         let mut iterations = 0;

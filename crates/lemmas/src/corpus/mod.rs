@@ -1,5 +1,7 @@
 //! Lemma registry: the full ordered corpus with per-lemma metadata.
 
+use std::collections::HashSet;
+
 use entangle_egraph::{PatternAst, Rewrite};
 
 use crate::analysis::TensorAnalysis;
@@ -81,11 +83,16 @@ pub(crate) fn pattern_ops(ast: &PatternAst) -> usize {
 
 pub(crate) struct Builder {
     lemmas: Vec<Lemma>,
+    /// Names registered so far (the duplicate check of [`Builder::push`]).
+    names: HashSet<String>,
 }
 
 impl Builder {
     fn new() -> Builder {
-        Builder { lemmas: Vec::new() }
+        Builder {
+            lemmas: Vec::new(),
+            names: HashSet::new(),
+        }
     }
 
     /// An empty builder for registration-invariant tests.
@@ -111,7 +118,7 @@ impl Builder {
         models: &[&'static str],
     ) {
         assert!(
-            !self.lemmas.iter().any(|l| l.name == rewrite.name()),
+            self.names.insert(rewrite.name().to_owned()),
             "duplicate lemma name registered: {:?}",
             rewrite.name()
         );
@@ -136,13 +143,10 @@ impl Builder {
         models: &[&'static str],
     ) {
         let rw = Rewrite::parse(name, lhs, rhs).unwrap_or_else(|e| panic!("lemma {name}: {e}"));
-        let complexity = pattern_ops(rw.searcher().ast())
-            + pattern_ops(
-                &rhs.parse::<entangle_egraph::Pattern>()
-                    .expect("rhs parses")
-                    .ast()
-                    .clone(),
-            );
+        let parsed_rhs = rw
+            .rhs()
+            .expect("a parsed rewrite keeps its right-hand side");
+        let complexity = pattern_ops(rw.searcher().ast()) + pattern_ops(parsed_rhs.ast());
         // Universal lemmas are one-to-two-liners in the DSL (§5).
         self.push(rw, category, 2, complexity, models);
     }

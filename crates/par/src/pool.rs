@@ -59,11 +59,17 @@ pub struct PoolHandle<'a, T, R> {
     queue: &'a TaskQueue<T>,
     rx: mpsc::Receiver<(usize, usize, R)>,
     in_flight: usize,
+    /// Spawns the workers; taken by the first [`PoolHandle::submit`], so a
+    /// coordinator that never submits never pays for a thread.
+    spawn: Option<Box<dyn FnOnce() + 'a>>,
 }
 
 impl<T, R> PoolHandle<'_, T, R> {
-    /// Enqueues a task for the workers.
+    /// Enqueues a task for the workers, spawning them if this is the first.
     pub fn submit(&mut self, idx: usize, task: T) {
+        if let Some(spawn) = self.spawn.take() {
+            spawn();
+        }
         self.in_flight += 1;
         self.queue.push(idx, task);
     }
@@ -90,7 +96,8 @@ impl<T, R> PoolHandle<'_, T, R> {
 
 /// Runs `coordinator` alongside `jobs` scoped worker threads executing
 /// `work` on submitted tasks; returns the coordinator's result once every
-/// worker has exited.
+/// worker has exited. The threads are spawned by the first
+/// [`PoolHandle::submit`], all `jobs` at once.
 ///
 /// Workers borrow from the caller's stack (the e-graph rewrites, the
 /// graphs), which is what makes a dependency-aware scheduler possible
@@ -129,24 +136,27 @@ where
     let (tx, rx) = mpsc::channel();
     std::thread::scope(|s| {
         let _guard = ShutdownGuard(&queue);
-        for worker in 0..jobs {
-            let tx = tx.clone();
-            let queue = &queue;
-            let work = &work;
-            s.spawn(move || {
-                while let Some((idx, task)) = queue.pop() {
-                    let result = work(idx, task);
-                    if tx.send((idx, worker, result)).is_err() {
-                        break; // coordinator gone; nothing left to report to
+        let (queue, work) = (&queue, &work);
+        let spawn = move || {
+            for worker in 0..jobs {
+                let tx = tx.clone();
+                s.spawn(move || {
+                    while let Some((idx, task)) = queue.pop() {
+                        let result = work(idx, task);
+                        if tx.send((idx, worker, result)).is_err() {
+                            break; // coordinator gone; nothing left to report to
+                        }
                     }
-                }
-            });
-        }
-        drop(tx);
+                });
+            }
+            // `tx` drops here: only workers hold senders, so a dead pool
+            // surfaces in `recv` instead of blocking it.
+        };
         let mut handle = PoolHandle {
-            queue: &queue,
+            queue,
             rx,
             in_flight: 0,
+            spawn: Some(Box::new(spawn)),
         };
         coordinator(&mut handle)
         // `_guard` drops here (also on panic), shutting the queue down so
@@ -219,6 +229,38 @@ mod tests {
         );
         assert_eq!(out, 84);
         assert_eq!(counter.load(Ordering::SeqCst), 2);
+    }
+
+    /// A chain — each task posed by the previous result — is run by its
+    /// coordinator and costs no thread; the first two-wide wave spawns the
+    /// workers, and its two tasks run at the same time (each waits for the
+    /// other at a barrier, so they cannot have run one after the other).
+    #[test]
+    fn chain_spawns_nothing_and_a_wide_wave_overlaps() {
+        let coordinator = std::thread::current().id();
+        let ran_on = Mutex::new(Vec::new());
+        let meet = std::sync::Barrier::new(2);
+        let work = |_w: usize, wait: bool| {
+            ran_on.lock().unwrap().push(std::thread::current().id());
+            if wait {
+                meet.wait();
+            }
+        };
+        with_pool(2, work, |pool| {
+            for link in 0..5 {
+                work(link, false);
+            }
+            assert!(pool.spawn.is_some(), "nothing submitted, nothing spawned");
+            assert_eq!(*ran_on.lock().unwrap(), vec![coordinator; 5]);
+            pool.submit(5, true);
+            pool.submit(6, true);
+            assert!(pool.spawn.is_none());
+            pool.recv();
+            pool.recv();
+        });
+        let ran_on = ran_on.into_inner().unwrap();
+        assert!(ran_on[5..].iter().all(|&t| t != coordinator));
+        assert_ne!(ran_on[5], ran_on[6], "the wave's tasks ran on two workers");
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Growth classification: what each rule does to term size and variable
 //! multiplicity, read off the patterns alone.
 
-use entangle_egraph::{PatternAst, Rewrite};
+use entangle_egraph::{PatternAst, Rewrite, Var};
 use entangle_lemmas::TensorAnalysis;
 
-use crate::pattern_util::{op_count, var_counts};
+use crate::pattern_util::{count_vars, op_count};
 
 /// Where a rule sits in the growth lattice.
 ///
@@ -100,12 +100,14 @@ pub fn classify(rw: &Rewrite<TensorAnalysis>) -> RuleClass {
     };
     let rhs = rhs.ast();
     let rhs_ops = op_count(rhs);
-    let lhs_vars = var_counts(lhs);
-    let rhs_vars = var_counts(rhs);
+    let (mut lhs_vars, mut rhs_vars) = (Vec::new(), Vec::new());
+    count_vars(lhs, &mut lhs_vars);
+    count_vars(rhs, &mut rhs_vars);
+    let in_lhs = |v: &Var| lhs_vars.iter().find(|(w, _)| w == v).map(|&(_, n)| n);
     let duplicates = rhs_vars
         .iter()
-        .any(|(v, &n)| n > lhs_vars.get(v).copied().unwrap_or(0) && lhs_vars.contains_key(v));
-    let mints = rhs_vars.keys().any(|v| !lhs_vars.contains_key(v));
+        .any(|(v, n)| in_lhs(v).is_some_and(|m| *n > m));
+    let mints = rhs_vars.iter().any(|(v, _)| in_lhs(v).is_none());
     let expanding = duplicates || mints;
     let class = if expanding || rhs_ops > lhs_ops {
         GrowthClass::Generative

@@ -15,11 +15,13 @@
 //! statically, this is the `scalar_mul-distribute` ⇄ `scalar_mul-compose`
 //! blowup the MoE trace measures dynamically.
 
-use entangle_egraph::Rewrite;
+use std::collections::HashMap;
+
+use entangle_egraph::{PatternAst, Rewrite, Symbol};
 use entangle_lemmas::TensorAnalysis;
 
 use crate::classify::{effective_rhs, RuleClass};
-use crate::pattern_util::{op_subterms, rename_vars, unifiable};
+use crate::pattern_util::{op_subterms, unify_apart_in};
 
 /// The directed rule-interaction graph over the corpus (indices into the
 /// rewrite slice it was built from).
@@ -28,6 +30,9 @@ pub struct InteractionGraph {
     /// `edges[i]` = sorted indices of rules whose LHS root unifies with an
     /// RHS subterm of rule `i`.
     pub edges: Vec<Vec<usize>>,
+    /// Full unifications run to build `edges` — what the derivation costs,
+    /// as a count (the head-symbol buckets answer every other pair).
+    pub unifications: u64,
 }
 
 /// One generative cycle: a strongly connected component with at least one
@@ -40,11 +45,94 @@ pub struct GenerativeCycle {
     pub drivers: Vec<usize>,
 }
 
+/// `true` for an operator applied to distinct variables (`(add ?a ?b)`).
+/// Renamed apart, it unifies with every application of its symbol and
+/// arity — each variable binds the child opposite — so no unifier is run.
+fn applies_distinct_vars(ast: &PatternAst) -> bool {
+    let PatternAst::Op(_, ch) = ast else {
+        return false;
+    };
+    ch.iter().enumerate().all(|(k, c)| match c {
+        PatternAst::Var(_) => !ch[..k].contains(c),
+        _ => false,
+    })
+}
+
 /// Builds the interaction graph for a rewrite slice.
+///
+/// An RHS subterm is an operator application, so only a left-hand side
+/// with the same head symbol and arity — or a bare variable, which unifies
+/// with anything once renamed apart — can unify with it: roots are bucketed
+/// by `(symbol, arity)` and only a bucket's members are unified, over the
+/// borrowed patterns ([`unify_apart_in`]), and only where
+/// neither side [`applies_distinct_vars`].
 pub fn interaction_graph(rewrites: &[Rewrite<TensorAnalysis>]) -> InteractionGraph {
-    // Rename each side apart once up front; unification treats shared
-    // variable names as shared variables, and distinct rules' `?x`s are not.
-    let rhs_subterms: Vec<Vec<entangle_egraph::PatternAst>> = rewrites
+    // Per `(symbol, arity)`: the rules rooted there, each with whether its
+    // root applies distinct variables.
+    let mut by_head: HashMap<(Symbol, usize), Vec<(usize, bool)>> = HashMap::new();
+    let mut var_rooted: Vec<usize> = Vec::new();
+    for (j, rw) in rewrites.iter().enumerate() {
+        let lhs = rw.searcher().ast();
+        match lhs {
+            PatternAst::Op(sym, ch) => by_head
+                .entry((*sym, ch.len()))
+                .or_default()
+                .push((j, applies_distinct_vars(lhs))),
+            PatternAst::Var(_) => var_rooted.push(j),
+            // An integer literal never unifies with an operator application.
+            PatternAst::Int(_) => {}
+        }
+    }
+    let mut unifications = 0u64;
+    let mut scratch = Vec::new();
+    let mut hit = vec![false; rewrites.len()];
+    let edges = rewrites
+        .iter()
+        .map(|rw| {
+            let subs = effective_rhs(rw).map_or_else(Vec::new, |rhs| op_subterms(rhs.ast()));
+            let mut out: Vec<usize> = Vec::new();
+            if !subs.is_empty() {
+                out.extend(&var_rooted);
+            }
+            for sub in subs {
+                let PatternAst::Op(sym, ch) = sub else {
+                    unreachable!("op_subterms yields operator applications");
+                };
+                let free = applies_distinct_vars(sub);
+                for &(j, lhs_free) in by_head.get(&(*sym, ch.len())).into_iter().flatten() {
+                    if hit[j] {
+                        continue;
+                    }
+                    let unifies = free || lhs_free || {
+                        unifications += 1;
+                        unify_apart_in(sub, rewrites[j].searcher().ast(), &mut scratch)
+                    };
+                    if unifies {
+                        hit[j] = true;
+                        out.push(j);
+                    }
+                }
+            }
+            for &j in &out {
+                hit[j] = false;
+            }
+            out.sort_unstable();
+            out
+        })
+        .collect();
+    InteractionGraph {
+        edges,
+        unifications,
+    }
+}
+
+/// The all-pairs construction [`interaction_graph`] replaced, kept as the
+/// reference it is tested against: every RHS subterm against every LHS
+/// root, both renamed apart into fresh copies.
+#[cfg(test)]
+pub(crate) fn interaction_edges_all_pairs(rewrites: &[Rewrite<TensorAnalysis>]) -> Vec<Vec<usize>> {
+    use crate::pattern_util::{rename_vars, unifiable};
+    let rhs_subterms: Vec<Vec<PatternAst>> = rewrites
         .iter()
         .map(|rw| match effective_rhs(rw) {
             Some(rhs) => op_subterms(rhs.ast())
@@ -54,11 +142,11 @@ pub fn interaction_graph(rewrites: &[Rewrite<TensorAnalysis>]) -> InteractionGra
             None => Vec::new(),
         })
         .collect();
-    let lhs_roots: Vec<entangle_egraph::PatternAst> = rewrites
+    let lhs_roots: Vec<PatternAst> = rewrites
         .iter()
         .map(|rw| rename_vars(rw.searcher().ast(), "·l"))
         .collect();
-    let edges = rhs_subterms
+    rhs_subterms
         .iter()
         .map(|subs| {
             lhs_roots
@@ -68,8 +156,7 @@ pub fn interaction_graph(rewrites: &[Rewrite<TensorAnalysis>]) -> InteractionGra
                 .map(|(j, _)| j)
                 .collect()
         })
-        .collect();
-    InteractionGraph { edges }
+        .collect()
 }
 
 /// Iterative Tarjan SCC. Components are returned with members sorted

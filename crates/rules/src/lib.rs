@@ -35,9 +35,7 @@ mod interact;
 mod pattern_util;
 mod soundness;
 
-use std::collections::{BTreeSet, HashMap};
-use std::hash::{DefaultHasher, Hash, Hasher};
-use std::sync::{Mutex, OnceLock};
+use std::collections::BTreeSet;
 
 use entangle_egraph::{BackoffSchedule, Rewrite};
 use entangle_lemmas::{TensorAnalysis, OP_VOCABULARY};
@@ -407,48 +405,30 @@ fn throttle_set(classes: &[RuleClass], cycles: &[GenerativeCycle]) -> BTreeSet<S
 }
 
 /// Derives the saturation backoff schedule for a rewrite slice: the
-/// classification and cycle passes only (the lint passes are skipped), so
-/// this is cheap enough to run once per check.
+/// classification and cycle passes only (the lint passes are skipped). It
+/// costs a few hundred bucketed unifications over borrowed patterns —
+/// cheap enough to run once per check, so nothing is cached.
 ///
 /// Generative-cycle *drivers* are throttled with the default match budget
 /// and ban length; every other rule — including the simplifying and
 /// size-preserving cycle members that fold the drivers' output back down —
 /// runs unthrottled (see [`throttle_set`]).
 pub fn backoff_schedule(rewrites: &[Rewrite<TensorAnalysis>]) -> Option<BackoffSchedule> {
-    // Memoized process-wide (parallel sweeps re-derive per check
-    // otherwise), keyed by everything the passes below read off a rewrite:
-    // a name alone does not identify a rule, since an override may keep the
-    // name and swap the body.
-    static CACHE: OnceLock<Mutex<HashMap<u64, Option<BackoffSchedule>>>> = OnceLock::new();
-    let key = {
-        let mut h = DefaultHasher::new();
-        for rw in rewrites {
-            rw.name().hash(&mut h);
-            rw.searcher().to_string().hash(&mut h);
-            rw.rhs().map(ToString::to_string).hash(&mut h);
-            rw.rhs_hint().map(ToString::to_string).hash(&mut h);
-            rw.has_condition().hash(&mut h);
-        }
-        h.finish()
-    };
-    let cache = CACHE.get_or_init(Mutex::default);
-    if let Some(hit) = cache.lock().expect("schedule cache poisoned").get(&key) {
-        return hit.clone();
-    }
+    backoff_schedule_counted(rewrites).0
+}
+
+/// [`backoff_schedule`], plus the number of full unifications the
+/// derivation ran ([`InteractionGraph::unifications`]) — the
+/// `stage:setup` span's `unifications` attribute.
+pub fn backoff_schedule_counted(
+    rewrites: &[Rewrite<TensorAnalysis>],
+) -> (Option<BackoffSchedule>, u64) {
     let classes: Vec<RuleClass> = rewrites.iter().map(classify).collect();
     let graph = interaction_graph(rewrites);
     let cycles = generative_cycles(&graph, &classes);
     let set = throttle_set(&classes, &cycles);
-    let schedule = if set.is_empty() {
-        None
-    } else {
-        Some(BackoffSchedule::new(set))
-    };
-    cache
-        .lock()
-        .expect("schedule cache poisoned")
-        .insert(key, schedule.clone());
-    schedule
+    let schedule = (!set.is_empty()).then(|| BackoffSchedule::new(set));
+    (schedule, graph.unifications)
 }
 
 #[cfg(test)]

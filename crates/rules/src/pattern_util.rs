@@ -1,5 +1,5 @@
 //! Pure pattern-level algorithms the analyzer is built on: term size,
-//! variable multiplicity, renaming, syntactic unification, one-way
+//! variable multiplicity, syntactic unification, one-way
 //! matching, and α-equivalence — all over [`PatternAst`], no e-graph.
 
 use std::collections::HashMap;
@@ -18,20 +18,29 @@ pub fn op_count(ast: &PatternAst) -> usize {
 
 /// Occurrence count of every variable in the pattern.
 pub fn var_counts(ast: &PatternAst) -> HashMap<Var, usize> {
-    fn walk(ast: &PatternAst, out: &mut HashMap<Var, usize>) {
-        match ast {
-            PatternAst::Var(v) => *out.entry(*v).or_insert(0) += 1,
-            PatternAst::Int(_) => {}
-            PatternAst::Op(_, ch) => ch.iter().for_each(|c| walk(c, out)),
-        }
-    }
-    let mut out = HashMap::new();
-    walk(ast, &mut out);
-    out
+    let mut counts = Vec::new();
+    count_vars(ast, &mut counts);
+    counts.into_iter().collect()
 }
 
-/// Renames every variable by appending `suffix`, so two rules' patterns
-/// can be unified without accidental capture.
+/// [`var_counts`] into a scanned vector, in first-occurrence order: a rule
+/// has a handful of variables, and the classifier counts two patterns per
+/// rule per check.
+pub(crate) fn count_vars(ast: &PatternAst, out: &mut Vec<(Var, usize)>) {
+    match ast {
+        PatternAst::Var(v) => match out.iter_mut().find(|(w, _)| w == v) {
+            Some((_, n)) => *n += 1,
+            None => out.push((*v, 1)),
+        },
+        PatternAst::Int(_) => {}
+        PatternAst::Op(_, ch) => ch.iter().for_each(|c| count_vars(c, out)),
+    }
+}
+
+/// Renames every variable by appending `suffix` — the renaming-apart the
+/// all-pairs reference graph performs (the analyzer itself unifies over
+/// side-tagged borrowed patterns, see [`unify_apart_in`]).
+#[cfg(test)]
 pub fn rename_vars(ast: &PatternAst, suffix: &str) -> PatternAst {
     match ast {
         PatternAst::Var(v) => PatternAst::Var(Var::new(&format!("{}{suffix}", v.as_str()))),
@@ -58,52 +67,84 @@ pub fn op_subterms(ast: &PatternAst) -> Vec<&PatternAst> {
     out
 }
 
-fn occurs(v: Var, ast: &PatternAst, subst: &HashMap<Var, PatternAst>) -> bool {
-    match ast {
-        PatternAst::Var(w) => *w == v || subst.get(w).is_some_and(|t| occurs(v, t, subst)),
+/// A borrowed pattern read on one side of a unification. The side tag is
+/// the renaming-apart: `?x` on side `false` and `?x` on side `true` are
+/// different variables, with no renamed copy of either pattern built.
+type Sided<'a> = (&'a PatternAst, bool);
+
+/// Bindings of side-tagged variables to side-tagged subterms. A handful of
+/// entries per unification, so a scanned vector beats hashing — and one
+/// vector can serve a whole corpus of unifications ([`unify_apart_in`]).
+pub(crate) type Bindings<'a> = Vec<((Var, bool), Sided<'a>)>;
+
+fn binding<'a>(v: (Var, bool), subst: &Bindings<'a>) -> Option<Sided<'a>> {
+    subst.iter().find(|(w, _)| *w == v).map(|&(_, t)| t)
+}
+
+fn occurs(v: (Var, bool), t: Sided, subst: &Bindings) -> bool {
+    match t.0 {
+        PatternAst::Var(w) => {
+            (*w, t.1) == v || binding((*w, t.1), subst).is_some_and(|b| occurs(v, b, subst))
+        }
         PatternAst::Int(_) => false,
-        PatternAst::Op(_, ch) => ch.iter().any(|c| occurs(v, c, subst)),
+        PatternAst::Op(_, ch) => ch.iter().any(|c| occurs(v, (c, t.1), subst)),
     }
 }
 
-fn resolve<'a>(mut ast: &'a PatternAst, subst: &'a HashMap<Var, PatternAst>) -> &'a PatternAst {
-    while let PatternAst::Var(v) = ast {
-        match subst.get(v) {
-            Some(t) => ast = t,
+fn resolve<'a>(mut t: Sided<'a>, subst: &Bindings<'a>) -> Sided<'a> {
+    while let PatternAst::Var(v) = t.0 {
+        match binding((*v, t.1), subst) {
+            Some(b) => t = b,
             None => break,
         }
     }
-    ast
+    t
 }
 
-fn unify_into(a: &PatternAst, b: &PatternAst, subst: &mut HashMap<Var, PatternAst>) -> bool {
-    let a = resolve(a, subst).clone();
-    let b = resolve(b, subst).clone();
-    match (&a, &b) {
-        (PatternAst::Var(v), PatternAst::Var(w)) if v == w => true,
-        (PatternAst::Var(v), t) | (t, PatternAst::Var(v)) => {
-            if occurs(*v, t, subst) {
-                return false;
-            }
-            subst.insert(*v, (*t).clone());
-            true
-        }
+fn unify_into<'a>(a: Sided<'a>, b: Sided<'a>, subst: &mut Bindings<'a>) -> bool {
+    let (a, b) = (resolve(a, subst), resolve(b, subst));
+    match (a.0, b.0) {
+        (PatternAst::Var(v), PatternAst::Var(w)) if (v, a.1) == (w, b.1) => true,
+        (PatternAst::Var(v), _) => bind((*v, a.1), b, subst),
+        (_, PatternAst::Var(w)) => bind((*w, b.1), a, subst),
         (PatternAst::Int(i), PatternAst::Int(j)) => i == j,
         (PatternAst::Op(s1, c1), PatternAst::Op(s2, c2)) => {
             s1 == s2
                 && c1.len() == c2.len()
-                && c1.iter().zip(c2).all(|(x, y)| unify_into(x, y, subst))
+                && c1
+                    .iter()
+                    .zip(c2)
+                    .all(|(x, y)| unify_into((x, a.1), (y, b.1), subst))
         }
         _ => false,
     }
 }
 
-/// Syntactic unification with occurs check. The caller is responsible for
-/// renaming apart (see [`rename_vars`]); variables shared between `a` and
-/// `b` are treated as the same variable.
+fn bind<'a>(v: (Var, bool), t: Sided<'a>, subst: &mut Bindings<'a>) -> bool {
+    if occurs(v, t, subst) {
+        return false;
+    }
+    subst.push((v, t));
+    true
+}
+
+/// Syntactic unification with occurs check. Variables shared between `a`
+/// and `b` are the same variable; two rules' patterns, whose equally
+/// spelled variables are not, go through [`unify_apart_in`].
 pub fn unifiable(a: &PatternAst, b: &PatternAst) -> bool {
-    let mut subst = HashMap::new();
-    unify_into(a, b, &mut subst)
+    unify_into((a, false), (b, false), &mut Vec::new())
+}
+
+/// [`unifiable`] with the two patterns' variables renamed apart — without
+/// renaming: nothing is cloned or interned, the patterns are only read.
+/// `scratch` is cleared first; one vector serves a corpus of calls.
+pub(crate) fn unify_apart_in<'a>(
+    a: &'a PatternAst,
+    b: &'a PatternAst,
+    scratch: &mut Bindings<'a>,
+) -> bool {
+    scratch.clear();
+    unify_into((a, false), (b, true), scratch)
 }
 
 /// One-way matching: binds variables of `general` (only) so that it equals

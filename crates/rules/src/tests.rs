@@ -1,8 +1,14 @@
 use entangle_lemmas::registry;
 
-use crate::{analyze, backoff_schedule, classify, codes, GrowthClass};
+use crate::interact::interaction_edges_all_pairs;
+use crate::{
+    analyze, backoff_schedule, backoff_schedule_counted, classify, codes, interaction_graph,
+    GrowthClass,
+};
 
-fn corpus() -> Vec<entangle_egraph::Rewrite<entangle_lemmas::TensorAnalysis>> {
+type Rw = entangle_egraph::Rewrite<entangle_lemmas::TensorAnalysis>;
+
+fn corpus() -> Vec<Rw> {
     registry().into_iter().map(|l| l.rewrite).collect()
 }
 
@@ -93,44 +99,89 @@ fn throttle_set_spares_simplifying_rules() {
     assert_eq!(schedule.len(), analysis.throttled.len());
 }
 
-/// The schedule memo is keyed by rule bodies, not names: a corpus that
-/// keeps a driver's name and swaps its body for an inert one (what the
-/// `ablations` bin does with `add-assoc`, what any `CheckOptions.rewrites`
-/// override may do) gets its own schedule, whichever of the two is derived
-/// first. The memo is process-wide, so the second call order needs a
-/// second pair of corpora; an inert extra rule makes one.
+/// The schedule reads rule bodies, not names: a corpus that keeps a
+/// driver's name and swaps its body for an inert one (what the `ablations`
+/// bin does with `add-assoc`, what any `CheckOptions.rewrites` override may
+/// do) gets its own schedule — nothing is remembered between derivations.
 #[test]
-fn schedule_memo_tells_same_named_corpora_apart() {
-    let parse = |name: &str, lhs: &str, rhs: &str| {
-        entangle_egraph::Rewrite::parse(name, lhs, rhs).expect("test rule parses")
-    };
-    let pair = |extra: Option<&str>| {
-        let mut shipped = corpus();
-        shipped.extend(extra.map(|name| parse(name, "(sin (cos ?x))", "(cos ?x)")));
-        let mut defused = shipped.clone();
-        for rw in &mut defused {
-            if rw.name() == "scalar_mul-distribute" {
-                *rw = parse(rw.name(), "(cos (sin ?x))", "(sin ?x)");
-            }
+fn schedule_tells_same_named_corpora_apart() {
+    let shipped = corpus();
+    let mut defused = shipped.clone();
+    for rw in &mut defused {
+        if rw.name() == "scalar_mul-distribute" {
+            *rw = parse(rw.name(), "(cos (sin ?x))", "(sin ?x)");
         }
-        (shipped, defused)
-    };
-    let agrees = |rewrites: &[entangle_egraph::Rewrite<entangle_lemmas::TensorAnalysis>]| {
+    }
+    let agrees = |rewrites: &[Rw]| {
         let fresh = analyze(rewrites).throttled;
         let schedule = backoff_schedule(rewrites);
         assert_eq!(schedule.as_ref().map_or(0, |s| s.len()), fresh.len());
         for name in &fresh {
             assert!(
                 schedule.as_ref().is_some_and(|s| s.is_throttled(name)),
-                "{name} is throttled by a fresh analysis, not by the memoized schedule"
+                "{name} is throttled by the full analysis, not by the schedule"
             );
         }
         fresh
     };
-    let (shipped, defused) = pair(None);
     assert_ne!(agrees(&shipped), agrees(&defused));
-    let (shipped, defused) = pair(Some("schedule-memo-test-pad"));
-    assert_ne!(agrees(&defused), agrees(&shipped));
+}
+
+fn parse(name: &str, lhs: &str, rhs: &str) -> Rw {
+    entangle_egraph::Rewrite::parse(name, lhs, rhs).expect("test rule parses")
+}
+
+/// The two corpora of `subsumption_instantiates_in_one_pass`.
+fn double_negation_corpus() -> Vec<Rw> {
+    let mut rewrites = corpus();
+    rewrites.push(parse("neg-neg", "(neg (neg ?x))", "?x"));
+    rewrites
+}
+
+fn free_assoc_corpus() -> Vec<Rw> {
+    let mut rewrites = corpus();
+    for rw in &mut rewrites {
+        if rw.name() == "add-assoc" {
+            *rw = parse("add-assoc", "(add (add ?a ?b) ?c)", "(add ?a (add ?b ?c))");
+        }
+    }
+    rewrites
+}
+
+/// The bucketed graph is the all-pairs graph, edge for edge.
+#[test]
+fn interaction_graph_equals_the_all_pairs_reference() {
+    for rewrites in [corpus(), double_negation_corpus(), free_assoc_corpus()] {
+        assert_eq!(
+            interaction_graph(&rewrites).edges,
+            interaction_edges_all_pairs(&rewrites)
+        );
+    }
+}
+
+/// What the shipped corpus's derivation yields, and what it costs — as a
+/// count, which repeats exactly: the all-pairs loop ran ≈ 50 000
+/// unifications (each cloning both sides) for the same four names.
+#[test]
+fn shipped_schedule_is_pinned_and_cheap() {
+    let rewrites = corpus();
+    let (schedule, unifications) = backoff_schedule_counted(&rewrites);
+    let schedule = schedule.expect("corpus has a generative cycle");
+    let throttled = [
+        "embedding-of-concat-ids",
+        "scalar_mul-distribute",
+        "scalar_mul-of-concat",
+        "sum_dim-of-concat-same",
+    ];
+    assert_eq!(schedule.len(), throttled.len());
+    for name in throttled {
+        assert!(schedule.is_throttled(name), "{name} must be throttled");
+    }
+    assert_eq!(analyze(&rewrites).throttled, throttled);
+    assert!(
+        unifications <= 3_000,
+        "{unifications} full unifications per schedule derivation"
+    );
 }
 
 #[test]
@@ -157,28 +208,15 @@ fn shipped_corpus_has_no_errors() {
 /// such a binding to its own image never ends.
 #[test]
 fn subsumption_instantiates_in_one_pass() {
-    let parse = |name: &str, lhs: &str, rhs: &str| {
-        entangle_egraph::Rewrite::parse(name, lhs, rhs).expect("test rule parses")
-    };
-    let findings = |rewrites: &[entangle_egraph::Rewrite<entangle_lemmas::TensorAnalysis>]| {
+    let findings = |rewrites: &[Rw]| {
         let analysis = analyze(rewrites);
         let rendered = analysis.report.diagnostics.iter().map(|d| d.render(None));
         rendered.collect::<Vec<String>>()
     };
     let shipped = findings(&corpus());
-
-    let mut double_negation = corpus();
-    double_negation.push(parse("neg-neg", "(neg (neg ?x))", "?x"));
-    assert_eq!(findings(&double_negation), shipped);
-
+    assert_eq!(findings(&double_negation_corpus()), shipped);
     // What `ablations` does: the constrained association, freed.
-    let mut free_assoc = corpus();
-    for rw in &mut free_assoc {
-        if rw.name() == "add-assoc" {
-            *rw = parse("add-assoc", "(add (add ?a ?b) ?c)", "(add ?a (add ?b ?c))");
-        }
-    }
-    assert_eq!(findings(&free_assoc), shipped);
+    assert_eq!(findings(&free_assoc_corpus()), shipped);
 }
 
 #[test]
@@ -200,6 +238,66 @@ fn json_is_stable_and_complete() {
         "\"report\":{",
     ] {
         assert!(a.contains(key), "missing {key} in {a:.120}");
+    }
+}
+
+mod random_corpora {
+    use proptest::prelude::*;
+
+    use super::Rw;
+    use crate::interact::interaction_edges_all_pairs;
+    use crate::interaction_graph;
+
+    /// Decodes bytes into a pattern over a small vocabulary chosen to
+    /// collide: three variables, two integers, and operators that share a
+    /// symbol across arities (`f/1`, `f/2`). `root` picks the root kind
+    /// outright, so variable- and integer-rooted sides are common.
+    fn pattern(bytes: &mut std::slice::Iter<u8>, depth: usize, root: Option<u8>) -> String {
+        let b = root.unwrap_or_else(|| bytes.next().copied().unwrap_or(0));
+        let leaf = |b: u8| match b % 5 {
+            0 => "?a".to_owned(),
+            1 => "?b".to_owned(),
+            2 => "?c".to_owned(),
+            k => (k - 3).to_string(),
+        };
+        if depth == 0 || b.is_multiple_of(3) {
+            return leaf(b / 3);
+        }
+        let (sym, arity) = [("f", 1), ("f", 2), ("g", 2), ("h", 1)][(b / 3 % 4) as usize];
+        let children: Vec<String> = (0..arity)
+            .map(|_| pattern(bytes, depth - 1, None))
+            .collect();
+        format!("({sym} {})", children.join(" "))
+    }
+
+    fn corpus(rules: &[(u8, Vec<u8>)]) -> Vec<Rw> {
+        rules
+            .iter()
+            .enumerate()
+            .map(|(i, (root, bytes))| {
+                let mut bytes = bytes.iter();
+                let lhs = pattern(&mut bytes, 3, Some(*root));
+                let rhs = pattern(&mut bytes, 3, None);
+                // A hinted dynamic rule: its sketch may mint variables.
+                entangle_egraph::Rewrite::parse_dyn(&format!("r{i}"), &lhs, |_, _, _| Vec::new())
+                    .and_then(|rw| rw.with_rhs_hint(&rhs))
+                    .expect("generated patterns parse")
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn bucketed_graph_equals_all_pairs(
+            rules in collection::vec((0u8..=255, collection::vec(0u8..=255, 0..24)), 1..10)
+        ) {
+            let rewrites = corpus(&rules);
+            prop_assert_eq!(
+                interaction_graph(&rewrites).edges,
+                interaction_edges_all_pairs(&rewrites)
+            );
+        }
     }
 }
 

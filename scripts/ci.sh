@@ -44,6 +44,18 @@ if grep -rnE 'dot_memo|bypass_dot_memo|dot_hits' crates/ tests/ benchmark/src; t
   echo "the dot-product memo is back (interning a Dot node is the memo)"; exit 1
 fi
 
+# What depends only on the rule corpus is cheap, not cached, and built once
+# per check: the schedule derivation keeps no process-global memo, and the
+# runner compiles a matcher only in `Runner::run`, the wrapper for callers
+# with a single run (`run_with` takes the check's).
+if grep -nE 'static CACHE|OnceLock' crates/rules/src/lib.rs; then
+  echo "crates/rules memoizes again (backoff_schedule is a bucketed pass: keep it cheap instead)"; exit 1
+fi
+compiles=$(grep -c 'CompiledMatcher::compile(' crates/egraph/src/runner.rs)
+if [ "$compiles" -ne 1 ]; then
+  echo "expected CompiledMatcher::compile once in runner.rs (the Runner::run wrapper), found $compiles"; exit 1
+fi
+
 echo "==> model-zoo shard sweep (entangle shard over exported strategies)"
 cargo run --release -q -p entangle-bench --bin export_zoo -- examples/graphs
 for gd in examples/graphs/*.gd.json; do

@@ -70,6 +70,14 @@ fn outcome_signature(
             }
             out.push_str("== saturation ==\n");
             out.push_str(&format!("stops={:?}\n", o.saturation.stops));
+            out.push_str(&format!(
+                "fresh runs={} iterations={} matches={}\n",
+                o.saturation.fresh_runs(),
+                o.saturation.fresh_iterations(),
+                (o.saturation.fresh.rules.values())
+                    .map(|r| r.matches)
+                    .sum::<u64>()
+            ));
             let tel = &o.saturation.telemetry;
             out.push_str(&format!(
                 "searched={} skipped={}\n",
@@ -158,6 +166,17 @@ fn zoo_outcomes_are_identical_across_jobs() {
         .collect();
     let (gs, gd, ri, ctx) = symbolic_pair();
     cases.push(("symbolic_sp2".to_owned(), gs, gd, ri, ctx));
+    // The `gpt_tp8` benchmark input: eight-wide waves between chains, and
+    // more replays than fresh runs.
+    let w = entangle_bench::gpt_workload(8, 2);
+    let ri = w.dist.relation(&w.gs).expect("relation builds");
+    cases.push((
+        "gpt_tp8_l2".to_owned(),
+        w.gs,
+        w.dist.graph,
+        ri,
+        SymCtx::new(),
+    ));
     for (name, gs, gd, ri, ctx) in &cases {
         let mut baseline: Option<(String, String)> = None;
         for jobs in [1usize, 2, 4] {
@@ -221,4 +240,48 @@ fn table3_bug_localization_is_identical_across_jobs() {
             }
         }
     }
+}
+
+/// An operator that is ready alone is solved by the coordinator — also when
+/// it is the one that fails: the report is the one `jobs = 1` gives, and the
+/// failing `op:` span names the coordinating thread, worker 0. The shard
+/// pre-pass is off so that bugs 1, 3 and 7 reach the map stage too (bug 2
+/// fails after it, at the outputs gate).
+#[test]
+fn a_failing_operator_solved_inline_reports_like_jobs_1() {
+    let mut inline_failures = 0;
+    for case in all_bugs(true) {
+        if ![1, 2, 3, 4, 6, 7].contains(&case.id) {
+            continue;
+        }
+        let run = |jobs: usize| {
+            let (tracer, sink) = Tracer::collect();
+            let opts = CheckOptions {
+                shard: false,
+                ..opts_with(jobs, &tracer)
+            };
+            let verdict = case.run(&opts);
+            drop((opts, tracer));
+            let BugVerdict::RefinementBug(e) = verdict else {
+                panic!("bug {} must be a refinement bug", case.id);
+            };
+            (e, sink.records())
+        };
+        let (sequential, _) = run(1);
+        let (parallel, records) = run(2);
+        assert_eq!(format!("{sequential:?}"), format!("{parallel:?}"));
+        let attr = |r: &Record, key: &str| -> Option<String> {
+            let found = r.attrs.iter().find(|(k, _)| k == key);
+            found.map(|(_, v)| v.clone())
+        };
+        for r in &records {
+            if attr(r, "outcome").as_deref() == Some("operator-unmapped") {
+                assert!(matches!(parallel, RefinementError::OperatorUnmapped { .. }));
+                if attr(r, "worker").as_deref() == Some("0") {
+                    inline_failures += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(inline_failures, 5, "bugs 1, 3, 4, 6 and 7");
 }
