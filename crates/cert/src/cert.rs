@@ -135,15 +135,3 @@ pub fn term_eq(a: &RecExpr, ai: Id, b: &RecExpr, bi: Id) -> bool {
 pub fn exprs_eq(a: &RecExpr, b: &RecExpr) -> bool {
     term_eq(a, a.root_id(), b, b.root_id())
 }
-
-/// Copies the subtree of `src` rooted at `at` into `dst`, returning the
-/// new root slot.
-pub(crate) fn copy_subtree(src: &RecExpr, at: Id, dst: &mut RecExpr) -> Id {
-    let node = src.node(at).map_children(|c| copy_subtree(src, c, dst));
-    dst.add(node)
-}
-
-/// Copies a whole term into `dst`, returning the new root slot.
-pub(crate) fn copy_expr(src: &RecExpr, dst: &mut RecExpr) -> Id {
-    copy_subtree(src, src.root_id(), dst)
-}

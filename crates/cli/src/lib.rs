@@ -1239,8 +1239,11 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
                 let text = fs::read_to_string(path)
                     .map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
                 sp.attr("cert_bytes", text.len());
-                let cert = match entangle_cert::from_json(&text) {
-                    Ok(cert) => cert,
+                let cert = match entangle_cert::from_json_counting(&text) {
+                    Ok((cert, table_entries)) => {
+                        sp.attr("cert_terms", table_entries);
+                        cert
+                    }
                     Err(e) => {
                         println!("Certificate REJECTED:\n{e}");
                         return Ok(4);
@@ -1251,13 +1254,16 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
                 let mut sp = tracer.span("stage:certify");
                 sp.attr("mappings", cert.mappings.len());
                 sp.attr("steps", cert.total_steps());
-                let verdict = entangle_cert::verify(
+                let (verdict, kernel) = entangle_cert::verify_reporting(
                     &cert,
                     &gs,
                     &gd,
                     &lemmas,
                     &entangle_symbolic::SymCtx::new(),
                 );
+                for (key, count) in kernel.attrs() {
+                    sp.attr(key, count);
+                }
                 sp.attr(
                     "outcome",
                     if verdict.is_ok() {
@@ -1426,6 +1432,22 @@ fn run_trace(
                 report.spans.len(),
                 report.events.len()
             );
+            // What the certificate kernel met, when the trace has a kernel
+            // stage that recorded it.
+            let attr = |span: &str, key: &str| report.find(span).and_then(|sp| sp.attr(key));
+            if let Some(entries) = attr("stage:parse", "cert_terms") {
+                println!("certificate: {entries} term-table entries read");
+            }
+            if let Some(terms) = attr("stage:certify", "terms") {
+                let of = |key| attr("stage:certify", key).unwrap_or("?");
+                println!(
+                    "kernel   : {terms} distinct terms in {} slots, {} replays, \
+                     {} scratch e-nodes",
+                    of("slots"),
+                    of("replays"),
+                    of("scratch_nodes")
+                );
+            }
         }
         return Ok(0);
     }

@@ -934,9 +934,16 @@ fn check_refinement_inner(
         stage(opts, "certify", |sp| {
             sp.attr("mappings", c.mappings.len());
             sp.attr("steps", c.total_steps());
+            let mut kernel = entangle_cert::KernelReport::default();
             let r = timed_kernel(metrics, "cert.verify_us", || {
-                entangle_cert::verify(c, gs, gd, &rewrites, &opts.sym_ctx)
+                let (verdict, report) =
+                    entangle_cert::verify_reporting(c, gs, gd, &rewrites, &opts.sym_ctx);
+                kernel = report;
+                verdict
             });
+            for (key, count) in kernel.attrs() {
+                sp.attr(key, count);
+            }
             sp.attr("outcome", if r.is_ok() { "accepted" } else { "rejected" });
             r
         })

@@ -125,6 +125,13 @@ impl RecExpr {
         Self::default()
     }
 
+    /// An empty expression with room for `slots` nodes.
+    pub fn with_capacity(slots: usize) -> Self {
+        RecExpr {
+            nodes: Vec::with_capacity(slots),
+        }
+    }
+
     /// Appends a node whose children must already be present, returning its
     /// slot as an [`Id`].
     ///

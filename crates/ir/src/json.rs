@@ -65,16 +65,26 @@ impl Json {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. The formats
+/// built on it are shallow — a graph document nests 5 levels, a
+/// certificate's proof 3 per level of congruence (a few dozen at most).
+pub const MAX_NESTING: usize = 256;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the value being parsed.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Parser<'a> {
         Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -108,8 +118,21 @@ impl<'a> Parser<'a> {
     fn parse_value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(open @ (b'{' | b'[')) => {
+                // The parser recurses per level: without the bound a
+                // document of nothing but `[` overflows the stack.
+                if self.depth == MAX_NESTING {
+                    return Err(self.err(&format!("nesting deeper than {MAX_NESTING} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.parse_object()
+                } else {
+                    self.parse_array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::Str(self.parse_string()?)),
             Some(b't') | Some(b'f') => self.parse_bool(),
             Some(b'n') => self.parse_null(),
@@ -175,55 +198,50 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("non-ascii \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("\\u escape is not a scalar value"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("invalid escape sequence")),
-                    }
-                    self.pos += 1;
-                }
-                Some(b) if b < 0x80 => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8: the input is a &str, so this is valid.
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Copy the run up to the next delimiter as one slice. Both
+            // delimiters are ASCII, which never occurs inside a multi-byte
+            // UTF-8 sequence, so every cut falls on a char boundary of
+            // `text`.
+            let len = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| self.err("unterminated string"))?;
+            let run = self
+                .text
+                .get(self.pos..self.pos + len)
+                .ok_or_else(|| self.err("string run off a char boundary"))?;
+            out.push_str(run);
+            self.pos += len + 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(out);
             }
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b't') => out.push('\t'),
+                Some(b'r') => out.push('\r'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos + 1..self.pos + 5)
+                        .ok_or_else(|| self.err("truncated \\u escape"))?;
+                    let hex =
+                        std::str::from_utf8(hex).map_err(|_| self.err("non-ascii \\u escape"))?;
+                    let code =
+                        u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
+                    out.push(
+                        char::from_u32(code)
+                            .ok_or_else(|| self.err("\\u escape is not a scalar value"))?,
+                    );
+                    self.pos += 4;
+                }
+                _ => return Err(self.err("invalid escape sequence")),
+            }
+            self.pos += 1;
         }
     }
 
@@ -266,7 +284,8 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Parses one JSON document; trailing garbage is an error.
+/// Parses one JSON document; trailing garbage is an error, and so is
+/// nesting deeper than [`MAX_NESTING`].
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser::new(text);
     let v = p.parse_value()?;
@@ -277,7 +296,9 @@ pub fn parse(text: &str) -> Result<Json, String> {
     Ok(v)
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Appends `s` as a JSON string literal (quoted, escaped), for callers
+/// that write a document straight to text instead of building a [`Json`].
+pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -890,6 +911,44 @@ mod tests {
         assert!(parse("1.5").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("{\"a\": 1, \"a\": 2}").is_err());
+    }
+
+    #[test]
+    fn strings_keep_escapes_and_multibyte_runs() {
+        // Runs between escapes are copied whole; every cut is at an ASCII
+        // delimiter, so multi-byte characters on either side of one survive.
+        let v = parse(r#"["né\"é", "\u00e9→\n←", "", "日本\\語", "~ones[2, 3]"]"#).unwrap();
+        let strs = |v: &Json| match v {
+            Json::Arr(items) => items
+                .iter()
+                .map(|i| match i {
+                    Json::Str(s) => s.clone(),
+                    other => panic!("not a string: {other:?}"),
+                })
+                .collect::<Vec<_>>(),
+            other => panic!("not an array: {other:?}"),
+        };
+        assert_eq!(strs(&v), ["né\"é", "é→\n←", "", "日本\\語", "~ones[2, 3]"]);
+        assert_eq!(parse(&to_string_pretty(&v)).unwrap(), v);
+        assert!(parse("\"é").is_err(), "unterminated after a multi-byte run");
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_NESTING)).is_ok());
+        let err = parse(&nested(MAX_NESTING + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
+        // The hostile shape: nothing but openers, far past any stack.
+        assert!(parse(&"[".repeat(200_000))
+            .unwrap_err()
+            .contains("nesting deeper"));
+        assert!(parse(&"{\"a\":".repeat(200_000))
+            .unwrap_err()
+            .contains("nesting deeper"));
+        // Siblings do not nest: the count falls again when a value closes.
+        let wide = format!("[{}]", vec![nested(MAX_NESTING - 1); 3].join(","));
+        assert!(parse(&wide).is_ok());
     }
 
     #[test]

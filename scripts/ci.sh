@@ -56,6 +56,12 @@ if [ "$compiles" -ne 1 ]; then
   echo "expected CompiledMatcher::compile once in runner.rs (the Runner::run wrapper), found $compiles"; exit 1
 fi
 
+# One certificate format: version 2, written compactly straight from the term
+# table. Neither the pretty-printer nor a version-1 branch may come back.
+if grep -nE 'to_string_pretty|Json::Int\(1\)' crates/cert/src/json.rs; then
+  echo "crates/cert/src/json.rs pretty-prints or reads version 1 again (one format: v2, compact)"; exit 1
+fi
+
 echo "==> model-zoo shard sweep (entangle shard over exported strategies)"
 cargo run --release -q -p entangle-bench --bin export_zoo -- examples/graphs
 for gd in examples/graphs/*.gd.json; do
@@ -87,6 +93,15 @@ for gd in examples/graphs/*.gd.json; do
     || { echo "certify (re-check) FAILED on $base"; exit 1; }
 done
 echo "    7 certificates emitted at jobs=4 and kernel-accepted"
+# A count, not a time: sharing keeps a certificate near the size of its
+# distinct terms (32 214 B before the term table). The deep twin of this guard
+# — gpt_workload(8, 2) within 400 000 B and 2 200 table entries — is
+# `certificate_sizes_stay_within_their_count_guards` in crates/cert, which the
+# workspace test run above executed.
+tp2_bytes=$(wc -c < "$certdir/gpt_tp2.cert.json")
+[ "$tp2_bytes" -le 12000 ] \
+  || { echo "gpt_tp2's certificate is $tp2_bytes B (> 12000: is every term still written once?)"; exit 1; }
+echo "    gpt_tp2 certificate: $tp2_bytes B"
 
 echo "==> model-zoo trace sweep (--trace on every subcommand, validate with trace --check)"
 tracedir=$(mktemp -d)

@@ -3,11 +3,16 @@
 //! corrupted substitution, truncated chain, shuffled chain — must all be
 //! rejected. The base certificate comes from GPT under TP2, so the mutated
 //! proofs are the genuine article, not synthetic strawmen.
+//!
+//! The second half forges the *file*: the term table a certificate's JSON
+//! text shares its terms through. A bad reference is `Malformed` at the
+//! reader; a reference to a different, well-formed term is the kernel's to
+//! reject; a duplicated entry changes no term and must change no verdict.
 
 use std::sync::OnceLock;
 
 use entangle::{check_refinement, CheckOptions};
-use entangle_cert::{exprs_eq, Certificate};
+use entangle_cert::{exprs_eq, CertError, Certificate};
 use entangle_egraph::{Proof, ProofStep, RecExpr};
 use entangle_ir::Graph;
 use entangle_lemmas::{registry, rewrites_of};
@@ -154,5 +159,172 @@ proptest! {
         let orig: &Proof = &cert.mappings[m].proof;
         prop_assume!(!still_chains(steps, &orig.steps));
         prop_assert!(kernel_rejects(&bad), "shuffled chain at mapping {m}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Forgery at the term table
+// ---------------------------------------------------------------------------
+
+/// The base certificate's JSON text, split around its term table: the
+/// header line, one string per table entry (as written, no separator), and
+/// everything from the table's closing bracket on.
+fn base_table() -> (String, Vec<String>, String) {
+    let (_, _, cert) = base();
+    let text = entangle_cert::to_json(cert).expect("base certificate serializes");
+    let (head, rest) = text
+        .split_once("\"terms\":[\n")
+        .expect("a version 2 certificate has a term table");
+    let (table, tail) = rest.split_once("\n],").expect("the table closes");
+    let entries = table.split(",\n").map(str::to_owned).collect();
+    (
+        format!("{head}\"terms\":[\n"),
+        entries,
+        format!("\n],{tail}"),
+    )
+}
+
+fn assemble(head: &str, entries: &[String], tail: &str) -> String {
+    format!("{head}{}{tail}", entries.join(",\n"))
+}
+
+/// Reads and re-checks a certificate text the way `certify --check` does.
+fn recheck(text: &str) -> Result<(), CertError> {
+    let (gs, gd, _) = base();
+    let cert = entangle_cert::from_json(text)?;
+    entangle_cert::verify(&cert, gs, gd, &rewrites_of(&registry()), &SymCtx::new())
+}
+
+/// Indices of the table entries that are applications (`[head, id, ...]`).
+fn applications(entries: &[String]) -> Vec<usize> {
+    (0..entries.len())
+        .filter(|&i| entries[i].starts_with('['))
+        .collect()
+}
+
+/// `["head",a,b,...]` → (`"head"`, [a, b, ...]).
+fn parse_application(entry: &str) -> (String, Vec<usize>) {
+    let inner = &entry[1..entry.len() - 1];
+    let (head, args) = inner
+        .split_once("\",")
+        .expect("an application has arguments");
+    let ids = args.split(',').map(|a| a.parse().expect("an id")).collect();
+    (format!("{head}\""), ids)
+}
+
+fn application(head: &str, ids: &[usize]) -> String {
+    let ids: Vec<String> = ids.iter().map(usize::to_string).collect();
+    format!("[{head},{}]", ids.join(","))
+}
+
+/// The byte range of every step's `after` id in `tail`, with the id.
+fn after_ids(tail: &str) -> Vec<(std::ops::Range<usize>, usize)> {
+    tail.match_indices("\"after\":")
+        .map(|(i, key)| {
+            let start = i + key.len();
+            let len = tail[start..]
+                .find(|c: char| !c.is_ascii_digit())
+                .expect("an id ends");
+            (
+                start..start + len,
+                tail[start..start + len].parse().expect("an id"),
+            )
+        })
+        .collect()
+}
+
+/// `tail` with the id at `at` replaced by `id`.
+fn retarget(tail: &str, at: &std::ops::Range<usize>, id: usize) -> String {
+    format!("{}{id}{}", &tail[..at.start], &tail[at.end..])
+}
+
+#[test]
+fn the_untouched_text_rechecks() {
+    let (head, entries, tail) = base_table();
+    recheck(&assemble(&head, &entries, &tail)).expect("the base certificate is accepted");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn bad_table_references_are_malformed(raw in 0usize..10_000, arg in 0usize..8, kind in 0usize..4) {
+        let (head, mut entries, tail) = base_table();
+        let apps = applications(&entries);
+        let at = apps[raw % apps.len()];
+        let (op, mut ids) = parse_application(&entries[at]);
+        let k = arg % ids.len();
+        entries[at] = match kind {
+            // Past the end of the table, itself, a later entry, no arguments.
+            0 => { ids[k] = entries.len() + raw; application(&op, &ids) }
+            1 => { ids[k] = at; application(&op, &ids) }
+            2 => { ids[k] = at + 1 + raw % (entries.len() - at); application(&op, &ids) }
+            _ => format!("[{op}]"),
+        };
+        let verdict = recheck(&assemble(&head, &entries, &tail));
+        prop_assert!(
+            matches!(verdict, Err(CertError::Malformed(_))),
+            "entry {} forged as {} gave {:?}", at, entries[at], verdict
+        );
+    }
+
+    #[test]
+    fn positions_past_the_table_are_malformed(raw in 0usize..10_000) {
+        let (head, entries, tail) = base_table();
+        // Retarget one `"after":N` to an id the table does not have.
+        let afters = after_ids(&tail);
+        let (at, _) = &afters[raw % afters.len()];
+        let forged = retarget(&tail, at, entries.len() + raw);
+        let verdict = recheck(&assemble(&head, &entries, &forged));
+        prop_assert!(matches!(verdict, Err(CertError::Malformed(_))), "{:?}", verdict);
+    }
+
+    #[test]
+    fn a_position_retargeted_to_a_same_shaped_term_is_rejected(raw in 0usize..10_000) {
+        let (head, mut entries, tail) = base_table();
+        // A step's `after` that is an application whose first two arguments
+        // differ: swapping them (add(a, b) → add(b, a), concat likewise on
+        // equal shards) is a different term of the same shape.
+        let candidates: Vec<(std::ops::Range<usize>, usize)> = after_ids(&tail)
+            .into_iter()
+            .filter(|(_, id)| {
+                entries[*id].starts_with('[') && {
+                    let (_, ids) = parse_application(&entries[*id]);
+                    ids.len() >= 2 && ids[0] != ids[1]
+                }
+            })
+            .collect();
+        prop_assert!(!candidates.is_empty(), "the base certificate has binary steps");
+        let (at, id) = &candidates[raw % candidates.len()];
+        let (op, mut ids) = parse_application(&entries[*id]);
+        ids.swap(0, 1);
+        entries.push(application(&op, &ids));
+        let forged = retarget(&tail, at, entries.len() - 1);
+        let text = assemble(&head, &entries, &forged);
+        // Well-formed, so the reader takes it; the term changed, so the
+        // kernel must not.
+        prop_assert!(entangle_cert::from_json(&text).is_ok());
+        let verdict = recheck(&text);
+        prop_assert!(
+            matches!(verdict, Err(CertError::Rejected { .. })),
+            "swapped entry {} accepted as {:?}", entries[*id], verdict
+        );
+    }
+
+    #[test]
+    fn a_duplicated_entry_changes_nothing(raw in 0usize..10_000) {
+        let (head, mut entries, tail) = base_table();
+        // Copy one entry to the end of the table and point a position that
+        // named the original at the copy: the same term under another id.
+        let afters = after_ids(&tail);
+        let (at, id) = &afters[raw % afters.len()];
+        entries.push(entries[*id].clone());
+        let forged = retarget(&tail, at, entries.len() - 1);
+        let text = assemble(&head, &entries, &forged);
+        prop_assert!(recheck(&text).is_ok(), "the kernel re-interns: ids are not trusted");
+        // And the writer knows one canonical text per certificate.
+        let (h, e, t) = base_table();
+        let back = entangle_cert::from_json(&text).expect("parses");
+        prop_assert_eq!(entangle_cert::to_json(&back).expect("serializes"), assemble(&h, &e, &t));
     }
 }
