@@ -32,8 +32,8 @@
 use std::collections::{HashMap, HashSet};
 
 use entangle_egraph::{EGraph, ENode, Id, PatternAst, Proof, ProofStep, RecExpr, Rewrite, Var};
-use entangle_ir::{DType, Graph, Op, Shape};
-use entangle_lemmas::{decode_op, Meta, TensorAnalysis, SYNTHETIC_LEAF_PREFIX};
+use entangle_ir::{DType, Dim, Graph, Op, Shape};
+use entangle_lemmas::{infer_application, parse_ones_leaf, Meta, TensorAnalysis};
 use entangle_symbolic::{SymCtx, SymExpr};
 
 use crate::cert::{CertError, Certificate, MappingCert};
@@ -856,18 +856,14 @@ fn term_meta(m: &Meta) -> Result<TermMeta<'_>, String> {
 /// leaf (`~ones[...]`) carries its shape in its name, anything else is a
 /// `G_d` tensor or unknown (`None`).
 fn leaf_meta(name: &str, gd: &Graph) -> Result<Option<(Shape, DType)>, String> {
-    if let Some(rest) = name.strip_prefix(SYNTHETIC_LEAF_PREFIX) {
-        let dims =
-            parse_ones_shape(rest).ok_or_else(|| format!("unparsable synthetic leaf {name}"))?;
-        Ok(Some((Shape::of(&dims), DType::F32)))
-    } else {
-        Ok(gd.tensor_by_name(name).map(|t| (t.shape.clone(), t.dtype)))
-    }
+    let ones = parse_ones_leaf(name).map_err(|_| format!("unparsable synthetic leaf {name}"))?;
+    Ok(match ones {
+        Some(dims) => Some((Shape(dims.into_iter().map(Dim::from).collect()), DType::F32)),
+        None => gd.tensor_by_name(name).map(|t| (t.shape.clone(), t.dtype)),
+    })
 }
 
-/// Infers shape/dtype metadata for one node from its children's, mirroring
-/// the relation builder's inference plus the synthetic leaves the
-/// reduction lemmas mint.
+/// Infers shape/dtype metadata for one node from its children's.
 fn infer_node(node: &ENode, children: &[Meta], gd: &Graph) -> Result<Meta, String> {
     match node {
         ENode::Int(i) => Ok(Meta::scalar(SymExpr::constant(*i))),
@@ -877,58 +873,6 @@ fn infer_node(node: &ENode, children: &[Meta], gd: &Graph) -> Result<Meta, Strin
                 leaf_meta(sym.as_str(), gd)?.ok_or_else(|| format!("unknown G_d tensor {sym}"))?;
             Ok(Meta::tensor(shape, dtype))
         }
-        ENode::Op(sym, _) => {
-            let (op, tensor_count) = decode_op(sym.as_str(), children)
-                .ok_or_else(|| format!("unknown operator {sym}"))?;
-            let inputs: Result<Vec<_>, String> = children[..tensor_count]
-                .iter()
-                .map(|m| {
-                    Ok((
-                        m.shape
-                            .clone()
-                            .ok_or_else(|| "tensor operand lacks shape".to_owned())?,
-                        m.dtype
-                            .ok_or_else(|| "tensor operand lacks dtype".to_owned())?,
-                    ))
-                })
-                .collect();
-            let (shape, dtype) =
-                entangle_ir::infer_output(&op, &inputs?).map_err(|e| e.to_string())?;
-            Ok(Meta::tensor(shape, dtype))
-        }
+        ENode::Op(sym, _) => infer_application(*sym, children).map_err(|e| e.to_string()),
     }
-}
-
-/// Decodes the shape from a synthetic canonicalization leaf name, e.g.
-/// `ones[2, 3]` (the `~` prefix already stripped). Mirrors the lint
-/// auditor's ground evaluator.
-fn parse_ones_shape(rest: &str) -> Option<Vec<i64>> {
-    let body = rest
-        .strip_prefix("ones")?
-        .strip_prefix('[')?
-        .strip_suffix(']')?;
-    let body = body.trim();
-    if body.is_empty() {
-        return Some(Vec::new());
-    }
-    body.split(',')
-        .map(|p| p.trim().parse::<i64>().ok())
-        .collect()
-}
-
-/// Per-term shape inference — every slot of one [`RecExpr`], nothing
-/// shared between terms — which the table's memo replaced; kept as the
-/// reference the memo is tested against.
-#[cfg(test)]
-pub(crate) fn reference_term_metas(expr: &RecExpr, gd: &Graph) -> Result<Vec<Meta>, String> {
-    let mut metas: Vec<Meta> = Vec::with_capacity(expr.len());
-    for node in expr.nodes() {
-        let children: Vec<Meta> = node
-            .children()
-            .iter()
-            .map(|c| metas[c.index()].clone())
-            .collect();
-        metas.push(infer_node(node, &children, gd)?);
-    }
-    Ok(metas)
 }

@@ -1,14 +1,16 @@
 //! Unit tests: a hand-built refinement with a complete certificate, the
 //! kernel's rejection behavior, and the JSON round-trip.
 
-use entangle_egraph::{Proof, ProofStep, RecExpr};
-use entangle_ir::{DType, Graph, GraphBuilder, Op};
-use entangle_lemmas::{registry, rewrites_of, TensorAnalysis};
+use entangle_egraph::{EGraph, ENode, Proof, ProofStep, RecExpr};
+use entangle_ir::{DType, Dim, Graph, GraphBuilder, Op, Shape};
+use entangle_lemmas::{
+    infer_application, parse_ones_leaf, registry, rewrites_of, Meta, TensorAnalysis,
+};
 use entangle_symbolic::SymCtx;
 
 use crate::cert::{exprs_eq, CertError, Certificate, MappingCert};
 use crate::json::{from_json, positions, to_json};
-use crate::kernel::{reference_term_metas, verify, Accepted, Kernel, KernelReport};
+use crate::kernel::{verify, Accepted, Kernel, KernelReport};
 use crate::table::{PostOrder, TermTable};
 
 fn e(s: &str) -> RecExpr {
@@ -444,20 +446,70 @@ fn real_certs() -> &'static [RealCert] {
     })
 }
 
+/// The shape rule folded over one term alone, slot by slot, a leaf being
+/// the `G_d` tensor or the ones tensor it names.
+fn shape_rule_over(term: &RecExpr, gd: &Graph) -> Result<Meta, String> {
+    let mut metas: Vec<Meta> = Vec::with_capacity(term.len());
+    for node in term.nodes() {
+        let meta = match node {
+            ENode::Int(i) => Meta::scalar((*i).into()),
+            ENode::Sym(e) => Meta::scalar(e.clone()),
+            ENode::Op(sym, ch) if ch.is_empty() => match parse_ones_leaf(sym.as_str()) {
+                Ok(Some(dims)) => {
+                    Meta::tensor(Shape(dims.into_iter().map(Dim::from).collect()), DType::F32)
+                }
+                Ok(None) => {
+                    let t = gd.tensor_by_name(sym.as_str()).ok_or("unknown leaf")?;
+                    Meta::tensor(t.shape.clone(), t.dtype)
+                }
+                Err(_) => return Err("malformed leaf".to_owned()),
+            },
+            ENode::Op(sym, ch) => {
+                let children: Vec<Meta> = ch.iter().map(|c| metas[c.index()].clone()).collect();
+                infer_application(*sym, &children).map_err(|e| e.to_string())?
+            }
+        };
+        metas.push(meta);
+    }
+    Ok(metas.pop().expect("terms are not empty"))
+}
+
 #[test]
-fn store_agrees_with_the_reference_on_real_certificates() {
+fn store_agrees_with_the_shape_rule_and_the_egraph_on_real_certificates() {
     let lemmas = lemmas();
     for case in real_certs() {
         verify(&case.cert, &case.gs, &case.gd, &lemmas, &SymCtx::default())
             .unwrap_or_else(|e| panic!("{}: {e}", case.name));
         let mut store = Kernel::new(&case.gs, &case.gd, &lemmas, &SymCtx::default());
+        // The e-class analysis over the same leaves, as a third opinion.
+        let mut analysis = TensorAnalysis::default();
+        for t in case.gd.tensors() {
+            analysis.register_leaf(&t.name, t.shape.clone(), t.dtype);
+        }
+        let mut egraph = EGraph::with_analysis(analysis);
         // One representative position per store entry.
         let mut classes: Vec<(entangle_egraph::Id, &RecExpr)> = Vec::new();
         for term in positions(&case.cert) {
             let id = store.intern(term);
-            // Memoised inference = inferring this term alone, slot by slot.
-            let alone = reference_term_metas(term, &case.gd).map(|m| m[term.len() - 1].clone());
+            // Memoised inference = the shape rule over this term alone =
+            // the class data `add_expr` computes for it.
+            let alone = shape_rule_over(term, &case.gd);
             assert_eq!(*store.meta(id), alone, "{}: meta of {term}", case.name);
+            for leaf in term.leaf_symbols() {
+                if let Ok(Some(dims)) = parse_ones_leaf(leaf.as_str()) {
+                    let shape = Shape(dims.into_iter().map(Dim::from).collect());
+                    egraph
+                        .analysis
+                        .register_leaf(leaf.as_str(), shape, DType::F32);
+                }
+            }
+            let class = egraph.add_expr(term);
+            assert_eq!(
+                Ok(&egraph[class].data),
+                alone.as_ref(),
+                "{}: {term}",
+                case.name
+            );
             // Same entry ⟹ same tree.
             match classes.iter().find(|(entry, _)| *entry == id) {
                 Some((_, first)) => assert!(

@@ -5,7 +5,7 @@ use std::fmt;
 
 use entangle_egraph::RecExpr;
 use entangle_ir::{Graph, IrError, Shape, TensorId};
-use entangle_lemmas::{decode_op, Meta};
+use entangle_lemmas::{infer_application, Meta};
 
 /// A relation from `G_s` tensors to expressions over `G_d` tensors.
 ///
@@ -222,23 +222,7 @@ pub(crate) fn infer_expr_meta(
             }
             entangle_egraph::ENode::Op(sym, ch) => {
                 let child_metas: Vec<Meta> = ch.iter().map(|c| metas[c.index()].clone()).collect();
-                let (op, tensor_count) = decode_op(sym.as_str(), &child_metas)
-                    .ok_or_else(|| IrError::Invalid(format!("unknown operator {sym}")))?;
-                let inputs: Result<Vec<_>, IrError> = child_metas[..tensor_count]
-                    .iter()
-                    .map(|m| {
-                        Ok((
-                            m.shape.clone().ok_or_else(|| {
-                                IrError::Invalid("tensor operand lacks shape".into())
-                            })?,
-                            m.dtype.ok_or_else(|| {
-                                IrError::Invalid("tensor operand lacks dtype".into())
-                            })?,
-                        ))
-                    })
-                    .collect();
-                let (shape, dtype) = entangle_ir::infer_output(&op, &inputs?)?;
-                Meta::tensor(shape, dtype)
+                infer_application(*sym, &child_metas)?
             }
         };
         metas.push(meta);

@@ -184,6 +184,8 @@ fn relation_builder_validates() {
     assert!(ri.map("A", "A1").is_err());
     // Wrong concat dim.
     assert!(ri.map("A", "(concat A1 A2 0)").is_err());
+    // An operator short of its operands is an error, not an index panic.
+    assert!(ri.map("A", "(add A1)").is_err());
     // Correct.
     assert!(ri.map("A", "(concat A1 A2 1)").is_ok());
 }

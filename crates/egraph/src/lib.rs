@@ -69,7 +69,7 @@ pub use egraph::{Analysis, EClass, EGraph};
 pub use explain::{Justification, Proof, ProofStep};
 pub use extract::{AstSize, CostFunction, Extractor};
 pub use machine::{CompiledMatcher, SharedSearch, MATCHER_GENERATION};
-pub use node::{ENode, ParseExprError, RecExpr};
+pub use node::{ENode, ParseExprError, RecExpr, MAX_TERM_DEPTH};
 pub use pattern::{Pattern, PatternAst, SearchMatches, Subst, Var};
 pub use rewrite::{Applier, Condition, Rewrite};
 pub use runner::{

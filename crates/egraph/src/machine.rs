@@ -270,11 +270,6 @@ impl CompiledMatcher {
         self.nodes.len() - 1
     }
 
-    /// Number of compiled rules (the rest use the legacy fallback).
-    pub fn compiled_rules(&self) -> usize {
-        self.n_rules - self.fallback.len()
-    }
-
     /// Searches the whole e-graph for every rule in one shared traversal.
     ///
     /// `active[i]` is false for rules currently banned by the backoff

@@ -36,27 +36,11 @@ impl ENode {
         ENode::Op(Symbol::new(name), children)
     }
 
-    /// The operator symbol, if this is an `Op` node.
-    pub fn op_symbol(&self) -> Option<Symbol> {
-        match self {
-            ENode::Op(s, _) => Some(*s),
-            _ => None,
-        }
-    }
-
     /// The children of this node (empty for scalars and leaves).
     pub fn children(&self) -> &[Id] {
         match self {
             ENode::Op(_, ch) => ch,
             _ => &[],
-        }
-    }
-
-    /// Mutable access to the children.
-    pub fn children_mut(&mut self) -> &mut [Id] {
-        match self {
-            ENode::Op(_, ch) => ch,
-            _ => &mut [],
         }
     }
 
@@ -277,10 +261,16 @@ pub(crate) enum Sexp {
     List(Vec<Sexp>),
 }
 
+/// Deepest term the s-expression reader accepts (a leaf is depth 1, an
+/// application one more than its deepest argument). The reader recurses per
+/// `(` and so does every consumer behind it (`Display`, `copy_into`, the
+/// pattern compiler): the bound is what lets them run on untrusted text.
+pub const MAX_TERM_DEPTH: usize = 512;
+
 pub(crate) fn parse_sexp(input: &str) -> Result<Sexp, ParseExprError> {
     let tokens = tokenize(input);
     let mut pos = 0;
-    let sexp = parse_tokens(&tokens, &mut pos)?;
+    let sexp = parse_tokens(&tokens, &mut pos, 1)?;
     if pos != tokens.len() {
         return Err(ParseExprError::new(format!(
             "trailing tokens after expression in {input:?}"
@@ -314,10 +304,16 @@ fn tokenize(input: &str) -> Vec<String> {
     tokens
 }
 
-fn parse_tokens(tokens: &[String], pos: &mut usize) -> Result<Sexp, ParseExprError> {
+/// Parses the term at `pos`, itself at `depth` below the root (the root is 1).
+fn parse_tokens(tokens: &[String], pos: &mut usize, depth: usize) -> Result<Sexp, ParseExprError> {
     let Some(tok) = tokens.get(*pos) else {
         return Err(ParseExprError::new("unexpected end of input"));
     };
+    if depth > MAX_TERM_DEPTH {
+        return Err(ParseExprError::new(format!(
+            "expression nests deeper than {MAX_TERM_DEPTH} levels"
+        )));
+    }
     *pos += 1;
     match tok.as_str() {
         "(" => {
@@ -328,7 +324,7 @@ fn parse_tokens(tokens: &[String], pos: &mut usize) -> Result<Sexp, ParseExprErr
                         *pos += 1;
                         return Ok(Sexp::List(items));
                     }
-                    Some(_) => items.push(parse_tokens(tokens, pos)?),
+                    Some(_) => items.push(parse_tokens(tokens, pos, depth + 1)?),
                     None => return Err(ParseExprError::new("unclosed parenthesis")),
                 }
             }

@@ -7,7 +7,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use crate::egraph::{Analysis, EGraph};
-use crate::node::{parse_sexp, ENode, ParseExprError, RecExpr, Sexp};
+use crate::node::{parse_sexp, ENode, ParseExprError, Sexp};
 use crate::symbol::Symbol;
 use crate::unionfind::Id;
 
@@ -169,48 +169,6 @@ impl PatternAst {
             }
         }
     }
-
-    /// Looks up the instantiation *without inserting*; `None` if any node of
-    /// the instantiated term is absent from the e-graph. This implements the
-    /// §4.3.2 "constrained lemma" check: the target must already exist.
-    pub fn lookup_instantiation<A: Analysis>(
-        &self,
-        egraph: &EGraph<A>,
-        subst: &Subst,
-    ) -> Option<Id> {
-        match self {
-            PatternAst::Var(v) => subst.get(*v),
-            PatternAst::Int(i) => egraph.lookup(&ENode::Int(*i)),
-            PatternAst::Op(sym, ch) => {
-                let mut children = Vec::with_capacity(ch.len());
-                for c in ch {
-                    children.push(c.lookup_instantiation(egraph, subst)?);
-                }
-                egraph.lookup(&ENode::Op(*sym, children))
-            }
-        }
-    }
-
-    /// Converts a ground (variable-free) pattern into a [`RecExpr`].
-    pub fn to_rec_expr(&self) -> Option<RecExpr> {
-        let mut out = RecExpr::new();
-        self.build_rec(&mut out)?;
-        Some(out)
-    }
-
-    fn build_rec(&self, out: &mut RecExpr) -> Option<Id> {
-        match self {
-            PatternAst::Var(_) => None,
-            PatternAst::Int(i) => Some(out.add(ENode::Int(*i))),
-            PatternAst::Op(sym, ch) => {
-                let mut children = Vec::with_capacity(ch.len());
-                for c in ch {
-                    children.push(c.build_rec(out)?);
-                }
-                Some(out.add(ENode::Op(*sym, children)))
-            }
-        }
-    }
 }
 
 impl fmt::Display for PatternAst {
@@ -259,11 +217,6 @@ pub struct SearchMatches {
 }
 
 impl Pattern {
-    /// Compiles a pattern from its AST.
-    pub fn from_ast(ast: PatternAst) -> Pattern {
-        Pattern { ast }
-    }
-
     /// The underlying AST.
     pub fn ast(&self) -> &PatternAst {
         &self.ast

@@ -160,15 +160,6 @@ impl<A: Analysis> Rewrite<A> {
         })
     }
 
-    /// Adds (or replaces) a condition on an existing rewrite.
-    pub fn with_condition(
-        mut self,
-        condition: impl Fn(&EGraph<A>, Id, &Subst) -> bool + Send + Sync + 'static,
-    ) -> Self {
-        self.condition = Some(Arc::new(condition));
-        self
-    }
-
     /// The rule's name (lemma id).
     pub fn name(&self) -> &str {
         &self.name

@@ -29,6 +29,21 @@ fn parse_errors() {
 }
 
 #[test]
+fn parse_depth_is_bounded_at_the_limit() {
+    // `links` applications over a leaf: a term of depth `links + 1`.
+    let chain = |links: usize| format!("{}x{}", "(neg ".repeat(links), ")".repeat(links));
+    let at = chain(MAX_TERM_DEPTH - 1);
+    assert_eq!(expr(&at).to_string(), at);
+    assert!(at.parse::<Pattern>().is_ok());
+    let over = chain(MAX_TERM_DEPTH);
+    let err = over.parse::<RecExpr>().unwrap_err().to_string();
+    assert!(err.contains("nests deeper than 512"), "{err}");
+    assert!(over.parse::<Pattern>().is_err());
+    // What would overflow the stack is refused like one level too many.
+    assert!(chain(200_000).parse::<RecExpr>().is_err());
+}
+
+#[test]
 fn hashcons_dedup() {
     let mut eg = EGraph::<()>::default();
     let a1 = eg.add(ENode::leaf("a"));
@@ -410,20 +425,6 @@ fn sym_scalar_nodes_roundtrip() {
     assert_eq!(s1, s2);
     let other = eg.add(ENode::Sym(n + SymExpr::constant(1)));
     assert_ne!(s1, other);
-}
-
-#[test]
-fn lookup_instantiation_is_pure() {
-    let mut eg = EGraph::<()>::default();
-    let x = eg.add(ENode::leaf("x"));
-    let pat: Pattern = "(h ?a)".parse().unwrap();
-    let mut s = Subst::new();
-    s.insert(Var::new("a"), x);
-    let before = eg.total_nodes();
-    assert!(pat.ast().lookup_instantiation(&eg, &s).is_none());
-    assert_eq!(eg.total_nodes(), before, "lookup must not insert");
-    let h = pat.ast().instantiate(&mut eg, &s);
-    assert_eq!(pat.ast().lookup_instantiation(&eg, &s), Some(h));
 }
 
 mod analysis_tests {

@@ -16,13 +16,6 @@ pub enum DType {
     Bool,
 }
 
-impl DType {
-    /// `true` for floating-point types.
-    pub fn is_float(self) -> bool {
-        matches!(self, DType::F32)
-    }
-}
-
 impl fmt::Display for DType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {

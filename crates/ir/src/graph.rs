@@ -188,12 +188,6 @@ impl Graph {
             .collect()
     }
 
-    /// Nodes in topological order (construction order is one; imported
-    /// graphs are re-sorted by [`Graph::validate`]).
-    pub fn topological_order(&self) -> Vec<NodeId> {
-        self.nodes.iter().map(|n| n.id).collect()
-    }
-
     /// Re-validates the whole graph: structural integrity, SSA, topological
     /// order, and shape inference on every node.
     ///

@@ -119,12 +119,6 @@ impl Shape {
         out
     }
 
-    /// Structural equality of dims (symbolic expressions compared
-    /// syntactically).
-    pub fn same_as(&self, other: &Shape) -> bool {
-        self == other
-    }
-
     /// Right-aligned NumPy/PyTorch broadcasting of two shapes.
     ///
     /// Dimensions broadcast when equal or when one side is the constant 1.

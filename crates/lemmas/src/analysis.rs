@@ -3,8 +3,10 @@
 use std::collections::HashMap;
 
 use entangle_egraph::{Analysis, EGraph, ENode, Id, Symbol};
-use entangle_ir::{infer_output, DType, Dim, Op, Shape};
+use entangle_ir::{DType, Dim, Op, Shape};
 use entangle_symbolic::{SymCtx, SymExpr};
+
+use crate::term::infer_application;
 
 /// Per-e-class metadata: what the checker knows about the tensors (or
 /// scalars) in the class.
@@ -91,22 +93,7 @@ impl Analysis for TensorAnalysis {
             },
             ENode::Op(sym, ch) => {
                 let metas: Vec<Meta> = ch.iter().map(|&c| egraph[c].data.clone()).collect();
-                match decode_op(sym.as_str(), &metas) {
-                    Some((op, tensor_count)) => {
-                        let inputs: Option<Vec<(Shape, DType)>> = metas[..tensor_count]
-                            .iter()
-                            .map(|m| Some((m.shape.clone()?, m.dtype?)))
-                            .collect();
-                        match inputs {
-                            Some(inputs) => match infer_output(&op, &inputs) {
-                                Ok((shape, dtype)) => Meta::tensor(shape, dtype),
-                                Err(_) => Meta::unknown(),
-                            },
-                            None => Meta::unknown(),
-                        }
-                    }
-                    None => Meta::unknown(),
-                }
+                infer_application(*sym, &metas).unwrap_or_default()
             }
         }
     }
@@ -185,7 +172,8 @@ pub const OP_VOCABULARY: &[&str] = &[
 ];
 
 /// Reconstructs an [`Op`] from its e-graph head symbol and the metadata of
-/// its children; returns the op and the number of leading tensor children.
+/// its children; returns the op and the number of leading tensor children
+/// (`None` when there are fewer children than that, so callers may slice).
 ///
 /// The e-graph encoding is: tensor children first, then attribute scalars
 /// (n-ary concat and the collectives are lowered to binary `concat`/`add`
@@ -300,7 +288,7 @@ pub fn decode_op(name: &str, metas: &[Meta]) -> Option<(Op, usize)> {
         }
         _ => return None,
     };
-    Some(op)
+    (op.1 <= metas.len()).then_some(op)
 }
 
 /// Convenience accessors used by lemma conditions and dynamic appliers.

@@ -10,6 +10,7 @@ use entangle_symbolic::SymExpr;
 
 use crate::analysis::cond::{add_op, add_scalar, int, rank, shape};
 use crate::corpus::{Builder, Category};
+use crate::term::mint_ones_leaf;
 
 fn v(name: &str) -> Var {
     Var::new(name)
@@ -480,7 +481,7 @@ pub(crate) fn install(b: &mut Builder) {
         let Some(s) = shape(eg, subst[v("x")]) else {
             return vec![];
         };
-        vec![add_op(eg, &format!("~ones{s}"), vec![])]
+        vec![add_op(eg, &mint_ones_leaf(&s), vec![])]
     })
     .expect("parses");
     b.push(rw, Category::General, 10, 1, &["dp-training"]);

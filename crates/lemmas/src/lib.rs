@@ -49,15 +49,14 @@
 
 mod analysis;
 mod corpus;
+mod term;
 
 pub use analysis::{cond, decode_op, Meta, TensorAnalysis, OP_VOCABULARY};
 pub use corpus::{registry, rewrites_of, Category, Lemma};
-
-/// Prefix of *synthetic* leaf names minted by canonicalization lemmas
-/// (e.g. the shape-keyed ones-tensor representative `~ones[2, 3]`). These
-/// leaves unify e-classes but denote no `G_d` tensor, so the checker's
-/// clean-expression extraction must exclude them.
-pub const SYNTHETIC_LEAF_PREFIX: char = '~';
+pub use term::{
+    infer_application, mint_ones_leaf, parse_ones_leaf, ApplyError, MalformedLeaf,
+    SYNTHETIC_LEAF_PREFIX,
+};
 
 #[cfg(test)]
 mod tests;

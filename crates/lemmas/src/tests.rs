@@ -954,3 +954,102 @@ fn registry_rejects_duplicate_names() {
         &[],
     );
 }
+
+mod term_semantics {
+    use entangle_egraph::Symbol;
+    use entangle_ir::{DType, IrError, Shape};
+    use proptest::prelude::*;
+
+    use crate::{infer_application, mint_ones_leaf, parse_ones_leaf, ApplyError, Meta};
+
+    proptest! {
+        #[test]
+        fn a_minted_leaf_parses_back_to_its_shape(
+            dims in proptest::collection::vec(0i64..100_000, 0..5),
+        ) {
+            let name = mint_ones_leaf(&Shape::of(&dims));
+            let parsed: Vec<i64> = parse_ones_leaf(&name)
+                .expect("well-formed")
+                .expect("synthetic")
+                .iter()
+                .map(|&d| d as i64)
+                .collect();
+            prop_assert_eq!(parsed, dims, "{}", name);
+        }
+    }
+
+    #[test]
+    fn the_leaf_grammar_rejects_what_its_three_predecessors_rejected() {
+        assert_eq!(mint_ones_leaf(&Shape::of(&[2, 3])), "~ones[2, 3]");
+        assert_eq!(mint_ones_leaf(&Shape::scalar()), "~ones[]");
+        // Lenient exactly where they were: spacing, an explicit plus.
+        for (name, dims) in [
+            ("~ones[]", vec![]),
+            ("~ones[ ]", vec![]),
+            ("~ones[2,3]", vec![2, 3]),
+            ("~ones[ 2 , +3 ]", vec![2, 3]),
+        ] {
+            assert_eq!(parse_ones_leaf(name), Ok(Some(dims)), "{name}");
+        }
+        for ordinary in ["x", "ones[2]", "x~ones[2]"] {
+            assert_eq!(parse_ones_leaf(ordinary), Ok(None), "{ordinary}");
+        }
+        let n = entangle_symbolic::SymCtx::default().var("n");
+        let symbolic = Shape(vec![n.into(), 3.into()]);
+        for malformed in [
+            "~",
+            "~twos[2]",
+            "~ones",
+            "~ones2, 3]",
+            "~ones[2, 3",
+            "~ones[2,]",
+            "~ones[2 3]",
+            "~ones[-2]",
+            "~ones[-0]",
+            "~ones[9223372036854775808]",
+            mint_ones_leaf(&symbolic).as_str(),
+        ] {
+            assert!(parse_ones_leaf(malformed).is_err(), "{malformed}");
+        }
+    }
+
+    #[test]
+    fn the_shape_rule_says_why_it_has_no_answer() {
+        let t = |dims: &[i64]| Meta::tensor(Shape::of(dims), DType::F32);
+        let int = |v: i64| Meta::scalar(v.into());
+        let apply = |head: &str, children: &[Meta]| infer_application(Symbol::new(head), children);
+        assert_eq!(apply("matmul", &[t(&[2, 3]), t(&[3, 5])]), Ok(t(&[2, 5])));
+        assert_eq!(apply("sum_dim", &[t(&[2, 3]), int(1), int(0)]), Ok(t(&[2])));
+        let no_dtype = Meta {
+            dtype: None,
+            ..t(&[2])
+        };
+        for (head, children, message) in [
+            ("frobnicate", vec![t(&[2])], "unknown operator frobnicate"),
+            // An attribute position fed a tensor does not decode either.
+            (
+                "sum_dim",
+                vec![t(&[2, 3]), t(&[1])],
+                "unknown operator sum_dim",
+            ),
+            // Nor does an application short of its tensor operands (a typo
+            // in a `--map` used to index past the children and panic).
+            ("add", vec![t(&[2])], "unknown operator add"),
+            ("neg", vec![Meta::unknown()], "tensor operand lacks shape"),
+            ("neg", vec![no_dtype], "tensor operand lacks dtype"),
+        ] {
+            let e = apply(head, &children).unwrap_err();
+            assert_eq!(e.to_string(), message);
+        }
+        let mismatch = apply("matmul", &[t(&[2, 3]), t(&[4, 5])]).unwrap_err();
+        let text = mismatch.to_string();
+        assert!(text.starts_with("shape error: matmul"), "{text}");
+        // The relation builder's rendering: inference errors pass through,
+        // the rest are `Invalid`.
+        assert!(matches!(IrError::from(mismatch), IrError::Shape(_)));
+        assert_eq!(
+            IrError::from(ApplyError::OperandLacksShape),
+            IrError::Invalid("tensor operand lacks shape".to_owned())
+        );
+    }
+}

@@ -22,8 +22,8 @@
 use std::collections::HashMap;
 
 use entangle_egraph::{AstSize, EGraph, ENode, Extractor, RecExpr};
-use entangle_ir::{infer_output, DType, Shape};
-use entangle_lemmas::{decode_op, registry, Lemma, Meta, TensorAnalysis, SYNTHETIC_LEAF_PREFIX};
+use entangle_ir::{DType, Dim, Shape};
+use entangle_lemmas::{decode_op, parse_ones_leaf, registry, Lemma, Meta, TensorAnalysis};
 use entangle_runtime::{eval_op, random_ids, random_value, reassoc_rel_bound, Tolerance, Value};
 use entangle_symbolic::SymExpr;
 use rand::rngs::StdRng;
@@ -431,14 +431,14 @@ pub fn audit_lemmas(lemmas: &[Lemma], opts: &AuditOptions) -> AuditReport {
     // Fixed random leaf values: the same tensor backs every occurrence of a
     // leaf, so both sides of a lemma see identical inputs.
     let mut rng = StdRng::seed_from_u64(opts.seed);
-    let mut leaves: HashMap<String, (Shape, DType, Value)> = HashMap::new();
-    for (name, dims, dtype, kind) in &env {
+    let mut leaves: HashMap<&str, Value> = HashMap::new();
+    for (name, dims, _, kind) in &env {
         let udims: Vec<usize> = dims.iter().map(|&d| d as usize).collect();
         let value = match kind {
             LeafKind::Uniform => random_value(&mut rng, &udims),
             LeafKind::Ids(high) => random_ids(&mut rng, &udims, *high),
         };
-        leaves.insert((*name).to_owned(), (Shape::of(dims), *dtype, value));
+        leaves.insert(name, value);
     }
 
     let mut report = AuditReport::default();
@@ -509,7 +509,7 @@ fn check_pair(
     lhs_meta: &Meta,
     lhs_term: Option<&RecExpr>,
     rid: entangle_egraph::Id,
-    leaves: &HashMap<String, (Shape, DType, Value)>,
+    leaves: &HashMap<&str, Value>,
 ) {
     let rhs_meta = eg[eg.find(rid)].data.clone();
     if let (Some(ls), Some(rs)) = (&lhs_meta.shape, &rhs_meta.shape) {
@@ -533,8 +533,8 @@ fn check_pair(
         return;
     };
     let (Ok(lv), Ok(rv)) = (
-        eval_ground(lhs_term, leaves),
-        eval_ground(&rhs_term, leaves),
+        eval_ground(lhs_term, |name| leaves.get(name)),
+        eval_ground(&rhs_term, |name| leaves.get(name)),
     ) else {
         return; // not evaluatable (symbolic scalars, unknown leaves)
     };
@@ -596,12 +596,25 @@ fn rounding_ops(expr: &RecExpr) -> u64 {
 }
 
 /// Evaluates a *ground* term (no pattern variables) bottom-up through the
-/// runtime interpreter. Scalar attribute children evaluate to metadata, not
-/// values; synthetic `~ones[...]` leaves evaluate to ones tensors.
-fn eval_ground(
+/// runtime interpreter: the `f64` meaning of a clean expression. `leaf`
+/// resolves a tensor name to its value; synthetic `~ones[...]` leaves
+/// evaluate to ones tensors; scalar children are attributes, not values.
+///
+/// # Errors
+///
+/// Describes the first subterm, in postorder, without a value: an unknown
+/// or malformed leaf, an undecodable application, operands the runtime
+/// rejects, a scalar where a tensor is needed.
+pub fn eval_ground<'v>(
     expr: &RecExpr,
-    leaves: &HashMap<String, (Shape, DType, Value)>,
+    leaf: impl Fn(&str) -> Option<&'v Value>,
 ) -> Result<Value, String> {
+    // A tensor slot: its value, and what `decode_op` reads off it as a child
+    // (the runtime is dtype-erased; the decoder only reads scalars).
+    let tensor = |v: Value| {
+        let shape = Shape(v.shape().iter().map(|&d| Dim::from(d)).collect());
+        (Meta::tensor(shape, DType::F32), Some(v))
+    };
     let mut slots: Vec<(Meta, Option<Value>)> = Vec::with_capacity(expr.len());
     for node in expr.nodes() {
         let slot = match node {
@@ -609,19 +622,18 @@ fn eval_ground(
             ENode::Sym(e) => (Meta::scalar(e.clone()), None),
             ENode::Op(sym, ch) if ch.is_empty() => {
                 let name = sym.as_str();
-                if let Some(rest) = name.strip_prefix(SYNTHETIC_LEAF_PREFIX) {
-                    let dims = parse_ones_shape(rest)
-                        .ok_or_else(|| format!("unparseable synthetic leaf {name:?}"))?;
-                    let udims: Vec<usize> = dims.iter().map(|&d| d as usize).collect();
-                    let n: usize = udims.iter().product();
-                    let value = Value::new(udims, vec![1.0; n]).expect("ones shape");
-                    (Meta::tensor(Shape::of(&dims), DType::F32), Some(value))
-                } else {
-                    let (shape, dtype, value) = leaves
-                        .get(name)
-                        .ok_or_else(|| format!("unknown leaf {name:?}"))?;
-                    (Meta::tensor(shape.clone(), *dtype), Some(value.clone()))
-                }
+                let ones = parse_ones_leaf(name)
+                    .map_err(|_| format!("unparseable synthetic leaf {name:?}"))?;
+                tensor(match ones {
+                    Some(dims) => dims
+                        .iter()
+                        .try_fold(1usize, |n, &d| n.checked_mul(d))
+                        .and_then(|n| Value::new(dims, vec![1.0; n]))
+                        .ok_or_else(|| format!("{name:?} overflows"))?,
+                    None => leaf(name)
+                        .ok_or_else(|| format!("unknown leaf {name:?}"))?
+                        .clone(),
+                })
             }
             ENode::Op(sym, ch) => {
                 let metas: Vec<Meta> = ch.iter().map(|&c| slots[c.index()].0.clone()).collect();
@@ -636,15 +648,7 @@ fn eval_ground(
                             .ok_or_else(|| "tensor child has no value".to_owned())
                     })
                     .collect::<Result<_, _>>()?;
-                let value = eval_op(&op, &inputs).map_err(|e| e.to_string())?;
-                let meta_inputs: Option<Vec<(Shape, DType)>> = metas[..tensor_count]
-                    .iter()
-                    .map(|m| Some((m.shape.clone()?, m.dtype?)))
-                    .collect();
-                let meta = meta_inputs
-                    .and_then(|ins| infer_output(&op, &ins).ok())
-                    .map_or_else(Meta::unknown, |(s, d)| Meta::tensor(s, d));
-                (meta, Some(value))
+                tensor(eval_op(&op, &inputs).map_err(|e| e.to_string())?)
             }
         };
         slots.push(slot);
@@ -653,19 +657,4 @@ fn eval_ground(
         .pop()
         .and_then(|(_, v)| v)
         .ok_or_else(|| "root has no value".to_owned())
-}
-
-/// Parses the `[2, 3]` suffix of a synthetic ones leaf (`~ones[2, 3]`).
-fn parse_ones_shape(rest: &str) -> Option<Vec<i64>> {
-    let body = rest
-        .strip_prefix("ones")?
-        .strip_prefix('[')?
-        .strip_suffix(']')?;
-    let body = body.trim();
-    if body.is_empty() {
-        return Some(Vec::new());
-    }
-    body.split(',')
-        .map(|p| p.trim().parse::<i64>().ok())
-        .collect()
 }

@@ -30,7 +30,9 @@
 pub mod audit;
 mod graph_lint;
 
-pub use audit::{audit_lemmas, audit_registry, AuditOptions, AuditReport, LemmaAuditEntry};
+pub use audit::{
+    audit_lemmas, audit_registry, eval_ground, AuditOptions, AuditReport, LemmaAuditEntry,
+};
 pub use graph_lint::lint_graph;
 
 use std::fmt;

@@ -134,8 +134,8 @@ fn eval_pattern(
         PatternAst::Int(i) => Ok((Meta::scalar((*i).into()), None)),
         PatternAst::Op(sym, ch) if ch.is_empty() => {
             let name = sym.as_str();
-            let t = synthetic_leaf(arena, name)
-                .ok_or_else(|| format!("concrete leaf {name:?} in pattern"))??;
+            let t = synthetic_leaf(arena, name)?
+                .ok_or_else(|| format!("concrete leaf {name:?} in pattern"))?;
             Ok((tensor_meta(&t), Some(t)))
         }
         PatternAst::Op(sym, ch) => {

@@ -20,7 +20,7 @@ use std::rc::Rc;
 use entangle_egraph::hashing::FxHashMap;
 use entangle_egraph::{ENode, Id, RecExpr};
 use entangle_ir::{DType, Graph, Op, Shape};
-use entangle_lemmas::{decode_op, Meta, SYNTHETIC_LEAF_PREFIX};
+use entangle_lemmas::{decode_op, parse_ones_leaf, Meta};
 use entangle_runtime::kernels::{eval_op_in, Algebra, Atom, View};
 use entangle_runtime::EvalError;
 
@@ -360,21 +360,6 @@ pub fn eval_op_sym(arena: &mut Arena, op: &Op, inputs: &[&SymTensor]) -> Result<
     }
 }
 
-/// Parses the `[2, 3]` suffix of a synthetic ones leaf (`~ones[2, 3]`).
-fn parse_ones_shape(rest: &str) -> Option<Vec<usize>> {
-    let body = rest
-        .strip_prefix("ones")?
-        .strip_prefix('[')?
-        .strip_suffix(']')?;
-    let body = body.trim();
-    if body.is_empty() {
-        return Some(Vec::new());
-    }
-    body.split(',')
-        .map(|p| p.trim().parse::<usize>().ok())
-        .collect()
-}
-
 /// The metadata `decode_op` reads off a tensor child.
 pub(crate) fn tensor_meta(t: &SymTensor) -> Meta {
     let dims: Vec<i64> = t.shape.iter().map(|&d| d as i64).collect();
@@ -383,13 +368,9 @@ pub(crate) fn tensor_meta(t: &SymTensor) -> Meta {
 
 /// The exact-ones tensor a synthetic `~ones[...]` leaf denotes; `None`
 /// when `name` is not synthetic.
-pub(crate) fn synthetic_leaf(arena: &mut Arena, name: &str) -> Option<Result<SymTensor, String>> {
-    let rest = name.strip_prefix(SYNTHETIC_LEAF_PREFIX)?;
-    Some(
-        parse_ones_shape(rest)
-            .map(|dims| ones_tensor(arena, dims))
-            .ok_or_else(|| format!("unparseable synthetic leaf {name:?}")),
-    )
+pub(crate) fn synthetic_leaf(arena: &mut Arena, name: &str) -> Result<Option<SymTensor>, String> {
+    let dims = parse_ones_leaf(name).map_err(|_| format!("unparseable synthetic leaf {name:?}"))?;
+    Ok(dims.map(|dims| ones_tensor(arena, dims)))
 }
 
 /// One operator application, shared by the term and the pattern evaluator:
@@ -500,8 +481,8 @@ impl TermTable {
             ENode::Sym(e) => Ok((Meta::scalar(e.clone()), None)),
             ENode::Op(sym, ch) if ch.is_empty() => {
                 let name = sym.as_str();
-                match synthetic_leaf(arena, name) {
-                    Some(ones) => ones.map(|t| tensor(Rc::new(t))),
+                match synthetic_leaf(arena, name)? {
+                    Some(ones) => Ok(tensor(Rc::new(ones))),
                     None => leaves(arena, name).map(tensor),
                 }
             }

@@ -113,11 +113,6 @@ impl Rat {
         }
     }
 
-    /// Checked reciprocal (`None` for zero).
-    pub fn recip(&self) -> Option<Rat> {
-        Rat::new(self.den, self.num)
-    }
-
     /// `true` when multiplying an f64 by this constant is exact: the
     /// reduced ratio is `±2^j` for some integer `j` (so the constant is
     /// representable and the product only shifts the exponent).

@@ -458,59 +458,12 @@ mod differential {
     use std::collections::HashMap;
 
     use entangle_ir::{DType, Graph, TensorId};
+    use entangle_lint::eval_ground;
     use entangle_runtime::{eval_graph, eval_op, random_ids, random_value, Value};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     use super::*;
-
-    /// Evaluates an expression over `G_d` tensor names given `G_d`'s env.
-    fn eval_expr(
-        expr: &entangle_egraph::RecExpr,
-        gd: &Graph,
-        env: &HashMap<TensorId, Value>,
-    ) -> Value {
-        let mut vals: Vec<Value> = Vec::with_capacity(expr.len());
-        for node in expr.nodes() {
-            let v = match node {
-                entangle_egraph::ENode::Int(i) => Value::scalar(*i as f64),
-                entangle_egraph::ENode::Sym(_) => unreachable!("concrete graphs"),
-                entangle_egraph::ENode::Op(sym, ch) if ch.is_empty() => {
-                    let t = gd.tensor_by_name(sym.as_str()).expect("leaf exists");
-                    env[&t.id].clone()
-                }
-                entangle_egraph::ENode::Op(sym, ch) => {
-                    let metas: Vec<entangle_lemmas::Meta> = ch
-                        .iter()
-                        .map(|c| meta_of(&vals[c.index()], expr, *c))
-                        .collect();
-                    let (op, tcount) =
-                        entangle_lemmas::decode_op(sym.as_str(), &metas).expect("known op");
-                    let inputs: Vec<&Value> =
-                        ch[..tcount].iter().map(|c| &vals[c.index()]).collect();
-                    eval_op(&op, &inputs).expect("clean expr evaluates")
-                }
-            };
-            vals.push(v);
-        }
-        vals.last().expect("non-empty").clone()
-    }
-
-    fn meta_of(
-        val: &Value,
-        expr: &entangle_egraph::RecExpr,
-        id: entangle_egraph::Id,
-    ) -> entangle_lemmas::Meta {
-        match expr.node(id) {
-            entangle_egraph::ENode::Int(i) => {
-                entangle_lemmas::Meta::scalar(entangle_symbolic::SymExpr::constant(*i))
-            }
-            _ => entangle_lemmas::Meta::tensor(
-                entangle_ir::Shape::of(&val.shape().iter().map(|&d| d as i64).collect::<Vec<_>>()),
-                DType::F32,
-            ),
-        }
-    }
 
     /// Random inputs for `G_s`, then `G_d` inputs derived through `R_i` by
     /// *inverting* the concat/identity maps (shards = slices of the full
@@ -639,7 +592,10 @@ mod differential {
                 panic!("output {name}: no sound tolerance derived ({verdict:?})")
             });
             for mapping in outcome.output_relation.mappings(out).unwrap() {
-                let reconstructed = eval_expr(mapping, &dist.graph, &gd_out);
+                let gd = &dist.graph;
+                let reconstructed =
+                    eval_ground(mapping, |name| gd_out.get(&gd.tensor_by_name(name)?.id))
+                        .unwrap_or_else(|why| panic!("{mapping} does not evaluate: {why}"));
                 assert!(
                     reconstructed.within(expected, &tol),
                     "output {name} reconstruction {mapping} exceeds its derived \

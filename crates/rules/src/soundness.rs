@@ -2,10 +2,10 @@
 //! unconditioned pattern rule over a small ground palette and flag rules
 //! whose sides disagree.
 //!
-//! The evaluator mirrors `TensorAnalysis::make` exactly — leaf metas in,
-//! [`decode_op`] + [`infer_output`] up the term — so a disagreement here is
-//! a disagreement the e-graph analysis would produce at saturation time,
-//! found without building an e-graph. Conservatively, a combination only
+//! The evaluator runs the shape rule `TensorAnalysis::make` runs
+//! ([`infer_application`]) up the term from leaf metas, so a disagreement
+//! here is a disagreement the e-graph analysis would produce at saturation
+//! time, found without building an e-graph. Conservatively, a combination only
 //! counts when **both** sides derive a concrete tensor meta: instantiations
 //! the operator vocabulary rejects (rank/shape errors, attribute positions
 //! fed tensors) are skipped, so the pass has no false positives by
@@ -14,8 +14,8 @@
 use std::collections::HashMap;
 
 use entangle_egraph::{PatternAst, Rewrite, Var};
-use entangle_ir::{DType, Shape};
-use entangle_lemmas::{decode_op, Meta, TensorAnalysis};
+use entangle_ir::DType;
+use entangle_lemmas::{infer_application, Meta, TensorAnalysis};
 use entangle_symbolic::SymExpr;
 
 /// One shape/dtype disagreement between a rule's two sides.
@@ -33,9 +33,8 @@ pub struct ShapeFinding {
 
 use crate::ground::{assignments, palette};
 
-/// Evaluates a pattern bottom-up under a ground environment, exactly as
-/// `TensorAnalysis::make` would. Unknown leaves / undecodable applications
-/// yield [`Meta::unknown`].
+/// Evaluates a pattern bottom-up under a ground environment. Unknown
+/// leaves / uninferable applications yield [`Meta::unknown`].
 fn eval(ast: &PatternAst, env: &HashMap<Var, Meta>) -> Meta {
     match ast {
         PatternAst::Var(v) => env.get(v).cloned().unwrap_or_else(Meta::unknown),
@@ -43,22 +42,7 @@ fn eval(ast: &PatternAst, env: &HashMap<Var, Meta>) -> Meta {
         PatternAst::Op(_, ch) if ch.is_empty() => Meta::unknown(),
         PatternAst::Op(sym, ch) => {
             let metas: Vec<Meta> = ch.iter().map(|c| eval(c, env)).collect();
-            match decode_op(sym.as_str(), &metas) {
-                Some((op, tensor_count)) => {
-                    let inputs: Option<Vec<(Shape, DType)>> = metas[..tensor_count]
-                        .iter()
-                        .map(|m| Some((m.shape.clone()?, m.dtype?)))
-                        .collect();
-                    match inputs {
-                        Some(inputs) => match entangle_ir::infer_output(&op, &inputs) {
-                            Ok((shape, dtype)) => Meta::tensor(shape, dtype),
-                            Err(_) => Meta::unknown(),
-                        },
-                        None => Meta::unknown(),
-                    }
-                }
-                None => Meta::unknown(),
-            }
+            infer_application(*sym, &metas).unwrap_or_default()
         }
     }
 }

@@ -87,11 +87,6 @@ impl SymExpr {
         }
     }
 
-    /// Returns `true` if this expression mentions no variables.
-    pub fn is_const(&self) -> bool {
-        self.terms.is_empty()
-    }
-
     /// The variables mentioned by this expression.
     pub fn vars(&self) -> impl Iterator<Item = SymVar> + '_ {
         self.terms.keys().copied()

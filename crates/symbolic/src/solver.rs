@@ -211,11 +211,6 @@ impl SymCtx {
         self.names.len()
     }
 
-    /// Number of recorded assumptions.
-    pub fn num_assumptions(&self) -> usize {
-        self.assumptions.len()
-    }
-
     /// Records the user constraint `lhs rel rhs`.
     ///
     /// `Ne` assumptions are not representable in the conjunctive fragment and

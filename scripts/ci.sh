@@ -4,11 +4,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo build --release --workspace"
-cargo build --release --workspace
+# The tier-1 commands as ROADMAP.md states them: `default-members` in the
+# root manifest makes them cover every crate, not the root package alone.
+echo "==> cargo build --release"
+cargo build --release
 
-echo "==> cargo test -q --workspace"
-cargo test -q --workspace
+echo "==> cargo test -q"
+cargo test -q
 
 echo "==> release-only perf budgets (the debug run above skips every timing assert)"
 cargo test --release -q --test ematch_perf --test moe_perf --test num_perf
@@ -60,6 +62,26 @@ fi
 # table. Neither the pretty-printer nor a version-1 branch may come back.
 if grep -nE 'to_string_pretty|Json::Int\(1\)' crates/cert/src/json.rs; then
   echo "crates/cert/src/json.rs pretty-prints or reads version 1 again (one format: v2, compact)"; exit 1
+fi
+
+# One term semantics (DESIGN.md, *Term language*): the shape rule of an
+# application is `entangle_lemmas::infer_application`, the `~ones[…]` leaf
+# grammar `mint_ones_leaf`/`parse_ones_leaf` beside it, the ground f64
+# evaluator `entangle_lint::eval_ground`. Who still needs the `Op` itself
+# decodes it: the rule, num's `apply_op`, the ground evaluator, and
+# `append_expr` — a fifth `decode_op(` is a hand-copied term walker growing back
+# (crates/ir's `decode_op` is the JSON reader's, another function).
+if grep -rnE 'fn parse_ones|strip_prefix\("ones' crates tests src examples benchmark/src \
+    --include='*.rs' | grep -v '^crates/lemmas/'; then
+  echo "a synthetic-leaf parser outside crates/lemmas (call entangle_lemmas::parse_ones_leaf)"; exit 1
+fi
+decoders=$(grep -rn 'decode_op(' crates --include='*.rs' \
+  | grep -v -e '/tests\.rs:' -e '^crates/ir/' -e 'pub fn decode_op(' | cut -d: -f1 | sort | tr '\n' ' ')
+if [ "$decoders" != "crates/core/src/expect.rs crates/lemmas/src/term.rs crates/lint/src/audit.rs crates/num/src/eval.rs " ]; then
+  echo "decode_op is called from: $decoders(expected once each in expect.rs, term.rs, audit.rs, num's eval.rs)"; exit 1
+fi
+if grep -rn 'fn eval_expr' tests crates/*/src/tests.rs; then
+  echo "a test grew its own term evaluator (call entangle_lint::eval_ground)"; exit 1
 fi
 
 echo "==> model-zoo shard sweep (entangle shard over exported strategies)"

@@ -17,6 +17,7 @@ use entangle::{check_refinement, CertAnalysis, CheckOptions, NumClass};
 use entangle_cert::Certificate;
 use entangle_egraph::{ENode, Id, RecExpr};
 use entangle_ir::{DType, Graph, GraphBuilder, Op, TensorId};
+use entangle_lint::eval_ground;
 use entangle_models::{gpt, Arch, ModelConfig};
 use entangle_parallel::{parallelize, Strategy};
 use entangle_runtime::{eval_graph, eval_op, random_ids, random_value, Value};
@@ -24,40 +25,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Evaluates a clean expression over `G_d` tensor names given `G_d`'s env.
-fn eval_expr(expr: &RecExpr, gd: &Graph, env: &HashMap<TensorId, Value>) -> Value {
-    let mut vals: Vec<Value> = Vec::with_capacity(expr.len());
-    for node in expr.nodes() {
-        let v = match node {
-            ENode::Int(i) => Value::scalar(*i as f64),
-            ENode::Sym(_) => unreachable!("concrete graphs"),
-            ENode::Op(sym, ch) if ch.is_empty() => {
-                let t = gd.tensor_by_name(sym.as_str()).expect("leaf exists");
-                env[&t.id].clone()
-            }
-            ENode::Op(sym, ch) => {
-                let metas: Vec<entangle_lemmas::Meta> = ch
-                    .iter()
-                    .map(|c| meta_of(&vals[c.index()], expr, *c))
-                    .collect();
-                let (op, tcount) =
-                    entangle_lemmas::decode_op(sym.as_str(), &metas).expect("known op");
-                let inputs: Vec<&Value> = ch[..tcount].iter().map(|c| &vals[c.index()]).collect();
-                eval_op(&op, &inputs).expect("clean expr evaluates")
-            }
-        };
-        vals.push(v);
-    }
-    vals.last().expect("non-empty").clone()
-}
-
-fn meta_of(val: &Value, expr: &RecExpr, id: Id) -> entangle_lemmas::Meta {
-    match expr.node(id) {
-        ENode::Int(i) => entangle_lemmas::Meta::scalar(entangle_symbolic::SymExpr::constant(*i)),
-        _ => entangle_lemmas::Meta::tensor(
-            entangle_ir::Shape::of(&val.shape().iter().map(|&d| d as i64).collect::<Vec<_>>()),
-            DType::F32,
-        ),
-    }
+fn reconstruct(expr: &RecExpr, gd: &Graph, env: &HashMap<TensorId, Value>) -> Value {
+    eval_ground(expr, |name| env.get(&gd.tensor_by_name(name)?.id))
+        .unwrap_or_else(|why| panic!("clean expression {expr} does not evaluate: {why}"))
 }
 
 /// Certifies the refinement and replays every certified mapping: the
@@ -84,7 +54,7 @@ fn replay_certificate(
         assert_eq!(&mc.tensor, vt, "verdicts run in certificate order");
         let t = gs.tensor_by_name(&mc.tensor).expect("certified G_s tensor");
         let expected = &gs_env[&t.id];
-        let reconstructed = eval_expr(&mc.expr, gd, gd_env);
+        let reconstructed = reconstruct(&mc.expr, gd, gd_env);
         let tol = verdict.tolerance().unwrap_or_else(|| {
             panic!(
                 "{}: no sound tolerance derived ({verdict:?}) — outputs must not \
@@ -104,7 +74,7 @@ fn replay_certificate(
     // The output relation entries replay too, under their own verdicts.
     for (name, expr) in &cert.outputs {
         let t = gs.tensor_by_name(name).expect("certified output");
-        let reconstructed = eval_expr(expr, gd, gd_env);
+        let reconstructed = reconstruct(expr, gd, gd_env);
         let expected = &gs_env[&t.id];
         let verdict = analysis
             .output_verdict(name)

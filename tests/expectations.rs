@@ -96,12 +96,15 @@ fn expectation_with_explicit_combiner_expression() {
 fn malformed_expectations_are_rejected() {
     let (gs, gd, ri) = scenario(true);
     let fs = "grad".parse().unwrap();
-    let fd = "(concat grad.0 nonexistent 0)".parse().unwrap();
-    match check_expectation(&gs, &gd, &ri, &fs, &fd, &CheckOptions::default()) {
-        Err(ExpectationError::Invalid(_)) => {}
-        other => panic!(
-            "expected invalid-expectation error, got {:?}",
-            other.map(|_| ())
-        ),
+    // An unknown leaf, and an operator short of its operands.
+    for fd in ["(concat grad.0 nonexistent 0)", "(add grad.0)"] {
+        let fd = fd.parse().unwrap();
+        match check_expectation(&gs, &gd, &ri, &fs, &fd, &CheckOptions::default()) {
+            Err(ExpectationError::Invalid(_)) => {}
+            other => panic!(
+                "expected invalid-expectation error, got {:?}",
+                other.map(|_| ())
+            ),
+        }
     }
 }

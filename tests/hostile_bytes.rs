@@ -1,6 +1,7 @@
-//! Hostile certificate bytes against the real binary: `certify --check` is
-//! the trusted re-checker, so a file built to exhaust its stack must be
-//! *refused* — exit 4 with a diagnostic — not abort it (SIGABRT, 134).
+//! Hostile bytes against the real binary: a file built to exhaust its stack
+//! must be *refused* — exit 4 with a diagnostic from `certify --check`, the
+//! trusted re-checker, exit 2 from the `--maps` reader — not abort it
+//! (SIGABRT, 134).
 //!
 //! These spawn `entangle` rather than call the library: an overflow inside
 //! the test process would take the harness down with it instead of failing
@@ -44,9 +45,9 @@ fn entangle() -> &'static Path {
     })
 }
 
-/// Runs `entangle certify gs gd --check <cert>` on a tiny valid graph pair
-/// and the given certificate bytes.
-fn recheck(case: &str, cert: &str) -> Output {
+/// Runs `entangle <subcommand> gs gd <flag> <file>` on a tiny valid graph
+/// pair and a file of the given bytes.
+fn run(case: &str, subcommand: &str, flag: &str, bytes: &str) -> Output {
     let dir = std::env::temp_dir().join(format!("entangle-hostile-{}-{case}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let graph = |name: &str| {
@@ -59,17 +60,22 @@ fn recheck(case: &str, cert: &str) -> Output {
     let path = |file: &str| dir.join(file);
     std::fs::write(path("gs.json"), graph("gs")).expect("writes");
     std::fs::write(path("gd.json"), graph("gd")).expect("writes");
-    std::fs::write(path("cert.json"), cert).expect("writes");
+    std::fs::write(path("hostile"), bytes).expect("writes");
     let out = Command::new(entangle())
-        .arg("certify")
+        .arg(subcommand)
         .args([path("gs.json"), path("gd.json")])
-        .arg("--check")
-        .arg(path("cert.json"))
+        .arg(flag)
+        .arg(path("hostile"))
         .arg("--no-ledger")
         .output()
         .expect("entangle runs");
     std::fs::remove_dir_all(&dir).ok();
     out
+}
+
+/// `entangle certify gs gd --check <cert>` on the given certificate bytes.
+fn recheck(case: &str, cert: &str) -> Output {
+    run(case, "certify", "--check", cert)
 }
 
 fn assert_refused(out: &Output, diagnostic: &str) {
@@ -107,5 +113,29 @@ fn two_hundred_kilobytes_of_open_brackets_are_refused_not_a_stack_overflow() {
     assert_refused(
         &recheck("brackets", &"[".repeat(200 * 1024)),
         "nesting deeper than",
+    );
+}
+
+#[test]
+fn two_hundred_thousand_nested_applications_in_a_maps_file_are_a_usage_error() {
+    let links = 200_000;
+    let maps = format!("x = {}x{}\n", "(neg ".repeat(links), ")".repeat(links));
+    let out = run("maps", "check", "--maps", &maps);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "expected exit 2 (usage error), got {:?}\nstderr: {stderr}",
+        out.status
+    );
+    // One diagnostic line, then the usage text every exit 2 prints.
+    let diagnostic = stderr.lines().next().unwrap_or_default();
+    assert!(
+        diagnostic.starts_with("error: mapping x:") && diagnostic.contains("nests deeper than"),
+        "{stderr}"
+    );
+    assert!(
+        !stderr.contains("panicked") && !stderr.contains("overflow"),
+        "{stderr}"
     );
 }
