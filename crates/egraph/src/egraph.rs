@@ -144,6 +144,11 @@ pub struct EGraph<A: Analysis> {
     /// drops entries; it dedupes the alias ids that bridge uncanonical
     /// forms to their class.
     orig_memo: FxHashMap<ENode, Id>,
+    /// Scratch for [`EGraph::repair`]: canonical parent form → faithful id,
+    /// kept (empty) between calls so a repair reuses its allocation.
+    repair_seen: FxHashMap<ENode, Id>,
+    /// Scratch children buffer for [`EGraph::add_op`]'s memo probe.
+    probe: Vec<Id>,
     /// User context available to analyses and conditions.
     pub analysis: A,
 }
@@ -171,6 +176,8 @@ impl<A: Analysis> EGraph<A> {
             proof: ProofGraph::default(),
             orig: Vec::new(),
             orig_memo: FxHashMap::default(),
+            repair_seen: FxHashMap::default(),
+            probe: Vec::new(),
             analysis,
         }
     }
@@ -234,20 +241,20 @@ impl<A: Analysis> EGraph<A> {
     /// the freshly created class under the node's symbol; unions only merge
     /// classes, so canonicalizing the recorded ids through the union-find
     /// covers every class that currently holds such a node.
-    pub fn classes_with_op(&self, sym: Symbol) -> Vec<Id> {
-        let mut ids: Vec<Id> = self
-            .sym_classes
-            .get(&sym)
-            .map(|v| {
+    ///
+    /// The ids replace `out`'s contents; its allocation is kept, so the
+    /// compiled matcher's per-iteration calls reuse one buffer.
+    pub fn classes_with_op(&self, sym: Symbol, out: &mut Vec<Id>) {
+        out.clear();
+        if let Some(v) = self.sym_classes.get(&sym) {
+            out.extend(
                 v.iter()
                     .map(|&id| self.find(id))
-                    .filter(|id| self.classes[id.index()].is_some())
-                    .collect()
-            })
-            .unwrap_or_default();
-        ids.sort();
-        ids.dedup();
-        ids
+                    .filter(|id| self.classes[id.index()].is_some()),
+            );
+        }
+        out.sort();
+        out.dedup();
     }
 
     /// Adds a node (hash-consed) and returns a *term-faithful* id: the
@@ -258,15 +265,74 @@ impl<A: Analysis> EGraph<A> {
     /// minted and bridged to the class by a congruence proof edge, so
     /// explanations can start and end at literal caller-built terms.
     pub fn add(&mut self, enode: ENode) -> Id {
-        let canonical = enode.map_children(|c| self.find(c));
-        if let Some(&id) = self.memo.get(&canonical) {
-            debug_assert_eq!(
-                self.orig[id.index()],
-                canonical,
-                "memo values are term-faithful"
-            );
-            return self.faithful(enode, &canonical, id);
+        if self.is_canonical(&enode) {
+            // The common case during saturation (search-time ids after a
+            // rebuild): probe with the node as given, no canonical copy.
+            if let Some(&id) = self.memo.get(&enode) {
+                debug_assert_eq!(
+                    self.orig[id.index()],
+                    enode,
+                    "memo values are term-faithful"
+                );
+                return id;
+            }
+            return self.add_canonical(enode);
         }
+        let canonical = enode.map_children(|c| self.find(c));
+        let id = match self.memo.get(&canonical) {
+            Some(&id) => {
+                debug_assert_eq!(
+                    self.orig[id.index()],
+                    canonical,
+                    "memo values are term-faithful"
+                );
+                id
+            }
+            None => self.add_canonical(canonical),
+        };
+        // Some child was not canonical, so `enode` differs from the form
+        // `id` records: bridge it with an alias.
+        self.alias(enode, id)
+    }
+
+    /// [`EGraph::add`] of `(sym children…)`, without allocating when the
+    /// answer already exists — the node itself, or (for children an
+    /// earlier union made stale) the alias bridging it to its class. That
+    /// is the common case when a rewrite instantiates the left-hand side it
+    /// just matched. The memos are probed through one reused buffer.
+    pub fn add_op(&mut self, sym: Symbol, children: &[Id]) -> Id {
+        let mut probe = std::mem::take(&mut self.probe);
+        probe.clear();
+        probe.extend(children.iter().map(|&c| self.find(c)));
+        let canonical = probe[..] == *children;
+        let mut node = ENode::Op(sym, probe);
+        let mut hit = self.memo.get(&node).copied();
+        if let (Some(id), false) = (hit, canonical) {
+            // Stale children: `add` answers with the alias for the literal
+            // node, when one is already bridged to `id`.
+            if let ENode::Op(_, probe) = &mut node {
+                probe.clear();
+                probe.extend_from_slice(children);
+            }
+            hit = self
+                .orig_memo
+                .get(&node)
+                .copied()
+                .filter(|&a| self.find(a) == self.find(id));
+        }
+        if let ENode::Op(_, probe) = node {
+            self.probe = probe;
+        }
+        hit.unwrap_or_else(|| self.add(ENode::Op(sym, children.to_vec())))
+    }
+
+    /// `true` when every child of `enode` is its class's canonical id.
+    fn is_canonical(&self, enode: &ENode) -> bool {
+        enode.children().iter().all(|&c| self.find(c) == c)
+    }
+
+    /// Creates a new class holding `canonical`, which the memo lacks.
+    fn add_canonical(&mut self, canonical: ENode) -> Id {
         let id = self.unionfind.make_set();
         self.proof.make_set();
         self.classes.push(None); // arena slot, filled below
@@ -295,19 +361,9 @@ impl<A: Analysis> EGraph<A> {
         self.classes[id.index()] = Some(class);
         self.n_classes += 1;
         self.n_nodes += 1;
-        self.memo.insert(canonical.clone(), id);
+        self.memo.insert(canonical, id);
         A::modify(self, id);
-        self.faithful(enode, &canonical, id)
-    }
-
-    /// Returns a term-faithful id for `enode` given `id`, faithful for its
-    /// canonicalization `canonical`.
-    fn faithful(&mut self, enode: ENode, canonical: &ENode, id: Id) -> Id {
-        if enode == *canonical {
-            id
-        } else {
-            self.alias(enode, id)
-        }
+        id
     }
 
     /// Mints (or reuses) an id whose recorded term is exactly `node`,
@@ -345,8 +401,12 @@ impl<A: Analysis> EGraph<A> {
     /// Children are canonicalized first. Returns the canonical class if the
     /// node is already represented.
     pub fn lookup(&self, enode: &ENode) -> Option<Id> {
-        let canonical = enode.map_children(|c| self.find(c));
-        self.memo.get(&canonical).map(|&id| self.find(id))
+        let hit = if self.is_canonical(enode) {
+            self.memo.get(enode)
+        } else {
+            self.memo.get(&enode.map_children(|c| self.find(c)))
+        };
+        hit.map(|&id| self.find(id))
     }
 
     /// Looks up a whole expression without inserting; `None` if any node is
@@ -381,15 +441,12 @@ impl<A: Analysis> EGraph<A> {
     }
 
     /// The parent nodes of a class: every e-node (in some class) that has
-    /// this class as a child. Used by constrained generative lemmas
+    /// this class as a child, as recorded (its children may predate later
+    /// unions), borrowed. Used by constrained generative lemmas
     /// (§4.3.2) that must only fire when their target subterms already
     /// exist.
-    pub fn parent_nodes(&self, id: Id) -> Vec<ENode> {
-        self.class(id)
-            .parents
-            .iter()
-            .map(|(n, _)| n.clone())
-            .collect()
+    pub fn parents(&self, id: Id) -> impl Iterator<Item = &ENode> {
+        self.class(id).parents.iter().map(|(n, _)| n)
     }
 
     /// Unions two classes; returns `(root, changed)`.
@@ -495,10 +552,15 @@ impl<A: Analysis> EGraph<A> {
         // exactly what a proof checker can validate. `seen` maps each
         // canonical form to a faithful id for that form, preserving the
         // memo invariant that memo values are term-faithful.
-        let mut seen: FxHashMap<ENode, Id> =
-            FxHashMap::with_capacity_and_hasher(parents.len(), Default::default());
+        let mut seen = std::mem::take(&mut self.repair_seen);
         for (pnode, pid) in parents {
-            let canonical = pnode.map_children(|c| self.find(c));
+            // A parent already in canonical form is its own canonical form.
+            let fresh = self.is_canonical(&pnode);
+            let canonical = if fresh {
+                pnode
+            } else {
+                pnode.map_children(|c| self.find(c))
+            };
             if let Some(&existing) = seen.get(&canonical) {
                 if self.find(existing) != self.find(pid) {
                     self.union_with(existing, pid, Justification::Congruence);
@@ -513,7 +575,7 @@ impl<A: Analysis> EGraph<A> {
                     self.union_with(memo_id, pid, Justification::Congruence);
                 }
                 seen.insert(canonical, memo_id);
-            } else if pnode == canonical {
+            } else if fresh {
                 self.memo.insert(canonical.clone(), pid);
                 seen.insert(canonical, pid);
             } else {
@@ -526,30 +588,38 @@ impl<A: Analysis> EGraph<A> {
         }
         let id = self.find(id);
         if let Some(class) = self.classes[id.index()].as_mut() {
-            let existing = std::mem::take(&mut class.parents);
-            let mut merged: Vec<(ENode, Id)> = existing;
-            // Sort the hash-map entries before merging: the parent-list
-            // order feeds later repairs (and through them proof-edge
-            // insertion order), so it must not depend on hasher state.
-            let mut seen: Vec<(ENode, Id)> = seen.into_iter().collect();
-            seen.sort();
-            for (n, p) in seen {
-                if !merged.iter().any(|(mn, _)| *mn == n) {
-                    merged.push((n, p));
+            // Append the repaired parents the list (refilled by unions made
+            // above) lacks. Sort them first: the parent-list order feeds
+            // later repairs (and through them proof-edge insertion order),
+            // so it must not depend on hasher state.
+            let parents = &mut class.parents;
+            let kept = parents.len();
+            parents.extend(seen.drain());
+            parents[kept..].sort();
+            let mut end = kept;
+            for at in kept..parents.len() {
+                if !parents[..kept].iter().any(|(n, _)| *n == parents[at].0) {
+                    parents.swap(end, at);
+                    end += 1;
                 }
             }
-            class.parents = merged;
-            // Dedup the class's own nodes under the new canonicalization.
-            let canon_nodes: FxHashSet<ENode> = class
-                .nodes
-                .iter()
-                .map(|n| n.map_children(|c| self.unionfind.find_immutable(c)))
-                .collect();
-            let class = self.classes[id.index()].as_mut().expect("class must exist");
-            self.n_nodes -= class.nodes.len() - canon_nodes.len();
-            class.nodes = canon_nodes.into_iter().collect();
+            parents.truncate(end);
+            // Dedup the class's own nodes under the new canonicalization,
+            // canonicalized in place.
+            let before = class.nodes.len();
+            for node in &mut class.nodes {
+                if let ENode::Op(_, children) = node {
+                    for c in children {
+                        *c = self.unionfind.find_immutable(*c);
+                    }
+                }
+            }
             class.nodes.sort();
+            class.nodes.dedup();
+            self.n_nodes -= before - class.nodes.len();
         }
+        seen.clear();
+        self.repair_seen = seen;
     }
 
     fn repair_analysis(&mut self, id: Id) {

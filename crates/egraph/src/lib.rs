@@ -17,7 +17,8 @@
 //! - [`CompiledMatcher`]: the whole rule corpus compiled into one shared
 //!   discrimination tree executed by a small abstract machine, so a single
 //!   traversal of the candidate e-nodes serves every rule at once (the
-//!   default search path; the per-rule searcher remains as an ablation).
+//!   only search path saturation takes; the recursive per-rule searcher
+//!   remains as the reference the oracle tests and the proof kernel use).
 //! - [`Runner`]: equality saturation with node/iteration/time limits and
 //!   per-rule application counts (the raw data behind the paper's Figure 6
 //!   lemma-usage heatmap).
@@ -68,7 +69,7 @@ mod unionfind;
 pub use egraph::{Analysis, EClass, EGraph};
 pub use explain::{Justification, Proof, ProofStep};
 pub use extract::{AstSize, CostFunction, Extractor};
-pub use machine::{CompiledMatcher, SharedSearch, MATCHER_GENERATION};
+pub use machine::{CompiledMatcher, RuleMatches, SharedSearch, MATCHER_GENERATION};
 pub use node::{ENode, ParseExprError, RecExpr, MAX_TERM_DEPTH};
 pub use pattern::{Pattern, PatternAst, SearchMatches, Subst, Var};
 pub use rewrite::{Applier, Condition, Rewrite};

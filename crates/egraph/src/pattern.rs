@@ -76,14 +76,17 @@ impl Subst {
         self.map.iter().copied()
     }
 
-    /// Builds a substitution from bindings already in first-occurrence
-    /// order with no duplicate variables — the compiled matcher's register
-    /// file. Keeping the order identical to what [`Subst::insert`] would
-    /// produce during a recursive match makes compiled and legacy
-    /// substitutions compare equal.
-    pub(crate) fn from_bindings(map: Vec<(Var, Id)>) -> Subst {
-        debug_assert!((1..map.len()).all(|i| !map[..i].iter().any(|(v, _)| *v == map[i].0)));
-        Subst { map }
+    /// Replaces every binding with `vars[k] ↦ ids[k]`, reusing the
+    /// allocation — the runner's one substitution, refilled per match from
+    /// the compiled matcher's register file. `vars` are in first-occurrence
+    /// order with no duplicates, the order [`Subst::insert`] produces during
+    /// a recursive match, so the result equals the reference searcher's.
+    pub(crate) fn refill(&mut self, vars: &[Var], ids: &[Id]) {
+        debug_assert_eq!(vars.len(), ids.len());
+        debug_assert!((1..vars.len()).all(|i| !vars[..i].contains(&vars[i])));
+        self.map.clear();
+        self.map
+            .extend(vars.iter().copied().zip(ids.iter().copied()));
     }
 }
 
@@ -97,6 +100,10 @@ impl std::ops::Index<Var> for Subst {
             .unwrap_or_else(|| panic!("unbound pattern variable {var}"))
     }
 }
+
+/// Widest application whose children [`PatternAst::instantiate`] keeps on
+/// the stack; a wider one collects them into a `Vec`.
+const INLINE_ARITY: usize = 8;
 
 /// The AST of a pattern: a tree over vars, scalars and operators.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -164,8 +171,17 @@ impl PatternAst {
             PatternAst::Var(v) => subst[*v],
             PatternAst::Int(i) => egraph.add(ENode::Int(*i)),
             PatternAst::Op(sym, ch) => {
-                let children = ch.iter().map(|c| c.instantiate(egraph, subst)).collect();
-                egraph.add(ENode::Op(*sym, children))
+                // Children on the stack: instantiating a term that already
+                // exists (a matched left-hand side) allocates nothing.
+                if ch.len() > INLINE_ARITY {
+                    let children = ch.iter().map(|c| c.instantiate(egraph, subst)).collect();
+                    return egraph.add(ENode::Op(*sym, children));
+                }
+                let mut ids = [Id::from_index(0); INLINE_ARITY];
+                for (id, c) in ids.iter_mut().zip(ch) {
+                    *id = c.instantiate(egraph, subst);
+                }
+                egraph.add_op(*sym, &ids[..ch.len()])
             }
         }
     }
@@ -255,7 +271,10 @@ impl Pattern {
     /// When the pattern is rooted at an operator, only classes containing
     /// that head symbol (per [`EGraph::classes_with_op`]) are visited;
     /// every other class is counted as skipped. Patterns rooted at a
-    /// variable or integer fall back to scanning every class.
+    /// variable or integer scan every class.
+    ///
+    /// This recursive matcher is the reference the compiled matcher
+    /// ([`crate::CompiledMatcher`]) is held to; saturation never calls it.
     pub fn search_with_stats<A: Analysis>(
         &self,
         egraph: &EGraph<A>,
@@ -268,7 +287,11 @@ impl Pattern {
         let ids = match &self.ast {
             // Head-symbol fast path: only classes holding a node with the
             // root operator can match.
-            PatternAst::Op(sym, _) => egraph.classes_with_op(*sym),
+            PatternAst::Op(sym, _) => {
+                let mut ids = Vec::new();
+                egraph.classes_with_op(*sym, &mut ids);
+                ids
+            }
             // Var/Int roots match structurally anywhere: full scan.
             _ => egraph.class_ids(),
         };

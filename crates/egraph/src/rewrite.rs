@@ -4,8 +4,10 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::egraph::{Analysis, EGraph};
+use crate::explain::Justification;
+use crate::machine::RuleMatches;
 use crate::node::ParseExprError;
-use crate::pattern::{Pattern, Subst};
+use crate::pattern::{Pattern, Subst, Var};
 use crate::unionfind::Id;
 
 use crate::hashing::{fold as fp_fold, FxHashSet};
@@ -234,121 +236,88 @@ impl<A: Analysis> Rewrite<A> {
         Some(self.applier.apply_one(egraph, eclass, subst))
     }
 
-    /// Applies previously found matches; returns the number of unions that
-    /// changed the e-graph (the per-lemma count behind Figure 6).
-    pub fn apply(
-        &self,
-        egraph: &mut EGraph<A>,
-        matches: &[crate::pattern::SearchMatches],
-    ) -> usize {
-        let mut changed = 0;
-        for m in matches {
-            for subst in &m.substs {
-                if let Some(cond) = &self.condition {
-                    if !cond(egraph, m.eclass, subst) {
-                        continue;
-                    }
-                }
-                let produced = self.applier.apply_one(egraph, m.eclass, subst);
-                if produced.is_empty() {
-                    continue;
-                }
-                // Union each produced id with the *instantiated left-hand
-                // side* rather than the matched class id: both endpoints
-                // are then term-faithful (the LHS instantiation is the
-                // literal term the lemma matched, modulo canonical
-                // bindings), which is what proof extraction needs. The
-                // instantiation lands in `m.eclass`'s class, so the unions
-                // are semantically identical.
-                let lhs = self.searcher.ast().instantiate(egraph, subst);
-                for id in produced {
-                    let (_, did) = egraph.union_with(
-                        lhs,
-                        id,
-                        crate::explain::Justification::Rule {
-                            name: self.name.clone(),
-                            subst: subst.clone(),
-                        },
-                    );
-                    if did {
-                        changed += 1;
-                    }
-                }
-            }
-        }
-        changed
-    }
-
-    /// Like [`Rewrite::apply`], with a cross-iteration memo of
-    /// already-applied matches. The standard schedule re-searches the whole
-    /// e-graph every iteration, so every match found in iteration `k` is
-    /// found again in iterations `k+1..`; re-applying it is a pure no-op
-    /// (the right-hand side is already present and the union is already
-    /// made) that still pays condition evaluation, instantiation, and
-    /// hash-cons lookups. `applied` carries fingerprints of matches this
-    /// rule has successfully applied — under canonical class ids, so a
-    /// fingerprint survives unions of its bindings — and those are skipped.
+    /// Applies this rule's matches from one shared search ([`RuleMatches`],
+    /// register files over `vars` — see [`crate::CompiledMatcher::vars`]);
+    /// returns the number of unions that changed the e-graph (the
+    /// per-lemma count behind Figure 6).
+    ///
+    /// `applied` is a cross-iteration memo of already-applied matches. The
+    /// standard schedule re-searches the whole e-graph every iteration, so
+    /// every match found in iteration `k` is found again in iterations
+    /// `k+1..`; re-applying it is a pure no-op (the right-hand side is
+    /// already present and the union is already made) that still pays
+    /// condition evaluation, instantiation, and hash-cons lookups.
+    /// `applied` carries fingerprints of matches this rule has successfully
+    /// applied — under canonical class ids, so a fingerprint survives
+    /// unions of its bindings — and those are skipped without allocating.
     ///
     /// Only *successful* applications are memoized: a match rejected by its
     /// condition, or whose dynamic applier produced nothing, is retried in
     /// later iterations (both can start succeeding as analysis data and the
     /// e-graph grow). Skipping is therefore behavior-preserving: the final
     /// e-graph, the per-rule `applications` counts, and the saturation
-    /// fixpoint are identical to [`Rewrite::apply`] — only wasted work is
+    /// fixpoint are those of applying every match — only wasted work is
     /// removed.
+    ///
+    /// `subst` is scratch: refilled per match that reaches the condition,
+    /// so one allocation serves the whole run.
     pub fn apply_deduped(
         &self,
         egraph: &mut EGraph<A>,
-        matches: &[crate::pattern::SearchMatches],
+        matches: &RuleMatches,
+        vars: &[Var],
         applied: &mut AppliedMemo,
+        subst: &mut Subst,
     ) -> usize {
         let mut changed = 0;
-        for m in matches {
-            for subst in &m.substs {
-                // The memo is per rule and a pattern binds its variables in
-                // a fixed (first-occurrence) order, so the fingerprint only
-                // needs the canonical class ids: matched class first, then
-                // each binding in order. The fold is FxHash-style — this
-                // hash runs once per (match, iteration) pair, millions of
-                // times on deep models, where SipHash is measurable.
-                let mut fp = fp_fold(0, egraph.find(m.eclass).index() as u64);
-                for (_, id) in subst.iter() {
-                    fp = fp_fold(fp, egraph.find(id).index() as u64);
-                }
-                if applied.contains(&fp) {
+        for (eclass, ids) in matches.iter() {
+            // The memo is per rule and a pattern binds its variables in a
+            // fixed (first-occurrence) order, so the fingerprint only needs
+            // the canonical class ids: matched class first, then each
+            // binding in order. The fold is FxHash-style — this hash runs
+            // once per (match, iteration) pair, millions of times on deep
+            // models, where SipHash is measurable.
+            let mut fp = fp_fold(0, egraph.find(eclass).index() as u64);
+            for &id in ids {
+                fp = fp_fold(fp, egraph.find(id).index() as u64);
+            }
+            if applied.contains(&fp) {
+                continue;
+            }
+            subst.refill(vars, ids);
+            if let Some(cond) = &self.condition {
+                if !cond(egraph, eclass, subst) {
                     continue;
                 }
-                if let Some(cond) = &self.condition {
-                    if !cond(egraph, m.eclass, subst) {
-                        continue;
-                    }
-                }
-                let produced = self.applier.apply_one(egraph, m.eclass, subst);
-                if produced.is_empty() {
+            }
+            let produced = self.applier.apply_one(egraph, eclass, subst);
+            if produced.is_empty() {
+                continue;
+            }
+            applied.insert(fp);
+            // Union each produced id with the *instantiated left-hand side*
+            // rather than the matched class id: both endpoints are then
+            // term-faithful (the LHS instantiation is the literal term the
+            // lemma matched, modulo canonical bindings), which is what proof
+            // extraction needs. The instantiation lands in `eclass`'s class,
+            // so the unions are semantically identical.
+            let lhs = self.searcher.ast().instantiate(egraph, subst);
+            for id in produced {
+                // An already-equal pair is no union: build its
+                // justification (a name and a substitution copy) only for a
+                // union that happens.
+                if egraph.find(lhs) == egraph.find(id) {
                     continue;
                 }
-                applied.insert(fp);
-                // Union each produced id with the *instantiated left-hand
-                // side* rather than the matched class id: both endpoints
-                // are then term-faithful (the LHS instantiation is the
-                // literal term the lemma matched, modulo canonical
-                // bindings), which is what proof extraction needs. The
-                // instantiation lands in `m.eclass`'s class, so the unions
-                // are semantically identical.
-                let lhs = self.searcher.ast().instantiate(egraph, subst);
-                for id in produced {
-                    let (_, did) = egraph.union_with(
-                        lhs,
-                        id,
-                        crate::explain::Justification::Rule {
-                            name: self.name.clone(),
-                            subst: subst.clone(),
-                        },
-                    );
-                    if did {
-                        changed += 1;
-                    }
-                }
+                egraph.union_with(
+                    lhs,
+                    id,
+                    Justification::Rule {
+                        name: self.name.clone(),
+                        subst: subst.clone(),
+                    },
+                );
+                changed += 1;
             }
         }
         changed

@@ -4,8 +4,9 @@ use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 use crate::egraph::{Analysis, EGraph};
-use crate::machine::CompiledMatcher;
-use crate::rewrite::Rewrite;
+use crate::machine::{CompiledMatcher, SharedSearch};
+use crate::pattern::Subst;
+use crate::rewrite::{AppliedMemo, Rewrite};
 
 /// Default per-iteration match budget for throttled rules (see
 /// [`BackoffSchedule`]). The throttled set is the generative-cycle
@@ -347,8 +348,7 @@ impl<A: Analysis> Runner<A> {
         // schedule re-finds every prior match each iteration, and skipping
         // re-application turns the apply phase from quadratic in iteration
         // count to linear (see [`Rewrite::apply_deduped`]).
-        let mut applied_memo: Vec<crate::rewrite::AppliedMemo> =
-            vec![crate::rewrite::AppliedMemo::default(); rewrites.len()];
+        let mut applied_memo: Vec<AppliedMemo> = vec![AppliedMemo::default(); rewrites.len()];
         let mut backoff: Vec<BackoffState> = rewrites
             .iter()
             .map(|rw| BackoffState {
@@ -359,6 +359,12 @@ impl<A: Analysis> Runner<A> {
                 ..BackoffState::default()
             })
             .collect();
+        // Buffers reused by every iteration: the shared search's match
+        // storage and scratch, the active mask, and the one substitution
+        // the apply loop refills per match.
+        let mut shared = SharedSearch::default();
+        let mut active = vec![false; rewrites.len()];
+        let mut subst = Subst::new();
         let mut ematch_candidates = 0u64;
         let mut ematch_yields = 0u64;
         let mut iterations = 0;
@@ -381,16 +387,12 @@ impl<A: Analysis> Runner<A> {
             // trie subtrees reaching only banned rules are pruned) — that
             // skip, not apply dedup, is where the backoff win comes from.
             let mut any_banned = false;
-            let mut active = vec![false; rewrites.len()];
-            for (i, bo) in backoff.iter().enumerate() {
-                if bo.throttled && iterations <= bo.banned_until {
-                    any_banned = true;
-                } else {
-                    active[i] = true;
-                }
+            for (a, bo) in active.iter_mut().zip(&backoff) {
+                *a = !(bo.throttled && iterations <= bo.banned_until);
+                any_banned |= !*a;
             }
             let t0 = Instant::now();
-            let shared = matcher.search_all(&self.egraph, rewrites, &active);
+            matcher.search_all(&self.egraph, &active, &mut shared);
             let search_us = t0.elapsed().as_micros() as u64;
             saturation.searched_classes += shared.visited;
             saturation.skipped_classes += shared.skipped;
@@ -406,10 +408,7 @@ impl<A: Analysis> Runner<A> {
                     continue;
                 }
                 stats.search_us += share;
-                let found: u64 = shared.matches[i]
-                    .iter()
-                    .map(|m| m.substs.len() as u64)
-                    .sum();
+                let found = shared.matches[i].len() as u64;
                 stats.matches += found;
                 if bo.throttled {
                     let budget = self
@@ -427,13 +426,18 @@ impl<A: Analysis> Runner<A> {
                     }
                 }
             }
-            let matches = shared.matches;
             // Apply phase.
             let unions_before = self.egraph.union_count();
             let mut apply_us = 0u64;
-            for (i, (rw, ms)) in rewrites.iter().zip(&matches).enumerate() {
+            for (i, (rw, ms)) in rewrites.iter().zip(&shared.matches).enumerate() {
                 let t0 = Instant::now();
-                let changed = rw.apply_deduped(&mut self.egraph, ms, &mut applied_memo[i]);
+                let changed = rw.apply_deduped(
+                    &mut self.egraph,
+                    ms,
+                    matcher.vars(i),
+                    &mut applied_memo[i],
+                    &mut subst,
+                );
                 let dt = t0.elapsed().as_micros() as u64;
                 per_rule[i].apply_us += dt;
                 apply_us += dt;

@@ -101,6 +101,39 @@ fn lookup_does_not_insert() {
     assert_eq!(eg.total_nodes(), n);
 }
 
+/// `add_op` is `add` without the allocation: the same sequence through
+/// either gives the same ids and the same graph — present, stale-child
+/// (before and after its alias exists) and new nodes alike.
+#[test]
+fn add_op_answers_like_add() {
+    let build = |via_op: bool| {
+        let mut eg = EGraph::<()>::default();
+        let add = |eg: &mut EGraph<()>, head: &str, children: &[Id]| {
+            if via_op {
+                eg.add_op(Symbol::new(head), children)
+            } else {
+                eg.add(ENode::op(head, children.to_vec()))
+            }
+        };
+        let x = add(&mut eg, "x", &[]);
+        let y = add(&mut eg, "y", &[]);
+        let mut ids = vec![add(&mut eg, "f", &[x]), add(&mut eg, "g", &[x, y])];
+        eg.union(x, y); // one of x, y is stale until the rebuild
+        for _ in 0..2 {
+            ids.push(add(&mut eg, "f", &[x]));
+            ids.push(add(&mut eg, "f", &[y]));
+            ids.push(add(&mut eg, "g", &[y, x]));
+        }
+        ids.push(add(&mut eg, "h", &[y]));
+        eg.rebuild();
+        ids.push(add(&mut eg, "f", &[x]));
+        ids.push(add(&mut eg, "g", &[x, x]));
+        let alias = eg.term_of(ids[3]);
+        (ids, eg.total_nodes(), eg.num_classes(), alias)
+    };
+    assert_eq!(build(false), build(true));
+}
+
 #[test]
 fn lookup_expr_constrained() {
     let mut eg = EGraph::<()>::default();
@@ -906,15 +939,17 @@ mod shared_matcher {
             idr("leaf-a1", "(matmul A1 ?b)"),
             idr("absent-op", "(softmax (relu ?x))"),
             idr("any", "?x"),
+            idr("int-root", "1"),
         ]
     }
 
-    /// Asserts the compiled matcher reproduces the legacy searcher
+    /// Asserts the compiled matcher reproduces the reference searcher
     /// *exactly* — same matches in the same order with equal
     /// substitutions, and the same visited/skipped accounting.
     fn assert_identical(eg: &EGraph<()>, rws: &[Rewrite<()>], active: &[bool]) {
         let m = CompiledMatcher::compile(rws);
-        let shared = m.search_all(eg, rws, active);
+        let mut shared = SharedSearch::default();
+        m.search_all(eg, active, &mut shared);
         let mut visited = 0u64;
         let mut skipped = 0u64;
         let mut yields = 0u64;
@@ -923,24 +958,60 @@ mod shared_matcher {
                 assert!(shared.matches[i].is_empty(), "banned rule must not yield");
                 continue;
             }
-            let (legacy, v, s) = rw.search_with_stats(eg);
+            let (reference, v, s) = rw.search_with_stats(eg);
             visited += v;
             skipped += s;
-            assert_eq!(
-                legacy.len(),
-                shared.matches[i].len(),
-                "class count differs for {}",
-                rw.name()
-            );
-            for (l, c) in legacy.iter().zip(&shared.matches[i]) {
-                assert_eq!(l.eclass, c.eclass, "class order differs for {}", rw.name());
-                assert_eq!(l.substs, c.substs, "substs differ for {}", rw.name());
-            }
-            yields += legacy.iter().map(|m| m.substs.len() as u64).sum::<u64>();
+            let compiled: Vec<(Id, Vec<Subst>)> = shared.matches[i]
+                .classes()
+                .map(|(class, yields)| {
+                    let substs = yields
+                        .map(|ids| {
+                            let mut s = Subst::new();
+                            s.refill(m.vars(i), ids);
+                            s
+                        })
+                        .collect();
+                    (class, substs)
+                })
+                .collect();
+            let reference: Vec<(Id, Vec<Subst>)> = reference
+                .into_iter()
+                .map(|r| (r.eclass, r.substs))
+                .collect();
+            assert_eq!(reference, compiled, "matches differ for {}", rw.name());
+            yields += shared.matches[i].len() as u64;
         }
         assert_eq!(shared.visited, visited, "visited accounting differs");
         assert_eq!(shared.skipped, skipped, "skipped accounting differs");
         assert_eq!(shared.yields, yields, "yield accounting differs");
+    }
+
+    /// Searching twice into one [`SharedSearch`] gives what a fresh one
+    /// gives: the buffers are cleared, not accumulated.
+    #[test]
+    fn reused_search_buffers_are_cleared() {
+        let eg = rich_graph();
+        let rws = corpus();
+        let m = CompiledMatcher::compile(&rws);
+        let active = vec![true; rws.len()];
+        let mut fresh = SharedSearch::default();
+        m.search_all(&eg, &active, &mut fresh);
+        let mut reused = SharedSearch::default();
+        m.search_all(&eg, &vec![false; rws.len()], &mut reused);
+        m.search_all(&eg, &active, &mut reused);
+        m.search_all(&eg, &active, &mut reused);
+        assert_eq!(
+            (fresh.visited, fresh.skipped, fresh.candidates, fresh.yields),
+            (
+                reused.visited,
+                reused.skipped,
+                reused.candidates,
+                reused.yields
+            )
+        );
+        for (f, r) in fresh.matches.iter().zip(&reused.matches) {
+            assert!(f.iter().eq(r.iter()));
+        }
     }
 
     #[test]
@@ -973,10 +1044,11 @@ mod shared_matcher {
         let eg = rich_graph();
         let rws = vec![idr("mul-same", "(mul ?a ?a)")];
         let m = CompiledMatcher::compile(&rws);
-        let shared = m.search_all(&eg, &rws, &[true]);
+        let mut shared = SharedSearch::default();
+        m.search_all(&eg, &[true], &mut shared);
         // (mul x x) matches, (mul x y) must not.
+        assert_eq!(shared.matches[0].classes().count(), 1);
         assert_eq!(shared.matches[0].len(), 1);
-        assert_eq!(shared.matches[0][0].substs.len(), 1);
     }
 
     #[test]
@@ -984,8 +1056,10 @@ mod shared_matcher {
         let eg = rich_graph();
         let rws = vec![idr("deep", "(matmul (concat ?a ?b 1) (concat ?c ?d 0))")];
         let m = CompiledMatcher::compile(&rws);
-        let full = m.search_all(&eg, &rws, &[true]);
-        let banned = m.search_all(&eg, &rws, &[false]);
+        let mut full = SharedSearch::default();
+        m.search_all(&eg, &[true], &mut full);
+        let mut banned = SharedSearch::default();
+        m.search_all(&eg, &[false], &mut banned);
         assert!(full.candidates > 0);
         assert_eq!(banned.candidates, 0, "banned subtrees must be pruned");
         assert_eq!(banned.yields, 0);

@@ -300,9 +300,10 @@ pub mod cond {
         eg[id].data.clone()
     }
 
-    /// The shape of an e-class, if known.
-    pub fn shape(eg: &EGraph<TensorAnalysis>, id: Id) -> Option<Shape> {
-        eg[id].data.shape.clone()
+    /// The shape of an e-class, if known (borrowed: conditions run per
+    /// match, and most only read a dim or compare two shapes).
+    pub fn shape(eg: &EGraph<TensorAnalysis>, id: Id) -> Option<&Shape> {
+        eg[id].data.shape.as_ref()
     }
 
     /// The rank, if the shape is known.
@@ -317,7 +318,7 @@ pub mod cond {
 
     /// The concrete integer value of a class.
     pub fn int(eg: &EGraph<TensorAnalysis>, id: Id) -> Option<i64> {
-        scalar(eg, id)?.as_const()
+        eg[id].data.scalar.as_ref()?.as_const()
     }
 
     /// The size of dimension `d` of a tensor class.

@@ -268,10 +268,9 @@ pub(crate) fn install(b: &mut Builder) {
             return vec![];
         }
         // Collect existing slice parents of x: (dim, start, end) triples.
-        let parents = eg.parent_nodes(x);
         let mut slices: Vec<(i64, SymExpr, SymExpr, ENode)> = Vec::new();
-        for node in parents {
-            let ENode::Op(sym, ch) = &node else { continue };
+        for node in eg.parents(x) {
+            let ENode::Op(sym, ch) = node else { continue };
             if sym.as_str() != "slice" || ch.len() != 4 || eg.find(ch[0]) != eg.find(x) {
                 continue;
             }

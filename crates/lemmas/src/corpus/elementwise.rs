@@ -87,7 +87,7 @@ fn binary_family(b: &mut Builder, op: &'static str, models: &[&'static str]) {
             sa.rank() == sc.rank()
                 && d < sa.rank()
                 && sa.dim(d) == sc.dim(d)
-                && sa.broadcast(&sc).is_some()
+                && sa.broadcast(sc).is_some()
         },
     )
     .expect("parses");

@@ -481,7 +481,7 @@ pub(crate) fn install(b: &mut Builder) {
         let Some(s) = shape(eg, subst[v("x")]) else {
             return vec![];
         };
-        vec![add_op(eg, &mint_ones_leaf(&s), vec![])]
+        vec![add_op(eg, &mint_ones_leaf(s), vec![])]
     })
     .expect("parses");
     b.push(rw, Category::General, 10, 1, &["dp-training"]);
@@ -498,7 +498,7 @@ pub(crate) fn install(b: &mut Builder) {
                 return false;
             };
             // ones_like(y) must broadcast into x's shape without growing it.
-            sx.broadcast(&sy).as_ref() == Some(&sx)
+            sx.broadcast(sy).as_ref() == Some(sx)
         },
     )
     .expect("parses");

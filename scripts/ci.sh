@@ -58,6 +58,21 @@ if [ "$compiles" -ne 1 ]; then
   echo "expected CompiledMatcher::compile once in runner.rs (the Runner::run wrapper), found $compiles"; exit 1
 fi
 
+# Saturation searches through the compiled matcher alone, into flat reused
+# buffers (DESIGN.md, *Compiled e-matching*): the recursive matcher is the
+# reference the oracle tests and the kernel use, one apply loop remains, and
+# a lemma reads its parents through a borrow, not a cloned list.
+if grep -nE 'search_with_stats\(' crates/egraph/src/{machine,runner}.rs; then
+  echo "the runner reaches the recursive matcher again (compile the pattern instead)"; exit 1
+fi
+if grep -n 'fn apply(' crates/egraph/src/rewrite.rs; then
+  echo "a second apply loop is back in rewrite.rs (apply_deduped is the one)"; exit 1
+fi
+if grep -rn 'parent_nodes(' crates src tests benchmark/src --include='*.rs' \
+    | grep -v '^crates/egraph/src/tests\.rs:'; then
+  echo "parent_nodes is back (borrow through EGraph::parents)"; exit 1
+fi
+
 # One certificate format: version 2, written compactly straight from the term
 # table. Neither the pretty-printer nor a version-1 branch may come back.
 if grep -nE 'to_string_pretty|Json::Int\(1\)' crates/cert/src/json.rs; then

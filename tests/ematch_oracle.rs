@@ -2,10 +2,12 @@
 //! discrimination-tree matcher the runner searches with and the per-rule
 //! reference searcher (`Pattern::search_with_stats`) are the same search.
 //!
-//! For every lemma in the registry, reference and compiled search over
-//! e-graphs built (and saturated) from each zoo workload's graphs yield
-//! *identical* matches — same classes in the same order with equal
-//! substitutions, and the same visited/skipped accounting. Equal match
+//! For every lemma in the registry — the bare-variable root included —
+//! reference and compiled search over e-graphs built (and saturated) from
+//! each zoo workload's graphs yield *identical* matches: same classes in
+//! the same order with equal substitutions (the compiled side's flat
+//! register files read against the rule's variables), and the same
+//! visited/skipped/yield accounting. Equal match
 //! sets in equal order make every downstream apply, union and verdict
 //! equal by construction.
 //!
@@ -14,9 +16,15 @@
 //! does) reports what a run that compiles its own (`Runner::run`) reports.
 
 use entangle_bench::zoo;
-use entangle_egraph::{CompiledMatcher, EGraph, RunReport, Runner};
+use entangle_egraph::{
+    CompiledMatcher, EGraph, Id, PatternAst, RunReport, Runner, SharedSearch, Var,
+};
 use entangle_ir::Graph;
 use entangle_lemmas::{registry, rewrites_of, TensorAnalysis};
+
+/// One rule's matches, comparable across both matchers: per matched class,
+/// its substitutions as `(variable, class)` bindings in binding order.
+type Matches = Vec<(Id, Vec<Vec<(Var, Id)>>)>;
 
 /// A runner over an e-graph loaded with every node of `g`.
 fn loaded_runner(g: &Graph) -> Runner<TensorAnalysis> {
@@ -44,57 +52,63 @@ fn saturated_egraph(g: &Graph) -> EGraph<TensorAnalysis> {
 #[test]
 fn registry_match_sets_identical_on_zoo_egraphs() {
     let rewrites = rewrites_of(&registry());
+    // The registry's bare-variable root (`slices-cover-concat`, `?x`) is
+    // compiled like every other rule: it is held to the reference here too.
+    assert!(rewrites
+        .iter()
+        .any(|rw| matches!(rw.searcher().ast(), PatternAst::Var(_))));
     let matcher = CompiledMatcher::compile(&rewrites);
     let active = vec![true; rewrites.len()];
+    // One search buffer for every graph, as one serves every iteration of a
+    // run: each search must clear what the previous one left.
+    let mut shared = SharedSearch::default();
     for case in zoo() {
         for g in [&case.gs, &case.dist.graph] {
             let eg = saturated_egraph(g);
-            let shared = matcher.search_all(&eg, &rewrites, &active);
+            matcher.search_all(&eg, &active, &mut shared);
             let mut visited = 0u64;
             let mut skipped = 0u64;
+            let mut yields = 0u64;
             for (i, rw) in rewrites.iter().enumerate() {
-                let (legacy, v, s) = rw.search_with_stats(&eg);
+                let (reference, v, s) = rw.search_with_stats(&eg);
                 visited += v;
                 skipped += s;
+                yields += reference.iter().map(|m| m.substs.len() as u64).sum::<u64>();
+                // The reference's (class, substitutions) against the
+                // compiled (class, register files), each register file read
+                // as bindings of the rule's variables in register order.
+                let reference: Matches = reference
+                    .iter()
+                    .map(|m| {
+                        (
+                            m.eclass,
+                            m.substs.iter().map(|s| s.iter().collect()).collect(),
+                        )
+                    })
+                    .collect();
+                let vars = matcher.vars(i);
+                let compiled: Matches = shared.matches[i]
+                    .classes()
+                    .map(|(class, regs)| {
+                        let substs = regs
+                            .map(|ids| vars.iter().copied().zip(ids.iter().copied()).collect())
+                            .collect();
+                        (class, substs)
+                    })
+                    .collect();
                 assert_eq!(
-                    legacy.len(),
-                    shared.matches[i].len(),
-                    "{} / {}: matched-class count differs for lemma {}",
+                    reference,
+                    compiled,
+                    "{} / {}: matches (classes, order or bindings) differ for lemma {}",
                     case.name,
                     g.name(),
                     rw.name()
                 );
-                for (l, c) in legacy.iter().zip(&shared.matches[i]) {
-                    assert_eq!(
-                        l.eclass,
-                        c.eclass,
-                        "{} / {}: class order differs for lemma {}",
-                        case.name,
-                        g.name(),
-                        rw.name()
-                    );
-                    assert_eq!(
-                        l.substs,
-                        c.substs,
-                        "{} / {}: substitutions differ for lemma {} in class {}",
-                        case.name,
-                        g.name(),
-                        rw.name(),
-                        l.eclass
-                    );
-                }
             }
             assert_eq!(
-                shared.visited,
-                visited,
-                "{} / {}: visited accounting differs",
-                case.name,
-                g.name()
-            );
-            assert_eq!(
-                shared.skipped,
-                skipped,
-                "{} / {}: skipped accounting differs",
+                (shared.visited, shared.skipped, shared.yields),
+                (visited, skipped, yields),
+                "{} / {}: visited/skipped/yield accounting differs",
                 case.name,
                 g.name()
             );
