@@ -25,7 +25,7 @@
 
 use std::collections::HashMap;
 
-use entangle_egraph::{ENode, Id, Proof, ProofStep, RecExpr, Rewrite, Var};
+use entangle_egraph::{ENode, Id, Proof, ProofStep, RecExpr, Rewrite, Subst};
 use entangle_lemmas::TensorAnalysis;
 
 use crate::kernel::match_term;
@@ -143,14 +143,14 @@ fn retarget_step(
             // congruence-wrapped), so the searcher must match the whole
             // retargeted source term.
             let source = if *forward { &before } else { &after };
-            let mut sigma: Vec<(Var, Id)> = Vec::new();
+            let mut sigma = Subst::new();
             if !match_term(rw.searcher().ast(), source, source.root_id(), &mut sigma) {
                 return Err(format!(
                     "lemma {name} no longer matches the retargeted source term"
                 ));
             }
             let subst = sigma
-                .into_iter()
+                .iter()
                 .map(|(v, id)| (v.as_str().to_owned(), source.extract_subtree(id)))
                 .collect();
             Ok(ProofStep::Rule {

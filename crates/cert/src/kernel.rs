@@ -6,38 +6,38 @@
 //! those terms, re-inferring shapes and dtypes at every step.
 //!
 //! One verification owns one private context (`Kernel`), which lives
-//! and dies with the call. It interns every term it is handed into a
-//! hash-consed [`TermTable`] — once per [`RecExpr`], comparing nodes, never
+//! and dies with the call. It interns every term it is handed into one
+//! hash-consed [`Store`] — once per [`RecExpr`], comparing nodes, never
 //! hashes — after which "the same term" is id equality and shape inference
 //! is a memo per id: a term that a proof spells seventy times is compared
 //! and inferred once. The ids are the kernel's own; the ids of a
 //! certificate file are a compression its reader expands and the kernel
 //! never sees.
 //!
-//! Two step kinds go beyond pure term rewriting:
+//! Every rule step is checked one way, whatever its lemma: the lemma's
+//! pattern matches the source term, the bindings agree with the recorded
+//! substitution, the lemma's condition (if any) holds, and its right-hand
+//! side — the pattern instantiated, or what a dynamic applier computes —
+//! is the target term. Conditions and dynamic appliers are the lemma's own
+//! closures, run on the kernel's store through
+//! [`entangle_egraph::TermStore`]; symbolic side conditions are discharged
+//! by `entangle-symbolic` through them.
 //!
-//! - *Given* facts are only trusted when they restate a `G_d` operator
-//!   definition (the kernel re-encodes the operator itself) or connect two
-//!   already-accepted mappings of one `G_s` tensor.
-//! - Conditioned and dynamic lemmas (whose right-hand sides are computed
-//!   by closures) are *replayed* in the context's scratch e-graph, which
-//!   receives exactly the terms such steps mention. The replay must fire
-//!   the lemma's own condition/applier on the step's source term and
-//!   reproduce the target term, and the graph must never have performed a
-//!   union: every class is then a singleton, matching one class is
-//!   matching one term, and the graph is a hash-consed term store, never a
-//!   search engine. Symbolic side conditions are discharged by
-//!   `entangle-symbolic` through the lemma's condition closure.
+//! *Given* facts are only trusted when they restate a `G_d` operator
+//! definition (the kernel re-encodes the operator itself) or connect two
+//! already-accepted mappings of one `G_s` tensor.
 
 use std::collections::{HashMap, HashSet};
 
-use entangle_egraph::{EGraph, ENode, Id, PatternAst, Proof, ProofStep, RecExpr, Rewrite, Var};
-use entangle_ir::{DType, Dim, Graph, Op, Shape};
-use entangle_lemmas::{infer_application, parse_ones_leaf, Meta, TensorAnalysis};
-use entangle_symbolic::{SymCtx, SymExpr};
+use entangle_egraph::{
+    ENode, Id, PatternAst, Proof, ProofStep, RecExpr, Rewrite, Subst, TermStore,
+};
+use entangle_ir::{DType, Graph, Op, Shape};
+use entangle_lemmas::{Meta, TensorAnalysis};
+use entangle_symbolic::SymCtx;
 
 use crate::cert::{CertError, Certificate, MappingCert};
-use crate::table::{TermTable, Terms};
+use crate::table::{Store, TermTable, Terms};
 
 /// Accepted mappings per `G_s` tensor name, as entries of the context's
 /// term table, grown as mapping certificates are validated in order.
@@ -52,20 +52,17 @@ pub struct KernelReport {
     /// Term slots interned to find them — what a kernel without the table
     /// would compare and re-infer one by one.
     pub slots: usize,
-    /// Conditioned/dynamic rule steps replayed in the scratch e-graph.
+    /// Rule steps whose lemma runs code: a condition or a dynamic applier.
     pub replays: usize,
-    /// E-nodes in the scratch e-graph when the verification ended.
-    pub scratch_nodes: usize,
 }
 
 impl KernelReport {
     /// The counts as span attributes, under the names traces use.
-    pub fn attrs(&self) -> [(&'static str, usize); 4] {
+    pub fn attrs(&self) -> [(&'static str, usize); 3] {
         [
             ("terms", self.terms),
             ("slots", self.slots),
             ("replays", self.replays),
-            ("scratch_nodes", self.scratch_nodes),
         ]
     }
 }
@@ -149,15 +146,7 @@ pub(crate) struct Kernel<'a> {
     gd: &'a Graph,
     lemmas: HashMap<&'a str, &'a Rewrite<TensorAnalysis>>,
     /// Every term met so far. Equality of terms is equality of entries.
-    table: TermTable,
-    /// Inferred metadata (or why inference fails) per table entry, kept
-    /// level with the table: an entry is inferred once, from its
-    /// children's memoised results.
-    metas: Vec<Result<Meta, String>>,
-    /// The union-free e-graph replayed steps run in, and the class of each
-    /// table entry added to it so far.
-    scratch: EGraph<TensorAnalysis>,
-    in_scratch: Vec<Option<Id>>,
+    store: Store<'a>,
     /// Counts for the [`KernelReport`].
     slots: usize,
     replays: usize,
@@ -174,10 +163,7 @@ impl<'a> Kernel<'a> {
             gs,
             gd,
             lemmas: lemmas.iter().map(|r| (r.name(), r)).collect(),
-            table: TermTable::default(),
-            metas: Vec::new(),
-            scratch: EGraph::with_analysis(TensorAnalysis::with_ctx(ctx.clone())),
-            in_scratch: Vec::new(),
+            store: Store::new(gd, ctx),
             slots: 0,
             replays: 0,
         }
@@ -185,10 +171,9 @@ impl<'a> Kernel<'a> {
 
     pub(crate) fn report(&self) -> KernelReport {
         KernelReport {
-            terms: self.table.len(),
+            terms: self.store.table().len(),
             slots: self.slots,
             replays: self.replays,
-            scratch_nodes: self.scratch.total_nodes(),
         }
     }
 
@@ -407,8 +392,9 @@ impl<'a> Kernel<'a> {
         match step {
             ProofStep::Given { fact, .. } => self.given(fact, before, after, accepted),
             ProofStep::Congruence { children, .. } => {
+                let table = self.store.table();
                 let (ENode::Op(sb, cb), ENode::Op(sa, ca)) =
-                    (self.table.node(before), self.table.node(after))
+                    (table.node(before), table.node(after))
                 else {
                     return Err("congruence step between non-operator terms".to_owned());
                 };
@@ -441,11 +427,7 @@ impl<'a> Kernel<'a> {
                     .iter()
                     .map(|(var, term)| (var.as_str(), self.intern(term)))
                     .collect();
-                if rw.rhs().is_some() && !rw.has_condition() {
-                    self.universal(rw, &recorded, lhs, rhs)
-                } else {
-                    self.replay(rw, &recorded, lhs, rhs)
-                }
+                self.rule(rw, &recorded, lhs, rhs)
             }
         }
     }
@@ -490,28 +472,57 @@ impl<'a> Kernel<'a> {
         }
     }
 
-    /// Pure validation of an unconditional pattern→pattern lemma: match the
-    /// LHS pattern against the source term, require the bindings to agree
-    /// with the recorded substitution, and require the RHS instantiation to
-    /// be the target term. Capture is impossible by construction: pattern
-    /// variables bind whole subterms and the term language has no binders.
-    fn universal(
-        &self,
+    /// Justifies a rule step from `lhs` to `rhs`: the lemma's pattern
+    /// must match `lhs`, the bindings must agree with the recorded
+    /// substitution, the lemma's condition must hold, and its right-hand
+    /// side must be `rhs` — a pattern instantiated under the bindings, or
+    /// among the ids a dynamic applier produces. Capture is impossible by
+    /// construction: pattern variables bind whole subterms and the term
+    /// language has no binders.
+    ///
+    /// A condition or applier runs on the store scoped to the step's own
+    /// terms ([`Store::scope_to`]): what else the certificate mentions
+    /// cannot change the verdict. The corpus' constrained lemmas ask
+    /// whether their target already exists; that is a search heuristic,
+    /// not a premise: the equation a lemma states holds wherever its
+    /// pattern and shape conditions do, and the produced term must be the
+    /// step's target either way.
+    fn rule(
+        &mut self,
         rw: &Rewrite<TensorAnalysis>,
         recorded: &[(&str, Id)],
         lhs: Id,
         rhs: Id,
     ) -> Result<(), String> {
-        let mut sigma: Vec<(Var, Id)> = Vec::new();
-        if !match_term(rw.searcher().ast(), &self.table, lhs, &mut sigma) {
+        let runs_code = rw.has_condition() || rw.rhs().is_none();
+        if runs_code {
+            self.replays += 1;
+        }
+        let mut subst = Subst::new();
+        if !match_term(rw.searcher().ast(), self.store.table(), lhs, &mut subst) {
             return Err(format!(
                 "lemma {} does not match the step's source term",
                 rw.name()
             ));
         }
-        subst_agrees(&sigma, recorded, rw.name())?;
-        let rhs_pat = rw.rhs().expect("universal lemma has a pattern rhs");
-        if pattern_is_term(rhs_pat.ast(), &sigma, &self.table, rhs) {
+        subst_agrees(&subst, recorded, rw.name())?;
+        if runs_code {
+            // The bindings are subterms of `lhs`.
+            self.store.scope_to(&[lhs, rhs]);
+        }
+        if !rw.condition_holds(&self.store, lhs, &subst) {
+            return Err(format!(
+                "the condition of lemma {} rejects the step's source term",
+                rw.name()
+            ));
+        }
+        let reaches = match rw.rhs() {
+            Some(pat) => pattern_is_term(pat.ast(), &subst, self.store.table(), rhs),
+            None => rw
+                .apply_dynamic(&mut self.store, lhs, &subst)
+                .contains(&rhs),
+        };
+        if reaches {
             Ok(())
         } else {
             Err(format!(
@@ -521,162 +532,20 @@ impl<'a> Kernel<'a> {
         }
     }
 
-    /// Replays a conditioned or dynamic lemma in the scratch e-graph. The
-    /// lemma's own condition and applier run (discharging symbolic side
-    /// conditions through the analysis context); the replay is accepted
-    /// only when some match of the source term agreeing with the recorded
-    /// substitution reproduces the target term, and the graph has performed
-    /// zero unions since the verification began — structural identity is
-    /// then id identity, every class holds one node, and searching the
-    /// source's class sees exactly the step's own term however many other
-    /// steps' terms the graph already stores.
-    ///
-    /// A lemma's *condition* may still see those other terms (the corpus'
-    /// constrained lemmas ask whether their target already exists). That is
-    /// a search heuristic, not a premise: the equation a lemma states holds
-    /// wherever its pattern and shape conditions do, and the produced term
-    /// must be the step's target either way.
-    fn replay(
-        &mut self,
-        rw: &Rewrite<TensorAnalysis>,
-        recorded: &[(&str, Id)],
-        lhs: Id,
-        rhs: Id,
-    ) -> Result<(), String> {
-        self.replays += 1;
-        let lhs_id = self.scratch_class(lhs)?;
-        let rhs_id = self.scratch_class(rhs)?;
-        let recorded: Vec<(&str, Id)> = recorded
-            .iter()
-            .map(|&(var, term)| Ok((var, self.scratch_class(term)?)))
-            .collect::<Result<_, String>>()?;
-        let matches = rw
-            .searcher()
-            .search_eclass(&self.scratch, lhs_id)
-            .ok_or_else(|| format!("lemma {} does not match the step's source term", rw.name()))?;
-        let stored = self.scratch.total_nodes();
-        let mut verdict = Err(format!(
-            "no match of lemma {} agreeing with the recorded substitution reproduces the target term",
-            rw.name()
-        ));
-        for subst in &matches.substs {
-            let agrees = subst.iter().count() == recorded.len()
-                && subst
-                    .iter()
-                    .all(|(v, id)| recorded.contains(&(v.as_str(), id)));
-            if !agrees {
-                continue;
-            }
-            let Some(produced) = rw.apply_match(&mut self.scratch, lhs_id, subst) else {
-                continue; // condition rejected this match
-            };
-            if self.scratch.union_count() != 0 {
-                return Err(format!(
-                    "lemma {} performed unions during replay",
-                    rw.name()
-                ));
-            }
-            if produced.contains(&rhs_id) {
-                verdict = Ok(());
-                break;
-            }
-        }
-        self.retire_scratch_if_unregistered_leaf(stored);
-        verdict
-    }
-
-    /// Keeps leaf metadata in the scratch graph a function of the leaf's
-    /// name and `G_d`: [`Kernel::scratch_class`] registers a leaf before it
-    /// adds it, but an applier can mint one the kernel has not met (the
-    /// shape-keyed `~ones[..]` representative), which the analysis then
-    /// stores as unknown. When that leaf is the step's target it was
-    /// registered first; when it is a by-product, a later step naming it
-    /// must not inherit the gap — so the graph is retired and the next
-    /// replay starts an empty one. Scans the nodes added since `stored`.
-    fn retire_scratch_if_unregistered_leaf(&mut self, stored: usize) {
-        // Union-free, so ids are dense and each owns its one-node class.
-        let minted_unregistered = (stored..self.scratch.total_nodes()).any(|i| {
-            match &self.scratch.class(Id::from_index(i)).nodes[0] {
-                ENode::Op(sym, ch) if ch.is_empty() => {
-                    !self.scratch.analysis.leaves.contains_key(sym)
-                        && !matches!(leaf_meta(sym.as_str(), self.gd), Ok(None))
-                }
-                _ => false,
-            }
-        });
-        if minted_unregistered {
-            let analysis = TensorAnalysis::with_ctx(self.scratch.analysis.ctx.clone());
-            self.scratch = EGraph::with_analysis(analysis);
-            self.in_scratch.clear();
-        }
-    }
-
-    /// The scratch-graph class of a table entry, adding what the graph has
-    /// not seen (and registering each new leaf's metadata first).
-    fn scratch_class(&mut self, id: Id) -> Result<Id, String> {
-        if self.in_scratch.len() < self.table.len() {
-            self.in_scratch.resize(self.table.len(), None);
-        }
-        if let Some(class) = self.in_scratch[id.index()] {
-            return Ok(class);
-        }
-        let node = match self.table.node(id).clone() {
-            ENode::Op(sym, children) if children.is_empty() => {
-                if let Some((shape, dtype)) = leaf_meta(sym.as_str(), self.gd)? {
-                    self.scratch
-                        .analysis
-                        .register_leaf(sym.as_str(), shape, dtype);
-                }
-                ENode::Op(sym, children)
-            }
-            ENode::Op(sym, children) => {
-                let mapped = children
-                    .into_iter()
-                    .map(|c| self.scratch_class(c))
-                    .collect::<Result<_, _>>()?;
-                ENode::Op(sym, mapped)
-            }
-            scalar => scalar,
-        };
-        let class = self.scratch.add(node);
-        self.in_scratch[id.index()] = Some(class);
-        Ok(class)
-    }
-
     /// Interns a term the certificate (or the caller) supplied.
     pub(crate) fn intern(&mut self, expr: &RecExpr) -> Id {
         self.slots += expr.len();
-        let id = self.table.intern(expr);
-        self.infer_new_entries();
-        id
+        self.store.intern(expr)
     }
 
     /// Interns one node the kernel builds itself, over interned children.
     fn add(&mut self, node: ENode) -> Id {
-        let id = self.table.add(node);
-        self.infer_new_entries();
-        id
-    }
-
-    /// Brings `metas` level with the table. Entries only refer to earlier
-    /// entries, so one forward pass infers each new entry from memoised
-    /// children — no recursion, one inference per distinct subterm.
-    fn infer_new_entries(&mut self) {
-        for i in self.metas.len()..self.table.len() {
-            let node = self.table.node(Id::from_index(i));
-            let children: Result<Vec<Meta>, String> = node
-                .children()
-                .iter()
-                .map(|c| self.metas[c.index()].clone())
-                .collect();
-            let meta = children.and_then(|ch| infer_node(node, &ch, self.gd));
-            self.metas.push(meta);
-        }
+        self.store.add(node)
     }
 
     /// The memoised inference for the term at `id`.
     pub(crate) fn meta(&self, id: Id) -> &Result<Meta, String> {
-        &self.metas[id.index()]
+        self.store.meta(id)
     }
 
     /// What the term at `id` denotes.
@@ -685,12 +554,6 @@ impl<'a> Kernel<'a> {
             Ok(m) => term_meta(m),
             Err(why) => Err(why.clone()),
         }
-    }
-
-    /// Unions the scratch e-graph has performed (the kernel demands none).
-    #[cfg(test)]
-    pub(crate) fn scratch_unions(&self) -> usize {
-        self.scratch.union_count()
     }
 
     /// Pure mirror of the checker's operator encoding (`encode_op`):
@@ -756,21 +619,15 @@ impl<'a> Kernel<'a> {
 
 /// Matches a pattern against a concrete subterm, binding variables to
 /// subterms; nonlinear variables must bind the same term.
-pub(crate) fn match_term<T: Terms>(
-    pat: &PatternAst,
-    terms: &T,
-    at: Id,
-    sigma: &mut Vec<(Var, Id)>,
-) -> bool {
+pub(crate) fn match_term<T: Terms>(pat: &PatternAst, terms: &T, at: Id, sigma: &mut Subst) -> bool {
     match pat {
-        PatternAst::Var(v) => {
-            if let Some(&(_, prev)) = sigma.iter().find(|(pv, _)| pv == v) {
-                terms.same_term(prev, at)
-            } else {
-                sigma.push((*v, at));
+        PatternAst::Var(v) => match sigma.get(*v) {
+            Some(prev) => terms.same_term(prev, at),
+            None => {
+                sigma.insert(*v, at);
                 true
             }
-        }
+        },
         PatternAst::Int(i) => matches!(terms.node(at), ENode::Int(j) if j == i),
         PatternAst::Op(sym, args) => match terms.node(at) {
             ENode::Op(s, ch) => {
@@ -788,9 +645,9 @@ pub(crate) fn match_term<T: Terms>(
 
 /// Checks that a pattern instantiated under `sigma` is the table entry
 /// `at`.
-fn pattern_is_term(pat: &PatternAst, sigma: &[(Var, Id)], table: &TermTable, at: Id) -> bool {
+fn pattern_is_term(pat: &PatternAst, sigma: &Subst, table: &TermTable, at: Id) -> bool {
     match pat {
-        PatternAst::Var(v) => sigma.iter().any(|&(pv, bound)| pv == *v && bound == at),
+        PatternAst::Var(v) => sigma.get(*v) == Some(at),
         PatternAst::Int(i) => matches!(table.node(at), ENode::Int(j) if j == i),
         PatternAst::Op(sym, args) => match table.node(at) {
             ENode::Op(s, ch) => {
@@ -809,16 +666,16 @@ fn pattern_is_term(pat: &PatternAst, sigma: &[(Var, Id)], table: &TermTable, at:
 /// Requires the matcher-derived bindings and the certificate's recorded
 /// substitution to agree exactly (same variables, same terms) — a
 /// corrupted substitution is a rejected certificate.
-fn subst_agrees(sigma: &[(Var, Id)], recorded: &[(&str, Id)], lemma: &str) -> Result<(), String> {
-    if sigma.len() != recorded.len() {
+fn subst_agrees(sigma: &Subst, recorded: &[(&str, Id)], lemma: &str) -> Result<(), String> {
+    let bound = sigma.iter().count();
+    if bound != recorded.len() {
         return Err(format!(
-            "lemma {lemma}: recorded substitution binds {} variables, match binds {}",
+            "lemma {lemma}: recorded substitution binds {} variables, match binds {bound}",
             recorded.len(),
-            sigma.len()
         ));
     }
-    for (var, bound) in sigma {
-        let Some((_, term)) = recorded.iter().find(|(n, _)| *n == var.as_str()) else {
+    for (var, bound) in sigma.iter() {
+        let Some(&(_, term)) = recorded.iter().find(|(n, _)| *n == var.as_str()) else {
             return Err(format!(
                 "lemma {lemma}: recorded substitution misses variable ?{}",
                 var.as_str()
@@ -849,30 +706,5 @@ fn term_meta(m: &Meta) -> Result<TermMeta<'_>, String> {
         (Some(s), Some(d)) => Ok(TermMeta::Tensor(s, d)),
         _ if m.scalar.is_some() => Ok(TermMeta::Scalar),
         _ => Err("uninferable term".to_owned()),
-    }
-}
-
-/// The metadata a leaf's name determines: a synthetic canonicalization
-/// leaf (`~ones[...]`) carries its shape in its name, anything else is a
-/// `G_d` tensor or unknown (`None`).
-fn leaf_meta(name: &str, gd: &Graph) -> Result<Option<(Shape, DType)>, String> {
-    let ones = parse_ones_leaf(name).map_err(|_| format!("unparsable synthetic leaf {name}"))?;
-    Ok(match ones {
-        Some(dims) => Some((Shape(dims.into_iter().map(Dim::from).collect()), DType::F32)),
-        None => gd.tensor_by_name(name).map(|t| (t.shape.clone(), t.dtype)),
-    })
-}
-
-/// Infers shape/dtype metadata for one node from its children's.
-fn infer_node(node: &ENode, children: &[Meta], gd: &Graph) -> Result<Meta, String> {
-    match node {
-        ENode::Int(i) => Ok(Meta::scalar(SymExpr::constant(*i))),
-        ENode::Sym(e) => Ok(Meta::scalar(e.clone())),
-        ENode::Op(sym, ch) if ch.is_empty() => {
-            let (shape, dtype) =
-                leaf_meta(sym.as_str(), gd)?.ok_or_else(|| format!("unknown G_d tensor {sym}"))?;
-            Ok(Meta::tensor(shape, dtype))
-        }
-        ENode::Op(sym, _) => infer_application(*sym, children).map_err(|e| e.to_string()),
     }
 }

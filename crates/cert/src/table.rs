@@ -12,11 +12,15 @@
 //! Three users: the JSON writer numbers the table's entries canonically
 //! ([`PostOrder`]) and writes each once; the reader rebuilds the table from
 //! the file and materialises each term position from it; the kernel interns
-//! every term it is handed and compares ids.
+//! every term it is handed into a [`Store`] — the table plus what each
+//! entry denotes — and compares ids.
 
 use std::collections::HashMap;
 
-use entangle_egraph::{ENode, Id, RecExpr};
+use entangle_egraph::{ENode, Id, Parents, RecExpr, TermStore};
+use entangle_ir::{DType, Dim, Graph, Shape};
+use entangle_lemmas::{infer_application, parse_ones_leaf, Meta, TensorAnalysis};
+use entangle_symbolic::{SymCtx, SymExpr};
 
 use crate::cert::term_eq;
 
@@ -179,5 +183,159 @@ impl PostOrder {
         for id in self.order.drain(..) {
             self.numbers[id.index()] = UNSEEN;
         }
+    }
+}
+
+/// The kernel's one term store: the table plus each entry's inferred
+/// metadata. Lemma conditions and dynamic appliers read and write it
+/// through [`TermStore`]: a union-free store, so every id is its own class
+/// and `find` is the identity.
+///
+/// Lemma code sees one *scope* ([`Store::scope_to`]): the terms of the step
+/// it justifies and what it adds itself. A `lookup` or `parents` outside
+/// the scope finds nothing, so a step's verdict is a function of the step
+/// alone, never of which other terms the certificate mentions.
+pub(crate) struct Store<'g> {
+    table: TermTable,
+    /// Inferred metadata (or why inference fails) per entry, kept level
+    /// with the table: an entry is inferred once, from its children's
+    /// memoised results.
+    metas: Vec<Result<Meta, String>>,
+    /// Per entry, the number of the last scope that holds it.
+    scope: Vec<u32>,
+    /// The current scope's number, and its entries in entry order.
+    epoch: u32,
+    in_scope: Vec<Id>,
+    /// The graph whose tensors the leaves name.
+    gd: &'g Graph,
+    /// The symbolic context conditions decide scalar facts in.
+    analysis: TensorAnalysis,
+    /// What an uninferable entry's data reads as.
+    unknown: Meta,
+}
+
+impl<'g> Store<'g> {
+    pub(crate) fn new(gd: &'g Graph, ctx: &SymCtx) -> Store<'g> {
+        Store {
+            table: TermTable::default(),
+            metas: Vec::new(),
+            scope: Vec::new(),
+            epoch: 0,
+            in_scope: Vec::new(),
+            gd,
+            analysis: TensorAnalysis::with_ctx(ctx.clone()),
+            unknown: Meta::unknown(),
+        }
+    }
+
+    pub(crate) fn table(&self) -> &TermTable {
+        &self.table
+    }
+
+    /// Interns a whole term, returning its root's entry.
+    pub(crate) fn intern(&mut self, expr: &RecExpr) -> Id {
+        let id = self.table.intern(expr);
+        self.index_new_entries();
+        id
+    }
+
+    /// The memoised inference for the entry `id`.
+    pub(crate) fn meta(&self, id: Id) -> &Result<Meta, String> {
+        &self.metas[id.index()]
+    }
+
+    /// Starts a new scope holding the terms at `roots` and their subterms;
+    /// entries added from here on join it.
+    pub(crate) fn scope_to(&mut self, roots: &[Id]) {
+        self.epoch += 1;
+        self.in_scope.clear();
+        let mut stack = roots.to_vec();
+        while let Some(id) = stack.pop() {
+            if self.scope[id.index()] != self.epoch {
+                self.scope[id.index()] = self.epoch;
+                self.in_scope.push(id);
+                stack.extend(self.table.node(id).children());
+            }
+        }
+        self.in_scope.sort_unstable();
+    }
+
+    /// Brings `metas` and the scope level with the table. Entries only
+    /// refer to earlier entries, so one forward pass infers each new entry
+    /// from memoised children — no recursion, one inference per distinct
+    /// subterm.
+    fn index_new_entries(&mut self) {
+        for i in self.metas.len()..self.table.len() {
+            let node = self.table.node(Id::from_index(i));
+            let children: Result<Vec<Meta>, String> = node
+                .children()
+                .iter()
+                .map(|c| self.metas[c.index()].clone())
+                .collect();
+            let meta = children.and_then(|ch| infer_node(node, &ch, self.gd));
+            self.metas.push(meta);
+            self.scope.push(self.epoch);
+            self.in_scope.push(Id::from_index(i));
+        }
+    }
+}
+
+impl TermStore<TensorAnalysis> for Store<'_> {
+    fn data(&self, id: Id) -> &Meta {
+        self.metas[id.index()].as_ref().unwrap_or(&self.unknown)
+    }
+
+    fn analysis(&self) -> &TensorAnalysis {
+        &self.analysis
+    }
+
+    fn find(&self, id: Id) -> Id {
+        id
+    }
+
+    fn lookup(&self, node: &ENode) -> Option<Id> {
+        let id = *self.table.memo.get(node)?;
+        (self.scope[id.index()] == self.epoch).then_some(id)
+    }
+
+    fn parents(&self, id: Id) -> Parents<'_> {
+        let nodes: Vec<&ENode> = self
+            .in_scope
+            .iter()
+            .map(|&p| self.table.node(p))
+            .filter(|node| node.children().contains(&id))
+            .collect();
+        Parents::Listed(nodes.into_iter())
+    }
+
+    fn add(&mut self, node: ENode) -> Id {
+        let id = self.table.add(node);
+        self.index_new_entries();
+        id
+    }
+}
+
+/// Infers shape/dtype metadata for one node from its children's. A leaf
+/// is a `G_d` tensor, or a synthetic canonicalization leaf (`~ones[...]`)
+/// that carries its shape in its name.
+fn infer_node(node: &ENode, children: &[Meta], gd: &Graph) -> Result<Meta, String> {
+    match node {
+        ENode::Int(i) => Ok(Meta::scalar(SymExpr::constant(*i))),
+        ENode::Sym(e) => Ok(Meta::scalar(e.clone())),
+        ENode::Op(sym, ch) if ch.is_empty() => {
+            let ones = parse_ones_leaf(sym.as_str())
+                .map_err(|_| format!("unparsable synthetic leaf {sym}"))?;
+            match ones {
+                Some(dims) => Ok(Meta::tensor(
+                    Shape(dims.into_iter().map(Dim::from).collect()),
+                    DType::F32,
+                )),
+                None => gd
+                    .tensor_by_name(sym.as_str())
+                    .map(|t| Meta::tensor(t.shape.clone(), t.dtype))
+                    .ok_or_else(|| format!("unknown G_d tensor {sym}")),
+            }
+        }
+        ENode::Op(sym, _) => infer_application(*sym, children).map_err(|e| e.to_string()),
     }
 }

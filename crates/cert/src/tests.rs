@@ -602,11 +602,11 @@ mod properties {
 }
 
 // ---------------------------------------------------------------------------
-// The scratch e-graph: one per verification, never a union
+// Lemma code on the kernel's one store
 // ---------------------------------------------------------------------------
 
 /// Every rule step of a proof (congruence children included) whose lemma
-/// the kernel replays rather than matches.
+/// runs code — a condition or a dynamic applier.
 fn replayed_steps<'a>(
     proof: &'a Proof,
     lemmas: &[entangle_egraph::Rewrite<TensorAnalysis>],
@@ -634,14 +634,13 @@ fn replayed_steps<'a>(
 }
 
 /// Checks `steps` one after another in one kernel context, as a
-/// verification would: the verdicts, the unions its scratch e-graph
-/// performed, and its report.
+/// verification would: the verdicts and the report.
 fn replay_all(
     gs: &Graph,
     gd: &Graph,
     lemmas: &[entangle_egraph::Rewrite<TensorAnalysis>],
     steps: &[&ProofStep],
-) -> (Vec<Result<(), String>>, usize, KernelReport) {
+) -> (Vec<Result<(), String>>, KernelReport) {
     let mut kernel = Kernel::new(gs, gd, lemmas, &SymCtx::default());
     let verdicts = steps
         .iter()
@@ -651,11 +650,11 @@ fn replay_all(
             kernel.step(step, before, after, &Accepted::new())
         })
         .collect();
-    (verdicts, kernel.scratch_unions(), kernel.report())
+    (verdicts, kernel.report())
 }
 
 #[test]
-fn one_scratch_graph_gives_the_fresh_graph_verdicts_and_never_unions() {
+fn one_shared_table_gives_the_fresh_context_verdicts() {
     let lemmas = lemmas();
     let mut seen_steps = 0;
     for case in real_certs() {
@@ -690,18 +689,17 @@ fn one_scratch_graph_gives_the_fresh_graph_verdicts_and_never_unions() {
             before: before.clone(),
             after: stolen.clone(),
         };
-        // Every step twice in a row (the same conditioned step replayed
-        // again), then all of them once more (different steps sharing
-        // subterms, in a graph that already holds them), then the forgery.
+        // Every step twice in a row (the same conditioned step run again),
+        // then all of them once more (different steps sharing subterms, in
+        // a table that already holds them and what their appliers added),
+        // then the forgery.
         let mut schedule: Vec<&ProofStep> = steps.iter().flat_map(|&s| [s, s]).collect();
         schedule.extend(&steps);
         schedule.push(&forged);
-        let (shared, unions, report) = replay_all(&case.gs, &case.gd, &lemmas, &schedule);
-        assert_eq!(unions, 0, "{}: the scratch graph unioned", case.name);
+        let (shared, report) = replay_all(&case.gs, &case.gd, &lemmas, &schedule);
         assert_eq!(report.replays, schedule.len());
         for (step, verdict) in schedule.iter().zip(&shared) {
-            let (fresh, fresh_unions, _) = replay_all(&case.gs, &case.gd, &lemmas, &[step]);
-            assert_eq!(fresh_unions, 0);
+            let (fresh, _) = replay_all(&case.gs, &case.gd, &lemmas, &[step]);
             assert_eq!(
                 verdict.is_ok(),
                 fresh[0].is_ok(),
@@ -713,39 +711,145 @@ fn one_scratch_graph_gives_the_fresh_graph_verdicts_and_never_unions() {
         assert!(shared[..shared.len() - 1].iter().all(Result::is_ok));
         assert!(shared[shared.len() - 1].is_err(), "{}: forgery", case.name);
     }
-    assert!(seen_steps > 100, "the zoo replays conditioned steps");
+    assert!(seen_steps > 100, "the zoo runs conditions and appliers");
+}
+
+/// `(op leaf …)` over one leaf name, which may not parse as an
+/// s-expression atom (`~ones[2, 4]` has a space).
+fn over_leaf(leaf: &str, op: Option<(&str, &[i64])>) -> RecExpr {
+    let mut e = RecExpr::default();
+    let x = e.add(ENode::leaf(leaf));
+    if let Some((op, attrs)) = op {
+        let mut children = vec![x];
+        children.extend(attrs.iter().map(|&a| e.add(ENode::Int(a))));
+        e.add(ENode::op(op, children));
+    }
+    e
 }
 
 #[test]
-fn a_leaf_minted_behind_the_kernels_back_retires_the_scratch_graph() {
-    use entangle_egraph::{ENode, Rewrite, Var};
+fn a_leaf_an_applier_mints_has_its_metadata_in_later_steps() {
+    use entangle_egraph::{Rewrite, Var};
     // A dynamic lemma that rewrites `relu(x)` to itself and, on the side,
-    // adds a leaf the kernel never registered.
-    let minting = |name: &'static str, stray: &'static str| {
+    // adds a leaf no step has named yet.
+    let minting = |name: &'static str, leaf: String| {
         Rewrite::<TensorAnalysis>::parse_dyn(name, "(relu ?x)", move |eg, _class, subst| {
-            eg.add(ENode::leaf(stray));
+            eg.add(ENode::leaf(&leaf));
             vec![eg.add(ENode::op("relu", vec![subst[Var::new("x")]]))]
         })
         .expect("parses")
     };
-    let step = |lemma: &str| ProofStep::Rule {
-        name: lemma.to_owned(),
+    let ones = entangle_lemmas::mint_ones_leaf(&Shape(vec![Dim::from(2), Dim::from(4)]));
+    let mut lemmas = vec![
+        minting("mints-y1", "y1".to_owned()),
+        minting("mints-ones", ones.clone()),
+    ];
+    lemmas.extend(
+        self::lemmas()
+            .into_iter()
+            .filter(|r| r.name() == "slice-full-identity"),
+    );
+    // `y1` is a `G_d` tensor and `~ones[2, 4]` names its shape; both are
+    // [2, 4], so a later full-slice step over either must see that shape:
+    // the lemma's condition compares the slice bound with the leaf's dim.
+    let (gs, gd) = (gs(), gd());
+    for (lemma, leaf) in [("mints-y1", "y1"), ("mints-ones", ones.as_str())] {
+        let mint = ProofStep::Rule {
+            name: lemma.to_owned(),
+            forward: true,
+            subst: vec![("x".to_owned(), e("x0"))],
+            before: e("(relu x0)"),
+            after: e("(relu x0)"),
+        };
+        let full_slice = ProofStep::Rule {
+            name: "slice-full-identity".to_owned(),
+            forward: true,
+            subst: vec![
+                ("x".to_owned(), over_leaf(leaf, None)),
+                ("d".to_owned(), e("0")),
+                ("a".to_owned(), e("0")),
+                ("b".to_owned(), e("2")),
+            ],
+            before: over_leaf(leaf, Some(("slice", &[0, 0, 2]))),
+            after: over_leaf(leaf, None),
+        };
+        let mut kernel = Kernel::new(&gs, &gd, &lemmas, &SymCtx::default());
+        let (before, after) = (kernel.intern(mint.before()), kernel.intern(mint.after()));
+        kernel
+            .step(&mint, before, after, &Accepted::new())
+            .expect("the minting step holds");
+        // The applier added the leaf: naming it finds its entry.
+        let minted = kernel.report().terms;
+        let id = kernel.intern(&over_leaf(leaf, None));
+        assert!(id.index() < minted, "{leaf} was minted by the applier");
+        let shape = Shape(vec![Dim::from(2), Dim::from(4)]);
+        assert_eq!(*kernel.meta(id), Ok(Meta::tensor(shape, DType::F32)));
+        let (before, after) = (
+            kernel.intern(full_slice.before()),
+            kernel.intern(full_slice.after()),
+        );
+        kernel
+            .step(&full_slice, before, after, &Accepted::new())
+            .unwrap_or_else(|why| panic!("{leaf}: {why}"));
+    }
+}
+
+#[test]
+fn slices_cover_concat_holds_among_other_slices_of_its_tensor() {
+    let lemmas = lemmas();
+    let step = |after: &str| ProofStep::Rule {
+        name: "slices-cover-concat".to_owned(),
         forward: true,
         subst: vec![("x".to_owned(), e("x0"))],
-        before: e("(relu x0)"),
-        after: e("(relu x0)"),
+        before: e("x0"),
+        after: e(after),
     };
-    let lemmas = [minting("mints-y1", "y1"), minting("mints-x0", "x0")];
-    // `x0` is in the step's terms, so the kernel registered it first: the
-    // graph keeps what it stores. `y1` is a `G_d` tensor the analysis saw
-    // unregistered: a later step naming it must not inherit unknown
-    // metadata, so the graph is dropped.
-    let (kept, _, report) = replay_all(&gs(), &gd(), &lemmas, &[&step("mints-x0")]);
-    assert!(kept[0].is_ok(), "{kept:?}");
-    assert_eq!(report.scratch_nodes, 2);
-    let (retired, unions, report) = replay_all(&gs(), &gd(), &lemmas, &[&step("mints-y1")]);
-    assert!(retired[0].is_ok(), "{retired:?}");
-    assert_eq!((unions, report.scratch_nodes), (0, 0));
+    // `x0` ([2, 4]) as four column slices, and a forgery of the same shape
+    // that repeats the first column.
+    let concat4 = |cols: [(i64, i64); 4]| {
+        let slice = |(lo, hi): (i64, i64)| format!("(slice x0 1 {lo} {hi})");
+        format!(
+            "(concat (concat (concat {} {} 1) {} 1) {} 1)",
+            slice(cols[0]),
+            slice(cols[1]),
+            slice(cols[2]),
+            slice(cols[3])
+        )
+    };
+    let cover = step(&concat4([(0, 1), (1, 2), (2, 3), (3, 4)]));
+    let forged = step(&concat4([(0, 1), (0, 1), (2, 3), (3, 4)]));
+    // Other slices of `x0` the table already holds: along the other dim
+    // (itself a cover), and overlapping column ranges that complete four
+    // other covers. The lemma stops after four covers, and met in table
+    // order they would come first; the step's own terms hold only its own.
+    let others = [
+        "(slice x0 0 0 1)",
+        "(slice x0 0 1 2)",
+        "(slice x0 1 0 2)",
+        "(slice x0 1 0 3)",
+        "(slice x0 1 2 4)",
+        "(slice x0 1 1 4)",
+    ];
+    let (gs, gd) = (gs(), gd());
+    for target in [&cover, &forged] {
+        let mut kernel = Kernel::new(&gs, &gd, &lemmas, &SymCtx::default());
+        kernel.intern(cover.after());
+        for other in others {
+            kernel.intern(&e(other));
+        }
+        let (before, after) = (
+            kernel.intern(target.before()),
+            kernel.intern(target.after()),
+        );
+        let crowded = kernel.step(target, before, after, &Accepted::new());
+        let (fresh, _) = replay_all(&gs, &gd, &lemmas, &[target]);
+        assert_eq!(
+            crowded.is_ok(),
+            fresh[0].is_ok(),
+            "{crowded:?} vs {fresh:?}"
+        );
+        assert_eq!(crowded.is_ok(), std::ptr::eq(target, &cover), "{crowded:?}");
+    }
 }
 
 #[test]

@@ -23,7 +23,8 @@
 //! found, 2 = usage/input error, 3 = static lint errors, 4 = certificate
 //! rejected by the trusted kernel, 5 = rule-corpus analysis errors,
 //! 6 = template-analysis errors, 7 = numeric-analysis errors,
-//! 8 = `entangle report` found a regression against ledger history.
+//! 8 = `entangle report` found a regression against ledger history,
+//! 141 = stdout or stderr was closed before the output was written.
 //!
 //! The global `--trace FILE` flag streams a JSON-lines structured trace of
 //! any invocation (spans for every pipeline stage, saturation telemetry
@@ -33,6 +34,33 @@
 //! cumulative apply time, and the e-graph growth curve.
 
 #![forbid(unsafe_code)]
+
+/// `print!` through [`out::write`]: a closed stdout ends the process with
+/// `out::EXIT_CLOSED` instead of a panic.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::out::write(false, format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`out::write`].
+macro_rules! outln {
+    () => {
+        out!("\n")
+    };
+    ($($arg:tt)*) => {
+        out!("{}\n", format_args!($($arg)*))
+    };
+}
+
+/// `eprintln!` through [`out::write`].
+macro_rules! errln {
+    ($($arg:tt)*) => {
+        $crate::out::write(true, format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+mod out;
 
 use std::fmt;
 use std::fs;
@@ -274,7 +302,8 @@ EXIT CODES:  0 verified   1 refinement/expectation failed   2 usage error
              3 static lint errors   4 certificate rejected
              5 rule-corpus analysis errors
              6 template-analysis errors   7 numeric-analysis errors
-             8 report found a regression against ledger history";
+             8 report found a regression against ledger history
+             141 stdout/stderr closed before the output was written";
 
 /// The value after `flag`, or the usage error "`flag` needs `what`".
 fn take_value<'a>(
@@ -699,6 +728,18 @@ fn build_relation(gs: &Graph, gd: &Graph, maps: &[(String, String)]) -> Result<R
     Ok(b.build())
 }
 
+/// The `entangle` program: parses `args` (without the program name), runs
+/// the command and returns the process exit code.
+pub fn run_args(args: &[String]) -> i32 {
+    match parse_invocation(args) {
+        Ok((cmd, flags)) => run_with(&cmd, &flags),
+        Err(e) => {
+            errln!("error: {e}\n\n{USAGE}");
+            2
+        }
+    }
+}
+
 /// Runs a parsed command, printing to stdout; returns the process exit code.
 pub fn run(cmd: &Command) -> i32 {
     run_traced(cmd, None)
@@ -728,8 +769,8 @@ pub fn run_with(cmd: &Command, flags: &GlobalFlags) -> i32 {
         return match run_trace(cmd, trace_path, flags) {
             Ok(code) => code,
             Err(e) => {
-                eprintln!("error: {e}");
-                eprintln!("\n{USAGE}");
+                errln!("error: {e}");
+                errln!("\n{USAGE}");
                 2
             }
         };
@@ -739,7 +780,7 @@ pub fn run_with(cmd: &Command, flags: &GlobalFlags) -> i32 {
         Some(path) => match fs::File::create(path) {
             Ok(f) => Tracer::jsonl(std::io::BufWriter::new(f)),
             Err(e) => {
-                eprintln!("error: cannot create trace file {path}: {e}");
+                errln!("error: cannot create trace file {path}: {e}");
                 return 2;
             }
         },
@@ -748,8 +789,8 @@ pub fn run_with(cmd: &Command, flags: &GlobalFlags) -> i32 {
     let code = match run_inner(cmd, &tracer, flags) {
         Ok(code) => code,
         Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("\n{USAGE}");
+            errln!("error: {e}");
+            errln!("\n{USAGE}");
             2
         }
     };
@@ -780,9 +821,9 @@ fn check_options(tracer: &Tracer, flags: &GlobalFlags) -> CheckOptions {
 /// per `R_o` output and, when any of them is `unknown`, a note with why
 /// the analysis left the model.
 fn print_numeric_verdicts(num: &entangle::CertAnalysis) {
-    println!("\nNumeric verdicts:");
+    outln!("\nNumeric verdicts:");
     for o in &num.outputs {
-        println!(
+        outln!(
             "  {} : {}",
             o.tensor,
             entangle::describe_verdict(&o.verdict)
@@ -791,7 +832,7 @@ fn print_numeric_verdicts(num: &entangle::CertAnalysis) {
     let unknown = |o: &entangle::OutputVerdict| o.verdict.class == entangle::NumClass::Unknown;
     if num.outputs.iter().any(unknown) {
         if let Some(why) = num.unclassified_reason() {
-            println!("  note: {why}");
+            outln!("  note: {why}");
         }
     }
 }
@@ -883,7 +924,7 @@ fn ledgered_check(
             Err(_) => opts.metrics.snapshot(),
         };
         if let Err(e) = ledger::append(&path, &rec) {
-            eprintln!("warning: cannot append run ledger {}: {e}", path.display());
+            errln!("warning: cannot append run ledger {}: {e}", path.display());
         }
     }
     (result, wall)
@@ -902,9 +943,9 @@ fn failure_code(e: &entangle::RefinementError) -> i32 {
 /// Prints a failed `check`/`certify` and returns its exit code.
 fn report_failure(e: &entangle::RefinementError) -> i32 {
     match e {
-        entangle::RefinementError::Lint { .. } => println!("{e}"),
-        entangle::RefinementError::CertRejected { .. } => println!("Certificate REJECTED:\n{e}"),
-        _ => println!("Refinement FAILED:\n{e}"),
+        entangle::RefinementError::Lint { .. } => outln!("{e}"),
+        entangle::RefinementError::CertRejected { .. } => outln!("Certificate REJECTED:\n{e}"),
+        _ => outln!("Refinement FAILED:\n{e}"),
     }
     failure_code(e)
 }
@@ -934,7 +975,7 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
     let jobs = flags.jobs;
     match cmd {
         Command::Help => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             Ok(0)
         }
         Command::Lint { graph, json } => {
@@ -951,13 +992,13 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
                 report
             };
             if *json {
-                println!("{}", report.to_json(Some(&g)));
+                outln!("{}", report.to_json(Some(&g)));
                 return Ok(if report.is_clean() { 0 } else { 3 });
             }
             if !report.diagnostics.is_empty() {
-                println!("{}", report.render(Some(&g)));
+                outln!("{}", report.render(Some(&g)));
             }
-            println!(
+            outln!(
                 "{}: {} ({} operators, {} tensors)",
                 g.name(),
                 report.summary(),
@@ -979,10 +1020,10 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
                 analysis
             };
             if *json {
-                println!("{}", analysis.to_json());
+                outln!("{}", analysis.to_json());
             } else {
-                print!("{}", analysis.render());
-                println!();
+                out!("{}", analysis.render());
+                outln!();
             }
             Ok(if analysis.report.is_clean() { 0 } else { 5 })
         }
@@ -999,9 +1040,9 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
                 analysis
             };
             if *json {
-                println!("{}", analysis.to_json());
+                outln!("{}", analysis.to_json());
             } else {
-                print!("{}", analysis.render());
+                out!("{}", analysis.render());
             }
             Ok(if analysis.is_clean() { 0 } else { 7 })
         }
@@ -1039,21 +1080,21 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
                 analysis
             };
             if *json {
-                println!("{}", analysis.to_json(&gd));
+                outln!("{}", analysis.to_json(&gd));
                 return Ok(if analysis.is_clean() { 0 } else { 3 });
             }
-            println!("layouts:");
-            print!("{}", analysis.describe(&gd));
+            outln!("layouts:");
+            out!("{}", analysis.describe(&gd));
             if !analysis.report.diagnostics.is_empty() {
-                println!("{}", analysis.report.render(Some(&gd)));
+                outln!("{}", analysis.report.render(Some(&gd)));
             }
             if !analysis.hints.is_empty() {
-                println!("proven relation hints:");
+                outln!("proven relation hints:");
                 for h in &analysis.hints {
-                    println!("  {} = {}", h.gs_tensor, h.expr);
+                    outln!("  {} = {}", h.gs_tensor, h.expr);
                 }
             }
-            println!("{}: {}", gd.name(), analysis.summary());
+            outln!("{}: {}", gd.name(), analysis.summary());
             Ok(if analysis.is_clean() { 0 } else { 3 })
         }
         Command::Iso {
@@ -1079,13 +1120,13 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
                 analysis
             };
             if *json {
-                println!("{}", analysis.to_json(&g));
+                outln!("{}", analysis.to_json(&g));
                 return Ok(if analysis.report.is_clean() { 0 } else { 6 });
             }
             if !analysis.classes.is_empty() {
-                println!("template classes (radius {}):", analysis.radius);
+                outln!("template classes (radius {}):", analysis.radius);
                 for c in &analysis.classes {
-                    println!(
+                    outln!(
                         "  #{} {:016x} {} ×{}  (representative {})",
                         c.id,
                         c.fingerprint,
@@ -1096,9 +1137,9 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
                 }
             }
             if !analysis.report.diagnostics.is_empty() {
-                println!("{}", analysis.report.render(Some(&g)));
+                outln!("{}", analysis.report.render(Some(&g)));
             }
-            println!("{}: {}", g.name(), analysis.summary());
+            outln!("{}: {}", g.name(), analysis.summary());
             Ok(if analysis.report.is_clean() { 0 } else { 6 })
         }
         Command::Info { graph, dot } => {
@@ -1113,13 +1154,13 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
             };
             let t_load = t0.elapsed();
             if *dot {
-                print!("{}", g.to_dot());
+                out!("{}", g.to_dot());
                 return Ok(0);
             }
-            println!("graph   : {}", g.name());
-            println!("operators: {}", g.num_nodes());
-            println!("tensors  : {}", g.num_tensors());
-            println!(
+            outln!("graph   : {}", g.name());
+            outln!("operators: {}", g.num_nodes());
+            outln!("tensors  : {}", g.num_tensors());
+            outln!(
                 "inputs   : {}",
                 g.inputs()
                     .iter()
@@ -1127,7 +1168,7 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
                     .collect::<Vec<_>>()
                     .join(", ")
             );
-            println!(
+            outln!(
                 "outputs  : {}",
                 g.outputs()
                     .iter()
@@ -1160,10 +1201,10 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
                 .observe(t_lint.as_micros() as u64);
             m.histogram("check.stage.shard_us")
                 .observe(t_shard.as_micros() as u64);
-            println!("lint     : {}", lint.summary());
-            println!("shard    : {}", shard.summary());
-            println!("templates: {}", iso.summary());
-            println!(
+            outln!("lint     : {}", lint.summary());
+            outln!("shard    : {}", shard.summary());
+            outln!("templates: {}", iso.summary());
+            outln!(
                 "corpus   : {} lemmas registered (see `entangle rules`)",
                 entangle_lemmas::registry().len()
             );
@@ -1173,19 +1214,19 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
                 entangle::analyze_registry()
             };
             let t_num = t4.elapsed();
-            println!(
+            outln!(
                 "numeric  : {} bit-exact, {} reassoc, {} unknown, {} value-changing (see `entangle num`)",
                 num.count_class(entangle::NumClass::BitExact),
                 num.count_class(entangle::NumClass::Reassoc),
                 num.count_class(entangle::NumClass::Unknown),
                 num.count_class(entangle::NumClass::ValueChanging)
             );
-            println!(
+            outln!(
                 "parallel : {} cores detected, checker runs {} jobs by default",
                 entangle_par::available_jobs(),
                 jobs.unwrap_or_else(entangle_par::available_jobs).max(1)
             );
-            println!(
+            outln!(
                 "timings  : load {}, lint {}, shard {}, iso {}, num {} (total {})",
                 ms(t_load),
                 ms(t_lint),
@@ -1197,7 +1238,7 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
             m.histogram("check.stage.numeric_us")
                 .observe(t_num.as_micros() as u64);
             let snap = m.snapshot();
-            println!(
+            outln!(
                 "metrics  : {} counters, {} gauges, {} histograms collected \
                  (run history: `entangle report`)",
                 snap.counters.len(),
@@ -1211,10 +1252,10 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
             let opts = check_options(tracer, flags);
             match ledgered_check(&gs, &gd, &ri, &opts, flags).0 {
                 Ok(outcome) => {
-                    println!("Refinement verification succeeded for {}.", gd.name());
-                    println!("{}", metrics_summary(&outcome.metrics));
-                    println!("\nOutput relation:");
-                    print!("{}", outcome.output_relation.display(&gs));
+                    outln!("Refinement verification succeeded for {}.", gd.name());
+                    outln!("{}", metrics_summary(&outcome.metrics));
+                    outln!("\nOutput relation:");
+                    out!("{}", outcome.output_relation.display(&gs));
                     if let Some(num) = &outcome.numeric {
                         print_numeric_verdicts(num);
                     }
@@ -1245,7 +1286,7 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
                         cert
                     }
                     Err(e) => {
-                        println!("Certificate REJECTED:\n{e}");
+                        outln!("Certificate REJECTED:\n{e}");
                         return Ok(4);
                     }
                 };
@@ -1275,7 +1316,7 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
                 drop(sp);
                 return match verdict {
                     Ok(()) => {
-                        println!(
+                        outln!(
                             "Certificate verified: {} mappings, {} proof steps.",
                             cert.mappings.len(),
                             cert.total_steps()
@@ -1283,7 +1324,7 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
                         Ok(0)
                     }
                     Err(e) => {
-                        println!("Certificate REJECTED:\n{e}");
+                        outln!("Certificate REJECTED:\n{e}");
                         Ok(4)
                     }
                 };
@@ -1309,18 +1350,18 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
                         text
                     };
                     if *json {
-                        println!("{text}");
+                        outln!("{text}");
                     } else {
-                        println!(
+                        outln!(
                             "Refinement certified for {}: {} mappings, {} proof steps \
                              (kernel accepted).",
                             gd.name(),
                             cert.mappings.len(),
                             cert.total_steps()
                         );
-                        println!("{}", metrics_summary(&outcome.metrics));
-                        println!("\nOutput relation:");
-                        print!("{}", outcome.output_relation.display(&gs));
+                        outln!("{}", metrics_summary(&outcome.metrics));
+                        outln!("\nOutput relation:");
+                        out!("{}", outcome.output_relation.display(&gs));
                         if let Some(num) = &outcome.numeric {
                             print_numeric_verdicts(num);
                         }
@@ -1350,19 +1391,19 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
             sp.attr("regressions", outcome.regressions.len());
             drop(sp);
             if *json {
-                println!("{}", outcome.to_json());
+                outln!("{}", outcome.to_json());
             } else if *prom {
-                print!("{}", outcome.to_prometheus());
+                out!("{}", outcome.to_prometheus());
             } else {
                 if read.records.is_empty() {
-                    println!(
+                    outln!(
                         "run ledger {} is empty — run `entangle check`/`certify` with a \
                          results/ directory present, or pass --ledger FILE.",
                         path.display()
                     );
                     return Ok(0);
                 }
-                print!("{}", outcome.to_text());
+                out!("{}", outcome.to_text());
             }
             Ok(if outcome.is_clean() { 0 } else { 8 })
         }
@@ -1379,12 +1420,12 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
             let opts = check_options(tracer, flags);
             match check_expectation(&gs, &gd, &ri, &fs, &fd, &opts) {
                 Ok(_) => {
-                    println!("User expectation holds.");
+                    outln!("User expectation holds.");
                     Ok(0)
                 }
                 Err(ExpectationError::Invalid(e)) => Err(CliError(e.to_string())),
                 Err(e) => {
-                    println!("{e}");
+                    outln!("{e}");
                     Ok(1)
                 }
             }
@@ -1425,9 +1466,9 @@ fn run_trace(
                 .map_err(|e| CliError(format!("cannot write {out}: {e}")))?;
         }
         if *json {
-            println!("{}", report.to_json());
+            outln!("{}", report.to_json());
         } else {
-            println!(
+            outln!(
                 "{path}: valid trace — {} spans, {} events, all balanced.",
                 report.spans.len(),
                 report.events.len()
@@ -1436,16 +1477,14 @@ fn run_trace(
             // stage that recorded it.
             let attr = |span: &str, key: &str| report.find(span).and_then(|sp| sp.attr(key));
             if let Some(entries) = attr("stage:parse", "cert_terms") {
-                println!("certificate: {entries} term-table entries read");
+                outln!("certificate: {entries} term-table entries read");
             }
             if let Some(terms) = attr("stage:certify", "terms") {
                 let of = |key| attr("stage:certify", key).unwrap_or("?");
-                println!(
-                    "kernel   : {terms} distinct terms in {} slots, {} replays, \
-                     {} scratch e-nodes",
+                outln!(
+                    "kernel   : {terms} distinct terms in {} slots, {} replays",
                     of("slots"),
-                    of("replays"),
-                    of("scratch_nodes")
+                    of("replays")
                 );
             }
         }
@@ -1502,12 +1541,12 @@ fn run_trace(
     let code = result.as_ref().map_or_else(failure_code, |_| 0);
 
     if *json {
-        println!("{}", report.to_json());
+        outln!("{}", report.to_json());
         return Ok(code);
     }
 
-    println!("workload : {name}");
-    println!(
+    outln!("workload : {name}");
+    outln!(
         "graphs   : {} ({} ops) -> {} ({} ops)",
         gs.name(),
         gs.num_nodes(),
@@ -1516,16 +1555,16 @@ fn run_trace(
     );
     match &result {
         Ok(outcome) => {
-            println!("verdict  : verified in {}", ms(wall));
-            println!("{}", metrics_summary(&outcome.metrics));
+            outln!("verdict  : verified in {}", ms(wall));
+            outln!("{}", metrics_summary(&outcome.metrics));
         }
-        Err(_) => println!("verdict  : FAILED in {}", ms(wall)),
+        Err(_) => outln!("verdict  : FAILED in {}", ms(wall)),
     }
-    println!();
+    outln!();
     print_stage_table(&report);
     match &result {
         Ok(outcome) => print_saturation_profile(&outcome.saturation, *top),
-        Err(e) => println!("\nRefinement FAILED:\n{e}"),
+        Err(e) => outln!("\nRefinement FAILED:\n{e}"),
     }
     Ok(code)
 }
@@ -1579,7 +1618,7 @@ fn print_stage_table(report: &TraceReport) {
 /// hot-rule table is built from the executed runs alone, so its times are
 /// time the check spent.
 fn print_saturation_profile(summary: &entangle::SaturationSummary, top: usize) {
-    println!(
+    outln!(
         "\nsaturation: {} runs ({} fresh), {} iterations ({} fresh), peak {} e-nodes",
         summary.runs(),
         summary.fresh_runs(),
@@ -1593,12 +1632,12 @@ fn print_saturation_profile(summary: &entangle::SaturationSummary, top: usize) {
         .filter(|(_, n)| *n > 0)
         .map(|(k, n)| format!("{k} {n}"))
         .collect();
-    println!("stops     : {}", stops.join(", "));
-    println!("growth    : {}", sparkline(&summary.growth()));
+    outln!("stops     : {}", stops.join(", "));
+    outln!("growth    : {}", sparkline(&summary.growth()));
 
     let rules = summary.fresh.rules_by_apply_time();
     let shown = top.min(rules.len());
-    println!(
+    outln!(
         "\nhot rules ({shown} of {} by cumulative apply time, fresh runs only):",
         rules.len()
     );

@@ -2,12 +2,5 @@
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (cmd, flags) = match entangle_cli::parse_invocation(&args) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{}", entangle_cli::USAGE);
-            std::process::exit(2);
-        }
-    };
-    std::process::exit(entangle_cli::run_with(&cmd, &flags));
+    std::process::exit(entangle_cli::run_args(&args));
 }

@@ -440,15 +440,6 @@ impl<A: Analysis> EGraph<A> {
             .data
     }
 
-    /// The parent nodes of a class: every e-node (in some class) that has
-    /// this class as a child, as recorded (its children may predate later
-    /// unions), borrowed. Used by constrained generative lemmas
-    /// (§4.3.2) that must only fire when their target subterms already
-    /// exist.
-    pub fn parents(&self, id: Id) -> impl Iterator<Item = &ENode> {
-        self.class(id).parents.iter().map(|(n, _)| n)
-    }
-
     /// Unions two classes; returns `(root, changed)`.
     ///
     /// Invariants are *not* restored until [`EGraph::rebuild`] is called.

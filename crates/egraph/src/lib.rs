@@ -18,7 +18,10 @@
 //!   discrimination tree executed by a small abstract machine, so a single
 //!   traversal of the candidate e-nodes serves every rule at once (the
 //!   only search path saturation takes; the recursive per-rule searcher
-//!   remains as the reference the oracle tests and the proof kernel use).
+//!   remains as the reference the oracle tests hold it to).
+//! - [`TermStore`]: the primitives lemma conditions and dynamic appliers
+//!   read and write, so they run on an e-graph or on a proof checker's
+//!   term table alike.
 //! - [`Runner`]: equality saturation with node/iteration/time limits and
 //!   per-rule application counts (the raw data behind the paper's Figure 6
 //!   lemma-usage heatmap).
@@ -63,6 +66,7 @@ mod node;
 mod pattern;
 mod rewrite;
 mod runner;
+mod store;
 mod symbol;
 mod unionfind;
 
@@ -72,11 +76,12 @@ pub use extract::{AstSize, CostFunction, Extractor};
 pub use machine::{CompiledMatcher, RuleMatches, SharedSearch, MATCHER_GENERATION};
 pub use node::{ENode, ParseExprError, RecExpr, MAX_TERM_DEPTH};
 pub use pattern::{Pattern, PatternAst, SearchMatches, Subst, Var};
-pub use rewrite::{Applier, Condition, Rewrite};
+pub use rewrite::{Condition, Rewrite};
 pub use runner::{
     BackoffSchedule, IterationReport, RuleReport, RunReport, Runner, SaturationReport, StopReason,
     DEFAULT_BAN_LENGTH, DEFAULT_MATCH_BUDGET,
 };
+pub use store::{Parents, TermStore};
 pub use symbol::Symbol;
 pub use unionfind::{Id, UnionFind};
 

@@ -8,6 +8,7 @@ use crate::explain::Justification;
 use crate::machine::RuleMatches;
 use crate::node::ParseExprError;
 use crate::pattern::{Pattern, Subst, Var};
+use crate::store::TermStore;
 use crate::unionfind::Id;
 
 use crate::hashing::{fold as fp_fold, FxHashSet};
@@ -16,41 +17,37 @@ use crate::hashing::{fold as fp_fold, FxHashSet};
 /// [`Rewrite::apply_deduped`] (one per rule).
 pub type AppliedMemo = FxHashSet<u64>;
 
-/// The right-hand side of a rewrite: given a matched e-class and bindings,
-/// produce the e-classes to union with it.
-///
-/// [`Pattern`] implements this by instantiation. Conditioned lemmas
-/// (Listing 4, lines 10–21) use [`Rewrite::parse_dyn`], whose closure plays
-/// the role of the paper's `|egraph, subst| { ... }` block.
-pub trait Applier<A: Analysis>: Send + Sync {
-    /// Applies to one match; returns ids to union with `eclass`.
-    fn apply_one(&self, egraph: &mut EGraph<A>, eclass: Id, subst: &Subst) -> Vec<Id>;
-}
-
-impl<A: Analysis> Applier<A> for Pattern {
-    fn apply_one(&self, egraph: &mut EGraph<A>, _eclass: Id, subst: &Subst) -> Vec<Id> {
-        vec![self.ast().instantiate(egraph, subst)]
-    }
-}
-
-/// A dynamic applier backed by a closure.
-pub struct DynApplier<A: Analysis> {
-    #[allow(clippy::type_complexity)]
-    f: Arc<dyn Fn(&mut EGraph<A>, Id, &Subst) -> Vec<Id> + Send + Sync>,
-}
-
-impl<A: Analysis> Applier<A> for DynApplier<A> {
-    fn apply_one(&self, egraph: &mut EGraph<A>, eclass: Id, subst: &Subst) -> Vec<Id> {
-        (self.f)(egraph, eclass, subst)
-    }
-}
+/// A dynamic right-hand side — the paper's `|egraph, subst| { ... }`
+/// block (Listing 4, lines 10–21): given the store, the matched term and
+/// the bindings, the ids equal to the matched term (empty = does not
+/// apply).
+type DynRhs<A> = Arc<dyn Fn(&mut dyn TermStore<A>, Id, &Subst) -> Vec<Id> + Send + Sync>;
 
 /// A side condition gating a conditional rewrite.
 ///
-/// Receives the e-graph (read-only), the matched e-class and the bindings.
-pub type Condition<A> = Arc<dyn Fn(&EGraph<A>, Id, &Subst) -> bool + Send + Sync>;
+/// Receives the store (read-only), the matched term and the bindings.
+pub type Condition<A> = Arc<dyn Fn(&dyn TermStore<A>, Id, &Subst) -> bool + Send + Sync>;
 
-/// A named rewrite rule: searcher pattern + optional condition + applier.
+/// The right-hand side of a rewrite.
+enum Rhs<A: Analysis> {
+    /// A pattern, instantiated under the match (universal and conditioned
+    /// lemmas).
+    Pattern(Pattern),
+    /// Computed by a closure ([`Rewrite::parse_dyn`]).
+    Dynamic(DynRhs<A>),
+}
+
+impl<A: Analysis> Clone for Rhs<A> {
+    fn clone(&self) -> Self {
+        match self {
+            Rhs::Pattern(p) => Rhs::Pattern(p.clone()),
+            Rhs::Dynamic(f) => Rhs::Dynamic(f.clone()),
+        }
+    }
+}
+
+/// A named rewrite rule: searcher pattern + optional condition +
+/// right-hand side.
 ///
 /// # Examples
 ///
@@ -70,11 +67,7 @@ pub struct Rewrite<A: Analysis> {
     name: String,
     searcher: Pattern,
     condition: Option<Condition<A>>,
-    applier: Arc<dyn Applier<A>>,
-    /// The right-hand side as a pattern, when the applier is one (universal
-    /// and conditioned lemmas); `None` for dynamic appliers. Lets proof
-    /// checkers validate rule steps by pure pattern matching.
-    rhs: Option<Pattern>,
+    rhs: Rhs<A>,
     /// Static *sketch* of a dynamic applier's output, for rule analysis
     /// only ([`Rewrite::with_rhs_hint`]). Never used to apply or prove
     /// anything; variables not bound by the left-hand side stand for
@@ -89,7 +82,6 @@ impl<A: Analysis> Clone for Rewrite<A> {
             name: self.name.clone(),
             searcher: self.searcher.clone(),
             condition: self.condition.clone(),
-            applier: self.applier.clone(),
             rhs: self.rhs.clone(),
             rhs_hint: self.rhs_hint.clone(),
         }
@@ -111,9 +103,9 @@ impl<A: Analysis> Rewrite<A> {
     /// side uses a variable not bound by the left.
     pub fn parse(name: &str, lhs: &str, rhs: &str) -> Result<Self, ParseExprError> {
         let searcher: Pattern = lhs.parse()?;
-        let applier: Pattern = rhs.parse()?;
+        let rhs: Pattern = rhs.parse()?;
         let bound = searcher.vars();
-        for v in applier.vars() {
+        for v in rhs.vars() {
             if !bound.contains(&v) {
                 return Err(ParseExprError::new(format!(
                     "rewrite {name}: rhs variable {v} not bound by lhs"
@@ -124,9 +116,8 @@ impl<A: Analysis> Rewrite<A> {
             name: name.to_owned(),
             searcher,
             condition: None,
-            rhs: Some(applier.clone()),
+            rhs: Rhs::Pattern(rhs),
             rhs_hint: None,
-            applier: Arc::new(applier),
         })
     }
 
@@ -135,7 +126,7 @@ impl<A: Analysis> Rewrite<A> {
         name: &str,
         lhs: &str,
         rhs: &str,
-        condition: impl Fn(&EGraph<A>, Id, &Subst) -> bool + Send + Sync + 'static,
+        condition: impl Fn(&dyn TermStore<A>, Id, &Subst) -> bool + Send + Sync + 'static,
     ) -> Result<Self, ParseExprError> {
         let mut rw = Self::parse(name, lhs, rhs)?;
         rw.condition = Some(Arc::new(condition));
@@ -148,17 +139,14 @@ impl<A: Analysis> Rewrite<A> {
     pub fn parse_dyn(
         name: &str,
         lhs: &str,
-        applier: impl Fn(&mut EGraph<A>, Id, &Subst) -> Vec<Id> + Send + Sync + 'static,
+        applier: impl Fn(&mut dyn TermStore<A>, Id, &Subst) -> Vec<Id> + Send + Sync + 'static,
     ) -> Result<Self, ParseExprError> {
         Ok(Rewrite {
             name: name.to_owned(),
             searcher: lhs.parse()?,
             condition: None,
-            rhs: None,
+            rhs: Rhs::Dynamic(Arc::new(applier)),
             rhs_hint: None,
-            applier: Arc::new(DynApplier {
-                f: Arc::new(applier),
-            }),
         })
     }
 
@@ -172,10 +160,13 @@ impl<A: Analysis> Rewrite<A> {
         &self.searcher
     }
 
-    /// The right-hand side as a pattern, when the applier is one (`None`
-    /// for dynamic appliers).
+    /// The right-hand side as a pattern (`None` for a dynamic one). Lets
+    /// proof checkers validate such steps by pattern matching.
     pub fn rhs(&self) -> Option<&Pattern> {
-        self.rhs.as_ref()
+        match &self.rhs {
+            Rhs::Pattern(p) => Some(p),
+            Rhs::Dynamic(_) => None,
+        }
     }
 
     /// Attaches a static right-hand-side sketch to a dynamic rewrite, for
@@ -215,8 +206,39 @@ impl<A: Analysis> Rewrite<A> {
         self.searcher.search_with_stats(egraph)
     }
 
+    /// `true` when the side condition (if any) accepts the match of
+    /// `eclass` under `subst` in `store`.
+    pub fn condition_holds(&self, store: &dyn TermStore<A>, eclass: Id, subst: &Subst) -> bool {
+        self.condition
+            .as_ref()
+            .is_none_or(|cond| cond(store, eclass, subst))
+    }
+
+    /// Runs a dynamic right-hand side on `store` and returns the ids it
+    /// produced; empty for a pattern right-hand side ([`Rewrite::rhs`]).
+    pub fn apply_dynamic(
+        &self,
+        store: &mut dyn TermStore<A>,
+        eclass: Id,
+        subst: &Subst,
+    ) -> Vec<Id> {
+        match &self.rhs {
+            Rhs::Dynamic(f) => f(store, eclass, subst),
+            Rhs::Pattern(_) => Vec::new(),
+        }
+    }
+
+    /// The ids equal to the match by this rule: the instantiated pattern,
+    /// or what the dynamic right-hand side produced.
+    fn produce(&self, egraph: &mut EGraph<A>, eclass: Id, subst: &Subst) -> Vec<Id> {
+        match &self.rhs {
+            Rhs::Pattern(p) => vec![p.ast().instantiate(egraph, subst)],
+            Rhs::Dynamic(f) => f(egraph, eclass, subst),
+        }
+    }
+
     /// Applies the rule to a single match *without* unioning: checks the
-    /// condition, runs the applier, and returns the ids it produced
+    /// condition, runs the right-hand side, and returns the ids it produced
     /// (`None` when the condition rejects the match).
     ///
     /// This is the instrumentation hook for lemma auditing — the produced
@@ -228,12 +250,10 @@ impl<A: Analysis> Rewrite<A> {
         eclass: Id,
         subst: &Subst,
     ) -> Option<Vec<Id>> {
-        if let Some(cond) = &self.condition {
-            if !cond(egraph, eclass, subst) {
-                return None;
-            }
+        if !self.condition_holds(egraph, eclass, subst) {
+            return None;
         }
-        Some(self.applier.apply_one(egraph, eclass, subst))
+        Some(self.produce(egraph, eclass, subst))
     }
 
     /// Applies this rule's matches from one shared search ([`RuleMatches`],
@@ -285,12 +305,10 @@ impl<A: Analysis> Rewrite<A> {
                 continue;
             }
             subst.refill(vars, ids);
-            if let Some(cond) = &self.condition {
-                if !cond(egraph, eclass, subst) {
-                    continue;
-                }
+            if !self.condition_holds(egraph, eclass, subst) {
+                continue;
             }
-            let produced = self.applier.apply_one(egraph, eclass, subst);
+            let produced = self.produce(egraph, eclass, subst);
             if produced.is_empty() {
                 continue;
             }

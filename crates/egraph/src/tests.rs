@@ -196,13 +196,8 @@ fn conditional_rewrite_only_fires_when_condition_holds() {
         "(slice (concat ?a ?b ?d1) ?d2 ?lo ?hi)",
         "(concat (slice ?a ?d2 ?lo ?hi) (slice ?b ?d2 ?lo ?hi) ?d1)",
         |eg, _id, subst| {
-            let d1 = subst[Var::new("d1")];
-            let d2 = subst[Var::new("d2")];
-            let get = |id| eg[id].nodes.iter().find_map(|n| n.as_int());
-            match (get(d1), get(d2)) {
-                (Some(a), Some(b)) => a != b,
-                _ => false,
-            }
+            // Distinct integers are distinct classes.
+            eg.find(subst[Var::new("d1")]) != eg.find(subst[Var::new("d2")])
         },
     )
     .unwrap();

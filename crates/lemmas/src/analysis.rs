@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use entangle_egraph::{Analysis, EGraph, ENode, Id, Symbol};
+use entangle_egraph::{Analysis, EGraph, ENode, Id, Symbol, TermStore};
 use entangle_ir::{DType, Dim, Op, Shape};
 use entangle_symbolic::{SymCtx, SymExpr};
 
@@ -291,62 +291,68 @@ pub fn decode_op(name: &str, metas: &[Meta]) -> Option<(Op, usize)> {
     (op.1 <= metas.len()).then_some(op)
 }
 
-/// Convenience accessors used by lemma conditions and dynamic appliers.
+/// Convenience accessors used by lemma conditions and dynamic appliers, over
+/// whichever [`TermStore`] they run on.
 pub mod cond {
     use super::*;
 
-    /// The metadata of an e-class.
-    pub fn meta(eg: &EGraph<TensorAnalysis>, id: Id) -> Meta {
-        eg[id].data.clone()
+    /// The metadata of a term.
+    pub fn meta(eg: &dyn TermStore<TensorAnalysis>, id: Id) -> Meta {
+        eg.data(id).clone()
     }
 
-    /// The shape of an e-class, if known (borrowed: conditions run per
-    /// match, and most only read a dim or compare two shapes).
-    pub fn shape(eg: &EGraph<TensorAnalysis>, id: Id) -> Option<&Shape> {
-        eg[id].data.shape.as_ref()
+    /// The shape of a term, if known (borrowed: conditions run per match,
+    /// and most only read a dim or compare two shapes).
+    pub fn shape(eg: &dyn TermStore<TensorAnalysis>, id: Id) -> Option<&Shape> {
+        eg.data(id).shape.as_ref()
     }
 
     /// The rank, if the shape is known.
-    pub fn rank(eg: &EGraph<TensorAnalysis>, id: Id) -> Option<usize> {
-        eg[id].data.rank()
+    pub fn rank(eg: &dyn TermStore<TensorAnalysis>, id: Id) -> Option<usize> {
+        eg.data(id).rank()
     }
 
-    /// The scalar value (concrete or symbolic) of a class.
-    pub fn scalar(eg: &EGraph<TensorAnalysis>, id: Id) -> Option<SymExpr> {
-        eg[id].data.scalar.clone()
+    /// The scalar value (concrete or symbolic) of a term.
+    pub fn scalar(eg: &dyn TermStore<TensorAnalysis>, id: Id) -> Option<SymExpr> {
+        eg.data(id).scalar.clone()
     }
 
-    /// The concrete integer value of a class.
-    pub fn int(eg: &EGraph<TensorAnalysis>, id: Id) -> Option<i64> {
-        eg[id].data.scalar.as_ref()?.as_const()
+    /// The concrete integer value of a term.
+    pub fn int(eg: &dyn TermStore<TensorAnalysis>, id: Id) -> Option<i64> {
+        eg.data(id).scalar.as_ref()?.as_const()
     }
 
-    /// The size of dimension `d` of a tensor class.
-    pub fn dim_size(eg: &EGraph<TensorAnalysis>, id: Id, d: usize) -> Option<SymExpr> {
+    /// The size of dimension `d` of a tensor term.
+    pub fn dim_size(eg: &dyn TermStore<TensorAnalysis>, id: Id, d: usize) -> Option<SymExpr> {
         let s = shape(eg, id)?;
         (d < s.rank()).then(|| s.dim(d).0.clone())
     }
 
     /// Proves `a == b` via the symbolic context (exact for constants).
-    pub fn sym_eq(eg: &EGraph<TensorAnalysis>, a: &SymExpr, b: &SymExpr) -> bool {
-        eg.analysis.ctx.check_eq(a, b).is_proved()
+    pub fn sym_eq(eg: &dyn TermStore<TensorAnalysis>, a: &SymExpr, b: &SymExpr) -> bool {
+        eg.analysis().ctx.check_eq(a, b).is_proved()
     }
 
     /// Proves `a <= b`.
-    pub fn sym_le(eg: &EGraph<TensorAnalysis>, a: &SymExpr, b: &SymExpr) -> bool {
-        eg.analysis
+    pub fn sym_le(eg: &dyn TermStore<TensorAnalysis>, a: &SymExpr, b: &SymExpr) -> bool {
+        eg.analysis()
             .ctx
             .check(a, entangle_symbolic::Rel::Le, b)
             .is_proved()
     }
 
+    // The writers are generic rather than `&mut dyn`: passing the store on
+    // is then a plain reborrow, which may overlap a read of the store in a
+    // later argument (`add_op(eg, &mint_ones_leaf(s), ..)` with `s`
+    // borrowed from `eg`); an unsizing reborrow may not.
+
     /// Adds an integer scalar node.
-    pub fn add_int(eg: &mut EGraph<TensorAnalysis>, v: i64) -> Id {
+    pub fn add_int<S: TermStore<TensorAnalysis> + ?Sized>(eg: &mut S, v: i64) -> Id {
         eg.add(ENode::Int(v))
     }
 
     /// Adds a scalar node: an `Int` when constant, a `Sym` otherwise.
-    pub fn add_scalar(eg: &mut EGraph<TensorAnalysis>, e: SymExpr) -> Id {
+    pub fn add_scalar<S: TermStore<TensorAnalysis> + ?Sized>(eg: &mut S, e: SymExpr) -> Id {
         match e.as_const() {
             Some(v) => eg.add(ENode::Int(v)),
             None => eg.add(ENode::Sym(e)),
@@ -354,7 +360,11 @@ pub mod cond {
     }
 
     /// Adds an operator node.
-    pub fn add_op(eg: &mut EGraph<TensorAnalysis>, name: &str, children: Vec<Id>) -> Id {
+    pub fn add_op<S: TermStore<TensorAnalysis> + ?Sized>(
+        eg: &mut S,
+        name: &str,
+        children: Vec<Id>,
+    ) -> Id {
         eg.add(ENode::op(name, children))
     }
 }

@@ -56,7 +56,7 @@ fn unary_family(b: &mut Builder, op: &str, category: Category, models: &[&'stati
         &name,
         &lhs,
         &rhs,
-        move |eg: &entangle_egraph::EGraph<TensorAnalysis>, _id, subst| {
+        move |eg: &dyn entangle_egraph::TermStore<TensorAnalysis>, _id, subst| {
             let target = entangle_egraph::ENode::op(&opname, vec![subst[v("x")]]);
             eg.lookup(&target).is_some()
         },
@@ -131,7 +131,7 @@ fn binary_family(b: &mut Builder, op: &'static str, models: &[&'static str]) {
 /// Broadcast-aware distribution: splitting the bigger operand along a dim
 /// the smaller one broadcasts over.
 fn broadcast_family(b: &mut Builder, op: &'static str) {
-    let broadcast_ok = move |eg: &entangle_egraph::EGraph<TensorAnalysis>,
+    let broadcast_ok = move |eg: &dyn entangle_egraph::TermStore<TensorAnalysis>,
                              subst: &entangle_egraph::Subst,
                              big: &str,
                              small: &str|

@@ -9,8 +9,6 @@ use crate::analysis::cond::{add_op, add_scalar, int, rank, shape, sym_eq};
 use crate::analysis::TensorAnalysis;
 use crate::corpus::{Builder, Category};
 
-type EG = entangle_egraph::EGraph<TensorAnalysis>;
-
 fn v(name: &str) -> Var {
     Var::new(name)
 }
@@ -26,7 +24,12 @@ fn out_dim(d: i64, r_in: usize, ra: usize, rb: usize) -> i64 {
 /// with the other operand (rank `r_other`, shape `other`)? True for the
 /// m/n dim (index `r_split - 2` or `r_split - 1` respectively — checked by
 /// the caller) and for batch dims the other operand broadcasts over.
-fn batch_split_ok(eg: &EG, d: i64, r_split: usize, other: entangle_egraph::Id) -> bool {
+fn batch_split_ok(
+    eg: &dyn entangle_egraph::TermStore<TensorAnalysis>,
+    d: i64,
+    r_split: usize,
+    other: entangle_egraph::Id,
+) -> bool {
     let Some(so) = shape(eg, other) else {
         return false;
     };

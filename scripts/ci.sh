@@ -59,9 +59,9 @@ if [ "$compiles" -ne 1 ]; then
 fi
 
 # Saturation searches through the compiled matcher alone, into flat reused
-# buffers (DESIGN.md, *Compiled e-matching*): the recursive matcher is the
-# reference the oracle tests and the kernel use, one apply loop remains, and
-# a lemma reads its parents through a borrow, not a cloned list.
+# buffers (DESIGN.md, *Compiled e-matching*): the recursive matcher is only
+# the reference the oracle tests hold it to, one apply loop remains, and a
+# lemma reads its parents through a borrow, not a cloned list.
 if grep -nE 'search_with_stats\(' crates/egraph/src/{machine,runner}.rs; then
   echo "the runner reaches the recursive matcher again (compile the pattern instead)"; exit 1
 fi
@@ -70,7 +70,24 @@ if grep -n 'fn apply(' crates/egraph/src/rewrite.rs; then
 fi
 if grep -rn 'parent_nodes(' crates src tests benchmark/src --include='*.rs' \
     | grep -v '^crates/egraph/src/tests\.rs:'; then
-  echo "parent_nodes is back (borrow through EGraph::parents)"; exit 1
+  echo "parent_nodes is back (borrow through TermStore::parents)"; exit 1
+fi
+
+# One term store in the trusted kernel (DESIGN.md, *Certificates and the
+# trusted kernel*): lemma conditions and dynamic appliers run on the
+# certificate's term table through `TermStore`; no e-graph, e-graph search or
+# e-graph apply path grows back beside it.
+if grep -nE 'EGraph|search_eclass|apply_match|union_count|register_leaf' \
+    crates/cert/src/{kernel,table}.rs; then
+  echo "the kernel reaches into the saturation engine again (run lemma code on its Store)"; exit 1
+fi
+# The kernel-proper line count DESIGN's TCB paragraph states is this count,
+# within 50 lines.
+kernel_lines=$(cat crates/cert/src/{kernel,table}.rs | wc -l)
+stated=$(grep -oE 'kernel proper \(`kernel.rs` \+ `table.rs`\) is [0-9 ]+ lines' DESIGN.md \
+  | grep -oE '[0-9][0-9 ]*[0-9]' | tr -d ' ' || true)
+if [ -z "$stated" ] || [ $((kernel_lines - stated)) -gt 50 ] || [ $((stated - kernel_lines)) -gt 50 ]; then
+  echo "DESIGN.md states a kernel proper of ${stated:-no} lines; kernel.rs + table.rs are $kernel_lines"; exit 1
 fi
 
 # One certificate format: version 2, written compactly straight from the term

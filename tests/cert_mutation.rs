@@ -4,6 +4,9 @@
 //! rejected. The base certificate comes from GPT under TP2, so the mutated
 //! proofs are the genuine article, not synthetic strawmen.
 //!
+//! A conditioned lemma applied where its condition is false — the step's
+//! terms line up and its shapes agree — must be rejected too.
+//!
 //! The second half forges the *file*: the term table a certificate's JSON
 //! text shares its terms through. A bad reference is `Malformed` at the
 //! reader; a reference to a different, well-formed term is the kernel's to
@@ -12,9 +15,9 @@
 use std::sync::OnceLock;
 
 use entangle::{check_refinement, CheckOptions};
-use entangle_cert::{exprs_eq, CertError, Certificate};
+use entangle_cert::{exprs_eq, CertError, Certificate, MappingCert};
 use entangle_egraph::{Proof, ProofStep, RecExpr};
-use entangle_ir::Graph;
+use entangle_ir::{DType, Graph, GraphBuilder, Op};
 use entangle_lemmas::{registry, rewrites_of};
 use entangle_models::{gpt, Arch, ModelConfig};
 use entangle_parallel::{parallelize, Strategy};
@@ -160,6 +163,67 @@ proptest! {
         prop_assume!(!still_chains(steps, &orig.steps));
         prop_assert!(kernel_rejects(&bad), "shuffled chain at mapping {m}");
     }
+}
+
+#[test]
+fn a_conditioned_step_whose_condition_is_false_is_rejected() {
+    // `slice-of-add` pushes a slice into both operands of an add, on the
+    // condition that the operands have one shape. Over `x` [4, 4] and a
+    // broadcast `b` [4, 1] the step's terms still line up and both sides
+    // are [2, 4]: only the condition can refuse it. Over `c` [4, 4] it
+    // holds, which keeps the refusal honest.
+    let mut g = GraphBuilder::new("gs");
+    let y = g.input("y", &[4, 4], DType::F32);
+    let slice = Op::Slice {
+        dim: 0,
+        start: 0.into(),
+        end: 2.into(),
+    };
+    let z = g.apply("z", slice, &[y]).expect("infers");
+    g.mark_output(z);
+    let gs = g.finish().expect("valid");
+    let mut g = GraphBuilder::new("gd");
+    let x = g.input("x", &[4, 4], DType::F32);
+    let b = g.input("b", &[4, 1], DType::F32);
+    let c = g.input("c", &[4, 4], DType::F32);
+    let xb = g.apply("xb", Op::Add, &[x, b]).expect("infers");
+    let xc = g.apply("xc", Op::Add, &[x, c]).expect("infers");
+    g.mark_output(xb);
+    g.mark_output(xc);
+    let gd = g.finish().expect("valid");
+
+    let e = |s: &str| -> RecExpr { s.parse().expect("parses") };
+    let verdict = |other: &str| {
+        let input = e(&format!("(add x {other})"));
+        let after = e(&format!("(add (slice x 0 0 2) (slice {other} 0 0 2))"));
+        let step = ProofStep::Rule {
+            name: "slice-of-add".to_owned(),
+            forward: true,
+            subst: ["x", other, "0", "0", "2"]
+                .iter()
+                .zip(["x", "y", "d", "lo", "hi"])
+                .map(|(term, var)| (var.to_owned(), e(term)))
+                .collect(),
+            before: e(&format!("(slice (add x {other}) 0 0 2)")),
+            after: after.clone(),
+        };
+        let mc = MappingCert {
+            tensor: "z".to_owned(),
+            operator: "z".to_owned(),
+            inputs: vec![input.clone()],
+            expr: after,
+            proof: Proof { steps: vec![step] },
+        };
+        let accepted = std::collections::HashMap::from([("y".to_owned(), vec![input])]);
+        let lemmas = rewrites_of(&registry());
+        entangle_cert::verify_mapping(&mc, &gs, &gd, &lemmas, &SymCtx::new(), &accepted)
+    };
+    verdict("c").expect("the condition holds over equal shapes");
+    let err = verdict("b").expect_err("the condition fails over a broadcast operand");
+    assert!(
+        err.to_string().contains("condition of lemma slice-of-add"),
+        "{err}"
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -10,17 +10,22 @@
 //! *bit-identical* to `G_s`. The zoo workload reduces partial sums in a
 //! different order; the analysis derives a finite `(1+ε)^k` relative
 //! bound and the replay is held to exactly that bound.
+//!
+//! Finally, every lemma application of the zoo's certificates is sampled on
+//! its own: both sides of each rule step, evaluated over one seeded run of
+//! `G_d` at its real shapes, must agree — whatever store the kernel checked
+//! the step in.
 
 use std::collections::HashMap;
 
 use entangle::{check_refinement, CertAnalysis, CheckOptions, NumClass};
 use entangle_cert::Certificate;
-use entangle_egraph::{ENode, Id, RecExpr};
+use entangle_egraph::{ENode, Id, Proof, ProofStep, RecExpr};
 use entangle_ir::{DType, Graph, GraphBuilder, Op, TensorId};
 use entangle_lint::eval_ground;
 use entangle_models::{gpt, Arch, ModelConfig};
 use entangle_parallel::{parallelize, Strategy};
-use entangle_runtime::{eval_graph, eval_op, random_ids, random_value, Value};
+use entangle_runtime::{eval_graph, eval_op, random_ids, random_value, Tolerance, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -291,4 +296,90 @@ fn certified_gpt_tp2_mappings_replay_numerically() {
     let gs_env = eval_graph(&gs, &gs_in).unwrap();
     let gd_env = eval_graph(&dist.graph, &gd_in).unwrap();
     replay_certificate(&gs, &dist.graph, &cert, &analysis, &gs_env, &gd_env);
+}
+
+// ----- every lemma application, sampled on its own -----
+
+/// Every rule step of a proof, congruence children included.
+fn rule_steps<'a>(proof: &'a Proof, out: &mut Vec<&'a ProofStep>) {
+    for step in &proof.steps {
+        match step {
+            ProofStep::Rule { .. } => out.push(step),
+            ProofStep::Congruence { children, .. } => {
+                for child in children {
+                    rule_steps(child, out);
+                }
+            }
+            ProofStep::Given { .. } => {}
+        }
+    }
+}
+
+/// One seeded f64 run of `G_d` from random inputs at their real shapes
+/// (token ids below 8, inside every vocabulary shard).
+fn seeded_run(gd: &Graph, seed: u64) -> HashMap<TensorId, Value> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut inputs = HashMap::new();
+    for &i in gd.inputs() {
+        let t = gd.tensor(i);
+        let dims: Vec<usize> = t
+            .shape
+            .as_concrete()
+            .expect("zoo shapes are concrete")
+            .iter()
+            .map(|&d| d as usize)
+            .collect();
+        let v = match t.dtype {
+            DType::I64 => random_ids(&mut rng, &dims, 8),
+            _ => random_value(&mut rng, &dims),
+        };
+        inputs.insert(i, v);
+    }
+    eval_graph(gd, &inputs).expect("G_d evaluates")
+}
+
+#[test]
+fn every_zoo_lemma_application_agrees_on_a_seeded_run_of_g_d() {
+    // A lemma may reassociate a sum (a split contraction, a regrouped add
+    // chain); in f64 over these sizes that moves a result by ~1e-15 of its
+    // magnitude, so 1e-9 admits rounding and nothing else.
+    let tol = Tolerance::Relative(1e-9);
+    let opts = CheckOptions {
+        numeric: false,
+        ..CheckOptions::default()
+    };
+    let mut sampled = 0;
+    for case in entangle_bench::zoo() {
+        let gd = &case.dist.graph;
+        let ri = case.dist.relation(&case.gs).expect("relation builds");
+        let cert = check_refinement(&case.gs, gd, &ri, &opts)
+            .unwrap_or_else(|e| panic!("{} should certify: {e}", case.name))
+            .certificate
+            .expect("certify mode emits a certificate");
+        let env = seeded_run(gd, 29);
+        let mut steps = Vec::new();
+        for mc in &cert.mappings {
+            rule_steps(&mc.proof, &mut steps);
+        }
+        for step in steps {
+            let ProofStep::Rule { name, .. } = step else {
+                unreachable!("rule steps only");
+            };
+            let before = reconstruct(step.before(), gd, &env);
+            let after = reconstruct(step.after(), gd, &env);
+            assert!(
+                after.within(&before, &tol),
+                "{}: lemma {name} rewrites {} to {}, which differ by {:?}",
+                case.name,
+                step.before(),
+                step.after(),
+                after.max_abs_diff(&before)
+            );
+            sampled += 1;
+        }
+    }
+    assert!(
+        sampled > 400,
+        "the zoo certificates apply lemmas: {sampled}"
+    );
 }

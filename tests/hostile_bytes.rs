@@ -1,14 +1,15 @@
 //! Hostile bytes against the real binary: a file built to exhaust its stack
 //! must be *refused* — exit 4 with a diagnostic from `certify --check`, the
 //! trusted re-checker, exit 2 from the `--maps` reader — not abort it
-//! (SIGABRT, 134).
+//! (SIGABRT, 134). And a reader that goes away before the output is written
+//! ends the run with exit 141, not a panic (101).
 //!
 //! These spawn `entangle` rather than call the library: an overflow inside
 //! the test process would take the harness down with it instead of failing
 //! one test.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 use std::sync::OnceLock;
 
 use entangle_ir::{DType, GraphBuilder, Op};
@@ -138,4 +139,28 @@ fn two_hundred_thousand_nested_applications_in_a_maps_file_are_a_usage_error() {
         !stderr.contains("panicked") && !stderr.contains("overflow"),
         "{stderr}"
     );
+}
+
+#[test]
+fn a_stdout_closed_before_the_output_is_a_quiet_exit_141() {
+    // `entangle num --json | head -c 10`, with the reader gone before the
+    // binary writes a byte, so no pipe buffer can absorb the output.
+    let (reader, writer) = std::io::pipe().expect("a pipe");
+    drop(reader);
+    let out = Command::new(entangle())
+        .args(["num", "--json", "--no-ledger"])
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("entangle runs")
+        .wait_with_output()
+        .expect("entangle exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(141),
+        "expected exit 141 (output closed), got {:?}\nstderr: {stderr}",
+        out.status
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
