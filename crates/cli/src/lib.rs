@@ -68,7 +68,7 @@ use std::time::{Duration, Instant};
 
 use entangle::{check_expectation, check_refinement, CheckOptions, ExpectationError, Relation};
 use entangle_ir::Graph;
-use entangle_metrics::{ledger, LedgerRecord, NoiseBand, Registry, Snapshot};
+use entangle_metrics::{ledger, LedgerRecord, NoiseBand, Registry};
 use entangle_trace::{SpanGuard, TraceReport, Tracer};
 
 /// A parsed CLI invocation.
@@ -839,35 +839,32 @@ fn print_numeric_verdicts(num: &entangle::CertAnalysis) {
 
 /// One human-readable line summarizing the checker's scheduler and
 /// cross-operator cache behavior, printed after check/certify/trace
-/// verdicts — driven entirely by the run's metric snapshot.
-fn metrics_summary(m: &Snapshot) -> String {
-    let cache = match m.hit_rate("par.cache.hits", "par.cache.misses") {
-        Some(rate) => format!(
+/// verdicts — a view of the outcome's [`entangle::ParStats`].
+fn par_summary(par: &entangle::ParStats) -> String {
+    let cache = if par.cache_hits + par.cache_misses > 0 {
+        format!(
             "cache {} hits / {} misses ({:.0}% hit rate)",
-            m.counter("par.cache.hits"),
-            m.counter("par.cache.misses"),
-            rate * 100.0
-        ),
-        None => "cache off".to_owned(),
+            par.cache_hits,
+            par.cache_misses,
+            par.hit_rate() * 100.0
+        )
+    } else {
+        "cache off".to_owned()
     };
-    let classes = m.gauge("iso.template.classes");
-    let templates = if classes > 0 {
+    let templates = if par.template_classes > 0 {
         format!(
             "; templates {} classes, {} hits ({} kernel-instantiated, {} fallbacks)",
-            classes,
-            m.counter("par.template.hits"),
-            m.counter("par.template.instantiated"),
-            m.counter("par.template.fallbacks")
+            par.template_classes,
+            par.template_hits,
+            par.template_instantiated,
+            par.template_fallbacks
         )
     } else {
         String::new()
     };
     format!(
-        "parallel : {} jobs on {} cores; {}{}",
-        m.gauge("par.jobs"),
-        m.gauge("par.cores"),
-        cache,
-        templates
+        "parallel : {} jobs on {} cores; {cache}{templates}",
+        par.jobs, par.cores
     )
 }
 
@@ -919,10 +916,7 @@ fn ledgered_check(
         rec.wall_ms = wall.as_secs_f64() * 1e3;
         rec.extra.insert("gs".to_owned(), gs.name().to_owned());
         rec.extra.insert("gd".to_owned(), gd.name().to_owned());
-        rec.metrics = match &result {
-            Ok(outcome) => outcome.metrics.clone(),
-            Err(_) => opts.metrics.snapshot(),
-        };
+        rec.metrics = opts.metrics.snapshot();
         if let Err(e) = ledger::append(&path, &rec) {
             errln!("warning: cannot append run ledger {}: {e}", path.display());
         }
@@ -1143,9 +1137,6 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
             Ok(if analysis.report.is_clean() { 0 } else { 6 })
         }
         Command::Info { graph, dot } => {
-            // info runs the static analyses under a live registry so the
-            // summary below can show the metric snapshot they produce.
-            let m = Registry::new();
             let t0 = Instant::now();
             let g = {
                 let mut sp = tracer.span("load");
@@ -1194,13 +1185,6 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
                 entangle_iso::analyze(&g)
             };
             let t_iso = t3.elapsed();
-            m.gauge("iso.template.classes")
-                .set(iso.class_count() as u64);
-            m.gauge("iso.template.covered").set(iso.covered() as u64);
-            m.histogram("check.stage.lint_us")
-                .observe(t_lint.as_micros() as u64);
-            m.histogram("check.stage.shard_us")
-                .observe(t_shard.as_micros() as u64);
             outln!("lint     : {}", lint.summary());
             outln!("shard    : {}", shard.summary());
             outln!("templates: {}", iso.summary());
@@ -1235,16 +1219,6 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
                 ms(t_num),
                 ms(t_load + t_lint + t_shard + t_iso + t_num)
             );
-            m.histogram("check.stage.numeric_us")
-                .observe(t_num.as_micros() as u64);
-            let snap = m.snapshot();
-            outln!(
-                "metrics  : {} counters, {} gauges, {} histograms collected \
-                 (run history: `entangle report`)",
-                snap.counters.len(),
-                snap.gauges.len(),
-                snap.histograms.len()
-            );
             Ok(0)
         }
         Command::Check { gs, gd, maps } => {
@@ -1253,7 +1227,7 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
             match ledgered_check(&gs, &gd, &ri, &opts, flags).0 {
                 Ok(outcome) => {
                     outln!("Refinement verification succeeded for {}.", gd.name());
-                    outln!("{}", metrics_summary(&outcome.metrics));
+                    outln!("{}", par_summary(&outcome.par));
                     outln!("\nOutput relation:");
                     out!("{}", outcome.output_relation.display(&gs));
                     if let Some(num) = &outcome.numeric {
@@ -1359,7 +1333,7 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
                             cert.mappings.len(),
                             cert.total_steps()
                         );
-                        outln!("{}", metrics_summary(&outcome.metrics));
+                        outln!("{}", par_summary(&outcome.par));
                         outln!("\nOutput relation:");
                         out!("{}", outcome.output_relation.display(&gs));
                         if let Some(num) = &outcome.numeric {
@@ -1556,7 +1530,7 @@ fn run_trace(
     match &result {
         Ok(outcome) => {
             outln!("verdict  : verified in {}", ms(wall));
-            outln!("{}", metrics_summary(&outcome.metrics));
+            outln!("{}", par_summary(&outcome.par));
         }
         Err(_) => outln!("verdict  : FAILED in {}", ms(wall)),
     }

@@ -114,12 +114,12 @@ pub struct CheckOptions {
     pub numeric: bool,
     /// Metrics registry (`entangle-metrics`). The default null registry is
     /// a true no-op, same contract as [`CheckOptions::trace`]; an enabled
-    /// registry collects the whole pipeline's counters, gauges, and timing
-    /// histograms, snapshotted into [`CheckOutcome::metrics`]. Every
-    /// instrument is recorded by this crate from a report an engine
-    /// returned unconditionally (or from a clock read around an engine
-    /// call), so enabling them never changes verdicts, relations, or
-    /// certificates.
+    /// registry collects the whole pipeline's counters and gauges, and the
+    /// caller reads them with `metrics.snapshot()` whether the check
+    /// succeeded or failed. Durations are not among them: they live in the
+    /// [`CheckOptions::trace`] spans. Every instrument is recorded by this
+    /// crate from a report an engine returned unconditionally, so enabling
+    /// them never changes verdicts, relations, or certificates.
     pub metrics: entangle_metrics::Registry,
 }
 
@@ -361,12 +361,6 @@ pub struct CheckOutcome {
     /// field allowed to vary with [`CheckOptions::jobs`]: hit/miss counts
     /// depend on which of two racing workers reaches a key first.
     pub par: ParStats,
-    /// Snapshot of [`CheckOptions::metrics`] taken as the check returned
-    /// (empty for the default null registry). Counter/gauge values other
-    /// than cache hit/miss counts are deterministic for a given problem at
-    /// `jobs = 1`; timing histograms and anything derived from the
-    /// process-global numeric memo are not.
-    pub metrics: entangle_metrics::Snapshot,
 }
 
 /// Refinement failure: `G_d` does not (provably) refine `G_s`.
@@ -635,42 +629,20 @@ pub fn check_refinement(
     result
 }
 
-/// Runs one pipeline stage under its `stage:{name}` span. The stage is
-/// timed once: the same duration closes the span and is observed into the
-/// `check.stage.{name}_us` histogram, so the two can never disagree — and a
-/// stage that fails is timed like one that succeeds. No clock is read when
-/// both sinks are null.
+/// Runs one pipeline stage under its `stage:{name}` span, the one place
+/// the stage's duration is recorded. A stage that fails closes its span
+/// like one that succeeds.
 fn stage<T>(opts: &CheckOptions, name: &str, body: impl FnOnce(&mut SpanGuard) -> T) -> T {
-    let start = (opts.trace.is_enabled() || opts.metrics.is_enabled()).then(Instant::now);
-    let mut span = opts.trace.span(&format!("stage:{name}"));
-    let out = body(&mut span);
-    if let Some(start) = start {
-        let us = start.elapsed().as_micros() as u64;
-        span.set_elapsed_us(us);
-        opts.metrics
-            .histogram(&format!("check.stage.{name}_us"))
-            .observe(us);
-    }
-    out
+    body(&mut opts.trace.span(&format!("stage:{name}")))
 }
 
-/// Runs a trusted-kernel call and records its latency into `histogram` and
-/// its verdict into `cert.verify.{accepted,rejected}`. The clock is read
-/// *around* the untouched call, so metrics cannot change what the kernel
-/// accepts.
-fn timed_kernel(
+/// Runs a trusted-kernel call and counts its verdict into
+/// `cert.verify.{accepted,rejected}`.
+fn counted_kernel(
     metrics: &entangle_metrics::Registry,
-    histogram: &str,
     call: impl FnOnce() -> Result<(), CertError>,
 ) -> Result<(), CertError> {
-    if !metrics.is_enabled() {
-        return call();
-    }
-    let start = Instant::now();
     let result = call();
-    metrics
-        .histogram(histogram)
-        .observe(start.elapsed().as_micros() as u64);
     let verdict = match &result {
         Ok(()) => "cert.verify.accepted",
         Err(_) => "cert.verify.rejected",
@@ -681,28 +653,19 @@ fn timed_kernel(
 
 /// Records one *fresh* saturation run (a memo replay describes a run
 /// already counted): growth and peak-size gauges, run/iteration/union
-/// counters, per-phase timing histograms, the backoff ban counter and the
-/// e-matching instruments — all read from the report the runner returns
-/// whether or not anyone is measuring.
+/// counters, the backoff ban counter and the e-matching instruments — all
+/// read from the report the runner returns whether or not anyone is
+/// measuring.
 fn record_run(m: &entangle_metrics::Registry, report: &RunReport) {
     if !m.is_enabled() {
         return;
     }
     m.counter("egraph.runs").inc();
     m.counter("egraph.iterations").add(report.iterations as u64);
-    let search = m.histogram("egraph.phase.search_us");
-    let apply = m.histogram("egraph.phase.apply_us");
-    let rebuild = m.histogram("egraph.phase.rebuild_us");
-    // The whole search phase is the shared traversal.
-    let shared = m.histogram("ematch.search_us");
     let peak_nodes = m.gauge("egraph.peak_nodes");
     let peak_classes = m.gauge("egraph.peak_classes");
     let mut unions = 0u64;
     for it in &report.saturation.iterations {
-        search.observe(it.search_us);
-        shared.observe(it.search_us);
-        apply.observe(it.apply_us);
-        rebuild.observe(it.rebuild_us);
         peak_nodes.set_max(it.nodes as u64);
         peak_classes.set_max(it.classes as u64);
         unions += it.unions;
@@ -935,7 +898,7 @@ fn check_refinement_inner(
             sp.attr("mappings", c.mappings.len());
             sp.attr("steps", c.total_steps());
             let mut kernel = entangle_cert::KernelReport::default();
-            let r = timed_kernel(metrics, "cert.verify_us", || {
+            let r = counted_kernel(metrics, || {
                 let (verdict, report) =
                     entangle_cert::verify_reporting(c, gs, gd, &rewrites, &opts.sym_ctx);
                 kernel = report;
@@ -958,10 +921,7 @@ fn check_refinement_inner(
     if opts.numeric {
         if let Some(c) = &mut certificate {
             let analysis = stage(opts, "numeric", |sp| {
-                // The cached front door: repeated checks of the same triple
-                // (CI sweeps, paired benchmarks) replay the stored verdicts
-                // instead of re-walking the chains.
-                let analysis = entangle_num::analyze_certificate_cached(c, gs, gd);
+                let analysis = entangle_num::analyze_certificate(c, gs, gd);
                 sp.attr("outputs", analysis.outputs.len());
                 sp.attr("steps", analysis.steps_analyzed);
                 sp.attr("arena_nodes", analysis.arena_nodes);
@@ -986,12 +946,6 @@ fn check_refinement_inner(
                 );
                 analysis
             });
-            metrics
-                .counter("num.memo.hits")
-                .add(u64::from(analysis.replayed));
-            metrics
-                .counter("num.memo.misses")
-                .add(u64::from(!analysis.replayed));
             c.numeric = analysis
                 .outputs
                 .iter()
@@ -1042,7 +996,6 @@ fn check_refinement_inner(
             template_instantiated: instantiated,
             template_fallbacks: fallbacks,
         },
-        metrics: metrics.snapshot(),
     })
 }
 
@@ -1462,7 +1415,7 @@ fn instantiate_template(
                 expr: real_expr.clone(),
                 proof: real_proof.clone(),
             };
-            if timed_kernel(&ctx.opts.metrics, "cert.verify_mapping_us", || {
+            if counted_kernel(&ctx.opts.metrics, || {
                 entangle_cert::verify_mapping(
                     &mc,
                     ctx.gs,

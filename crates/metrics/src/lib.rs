@@ -1,17 +1,18 @@
 //! Unified metrics for the ENTANGLE checker pipeline.
 //!
-//! Eight subsystems emit statistics (scheduler/cache counters, template
-//! replay counters, backoff bans, kernel re-check latency, numeric-memo
-//! hits, e-graph growth), and until now each kept its own ad-hoc struct
-//! with no single place to read them and no history across runs. This
-//! crate is the observability backbone:
+//! Several subsystems emit counts (scheduler/cache counters, template
+//! replay counters, backoff bans, kernel verdicts, e-graph growth), and
+//! this crate gives them one place to be read and a history across runs.
+//! It keeps counts only: durations live in the span stream
+//! (`entangle_trace`'s `stage:*` and `op:*` spans and `iteration` events),
+//! so no time is measured twice.
 //!
 //! - [`Registry`]: a cheaply cloneable handle carrying monotonic
-//!   [`Counter`]s, [`Gauge`]s, and fixed log₂-bucket [`Histogram`]s. The
-//!   null registry ([`Registry::null`], the default) is a true no-op —
-//!   every handle is an `Option<Arc<…>>` that costs one branch, the same
-//!   non-perturbation design as `entangle_trace::Tracer`. Instruments
-//!   never change verdicts, relations, certificates, or the search.
+//!   [`Counter`]s and [`Gauge`]s. The null registry ([`Registry::null`],
+//!   the default) is a true no-op — every handle is an `Option<Arc<…>>`
+//!   that costs one branch, the same non-perturbation design as
+//!   `entangle_trace::Tracer`. Instruments never change verdicts,
+//!   relations, certificates, or the search.
 //! - [`Snapshot`]: a point-in-time copy of every instrument with
 //!   **deterministic ordering** (`BTreeMap`s keyed by metric name),
 //!   rendered as stable-field-order JSON or Prometheus text exposition
@@ -33,11 +34,9 @@
 //! let m = Registry::new();
 //! m.counter("par.cache.hits").add(3);
 //! m.gauge("egraph.peak_nodes").set_max(1024);
-//! m.histogram("egraph.phase.search_us").observe(700);
 //! let snap = m.snapshot();
 //! assert_eq!(snap.counters["par.cache.hits"], 3);
 //! assert_eq!(snap.gauges["egraph.peak_nodes"], 1024);
-//! assert_eq!(snap.histograms["egraph.phase.search_us"].count, 1);
 //! // The null registry records nothing and costs one branch per call.
 //! let off = Registry::null();
 //! off.counter("par.cache.hits").inc();
@@ -58,46 +57,10 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
-/// Number of histogram buckets: one zero bucket plus one per power of two.
-pub const HISTOGRAM_BUCKETS: usize = 65;
-
-/// The bucket index a value lands in: bucket 0 holds zeros, bucket `k ≥ 1`
-/// holds `[2^(k-1), 2^k)` — i.e. values whose bit length is `k`.
-pub fn bucket_index(v: u64) -> usize {
-    (u64::BITS - v.leading_zeros()) as usize
-}
-
-/// The inclusive upper edge of bucket `k` (`0` for the zero bucket,
-/// `2^k - 1` otherwise, saturating at `u64::MAX`).
-pub fn bucket_upper_edge(k: usize) -> u64 {
-    match k {
-        0 => 0,
-        64.. => u64::MAX,
-        _ => (1u64 << k) - 1,
-    }
-}
-
-struct HistogramCore {
-    count: AtomicU64,
-    sum: AtomicU64,
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-}
-
-impl Default for HistogramCore {
-    fn default() -> Self {
-        HistogramCore {
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
 #[derive(Default)]
 struct Inner {
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     gauges: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
-    histograms: Mutex<BTreeMap<String, Arc<HistogramCore>>>,
 }
 
 /// A monotonic counter handle. From a null registry every operation is a
@@ -157,50 +120,9 @@ impl Gauge {
     }
 }
 
-/// A fixed log₂-bucket histogram handle. Bucket boundaries are powers of
-/// two ([`bucket_index`]), so observation is branch-free bit arithmetic and
-/// the layout never depends on the data — a precondition for deterministic
-/// snapshots.
-#[derive(Clone, Default)]
-pub struct Histogram(Option<Arc<HistogramCore>>);
-
-impl Histogram {
-    /// Records one observation.
-    pub fn observe(&self, v: u64) {
-        if let Some(h) = &self.0 {
-            h.count.fetch_add(1, Relaxed);
-            h.sum.fetch_add(v, Relaxed);
-            h.buckets[bucket_index(v)].fetch_add(1, Relaxed);
-        }
-    }
-}
-
-/// Point-in-time copy of one histogram: total count, total sum, and the
-/// non-empty buckets as `(bucket index, count)` pairs in index order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    /// Number of observations.
-    pub count: u64,
-    /// Sum of observed values.
-    pub sum: u64,
-    /// Sparse non-zero buckets, ascending by bucket index.
-    pub buckets: Vec<(usize, u64)>,
-}
-
-impl HistogramSnapshot {
-    /// Mean observed value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-}
-
 /// A deterministic point-in-time copy of every instrument in a registry.
 ///
-/// All three maps are `BTreeMap`s keyed by metric name, so iteration
+/// Both maps are `BTreeMap`s keyed by metric name, so iteration
 /// order, JSON rendering, and Prometheus exposition are stable for a given
 /// set of recorded values — the snapshot-determinism contract `tests/
 /// metrics_golden.rs` pins.
@@ -210,14 +132,12 @@ pub struct Snapshot {
     pub counters: BTreeMap<String, u64>,
     /// Gauge values by name.
     pub gauges: BTreeMap<String, u64>,
-    /// Histogram snapshots by name.
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
 impl Snapshot {
     /// `true` when nothing was recorded (e.g. the null registry).
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.counters.is_empty() && self.gauges.is_empty()
     }
 
     /// Counter value, 0 when absent.
@@ -239,45 +159,27 @@ impl Snapshot {
     }
 
     /// Renders the snapshot as one stable-field-order JSON object:
-    /// `{"counters":{…},"gauges":{…},"histograms":{"n":{"count":…,"sum":…,
-    /// "buckets":[[k,c],…]}}}`.
+    /// `{"counters":{…},"gauges":{…}}`.
     pub fn to_json(&self) -> String {
         use std::fmt::Write;
-        let mut out = String::from("{\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
+        let mut out = String::from("{");
+        for (i, (field, map)) in [("counters", &self.counters), ("gauges", &self.gauges)]
+            .into_iter()
+            .enumerate()
+        {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{}:{v}", json::escape(k));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{v}", json::escape(k));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{}:{{\"count\":{},\"sum\":{},\"buckets\":[",
-                json::escape(k),
-                h.count,
-                h.sum
-            );
-            for (j, (b, c)) in h.buckets.iter().enumerate() {
+            let _ = write!(out, "\"{field}\":{{");
+            for (j, (k, v)) in map.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "[{b},{c}]");
+                let _ = write!(out, "{}:{v}", json::escape(k));
             }
-            out.push_str("]}");
+            out.push('}');
         }
-        out.push_str("}}");
+        out.push('}');
         out
     }
 
@@ -312,35 +214,9 @@ impl Snapshot {
                         dst.insert(name.clone(), n);
                     }
                 }
-                "histograms" => {
-                    let map = val.as_object().ok_or("snapshot.histograms: object")?;
-                    for (name, h) in map {
-                        let hobj = h
-                            .as_object()
-                            .ok_or_else(|| format!("histogram {name}: expected an object"))?;
-                        let mut hs = HistogramSnapshot::default();
-                        for (hk, hv) in hobj {
-                            match hk.as_str() {
-                                "count" => hs.count = hv.as_u64().ok_or("count: number")?,
-                                "sum" => hs.sum = hv.as_u64().ok_or("sum: number")?,
-                                "buckets" => {
-                                    let arr = hv.as_array().ok_or("buckets: array")?;
-                                    for pair in arr {
-                                        let p = pair.as_array().ok_or("bucket: [k,c] pair")?;
-                                        if p.len() != 2 {
-                                            return Err("bucket: [k,c] pair".into());
-                                        }
-                                        let k = p[0].as_u64().ok_or("bucket index: number")?;
-                                        let c = p[1].as_u64().ok_or("bucket count: number")?;
-                                        hs.buckets.push((k as usize, c));
-                                    }
-                                }
-                                _ => {}
-                            }
-                        }
-                        snap.histograms.insert(name.clone(), hs);
-                    }
-                }
+                // Unknown members are skipped, among them the `histograms`
+                // object of records written before the registry kept
+                // counts only.
                 _ => {}
             }
         }
@@ -350,60 +226,40 @@ impl Snapshot {
     /// Renders the snapshot in the Prometheus text exposition format (the
     /// `entangle serve` surface): metric names are prefixed with
     /// `entangle_` and sanitized (`.`/`-` → `_`); `labels` (e.g.
-    /// `workload="gpt_tp2"`) are attached to every sample; histograms emit
-    /// cumulative `_bucket{le="…"}` series with power-of-two edges plus
-    /// `_sum` and `_count`.
+    /// `workload="gpt_tp2"`) are attached to every sample.
     pub fn to_prometheus(&self, labels: &[(&str, &str)]) -> String {
         use std::fmt::Write;
-        let render_labels = |extra: Option<(&str, String)>| -> String {
-            let mut parts: Vec<String> = labels
-                .iter()
-                .map(|(k, v)| format!("{k}=\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\"")))
-                .collect();
-            if let Some((k, v)) = extra {
-                parts.push(format!("{k}=\"{v}\""));
-            }
-            if parts.is_empty() {
-                String::new()
-            } else {
-                format!("{{{}}}", parts.join(","))
-            }
-        };
+        let labels = prom_labels(labels);
         let mut out = String::new();
-        for (name, v) in &self.counters {
-            let n = prom_name(name);
-            let _ = writeln!(out, "# TYPE {n} counter");
-            let _ = writeln!(out, "{n}{} {v}", render_labels(None));
-        }
-        for (name, v) in &self.gauges {
-            let n = prom_name(name);
-            let _ = writeln!(out, "# TYPE {n} gauge");
-            let _ = writeln!(out, "{n}{} {v}", render_labels(None));
-        }
-        for (name, h) in &self.histograms {
-            let n = prom_name(name);
-            let _ = writeln!(out, "# TYPE {n} histogram");
-            let mut cumulative = 0u64;
-            for &(k, c) in &h.buckets {
-                cumulative += c;
-                let le = bucket_upper_edge(k).to_string();
-                let _ = writeln!(
-                    out,
-                    "{n}_bucket{} {cumulative}",
-                    render_labels(Some(("le", le)))
-                );
+        for (kind, map) in [("counter", &self.counters), ("gauge", &self.gauges)] {
+            for (name, v) in map {
+                let n = prom_name(name);
+                let _ = writeln!(out, "# TYPE {n} {kind}\n{n}{labels} {v}");
             }
-            let _ = writeln!(
-                out,
-                "{n}_bucket{} {}",
-                render_labels(Some(("le", "+Inf".to_owned()))),
-                h.count
-            );
-            let _ = writeln!(out, "{n}_sum{} {}", render_labels(None), h.sum);
-            let _ = writeln!(out, "{n}_count{} {}", render_labels(None), h.count);
         }
         out
     }
+}
+
+/// Renders a Prometheus label set, `{k="v",…}` (empty for no labels). Each
+/// value is escaped as the text exposition format requires — backslash,
+/// double quote and line feed — so a label taken from input can never end
+/// a sample line early or open a series of its own.
+pub(crate) fn prom_labels(labels: &[(&str, &str)]) -> String {
+    if labels.is_empty() {
+        return String::new();
+    }
+    let parts: Vec<String> = labels
+        .iter()
+        .map(|(k, v)| {
+            let v = v
+                .replace('\\', "\\\\")
+                .replace('"', "\\\"")
+                .replace('\n', "\\n");
+            format!("{k}=\"{v}\"")
+        })
+        .collect();
+    format!("{{{}}}", parts.join(","))
 }
 
 /// Sanitizes a dotted metric name into a Prometheus metric name.
@@ -487,18 +343,6 @@ impl Registry {
         }))
     }
 
-    /// The histogram named `name`, created on first access.
-    pub fn histogram(&self, name: &str) -> Histogram {
-        Histogram(self.inner.as_ref().map(|i| {
-            i.histograms
-                .lock()
-                .expect("metrics histograms lock")
-                .entry(name.to_owned())
-                .or_default()
-                .clone()
-        }))
-    }
-
     /// Takes a deterministic point-in-time [`Snapshot`] (empty for the
     /// null registry).
     pub fn snapshot(&self) -> Snapshot {
@@ -511,25 +355,6 @@ impl Registry {
         }
         for (k, v) in inner.gauges.lock().expect("metrics gauges lock").iter() {
             snap.gauges.insert(k.clone(), v.load(Relaxed));
-        }
-        for (k, h) in inner
-            .histograms
-            .lock()
-            .expect("metrics histograms lock")
-            .iter()
-        {
-            let mut hs = HistogramSnapshot {
-                count: h.count.load(Relaxed),
-                sum: h.sum.load(Relaxed),
-                buckets: Vec::new(),
-            };
-            for (idx, b) in h.buckets.iter().enumerate() {
-                let c = b.load(Relaxed);
-                if c > 0 {
-                    hs.buckets.push((idx, c));
-                }
-            }
-            snap.histograms.insert(k.clone(), hs);
         }
         snap
     }

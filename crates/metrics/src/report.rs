@@ -393,22 +393,25 @@ impl ReportOutcome {
     }
 
     /// Renders every workload's *current* snapshot in the Prometheus text
-    /// exposition format, one `workload` label per series, plus the
-    /// report's own `entangle_report_regressions` gauge.
+    /// exposition format, one `workload` label per series, then the
+    /// `entangle_run_wall_ms` gauge of every workload and the report's own
+    /// `entangle_report_regressions` gauge.
     pub fn to_prometheus(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
+        let mut wall = String::from("# TYPE entangle_run_wall_ms gauge\n");
         for wr in &self.workloads {
-            out.push_str(
-                &wr.current
-                    .metrics
-                    .to_prometheus(&[("workload", wr.workload.as_str())]),
-            );
+            let labels = [("workload", wr.workload.as_str())];
+            out.push_str(&wr.current.metrics.to_prometheus(&labels));
             let _ = writeln!(
-                out,
-                "entangle_run_wall_ms{{workload=\"{}\"}} {:.3}",
-                wr.workload, wr.current.wall_ms
+                wall,
+                "entangle_run_wall_ms{} {:.3}",
+                crate::prom_labels(&labels),
+                wr.current.wall_ms
             );
+        }
+        if !self.workloads.is_empty() {
+            out.push_str(&wall);
         }
         let _ = writeln!(
             out,

@@ -2,7 +2,7 @@ use std::collections::BTreeMap;
 
 use crate::ledger::{self, LedgerRecord};
 use crate::report::{compare, NoiseBand, RegressionKind};
-use crate::{bucket_index, bucket_upper_edge, JsonValue, Registry, Snapshot};
+use crate::{JsonValue, Registry, Snapshot};
 
 #[test]
 fn null_registry_records_nothing() {
@@ -10,7 +10,6 @@ fn null_registry_records_nothing() {
     assert!(!m.is_enabled());
     m.counter("a").add(5);
     m.gauge("b").set_max(7);
-    m.histogram("c").observe(9);
     assert_eq!(m.counter("a").get(), 0);
     assert!(m.snapshot().is_empty());
 }
@@ -37,33 +36,43 @@ fn gauge_set_and_max() {
 }
 
 #[test]
-fn bucket_boundaries() {
-    assert_eq!(bucket_index(0), 0);
-    assert_eq!(bucket_index(1), 1);
-    assert_eq!(bucket_index(2), 2);
-    assert_eq!(bucket_index(3), 2);
-    assert_eq!(bucket_index(4), 3);
-    assert_eq!(bucket_index(u64::MAX), 64);
-    assert_eq!(bucket_upper_edge(0), 0);
-    assert_eq!(bucket_upper_edge(1), 1);
-    assert_eq!(bucket_upper_edge(2), 3);
-    assert_eq!(bucket_upper_edge(64), u64::MAX);
-}
-
-#[test]
 fn snapshot_json_round_trip() {
     let m = Registry::new();
     m.counter("par.cache.hits").add(41);
     m.gauge("egraph.peak_nodes").set_max(9001);
-    let h = m.histogram("egraph.phase.search_us");
-    h.observe(0);
-    h.observe(1);
-    h.observe(1023);
+    m.counter("cert.verify.rejected");
     let snap = m.snapshot();
+    assert_eq!(
+        snap.to_json(),
+        r#"{"counters":{"cert.verify.rejected":0,"par.cache.hits":41},"gauges":{"egraph.peak_nodes":9001}}"#
+    );
     let parsed = Snapshot::from_json(&snap.to_json()).expect("round trip parses");
     assert_eq!(parsed, snap);
-    assert_eq!(parsed.histograms["egraph.phase.search_us"].count, 3);
-    assert_eq!(parsed.histograms["egraph.phase.search_us"].sum, 1024);
+}
+
+/// A record the counts-and-histograms registry wrote still reads: its
+/// `histograms` object is skipped and its counters and gauges survive, so
+/// `entangle report` compares old and new records as one history.
+#[test]
+fn ledger_line_with_histograms_still_reads() {
+    let line = r#"{"schema":1,"kind":"check","workload":"gpt::dist","fingerprint":"00c0ffee00c0ffee","verdict":"verified","wall_ms":41.500,"extra":{"gs":"gpt"},"metrics":{"counters":{"par.cache.hits":7,"par.cache.misses":3},"gauges":{"egraph.peak_nodes":1234,"par.jobs":1},"histograms":{"cert.verify_us":{"count":1,"sum":250,"buckets":[[8,1]]},"check.stage.map_us":{"count":1,"sum":9000,"buckets":[[14,1]]}}}}"#;
+    let rec = LedgerRecord::from_json(line).expect("a histogram-era record parses");
+    assert_eq!(rec.workload, "gpt::dist");
+    assert_eq!(rec.wall_ms, 41.5);
+    assert_eq!(
+        rec.metrics.counters,
+        BTreeMap::from([
+            ("par.cache.hits".to_owned(), 7),
+            ("par.cache.misses".to_owned(), 3)
+        ])
+    );
+    assert_eq!(
+        rec.metrics.gauges,
+        BTreeMap::from([
+            ("egraph.peak_nodes".to_owned(), 1234),
+            ("par.jobs".to_owned(), 1)
+        ])
+    );
 }
 
 #[test]
@@ -87,13 +96,54 @@ fn snapshot_ordering_is_deterministic() {
 fn prometheus_exposition_shape() {
     let m = Registry::new();
     m.counter("par.cache.hits").add(2);
-    m.histogram("cert.verify_us").observe(3);
+    m.gauge("par.jobs").set(4);
     let prom = m.snapshot().to_prometheus(&[("workload", "gpt_tp2")]);
-    assert!(prom.contains("# TYPE entangle_par_cache_hits counter"));
-    assert!(prom.contains("entangle_par_cache_hits{workload=\"gpt_tp2\"} 2"));
-    assert!(prom.contains("entangle_cert_verify_us_bucket{workload=\"gpt_tp2\",le=\"3\"} 1"));
-    assert!(prom.contains("entangle_cert_verify_us_bucket{workload=\"gpt_tp2\",le=\"+Inf\"} 1"));
-    assert!(prom.contains("entangle_cert_verify_us_count{workload=\"gpt_tp2\"} 1"));
+    assert_eq!(
+        prom,
+        "# TYPE entangle_par_cache_hits counter\n\
+         entangle_par_cache_hits{workload=\"gpt_tp2\"} 2\n\
+         # TYPE entangle_par_jobs gauge\n\
+         entangle_par_jobs{workload=\"gpt_tp2\"} 4\n"
+    );
+}
+
+/// The workload label is `<G_s name>::<G_d name>`, read unvalidated from
+/// input graphs: a quote, a backslash or a line feed in it is escaped in
+/// every series, so the exposition stays one sample per line and gains no
+/// series of its own.
+#[test]
+fn prometheus_escapes_hostile_workload_labels() {
+    let hostile = "gpt\"} 1\nentangle_forged 1 \\::dist";
+    let mut rec = sample_record("verified", 12.0, 4096, 3, 1);
+    rec.workload = hostile.to_owned();
+    let prom = compare(&read_of(vec![rec]), &NoiseBand::default()).to_prometheus();
+    let escaped = r#"workload="gpt\"} 1\nentangle_forged 1 \\::dist""#;
+    let mut series = Vec::new();
+    for line in prom.lines() {
+        if line.starts_with("# ") {
+            continue;
+        }
+        let (name, rest) = line.split_once('{').unwrap_or_else(|| {
+            line.split_once(' ')
+                .expect("a sample line is `name value` or `name{labels} value`")
+        });
+        if name != "entangle_report_regressions" {
+            let (labels, value) = rest.rsplit_once("} ").expect("a labelled sample");
+            assert_eq!(labels, escaped, "{line}");
+            assert!(value.parse::<f64>().is_ok(), "{line}");
+        }
+        series.push(name);
+    }
+    assert_eq!(
+        series,
+        [
+            "entangle_par_cache_hits",
+            "entangle_par_cache_misses",
+            "entangle_egraph_peak_nodes",
+            "entangle_run_wall_ms",
+            "entangle_report_regressions"
+        ]
+    );
 }
 
 #[test]
@@ -279,35 +329,15 @@ fn report_renders_all_formats() {
 mod proptests {
     use proptest::prelude::*;
 
-    use crate::{bucket_index, bucket_upper_edge, Registry, Snapshot};
+    use crate::{Registry, Snapshot};
 
     proptest! {
-        /// Every value lands in exactly the bucket whose half-open range
-        /// contains it: lower edge (exclusive upper edge of the previous
-        /// bucket) < v <= upper edge.
+        /// Snapshot JSON round-trips exactly for arbitrary values.
         #[test]
-        fn bucket_contains_its_values(v in 0u64..=u64::MAX) {
-            let k = bucket_index(v);
-            prop_assert!(v <= bucket_upper_edge(k));
-            if k > 0 {
-                prop_assert!(v > bucket_upper_edge(k - 1));
-            }
-        }
-
-        /// Bucket edges are strictly increasing, so the partition is
-        /// unambiguous.
-        #[test]
-        fn bucket_edges_strictly_increase(k in 0usize..64) {
-            prop_assert!(bucket_upper_edge(k) < bucket_upper_edge(k + 1));
-        }
-
-        /// Snapshot JSON round-trips exactly for arbitrary observations.
-        #[test]
-        fn snapshot_round_trips(values in collection::vec(0u32..=u32::MAX, 0..40)) {
+        fn snapshot_round_trips(values in collection::vec(0u64..=u64::MAX, 0..40)) {
             let m = Registry::new();
-            let h = m.histogram("h");
-            for &v in &values {
-                h.observe(u64::from(v));
+            for (i, &v) in values.iter().enumerate() {
+                m.gauge(&format!("g{i}")).set(v);
             }
             m.counter("c").add(values.len() as u64);
             let snap = m.snapshot();

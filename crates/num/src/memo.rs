@@ -1,14 +1,15 @@
 //! Cross-check memoization of certificate analysis.
 //!
-//! The checker re-poses *identical* analysis problems constantly: CI
-//! sweeps, paired benchmarks, and repeated in-process checks of the same
-//! `(G_s, G_d, R_i)` triple derive byte-identical certificates, and
 //! [`crate::analyze_certificate`] is a pure function of the certificate
 //! and the two graphs. This module fronts it with a process-global table
-//! keyed by a structural fingerprint, the same amortization strategy as
-//! the checker's cross-operator saturation memo: the first analysis of a
-//! chain pays the full symbolic-evaluation cost, every re-check replays
+//! keyed by a structural fingerprint: the first analysis of a chain pays
+//! the full symbolic-evaluation cost, a repeat in the same process replays
 //! the stored verdicts.
+//!
+//! The checker does not use it: a one-shot `entangle check` always misses
+//! and would pay the fingerprint for nothing, so its `numeric` stage calls
+//! [`crate::analyze_certificate`] directly. Only `benchmark/src/layers.rs`
+//! still calls it, to print the replay cost beside the cold one.
 //!
 //! The fingerprint hashes exactly the inputs the analysis *reads* —
 //! graph structure (tensors, shapes, dtypes, operators, wiring), the

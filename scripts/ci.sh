@@ -28,6 +28,16 @@ cargo metadata --format-version 1 --locked --offline --manifest-path benchmark/C
 if grep -rnE 'entangle_metrics|entangle_trace::Tracer' crates/{egraph,cert,iso,rules,par,num,shard}/src; then
   echo "an engine crate touches the metrics registry or the tracer (return a report instead)"; exit 1
 fi
+# One timing source (DESIGN.md, *Metrics and run ledger*): durations live in
+# the span stream and the registry keeps counts, so no histogram kind grows
+# back; and the check path analyses every certificate afresh, with no
+# process-global numeric memo in front of it.
+if grep -rnE 'Histogram|\.histogram\(' crates/*/src; then
+  echo "a histogram is back in crates/ (durations belong to the trace spans)"; exit 1
+fi
+if grep -rn 'analyze_certificate_cached' crates/core/src; then
+  echo "the check path reads the process-global numeric memo again (call analyze_certificate)"; exit 1
+fi
 
 # One operator evaluator: `entangle_runtime::kernels::eval_op_in`, which the
 # f64 oracle and the symbolic model both run. An arm that reads an operator's
