@@ -841,16 +841,12 @@ fn print_numeric_verdicts(num: &entangle::CertAnalysis) {
 /// cross-operator cache behavior, printed after check/certify/trace
 /// verdicts — a view of the outcome's [`entangle::ParStats`].
 fn par_summary(par: &entangle::ParStats) -> String {
-    let cache = if par.cache_hits + par.cache_misses > 0 {
-        format!(
-            "cache {} hits / {} misses ({:.0}% hit rate)",
-            par.cache_hits,
-            par.cache_misses,
-            par.hit_rate() * 100.0
-        )
-    } else {
-        "cache off".to_owned()
-    };
+    let cache = format!(
+        "cache {} hits / {} misses ({:.0}% hit rate)",
+        par.cache_hits,
+        par.cache_misses,
+        par.hit_rate() * 100.0
+    );
     let templates = if par.template_classes > 0 {
         format!(
             "; templates {} classes, {} hits ({} kernel-instantiated, {} fallbacks)",

@@ -3,7 +3,7 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use entangle_cert::{CertError, Certificate, MappingCert};
@@ -21,15 +21,18 @@ use crate::encode::{clean_cost, CleanOps};
 use crate::memo::{build_problem, solve_problem, GdConsumers, Solved, TemplateKey};
 use crate::relation::Relation;
 
+/// Saturation iteration limit per round.
+pub(crate) const ITER_LIMIT: usize = 12;
+/// E-node limit per operator e-graph.
+pub(crate) const NODE_LIMIT: usize = 30_000;
+/// Wall-clock limit per saturation round.
+pub(crate) const TIME_LIMIT: Duration = Duration::from_secs(10);
+
 /// Tuning knobs for [`check_refinement`]. Every option is independent:
 /// none changes which engine runs, only what that one engine is given.
+/// The static lint pre-pass always runs, and every saturation round stops at
+/// fixed limits: 12 iterations, 30 000 e-nodes or 10 s.
 pub struct CheckOptions {
-    /// Saturation iteration limit per round.
-    pub iter_limit: usize,
-    /// E-node limit per operator e-graph.
-    pub node_limit: usize,
-    /// Wall-clock limit per operator.
-    pub time_limit: Duration,
     /// §4.3.2 pruning: how many simplest mappings to keep per tensor.
     pub max_mappings: usize,
     /// The clean-operator set.
@@ -38,12 +41,6 @@ pub struct CheckOptions {
     pub sym_ctx: SymCtx,
     /// The rewrites to saturate with; `None` uses the full lemma registry.
     pub rewrites: Option<Vec<Rewrite<TensorAnalysis>>>,
-    /// Run the `entangle-lint` static pre-pass over both graphs before any
-    /// saturation (on by default). Lint errors fail fast with
-    /// [`RefinementError::Lint`]; a malformed or mis-sharded `G_d` is
-    /// rejected for pennies instead of surfacing as an opaque unmapped
-    /// operator after seconds of e-graph work.
-    pub lint: bool,
     /// Run the `entangle-shard` abstract sharding-propagation pass between
     /// lint and saturation (on by default). Provable layout violations fail
     /// fast with [`RefinementError::ShardViolation`], anchored at the first
@@ -72,20 +69,19 @@ pub struct CheckOptions {
     /// Verdicts, reports, certificates, and trace structure are identical
     /// for any `jobs` (see DESIGN.md's determinism contract).
     pub jobs: usize,
-    /// Template-lifted memoization (on by default): the `entangle-iso`
-    /// static analysis partitions `G_s` into repeated structure classes
-    /// before any saturation, and the per-operator saturation memo gains
-    /// per-template keys — concrete integer slice bounds become `$b{i}`
-    /// placeholders, so the N experts of an MoE or the repeated layers of
-    /// a deep model share one solved representative. A member whose bounds
-    /// differ from the representative's re-checks an *instantiated*
-    /// certificate in the `entangle-cert` trusted kernel (substituting
-    /// member bounds into the template proof); kernel rejection falls back
-    /// to a concrete solve, so verdicts never depend on instantiation.
-    /// With `certify` off, cross-bound instantiation is disabled (there is
-    /// no proof to re-check) and only equal-bound template hits replay.
-    /// Turn off to measure the per-operator-only memo (`tests/templates.rs`
-    /// pins verdict identity on/off).
+    /// Template instantiation (on by default; needs `certify`): the
+    /// `entangle-iso` static analysis partitions `G_s` into repeated
+    /// structure classes before any saturation, and each class keeps its
+    /// representative's solution under a template key in which concrete
+    /// integer slice bounds are `$b` placeholders. A member with the same
+    /// key but *different* bounds (the N experts of an MoE) re-checks an
+    /// *instantiated* certificate in the `entangle-cert` trusted kernel
+    /// (member bounds substituted into the representative's proof); kernel
+    /// rejection falls back to a concrete solve, so verdicts never depend on
+    /// instantiation. A member with *equal* bounds poses the
+    /// representative's concrete problem and replays it from the concrete
+    /// memo. Turn off to measure the concrete memo alone
+    /// (`tests/templates.rs` pins verdict identity on/off).
     pub templates: bool,
     /// Rule-class-driven backoff scheduling (on by default): the static
     /// corpus analysis (`entangle-rules`) classifies every rewrite and
@@ -126,14 +122,10 @@ pub struct CheckOptions {
 impl Default for CheckOptions {
     fn default() -> Self {
         CheckOptions {
-            iter_limit: 12,
-            node_limit: 30_000,
-            time_limit: Duration::from_secs(10),
             max_mappings: 4,
             clean: CleanOps::default(),
             sym_ctx: SymCtx::new(),
             rewrites: None,
-            lint: true,
             shard: true,
             certify: true,
             trace: Tracer::null(),
@@ -157,23 +149,23 @@ pub struct ParStats {
     pub cache_hits: u64,
     /// Memo lookups that had to solve from scratch.
     pub cache_misses: u64,
-    /// Whether template-lifted memoization was active.
-    pub templates_enabled: bool,
-    /// Repeated structure classes the static analysis found in `G_s`.
+    /// Repeated structure classes the static analysis found in `G_s` (0
+    /// when [`CheckOptions::templates`] or [`CheckOptions::certify`] is off).
     pub template_classes: usize,
     /// `G_s` operators covered by some repeated class.
     pub template_covered: usize,
-    /// Template lookups that found the class representative's entry.
+    /// Member lookups that found the class representative's entry under an
+    /// equal template key. Those with equal slice bounds go on to the
+    /// concrete memo and count there too.
     pub template_hits: u64,
-    /// Template lookups that missed (representative not yet solved, or the
-    /// member's problem differs structurally from the representative's).
+    /// Member lookups that found no entry (the representative failed) or
+    /// one under another key (the member's problem differs structurally).
     pub template_misses: u64,
-    /// Template hits replayed through certificate instantiation (member
-    /// bounds substituted into the template proof, kernel re-checked).
+    /// Template hits with differing bounds whose instantiated certificate
+    /// the kernel accepted.
     pub template_instantiated: u64,
-    /// Template hits that could not be replayed (kernel rejected the
-    /// instantiated proof, or `certify` was off with differing bounds) and
-    /// fell back to a concrete solve.
+    /// Template hits with differing bounds whose instantiation the kernel
+    /// rejected, so the member fell back to the concrete memo.
     pub template_fallbacks: u64,
 }
 
@@ -370,8 +362,7 @@ pub struct CheckOutcome {
 #[derive(Debug, Clone)]
 pub enum RefinementError {
     /// The static lint pre-pass found error-severity diagnostics in one of
-    /// the graphs; no saturation was attempted. Disable with
-    /// [`CheckOptions::lint`].
+    /// the graphs; no saturation was attempted.
     Lint {
         /// Which graph failed: `"G_s"` or `"G_d"`.
         graph: String,
@@ -435,9 +426,9 @@ pub enum RefinementError {
         /// Why the mapping search stopped. `Saturated` means the lemma
         /// corpus was exhausted — a genuine refinement bug under the
         /// paper's assumptions; a limit reason means the search *gave up*
-        /// and raising the corresponding [`CheckOptions`] limit may still
-        /// find a mapping. `None` when no saturation ran (e.g. an input had
-        /// no mapping at all).
+        /// at the checker's fixed limit and a mapping may still exist.
+        /// `None` when no saturation ran (e.g. an input had no mapping at
+        /// all).
         stop: Option<StopReason>,
     },
 }
@@ -541,8 +532,8 @@ impl fmt::Display for RefinementError {
                     Some(reason) => writeln!(
                         f,
                         "note: the mapping search gave up on a resource limit (stop \
-                         reason: {reason}); raising the corresponding limit in \
-                         CheckOptions may still find a mapping"
+                         reason: {reason}), so a mapping may still exist beyond \
+                         the checker's fixed search limits"
                     )?,
                     None => {}
                 }
@@ -693,20 +684,18 @@ fn check_refinement_inner(
     opts: &CheckOptions,
 ) -> Result<CheckOutcome, RefinementError> {
     let metrics = &opts.metrics;
-    if opts.lint {
-        stage(opts, "lint", |sp| {
-            let r = check_lint(gs, gd);
-            sp.attr(
-                "outcome",
-                match &r {
-                    Ok(()) => "ok".to_owned(),
-                    Err(RefinementError::Lint { graph, .. }) => format!("errors:{graph}"),
-                    Err(_) => unreachable!("check_lint only fails with Lint"),
-                },
-            );
-            r
-        })?;
-    }
+    stage(opts, "lint", |sp| {
+        let r = check_lint(gs, gd);
+        sp.attr(
+            "outcome",
+            match &r {
+                Ok(()) => "ok".to_owned(),
+                Err(RefinementError::Lint { graph, .. }) => format!("errors:{graph}"),
+                Err(_) => unreachable!("check_lint only fails with Lint"),
+            },
+        );
+        r
+    })?;
     for &input in gs.inputs() {
         if !ri.contains(input) {
             return Err(RefinementError::MissingInputMapping {
@@ -752,12 +741,12 @@ fn check_refinement_inner(
             .set(throttled as u64);
         // The discrimination tree every saturation run searches with.
         let matcher = CompiledMatcher::compile(&rewrites);
-        // Static template analysis: the `entangle-iso` partition lifts the
-        // memo from per-operator to per-template keys — each
-        // repeated-structure class solves its representative once, and
-        // members replay or instantiate its certificate instead of
-        // re-saturating.
-        let templates = opts.templates.then(|| {
+        // Static template analysis: the `entangle-iso` partition names each
+        // repeated-structure class's representative, whose certificate
+        // members with other slice bounds instantiate instead of
+        // re-saturating. Instantiation is kernel-gated, so without
+        // certification the partition has nothing to do.
+        let templates = (opts.templates && opts.certify).then(|| {
             let partition = entangle_iso::analyze(gs);
             metrics
                 .gauge("iso.template.classes")
@@ -830,17 +819,13 @@ fn check_refinement_inner(
     let cache_stats = cache.stats();
     metrics.counter("par.cache.hits").add(cache_stats.hits);
     metrics.counter("par.cache.misses").add(cache_stats.misses);
-    let template_stats = templates
-        .as_ref()
-        .map(|t| t.cache.stats())
-        .unwrap_or_default();
+    let count = |field: fn(&TemplateInfo) -> &AtomicU64| {
+        templates.as_ref().map_or(0, |t| field(t).load(Relaxed))
+    };
+    let (template_hits, template_misses) = (count(|t| &t.hits), count(|t| &t.misses));
     if templates.is_some() {
-        metrics
-            .counter("par.template.hits")
-            .add(template_stats.hits);
-        metrics
-            .counter("par.template.misses")
-            .add(template_stats.misses);
+        metrics.counter("par.template.hits").add(template_hits);
+        metrics.counter("par.template.misses").add(template_misses);
     }
     mapped?;
 
@@ -959,10 +944,7 @@ fn check_refinement_inner(
         }
     }
 
-    let instantiated = templates
-        .as_ref()
-        .map_or(0, |t| t.instantiated.load(Relaxed));
-    let fallbacks = templates.as_ref().map_or(0, |t| t.fallbacks.load(Relaxed));
+    let (instantiated, fallbacks) = (count(|t| &t.instantiated), count(|t| &t.fallbacks));
     let cores = entangle_par::available_jobs();
     metrics.gauge("par.jobs").set(jobs as u64);
     metrics.gauge("par.cores").set(cores as u64);
@@ -988,11 +970,10 @@ fn check_refinement_inner(
             cores,
             cache_hits: cache_stats.hits,
             cache_misses: cache_stats.misses,
-            templates_enabled: templates.is_some(),
-            template_classes: templates.as_ref().map_or(0, |t| t.classes),
+            template_classes: templates.as_ref().map_or(0, |t| t.slots.len()),
             template_covered: templates.as_ref().map_or(0, |t| t.covered),
-            template_hits: template_stats.hits,
-            template_misses: template_stats.misses,
+            template_hits,
+            template_misses,
             template_instantiated: instantiated,
             template_fallbacks: fallbacks,
         },
@@ -1011,9 +992,9 @@ fn engine_fingerprint(opts: &CheckOptions, rewrites: &[Rewrite<TensorAnalysis>])
     let _ = write!(
         fp,
         "|cfg:iters={},nodes={},time_us={},max={},certify={},backoff={},compiled={},clean={:?};lemmas:",
-        opts.iter_limit,
-        opts.node_limit,
-        opts.time_limit.as_micros(),
+        ITER_LIMIT,
+        NODE_LIMIT,
+        TIME_LIMIT.as_micros(),
         opts.max_mappings,
         opts.certify,
         opts.rule_backoff,
@@ -1124,35 +1105,39 @@ fn shard_pass(gs: &Graph, gd: &Graph, ri: &Relation) -> Result<usize, Refinement
 // merged successfully with identical inputs.
 // ---------------------------------------------------------------------------
 
-/// One solved template class: the representative's per-site bound values
-/// and definition-slot names (render order, matching
+/// One solved template class: the representative's template key, per-site
+/// bound values and definition-slot names (render order, matching
 /// `OpProblem::template_key`) and its solved canonical problem,
 /// certificates included.
 struct TemplateEntry {
+    key: String,
     bounds: Vec<i64>,
     defs: Vec<(String, String)>,
     solved: Arc<Solved>,
 }
 
-/// The static template partition plus the per-template memo, shared with
-/// worker threads. Only a class *representative* (its smallest G_s node
-/// index) publishes an entry; members consult it read-only, so lookups are
+/// The static template partition plus one instantiation slot per class,
+/// shared with worker threads. Only a class *representative* (its smallest
+/// G_s node index) fills its slot; members read it, so lookups are
 /// deterministic for any worker count once the scheduler orders members
 /// after their representative.
 struct TemplateInfo {
     /// Per G_s node index: `(class id, representative node index)` for
     /// nodes in a repeated-structure class.
     class_rep: Vec<Option<(usize, usize)>>,
-    /// Number of template classes in the partition.
-    classes: usize,
     /// Operators covered by some class.
     covered: usize,
-    cache: ShardedCache<TemplateEntry>,
+    /// Per class id: the representative's entry, once it has solved.
+    slots: Vec<OnceLock<TemplateEntry>>,
+    /// Member lookups that found their representative's entry under an
+    /// equal template key.
+    hits: AtomicU64,
+    /// Member lookups that found no entry, or one under another key.
+    misses: AtomicU64,
     /// Members whose mappings were instantiated from the representative's
     /// certificate (kernel-accepted).
     instantiated: AtomicU64,
-    /// Members that fell back to a concrete solve (instantiation
-    /// unavailable or rejected).
+    /// Members whose instantiation the kernel rejected.
     fallbacks: AtomicU64,
 }
 
@@ -1166,9 +1151,12 @@ impl TemplateInfo {
         }
         TemplateInfo {
             class_rep,
-            classes: analysis.class_count(),
             covered: analysis.covered(),
-            cache: ShardedCache::new(16),
+            slots: (0..analysis.class_count())
+                .map(|_| OnceLock::new())
+                .collect(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
             instantiated: AtomicU64::new(0),
             fallbacks: AtomicU64::new(0),
         }
@@ -1198,10 +1186,11 @@ struct MapState<'a> {
     saturation: &'a mut SaturationSummary,
     op_reports: &'a mut Vec<OpReport>,
     certificate: &'a mut Option<Certificate>,
-    /// The solved problems merged so far, by identity. Both memos hand out
-    /// the one `Arc` stored under a key, so an operator whose solution is
-    /// already in here replays a run an earlier operator reported — the
-    /// same operators for any worker count, because merging is in order.
+    /// The solved problems merged so far, by identity. The concrete memo and
+    /// the template slots hand out the one `Arc` stored under a key, so an
+    /// operator whose solution is already in here replays a run an earlier
+    /// operator reported — the same operators for any worker count, because
+    /// merging is in order.
     merged: HashSet<*const Solved>,
 }
 
@@ -1219,112 +1208,21 @@ struct OpResult {
     elapsed: Duration,
 }
 
-/// A successful template replay: the solved result, plus — when the replay
-/// went through certificate instantiation — the substituted per-variant
-/// expressions and proof chains that must enter the emitted certificate.
-type TemplateReplay = (Arc<Solved>, Option<Vec<(RecExpr, Option<Proof>)>>);
-
-/// Member-side template lookup. Key equality pairs the member's definition
-/// slots with the representative's, yielding a canonical-to-canonical
-/// [`Renamer`] (tensor names plus `Given` fact labels). From there:
-///
-/// - identity translation, equal bounds: the member's concrete problem
-///   equals the representative's — replay is exactly a concrete-memo hit;
-/// - non-identity translation, equal bounds: the problems are isomorphic
-///   by construction of the normalized key, so the translated solution is
-///   admitted (with certification on, each translated proof is still
-///   re-checked by the trusted kernel first — it will enter the
-///   certificate);
-/// - differing bounds (certification on only): the representative's
-///   certificate is *instantiated* — candidate bound substitutions are
-///   applied to every variant's expression and proof chain and the result
-///   is admitted only after the trusted kernel re-validates it.
-///
-/// Returns `None` — fall back to a concrete solve — on a memo miss, on a
-/// cross-bound hit without certification, or when the kernel rejects any
-/// variant.
-fn template_lookup(
-    ctx: &MapCtx,
-    node: &Node,
-    per_input: &[Vec<RecExpr>],
-    back: &Renamer,
-    templates: &TemplateInfo,
+/// Member-side template lookup: the representative's entry when its slot
+/// holds one under the member's template key (a hit), else `None` (a miss).
+fn template_entry<'t>(
+    templates: &'t TemplateInfo,
+    class: usize,
     tk: &TemplateKey,
-) -> Option<TemplateReplay> {
-    let entry = templates.cache.get(&tk.key)?;
-    if entry.defs.len() != tk.defs.len() || entry.bounds.len() != tk.bounds.len() {
-        // Defensive: key equality fixes both lengths.
-        templates.fallbacks.fetch_add(1, Relaxed);
-        return None;
-    }
-    // Representative-canonical → member-canonical translation from the
-    // definition-slot pairing.
-    let mut translate = Renamer::new();
-    let mut identity = true;
-    for ((rep_label, rep_out), (mem_label, mem_out)) in entry.defs.iter().zip(&tk.defs) {
-        if rep_out != mem_out {
-            identity = false;
-            translate.leaf(Symbol::new(rep_out), Symbol::new(mem_out));
-        }
-        if rep_label != mem_label {
-            identity = false;
-            translate.fact(
-                format!("G_d definition of {rep_label}"),
-                format!("G_d definition of {mem_label}"),
-            );
-        }
-    }
-    if entry.bounds == tk.bounds && identity {
-        return Some((entry.solved.clone(), None));
-    }
-    let mappings = if entry.bounds == tk.bounds {
-        // Translated replay: same problem up to canonical renaming. Trusted
-        // without certification (isomorphism transport, the same trust
-        // level as the concrete memo's renamed replay); kernel-gated with
-        // it, because the translated proofs enter the certificate.
-        instantiate_template(
-            ctx,
-            node,
-            per_input,
-            back,
-            &entry,
-            &translate,
-            &[HashMap::new()],
-            !ctx.opts.certify,
-        )
-    } else if ctx.opts.certify {
-        // Cross-bound instantiation: try the value substitution read off
-        // the differing sites (when consistent), then the identity
-        // substitution (bound sites may belong to *other* members'
-        // structures that the variant never mentions). Kernel-gated.
-        let mut candidates: Vec<HashMap<i64, i64>> = Vec::new();
-        if let Some(m) = diff_value_map(&entry.bounds, &tk.bounds) {
-            candidates.push(m);
-        }
-        candidates.push(HashMap::new());
-        instantiate_template(
-            ctx,
-            node,
-            per_input,
-            back,
-            &entry,
-            &translate,
-            &candidates,
-            false,
-        )
+) -> Option<&'t TemplateEntry> {
+    let entry = templates.slots[class].get().filter(|e| e.key == tk.key);
+    let counter = if entry.is_some() {
+        &templates.hits
     } else {
-        None
+        &templates.misses
     };
-    match mappings {
-        Some(m) => {
-            templates.instantiated.fetch_add(1, Relaxed);
-            Some((entry.solved.clone(), Some(m)))
-        }
-        None => {
-            templates.fallbacks.fetch_add(1, Relaxed);
-            None
-        }
-    }
+    counter.fetch_add(1, Relaxed);
+    entry
 }
 
 /// The per-site value substitution implied by the differing bound sites,
@@ -1350,27 +1248,43 @@ fn diff_value_map(rep: &[i64], member: &[i64]) -> Option<HashMap<i64, i64>> {
     (!map.is_empty()).then_some(map)
 }
 
-/// Builds this member's mappings from the representative's solution:
-/// translate each variant into the member's canonical namespace, apply a
+/// Builds the mappings of a member whose slice bounds differ from its
+/// representative's by instantiating the representative's certificate:
+/// translate each variant into the member's canonical namespace through the
+/// definition-slot pairing (tensor names and `Given` fact labels), apply a
 /// candidate bound substitution to its expression and proof chain (rule
 /// substitutions are re-derived — see `entangle-cert`), rename out of the
-/// canonical namespace with this member's own renamer, and — unless
-/// `trusted` — re-check the mapping in the trusted kernel against the
-/// member's accepted input mappings. Each variant keeps the first candidate
-/// the kernel accepts; a variant no candidate can justify abandons the
-/// whole instantiation, so soundness never rests on the substitution
-/// heuristic.
-#[allow(clippy::too_many_arguments)]
+/// canonical namespace with this member's own renamer, and re-check the
+/// mapping in the trusted kernel against the member's accepted input
+/// mappings. The candidates are the value substitution read off the
+/// differing sites (when consistent), then the identity (bound sites may
+/// belong to *other* members' structures that the variant never mentions).
+/// Each variant keeps the first candidate the kernel accepts; a variant no
+/// candidate can justify abandons the whole instantiation, so soundness
+/// never rests on the substitution heuristic.
 fn instantiate_template(
     ctx: &MapCtx,
     node: &Node,
     per_input: &[Vec<RecExpr>],
     back: &Renamer,
     entry: &TemplateEntry,
-    translate: &Renamer,
-    candidates: &[HashMap<i64, i64>],
-    trusted: bool,
+    tk: &TemplateKey,
 ) -> Option<Vec<(RecExpr, Option<Proof>)>> {
+    let mut translate = Renamer::new();
+    for ((rep_label, rep_out), (mem_label, mem_out)) in entry.defs.iter().zip(&tk.defs) {
+        if rep_out != mem_out {
+            translate.leaf(Symbol::new(rep_out), Symbol::new(mem_out));
+        }
+        if rep_label != mem_label {
+            translate.fact(
+                format!("G_d definition of {rep_label}"),
+                format!("G_d definition of {mem_label}"),
+            );
+        }
+    }
+    let mut candidates: Vec<HashMap<i64, i64>> = Vec::new();
+    candidates.extend(diff_value_map(&entry.bounds, &tk.bounds));
+    candidates.push(HashMap::new());
     let accepted: HashMap<String, Vec<RecExpr>> = node
         .inputs
         .iter()
@@ -1388,15 +1302,8 @@ fn instantiate_template(
         Vec::with_capacity(entry.solved.variants.len());
     'variants: for (cost, expr, proof) in &entry.solved.variants {
         let t_expr = translate.rename_expr(expr);
-        let t_proof = proof.as_ref().map(|p| translate.rename_proof(p));
-        if trusted {
-            let real_expr = back.rename_expr(&t_expr);
-            let real_proof = t_proof.as_ref().map(|p| back.rename_proof(p));
-            mapped.push((*cost, real_expr, real_proof));
-            continue;
-        }
-        let t_proof = t_proof?;
-        for value_map in candidates {
+        let t_proof = translate.rename_proof(proof.as_ref()?);
+        for value_map in &candidates {
             let (c_expr, c_proof) = if value_map.is_empty() {
                 (t_expr.clone(), t_proof.clone())
             } else {
@@ -1443,9 +1350,9 @@ fn instantiate_template(
 }
 
 /// Solves one operator on the current thread: canonicalize it
-/// ([`build_problem`]), consult the template and saturation memos, and on a
-/// miss run [`solve_problem`]. `per_input` is the snapshot of its inputs'
-/// final mappings (operator order).
+/// ([`build_problem`]), try template instantiation, consult the saturation
+/// memo, and on a miss run [`solve_problem`]. `per_input` is the snapshot of
+/// its inputs' final mappings (operator order).
 fn run_op(ctx: &MapCtx, idx: usize, per_input: &[Vec<RecExpr>]) -> OpResult {
     let start = Instant::now();
     let node = ctx.nodes[idx];
@@ -1464,56 +1371,63 @@ fn run_op(ctx: &MapCtx, idx: usize, per_input: &[Vec<RecExpr>]) -> OpResult {
     let tpl = ctx.templates.and_then(|t| {
         let (class, rep) = t.class_rep[idx]?;
         let tk = problem.template_key(class)?;
-        Some((t, rep, tk))
+        Some((t, class, rep, tk))
     });
-    // Mappings instantiated from the representative's certificate, in real
-    // names and final order (only set on a cross-bound template hit);
-    // `solved` always remains the telemetry source.
-    let mut instantiated: Option<Vec<(RecExpr, Option<Proof>)>> = None;
-    // Members consult the template memo *before* the concrete memo: the
-    // representative publishes before any member dispatches, so the chosen
-    // path is a static property of the node — never a function of
+    // A member reads its class slot *before* the concrete memo: the
+    // representative fills the slot before any member dispatches, so the
+    // chosen path is a static property of the node — never a function of
     // concrete-cache timing — and member results stay bit-equal for any
-    // worker count. The concrete memo in turn only ever holds
-    // `solve_problem` outputs (instantiated mappings are never inserted
-    // there), keeping its values a pure function of the key.
+    // worker count. With equal bounds the member poses the representative's
+    // concrete problem, which the concrete memo already holds; with
+    // differing bounds it instantiates the representative's certificate, and
+    // falls back to the concrete memo if the kernel rejects it. The concrete
+    // memo only ever holds `solve_problem` outputs (instantiated mappings
+    // are never inserted there), keeping its values a pure function of the
+    // key.
     let from_template = match &tpl {
-        Some((t, rep, tk)) if *rep != idx => template_lookup(ctx, node, per_input, &back, t, tk)
-            .map(|(solved, inst)| {
-                instantiated = inst;
-                solved
+        Some((t, class, rep, tk)) if *rep != idx => template_entry(t, *class, tk)
+            .filter(|entry| entry.bounds != tk.bounds)
+            .and_then(|entry| {
+                let mappings = instantiate_template(ctx, node, per_input, &back, entry, tk);
+                let counter = if mappings.is_some() {
+                    &t.instantiated
+                } else {
+                    &t.fallbacks
+                };
+                counter.fetch_add(1, Relaxed);
+                Some((entry.solved.clone(), mappings?))
             }),
         _ => None,
     };
-    let solved = match from_template {
-        Some(solved) => solved,
-        None => match ctx.cache.get(&key) {
-            Some(v) => v,
-            None => {
+    // `solved` is the telemetry source either way; `instantiated` holds the
+    // mappings of a cross-bound template hit, in real names and final order.
+    let (solved, instantiated) = match from_template {
+        Some((solved, mappings)) => (solved, Some(mappings)),
+        None => {
+            let solved = ctx.cache.get(&key).unwrap_or_else(|| {
                 let fresh =
                     solve_problem(&problem, ctx.opts, ctx.rewrites, ctx.matcher, ctx.backoff);
                 for report in &fresh.run_reports {
                     record_run(&ctx.opts.metrics, report);
                 }
                 ctx.cache.insert(key, fresh)
-            }
-        },
+            });
+            (solved, None)
+        }
     };
-    // The representative publishes the class entry — whether its own solve
-    // was fresh or a concrete-memo hit — so member behaviour depends only on
-    // the schedule order, not on cache timing. A failed representative
-    // publishes nothing: members with different bounds might still succeed
-    // and must search for themselves.
-    if let Some((t, rep, tk)) = tpl {
+    // The representative fills its class slot — whether its own solve was
+    // fresh or a concrete-memo hit — so member behaviour depends only on the
+    // schedule order, not on cache timing. A failed representative leaves
+    // it empty: members with different bounds might still succeed and must
+    // search for themselves.
+    if let Some((t, class, rep, tk)) = tpl {
         if rep == idx && !solved.variants.is_empty() {
-            t.cache.insert(
-                tk.key,
-                TemplateEntry {
-                    bounds: tk.bounds,
-                    defs: tk.defs,
-                    solved: solved.clone(),
-                },
-            );
+            let _ = t.slots[class].set(TemplateEntry {
+                key: tk.key,
+                bounds: tk.bounds,
+                defs: tk.defs,
+                solved: solved.clone(),
+            });
         }
     }
     let mappings = instantiated.unwrap_or_else(|| {

@@ -29,7 +29,7 @@ use entangle_ir::{DType, Graph, Node, Op, Shape, TensorId};
 use entangle_lemmas::TensorAnalysis;
 use entangle_par::Renamer;
 
-use crate::checker::{extract_clean_variants, CheckOptions};
+use crate::checker::{extract_clean_variants, CheckOptions, ITER_LIMIT, NODE_LIMIT, TIME_LIMIT};
 use crate::encode::{encode_def, encode_op};
 
 /// One `G_d` operator definition pulled into the frontier, in canonical
@@ -264,9 +264,9 @@ pub(crate) fn build_problem(
 impl OpProblem {
     /// The cache key: the problem rendered canonically. The engine
     /// configuration (limits, clean set, lemma corpus) is deliberately not
-    /// part of it: both memos are created inside one `check_refinement`
-    /// call and die with it, so every key they ever hold was posed under
-    /// the same `opts` and rewrite set.
+    /// part of it: the memo and the template slots are created inside one
+    /// `check_refinement` call and die with it, so every key they ever hold
+    /// was posed under the same `opts` and rewrite set.
     pub(crate) fn key(&self) -> String {
         use std::fmt::Write;
         let mut k = String::with_capacity(256);
@@ -594,9 +594,9 @@ pub(crate) fn solve_problem(
         eg.rebuild();
         let owned = std::mem::replace(&mut eg, EGraph::with_analysis(TensorAnalysis::default()));
         let mut runner = Runner::new(owned)
-            .with_iter_limit(opts.iter_limit)
-            .with_node_limit(opts.node_limit)
-            .with_time_limit(opts.time_limit)
+            .with_iter_limit(ITER_LIMIT)
+            .with_node_limit(NODE_LIMIT)
+            .with_time_limit(TIME_LIMIT)
             .with_backoff(backoff.cloned());
         let report = runner.run_with(rewrites, matcher);
         eg = runner.egraph;

@@ -669,16 +669,17 @@ mod lint_prepass {
         (gs, gd.finish().unwrap())
     }
 
-    #[test]
-    fn missharded_gd_fails_lint_before_any_saturation() {
-        let (gs, gd) = gap_sharded_pair();
-        let mut ri = Relation::builder(&gs, &gd);
+    /// Checks `A ↦ X` with a booby-trapped rewrite set: the searcher
+    /// matches *every* e-class, so the applier panics the moment a single
+    /// saturation step runs. The check must fail with the lint diagnostic
+    /// instead, proving the pre-pass short-circuits before any e-graph
+    /// work; returns that error and its `G_d` diagnostic codes.
+    fn lint_failure(
+        gs: &entangle_ir::Graph,
+        gd: &entangle_ir::Graph,
+    ) -> (RefinementError, Vec<&'static str>) {
+        let mut ri = Relation::builder(gs, gd);
         ri.map("A", "X").unwrap();
-
-        // Booby-trap the rewrite set: the searcher matches *every* e-class,
-        // so the applier panics the moment a single saturation step runs.
-        // The check must fail with the lint diagnostic instead, proving the
-        // pre-pass short-circuits before any e-graph work.
         let trap: Rewrite<entangle_lemmas::TensorAnalysis> =
             Rewrite::parse_dyn("boobytrap", "?x", |_, _, _| {
                 panic!("saturation ran despite lint errors")
@@ -688,8 +689,7 @@ mod lint_prepass {
             rewrites: Some(vec![trap]),
             ..CheckOptions::default()
         };
-
-        let err = check_refinement(&gs, &gd, &ri.build(), &opts).unwrap_err();
+        let err = check_refinement(gs, gd, &ri.build(), &opts).unwrap_err();
         let RefinementError::Lint {
             graph, diagnostics, ..
         } = &err
@@ -697,11 +697,17 @@ mod lint_prepass {
             panic!("expected lint error, got: {err}");
         };
         assert_eq!(graph, "G_d");
+        let codes = diagnostics.iter().map(|d| d.code).collect();
+        (err, codes)
+    }
+
+    #[test]
+    fn missharded_gd_fails_lint_before_any_saturation() {
+        let (gs, gd) = gap_sharded_pair();
+        let (err, codes) = lint_failure(&gs, &gd);
         assert!(
-            diagnostics
-                .iter()
-                .any(|d| d.code == entangle_lint::codes::SHARDING_TILE),
-            "expected an E009 sharding diagnostic: {diagnostics:?}"
+            codes.contains(&entangle_lint::codes::SHARDING_TILE),
+            "expected an E009 sharding diagnostic: {codes:?}"
         );
         // The rendered message names the shard after the gap.
         let msg = err.to_string();
@@ -710,22 +716,36 @@ mod lint_prepass {
         assert!(msg.contains("gap"), "{msg}");
     }
 
+    /// An unvalidated `G_d` whose node reads tensor id 7 of 2: past the
+    /// lint pre-pass, the sharding pass would index out of bounds.
     #[test]
-    fn lint_can_be_disabled() {
-        let (gs, gd) = gap_sharded_pair();
-        let mut ri = Relation::builder(&gs, &gd);
-        ri.map("A", "X").unwrap();
-        let opts = CheckOptions {
-            lint: false,
-            ..CheckOptions::default()
+    fn dangling_tensor_id_fails_lint_instead_of_panicking() {
+        use entangle_ir::{Node, NodeId, Shape, Tensor};
+        let (gs, _) = gap_sharded_pair();
+        let tensor = |id: u32, name: &str, producer: Option<NodeId>| Tensor {
+            id: TensorId(id),
+            name: name.to_owned(),
+            shape: Shape::of(&[8, 4]),
+            dtype: DType::F32,
+            producer,
         };
-        // With the pre-pass off, checking proceeds into saturation. The
-        // gap-sharded G_d genuinely does not refine G_s, so the failure now
-        // surfaces the expensive way: an unmapped output.
-        let err = check_refinement(&gs, &gd, &ri.build(), &opts).unwrap_err();
+        let gd = entangle_ir::Graph::from_parts_unchecked(
+            "dangling".into(),
+            vec![tensor(0, "X", None), tensor(1, "Y", Some(NodeId(0)))],
+            vec![Node {
+                id: NodeId(0),
+                name: "R".into(),
+                op: Op::Relu,
+                inputs: vec![TensorId(7)],
+                output: TensorId(1),
+            }],
+            vec![TensorId(0)],
+            vec![TensorId(1)],
+        );
+        let (_, codes) = lint_failure(&gs, &gd);
         assert!(
-            !matches!(err, RefinementError::Lint { .. }),
-            "lint ran despite being disabled: {err}"
+            codes.contains(&entangle_lint::codes::DANGLING_REF),
+            "expected a dangling-reference diagnostic: {codes:?}"
         );
     }
 

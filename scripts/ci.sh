@@ -38,6 +38,19 @@ fi
 if grep -rn 'analyze_certificate_cached' crates/core/src; then
   echo "the check path reads the process-global numeric memo again (call analyze_certificate)"; exit 1
 fi
+# One replay path (DESIGN.md, *Structural template analysis*): every repeat
+# replays through the concrete memo, and a template class keeps one
+# instantiation slot, not a second memo or an unchecked "trusted" replay.
+# `CheckOptions` carries only knobs some caller sets.
+if grep -nwE 'trusted' crates/core/src/checker.rs | grep -vE 'trusted[ -]kernel' \
+    || grep -n 'ShardedCache<TemplateEntry>' crates/core/src/checker.rs; then
+  echo "checker.rs has a trusted template replay or a template memo again (instantiate, kernel-gated)"; exit 1
+fi
+check_fields=$(awk '/^pub struct CheckOptions \{/{on=1; next} on && /^\}/{on=0} on && /^    pub /' \
+  crates/core/src/checker.rs | wc -l)
+if [ "$check_fields" -gt 12 ]; then
+  echo "CheckOptions has $check_fields pub fields (at most 12: a knob no caller sets is a constant)"; exit 1
+fi
 
 # One operator evaluator: `entangle_runtime::kernels::eval_op_in`, which the
 # f64 oracle and the symbolic model both run. An arm that reads an operator's

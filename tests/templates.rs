@@ -7,14 +7,14 @@
 //!    bit-identical with templates on and off, across the whole workload
 //!    zoo and the Table 3 bug corpus. Template reuse may only remove work,
 //!    never change an answer.
-//! 2. **Engagement** — on the MoE workload (eight experts re-posing the
-//!    same per-expert problems under different slice bounds), the template
-//!    memo must actually fire: template hits, certificate-instantiated
-//!    replays, fewer concrete solves, and a higher effective hit rate than
-//!    the per-operator memo alone.
+//! 2. **Engagement** — instantiation is the only work templates save: on
+//!    every zoo case, fresh saturation runs with templates on equal those
+//!    with templates off minus the kernel-instantiated members. On the MoE
+//!    workload (eight experts re-posing the same per-expert problems under
+//!    different slice bounds) that difference is non-zero.
 //! 3. **Determinism at depth** — the deep-model builders produce
 //!    identical outcomes at `jobs` = 1 and 4, and deeper models replay
-//!    templates instead of posing new saturation problems.
+//!    earlier layers instead of posing new saturation problems.
 
 use entangle::{check_refinement, CheckOptions, CheckOutcome, RefinementError};
 use entangle_bench::{llama_workload, moe_deep_workload, qwen2_workload, zoo, Workload};
@@ -56,6 +56,14 @@ fn zoo_verdicts_identical_with_and_without_templates() {
             "{}: verdict differs with templates on vs off",
             case.name
         );
+        let (on, off) = (on.expect("zoo verifies"), off.expect("zoo verifies"));
+        let instantiated = usize::try_from(on.par.template_instantiated).unwrap();
+        assert_eq!(
+            on.saturation.fresh_runs() + instantiated,
+            off.saturation.fresh_runs(),
+            "{}: fresh runs with templates on + instantiations != fresh runs off",
+            case.name
+        );
     }
 }
 
@@ -78,7 +86,7 @@ fn table3_bug_verdicts_identical_with_and_without_templates() {
 }
 
 #[test]
-fn moe_templates_engage_and_raise_effective_hit_rate() {
+fn moe_templates_engage_through_kernel_instantiation() {
     let case = zoo()
         .into_iter()
         .find(|c| c.name == "moe_tpsp2")
@@ -90,7 +98,6 @@ fn moe_templates_engage_and_raise_effective_hit_rate() {
         .expect("moe_tpsp2 verifies without templates");
 
     let p = &on.par;
-    assert!(p.templates_enabled, "templates requested but not enabled");
     assert!(p.template_classes > 0, "no repeated classes found in MoE");
     assert!(
         p.template_hits > 0,
@@ -98,29 +105,20 @@ fn moe_templates_engage_and_raise_effective_hit_rate() {
          ({} misses)",
         p.template_misses
     );
+    // The eight experts' gate slices differ only in slice bounds, which
+    // defeats the concrete memo; instantiating the representative's
+    // certificate under the member's bounds replaces some of those solves.
     assert!(
         p.template_instantiated > 0,
-        "expected certificate-instantiated replays across expert slice \
+        "expected certificate-instantiated members across expert slice \
          bounds, got 0 ({} fallbacks)",
         p.template_fallbacks
     );
-
-    // The per-expert cache-miss fix: the eight experts' gate slices differ
-    // only in slice bounds, which defeated the per-operator memo. Template
-    // keys parameterize those bounds, so fewer problems are solved from
-    // scratch and the effective (concrete + template) hit rate rises.
     assert!(
         p.cache_misses < off.par.cache_misses,
         "templates did not reduce concrete solves: {} on vs {} off",
         p.cache_misses,
         off.par.cache_misses
-    );
-    let effective = (p.cache_hits + p.template_hits) as f64
-        / (p.cache_hits + p.template_hits + p.cache_misses) as f64;
-    assert!(
-        effective > off.par.hit_rate(),
-        "effective hit rate did not improve: {effective:.3} on vs {:.3} off",
-        off.par.hit_rate()
     );
 
     // Transparency on this workload specifically (certificates included via
