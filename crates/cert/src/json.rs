@@ -48,7 +48,9 @@
 //! **Trust.** The ids are compression only. The reader checks that every
 //! reference points at an earlier entry and that no entry nests deeper than
 //! [`MAX_TERM_DEPTH`], then hands the kernel plain [`RecExpr`]s; the kernel
-//! re-interns those and never sees a file id.
+//! re-interns those and never sees a file id. Each table entry is copied
+//! out once: every position that names it holds a clone sharing that one
+//! storage, which the kernel then interns once.
 
 use std::fmt::Write as _;
 
@@ -386,6 +388,9 @@ struct Reader {
     table: TermTable,
     /// Table entry of each file entry (a duplicated file entry shares one).
     entries: Vec<Id>,
+    /// Per table entry, its term once some position has named it: every
+    /// later position naming it gets a clone, which shares the storage.
+    materialised: Vec<Option<RecExpr>>,
     walk: PostOrder,
 }
 
@@ -449,6 +454,7 @@ impl Reader {
             entries.push(table.add(node));
         }
         Ok(Reader {
+            materialised: vec![None; table.len()],
             table,
             entries,
             walk: PostOrder::default(),
@@ -470,7 +476,15 @@ impl Reader {
                 self.entries.len()
             ))
         })?;
-        Ok(self.table.materialise(entry, &mut self.walk))
+        let Reader {
+            table,
+            materialised,
+            walk,
+            ..
+        } = self;
+        Ok(materialised[entry.index()]
+            .get_or_insert_with(|| table.materialise(entry, walk))
+            .clone())
     }
 
     fn terms(&mut self, items: &[Json]) -> Result<Vec<RecExpr>, CertError> {

@@ -7,12 +7,12 @@
 //!
 //! One verification owns one private context (`Kernel`), which lives
 //! and dies with the call. It interns every term it is handed into one
-//! hash-consed [`Store`] — once per [`RecExpr`], comparing nodes, never
-//! hashes — after which "the same term" is id equality and shape inference
-//! is a memo per id: a term that a proof spells seventy times is compared
-//! and inferred once. The ids are the kernel's own; the ids of a
-//! certificate file are a compression its reader expands and the kernel
-//! never sees.
+//! hash-consed [`Store`] — once per [`RecExpr`] storage (clones share one),
+//! comparing nodes, never hashes — after which "the same term" is id
+//! equality and shape inference is a memo per id: a term that a proof
+//! spells seventy times is compared and inferred once. The ids are the
+//! kernel's own; the ids of a certificate file are a compression its
+//! reader expands and the kernel never sees.
 //!
 //! Every rule step is checked one way, whatever its lemma: the lemma's
 //! pattern matches the source term, the bindings agree with the recorded
@@ -147,6 +147,11 @@ pub(crate) struct Kernel<'a> {
     lemmas: HashMap<&'a str, &'a Rewrite<TensorAnalysis>>,
     /// Every term met so far. Equality of terms is equality of entries.
     store: Store<'a>,
+    /// The entry of every [`RecExpr`] storage interned so far, by
+    /// [`RecExpr::storage_key`]. Each value keeps a clone of the expression,
+    /// so no keyed storage is freed, and its key reused, while the kernel
+    /// lives: one key is one storage is one list of nodes.
+    interned: HashMap<usize, (RecExpr, Id)>,
     /// Counts for the [`KernelReport`].
     slots: usize,
     replays: usize,
@@ -164,6 +169,7 @@ impl<'a> Kernel<'a> {
             gd,
             lemmas: lemmas.iter().map(|r| (r.name(), r)).collect(),
             store: Store::new(gd, ctx),
+            interned: HashMap::new(),
             slots: 0,
             replays: 0,
         }
@@ -532,10 +538,17 @@ impl<'a> Kernel<'a> {
         }
     }
 
-    /// Interns a term the certificate (or the caller) supplied.
+    /// Interns a term the certificate (or the caller) supplied: once per
+    /// storage, so the positions a reader made clones of one term cost one
+    /// walk. `slots` counts every position in full, as if each were walked.
     pub(crate) fn intern(&mut self, expr: &RecExpr) -> Id {
         self.slots += expr.len();
-        self.store.intern(expr)
+        if let Some(&(_, id)) = self.interned.get(&expr.storage_key()) {
+            return id;
+        }
+        let id = self.store.intern(expr);
+        self.interned.insert(expr.storage_key(), (expr.clone(), id));
+        id
     }
 
     /// Interns one node the kernel builds itself, over interned children.

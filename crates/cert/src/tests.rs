@@ -1,6 +1,8 @@
 //! Unit tests: a hand-built refinement with a complete certificate, the
 //! kernel's rejection behavior, and the JSON round-trip.
 
+use std::collections::HashSet;
+
 use entangle_egraph::{EGraph, ENode, Proof, ProofStep, RecExpr};
 use entangle_ir::{DType, Dim, Graph, GraphBuilder, Op, Shape};
 use entangle_lemmas::{
@@ -10,7 +12,7 @@ use entangle_symbolic::SymCtx;
 
 use crate::cert::{exprs_eq, CertError, Certificate, MappingCert};
 use crate::json::{from_json, positions, to_json};
-use crate::kernel::{verify, Accepted, Kernel, KernelReport};
+use crate::kernel::{verify, verify_reporting, Accepted, Kernel, KernelReport};
 use crate::table::{PostOrder, TermTable};
 
 fn e(s: &str) -> RecExpr {
@@ -249,13 +251,9 @@ fn json_round_trips_bytewise() {
     );
 }
 
-/// Rebuilds every term of a certificate slot by slot as a plain tree (no
-/// slot shared), the layout the table-less reader used to produce.
-fn with_expanded_terms(cert: &Certificate) -> Certificate {
-    fn expand(e: &RecExpr) -> RecExpr {
-        e.extract_subtree(e.root_id())
-    }
-    fn expand_proof(p: &Proof) -> Proof {
+/// The certificate with every term position replaced by `f` of it.
+fn map_terms(cert: &Certificate, f: fn(&RecExpr) -> RecExpr) -> Certificate {
+    fn map_proof(p: &Proof, f: fn(&RecExpr) -> RecExpr) -> Proof {
         let steps = p
             .steps
             .iter()
@@ -269,18 +267,18 @@ fn with_expanded_terms(cert: &Certificate) -> Certificate {
                 } => ProofStep::Rule {
                     name: name.clone(),
                     forward: *forward,
-                    subst: subst.iter().map(|(v, t)| (v.clone(), expand(t))).collect(),
-                    before: expand(before),
-                    after: expand(after),
+                    subst: subst.iter().map(|(v, t)| (v.clone(), f(t))).collect(),
+                    before: f(before),
+                    after: f(after),
                 },
                 ProofStep::Congruence {
                     before,
                     after,
                     children,
                 } => ProofStep::Congruence {
-                    before: expand(before),
-                    after: expand(after),
-                    children: children.iter().map(expand_proof).collect(),
+                    before: f(before),
+                    after: f(after),
+                    children: children.iter().map(|c| map_proof(c, f)).collect(),
                 },
                 ProofStep::Given {
                     fact,
@@ -288,8 +286,8 @@ fn with_expanded_terms(cert: &Certificate) -> Certificate {
                     after,
                 } => ProofStep::Given {
                     fact: fact.clone(),
-                    before: expand(before),
-                    after: expand(after),
+                    before: f(before),
+                    after: f(after),
                 },
             })
             .collect();
@@ -301,7 +299,7 @@ fn with_expanded_terms(cert: &Certificate) -> Certificate {
         inputs: cert
             .inputs
             .iter()
-            .map(|(n, es)| (n.clone(), es.iter().map(expand).collect()))
+            .map(|(n, es)| (n.clone(), es.iter().map(f).collect()))
             .collect(),
         mappings: cert
             .mappings
@@ -309,18 +307,36 @@ fn with_expanded_terms(cert: &Certificate) -> Certificate {
             .map(|m| MappingCert {
                 tensor: m.tensor.clone(),
                 operator: m.operator.clone(),
-                inputs: m.inputs.iter().map(expand).collect(),
-                expr: expand(&m.expr),
-                proof: expand_proof(&m.proof),
+                inputs: m.inputs.iter().map(f).collect(),
+                expr: f(&m.expr),
+                proof: map_proof(&m.proof, f),
             })
             .collect(),
         outputs: cert
             .outputs
             .iter()
-            .map(|(n, e)| (n.clone(), expand(e)))
+            .map(|(n, e)| (n.clone(), f(e)))
             .collect(),
         numeric: cert.numeric.clone(),
     }
+}
+
+/// Rebuilds every term of a certificate slot by slot as a plain tree (no
+/// slot shared), the layout the table-less reader used to produce.
+fn with_expanded_terms(cert: &Certificate) -> Certificate {
+    map_terms(cert, |e| e.extract_subtree(e.root_id()))
+}
+
+/// Copies every term position node by node into storage of its own: the
+/// same layout, nothing shared between positions.
+fn deep_copy(cert: &Certificate) -> Certificate {
+    map_terms(cert, |e| {
+        let mut out = RecExpr::with_capacity(e.len());
+        for node in e.nodes() {
+            out.add(node.clone());
+        }
+        out
+    })
 }
 
 #[test]
@@ -343,6 +359,90 @@ fn json_text_is_a_function_of_the_terms_not_of_slot_layout() {
         // And reading it back is a fixpoint of the writer.
         let back = from_json(&shared).expect("parses");
         assert_eq!(to_json(&back).expect("serializes"), shared, "{}", case.name);
+    }
+}
+
+#[test]
+fn positions_naming_one_entry_share_one_storage() {
+    let text = to_json(&good_certificate()).expect("serializes");
+    let back = from_json(&text).expect("parses");
+    let steps = &back.mappings[0].proof.steps;
+    // One term, `(concat (relu x0) (relu x1) 0)`, at two positions.
+    assert_eq!(steps[0].after(), steps[1].before());
+    assert_eq!(
+        steps[0].after().storage_key(),
+        steps[1].before().storage_key()
+    );
+    assert_ne!(
+        steps[0].before().storage_key(),
+        steps[0].after().storage_key()
+    );
+    for case in real_certs() {
+        let back = from_json(&to_json(&case.cert).expect("serializes")).expect("parses");
+        let terms: HashSet<&RecExpr> = positions(&back).into_iter().collect();
+        let storages: HashSet<usize> = positions(&back).iter().map(|e| e.storage_key()).collect();
+        assert_eq!(storages.len(), terms.len(), "{}", case.name);
+    }
+}
+
+/// Renames the lemma of the last top-level rule step to the first other
+/// lemma (in registry order) that does not justify it.
+fn forged(
+    cert: &Certificate,
+    gs: &Graph,
+    gd: &Graph,
+    lemmas: &[entangle_egraph::Rewrite<TensorAnalysis>],
+) -> Certificate {
+    let (m, s) = cert
+        .mappings
+        .iter()
+        .enumerate()
+        .rev()
+        .find_map(|(m, mc)| {
+            let is_rule = |s: &ProofStep| matches!(s, ProofStep::Rule { .. });
+            Some((m, mc.proof.steps.iter().rposition(is_rule)?))
+        })
+        .expect("the certificate has rule steps");
+    for lemma in lemmas {
+        let mut forged = cert.clone();
+        let ProofStep::Rule { name, .. } = &mut forged.mappings[m].proof.steps[s] else {
+            unreachable!("rposition found a rule step");
+        };
+        if name == lemma.name() {
+            continue;
+        }
+        *name = lemma.name().to_owned();
+        if verify(&forged, gs, gd, lemmas, &SymCtx::default()).is_err() {
+            return forged;
+        }
+    }
+    panic!("every lemma justifies the step")
+}
+
+#[test]
+fn shared_storage_changes_no_verdict_and_no_report() {
+    let lemmas = lemmas();
+    for case in real_certs() {
+        let forgery = forged(&case.cert, &case.gs, &case.gd, &lemmas);
+        for (what, cert) in [("certificate", &case.cert), ("forgery", &forgery)] {
+            let read = from_json(&to_json(cert).expect("serializes")).expect("parses");
+            let copy = deep_copy(&read);
+            let run = |c: &Certificate| {
+                let (verdict, report) =
+                    verify_reporting(c, &case.gs, &case.gd, &lemmas, &SymCtx::default());
+                (format!("{verdict:?}"), report)
+            };
+            let (shared_verdict, shared_report) = run(&read);
+            let (copied_verdict, copied_report) = run(&copy);
+            assert_eq!(shared_verdict, copied_verdict, "{} {what}", case.name);
+            assert_eq!(shared_report, copied_report, "{} {what}", case.name);
+            assert_eq!(
+                shared_verdict == "Ok(())",
+                what == "certificate",
+                "{}",
+                case.name
+            );
+        }
     }
 }
 

@@ -3,6 +3,7 @@
 
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
 use entangle_symbolic::SymExpr;
 
@@ -89,6 +90,11 @@ impl fmt::Display for ENode {
 /// The last node is the root. This mirrors `egg::RecExpr` and is the currency
 /// between the parser, the e-graph, and the extractor.
 ///
+/// A clone shares its node storage with the original, and [`RecExpr::add`]
+/// copies it first if anything else still holds it (copy-on-write), so a
+/// term that many places name is stored once. Equality, hashing and
+/// printing read the nodes only, never where they are stored.
+///
 /// # Examples
 ///
 /// ```
@@ -100,7 +106,7 @@ impl fmt::Display for ENode {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct RecExpr {
-    nodes: Vec<ENode>,
+    nodes: Arc<Vec<ENode>>,
 }
 
 impl RecExpr {
@@ -112,7 +118,7 @@ impl RecExpr {
     /// An empty expression with room for `slots` nodes.
     pub fn with_capacity(slots: usize) -> Self {
         RecExpr {
-            nodes: Vec::with_capacity(slots),
+            nodes: Arc::new(Vec::with_capacity(slots)),
         }
     }
 
@@ -129,13 +135,21 @@ impl RecExpr {
                 "RecExpr::add: child {child} out of bounds"
             );
         }
-        self.nodes.push(node);
-        Id::from_index(self.nodes.len() - 1)
+        let nodes = Arc::make_mut(&mut self.nodes);
+        nodes.push(node);
+        Id::from_index(nodes.len() - 1)
     }
 
     /// The nodes in postorder.
     pub fn nodes(&self) -> &[ENode] {
         &self.nodes
+    }
+
+    /// Where the nodes live. Two expressions with the same key share one
+    /// storage and so have the same nodes; the key of a storage nothing
+    /// holds any more may be reused, so whoever keys by it must keep a clone.
+    pub fn storage_key(&self) -> usize {
+        Arc::as_ptr(&self.nodes) as usize
     }
 
     /// Number of nodes.
@@ -172,7 +186,7 @@ impl RecExpr {
     /// All distinct leaf operator symbols (tensor names) in the expression.
     pub fn leaf_symbols(&self) -> Vec<Symbol> {
         let mut out = Vec::new();
-        for n in &self.nodes {
+        for n in self.nodes.iter() {
             if let ENode::Op(s, ch) = n {
                 if ch.is_empty() && !out.contains(s) {
                     out.push(*s);

@@ -44,6 +44,51 @@ fn parse_depth_is_bounded_at_the_limit() {
 }
 
 #[test]
+fn add_on_a_clone_copies_and_leaves_the_original() {
+    let original = expr("(matmul A B)");
+    let mut grown = original.clone();
+    assert_eq!(
+        grown.storage_key(),
+        original.storage_key(),
+        "a clone shares"
+    );
+    let a = grown.add(ENode::leaf("C"));
+    let root = grown.root_id();
+    grown.add(ENode::op("add", vec![root, a]));
+    assert_ne!(grown.storage_key(), original.storage_key(), "add copied");
+    assert_eq!(original.to_string(), "(matmul A B)");
+    assert_eq!(original.len(), 3);
+    assert_eq!(grown.len(), 5);
+    assert_eq!(&grown.nodes()[..3], original.nodes());
+    // A sole owner grows in place.
+    let key = grown.storage_key();
+    grown.add(ENode::Int(0));
+    assert_eq!(grown.storage_key(), key);
+}
+
+#[test]
+fn shared_and_parsed_copies_compare_and_hash_equal() {
+    use std::hash::{BuildHasher, RandomState};
+    let text = "(concat (slice X 0 0 16) (slice X 0 16 32) 0)";
+    let original = expr(text);
+    let shared = original.clone();
+    let parsed = expr(text);
+    assert_eq!(shared.storage_key(), original.storage_key());
+    assert_ne!(parsed.storage_key(), original.storage_key());
+    let hasher = RandomState::new();
+    for copy in [&shared, &parsed] {
+        assert_eq!(copy, &original);
+        assert_eq!(hasher.hash_one(copy), hasher.hash_one(&original));
+        assert_eq!(copy.to_string(), text);
+        assert_eq!(format!("{copy:?}"), format!("{original:?}"));
+    }
+    assert_ne!(
+        shared,
+        expr("(concat (slice X 0 0 16) (slice X 0 16 32) 1)")
+    );
+}
+
+#[test]
 fn hashcons_dedup() {
     let mut eg = EGraph::<()>::default();
     let a1 = eg.add(ENode::leaf("a"));

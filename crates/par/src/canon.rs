@@ -73,7 +73,7 @@ impl Renamer {
     /// Renames every registered *leaf* occurrence in an expression;
     /// operator symbols and scalars pass through untouched.
     pub fn rename_expr(&self, expr: &RecExpr) -> RecExpr {
-        let mut out = RecExpr::new();
+        let mut out = RecExpr::with_capacity(expr.len());
         for node in expr.nodes() {
             let renamed = match node {
                 ENode::Op(sym, ch) if ch.is_empty() => {

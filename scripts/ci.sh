@@ -118,6 +118,13 @@ fi
 if grep -nE 'to_string_pretty|Json::Int\(1\)' crates/cert/src/json.rs; then
   echo "crates/cert/src/json.rs pretty-prints or reads version 1 again (one format: v2, compact)"; exit 1
 fi
+# The reader copies each term-table entry out once, in its per-entry memo,
+# and every position naming the entry shares that storage: a second
+# `materialise(` call is a second copy path beside the memo.
+materialises=$(grep -c 'materialise(' crates/cert/src/json.rs || true)
+if [ "$materialises" -gt 1 ]; then
+  echo "crates/cert/src/json.rs calls materialise( $materialises times (one: the reader's per-entry memo)"; exit 1
+fi
 
 # One term semantics (DESIGN.md, *Term language*): the shape rule of an
 # application is `entangle_lemmas::infer_application`, the `~ones[…]` leaf
