@@ -62,11 +62,33 @@ pub fn bench_config() -> ModelConfig {
     }
 }
 
+/// A one-layer configuration whose every dimension parallelism `par`
+/// divides: batch 2, sequence `2·par`, hidden `4·par`, `par` heads,
+/// vocabulary `4·par`, FFN `8·par`. [`bench_config`]'s 8 heads do not
+/// divide 16, so Figure 4's widest row and the parallelism-16 tests use
+/// this one.
+pub fn scaled_config(par: usize) -> ModelConfig {
+    ModelConfig {
+        batch: 2,
+        seq: 2 * par,
+        hidden: 4 * par,
+        heads: par,
+        layers: 1,
+        vocab: 4 * par,
+        ffn: 8 * par,
+        causal: true,
+    }
+}
+
 /// The GPT workload at a given parallelism size and layer count
 /// (TP + SP + VP, the paper's GPT configuration).
 pub fn gpt_workload(par: usize, layers: usize) -> Workload {
-    let cfg = bench_config().with_layers(layers);
-    let gs = gpt(&cfg);
+    gpt_workload_of(&bench_config().with_layers(layers), par)
+}
+
+/// [`gpt_workload`] over the model configuration `cfg`.
+pub fn gpt_workload_of(cfg: &ModelConfig, par: usize) -> Workload {
+    let gs = gpt(cfg);
     let s = if par == 1 {
         Strategy::tp(1)
     } else {
@@ -75,10 +97,10 @@ pub fn gpt_workload(par: usize, layers: usize) -> Workload {
     let dist = if par == 1 {
         Distributed::identity(&gs)
     } else {
-        parallelize(&cfg, Arch::Gpt, &s)
+        parallelize(cfg, Arch::Gpt, &s)
     };
     Workload {
-        name: format!("GPT(tp{par},l{layers})"),
+        name: format!("GPT(tp{par},l{})", cfg.layers),
         strategies: "TP+SP+VP",
         gs,
         dist,
@@ -87,15 +109,19 @@ pub fn gpt_workload(par: usize, layers: usize) -> Workload {
 
 /// The Llama-3 workload (TP only, per Table 2).
 pub fn llama_workload(par: usize, layers: usize) -> Workload {
-    let cfg = bench_config().with_layers(layers);
-    let gs = llama3(&cfg);
+    llama_workload_of(&bench_config().with_layers(layers), par)
+}
+
+/// [`llama_workload`] over the model configuration `cfg`.
+pub fn llama_workload_of(cfg: &ModelConfig, par: usize) -> Workload {
+    let gs = llama3(cfg);
     let dist = if par == 1 {
         Distributed::identity(&gs)
     } else {
-        parallelize(&cfg, Arch::Llama, &Strategy::tp(par))
+        parallelize(cfg, Arch::Llama, &Strategy::tp(par))
     };
     Workload {
-        name: format!("Llama-3(tp{par},l{layers})"),
+        name: format!("Llama-3(tp{par},l{})", cfg.layers),
         strategies: "TP",
         gs,
         dist,

@@ -1,7 +1,5 @@
 //! Cost-based term extraction from e-classes.
 
-use std::collections::HashMap;
-
 use crate::egraph::{Analysis, EGraph};
 use crate::node::{ENode, RecExpr};
 use crate::unionfind::Id;
@@ -66,7 +64,11 @@ where
 pub struct Extractor<'a, A: Analysis, C: CostFunction> {
     egraph: &'a EGraph<A>,
     cost_fn: C,
-    best: HashMap<Id, (f64, ENode)>,
+    /// Per canonical class, indexed by id: its best cost and the node that
+    /// achieves it. The fixpoint runs once per goal check of a saturation
+    /// round, so it reads a vector, not a map, and reuses one child-cost
+    /// buffer.
+    best: Vec<Option<(f64, ENode)>>,
 }
 
 impl<'a, A: Analysis, C: CostFunction> Extractor<'a, A, C> {
@@ -75,25 +77,29 @@ impl<'a, A: Analysis, C: CostFunction> Extractor<'a, A, C> {
         let mut ex = Extractor {
             egraph,
             cost_fn,
-            best: HashMap::new(),
+            best: Vec::new(),
         };
         ex.fixpoint();
         ex
     }
 
     fn fixpoint(&mut self) {
-        let ids = self.egraph.class_ids();
+        let egraph = self.egraph;
+        let ids = egraph.class_ids();
+        self.best = vec![None; ids.last().map_or(0, |id| id.index() + 1)];
+        let mut child_costs = Vec::new();
         loop {
             let mut changed = false;
             for &id in &ids {
-                for node in &self.egraph[id].nodes {
-                    let Some(cost) = self.node_cost(node) else {
+                for node in &egraph[id].nodes {
+                    let Some(cost) = self.node_cost(node, &mut child_costs) else {
                         continue;
                     };
-                    match self.best.get(&id) {
+                    let slot = &mut self.best[id.index()];
+                    match slot {
                         Some((c, _)) if *c <= cost => {}
                         _ => {
-                            self.best.insert(id, (cost, node.clone()));
+                            *slot = Some((cost, node.clone()));
                             changed = true;
                         }
                     }
@@ -105,13 +111,13 @@ impl<'a, A: Analysis, C: CostFunction> Extractor<'a, A, C> {
         }
     }
 
-    fn node_cost(&self, node: &ENode) -> Option<f64> {
-        let mut child_costs = Vec::with_capacity(node.children().len());
+    fn node_cost(&self, node: &ENode, child_costs: &mut Vec<f64>) -> Option<f64> {
+        child_costs.clear();
         for &c in node.children() {
-            let (cost, _) = self.best.get(&self.egraph.find(c))?;
+            let (cost, _) = self.best_of(c)?;
             child_costs.push(*cost);
         }
-        let cost = self.cost_fn.cost(node, &child_costs);
+        let cost = self.cost_fn.cost(node, child_costs);
         if cost.is_finite() {
             Some(cost)
         } else {
@@ -119,15 +125,18 @@ impl<'a, A: Analysis, C: CostFunction> Extractor<'a, A, C> {
         }
     }
 
+    fn best_of(&self, id: Id) -> Option<&(f64, ENode)> {
+        self.best.get(self.egraph.find(id).index())?.as_ref()
+    }
+
     /// The best cost for a class, if any finite-cost term exists.
     pub fn best_cost(&self, id: Id) -> Option<f64> {
-        self.best.get(&self.egraph.find(id)).map(|(c, _)| *c)
+        self.best_of(id).map(|(c, _)| *c)
     }
 
     /// The minimum-cost term for a class, if one exists.
     pub fn find_best(&self, id: Id) -> Option<(f64, RecExpr)> {
-        let id = self.egraph.find(id);
-        let (cost, _) = self.best.get(&id)?;
+        let (cost, _) = self.best_of(id)?;
         let mut expr = RecExpr::new();
         let root = self.build(id, &mut expr)?;
         debug_assert_eq!(root, expr.root_id());
@@ -135,7 +144,7 @@ impl<'a, A: Analysis, C: CostFunction> Extractor<'a, A, C> {
     }
 
     fn build(&self, id: Id, out: &mut RecExpr) -> Option<Id> {
-        let (_, node) = self.best.get(&self.egraph.find(id))?;
+        let (_, node) = self.best_of(id)?;
         let mut children = Vec::with_capacity(node.children().len());
         for &c in node.children() {
             children.push(self.build(c, out)?);
