@@ -231,9 +231,6 @@ USAGE:
 GLOBAL FLAGS (any subcommand):
   --trace FILE   stream a JSON-lines structured trace of the invocation to
                  FILE; never changes stdout output or the exit code
-  --jobs N       worker threads for the refinement checker's dependency-
-                 aware scheduler (default: detected cores). Results are
-                 identical for any N; N=1 runs on the calling thread
   --ledger FILE  run-ledger path for check/certify/trace appends and for
                  `entangle report` (default: results/ledger.jsonl; appends
                  only engage when a results/ directory already exists)
@@ -600,10 +597,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
 pub struct GlobalFlags {
     /// `--trace FILE`: stream a JSON-lines structured trace to FILE.
     pub trace: Option<String>,
-    /// `--jobs N`: worker-thread count for the refinement checker's
-    /// dependency-aware scheduler. `None` defers to the library default
-    /// (the detected core count); `0` is normalized to 1 by the checker.
-    pub jobs: Option<usize>,
     /// `--ledger FILE`: run-ledger path for check/certify/trace appends and
     /// `entangle report`. `None` defaults to `results/ledger.jsonl` — and,
     /// for appends, only when a `results/` directory already exists in the
@@ -614,8 +607,8 @@ pub struct GlobalFlags {
 }
 
 /// Parses a full argv (without the program name), extracting the global
-/// flags (`--trace FILE`, `--jobs N`) — valid in any position, for any
-/// subcommand — before subcommand parsing.
+/// flags (`--trace FILE`, `--ledger FILE`, `--no-ledger`) — valid in any
+/// position, for any subcommand — before subcommand parsing.
 ///
 /// # Errors
 ///
@@ -628,12 +621,6 @@ pub fn parse_invocation(args: &[String]) -> Result<(Command, GlobalFlags), CliEr
     while let Some(a) = it.next() {
         if a == "--trace" {
             flags.trace = Some(take_value(&mut it, a, "a file path")?.clone());
-        } else if a == "--jobs" {
-            let n = take_value(&mut it, a, "a thread count")?;
-            let n: usize = n
-                .parse()
-                .map_err(|_| CliError(format!("--jobs: not a thread count: {n:?}")))?;
-            flags.jobs = Some(n);
         } else if a == "--ledger" {
             flags.ledger = Some(take_value(&mut it, a, "a file path")?.clone());
         } else if a == "--no-ledger" {
@@ -758,9 +745,8 @@ pub fn run_traced(cmd: &Command, trace_path: Option<&str>) -> i32 {
     )
 }
 
-/// Runs a parsed command under the full set of global flags (`--trace`,
-/// `--jobs`). Neither flag changes stdout verdict lines or the exit code;
-/// `--jobs` only selects the checker's worker-thread count.
+/// Runs a parsed command under the full set of global flags. None of them
+/// changes stdout verdict lines or the exit code.
 pub fn run_with(cmd: &Command, flags: &GlobalFlags) -> i32 {
     let trace_path = flags.trace.as_deref();
     if matches!(cmd, Command::Trace { .. }) {
@@ -800,21 +786,16 @@ pub fn run_with(cmd: &Command, flags: &GlobalFlags) -> i32 {
 }
 
 /// The default [`CheckOptions`] for a CLI invocation: tracing into the
-/// invocation's tracer, worker count from `--jobs` when given, and a live
-/// metrics registry — every CLI check collects the full instrument set
-/// (`metrics_do_not_perturb_the_search` pins that it cannot change the
-/// search), feeding both the stats line after the verdict and the
-/// run-ledger record.
-fn check_options(tracer: &Tracer, flags: &GlobalFlags) -> CheckOptions {
-    let mut opts = CheckOptions {
+/// invocation's tracer and a live metrics registry — every CLI check
+/// collects the full instrument set (`metrics_do_not_perturb_the_search`
+/// pins that it cannot change the search), feeding both the stats line
+/// after the verdict and the run-ledger record.
+fn check_options(tracer: &Tracer) -> CheckOptions {
+    CheckOptions {
         trace: tracer.clone(),
         metrics: Registry::new(),
         ..CheckOptions::default()
-    };
-    if let Some(j) = flags.jobs {
-        opts.jobs = j;
     }
-    opts
 }
 
 /// The `Numeric verdicts:` block of a successful check/certify: one line
@@ -837,8 +818,8 @@ fn print_numeric_verdicts(num: &entangle::CertAnalysis) {
     }
 }
 
-/// One human-readable line summarizing the checker's scheduler and
-/// cross-operator cache behavior, printed after check/certify/trace
+/// One human-readable line summarizing the checker's cross-operator memo
+/// and template behavior, printed after check/certify/trace
 /// verdicts — a view of the outcome's [`entangle::ParStats`].
 fn par_summary(par: &entangle::ParStats) -> String {
     let cache = format!(
@@ -858,10 +839,7 @@ fn par_summary(par: &entangle::ParStats) -> String {
     } else {
         String::new()
     };
-    format!(
-        "parallel : {} jobs on {} cores; {cache}{templates}",
-        par.jobs, par.cores
-    )
+    format!("memo     : {cache}{templates}")
 }
 
 /// The ledger file this invocation should append to / report from, or
@@ -962,7 +940,6 @@ fn ms(d: Duration) -> String {
 }
 
 fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32, CliError> {
-    let jobs = flags.jobs;
     match cmd {
         Command::Help => {
             outln!("{USAGE}");
@@ -1202,11 +1179,6 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
                 num.count_class(entangle::NumClass::ValueChanging)
             );
             outln!(
-                "parallel : {} cores detected, checker runs {} jobs by default",
-                entangle_par::available_jobs(),
-                jobs.unwrap_or_else(entangle_par::available_jobs).max(1)
-            );
-            outln!(
                 "timings  : load {}, lint {}, shard {}, iso {}, num {} (total {})",
                 ms(t_load),
                 ms(t_lint),
@@ -1219,7 +1191,7 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
         }
         Command::Check { gs, gd, maps } => {
             let (gs, gd, ri) = parse_stage(tracer, gs, gd, maps)?;
-            let opts = check_options(tracer, flags);
+            let opts = check_options(tracer);
             match ledgered_check(&gs, &gd, &ri, &opts, flags).0 {
                 Ok(outcome) => {
                     outln!("Refinement verification succeeded for {}.", gd.name());
@@ -1301,7 +1273,7 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
             }
 
             let (gs, gd, ri) = parse_stage(tracer, gs, gd, maps)?;
-            let opts = check_options(tracer, flags);
+            let opts = check_options(tracer);
             match ledgered_check(&gs, &gd, &ri, &opts, flags).0 {
                 Ok(outcome) => {
                     let cert = outcome
@@ -1387,7 +1359,7 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
             let (gs, gd, ri) = parse_stage(tracer, gs, gd, maps)?;
             let fs = fs.parse().map_err(|e| CliError(format!("--fs: {e}")))?;
             let fd = fd.parse().map_err(|e| CliError(format!("--fd: {e}")))?;
-            let opts = check_options(tracer, flags);
+            let opts = check_options(tracer);
             match check_expectation(&gs, &gd, &ri, &fs, &fd, &opts) {
                 Ok(_) => {
                     outln!("User expectation holds.");
@@ -1492,7 +1464,7 @@ fn run_trace(
     // Full certified pipeline: every stage — lint, shard, mapping search,
     // outputs gate, trusted kernel — shows up in the profile.
     let (tracer, sink) = Tracer::collect();
-    let opts = check_options(&tracer, flags);
+    let opts = check_options(&tracer);
     let (result, wall) = ledgered_check(&gs, &gd, &ri, &opts, flags);
 
     let records = sink.records();

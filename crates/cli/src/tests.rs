@@ -191,7 +191,6 @@ fn parse_invocation_extracts_global_flags() {
         parse_invocation(&to_args(&["--trace", "out.jsonl", "lint", "g.json"])).unwrap();
     assert!(matches!(cmd, Command::Lint { .. }));
     assert_eq!(flags.trace.as_deref(), Some("out.jsonl"));
-    assert_eq!(flags.jobs, None);
     // Trailing position.
     let (cmd, flags) =
         parse_invocation(&to_args(&["info", "g.json", "--trace", "t.jsonl"])).unwrap();
@@ -200,22 +199,8 @@ fn parse_invocation_extracts_global_flags() {
     // Absent.
     let (_, flags) = parse_invocation(&to_args(&["help"])).unwrap();
     assert_eq!(flags.trace, None);
-    assert_eq!(flags.jobs, None);
-    // --jobs in any position, combined with --trace.
-    let (cmd, flags) = parse_invocation(&to_args(&[
-        "--jobs", "4", "check", "a.json", "b.json", "--trace", "t.jsonl",
-    ]))
-    .unwrap();
-    assert!(matches!(cmd, Command::Check { .. }));
-    assert_eq!(flags.jobs, Some(4));
-    assert_eq!(flags.trace.as_deref(), Some("t.jsonl"));
-    let (_, flags) = parse_invocation(&to_args(&["lint", "g.json", "--jobs", "1"])).unwrap();
-    assert_eq!(flags.jobs, Some(1));
-    // Missing or malformed operands.
+    // Missing operand.
     assert!(parse_invocation(&to_args(&["lint", "g.json", "--trace"])).is_err());
-    assert!(parse_invocation(&to_args(&["lint", "g.json", "--jobs"])).is_err());
-    assert!(parse_invocation(&to_args(&["lint", "g.json", "--jobs", "many"])).is_err());
-    assert!(parse_invocation(&to_args(&["check", "a", "b", "--jobs", "-2"])).is_err());
     // Anything else is not a global flag and is left for the subcommand to
     // reject.
     assert!(parse_invocation(&to_args(&["--no-compiled-matcher", "check", "a", "b"])).is_err());
@@ -512,7 +497,7 @@ fn ledger_record_is_written_only_when_a_ledger_is_in_play() {
     assert!(!ledger_path.exists(), "--no-ledger leaves no file");
 
     // An explicit ledger gets exactly one record, keyed by the library's
-    // problem fingerprint (which ignores --jobs, tracing and metrics).
+    // problem fingerprint (which ignores tracing and metrics).
     flags.no_ledger = false;
     assert_eq!(run_with(&cmd, &flags), 0);
     let read = entangle_metrics::ledger::read(&ledger_path).unwrap();

@@ -2,8 +2,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use entangle_cert::{CertError, Certificate, MappingCert};
@@ -11,9 +10,9 @@ use entangle_egraph::{
     BackoffSchedule, CompiledMatcher, EGraph, ENode, Extractor, Id, Proof, RecExpr, Rewrite,
     RunReport, SaturationReport, StopReason, Symbol,
 };
-use entangle_ir::{Graph, Node, NodeId, TensorId};
+use entangle_ir::{Graph, Node, NodeId};
 use entangle_lemmas::{registry, rewrites_of, TensorAnalysis};
-use entangle_par::{with_pool, Renamer, ShardedCache};
+use entangle_par::Renamer;
 use entangle_symbolic::SymCtx;
 use entangle_trace::{SpanGuard, Tracer};
 
@@ -69,11 +68,8 @@ pub struct CheckOptions {
     /// events — the `--trace` / `entangle trace` data. Tracing never
     /// changes verdicts, exit codes, or the search itself.
     pub trace: Tracer,
-    /// Worker threads for the dependency-aware operator scheduler (the
-    /// `--jobs` flag). Defaults to the detected core count; `0` is treated
-    /// as `1`, and `1` solves every operator on the calling thread.
-    /// Verdicts, reports, certificates, and trace structure are identical
-    /// for any `jobs` (see DESIGN.md's determinism contract).
+    /// Ignored: the map stage is one in-order loop on the calling thread.
+    /// Kept only so callers that still set it compile.
     pub jobs: usize,
     /// Template instantiation (on by default; needs `certify`): the
     /// `entangle-iso` static analysis partitions `G_s` into repeated
@@ -135,7 +131,7 @@ impl Default for CheckOptions {
             shard: true,
             certify: true,
             trace: Tracer::null(),
-            jobs: entangle_par::available_jobs(),
+            jobs: 1,
             templates: true,
             rule_backoff: true,
             numeric: true,
@@ -144,13 +140,9 @@ impl Default for CheckOptions {
     }
 }
 
-/// How the scheduler and saturation memo behaved during one check.
+/// How the saturation memo and the template slots behaved during one check.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ParStats {
-    /// Worker threads the scheduler used ([`CheckOptions::jobs`], at least 1).
-    pub jobs: usize,
-    /// Cores detected on this machine.
-    pub cores: usize,
     /// Memo lookups that found a previously solved canonical problem.
     pub cache_hits: u64,
     /// Memo lookups that had to solve from scratch.
@@ -356,10 +348,8 @@ pub struct CheckOutcome {
     /// plus any `NU##` diagnostics. Advisory — present only on *successful*
     /// checks and never part of the verdict.
     pub numeric: Option<entangle_num::CertAnalysis>,
-    /// Scheduler and saturation-memo statistics (the CLI's `parallel :`
-    /// line and the benchmark's `par.*` rows). The only [`CheckOutcome`]
-    /// field allowed to vary with [`CheckOptions::jobs`]: hit/miss counts
-    /// depend on which of two racing workers reaches a key first.
+    /// Saturation-memo and template statistics (the CLI's `memo     :`
+    /// line and the benchmark's `par.*` rows).
     pub par: ParStats,
 }
 
@@ -730,6 +720,7 @@ fn check_refinement_inner(
     // Everything the map stage needs that depends on the rule corpus or
     // on `G_s` alone, derived once per check and shared with every
     // per-operator solve.
+    let mut par = ParStats::default();
     let (rewrites, backoff, matcher, templates) = stage(opts, "setup", |sp| {
         let rewrites = opts
             .rewrites
@@ -756,12 +747,14 @@ fn check_refinement_inner(
         // certification the partition has nothing to do.
         let templates = (opts.templates && opts.certify).then(|| {
             let partition = entangle_iso::analyze(gs);
+            par.template_classes = partition.class_count();
+            par.template_covered = partition.covered();
             metrics
                 .gauge("iso.template.classes")
-                .set(partition.class_count() as u64);
+                .set(par.template_classes as u64);
             metrics
                 .gauge("iso.template.covered")
-                .set(partition.covered() as u64);
+                .set(par.template_covered as u64);
             TemplateInfo::new(&partition, gs.nodes().len())
         });
         sp.attr("rules", rewrites.len());
@@ -771,7 +764,7 @@ fn check_refinement_inner(
         (rewrites, backoff, matcher, templates)
     });
 
-    let mut certificate = opts.certify.then(|| Certificate {
+    let certificate = opts.certify.then(|| Certificate {
         gs: gs.name().to_owned(),
         gd: gd.name().to_owned(),
         inputs: ri
@@ -783,23 +776,21 @@ fn check_refinement_inner(
         numeric: Vec::new(),
     });
 
-    let mut relation = ri.clone();
-    let mut saturation = SaturationSummary::default();
-    let mut op_reports = Vec::with_capacity(gs.num_nodes());
-
     let gd_output_names: HashSet<&str> = gd
         .outputs()
         .iter()
         .map(|&t| gd.tensor(t).name.as_str())
         .collect();
 
-    let jobs = opts.jobs.max(1);
-    // The saturation memo fronts the one engine for every input. Its key
-    // renders the canonical problem only — symbolic shapes and slice bounds
-    // included — and not the engine configuration: the memo, `opts` (limits,
-    // clean set, `sym_ctx`) and the rewrite set all live exactly as long as
-    // this check, so equal keys pose equal problems to the same engine.
-    let cache: ShardedCache<Solved> = ShardedCache::new(16);
+    let mut st = MapState {
+        relation: ri.clone(),
+        saturation: SaturationSummary::default(),
+        op_reports: Vec::with_capacity(gs.num_nodes()),
+        certificate,
+        memo: HashMap::new(),
+        templates,
+        par,
+    };
     let mapped = stage(opts, "map", |_| {
         let ctx = MapCtx {
             gs,
@@ -807,33 +798,29 @@ fn check_refinement_inner(
             opts,
             rewrites: &rewrites,
             matcher: &matcher,
-            nodes: gs.nodes().iter().collect(),
-            cache: &cache,
             backoff: backoff.as_ref(),
-            templates: templates.as_ref(),
             consumers: GdConsumers::new(gd),
         };
-        let mut st = MapState {
-            relation: &mut relation,
-            saturation: &mut saturation,
-            op_reports: &mut op_reports,
-            certificate: &mut certificate,
-            merged: HashSet::new(),
-        };
-        map_stage_scheduled(&ctx, &mut st, jobs)
+        map_stage(&ctx, &mut st)
     });
+    let MapState {
+        relation,
+        saturation,
+        op_reports,
+        mut certificate,
+        templates,
+        par,
+        ..
+    } = st;
     // Read on the failure path too: a failed check has no `CheckOutcome`,
     // so the registry is all that says how far the memos got.
-    let cache_stats = cache.stats();
-    metrics.counter("par.cache.hits").add(cache_stats.hits);
-    metrics.counter("par.cache.misses").add(cache_stats.misses);
-    let count = |field: fn(&TemplateInfo) -> &AtomicU64| {
-        templates.as_ref().map_or(0, |t| field(t).load(Relaxed))
-    };
-    let (template_hits, template_misses) = (count(|t| &t.hits), count(|t| &t.misses));
+    metrics.counter("par.cache.hits").add(par.cache_hits);
+    metrics.counter("par.cache.misses").add(par.cache_misses);
     if templates.is_some() {
-        metrics.counter("par.template.hits").add(template_hits);
-        metrics.counter("par.template.misses").add(template_misses);
+        metrics.counter("par.template.hits").add(par.template_hits);
+        metrics
+            .counter("par.template.misses")
+            .add(par.template_misses);
     }
     mapped?;
 
@@ -952,18 +939,16 @@ fn check_refinement_inner(
         }
     }
 
-    let (instantiated, fallbacks) = (count(|t| &t.instantiated), count(|t| &t.fallbacks));
-    let cores = entangle_par::available_jobs();
-    metrics.gauge("par.jobs").set(jobs as u64);
-    metrics.gauge("par.cores").set(cores as u64);
     metrics
         .counter("check.operators")
         .add(op_reports.len() as u64);
     if templates.is_some() {
         metrics
             .counter("par.template.instantiated")
-            .add(instantiated);
-        metrics.counter("par.template.fallbacks").add(fallbacks);
+            .add(par.template_instantiated);
+        metrics
+            .counter("par.template.fallbacks")
+            .add(par.template_fallbacks);
     }
     Ok(CheckOutcome {
         output_relation,
@@ -973,18 +958,7 @@ fn check_refinement_inner(
         saturation,
         certificate,
         numeric,
-        par: ParStats {
-            jobs,
-            cores,
-            cache_hits: cache_stats.hits,
-            cache_misses: cache_stats.misses,
-            template_classes: templates.as_ref().map_or(0, |t| t.slots.len()),
-            template_covered: templates.as_ref().map_or(0, |t| t.covered),
-            template_hits,
-            template_misses,
-            template_instantiated: instantiated,
-            template_fallbacks: fallbacks,
-        },
+        par,
     })
 }
 
@@ -1034,7 +1008,7 @@ fn engine_fingerprint(opts: &CheckOptions, rewrites: &[Rewrite<TensorAnalysis>])
 /// baseline reset instead of a regression.
 ///
 /// Hex of a 64-bit FNV-1a over a canonical rendering; independent of
-/// `jobs`, tracing, and metrics (none of which may change the verdict).
+/// tracing and metrics (neither of which may change the verdict).
 pub fn problem_fingerprint(gs: &Graph, gd: &Graph, ri: &Relation, opts: &CheckOptions) -> String {
     let rewrites = opts
         .rewrites
@@ -1099,18 +1073,7 @@ fn shard_pass(gs: &Graph, gd: &Graph, ri: &Relation) -> Result<usize, Refinement
 }
 
 // ---------------------------------------------------------------------------
-// The dependency-aware operator scheduler (entangle-par).
-//
-// G_s operators only depend on each other through the relation: an operator
-// is dispatchable once every producer of one of its inputs has *completed*
-// (its mappings are staged in the relation — identical to its post-merge
-// state). Operators are solved out of order — by pool workers, or by the
-// coordinator when one is ready alone — and merged strictly in G_s index
-// order, so reports, relation contents, certificates, and trace structure
-// match the `jobs = 1` in-order run for any worker count. Failure handling
-// relies on the same invariant: the first error the merge cursor reaches is
-// the same first error that run hits, because every operator before it
-// merged successfully with identical inputs.
+// The map stage: Listing 1's loop over G_s operators in index order.
 // ---------------------------------------------------------------------------
 
 /// One solved template class: the representative's template key, per-site
@@ -1124,29 +1087,16 @@ struct TemplateEntry {
     solved: Arc<Solved>,
 }
 
-/// The static template partition plus one instantiation slot per class,
-/// shared with worker threads. Only a class *representative* (its smallest
-/// G_s node index) fills its slot; members read it, so lookups are
-/// deterministic for any worker count once the scheduler orders members
-/// after their representative.
+/// The static template partition plus one instantiation slot per class.
+/// Only a class *representative* (its smallest G_s node index) fills its
+/// slot; members read it, and the in-order loop reaches every member after
+/// its representative.
 struct TemplateInfo {
     /// Per G_s node index: `(class id, representative node index)` for
     /// nodes in a repeated-structure class.
     class_rep: Vec<Option<(usize, usize)>>,
-    /// Operators covered by some class.
-    covered: usize,
     /// Per class id: the representative's entry, once it has solved.
-    slots: Vec<OnceLock<TemplateEntry>>,
-    /// Member lookups that found their representative's entry under an
-    /// equal template key.
-    hits: AtomicU64,
-    /// Member lookups that found no entry, or one under another key.
-    misses: AtomicU64,
-    /// Members whose mappings were instantiated from the representative's
-    /// certificate (kernel-accepted).
-    instantiated: AtomicU64,
-    /// Members whose instantiation the kernel rejected.
-    fallbacks: AtomicU64,
+    slots: Vec<Option<TemplateEntry>>,
 }
 
 impl TemplateInfo {
@@ -1159,19 +1109,12 @@ impl TemplateInfo {
         }
         TemplateInfo {
             class_rep,
-            covered: analysis.covered(),
-            slots: (0..analysis.class_count())
-                .map(|_| OnceLock::new())
-                .collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            instantiated: AtomicU64::new(0),
-            fallbacks: AtomicU64::new(0),
+            slots: (0..analysis.class_count()).map(|_| None).collect(),
         }
     }
 }
 
-/// Immutable per-check context shared with worker threads.
+/// The per-check inputs of the map stage that no operator changes.
 struct MapCtx<'a> {
     gs: &'a Graph,
     gd: &'a Graph,
@@ -1179,32 +1122,32 @@ struct MapCtx<'a> {
     rewrites: &'a [Rewrite<TensorAnalysis>],
     /// `rewrites` compiled, once, for every saturation run of the check.
     matcher: &'a CompiledMatcher,
-    nodes: Vec<&'a Node>,
-    cache: &'a ShardedCache<Solved>,
     backoff: Option<&'a BackoffSchedule>,
-    templates: Option<&'a TemplateInfo>,
     /// Consumer index over `G_d`, built once and shared by every
     /// `build_problem` frontier closure.
     consumers: GdConsumers,
 }
 
-/// The coordinator's mutable check state (owned by the calling thread).
-struct MapState<'a> {
-    relation: &'a mut Relation,
-    saturation: &'a mut SaturationSummary,
-    op_reports: &'a mut Vec<OpReport>,
-    certificate: &'a mut Option<Certificate>,
-    /// The solved problems merged so far, by identity. The concrete memo and
-    /// the template slots hand out the one `Arc` stored under a key, so an
-    /// operator whose solution is already in here replays a run an earlier
-    /// operator reported — the same operators for any worker count, because
-    /// merging is in order.
-    merged: HashSet<*const Solved>,
+/// What the map stage builds up, operator by operator.
+struct MapState {
+    relation: Relation,
+    saturation: SaturationSummary,
+    op_reports: Vec<OpReport>,
+    certificate: Option<Certificate>,
+    /// The saturation memo, fronting the one engine for every input. Its
+    /// key renders the canonical problem only — symbolic shapes and slice
+    /// bounds included — and not the engine configuration: the memo, `opts`
+    /// (limits, clean set, `sym_ctx`) and the rewrite set all live exactly
+    /// as long as this check, so equal keys pose equal problems to the same
+    /// engine.
+    memo: HashMap<String, Arc<Solved>>,
+    templates: Option<TemplateInfo>,
+    /// The memo and template tallies, reported as [`CheckOutcome::par`].
+    par: ParStats,
 }
 
-/// Everything a worker hands back for one operator: plain data, recorded
-/// (trace, telemetry, certificate, relation) by the coordinator alone at
-/// the operator's in-order merge turn.
+/// One operator's solve, recorded (trace, telemetry, certificate, relation)
+/// by [`merge_run`].
 struct OpResult {
     /// The operator's clean mappings in real (non-canonical) names, ordered
     /// by `(cost, real text)`; empty when the search found none.
@@ -1213,24 +1156,10 @@ struct OpResult {
     /// replayed from a memo, indistinguishably. `None` when an input had no
     /// mapping, so no problem could be posed.
     solved: Option<Arc<Solved>>,
+    /// `solved` came from the memo or a template slot: an earlier operator
+    /// already reported its runs.
+    replayed: bool,
     elapsed: Duration,
-}
-
-/// Member-side template lookup: the representative's entry when its slot
-/// holds one under the member's template key (a hit), else `None` (a miss).
-fn template_entry<'t>(
-    templates: &'t TemplateInfo,
-    class: usize,
-    tk: &TemplateKey,
-) -> Option<&'t TemplateEntry> {
-    let entry = templates.slots[class].get().filter(|e| e.key == tk.key);
-    let counter = if entry.is_some() {
-        &templates.hits
-    } else {
-        &templates.misses
-    };
-    counter.fetch_add(1, Relaxed);
-    entry
 }
 
 /// The per-site value substitution implied by the differing bound sites,
@@ -1357,80 +1286,96 @@ fn instantiate_template(
     Some(mapped.into_iter().map(|(_, e, p)| (e, p)).collect())
 }
 
-/// Solves one operator on the current thread: canonicalize it
-/// ([`build_problem`]), try template instantiation, consult the saturation
-/// memo, and on a miss run [`solve_problem`]. `per_input` is the snapshot of
-/// its inputs' final mappings (operator order).
-fn run_op(ctx: &MapCtx, idx: usize, per_input: &[Vec<RecExpr>]) -> OpResult {
+/// Solves one operator: canonicalize it ([`build_problem`]), try template
+/// instantiation, consult the saturation memo, and on a miss run
+/// [`solve_problem`]. `per_input` is the snapshot of its inputs' final
+/// mappings (operator order).
+fn run_op(ctx: &MapCtx, st: &mut MapState, idx: usize, per_input: &[Vec<RecExpr>]) -> OpResult {
     let start = Instant::now();
-    let node = ctx.nodes[idx];
+    let node = &ctx.gs.nodes()[idx];
     if per_input.iter().any(|m| m.is_empty()) {
         return OpResult {
             mappings: Vec::new(),
             solved: None,
+            replayed: false,
             elapsed: start.elapsed(),
         };
     }
     let (problem, back) = build_problem(ctx.gs, ctx.gd, node, per_input, &ctx.consumers);
-    let key = problem.key();
     // Template lift: a node in a repeated class additionally gets a
     // per-template key with slice bounds abstracted to placeholders and
     // frontier-definition names structure-normalized.
-    let tpl = ctx.templates.and_then(|t| {
+    let tpl = st.templates.as_ref().and_then(|t| {
         let (class, rep) = t.class_rep[idx]?;
-        let tk = problem.template_key(class)?;
-        Some((t, class, rep, tk))
+        Some((class, rep, problem.template_key(class)?))
     });
-    // A member reads its class slot *before* the concrete memo: the
-    // representative fills the slot before any member dispatches, so the
-    // chosen path is a static property of the node — never a function of
-    // concrete-cache timing — and member results stay bit-equal for any
-    // worker count. With equal bounds the member poses the representative's
-    // concrete problem, which the concrete memo already holds; with
-    // differing bounds it instantiates the representative's certificate, and
-    // falls back to the concrete memo if the kernel rejects it. The concrete
-    // memo only ever holds `solve_problem` outputs (instantiated mappings
-    // are never inserted there), keeping its values a pure function of the
-    // key.
-    let from_template = match &tpl {
-        Some((t, class, rep, tk)) if *rep != idx => template_entry(t, *class, tk)
-            .filter(|entry| entry.bounds != tk.bounds)
-            .and_then(|entry| {
-                let mappings = instantiate_template(ctx, node, per_input, &back, entry, tk);
-                let counter = if mappings.is_some() {
-                    &t.instantiated
-                } else {
-                    &t.fallbacks
-                };
-                counter.fetch_add(1, Relaxed);
-                Some((entry.solved.clone(), mappings?))
-            }),
+    // A member reads its class slot *before* the concrete memo, so the
+    // chosen path is a static property of the node. With equal bounds the
+    // member poses the representative's concrete problem, which the
+    // concrete memo already holds; with differing bounds it instantiates the
+    // representative's certificate, and falls back to the concrete memo if
+    // the kernel rejects it. The concrete memo only ever holds
+    // `solve_problem` outputs (instantiated mappings are never inserted
+    // there), keeping its values a pure function of the key.
+    let par = &mut st.par;
+    let from_template = match (&tpl, &st.templates) {
+        (Some((class, rep, tk)), Some(t)) if *rep != idx => {
+            let entry = t.slots[*class].as_ref().filter(|e| e.key == tk.key);
+            if entry.is_some() {
+                par.template_hits += 1;
+            } else {
+                par.template_misses += 1;
+            }
+            entry
+                .filter(|entry| entry.bounds != tk.bounds)
+                .and_then(|entry| {
+                    let mappings = instantiate_template(ctx, node, per_input, &back, entry, tk);
+                    if mappings.is_some() {
+                        par.template_instantiated += 1;
+                    } else {
+                        par.template_fallbacks += 1;
+                    }
+                    Some((entry.solved.clone(), mappings?))
+                })
+        }
         _ => None,
     };
     // `solved` is the telemetry source either way; `instantiated` holds the
     // mappings of a cross-bound template hit, in real names and final order.
-    let (solved, instantiated) = match from_template {
-        Some((solved, mappings)) => (solved, Some(mappings)),
+    let (solved, instantiated, replayed) = match from_template {
+        Some((solved, mappings)) => (solved, Some(mappings), true),
         None => {
-            let solved = ctx.cache.get(&key).unwrap_or_else(|| {
-                let fresh =
-                    solve_problem(&problem, ctx.opts, ctx.rewrites, ctx.matcher, ctx.backoff);
-                for report in &fresh.run_reports {
-                    record_run(&ctx.opts.metrics, report);
+            let key = problem.key();
+            match st.memo.get(&key) {
+                Some(solved) => {
+                    st.par.cache_hits += 1;
+                    (solved.clone(), None, true)
                 }
-                ctx.cache.insert(key, fresh)
-            });
-            (solved, None)
+                None => {
+                    st.par.cache_misses += 1;
+                    let fresh = Arc::new(solve_problem(
+                        &problem,
+                        ctx.opts,
+                        ctx.rewrites,
+                        ctx.matcher,
+                        ctx.backoff,
+                    ));
+                    for report in &fresh.run_reports {
+                        record_run(&ctx.opts.metrics, report);
+                    }
+                    st.memo.insert(key, fresh.clone());
+                    (fresh, None, false)
+                }
+            }
         }
     };
-    // The representative fills its class slot — whether its own solve was
-    // fresh or a concrete-memo hit — so member behaviour depends only on the
-    // schedule order, not on cache timing. A failed representative leaves
-    // it empty: members with different bounds might still succeed and must
+    // The representative fills its class slot, whether its own solve was
+    // fresh or a concrete-memo hit. A failed representative leaves it
+    // empty: members with different bounds might still succeed and must
     // search for themselves.
-    if let Some((t, class, rep, tk)) = tpl {
+    if let (Some((class, rep, tk)), Some(t)) = (tpl, st.templates.as_mut()) {
         if rep == idx && !solved.variants.is_empty() {
-            let _ = t.slots[class].set(TemplateEntry {
+            t.slots[class] = Some(TemplateEntry {
                 key: tk.key,
                 bounds: tk.bounds,
                 defs: tk.defs,
@@ -1462,22 +1407,19 @@ fn run_op(ctx: &MapCtx, idx: usize, per_input: &[Vec<RecExpr>]) -> OpResult {
     OpResult {
         mappings,
         solved: Some(solved),
+        replayed,
         elapsed: start.elapsed(),
     }
 }
 
 /// Emits one merged operator's `op:` span on the check's tracer, with the
 /// encode/saturate/extract spans of its solved problem nested inside. The
-/// span describes work a worker already did, so it reports that worker's
-/// wall clock; `outcome` sets the coordinator-side attributes. `worker` is
-/// [`COORDINATOR`] or a pool thread's number; `replayed` marks a solution
-/// an earlier operator already reported.
+/// span reports the solve's wall clock; `outcome` sets the merge-side
+/// attributes.
 fn emit_op_trace(
     tracer: &Tracer,
     node: &Node,
     res: &OpResult,
-    worker: usize,
-    replayed: bool,
     outcome: impl FnOnce(&mut SpanGuard),
 ) {
     if !tracer.is_enabled() {
@@ -1487,10 +1429,9 @@ fn emit_op_trace(
     span.set_elapsed_us(res.elapsed.as_micros() as u64);
     span.attr("op", node.op.name());
     if let Some(solved) = &res.solved {
-        emit_solved_trace(tracer, solved, replayed);
+        emit_solved_trace(tracer, solved, res.replayed);
     }
     outcome(&mut span);
-    span.attr("worker", worker);
 }
 
 /// Emits the encode/saturate/extract spans for a memoized solution —
@@ -1541,43 +1482,24 @@ fn emit_solved_trace(tracer: &Tracer, solved: &Solved, replayed: bool) {
     }
 }
 
-/// Stages a completed operator's products into the relation so its
-/// consumers can snapshot them. Idempotent (the relation dedups), and
-/// byte-equal to what the in-order merge inserts.
-fn stage_result(ctx: &MapCtx, relation: &mut Relation, idx: usize, res: &OpResult) {
-    let out = ctx.nodes[idx].output;
-    for (expr, _) in &res.mappings {
-        relation.insert(out, expr.clone());
-    }
-}
-
-/// Merges one solved operator at its in-order turn — the one place a
-/// worker's result is recorded: its run reports fold into the check's
-/// saturation telemetry (once each; into the fresh tally only if no earlier
-/// operator merged the same solution), then certificate assembly, relation
-/// insertion, the operator's trace spans and the operator report — or the
-/// localized failure, which is the same for any worker count because every
-/// earlier operator already merged with identical inputs.
+/// Records one solved operator: its run reports fold into the check's
+/// saturation telemetry (into the fresh tally only if the solve was not a
+/// replay), then certificate assembly, relation insertion, the operator's
+/// trace spans and the operator report — or the localized failure.
 fn merge_run(
     ctx: &MapCtx,
     st: &mut MapState,
-    idx: usize,
+    node: &Node,
     res: OpResult,
-    worker: usize,
 ) -> Result<(), RefinementError> {
-    let node = ctx.nodes[idx];
     let tracer = &ctx.opts.trace;
-    let replayed = res
-        .solved
-        .as_ref()
-        .is_some_and(|s| !st.merged.insert(Arc::as_ptr(s)));
     for report in res.solved.iter().flat_map(|s| &s.run_reports) {
-        st.saturation.record(report, replayed);
+        st.saturation.record(report, res.replayed);
     }
     let solved = match &res.solved {
         Some(solved) if !res.mappings.is_empty() => solved,
         unmapped => {
-            emit_op_trace(tracer, node, &res, worker, replayed, |sp| {
+            emit_op_trace(tracer, node, &res, |sp| {
                 sp.attr("outcome", "operator-unmapped");
             });
             return Err(RefinementError::OperatorUnmapped {
@@ -1635,7 +1557,7 @@ fn merge_run(
         .relation
         .mappings(node.output)
         .map_or(0, <[RecExpr]>::len);
-    emit_op_trace(tracer, node, &res, worker, replayed, |sp| {
+    emit_op_trace(tracer, node, &res, |sp| {
         sp.attr("mappings", n_mappings);
         sp.attr("egraph_nodes", solved.egraph_nodes);
         sp.attr("rounds", solved.rounds);
@@ -1654,139 +1576,27 @@ fn merge_run(
     Ok(())
 }
 
-/// Snapshot of an operator's input mappings at dispatch time. Producers
-/// have completed (and staged), so this equals the in-order loop's view.
-fn snapshot_inputs(relation: &Relation, node: &Node) -> Vec<Vec<RecExpr>> {
-    node.inputs
-        .iter()
-        .map(|&t| {
-            relation
-                .mappings(t)
-                .map(<[RecExpr]>::to_vec)
-                .unwrap_or_default()
-        })
-        .collect()
-}
-
-/// The `worker` an operator reports when the coordinating thread solved it
-/// (every operator at `jobs = 1`); pool thread `k` reports `k + 1`.
-const COORDINATOR: usize = 0;
-
-/// The scheduled map stage: dispatch operators as their producers complete,
-/// merge strictly in G_s index order.
-///
-/// An operator that is the only one ready while nothing is in flight has
-/// nothing to overlap with — whatever else remains waits on it — so the
-/// coordinator solves it itself instead of handing it to a worker and
-/// sleeping. A chain-shaped `G_s` therefore never leaves the calling thread
-/// (and the pool, which spawns at its first submission, never starts one),
-/// while every operator of a wide wave is submitted. At `jobs = 1` every
-/// operator is solved that way, in index order: the smallest ready index is
-/// always the merge cursor.
-fn map_stage_scheduled(
-    ctx: &MapCtx,
-    st: &mut MapState,
-    jobs: usize,
-) -> Result<(), RefinementError> {
-    let n = ctx.nodes.len();
-
-    // Producer dependencies, restricted to earlier operators: a producer
-    // appearing *later* leaves this input unmapped in an in-order loop
-    // too, so the operator dispatches immediately and fails the same way.
-    let out_to_idx: HashMap<TensorId, usize> = ctx
-        .nodes
-        .iter()
-        .enumerate()
-        .map(|(i, node)| (node.output, i))
-        .collect();
-    let deps: Vec<Vec<usize>> = ctx
-        .nodes
-        .iter()
-        .enumerate()
-        .map(|(i, node)| {
-            let mut d: Vec<usize> = node
-                .inputs
-                .iter()
-                .filter_map(|t| out_to_idx.get(t).copied())
-                .filter(|&j| j < i)
-                .collect();
-            // A template member must not dispatch before its class
-            // representative has had the chance to publish — lookups then
-            // depend only on the (deterministic) schedule order, never on
-            // worker timing. The representative is the smallest member
-            // index, so the edge always points backwards.
-            if let Some((_, rep)) = ctx.templates.and_then(|t| t.class_rep[i]) {
-                if rep < i {
-                    d.push(rep);
-                }
-            }
-            d.sort_unstable();
-            d.dedup();
-            d
-        })
-        .collect();
-    let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, ds) in deps.iter().enumerate() {
-        for &d in ds {
-            consumers[d].push(i);
-        }
+/// Listing 1's loop: each `G_s` operator in index order snapshots its
+/// inputs' mappings, is solved, and is merged before the next one starts.
+/// The first operator that cannot be mapped ends the stage with its
+/// localized failure. A producer that appears *later* in the index order
+/// leaves its consumer's input unmapped, so that consumer fails there.
+fn map_stage(ctx: &MapCtx, st: &mut MapState) -> Result<(), RefinementError> {
+    for (idx, node) in ctx.gs.nodes().iter().enumerate() {
+        let per_input: Vec<Vec<RecExpr>> = node
+            .inputs
+            .iter()
+            .map(|&t| {
+                st.relation
+                    .mappings(t)
+                    .map(<[RecExpr]>::to_vec)
+                    .unwrap_or_default()
+            })
+            .collect();
+        let res = run_op(ctx, st, idx, &per_input);
+        merge_run(ctx, st, node, res)?;
     }
-    let mut dep_count: Vec<usize> = deps.iter().map(Vec::len).collect();
-    let mut ready: std::collections::BTreeSet<usize> =
-        (0..n).filter(|&i| dep_count[i] == 0).collect();
-    let mut pending: HashMap<usize, (OpResult, usize)> = HashMap::new();
-    let mut merge_ptr = 0usize;
-    // Operators at or beyond the smallest failed index can never merge;
-    // stop dispatching them so the check drains promptly.
-    let mut min_failed: Option<usize> = None;
-
-    let work = |idx: usize, per_input: Vec<Vec<RecExpr>>| run_op(ctx, idx, &per_input);
-
-    with_pool(jobs, work, |pool| -> Result<(), RefinementError> {
-        loop {
-            // Merge every consecutively completed operator.
-            while let Some((res, worker)) = pending.remove(&merge_ptr) {
-                merge_run(ctx, st, merge_ptr, res, worker)?;
-                merge_ptr += 1;
-            }
-            if merge_ptr == n {
-                return Ok(());
-            }
-            // Dispatch everything ready — or solve it here, if it is alone.
-            let mut solved_here = None;
-            while let Some(idx) = ready.pop_first() {
-                if min_failed.is_some_and(|f| idx >= f) {
-                    continue;
-                }
-                let per_input = snapshot_inputs(st.relation, ctx.nodes[idx]);
-                if jobs == 1 || (ready.is_empty() && pool.in_flight() == 0) {
-                    solved_here = Some((idx, COORDINATOR, run_op(ctx, idx, &per_input)));
-                    break;
-                }
-                pool.submit(idx, per_input);
-            }
-            let (idx, worker, res) = solved_here.unwrap_or_else(|| {
-                assert!(
-                    pool.in_flight() > 0,
-                    "scheduler stalled: operator {merge_ptr} of {n} neither completed nor in flight"
-                );
-                let (idx, thread, res) = pool.recv();
-                (idx, thread + 1, res)
-            });
-            if res.mappings.is_empty() {
-                min_failed = Some(min_failed.map_or(idx, |f| f.min(idx)));
-            } else {
-                stage_result(ctx, st.relation, idx, &res);
-                for &c in &consumers[idx] {
-                    dep_count[c] -= 1;
-                    if dep_count[c] == 0 {
-                        ready.insert(c);
-                    }
-                }
-            }
-            pending.insert(idx, (res, worker));
-        }
-    })
+    Ok(())
 }
 
 /// Extracts up to `max` distinct clean expressions from a class, simplest

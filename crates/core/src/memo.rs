@@ -311,8 +311,8 @@ impl OpProblem {
     /// the representative's solution into the member's canonical namespace
     /// with a [`Renamer`]. The key is prefixed with the structural class id
     /// so problems from different template classes can never collide — a
-    /// cross-class collision would make hit-vs-solve timing dependent and
-    /// break the jobs-invariance contract.
+    /// cross-class collision would hand one class's solution to a member of
+    /// another.
     ///
     /// Returns `None` when a closure round cannot be topologically ordered
     /// (never happens for frontier output — defensive only).
@@ -547,8 +547,8 @@ pub(crate) struct Solved {
 /// then extract (and, when certifying, prove) the clean variants. A round
 /// stops at its answer (DESIGN.md, *When a saturation round stops*).
 ///
-/// Deterministic given `(problem, opts, rewrites)` — the foundation of the
-/// cache's correctness under racing misses — up to `StopReason::TimeLimit`
+/// Deterministic given `(problem, opts, rewrites)`, so a memo hit replays
+/// exactly what a fresh solve would compute — up to `StopReason::TimeLimit`
 /// cuts, which depend on wall clock (see DESIGN.md's determinism contract).
 /// `matcher` is `rewrites` compiled (once per check, by the caller).
 pub(crate) fn solve_problem(

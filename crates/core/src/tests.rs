@@ -756,24 +756,18 @@ mod lint_prepass {
     }
 }
 
-/// The scheduler's inline rule, the `stage:setup` span and the fresh/replayed
-/// tally, read off the trace and the outcome.
+/// The `stage:setup` span and the map stage's fresh/replayed tally, read
+/// off the trace and the outcome.
 mod scheduler {
     use super::*;
     use entangle_trace::{TraceReport, Tracer};
 
-    /// `X → G → Y` (a chain), or `X → {A, B} → C` (a two-wide wave, then a
-    /// join), sequence-split in two with an all-gather on the output.
-    fn split_pair(wide: bool) -> (entangle_ir::Graph, entangle_ir::Graph, Relation) {
-        let mut gs = GraphBuilder::new(if wide { "wave" } else { "chain" });
+    /// `X → A → B`, sequence-split in two with an all-gather on the output.
+    fn split_pair() -> (entangle_ir::Graph, entangle_ir::Graph, Relation) {
+        let mut gs = GraphBuilder::new("chain");
         let x = gs.input("X", &[8, 4], DType::F32);
         let a = gs.apply("A", Op::Gelu, &[x]).unwrap();
-        let out = if wide {
-            let b = gs.apply("B", Op::Silu, &[x]).unwrap();
-            gs.apply("C", Op::Add, &[a, b]).unwrap()
-        } else {
-            gs.apply("B", Op::Silu, &[a]).unwrap()
-        };
+        let out = gs.apply("B", Op::Silu, &[a]).unwrap();
         gs.mark_output(out);
         let gs = gs.finish().unwrap();
 
@@ -782,12 +776,7 @@ mod scheduler {
         for r in 0..2 {
             let x = gd.input(&format!("X{r}"), &[4, 4], DType::F32);
             let a = gd.apply(&format!("A{r}"), Op::Gelu, &[x]).unwrap();
-            shards.push(if wide {
-                let b = gd.apply(&format!("B{r}"), Op::Silu, &[x]).unwrap();
-                gd.apply(&format!("C{r}"), Op::Add, &[a, b]).unwrap()
-            } else {
-                gd.apply(&format!("B{r}"), Op::Silu, &[a]).unwrap()
-            });
+            shards.push(gd.apply(&format!("B{r}"), Op::Silu, &[a]).unwrap());
         }
         let full = gd.apply("full", Op::AllGather { dim: 0 }, &shards).unwrap();
         gd.mark_output(full);
@@ -799,52 +788,10 @@ mod scheduler {
         (gs, gd, ri)
     }
 
-    /// `(operator, worker)` per `op:` span of a verified check at `jobs`.
-    fn workers(wide: bool, jobs: usize) -> Vec<(String, usize)> {
-        let (gs, gd, ri) = split_pair(wide);
-        let (tracer, sink) = Tracer::collect();
-        let opts = CheckOptions {
-            jobs,
-            trace: tracer.clone(),
-            ..CheckOptions::default()
-        };
-        check_refinement(&gs, &gd, &ri, &opts).expect("the split pair verifies");
-        drop((opts, tracer));
-        let report = TraceReport::from_records(&sink.records()).expect("trace balances");
-        let ops = report.spans.iter().filter(|s| s.name.starts_with("op:"));
-        ops.map(|s| {
-            let worker = s.attr("worker").expect("op span names its worker");
-            (s.name.clone(), worker.parse().expect("a number"))
-        })
-        .collect()
-    }
-
-    #[test]
-    fn a_chain_never_leaves_the_coordinator() {
-        for jobs in [1, 2, 4] {
-            let on = workers(false, jobs);
-            assert_eq!(on.len(), 2);
-            assert!(on.iter().all(|(_, w)| *w == 0), "jobs={jobs}: {on:?}");
-        }
-    }
-
-    #[test]
-    fn a_wide_wave_goes_to_the_pool_and_its_join_stays() {
-        let on = workers(true, 4);
-        let worker = |op: &str| on.iter().find(|(n, _)| n == op).expect("op traced").1;
-        // A and B are ready together: both are handed to pool threads
-        // (numbered from 1). C is ready alone with nothing in flight.
-        assert!((1..=4).contains(&worker("op:A")), "{on:?}");
-        assert!((1..=4).contains(&worker("op:B")), "{on:?}");
-        assert_eq!(worker("op:C"), 0, "{on:?}");
-        // One job: the same graph, all on the calling thread.
-        assert!(workers(true, 1).iter().all(|(_, w)| *w == 0));
-    }
-
     #[test]
     fn setup_is_a_stage_with_its_counts_and_closes_on_failure() {
         // Verified: between shard and map, under the root.
-        let (gs, gd, ri) = split_pair(false);
+        let (gs, gd, ri) = split_pair();
         let (tracer, sink) = Tracer::collect();
         let opts = CheckOptions {
             trace: tracer.clone(),
@@ -924,36 +871,33 @@ mod scheduler {
             b.map(name, expr).unwrap();
         }
         let ri = b.build();
-        for jobs in [1, 4] {
-            let (tracer, sink) = Tracer::collect();
-            let opts = CheckOptions {
-                jobs,
-                trace: tracer.clone(),
-                ..CheckOptions::default()
-            };
-            let outcome = check_refinement(&gs, &gd, &ri, &opts).unwrap();
-            let sat = &outcome.saturation;
-            assert_eq!((sat.runs(), sat.fresh_runs()), (4, 1), "jobs={jobs}");
-            assert_eq!(sat.iterations(), 4 * sat.fresh_iterations());
-            let matches = |r: &entangle_egraph::SaturationReport| -> u64 {
-                r.rules.values().map(|rule| rule.matches).sum()
-            };
-            assert_eq!(matches(&sat.telemetry), 4 * matches(&sat.fresh));
-            // Figure 6 counts per operator, replays included.
-            assert_eq!(
-                outcome.lemma_stats.total(),
-                sat.telemetry
-                    .rules
-                    .values()
-                    .map(|r| r.applications)
-                    .sum::<u64>()
-            );
-            let report = TraceReport::from_records(&sink.records()).unwrap();
-            let replayed: Vec<bool> = report
-                .spans_named("saturate")
-                .map(|s| s.attr("replayed").is_some())
-                .collect();
-            assert_eq!(replayed, [false, true, true, true], "jobs={jobs}");
-        }
+        let (tracer, sink) = Tracer::collect();
+        let opts = CheckOptions {
+            trace: tracer.clone(),
+            ..CheckOptions::default()
+        };
+        let outcome = check_refinement(&gs, &gd, &ri, &opts).unwrap();
+        let sat = &outcome.saturation;
+        assert_eq!((sat.runs(), sat.fresh_runs()), (4, 1));
+        assert_eq!(sat.iterations(), 4 * sat.fresh_iterations());
+        let matches = |r: &entangle_egraph::SaturationReport| -> u64 {
+            r.rules.values().map(|rule| rule.matches).sum()
+        };
+        assert_eq!(matches(&sat.telemetry), 4 * matches(&sat.fresh));
+        // Figure 6 counts per operator, replays included.
+        assert_eq!(
+            outcome.lemma_stats.total(),
+            sat.telemetry
+                .rules
+                .values()
+                .map(|r| r.applications)
+                .sum::<u64>()
+        );
+        let report = TraceReport::from_records(&sink.records()).unwrap();
+        let replayed: Vec<bool> = report
+            .spans_named("saturate")
+            .map(|s| s.attr("replayed").is_some())
+            .collect();
+        assert_eq!(replayed, [false, true, true, true]);
     }
 }

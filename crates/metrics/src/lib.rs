@@ -64,8 +64,8 @@ struct Inner {
 }
 
 /// A monotonic counter handle. From a null registry every operation is a
-/// single branch; handles are cheap to clone and safe to share across the
-/// scheduler's worker threads.
+/// single branch; handles are cheap to clone and safe to share across
+/// threads.
 #[derive(Clone, Default)]
 pub struct Counter(Option<Arc<AtomicU64>>);
 
@@ -279,9 +279,9 @@ fn prom_name(name: &str) -> String {
 ///
 /// Clones share the underlying instruments, so handles resolved through
 /// different clones of the same registry accumulate into the same
-/// counters — the checker threads one registry through the scheduler's
-/// worker threads exactly as it threads the [`entangle_trace`-style] null
-/// tracer. The default registry is the null registry.
+/// counters — the checker threads one registry through every stage exactly
+/// as it threads the [`entangle_trace`-style] null tracer. The default
+/// registry is the null registry.
 #[derive(Clone, Default)]
 pub struct Registry {
     inner: Option<Arc<Inner>>,

@@ -23,7 +23,7 @@
 //!   real growth;
 //! - saturation-memo hit rate (`par.cache.hits` / `par.cache.misses`
 //!   counters): an absolute drop > `0.10` below the median — hit counts
-//!   may vary a little with worker timing, a tenth is structural.
+//!   are deterministic per config, so a tenth is structural.
 
 use crate::ledger::{LedgerRead, LedgerRecord};
 

@@ -55,7 +55,7 @@ fn snapshot_json_round_trip() {
 /// `entangle report` compares old and new records as one history.
 #[test]
 fn ledger_line_with_histograms_still_reads() {
-    let line = r#"{"schema":1,"kind":"check","workload":"gpt::dist","fingerprint":"00c0ffee00c0ffee","verdict":"verified","wall_ms":41.500,"extra":{"gs":"gpt"},"metrics":{"counters":{"par.cache.hits":7,"par.cache.misses":3},"gauges":{"egraph.peak_nodes":1234,"par.jobs":1},"histograms":{"cert.verify_us":{"count":1,"sum":250,"buckets":[[8,1]]},"check.stage.map_us":{"count":1,"sum":9000,"buckets":[[14,1]]}}}}"#;
+    let line = r#"{"schema":1,"kind":"check","workload":"gpt::dist","fingerprint":"00c0ffee00c0ffee","verdict":"verified","wall_ms":41.500,"extra":{"gs":"gpt"},"metrics":{"counters":{"par.cache.hits":7,"par.cache.misses":3},"gauges":{"egraph.peak_nodes":1234,"rules.backoff.throttled":4},"histograms":{"cert.verify_us":{"count":1,"sum":250,"buckets":[[8,1]]},"check.stage.map_us":{"count":1,"sum":9000,"buckets":[[14,1]]}}}}"#;
     let rec = LedgerRecord::from_json(line).expect("a histogram-era record parses");
     assert_eq!(rec.workload, "gpt::dist");
     assert_eq!(rec.wall_ms, 41.5);
@@ -70,7 +70,7 @@ fn ledger_line_with_histograms_still_reads() {
         rec.metrics.gauges,
         BTreeMap::from([
             ("egraph.peak_nodes".to_owned(), 1234),
-            ("par.jobs".to_owned(), 1)
+            ("rules.backoff.throttled".to_owned(), 4)
         ])
     );
 }
@@ -96,14 +96,14 @@ fn snapshot_ordering_is_deterministic() {
 fn prometheus_exposition_shape() {
     let m = Registry::new();
     m.counter("par.cache.hits").add(2);
-    m.gauge("par.jobs").set(4);
+    m.gauge("rules.backoff.throttled").set(4);
     let prom = m.snapshot().to_prometheus(&[("workload", "gpt_tp2")]);
     assert_eq!(
         prom,
         "# TYPE entangle_par_cache_hits counter\n\
          entangle_par_cache_hits{workload=\"gpt_tp2\"} 2\n\
-         # TYPE entangle_par_jobs gauge\n\
-         entangle_par_jobs{workload=\"gpt_tp2\"} 4\n"
+         # TYPE entangle_rules_backoff_throttled gauge\n\
+         entangle_rules_backoff_throttled{workload=\"gpt_tp2\"} 4\n"
     );
 }
 

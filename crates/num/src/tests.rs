@@ -486,7 +486,6 @@ fn zoo_certs() -> &'static [ZooCert] {
             .map(|case| {
                 let ri = case.dist.relation(&case.gs).expect("relation builds");
                 let opts = entangle::CheckOptions {
-                    jobs: 1,
                     numeric: false,
                     ..entangle::CheckOptions::default()
                 };

@@ -1,38 +1,13 @@
-//! Parallel refinement-checking infrastructure.
+//! Canonical renaming for the refinement checker's saturation memo.
 //!
-//! The checker's per-operator mapping searches are embarrassingly parallel
-//! once each operator's producer mappings are available. This crate provides
-//! the three engine pieces `entangle`'s scheduler is built from, none of
-//! which know anything about graphs or relations:
-//!
-//! - [`with_pool`]: a scoped-thread worker pool (no `unsafe`, no detached
-//!   threads) whose coordinator submits indexed tasks and receives results
-//!   in completion order, tagged with the worker that ran them;
-//! - [`ShardedCache`]: the cross-operator saturation memo — a sharded,
-//!   string-keyed, insert-once map with hit/miss statistics, safe to race
-//!   because the canonicalized engine makes every computation of the same
-//!   key produce an identical value;
-//! - [`Renamer`]: the bijective leaf/fact renaming that moves a per-operator
-//!   problem into canonical name space (`$t0, $t1, …`) and its results —
-//!   mappings, proofs, given facts — back out.
-//!
-//! [`available_jobs`] reports the core count used for the default `jobs`.
+//! [`Renamer`] is the bijective leaf/fact renaming that moves a
+//! per-operator problem into canonical name space (`$t0, $t1, …`) and its
+//! results — mappings, proofs, given facts — back out, so two operators
+//! that pose the same problem up to tensor names share one memo entry. It
+//! knows nothing about graphs or relations.
 
 #![forbid(unsafe_code)]
 
-mod cache;
 mod canon;
-mod pool;
 
-pub use cache::{CacheStats, ShardedCache};
 pub use canon::Renamer;
-pub use pool::{with_pool, PoolHandle};
-
-/// The number of worker threads a default-configured check uses: the
-/// detected core count, with a floor of 1 when detection fails (e.g. in
-/// restricted sandboxes).
-pub fn available_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}

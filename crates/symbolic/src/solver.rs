@@ -167,8 +167,8 @@ pub struct SymCtx {
     /// of `(lhs - rhs, rel)`, and saturation re-asks the same seam/bound
     /// queries on every iteration — Fourier–Motzkin is the dominant cost
     /// of the conditional lemmas without this memo. Invalidated by
-    /// [`SymCtx::assume`]. Behind a `Mutex` only for `Sync` (contexts are
-    /// cloned per checker thread, so the lock is uncontended).
+    /// [`SymCtx::assume`]. Behind a `Mutex` only so a context stays `Sync`
+    /// (the checker runs on one thread, so the lock is uncontended).
     cache: std::sync::Mutex<std::collections::HashMap<(SymExpr, Rel), Truth>>,
 }
 

@@ -43,8 +43,26 @@ fi
 # instantiation slot, not a second memo or an unchecked "trusted" replay.
 # `CheckOptions` carries only knobs some caller sets.
 if grep -nwE 'trusted' crates/core/src/checker.rs | grep -vE 'trusted[ -]kernel' \
-    || grep -n 'ShardedCache<TemplateEntry>' crates/core/src/checker.rs; then
+    || grep -nE 'Map<[^;]*TemplateEntry>' crates/core/src/checker.rs; then
   echo "checker.rs has a trusted template replay or a template memo again (instantiate, kernel-gated)"; exit 1
+fi
+# One thread (DESIGN.md, *The map stage*): the map stage is Listing 1's
+# in-order loop. No thread, lock or atomic grows back in its non-test code,
+# and `CheckOptions::jobs` stays a field nothing reads, so no worker count
+# can creep back in through it.
+threaded=$(for f in crates/core/src/*.rs crates/par/src/*.rs; do
+  [ "$(basename "$f")" = tests.rs ] && continue
+  awk -v f="$f" '/^#\[cfg\(test\)\]/{exit} {print f ":" FNR ": " $0}' "$f"
+done | grep -E 'std::thread|thread::scope|Mutex|Condvar|mpsc|Atomic' || true)
+if [ -n "$threaded" ]; then
+  echo "$threaded"
+  echo "the map stage grew a thread, lock or atomic again (it is one in-order loop)"; exit 1
+fi
+jobs_uses=$(grep -rnE '\.jobs\b|\bjobs *:' crates src tests examples --include='*.rs' \
+  | grep -vE '^crates/core/src/checker\.rs:[0-9]+: *(pub jobs: usize|jobs: 1),$' || true)
+if [ -n "$jobs_uses" ]; then
+  echo "$jobs_uses"
+  echo "CheckOptions::jobs is used beyond its declaration and Default (it is a no-op)"; exit 1
 fi
 check_fields=$(awk '/^pub struct CheckOptions \{/{on=1; next} on && /^\}/{on=0} on && /^    pub /' \
   crates/core/src/checker.rs | wc -l)
@@ -155,28 +173,26 @@ for gd in examples/graphs/*.gd.json; do
 done
 echo "    7 workloads clean"
 
-echo "==> model-zoo --jobs sweep (parallel checker at jobs=1 and jobs=4)"
-for jobs in 1 4; do
-  for gd in examples/graphs/*.gd.json; do
-    base="${gd%.gd.json}"
-    ./target/release/entangle --jobs "$jobs" check "$base.gs.json" "$gd" --maps "$base.maps" >/dev/null \
-      || { echo "check --jobs $jobs FAILED on $base"; exit 1; }
-  done
+echo "==> model-zoo check sweep"
+for gd in examples/graphs/*.gd.json; do
+  base="${gd%.gd.json}"
+  ./target/release/entangle check "$base.gs.json" "$gd" --maps "$base.maps" >/dev/null \
+    || { echo "check FAILED on $base"; exit 1; }
 done
-echo "    7 workloads clean at jobs=1 and jobs=4"
+echo "    7 workloads clean"
 
-echo "==> model-zoo certify sweep (emit certificates at jobs=4, re-check with the trusted kernel)"
+echo "==> model-zoo certify sweep (emit certificates, re-check with the trusted kernel)"
 certdir=$(mktemp -d)
 trap 'rm -rf "$certdir"' EXIT
 for gd in examples/graphs/*.gd.json; do
   base="${gd%.gd.json}"
   cert="$certdir/$(basename "$base").cert.json"
-  ./target/release/entangle --jobs 4 certify "$base.gs.json" "$gd" --maps "$base.maps" --emit "$cert" >/dev/null \
-    || { echo "certify (emit, jobs=4) FAILED on $base"; exit 1; }
+  ./target/release/entangle certify "$base.gs.json" "$gd" --maps "$base.maps" --emit "$cert" >/dev/null \
+    || { echo "certify (emit) FAILED on $base"; exit 1; }
   ./target/release/entangle certify "$base.gs.json" "$gd" --check "$cert" >/dev/null \
     || { echo "certify (re-check) FAILED on $base"; exit 1; }
 done
-echo "    7 certificates emitted at jobs=4 and kernel-accepted"
+echo "    7 certificates emitted and kernel-accepted"
 # A count, not a time: sharing keeps a certificate near the size of its
 # distinct terms (32 214 B before the term table). The deep twin of this guard
 # — gpt_workload(8, 2) within 400 000 B and 2 200 table entries — is

@@ -1,16 +1,12 @@
-//! The scheduler's determinism contract, checked end to end: for any
-//! `jobs`, `check_refinement` produces the *same* `CheckOutcome` — reports,
-//! relations, lemma totals, certificate bytes, trace structure — and the
-//! same failure on the Table 3 bugs. Workers only race on wall-clock and on
-//! which of them computes a memo entry first; everything observable is
-//! merged in sequential operator order.
+//! The determinism contract, checked end to end: two runs of
+//! `check_refinement` on one input in one process produce the *same*
+//! `CheckOutcome` — reports, relations, lemma totals, memo and template
+//! tallies, certificate bytes, trace structure — and the same failure on
+//! the Table 3 bugs. The second run shares nothing with the first but the
+//! process, so any state that leaked between checks would show here.
 //!
-//! What is excluded from the comparison, and why:
-//!
-//! - timing (`elapsed`, `dur_us`, `*_us` attributes/fields) — wall clock;
-//! - the `worker` span attribute — records which thread ran the operator;
-//! - [`entangle::ParStats`] — hit/miss counts depend on scheduling order
-//!   by design (the one documented jobs-dependent field).
+//! Only timing (`elapsed`, `dur_us`, `*_us` attributes/fields) is excluded
+//! from the comparison: it is wall clock.
 
 use entangle::{check_refinement, CheckOptions, CheckOutcome, RefinementError, Relation};
 use entangle_bench::zoo;
@@ -20,7 +16,7 @@ use entangle_symbolic::{Rel, SymCtx, SymExpr};
 use entangle_trace::{Record, Tracer};
 
 /// Deterministic fingerprint of a trace: record order, kinds, names and
-/// attributes, with wall-clock and thread-identity noise stripped.
+/// attributes, with wall-clock noise stripped.
 fn trace_signature(records: &[Record]) -> String {
     let mut out = String::new();
     for r in records {
@@ -28,7 +24,7 @@ fn trace_signature(records: &[Record]) -> String {
         out.push(' ');
         out.push_str(&r.name);
         for (k, v) in &r.attrs {
-            if k == "worker" || k == "elapsed" || k.ends_with("_us") {
+            if k == "elapsed" || k.ends_with("_us") {
                 continue;
             }
             out.push_str(&format!(" {k}={v}"));
@@ -98,6 +94,7 @@ fn outcome_signature(
             for (name, matches, applications) in rules {
                 out.push_str(&format!("rule {name} m={matches} a={applications}\n"));
             }
+            out.push_str(&format!("== memo ==\n{:?}\n", o.par));
             out.push_str("== certificate ==\n");
             match &o.certificate {
                 None => out.push_str("none\n"),
@@ -110,9 +107,8 @@ fn outcome_signature(
     out
 }
 
-fn opts_with(jobs: usize, tracer: &Tracer) -> CheckOptions {
+fn opts_with(tracer: &Tracer) -> CheckOptions {
     CheckOptions {
-        jobs,
         trace: tracer.clone(),
         ..CheckOptions::default()
     }
@@ -156,7 +152,7 @@ fn symbolic_pair() -> (Graph, Graph, Relation, SymCtx) {
 }
 
 #[test]
-fn zoo_outcomes_are_identical_across_jobs() {
+fn zoo_outcomes_are_identical_across_runs() {
     let mut cases: Vec<(String, Graph, Graph, Relation, SymCtx)> = zoo()
         .into_iter()
         .map(|case| {
@@ -166,8 +162,7 @@ fn zoo_outcomes_are_identical_across_jobs() {
         .collect();
     let (gs, gd, ri, ctx) = symbolic_pair();
     cases.push(("symbolic_sp2".to_owned(), gs, gd, ri, ctx));
-    // The `gpt_tp8` benchmark input: eight-wide waves between chains, and
-    // more replays than fresh runs.
+    // The `gpt_tp8` benchmark input: more replays than fresh runs.
     let w = entangle_bench::gpt_workload(8, 2);
     let ri = w.dist.relation(&w.gs).expect("relation builds");
     cases.push((
@@ -178,110 +173,45 @@ fn zoo_outcomes_are_identical_across_jobs() {
         SymCtx::new(),
     ));
     for (name, gs, gd, ri, ctx) in &cases {
-        let mut baseline: Option<(String, String)> = None;
-        for jobs in [1usize, 2, 4] {
+        let run = || {
             let (tracer, sink) = Tracer::collect();
             let opts = CheckOptions {
                 sym_ctx: ctx.clone(),
-                ..opts_with(jobs, &tracer)
+                ..opts_with(&tracer)
             };
             let result = check_refinement(gs, gd, ri, &opts);
             drop((opts, tracer));
-            assert!(result.is_ok(), "{name}: jobs={jobs} failed: {result:?}");
-            let sig = outcome_signature(gs, &result);
-            let trace_sig = trace_signature(&sink.records());
-            match &baseline {
-                None => baseline = Some((sig, trace_sig)),
-                Some((s0, t0)) => {
-                    assert_eq!(
-                        s0, &sig,
-                        "{name}: outcome differs between jobs=1 and jobs={jobs}"
-                    );
-                    assert_eq!(
-                        t0, &trace_sig,
-                        "{name}: trace structure differs between jobs=1 and jobs={jobs}"
-                    );
-                }
-            }
-        }
+            assert!(result.is_ok(), "{name}: failed: {result:?}");
+            (
+                outcome_signature(gs, &result),
+                trace_signature(&sink.records()),
+            )
+        };
+        let ((s0, t0), (s1, t1)) = (run(), run());
+        assert_eq!(s0, s1, "{name}: outcome differs between two runs");
+        assert_eq!(t0, t1, "{name}: trace structure differs between two runs");
     }
 }
 
 #[test]
-fn table3_bug_localization_is_identical_across_jobs() {
+fn table3_bug_localization_is_identical_across_runs() {
     // Both the buggy variants (same first-unmapped-operator report) and
     // their fixed twins (same clean verdict).
     for case in all_bugs(true).into_iter().chain(all_bugs(false)) {
-        let mut baseline: Option<(String, String)> = None;
-        for jobs in [1usize, 2, 4] {
+        let run = || {
             let (tracer, sink) = Tracer::collect();
-            let verdict = case.run(&opts_with(jobs, &tracer));
+            let verdict = case.run(&opts_with(&tracer));
             drop(tracer);
             let sig = match verdict {
                 BugVerdict::Clean => "clean".to_owned(),
                 BugVerdict::RefinementBug(e) => format!("refinement: {e:?}"),
                 BugVerdict::ExpectationBug(e) => format!("expectation: {e:?}"),
             };
-            let trace_sig = trace_signature(&sink.records());
-            match &baseline {
-                None => baseline = Some((sig, trace_sig)),
-                Some((s0, t0)) => {
-                    assert_eq!(
-                        s0, &sig,
-                        "bug {} ({}, buggy={}): verdict differs between jobs=1 and jobs={jobs}",
-                        case.id, case.name, case.buggy
-                    );
-                    assert_eq!(
-                        t0, &trace_sig,
-                        "bug {} ({}, buggy={}): trace differs between jobs=1 and jobs={jobs}",
-                        case.id, case.name, case.buggy
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// An operator that is ready alone is solved by the coordinator — also when
-/// it is the one that fails: the report is the one `jobs = 1` gives, and the
-/// failing `op:` span names the coordinating thread, worker 0. The shard
-/// pre-pass is off so that bugs 1, 3 and 7 reach the map stage too (bug 2
-/// fails after it, at the outputs gate).
-#[test]
-fn a_failing_operator_solved_inline_reports_like_jobs_1() {
-    let mut inline_failures = 0;
-    for case in all_bugs(true) {
-        if ![1, 2, 3, 4, 6, 7].contains(&case.id) {
-            continue;
-        }
-        let run = |jobs: usize| {
-            let (tracer, sink) = Tracer::collect();
-            let opts = CheckOptions {
-                shard: false,
-                ..opts_with(jobs, &tracer)
-            };
-            let verdict = case.run(&opts);
-            drop((opts, tracer));
-            let BugVerdict::RefinementBug(e) = verdict else {
-                panic!("bug {} must be a refinement bug", case.id);
-            };
-            (e, sink.records())
+            (sig, trace_signature(&sink.records()))
         };
-        let (sequential, _) = run(1);
-        let (parallel, records) = run(2);
-        assert_eq!(format!("{sequential:?}"), format!("{parallel:?}"));
-        let attr = |r: &Record, key: &str| -> Option<String> {
-            let found = r.attrs.iter().find(|(k, _)| k == key);
-            found.map(|(_, v)| v.clone())
-        };
-        for r in &records {
-            if attr(r, "outcome").as_deref() == Some("operator-unmapped") {
-                assert!(matches!(parallel, RefinementError::OperatorUnmapped { .. }));
-                if attr(r, "worker").as_deref() == Some("0") {
-                    inline_failures += 1;
-                }
-            }
-        }
+        let ((s0, t0), (s1, t1)) = (run(), run());
+        let id = format!("bug {} ({}, buggy={})", case.id, case.name, case.buggy);
+        assert_eq!(s0, s1, "{id}: verdict differs between two runs");
+        assert_eq!(t0, t1, "{id}: trace differs between two runs");
     }
-    assert_eq!(inline_failures, 5, "bugs 1, 3, 4, 6 and 7");
 }

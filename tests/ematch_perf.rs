@@ -28,7 +28,6 @@ fn deep_gpt_par8_check_stays_under_budget_with_compiled_matching() {
     let w = gpt_workload(8, 4);
     let metrics = Registry::new();
     let opts = CheckOptions {
-        jobs: 1,
         metrics: metrics.clone(),
         ..saturation_opts()
     };
@@ -62,7 +61,6 @@ fn deep_gpt_par8_check_stays_under_budget_with_compiled_matching() {
     // The actual perf pin, release builds only, best of 3.
     if !cfg!(debug_assertions) {
         let plain = CheckOptions {
-            jobs: 1,
             ..saturation_opts()
         };
         for _ in 0..2 {

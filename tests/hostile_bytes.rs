@@ -2,7 +2,8 @@
 //! must be *refused* — exit 4 with a diagnostic from `certify --check`, the
 //! trusted re-checker, exit 2 from the `--maps` reader — not abort it
 //! (SIGABRT, 134). And a reader that goes away before the output is written
-//! ends the run with exit 141, not a panic (101).
+//! ends the run with exit 141, not a panic (101). Last, the plain case: two
+//! cold runs of one check print the same bytes.
 //!
 //! These spawn `entangle` rather than call the library: an overflow inside
 //! the test process would take the harness down with it instead of failing
@@ -163,4 +164,34 @@ fn a_stdout_closed_before_the_output_is_a_quiet_exit_141() {
         out.status
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn two_cold_checks_print_identical_stdout_and_jobs_is_not_a_flag() {
+    let base = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/graphs/moe_tpsp2");
+    let file = |ext: &str| base.with_extension(ext);
+    let check = |extra: &[&str]| {
+        Command::new(entangle())
+            .arg("check")
+            .args([file("gs.json"), file("gd.json")])
+            .arg("--maps")
+            .arg(file("maps"))
+            .arg("--no-ledger")
+            .args(extra)
+            .output()
+            .expect("entangle runs")
+    };
+    let (first, second) = (check(&[]), check(&[]));
+    let stdout = String::from_utf8_lossy(&first.stdout);
+    assert_eq!(first.status.code(), Some(0), "{stdout}");
+    assert!(
+        stdout.lines().any(|l| l.starts_with("memo     : cache ")),
+        "{stdout}"
+    );
+    assert_eq!(stdout, String::from_utf8_lossy(&second.stdout));
+    let rejected = check(&["--jobs", "2"]);
+    let stderr = String::from_utf8_lossy(&rejected.stderr);
+    assert_eq!(rejected.status.code(), Some(2), "{stderr}");
+    assert!(stderr.starts_with("error: unknown flag --jobs"), "{stderr}");
+    assert!(rejected.stdout.is_empty(), "{stderr}");
 }

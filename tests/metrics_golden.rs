@@ -3,8 +3,8 @@
 //! (captured at the commit before the registry left the engine crates, so
 //! "same names, same values" is a fact about two commits, not about two
 //! runs of one), on the verified path and on both failure exits that have
-//! no `CheckOutcome`; at `jobs = 1` the whole snapshot bar `par.cores` is a
-//! function of the problem; it carries the documented instrument catalogue
+//! no `CheckOutcome`; the whole snapshot is a function of the problem; it
+//! carries the documented instrument catalogue
 //! and cannot perturb the search; and ledger records survive the JSONL
 //! round-trip with malformed-line-tolerant reads and the documented
 //! regression noise bands.
@@ -49,22 +49,15 @@ fn regression_workload() -> (
 fn metered_opts() -> CheckOptions {
     CheckOptions {
         certify: true,
-        jobs: 1,
         metrics: Registry::new(),
         ..CheckOptions::default()
     }
 }
 
 /// A snapshot as golden text: one `name value` line per counter and gauge,
-/// by name, without `par.cores` (a property of the machine). Every other
-/// value is a function of the problem at `jobs = 1`.
+/// by name.
 fn golden_text(s: &Snapshot) -> String {
-    let scalars: BTreeMap<&String, &u64> = s
-        .counters
-        .iter()
-        .chain(&s.gauges)
-        .filter(|(k, _)| *k != "par.cores")
-        .collect();
+    let scalars: BTreeMap<&String, &u64> = s.counters.iter().chain(&s.gauges).collect();
     scalars.iter().map(|(k, v)| format!("{k} {v}\n")).collect()
 }
 
@@ -86,7 +79,7 @@ fn assert_matches_golden(name: &str, got: &str) {
     );
 }
 
-/// The snapshot of a metered `jobs = 1` check.
+/// The snapshot of a metered check.
 fn golden_snapshot(
     gs: &entangle_ir::Graph,
     gd: &entangle_ir::Graph,
@@ -106,7 +99,7 @@ fn golden_snapshot_gpt_tp2() {
     assert_matches_golden("gpt_tp2", &golden_text(&a));
 
     // The instrument catalogue the pipeline documents: e-graph growth,
-    // per-operator accounting, scheduler gauges, kernel verdicts.
+    // per-operator accounting, kernel verdicts.
     assert!(a.counter("egraph.runs") > 0, "saturation runs counted");
     assert!(a.counter("egraph.iterations") >= a.counter("egraph.runs"));
     assert!(a.gauge("egraph.peak_nodes") > 0, "peak e-nodes tracked");
@@ -116,7 +109,6 @@ fn golden_snapshot_gpt_tp2() {
         gs.nodes().len() as u64,
         "one operator report per sequential node"
     );
-    assert_eq!(a.gauge("par.jobs"), 1);
     assert_eq!(
         a.counter("cert.verify.accepted"),
         1,
@@ -136,17 +128,14 @@ fn golden_snapshot_gpt_tp2() {
     );
 }
 
-/// Two metered `jobs = 1` checks of one triple in one process record the
-/// same snapshot: no instrument holds a duration, and none depends on what
-/// an earlier check left in a process-global memo.
+/// Two metered checks of one triple in one process record the same
+/// snapshot: no instrument holds a duration, and none depends on what an
+/// earlier check left in a process-global memo.
 #[test]
 fn repeated_checks_record_equal_snapshots() {
     let (gs, dist, ri) = gpt_tp2();
-    let mut first = golden_snapshot(&gs, &dist.graph, &ri);
-    let mut second = golden_snapshot(&gs, &dist.graph, &ri);
-    for s in [&mut first, &mut second] {
-        s.gauges.remove("par.cores");
-    }
+    let first = golden_snapshot(&gs, &dist.graph, &ri);
+    let second = golden_snapshot(&gs, &dist.graph, &ri);
     assert_eq!(first, second);
 }
 

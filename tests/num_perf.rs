@@ -41,7 +41,6 @@ use entangle_parallel::Distributed;
 fn analyze_cold(name: &str, gs: &Graph, dist: &Distributed) -> (CertAnalysis, Duration) {
     let ri = dist.relation(gs).expect("relation builds");
     let opts = CheckOptions {
-        jobs: 1,
         numeric: false,
         ..CheckOptions::default()
     };
