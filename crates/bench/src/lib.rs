@@ -173,8 +173,9 @@ pub fn moe_workload(par: usize, backward: bool) -> Workload {
 }
 
 /// A deep MoE *stack* under TP+SP+EP: `layers` MoE layers, each with its
-/// own router, experts and load-balance head (`tests/templates.rs`' deep
-/// builders; `moe_workload` keeps the paper's fixed 1/2-layer shapes).
+/// own router, experts and load-balance head (one of the deep builders
+/// `tests/templates.rs` checks for memo replay at depth; `moe_workload`
+/// keeps the paper's fixed 1/2-layer shapes).
 pub fn moe_deep_workload(par: usize, layers: usize) -> Workload {
     let cfg = MoeConfig {
         base: bench_config(),

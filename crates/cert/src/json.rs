@@ -63,8 +63,8 @@ use crate::table::{PostOrder, TermTable};
 /// Deepest term the reader accepts (a leaf is depth 1): the s-expression
 /// reader's bound, so the term language has one. Real certificate terms are
 /// a few dozen deep; the bound is what lets every recursive consumer behind
-/// the reader (`Display`, the kernel's matcher, slice-bound retargeting) run
-/// on a certificate from an untrusted file.
+/// the reader (`Display`, the kernel's matcher) run on a certificate from an
+/// untrusted file.
 pub use entangle_egraph::MAX_TERM_DEPTH;
 
 /// Serializes a certificate to its canonical JSON text.

@@ -110,12 +110,12 @@ pub fn verify_reporting(
 /// Validates a single [`MappingCert`] against an explicitly supplied
 /// accepted-mapping set (`G_s` input tensor name → accepted expressions).
 ///
-/// This is the entry point the checker's template instantiation uses: an
-/// instantiated mapping is kernel-checked *eagerly*, before it may enter
-/// the relation, under exactly the rules [`verify`] applies per mapping —
-/// the proof must start from the kernel's own operator encoding, every
-/// step must be justified, and the result must re-infer to the `G_s`
-/// tensor's shape and dtype.
+/// One mapping is checked under exactly the rules [`verify`] applies per
+/// mapping — the proof must start from the kernel's own operator encoding,
+/// every step must be justified, and the result must re-infer to the `G_s`
+/// tensor's shape and dtype — without a whole certificate around it.
+/// `tests/cert_mutation.rs` drives it to hold forged single mappings to
+/// those rules.
 ///
 /// # Errors
 ///
@@ -632,7 +632,7 @@ impl<'a> Kernel<'a> {
 
 /// Matches a pattern against a concrete subterm, binding variables to
 /// subterms; nonlinear variables must bind the same term.
-pub(crate) fn match_term<T: Terms>(pat: &PatternAst, terms: &T, at: Id, sigma: &mut Subst) -> bool {
+fn match_term<T: Terms>(pat: &PatternAst, terms: &T, at: Id, sigma: &mut Subst) -> bool {
     match pat {
         PatternAst::Var(v) => match sigma.get(*v) {
             Some(prev) => terms.same_term(prev, at),

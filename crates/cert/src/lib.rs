@@ -32,7 +32,6 @@
 #![forbid(unsafe_code)]
 
 mod cert;
-mod instantiate;
 mod json;
 mod kernel;
 mod table;
@@ -41,6 +40,5 @@ mod table;
 mod tests;
 
 pub use cert::{exprs_eq, term_eq, CertError, Certificate, MappingCert, NumericVerdict};
-pub use instantiate::{retarget_proof, retarget_slice_bounds};
 pub use json::{from_json, from_json_counting, to_json, MAX_TERM_DEPTH};
 pub use kernel::{verify, verify_mapping, verify_reporting, KernelReport};

@@ -266,8 +266,9 @@ without, it reports the per-tensor layout structure of the graph alone.
 iso runs the static graph-template analysis (IS## codes): each operator's
 producer-side neighborhood is canonicalized into a bounded-depth
 fingerprint (leaf names dropped, slice bounds parameterized) and the graph
-is partitioned into repeated template classes — the partition the checker
-reuses to solve one representative per class. Findings cover fingerprint
+is partitioned into repeated template classes. The partition is a
+diagnostic: the checker does not read it (a repeated operator replays
+through the saturation memo on its own). Findings cover fingerprint
 collisions, near-miss templates (one instance out of step with a repeated
 class), and non-bijective parameter-leaf alignment.
 
@@ -818,28 +819,16 @@ fn print_numeric_verdicts(num: &entangle::CertAnalysis) {
     }
 }
 
-/// One human-readable line summarizing the checker's cross-operator memo
-/// and template behavior, printed after check/certify/trace
-/// verdicts — a view of the outcome's [`entangle::ParStats`].
+/// One human-readable line summarizing the checker's cross-operator memo,
+/// printed after check/certify/trace verdicts — a view of the outcome's
+/// [`entangle::ParStats`].
 fn par_summary(par: &entangle::ParStats) -> String {
-    let cache = format!(
-        "cache {} hits / {} misses ({:.0}% hit rate)",
+    format!(
+        "memo     : cache {} hits / {} misses ({:.0}% hit rate)",
         par.cache_hits,
         par.cache_misses,
         par.hit_rate() * 100.0
-    );
-    let templates = if par.template_classes > 0 {
-        format!(
-            "; templates {} classes, {} hits ({} kernel-instantiated, {} fallbacks)",
-            par.template_classes,
-            par.template_hits,
-            par.template_instantiated,
-            par.template_fallbacks
-        )
-    } else {
-        String::new()
-    };
-    format!("memo     : {cache}{templates}")
+    )
 }
 
 /// The ledger file this invocation should append to / report from, or

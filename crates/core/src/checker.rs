@@ -8,16 +8,15 @@ use std::time::{Duration, Instant};
 use entangle_cert::{CertError, Certificate, MappingCert};
 use entangle_egraph::{
     BackoffSchedule, CompiledMatcher, EGraph, ENode, Extractor, Id, Proof, RecExpr, Rewrite,
-    RunReport, SaturationReport, StopReason, Symbol,
+    RunReport, SaturationReport, StopReason,
 };
 use entangle_ir::{Graph, Node, NodeId};
 use entangle_lemmas::{registry, rewrites_of, TensorAnalysis};
-use entangle_par::Renamer;
 use entangle_symbolic::SymCtx;
 use entangle_trace::{SpanGuard, Tracer};
 
 use crate::encode::{clean_cost, CleanOps};
-use crate::memo::{build_problem, solve_problem, GdConsumers, Solved, TemplateKey};
+use crate::memo::{build_problem, solve_problem, GdConsumers, Solved};
 use crate::relation::Relation;
 
 /// A round's iteration guard is this many iterations plus one per level of
@@ -71,20 +70,6 @@ pub struct CheckOptions {
     /// Ignored: the map stage is one in-order loop on the calling thread.
     /// Kept only so callers that still set it compile.
     pub jobs: usize,
-    /// Template instantiation (on by default; needs `certify`): the
-    /// `entangle-iso` static analysis partitions `G_s` into repeated
-    /// structure classes before any saturation, and each class keeps its
-    /// representative's solution under a template key in which concrete
-    /// integer slice bounds are `$b` placeholders. A member with the same
-    /// key but *different* bounds (the N experts of an MoE) re-checks an
-    /// *instantiated* certificate in the `entangle-cert` trusted kernel
-    /// (member bounds substituted into the representative's proof); kernel
-    /// rejection falls back to a concrete solve, so verdicts never depend on
-    /// instantiation. A member with *equal* bounds poses the
-    /// representative's concrete problem and replays it from the concrete
-    /// memo. Turn off to measure the concrete memo alone
-    /// (`tests/templates.rs` pins verdict identity on/off).
-    pub templates: bool,
     /// Rule-class-driven backoff scheduling (on by default): the static
     /// corpus analysis (`entangle-rules`) classifies every rewrite and
     /// throttles non-simplifying members of generative interaction cycles —
@@ -132,7 +117,6 @@ impl Default for CheckOptions {
             certify: true,
             trace: Tracer::null(),
             jobs: 1,
-            templates: true,
             rule_backoff: true,
             numeric: true,
             metrics: entangle_metrics::Registry::null(),
@@ -140,30 +124,20 @@ impl Default for CheckOptions {
     }
 }
 
-/// How the saturation memo and the template slots behaved during one check.
+/// How the saturation memo behaved during one check.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ParStats {
     /// Memo lookups that found a previously solved canonical problem.
     pub cache_hits: u64,
     /// Memo lookups that had to solve from scratch.
     pub cache_misses: u64,
-    /// Repeated structure classes the static analysis found in `G_s` (0
-    /// when [`CheckOptions::templates`] or [`CheckOptions::certify`] is off).
-    pub template_classes: usize,
-    /// `G_s` operators covered by some repeated class.
-    pub template_covered: usize,
-    /// Member lookups that found the class representative's entry under an
-    /// equal template key. Those with equal slice bounds go on to the
-    /// concrete memo and count there too.
+    /// Always 0: every repeated operator replays through the concrete
+    /// memo and counts in [`ParStats::cache_hits`]. Kept only so callers
+    /// that still read it compile.
     pub template_hits: u64,
-    /// Member lookups that found no entry (the representative failed) or
-    /// one under another key (the member's problem differs structurally).
-    pub template_misses: u64,
-    /// Template hits with differing bounds whose instantiated certificate
-    /// the kernel accepted.
+    /// Always 0, like [`ParStats::template_hits`].
     pub template_instantiated: u64,
-    /// Template hits with differing bounds whose instantiation the kernel
-    /// rejected, so the member fell back to the concrete memo.
+    /// Always 0, like [`ParStats::template_hits`].
     pub template_fallbacks: u64,
 }
 
@@ -184,7 +158,7 @@ impl ParStats {
 /// unconditionally (no tracer required) — this is what `entangle trace`
 /// renders as the per-rule table and e-graph growth curve.
 ///
-/// Two tallies, because a memo or template replay hands an operator the
+/// Two tallies, because a memo replay hands an operator the
 /// report of a run that already happened: [`SaturationSummary::telemetry`]
 /// counts every operator's runs — per operator, as the paper's Figure 6
 /// does — while [`SaturationSummary::fresh`] counts each run once, which is
@@ -348,8 +322,8 @@ pub struct CheckOutcome {
     /// plus any `NU##` diagnostics. Advisory — present only on *successful*
     /// checks and never part of the verdict.
     pub numeric: Option<entangle_num::CertAnalysis>,
-    /// Saturation-memo and template statistics (the CLI's `memo     :`
-    /// line and the benchmark's `par.*` rows).
+    /// Saturation-memo statistics (the CLI's `memo     :` line and the
+    /// benchmark's `par.*` rows).
     pub par: ParStats,
 }
 
@@ -625,21 +599,6 @@ fn stage<T>(opts: &CheckOptions, name: &str, body: impl FnOnce(&mut SpanGuard) -
     body(&mut opts.trace.span(&format!("stage:{name}")))
 }
 
-/// Runs a trusted-kernel call and counts its verdict into
-/// `cert.verify.{accepted,rejected}`.
-fn counted_kernel(
-    metrics: &entangle_metrics::Registry,
-    call: impl FnOnce() -> Result<(), CertError>,
-) -> Result<(), CertError> {
-    let result = call();
-    let verdict = match &result {
-        Ok(()) => "cert.verify.accepted",
-        Err(_) => "cert.verify.rejected",
-    };
-    metrics.counter(verdict).inc();
-    result
-}
-
 /// Records one *fresh* saturation run (a memo replay describes a run
 /// already counted): growth and peak-size gauges, run/iteration/union
 /// counters, the backoff ban counter and the e-matching instruments — all
@@ -717,11 +676,9 @@ fn check_refinement_inner(
         })?;
     }
 
-    // Everything the map stage needs that depends on the rule corpus or
-    // on `G_s` alone, derived once per check and shared with every
-    // per-operator solve.
-    let mut par = ParStats::default();
-    let (rewrites, backoff, matcher, templates) = stage(opts, "setup", |sp| {
+    // Everything the map stage needs that depends on the rule corpus alone,
+    // derived once per check and shared with every per-operator solve.
+    let (rewrites, backoff, matcher) = stage(opts, "setup", |sp| {
         let rewrites = opts
             .rewrites
             .clone()
@@ -740,28 +697,11 @@ fn check_refinement_inner(
             .set(throttled as u64);
         // The discrimination tree every saturation run searches with.
         let matcher = CompiledMatcher::compile(&rewrites);
-        // Static template analysis: the `entangle-iso` partition names each
-        // repeated-structure class's representative, whose certificate
-        // members with other slice bounds instantiate instead of
-        // re-saturating. Instantiation is kernel-gated, so without
-        // certification the partition has nothing to do.
-        let templates = (opts.templates && opts.certify).then(|| {
-            let partition = entangle_iso::analyze(gs);
-            par.template_classes = partition.class_count();
-            par.template_covered = partition.covered();
-            metrics
-                .gauge("iso.template.classes")
-                .set(par.template_classes as u64);
-            metrics
-                .gauge("iso.template.covered")
-                .set(par.template_covered as u64);
-            TemplateInfo::new(&partition, gs.nodes().len())
-        });
         sp.attr("rules", rewrites.len());
         sp.attr("throttled", throttled);
         sp.attr("trie_nodes", matcher.trie_nodes());
         sp.attr("unifications", unifications);
-        (rewrites, backoff, matcher, templates)
+        (rewrites, backoff, matcher)
     });
 
     let certificate = opts.certify.then(|| Certificate {
@@ -788,8 +728,7 @@ fn check_refinement_inner(
         op_reports: Vec::with_capacity(gs.num_nodes()),
         certificate,
         memo: HashMap::new(),
-        templates,
-        par,
+        par: ParStats::default(),
     };
     let mapped = stage(opts, "map", |_| {
         let ctx = MapCtx {
@@ -808,20 +747,13 @@ fn check_refinement_inner(
         saturation,
         op_reports,
         mut certificate,
-        templates,
         par,
         ..
     } = st;
     // Read on the failure path too: a failed check has no `CheckOutcome`,
-    // so the registry is all that says how far the memos got.
+    // so the registry is all that says how far the memo got.
     metrics.counter("par.cache.hits").add(par.cache_hits);
     metrics.counter("par.cache.misses").add(par.cache_misses);
-    if templates.is_some() {
-        metrics.counter("par.template.hits").add(par.template_hits);
-        metrics
-            .counter("par.template.misses")
-            .add(par.template_misses);
-    }
     mapped?;
 
     // Listing 1 line 9: R_o keeps only mappings whose leaves are G_d
@@ -877,17 +809,17 @@ fn check_refinement_inner(
         stage(opts, "certify", |sp| {
             sp.attr("mappings", c.mappings.len());
             sp.attr("steps", c.total_steps());
-            let mut kernel = entangle_cert::KernelReport::default();
-            let r = counted_kernel(metrics, || {
-                let (verdict, report) =
-                    entangle_cert::verify_reporting(c, gs, gd, &rewrites, &opts.sym_ctx);
-                kernel = report;
-                verdict
-            });
+            let (r, kernel) = entangle_cert::verify_reporting(c, gs, gd, &rewrites, &opts.sym_ctx);
             for (key, count) in kernel.attrs() {
                 sp.attr(key, count);
             }
-            sp.attr("outcome", if r.is_ok() { "accepted" } else { "rejected" });
+            let (outcome, verdict) = if r.is_ok() {
+                ("accepted", "cert.verify.accepted")
+            } else {
+                ("rejected", "cert.verify.rejected")
+            };
+            metrics.counter(verdict).inc();
+            sp.attr("outcome", outcome);
             r
         })
         .map_err(|error| RefinementError::CertRejected { error })?;
@@ -942,14 +874,6 @@ fn check_refinement_inner(
     metrics
         .counter("check.operators")
         .add(op_reports.len() as u64);
-    if templates.is_some() {
-        metrics
-            .counter("par.template.instantiated")
-            .add(par.template_instantiated);
-        metrics
-            .counter("par.template.fallbacks")
-            .add(par.template_fallbacks);
-    }
     Ok(CheckOutcome {
         output_relation,
         full_relation: relation,
@@ -1076,44 +1000,6 @@ fn shard_pass(gs: &Graph, gd: &Graph, ri: &Relation) -> Result<usize, Refinement
 // The map stage: Listing 1's loop over G_s operators in index order.
 // ---------------------------------------------------------------------------
 
-/// One solved template class: the representative's template key, per-site
-/// bound values and definition-slot names (render order, matching
-/// `OpProblem::template_key`) and its solved canonical problem,
-/// certificates included.
-struct TemplateEntry {
-    key: String,
-    bounds: Vec<i64>,
-    defs: Vec<(String, String)>,
-    solved: Arc<Solved>,
-}
-
-/// The static template partition plus one instantiation slot per class.
-/// Only a class *representative* (its smallest G_s node index) fills its
-/// slot; members read it, and the in-order loop reaches every member after
-/// its representative.
-struct TemplateInfo {
-    /// Per G_s node index: `(class id, representative node index)` for
-    /// nodes in a repeated-structure class.
-    class_rep: Vec<Option<(usize, usize)>>,
-    /// Per class id: the representative's entry, once it has solved.
-    slots: Vec<Option<TemplateEntry>>,
-}
-
-impl TemplateInfo {
-    fn new(analysis: &entangle_iso::IsoAnalysis, num_nodes: usize) -> TemplateInfo {
-        let mut class_rep = vec![None; num_nodes];
-        for (idx, slot) in class_rep.iter_mut().enumerate() {
-            if let Some(class) = analysis.class_of(idx) {
-                *slot = Some((class.id, class.representative()));
-            }
-        }
-        TemplateInfo {
-            class_rep,
-            slots: (0..analysis.class_count()).map(|_| None).collect(),
-        }
-    }
-}
-
 /// The per-check inputs of the map stage that no operator changes.
 struct MapCtx<'a> {
     gs: &'a Graph,
@@ -1141,8 +1027,7 @@ struct MapState {
     /// as long as this check, so equal keys pose equal problems to the same
     /// engine.
     memo: HashMap<String, Arc<Solved>>,
-    templates: Option<TemplateInfo>,
-    /// The memo and template tallies, reported as [`CheckOutcome::par`].
+    /// The memo's tallies, reported as [`CheckOutcome::par`].
     par: ParStats,
 }
 
@@ -1156,143 +1041,17 @@ struct OpResult {
     /// replayed from a memo, indistinguishably. `None` when an input had no
     /// mapping, so no problem could be posed.
     solved: Option<Arc<Solved>>,
-    /// `solved` came from the memo or a template slot: an earlier operator
-    /// already reported its runs.
+    /// `solved` came from the memo: an earlier operator already reported
+    /// its runs.
     replayed: bool,
     elapsed: Duration,
 }
 
-/// The per-site value substitution implied by the differing bound sites,
-/// or `None` when the sites conflict (one representative value would need
-/// two images) or nothing differs.
-fn diff_value_map(rep: &[i64], member: &[i64]) -> Option<HashMap<i64, i64>> {
-    let mut map = HashMap::new();
-    for (&r, &m) in rep.iter().zip(member) {
-        if r == m {
-            continue;
-        }
-        match map.entry(r) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                if *e.get() != m {
-                    return None;
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(m);
-            }
-        }
-    }
-    (!map.is_empty()).then_some(map)
-}
-
-/// Builds the mappings of a member whose slice bounds differ from its
-/// representative's by instantiating the representative's certificate:
-/// translate each variant into the member's canonical namespace through the
-/// definition-slot pairing (tensor names and `Given` fact labels), apply a
-/// candidate bound substitution to its expression and proof chain (rule
-/// substitutions are re-derived — see `entangle-cert`), rename out of the
-/// canonical namespace with this member's own renamer, and re-check the
-/// mapping in the trusted kernel against the member's accepted input
-/// mappings. The candidates are the value substitution read off the
-/// differing sites (when consistent), then the identity (bound sites may
-/// belong to *other* members' structures that the variant never mentions).
-/// Each variant keeps the first candidate the kernel accepts; a variant no
-/// candidate can justify abandons the whole instantiation, so soundness
-/// never rests on the substitution heuristic.
-fn instantiate_template(
-    ctx: &MapCtx,
-    node: &Node,
-    per_input: &[Vec<RecExpr>],
-    back: &Renamer,
-    entry: &TemplateEntry,
-    tk: &TemplateKey,
-) -> Option<Vec<(RecExpr, Option<Proof>)>> {
-    let mut translate = Renamer::new();
-    for ((rep_label, rep_out), (mem_label, mem_out)) in entry.defs.iter().zip(&tk.defs) {
-        if rep_out != mem_out {
-            translate.leaf(Symbol::new(rep_out), Symbol::new(mem_out));
-        }
-        if rep_label != mem_label {
-            translate.fact(
-                format!("G_d definition of {rep_label}"),
-                format!("G_d definition of {mem_label}"),
-            );
-        }
-    }
-    let mut candidates: Vec<HashMap<i64, i64>> = Vec::new();
-    candidates.extend(diff_value_map(&entry.bounds, &tk.bounds));
-    candidates.push(HashMap::new());
-    let accepted: HashMap<String, Vec<RecExpr>> = node
-        .inputs
-        .iter()
-        .zip(per_input)
-        .map(|(&t, exprs)| (ctx.gs.tensor(t).name.clone(), exprs.clone()))
-        .collect();
-    // The inputs' first mappings are what the certificate records (the
-    // saturation base term applies the operator to exactly these).
-    let first_inputs: Vec<RecExpr> = per_input
-        .iter()
-        .filter_map(|m| m.first().cloned())
-        .collect();
-    let tensor = ctx.gs.tensor(node.output).name.clone();
-    let mut mapped: Vec<(f64, RecExpr, Option<Proof>)> =
-        Vec::with_capacity(entry.solved.variants.len());
-    'variants: for (cost, expr, proof) in &entry.solved.variants {
-        let t_expr = translate.rename_expr(expr);
-        let t_proof = translate.rename_proof(proof.as_ref()?);
-        for value_map in &candidates {
-            let (c_expr, c_proof) = if value_map.is_empty() {
-                (t_expr.clone(), t_proof.clone())
-            } else {
-                let e = entangle_cert::retarget_slice_bounds(&t_expr, value_map);
-                match entangle_cert::retarget_proof(&t_proof, value_map, ctx.rewrites) {
-                    Ok(p) => (e, p),
-                    Err(_) => continue,
-                }
-            };
-            let real_expr = back.rename_expr(&c_expr);
-            let real_proof = back.rename_proof(&c_proof);
-            let mc = MappingCert {
-                tensor: tensor.clone(),
-                operator: node.name.clone(),
-                inputs: first_inputs.clone(),
-                expr: real_expr.clone(),
-                proof: real_proof.clone(),
-            };
-            if counted_kernel(&ctx.opts.metrics, || {
-                entangle_cert::verify_mapping(
-                    &mc,
-                    ctx.gs,
-                    ctx.gd,
-                    ctx.rewrites,
-                    &ctx.opts.sym_ctx,
-                    &accepted,
-                )
-            })
-            .is_ok()
-            {
-                mapped.push((*cost, real_expr, Some(real_proof)));
-                continue 'variants;
-            }
-        }
-        return None;
-    }
-    // Same (cost, real text) ordering as a plain replay in `run_op`.
-    mapped.sort_by(|a, b| {
-        a.0.partial_cmp(&b.0)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.1.to_string().cmp(&b.1.to_string()))
-    });
-    Some(mapped.into_iter().map(|(_, e, p)| (e, p)).collect())
-}
-
-/// Solves one operator: canonicalize it ([`build_problem`]), try template
-/// instantiation, consult the saturation memo, and on a miss run
-/// [`solve_problem`]. `per_input` is the snapshot of its inputs' final
-/// mappings (operator order).
-fn run_op(ctx: &MapCtx, st: &mut MapState, idx: usize, per_input: &[Vec<RecExpr>]) -> OpResult {
+/// Solves one operator: canonicalize it ([`build_problem`]), consult the
+/// saturation memo, and on a miss run [`solve_problem`]. `per_input` is the
+/// snapshot of its inputs' final mappings (operator order).
+fn run_op(ctx: &MapCtx, st: &mut MapState, node: &Node, per_input: &[Vec<RecExpr>]) -> OpResult {
     let start = Instant::now();
-    let node = &ctx.gs.nodes()[idx];
     if per_input.iter().any(|m| m.is_empty()) {
         return OpResult {
             mappings: Vec::new(),
@@ -1302,110 +1061,48 @@ fn run_op(ctx: &MapCtx, st: &mut MapState, idx: usize, per_input: &[Vec<RecExpr>
         };
     }
     let (problem, back) = build_problem(ctx.gs, ctx.gd, node, per_input, &ctx.consumers);
-    // Template lift: a node in a repeated class additionally gets a
-    // per-template key with slice bounds abstracted to placeholders and
-    // frontier-definition names structure-normalized.
-    let tpl = st.templates.as_ref().and_then(|t| {
-        let (class, rep) = t.class_rep[idx]?;
-        Some((class, rep, problem.template_key(class)?))
-    });
-    // A member reads its class slot *before* the concrete memo, so the
-    // chosen path is a static property of the node. With equal bounds the
-    // member poses the representative's concrete problem, which the
-    // concrete memo already holds; with differing bounds it instantiates the
-    // representative's certificate, and falls back to the concrete memo if
-    // the kernel rejects it. The concrete memo only ever holds
-    // `solve_problem` outputs (instantiated mappings are never inserted
-    // there), keeping its values a pure function of the key.
-    let par = &mut st.par;
-    let from_template = match (&tpl, &st.templates) {
-        (Some((class, rep, tk)), Some(t)) if *rep != idx => {
-            let entry = t.slots[*class].as_ref().filter(|e| e.key == tk.key);
-            if entry.is_some() {
-                par.template_hits += 1;
-            } else {
-                par.template_misses += 1;
-            }
-            entry
-                .filter(|entry| entry.bounds != tk.bounds)
-                .and_then(|entry| {
-                    let mappings = instantiate_template(ctx, node, per_input, &back, entry, tk);
-                    if mappings.is_some() {
-                        par.template_instantiated += 1;
-                    } else {
-                        par.template_fallbacks += 1;
-                    }
-                    Some((entry.solved.clone(), mappings?))
-                })
+    let key = problem.key();
+    let (solved, replayed) = match st.memo.get(&key) {
+        Some(solved) => {
+            st.par.cache_hits += 1;
+            (solved.clone(), true)
         }
-        _ => None,
-    };
-    // `solved` is the telemetry source either way; `instantiated` holds the
-    // mappings of a cross-bound template hit, in real names and final order.
-    let (solved, instantiated, replayed) = match from_template {
-        Some((solved, mappings)) => (solved, Some(mappings), true),
         None => {
-            let key = problem.key();
-            match st.memo.get(&key) {
-                Some(solved) => {
-                    st.par.cache_hits += 1;
-                    (solved.clone(), None, true)
-                }
-                None => {
-                    st.par.cache_misses += 1;
-                    let fresh = Arc::new(solve_problem(
-                        &problem,
-                        ctx.opts,
-                        ctx.rewrites,
-                        ctx.matcher,
-                        ctx.backoff,
-                    ));
-                    for report in &fresh.run_reports {
-                        record_run(&ctx.opts.metrics, report);
-                    }
-                    st.memo.insert(key, fresh.clone());
-                    (fresh, None, false)
-                }
+            st.par.cache_misses += 1;
+            let fresh = Arc::new(solve_problem(
+                &problem,
+                ctx.opts,
+                ctx.rewrites,
+                ctx.matcher,
+                ctx.backoff,
+            ));
+            for report in &fresh.run_reports {
+                record_run(&ctx.opts.metrics, report);
             }
+            st.memo.insert(key, fresh.clone());
+            (fresh, false)
         }
     };
-    // The representative fills its class slot, whether its own solve was
-    // fresh or a concrete-memo hit. A failed representative leaves it
-    // empty: members with different bounds might still succeed and must
-    // search for themselves.
-    if let (Some((class, rep, tk)), Some(t)) = (tpl, st.templates.as_mut()) {
-        if rep == idx && !solved.variants.is_empty() {
-            t.slots[class] = Some(TemplateEntry {
-                key: tk.key,
-                bounds: tk.bounds,
-                defs: tk.defs,
-                solved: solved.clone(),
-            });
-        }
-    }
-    let mappings = instantiated.unwrap_or_else(|| {
-        // Rename back to real G_d tensors, then order by (cost, real text)
-        // — canonical text order is not real text order.
-        let mut mapped: Vec<(f64, RecExpr, Option<Proof>)> = solved
-            .variants
-            .iter()
-            .map(|(c, e, p)| {
-                (
-                    *c,
-                    back.rename_expr(e),
-                    p.as_ref().map(|p| back.rename_proof(p)),
-                )
-            })
-            .collect();
-        mapped.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.1.to_string().cmp(&b.1.to_string()))
-        });
-        mapped.into_iter().map(|(_, e, p)| (e, p)).collect()
+    // Rename back to real G_d tensors, then order by (cost, real text) —
+    // canonical text order is not real text order.
+    let mut mapped: Vec<(f64, RecExpr, Option<Proof>)> = solved
+        .variants
+        .iter()
+        .map(|(c, e, p)| {
+            (
+                *c,
+                back.rename_expr(e),
+                p.as_ref().map(|p| back.rename_proof(p)),
+            )
+        })
+        .collect();
+    mapped.sort_by(|a, b| {
+        a.0.partial_cmp(&b.0)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| a.1.to_string().cmp(&b.1.to_string()))
     });
     OpResult {
-        mappings,
+        mappings: mapped.into_iter().map(|(_, e, p)| (e, p)).collect(),
         solved: Some(solved),
         replayed,
         elapsed: start.elapsed(),
@@ -1582,7 +1279,7 @@ fn merge_run(
 /// localized failure. A producer that appears *later* in the index order
 /// leaves its consumer's input unmapped, so that consumer fails there.
 fn map_stage(ctx: &MapCtx, st: &mut MapState) -> Result<(), RefinementError> {
-    for (idx, node) in ctx.gs.nodes().iter().enumerate() {
+    for node in ctx.gs.nodes() {
         let per_input: Vec<Vec<RecExpr>> = node
             .inputs
             .iter()
@@ -1593,7 +1290,7 @@ fn map_stage(ctx: &MapCtx, st: &mut MapState) -> Result<(), RefinementError> {
                     .unwrap_or_default()
             })
             .collect();
-        let res = run_op(ctx, st, idx, &per_input);
+        let res = run_op(ctx, st, node, &per_input);
         merge_run(ctx, st, node, res)?;
     }
     Ok(())

@@ -22,7 +22,7 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 use entangle_egraph::{
-    BackoffSchedule, CompiledMatcher, EGraph, ENode, Id, Justification, Proof, RecExpr, Rewrite,
+    BackoffSchedule, CompiledMatcher, EGraph, Id, Justification, Proof, RecExpr, Rewrite,
     RunReport, Runner, StopReason, Symbol,
 };
 use entangle_ir::{DType, Graph, Node, Op, Shape, TensorId};
@@ -264,9 +264,9 @@ pub(crate) fn build_problem(
 impl OpProblem {
     /// The cache key: the problem rendered canonically. The engine
     /// configuration (limits, clean set, lemma corpus) is deliberately not
-    /// part of it: the memo and the template slots are created inside one
-    /// `check_refinement` call and die with it, so every key they ever hold
-    /// was posed under the same `opts` and rewrite set.
+    /// part of it: the memo is created inside one `check_refinement` call
+    /// and dies with it, so every key it ever holds was posed under the
+    /// same `opts` and rewrite set.
     pub(crate) fn key(&self) -> String {
         use std::fmt::Write;
         let mut k = String::with_capacity(256);
@@ -289,237 +289,10 @@ impl OpProblem {
         }
         k
     }
-
-    /// The *template* cache key: the canonical problem re-normalized so that
-    /// structurally corresponding members of an `entangle-iso` template
-    /// class render identically even when their canonical forms differ:
-    ///
-    /// - every concrete integer slice bound becomes a *per-site* `$b`
-    ///   placeholder (no value dedup — sibling instances disagree on which
-    ///   values coincide); the concrete values are returned in render order
-    ///   in [`TemplateKey::bounds`];
-    /// - frontier-definition output tensors are renumbered `$c0, $c1, …` in
-    ///   a structure-sorted order (per closure round, per readiness batch,
-    ///   sorted by abstracted signature, then concrete bound values, then
-    ///   original position). Definition outputs that are *also* input-mapping
-    ///   leaves keep their `$t` names — the mapping-determined namespace is
-    ///   member-invariant and anchors each member's "own" definitions to the
-    ///   same slot.
-    ///
-    /// The original `$n{j}` fact labels and output tensor names are returned
-    /// per normalized slot in [`TemplateKey::defs`], so a hit can translate
-    /// the representative's solution into the member's canonical namespace
-    /// with a [`Renamer`]. The key is prefixed with the structural class id
-    /// so problems from different template classes can never collide — a
-    /// cross-class collision would hand one class's solution to a member of
-    /// another.
-    ///
-    /// Returns `None` when a closure round cannot be topologically ordered
-    /// (never happens for frontier output — defensive only).
-    pub(crate) fn template_key(&self, class: usize) -> Option<TemplateKey> {
-        use std::fmt::Write;
-        let mut bounds = Vec::new();
-        let mut key = String::with_capacity(512);
-        let _ = write!(key, "class={class};op=");
-        abstract_op(&mut key, &self.op, &mut bounds);
-        key.push(';');
-        for (name, exprs) in &self.inputs {
-            let _ = write!(key, "in {name}:");
-            for e in exprs {
-                abstract_expr(&mut key, e, e.root_id(), false, &mut bounds);
-                key.push(',');
-            }
-            key.push(';');
-        }
-
-        let mapping_leaves: HashSet<String> = self
-            .inputs
-            .iter()
-            .flat_map(|(_, es)| es.iter())
-            .flat_map(|e| e.leaf_symbols())
-            .map(|s| s.as_str().to_owned())
-            .collect();
-        let def_outputs: HashSet<&str> = self
-            .def_rounds
-            .iter()
-            .flatten()
-            .map(|d| d.output.as_str())
-            .collect();
-        // Maps renumbered definition outputs; mapping-determined names are
-        // identity and need no entry.
-        let mut norm: HashMap<String, String> = HashMap::new();
-        let mut defs_meta: Vec<(String, String)> = Vec::new();
-        let mut renumbered = 0usize;
-        let resolve = |norm: &HashMap<String, String>, name: &str| -> Option<String> {
-            if let Some(n) = norm.get(name) {
-                Some(n.clone())
-            } else if def_outputs.contains(name) && !mapping_leaves.contains(name) {
-                None
-            } else {
-                Some(name.to_owned())
-            }
-        };
-        for round in &self.def_rounds {
-            key.push_str("round:");
-            let mut remaining: Vec<&CanonDef> = round.iter().collect();
-            while !remaining.is_empty() {
-                // (signature, site values, original position, def)
-                let mut ready: Vec<(String, Vec<i64>, usize, &CanonDef)> = Vec::new();
-                let mut rest: Vec<&CanonDef> = Vec::new();
-                for (pos, d) in remaining.into_iter().enumerate() {
-                    let mut sig = String::new();
-                    let mut vals = Vec::new();
-                    abstract_op(&mut sig, &d.op, &mut vals);
-                    sig.push('(');
-                    let mut resolved = true;
-                    for i in &d.inputs {
-                        match resolve(&norm, i) {
-                            Some(n) => {
-                                sig.push_str(&n);
-                                sig.push(',');
-                            }
-                            None => {
-                                resolved = false;
-                                break;
-                            }
-                        }
-                    }
-                    if !resolved {
-                        rest.push(d);
-                        continue;
-                    }
-                    sig.push(')');
-                    if mapping_leaves.contains(&d.output) {
-                        // Leaf-anchored output: part of the signature, so
-                        // each member's "own" definitions sort to the same
-                        // slot regardless of their concrete bounds.
-                        let _ = write!(sig, "->{}", d.output);
-                    }
-                    ready.push((sig, vals, pos, d));
-                }
-                if ready.is_empty() {
-                    return None;
-                }
-                ready.sort_by(|a, b| {
-                    a.0.cmp(&b.0)
-                        .then_with(|| a.1.cmp(&b.1))
-                        .then(a.2.cmp(&b.2))
-                });
-                for (sig, vals, _, d) in ready {
-                    let out = if mapping_leaves.contains(&d.output) {
-                        d.output.clone()
-                    } else {
-                        let c = format!("$c{renumbered}");
-                        renumbered += 1;
-                        norm.insert(d.output.clone(), c.clone());
-                        c
-                    };
-                    let _ = write!(key, "{sig}->{out};");
-                    bounds.extend(vals);
-                    defs_meta.push((d.name.clone(), d.output.clone()));
-                }
-                remaining = rest;
-            }
-        }
-
-        // Leaves: mapping-determined ones in original (member-invariant)
-        // order, then definition outputs in normalized slot order.
-        let by_name: HashMap<&str, &CanonLeaf> =
-            self.leaves.iter().map(|l| (l.name.as_str(), l)).collect();
-        for l in &self.leaves {
-            if def_outputs.contains(l.name.as_str()) && !mapping_leaves.contains(&l.name) {
-                continue;
-            }
-            let _ = write!(
-                key,
-                "leaf {}:{}:{:?}:{};",
-                l.name, l.shape, l.dtype, l.prefer
-            );
-        }
-        for (_, out) in &defs_meta {
-            if mapping_leaves.contains(out) {
-                continue;
-            }
-            let l = by_name.get(out.as_str())?;
-            let _ = write!(
-                key,
-                "leaf {}:{}:{:?}:{};",
-                norm[out], l.shape, l.dtype, l.prefer
-            );
-        }
-        Some(TemplateKey {
-            key,
-            bounds,
-            defs: defs_meta,
-        })
-    }
-}
-
-/// A per-template cache key: see [`OpProblem::template_key`].
-pub(crate) struct TemplateKey {
-    pub key: String,
-    /// Concrete slice-bound values, one per `$b` site, in render order.
-    pub bounds: Vec<i64>,
-    /// Per normalized definition slot: the (`$n{j}` fact label, output
-    /// tensor name) pair in this problem's own canonical namespace. Two
-    /// problems with equal keys pair slot-by-slot; differing entries become
-    /// `Renamer` translations from the representative's namespace into the
-    /// member's.
-    pub defs: Vec<(String, String)>,
-}
-
-/// Renders an operator with concrete slice bounds abstracted to per-site
-/// `$b` placeholders (values pushed onto `bounds`); every other attribute
-/// (dims, scales, ranks) stays concrete — it is part of the template's
-/// structure, not its parameterization.
-fn abstract_op(out: &mut String, op: &Op, bounds: &mut Vec<i64>) {
-    use std::fmt::Write;
-    match op {
-        Op::Slice { dim, start, end } if start.as_const().is_some() && end.as_const().is_some() => {
-            bounds.push(start.as_const().unwrap());
-            bounds.push(end.as_const().unwrap());
-            let _ = write!(out, "Slice[dim={dim},start=$b,end=$b]");
-        }
-        op => {
-            let _ = write!(out, "{op:?}");
-        }
-    }
-}
-
-/// Renders an expression in [`RecExpr`] display syntax with integers in
-/// slice-bound positions (children 2 and 3 of a 4-argument `slice`)
-/// abstracted to per-site `$b` placeholders; integers anywhere else —
-/// dims, scalars — stay concrete.
-fn abstract_expr(out: &mut String, e: &RecExpr, at: Id, bound_pos: bool, bounds: &mut Vec<i64>) {
-    use std::fmt::Write;
-    match e.node(at) {
-        ENode::Int(i) if bound_pos => {
-            bounds.push(*i);
-            out.push_str("$b");
-        }
-        ENode::Int(i) => {
-            let _ = write!(out, "{i}");
-        }
-        ENode::Sym(s) => {
-            let _ = write!(out, "{{{s}}}");
-        }
-        ENode::Op(sym, ch) if ch.is_empty() => {
-            let _ = write!(out, "{sym}");
-        }
-        ENode::Op(sym, ch) => {
-            let slice_bounds = sym.as_str() == "slice" && ch.len() == 4;
-            let _ = write!(out, "({sym}");
-            for (i, c) in ch.iter().enumerate() {
-                out.push(' ');
-                abstract_expr(out, e, *c, slice_bounds && i >= 2, bounds);
-            }
-            out.push(')');
-        }
-    }
 }
 
 /// A solved canonical problem — everything an operator's merge step needs,
-/// expressed in canonical names. Stored once per key in the sharded cache
+/// expressed in canonical names. Stored once per key in the memo
 /// and replayed (renamed back) by every structurally identical operator.
 #[derive(Debug)]
 pub(crate) struct Solved {

@@ -9,14 +9,11 @@
 //! abstracts per-operator, generalized to a per-subgraph form — and
 //! partitioning the graph into maximal repeated template classes.
 //!
-//! The partition is consumed two ways:
-//!
-//! * the checker schedules one *representative* per class and lifts the
-//!   saturation memo from per-operator to per-template keys (bounds become
-//!   `$b{i}` placeholders, results re-validated by the certificate kernel
-//!   after substitution), and
-//! * template consistency is reported as `IS##` diagnostics through the
-//!   `entangle-lint` machinery (`entangle iso`, exit code 6 on errors).
+//! The partition is a diagnostic: template consistency is reported as
+//! `IS##` diagnostics through the `entangle-lint` machinery (`entangle iso`,
+//! exit code 6 on errors). The checker does not read it — a repeated
+//! operator that poses the same canonical problem replays through the
+//! checker's saturation memo on its own.
 //!
 //! The canonical form deliberately looks only *upstream* (the producer
 //! cone, ordered by operator inputs): the per-operator mapping problem the
@@ -70,8 +67,7 @@ pub struct TemplateClass {
 }
 
 impl TemplateClass {
-    /// The representative member: the smallest node index, i.e. the first
-    /// member the checker's index-ordered scheduler reaches.
+    /// The representative member: the smallest node index.
     pub fn representative(&self) -> usize {
         self.members[0]
     }
@@ -94,11 +90,6 @@ pub struct IsoAnalysis {
 }
 
 impl IsoAnalysis {
-    /// The class containing node index `idx`, if it is in a repeated class.
-    pub fn class_of(&self, idx: usize) -> Option<&TemplateClass> {
-        self.class_of.get(&idx).map(|&c| &self.classes[c])
-    }
-
     /// Number of repeated template classes.
     pub fn class_count(&self) -> usize {
         self.classes.len()
@@ -383,10 +374,9 @@ fn tensor_form(g: &Graph, t: TensorId, depth: usize, f: &mut NodeForm) {
 }
 
 /// Writes the operator signature. Integer slice bounds are the one
-/// attribute masked out of the strict form: they are exactly what the
-/// per-template cache key parameterizes as `$b{i}` (the N experts of an MoE
-/// differ only there). Every other attribute stays concrete — a slice along
-/// a different *dim* is a different template.
+/// attribute masked out of the strict form: the N experts of an MoE differ
+/// only there. Every other attribute stays concrete — a slice along a
+/// different *dim* is a different template.
 fn op_sig(n: &Node, f: &mut NodeForm) {
     match &n.op {
         Op::Slice { dim, start, end } if start.as_const().is_some() && end.as_const().is_some() => {

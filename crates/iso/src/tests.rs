@@ -137,7 +137,7 @@ fn radius_controls_discrimination() {
 }
 
 /// Symbolic dims are masked: shapes that differ only in a symbol still
-/// produce one template (the `Renamer` generalization the checker needs).
+/// produce one template (the `Renamer`'s generalization, per subgraph).
 #[test]
 fn json_is_stable_and_complete() {
     let mut b = GraphBuilder::new("j");

@@ -1,7 +1,7 @@
 //! The determinism contract, checked end to end: two runs of
 //! `check_refinement` on one input in one process produce the *same*
-//! `CheckOutcome` — reports, relations, lemma totals, memo and template
-//! tallies, certificate bytes, trace structure — and the same failure on
+//! `CheckOutcome` — reports, relations, lemma totals, memo tallies,
+//! certificate bytes, trace structure — and the same failure on
 //! the Table 3 bugs. The second run shares nothing with the first but the
 //! process, so any state that leaked between checks would show here.
 //!
