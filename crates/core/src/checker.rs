@@ -847,6 +847,7 @@ fn check_refinement_inner(
                 sp.attr("classified_pairs", analysis.classified_pairs);
                 sp.attr("expansions", analysis.expansions);
                 sp.attr("dots_unfolded", analysis.dots_unfolded);
+                sp.attr("sum_atoms", analysis.sum_atoms);
                 sp.attr("arena_bytes", analysis.arena_bytes);
                 sp.attr(
                     "outcome",

@@ -16,6 +16,8 @@
 //! before a [`Graph`] is built, so malformed input yields a descriptive
 //! [`IrError`] rather than a panic in a later lookup.
 
+use std::collections::HashSet;
+
 use entangle_symbolic::{SymExpr, SymVar};
 
 use crate::dtype::DType;
@@ -829,16 +831,18 @@ fn decode_graph_inner(text: &str) -> Result<Graph, String> {
     };
 
     let mut tensors = Vec::with_capacity(n_tensors);
+    let mut names = HashSet::with_capacity(n_tensors);
     for (i, t) in tensor_items.iter().enumerate() {
         let ctx = format!("tensor[{i}]");
         let id = as_u32(want(t, "id", &ctx)?, &ctx)?;
         if id as usize != i {
             return Err(format!("{ctx}: id {id} does not match its position"));
         }
-        let tname = as_str(want(t, "name", &ctx)?, &ctx)?.to_owned();
-        if tensors.iter().any(|prev: &Tensor| prev.name == tname) {
+        let tname = as_str(want(t, "name", &ctx)?, &ctx)?;
+        if !names.insert(tname) {
             return Err(format!("{ctx}: duplicate tensor name {tname:?}"));
         }
+        let tname = tname.to_owned();
         let shape = decode_shape(want(t, "shape", &ctx)?, &ctx)?;
         let dtype = decode_dtype(want(t, "dtype", &ctx)?, &ctx)?;
         let producer = match want(t, "producer", &ctx)? {

@@ -83,6 +83,9 @@ pub struct CertAnalysis {
     /// The `Dot`s among them: the matmul elements a proof step looked
     /// inside.
     pub dots_unfolded: u64,
+    /// `Sum` atoms those `Dot`s wrote: runs of products a shard of the
+    /// contraction covered, kept folded so they cancel as one.
+    pub sum_atoms: u64,
     /// Bytes of the arena's nodes, intern tables and side tables.
     pub arena_bytes: usize,
     /// `true` when [`crate::analyze_certificate_cached`] answered from its
@@ -427,6 +430,7 @@ pub fn analyze_certificate(cert: &Certificate, gs: &Graph, gd: &Graph) -> CertAn
         classified_pairs: stats.classified_pairs,
         expansions: stats.expansions,
         dots_unfolded: stats.dots_unfolded,
+        sum_atoms: stats.sum_atoms,
         arena_bytes: ctx.arena.bytes(),
         replayed: false,
     }

@@ -12,6 +12,7 @@
 //! over opaque atoms: two elements with equal normal forms compute the same
 //! real number, and differ at most by reassociation of rounded operations.
 
+use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::{Hash, Hasher};
@@ -190,6 +191,15 @@ pub enum Node {
     /// `2K − 1` operations it stands for; [`Arena::classify_pair`] unfolds
     /// it only where a comparison has to look inside.
     Dot(ListId, ListId),
+    /// The exact real sum `Σ fl(rₖ·cₖ)` of the rounded products of two
+    /// lists of one length `K ≥ 2`, with no rounding of its own: no
+    /// operator computes one. Only the difference expansion builds it, as
+    /// a monomial of its own, for a run of pairs of an unfolding `Dot`
+    /// that a `Dot` or `Sum` alive in the difference covers exactly (see
+    /// [`Arena::one_step`]), so a split contraction cancels as whole
+    /// segments instead of product by product. Handles sorted, as a
+    /// `Dot`'s.
+    Sum(ListId, ListId),
 }
 
 /// Classification of one element pair (and, by max, a tensor pair).
@@ -580,6 +590,9 @@ impl<T: Hash + Eq> Interned<T> {
 #[derive(Debug, Default)]
 struct DiffIndex {
     d: FxHashMap<Mono, Rat>,
+    /// The monomials of `d`, a `Sum` counted as the products it stands
+    /// for ([`Arena::weight`]): what [`POLY_CAP`] bounds.
+    terms: usize,
     /// Monomials that held each reducible atom when they entered `d`, in
     /// insertion order. Entries may go stale when a monomial cancels —
     /// liveness is re-checked against `d` on use.
@@ -596,8 +609,18 @@ impl DiffIndex {
         self.spare.push(list);
     }
 
+    /// Whether the only monomial of `d` holding `x` is `x` alone.
+    fn stands_alone(&self, x: ExprId) -> bool {
+        let monos = self.occ.get(&x).map_or(&[][..], Vec::as_slice);
+        monos
+            .iter()
+            .filter(|m| self.d.contains_key(m))
+            .all(|m| m.atoms() == [x])
+    }
+
     fn clear(&mut self) {
         self.d.clear();
+        self.terms = 0;
         self.cand.clear();
         for (_, mut list) in self.occ.drain() {
             list.clear();
@@ -611,19 +634,35 @@ impl DiffIndex {
 #[derive(Debug, Default)]
 struct DiffScratch {
     ix: DiffIndex,
-    /// The expanded atom's polynomial, and the atoms a `Dot` unfolds into
-    /// on their way there.
-    px: Vec<(Mono, Rat)>,
-    unfolded: Vec<ExprId>,
-    /// A power of that polynomial, and the next one.
+    step: StepScratch,
+    /// A power of the expanded atom's polynomial, and the next one.
     pw: Vec<(Mono, Rat)>,
     pw_next: Vec<(Mono, Rat)>,
 }
 
+/// What [`Arena::one_step`] writes one expansion into, and works in.
+#[derive(Debug, Default)]
+struct StepScratch {
+    /// The expanded atom's polynomial.
+    px: Vec<(Mono, Rat)>,
+    /// The atoms a `Dot` or `Sum` unfolds into on their way there.
+    unfolded: Vec<ExprId>,
+    /// The `Dot`s and `Sum`s alive in the difference as a `Dot` unfolds,
+    /// and the runs of its pairs they cover.
+    live: Vec<ExprId>,
+    covers: Vec<Cover>,
+}
+
 /// Where a reducible atom stands in the expansion order of
 /// [`Arena::classify_pair`], largest first: the largest id it reads, then
-/// the length of a `Dot` (0 for every other node), then its own id.
+/// the length of a `Dot` (1 for a `Sum`, 0 for every other node), then its
+/// own id.
 type CandKey = (ExprId, u32, ExprId);
+
+/// A run of pairs of an unfolding `Dot` that a live `Dot` or `Sum` covers
+/// exactly: where it starts among the `Dot`'s pairs, how many pairs it
+/// spans, and the `Dot` or `Sum` that covers it.
+type Cover = (usize, usize, ExprId);
 
 /// What an analysis did with its arena, for the `stage:numeric` span.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -636,6 +675,9 @@ pub(crate) struct ArenaStats {
     pub expansions: u64,
     /// The `Dot`s among them.
     pub dots_unfolded: u64,
+    /// `Sum` atoms those `Dot`s wrote in place of a covered run of
+    /// products.
+    pub sum_atoms: u64,
 }
 
 /// The hash-consing arena plus all per-analysis memo tables.
@@ -941,7 +983,7 @@ impl Arena {
     /// Does this node perform a fresh rounding?
     fn is_rounding(&self, id: ExprId) -> bool {
         match *self.node(id) {
-            Node::Rat(_) | Node::Leaf(..) | Node::Neg(_) => false,
+            Node::Rat(_) | Node::Leaf(..) | Node::Neg(_) | Node::Sum(..) => false,
             Node::Add(..) | Node::Mul(..) | Node::Dot(..) => true,
             Node::ScaleMul(_, r) => !self.rats.get(r).is_pow2(),
             Node::ScaleDiv(_, n) => !n.is_power_of_two(),
@@ -968,7 +1010,10 @@ impl Arena {
     /// nothing. A `Dot` goes before the other nodes reading up to the same
     /// id (its own last product among them), the longer of two first, so
     /// that every fold over a prefix of its lists is still whole when it
-    /// unfolds.
+    /// unfolds. A `Sum` goes after every `Dot` and before every other node
+    /// reading up to the same id: a `Dot` over its pairs reads at least
+    /// what it reads, so each one unfolds while the `Sum` is still whole,
+    /// and the `Sum` before any of the products it stands for.
     fn cand_key(&self, id: ExprId) -> CandKey {
         let max = |list: ListId| self.list(list).iter().copied().max().unwrap_or(0);
         match *self.node(id) {
@@ -976,6 +1021,7 @@ impl Arena {
             Node::Neg(a) | Node::ScaleMul(a, _) | Node::ScaleDiv(a, _) => (a, 0, id),
             Node::Add(a, b) | Node::Mul(a, b) => (a.max(b), 0, id),
             Node::Dot(r, c) => (max(r).max(max(c)), self.list(r).len() as u32, id),
+            Node::Sum(r, c) => (max(r).max(max(c)), 1, id),
         }
     }
 
@@ -993,14 +1039,36 @@ impl Arena {
         leads.then_some(yr.len())
     }
 
+    /// The first run of pairs of the `Dot` `x`, at or after pair `from`,
+    /// that the pairs of the `Dot` or `Sum` `y` are exactly (in either
+    /// pairing of the lists: the handles are sorted).
+    fn cover(&self, x: ExprId, y: ExprId, from: usize) -> Option<Cover> {
+        let (&Node::Dot(xr, xc), &(Node::Dot(yr, yc) | Node::Sum(yr, yc))) =
+            (self.node(x), self.node(y))
+        else {
+            return None;
+        };
+        let (xr, xc, yr, yc) = (self.list(xr), self.list(xc), self.list(yr), self.list(yc));
+        let len = yr.len();
+        let start = (from..=xr.len().checked_sub(len)?).find(|&at| {
+            let (r, c) = (&xr[at..][..len], &xc[at..][..len]);
+            (r == yr && c == yc) || (r == yc && c == yr)
+        })?;
+        Some((start, len, y))
+    }
+
     /// The atoms the `Dot` `x` unfolds into, written to `out`: `prefix` (a
-    /// `Dot` over its leading pairs, with their number) when there is one,
-    /// and the product `fl(rₖ·cₖ)` of every pair after those, interned
-    /// now. Returns the adds unfolded: one between each two atoms.
+    /// `Dot` over its leading pairs, with their number) when there is one;
+    /// then, pair by pair, the `Sum` over the longest of `covers` (sorted
+    /// by start, longest first) that starts at the pair, or else the
+    /// pair's product `fl(rₖ·cₖ)`, interned now. Returns the adds
+    /// unfolded: one between each two atoms a product-by-product unfolding
+    /// writes, however many products a `Sum` stands for.
     fn unfold_dot(
         &mut self,
         x: ExprId,
         prefix: Option<(ExprId, usize)>,
+        covers: &[Cover],
         out: &mut Vec<ExprId>,
     ) -> u64 {
         let &Node::Dot(r, c) = self.node(x) else {
@@ -1011,33 +1079,80 @@ impl Arena {
             out.push(y);
             len
         });
-        for k in from..self.list(r).len() {
+        let pairs = self.list(r).len();
+        let mut covers = covers.iter().peekable();
+        let mut k = from;
+        while k < pairs {
+            while covers.next_if(|&&(start, ..)| start < k).is_some() {}
+            if let Some(&(_, len, y)) = covers.next_if(|&&(start, ..)| start == k) {
+                let sum = match *self.node(y) {
+                    Node::Dot(yr, yc) => self.nodes.intern(Node::Sum(yr, yc)),
+                    _ => y,
+                };
+                out.push(sum);
+                self.stats.sum_atoms += 1;
+                k += len;
+            } else {
+                let prod = self.mul(self.list(r)[k], self.list(c)[k]);
+                out.push(prod);
+                k += 1;
+            }
+        }
+        self.stats.dots_unfolded += 1;
+        (usize::from(prefix.is_some()) + pairs - from - 1) as u64
+    }
+
+    /// The products `fl(rₖ·cₖ)` the `Sum` `x` stands for, interned now,
+    /// written to `out`.
+    fn unfold_sum(&mut self, x: ExprId, out: &mut Vec<ExprId>) {
+        let &Node::Sum(r, c) = self.node(x) else {
+            unreachable!("unfold_sum of a non-Sum node")
+        };
+        out.clear();
+        for k in 0..self.list(r).len() {
             let prod = self.mul(self.list(r)[k], self.list(c)[k]);
             out.push(prod);
         }
-        self.stats.dots_unfolded += 1;
-        (out.len() - 1) as u64
+    }
+
+    /// What the monomial `m` counts toward [`POLY_CAP`]: a `Sum`, only
+    /// ever a monomial of its own, as the products it stands for, so that
+    /// it leaves the model where they would have; anything else as one.
+    fn weight(&self, m: &Mono) -> usize {
+        match *m.atoms() {
+            [a] => match *self.node(a) {
+                Node::Sum(r, _) => self.list(r).len(),
+                _ => 1,
+            },
+            _ => 1,
+        }
     }
 
     /// One-level expansion of the reducible atom `x` of the difference
-    /// `ix` into a polynomial over its children, written to `px` in
-    /// ascending monomial order (`unfolded` is scratch); returns the
-    /// rounding sites unfolded.
+    /// `ix` into a polynomial over its children, written to `st.px` in
+    /// ascending monomial order; returns the rounding sites unfolded.
     ///
     /// A `Dot` unfolds into the longest `Dot` still alive in the
-    /// difference that folds over a prefix of its lists, plus its remaining
-    /// products as atoms, at one site per add between them: the shard a
+    /// difference that folds over a prefix of its lists, then its
+    /// remaining pairs, at one site per add between them: the shard a
     /// row-parallel contraction shares with the full fold cancels as a
     /// whole, the way the shared prefix of two multiply-add chains would.
+    /// Where `x` is a monomial of its own, a run of those pairs that a `Dot`
+    /// or `Sum` alive in the difference covers exactly is written as one
+    /// `Sum`, the rest as products; the other shards of the contraction
+    /// then cancel as whole segments, the way their products would one by
+    /// one. So a `Sum` is always a monomial of its own too, and no other
+    /// atom's cofactor ever holds one. A `Sum` that did not cancel expands
+    /// into its products at no site: it rounds nothing.
     ///
     /// `None` when `x` has no expansion (a division by zero width).
-    fn one_step(
-        &mut self,
-        ix: &DiffIndex,
-        x: ExprId,
-        unfolded: &mut Vec<ExprId>,
-        px: &mut Vec<(Mono, Rat)>,
-    ) -> Option<u64> {
+    fn one_step(&mut self, ix: &DiffIndex, x: ExprId, st: &mut StepScratch) -> Option<u64> {
+        let StepScratch {
+            px,
+            unfolded,
+            live,
+            covers,
+        } = st;
         px.clear();
         let mut scaled = |a: ExprId, c: Rat| {
             if !c.is_zero() {
@@ -1059,22 +1174,34 @@ impl Arena {
             Node::Mul(a, b) => px.push((Mono::of(&[a.min(b), a.max(b)]), Rat::one())),
             Node::ScaleMul(a, r) => scaled(a, *self.rats.get(r)),
             Node::ScaleDiv(a, n) => scaled(a, Rat::new(1, i128::from(n))?),
-            Node::Dot(..) => {
-                let prefix = ix
-                    .occ
-                    .iter()
-                    .filter_map(|(&y, monos)| {
-                        let len = self.prefix_fold_len(x, y)?;
-                        let live = monos.iter().any(|m| ix.d.contains_key(m));
-                        live.then_some((y, len))
-                    })
-                    .max_by_key(|&(_, len)| len);
-                let adds = self.unfold_dot(x, prefix, unfolded);
+            Node::Dot(..) | Node::Sum(..) => {
+                let sites = if let Node::Dot(..) = self.node(x) {
+                    live.clear();
+                    live.extend(ix.occ.iter().filter_map(|(&y, monos)| {
+                        let kind = matches!(self.node(y), Node::Dot(..) | Node::Sum(..));
+                        let alive = kind && y != x && monos.iter().any(|m| ix.d.contains_key(m));
+                        alive.then_some(y)
+                    }));
+                    let prefix = live
+                        .iter()
+                        .filter_map(|&y| Some((y, self.prefix_fold_len(x, y)?)))
+                        .max_by_key(|&(_, len)| len);
+                    let from = prefix.map_or(0, |(_, len)| len);
+                    covers.clear();
+                    if ix.stands_alone(x) {
+                        covers.extend(live.iter().filter_map(|&y| self.cover(x, y, from)));
+                    }
+                    covers.sort_unstable_by_key(|&(start, len, y)| (start, Reverse(len), y));
+                    self.unfold_dot(x, prefix, covers, unfolded)
+                } else {
+                    self.unfold_sum(x, unfolded);
+                    0
+                };
                 unfolded.sort_unstable();
                 for run in unfolded.chunk_by(|a, b| a == b) {
                     px.push((Mono::of(&run[..1]), Rat::int(run.len() as i64)));
                 }
-                return Some(adds);
+                return Some(sites);
             }
         }
         Some(u64::from(self.is_rounding(x)))
@@ -1169,13 +1296,16 @@ impl Arena {
                     MergeOutcome::Unknown => return None,
                 }
             };
-            expansions += 1;
-            if expansions > EXPAND_CAP {
-                return None;
+            // A `Sum` stands for part of a `Dot` already counted.
+            if !matches!(self.node(x), Node::Sum(..)) {
+                expansions += 1;
+                if expansions > EXPAND_CAP {
+                    return None;
+                }
+                self.stats.expansions += 1;
             }
-            self.stats.expansions += 1;
-            k = k.saturating_add(self.one_step(&s.ix, x, &mut s.unfolded, &mut s.px)?);
-            let px: &Terms = &s.px;
+            k = k.saturating_add(self.one_step(&s.ix, x, &mut s.step)?);
+            let px: &Terms = &s.step.px;
             s.ix.cand.pop();
             let monos =
                 s.ix.occ
@@ -1184,6 +1314,7 @@ impl Arena {
             for m in &monos {
                 // Duplicate index entries resolve here: first removal wins.
                 let Some(c) = s.ix.d.remove(m) else { continue };
+                s.ix.terms -= self.weight(m);
                 let occ_count = m.atoms().iter().filter(|&&i| i == x).count();
                 let mut rest = Mono::new();
                 for &i in m.atoms().iter().filter(|&&i| i != x) {
@@ -1218,6 +1349,7 @@ impl Arena {
         }
         let DiffIndex {
             d,
+            terms,
             occ,
             cand,
             spare,
@@ -1226,6 +1358,7 @@ impl Arena {
             Entry::Occupied(mut e) => {
                 let s = e.get().add(&c)?;
                 if s.is_zero() {
+                    *terms -= self.weight(e.key());
                     e.remove();
                 } else {
                     *e.get_mut() = s;
@@ -1247,10 +1380,11 @@ impl Arena {
                             .push(e.key().clone());
                     }
                 }
+                *terms += self.weight(e.key());
                 e.insert(c);
             }
         }
-        if d.len() > POLY_CAP {
+        if *terms > POLY_CAP {
             return None;
         }
         Some(())
@@ -1316,6 +1450,7 @@ impl Arena {
                 }
                 // Re-accumulate in monomial order, `v` renamed to `u`.
                 let mut old: Vec<(Mono, Rat)> = ix.d.drain().collect();
+                ix.terms = 0;
                 old.sort_unstable_by(|x, y| x.0.cmp(&y.0));
                 for (m, c) in old {
                     let mut mono = Mono::new();

@@ -1,13 +1,16 @@
 //! The `BTreeMap` difference classifier [`Arena::classify_diff`] replaced,
-//! kept as the differential oracle of its tests: the same algorithm over
-//! the plainest containers — a fresh `BTreeMap<Vec<ExprId>, Rat>`
-//! polynomial, `Vec` monomial keys and a `BTreeSet` of candidates per
-//! pair. Nested comparisons (congruence lifting) stay inside the oracle,
-//! and nothing here reads or writes the arena's pair memo or scratch; the
-//! products a `Dot` unfolds into are interned, as the classifier interns
-//! them. What the two share is what a node *is* — its candidate key,
-//! whether it rounds, which `Dot` folds a prefix of which — not how a
-//! difference is stored or searched.
+//! kept as the differential oracle of its tests: the algorithm over the
+//! plainest containers — a fresh `BTreeMap<Vec<ExprId>, Rat>` polynomial,
+//! `Vec` monomial keys and a `BTreeSet` of candidates per pair — and with
+//! the plainest unfolding. A `Dot` unfolds into its longest live prefix
+//! `Dot` and then one product per remaining pair, interned as it goes: the
+//! oracle never writes a run of pairs as one `Sum`, so every product the
+//! classifier keeps folded inside one is here a monomial of its own, and
+//! the caps count it as one. Nested comparisons (congruence lifting) stay
+//! inside the oracle, and nothing here reads or writes the arena's pair
+//! memo or scratch. What the two share is what a node *is* — its candidate
+//! key, whether it rounds, which `Dot` folds a prefix of which — not how a
+//! difference is stored or searched, nor how a `Dot` is unfolded.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -26,6 +29,31 @@ impl Arena {
         }
         let (a, b) = if a <= b { (a, b) } else { (b, a) };
         self.classify_diff_oracle(a, b)
+    }
+
+    /// The atoms the `Dot` `x` unfolds into, written to `out`: `prefix` (a
+    /// `Dot` over its leading pairs, with their number) when there is one,
+    /// and the product `fl(rₖ·cₖ)` of every pair after those, interned
+    /// now. Returns the adds unfolded: one between each two atoms.
+    fn unfold_dot_oracle(
+        &mut self,
+        x: ExprId,
+        prefix: Option<(ExprId, usize)>,
+        out: &mut Vec<ExprId>,
+    ) -> u64 {
+        let &Node::Dot(r, c) = self.node(x) else {
+            unreachable!("unfold_dot_oracle of a non-Dot node")
+        };
+        out.clear();
+        let from = prefix.map_or(0, |(y, len)| {
+            out.push(y);
+            len
+        });
+        for k in from..self.list(r).len() {
+            let prod = self.mul(self.list(r)[k], self.list(c)[k]);
+            out.push(prod);
+        }
+        (out.len() - 1) as u64
     }
 
     /// The expansion of `id`, and the rounding sites it unfolds. A `Dot`
@@ -73,12 +101,15 @@ impl Arena {
                     .filter_map(|y| Some((y, self.prefix_fold_len(id, y)?)))
                     .max_by_key(|&(_, len)| len);
                 let mut unfolded = Vec::new();
-                let adds = self.unfold_dot(id, prefix, &mut unfolded);
+                let adds = self.unfold_dot_oracle(id, prefix, &mut unfolded);
                 for atom in unfolded {
                     poly_accum(&mut p, vec![atom], Rat::one())?;
                 }
                 return Some((p, adds));
             }
+            // Only the classifier's own expansion builds a node of any
+            // other kind, and never as the child of another node.
+            _ => unreachable!("the oracle met a node only the classifier builds"),
         }
         Some((p, u64::from(self.is_rounding(id))))
     }

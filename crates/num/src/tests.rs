@@ -703,6 +703,200 @@ fn classifier_agrees_with_the_oracle_at_the_caps() {
     assert_eq!(spills, a.classify_pair_oracle(p13, x));
 }
 
+/// One verdict per output element.
+type Verdicts = Vec<(NumClass, u64)>;
+
+/// A contraction split into shards of `widths`, the way a `G_d` holds it —
+/// each shard's operands leaves of their own, the shards evaluated one
+/// after another in `order` and summed in that order — against the same
+/// contraction over the left-nested concatenation of those operands, the
+/// way a `G_s` mapping reads it. `interleaved` evaluates each shard's
+/// operands, product and running sum before the next shard's (as `G_d`
+/// evaluates the `gpt_tp8_l2` chains); otherwise every operand comes
+/// first, then every product, then the sum. Returns each output element's
+/// verdict from the classifier and from the oracle, and the `Sum` atoms
+/// the classifier wrote.
+fn split_contraction(
+    widths: &[usize],
+    order: &[usize],
+    (m, n): (usize, usize),
+    interleaved: bool,
+    eager: bool,
+) -> (Verdicts, Verdicts, u64) {
+    let a = &mut Arena::new();
+    a.eager_dots = eager;
+    let op = |a: &mut Arena, op: Op, ins: &[&SymTensor]| eval_op_sym(a, &op, ins).unwrap();
+    let mut operands = vec![None; widths.len()];
+    let mut shard = |a: &mut Arena, i: usize| -> (SymTensor, SymTensor) {
+        let x = leaf_tensor(a, &format!("x.{i}"), vec![m, widths[i]]).unwrap();
+        let w = leaf_tensor(a, &format!("w.{i}"), vec![widths[i], n]).unwrap();
+        operands[i] = Some((x.clone(), w.clone()));
+        (x, w)
+    };
+    let mut sum = None::<SymTensor>;
+    let mut add = |a: &mut Arena, partial: SymTensor| {
+        sum = Some(match sum.take() {
+            Some(sum) => op(a, Op::Add, &[&sum, &partial]),
+            None => partial,
+        });
+    };
+    if interleaved {
+        for &i in order {
+            let (x, w) = shard(a, i);
+            let partial = op(a, Op::Matmul, &[&x, &w]);
+            add(a, partial);
+        }
+    } else {
+        let shards: Vec<_> = order.iter().map(|&i| shard(a, i)).collect();
+        let partials: Vec<_> = shards
+            .iter()
+            .map(|(x, w)| op(a, Op::Matmul, &[x, w]))
+            .collect();
+        partials.into_iter().for_each(|partial| add(a, partial));
+    }
+    let (xs, ws): (Vec<SymTensor>, Vec<SymTensor>) = operands.into_iter().flatten().unzip();
+    let concat = |a: &mut Arena, parts: &[SymTensor], dim: usize| {
+        parts[1..].iter().fold(parts[0].clone(), |acc, t| {
+            op(a, Op::Concat { dim }, &[&acc, t])
+        })
+    };
+    let (x, w) = (concat(a, &xs, 1), concat(a, &ws, 0));
+    let full = op(a, Op::Matmul, &[&x, &w]);
+    let sum = sum.expect("one shard or more");
+    let pairs = full.elems.iter().zip(&sum.elems);
+    let oracle = pairs
+        .clone()
+        .map(|(&f, &s)| a.classify_pair_oracle(f, s))
+        .collect();
+    let classifier = pairs.map(|(&f, &s)| a.classify_pair(f, s)).collect();
+    (classifier, oracle, a.stats().sum_atoms)
+}
+
+/// [`split_contraction`] folded and eager: the classifier must read what
+/// the oracle reads on both arenas, every element `reassoc`. Returns the
+/// two arenas' verdicts and the `Sum` atoms the folded one wrote.
+fn split_both_ways(
+    widths: &[usize],
+    order: &[usize],
+    (m, n): (usize, usize),
+    interleaved: bool,
+) -> (Verdicts, Verdicts, u64) {
+    let (folded, oracle, sums) = split_contraction(widths, order, (m, n), interleaved, false);
+    let (eager, eager_oracle, _) = split_contraction(widths, order, (m, n), interleaved, true);
+    let shape = format!("{widths:?} summed {order:?}, interleaved {interleaved}");
+    assert_eq!(folded, oracle, "{shape}");
+    assert_eq!(eager, eager_oracle, "{shape}");
+    assert!(folded.iter().all(|v| v.0 == NumClass::Reassoc), "{shape}");
+    (folded, eager, sums)
+}
+
+/// The pairs of a contraction over two leaf vectors `y` and `z`.
+struct Pairs(Vec<ExprId>, Vec<ExprId>);
+
+impl Pairs {
+    fn new(a: &mut Arena, len: usize) -> Pairs {
+        let y = leaf_tensor(a, "y", vec![len]).unwrap().elems;
+        Pairs(y, leaf_tensor(a, "z", vec![len]).unwrap().elems)
+    }
+
+    /// The `Dot` over the pairs in `range`.
+    fn dot(&self, a: &mut Arena, range: std::ops::Range<usize>) -> ExprId {
+        let (r, c) = (a.list_id(&self.0[range.clone()]), a.list_id(&self.1[range]));
+        a.dot(r, c)
+    }
+}
+
+#[test]
+fn split_contractions_of_every_shape_read_what_product_unfolding_reads() {
+    // Uneven shard widths, shards summed out of order, both at once: the
+    // covered runs are not the shards' positions in the sum. The classifier
+    // reads what the oracle reads, and, with the shards summed after the
+    // last is evaluated, what the eager fold reads.
+    for (widths, order) in [
+        (&[3, 5, 2][..], &[0, 1, 2][..]),
+        (&[3, 3, 3], &[2, 0, 1]),
+        (&[2, 4, 3, 2], &[1, 3, 0, 2]),
+    ] {
+        for interleaved in [false, true] {
+            let (folded, eager, sums) = split_both_ways(widths, order, (2, 2), interleaved);
+            if !interleaved {
+                assert_eq!(folded, eager, "{widths:?} summed {order:?}");
+            }
+            assert!(
+                sums > 0,
+                "{widths:?} summed {order:?}: no run cancelled whole"
+            );
+        }
+    }
+
+    // A match on the prefix only: the pairs after the shared first shard
+    // are single products on the other side, and a shard overlapping that
+    // prefix covers no run after it. Neither writes a `Sum`.
+    let mut a = Arena::new();
+    let pairs = Pairs::new(&mut a, 6);
+    let whole = pairs.dot(&mut a, 0..6);
+    let head = pairs.dot(&mut a, 0..3);
+    let tail = pairs.dot(&mut a, 2..6);
+    let products = (3..6).fold(head, |acc, k| {
+        let p = a.mul(pairs.0[k], pairs.1[k]);
+        a.add(acc, p)
+    });
+    let overlapping = a.add(head, tail);
+    for other in [products, overlapping] {
+        let expected = a.classify_pair_oracle(whole, other);
+        assert_eq!(a.classify_pair(whole, other), expected);
+    }
+    assert_eq!(a.classify_pair(whole, products).0, NumClass::Reassoc);
+    assert_eq!(
+        a.classify_pair(whole, overlapping).0,
+        NumClass::ValueChanging
+    );
+    assert_eq!(a.stats().sum_atoms, 0);
+}
+
+#[test]
+fn a_sum_counts_as_its_products_at_the_poly_cap_and_not_as_an_expansion() {
+    // POLY_CAP is 4096 monomials. A contraction split in two halves leaves
+    // the second half's products in the difference once the full fold has
+    // unfolded: 2050 of them fit, 4100 do not, whether they are written
+    // one by one or as one `Sum`.
+    for (len, class) in [(4100, NumClass::Reassoc), (8200, NumClass::Unknown)] {
+        let mut a = Arena::new();
+        let pairs = Pairs::new(&mut a, len);
+        let whole = pairs.dot(&mut a, 0..len);
+        let (head, tail) = (
+            pairs.dot(&mut a, 0..len / 2),
+            pairs.dot(&mut a, len / 2..len),
+        );
+        let split = a.add(head, tail);
+        let expected = a.classify_pair_oracle(whole, split);
+        let got = a.classify_pair(whole, split);
+        assert_eq!(got, expected, "{len} pairs");
+        assert_eq!(got.0, class, "{len} pairs");
+        if class == NumClass::Reassoc {
+            // The add, the full fold and the second half, which cancels
+            // as the `Sum` the full fold wrote (one `Sum` atom each); the
+            // products never surface.
+            assert_eq!(got.1, len as u64);
+            assert_eq!((a.stats().sum_atoms, a.stats().expansions), (2, 3));
+        }
+    }
+
+    // A `Sum` that does not cancel expands into its products at no site
+    // and is no expansion: the add, the scaling, the full fold, the second
+    // half and its two products make six.
+    let mut a = Arena::new();
+    let pairs = Pairs::new(&mut a, 4);
+    let whole = pairs.dot(&mut a, 0..4);
+    let (head, tail) = (pairs.dot(&mut a, 0..2), pairs.dot(&mut a, 2..4));
+    let doubled = a.scale_mul(tail, Rat::int(2));
+    let split = a.add(head, doubled);
+    let expected = a.classify_pair_oracle(whole, split);
+    assert_eq!(a.classify_pair(whole, split), expected);
+    assert_eq!(expected.0, NumClass::ValueChanging);
+    assert_eq!((a.stats().sum_atoms, a.stats().expansions), (2, 6));
+}
+
 // ---------------------------------------------------------------------------
 // Corpus analysis
 
@@ -891,6 +1085,63 @@ mod prop {
         }
     }
 
+    /// Two expressions, the classifier's verdict on them and the oracle's.
+    type Compared = ((ExprId, ExprId), (NumClass, u64), (NumClass, u64));
+
+    /// The expression `bytes` describes, its reassociation, and both for
+    /// the recipe with byte `at` set to `to`: every pair of them, compared.
+    fn recipe_verdicts(bytes: &[u8], depth: usize, (at, to): (usize, u8)) -> Vec<Compared> {
+        let mut a = Arena::new();
+        let mut other = bytes.to_vec();
+        other[at % bytes.len()] = to;
+        let exprs = [
+            (bytes, false),
+            (bytes, true),
+            (&other, false),
+            (&other, true),
+        ]
+        .map(|(bytes, flip)| realize(&mut a, &mut Tape { bytes, at: 0 }, depth, flip));
+        let mut verdicts = Vec::new();
+        for (i, &x) in exprs.iter().enumerate() {
+            for &y in &exprs[..i] {
+                let expected = a.classify_pair_oracle(x, y);
+                verdicts.push(((x, y), a.classify_pair(x, y), expected));
+            }
+        }
+        verdicts
+    }
+
+    #[test]
+    fn a_sum_is_written_only_where_its_dot_stands_alone() {
+        // Two recipes the proptest below reaches at 20 000 cases. Writing a
+        // `Sum` wherever a cover is alive reads `k` 7 where the oracle
+        // reads 6 on the first (the cover is a cofactor of the unfolding
+        // `Dot`); writing it wherever the cover shares the `Dot`'s
+        // monomials reads 30 against 28 on the second (a squared
+        // contraction). Either keeps an atom alive whose cofactor cancels
+        // only once its `Sum`s are written out.
+        let recipes: [(&[u8], usize, (usize, u8)); 2] = [
+            (
+                &[
+                    185, 193, 15, 187, 87, 168, 115, 15, 77, 119, 98, 23, 117, 255, 75, 186, 127,
+                    195,
+                ],
+                3,
+                (20, 87),
+            ),
+            (
+                &[49, 0, 98, 31, 8, 252, 11, 152, 177, 23, 76, 89, 230, 133],
+                3,
+                (0, 171),
+            ),
+        ];
+        for (bytes, depth, edit) in recipes {
+            for ((x, y), got, expected) in recipe_verdicts(bytes, depth, edit) {
+                assert_eq!(got, expected, "{x} vs {y} of {bytes:?}");
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -903,16 +1154,8 @@ mod prop {
             bytes in proptest::collection::vec(0u8..=255, 8..48),
             (depth, at, to) in (1usize..5, 0usize..48, 0u8..=255),
         ) {
-            let mut a = Arena::new();
-            let mut other = bytes.clone();
-            other[at % bytes.len()] = to;
-            let exprs = [(&bytes, false), (&bytes, true), (&other, false), (&other, true)]
-                .map(|(bytes, flip)| realize(&mut a, &mut Tape { bytes, at: 0 }, depth, flip));
-            for (i, &x) in exprs.iter().enumerate() {
-                for &y in &exprs[..i] {
-                    let expected = a.classify_pair_oracle(x, y);
-                    prop_assert_eq!(a.classify_pair(x, y), expected, "{} vs {}", x, y);
-                }
+            for ((x, y), got, expected) in recipe_verdicts(&bytes, depth, (at, to)) {
+                prop_assert_eq!(got, expected, "{} vs {}", x, y);
             }
         }
     }
@@ -1001,6 +1244,31 @@ mod prop {
                 prop_assert_eq!(split, (reassoc.class, reassoc.k), "eager: {}", eager);
                 prop_assert_eq!(a.stats().dots == 0, eager);
             }
+        }
+
+        /// A contraction over up to eight shards against the contraction
+        /// over their left-nested concatenation: the classifier reads on
+        /// every element what the oracle reads, and a covered run of the
+        /// full fold cancels as one `Sum`. Summed after the last shard is
+        /// evaluated, that is the eager fold's `k`, exactly
+        /// `(K − K/p) + (p − 1) + (p − 1)(K/p − 1)`; summed shard by shard,
+        /// as `G_d` evaluates the `gpt_tp8_l2` chains, the full fold
+        /// unfolds before the first shard surfaces from inside the sum
+        /// (DESIGN, *Classification*) and reads at least that.
+        #[test]
+        fn p_way_splits_read_what_product_unfolding_reads(
+            (p, width, m, n, interleaved) in (2usize..9, 2usize..5, 1usize..3, 1usize..3, 0u8..2),
+        ) {
+            let interleaved = interleaved == 1;
+            let (widths, order) = (vec![width; p], (0..p).collect::<Vec<_>>());
+            let (folded, eager, sums) = split_both_ways(&widths, &order, (m, n), interleaved);
+            let k = p * width;
+            let split = ((k - width) + (p - 1) + (p - 1) * (width - 1)) as u64;
+            for ((_, folded), (_, eager)) in folded.iter().zip(&eager) {
+                prop_assert_eq!(*eager, split);
+                prop_assert!(if interleaved { *folded >= split } else { *folded == split });
+            }
+            prop_assert!(sums > 0);
         }
 
         /// One table over a run of overlapping terms answers every term —

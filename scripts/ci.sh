@@ -98,6 +98,13 @@ fi
 if grep -rnE 'dot_memo|bypass_dot_memo|dot_hits' crates/ tests/ benchmark/src; then
   echo "the dot-product memo is back (interning a Dot node is the memo)"; exit 1
 fi
+# The differential oracle stays the algorithm the classifier replaced: it
+# unfolds a `Dot` into one product per pair and never writes a run of them as
+# a `Sum`, so the tests keep holding the `Sum` path to product-by-product
+# unfolding (DESIGN.md, *Classification*).
+if grep -n 'Node::Sum' crates/num/src/sym/oracle.rs; then
+  echo "the numeric oracle builds a Sum (it unfolds a Dot one product per pair)"; exit 1
+fi
 
 # What depends only on the rule corpus is cheap, not cached, and built once
 # per check: the schedule derivation keeps no process-global memo, and the
