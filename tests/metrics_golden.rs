@@ -175,6 +175,107 @@ fn golden_snapshot_failed_checks() {
     }
 }
 
+/// The check and the snapshot it collected, on every exit.
+fn counted(
+    gs: &entangle_ir::Graph,
+    gd: &entangle_ir::Graph,
+    ri: &entangle::Relation,
+    opts: CheckOptions,
+) -> (Result<entangle::CheckOutcome, entangle::RefinementError>, Snapshot) {
+    let opts = CheckOptions {
+        metrics: Registry::new(),
+        ..opts
+    };
+    let result = check_refinement(gs, gd, ri, &opts);
+    (result, opts.metrics.snapshot())
+}
+
+/// A well-formed `G_s` next to a `G_d` whose slice sharding of `X` leaves
+/// row 4 covered by no shard: lint error E009.
+fn gap_sharded_pair() -> (entangle_ir::Graph, entangle_ir::Graph) {
+    use entangle_ir::{DType, Dim, GraphBuilder, Op};
+    let mut gs = GraphBuilder::new("seq");
+    let a = gs.input("A", &[8, 4], DType::F32);
+    let r = gs.apply("R", Op::Relu, &[a]).unwrap();
+    gs.mark_output(r);
+    let mut gd = GraphBuilder::new("dist");
+    let x = gd.input("X", &[8, 4], DType::F32);
+    for (i, (start, end)) in [(0, 4), (5, 8)].into_iter().enumerate() {
+        let slice = Op::Slice {
+            dim: 0,
+            start: Dim::from(start),
+            end: Dim::from(end),
+        };
+        let s = gd.apply(&format!("S{}", i + 1), slice, &[x]).unwrap();
+        let r = gd.apply(&format!("R{}", i + 1), Op::Relu, &[s]).unwrap();
+        gd.mark_output(r);
+    }
+    (gs.finish().unwrap(), gd.finish().unwrap())
+}
+
+/// Every exit no other golden covers: the three that end before the map
+/// stage (lint, a missing input mapping, a shard violation) collect
+/// nothing, and the two verified checks with an option off differ from
+/// `gpt_tp2.txt` only in the instrument that option drives.
+#[test]
+fn golden_snapshot_every_exit() {
+    let (gs, dist, ri) = gpt_tp2();
+    let (gap_s, gap_d) = gap_sharded_pair();
+    let mut gap_ri = entangle::Relation::builder(&gap_s, &gap_d);
+    gap_ri.map("A", "X").unwrap();
+    let bug1 = entangle_parallel::bugs::bug(1, true);
+    let bug1_ri = bug1.relation().expect("bug-case relation is valid");
+    let failures = [
+        ("lint_failed", "lint", &gap_s, &gap_d, &gap_ri.build()),
+        (
+            "missing_input_failed",
+            "missing-input-mapping",
+            &gs,
+            &dist.graph,
+            &entangle::Relation::new(),
+        ),
+        (
+            "bug1_failed",
+            "shard-violation",
+            &bug1.gs,
+            &bug1.dist.graph,
+            &bug1_ri,
+        ),
+    ];
+    for (name, kind, gs, gd, ri) in failures {
+        let (result, snapshot) = counted(gs, gd, ri, metered_opts());
+        assert_eq!(result.expect_err(name).kind(), kind, "{name}");
+        assert_matches_golden(name, &golden_text(&snapshot));
+        assert!(snapshot.is_empty(), "{name}: nothing ran to count");
+    }
+
+    let (result, snapshot) = counted(
+        &gs,
+        &dist.graph,
+        &ri,
+        CheckOptions {
+            certify: false,
+            ..CheckOptions::default()
+        },
+    );
+    result.expect("GPT/TP2 verifies uncertified");
+    assert_matches_golden("gpt_tp2_uncertified", &golden_text(&snapshot));
+    assert!(!snapshot.counters.keys().any(|k| k.starts_with("cert.")));
+
+    let (result, snapshot) = counted(
+        &gs,
+        &dist.graph,
+        &ri,
+        CheckOptions {
+            rule_backoff: false,
+            ..metered_opts()
+        },
+    );
+    result.expect("GPT/TP2 verifies without backoff");
+    assert_matches_golden("gpt_tp2_no_backoff", &golden_text(&snapshot));
+    assert_eq!(snapshot.gauges.get("rules.backoff.throttled"), Some(&0));
+}
+
 #[test]
 fn metrics_do_not_perturb_the_search() {
     let (gs, dist, ri) = gpt_tp2();
