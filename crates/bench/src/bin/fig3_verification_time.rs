@@ -20,7 +20,7 @@ fn main() {
             w.strategies.to_owned(),
             format!("{}", w.total_ops()),
             secs(elapsed),
-            format!("{}", outcome.lemma_stats.total()),
+            format!("{}", outcome.saturation.lemma_total()),
         ]);
     }
     print_table(

@@ -26,7 +26,7 @@ fn main() {
         let (outcome, _) = w.check(&opts);
         let per_lemma: Vec<u64> = lemmas
             .iter()
-            .map(|l| outcome.lemma_stats.count(&l.name))
+            .map(|l| outcome.saturation.lemma_count(&l.name))
             .collect();
         counts.push((label, per_lemma));
     }

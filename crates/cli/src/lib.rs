@@ -66,9 +66,11 @@ use std::fmt;
 use std::fs;
 use std::time::{Duration, Instant};
 
-use entangle::{check_expectation, check_refinement, CheckOptions, ExpectationError, Relation};
+use entangle::{
+    check_expectation, check_refinement_counted, CheckOptions, ExpectationError, Relation,
+};
 use entangle_ir::Graph;
-use entangle_metrics::{ledger, LedgerRecord, NoiseBand, Registry};
+use entangle_metrics::{ledger, LedgerRecord, NoiseBand};
 use entangle_trace::{SpanGuard, TraceReport, Tracer};
 
 /// A parsed CLI invocation.
@@ -787,14 +789,10 @@ pub fn run_with(cmd: &Command, flags: &GlobalFlags) -> i32 {
 }
 
 /// The default [`CheckOptions`] for a CLI invocation: tracing into the
-/// invocation's tracer and a live metrics registry — every CLI check
-/// collects the full instrument set (`metrics_do_not_perturb_the_search`
-/// pins that it cannot change the search), feeding both the stats line
-/// after the verdict and the run-ledger record.
+/// invocation's tracer.
 fn check_options(tracer: &Tracer) -> CheckOptions {
     CheckOptions {
         trace: tracer.clone(),
-        metrics: Registry::new(),
         ..CheckOptions::default()
     }
 }
@@ -848,9 +846,10 @@ fn ledger_path(flags: &GlobalFlags, require_dir: bool) -> Option<std::path::Path
 }
 
 /// The certified check behind `check`, `certify` and `trace`: runs
-/// [`check_refinement`] and, when a run ledger is in play, appends one
-/// schema-versioned record (verdict `verified` or `failed:<kind>`, stable
-/// across runs so `entangle report` can flag verdict flips precisely).
+/// [`check_refinement_counted`] and, when a run ledger is in play, appends
+/// one schema-versioned record (verdict `verified` or `failed:<kind>`,
+/// stable across runs so `entangle report` can flag verdict flips
+/// precisely) carrying the check's metrics snapshot.
 /// The record — whose fingerprint re-renders both graphs and the lemma
 /// corpus — is only built when there is a ledger to write it to. The
 /// append is best-effort: a failed write warns on stderr and never changes
@@ -866,7 +865,7 @@ fn ledgered_check(
     Duration,
 ) {
     let start = Instant::now();
-    let result = check_refinement(gs, gd, ri, opts);
+    let (result, snapshot) = check_refinement_counted(gs, gd, ri, opts);
     let wall = start.elapsed();
     if let Some(path) = ledger_path(flags, true) {
         let verdict = match &result {
@@ -879,7 +878,7 @@ fn ledgered_check(
         rec.wall_ms = wall.as_secs_f64() * 1e3;
         rec.extra.insert("gs".to_owned(), gs.name().to_owned());
         rec.extra.insert("gd".to_owned(), gd.name().to_owned());
-        rec.metrics = opts.metrics.snapshot();
+        rec.metrics = snapshot;
         if let Err(e) = ledger::append(&path, &rec) {
             errln!("warning: cannot append run ledger {}: {e}", path.display());
         }
@@ -1327,11 +1326,20 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
                 out!("{}", outcome.to_prometheus());
             } else {
                 if read.records.is_empty() {
-                    outln!(
-                        "run ledger {} is empty — run `entangle check`/`certify` with a \
-                         results/ directory present, or pass --ledger FILE.",
-                        path.display()
-                    );
+                    if read.malformed > 0 {
+                        outln!(
+                            "run ledger {} has no readable record: skipped {} malformed \
+                             line(s).",
+                            path.display(),
+                            read.malformed
+                        );
+                    } else {
+                        outln!(
+                            "run ledger {} is empty — run `entangle check`/`certify` with a \
+                             results/ directory present, or pass --ledger FILE.",
+                            path.display()
+                        );
+                    }
                     return Ok(0);
                 }
                 out!("{}", outcome.to_text());

@@ -95,15 +95,6 @@ pub struct CheckOptions {
     /// verdict, relations, certificate proofs, or exit path of the check —
     /// it tells the differential oracle how strictly to compare.
     pub numeric: bool,
-    /// Metrics registry (`entangle-metrics`). The default null registry is
-    /// a true no-op, same contract as [`CheckOptions::trace`]; an enabled
-    /// registry collects the whole pipeline's counters and gauges, and the
-    /// caller reads them with `metrics.snapshot()` whether the check
-    /// succeeded or failed. Durations are not among them: they live in the
-    /// [`CheckOptions::trace`] spans. Every instrument is recorded by this
-    /// crate from a report an engine returned unconditionally, so enabling
-    /// them never changes verdicts, relations, or certificates.
-    pub metrics: entangle_metrics::Registry,
 }
 
 impl Default for CheckOptions {
@@ -119,7 +110,6 @@ impl Default for CheckOptions {
             jobs: 1,
             rule_backoff: true,
             numeric: true,
-            metrics: entangle_metrics::Registry::null(),
         }
     }
 }
@@ -174,17 +164,49 @@ pub struct SaturationSummary {
     /// Merged telemetry of the runs that executed: each solved problem's
     /// reports folded at its first merge only.
     pub fresh: SaturationReport,
-    fresh_runs: usize,
+    counts: FreshCounts,
+}
+
+/// The scalars of the runs that executed which [`SaturationSummary::fresh`]
+/// does not merge: what the check's metrics snapshot reports of them.
+#[derive(Debug, Clone, Copy, Default)]
+struct FreshCounts {
+    runs: u64,
+    iterations: u64,
+    unions: u64,
+    bans: u64,
+    ematch_candidates: u64,
+    ematch_yields: u64,
+    trie_nodes: u64,
+    /// Largest e-graph at any iteration boundary or run end.
+    peak_nodes: u64,
+    peak_classes: u64,
 }
 
 impl SaturationSummary {
     fn record(&mut self, report: &RunReport, replayed: bool) {
         self.stops.push(report.stop_reason);
         self.telemetry.merge(&report.saturation);
-        if !replayed {
-            self.fresh_runs += 1;
-            self.fresh.merge(&report.saturation);
+        if replayed {
+            return;
         }
+        self.fresh.merge(&report.saturation);
+        let c = &mut self.counts;
+        c.runs += 1;
+        c.iterations += report.iterations as u64;
+        c.bans += report.bans;
+        c.ematch_candidates += report.ematch_candidates;
+        c.ematch_yields += report.ematch_yields;
+        c.trie_nodes = c.trie_nodes.max(report.trie_nodes as u64);
+        for it in &report.saturation.iterations {
+            c.unions += it.unions;
+            c.peak_nodes = c.peak_nodes.max(it.nodes as u64);
+            c.peak_classes = c.peak_classes.max(it.classes as u64);
+        }
+        // A run cut short before its first iteration boundary still has a
+        // real final size.
+        c.peak_nodes = c.peak_nodes.max(report.egraph_nodes as u64);
+        c.peak_classes = c.peak_classes.max(report.egraph_classes as u64);
     }
 
     /// Number of saturation runs, replays included.
@@ -200,7 +222,7 @@ impl SaturationSummary {
     /// Saturation runs that executed (the rest of [`Self::runs`] replayed
     /// one of these).
     pub fn fresh_runs(&self) -> usize {
-        self.fresh_runs
+        self.counts.runs as usize
     }
 
     /// Iterations of the runs that executed.
@@ -224,6 +246,30 @@ impl SaturationSummary {
         self.telemetry.iterations.iter().map(|i| i.nodes).collect()
     }
 
+    /// Applications of one lemma over the whole check, replays included —
+    /// a cell of the paper's Figure 6 heatmap.
+    pub fn lemma_count(&self, lemma: &str) -> u64 {
+        self.telemetry
+            .rules
+            .get(lemma)
+            .map_or(0, |r| r.applications)
+    }
+
+    /// Applications of every lemma over the whole check, replays included.
+    pub fn lemma_total(&self) -> u64 {
+        self.telemetry.rules.values().map(|r| r.applications).sum()
+    }
+
+    /// `(lemma, applications)` for every lemma applied at least once, in
+    /// no particular order.
+    pub fn lemma_counts(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.telemetry
+            .rules
+            .iter()
+            .filter(|(_, r)| r.applications > 0)
+            .map(|(name, r)| (name.as_str(), r.applications))
+    }
+
     /// Stop-reason histogram in a fixed order (saturated, goal,
     /// iter-limit, node-limit, time-limit).
     pub fn stop_counts(&self) -> Vec<(&'static str, usize)> {
@@ -237,43 +283,6 @@ impl SaturationSummary {
         .into_iter()
         .map(|r| (r.as_str(), self.stops.iter().filter(|&&s| s == r).count()))
         .collect()
-    }
-}
-
-/// Per-lemma application counts, aggregated over the whole check — the raw
-/// data of the paper's Figure 6 heatmap. A view of
-/// [`SaturationSummary::telemetry`]: its rules with at least one
-/// application.
-#[derive(Debug, Clone, Default)]
-pub struct LemmaStats {
-    counts: HashMap<String, u64>,
-}
-
-impl LemmaStats {
-    fn of(telemetry: &SaturationReport) -> LemmaStats {
-        LemmaStats {
-            counts: telemetry
-                .rules
-                .iter()
-                .filter(|(_, r)| r.applications > 0)
-                .map(|(name, r)| (name.clone(), r.applications))
-                .collect(),
-        }
-    }
-
-    /// Applications of one lemma.
-    pub fn count(&self, lemma: &str) -> u64 {
-        self.counts.get(lemma).copied().unwrap_or(0)
-    }
-
-    /// Total applications across all lemmas.
-    pub fn total(&self) -> u64 {
-        self.counts.values().sum()
-    }
-
-    /// Iterates `(lemma, count)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counts.iter().map(|(k, v)| (k.as_str(), *v))
     }
 }
 
@@ -304,8 +313,6 @@ pub struct CheckOutcome {
     /// Clean mappings for every `G_s` tensor (inputs, intermediates,
     /// outputs).
     pub full_relation: Relation,
-    /// Aggregated lemma-application counts.
-    pub lemma_stats: LemmaStats,
     /// Per-operator reports, in processing order.
     pub op_reports: Vec<OpReport>,
     /// Whole-check saturation telemetry (stop reasons, per-rule timings,
@@ -577,10 +584,26 @@ pub fn check_refinement(
     ri: &Relation,
     opts: &CheckOptions,
 ) -> Result<CheckOutcome, RefinementError> {
+    check_refinement_counted(gs, gd, ri, opts).0
+}
+
+/// [`check_refinement`], plus the check's metrics snapshot on every exit:
+/// a failed check has no [`CheckOutcome`], and the snapshot is the only
+/// record of how far it got (the run ledger's `metrics` member).
+pub fn check_refinement_counted(
+    gs: &Graph,
+    gd: &Graph,
+    ri: &Relation,
+    opts: &CheckOptions,
+) -> (
+    Result<CheckOutcome, RefinementError>,
+    entangle_metrics::Snapshot,
+) {
     let mut root = opts.trace.span("check_refinement");
     root.attr("gs", gs.name());
     root.attr("gd", gd.name());
-    let result = check_refinement_inner(gs, gd, ri, opts);
+    let mut tally = Tally::default();
+    let result = check_refinement_inner(gs, gd, ri, opts, &mut tally);
     match &result {
         Ok(outcome) => {
             root.attr("outcome", "verified");
@@ -589,7 +612,67 @@ pub fn check_refinement(
         }
         Err(e) => root.attr("outcome", e.kind()),
     }
-    result
+    (result, tally.snapshot())
+}
+
+/// What a check's metrics snapshot reads, filled in stage by stage: each
+/// field stays `None` until its stage runs, so a failed check reports the
+/// stages it reached and nothing else.
+#[derive(Default)]
+struct Tally {
+    /// `stage:setup` ran: the backoff schedule's length.
+    throttled: Option<usize>,
+    /// The map stage ran, to success or failure.
+    map: Option<(FreshCounts, ParStats)>,
+    /// `stage:certify` ran: did the kernel accept?
+    accepted: Option<bool>,
+    /// The check verified: its operator count.
+    operators: Option<usize>,
+}
+
+impl Tally {
+    /// Builds the snapshot: the one place every instrument is named.
+    fn snapshot(&self) -> entangle_metrics::Snapshot {
+        let mut counters = Vec::new();
+        let mut gauges = Vec::new();
+        if let Some(n) = self.throttled {
+            gauges.push(("rules.backoff.throttled", n as u64));
+        }
+        if let Some((fresh, par)) = &self.map {
+            if fresh.runs > 0 {
+                counters.extend([
+                    ("egraph.runs", fresh.runs),
+                    ("egraph.iterations", fresh.iterations),
+                    ("egraph.unions", fresh.unions),
+                    ("ematch.candidates.visited", fresh.ematch_candidates),
+                    ("ematch.matches.yielded", fresh.ematch_yields),
+                ]);
+                gauges.extend([
+                    ("egraph.peak_nodes", fresh.peak_nodes),
+                    ("egraph.peak_classes", fresh.peak_classes),
+                    ("ematch.trie.nodes", fresh.trie_nodes),
+                ]);
+            }
+            if fresh.bans > 0 {
+                counters.push(("rules.backoff.bans", fresh.bans));
+            }
+            counters.push(("par.cache.hits", par.cache_hits));
+            counters.push(("par.cache.misses", par.cache_misses));
+        }
+        match self.accepted {
+            Some(true) => counters.push(("cert.verify.accepted", 1)),
+            Some(false) => counters.push(("cert.verify.rejected", 1)),
+            None => {}
+        }
+        if let Some(n) = self.operators {
+            counters.push(("check.operators", n as u64));
+        }
+        let named = |v: Vec<(&str, u64)>| v.into_iter().map(|(k, v)| (k.to_owned(), v)).collect();
+        entangle_metrics::Snapshot {
+            counters: named(counters),
+            gauges: named(gauges),
+        }
+    }
 }
 
 /// Runs one pipeline stage under its `stage:{name}` span, the one place
@@ -599,48 +682,13 @@ fn stage<T>(opts: &CheckOptions, name: &str, body: impl FnOnce(&mut SpanGuard) -
     body(&mut opts.trace.span(&format!("stage:{name}")))
 }
 
-/// Records one *fresh* saturation run (a memo replay describes a run
-/// already counted): growth and peak-size gauges, run/iteration/union
-/// counters, the backoff ban counter and the e-matching instruments — all
-/// read from the report the runner returns whether or not anyone is
-/// measuring.
-fn record_run(m: &entangle_metrics::Registry, report: &RunReport) {
-    if !m.is_enabled() {
-        return;
-    }
-    m.counter("egraph.runs").inc();
-    m.counter("egraph.iterations").add(report.iterations as u64);
-    let peak_nodes = m.gauge("egraph.peak_nodes");
-    let peak_classes = m.gauge("egraph.peak_classes");
-    let mut unions = 0u64;
-    for it in &report.saturation.iterations {
-        peak_nodes.set_max(it.nodes as u64);
-        peak_classes.set_max(it.classes as u64);
-        unions += it.unions;
-    }
-    // A run cut short before its first iteration boundary still has a
-    // real final size.
-    peak_nodes.set_max(report.egraph_nodes as u64);
-    peak_classes.set_max(report.egraph_classes as u64);
-    m.counter("egraph.unions").add(unions);
-    if report.bans > 0 {
-        m.counter("rules.backoff.bans").add(report.bans);
-    }
-    m.gauge("ematch.trie.nodes")
-        .set_max(report.trie_nodes as u64);
-    m.counter("ematch.candidates.visited")
-        .add(report.ematch_candidates);
-    m.counter("ematch.matches.yielded")
-        .add(report.ematch_yields);
-}
-
 fn check_refinement_inner(
     gs: &Graph,
     gd: &Graph,
     ri: &Relation,
     opts: &CheckOptions,
+    tally: &mut Tally,
 ) -> Result<CheckOutcome, RefinementError> {
-    let metrics = &opts.metrics;
     stage(opts, "lint", |sp| {
         let r = check_lint(gs, gd);
         sp.attr(
@@ -692,9 +740,7 @@ fn check_refinement_inner(
             (None, 0)
         };
         let throttled = backoff.as_ref().map_or(0, BackoffSchedule::len);
-        metrics
-            .gauge("rules.backoff.throttled")
-            .set(throttled as u64);
+        tally.throttled = Some(throttled);
         // The discrimination tree every saturation run searches with.
         let matcher = CompiledMatcher::compile(&rewrites);
         sp.attr("rules", rewrites.len());
@@ -751,9 +797,8 @@ fn check_refinement_inner(
         ..
     } = st;
     // Read on the failure path too: a failed check has no `CheckOutcome`,
-    // so the registry is all that says how far the memo got.
-    metrics.counter("par.cache.hits").add(par.cache_hits);
-    metrics.counter("par.cache.misses").add(par.cache_misses);
+    // so the snapshot is all that says how far the map stage got.
+    tally.map = Some((saturation.counts, par));
     mapped?;
 
     // Listing 1 line 9: R_o keeps only mappings whose leaves are G_d
@@ -813,13 +858,8 @@ fn check_refinement_inner(
             for (key, count) in kernel.attrs() {
                 sp.attr(key, count);
             }
-            let (outcome, verdict) = if r.is_ok() {
-                ("accepted", "cert.verify.accepted")
-            } else {
-                ("rejected", "cert.verify.rejected")
-            };
-            metrics.counter(verdict).inc();
-            sp.attr("outcome", outcome);
+            tally.accepted = Some(r.is_ok());
+            sp.attr("outcome", if r.is_ok() { "accepted" } else { "rejected" });
             r
         })
         .map_err(|error| RefinementError::CertRejected { error })?;
@@ -872,13 +912,10 @@ fn check_refinement_inner(
         }
     }
 
-    metrics
-        .counter("check.operators")
-        .add(op_reports.len() as u64);
+    tally.operators = Some(op_reports.len());
     Ok(CheckOutcome {
         output_relation,
         full_relation: relation,
-        lemma_stats: LemmaStats::of(&saturation.telemetry),
         op_reports,
         saturation,
         certificate,
@@ -1077,9 +1114,6 @@ fn run_op(ctx: &MapCtx, st: &mut MapState, node: &Node, per_input: &[Vec<RecExpr
                 ctx.matcher,
                 ctx.backoff,
             ));
-            for report in &fresh.run_reports {
-                record_run(&ctx.opts.metrics, report);
-            }
             st.memo.insert(key, fresh.clone());
             (fresh, false)
         }

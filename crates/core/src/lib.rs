@@ -80,8 +80,8 @@ mod memo;
 mod relation;
 
 pub use checker::{
-    check_lint, check_refinement, problem_fingerprint, CheckOptions, CheckOutcome, LemmaStats,
-    OpReport, ParStats, RefinementError, SaturationSummary,
+    check_lint, check_refinement, check_refinement_counted, problem_fingerprint, CheckOptions,
+    CheckOutcome, OpReport, ParStats, RefinementError, SaturationSummary,
 };
 pub use encode::{clean_cost, encode_def, encode_node, CleanOps};
 pub use entangle_egraph::{SaturationReport, StopReason};

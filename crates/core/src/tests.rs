@@ -106,7 +106,7 @@ fn figure1_refines() {
         "C mappings: {c_maps:?}"
     );
     // Lemmas were actually applied.
-    assert!(outcome.lemma_stats.total() > 0);
+    assert!(outcome.saturation.lemma_total() > 0);
     assert_eq!(outcome.op_reports.len(), gs.num_nodes());
 }
 
@@ -535,10 +535,10 @@ fn lemma_stats_accumulate_and_iterate() {
     let (gs, gd, ..) = figure1();
     let ri = figure1_relation(&gs, &gd);
     let outcome = check_refinement(&gs, &gd, &ri, &CheckOptions::default()).unwrap();
-    let total: u64 = outcome.lemma_stats.iter().map(|(_, c)| c).sum();
-    assert_eq!(total, outcome.lemma_stats.total());
-    assert!(outcome.lemma_stats.count("matmul-concat-contraction") >= 1);
-    assert_eq!(outcome.lemma_stats.count("no-such-lemma"), 0);
+    let total: u64 = outcome.saturation.lemma_counts().map(|(_, c)| c).sum();
+    assert_eq!(total, outcome.saturation.lemma_total());
+    assert!(outcome.saturation.lemma_count("matmul-concat-contraction") >= 1);
+    assert_eq!(outcome.saturation.lemma_count("no-such-lemma"), 0);
 }
 
 #[test]
@@ -886,7 +886,7 @@ mod scheduler {
         assert_eq!(matches(&sat.telemetry), 4 * matches(&sat.fresh));
         // Figure 6 counts per operator, replays included.
         assert_eq!(
-            outcome.lemma_stats.total(),
+            outcome.saturation.lemma_total(),
             sat.telemetry
                 .rules
                 .values()

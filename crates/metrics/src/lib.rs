@@ -1,22 +1,17 @@
-//! Unified metrics for the ENTANGLE checker pipeline.
+//! Metrics snapshots, the run ledger and the regression report of the
+//! ENTANGLE checker.
 //!
-//! Several subsystems emit counts (scheduler/cache counters, template
-//! replay counters, backoff bans, kernel verdicts, e-graph growth), and
-//! this crate gives them one place to be read and a history across runs.
-//! It keeps counts only: durations live in the span stream
-//! (`entangle_trace`'s `stage:*` and `op:*` spans and `iteration` events),
-//! so no time is measured twice.
+//! A check's counts (memo hits and misses, saturation runs and e-graph
+//! peaks, e-matching work, backoff bans, the kernel's verdict) are tallies
+//! the checker keeps anyway; `entangle::check_refinement_counted` names
+//! them once, on every exit, as a [`Snapshot`]. This crate keeps counts
+//! only: durations live in the span stream (`entangle_trace`'s `stage:*`
+//! and `op:*` spans and `iteration` events), so no time is measured twice.
 //!
-//! - [`Registry`]: a cheaply cloneable handle carrying monotonic
-//!   [`Counter`]s and [`Gauge`]s. The null registry ([`Registry::null`],
-//!   the default) is a true no-op — every handle is an `Option<Arc<…>>`
-//!   that costs one branch, the same non-perturbation design as
-//!   `entangle_trace::Tracer`. Instruments never change verdicts,
-//!   relations, certificates, or the search.
-//! - [`Snapshot`]: a point-in-time copy of every instrument with
-//!   **deterministic ordering** (`BTreeMap`s keyed by metric name),
-//!   rendered as stable-field-order JSON or Prometheus text exposition
-//!   (the serve-ready surface).
+//! - [`Snapshot`]: counters and gauges by name, with **deterministic
+//!   ordering** (`BTreeMap`s keyed by metric name), rendered as
+//!   stable-field-order JSON or Prometheus text exposition (the
+//!   serve-ready surface).
 //! - [`ledger`]: a schema-versioned JSONL run ledger — one record per
 //!   check (workload + engine/problem fingerprint + verdict + snapshot)
 //!   appended to `results/ledger.jsonl` — with malformed-line-tolerant
@@ -29,18 +24,14 @@
 //! # Examples
 //!
 //! ```
-//! use entangle_metrics::Registry;
+//! use entangle_metrics::Snapshot;
 //!
-//! let m = Registry::new();
-//! m.counter("par.cache.hits").add(3);
-//! m.gauge("egraph.peak_nodes").set_max(1024);
-//! let snap = m.snapshot();
-//! assert_eq!(snap.counters["par.cache.hits"], 3);
-//! assert_eq!(snap.gauges["egraph.peak_nodes"], 1024);
-//! // The null registry records nothing and costs one branch per call.
-//! let off = Registry::null();
-//! off.counter("par.cache.hits").inc();
-//! assert!(off.snapshot().is_empty());
+//! let mut snap = Snapshot::default();
+//! snap.counters.insert("par.cache.hits".into(), 3);
+//! snap.gauges.insert("egraph.peak_nodes".into(), 1024);
+//! assert_eq!(snap.to_json(), r#"{"counters":{"par.cache.hits":3},"gauges":{"egraph.peak_nodes":1024}}"#);
+//! assert_eq!(Snapshot::from_json(&snap.to_json()), Ok(snap.clone()));
+//! assert_eq!(snap.counter("par.cache.misses"), 0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -54,73 +45,8 @@ pub use ledger::{LedgerRead, LedgerRecord, LEDGER_SCHEMA_VERSION};
 pub use report::{NoiseBand, Regression, RegressionKind, ReportOutcome, WorkloadReport};
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
 
-#[derive(Default)]
-struct Inner {
-    counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
-    gauges: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
-}
-
-/// A monotonic counter handle. From a null registry every operation is a
-/// single branch; handles are cheap to clone and safe to share across
-/// threads.
-#[derive(Clone, Default)]
-pub struct Counter(Option<Arc<AtomicU64>>);
-
-impl Counter {
-    /// A detached no-op handle, for code that takes a `Counter` but whose
-    /// caller has no registry.
-    pub fn null() -> Counter {
-        Counter(None)
-    }
-
-    /// Increments by one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Increments by `n`.
-    pub fn add(&self, n: u64) {
-        if let Some(c) = &self.0 {
-            c.fetch_add(n, Relaxed);
-        }
-    }
-
-    /// Current value (0 for a null handle).
-    pub fn get(&self) -> u64 {
-        self.0.as_ref().map_or(0, |c| c.load(Relaxed))
-    }
-}
-
-/// A gauge handle: a value that can be set, or raised to a running maximum
-/// (peak tracking).
-#[derive(Clone, Default)]
-pub struct Gauge(Option<Arc<AtomicU64>>);
-
-impl Gauge {
-    /// Sets the gauge.
-    pub fn set(&self, v: u64) {
-        if let Some(g) = &self.0 {
-            g.store(v, Relaxed);
-        }
-    }
-
-    /// Raises the gauge to `v` if `v` is larger (peak tracking).
-    pub fn set_max(&self, v: u64) {
-        if let Some(g) = &self.0 {
-            g.fetch_max(v, Relaxed);
-        }
-    }
-
-    /// Current value (0 for a null handle).
-    pub fn get(&self) -> u64 {
-        self.0.as_ref().map_or(0, |g| g.load(Relaxed))
-    }
-}
-
-/// A deterministic point-in-time copy of every instrument in a registry.
+/// A check's counts: counters and gauges by name.
 ///
 /// Both maps are `BTreeMap`s keyed by metric name, so iteration
 /// order, JSON rendering, and Prometheus exposition are stable for a given
@@ -128,24 +54,25 @@ impl Gauge {
 /// metrics_golden.rs` pins.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
-    /// Counter values by name.
+    /// The counters: monotonic totals by name.
     pub counters: BTreeMap<String, u64>,
-    /// Gauge values by name.
+    /// The gauges: sizes and peaks by name.
     pub gauges: BTreeMap<String, u64>,
 }
 
 impl Snapshot {
-    /// `true` when nothing was recorded (e.g. the null registry).
+    /// `true` when nothing was recorded (a check that ended before its
+    /// setup stage).
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty()
     }
 
-    /// Counter value, 0 when absent.
+    /// The value of counter `name`, 0 when absent.
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Gauge value, 0 when absent.
+    /// The value of gauge `name`, 0 when absent.
     pub fn gauge(&self, name: &str) -> u64 {
         self.gauges.get(name).copied().unwrap_or(0)
     }
@@ -215,7 +142,7 @@ impl Snapshot {
                     }
                 }
                 // Unknown members are skipped, among them the `histograms`
-                // object of records written before the registry kept
+                // object of records written before the snapshot kept
                 // counts only.
                 _ => {}
             }
@@ -273,91 +200,6 @@ fn prom_name(name: &str) -> String {
         });
     }
     out
-}
-
-/// A cheaply cloneable metrics registry handle.
-///
-/// Clones share the underlying instruments, so handles resolved through
-/// different clones of the same registry accumulate into the same
-/// counters — the checker threads one registry through every stage exactly
-/// as it threads the [`entangle_trace`-style] null tracer. The default
-/// registry is the null registry.
-#[derive(Clone, Default)]
-pub struct Registry {
-    inner: Option<Arc<Inner>>,
-}
-
-impl std::fmt::Debug for Registry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(if self.inner.is_some() {
-            "Registry(enabled)"
-        } else {
-            "Registry(null)"
-        })
-    }
-}
-
-impl Registry {
-    /// The no-op registry: every handle it returns costs one branch per
-    /// operation and records nothing.
-    pub fn null() -> Registry {
-        Registry { inner: None }
-    }
-
-    /// An enabled registry with no instruments yet (they are created on
-    /// first access).
-    pub fn new() -> Registry {
-        Registry {
-            inner: Some(Arc::new(Inner::default())),
-        }
-    }
-
-    /// `true` when this registry records (false for the null registry).
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// The counter named `name`, created on first access. Resolve once
-    /// outside hot loops: resolution takes a lock, the returned handle is
-    /// lock-free.
-    pub fn counter(&self, name: &str) -> Counter {
-        Counter(self.inner.as_ref().map(|i| {
-            i.counters
-                .lock()
-                .expect("metrics counters lock")
-                .entry(name.to_owned())
-                .or_default()
-                .clone()
-        }))
-    }
-
-    /// The gauge named `name`, created on first access.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        Gauge(self.inner.as_ref().map(|i| {
-            i.gauges
-                .lock()
-                .expect("metrics gauges lock")
-                .entry(name.to_owned())
-                .or_default()
-                .clone()
-        }))
-    }
-
-    /// Takes a deterministic point-in-time [`Snapshot`] (empty for the
-    /// null registry).
-    pub fn snapshot(&self) -> Snapshot {
-        let Some(inner) = &self.inner else {
-            return Snapshot::default();
-        };
-        let mut snap = Snapshot::default();
-        for (k, v) in inner.counters.lock().expect("metrics counters lock").iter() {
-            snap.counters.insert(k.clone(), v.load(Relaxed));
-        }
-        for (k, v) in inner.gauges.lock().expect("metrics gauges lock").iter() {
-            snap.gauges.insert(k.clone(), v.load(Relaxed));
-        }
-        snap
-    }
 }
 
 #[cfg(test)]

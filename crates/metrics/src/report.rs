@@ -27,9 +27,9 @@
 
 use crate::ledger::{LedgerRead, LedgerRecord};
 
-/// Gauge consulted for the peak-node comparison.
+/// The gauge consulted for the peak-node comparison.
 pub const PEAK_NODES_GAUGE: &str = "egraph.peak_nodes";
-/// Counters consulted for the hit-rate comparison.
+/// The counters consulted for the hit-rate comparison.
 pub const CACHE_HITS_COUNTER: &str = "par.cache.hits";
 /// See [`CACHE_HITS_COUNTER`].
 pub const CACHE_MISSES_COUNTER: &str = "par.cache.misses";

@@ -2,46 +2,23 @@ use std::collections::BTreeMap;
 
 use crate::ledger::{self, LedgerRecord};
 use crate::report::{compare, NoiseBand, RegressionKind};
-use crate::{JsonValue, Registry, Snapshot};
+use crate::{JsonValue, Snapshot};
 
-#[test]
-fn null_registry_records_nothing() {
-    let m = Registry::null();
-    assert!(!m.is_enabled());
-    m.counter("a").add(5);
-    m.gauge("b").set_max(7);
-    assert_eq!(m.counter("a").get(), 0);
-    assert!(m.snapshot().is_empty());
-}
-
-#[test]
-fn clones_share_instruments() {
-    let m = Registry::new();
-    let c1 = m.counter("x");
-    let c2 = m.clone().counter("x");
-    c1.inc();
-    c2.add(2);
-    assert_eq!(m.snapshot().counter("x"), 3);
-}
-
-#[test]
-fn gauge_set_and_max() {
-    let m = Registry::new();
-    let g = m.gauge("peak");
-    g.set(10);
-    g.set_max(5);
-    assert_eq!(g.get(), 10);
-    g.set_max(20);
-    assert_eq!(g.get(), 20);
+/// A snapshot of the given counters and gauges.
+fn snap(counters: &[(&str, u64)], gauges: &[(&str, u64)]) -> Snapshot {
+    let named = |v: &[(&str, u64)]| v.iter().map(|&(k, v)| (k.to_owned(), v)).collect();
+    Snapshot {
+        counters: named(counters),
+        gauges: named(gauges),
+    }
 }
 
 #[test]
 fn snapshot_json_round_trip() {
-    let m = Registry::new();
-    m.counter("par.cache.hits").add(41);
-    m.gauge("egraph.peak_nodes").set_max(9001);
-    m.counter("cert.verify.rejected");
-    let snap = m.snapshot();
+    let snap = snap(
+        &[("par.cache.hits", 41), ("cert.verify.rejected", 0)],
+        &[("egraph.peak_nodes", 9001)],
+    );
     assert_eq!(
         snap.to_json(),
         r#"{"counters":{"cert.verify.rejected":0,"par.cache.hits":41},"gauges":{"egraph.peak_nodes":9001}}"#
@@ -77,27 +54,18 @@ fn ledger_line_with_histograms_still_reads() {
 
 #[test]
 fn snapshot_ordering_is_deterministic() {
-    let m = Registry::new();
-    m.counter("z.last").inc();
-    m.counter("a.first").inc();
-    m.counter("m.mid").inc();
-    let snap = m.snapshot();
-    let keys: Vec<&String> = snap.counters.keys().collect();
+    let a = snap(&[("z.last", 1), ("a.first", 1), ("m.mid", 1)], &[]);
+    let keys: Vec<&String> = a.counters.keys().collect();
     assert_eq!(keys, ["a.first", "m.mid", "z.last"]);
     // Rendering is a pure function of contents, not of insertion order.
-    let m2 = Registry::new();
-    m2.counter("m.mid").inc();
-    m2.counter("a.first").inc();
-    m2.counter("z.last").inc();
-    assert_eq!(m.snapshot().to_json(), m2.snapshot().to_json());
+    let b = snap(&[("m.mid", 1), ("a.first", 1), ("z.last", 1)], &[]);
+    assert_eq!(a.to_json(), b.to_json());
 }
 
 #[test]
 fn prometheus_exposition_shape() {
-    let m = Registry::new();
-    m.counter("par.cache.hits").add(2);
-    m.gauge("rules.backoff.throttled").set(4);
-    let prom = m.snapshot().to_prometheus(&[("workload", "gpt_tp2")]);
+    let prom = snap(&[("par.cache.hits", 2)], &[("rules.backoff.throttled", 4)])
+        .to_prometheus(&[("workload", "gpt_tp2")]);
     assert_eq!(
         prom,
         "# TYPE entangle_par_cache_hits counter\n\
@@ -164,15 +132,49 @@ fn json_parser_handles_full_grammar() {
     assert!(crate::parse_json("{} trailing").is_err());
 }
 
+#[test]
+fn json_nesting_is_bounded_instead_of_overflowing_the_stack() {
+    let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    assert!(crate::parse_json(&nested(256)).is_ok());
+    let err = crate::parse_json(&nested(257)).unwrap_err();
+    assert!(err.contains("nesting deeper than 256"), "{err}");
+    // The hostile shape: nothing but openers, far past any stack.
+    for hostile in ["[".repeat(300_000), "{\"a\":".repeat(300_000)] {
+        let err = crate::parse_json(&hostile).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
+    }
+}
+
+/// A string member is read in time linear in its length: a multi-megabyte
+/// workload name with escapes and multi-byte characters on both sides of
+/// them parses back exactly.
+#[test]
+fn json_reads_a_multi_megabyte_string_member() {
+    let name = "gpt→tp\"8\\日本".repeat(400_000);
+    assert!(name.len() > 6_000_000);
+    let mut rec = LedgerRecord::new("check", &name, "fp", "verified");
+    rec.extra.insert("gd".to_owned(), name.clone());
+    let line = rec.to_json_line();
+    let start = std::time::Instant::now();
+    let parsed = LedgerRecord::from_json(&line).expect("a long record parses");
+    assert_eq!(parsed.workload, name);
+    assert_eq!(parsed.extra["gd"], name);
+    assert!(
+        start.elapsed() < std::time::Duration::from_secs(5),
+        "reading {} bytes took {:?}",
+        line.len(),
+        start.elapsed()
+    );
+}
+
 fn sample_record(verdict: &str, wall_ms: f64, peak: u64, hits: u64, misses: u64) -> LedgerRecord {
-    let m = Registry::new();
-    m.gauge("egraph.peak_nodes").set_max(peak);
-    m.counter("par.cache.hits").add(hits);
-    m.counter("par.cache.misses").add(misses);
     let mut rec = LedgerRecord::new("check", "zoo::gpt_tp2", "aabbccdd00112233", verdict);
     rec.wall_ms = wall_ms;
     rec.extra = BTreeMap::from([("gs".to_owned(), "gpt".to_owned())]);
-    rec.metrics = m.snapshot();
+    rec.metrics = snap(
+        &[("par.cache.hits", hits), ("par.cache.misses", misses)],
+        &[("egraph.peak_nodes", peak)],
+    );
     rec
 }
 
@@ -329,18 +331,16 @@ fn report_renders_all_formats() {
 mod proptests {
     use proptest::prelude::*;
 
-    use crate::{Registry, Snapshot};
+    use crate::Snapshot;
 
     proptest! {
         /// Snapshot JSON round-trips exactly for arbitrary values.
         #[test]
         fn snapshot_round_trips(values in collection::vec(0u64..=u64::MAX, 0..40)) {
-            let m = Registry::new();
-            for (i, &v) in values.iter().enumerate() {
-                m.gauge(&format!("g{i}")).set(v);
-            }
-            m.counter("c").add(values.len() as u64);
-            let snap = m.snapshot();
+            let snap = Snapshot {
+                counters: [("c".to_owned(), values.len() as u64)].into(),
+                gauges: values.iter().enumerate().map(|(i, &v)| (format!("g{i}"), v)).collect(),
+            };
             let parsed = Snapshot::from_json(&snap.to_json()).unwrap();
             prop_assert_eq!(parsed, snap);
         }

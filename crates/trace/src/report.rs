@@ -290,7 +290,7 @@ fn parse_record(line: &str) -> Result<Record, String> {
         chars: line.char_indices().peekable(),
         src: line,
     };
-    let fields = p.object()?;
+    let fields = p.object(false)?;
     p.skip_ws();
     if p.chars.peek().is_some() {
         return Err("trailing characters after record object".to_owned());
@@ -369,7 +369,11 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Vec<(String, Value)>, String> {
+    /// Parses an object. An `inner` object is a member of the record
+    /// (`attrs`): the grammar allows no object inside it, so one is refused
+    /// here instead of recursed into — a line of nested objects cannot
+    /// overflow the stack.
+    fn object(&mut self, inner: bool) -> Result<Vec<(String, Value)>, String> {
         self.expect('{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -380,7 +384,7 @@ impl Parser<'_> {
         loop {
             let key = self.string()?;
             self.expect(':')?;
-            fields.push((key, self.value()?));
+            fields.push((key, self.value(inner)?));
             self.skip_ws();
             match self.chars.next() {
                 Some((_, ',')) => continue,
@@ -393,11 +397,14 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, String> {
+    fn value(&mut self, inner: bool) -> Result<Value, String> {
         self.skip_ws();
         match self.chars.peek().copied() {
             Some((_, '"')) => Ok(Value::Str(self.string()?)),
-            Some((_, '{')) => Ok(Value::Obj(self.object()?)),
+            Some((i, '{')) if inner => Err(format!(
+                "object nested in a record member at byte {i}: attrs is one flat object"
+            )),
+            Some((_, '{')) => Ok(Value::Obj(self.object(true)?)),
             Some((_, 'n')) => {
                 for want in "null".chars() {
                     match self.chars.next() {

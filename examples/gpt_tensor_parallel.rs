@@ -72,7 +72,7 @@ fn main() {
     }
 
     println!("\nMost-applied lemmas:");
-    let mut stats: Vec<(&str, u64)> = outcome.lemma_stats.iter().collect();
+    let mut stats: Vec<(&str, u64)> = outcome.saturation.lemma_counts().collect();
     stats.sort_by_key(|(_, c)| std::cmp::Reverse(*c));
     for (name, count) in stats.iter().take(8) {
         println!("  {name:<32} {count}");

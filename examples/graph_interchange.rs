@@ -42,7 +42,7 @@ fn main() {
     println!(
         "verification over deserialized graphs succeeded: {} outputs mapped, {} lemma applications",
         outcome.output_relation.len(),
-        outcome.lemma_stats.total()
+        outcome.saturation.lemma_total()
     );
 
     // Corrupted interchange files are rejected with validation errors.

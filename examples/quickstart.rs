@@ -76,7 +76,7 @@ fn main() {
             print!("{}", outcome.full_relation.display(&gs));
             println!(
                 "\n{} lemma applications across {} operators",
-                outcome.lemma_stats.total(),
+                outcome.saturation.lemma_total(),
                 outcome.op_reports.len()
             );
         }

@@ -23,13 +23,29 @@ echo "    benchmark/ builds and every workload judges correct"
 # fails here, not as a dirtied benchmark path at run time.
 cargo metadata --format-version 1 --locked --offline --manifest-path benchmark/Cargo.toml >/dev/null \
   || { echo "benchmark/Cargo.lock is stale (a crate manifest changed its dependencies?)"; exit 1; }
-# The telemetry boundary (DESIGN.md): engines return reports, only `entangle`
-# and `entangle-cli` record them. One `_with_metrics` twin here erodes it.
+# The telemetry boundary (DESIGN.md): engines return reports, `entangle`
+# folds them into one snapshot per check and `entangle-cli` writes it. One
+# `_with_metrics` twin here erodes it.
 if grep -rnE 'entangle_metrics|entangle_trace::Tracer' crates/{egraph,cert,iso,rules,par,num,shard}/src; then
-  echo "an engine crate touches the metrics registry or the tracer (return a report instead)"; exit 1
+  echo "an engine crate touches entangle-metrics or the tracer (return a report: core folds it, the CLI writes it, nothing records)"; exit 1
+fi
+# One count source (DESIGN.md, *Metrics and run ledger*): a check's snapshot
+# is built once from the tallies the check keeps, so no live instrument,
+# lock or name-keyed handle grows back in crates/metrics, and no second copy
+# of the per-lemma counts grows back beside `SaturationSummary`.
+recorder=$(for f in crates/metrics/src/*.rs; do
+  [ "$(basename "$f")" = tests.rs ] && continue
+  awk -v f="$f" '/^#\[cfg\(test\)\]/{exit} {print f ":" FNR ": " $0}' "$f"
+done | grep -E 'Mutex|Atomic|Registry|Counter|Gauge' || true)
+if [ -n "$recorder" ]; then
+  echo "$recorder"
+  echo "crates/metrics records live again (build the Snapshot from the check's tallies)"; exit 1
+fi
+if grep -rnwE 'LemmaStats|lemma_stats' crates src tests examples; then
+  echo "a second per-lemma count is back (read SaturationSummary::lemma_count/lemma_total/lemma_counts)"; exit 1
 fi
 # One timing source (DESIGN.md, *Metrics and run ledger*): durations live in
-# the span stream and the registry keeps counts, so no histogram kind grows
+# the span stream and the snapshot keeps counts, so no histogram kind grows
 # back; and the check path analyses every certificate afresh, with no
 # process-global numeric memo in front of it.
 if grep -rnE 'Histogram|\.histogram\(' crates/*/src; then
@@ -78,8 +94,8 @@ if [ -n "$jobs_uses" ]; then
 fi
 check_fields=$(awk '/^pub struct CheckOptions \{/{on=1; next} on && /^\}/{on=0} on && /^    pub /' \
   crates/core/src/checker.rs | wc -l)
-if [ "$check_fields" -gt 11 ]; then
-  echo "CheckOptions has $check_fields pub fields (at most 11: a knob no caller sets is a constant)"; exit 1
+if [ "$check_fields" -gt 10 ]; then
+  echo "CheckOptions has $check_fields pub fields (at most 10: a knob no caller sets is a constant)"; exit 1
 fi
 
 # One operator evaluator: `entangle_runtime::kernels::eval_op_in`, which the

@@ -59,7 +59,7 @@ fn outcome_signature(
                 ));
             }
             out.push_str("== lemma stats ==\n");
-            let mut lemmas: Vec<(&str, u64)> = o.lemma_stats.iter().collect();
+            let mut lemmas: Vec<(&str, u64)> = o.saturation.lemma_counts().collect();
             lemmas.sort();
             for (name, count) in lemmas {
                 out.push_str(&format!("{name}={count}\n"));

@@ -18,23 +18,21 @@
 //! assertions (verdict, compiled-matcher engagement, no time-limit stops)
 //! always run.
 
-use entangle::CheckOptions;
+use entangle::check_refinement_counted;
 use entangle_bench::{gpt_workload, saturation_opts};
 use entangle_egraph::StopReason;
-use entangle_metrics::Registry;
 
 #[test]
 fn deep_gpt_par8_check_stays_under_budget_with_compiled_matching() {
     let w = gpt_workload(8, 4);
-    let metrics = Registry::new();
-    let opts = CheckOptions {
-        metrics: metrics.clone(),
-        ..saturation_opts()
-    };
-    let (outcome, mut elapsed) = w.check(&opts);
+    let opts = saturation_opts();
+    let ri = w.dist.relation(&w.gs).expect("relation builds");
+    let start = std::time::Instant::now();
+    let (outcome, snap) = check_refinement_counted(&w.gs, &w.dist.graph, &ri, &opts);
+    let mut elapsed = start.elapsed();
+    let outcome = outcome.expect("deep GPT par=8 verifies");
 
     // The compiled matcher must actually engage.
-    let snap = metrics.snapshot();
     assert!(
         snap.gauges.get("ematch.trie.nodes").copied().unwrap_or(0) > 0,
         "compiled matcher did not engage: ematch.trie.nodes gauge is empty"
@@ -60,11 +58,8 @@ fn deep_gpt_par8_check_stays_under_budget_with_compiled_matching() {
 
     // The actual perf pin, release builds only, best of 3.
     if !cfg!(debug_assertions) {
-        let plain = CheckOptions {
-            ..saturation_opts()
-        };
         for _ in 0..2 {
-            let (_, d) = w.check(&plain);
+            let (_, d) = w.check(&opts);
             elapsed = elapsed.min(d);
         }
         assert!(

@@ -65,8 +65,8 @@ fn lemma_stats_are_collected_per_model() {
     let outcome = check(&gs, &dist);
     // The HLO-category rope lemma family must fire for a rope model.
     let rope_apps: u64 = outcome
-        .lemma_stats
-        .iter()
+        .saturation
+        .lemma_counts()
         .filter(|(name, _)| name.starts_with("rope"))
         .map(|(_, c)| c)
         .sum();
@@ -76,8 +76,8 @@ fn lemma_stats_are_collected_per_model() {
     let dist = parallelize(&cfg, Arch::Gpt, &Strategy::tp(2));
     let outcome = check(&gs, &dist);
     let rope_apps: u64 = outcome
-        .lemma_stats
-        .iter()
+        .saturation
+        .lemma_counts()
         .filter(|(name, _)| name.starts_with("rope"))
         .map(|(_, c)| c)
         .sum();

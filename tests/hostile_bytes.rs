@@ -1,6 +1,7 @@
 //! Hostile bytes against the real binary: a file built to exhaust its stack
 //! must be *refused* — exit 4 with a diagnostic from `certify --check`, the
-//! trusted re-checker, exit 2 from the `--maps` reader — not abort it
+//! trusted re-checker, exit 2 from the `--maps` reader and from `trace
+//! --check`, a skipped line from the run-ledger reader — not abort it
 //! (SIGABRT, 134). And a reader that goes away before the output is written
 //! ends the run with exit 141, not a panic (101). Last, the plain case: two
 //! cold runs of one check print the same bytes.
@@ -140,6 +141,79 @@ fn two_hundred_thousand_nested_applications_in_a_maps_file_are_a_usage_error() {
         !stderr.contains("panicked") && !stderr.contains("overflow"),
         "{stderr}"
     );
+}
+
+/// Runs `entangle <args>` with `file` holding `bytes` substituted for the
+/// argument `"FILE"`.
+fn run_on_file(case: &str, bytes: &str, args: &[&str]) -> Output {
+    let dir = std::env::temp_dir().join(format!("entangle-hostile-{}-{case}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let file = dir.join("hostile");
+    std::fs::write(&file, bytes).expect("writes");
+    let out = Command::new(entangle())
+        .args(args.iter().map(|&a| {
+            if a == "FILE" {
+                file.as_os_str()
+            } else {
+                a.as_ref()
+            }
+        }))
+        .output()
+        .expect("entangle runs");
+    std::fs::remove_dir_all(&dir).ok();
+    out
+}
+
+/// `entangle --ledger FILE report` on the given ledger bytes.
+fn report(case: &str, ledger: &str) -> Output {
+    run_on_file(case, ledger, &["--ledger", "FILE", "report"])
+}
+
+#[test]
+fn three_hundred_thousand_open_brackets_in_a_ledger_line_are_skipped_not_a_stack_overflow() {
+    let out = report("ledger-brackets", &format!("{}\n", "[".repeat(300_000)));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stdout}{stderr}");
+    assert!(stdout.contains("skipped 1 malformed line(s)"), "{stdout}");
+    assert!(!stderr.contains("overflow"), "{stderr}");
+}
+
+#[test]
+fn report_on_a_ledger_of_malformed_lines_says_how_many_it_skipped() {
+    let out = report(
+        "ledger-garbage",
+        "not json\n{\"schema\":1,\"kind\":\"ch\n\n",
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(
+        stdout.contains("has no readable record: skipped 2 malformed line(s)"),
+        "{stdout}"
+    );
+    // A ledger with no lines at all is empty, and says that instead.
+    let out = report("ledger-empty", "");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("is empty"), "{stdout}");
+}
+
+#[test]
+fn three_hundred_thousand_nested_attrs_objects_are_refused_not_a_stack_overflow() {
+    let depth = 300_000;
+    let record = format!(
+        "{{\"type\":\"begin\",\"id\":1,\"parent\":null,\"name\":\"x\",\"t_us\":0,\"attrs\":{}\"v\"{}}}\n",
+        "{\"a\":".repeat(depth),
+        "}".repeat(depth)
+    );
+    let out = run_on_file("trace-attrs", &record, &["trace", "--check", "FILE"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    let diagnostic = stderr.lines().next().unwrap_or_default();
+    assert!(
+        diagnostic.starts_with("error: ") && diagnostic.contains("attrs is one flat object"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("overflow"), "{stderr}");
 }
 
 #[test]

@@ -1,21 +1,20 @@
-//! Golden metrics tests: the snapshot a full checker run collects is
+//! Golden metrics tests: the snapshot `check_refinement_counted` builds is
 //! pinned, instrument by instrument, against `tests/golden/metrics/*.txt`
-//! (captured at the commit before the registry left the engine crates, so
-//! "same names, same values" is a fact about two commits, not about two
-//! runs of one), on the verified path and on both failure exits that have
-//! no `CheckOutcome`; the whole snapshot is a function of the problem; it
-//! carries the documented instrument catalogue
-//! and cannot perturb the search; and ledger records survive the JSONL
-//! round-trip with malformed-line-tolerant reads and the documented
-//! regression noise bands.
+//! (each captured while a live registry still recorded the counts, so
+//! "same names, same values" is a fact about two designs, not about two
+//! runs of one), on the verified path and on every failure exit; the whole
+//! snapshot is a function of the problem; it carries the documented
+//! instrument catalogue; and ledger records survive the JSONL round-trip
+//! with malformed-line-tolerant reads and the documented regression noise
+//! bands.
 //!
 //! Regenerate after an intentional change with:
 //! `UPDATE_GOLDEN=1 cargo test --test metrics_golden`
 
 use std::collections::BTreeMap;
 
-use entangle::{check_refinement, CheckOptions};
-use entangle_metrics::{ledger, LedgerRecord, NoiseBand, Registry, RegressionKind, Snapshot};
+use entangle::{check_refinement_counted, CheckOptions};
+use entangle_metrics::{ledger, LedgerRecord, NoiseBand, RegressionKind, Snapshot};
 use entangle_models::{gpt, regression, Arch, ModelConfig, RegressionConfig};
 use entangle_parallel::{grad_accumulation, parallelize, Strategy};
 
@@ -46,14 +45,6 @@ fn regression_workload() -> (
     (gs, dist, ri)
 }
 
-fn metered_opts() -> CheckOptions {
-    CheckOptions {
-        certify: true,
-        metrics: Registry::new(),
-        ..CheckOptions::default()
-    }
-}
-
 /// A snapshot as golden text: one `name value` line per counter and gauge,
 /// by name.
 fn golden_text(s: &Snapshot) -> String {
@@ -79,16 +70,15 @@ fn assert_matches_golden(name: &str, got: &str) {
     );
 }
 
-/// The snapshot of a metered check.
+/// The snapshot of a verified check.
 fn golden_snapshot(
     gs: &entangle_ir::Graph,
     gd: &entangle_ir::Graph,
     ri: &entangle::Relation,
 ) -> Snapshot {
-    let opts = metered_opts();
-    check_refinement(gs, gd, ri, &opts).expect("workload verifies");
-    let snapshot = opts.metrics.snapshot();
-    assert!(!snapshot.is_empty(), "a live registry collects a snapshot");
+    let (result, snapshot) = check_refinement_counted(gs, gd, ri, &CheckOptions::default());
+    result.expect("workload verifies");
+    assert!(!snapshot.is_empty(), "a verified check has counts");
     snapshot
 }
 
@@ -128,7 +118,7 @@ fn golden_snapshot_gpt_tp2() {
     );
 }
 
-/// Two metered checks of one triple in one process record the same
+/// Two checks of one triple in one process record the same
 /// snapshot: no instrument holds a duration, and none depends on what an
 /// earlier check left in a process-global memo.
 #[test]
@@ -149,20 +139,19 @@ fn golden_snapshot_regression_workload() {
     assert!(a.counter("egraph.unions") > 0, "saturation performs unions");
 }
 
-/// A failed check has no `CheckOutcome`: the registry the caller passed in
-/// is the only structured record of it (the ledger line of a failed run is
-/// built from exactly this snapshot). Bug 6 fails inside the map stage,
-/// bug 2 at the outputs stage after a complete map.
+/// A failed check has no `CheckOutcome`: the snapshot returned beside the
+/// error is the only structured record of it (the ledger line of a failed
+/// run is built from exactly this snapshot). Bug 6 fails inside the map
+/// stage, bug 2 at the outputs stage after a complete map.
 #[test]
 fn golden_snapshot_failed_checks() {
     for (id, kind) in [(6, "operator-unmapped"), (2, "output-unmapped")] {
         let case = entangle_parallel::bugs::bug(id, true);
         let ri = case.relation().expect("bug-case relation is valid");
-        let opts = metered_opts();
-        let err = check_refinement(&case.gs, &case.dist.graph, &ri, &opts)
-            .expect_err("the bug is detected");
+        let (result, snapshot) =
+            check_refinement_counted(&case.gs, &case.dist.graph, &ri, &CheckOptions::default());
+        let err = result.expect_err("the bug is detected");
         assert_eq!(err.kind(), kind, "bug {id}");
-        let snapshot = opts.metrics.snapshot();
         assert_matches_golden(&format!("bug{id}_failed"), &golden_text(&snapshot));
         assert!(
             snapshot.counters.contains_key("par.cache.misses"),
@@ -173,21 +162,6 @@ fn golden_snapshot_failed_checks() {
             "bug {id}: no kernel ran after the failure"
         );
     }
-}
-
-/// The check and the snapshot it collected, on every exit.
-fn counted(
-    gs: &entangle_ir::Graph,
-    gd: &entangle_ir::Graph,
-    ri: &entangle::Relation,
-    opts: CheckOptions,
-) -> (Result<entangle::CheckOutcome, entangle::RefinementError>, Snapshot) {
-    let opts = CheckOptions {
-        metrics: Registry::new(),
-        ..opts
-    };
-    let result = check_refinement(gs, gd, ri, &opts);
-    (result, opts.metrics.snapshot())
 }
 
 /// A well-formed `G_s` next to a `G_d` whose slice sharding of `X` leaves
@@ -243,17 +217,17 @@ fn golden_snapshot_every_exit() {
         ),
     ];
     for (name, kind, gs, gd, ri) in failures {
-        let (result, snapshot) = counted(gs, gd, ri, metered_opts());
+        let (result, snapshot) = check_refinement_counted(gs, gd, ri, &CheckOptions::default());
         assert_eq!(result.expect_err(name).kind(), kind, "{name}");
         assert_matches_golden(name, &golden_text(&snapshot));
         assert!(snapshot.is_empty(), "{name}: nothing ran to count");
     }
 
-    let (result, snapshot) = counted(
+    let (result, snapshot) = check_refinement_counted(
         &gs,
         &dist.graph,
         &ri,
-        CheckOptions {
+        &CheckOptions {
             certify: false,
             ..CheckOptions::default()
         },
@@ -262,13 +236,13 @@ fn golden_snapshot_every_exit() {
     assert_matches_golden("gpt_tp2_uncertified", &golden_text(&snapshot));
     assert!(!snapshot.counters.keys().any(|k| k.starts_with("cert.")));
 
-    let (result, snapshot) = counted(
+    let (result, snapshot) = check_refinement_counted(
         &gs,
         &dist.graph,
         &ri,
-        CheckOptions {
+        &CheckOptions {
             rule_backoff: false,
-            ..metered_opts()
+            ..CheckOptions::default()
         },
     );
     result.expect("GPT/TP2 verifies without backoff");
@@ -277,61 +251,18 @@ fn golden_snapshot_every_exit() {
 }
 
 #[test]
-fn metrics_do_not_perturb_the_search() {
-    let (gs, dist, ri) = gpt_tp2();
-
-    let quiet_opts = CheckOptions::default();
-    let quiet =
-        check_refinement(&gs, &dist.graph, &ri, &quiet_opts).expect("GPT/TP2 verifies unmetered");
-    assert!(
-        quiet_opts.metrics.snapshot().is_empty(),
-        "null registry stays empty"
-    );
-    let metered_outcome = check_refinement(
-        &gs,
-        &dist.graph,
-        &ri,
-        &CheckOptions {
-            metrics: Registry::new(),
-            ..CheckOptions::default()
-        },
-    )
-    .expect("GPT/TP2 verifies metered");
-
-    // Identical lemma firings...
-    let stats = |o: &entangle::CheckOutcome| -> BTreeMap<String, u64> {
-        o.lemma_stats
-            .iter()
-            .map(|(k, v)| (k.to_owned(), v))
-            .collect()
-    };
-    assert_eq!(stats(&quiet), stats(&metered_outcome));
-
-    // ...identical stop reasons and e-graph growth curve...
-    assert_eq!(quiet.saturation.stops, metered_outcome.saturation.stops);
-    assert_eq!(
-        quiet.saturation.growth(),
-        metered_outcome.saturation.growth()
-    );
-
-    // ...and an identical output relation.
-    assert_eq!(
-        quiet.full_relation.display(&gs).to_string(),
-        metered_outcome.full_relation.display(&gs).to_string()
-    );
-}
-
-#[test]
 fn ledger_record_roundtrips_through_jsonl() {
-    let m = Registry::new();
-    m.counter("par.cache.hits").add(7);
-    m.counter("par.cache.misses").add(3);
-    m.gauge("egraph.peak_nodes").set(1234);
-    m.counter("cert.verify.accepted").inc();
     let mut rec = LedgerRecord::new("check", "gpt::dist-tp2", "00c0ffee00c0ffee", "verified");
     rec.wall_ms = 41.5;
     rec.extra.insert("gs".into(), "gpt".into());
-    rec.metrics = m.snapshot();
+    rec.metrics = snapshot_of(
+        &[
+            ("par.cache.hits", 7),
+            ("par.cache.misses", 3),
+            ("cert.verify.accepted", 1),
+        ],
+        &[("egraph.peak_nodes", 1234)],
+    );
 
     let line = rec.to_json_line();
     assert!(
@@ -369,15 +300,23 @@ fn ledger_read_tolerates_malformed_lines() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A snapshot of the given counters and gauges.
+fn snapshot_of(counters: &[(&str, u64)], gauges: &[(&str, u64)]) -> Snapshot {
+    let named = |v: &[(&str, u64)]| v.iter().map(|&(k, v)| (k.to_owned(), v)).collect();
+    Snapshot {
+        counters: named(counters),
+        gauges: named(gauges),
+    }
+}
+
 /// A ledger record with the given wall time, peak nodes, and fingerprint.
 fn run_record(workload: &str, fp: &str, verdict: &str, wall_ms: f64, peak: u64) -> LedgerRecord {
-    let m = Registry::new();
-    m.gauge("egraph.peak_nodes").set(peak);
-    m.counter("par.cache.hits").add(8);
-    m.counter("par.cache.misses").add(2);
     let mut rec = LedgerRecord::new("check", workload, fp, verdict);
     rec.wall_ms = wall_ms;
-    rec.metrics = m.snapshot();
+    rec.metrics = snapshot_of(
+        &[("par.cache.hits", 8), ("par.cache.misses", 2)],
+        &[("egraph.peak_nodes", peak)],
+    );
     rec
 }
 
@@ -471,11 +410,10 @@ fn report_flags_peak_nodes_and_hit_rate() {
     // Hit rate: 80% baseline -> 50% current is a >10pp structural drop.
     let base = run_record("w", "fp", "verified", 40.0, 1000);
     let mut cur = run_record("w", "fp", "verified", 40.0, 1000);
-    let m = Registry::new();
-    m.gauge("egraph.peak_nodes").set(1000);
-    m.counter("par.cache.hits").add(5);
-    m.counter("par.cache.misses").add(5);
-    cur.metrics = m.snapshot();
+    cur.metrics = snapshot_of(
+        &[("par.cache.hits", 5), ("par.cache.misses", 5)],
+        &[("egraph.peak_nodes", 1000)],
+    );
     let outcome = compare(vec![base, cur]);
     assert_eq!(outcome.regressions.len(), 1);
     assert_eq!(outcome.regressions[0].kind, RegressionKind::HitRate);

@@ -175,8 +175,8 @@ fn tracing_does_not_perturb_the_search() {
 
     // Identical lemma firings...
     let stats = |o: &entangle::CheckOutcome| -> BTreeMap<String, u64> {
-        o.lemma_stats
-            .iter()
+        o.saturation
+            .lemma_counts()
             .map(|(k, v)| (k.to_owned(), v))
             .collect()
     };
