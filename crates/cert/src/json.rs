@@ -1,5 +1,6 @@
-//! JSON interchange for certificates (format version 2), on
-//! `entangle-ir`'s dependency-free [`Json`] codec.
+//! JSON interchange for certificates (format version 2), read through
+//! `entangle-ir`'s dependency-free pull [`Reader`] and written straight to
+//! text.
 //!
 //! A proof spells the same few terms over and over, so the document holds
 //! each distinct subterm once, in a top-level `"terms"` table, and every
@@ -51,11 +52,17 @@
 //! re-interns those and never sees a file id. Each table entry is copied
 //! out once: every position that names it holds a clone sharing that one
 //! storage, which the kernel then interns once.
+//!
+//! **One pass.** The reader builds table entries and proof steps as it
+//! meets them and resolves the positions once the document has been read,
+//! so the members of an object may come in any order (the writer's order is
+//! one of them) and no document tree is built.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use entangle_egraph::{ENode, Id, Proof, ProofStep, RecExpr};
-use entangle_ir::json::{parse, write_escaped, Json};
+use entangle_ir::json::{write_escaped, Kind, Reader};
 
 use crate::cert::{CertError, Certificate, MappingCert, NumericVerdict};
 use crate::table::{PostOrder, TermTable};
@@ -301,90 +308,258 @@ pub fn from_json(text: &str) -> Result<Certificate, CertError> {
 ///
 /// As [`from_json`].
 pub fn from_json_counting(text: &str) -> Result<(Certificate, usize), CertError> {
-    let doc = parse(text).map_err(CertError::Malformed)?;
-    match doc.get("version") {
-        Some(Json::Int(2)) => {}
-        Some(v) => {
-            return Err(CertError::Malformed(format!(
-                "unsupported certificate version {v:?} (this reader takes version 2)"
-            )))
+    read(text).map_err(CertError::Malformed)
+}
+
+/// A term position as the file spells it: an index into `"terms"`, resolved
+/// once the whole document has been read, so members may come in any order.
+type Pos = i64;
+
+/// A proof step as read, its term positions not yet resolved.
+enum RawStep {
+    Rule {
+        name: String,
+        forward: bool,
+        subst: Vec<(String, Pos)>,
+        before: Pos,
+        after: Pos,
+    },
+    Congruence {
+        before: Pos,
+        after: Pos,
+        children: Vec<Vec<RawStep>>,
+    },
+    Given {
+        fact: String,
+        before: Pos,
+        after: Pos,
+    },
+}
+
+/// A mapping as read, its term positions not yet resolved.
+struct RawMapping {
+    tensor: String,
+    operator: String,
+    inputs: Vec<Pos>,
+    expr: Pos,
+    proof: Vec<RawStep>,
+}
+
+/// One pass over the text: the term table is built entry by entry and
+/// every other section into its raw form as it is read; the positions are
+/// resolved against the table at the end.
+fn read(text: &str) -> Result<(Certificate, usize), String> {
+    let mut r = Reader::new(text);
+    let mut version = false;
+    let (mut gs, mut gd, mut table) = (None, None, None);
+    let (mut inputs, mut mappings, mut outputs, mut numeric) = (None, None, None, None);
+    r.members(|r, key| {
+        match key {
+            "version" => {
+                let v = r.int().map_err(field("version"))?;
+                if v != 2 {
+                    return Err(format!(
+                        "unsupported certificate version {v} (this reader takes version 2)"
+                    ));
+                }
+                version = true;
+            }
+            "gs" => gs = Some(string(r, "gs")?),
+            "gd" => gd = Some(string(r, "gd")?),
+            "terms" => table = Some(FileTable::read(r).map_err(field("terms"))?),
+            "inputs" => inputs = Some(r.items(|r, _| input(r))?),
+            "mappings" => mappings = Some(r.items(|r, _| mapping(r))?),
+            "outputs" => outputs = Some(r.items(|r, _| output(r))?),
+            // The numeric section is optional and advisory: absent means
+            // "no analysis was run", which verifies identically.
+            "numeric" => numeric = Some(r.items(|r, _| numeric_verdict(r))?),
+            _ => return Ok(false),
         }
-        None => return Err(CertError::Malformed("missing version field".to_owned())),
+        Ok(true)
+    })?;
+    r.finish()?;
+    if !version {
+        return Err("missing version field".to_owned());
     }
-    let entries = arr_field(&doc, "terms")?;
-    let mut r = Reader::new(entries)?;
-    let gs = str_field(&doc, "gs")?;
-    let gd = str_field(&doc, "gd")?;
-    let inputs = arr_field(&doc, "inputs")?
-        .iter()
-        .map(|entry| {
-            let name = str_field(entry, "tensor")?;
-            let exprs = r.terms(arr_field(entry, "exprs")?)?;
-            Ok((name, exprs))
-        })
-        .collect::<Result<Vec<_>, CertError>>()?;
-    let mappings = arr_field(&doc, "mappings")?
-        .iter()
-        .map(|v| {
+    let mut table = need(table, "terms")?;
+    let entries = table.entries.len();
+    let gs = need(gs, "gs")?;
+    let gd = need(gd, "gd")?;
+    let inputs = need(inputs, "inputs")?
+        .into_iter()
+        .map(|(name, exprs)| Ok((name, table.terms(exprs)?)))
+        .collect::<Result<_, String>>()?;
+    let mappings = need(mappings, "mappings")?
+        .into_iter()
+        .map(|m| {
             Ok(MappingCert {
-                tensor: str_field(v, "tensor")?,
-                operator: str_field(v, "operator")?,
-                inputs: r.terms(arr_field(v, "inputs")?)?,
-                expr: r.term(req(v, "expr")?)?,
-                proof: r.proof(req(v, "proof")?)?,
+                tensor: m.tensor,
+                operator: m.operator,
+                inputs: table.terms(m.inputs)?,
+                expr: table.term(m.expr)?,
+                proof: table.proof(m.proof)?,
             })
         })
-        .collect::<Result<Vec<_>, CertError>>()?;
-    let outputs = arr_field(&doc, "outputs")?
-        .iter()
-        .map(|entry| {
-            let name = str_field(entry, "tensor")?;
-            let expr = r.term(req(entry, "expr")?)?;
-            Ok((name, expr))
-        })
-        .collect::<Result<Vec<_>, CertError>>()?;
-    // The numeric section is optional and advisory: absent means "no
-    // analysis was run", which verifies identically.
-    let numeric = match doc.get("numeric") {
-        None => Vec::new(),
-        Some(Json::Arr(items)) => items
-            .iter()
-            .map(|entry| {
-                let k = match req(entry, "k")? {
-                    Json::Int(i) if *i >= 0 => *i as u64,
-                    other => {
-                        return Err(CertError::Malformed(format!(
-                            "numeric k must be a non-negative integer, found {other:?}"
-                        )))
-                    }
-                };
-                Ok(NumericVerdict {
-                    tensor: str_field(entry, "tensor")?,
-                    class: str_field(entry, "class")?,
-                    k,
-                })
-            })
-            .collect::<Result<_, CertError>>()?,
-        Some(other) => {
-            return Err(CertError::Malformed(format!(
-                "field numeric must be an array, found {}",
-                other.kind()
-            )))
-        }
-    };
+        .collect::<Result<_, String>>()?;
+    let outputs = need(outputs, "outputs")?
+        .into_iter()
+        .map(|(name, expr)| Ok((name, table.term(expr)?)))
+        .collect::<Result<_, String>>()?;
     let cert = Certificate {
         gs,
         gd,
         inputs,
         mappings,
         outputs,
-        numeric,
+        numeric: numeric.unwrap_or_default(),
     };
-    Ok((cert, entries.len()))
+    Ok((cert, entries))
+}
+
+/// An input's axioms: its `G_s` tensor and the positions of its mappings.
+fn input(r: &mut Reader<'_>) -> Result<(String, Vec<Pos>), String> {
+    let (mut tensor, mut exprs) = (None, None);
+    r.members(|r, key| {
+        match key {
+            "tensor" => tensor = Some(string(r, "tensor")?),
+            "exprs" => exprs = Some(r.items(|r, _| position(r))?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    Ok((need(tensor, "tensor")?, need(exprs, "exprs")?))
+}
+
+/// An `R_o` entry: its `G_s` tensor and the position of its expression.
+fn output(r: &mut Reader<'_>) -> Result<(String, Pos), String> {
+    let (mut tensor, mut expr) = (None, None);
+    r.members(|r, key| {
+        match key {
+            "tensor" => tensor = Some(string(r, "tensor")?),
+            "expr" => expr = Some(position(r)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    Ok((need(tensor, "tensor")?, need(expr, "expr")?))
+}
+
+fn mapping(r: &mut Reader<'_>) -> Result<RawMapping, String> {
+    let (mut tensor, mut operator, mut inputs, mut expr, mut proof) =
+        (None, None, None, None, None);
+    r.members(|r, key| {
+        match key {
+            "tensor" => tensor = Some(string(r, "tensor")?),
+            "operator" => operator = Some(string(r, "operator")?),
+            "inputs" => inputs = Some(r.items(|r, _| position(r))?),
+            "expr" => expr = Some(position(r)?),
+            "proof" => proof = Some(r.items(|r, _| step(r))?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    Ok(RawMapping {
+        tensor: need(tensor, "tensor")?,
+        operator: need(operator, "operator")?,
+        inputs: need(inputs, "inputs")?,
+        expr: need(expr, "expr")?,
+        proof: need(proof, "proof")?,
+    })
+}
+
+/// One proof step. A member's name fixes its type whatever the step's
+/// kind; the members the kind does not have are read and dropped.
+fn step(r: &mut Reader<'_>) -> Result<RawStep, String> {
+    let (mut kind, mut name, mut forward, mut subst, mut fact) = (None, None, None, None, None);
+    let (mut before, mut after, mut children) = (None, None, None);
+    r.members(|r, key| {
+        match key {
+            "kind" => kind = Some(r.str().map_err(field("kind"))?),
+            "name" => name = Some(string(r, "name")?),
+            "forward" => forward = Some(r.bool().map_err(field("forward"))?),
+            "subst" => {
+                let mut pairs = Vec::new();
+                r.members(|r, var| {
+                    pairs.push((var.to_owned(), position(r)?));
+                    Ok(true)
+                })
+                .map_err(field("subst"))?;
+                subst = Some(pairs);
+            }
+            "fact" => fact = Some(string(r, "fact")?),
+            "before" => before = Some(position(r)?),
+            "after" => after = Some(position(r)?),
+            "children" => children = Some(r.items(|r, _| r.items(|r, _| step(r)))?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    let kind = need(kind, "kind")?;
+    let (before, after) = (need(before, "before")?, need(after, "after")?);
+    Ok(match &*kind {
+        "rule" => RawStep::Rule {
+            name: need(name, "name")?,
+            forward: need(forward, "forward")?,
+            subst: need(subst, "subst")?,
+            before,
+            after,
+        },
+        "congruence" => RawStep::Congruence {
+            before,
+            after,
+            children: need(children, "children")?,
+        },
+        "given" => RawStep::Given {
+            fact: need(fact, "fact")?,
+            before,
+            after,
+        },
+        other => return Err(format!("unknown proof step kind {other:?}")),
+    })
+}
+
+fn numeric_verdict(r: &mut Reader<'_>) -> Result<NumericVerdict, String> {
+    let (mut tensor, mut class, mut k) = (None, None, None);
+    r.members(|r, key| {
+        match key {
+            "tensor" => tensor = Some(string(r, "tensor")?),
+            "class" => class = Some(string(r, "class")?),
+            "k" => {
+                let n = r.int().map_err(field("k"))?;
+                let negative = || format!("numeric k must be a non-negative integer, found {n}");
+                k = Some(u64::try_from(n).map_err(|_| negative())?);
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    Ok(NumericVerdict {
+        tensor: need(tensor, "tensor")?,
+        class: need(class, "class")?,
+        k: need(k, "k")?,
+    })
+}
+
+/// Prefixes an error with the member it is about.
+fn field(key: &str) -> impl Fn(String) -> String + '_ {
+    move |e| format!("field {key}: {e}")
+}
+
+fn need<T>(value: Option<T>, key: &str) -> Result<T, String> {
+    value.ok_or_else(|| format!("missing field {key}"))
+}
+
+fn string(r: &mut Reader<'_>, key: &str) -> Result<String, String> {
+    r.str().map(Cow::into_owned).map_err(field(key))
+}
+
+fn position(r: &mut Reader<'_>) -> Result<Pos, String> {
+    r.int()
+        .map_err(|e| format!("a term position must be the index of a term table entry: {e}"))
 }
 
 /// The document's term table, validated, and the state to copy terms out.
-struct Reader {
+struct FileTable {
     table: TermTable,
     /// Table entry of each file entry (a duplicated file entry shares one).
     entries: Vec<Id>,
@@ -394,66 +569,73 @@ struct Reader {
     walk: PostOrder,
 }
 
-impl Reader {
-    /// Validates the `"terms"` array: every application names a head and at
-    /// least one argument, every argument is an earlier entry, and no entry
-    /// nests deeper than [`MAX_TERM_DEPTH`].
-    fn new(items: &[Json]) -> Result<Reader, CertError> {
+impl FileTable {
+    /// Reads and validates the `"terms"` array, adding each entry to the
+    /// table as it is read: every application names a head and at least
+    /// one argument, every argument is an earlier entry, and no entry nests
+    /// deeper than [`MAX_TERM_DEPTH`].
+    fn read(r: &mut Reader<'_>) -> Result<FileTable, String> {
         let mut table = TermTable::default();
-        let mut entries: Vec<Id> = Vec::with_capacity(items.len());
-        let mut depths: Vec<usize> = Vec::with_capacity(items.len());
-        for (index, item) in items.iter().enumerate() {
+        let mut entries: Vec<Id> = Vec::new();
+        let mut depths: Vec<usize> = Vec::new();
+        r.begin_array()?;
+        while r.next_item()? {
+            let index = entries.len();
             let mut depth = 1;
-            let node = match item {
-                Json::Int(i) => ENode::Int(*i),
-                Json::Str(name) => ENode::leaf(name),
-                Json::Arr(parts) => {
-                    let Some(Json::Str(head)) = parts.first() else {
-                        return Err(CertError::Malformed(format!(
-                            "term table entry {index}: an application must start with an \
+            let node =
+                match r.peek()? {
+                    Kind::Number => ENode::Int(r.int()?),
+                    Kind::String => ENode::leaf(&r.str()?),
+                    Kind::Array => {
+                        r.begin_array()?;
+                        if !r.next_item()? || r.peek()? != Kind::String {
+                            return Err(format!(
+                                "term table entry {index}: an application must start with an \
                              operator string"
-                        )));
-                    };
-                    if parts.len() < 2 {
-                        return Err(CertError::Malformed(format!(
-                            "term table entry {index}: application of {head} has no arguments; \
-                             encode leaves as strings"
-                        )));
-                    }
-                    let mut children = Vec::with_capacity(parts.len() - 1);
-                    for part in &parts[1..] {
-                        let child = match part {
-                            Json::Int(i) => usize::try_from(*i).ok().filter(|&c| c < index),
-                            _ => None,
+                            ));
                         }
-                        .ok_or_else(|| {
-                            CertError::Malformed(format!(
-                                "term table entry {index}: argument {part:?} is not the index \
-                                 of an earlier entry"
-                            ))
-                        })?;
-                        depth = depth.max(depths[child] + 1);
-                        children.push(entries[child]);
+                        let head = r.str()?;
+                        let mut children = Vec::new();
+                        while r.next_item()? {
+                            let n = r
+                                .int()
+                                .map_err(|e| format!("term table entry {index}: {e}"))?;
+                            let child = usize::try_from(n).ok().filter(|&c| c < index).ok_or_else(
+                                || {
+                                    format!(
+                                "term table entry {index}: argument {n} is not the index of an \
+                                 earlier entry"
+                            )
+                                },
+                            )?;
+                            depth = depth.max(depths[child] + 1);
+                            children.push(entries[child]);
+                        }
+                        if children.is_empty() {
+                            return Err(format!(
+                                "term table entry {index}: application of {head} has no \
+                             arguments; encode leaves as strings"
+                            ));
+                        }
+                        ENode::op(&head, children)
                     }
-                    ENode::op(head, children)
-                }
-                other => {
-                    return Err(CertError::Malformed(format!(
-                        "term table entry {index}: entries are strings, numbers or arrays, \
+                    other => {
+                        return Err(r.error(format_args!(
+                            "term table entry {index}: entries are strings, numbers or arrays, \
                          found {}",
-                        other.kind()
-                    )))
-                }
-            };
+                            other.name()
+                        )))
+                    }
+                };
             if depth > MAX_TERM_DEPTH {
-                return Err(CertError::Malformed(format!(
+                return Err(format!(
                     "term table entry {index} nests deeper than {MAX_TERM_DEPTH} levels"
-                )));
+                ));
             }
             depths.push(depth);
             entries.push(table.add(node));
         }
-        Ok(Reader {
+        Ok(FileTable {
             materialised: vec![None; table.len()],
             table,
             entries,
@@ -462,21 +644,18 @@ impl Reader {
     }
 
     /// The term a position's id names.
-    fn term(&mut self, v: &Json) -> Result<RecExpr, CertError> {
-        let entry = match v {
-            Json::Int(i) => usize::try_from(*i)
-                .ok()
-                .and_then(|i| self.entries.get(i).copied()),
-            _ => None,
-        }
-        .ok_or_else(|| {
-            CertError::Malformed(format!(
-                "a term position must be the index of a term table entry ({} entries), \
-                 found {v:?}",
-                self.entries.len()
-            ))
-        })?;
-        let Reader {
+    fn term(&mut self, pos: Pos) -> Result<RecExpr, String> {
+        let entry = usize::try_from(pos)
+            .ok()
+            .and_then(|i| self.entries.get(i).copied())
+            .ok_or_else(|| {
+                format!(
+                    "a term position must be the index of a term table entry ({} entries), \
+                     found {pos}",
+                    self.entries.len()
+                )
+            })?;
+        let FileTable {
             table,
             materialised,
             walk,
@@ -487,102 +666,55 @@ impl Reader {
             .clone())
     }
 
-    fn terms(&mut self, items: &[Json]) -> Result<Vec<RecExpr>, CertError> {
-        items.iter().map(|v| self.term(v)).collect()
+    fn terms(&mut self, positions: Vec<Pos>) -> Result<Vec<RecExpr>, String> {
+        positions.into_iter().map(|p| self.term(p)).collect()
     }
 
-    fn proof(&mut self, v: &Json) -> Result<Proof, CertError> {
-        let Json::Arr(items) = v else {
-            return Err(CertError::Malformed(format!(
-                "proof must be an array, found {}",
-                v.kind()
-            )));
-        };
-        let steps = items
-            .iter()
-            .map(|s| self.step(s))
-            .collect::<Result<_, _>>()?;
+    fn proof(&mut self, steps: Vec<RawStep>) -> Result<Proof, String> {
+        let steps = steps
+            .into_iter()
+            .map(|step| {
+                Ok(match step {
+                    RawStep::Rule {
+                        name,
+                        forward,
+                        subst,
+                        before,
+                        after,
+                    } => ProofStep::Rule {
+                        name,
+                        forward,
+                        subst: subst
+                            .into_iter()
+                            .map(|(var, pos)| Ok((var, self.term(pos)?)))
+                            .collect::<Result<_, String>>()?,
+                        before: self.term(before)?,
+                        after: self.term(after)?,
+                    },
+                    RawStep::Congruence {
+                        before,
+                        after,
+                        children,
+                    } => ProofStep::Congruence {
+                        before: self.term(before)?,
+                        after: self.term(after)?,
+                        children: children
+                            .into_iter()
+                            .map(|child| self.proof(child))
+                            .collect::<Result<_, _>>()?,
+                    },
+                    RawStep::Given {
+                        fact,
+                        before,
+                        after,
+                    } => ProofStep::Given {
+                        fact,
+                        before: self.term(before)?,
+                        after: self.term(after)?,
+                    },
+                })
+            })
+            .collect::<Result<_, String>>()?;
         Ok(Proof { steps })
-    }
-
-    fn step(&mut self, v: &Json) -> Result<ProofStep, CertError> {
-        match req(v, "kind")? {
-            Json::Str(k) if k == "rule" => {
-                let subst = match req(v, "subst")? {
-                    Json::Obj(bindings) => bindings
-                        .iter()
-                        .map(|(var, id)| Ok((var.clone(), self.term(id)?)))
-                        .collect::<Result<_, CertError>>()?,
-                    other => {
-                        return Err(CertError::Malformed(format!(
-                            "subst must be an object, found {}",
-                            other.kind()
-                        )))
-                    }
-                };
-                let forward = match req(v, "forward")? {
-                    Json::Bool(b) => *b,
-                    other => {
-                        return Err(CertError::Malformed(format!(
-                            "forward must be a bool, found {}",
-                            other.kind()
-                        )))
-                    }
-                };
-                Ok(ProofStep::Rule {
-                    name: str_field(v, "name")?,
-                    forward,
-                    subst,
-                    before: self.term(req(v, "before")?)?,
-                    after: self.term(req(v, "after")?)?,
-                })
-            }
-            Json::Str(k) if k == "congruence" => {
-                let before = self.term(req(v, "before")?)?;
-                let after = self.term(req(v, "after")?)?;
-                let children = arr_field(v, "children")?
-                    .iter()
-                    .map(|p| self.proof(p))
-                    .collect::<Result<_, _>>()?;
-                Ok(ProofStep::Congruence {
-                    before,
-                    after,
-                    children,
-                })
-            }
-            Json::Str(k) if k == "given" => Ok(ProofStep::Given {
-                fact: str_field(v, "fact")?,
-                before: self.term(req(v, "before")?)?,
-                after: self.term(req(v, "after")?)?,
-            }),
-            other => Err(CertError::Malformed(format!(
-                "unknown proof step kind {other:?}"
-            ))),
-        }
-    }
-}
-
-fn req<'a>(v: &'a Json, key: &str) -> Result<&'a Json, CertError> {
-    v.get(key)
-        .ok_or_else(|| CertError::Malformed(format!("missing field {key}")))
-}
-
-fn str_field(v: &Json, key: &str) -> Result<String, CertError> {
-    match req(v, key)? {
-        Json::Str(s) => Ok(s.clone()),
-        other => Err(CertError::Malformed(format!(
-            "field {key} must be a string, found {}",
-            other.kind()
-        ))),
-    }
-}
-
-fn arr_field<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], CertError> {
-    match req(v, key)? {
-        Json::Arr(items) => Ok(items),
-        other => Err(CertError::Malformed(format!(
-            "field {key} must be an array, found {}",
-            other.kind()
-        ))),
     }
 }

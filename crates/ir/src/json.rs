@@ -2,9 +2,10 @@
 //!
 //! This module plays the role of the paper's fx/HLO bridge: graphs cross
 //! process boundaries as JSON. The build environment has no crates.io
-//! access, so instead of serde the format is implemented directly — a small
-//! recursive-descent parser, a pretty printer, and a validating
-//! graph codec.
+//! access, so instead of serde the format is implemented directly — a pull
+//! [`Reader`] over the document's bytes, a writer that prints straight to
+//! text, and a validating graph codec on the two. The certificate format in
+//! `entangle-cert` reads through the same [`Reader`].
 //!
 //! Operators keep serde's externally-tagged shape: unit variants are bare
 //! strings (`"Matmul"`), variants with attributes are single-key objects
@@ -12,11 +13,16 @@
 //! integers when constant, or `{"constant": c, "terms": [[var, coeff], ...]}`
 //! when symbolic.
 //!
-//! Decoding checks every cross-reference (tensor ids, node ids, producers)
-//! before a [`Graph`] is built, so malformed input yields a descriptive
-//! [`IrError`] rather than a panic in a later lookup.
+//! Decoding reads the text once and builds no document tree: tensors and
+//! nodes are built as they are read, members may come in any order, and
+//! every cross-reference (tensor ids, node ids, producers) is range-checked
+//! once both lists have been read, before a [`Graph`] is built, so
+//! malformed input yields a descriptive [`IrError`] rather than a panic in a
+//! later lookup.
 
+use std::borrow::Cow;
 use std::collections::HashSet;
+use std::fmt::{Display, Write as _};
 
 use entangle_symbolic::{SymExpr, SymVar};
 
@@ -26,280 +32,503 @@ use crate::op::Op;
 use crate::shape::{Dim, Shape};
 
 // ---------------------------------------------------------------------------
-// JSON value model, parser and printer
+// The pull reader
 // ---------------------------------------------------------------------------
 
-/// A parsed JSON value. Objects preserve key order; the interchange formats
-/// built on it have no floating-point fields, so numbers are `i64`.
-///
-/// Public so sibling crates (e.g. the certificate format in
-/// `entangle-cert`) can share one hand-rolled, dependency-free codec.
-#[derive(Debug, Clone, PartialEq)]
-#[allow(missing_docs)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Int(i64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// A short name for the value's type, for error messages.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Json::Null => "null",
-            Json::Bool(_) => "bool",
-            Json::Int(_) => "number",
-            Json::Str(_) => "string",
-            Json::Arr(_) => "array",
-            Json::Obj(_) => "object",
-        }
-    }
-
-    /// Field lookup on objects (`None` for other variants or missing keys).
-    pub fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-}
-
-/// Deepest nesting of arrays and objects [`parse`] accepts. The formats
+/// Deepest nesting of arrays and objects a [`Reader`] accepts. The formats
 /// built on it are shallow — a graph document nests 5 levels, a
 /// certificate's proof 3 per level of congruence (a few dozen at most).
 pub const MAX_NESTING: usize = 256;
 
-struct Parser<'a> {
-    text: &'a str,
-    bytes: &'a [u8],
-    pos: usize,
-    /// Arrays and objects open around the value being parsed.
-    depth: usize,
+/// Keys an object may hold before its duplicate check moves from a scan of
+/// its keys to a set of them, so that a wide object costs linear time.
+const SCANNED_KEYS: usize = 16;
+
+/// The type of the next value, as [`Reader::peek`] tells it from its first
+/// byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[allow(missing_docs)]
+pub enum Kind {
+    Null,
+    Bool,
+    Number,
+    String,
+    Array,
+    Object,
 }
 
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Parser<'a> {
-        Parser {
+impl Kind {
+    /// A short name for the type, for error messages.
+    pub fn name(self) -> &'static str {
+        match self {
+            Kind::Null => "null",
+            Kind::Bool => "bool",
+            Kind::Number => "number",
+            Kind::String => "string",
+            Kind::Array => "array",
+            Kind::Object => "object",
+        }
+    }
+}
+
+/// An array or object open around the cursor.
+#[derive(Debug, Clone, Copy)]
+enum Scope {
+    Array,
+    /// Its keys so far are `Reader::keys[from..]`.
+    Object {
+        from: usize,
+    },
+}
+
+/// A pull reader over one JSON document: the caller asks for the value it
+/// expects next — [`begin_object`](Reader::begin_object) then
+/// [`next_key`](Reader::next_key) until `None`,
+/// [`begin_array`](Reader::begin_array) then
+/// [`next_item`](Reader::next_item) until `false`, or a scalar — and builds
+/// its own types as it reads; no document tree is built.
+///
+/// It is strict where the formats need it: numbers are `i64` (no floats, no
+/// leading zeros), an object may not repeat a key, nesting is bounded by
+/// [`MAX_NESTING`], [`skip`](Reader::skip) checks what it skips as closely
+/// as what it reads, and [`finish`](Reader::finish) refuses trailing bytes.
+/// Every error ends `at byte N`. Keys and strings without escapes are
+/// borrowed from the text.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+    scopes: Vec<Scope>,
+    /// The keys of every object open around the cursor, outermost first.
+    keys: Vec<Cow<'a, str>>,
+    /// The keys of each open object past [`SCANNED_KEYS`] keys as a set,
+    /// with where its keys start in `keys`; innermost last.
+    wide: Vec<(usize, HashSet<Cow<'a, str>>)>,
+    /// Set when an array or object was just opened: its first item takes
+    /// no comma before it.
+    fresh: bool,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Reader<'a> {
+        Reader {
             text,
-            bytes: text.as_bytes(),
             pos: 0,
-            depth: 0,
+            scopes: Vec::new(),
+            keys: Vec::new(),
+            wide: Vec::new(),
+            fresh: false,
         }
     }
 
-    fn err(&self, msg: &str) -> String {
+    /// `msg at byte N`, `N` the cursor's offset.
+    pub fn error(&self, msg: impl Display) -> String {
         format!("{msg} at byte {}", self.pos)
     }
 
+    #[inline]
+    fn at(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    #[inline]
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.at() {
+            self.pos += 1;
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    /// The type of the next value, which is not consumed.
+    ///
+    /// # Errors
+    ///
+    /// At the end of the input, or at a byte no value starts with.
+    #[inline]
+    pub fn peek(&mut self) -> Result<Kind, String> {
+        self.skip_ws();
+        match self.at() {
+            Some(b'{') => Ok(Kind::Object),
+            Some(b'[') => Ok(Kind::Array),
+            Some(b'"') => Ok(Kind::String),
+            Some(b't' | b'f') => Ok(Kind::Bool),
+            Some(b'n') => Ok(Kind::Null),
+            Some(b'-' | b'0'..=b'9') => Ok(Kind::Number),
+            Some(c) => Err(self.error(format_args!("unexpected character '{}'", c as char))),
+            None => Err(self.error("unexpected end of input")),
+        }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
+    #[inline]
+    fn expect(&mut self, want: Kind) -> Result<(), String> {
+        match self.peek()? {
+            found if found == want => Ok(()),
+            found => Err(self.mismatch(want, found)),
+        }
+    }
+
+    #[cold]
+    fn mismatch(&mut self, want: Kind, found: Kind) -> String {
+        let mismatch = self.error(format_args!(
+            "expected {}, found {}",
+            want.name(),
+            found.name()
+        ));
+        // A value that is not even well-formed is reported by its syntax
+        // fault: a file that is not JSON reads as not JSON.
+        self.skip().err().unwrap_or(mismatch)
+    }
+
+    #[inline]
+    fn open(&mut self, want: Kind, scope: Scope) -> Result<(), String> {
+        self.expect(want)?;
+        // Callers recurse per level: without the bound a document of
+        // nothing but `[` would overflow their stack.
+        if self.scopes.len() == MAX_NESTING {
+            return Err(self.error(format_args!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.scopes.push(scope);
+        self.pos += 1;
+        self.fresh = true;
+        Ok(())
+    }
+
+    /// Opens the object at the cursor.
+    ///
+    /// # Errors
+    ///
+    /// If the next value is not an object, or opening it nests deeper than
+    /// [`MAX_NESTING`].
+    #[inline]
+    pub fn begin_object(&mut self) -> Result<(), String> {
+        let from = self.keys.len();
+        self.open(Kind::Object, Scope::Object { from })
+    }
+
+    /// Opens the array at the cursor.
+    ///
+    /// # Errors
+    ///
+    /// As [`begin_object`](Reader::begin_object), for an array.
+    #[inline]
+    pub fn begin_array(&mut self) -> Result<(), String> {
+        self.open(Kind::Array, Scope::Array)
+    }
+
+    /// Steps over the comma before the innermost scope's next item, or over
+    /// its closer (closing the scope): `false` at the closer.
+    #[inline]
+    fn more(&mut self, close: u8) -> Result<bool, String> {
+        self.skip_ws();
+        let first = std::mem::replace(&mut self.fresh, false);
+        match self.at() {
+            Some(c) if c == close => {
+                self.pos += 1;
+                if let Some(Scope::Object { from }) = self.scopes.pop() {
+                    self.keys.truncate(from);
+                    if self.wide.last().is_some_and(|(start, _)| *start == from) {
+                        self.wide.pop();
+                    }
+                }
+                Ok(false)
+            }
+            _ if first => Ok(true),
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ if close == b'}' => Err(self.error("expected ',' or '}' in object")),
+            _ => Err(self.error("expected ',' or ']' in array")),
+        }
+    }
+
+    /// The next member's key in the innermost object, with the cursor left
+    /// on its value; `None` once the object is closed.
+    ///
+    /// # Errors
+    ///
+    /// On a syntax error, or a key the object already has.
+    #[inline]
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        debug_assert!(matches!(self.scopes.last(), Some(Scope::Object { .. })));
+        if !self.more(b'}')? {
+            return Ok(None);
+        }
+        self.expect(Kind::String)?;
+        let at = self.pos;
+        let key = self.string()?;
+        self.keys.push(key.clone());
+        if let Some(&Scope::Object { from }) = self.scopes.last() {
+            if self.repeated(from) {
+                return Err(format!("duplicate object key {key:?} at byte {at}"));
+            }
+        }
+        self.skip_ws();
+        if self.at() != Some(b':') {
+            return Err(self.error("expected ':'"));
+        }
+        self.pos += 1;
+        Ok(Some(key))
+    }
+
+    /// Whether the key just pushed repeats one before it in the object
+    /// whose keys start at `keys[from]`: a scan while the object is
+    /// narrow, a set lookup once it is wide.
+    fn repeated(&mut self, from: usize) -> bool {
+        let (key, before) = self.keys[from..].split_last().expect("a key was pushed");
+        if before.len() < SCANNED_KEYS {
+            return before.contains(key);
+        }
+        if self.wide.last().is_none_or(|(start, _)| *start != from) {
+            self.wide.push((from, before.iter().cloned().collect()));
+        }
+        let (_, set) = self.wide.last_mut().expect("pushed above");
+        !set.insert(key.clone())
+    }
+
+    /// Whether the innermost array has another item, with the cursor left
+    /// on it; `false` once the array is closed.
+    ///
+    /// # Errors
+    ///
+    /// On a syntax error.
+    #[inline]
+    pub fn next_item(&mut self) -> Result<bool, String> {
+        debug_assert!(matches!(self.scopes.last(), Some(Scope::Array)));
+        self.more(b']')
+    }
+
+    /// Reads the object at the cursor member by member: `member` gets each
+    /// key with the cursor on its value, and reads the value and returns
+    /// `true`, or returns `false` to have the value skipped.
+    ///
+    /// # Errors
+    ///
+    /// On anything [`Reader`] refuses, and on `member`'s errors.
+    pub fn members(
+        &mut self,
+        mut member: impl FnMut(&mut Self, &str) -> Result<bool, String>,
+    ) -> Result<(), String> {
+        self.begin_object()?;
+        while let Some(key) = self.next_key()? {
+            if !member(self, &key)? {
+                self.skip()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Reads the array at the cursor, one `item(reader, index)` per item.
+    ///
+    /// # Errors
+    ///
+    /// On anything [`Reader`] refuses, and on `item`'s errors.
+    pub fn items<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self, usize) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        self.begin_array()?;
+        let mut out = Vec::new();
+        while self.next_item()? {
+            out.push(item(self, out.len())?);
+        }
+        Ok(out)
+    }
+
+    /// The string at the cursor, unescaped; borrowed from the text when it
+    /// has no escapes.
+    ///
+    /// # Errors
+    ///
+    /// If the next value is not a well-formed string.
+    #[inline]
+    pub fn str(&mut self) -> Result<Cow<'a, str>, String> {
+        self.expect(Kind::String)?;
+        self.string()
+    }
+
+    /// The integer at the cursor.
+    ///
+    /// # Errors
+    ///
+    /// If the next value is not a number, is not an integer in JSON's
+    /// grammar, or does not fit an `i64`.
+    #[inline]
+    pub fn int(&mut self) -> Result<i64, String> {
+        self.expect(Kind::Number)?;
+        self.number()
+    }
+
+    /// The `true` or `false` at the cursor.
+    ///
+    /// # Errors
+    ///
+    /// If the next value is not a bool.
+    #[inline]
+    pub fn bool(&mut self) -> Result<bool, String> {
+        self.expect(Kind::Bool)?;
+        if self.literal("true") {
+            Ok(true)
+        } else if self.literal("false") {
+            Ok(false)
+        } else {
+            Err(self.error("invalid literal"))
+        }
+    }
+
+    /// The `null` at the cursor.
+    ///
+    /// # Errors
+    ///
+    /// If the next value is not `null`.
+    pub fn null(&mut self) -> Result<(), String> {
+        self.expect(Kind::Null)?;
+        if self.literal("null") {
             Ok(())
         } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
+            Err(self.error("invalid literal"))
         }
     }
 
-    fn parse_value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(open @ (b'{' | b'[')) => {
-                // The parser recurses per level: without the bound a
-                // document of nothing but `[` overflows the stack.
-                if self.depth == MAX_NESTING {
-                    return Err(self.err(&format!("nesting deeper than {MAX_NESTING} levels")));
-                }
-                self.depth += 1;
-                let value = if open == b'{' {
-                    self.parse_object()
-                } else {
-                    self.parse_array()
+    /// Steps over the value at the cursor, checking it as strictly as if it
+    /// were read: an unknown member is skipped, never trusted unread.
+    /// Iterative, so a deep value costs no stack.
+    ///
+    /// # Errors
+    ///
+    /// On anything [`Reader`] refuses.
+    pub fn skip(&mut self) -> Result<(), String> {
+        let floor = self.scopes.len();
+        loop {
+            match self.peek()? {
+                Kind::Object => self.begin_object()?,
+                Kind::Array => self.begin_array()?,
+                Kind::String => drop(self.str()?),
+                Kind::Number => drop(self.int()?),
+                Kind::Bool => drop(self.bool()?),
+                Kind::Null => self.null()?,
+            }
+            // Close every scope the value ended, up to the next value.
+            loop {
+                let more = match self.scopes.get(floor..).and_then(<[Scope]>::last) {
+                    None => return Ok(()),
+                    Some(Scope::Array) => self.next_item()?,
+                    Some(Scope::Object { .. }) => self.next_key()?.is_some(),
                 };
-                self.depth -= 1;
-                value
-            }
-            Some(b'"') => Ok(Json::Str(self.parse_string()?)),
-            Some(b't') | Some(b'f') => self.parse_bool(),
-            Some(b'n') => self.parse_null(),
-            Some(b'-') | Some(b'0'..=b'9') => self.parse_number(),
-            Some(c) => Err(self.err(&format!("unexpected character '{}'", c as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            if fields.iter().any(|(k, _)| *k == key) {
-                return Err(self.err(&format!("duplicate object key {key:?}")));
-            }
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
+                if more {
+                    break;
                 }
-                _ => return Err(self.err("expected ',' or '}' in object")),
             }
         }
     }
 
-    fn parse_array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    /// Ends the document: only whitespace may follow the value read.
+    ///
+    /// # Errors
+    ///
+    /// On trailing bytes.
+    pub fn finish(mut self) -> Result<(), String> {
+        debug_assert!(self.scopes.is_empty(), "finish inside a value");
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(self.error("trailing characters after JSON document"))
         }
     }
 
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
+    fn literal(&mut self, word: &str) -> bool {
+        let found = self.text.as_bytes()[self.pos..].starts_with(word.as_bytes());
+        if found {
+            self.pos += word.len();
+        }
+        found
+    }
+
+    /// The string whose opening quote is at the cursor.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        let text = self.text;
+        let bytes = text.as_bytes();
+        self.pos += 1;
+        let mut unescaped: Option<String> = None;
         loop {
-            // Copy the run up to the next delimiter as one slice. Both
-            // delimiters are ASCII, which never occurs inside a multi-byte
-            // UTF-8 sequence, so every cut falls on a char boundary of
-            // `text`.
-            let len = self.bytes[self.pos..]
+            // The run up to the next delimiter is one slice. Both delimiters
+            // are ASCII, which never occurs inside a multi-byte UTF-8
+            // sequence, so every cut falls on a char boundary of `text`.
+            let len = bytes[self.pos..]
                 .iter()
                 .position(|&b| b == b'"' || b == b'\\')
-                .ok_or_else(|| self.err("unterminated string"))?;
-            let run = self
-                .text
-                .get(self.pos..self.pos + len)
-                .ok_or_else(|| self.err("string run off a char boundary"))?;
-            out.push_str(run);
+                .ok_or_else(|| self.error("unterminated string"))?;
+            let run = &text[self.pos..self.pos + len];
             self.pos += len + 1;
-            if self.bytes[self.pos - 1] == b'"' {
-                return Ok(out);
+            if bytes[self.pos - 1] == b'"' {
+                return Ok(match unescaped {
+                    None => Cow::Borrowed(run),
+                    Some(mut out) => {
+                        out.push_str(run);
+                        Cow::Owned(out)
+                    }
+                });
             }
-            match self.peek() {
-                Some(b'"') => out.push('"'),
-                Some(b'\\') => out.push('\\'),
-                Some(b'/') => out.push('/'),
-                Some(b'n') => out.push('\n'),
-                Some(b't') => out.push('\t'),
-                Some(b'r') => out.push('\r'),
-                Some(b'b') => out.push('\u{8}'),
-                Some(b'f') => out.push('\u{c}'),
+            let out = unescaped.get_or_insert_with(String::new);
+            out.push_str(run);
+            let c = match self.at() {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'n') => '\n',
+                Some(b't') => '\t',
+                Some(b'r') => '\r',
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
                 Some(b'u') => {
-                    let hex = self
-                        .bytes
+                    let hex = bytes
                         .get(self.pos + 1..self.pos + 5)
-                        .ok_or_else(|| self.err("truncated \\u escape"))?;
-                    let hex =
-                        std::str::from_utf8(hex).map_err(|_| self.err("non-ascii \\u escape"))?;
-                    let code =
-                        u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
-                    out.push(
-                        char::from_u32(code)
-                            .ok_or_else(|| self.err("\\u escape is not a scalar value"))?,
-                    );
+                        .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+                        .ok_or_else(|| self.error("invalid \\u escape"))?;
+                    let code = hex.iter().fold(0, |code, &h| {
+                        code * 16 + (h as char).to_digit(16).unwrap_or(0)
+                    });
                     self.pos += 4;
+                    char::from_u32(code)
+                        .ok_or_else(|| self.error("\\u escape is not a scalar value"))?
                 }
-                _ => return Err(self.err("invalid escape sequence")),
-            }
+                _ => return Err(self.error("invalid escape sequence")),
+            };
+            out.push(c);
             self.pos += 1;
         }
     }
 
-    fn parse_bool(&mut self) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(b"true") {
-            self.pos += 4;
-            Ok(Json::Bool(true))
-        } else if self.bytes[self.pos..].starts_with(b"false") {
-            self.pos += 5;
-            Ok(Json::Bool(false))
-        } else {
-            Err(self.err("invalid literal"))
-        }
-    }
-
-    fn parse_null(&mut self) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(b"null") {
-            self.pos += 4;
-            Ok(Json::Null)
-        } else {
-            Err(self.err("invalid literal"))
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Json, String> {
+    /// The number whose first byte is at the cursor: JSON's integer grammar
+    /// `-?(0|[1-9][0-9]*)`, so `01` and a lone `-` are refused.
+    fn number(&mut self) -> Result<i64, String> {
+        let bytes = self.text.as_bytes();
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = bytes[start] == b'-';
+        let digits = start + usize::from(negative);
+        self.pos = digits;
+        // Accumulated as a negative number, so that `i64::MIN` fits.
+        let mut value = Some(0i64);
+        while let Some(d @ b'0'..=b'9') = self.at() {
+            value = value
+                .and_then(|v| v.checked_mul(10))
+                .and_then(|v| v.checked_sub(i64::from(d - b'0')));
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
+        if let Some(b'.' | b'e' | b'E') = self.at() {
+            return Err(self.error("the interchange format has no floating-point numbers"));
         }
-        if matches!(self.peek(), Some(b'.') | Some(b'e') | Some(b'E')) {
-            return Err(self.err("the interchange format has no floating-point numbers"));
+        if self.pos == digits || (bytes[digits] == b'0' && self.pos > digits + 1) {
+            return Err(format!("malformed number at byte {start}"));
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<i64>()
-            .map(Json::Int)
-            .map_err(|_| self.err("number out of range"))
+        value
+            .and_then(|v| if negative { Some(v) } else { v.checked_neg() })
+            .ok_or_else(|| self.error("number out of range"))
     }
 }
 
-/// Parses one JSON document; trailing garbage is an error, and so is
-/// nesting deeper than [`MAX_NESTING`].
-pub fn parse(text: &str) -> Result<Json, String> {
-    let mut p = Parser::new(text);
-    let v = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after JSON document"));
-    }
-    Ok(v)
-}
-
-/// Appends `s` as a JSON string literal (quoted, escaped), for callers
-/// that write a document straight to text instead of building a [`Json`].
+/// Appends `s` as a JSON string literal (quoted, escaped).
 pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
@@ -309,489 +538,565 @@ pub fn write_escaped(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             '\t' => out.push_str("\\t"),
             '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail");
+            }
             c => out.push(c),
         }
     }
     out.push('"');
 }
 
-fn write_value(out: &mut String, v: &Json, indent: usize) {
-    const STEP: usize = 2;
-    match v {
-        Json::Null => out.push_str("null"),
-        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Json::Int(n) => out.push_str(&n.to_string()),
-        Json::Str(s) => write_escaped(out, s),
-        Json::Arr(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            // Scalars-only arrays print inline; nested structures one-per-line.
-            let flat = items
-                .iter()
-                .all(|i| !matches!(i, Json::Arr(_) | Json::Obj(_)));
-            if flat {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    write_value(out, item, indent);
-                }
-                out.push(']');
-            } else {
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    out.push_str(&" ".repeat(indent + STEP));
-                    write_value(out, item, indent + STEP);
-                    if i + 1 < items.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                out.push_str(&" ".repeat(indent));
-                out.push(']');
-            }
-        }
-        Json::Obj(fields) => {
-            if fields.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push_str("{\n");
-            for (i, (k, val)) in fields.iter().enumerate() {
-                out.push_str(&" ".repeat(indent + STEP));
-                write_escaped(out, k);
-                out.push_str(": ");
-                write_value(out, val, indent + STEP);
-                if i + 1 < fields.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            out.push_str(&" ".repeat(indent));
-            out.push('}');
-        }
-    }
-}
-
-/// Pretty-prints a JSON value.
-pub fn to_string_pretty(v: &Json) -> String {
-    let mut out = String::new();
-    write_value(&mut out, v, 0);
-    out
-}
-
 // ---------------------------------------------------------------------------
-// Encoding: Graph -> Json
+// Encoding: Graph -> text
 // ---------------------------------------------------------------------------
 
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+/// The graph format's layout, written straight to text: two-space
+/// indentation, an object's members one per line, an array on one line
+/// when it holds only scalars and one item per line otherwise.
+struct Pretty {
+    out: String,
+    indent: usize,
+    /// Set when an object or a one-per-line array was just opened: its
+    /// first item takes no comma before it.
+    fresh: bool,
 }
 
-fn encode_expr(e: &SymExpr) -> Json {
-    if let Some(c) = e.as_const() {
-        return Json::Int(c);
+impl Pretty {
+    /// Opens an object (`'{'`) or a one-item-per-line array (`'['`).
+    fn open(&mut self, c: char) {
+        self.out.push(c);
+        self.indent += 2;
+        self.fresh = true;
     }
-    let terms = e
-        .terms()
-        .map(|(v, c)| Json::Arr(vec![Json::Int(v.index() as i64), Json::Int(c)]))
-        .collect();
-    obj(vec![
-        ("constant", Json::Int(e.constant_part())),
-        ("terms", Json::Arr(terms)),
-    ])
-}
 
-fn encode_dim(d: &Dim) -> Json {
-    encode_expr(d.expr())
-}
-
-fn encode_shape(s: &Shape) -> Json {
-    Json::Arr(s.dims().iter().map(encode_dim).collect())
-}
-
-fn encode_usize(u: usize) -> Json {
-    Json::Int(u as i64)
-}
-
-fn encode_op(op: &Op) -> Json {
-    let unit = |tag: &str| Json::Str(tag.to_owned());
-    let tagged =
-        |tag: &str, fields: Vec<(&str, Json)>| Json::Obj(vec![(tag.to_owned(), obj(fields))]);
-    match op {
-        Op::Add => unit("Add"),
-        Op::Sub => unit("Sub"),
-        Op::Mul => unit("Mul"),
-        Op::Div => unit("Div"),
-        Op::Maximum => unit("Maximum"),
-        Op::Neg => unit("Neg"),
-        Op::Exp => unit("Exp"),
-        Op::Sqrt => unit("Sqrt"),
-        Op::Rsqrt => unit("Rsqrt"),
-        Op::Tanh => unit("Tanh"),
-        Op::Gelu => unit("Gelu"),
-        Op::Silu => unit("Silu"),
-        Op::Relu => unit("Relu"),
-        Op::Sigmoid => unit("Sigmoid"),
-        Op::Step => unit("Step"),
-        Op::GeluGrad => unit("GeluGrad"),
-        Op::SiluGrad => unit("SiluGrad"),
-        Op::OnesLike => unit("OnesLike"),
-        Op::Cos => unit("Cos"),
-        Op::Sin => unit("Sin"),
-        Op::ScalarMul { numer, denom } => tagged(
-            "ScalarMul",
-            vec![("numer", Json::Int(*numer)), ("denom", Json::Int(*denom))],
-        ),
-        Op::SumDim { dim, keepdim } => tagged(
-            "SumDim",
-            vec![
-                ("dim", encode_usize(*dim)),
-                ("keepdim", Json::Bool(*keepdim)),
-            ],
-        ),
-        Op::MeanDim { dim, keepdim } => tagged(
-            "MeanDim",
-            vec![
-                ("dim", encode_usize(*dim)),
-                ("keepdim", Json::Bool(*keepdim)),
-            ],
-        ),
-        Op::SumAll => unit("SumAll"),
-        Op::MeanAll => unit("MeanAll"),
-        Op::Softmax { dim } => tagged("Softmax", vec![("dim", encode_usize(*dim))]),
-        Op::Identity => unit("Identity"),
-        Op::Reshape { shape } => tagged(
-            "Reshape",
-            vec![("shape", Json::Arr(shape.iter().map(encode_dim).collect()))],
-        ),
-        Op::Transpose { d0, d1 } => tagged(
-            "Transpose",
-            vec![("d0", encode_usize(*d0)), ("d1", encode_usize(*d1))],
-        ),
-        Op::Permute { perm } => tagged(
-            "Permute",
-            vec![(
-                "perm",
-                Json::Arr(perm.iter().map(|&p| encode_usize(p)).collect()),
-            )],
-        ),
-        Op::Slice { dim, start, end } => tagged(
-            "Slice",
-            vec![
-                ("dim", encode_usize(*dim)),
-                ("start", encode_dim(start)),
-                ("end", encode_dim(end)),
-            ],
-        ),
-        Op::Concat { dim } => tagged("Concat", vec![("dim", encode_usize(*dim))]),
-        Op::Pad { dim, before, after } => tagged(
-            "Pad",
-            vec![
-                ("dim", encode_usize(*dim)),
-                ("before", encode_dim(before)),
-                ("after", encode_dim(after)),
-            ],
-        ),
-        Op::Matmul => unit("Matmul"),
-        Op::Embedding => unit("Embedding"),
-        Op::EmbeddingGrad { vocab } => {
-            tagged("EmbeddingGrad", vec![("vocab", encode_usize(*vocab))])
+    fn close(&mut self, c: char) {
+        self.indent -= 2;
+        if !self.fresh {
+            self.newline();
         }
-        Op::LayerNorm => unit("LayerNorm"),
-        Op::RmsNorm => unit("RmsNorm"),
-        Op::Rope => unit("Rope"),
-        Op::Attention { heads, causal } => tagged(
-            "Attention",
-            vec![
-                ("heads", encode_usize(*heads)),
-                ("causal", Json::Bool(*causal)),
-            ],
-        ),
-        Op::MseLoss => unit("MseLoss"),
-        Op::CrossEntropy => unit("CrossEntropy"),
-        Op::AllReduce => unit("AllReduce"),
-        Op::AllGather { dim } => tagged("AllGather", vec![("dim", encode_usize(*dim))]),
-        Op::ReduceScatter { dim, rank, world } => tagged(
-            "ReduceScatter",
-            vec![
-                ("dim", encode_usize(*dim)),
-                ("rank", encode_usize(*rank)),
-                ("world", encode_usize(*world)),
-            ],
-        ),
+        self.out.push(c);
+        self.fresh = false;
+    }
+
+    fn newline(&mut self) {
+        self.out.push('\n');
+        self.out.extend(std::iter::repeat_n(' ', self.indent));
+    }
+
+    /// Starts the next item of the open array.
+    fn item(&mut self) {
+        if !std::mem::replace(&mut self.fresh, false) {
+            self.out.push(',');
+        }
+        self.newline();
+    }
+
+    /// Starts the member `key` of the open object.
+    fn key(&mut self, key: &str) {
+        self.item();
+        write_escaped(&mut self.out, key);
+        self.out.push_str(": ");
+    }
+
+    fn int(&mut self, n: impl Display) {
+        write!(self.out, "{n}").expect("writing to a String cannot fail");
+    }
+
+    fn str(&mut self, s: &str) {
+        write_escaped(&mut self.out, s);
+    }
+
+    fn int_member(&mut self, key: &str, n: impl Display) {
+        self.key(key);
+        self.int(n);
+    }
+
+    /// An array of integers, on one line.
+    fn ints<T: Display>(&mut self, items: impl IntoIterator<Item = T>) {
+        self.out.push('[');
+        for (i, n) in items.into_iter().enumerate() {
+            if i > 0 {
+                self.out.push_str(", ");
+            }
+            self.int(n);
+        }
+        self.out.push(']');
+    }
+
+    fn dim(&mut self, d: &Dim) {
+        let e = d.expr();
+        if let Some(c) = e.as_const() {
+            return self.int(c);
+        }
+        self.open('{');
+        self.int_member("constant", e.constant_part());
+        self.key("terms");
+        self.open('[');
+        for (v, c) in e.terms() {
+            self.item();
+            self.ints([v.index() as i64, c]);
+        }
+        self.close(']');
+        self.close('}');
+    }
+
+    fn dims(&mut self, dims: &[Dim]) {
+        if dims.iter().all(|d| d.expr().as_const().is_some()) {
+            return self.ints(dims.iter().filter_map(|d| d.expr().as_const()));
+        }
+        self.open('[');
+        for d in dims {
+            self.item();
+            self.dim(d);
+        }
+        self.close(']');
+    }
+
+    fn op(&mut self, op: &Op) {
+        let (tag, attrs): (&str, &[(&str, Attr)]) = match op {
+            Op::Add => ("Add", &[]),
+            Op::Sub => ("Sub", &[]),
+            Op::Mul => ("Mul", &[]),
+            Op::Div => ("Div", &[]),
+            Op::Maximum => ("Maximum", &[]),
+            Op::Neg => ("Neg", &[]),
+            Op::Exp => ("Exp", &[]),
+            Op::Sqrt => ("Sqrt", &[]),
+            Op::Rsqrt => ("Rsqrt", &[]),
+            Op::Tanh => ("Tanh", &[]),
+            Op::Gelu => ("Gelu", &[]),
+            Op::Silu => ("Silu", &[]),
+            Op::Relu => ("Relu", &[]),
+            Op::Sigmoid => ("Sigmoid", &[]),
+            Op::Step => ("Step", &[]),
+            Op::GeluGrad => ("GeluGrad", &[]),
+            Op::SiluGrad => ("SiluGrad", &[]),
+            Op::OnesLike => ("OnesLike", &[]),
+            Op::Cos => ("Cos", &[]),
+            Op::Sin => ("Sin", &[]),
+            Op::SumAll => ("SumAll", &[]),
+            Op::MeanAll => ("MeanAll", &[]),
+            Op::Identity => ("Identity", &[]),
+            Op::Matmul => ("Matmul", &[]),
+            Op::Embedding => ("Embedding", &[]),
+            Op::LayerNorm => ("LayerNorm", &[]),
+            Op::RmsNorm => ("RmsNorm", &[]),
+            Op::Rope => ("Rope", &[]),
+            Op::MseLoss => ("MseLoss", &[]),
+            Op::CrossEntropy => ("CrossEntropy", &[]),
+            Op::AllReduce => ("AllReduce", &[]),
+            Op::ScalarMul { numer, denom } => (
+                "ScalarMul",
+                &[("numer", Attr::Int(*numer)), ("denom", Attr::Int(*denom))],
+            ),
+            Op::SumDim { dim, keepdim } => (
+                "SumDim",
+                &[
+                    ("dim", Attr::Index(*dim)),
+                    ("keepdim", Attr::Flag(*keepdim)),
+                ],
+            ),
+            Op::MeanDim { dim, keepdim } => (
+                "MeanDim",
+                &[
+                    ("dim", Attr::Index(*dim)),
+                    ("keepdim", Attr::Flag(*keepdim)),
+                ],
+            ),
+            Op::Softmax { dim } => ("Softmax", &[("dim", Attr::Index(*dim))]),
+            Op::Reshape { shape } => ("Reshape", &[("shape", Attr::Dims(shape))]),
+            Op::Transpose { d0, d1 } => (
+                "Transpose",
+                &[("d0", Attr::Index(*d0)), ("d1", Attr::Index(*d1))],
+            ),
+            Op::Permute { perm } => ("Permute", &[("perm", Attr::Indices(perm))]),
+            Op::Slice { dim, start, end } => (
+                "Slice",
+                &[
+                    ("dim", Attr::Index(*dim)),
+                    ("start", Attr::Dim(start)),
+                    ("end", Attr::Dim(end)),
+                ],
+            ),
+            Op::Concat { dim } => ("Concat", &[("dim", Attr::Index(*dim))]),
+            Op::Pad { dim, before, after } => (
+                "Pad",
+                &[
+                    ("dim", Attr::Index(*dim)),
+                    ("before", Attr::Dim(before)),
+                    ("after", Attr::Dim(after)),
+                ],
+            ),
+            Op::EmbeddingGrad { vocab } => ("EmbeddingGrad", &[("vocab", Attr::Index(*vocab))]),
+            Op::Attention { heads, causal } => (
+                "Attention",
+                &[
+                    ("heads", Attr::Index(*heads)),
+                    ("causal", Attr::Flag(*causal)),
+                ],
+            ),
+            Op::AllGather { dim } => ("AllGather", &[("dim", Attr::Index(*dim))]),
+            Op::ReduceScatter { dim, rank, world } => (
+                "ReduceScatter",
+                &[
+                    ("dim", Attr::Index(*dim)),
+                    ("rank", Attr::Index(*rank)),
+                    ("world", Attr::Index(*world)),
+                ],
+            ),
+        };
+        if attrs.is_empty() {
+            return self.str(tag);
+        }
+        self.open('{');
+        self.key(tag);
+        self.open('{');
+        for (key, attr) in attrs {
+            self.key(key);
+            match attr {
+                Attr::Int(n) => self.int(n),
+                Attr::Index(n) => self.int(n),
+                Attr::Flag(b) => self.out.push_str(if *b { "true" } else { "false" }),
+                Attr::Dim(d) => self.dim(d),
+                Attr::Dims(dims) => self.dims(dims),
+                Attr::Indices(perm) => self.ints(perm.iter()),
+            }
+        }
+        self.close('}');
+        self.close('}');
     }
 }
 
-fn encode_dtype(d: DType) -> Json {
-    Json::Str(
-        match d {
-            DType::F32 => "F32",
-            DType::I64 => "I64",
-            DType::Bool => "Bool",
-        }
-        .to_owned(),
-    )
+/// An operator attribute to write.
+enum Attr<'a> {
+    Int(i64),
+    Index(usize),
+    Flag(bool),
+    Dim(&'a Dim),
+    Dims(&'a [Dim]),
+    Indices(&'a [usize]),
+}
+
+fn dtype_name(d: DType) -> &'static str {
+    match d {
+        DType::F32 => "F32",
+        DType::I64 => "I64",
+        DType::Bool => "Bool",
+    }
 }
 
 /// Encodes a graph into the interchange format.
 pub(crate) fn encode_graph(g: &Graph) -> String {
-    let tensors = g
-        .tensors()
-        .iter()
-        .map(|t| {
-            obj(vec![
-                ("id", Json::Int(t.id.0 as i64)),
-                ("name", Json::Str(t.name.clone())),
-                ("shape", encode_shape(&t.shape)),
-                ("dtype", encode_dtype(t.dtype)),
-                (
-                    "producer",
-                    match t.producer {
-                        Some(n) => Json::Int(n.0 as i64),
-                        None => Json::Null,
-                    },
-                ),
-            ])
-        })
-        .collect();
-    let nodes = g
-        .nodes()
-        .iter()
-        .map(|n| {
-            obj(vec![
-                ("id", Json::Int(n.id.0 as i64)),
-                ("name", Json::Str(n.name.clone())),
-                ("op", encode_op(&n.op)),
-                (
-                    "inputs",
-                    Json::Arr(n.inputs.iter().map(|t| Json::Int(t.0 as i64)).collect()),
-                ),
-                ("output", Json::Int(n.output.0 as i64)),
-            ])
-        })
-        .collect();
-    let ids = |list: &[TensorId]| Json::Arr(list.iter().map(|t| Json::Int(t.0 as i64)).collect());
-    let doc = obj(vec![
-        ("name", Json::Str(g.name().to_owned())),
-        ("tensors", Json::Arr(tensors)),
-        ("nodes", Json::Arr(nodes)),
-        ("inputs", ids(g.inputs())),
-        ("outputs", ids(g.outputs())),
-    ]);
-    to_string_pretty(&doc)
+    let mut w = Pretty {
+        out: String::with_capacity(256 * (g.tensors().len() + g.nodes().len())),
+        indent: 0,
+        fresh: false,
+    };
+    w.open('{');
+    w.key("name");
+    w.str(g.name());
+    w.key("tensors");
+    w.open('[');
+    for t in g.tensors() {
+        w.item();
+        w.open('{');
+        w.int_member("id", t.id.0);
+        w.key("name");
+        w.str(&t.name);
+        w.key("shape");
+        w.dims(t.shape.dims());
+        w.key("dtype");
+        w.str(dtype_name(t.dtype));
+        w.key("producer");
+        match t.producer {
+            Some(n) => w.int(n.0),
+            None => w.out.push_str("null"),
+        }
+        w.close('}');
+    }
+    w.close(']');
+    w.key("nodes");
+    w.open('[');
+    for n in g.nodes() {
+        w.item();
+        w.open('{');
+        w.int_member("id", n.id.0);
+        w.key("name");
+        w.str(&n.name);
+        w.key("op");
+        w.op(&n.op);
+        w.key("inputs");
+        w.ints(n.inputs.iter().map(|t| t.0));
+        w.int_member("output", n.output.0);
+        w.close('}');
+    }
+    w.close(']');
+    w.key("inputs");
+    w.ints(g.inputs().iter().map(|t| t.0));
+    w.key("outputs");
+    w.ints(g.outputs().iter().map(|t| t.0));
+    w.close('}');
+    w.out
 }
 
 // ---------------------------------------------------------------------------
-// Decoding: Json -> Graph (with reference validation)
+// Decoding: text -> Graph (with reference validation)
 // ---------------------------------------------------------------------------
+//
+// A syntax fault is located by its byte offset; a fault in what was read
+// is prefixed with where in the graph it is (`tensor[3]: ...`).
 
-fn want<'a>(v: &'a Json, key: &str, ctx: &str) -> Result<&'a Json, String> {
-    v.get(key)
-        .ok_or_else(|| format!("{ctx}: missing field {key:?}"))
+/// Prefixes an error with where in the graph it happened.
+fn within(ctx: impl Display) -> impl Fn(String) -> String {
+    move |e| format!("{ctx}: {e}")
 }
 
-fn as_str<'a>(v: &'a Json, ctx: &str) -> Result<&'a str, String> {
-    match v {
-        Json::Str(s) => Ok(s),
-        other => Err(format!("{ctx}: expected string, found {}", other.kind())),
-    }
+fn need<T>(value: Option<T>, key: &str) -> Result<T, String> {
+    value.ok_or_else(|| format!("missing field {key:?}"))
 }
 
-fn as_int(v: &Json, ctx: &str) -> Result<i64, String> {
-    match v {
-        Json::Int(n) => Ok(*n),
-        other => Err(format!("{ctx}: expected number, found {}", other.kind())),
-    }
+fn usize_of(r: &mut Reader<'_>) -> Result<usize, String> {
+    let n = r.int()?;
+    usize::try_from(n).map_err(|_| format!("expected non-negative number, found {n}"))
 }
 
-fn as_bool(v: &Json, ctx: &str) -> Result<bool, String> {
-    match v {
-        Json::Bool(b) => Ok(*b),
-        other => Err(format!("{ctx}: expected bool, found {}", other.kind())),
-    }
+fn u32_of(r: &mut Reader<'_>) -> Result<u32, String> {
+    let n = r.int()?;
+    u32::try_from(n).map_err(|_| format!("id {n} out of range"))
 }
 
-fn as_arr<'a>(v: &'a Json, ctx: &str) -> Result<&'a [Json], String> {
-    match v {
-        Json::Arr(items) => Ok(items),
-        other => Err(format!("{ctx}: expected array, found {}", other.kind())),
-    }
-}
-
-fn as_usize(v: &Json, ctx: &str) -> Result<usize, String> {
-    let n = as_int(v, ctx)?;
-    usize::try_from(n).map_err(|_| format!("{ctx}: expected non-negative number, found {n}"))
-}
-
-fn as_u32(v: &Json, ctx: &str) -> Result<u32, String> {
-    let n = as_int(v, ctx)?;
-    u32::try_from(n).map_err(|_| format!("{ctx}: id {n} out of range"))
-}
-
-fn decode_expr(v: &Json, ctx: &str) -> Result<SymExpr, String> {
-    match v {
-        Json::Int(c) => Ok(SymExpr::constant(*c)),
-        Json::Obj(_) => {
-            let constant = as_int(want(v, "constant", ctx)?, ctx)?;
-            let mut terms = Vec::new();
-            for (i, t) in as_arr(want(v, "terms", ctx)?, ctx)?.iter().enumerate() {
-                let pair = as_arr(t, ctx)?;
-                if pair.len() != 2 {
-                    return Err(format!("{ctx}: term {i} must be a [var, coeff] pair"));
+fn decode_dim(r: &mut Reader<'_>) -> Result<Dim, String> {
+    match r.peek()? {
+        Kind::Number => Ok(Dim(SymExpr::constant(r.int()?))),
+        Kind::Object => {
+            let (mut constant, mut terms) = (None, None);
+            r.members(|r, key| {
+                match key {
+                    "constant" => constant = Some(r.int()?),
+                    "terms" => {
+                        terms = Some(r.items(|r, i| match r.items(|r, _| r.int())?[..] {
+                            [var, coeff] => {
+                                let var = u32::try_from(var)
+                                    .map_err(|_| format!("id {var} out of range"))?;
+                                Ok((SymVar::from_index(var), coeff))
+                            }
+                            _ => Err(format!("term {i} must be a [var, coeff] pair")),
+                        })?);
+                    }
+                    _ => return Ok(false),
                 }
-                let var = as_u32(&pair[0], ctx)?;
-                let coeff = as_int(&pair[1], ctx)?;
-                terms.push((SymVar::from_index(var), coeff));
-            }
-            Ok(SymExpr::from_terms(constant, terms))
+                Ok(true)
+            })?;
+            Ok(Dim(SymExpr::from_terms(
+                need(constant, "constant")?,
+                need(terms, "terms")?,
+            )))
         }
         other => Err(format!(
-            "{ctx}: expected dimension (number or object), found {}",
-            other.kind()
+            "expected dimension (number or object), found {}",
+            other.name()
         )),
     }
 }
 
-fn decode_dim(v: &Json, ctx: &str) -> Result<Dim, String> {
-    decode_expr(v, ctx).map(Dim)
+fn decode_dims(r: &mut Reader<'_>) -> Result<Vec<Dim>, String> {
+    r.items(|r, _| decode_dim(r))
 }
 
-fn decode_shape(v: &Json, ctx: &str) -> Result<Shape, String> {
-    let dims = as_arr(v, ctx)?
-        .iter()
-        .map(|d| decode_dim(d, ctx))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(Shape(dims))
-}
-
-fn decode_dtype(v: &Json, ctx: &str) -> Result<DType, String> {
-    match as_str(v, ctx)? {
+fn decode_dtype(r: &mut Reader<'_>) -> Result<DType, String> {
+    match &*r.str()? {
         "F32" => Ok(DType::F32),
         "I64" => Ok(DType::I64),
         "Bool" => Ok(DType::Bool),
-        other => Err(format!("{ctx}: unknown dtype {other:?}")),
+        other => Err(format!("unknown dtype {other:?}")),
     }
 }
 
-fn decode_op(v: &Json, ctx: &str) -> Result<Op, String> {
-    let unit_of = |tag: &str| -> Option<Op> {
-        Some(match tag {
-            "Add" => Op::Add,
-            "Sub" => Op::Sub,
-            "Mul" => Op::Mul,
-            "Div" => Op::Div,
-            "Maximum" => Op::Maximum,
-            "Neg" => Op::Neg,
-            "Exp" => Op::Exp,
-            "Sqrt" => Op::Sqrt,
-            "Rsqrt" => Op::Rsqrt,
-            "Tanh" => Op::Tanh,
-            "Gelu" => Op::Gelu,
-            "Silu" => Op::Silu,
-            "Relu" => Op::Relu,
-            "Sigmoid" => Op::Sigmoid,
-            "Step" => Op::Step,
-            "GeluGrad" => Op::GeluGrad,
-            "SiluGrad" => Op::SiluGrad,
-            "OnesLike" => Op::OnesLike,
-            "Cos" => Op::Cos,
-            "Sin" => Op::Sin,
-            "SumAll" => Op::SumAll,
-            "MeanAll" => Op::MeanAll,
-            "Identity" => Op::Identity,
-            "Matmul" => Op::Matmul,
-            "Embedding" => Op::Embedding,
-            "LayerNorm" => Op::LayerNorm,
-            "RmsNorm" => Op::RmsNorm,
-            "Rope" => Op::Rope,
-            "MseLoss" => Op::MseLoss,
-            "CrossEntropy" => Op::CrossEntropy,
-            "AllReduce" => Op::AllReduce,
-            _ => return None,
-        })
-    };
-    match v {
-        Json::Str(tag) => {
-            unit_of(tag).ok_or_else(|| format!("{ctx}: {tag:?} is not a unit operator"))
+fn unit_op(tag: &str) -> Option<Op> {
+    Some(match tag {
+        "Add" => Op::Add,
+        "Sub" => Op::Sub,
+        "Mul" => Op::Mul,
+        "Div" => Op::Div,
+        "Maximum" => Op::Maximum,
+        "Neg" => Op::Neg,
+        "Exp" => Op::Exp,
+        "Sqrt" => Op::Sqrt,
+        "Rsqrt" => Op::Rsqrt,
+        "Tanh" => Op::Tanh,
+        "Gelu" => Op::Gelu,
+        "Silu" => Op::Silu,
+        "Relu" => Op::Relu,
+        "Sigmoid" => Op::Sigmoid,
+        "Step" => Op::Step,
+        "GeluGrad" => Op::GeluGrad,
+        "SiluGrad" => Op::SiluGrad,
+        "OnesLike" => Op::OnesLike,
+        "Cos" => Op::Cos,
+        "Sin" => Op::Sin,
+        "SumAll" => Op::SumAll,
+        "MeanAll" => Op::MeanAll,
+        "Identity" => Op::Identity,
+        "Matmul" => Op::Matmul,
+        "Embedding" => Op::Embedding,
+        "LayerNorm" => Op::LayerNorm,
+        "RmsNorm" => Op::RmsNorm,
+        "Rope" => Op::Rope,
+        "MseLoss" => Op::MseLoss,
+        "CrossEntropy" => Op::CrossEntropy,
+        "AllReduce" => Op::AllReduce,
+        _ => return None,
+    })
+}
+
+/// The attributes of an operator's body, read by name: a member's name
+/// fixes its type.
+#[derive(Default)]
+struct Attrs {
+    dim: Option<usize>,
+    keepdim: Option<bool>,
+    numer: Option<i64>,
+    denom: Option<i64>,
+    shape: Option<Vec<Dim>>,
+    d0: Option<usize>,
+    d1: Option<usize>,
+    perm: Option<Vec<usize>>,
+    start: Option<Dim>,
+    end: Option<Dim>,
+    before: Option<Dim>,
+    after: Option<Dim>,
+    vocab: Option<usize>,
+    heads: Option<usize>,
+    causal: Option<bool>,
+    rank: Option<usize>,
+    world: Option<usize>,
+}
+
+/// The members each attribute-carrying operator has; any other member of
+/// its body is skipped.
+fn attr_names(tag: &str) -> Option<&'static [&'static str]> {
+    Some(match tag {
+        "ScalarMul" => &["numer", "denom"],
+        "SumDim" | "MeanDim" => &["dim", "keepdim"],
+        "Softmax" | "Concat" | "AllGather" => &["dim"],
+        "Reshape" => &["shape"],
+        "Transpose" => &["d0", "d1"],
+        "Permute" => &["perm"],
+        "Slice" => &["dim", "start", "end"],
+        "Pad" => &["dim", "before", "after"],
+        "EmbeddingGrad" => &["vocab"],
+        "Attention" => &["heads", "causal"],
+        "ReduceScatter" => &["dim", "rank", "world"],
+        _ => return None,
+    })
+}
+
+fn decode_op(r: &mut Reader<'_>) -> Result<Op, String> {
+    let not_an_op =
+        |kind: &str| format!("expected operator (string or single-key object), found {kind}");
+    match r.peek()? {
+        Kind::String => {
+            let tag = r.str()?;
+            unit_op(&tag).ok_or_else(|| format!("{tag:?} is not a unit operator"))
         }
-        Json::Obj(fields) if fields.len() == 1 => {
-            let (tag, body) = &fields[0];
-            let ctx = &format!("{ctx}.{tag}");
-            match tag.as_str() {
-                "ScalarMul" => Ok(Op::ScalarMul {
-                    numer: as_int(want(body, "numer", ctx)?, ctx)?,
-                    denom: as_int(want(body, "denom", ctx)?, ctx)?,
-                }),
-                "SumDim" => Ok(Op::SumDim {
-                    dim: as_usize(want(body, "dim", ctx)?, ctx)?,
-                    keepdim: as_bool(want(body, "keepdim", ctx)?, ctx)?,
-                }),
-                "MeanDim" => Ok(Op::MeanDim {
-                    dim: as_usize(want(body, "dim", ctx)?, ctx)?,
-                    keepdim: as_bool(want(body, "keepdim", ctx)?, ctx)?,
-                }),
-                "Softmax" => Ok(Op::Softmax {
-                    dim: as_usize(want(body, "dim", ctx)?, ctx)?,
-                }),
-                "Reshape" => {
-                    let dims = as_arr(want(body, "shape", ctx)?, ctx)?
-                        .iter()
-                        .map(|d| decode_dim(d, ctx))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    Ok(Op::Reshape { shape: dims })
-                }
-                "Transpose" => Ok(Op::Transpose {
-                    d0: as_usize(want(body, "d0", ctx)?, ctx)?,
-                    d1: as_usize(want(body, "d1", ctx)?, ctx)?,
-                }),
-                "Permute" => {
-                    let perm = as_arr(want(body, "perm", ctx)?, ctx)?
-                        .iter()
-                        .map(|p| as_usize(p, ctx))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    Ok(Op::Permute { perm })
-                }
-                "Slice" => Ok(Op::Slice {
-                    dim: as_usize(want(body, "dim", ctx)?, ctx)?,
-                    start: decode_dim(want(body, "start", ctx)?, ctx)?,
-                    end: decode_dim(want(body, "end", ctx)?, ctx)?,
-                }),
-                "Concat" => Ok(Op::Concat {
-                    dim: as_usize(want(body, "dim", ctx)?, ctx)?,
-                }),
-                "Pad" => Ok(Op::Pad {
-                    dim: as_usize(want(body, "dim", ctx)?, ctx)?,
-                    before: decode_dim(want(body, "before", ctx)?, ctx)?,
-                    after: decode_dim(want(body, "after", ctx)?, ctx)?,
-                }),
-                "EmbeddingGrad" => Ok(Op::EmbeddingGrad {
-                    vocab: as_usize(want(body, "vocab", ctx)?, ctx)?,
-                }),
-                "Attention" => Ok(Op::Attention {
-                    heads: as_usize(want(body, "heads", ctx)?, ctx)?,
-                    causal: as_bool(want(body, "causal", ctx)?, ctx)?,
-                }),
-                "AllGather" => Ok(Op::AllGather {
-                    dim: as_usize(want(body, "dim", ctx)?, ctx)?,
-                }),
-                "ReduceScatter" => Ok(Op::ReduceScatter {
-                    dim: as_usize(want(body, "dim", ctx)?, ctx)?,
-                    rank: as_usize(want(body, "rank", ctx)?, ctx)?,
-                    world: as_usize(want(body, "world", ctx)?, ctx)?,
-                }),
-                other => Err(format!("{ctx}: unknown operator {other:?}")),
+        Kind::Object => {
+            r.begin_object()?;
+            let tag = r.next_key()?.ok_or_else(|| not_an_op("object"))?;
+            let op = decode_attrs(r, &tag).map_err(within(&tag))?;
+            if r.next_key()?.is_some() {
+                return Err(not_an_op("object"));
             }
+            Ok(op)
         }
-        other => Err(format!(
-            "{ctx}: expected operator (string or single-key object), found {}",
-            other.kind()
-        )),
+        other => Err(not_an_op(other.name())),
     }
+}
+
+/// The body of the attribute-carrying operator `tag`.
+fn decode_attrs(r: &mut Reader<'_>, tag: &str) -> Result<Op, String> {
+    let names = attr_names(tag).ok_or_else(|| format!("unknown operator {tag:?}"))?;
+    let mut a = Attrs::default();
+    r.members(|r, key| {
+        if !names.contains(&key) {
+            return Ok(false);
+        }
+        match key {
+            "dim" => a.dim = Some(usize_of(r)?),
+            "keepdim" => a.keepdim = Some(r.bool()?),
+            "numer" => a.numer = Some(r.int()?),
+            "denom" => a.denom = Some(r.int()?),
+            "shape" => a.shape = Some(decode_dims(r)?),
+            "d0" => a.d0 = Some(usize_of(r)?),
+            "d1" => a.d1 = Some(usize_of(r)?),
+            "perm" => a.perm = Some(r.items(|r, _| usize_of(r))?),
+            "start" => a.start = Some(decode_dim(r)?),
+            "end" => a.end = Some(decode_dim(r)?),
+            "before" => a.before = Some(decode_dim(r)?),
+            "after" => a.after = Some(decode_dim(r)?),
+            "vocab" => a.vocab = Some(usize_of(r)?),
+            "heads" => a.heads = Some(usize_of(r)?),
+            "causal" => a.causal = Some(r.bool()?),
+            "rank" => a.rank = Some(usize_of(r)?),
+            _ => a.world = Some(usize_of(r)?),
+        }
+        Ok(true)
+    })?;
+    Ok(match tag {
+        "ScalarMul" => Op::ScalarMul {
+            numer: need(a.numer, "numer")?,
+            denom: need(a.denom, "denom")?,
+        },
+        "SumDim" => Op::SumDim {
+            dim: need(a.dim, "dim")?,
+            keepdim: need(a.keepdim, "keepdim")?,
+        },
+        "MeanDim" => Op::MeanDim {
+            dim: need(a.dim, "dim")?,
+            keepdim: need(a.keepdim, "keepdim")?,
+        },
+        "Softmax" => Op::Softmax {
+            dim: need(a.dim, "dim")?,
+        },
+        "Reshape" => Op::Reshape {
+            shape: need(a.shape, "shape")?,
+        },
+        "Transpose" => Op::Transpose {
+            d0: need(a.d0, "d0")?,
+            d1: need(a.d1, "d1")?,
+        },
+        "Permute" => Op::Permute {
+            perm: need(a.perm, "perm")?,
+        },
+        "Slice" => Op::Slice {
+            dim: need(a.dim, "dim")?,
+            start: need(a.start, "start")?,
+            end: need(a.end, "end")?,
+        },
+        "Concat" => Op::Concat {
+            dim: need(a.dim, "dim")?,
+        },
+        "Pad" => Op::Pad {
+            dim: need(a.dim, "dim")?,
+            before: need(a.before, "before")?,
+            after: need(a.after, "after")?,
+        },
+        "EmbeddingGrad" => Op::EmbeddingGrad {
+            vocab: need(a.vocab, "vocab")?,
+        },
+        "Attention" => Op::Attention {
+            heads: need(a.heads, "heads")?,
+            causal: need(a.causal, "causal")?,
+        },
+        "AllGather" => Op::AllGather {
+            dim: need(a.dim, "dim")?,
+        },
+        _ => Op::ReduceScatter {
+            dim: need(a.dim, "dim")?,
+            rank: need(a.rank, "rank")?,
+            world: need(a.world, "world")?,
+        },
+    })
 }
 
 /// Decodes the interchange format into a [`Graph`].
@@ -803,15 +1108,41 @@ pub(crate) fn decode_graph(text: &str) -> Result<Graph, IrError> {
 }
 
 fn decode_graph_inner(text: &str) -> Result<Graph, String> {
-    let doc = parse(text)?;
-    let name = as_str(want(&doc, "name", "graph")?, "graph.name")?.to_owned();
+    let mut r = Reader::new(text);
+    let (mut name, mut tensors, mut nodes, mut inputs, mut outputs) =
+        (None, None, None, None, None);
+    let mut names = HashSet::new();
+    r.members(|r, key| {
+        match key {
+            "name" => name = Some(r.str().map_err(within("graph.name"))?.into_owned()),
+            "tensors" => {
+                tensors = Some(r.items(|r, i| {
+                    decode_tensor(r, i, &mut names).map_err(within(format_args!("tensor[{i}]")))
+                })?);
+            }
+            "nodes" => {
+                nodes =
+                    Some(r.items(|r, i| {
+                        decode_node(r, i).map_err(within(format_args!("node[{i}]")))
+                    })?);
+            }
+            "inputs" => inputs = Some(r.items(|r, _| u32_of(r)).map_err(within("inputs"))?),
+            "outputs" => outputs = Some(r.items(|r, _| u32_of(r)).map_err(within("outputs"))?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    r.finish()?;
+    let graph = |key| format!("graph: missing field {key:?}");
+    let name = name.ok_or_else(|| graph("name"))?;
+    let tensors: Vec<Tensor> = tensors.ok_or_else(|| graph("tensors"))?;
+    let nodes: Vec<Node> = nodes.ok_or_else(|| graph("nodes"))?;
+    let inputs = inputs.ok_or_else(|| graph("inputs"))?;
+    let outputs = outputs.ok_or_else(|| graph("outputs"))?;
 
-    let tensor_items = as_arr(want(&doc, "tensors", "graph")?, "graph.tensors")?;
-    let node_items = as_arr(want(&doc, "nodes", "graph")?, "graph.nodes")?;
-    let n_tensors = tensor_items.len();
-    let n_nodes = node_items.len();
-
-    let check_tensor_ref = |id: u32, ctx: &str| -> Result<TensorId, String> {
+    // Both lists are read: now every reference can be range-checked.
+    let (n_tensors, n_nodes) = (tensors.len(), nodes.len());
+    let tensor_ref = |id: u32, ctx: &dyn Display| -> Result<TensorId, String> {
         if (id as usize) < n_tensors {
             Ok(TensorId(id))
         } else {
@@ -820,139 +1151,253 @@ fn decode_graph_inner(text: &str) -> Result<Graph, String> {
             ))
         }
     };
-    let check_node_ref = |id: u32, ctx: &str| -> Result<NodeId, String> {
-        if (id as usize) < n_nodes {
-            Ok(NodeId(id))
-        } else {
-            Err(format!(
-                "{ctx}: node id {id} out of range (graph has {n_nodes} nodes)"
-            ))
+    for (i, t) in tensors.iter().enumerate() {
+        if let Some(NodeId(id)) = t.producer {
+            if id as usize >= n_nodes {
+                return Err(format!(
+                    "tensor[{i}]: node id {id} out of range (graph has {n_nodes} nodes)"
+                ));
+            }
         }
-    };
-
-    let mut tensors = Vec::with_capacity(n_tensors);
-    let mut names = HashSet::with_capacity(n_tensors);
-    for (i, t) in tensor_items.iter().enumerate() {
-        let ctx = format!("tensor[{i}]");
-        let id = as_u32(want(t, "id", &ctx)?, &ctx)?;
-        if id as usize != i {
-            return Err(format!("{ctx}: id {id} does not match its position"));
-        }
-        let tname = as_str(want(t, "name", &ctx)?, &ctx)?;
-        if !names.insert(tname) {
-            return Err(format!("{ctx}: duplicate tensor name {tname:?}"));
-        }
-        let tname = tname.to_owned();
-        let shape = decode_shape(want(t, "shape", &ctx)?, &ctx)?;
-        let dtype = decode_dtype(want(t, "dtype", &ctx)?, &ctx)?;
-        let producer = match want(t, "producer", &ctx)? {
-            Json::Null => None,
-            v => Some(check_node_ref(as_u32(v, &ctx)?, &ctx)?),
-        };
-        tensors.push(Tensor {
-            id: TensorId(id),
-            name: tname,
-            shape,
-            dtype,
-            producer,
-        });
     }
-
-    let mut nodes = Vec::with_capacity(n_nodes);
-    for (i, n) in node_items.iter().enumerate() {
-        let ctx = format!("node[{i}]");
-        let id = as_u32(want(n, "id", &ctx)?, &ctx)?;
-        if id as usize != i {
-            return Err(format!("{ctx}: id {id} does not match its position"));
+    for (i, n) in nodes.iter().enumerate() {
+        for &TensorId(id) in n.inputs.iter().chain([&n.output]) {
+            tensor_ref(id, &format_args!("node[{i}]"))?;
         }
-        let nname = as_str(want(n, "name", &ctx)?, &ctx)?.to_owned();
-        let op = decode_op(want(n, "op", &ctx)?, &format!("{ctx}.op"))?;
-        let inputs = as_arr(want(n, "inputs", &ctx)?, &ctx)?
-            .iter()
-            .map(|v| check_tensor_ref(as_u32(v, &ctx)?, &ctx))
-            .collect::<Result<Vec<_>, _>>()?;
-        let output = check_tensor_ref(as_u32(want(n, "output", &ctx)?, &ctx)?, &ctx)?;
-        nodes.push(Node {
-            id: NodeId(id),
-            name: nname,
-            op,
-            inputs,
-            output,
-        });
     }
-
-    let id_list = |key: &str| -> Result<Vec<TensorId>, String> {
-        as_arr(want(&doc, key, "graph")?, key)?
-            .iter()
-            .map(|v| check_tensor_ref(as_u32(v, key)?, key))
-            .collect()
+    let ids = |list: Vec<u32>, key: &str| -> Result<Vec<TensorId>, String> {
+        list.into_iter().map(|id| tensor_ref(id, &key)).collect()
     };
-    let inputs = id_list("inputs")?;
-    let outputs = id_list("outputs")?;
-
+    let inputs = ids(inputs, "inputs")?;
+    let outputs = ids(outputs, "outputs")?;
     Ok(Graph::from_parts_unchecked(
         name, tensors, nodes, inputs, outputs,
     ))
+}
+
+/// Tensor `i`, its producer not yet range-checked.
+fn decode_tensor<'a>(
+    r: &mut Reader<'a>,
+    i: usize,
+    names: &mut HashSet<Cow<'a, str>>,
+) -> Result<Tensor, String> {
+    let (mut id, mut name, mut shape, mut dtype, mut producer) = (None, None, None, None, None);
+    r.members(|r, key| {
+        match key {
+            "id" => id = Some(positional_id(r, i)?),
+            "name" => {
+                let tname = r.str()?;
+                if !names.insert(tname.clone()) {
+                    return Err(format!("duplicate tensor name {tname:?}"));
+                }
+                name = Some(tname.into_owned());
+            }
+            "shape" => shape = Some(Shape(decode_dims(r)?)),
+            "dtype" => dtype = Some(decode_dtype(r)?),
+            "producer" => {
+                producer = Some(if r.peek()? == Kind::Null {
+                    r.null()?;
+                    None
+                } else {
+                    Some(NodeId(u32_of(r)?))
+                });
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    Ok(Tensor {
+        id: TensorId(need(id, "id")?),
+        name: need(name, "name")?,
+        shape: need(shape, "shape")?,
+        dtype: need(dtype, "dtype")?,
+        producer: need(producer, "producer")?,
+    })
+}
+
+/// Node `i`, its tensor references not yet range-checked.
+fn decode_node(r: &mut Reader<'_>, i: usize) -> Result<Node, String> {
+    let (mut id, mut name, mut op, mut inputs, mut output) = (None, None, None, None, None);
+    r.members(|r, key| {
+        match key {
+            "id" => id = Some(positional_id(r, i)?),
+            "name" => name = Some(r.str()?.into_owned()),
+            "op" => op = Some(decode_op(r).map_err(within("op"))?),
+            "inputs" => inputs = Some(r.items(|r, _| Ok(TensorId(u32_of(r)?)))?),
+            "output" => output = Some(TensorId(u32_of(r)?)),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    Ok(Node {
+        id: NodeId(need(id, "id")?),
+        name: need(name, "name")?,
+        op: need(op, "op")?,
+        inputs: need(inputs, "inputs")?,
+        output: need(output, "output")?,
+    })
+}
+
+/// The `id` of list item `i`, which must be `i`.
+fn positional_id(r: &mut Reader<'_>, i: usize) -> Result<u32, String> {
+    let id = u32_of(r)?;
+    if id as usize != i {
+        return Err(format!("id {id} does not match its position"));
+    }
+    Ok(id)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Reads any document through the reader, skipping its one value.
+    fn check(text: &str) -> Result<(), String> {
+        let mut r = Reader::new(text);
+        r.skip()?;
+        r.finish()
+    }
+
     #[test]
-    fn parser_round_trips_values() {
+    fn reader_reads_what_it_is_asked_for() {
         let text = r#"{"a": [1, -2, 3], "b": "x\"y", "c": null, "d": true, "e": {}}"#;
-        let v = parse(text).unwrap();
-        let pretty = to_string_pretty(&v);
-        assert_eq!(parse(&pretty).unwrap(), v);
+        let mut r = Reader::new(text);
+        r.begin_object().unwrap();
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("a"));
+        assert_eq!(r.items(|r, _| r.int()).unwrap(), [1, -2, 3]);
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("b"));
+        assert!(matches!(r.str().unwrap(), Cow::Owned(s) if s == "x\"y"));
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("c"));
+        assert_eq!(r.peek(), Ok(Kind::Null));
+        r.null().unwrap();
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("d"));
+        assert_eq!(r.bool(), Ok(true));
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("e"));
+        r.skip().unwrap();
+        assert_eq!(r.next_key().unwrap(), None);
+        r.finish().unwrap();
     }
 
     #[test]
     fn parser_rejects_garbage() {
-        assert!(parse("{").is_err());
-        assert!(parse("[1, 2,]").is_err());
-        assert!(parse("{\"a\": 1} trailing").is_err());
-        assert!(parse("1.5").is_err());
-        assert!(parse("\"unterminated").is_err());
-        assert!(parse("{\"a\": 1, \"a\": 2}").is_err());
+        assert!(check("").is_err());
+        assert!(check("{").is_err());
+        assert!(check("[1, 2,]").is_err());
+        assert!(check("[,1]").is_err());
+        assert!(check("[1 2]").is_err());
+        assert!(check("{\"a\" 1}").is_err());
+        assert!(check("{\"a\": 1,}").is_err());
+        assert!(check("{\"a\": 1} trailing").is_err());
+        assert!(check("1.5").is_err());
+        assert!(check("\"unterminated").is_err());
+        assert!(check("\"\\u12\"").is_err());
+        assert!(check("\"\\u+123\"").is_err());
+        assert!(check("{\"a\": 1, \"a\": 2}").is_err());
+        assert!(check("[{\"a\": 1, \"b\": {\"a\": 2}, \"a\": 3}]")
+            .unwrap_err()
+            .contains("duplicate object key \"a\" at byte 25"));
+        // Keys of sibling objects do not collide.
+        check("[{\"a\": 1}, {\"a\": 2}]").unwrap();
+    }
+
+    #[test]
+    fn a_wide_object_is_checked_for_duplicates_in_linear_time() {
+        let keys = 200_000;
+        let wide: Vec<String> = (0..keys).map(|i| format!("\"k{i}\": {i}")).collect();
+        let object = format!("{{{}}}", wide.join(", "));
+        let start = std::time::Instant::now();
+        check(&object).expect("distinct keys");
+        // Siblings start their keys where the wide one started; its set
+        // goes when it closes, so the third object's keys meet only its own.
+        let repeated = format!(
+            "[{object}, {{\"k0\": 0}}, {{{}, \"k{}\": 0}}]",
+            wide.join(", "),
+            keys - 1
+        );
+        let err = check(&repeated).unwrap_err();
+        assert!(
+            err.contains(&format!("duplicate object key \"k{}\"", keys - 1)),
+            "{err}"
+        );
+        // A scan per key would make 2·10¹⁰ comparisons here.
+        if !cfg!(debug_assertions) {
+            assert!(start.elapsed().as_secs() < 2, "{:?}", start.elapsed());
+        }
+    }
+
+    #[test]
+    fn numbers_are_json_integers() {
+        for ok in ["0", "-0", "7", "-12", "9223372036854775807"] {
+            check(ok).unwrap_or_else(|e| panic!("{ok}: {e}"));
+        }
+        for (bad, why) in [
+            ("01", "malformed number at byte 0"),
+            ("-", "malformed number at byte 0"),
+            ("-01", "malformed number at byte 0"),
+            ("[1, 007]", "malformed number at byte 4"),
+            ("9223372036854775808", "number out of range"),
+            ("1e3", "no floating-point numbers"),
+        ] {
+            let err = check(bad).unwrap_err();
+            assert!(err.contains(why), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_graph_with_a_malformed_id_is_refused_where_the_number_starts() {
+        let graph = r#"{"name": "g", "tensors": [{"id": 0, "name": "x", "shape": [2], "dtype": "F32", "producer": null}], "nodes": [], "inputs": [0], "outputs": [0]}"#;
+        decode_graph(graph).expect("the well-formed graph loads");
+        for (bad, at) in [("\"id\": 01", 33), ("\"id\": -", 33)] {
+            let err = decode_graph(&graph.replacen("\"id\": 0", bad, 1))
+                .expect_err(bad)
+                .to_string();
+            assert!(
+                err.contains(&format!("malformed number at byte {at}")),
+                "{bad}: {err}"
+            );
+        }
     }
 
     #[test]
     fn strings_keep_escapes_and_multibyte_runs() {
         // Runs between escapes are copied whole; every cut is at an ASCII
         // delimiter, so multi-byte characters on either side of one survive.
-        let v = parse(r#"["né\"é", "\u00e9→\n←", "", "日本\\語", "~ones[2, 3]"]"#).unwrap();
-        let strs = |v: &Json| match v {
-            Json::Arr(items) => items
-                .iter()
-                .map(|i| match i {
-                    Json::Str(s) => s.clone(),
-                    other => panic!("not a string: {other:?}"),
-                })
-                .collect::<Vec<_>>(),
-            other => panic!("not an array: {other:?}"),
-        };
-        assert_eq!(strs(&v), ["né\"é", "é→\n←", "", "日本\\語", "~ones[2, 3]"]);
-        assert_eq!(parse(&to_string_pretty(&v)).unwrap(), v);
-        assert!(parse("\"é").is_err(), "unterminated after a multi-byte run");
+        let text = r#"["né\"é", "\u00e9→\n←", "", "日本\\語", "~ones[2, 3]"]"#;
+        let mut r = Reader::new(text);
+        let strs = r.items(|r, _| Ok(r.str()?.into_owned())).unwrap();
+        assert_eq!(strs, ["né\"é", "é→\n←", "", "日本\\語", "~ones[2, 3]"]);
+        let mut written = String::new();
+        for s in &strs {
+            write_escaped(&mut written, s);
+        }
+        let mut r = Reader::new(&written);
+        for s in &strs {
+            assert_eq!(&r.str().unwrap(), s);
+        }
+        assert!(check("\"é").is_err(), "unterminated after a multi-byte run");
+        // Without an escape the string is the text's own bytes.
+        assert!(matches!(
+            Reader::new("\"日本\"").str(),
+            Ok(Cow::Borrowed("日本"))
+        ));
     }
 
     #[test]
     fn nesting_is_bounded_instead_of_overflowing_the_stack() {
         let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
-        assert!(parse(&nested(MAX_NESTING)).is_ok());
-        let err = parse(&nested(MAX_NESTING + 1)).unwrap_err();
+        assert!(check(&nested(MAX_NESTING)).is_ok());
+        let err = check(&nested(MAX_NESTING + 1)).unwrap_err();
         assert!(err.contains("nesting deeper"), "{err}");
         // The hostile shape: nothing but openers, far past any stack.
-        assert!(parse(&"[".repeat(200_000))
+        assert!(check(&"[".repeat(200_000))
             .unwrap_err()
             .contains("nesting deeper"));
-        assert!(parse(&"{\"a\":".repeat(200_000))
+        assert!(check(&"{\"a\":".repeat(200_000))
             .unwrap_err()
             .contains("nesting deeper"));
         // Siblings do not nest: the count falls again when a value closes.
         let wide = format!("[{}]", vec![nested(MAX_NESTING - 1); 3].join(","));
-        assert!(parse(&wide).is_ok());
+        assert!(check(&wide).is_ok());
     }
 
     #[test]
@@ -984,16 +1429,41 @@ mod tests {
             },
         ];
         for op in ops {
-            let enc = encode_op(&op);
-            let dec = decode_op(&enc, "op").unwrap();
+            let mut w = Pretty {
+                out: String::new(),
+                indent: 0,
+                fresh: false,
+            };
+            w.op(&op);
+            let dec = decode_op(&mut Reader::new(&w.out)).unwrap();
             assert_eq!(dec, op);
         }
     }
 
     #[test]
+    fn op_members_come_in_any_order_and_unknown_ones_are_skipped() {
+        let text = r#"{"Slice": {"end": 4, "note": [1, {"x": null}], "start": 0, "dim": 1}}"#;
+        let op = decode_op(&mut Reader::new(text)).unwrap();
+        let want = Op::Slice {
+            dim: 1,
+            start: Dim::from(0),
+            end: Dim::from(4),
+        };
+        assert_eq!(op, want);
+        for bad in [
+            r#"{"Slice": {"dim": 1, "start": 0}}"#,
+            r#"{"Slice": {"dim": 1, "start": 0, "end": 4}, "Concat": {"dim": 0}}"#,
+            r#"{}"#,
+        ] {
+            assert!(decode_op(&mut Reader::new(bad)).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
     fn unknown_operator_is_rejected() {
-        assert!(decode_op(&Json::Str("Matmul2".into()), "op").is_err());
+        assert!(decode_op(&mut Reader::new("\"Matmul2\"")).is_err());
         // A unit tag where an attribute-carrying op was expected.
-        assert!(decode_op(&Json::Str("Softmax".into()), "op").is_err());
+        assert!(decode_op(&mut Reader::new("\"Softmax\"")).is_err());
+        assert!(decode_op(&mut Reader::new("{\"Matmul2\": {}}")).is_err());
     }
 }

@@ -73,7 +73,9 @@ fn main() {
 
     println!("\nMost-applied lemmas:");
     let mut stats: Vec<(&str, u64)> = outcome.saturation.lemma_counts().collect();
-    stats.sort_by_key(|(_, c)| std::cmp::Reverse(*c));
+    // Most applications first; equal counts by name, so the table does not
+    // come out in hash order.
+    stats.sort_by_key(|&(name, c)| (std::cmp::Reverse(c), name));
     for (name, count) in stats.iter().take(8) {
         println!("  {name:<32} {count}");
     }

@@ -171,6 +171,24 @@ fi
 if grep -nE 'to_string_pretty|Json::Int\(1\)' crates/cert/src/json.rs; then
   echo "crates/cert/src/json.rs pretty-prints or reads version 1 again (one format: v2, compact)"; exit 1
 fi
+# One JSON mechanism (DESIGN.md, *Certificates and the trusted kernel*):
+# graphs and certificates are read once, through the pull `Reader` in
+# crates/ir/src/json.rs; no whole-document value tree, or a `parse` that
+# builds one, grows back beside it outside the tests.
+tree=$(for f in crates/{ir,cert}/src/*.rs; do
+  [ "$(basename "$f")" = tests.rs ] && continue
+  awk -v f="$f" '/^#\[cfg\(test\)\]/{exit} {print f ":" FNR ": " $0}' "$f"
+done | grep -E '\benum Json\b|\bJson::|\bfn parse\(|json::parse\b|\bparse as\b' || true)
+if [ -n "$tree" ]; then
+  echo "$tree"
+  echo "crates/{ir,cert}/src defines or calls a whole-document JSON tree parse again (read through json::Reader)"; exit 1
+fi
+# The certificate term table's memo is keyed by nodes read from a file, so
+# it keeps std's keyed hasher: FxHash is faster but has no collision
+# resistance against a hostile file.
+if grep -nE 'FxHash' crates/cert/src/table.rs; then
+  echo "crates/cert/src/table.rs uses FxHash (the file-keyed memo keeps std's keyed hasher)"; exit 1
+fi
 # The reader copies each term-table entry out once, in its per-entry memo,
 # and every position naming the entry shares that storage: a second
 # `materialise(` call is a second copy path beside the memo.

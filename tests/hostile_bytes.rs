@@ -269,3 +269,185 @@ fn two_cold_checks_print_identical_stdout_and_jobs_is_not_a_flag() {
     assert!(stderr.starts_with("error: unknown flag --jobs"), "{stderr}");
     assert!(rejected.stdout.is_empty(), "{stderr}");
 }
+
+/// `certify --check` of a certificate whose one mapping's proof is `levels`
+/// congruence steps, each the only child of the one before: three levels of
+/// JSON nesting per step.
+fn nested_proof(levels: usize) -> String {
+    let step = "{\"kind\":\"congruence\",\"before\":0,\"after\":0,\"children\":[[";
+    format!(
+        "{{\"version\":2,\"gs\":\"gs\",\"gd\":\"gd\",\"terms\":[\"x\"],\"inputs\":[],\
+         \"mappings\":[{{\"tensor\":\"y\",\"operator\":\"y\",\"inputs\":[],\"expr\":0,\
+         \"proof\":[{}{}]}}],\"outputs\":[]}}",
+        step.repeat(levels),
+        "]]}".repeat(levels)
+    )
+}
+
+#[test]
+fn congruence_children_nested_past_the_bound_are_refused_not_a_stack_overflow() {
+    assert_refused(
+        &recheck("children", &nested_proof(100)),
+        "nesting deeper than",
+    );
+    assert_refused(
+        &recheck("children-deep", &nested_proof(100_000)),
+        "nesting deeper than",
+    );
+}
+
+#[test]
+fn an_unknown_member_nested_past_the_bound_is_refused_not_skipped() {
+    let depth = 300;
+    let cert = format!(
+        "{{\"version\":2,\"comment\":{}{},\"gs\":\"gs\"}}",
+        "[".repeat(depth),
+        "]".repeat(depth)
+    );
+    assert_refused(&recheck("unknown-member", &cert), "nesting deeper than");
+}
+
+/// The `gpt_tp2` example pair: its `G_s`, `G_d` text and maps file.
+fn example(ext: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("examples/graphs/gpt_tp2")
+        .with_extension(ext)
+}
+
+/// `entangle check` of the `gpt_tp2` pair with `G_d` given as `gd` text.
+fn check_gd(case: &str, gd: &str) -> Output {
+    let (gs, maps) = (example("gs.json"), example("maps"));
+    run_on_file(
+        case,
+        gd,
+        &[
+            "check",
+            gs.to_str().expect("utf-8 path"),
+            "FILE",
+            "--maps",
+            maps.to_str().expect("utf-8 path"),
+            "--no-ledger",
+        ],
+    )
+}
+
+fn read_example(ext: &str) -> String {
+    std::fs::read_to_string(example(ext)).expect("an example file")
+}
+
+#[test]
+fn a_gd_file_nested_past_the_bound_is_a_usage_error_not_a_stack_overflow() {
+    let depth = 300;
+    let gd = read_example("gd.json").replacen(
+        "{\n",
+        &format!(
+            "{{\n  \"extra\": {}{},\n",
+            "[".repeat(depth),
+            "]".repeat(depth)
+        ),
+        1,
+    );
+    let out = check_gd("gd-nesting", &gd);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    let diagnostic = stderr.lines().next().unwrap_or_default();
+    assert!(
+        diagnostic.starts_with("error: ") && diagnostic.contains("nesting deeper than 256"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("overflow"), "{stderr}");
+}
+
+#[test]
+fn a_graph_whose_nodes_come_before_its_tensors_loads() {
+    let gd = read_example("gd.json");
+    let section = |key: &str| {
+        gd.find(&format!("\n  \"{key}\": "))
+            .expect("a top-level member")
+    };
+    let (tensors, nodes, inputs) = (section("tensors"), section("nodes"), section("inputs"));
+    let swapped = [
+        &gd[..tensors],
+        &gd[nodes..inputs],
+        &gd[tensors..nodes],
+        &gd[inputs..],
+    ]
+    .concat();
+    assert_ne!(swapped, gd);
+    let (original, reordered) = (
+        check_gd("gd-in-order", &gd),
+        check_gd("gd-swapped", &swapped),
+    );
+    let stdout = String::from_utf8_lossy(&reordered.stdout);
+    assert_eq!(reordered.status.code(), Some(0), "{stdout}");
+    assert_eq!(stdout, String::from_utf8_lossy(&original.stdout));
+}
+
+/// `entangle certify` of the `gpt_tp2` pair: `--emit`s its certificate
+/// into a scratch directory, or `--check`s the given certificate text.
+fn certify_example(case: &str, cert: Option<&str>) -> (Output, String) {
+    let dir = std::env::temp_dir().join(format!("entangle-hostile-{}-{case}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let file = dir.join("cert.json");
+    let mut cmd = Command::new(entangle());
+    cmd.arg("certify")
+        .args([example("gs.json"), example("gd.json")]);
+    match cert {
+        Some(text) => {
+            std::fs::write(&file, text).expect("writes");
+            cmd.arg("--check").arg(&file);
+        }
+        None => {
+            cmd.arg("--maps")
+                .arg(example("maps"))
+                .arg("--emit")
+                .arg(&file);
+        }
+    }
+    let out = cmd.arg("--no-ledger").output().expect("entangle runs");
+    let written = std::fs::read_to_string(&file).unwrap_or_default();
+    std::fs::remove_dir_all(&dir).ok();
+    (out, written)
+}
+
+#[test]
+fn a_certificate_whose_mappings_come_before_its_terms_verifies_alike() {
+    let (emitted, cert) = certify_example("cert-emit", None);
+    assert_eq!(emitted.status.code(), Some(0), "{emitted:?}");
+    let section = |key: &str| {
+        cert.find(&format!(",\n\"{key}\":"))
+            .expect("a top-level member")
+    };
+    let (terms, mappings, outputs) = (section("terms"), section("mappings"), section("outputs"));
+    let moved = [
+        &cert[..terms],
+        &cert[mappings..outputs],
+        &cert[terms..mappings],
+        &cert[outputs..],
+    ]
+    .concat();
+    assert_ne!(moved, cert);
+    let (in_order, _) = certify_example("cert-in-order", Some(&cert));
+    let (reordered, _) = certify_example("cert-moved", Some(&moved));
+    let stdout = String::from_utf8_lossy(&reordered.stdout);
+    assert_eq!(reordered.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("Certificate verified: "), "{stdout}");
+    assert_eq!(stdout, String::from_utf8_lossy(&in_order.stdout));
+}
+
+#[test]
+fn a_duplicated_member_is_refused() {
+    let cert = "{\"version\":2,\"gs\":\"gs\",\"gs\":\"gs\"}";
+    assert_refused(
+        &recheck("duplicate-member", cert),
+        "duplicate object key \"gs\"",
+    );
+    let gd = read_example("gd.json").replacen("{\n", "{\n  \"outputs\": [],\n", 1);
+    let out = check_gd("gd-duplicate", &gd);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("duplicate object key \"outputs\""),
+        "{stderr}"
+    );
+}
