@@ -248,9 +248,10 @@ both graphs before any saturation (see E###/W### codes in the docs).
 
 rules runs the static rule-corpus analysis (RL## codes) over the full
 lemma registry: growth classification (simplifying / size-preserving /
-generative), the rule-interaction graph with its generative cycles, the
-backoff throttle set the checker derives from them, duplicate/subsumed/
-dead rules, and abstract shape/dtype soundness of every pattern rule.
+generative), the rule-interaction graph with its generative cycles and
+their driver rules, duplicate/subsumed/dead rules, and abstract
+shape/dtype soundness of every pattern rule. It is lint only: the checker
+does not read it, and saturation budgets every rule alike.
 
 num runs the static numeric-soundness analysis (NU## codes) over the full
 lemma registry: every rewrite is classified as bit-exact (rearrangement),
@@ -969,7 +970,7 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
                 let analysis = entangle_rules::analyze(&rewrites);
                 sp.attr("rules", analysis.classes.len());
                 sp.attr("cycles", analysis.cycles.len());
-                sp.attr("throttled", analysis.throttled.len());
+                sp.attr("drivers", analysis.drivers.len());
                 sp.attr("errors", analysis.report.error_count());
                 sp.attr("warnings", analysis.report.warning_count());
                 analysis

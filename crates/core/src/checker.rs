@@ -7,8 +7,8 @@ use std::time::{Duration, Instant};
 
 use entangle_cert::{CertError, Certificate, MappingCert};
 use entangle_egraph::{
-    BackoffSchedule, CompiledMatcher, EGraph, ENode, Extractor, Id, Proof, RecExpr, Rewrite,
-    RunReport, SaturationReport, StopReason,
+    CompiledMatcher, EGraph, ENode, Extractor, Id, Proof, RecExpr, Rewrite, RunReport,
+    SaturationReport, StopReason,
 };
 use entangle_ir::{Graph, Node, NodeId};
 use entangle_lemmas::{registry, rewrites_of, TensorAnalysis};
@@ -70,20 +70,6 @@ pub struct CheckOptions {
     /// Ignored: the map stage is one in-order loop on the calling thread.
     /// Kept only so callers that still set it compile.
     pub jobs: usize,
-    /// Rule-class-driven backoff scheduling (on by default): the static
-    /// corpus analysis (`entangle-rules`) classifies every rewrite and
-    /// throttles non-simplifying members of generative interaction cycles —
-    /// a rule whose per-iteration match count exceeds the budget sits out a
-    /// cooldown, with both doubling on repeat offenses. Saturation still
-    /// only reports `Saturated` after a full iteration with every rule
-    /// active, so verdicts, relations, and certificates are identical with
-    /// the scheduler on or off (the determinism suite pins this); what
-    /// changes is wasted e-matching on blowup pairs like
-    /// `scalar_mul-distribute` ⇄ `scalar_mul-compose`. The schedule is
-    /// derived once per check from the active rewrite set. Turn off to
-    /// measure the unthrottled engine (`tests/rules_dynamic.rs` pins
-    /// verdict identity on/off).
-    pub rule_backoff: bool,
     /// Static numeric-soundness analysis (on by default, requires
     /// [`CheckOptions::certify`]): after the trusted kernel accepts the
     /// certificate, `entangle-num` classifies every proof step as
@@ -108,7 +94,6 @@ impl Default for CheckOptions {
             certify: true,
             trace: Tracer::null(),
             jobs: 1,
-            rule_backoff: true,
             numeric: true,
         }
     }
@@ -620,8 +605,6 @@ pub fn check_refinement_counted(
 /// stages it reached and nothing else.
 #[derive(Default)]
 struct Tally {
-    /// `stage:setup` ran: the backoff schedule's length.
-    throttled: Option<usize>,
     /// The map stage ran, to success or failure.
     map: Option<(FreshCounts, ParStats)>,
     /// `stage:certify` ran: did the kernel accept?
@@ -635,9 +618,6 @@ impl Tally {
     fn snapshot(&self) -> entangle_metrics::Snapshot {
         let mut counters = Vec::new();
         let mut gauges = Vec::new();
-        if let Some(n) = self.throttled {
-            gauges.push(("rules.backoff.throttled", n as u64));
-        }
         if let Some((fresh, par)) = &self.map {
             if fresh.runs > 0 {
                 counters.extend([
@@ -726,28 +706,16 @@ fn check_refinement_inner(
 
     // Everything the map stage needs that depends on the rule corpus alone,
     // derived once per check and shared with every per-operator solve.
-    let (rewrites, backoff, matcher) = stage(opts, "setup", |sp| {
+    let (rewrites, matcher) = stage(opts, "setup", |sp| {
         let rewrites = opts
             .rewrites
             .clone()
             .unwrap_or_else(|| rewrites_of(&registry()));
-        // Rule-class-driven backoff: the throttle schedule of the active
-        // rewrite set (classification + interaction-cycle analysis, no
-        // e-graph).
-        let (backoff, unifications) = if opts.rule_backoff {
-            entangle_rules::backoff_schedule_counted(&rewrites)
-        } else {
-            (None, 0)
-        };
-        let throttled = backoff.as_ref().map_or(0, BackoffSchedule::len);
-        tally.throttled = Some(throttled);
         // The discrimination tree every saturation run searches with.
         let matcher = CompiledMatcher::compile(&rewrites);
         sp.attr("rules", rewrites.len());
-        sp.attr("throttled", throttled);
         sp.attr("trie_nodes", matcher.trie_nodes());
-        sp.attr("unifications", unifications);
-        (rewrites, backoff, matcher)
+        (rewrites, matcher)
     });
 
     let certificate = opts.certify.then(|| Certificate {
@@ -783,7 +751,6 @@ fn check_refinement_inner(
             opts,
             rewrites: &rewrites,
             matcher: &matcher,
-            backoff: backoff.as_ref(),
             consumers: GdConsumers::new(gd),
         };
         map_stage(&ctx, &mut st)
@@ -935,13 +902,12 @@ fn engine_fingerprint(opts: &CheckOptions, rewrites: &[Rewrite<TensorAnalysis>])
     let mut fp = String::with_capacity(64 * rewrites.len());
     let _ = write!(
         fp,
-        "|cfg:stop=goal,iters={}+height,nodes={},time_us={},max={},certify={},backoff={},compiled={},clean={:?};lemmas:",
+        "|cfg:stop=goal,iters={}+height,nodes={},time_us={},max={},certify={},compiled={},clean={:?};lemmas:",
         ITER_SLACK,
         NODE_LIMIT,
         TIME_LIMIT.as_micros(),
         opts.max_mappings,
         opts.certify,
-        opts.rule_backoff,
         // The matcher *generation* keys the baseline: a revised compilation
         // strategy must not be compared against an older one's numbers.
         format_args!("g{}", entangle_egraph::MATCHER_GENERATION),
@@ -1046,7 +1012,6 @@ struct MapCtx<'a> {
     rewrites: &'a [Rewrite<TensorAnalysis>],
     /// `rewrites` compiled, once, for every saturation run of the check.
     matcher: &'a CompiledMatcher,
-    backoff: Option<&'a BackoffSchedule>,
     /// Consumer index over `G_d`, built once and shared by every
     /// `build_problem` frontier closure.
     consumers: GdConsumers,
@@ -1107,13 +1072,7 @@ fn run_op(ctx: &MapCtx, st: &mut MapState, node: &Node, per_input: &[Vec<RecExpr
         }
         None => {
             st.par.cache_misses += 1;
-            let fresh = Arc::new(solve_problem(
-                &problem,
-                ctx.opts,
-                ctx.rewrites,
-                ctx.matcher,
-                ctx.backoff,
-            ));
+            let fresh = Arc::new(solve_problem(&problem, ctx.opts, ctx.rewrites, ctx.matcher));
             st.memo.insert(key, fresh.clone());
             (fresh, false)
         }

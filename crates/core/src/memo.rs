@@ -22,8 +22,8 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 use entangle_egraph::{
-    BackoffSchedule, CompiledMatcher, EGraph, Id, Justification, Proof, RecExpr, Rewrite,
-    RunReport, Runner, StopReason, Symbol,
+    CompiledMatcher, EGraph, Id, Justification, Proof, RecExpr, Rewrite, RunReport, Runner,
+    StopReason, Symbol,
 };
 use entangle_ir::{DType, Graph, Node, Op, Shape, TensorId};
 use entangle_lemmas::TensorAnalysis;
@@ -329,7 +329,6 @@ pub(crate) fn solve_problem(
     opts: &CheckOptions,
     rewrites: &[Rewrite<TensorAnalysis>],
     matcher: &CompiledMatcher,
-    backoff: Option<&BackoffSchedule>,
 ) -> Solved {
     let mut analysis = TensorAnalysis::with_ctx(opts.sym_ctx.clone());
     for l in &p.leaves {
@@ -408,8 +407,7 @@ pub(crate) fn solve_problem(
         let mut runner = Runner::new(owned)
             .with_iter_limit(iter_limit)
             .with_node_limit(NODE_LIMIT)
-            .with_time_limit(TIME_LIMIT)
-            .with_backoff(backoff.cloned());
+            .with_time_limit(TIME_LIMIT);
         // The round has its answer once what extraction would return holds
         // still across an iteration that grew the e-graph.
         let mut last: Option<Vec<(f64, RecExpr)>> = None;

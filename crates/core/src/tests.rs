@@ -811,21 +811,7 @@ mod scheduler {
             v.parse().unwrap()
         };
         assert_eq!(count("rules"), entangle_lemmas::registry().len() as u64);
-        assert_eq!(count("throttled"), 4);
         assert!(count("trie_nodes") > 0);
-        assert!((1..=3_000).contains(&count("unifications")));
-        // Without the schedule nothing is unified or throttled.
-        let (tracer, sink) = Tracer::collect();
-        let opts = CheckOptions {
-            trace: tracer.clone(),
-            rule_backoff: false,
-            ..CheckOptions::default()
-        };
-        check_refinement(&gs, &gd, &ri, &opts).unwrap();
-        let report = TraceReport::from_records(&sink.records()).unwrap();
-        let setup = report.find("stage:setup").unwrap();
-        assert_eq!(setup.attr("throttled"), Some("0"));
-        assert_eq!(setup.attr("unifications"), Some("0"));
 
         // A failed check (no outcome): the span is there, closed.
         let mut wrong = Relation::builder(&gs, &gd);

@@ -78,7 +78,7 @@ pub use node::{ENode, ParseExprError, RecExpr, MAX_TERM_DEPTH};
 pub use pattern::{Pattern, PatternAst, SearchMatches, Subst, Var};
 pub use rewrite::{Condition, Rewrite};
 pub use runner::{
-    BackoffSchedule, IterationReport, RuleReport, RunReport, Runner, SaturationReport, StopReason,
+    IterationReport, RuleReport, RunReport, Runner, SaturationReport, StopReason,
     DEFAULT_BAN_LENGTH, DEFAULT_MATCH_BUDGET,
 };
 pub use store::{Parents, TermStore};

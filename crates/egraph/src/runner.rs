@@ -1,6 +1,6 @@
 //! Equality saturation driver with resource limits and per-rule statistics.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use crate::egraph::{Analysis, EGraph};
@@ -8,88 +8,28 @@ use crate::machine::{CompiledMatcher, SharedSearch};
 use crate::pattern::Subst;
 use crate::rewrite::{AppliedMemo, Rewrite};
 
-/// Default per-iteration match budget for throttled rules (see
-/// [`BackoffSchedule`]). The throttled set is the generative-cycle
-/// *drivers* — rules whose match volume explodes combinatorially when
-/// they misbehave — so the budget is deliberately tight: any sizable
-/// per-iteration match volume from a driver is the blowup signature, and
-/// the budget doubles with each ban, so well-behaved bursts recover.
-/// Swept on the MoE/TP-SP2 workload (the `moe_ep` benchmark input): 16/16
-/// gives the best end-to-end time, and the budget's escalation keeps the
-/// shallow zoo workloads at noise level.
-pub const DEFAULT_MATCH_BUDGET: u64 = 16;
-
-/// Default ban length (iterations) for a rule that first exceeds its match
-/// budget; doubles on every repeat offense, egg-style.
-pub const DEFAULT_BAN_LENGTH: usize = 16;
-
-/// A static backoff schedule: a set of rule names eligible for
-/// match-budget throttling, typically the members of a generative rewrite
-/// cycle found by `entangle-rules`' interaction-graph analysis.
+/// Per-iteration match budget of every rule, egg's `BackoffScheduler`
+/// rule: a rule whose search yields more than
+/// `DEFAULT_MATCH_BUDGET << times_banned` substitutions is banned (its
+/// search is skipped entirely) for `DEFAULT_BAN_LENGTH << times_banned`
+/// iterations. The budget doubles with each ban, so well-behaved bursts
+/// recover; a rule that keeps exploding combinatorially is searched ever
+/// more rarely.
 ///
-/// Scheduling is egg's `BackoffScheduler` idea driven by a *static* rule
-/// classification instead of runtime heuristics: a throttled rule whose
-/// search exceeds `match_budget << times_banned` substitutions is banned
-/// (its search is skipped entirely) for `ban_length << times_banned`
-/// iterations. Rules outside the set — in particular every rule classified
-/// *simplifying* — are never throttled.
-///
-/// The schedule cannot change verdicts: the runner only reports
+/// The budget cannot change a `Saturated` verdict: the runner only reports
 /// [`StopReason::Saturated`] after a full iteration in which **no** rule
 /// was banned and no union happened, so the final e-graph is closed under
-/// the whole rule set exactly as with the unthrottled schedule (see
-/// [`Runner::run`]). It is also deterministic — ban state depends only on
-/// match counts, never on wall clock.
-#[derive(Debug, Clone, Default)]
-pub struct BackoffSchedule {
-    throttled: HashSet<String>,
-    match_budget: u64,
-    ban_length: usize,
-}
+/// the whole rule set (see [`Runner::run`]). It is also deterministic —
+/// ban state depends only on match counts, never on wall clock.
+pub const DEFAULT_MATCH_BUDGET: u64 = 16;
 
-impl BackoffSchedule {
-    /// A schedule throttling the given rule names with the default budget
-    /// and ban length.
-    pub fn new(throttled: impl IntoIterator<Item = String>) -> Self {
-        BackoffSchedule {
-            throttled: throttled.into_iter().collect(),
-            match_budget: DEFAULT_MATCH_BUDGET,
-            ban_length: DEFAULT_BAN_LENGTH,
-        }
-    }
-
-    /// Overrides the per-iteration match budget.
-    pub fn with_match_budget(mut self, budget: u64) -> Self {
-        self.match_budget = budget.max(1);
-        self
-    }
-
-    /// Overrides the initial ban length (iterations).
-    pub fn with_ban_length(mut self, len: usize) -> Self {
-        self.ban_length = len.max(1);
-        self
-    }
-
-    /// `true` when `rule` is eligible for throttling.
-    pub fn is_throttled(&self, rule: &str) -> bool {
-        self.throttled.contains(rule)
-    }
-
-    /// Number of throttled rules.
-    pub fn len(&self) -> usize {
-        self.throttled.len()
-    }
-
-    /// `true` when no rule is throttled (the schedule is a no-op).
-    pub fn is_empty(&self) -> bool {
-        self.throttled.is_empty()
-    }
-}
+/// Ban length (iterations) for a rule that first exceeds its match
+/// budget; doubles on every repeat offense, egg-style.
+pub const DEFAULT_BAN_LENGTH: usize = 16;
 
 /// Per-rule backoff state during one run.
 #[derive(Debug, Clone, Copy, Default)]
 struct BackoffState {
-    throttled: bool,
     /// Rule search is skipped while `iteration <= banned_until`.
     banned_until: usize,
     times_banned: u32,
@@ -240,7 +180,7 @@ pub struct RunReport {
     pub egraph_classes: usize,
     /// Wall-clock time of the run.
     pub elapsed: Duration,
-    /// Times the [`BackoffSchedule`] banned a throttled rule.
+    /// Times a rule was banned for exceeding its match budget.
     pub bans: u64,
     /// Candidate e-nodes the shared traversal examined, over all iterations.
     pub ematch_candidates: u64,
@@ -275,7 +215,6 @@ pub struct Runner<A: Analysis> {
     iter_limit: usize,
     node_limit: usize,
     time_limit: Duration,
-    backoff: Option<BackoffSchedule>,
 }
 
 impl<A: Analysis> Runner<A> {
@@ -287,7 +226,6 @@ impl<A: Analysis> Runner<A> {
             iter_limit: 30,
             node_limit: 50_000,
             time_limit: Duration::from_secs(10),
-            backoff: None,
         }
     }
 
@@ -309,13 +247,6 @@ impl<A: Analysis> Runner<A> {
         self
     }
 
-    /// Installs a [`BackoffSchedule`]. `None` (the default) is the
-    /// unthrottled standard schedule.
-    pub fn with_backoff(mut self, schedule: Option<BackoffSchedule>) -> Self {
-        self.backoff = schedule;
-        self
-    }
-
     /// Runs the rewrites to saturation or a limit.
     ///
     /// Each iteration searches *all* rules against the frozen e-graph, then
@@ -326,13 +257,12 @@ impl<A: Analysis> Runner<A> {
     /// one for the run, [`Runner::run_with`] takes one the caller compiled
     /// (a check runs the same corpus dozens of times).
     ///
-    /// With a [`BackoffSchedule`] installed, throttled rules whose search
-    /// exceeds the match budget are banned — their search is skipped — for
-    /// a cooldown that doubles on repeat offenses. An iteration that
-    /// performs no union does **not** end the run while any rule is banned:
-    /// all bans are lifted and the loop continues, so `Saturated` still
-    /// certifies a fixpoint of the *full* rule set and the verdict is
-    /// unchanged from the unthrottled schedule.
+    /// A rule whose search exceeds its match budget
+    /// ([`DEFAULT_MATCH_BUDGET`]) is banned — its search is skipped — for a
+    /// cooldown that doubles on repeat offenses. An iteration that performs
+    /// no union does **not** end the run while any rule is banned: all bans
+    /// are lifted and the loop continues, so `Saturated` still certifies a
+    /// fixpoint of the *full* rule set.
     pub fn run(&mut self, rewrites: &[Rewrite<A>]) -> RunReport {
         self.run_with(rewrites, &CompiledMatcher::compile(rewrites))
     }
@@ -374,16 +304,7 @@ impl<A: Analysis> Runner<A> {
         // re-application turns the apply phase from quadratic in iteration
         // count to linear (see [`Rewrite::apply_deduped`]).
         let mut applied_memo: Vec<AppliedMemo> = vec![AppliedMemo::default(); rewrites.len()];
-        let mut backoff: Vec<BackoffState> = rewrites
-            .iter()
-            .map(|rw| BackoffState {
-                throttled: self
-                    .backoff
-                    .as_ref()
-                    .is_some_and(|s| s.is_throttled(rw.name())),
-                ..BackoffState::default()
-            })
-            .collect();
+        let mut backoff = vec![BackoffState::default(); rewrites.len()];
         // Buffers reused by every iteration: the shared search's match
         // storage and scratch, the active mask, and the one substitution
         // the apply loop refills per match.
@@ -413,7 +334,7 @@ impl<A: Analysis> Runner<A> {
             // skip, not apply dedup, is where the backoff win comes from.
             let mut any_banned = false;
             for (a, bo) in active.iter_mut().zip(&backoff) {
-                *a = !(bo.throttled && iterations <= bo.banned_until);
+                *a = iterations > bo.banned_until;
                 any_banned |= !*a;
             }
             let t0 = Instant::now();
@@ -435,20 +356,11 @@ impl<A: Analysis> Runner<A> {
                 stats.search_us += share;
                 let found = shared.matches[i].len() as u64;
                 stats.matches += found;
-                if bo.throttled {
-                    let budget = self
-                        .backoff
-                        .as_ref()
-                        .map_or(u64::MAX, |s| s.match_budget << bo.times_banned.min(16));
-                    if found > budget {
-                        let ban = self
-                            .backoff
-                            .as_ref()
-                            .map_or(0, |s| s.ban_length << bo.times_banned.min(16));
-                        bo.banned_until = iterations + ban;
-                        bo.times_banned += 1;
-                        bans += 1;
-                    }
+                let shift = bo.times_banned.min(16);
+                if found > DEFAULT_MATCH_BUDGET << shift {
+                    bo.banned_until = iterations + (DEFAULT_BAN_LENGTH << shift);
+                    bo.times_banned += 1;
+                    bans += 1;
                 }
             }
             // Apply phase.

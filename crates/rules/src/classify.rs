@@ -8,9 +8,9 @@ use crate::pattern_util::{count_vars, op_count};
 
 /// Where a rule sits in the growth lattice.
 ///
-/// The ordering is the scheduling contract: *simplifying* rules are never
-/// throttled, *generative* rules in an interaction cycle are the backoff
-/// candidates.
+/// The ordering runs from shrinking to growing: *simplifying* rules can
+/// never drive a cycle, *generative* rules in an interaction cycle are its
+/// candidate drivers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum GrowthClass {
     /// RHS strictly smaller than LHS, no variable duplicated, nothing

@@ -21,11 +21,10 @@
 //!    through the same inference the e-graph analysis runs.
 //!
 //! Findings surface as `RL01`–`RL06` diagnostics through the
-//! [`entangle_lint`] machinery (the `entangle rules` subcommand), and the
-//! classification is *consumed*: [`backoff_schedule`] turns generative
-//! cycles into the saturation backoff schedule
-//! ([`entangle_egraph::BackoffSchedule`]) that throttles the cycle
-//! *drivers* while leaving every other rule untouched.
+//! [`entangle_lint`] machinery (the `entangle rules` subcommand). The
+//! checker does not read this analysis: saturation budgets every rule
+//! alike (`entangle_egraph::DEFAULT_MATCH_BUDGET`), so the analysis is
+//! lint only.
 
 #![forbid(unsafe_code)]
 
@@ -37,7 +36,7 @@ mod soundness;
 
 use std::collections::BTreeSet;
 
-use entangle_egraph::{BackoffSchedule, Rewrite};
+use entangle_egraph::Rewrite;
 use entangle_lemmas::{TensorAnalysis, OP_VOCABULARY};
 use entangle_lint::{json_str, Anchor, Diagnostic, LintReport};
 
@@ -79,9 +78,9 @@ pub struct RuleAnalysis {
     pub graph: InteractionGraph,
     /// Every generative cycle (indices into `classes`).
     pub cycles: Vec<GenerativeCycle>,
-    /// Names of the rules the backoff scheduler throttles: the drivers of
-    /// every generative cycle. Sorted.
-    pub throttled: Vec<String>,
+    /// Names of the drivers of every generative cycle: the unconditioned,
+    /// variable-duplicating rules that feed it. Sorted.
+    pub drivers: Vec<String>,
     /// RL01–RL06 findings.
     pub report: LintReport,
 }
@@ -92,22 +91,12 @@ impl RuleAnalysis {
         self.classes.iter().filter(|c| c.class == class).count()
     }
 
-    /// The backoff schedule this analysis implies (`None` when nothing
-    /// needs throttling).
-    pub fn backoff(&self) -> Option<BackoffSchedule> {
-        if self.throttled.is_empty() {
-            None
-        } else {
-            Some(BackoffSchedule::new(self.throttled.iter().cloned()))
-        }
-    }
-
     /// Renders the analysis as a JSON object with a stable field order:
     /// `rules`, `simplifying`, `size_preserving`, `generative`, `opaque`,
     /// `classes` (array of per-rule objects, corpus order, each with
     /// `name`, `class`, `conditioned`, `dynamic`, `opaque`, `expanding`,
     /// `lhs_ops`, `rhs_ops`), `cycles` (array of `{drivers, members}` by
-    /// rule name), `throttled`, `report` (the standard lint-report
+    /// rule name), `drivers`, `report` (the standard lint-report
     /// object).
     pub fn to_json(&self) -> String {
         let classes: Vec<String> = self
@@ -148,9 +137,9 @@ impl RuleAnalysis {
                 )
             })
             .collect();
-        let throttled: Vec<String> = self.throttled.iter().map(|n| json_str(n)).collect();
+        let drivers: Vec<String> = self.drivers.iter().map(|n| json_str(n)).collect();
         format!(
-            "{{\"rules\":{},\"simplifying\":{},\"size_preserving\":{},\"generative\":{},\"opaque\":{},\"classes\":[{}],\"cycles\":[{}],\"throttled\":[{}],\"report\":{}}}",
+            "{{\"rules\":{},\"simplifying\":{},\"size_preserving\":{},\"generative\":{},\"opaque\":{},\"classes\":[{}],\"cycles\":[{}],\"drivers\":[{}],\"report\":{}}}",
             self.classes.len(),
             self.count(GrowthClass::Simplifying),
             self.count(GrowthClass::SizePreserving),
@@ -158,13 +147,13 @@ impl RuleAnalysis {
             self.classes.iter().filter(|c| c.opaque).count(),
             classes.join(","),
             cycles.join(","),
-            throttled.join(","),
+            drivers.join(","),
             self.report.to_json(None)
         )
     }
 
     /// Renders a human-readable summary: class counts, cycles, the
-    /// throttle set, then every diagnostic.
+    /// cycle drivers, then every diagnostic.
     pub fn render(&self) -> String {
         let mut out = format!(
             "rules    : {} ({} simplifying, {} size-preserving, {} generative, {} opaque)\n",
@@ -200,11 +189,11 @@ impl RuleAnalysis {
             ));
         }
         out.push_str(&format!(
-            "throttled: {}\n",
-            if self.throttled.is_empty() {
+            "drivers  : {}\n",
+            if self.drivers.is_empty() {
                 "none".to_owned()
             } else {
-                self.throttled.join(", ")
+                self.drivers.join(", ")
             }
         ));
         out.push_str(&self.report.summary());
@@ -278,7 +267,9 @@ pub fn analyze(rewrites: &[Rewrite<TensorAnalysis>]) -> RuleAnalysis {
                     cy.members.len()
                 ),
             )
-            .with_suggestion("the drivers are match-budget throttled by the backoff scheduler"),
+            .with_suggestion(
+                "saturation bans any rule past its match budget; check the drivers' growth",
+            ),
         );
     }
 
@@ -375,60 +366,39 @@ pub fn analyze(rewrites: &[Rewrite<TensorAnalysis>]) -> RuleAnalysis {
         }
     }
 
-    let throttled: Vec<String> = throttle_set(&classes, &cycles).into_iter().collect();
+    let drivers = cycle_drivers(&classes, &cycles);
 
     RuleAnalysis {
         classes,
         graph,
         cycles,
-        throttled,
+        drivers,
         report: LintReport { diagnostics },
     }
 }
 
-/// The rules the backoff scheduler throttles: the *drivers* of every
-/// generative cycle — unconditioned, variable-duplicating rules whose
-/// output feeds back into the cycle. Only drivers mint new copies of
-/// subterms; the rest of the cycle (compose/normalize-style folds and
-/// size-preserving shuffles) is what keeps the drivers' output *bounded*,
-/// so throttling it amplifies blowup instead of damping it. Measured on
-/// the MoE/TP-SP2 pair: throttling all non-simplifying members regresses
-/// end-to-end time ~5×, throttling drivers alone wins.
-fn throttle_set(classes: &[RuleClass], cycles: &[GenerativeCycle]) -> BTreeSet<String> {
-    let mut set = BTreeSet::new();
-    for cy in cycles {
-        for &i in &cy.drivers {
-            set.insert(classes[i].name.clone());
-        }
-    }
-    set
+/// The *drivers* of every generative cycle — unconditioned,
+/// variable-duplicating rules whose output feeds back into the cycle —
+/// sorted and deduplicated. Only drivers mint new copies of subterms; the
+/// rest of the cycle (compose/normalize-style folds and size-preserving
+/// shuffles) is what keeps the drivers' output bounded.
+fn cycle_drivers(classes: &[RuleClass], cycles: &[GenerativeCycle]) -> Vec<String> {
+    let set: BTreeSet<&str> = cycles
+        .iter()
+        .flat_map(|cy| &cy.drivers)
+        .map(|&i| classes[i].name.as_str())
+        .collect();
+    set.into_iter().map(str::to_owned).collect()
 }
 
-/// Derives the saturation backoff schedule for a rewrite slice: the
-/// classification and cycle passes only (the lint passes are skipped). It
-/// costs a few hundred bucketed unifications over borrowed patterns —
-/// cheap enough to run once per check, so nothing is cached.
-///
-/// Generative-cycle *drivers* are throttled with the default match budget
-/// and ban length; every other rule — including the simplifying and
-/// size-preserving cycle members that fold the drivers' output back down —
-/// runs unthrottled (see [`throttle_set`]).
-pub fn backoff_schedule(rewrites: &[Rewrite<TensorAnalysis>]) -> Option<BackoffSchedule> {
-    backoff_schedule_counted(rewrites).0
-}
-
-/// [`backoff_schedule`], plus the number of full unifications the
-/// derivation ran ([`InteractionGraph::unifications`]) — the
-/// `stage:setup` span's `unifications` attribute.
-pub fn backoff_schedule_counted(
-    rewrites: &[Rewrite<TensorAnalysis>],
-) -> (Option<BackoffSchedule>, u64) {
+/// The cycle drivers of a rewrite slice ([`RuleAnalysis::drivers`]),
+/// from the classification and cycle passes only. The checker does not
+/// call it; it stays for the benchmark's `rules.backoff_schedule` row,
+/// which times exactly these two passes.
+pub fn backoff_schedule(rewrites: &[Rewrite<TensorAnalysis>]) -> Vec<String> {
     let classes: Vec<RuleClass> = rewrites.iter().map(classify).collect();
-    let graph = interaction_graph(rewrites);
-    let cycles = generative_cycles(&graph, &classes);
-    let set = throttle_set(&classes, &cycles);
-    let schedule = (!set.is_empty()).then(|| BackoffSchedule::new(set));
-    (schedule, graph.unifications)
+    let cycles = generative_cycles(&interaction_graph(rewrites), &classes);
+    cycle_drivers(&classes, &cycles)
 }
 
 #[cfg(test)]

@@ -1,10 +1,7 @@
 use entangle_lemmas::registry;
 
 use crate::interact::interaction_edges_all_pairs;
-use crate::{
-    analyze, backoff_schedule, backoff_schedule_counted, classify, codes, interaction_graph,
-    GrowthClass,
-};
+use crate::{analyze, backoff_schedule, classify, codes, interaction_graph, GrowthClass};
 
 type Rw = entangle_egraph::Rewrite<entangle_lemmas::TensorAnalysis>;
 
@@ -78,31 +75,27 @@ fn throttle_set_spares_simplifying_rules() {
     let analysis = analyze(&rewrites);
     assert!(
         analysis
-            .throttled
+            .drivers
             .iter()
             .any(|n| n == "scalar_mul-distribute"),
-        "the blowup driver must be throttled"
+        "the blowup driver must be a cycle driver"
     );
-    // Only the duplicating drivers are throttled: simplifying rules and
+    // Only the duplicating rules drive a cycle: simplifying rules and
     // non-driver cycle members (the folds that contain the drivers'
-    // output) must run at full effort.
+    // output) are not drivers.
     for name in ["scalar_mul-factor", "scalar_mul-one", "scalar_mul-compose"] {
         assert!(
-            !analysis.throttled.iter().any(|n| n == name),
-            "{name} is not a cycle driver and must run unthrottled"
+            !analysis.drivers.iter().any(|n| n == name),
+            "{name} is not a cycle driver"
         );
     }
-    let schedule = backoff_schedule(&rewrites).expect("corpus has a generative cycle");
-    for name in &analysis.throttled {
-        assert!(schedule.is_throttled(name));
-    }
-    assert_eq!(schedule.len(), analysis.throttled.len());
+    assert_eq!(backoff_schedule(&rewrites), analysis.drivers);
 }
 
-/// The schedule reads rule bodies, not names: a corpus that keeps a
-/// driver's name and swaps its body for an inert one (what the `ablations`
-/// bin does with `add-assoc`, what any `CheckOptions.rewrites` override may
-/// do) gets its own schedule — nothing is remembered between derivations.
+/// The driver derivation reads rule bodies, not names: a corpus that keeps
+/// a driver's name and swaps its body for an inert one (what the
+/// `ablations` bin does with `add-assoc`) gets its own drivers — nothing is
+/// remembered between derivations.
 #[test]
 fn schedule_tells_same_named_corpora_apart() {
     let shipped = corpus();
@@ -113,15 +106,8 @@ fn schedule_tells_same_named_corpora_apart() {
         }
     }
     let agrees = |rewrites: &[Rw]| {
-        let fresh = analyze(rewrites).throttled;
-        let schedule = backoff_schedule(rewrites);
-        assert_eq!(schedule.as_ref().map_or(0, |s| s.len()), fresh.len());
-        for name in &fresh {
-            assert!(
-                schedule.as_ref().is_some_and(|s| s.is_throttled(name)),
-                "{name} is throttled by the full analysis, not by the schedule"
-            );
-        }
+        let fresh = analyze(rewrites).drivers;
+        assert_eq!(backoff_schedule(rewrites), fresh);
         fresh
     };
     assert_ne!(agrees(&shipped), agrees(&defused));
@@ -165,22 +151,18 @@ fn interaction_graph_equals_the_all_pairs_reference() {
 #[test]
 fn shipped_schedule_is_pinned_and_cheap() {
     let rewrites = corpus();
-    let (schedule, unifications) = backoff_schedule_counted(&rewrites);
-    let schedule = schedule.expect("corpus has a generative cycle");
-    let throttled = [
+    let drivers = [
         "embedding-of-concat-ids",
         "scalar_mul-distribute",
         "scalar_mul-of-concat",
         "sum_dim-of-concat-same",
     ];
-    assert_eq!(schedule.len(), throttled.len());
-    for name in throttled {
-        assert!(schedule.is_throttled(name), "{name} must be throttled");
-    }
-    assert_eq!(analyze(&rewrites).throttled, throttled);
+    assert_eq!(backoff_schedule(&rewrites), drivers);
+    assert_eq!(analyze(&rewrites).drivers, drivers);
+    let unifications = interaction_graph(&rewrites).unifications;
     assert!(
         unifications <= 3_000,
-        "{unifications} full unifications per schedule derivation"
+        "{unifications} full unifications per driver derivation"
     );
 }
 
@@ -234,7 +216,7 @@ fn json_is_stable_and_complete() {
         "\"opaque\":",
         "\"classes\":[",
         "\"cycles\":[",
-        "\"throttled\":[",
+        "\"drivers\":[",
         "\"report\":{",
     ] {
         assert!(a.contains(key), "missing {key} in {a:.120}");

@@ -1,5 +1,6 @@
 //! Span-tree reconstruction, validation, and export.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use crate::json_str;
@@ -82,12 +83,15 @@ impl TraceReport {
     /// Returns [`TraceError`] describing the first violation.
     pub fn from_records(records: &[Record]) -> Result<TraceReport, TraceError> {
         let mut open: Vec<(u64, Option<u64>, String, u64)> = Vec::new();
+        // The ids on `open`, each with its multiplicity, so a parent check
+        // costs one lookup however deep the stack is.
+        let mut open_ids: HashMap<u64, usize> = HashMap::new();
         let mut report = TraceReport::default();
         for (i, rec) in records.iter().enumerate() {
             match rec.kind {
                 RecordKind::Begin => {
                     if let Some(parent) = rec.parent {
-                        if !open.iter().any(|(id, ..)| *id == parent) {
+                        if !open_ids.contains_key(&parent) {
                             return Err(TraceError(format!(
                                 "record {i}: begin {} names parent {parent}, which is not open",
                                 rec.id
@@ -95,6 +99,7 @@ impl TraceReport {
                         }
                     }
                     open.push((rec.id, rec.parent, rec.name.clone(), rec.t_us));
+                    *open_ids.entry(rec.id).or_default() += 1;
                 }
                 RecordKind::End => {
                     let Some((id, parent, name, start_us)) = open.pop() else {
@@ -115,6 +120,12 @@ impl TraceReport {
                             rec.id, rec.name
                         )));
                     }
+                    if let Some(n) = open_ids.get_mut(&id) {
+                        *n -= 1;
+                        if *n == 0 {
+                            open_ids.remove(&id);
+                        }
+                    }
                     report.spans.push(TraceSpan {
                         id,
                         parent,
@@ -126,7 +137,7 @@ impl TraceReport {
                 }
                 RecordKind::Event => {
                     if let Some(parent) = rec.parent {
-                        if !open.iter().any(|(id, ..)| *id == parent) {
+                        if !open_ids.contains_key(&parent) {
                             return Err(TraceError(format!(
                                 "record {i}: event {} names parent {parent}, which is not open",
                                 rec.id

@@ -11,7 +11,8 @@
 //! different order; the analysis derives a finite `(1+ε)^k` relative
 //! bound and the replay is held to exactly that bound.
 //!
-//! Finally, every lemma application of the zoo's certificates is sampled on
+//! Finally, every lemma application of the zoo's certificates (and of the
+//! Figure 3 workloads the zoo lacks) is sampled on
 //! its own: both sides of each rule step, evaluated over one seeded run of
 //! `G_d` at its real shapes, must agree — whatever store the kernel checked
 //! the step in.
@@ -348,12 +349,25 @@ fn every_zoo_lemma_application_agrees_on_a_seeded_run_of_g_d() {
         numeric: false,
         ..CheckOptions::default()
     };
+    // The zoo, then the Figure 3 workloads it does not already hold: MoE at
+    // two layers, GPT under TP+SP+VP, and the gradient-accumulation
+    // regression.
+    let zoo = entangle_bench::zoo()
+        .into_iter()
+        .map(|case| (case.name, case.gs, case.dist));
+    let figure3 = [
+        entangle_bench::moe_workload(2, true),
+        entangle_bench::gpt_workload(2, 1),
+        entangle_bench::regression_workload(2),
+    ]
+    .into_iter()
+    .map(|w| (w.name, w.gs, w.dist));
     let mut sampled = 0;
-    for case in entangle_bench::zoo() {
-        let gd = &case.dist.graph;
-        let ri = case.dist.relation(&case.gs).expect("relation builds");
-        let cert = check_refinement(&case.gs, gd, &ri, &opts)
-            .unwrap_or_else(|e| panic!("{} should certify: {e}", case.name))
+    for (name, gs, dist) in zoo.chain(figure3) {
+        let gd = &dist.graph;
+        let ri = dist.relation(&gs).expect("relation builds");
+        let cert = check_refinement(&gs, gd, &ri, &opts)
+            .unwrap_or_else(|e| panic!("{name} should certify: {e}"))
             .certificate
             .expect("certify mode emits a certificate");
         let env = seeded_run(gd, 29);
@@ -362,15 +376,16 @@ fn every_zoo_lemma_application_agrees_on_a_seeded_run_of_g_d() {
             rule_steps(&mc.proof, &mut steps);
         }
         for step in steps {
-            let ProofStep::Rule { name, .. } = step else {
+            let ProofStep::Rule { name: lemma, .. } = step else {
                 unreachable!("rule steps only");
             };
             let before = reconstruct(step.before(), gd, &env);
             let after = reconstruct(step.after(), gd, &env);
             assert!(
                 after.within(&before, &tol),
-                "{}: lemma {name} rewrites {} to {}, which differ by {:?}",
-                case.name,
+                "{}: lemma {} rewrites {} to {}, which differ by {:?}",
+                name,
+                lemma,
                 step.before(),
                 step.after(),
                 after.max_abs_diff(&before)
@@ -378,8 +393,5 @@ fn every_zoo_lemma_application_agrees_on_a_seeded_run_of_g_d() {
             sampled += 1;
         }
     }
-    assert!(
-        sampled > 400,
-        "the zoo certificates apply lemmas: {sampled}"
-    );
+    assert!(sampled > 400, "the certificates apply lemmas: {sampled}");
 }

@@ -216,6 +216,40 @@ fn three_hundred_thousand_nested_attrs_objects_are_refused_not_a_stack_overflow(
     assert!(!stderr.contains("overflow"), "{stderr}");
 }
 
+/// A balanced trace of 200 000 spans, each the parent of the next: every
+/// parent check is one lookup, so validating it is linear in the records
+/// (a scan of the open stack per record took seconds at 40 000).
+#[test]
+fn two_hundred_thousand_nested_spans_check_in_linear_time() {
+    let depth = 200_000;
+    let mut trace = String::with_capacity(depth * 120);
+    for id in 1..=depth {
+        let parent = if id == 1 {
+            "null".to_owned()
+        } else {
+            (id - 1).to_string()
+        };
+        trace.push_str(&format!(
+            "{{\"type\":\"begin\",\"id\":{id},\"parent\":{parent},\"name\":\"s\",\"t_us\":0}}\n"
+        ));
+    }
+    for id in (1..=depth).rev() {
+        trace.push_str(&format!(
+            "{{\"type\":\"end\",\"id\":{id},\"name\":\"s\",\"t_us\":1}}\n"
+        ));
+    }
+    let start = std::time::Instant::now();
+    let out = run_on_file("trace-deep", &trace, &["trace", "--check", "FILE"]);
+    let elapsed = start.elapsed();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stdout}{stderr}");
+    assert!(
+        elapsed < std::time::Duration::from_secs(20),
+        "trace --check took {elapsed:?}"
+    );
+}
+
 #[test]
 fn a_stdout_closed_before_the_output_is_a_quiet_exit_141() {
     // `entangle num --json | head -c 10`, with the reader gone before the

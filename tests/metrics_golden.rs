@@ -235,19 +235,6 @@ fn golden_snapshot_every_exit() {
     result.expect("GPT/TP2 verifies uncertified");
     assert_matches_golden("gpt_tp2_uncertified", &golden_text(&snapshot));
     assert!(!snapshot.counters.keys().any(|k| k.starts_with("cert.")));
-
-    let (result, snapshot) = check_refinement_counted(
-        &gs,
-        &dist.graph,
-        &ri,
-        &CheckOptions {
-            rule_backoff: false,
-            ..CheckOptions::default()
-        },
-    );
-    result.expect("GPT/TP2 verifies without backoff");
-    assert_matches_golden("gpt_tp2_no_backoff", &golden_text(&snapshot));
-    assert_eq!(snapshot.gauges.get("rules.backoff.throttled"), Some(&0));
 }
 
 #[test]

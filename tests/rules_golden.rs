@@ -1,7 +1,7 @@
 //! Golden stable-output test for the rule-corpus analyzer: the exact JSON
 //! `entangle rules --json` prints for the shipped corpus is checked in at
 //! `tests/golden/rules.json`. Any corpus change — a new rule, a class
-//! flip, a new RL diagnostic, a throttle-set change — shows up as a diff
+//! flip, a new RL diagnostic, a cycle-driver change — shows up as a diff
 //! here and must be reviewed deliberately.
 //!
 //! Regenerate after an intentional change with:
@@ -55,14 +55,14 @@ fn corpus_headline_facts() {
     assert_eq!(analysis.count(GrowthClass::Generative), 60);
     assert_eq!(analysis.cycles.len(), 2, "two generative cycles");
     assert_eq!(
-        analysis.throttled,
+        analysis.drivers,
         vec![
             "embedding-of-concat-ids",
             "scalar_mul-distribute",
             "scalar_mul-of-concat",
             "sum_dim-of-concat-same",
         ],
-        "the throttle set is exactly the cycle drivers"
+        "the cycle drivers"
     );
     assert_eq!(
         analysis.report.error_count(),
