@@ -46,12 +46,14 @@
 //! of how a [`RecExpr`] lays a tree out in slots, and `to_json ∘ from_json`
 //! is the identity on what `to_json` wrote.
 //!
-//! **Trust.** The ids are compression only. The reader checks that every
-//! reference points at an earlier entry and that no entry nests deeper than
-//! [`MAX_TERM_DEPTH`], then hands the kernel plain [`RecExpr`]s; the kernel
-//! re-interns those and never sees a file id. Each table entry is copied
-//! out once: every position that names it holds a clone sharing that one
-//! storage, which the kernel then interns once.
+//! **Trust.** The ids only address entries while the file is read. The
+//! reader checks that every reference points at an earlier entry and that
+//! no entry nests deeper than [`MAX_TERM_DEPTH`], and adds each entry to a
+//! [`TermTable`] hash-consed by node, so a duplicated entry is the same
+//! entry; a position resolves to the entry of the tree it names.
+//! [`read_json`] stops there, and the kernel checks that table
+//! ([`crate::verify_file`]); [`from_json`] also copies each named entry out
+//! once, every position naming it a clone sharing that one storage.
 //!
 //! **One pass.** The reader builds table entries and proof steps as it
 //! meets them and resolves the positions once the document has been read,
@@ -65,6 +67,7 @@ use entangle_egraph::{ENode, Id, Proof, ProofStep, RecExpr};
 use entangle_ir::json::{write_escaped, Kind, Reader};
 
 use crate::cert::{CertError, Certificate, MappingCert, NumericVerdict};
+use crate::kernel::{proof_size, Mapping, Step};
 use crate::table::{PostOrder, TermTable};
 
 /// Deepest term the reader accepts (a leaf is depth 1): the s-expression
@@ -291,23 +294,95 @@ impl Writer<'_> {
     }
 }
 
-/// Parses a certificate from its JSON interchange form.
+/// Parses a certificate from its JSON interchange form: [`read_json`],
+/// then every term position copied out of the table, each table entry
+/// once (the positions naming it share that storage).
 ///
 /// # Errors
 ///
 /// [`CertError::Malformed`] on any structural problem (this is the only
 /// error path — semantic validation is [`crate::verify`]'s job).
 pub fn from_json(text: &str) -> Result<Certificate, CertError> {
-    from_json_counting(text).map(|(cert, _)| cert)
+    let file = read_json(text)?;
+    let mut terms = Materialised {
+        table: &file.table,
+        terms: vec![None; file.table.len()],
+        walk: PostOrder::default(),
+    };
+    Ok(Certificate {
+        gs: file.gs.into_owned(),
+        gd: file.gd.into_owned(),
+        inputs: file
+            .inputs
+            .iter()
+            .map(|(name, ids)| (name.to_string(), terms.all(ids)))
+            .collect(),
+        mappings: file
+            .mappings
+            .iter()
+            .map(|m| MappingCert {
+                tensor: m.tensor.to_string(),
+                operator: m.operator.to_string(),
+                inputs: terms.all(&m.inputs),
+                expr: terms.term(m.expr),
+                proof: terms.proof(&m.proof),
+            })
+            .collect(),
+        outputs: file
+            .outputs
+            .iter()
+            .map(|(name, id)| (name.to_string(), terms.term(*id)))
+            .collect(),
+        numeric: file.numeric,
+    })
 }
 
-/// [`from_json`], also returning the number of entries in the document's
-/// term table (what a re-check reports as `cert_terms`).
+/// A certificate as [`read_json`] read it: the document's term table,
+/// validated and hash-consed by node, and every term position resolved to
+/// an entry of it. [`crate::verify_file`] checks it on that table;
+/// [`from_json`] copies its terms out into a [`Certificate`].
+#[derive(Debug)]
+pub struct CertFile<'t> {
+    pub(crate) table: TermTable,
+    /// Entries of the document's `"terms"` array, a duplicated one counted
+    /// again.
+    entries: usize,
+    gs: Cow<'t, str>,
+    gd: Cow<'t, str>,
+    pub(crate) inputs: Vec<(Cow<'t, str>, Vec<Id>)>,
+    pub(crate) mappings: Vec<Mapping<'t>>,
+    pub(crate) outputs: Vec<(Cow<'t, str>, Id)>,
+    numeric: Vec<NumericVerdict>,
+}
+
+impl CertFile<'_> {
+    /// Entries of the document's term table (what a re-check reports as
+    /// `cert_terms`).
+    pub fn entries(&self) -> usize {
+        self.entries
+    }
+
+    /// Number of mapping certificates.
+    pub fn mapping_count(&self) -> usize {
+        self.mappings.len()
+    }
+
+    /// Total number of proof steps across all mappings, congruence
+    /// sub-proofs included ([`Certificate::total_steps`]).
+    pub fn total_steps(&self) -> usize {
+        self.mappings.iter().map(|m| proof_size(&m.proof)).sum()
+    }
+}
+
+/// Reads a certificate in one pass: the term table is hash-consed entry by
+/// entry as it is read, every other section is built with its positions
+/// still file indices, and once the document has been read each position
+/// is resolved to its table entry by an array lookup.
 ///
 /// # Errors
 ///
-/// As [`from_json`].
-pub fn from_json_counting(text: &str) -> Result<(Certificate, usize), CertError> {
+/// [`CertError::Malformed`] on any structural problem, as [`from_json`].
+pub fn read_json(text: &str) -> Result<CertFile<'_>, CertError> {
     read(text).map_err(CertError::Malformed)
 }
 
@@ -315,40 +390,7 @@ pub fn from_json_counting(text: &str) -> Result<(Certificate, usize), CertError>
 /// once the whole document has been read, so members may come in any order.
 type Pos = i64;
 
-/// A proof step as read, its term positions not yet resolved.
-enum RawStep {
-    Rule {
-        name: String,
-        forward: bool,
-        subst: Vec<(String, Pos)>,
-        before: Pos,
-        after: Pos,
-    },
-    Congruence {
-        before: Pos,
-        after: Pos,
-        children: Vec<Vec<RawStep>>,
-    },
-    Given {
-        fact: String,
-        before: Pos,
-        after: Pos,
-    },
-}
-
-/// A mapping as read, its term positions not yet resolved.
-struct RawMapping {
-    tensor: String,
-    operator: String,
-    inputs: Vec<Pos>,
-    expr: Pos,
-    proof: Vec<RawStep>,
-}
-
-/// One pass over the text: the term table is built entry by entry and
-/// every other section into its raw form as it is read; the positions are
-/// resolved against the table at the end.
-fn read(text: &str) -> Result<(Certificate, usize), String> {
+fn read(text: &str) -> Result<CertFile<'_>, String> {
     let mut r = Reader::new(text);
     let mut version = false;
     let (mut gs, mut gd, mut table) = (None, None, None);
@@ -381,43 +423,113 @@ fn read(text: &str) -> Result<(Certificate, usize), String> {
     if !version {
         return Err("missing version field".to_owned());
     }
-    let mut table = need(table, "terms")?;
-    let entries = table.entries.len();
+    let FileTable { table, entries } = need(table, "terms")?;
     let gs = need(gs, "gs")?;
     let gd = need(gd, "gd")?;
+    let resolve = &mut |pos: Pos| {
+        usize::try_from(pos)
+            .ok()
+            .and_then(|i| entries.get(i).copied())
+            .ok_or_else(|| {
+                format!(
+                    "a term position must be the index of a term table entry ({} entries), \
+                     found {pos}",
+                    entries.len()
+                )
+            })
+    };
     let inputs = need(inputs, "inputs")?
         .into_iter()
-        .map(|(name, exprs)| Ok((name, table.terms(exprs)?)))
+        .map(|(name, exprs)| Ok((name, resolve_all(exprs, resolve)?)))
         .collect::<Result<_, String>>()?;
     let mappings = need(mappings, "mappings")?
         .into_iter()
         .map(|m| {
-            Ok(MappingCert {
+            Ok(Mapping {
                 tensor: m.tensor,
                 operator: m.operator,
-                inputs: table.terms(m.inputs)?,
-                expr: table.term(m.expr)?,
-                proof: table.proof(m.proof)?,
+                inputs: resolve_all(m.inputs, resolve)?,
+                expr: resolve(m.expr)?,
+                proof: resolve_proof(m.proof, resolve)?,
             })
         })
         .collect::<Result<_, String>>()?;
     let outputs = need(outputs, "outputs")?
         .into_iter()
-        .map(|(name, expr)| Ok((name, table.term(expr)?)))
+        .map(|(name, expr)| Ok((name, resolve(expr)?)))
         .collect::<Result<_, String>>()?;
-    let cert = Certificate {
+    Ok(CertFile {
+        table,
+        entries: entries.len(),
         gs,
         gd,
         inputs,
         mappings,
         outputs,
         numeric: numeric.unwrap_or_default(),
-    };
-    Ok((cert, entries))
+    })
+}
+
+type Resolve<'r> = dyn FnMut(Pos) -> Result<Id, String> + 'r;
+
+fn resolve_all(positions: Vec<Pos>, resolve: &mut Resolve<'_>) -> Result<Vec<Id>, String> {
+    positions.into_iter().map(resolve).collect()
+}
+
+/// A proof's steps over table entries, resolved in document order: per step
+/// the substitution, `before`, `after`, then the children.
+fn resolve_proof<'t>(
+    steps: Vec<Step<'t, Pos>>,
+    resolve: &mut Resolve<'_>,
+) -> Result<Vec<Step<'t>>, String> {
+    steps
+        .into_iter()
+        .map(|step| {
+            Ok(match step {
+                Step::Rule {
+                    name,
+                    forward,
+                    subst,
+                    before,
+                    after,
+                } => Step::Rule {
+                    name,
+                    forward,
+                    subst: subst
+                        .into_iter()
+                        .map(|(var, pos)| Ok((var, resolve(pos)?)))
+                        .collect::<Result<_, String>>()?,
+                    before: resolve(before)?,
+                    after: resolve(after)?,
+                },
+                Step::Congruence {
+                    before,
+                    after,
+                    children,
+                } => Step::Congruence {
+                    before: resolve(before)?,
+                    after: resolve(after)?,
+                    children: children
+                        .into_iter()
+                        .map(|child| resolve_proof(child, resolve))
+                        .collect::<Result<_, _>>()?,
+                },
+                Step::Given {
+                    fact,
+                    before,
+                    after,
+                } => Step::Given {
+                    fact,
+                    before: resolve(before)?,
+                    after: resolve(after)?,
+                },
+            })
+        })
+        .collect()
 }
 
 /// An input's axioms: its `G_s` tensor and the positions of its mappings.
-fn input(r: &mut Reader<'_>) -> Result<(String, Vec<Pos>), String> {
+fn input<'t>(r: &mut Reader<'t>) -> Result<(Cow<'t, str>, Vec<Pos>), String> {
     let (mut tensor, mut exprs) = (None, None);
     r.members(|r, key| {
         match key {
@@ -431,7 +543,7 @@ fn input(r: &mut Reader<'_>) -> Result<(String, Vec<Pos>), String> {
 }
 
 /// An `R_o` entry: its `G_s` tensor and the position of its expression.
-fn output(r: &mut Reader<'_>) -> Result<(String, Pos), String> {
+fn output<'t>(r: &mut Reader<'t>) -> Result<(Cow<'t, str>, Pos), String> {
     let (mut tensor, mut expr) = (None, None);
     r.members(|r, key| {
         match key {
@@ -444,7 +556,7 @@ fn output(r: &mut Reader<'_>) -> Result<(String, Pos), String> {
     Ok((need(tensor, "tensor")?, need(expr, "expr")?))
 }
 
-fn mapping(r: &mut Reader<'_>) -> Result<RawMapping, String> {
+fn mapping<'t>(r: &mut Reader<'t>) -> Result<Mapping<'t, Pos>, String> {
     let (mut tensor, mut operator, mut inputs, mut expr, mut proof) =
         (None, None, None, None, None);
     r.members(|r, key| {
@@ -458,7 +570,7 @@ fn mapping(r: &mut Reader<'_>) -> Result<RawMapping, String> {
         }
         Ok(true)
     })?;
-    Ok(RawMapping {
+    Ok(Mapping {
         tensor: need(tensor, "tensor")?,
         operator: need(operator, "operator")?,
         inputs: need(inputs, "inputs")?,
@@ -469,7 +581,7 @@ fn mapping(r: &mut Reader<'_>) -> Result<RawMapping, String> {
 
 /// One proof step. A member's name fixes its type whatever the step's
 /// kind; the members the kind does not have are read and dropped.
-fn step(r: &mut Reader<'_>) -> Result<RawStep, String> {
+fn step<'t>(r: &mut Reader<'t>) -> Result<Step<'t, Pos>, String> {
     let (mut kind, mut name, mut forward, mut subst, mut fact) = (None, None, None, None, None);
     let (mut before, mut after, mut children) = (None, None, None);
     r.members(|r, key| {
@@ -477,15 +589,7 @@ fn step(r: &mut Reader<'_>) -> Result<RawStep, String> {
             "kind" => kind = Some(r.str().map_err(field("kind"))?),
             "name" => name = Some(string(r, "name")?),
             "forward" => forward = Some(r.bool().map_err(field("forward"))?),
-            "subst" => {
-                let mut pairs = Vec::new();
-                r.members(|r, var| {
-                    pairs.push((var.to_owned(), position(r)?));
-                    Ok(true)
-                })
-                .map_err(field("subst"))?;
-                subst = Some(pairs);
-            }
+            "subst" => subst = Some(substitution(r).map_err(field("subst"))?),
             "fact" => fact = Some(string(r, "fact")?),
             "before" => before = Some(position(r)?),
             "after" => after = Some(position(r)?),
@@ -497,25 +601,35 @@ fn step(r: &mut Reader<'_>) -> Result<RawStep, String> {
     let kind = need(kind, "kind")?;
     let (before, after) = (need(before, "before")?, need(after, "after")?);
     Ok(match &*kind {
-        "rule" => RawStep::Rule {
+        "rule" => Step::Rule {
             name: need(name, "name")?,
             forward: need(forward, "forward")?,
             subst: need(subst, "subst")?,
             before,
             after,
         },
-        "congruence" => RawStep::Congruence {
+        "congruence" => Step::Congruence {
             before,
             after,
             children: need(children, "children")?,
         },
-        "given" => RawStep::Given {
+        "given" => Step::Given {
             fact: need(fact, "fact")?,
             before,
             after,
         },
         other => return Err(format!("unknown proof step kind {other:?}")),
     })
+}
+
+/// A rule step's `{var: ID, ...}`.
+fn substitution<'t>(r: &mut Reader<'t>) -> Result<Vec<(Cow<'t, str>, Pos)>, String> {
+    r.begin_object()?;
+    let mut pairs = Vec::new();
+    while let Some(var) = r.next_key()? {
+        pairs.push((var, position(r)?));
+    }
+    Ok(pairs)
 }
 
 fn numeric_verdict(r: &mut Reader<'_>) -> Result<NumericVerdict, String> {
@@ -534,8 +648,8 @@ fn numeric_verdict(r: &mut Reader<'_>) -> Result<NumericVerdict, String> {
         Ok(true)
     })?;
     Ok(NumericVerdict {
-        tensor: need(tensor, "tensor")?,
-        class: need(class, "class")?,
+        tensor: need(tensor, "tensor")?.into_owned(),
+        class: need(class, "class")?.into_owned(),
         k: need(k, "k")?,
     })
 }
@@ -549,8 +663,8 @@ fn need<T>(value: Option<T>, key: &str) -> Result<T, String> {
     value.ok_or_else(|| format!("missing field {key}"))
 }
 
-fn string(r: &mut Reader<'_>, key: &str) -> Result<String, String> {
-    r.str().map(Cow::into_owned).map_err(field(key))
+fn string<'t>(r: &mut Reader<'t>, key: &str) -> Result<Cow<'t, str>, String> {
+    r.str().map_err(field(key))
 }
 
 fn position(r: &mut Reader<'_>) -> Result<Pos, String> {
@@ -558,15 +672,11 @@ fn position(r: &mut Reader<'_>) -> Result<Pos, String> {
         .map_err(|e| format!("a term position must be the index of a term table entry: {e}"))
 }
 
-/// The document's term table, validated, and the state to copy terms out.
+/// The document's term table, validated.
 struct FileTable {
     table: TermTable,
     /// Table entry of each file entry (a duplicated file entry shares one).
     entries: Vec<Id>,
-    /// Per table entry, its term once some position has named it: every
-    /// later position naming it gets a clone, which shares the storage.
-    materialised: Vec<Option<RecExpr>>,
-    walk: PostOrder,
 }
 
 impl FileTable {
@@ -635,86 +745,70 @@ impl FileTable {
             depths.push(depth);
             entries.push(table.add(node));
         }
-        Ok(FileTable {
-            materialised: vec![None; table.len()],
-            table,
-            entries,
-            walk: PostOrder::default(),
-        })
+        Ok(FileTable { table, entries })
+    }
+}
+
+/// Terms copied out of a table: each entry once, the first time a position
+/// names it, and a clone sharing that storage for every later position.
+struct Materialised<'a> {
+    table: &'a TermTable,
+    terms: Vec<Option<RecExpr>>,
+    walk: PostOrder,
+}
+
+impl Materialised<'_> {
+    fn term(&mut self, id: Id) -> RecExpr {
+        let Materialised { table, terms, walk } = self;
+        terms[id.index()]
+            .get_or_insert_with(|| table.materialise(id, walk))
+            .clone()
     }
 
-    /// The term a position's id names.
-    fn term(&mut self, pos: Pos) -> Result<RecExpr, String> {
-        let entry = usize::try_from(pos)
-            .ok()
-            .and_then(|i| self.entries.get(i).copied())
-            .ok_or_else(|| {
-                format!(
-                    "a term position must be the index of a term table entry ({} entries), \
-                     found {pos}",
-                    self.entries.len()
-                )
-            })?;
-        let FileTable {
-            table,
-            materialised,
-            walk,
-            ..
-        } = self;
-        Ok(materialised[entry.index()]
-            .get_or_insert_with(|| table.materialise(entry, walk))
-            .clone())
+    fn all(&mut self, ids: &[Id]) -> Vec<RecExpr> {
+        ids.iter().map(|&id| self.term(id)).collect()
     }
 
-    fn terms(&mut self, positions: Vec<Pos>) -> Result<Vec<RecExpr>, String> {
-        positions.into_iter().map(|p| self.term(p)).collect()
-    }
-
-    fn proof(&mut self, steps: Vec<RawStep>) -> Result<Proof, String> {
+    fn proof(&mut self, steps: &[Step<'_>]) -> Proof {
         let steps = steps
-            .into_iter()
-            .map(|step| {
-                Ok(match step {
-                    RawStep::Rule {
-                        name,
-                        forward,
-                        subst,
-                        before,
-                        after,
-                    } => ProofStep::Rule {
-                        name,
-                        forward,
-                        subst: subst
-                            .into_iter()
-                            .map(|(var, pos)| Ok((var, self.term(pos)?)))
-                            .collect::<Result<_, String>>()?,
-                        before: self.term(before)?,
-                        after: self.term(after)?,
-                    },
-                    RawStep::Congruence {
-                        before,
-                        after,
-                        children,
-                    } => ProofStep::Congruence {
-                        before: self.term(before)?,
-                        after: self.term(after)?,
-                        children: children
-                            .into_iter()
-                            .map(|child| self.proof(child))
-                            .collect::<Result<_, _>>()?,
-                    },
-                    RawStep::Given {
-                        fact,
-                        before,
-                        after,
-                    } => ProofStep::Given {
-                        fact,
-                        before: self.term(before)?,
-                        after: self.term(after)?,
-                    },
-                })
+            .iter()
+            .map(|step| match step {
+                Step::Rule {
+                    name,
+                    forward,
+                    subst,
+                    before,
+                    after,
+                } => ProofStep::Rule {
+                    name: name.to_string(),
+                    forward: *forward,
+                    subst: subst
+                        .iter()
+                        .map(|(var, id)| (var.to_string(), self.term(*id)))
+                        .collect(),
+                    before: self.term(*before),
+                    after: self.term(*after),
+                },
+                Step::Congruence {
+                    before,
+                    after,
+                    children,
+                } => ProofStep::Congruence {
+                    before: self.term(*before),
+                    after: self.term(*after),
+                    children: children.iter().map(|child| self.proof(child)).collect(),
+                },
+                Step::Given {
+                    fact,
+                    before,
+                    after,
+                } => ProofStep::Given {
+                    fact: fact.to_string(),
+                    before: self.term(*before),
+                    after: self.term(*after),
+                },
             })
-            .collect::<Result<_, String>>()?;
-        Ok(Proof { steps })
+            .collect();
+        Proof { steps }
     }
 }

@@ -6,13 +6,18 @@
 //! those terms, re-inferring shapes and dtypes at every step.
 //!
 //! One verification owns one private context (`Kernel`), which lives
-//! and dies with the call. It interns every term it is handed into one
-//! hash-consed [`Store`] — once per [`RecExpr`] storage (clones share one),
-//! comparing nodes, never hashes — after which "the same term" is id
-//! equality and shape inference is a memo per id: a term that a proof
-//! spells seventy times is compared and inferred once. The ids are the
-//! kernel's own; the ids of a certificate file are a compression its
-//! reader expands and the kernel never sees.
+//! and dies with the call. Its terms live in one hash-consed [`Store`],
+//! keyed by node — comparing nodes, never hashes — so "the same term" is
+//! id equality and shape inference is a memo per id: a term that a proof
+//! spells seventy times is compared and inferred once. The checker reads a
+//! certificate in one form, [`Mapping`] and [`Step`], whose every term
+//! position is an entry of that store. Two entry points produce it:
+//! [`verify`] interns the [`RecExpr`] positions of an in-memory
+//! [`Certificate`], mapping by mapping and once per storage, and
+//! [`verify_file`] takes the table the JSON reader hash-consed as the
+//! store's own, with the positions the reader resolved into it. A file's
+//! own indices only address entries while it is read; equality rests on
+//! the node-keyed table alone.
 //!
 //! Every rule step is checked one way, whatever its lemma: the lemma's
 //! pattern matches the source term, the bindings agree with the recorded
@@ -27,43 +32,106 @@
 //! definition (the kernel re-encodes the operator itself) or connect two
 //! already-accepted mappings of one `G_s` tensor.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 use entangle_egraph::{
-    ENode, Id, PatternAst, Proof, ProofStep, RecExpr, Rewrite, Subst, TermStore,
+    ENode, Id, PatternAst, Proof, ProofStep, RecExpr, Rewrite, Subst, Symbol, TermStore,
 };
 use entangle_ir::{DType, Graph, Op, Shape};
 use entangle_lemmas::{Meta, TensorAnalysis};
 use entangle_symbolic::SymCtx;
 
 use crate::cert::{CertError, Certificate, MappingCert};
-use crate::table::{Store, TermTable, Terms};
+use crate::json::CertFile;
+use crate::table::{PostOrder, Store, TermTable};
 
 /// Accepted mappings per `G_s` tensor name, as entries of the context's
 /// term table, grown as mapping certificates are validated in order.
 pub(crate) type Accepted<'a> = HashMap<&'a str, Vec<Id>>;
 
+/// A mapping certificate in the kernel's form: what [`MappingCert`] says,
+/// every term position `T` — an entry of the kernel's table ([`Id`]), or a
+/// file index while the reader resolves it.
+#[derive(Debug)]
+pub(crate) struct Mapping<'a, T = Id> {
+    pub(crate) tensor: Cow<'a, str>,
+    pub(crate) operator: Cow<'a, str>,
+    pub(crate) inputs: Vec<T>,
+    pub(crate) expr: T,
+    pub(crate) proof: Vec<Step<'a, T>>,
+}
+
+/// A proof step in the kernel's form; see [`Mapping`] and [`ProofStep`].
+#[derive(Debug)]
+pub(crate) enum Step<'a, T = Id> {
+    Rule {
+        name: Cow<'a, str>,
+        forward: bool,
+        subst: Vec<(Cow<'a, str>, T)>,
+        before: T,
+        after: T,
+    },
+    Congruence {
+        before: T,
+        after: T,
+        children: Vec<Vec<Step<'a, T>>>,
+    },
+    Given {
+        fact: Cow<'a, str>,
+        before: T,
+        after: T,
+    },
+}
+
+impl Step<'_> {
+    pub(crate) fn before(&self) -> Id {
+        match self {
+            Step::Rule { before, .. }
+            | Step::Congruence { before, .. }
+            | Step::Given { before, .. } => *before,
+        }
+    }
+
+    pub(crate) fn after(&self) -> Id {
+        match self {
+            Step::Rule { after, .. }
+            | Step::Congruence { after, .. }
+            | Step::Given { after, .. } => *after,
+        }
+    }
+}
+
+/// Steps in `proof`, congruence sub-proofs included ([`Proof::size`]).
+pub(crate) fn proof_size(proof: &[Step<'_>]) -> usize {
+    proof
+        .iter()
+        .map(|step| match step {
+            Step::Congruence { children, .. } => {
+                1 + children.iter().map(|c| proof_size(c)).sum::<usize>()
+            }
+            _ => 1,
+        })
+        .sum()
+}
+
 /// What one kernel run did, for whoever records telemetry (the kernel
 /// itself touches no registry and no tracer).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelReport {
-    /// Distinct subterms the verification met (term-table entries).
+    /// Distinct subterms the verification met: those of every term
+    /// position it checked, and the terms it built itself. Entries a file
+    /// lists but no checked position reaches are not counted, so the count
+    /// is the same whether the certificate came from memory or from a file.
     pub terms: usize,
-    /// Term slots interned to find them — what a kernel without the table
-    /// would compare and re-infer one by one.
-    pub slots: usize,
     /// Rule steps whose lemma runs code: a condition or a dynamic applier.
     pub replays: usize,
 }
 
 impl KernelReport {
     /// The counts as span attributes, under the names traces use.
-    pub fn attrs(&self) -> [(&'static str, usize); 3] {
-        [
-            ("terms", self.terms),
-            ("slots", self.slots),
-            ("replays", self.replays),
-        ]
+    pub fn attrs(&self) -> [(&'static str, usize); 2] {
+        [("terms", self.terms), ("replays", self.replays)]
     }
 }
 
@@ -102,8 +170,25 @@ pub fn verify_reporting(
     lemmas: &[Rewrite<TensorAnalysis>],
     ctx: &SymCtx,
 ) -> (Result<(), CertError>, KernelReport) {
-    let mut kernel = Kernel::new(gs, gd, lemmas, ctx);
+    let mut kernel = Kernel::new(gs, gd, lemmas, ctx, TermTable::default());
     let verdict = kernel.certificate(cert);
+    (verdict, kernel.report())
+}
+
+/// Re-checks a certificate file as [`crate::read_json`] read it, under the
+/// rules of [`verify`], on the reader's own term table: each entry's
+/// metadata is inferred once, and no term is copied out of the table except
+/// to print it in a rejection.
+pub fn verify_file(
+    mut file: CertFile<'_>,
+    gs: &Graph,
+    gd: &Graph,
+    lemmas: &[Rewrite<TensorAnalysis>],
+    ctx: &SymCtx,
+) -> (Result<(), CertError>, KernelReport) {
+    let table = std::mem::take(&mut file.table);
+    let mut kernel = Kernel::new(gs, gd, lemmas, ctx, table);
+    let verdict = kernel.file(&file);
     (verdict, kernel.report())
 }
 
@@ -129,7 +214,7 @@ pub fn verify_mapping(
     ctx: &SymCtx,
     accepted: &HashMap<String, Vec<RecExpr>>,
 ) -> Result<(), CertError> {
-    let mut kernel = Kernel::new(gs, gd, lemmas, ctx);
+    let mut kernel = Kernel::new(gs, gd, lemmas, ctx, TermTable::default());
     let accepted: Accepted = accepted
         .iter()
         .map(|(name, exprs)| {
@@ -137,7 +222,8 @@ pub fn verify_mapping(
             (name.as_str(), ids)
         })
         .collect();
-    kernel.mapping(mc, &accepted).map(|_| ())
+    let mapping = kernel.resolve(mc);
+    kernel.mapping(&mapping, &accepted).map(|_| ())
 }
 
 /// The state of one verification; see the module documentation.
@@ -152,114 +238,158 @@ pub(crate) struct Kernel<'a> {
     /// so no keyed storage is freed, and its key reused, while the kernel
     /// lives: one key is one storage is one list of nodes.
     interned: HashMap<usize, (RecExpr, Id)>,
-    /// Counts for the [`KernelReport`].
-    slots: usize,
+    /// Count for the [`KernelReport`].
     replays: usize,
 }
 
 impl<'a> Kernel<'a> {
+    /// A context whose store starts as `table`.
     pub(crate) fn new(
         gs: &'a Graph,
         gd: &'a Graph,
         lemmas: &'a [Rewrite<TensorAnalysis>],
         ctx: &SymCtx,
+        table: TermTable,
     ) -> Kernel<'a> {
         Kernel {
             gs,
             gd,
             lemmas: lemmas.iter().map(|r| (r.name(), r)).collect(),
-            store: Store::new(gd, ctx),
+            store: Store::new(gd, ctx, table),
             interned: HashMap::new(),
-            slots: 0,
             replays: 0,
         }
     }
 
+    /// Entries of the store's table, met or not.
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> usize {
+        self.store.table().len()
+    }
+
     pub(crate) fn report(&self) -> KernelReport {
         KernelReport {
-            terms: self.store.table().len(),
-            slots: self.slots,
+            terms: self.store.met(),
             replays: self.replays,
         }
     }
 
+    /// Checks an in-memory certificate, interning its positions mapping by
+    /// mapping, so a rejection interns nothing past the mapping it is in.
     fn certificate(&mut self, cert: &Certificate) -> Result<(), CertError> {
-        let gs = self.gs;
-        // R_i: shape-validated axioms.
-        let mut accepted: Accepted = HashMap::new();
+        let mut accepted = Accepted::new();
         for (name, exprs) in &cert.inputs {
-            let t = gs.tensor_by_name(name).ok_or_else(|| {
-                CertError::Malformed(format!("unknown G_s tensor {name} in certificate inputs"))
-            })?;
-            for e in exprs {
-                let id = self.intern(e);
-                match self
-                    .denotes(id)
-                    .map_err(|why| CertError::rejected(name, why))?
-                {
-                    TermMeta::Tensor(shape, dtype) if *shape == t.shape && dtype == t.dtype => {}
-                    TermMeta::Tensor(shape, dtype) => {
-                        return Err(CertError::rejected(
-                            name,
-                            format!(
-                                "input mapping {e} has shape {shape} dtype {dtype}, tensor has {} {}",
-                                t.shape, t.dtype
-                            ),
-                        ));
-                    }
-                    TermMeta::Scalar => {
-                        return Err(CertError::rejected(
-                            name,
-                            format!("input mapping {e} is a scalar"),
-                        ));
-                    }
-                }
-                accepted.entry(name.as_str()).or_default().push(id);
-            }
+            let ids: Vec<Id> = exprs.iter().map(|e| self.intern(e)).collect();
+            self.input(name, &ids, &mut accepted)?;
         }
-
-        // Mapping certificates, in derivation order.
         for mc in &cert.mappings {
-            let expr = self.mapping(mc, &accepted)?;
+            let mapping = self.resolve(mc);
+            let expr = self.mapping(&mapping, &accepted)?;
             accepted.entry(mc.tensor.as_str()).or_default().push(expr);
         }
+        let outputs: Vec<(&str, Id)> = cert
+            .outputs
+            .iter()
+            .map(|(name, e)| (name.as_str(), self.intern(e)))
+            .collect();
+        self.outputs(&outputs, &accepted)
+    }
 
-        // R_o: accepted mappings over G_d outputs, covering every G_s output.
+    /// Checks a certificate file whose positions are entries of the
+    /// store's table already.
+    fn file(&mut self, file: &CertFile<'_>) -> Result<(), CertError> {
+        let mut accepted = Accepted::new();
+        for (name, ids) in &file.inputs {
+            self.input(name, ids, &mut accepted)?;
+        }
+        for mapping in &file.mappings {
+            let expr = self.mapping(mapping, &accepted)?;
+            accepted.entry(&mapping.tensor).or_default().push(expr);
+        }
+        let outputs: Vec<(&str, Id)> = file.outputs.iter().map(|(n, id)| (&**n, *id)).collect();
+        self.outputs(&outputs, &accepted)
+    }
+
+    /// Takes `R_i`'s mappings of the `G_s` tensor `name` as axioms, once
+    /// each has the tensor's shape and dtype.
+    fn input<'c>(
+        &mut self,
+        name: &'c str,
+        ids: &[Id],
+        accepted: &mut Accepted<'c>,
+    ) -> Result<(), CertError> {
+        let t = self.gs.tensor_by_name(name).ok_or_else(|| {
+            CertError::Malformed(format!("unknown G_s tensor {name} in certificate inputs"))
+        })?;
+        for &id in ids {
+            self.store.meet(id);
+            match self
+                .denotes(id)
+                .map_err(|why| CertError::rejected(name, why))?
+            {
+                TermMeta::Tensor(shape, dtype) if *shape == t.shape && dtype == t.dtype => {}
+                TermMeta::Tensor(shape, dtype) => {
+                    return Err(CertError::rejected(
+                        name,
+                        format!(
+                            "input mapping {} has shape {shape} dtype {dtype}, tensor has {} {}",
+                            self.show(id),
+                            t.shape,
+                            t.dtype
+                        ),
+                    ));
+                }
+                TermMeta::Scalar => {
+                    return Err(CertError::rejected(
+                        name,
+                        format!("input mapping {} is a scalar", self.show(id)),
+                    ));
+                }
+            }
+            accepted.entry(name).or_default().push(id);
+        }
+        Ok(())
+    }
+
+    /// `R_o`: accepted mappings over `G_d` outputs, covering every `G_s`
+    /// output.
+    fn outputs(&mut self, outputs: &[(&str, Id)], accepted: &Accepted) -> Result<(), CertError> {
+        let gs = self.gs;
         let gd_outputs: HashSet<&str> = self
             .gd
             .outputs()
             .iter()
             .map(|&t| self.gd.tensor(t).name.as_str())
             .collect();
-        for (name, e) in &cert.outputs {
+        for &(name, id) in outputs {
+            self.store.meet(id);
             let t = gs.tensor_by_name(name).ok_or_else(|| {
                 CertError::Malformed(format!("unknown G_s tensor {name} in certificate outputs"))
             })?;
             if !gs.outputs().contains(&t.id) {
                 return Err(CertError::rejected(name, "not a G_s output tensor"));
             }
-            let id = self.intern(e);
-            if !accepted
-                .get(name.as_str())
-                .is_some_and(|ms| ms.contains(&id))
-            {
+            if !accepted.get(name).is_some_and(|ms| ms.contains(&id)) {
                 return Err(CertError::rejected(
                     name,
-                    format!("output mapping {e} was never accepted"),
+                    format!("output mapping {} was never accepted", self.show(id)),
                 ));
             }
-            for sym in e.leaf_symbols() {
+            for sym in self.leaves(id) {
                 if !gd_outputs.contains(sym.as_str()) {
                     return Err(CertError::rejected(
                         name,
-                        format!("output mapping {e} uses non-output G_d tensor {sym}"),
+                        format!(
+                            "output mapping {} uses non-output G_d tensor {sym}",
+                            self.show(id)
+                        ),
                     ));
                 }
             }
         }
         for &t in gs.outputs() {
             let name = &gs.tensor(t).name;
-            if !cert.outputs.iter().any(|(n, _)| n == name) {
+            if !outputs.iter().any(|(n, _)| n == name) {
                 return Err(CertError::rejected(
                     name,
                     "G_s output has no mapping in the certificate's output relation",
@@ -271,7 +401,7 @@ impl<'a> Kernel<'a> {
 
     /// Validates one mapping certificate, returning the table entry of the
     /// expression it certifies.
-    fn mapping(&mut self, mc: &MappingCert, accepted: &Accepted) -> Result<Id, CertError> {
+    fn mapping(&mut self, mc: &Mapping<'_>, accepted: &Accepted) -> Result<Id, CertError> {
         let gs = self.gs;
         let node = gs
             .node_by_name(&mc.operator)
@@ -293,35 +423,38 @@ impl<'a> Kernel<'a> {
                 ),
             ));
         }
-        let mut inputs = Vec::with_capacity(mc.inputs.len());
-        for (i, e) in mc.inputs.iter().enumerate() {
+        for (i, &id) in mc.inputs.iter().enumerate() {
+            self.store.meet(id);
             let in_name = &gs.tensor(node.inputs[i]).name;
-            let id = self.intern(e);
             if !accepted
                 .get(in_name.as_str())
                 .is_some_and(|ms| ms.contains(&id))
             {
                 return Err(CertError::rejected(
                     &mc.tensor,
-                    format!("input {i} ({in_name}) uses an unaccepted mapping {e}"),
+                    format!(
+                        "input {i} ({in_name}) uses an unaccepted mapping {}",
+                        self.show(id)
+                    ),
                 ));
             }
-            inputs.push(id);
         }
         // The proof must start at the kernel's own encoding of the operator.
         let base = self
-            .encode_op(&node.op, &inputs)
+            .encode_op(&node.op, &mc.inputs)
             .map_err(|why| CertError::rejected(&mc.tensor, why))?;
-        let expr = self.intern(&mc.expr);
-        self.chain(&mc.proof, base, expr, accepted)
+        self.store.meet(mc.expr);
+        self.chain(&mc.proof, base, mc.expr, accepted)
             .map_err(|why| CertError::rejected(&mc.tensor, why))?;
         // The certified expression must re-infer to the G_s tensor's metadata.
         let ts = gs.tensor(node.output);
         match self
-            .denotes(expr)
+            .denotes(mc.expr)
             .map_err(|why| CertError::rejected(&mc.tensor, why))?
         {
-            TermMeta::Tensor(shape, dtype) if *shape == ts.shape && dtype == ts.dtype => Ok(expr),
+            TermMeta::Tensor(shape, dtype) if *shape == ts.shape && dtype == ts.dtype => {
+                Ok(mc.expr)
+            }
             TermMeta::Tensor(shape, dtype) => Err(CertError::rejected(
                 &mc.tensor,
                 format!(
@@ -341,43 +474,39 @@ impl<'a> Kernel<'a> {
     /// step.
     fn chain(
         &mut self,
-        proof: &Proof,
+        proof: &[Step<'_>],
         from: Id,
         to: Id,
         accepted: &Accepted,
     ) -> Result<(), String> {
-        let Some(first) = proof.steps.first() else {
+        let Some(first) = proof.first() else {
             return if from == to {
                 Ok(())
             } else {
                 Err("empty proof between distinct terms".to_owned())
             };
         };
-        let mut cur = self.intern(first.before());
+        let mut cur = first.before();
         if cur != from {
             return Err(format!(
                 "proof starts at {} instead of the required term",
-                first.before()
+                self.show(cur)
             ));
         }
         self.denotes(cur)?;
-        for (k, step) in proof.steps.iter().enumerate() {
-            // A step usually repeats the previous step's `after` slot for
-            // slot; comparing the nodes says so without interning it again.
-            if k > 0
-                && step.before() != proof.steps[k - 1].after()
-                && self.intern(step.before()) != cur
-            {
+        for (k, step) in proof.iter().enumerate() {
+            if step.before() != cur {
                 return Err(format!("step {k} does not chain from the previous step"));
             }
-            let after = self.intern(step.after());
+            let after = step.after();
+            self.store.meet(after);
             let after_meta = self
                 .denotes(after)
                 .map_err(|why| format!("step {k}: {why}"))?;
             if after_meta != self.denotes(cur)? {
                 return Err(format!("step {k} changes the term's shape or dtype"));
             }
-            self.step(step, cur, after, accepted)
+            self.step(step, accepted)
                 .map_err(|why| format!("step {k}: {why}"))?;
             cur = after;
         }
@@ -387,17 +516,12 @@ impl<'a> Kernel<'a> {
         Ok(())
     }
 
-    /// Justifies one step between the (interned) terms `before` and `after`.
-    pub(crate) fn step(
-        &mut self,
-        step: &ProofStep,
-        before: Id,
-        after: Id,
-        accepted: &Accepted,
-    ) -> Result<(), String> {
+    /// Justifies one step between its terms.
+    pub(crate) fn step(&mut self, step: &Step<'_>, accepted: &Accepted) -> Result<(), String> {
+        let (before, after) = (step.before(), step.after());
         match step {
-            ProofStep::Given { fact, .. } => self.given(fact, before, after, accepted),
-            ProofStep::Congruence { children, .. } => {
+            Step::Given { fact, .. } => self.given(fact, before, after, accepted),
+            Step::Congruence { children, .. } => {
                 let table = self.store.table();
                 let (ENode::Op(sb, cb), ENode::Op(sa, ca)) =
                     (table.node(before), table.node(after))
@@ -414,7 +538,7 @@ impl<'a> Kernel<'a> {
                 }
                 Ok(())
             }
-            ProofStep::Rule {
+            Step::Rule {
                 name,
                 forward,
                 subst,
@@ -422,18 +546,17 @@ impl<'a> Kernel<'a> {
             } => {
                 let rw = *self
                     .lemmas
-                    .get(name.as_str())
+                    .get(&**name)
                     .ok_or_else(|| format!("unknown lemma {name}"))?;
                 let (lhs, rhs) = if *forward {
                     (before, after)
                 } else {
                     (after, before)
                 };
-                let recorded: Vec<(&str, Id)> = subst
-                    .iter()
-                    .map(|(var, term)| (var.as_str(), self.intern(term)))
-                    .collect();
-                self.rule(rw, &recorded, lhs, rhs)
+                for &(_, id) in subst {
+                    self.store.meet(id);
+                }
+                self.rule(rw, subst, lhs, rhs)
             }
         }
     }
@@ -496,7 +619,7 @@ impl<'a> Kernel<'a> {
     fn rule(
         &mut self,
         rw: &Rewrite<TensorAnalysis>,
-        recorded: &[(&str, Id)],
+        recorded: &[(Cow<'_, str>, Id)],
         lhs: Id,
         rhs: Id,
     ) -> Result<(), String> {
@@ -540,15 +663,72 @@ impl<'a> Kernel<'a> {
 
     /// Interns a term the certificate (or the caller) supplied: once per
     /// storage, so the positions a reader made clones of one term cost one
-    /// walk. `slots` counts every position in full, as if each were walked.
+    /// walk.
     pub(crate) fn intern(&mut self, expr: &RecExpr) -> Id {
-        self.slots += expr.len();
         if let Some(&(_, id)) = self.interned.get(&expr.storage_key()) {
             return id;
         }
         let id = self.store.intern(expr);
         self.interned.insert(expr.storage_key(), (expr.clone(), id));
         id
+    }
+
+    /// The kernel's form of an in-memory mapping, its positions interned.
+    fn resolve<'c>(&mut self, mc: &'c MappingCert) -> Mapping<'c> {
+        Mapping {
+            tensor: Cow::Borrowed(&mc.tensor),
+            operator: Cow::Borrowed(&mc.operator),
+            inputs: mc.inputs.iter().map(|e| self.intern(e)).collect(),
+            expr: self.intern(&mc.expr),
+            proof: self.resolve_proof(&mc.proof),
+        }
+    }
+
+    fn resolve_proof<'c>(&mut self, proof: &'c Proof) -> Vec<Step<'c>> {
+        let mut steps: Vec<Step<'c>> = Vec::with_capacity(proof.steps.len());
+        for (k, step) in proof.steps.iter().enumerate() {
+            // A step usually repeats the previous step's `after` slot for
+            // slot; comparing the nodes says so without interning it again.
+            let before = match steps.last() {
+                Some(prev) if step.before() == proof.steps[k - 1].after() => prev.after(),
+                _ => self.intern(step.before()),
+            };
+            let resolved = self.resolve_step(step, before);
+            steps.push(resolved);
+        }
+        steps
+    }
+
+    /// The kernel's form of one step whose `before` is the entry `before`.
+    pub(crate) fn resolve_step<'c>(&mut self, step: &'c ProofStep, before: Id) -> Step<'c> {
+        let after = self.intern(step.after());
+        match step {
+            ProofStep::Rule {
+                name,
+                forward,
+                subst,
+                ..
+            } => Step::Rule {
+                name: Cow::Borrowed(name),
+                forward: *forward,
+                subst: subst
+                    .iter()
+                    .map(|(var, term)| (Cow::Borrowed(var.as_str()), self.intern(term)))
+                    .collect(),
+                before,
+                after,
+            },
+            ProofStep::Congruence { children, .. } => Step::Congruence {
+                before,
+                after,
+                children: children.iter().map(|c| self.resolve_proof(c)).collect(),
+            },
+            ProofStep::Given { fact, .. } => Step::Given {
+                fact: Cow::Borrowed(fact),
+                before,
+                after,
+            },
+        }
     }
 
     /// Interns one node the kernel builds itself, over interned children.
@@ -567,6 +747,28 @@ impl<'a> Kernel<'a> {
             Ok(m) => term_meta(m),
             Err(why) => Err(why.clone()),
         }
+    }
+
+    /// The term at `id`, copied out of the table to be printed.
+    fn show(&self, id: Id) -> RecExpr {
+        self.store
+            .table()
+            .materialise(id, &mut PostOrder::default())
+    }
+
+    /// The leaf names of the term at `id`, each once, in the order of its
+    /// printed form.
+    fn leaves(&self, id: Id) -> Vec<Symbol> {
+        let table = self.store.table();
+        let mut walk = PostOrder::default();
+        walk.visit(table, id);
+        walk.order
+            .iter()
+            .filter_map(|&entry| match table.node(entry) {
+                ENode::Op(sym, children) if children.is_empty() => Some(*sym),
+                _ => None,
+            })
+            .collect()
     }
 
     /// Pure mirror of the checker's operator encoding (`encode_op`):
@@ -630,26 +832,26 @@ impl<'a> Kernel<'a> {
     }
 }
 
-/// Matches a pattern against a concrete subterm, binding variables to
-/// subterms; nonlinear variables must bind the same term.
-fn match_term<T: Terms>(pat: &PatternAst, terms: &T, at: Id, sigma: &mut Subst) -> bool {
+/// Matches a pattern against a table entry, binding variables to
+/// entries; nonlinear variables must bind the same entry.
+fn match_term(pat: &PatternAst, table: &TermTable, at: Id, sigma: &mut Subst) -> bool {
     match pat {
         PatternAst::Var(v) => match sigma.get(*v) {
-            Some(prev) => terms.same_term(prev, at),
+            Some(prev) => prev == at,
             None => {
                 sigma.insert(*v, at);
                 true
             }
         },
-        PatternAst::Int(i) => matches!(terms.node(at), ENode::Int(j) if j == i),
-        PatternAst::Op(sym, args) => match terms.node(at) {
+        PatternAst::Int(i) => matches!(table.node(at), ENode::Int(j) if j == i),
+        PatternAst::Op(sym, args) => match table.node(at) {
             ENode::Op(s, ch) => {
                 s == sym
                     && ch.len() == args.len()
                     && args
                         .iter()
                         .zip(ch)
-                        .all(|(p, &c)| match_term(p, terms, c, sigma))
+                        .all(|(p, &c)| match_term(p, table, c, sigma))
             }
             _ => false,
         },
@@ -679,7 +881,7 @@ fn pattern_is_term(pat: &PatternAst, sigma: &Subst, table: &TermTable, at: Id) -
 /// Requires the matcher-derived bindings and the certificate's recorded
 /// substitution to agree exactly (same variables, same terms) — a
 /// corrupted substitution is a rejected certificate.
-fn subst_agrees(sigma: &Subst, recorded: &[(&str, Id)], lemma: &str) -> Result<(), String> {
+fn subst_agrees(sigma: &Subst, recorded: &[(Cow<'_, str>, Id)], lemma: &str) -> Result<(), String> {
     let bound = sigma.iter().count();
     if bound != recorded.len() {
         return Err(format!(
@@ -688,7 +890,7 @@ fn subst_agrees(sigma: &Subst, recorded: &[(&str, Id)], lemma: &str) -> Result<(
         ));
     }
     for (var, bound) in sigma.iter() {
-        let Some(&(_, term)) = recorded.iter().find(|(n, _)| *n == var.as_str()) else {
+        let Some(&(_, term)) = recorded.iter().find(|(n, _)| n == var.as_str()) else {
             return Err(format!(
                 "lemma {lemma}: recorded substitution misses variable ?{}",
                 var.as_str()

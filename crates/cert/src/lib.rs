@@ -24,6 +24,9 @@
 //!   can be shipped and audited out-of-process (`entangle certify`): one
 //!   table of distinct subterms per document, every term position an index
 //!   into it.
+//! - [`read_json`] / [`verify_file`]: the out-of-process audit itself. The
+//!   reader's hash-consed table becomes the kernel's, so a re-check copies
+//!   no term out of it.
 //!
 //! The trusted computing base deliberately excludes the saturation engine:
 //! see DESIGN.md ("Certificates and the trusted kernel") for the exact
@@ -40,5 +43,5 @@ mod table;
 mod tests;
 
 pub use cert::{exprs_eq, term_eq, CertError, Certificate, MappingCert, NumericVerdict};
-pub use json::{from_json, from_json_counting, to_json, MAX_TERM_DEPTH};
-pub use kernel::{verify, verify_mapping, verify_reporting, KernelReport};
+pub use json::{from_json, read_json, to_json, CertFile, MAX_TERM_DEPTH};
+pub use kernel::{verify, verify_file, verify_mapping, verify_reporting, KernelReport};

@@ -11,9 +11,10 @@
 //!
 //! Three users: the JSON writer numbers the table's entries canonically
 //! ([`PostOrder`]) and writes each once; the reader rebuilds the table from
-//! the file and materialises each term position from it; the kernel interns
-//! every term it is handed into a [`Store`] — the table plus what each
-//! entry denotes — and compares ids.
+//! the file, node by node; the kernel checks a certificate on a [`Store`] —
+//! a table plus what each entry denotes — which is the reader's table when
+//! the certificate comes from a file, and into which it interns the terms
+//! of an in-memory certificate otherwise.
 
 use std::collections::HashMap;
 
@@ -21,28 +22,6 @@ use entangle_egraph::{ENode, Id, Parents, RecExpr, TermStore};
 use entangle_ir::{DType, Dim, Graph, Shape};
 use entangle_lemmas::{infer_application, parse_ones_leaf, Meta, TensorAnalysis};
 use entangle_symbolic::{SymCtx, SymExpr};
-
-use crate::cert::term_eq;
-
-/// A read-only view of terms addressed by [`Id`], so the kernel's pattern
-/// matcher runs over a [`TermTable`] (ids are terms) and the instantiation
-/// code over one [`RecExpr`] (ids are slots) without a second matcher.
-pub(crate) trait Terms {
-    /// The node at `at`; its children address the same view.
-    fn node(&self, at: Id) -> &ENode;
-    /// Whether `a` and `b` are the same tree.
-    fn same_term(&self, a: Id, b: Id) -> bool;
-}
-
-impl Terms for RecExpr {
-    fn node(&self, at: Id) -> &ENode {
-        RecExpr::node(self, at)
-    }
-
-    fn same_term(&self, a: Id, b: Id) -> bool {
-        term_eq(self, a, self, b)
-    }
-}
 
 /// A hash-consed store of term nodes; see the module documentation.
 #[derive(Debug, Default)]
@@ -112,6 +91,8 @@ impl TermTable {
     /// Copies the term at `root` out of the table, shared subterms sharing
     /// slots. Iterative, so the table's depth costs no stack.
     pub(crate) fn materialise(&self, root: Id, walk: &mut PostOrder) -> RecExpr {
+        #[cfg(test)]
+        MATERIALISED.with(|n| n.set(n.get() + 1));
         walk.visit(self, root);
         let mut out = RecExpr::with_capacity(walk.order.len());
         for &id in &walk.order {
@@ -122,14 +103,15 @@ impl TermTable {
     }
 }
 
-impl Terms for TermTable {
-    fn node(&self, at: Id) -> &ENode {
-        TermTable::node(self, at)
-    }
+#[cfg(test)]
+thread_local! {
+    static MATERIALISED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
 
-    fn same_term(&self, a: Id, b: Id) -> bool {
-        a == b
-    }
+/// Terms [`TermTable::materialise`] has copied out on this thread.
+#[cfg(test)]
+pub(crate) fn materialised() -> usize {
+    MATERIALISED.with(std::cell::Cell::get)
 }
 
 /// A first-visit post-order numbering (children left to right) of the
@@ -201,6 +183,10 @@ pub(crate) struct Store<'g> {
     /// with the table: an entry is inferred once, from its children's
     /// memoised results.
     metas: Vec<Result<Meta, String>>,
+    /// Per entry, whether the verification has met it (see
+    /// [`Store::meet`]), and how many it has.
+    met: Vec<bool>,
+    met_count: usize,
     /// Per entry, the number of the last scope that holds it.
     scope: Vec<u32>,
     /// The current scope's number, and its entries in entry order.
@@ -215,17 +201,22 @@ pub(crate) struct Store<'g> {
 }
 
 impl<'g> Store<'g> {
-    pub(crate) fn new(gd: &'g Graph, ctx: &SymCtx) -> Store<'g> {
-        Store {
-            table: TermTable::default(),
+    /// A store over `table`, each of whose entries is inferred here, once.
+    pub(crate) fn new(gd: &'g Graph, ctx: &SymCtx, table: TermTable) -> Store<'g> {
+        let mut store = Store {
+            table,
             metas: Vec::new(),
+            met: Vec::new(),
+            met_count: 0,
             scope: Vec::new(),
             epoch: 0,
             in_scope: Vec::new(),
             gd,
             analysis: TensorAnalysis::with_ctx(ctx.clone()),
             unknown: Meta::unknown(),
-        }
+        };
+        store.index_new_entries();
+        store
     }
 
     pub(crate) fn table(&self) -> &TermTable {
@@ -237,6 +228,28 @@ impl<'g> Store<'g> {
         let id = self.table.intern(expr);
         self.index_new_entries();
         id
+    }
+
+    /// Marks the term at `root` and its subterms as met: the report counts
+    /// the terms a verification checked or built, not the entries a file
+    /// happened to list.
+    pub(crate) fn meet(&mut self, root: Id) {
+        if self.met[root.index()] {
+            return;
+        }
+        let mut stack = vec![root];
+        while let Some(id) = stack.pop() {
+            if !self.met[id.index()] {
+                self.met[id.index()] = true;
+                self.met_count += 1;
+                stack.extend(self.table.node(id).children());
+            }
+        }
+    }
+
+    /// Number of entries met so far.
+    pub(crate) fn met(&self) -> usize {
+        self.met_count
     }
 
     /// The memoised inference for the entry `id`.
@@ -266,14 +279,9 @@ impl<'g> Store<'g> {
     /// subterm.
     fn index_new_entries(&mut self) {
         for i in self.metas.len()..self.table.len() {
-            let node = self.table.node(Id::from_index(i));
-            let children: Result<Vec<Meta>, String> = node
-                .children()
-                .iter()
-                .map(|c| self.metas[c.index()].clone())
-                .collect();
-            let meta = children.and_then(|ch| infer_node(node, &ch, self.gd));
+            let meta = infer_node(self.table.node(Id::from_index(i)), &self.metas, self.gd);
             self.metas.push(meta);
+            self.met.push(false);
             self.scope.push(self.epoch);
             self.in_scope.push(Id::from_index(i));
         }
@@ -311,14 +319,16 @@ impl TermStore<TensorAnalysis> for Store<'_> {
     fn add(&mut self, node: ENode) -> Id {
         let id = self.table.add(node);
         self.index_new_entries();
+        self.meet(id);
         id
     }
 }
 
-/// Infers shape/dtype metadata for one node from its children's. A leaf
-/// is a `G_d` tensor, or a synthetic canonicalization leaf (`~ones[...]`)
-/// that carries its shape in its name.
-fn infer_node(node: &ENode, children: &[Meta], gd: &Graph) -> Result<Meta, String> {
+/// Infers shape/dtype metadata for one node from its children's, read by
+/// reference from the entries' memoised results in `metas`. A leaf is a
+/// `G_d` tensor, or a synthetic canonicalization leaf (`~ones[...]`) that
+/// carries its shape in its name.
+fn infer_node(node: &ENode, metas: &[Result<Meta, String>], gd: &Graph) -> Result<Meta, String> {
     match node {
         ENode::Int(i) => Ok(Meta::scalar(SymExpr::constant(*i))),
         ENode::Sym(e) => Ok(Meta::scalar(e.clone())),
@@ -336,6 +346,12 @@ fn infer_node(node: &ENode, children: &[Meta], gd: &Graph) -> Result<Meta, Strin
                     .ok_or_else(|| format!("unknown G_d tensor {sym}")),
             }
         }
-        ENode::Op(sym, _) => infer_application(*sym, children).map_err(|e| e.to_string()),
+        ENode::Op(sym, ch) => {
+            let children = ch
+                .iter()
+                .map(|c| metas[c.index()].as_ref().map_err(String::clone))
+                .collect::<Result<Vec<&Meta>, String>>()?;
+            infer_application(*sym, &children).map_err(|e| e.to_string())
+        }
     }
 }

@@ -11,8 +11,8 @@ use entangle_lemmas::{
 use entangle_symbolic::SymCtx;
 
 use crate::cert::{exprs_eq, CertError, Certificate, MappingCert};
-use crate::json::{from_json, positions, to_json};
-use crate::kernel::{verify, verify_reporting, Accepted, Kernel, KernelReport};
+use crate::json::{from_json, positions, read_json, to_json};
+use crate::kernel::{verify, verify_file, verify_reporting, Accepted, Kernel, KernelReport};
 use crate::table::{PostOrder, TermTable};
 
 fn e(s: &str) -> RecExpr {
@@ -421,28 +421,69 @@ fn forged(
 
 #[test]
 fn shared_storage_changes_no_verdict_and_no_report() {
+    // Four routes to one verdict, one rejection text and one report: the
+    // in-memory certificate, the terms `from_json` copies out of its text
+    // (positions naming one entry share a storage), a deep copy of those
+    // (nothing shared), and the text checked on the reader's own table.
     let lemmas = lemmas();
     for case in real_certs() {
         let forgery = forged(&case.cert, &case.gs, &case.gd, &lemmas);
         for (what, cert) in [("certificate", &case.cert), ("forgery", &forgery)] {
-            let read = from_json(&to_json(cert).expect("serializes")).expect("parses");
+            let text = to_json(cert).expect("serializes");
+            let read = from_json(&text).expect("parses");
             let copy = deep_copy(&read);
             let run = |c: &Certificate| {
                 let (verdict, report) =
                     verify_reporting(c, &case.gs, &case.gd, &lemmas, &SymCtx::default());
                 (format!("{verdict:?}"), report)
             };
-            let (shared_verdict, shared_report) = run(&read);
-            let (copied_verdict, copied_report) = run(&copy);
-            assert_eq!(shared_verdict, copied_verdict, "{} {what}", case.name);
-            assert_eq!(shared_report, copied_report, "{} {what}", case.name);
-            assert_eq!(
-                shared_verdict == "Ok(())",
-                what == "certificate",
-                "{}",
-                case.name
+            let (verdict, report) = run(cert);
+            let (file_verdict, file_report) = verify_file(
+                read_json(&text).expect("reads"),
+                &case.gs,
+                &case.gd,
+                &lemmas,
+                &SymCtx::default(),
             );
+            for (route, other) in [
+                ("shared", run(&read)),
+                ("copied", run(&copy)),
+                ("file", (format!("{file_verdict:?}"), file_report)),
+            ] {
+                assert_eq!(other.0, verdict, "{} {what} {route}", case.name);
+                assert_eq!(other.1, report, "{} {what} {route}", case.name);
+            }
+            assert_eq!(verdict == "Ok(())", what == "certificate", "{}", case.name);
         }
+    }
+}
+
+#[test]
+fn a_recheck_copies_no_term_out_of_the_table() {
+    // The deep Llama the benchmark re-checks, and the widest zoo-scale GPT.
+    let llama = entangle_bench::llama_workload(8, 16);
+    let ri = llama.dist.relation(&llama.gs).expect("relation builds");
+    let llama = RealCert::certify("llama3_tp8_l16".to_owned(), llama.gs, llama.dist.graph, &ri);
+    let gpt = real_certs()
+        .iter()
+        .find(|c| c.name == "gpt_tp8_l2")
+        .expect("certified above");
+    let lemmas = lemmas();
+    for case in [&llama, gpt] {
+        let text = to_json(&case.cert).expect("serializes");
+        let file = read_json(&text).expect("reads");
+        let before = crate::table::materialised();
+        let (verdict, _) = verify_file(file, &case.gs, &case.gd, &lemmas, &SymCtx::default());
+        assert_eq!(verdict, Ok(()), "{}", case.name);
+        assert_eq!(crate::table::materialised(), before, "{}", case.name);
+        // A term is copied out only to be printed, and this rejection
+        // prints none.
+        let forgery =
+            to_json(&forged(&case.cert, &case.gs, &case.gd, &lemmas)).expect("serializes");
+        let file = read_json(&forgery).expect("reads");
+        let (verdict, _) = verify_file(file, &case.gs, &case.gd, &lemmas, &SymCtx::default());
+        assert!(verdict.is_err(), "{}", case.name);
+        assert_eq!(crate::table::materialised(), before, "{}", case.name);
     }
 }
 
@@ -509,41 +550,43 @@ fn real_certs() -> &'static [RealCert] {
             .chain([("gpt_tp8_l2".to_owned(), deep.gs, deep.dist)])
             .map(|(name, gs, dist)| {
                 let ri = dist.relation(&gs).expect("relation builds");
-                let opts = entangle::CheckOptions {
-                    numeric: false,
-                    ..entangle::CheckOptions::default()
-                };
-                let theirs = entangle::check_refinement(&gs, &dist.graph, &ri, &opts)
-                    .unwrap_or_else(|e| panic!("{name} fails to verify: {e}"))
-                    .certificate
-                    .expect("certify is on by default");
-                let cert = Certificate {
-                    gs: theirs.gs,
-                    gd: theirs.gd,
-                    inputs: theirs.inputs,
-                    mappings: theirs
-                        .mappings
-                        .into_iter()
-                        .map(|m| MappingCert {
-                            tensor: m.tensor,
-                            operator: m.operator,
-                            inputs: m.inputs,
-                            expr: m.expr,
-                            proof: m.proof,
-                        })
-                        .collect(),
-                    outputs: theirs.outputs,
-                    numeric: Vec::new(),
-                };
-                RealCert {
-                    name,
-                    gs,
-                    gd: dist.graph,
-                    cert,
-                }
+                RealCert::certify(name, gs, dist.graph, &ri)
             })
             .collect()
     })
+}
+
+impl RealCert {
+    /// Checks the pair and keeps the certificate of the check.
+    fn certify(name: String, gs: Graph, gd: Graph, ri: &entangle::Relation) -> RealCert {
+        let opts = entangle::CheckOptions {
+            numeric: false,
+            ..entangle::CheckOptions::default()
+        };
+        let theirs = entangle::check_refinement(&gs, &gd, ri, &opts)
+            .unwrap_or_else(|e| panic!("{name} fails to verify: {e}"))
+            .certificate
+            .expect("certify is on by default");
+        let cert = Certificate {
+            gs: theirs.gs,
+            gd: theirs.gd,
+            inputs: theirs.inputs,
+            mappings: theirs
+                .mappings
+                .into_iter()
+                .map(|m| MappingCert {
+                    tensor: m.tensor,
+                    operator: m.operator,
+                    inputs: m.inputs,
+                    expr: m.expr,
+                    proof: m.proof,
+                })
+                .collect(),
+            outputs: theirs.outputs,
+            numeric: Vec::new(),
+        };
+        RealCert { name, gs, gd, cert }
+    }
 }
 
 /// The shape rule folded over one term alone, slot by slot, a leaf being
@@ -565,7 +608,7 @@ fn shape_rule_over(term: &RecExpr, gd: &Graph) -> Result<Meta, String> {
                 Err(_) => return Err("malformed leaf".to_owned()),
             },
             ENode::Op(sym, ch) => {
-                let children: Vec<Meta> = ch.iter().map(|c| metas[c.index()].clone()).collect();
+                let children: Vec<&Meta> = ch.iter().map(|c| &metas[c.index()]).collect();
                 infer_application(*sym, &children).map_err(|e| e.to_string())?
             }
         };
@@ -580,7 +623,13 @@ fn store_agrees_with_the_shape_rule_and_the_egraph_on_real_certificates() {
     for case in real_certs() {
         verify(&case.cert, &case.gs, &case.gd, &lemmas, &SymCtx::default())
             .unwrap_or_else(|e| panic!("{}: {e}", case.name));
-        let mut store = Kernel::new(&case.gs, &case.gd, &lemmas, &SymCtx::default());
+        let mut store = Kernel::new(
+            &case.gs,
+            &case.gd,
+            &lemmas,
+            &SymCtx::default(),
+            TermTable::default(),
+        );
         // The e-class analysis over the same leaves, as a third opinion.
         let mut analysis = TensorAnalysis::default();
         for t in case.gd.tensors() {
@@ -626,7 +675,7 @@ fn store_agrees_with_the_shape_rule_and_the_egraph_on_real_certificates() {
                 assert!(!exprs_eq(a, b), "{}: {a} has two entries", case.name);
             }
         }
-        assert!(store.report().terms >= classes.len());
+        assert!(store.entries() >= classes.len());
     }
 }
 
@@ -741,13 +790,13 @@ fn replay_all(
     lemmas: &[entangle_egraph::Rewrite<TensorAnalysis>],
     steps: &[&ProofStep],
 ) -> (Vec<Result<(), String>>, KernelReport) {
-    let mut kernel = Kernel::new(gs, gd, lemmas, &SymCtx::default());
+    let mut kernel = Kernel::new(gs, gd, lemmas, &SymCtx::default(), TermTable::default());
     let verdicts = steps
         .iter()
         .map(|step| {
             let before = kernel.intern(step.before());
-            let after = kernel.intern(step.after());
-            kernel.step(step, before, after, &Accepted::new())
+            let step = kernel.resolve_step(step, before);
+            kernel.step(&step, &Accepted::new())
         })
         .collect();
     (verdicts, kernel.report())
@@ -873,23 +922,22 @@ fn a_leaf_an_applier_mints_has_its_metadata_in_later_steps() {
             before: over_leaf(leaf, Some(("slice", &[0, 0, 2]))),
             after: over_leaf(leaf, None),
         };
-        let mut kernel = Kernel::new(&gs, &gd, &lemmas, &SymCtx::default());
-        let (before, after) = (kernel.intern(mint.before()), kernel.intern(mint.after()));
+        let mut kernel = Kernel::new(&gs, &gd, &lemmas, &SymCtx::default(), TermTable::default());
+        let before = kernel.intern(mint.before());
+        let step = kernel.resolve_step(&mint, before);
         kernel
-            .step(&mint, before, after, &Accepted::new())
+            .step(&step, &Accepted::new())
             .expect("the minting step holds");
         // The applier added the leaf: naming it finds its entry.
-        let minted = kernel.report().terms;
+        let minted = kernel.entries();
         let id = kernel.intern(&over_leaf(leaf, None));
         assert!(id.index() < minted, "{leaf} was minted by the applier");
         let shape = Shape(vec![Dim::from(2), Dim::from(4)]);
         assert_eq!(*kernel.meta(id), Ok(Meta::tensor(shape, DType::F32)));
-        let (before, after) = (
-            kernel.intern(full_slice.before()),
-            kernel.intern(full_slice.after()),
-        );
+        let before = kernel.intern(full_slice.before());
+        let step = kernel.resolve_step(&full_slice, before);
         kernel
-            .step(&full_slice, before, after, &Accepted::new())
+            .step(&step, &Accepted::new())
             .unwrap_or_else(|why| panic!("{leaf}: {why}"));
     }
 }
@@ -932,16 +980,14 @@ fn slices_cover_concat_holds_among_other_slices_of_its_tensor() {
     ];
     let (gs, gd) = (gs(), gd());
     for target in [&cover, &forged] {
-        let mut kernel = Kernel::new(&gs, &gd, &lemmas, &SymCtx::default());
+        let mut kernel = Kernel::new(&gs, &gd, &lemmas, &SymCtx::default(), TermTable::default());
         kernel.intern(cover.after());
         for other in others {
             kernel.intern(&e(other));
         }
-        let (before, after) = (
-            kernel.intern(target.before()),
-            kernel.intern(target.after()),
-        );
-        let crowded = kernel.step(target, before, after, &Accepted::new());
+        let before = kernel.intern(target.before());
+        let step = kernel.resolve_step(target, before);
+        let crowded = kernel.step(&step, &Accepted::new());
         let (fresh, _) = replay_all(&gs, &gd, &lemmas, &[target]);
         assert_eq!(
             crowded.is_ok(),
@@ -963,7 +1009,7 @@ fn certificate_sizes_stay_within_their_count_guards() {
             .find(|c| c.name == name)
             .expect("certified above");
         let text = to_json(&case.cert).expect("serializes");
-        let (_, entries) = crate::json::from_json_counting(&text).expect("parses");
+        let entries = read_json(&text).expect("parses").entries();
         (text.len(), entries)
     };
     let (tp2_bytes, _) = size("gpt_tp2");

@@ -1211,10 +1211,10 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
                 let text = fs::read_to_string(path)
                     .map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
                 sp.attr("cert_bytes", text.len());
-                let cert = match entangle_cert::from_json_counting(&text) {
-                    Ok((cert, table_entries)) => {
-                        sp.attr("cert_terms", table_entries);
-                        cert
+                let file = match entangle_cert::read_json(&text) {
+                    Ok(file) => {
+                        sp.attr("cert_terms", file.entries());
+                        file
                     }
                     Err(e) => {
                         outln!("Certificate REJECTED:\n{e}");
@@ -1224,10 +1224,11 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
                 drop(sp);
                 let lemmas = entangle_lemmas::rewrites_of(&entangle_lemmas::registry());
                 let mut sp = tracer.span("stage:certify");
-                sp.attr("mappings", cert.mappings.len());
-                sp.attr("steps", cert.total_steps());
-                let (verdict, kernel) = entangle_cert::verify_reporting(
-                    &cert,
+                let (mappings, steps) = (file.mapping_count(), file.total_steps());
+                sp.attr("mappings", mappings);
+                sp.attr("steps", steps);
+                let (verdict, kernel) = entangle_cert::verify_file(
+                    file,
                     &gs,
                     &gd,
                     &lemmas,
@@ -1247,11 +1248,7 @@ fn run_inner(cmd: &Command, tracer: &Tracer, flags: &GlobalFlags) -> Result<i32,
                 drop(sp);
                 return match verdict {
                     Ok(()) => {
-                        outln!(
-                            "Certificate verified: {} mappings, {} proof steps.",
-                            cert.mappings.len(),
-                            cert.total_steps()
-                        );
+                        outln!("Certificate verified: {mappings} mappings, {steps} proof steps.");
                         Ok(0)
                     }
                     Err(e) => {
@@ -1420,12 +1417,8 @@ fn run_trace(
                 outln!("certificate: {entries} term-table entries read");
             }
             if let Some(terms) = attr("stage:certify", "terms") {
-                let of = |key| attr("stage:certify", key).unwrap_or("?");
-                outln!(
-                    "kernel   : {terms} distinct terms in {} slots, {} replays",
-                    of("slots"),
-                    of("replays")
-                );
+                let replays = attr("stage:certify", "replays").unwrap_or("?");
+                outln!("kernel   : {terms} distinct terms, {replays} replays");
             }
         }
         return Ok(0);

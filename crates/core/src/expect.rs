@@ -90,7 +90,7 @@ pub fn append_expr(
                 (Some(t.id), Meta::tensor(t.shape.clone(), t.dtype))
             }
             ENode::Op(sym, ch) => {
-                let child_metas: Vec<Meta> = ch.iter().map(|c| metas[c.index()].clone()).collect();
+                let child_metas: Vec<&Meta> = ch.iter().map(|c| &metas[c.index()]).collect();
                 let (op, tensor_count) = decode_op(sym.as_str(), &child_metas)
                     .ok_or_else(|| IrError::Invalid(format!("unknown operator {sym}")))?;
                 let inputs: Result<Vec<TensorId>, IrError> = ch[..tensor_count]

@@ -221,7 +221,7 @@ pub(crate) fn infer_expr_meta(
                 Meta::tensor(t.shape.clone(), t.dtype)
             }
             entangle_egraph::ENode::Op(sym, ch) => {
-                let child_metas: Vec<Meta> = ch.iter().map(|c| metas[c.index()].clone()).collect();
+                let child_metas: Vec<&Meta> = ch.iter().map(|c| &metas[c.index()]).collect();
                 infer_application(*sym, &child_metas)?
             }
         };

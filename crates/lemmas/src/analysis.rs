@@ -92,7 +92,7 @@ impl Analysis for TensorAnalysis {
                 None => Meta::unknown(),
             },
             ENode::Op(sym, ch) => {
-                let metas: Vec<Meta> = ch.iter().map(|&c| egraph[c].data.clone()).collect();
+                let metas: Vec<&Meta> = ch.iter().map(|&c| &egraph[c].data).collect();
                 infer_application(*sym, &metas).unwrap_or_default()
             }
         }
@@ -179,7 +179,7 @@ pub const OP_VOCABULARY: &[&str] = &[
 /// (n-ary concat and the collectives are lowered to binary `concat`/`add`
 /// chains before entering the e-graph, so arities here are fixed except for
 /// `reshape`/`permute`, whose trailing children are all attributes).
-pub fn decode_op(name: &str, metas: &[Meta]) -> Option<(Op, usize)> {
+pub fn decode_op(name: &str, metas: &[&Meta]) -> Option<(Op, usize)> {
     let scalar_at = |i: usize| -> Option<SymExpr> { metas.get(i)?.scalar.clone() };
     let int_at = |i: usize| -> Option<i64> { scalar_at(i)?.as_const() };
     let usize_at = |i: usize| -> Option<usize> {

@@ -49,7 +49,7 @@ impl From<ApplyError> for IrError {
 /// what its children do — [`decode_op`], then the operator's own inference
 /// over the leading tensor children. The error owns nothing but what
 /// `infer_output` built, so folding it to [`Meta::unknown`] allocates nothing.
-pub fn infer_application(head: Symbol, children: &[Meta]) -> Result<Meta, ApplyError> {
+pub fn infer_application(head: Symbol, children: &[&Meta]) -> Result<Meta, ApplyError> {
     let (op, tensor_count) =
         decode_op(head.as_str(), children).ok_or(ApplyError::UnknownOperator(head))?;
     let inputs = children[..tensor_count]

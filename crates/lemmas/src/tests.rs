@@ -424,11 +424,11 @@ fn decode_op_roundtrip() {
     let t = Meta::tensor(Shape::of(&[2, 4]), DType::F32);
     let s = |v: i64| Meta::scalar(SymExpr::constant(v));
 
-    let (op, n) = crate::decode_op("matmul", &[t.clone(), t.clone()]).unwrap();
+    let (op, n) = crate::decode_op("matmul", &[&t, &t]).unwrap();
     assert_eq!(op, Op::Matmul);
     assert_eq!(n, 2);
 
-    let (op, n) = crate::decode_op("slice", &[t.clone(), s(1), s(0), s(2)]).unwrap();
+    let (op, n) = crate::decode_op("slice", &[&t, &s(1), &s(0), &s(2)]).unwrap();
     assert_eq!(
         op,
         Op::Slice {
@@ -439,8 +439,7 @@ fn decode_op_roundtrip() {
     );
     assert_eq!(n, 1);
 
-    let (op, _) =
-        crate::decode_op("attention", &[t.clone(), t.clone(), t.clone(), s(4), s(1)]).unwrap();
+    let (op, _) = crate::decode_op("attention", &[&t, &t, &t, &s(4), &s(1)]).unwrap();
     assert_eq!(
         op,
         Op::Attention {
@@ -449,9 +448,9 @@ fn decode_op_roundtrip() {
         }
     );
 
-    assert!(crate::decode_op("unknown_op", std::slice::from_ref(&t)).is_none());
+    assert!(crate::decode_op("unknown_op", &[&t]).is_none());
     // Missing scalar attrs fail gracefully.
-    assert!(crate::decode_op("slice", &[t.clone(), t.clone(), s(0), s(2)]).is_none());
+    assert!(crate::decode_op("slice", &[&t, &t, &s(0), &s(2)]).is_none());
 }
 
 #[test]
@@ -483,8 +482,8 @@ fn vocabulary_matches_decode_op() {
             for attrs in 0..=4usize {
                 for ints in [&int0, &int1] {
                     for tensor in [&tensor_f32, &tensor_i64] {
-                        let mut metas = vec![tensor.clone(); tensors];
-                        metas.extend(std::iter::repeat_n(ints.clone(), attrs));
+                        let mut metas = vec![tensor; tensors];
+                        metas.extend(std::iter::repeat_n(ints, attrs));
                         if decode_op(name, &metas).is_some() {
                             decoded = true;
                             break 'palettes;
@@ -1017,7 +1016,9 @@ mod term_semantics {
     fn the_shape_rule_says_why_it_has_no_answer() {
         let t = |dims: &[i64]| Meta::tensor(Shape::of(dims), DType::F32);
         let int = |v: i64| Meta::scalar(v.into());
-        let apply = |head: &str, children: &[Meta]| infer_application(Symbol::new(head), children);
+        let apply = |head: &str, children: &[Meta]| {
+            infer_application(Symbol::new(head), &children.iter().collect::<Vec<_>>())
+        };
         assert_eq!(apply("matmul", &[t(&[2, 3]), t(&[3, 5])]), Ok(t(&[2, 5])));
         assert_eq!(apply("sum_dim", &[t(&[2, 3]), int(1), int(0)]), Ok(t(&[2])));
         let no_dtype = Meta {

@@ -636,7 +636,7 @@ pub fn eval_ground<'v>(
                 })
             }
             ENode::Op(sym, ch) => {
-                let metas: Vec<Meta> = ch.iter().map(|&c| slots[c.index()].0.clone()).collect();
+                let metas: Vec<&Meta> = ch.iter().map(|&c| &slots[c.index()].0).collect();
                 let (op, tensor_count) = decode_op(sym.as_str(), &metas)
                     .ok_or_else(|| format!("cannot decode {}", sym.as_str()))?;
                 let inputs: Vec<&Value> = ch[..tensor_count]

@@ -147,6 +147,7 @@ fn eval_pattern(
                 tensors.push(t);
             }
             let tensors: Vec<Option<&SymTensor>> = tensors.iter().map(Option::as_ref).collect();
+            let metas: Vec<&Meta> = metas.iter().collect();
             let (m, t) = apply_op(arena, sym.as_str(), &metas, &tensors)?;
             Ok((m, Some(t)))
         }

@@ -379,7 +379,7 @@ pub(crate) fn synthetic_leaf(arena: &mut Arena, name: &str) -> Result<Option<Sym
 pub(crate) fn apply_op(
     arena: &mut Arena,
     sym: &str,
-    metas: &[Meta],
+    metas: &[&Meta],
     tensors: &[Option<&SymTensor>],
 ) -> Result<(Meta, SymTensor), String> {
     let (op, tensor_count) = decode_op(sym, metas).ok_or_else(|| format!("cannot decode {sym}"))?;
@@ -492,7 +492,7 @@ impl TermTable {
                         .as_ref()
                         .expect("children evaluated without error")
                 };
-                let metas: Vec<Meta> = ch.iter().map(|c| child(c).0.clone()).collect();
+                let metas: Vec<&Meta> = ch.iter().map(|c| &child(c).0).collect();
                 let tensors: Vec<Option<&SymTensor>> =
                     ch.iter().map(|c| child(c).1.as_deref()).collect();
                 apply_op(arena, sym.as_str(), &metas, &tensors).map(|(m, t)| (m, Some(Rc::new(t))))

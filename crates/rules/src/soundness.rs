@@ -42,7 +42,7 @@ fn eval(ast: &PatternAst, env: &HashMap<Var, Meta>) -> Meta {
         PatternAst::Op(_, ch) if ch.is_empty() => Meta::unknown(),
         PatternAst::Op(sym, ch) => {
             let metas: Vec<Meta> = ch.iter().map(|c| eval(c, env)).collect();
-            infer_application(*sym, &metas).unwrap_or_default()
+            infer_application(*sym, &metas.iter().collect::<Vec<_>>()).unwrap_or_default()
         }
     }
 }

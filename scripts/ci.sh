@@ -203,12 +203,28 @@ fi
 if grep -nE 'FxHash' crates/cert/src/table.rs; then
   echo "crates/cert/src/table.rs uses FxHash (the file-keyed memo keeps std's keyed hasher)"; exit 1
 fi
-# The reader copies each term-table entry out once, in its per-entry memo,
+# `from_json` copies each term-table entry out once, in its per-entry memo,
 # and every position naming the entry shares that storage: a second
 # `materialise(` call is a second copy path beside the memo.
 materialises=$(grep -c 'materialise(' crates/cert/src/json.rs || true)
 if [ "$materialises" -gt 1 ]; then
-  echo "crates/cert/src/json.rs calls materialise( $materialises times (one: the reader's per-entry memo)"; exit 1
+  echo "crates/cert/src/json.rs calls materialise( $materialises times (one: from_json's per-entry memo)"; exit 1
+fi
+# A re-check runs on the reader's own term table (DESIGN.md, *What a re-check
+# reads*): `certify --check` reads with `read_json` and checks with
+# `verify_file`, so it copies no term out of the table. The counting twin of
+# `from_json` it used to call stays gone, and the CLI outside its tests never
+# materialises a certificate.
+if grep -rnw 'from_json_counting' crates src tests examples; then
+  echo "from_json_counting is back (a re-check reads with read_json and checks with verify_file)"; exit 1
+fi
+recheck_copies=$(for f in crates/cli/src/*.rs; do
+  [ "$(basename "$f")" = tests.rs ] && continue
+  awk -v f="$f" '/^#\[cfg\(test\)\]/{exit} {print f ":" FNR ": " $0}' "$f"
+done | grep -E 'entangle_cert::(\{[^}]*)?\bfrom_json\b' || true)
+if [ -n "$recheck_copies" ]; then
+  echo "$recheck_copies"
+  echo "crates/cli/src calls entangle_cert::from_json (re-check with read_json + verify_file: no term is copied out)"; exit 1
 fi
 
 # One term semantics (DESIGN.md, *Term language*): the shape rule of an

@@ -8,14 +8,16 @@
 //! terms line up and its shapes agree — must be rejected too.
 //!
 //! The second half forges the *file*: the term table a certificate's JSON
-//! text shares its terms through. A bad reference is `Malformed` at the
+//! text shares its terms through, re-checked the way `certify --check`
+//! does, on the reader's own table. A bad reference is `Malformed` at the
 //! reader; a reference to a different, well-formed term is the kernel's to
-//! reject; a duplicated entry changes no term and must change no verdict.
+//! reject; a duplicated entry changes no term and must change no verdict,
+//! and neither does an entry no position names.
 
 use std::sync::OnceLock;
 
 use entangle::{check_refinement, CheckOptions};
-use entangle_cert::{exprs_eq, CertError, Certificate, MappingCert};
+use entangle_cert::{exprs_eq, CertError, Certificate, KernelReport, MappingCert};
 use entangle_egraph::{Proof, ProofStep, RecExpr};
 use entangle_ir::{DType, Graph, GraphBuilder, Op};
 use entangle_lemmas::{registry, rewrites_of};
@@ -254,9 +256,21 @@ fn assemble(head: &str, entries: &[String], tail: &str) -> String {
 
 /// Reads and re-checks a certificate text the way `certify --check` does.
 fn recheck(text: &str) -> Result<(), CertError> {
+    recheck_reporting(text).map(|(verdict, _)| verdict)?
+}
+
+/// [`recheck`], keeping the verdict and the kernel's report apart from a
+/// refusal at the reader.
+fn recheck_reporting(text: &str) -> Result<(Result<(), CertError>, KernelReport), CertError> {
     let (gs, gd, _) = base();
-    let cert = entangle_cert::from_json(text)?;
-    entangle_cert::verify(&cert, gs, gd, &rewrites_of(&registry()), &SymCtx::new())
+    let file = entangle_cert::read_json(text)?;
+    Ok(entangle_cert::verify_file(
+        file,
+        gs,
+        gd,
+        &rewrites_of(&registry()),
+        &SymCtx::new(),
+    ))
 }
 
 /// Indices of the table entries that are applications (`[head, id, ...]`).
@@ -300,6 +314,28 @@ fn after_ids(tail: &str) -> Vec<(std::ops::Range<usize>, usize)> {
 /// `tail` with the id at `at` replaced by `id`.
 fn retarget(tail: &str, at: &std::ops::Range<usize>, id: usize) -> String {
     format!("{}{id}{}", &tail[..at.start], &tail[at.end..])
+}
+
+/// Every rule step's substitution in `tail`, one item per bound variable:
+/// the bound id, and the byte range and id of the step's `before`.
+fn subst_ids(tail: &str) -> Vec<(usize, std::ops::Range<usize>, usize)> {
+    let id_at = |at: usize| {
+        let len = tail[at..]
+            .find(|c: char| !c.is_ascii_digit())
+            .expect("an id ends");
+        (at..at + len, tail[at..at + len].parse().expect("an id"))
+    };
+    let mut out = Vec::new();
+    for (i, key) in tail.match_indices("\"subst\":{") {
+        let start = i + key.len();
+        let end = start + tail[start..].find('}').expect("the substitution closes");
+        let (before_at, before) = id_at(end + "},\"before\":".len());
+        for (j, _) in tail[start..end].match_indices("\":") {
+            let (_, id) = id_at(start + j + 2);
+            out.push((id, before_at.clone(), before));
+        }
+    }
+    out
 }
 
 #[test]
@@ -385,10 +421,62 @@ proptest! {
         entries.push(entries[*id].clone());
         let forged = retarget(&tail, at, entries.len() - 1);
         let text = assemble(&head, &entries, &forged);
-        prop_assert!(recheck(&text).is_ok(), "the kernel re-interns: ids are not trusted");
+        prop_assert!(recheck(&text).is_ok(), "the two ids name one entry of the node-keyed table");
         // And the writer knows one canonical text per certificate.
         let (h, e, t) = base_table();
         let back = entangle_cert::from_json(&text).expect("parses");
         prop_assert_eq!(entangle_cert::to_json(&back).expect("serializes"), assemble(&h, &e, &t));
     }
+}
+
+#[test]
+fn an_entry_no_position_names_changes_nothing() {
+    let (head, mut entries, tail) = base_table();
+    let (verdict, report) = recheck_reporting(&assemble(&head, &entries, &tail)).expect("reads");
+    verdict.expect("the base certificate is accepted");
+    // Entries whose shape inference fails, at the end of the table where no
+    // position names them: an unknown operator, an unknown `G_d` tensor,
+    // and a concat along a dimension its operands do not have.
+    let leaf = entries
+        .iter()
+        .position(|e| e.starts_with('"') && !e.starts_with("\"~"))
+        .expect("the table has a tensor leaf");
+    let n = entries.len();
+    entries.extend([
+        format!("[\"frobnicate\",{leaf}]"),
+        "\"no_such_tensor\"".to_owned(),
+        "99".to_owned(),
+        format!("[\"concat\",{leaf},{leaf},{}]", n + 2),
+    ]);
+    let (verdict, forged) = recheck_reporting(&assemble(&head, &entries, &tail)).expect("reads");
+    assert_eq!(verdict, Ok(()));
+    assert_eq!(forged, report, "the report counts terms the kernel met");
+}
+
+#[test]
+fn a_term_under_two_file_ids_is_one_term() {
+    let (head, mut entries, tail) = base_table();
+    // A rule step whose substitution binds an argument of its `before`
+    // term: list that argument again under a new id, and `before` again
+    // over the new id, and point the step's `before` at the copy. The
+    // substitution and the previous step's `after` still name the old ids.
+    let (bound, at, before) = subst_ids(&tail)
+        .into_iter()
+        .find(|(bound, _, before)| {
+            entries[*before].starts_with('[')
+                && parse_application(&entries[*before]).1.contains(bound)
+        })
+        .expect("a rule step binds an argument of its source term");
+    let (op, mut ids) = parse_application(&entries[before]);
+    entries.push(entries[bound].clone());
+    let copy = entries.len() - 1;
+    for id in &mut ids {
+        if *id == bound {
+            *id = copy;
+        }
+    }
+    entries.push(application(&op, &ids));
+    let forged = retarget(&tail, &at, entries.len() - 1);
+    recheck(&assemble(&head, &entries, &forged))
+        .expect("one term under two ids is one term: the chain and the substitution agree");
 }
