@@ -28,7 +28,7 @@ use entangle_symbolic::{SymExpr, SymVar};
 
 use crate::dtype::DType;
 use crate::graph::{Graph, IrError, Node, NodeId, Tensor, TensorId};
-use crate::op::Op;
+use crate::op::{Attr, AttrKind, AttrValues, Op, OPS};
 use crate::shape::{Dim, Shape};
 
 // ---------------------------------------------------------------------------
@@ -654,128 +654,27 @@ impl Pretty {
     }
 
     fn op(&mut self, op: &Op) {
-        let (tag, attrs): (&str, &[(&str, Attr)]) = match op {
-            Op::Add => ("Add", &[]),
-            Op::Sub => ("Sub", &[]),
-            Op::Mul => ("Mul", &[]),
-            Op::Div => ("Div", &[]),
-            Op::Maximum => ("Maximum", &[]),
-            Op::Neg => ("Neg", &[]),
-            Op::Exp => ("Exp", &[]),
-            Op::Sqrt => ("Sqrt", &[]),
-            Op::Rsqrt => ("Rsqrt", &[]),
-            Op::Tanh => ("Tanh", &[]),
-            Op::Gelu => ("Gelu", &[]),
-            Op::Silu => ("Silu", &[]),
-            Op::Relu => ("Relu", &[]),
-            Op::Sigmoid => ("Sigmoid", &[]),
-            Op::Step => ("Step", &[]),
-            Op::GeluGrad => ("GeluGrad", &[]),
-            Op::SiluGrad => ("SiluGrad", &[]),
-            Op::OnesLike => ("OnesLike", &[]),
-            Op::Cos => ("Cos", &[]),
-            Op::Sin => ("Sin", &[]),
-            Op::SumAll => ("SumAll", &[]),
-            Op::MeanAll => ("MeanAll", &[]),
-            Op::Identity => ("Identity", &[]),
-            Op::Matmul => ("Matmul", &[]),
-            Op::Embedding => ("Embedding", &[]),
-            Op::LayerNorm => ("LayerNorm", &[]),
-            Op::RmsNorm => ("RmsNorm", &[]),
-            Op::Rope => ("Rope", &[]),
-            Op::MseLoss => ("MseLoss", &[]),
-            Op::CrossEntropy => ("CrossEntropy", &[]),
-            Op::AllReduce => ("AllReduce", &[]),
-            Op::ScalarMul { numer, denom } => (
-                "ScalarMul",
-                &[("numer", Attr::Int(*numer)), ("denom", Attr::Int(*denom))],
-            ),
-            Op::SumDim { dim, keepdim } => (
-                "SumDim",
-                &[
-                    ("dim", Attr::Index(*dim)),
-                    ("keepdim", Attr::Flag(*keepdim)),
-                ],
-            ),
-            Op::MeanDim { dim, keepdim } => (
-                "MeanDim",
-                &[
-                    ("dim", Attr::Index(*dim)),
-                    ("keepdim", Attr::Flag(*keepdim)),
-                ],
-            ),
-            Op::Softmax { dim } => ("Softmax", &[("dim", Attr::Index(*dim))]),
-            Op::Reshape { shape } => ("Reshape", &[("shape", Attr::Dims(shape))]),
-            Op::Transpose { d0, d1 } => (
-                "Transpose",
-                &[("d0", Attr::Index(*d0)), ("d1", Attr::Index(*d1))],
-            ),
-            Op::Permute { perm } => ("Permute", &[("perm", Attr::Indices(perm))]),
-            Op::Slice { dim, start, end } => (
-                "Slice",
-                &[
-                    ("dim", Attr::Index(*dim)),
-                    ("start", Attr::Dim(start)),
-                    ("end", Attr::Dim(end)),
-                ],
-            ),
-            Op::Concat { dim } => ("Concat", &[("dim", Attr::Index(*dim))]),
-            Op::Pad { dim, before, after } => (
-                "Pad",
-                &[
-                    ("dim", Attr::Index(*dim)),
-                    ("before", Attr::Dim(before)),
-                    ("after", Attr::Dim(after)),
-                ],
-            ),
-            Op::EmbeddingGrad { vocab } => ("EmbeddingGrad", &[("vocab", Attr::Index(*vocab))]),
-            Op::Attention { heads, causal } => (
-                "Attention",
-                &[
-                    ("heads", Attr::Index(*heads)),
-                    ("causal", Attr::Flag(*causal)),
-                ],
-            ),
-            Op::AllGather { dim } => ("AllGather", &[("dim", Attr::Index(*dim))]),
-            Op::ReduceScatter { dim, rank, world } => (
-                "ReduceScatter",
-                &[
-                    ("dim", Attr::Index(*dim)),
-                    ("rank", Attr::Index(*rank)),
-                    ("world", Attr::Index(*world)),
-                ],
-            ),
-        };
-        if attrs.is_empty() {
-            return self.str(tag);
+        let row = op.row();
+        if row.attrs.is_empty() {
+            return self.str(row.tag);
         }
         self.open('{');
-        self.key(tag);
+        self.key(row.tag);
         self.open('{');
-        for (key, attr) in attrs {
+        for ((key, _), value) in row.attrs.iter().zip(op.attrs()) {
             self.key(key);
-            match attr {
-                Attr::Int(n) => self.int(n),
+            match value.expect("a value per schema entry") {
                 Attr::Index(n) => self.int(n),
-                Attr::Flag(b) => self.out.push_str(if *b { "true" } else { "false" }),
-                Attr::Dim(d) => self.dim(d),
-                Attr::Dims(dims) => self.dims(dims),
-                Attr::Indices(perm) => self.ints(perm.iter()),
+                Attr::Int(n) => self.int(n),
+                Attr::Flag(b) => self.out.push_str(if b { "true" } else { "false" }),
+                Attr::Dim(d) => self.dim(&d),
+                Attr::Dims(dims) => self.dims(&dims),
+                Attr::Indices(perm) => self.ints(perm),
             }
         }
         self.close('}');
         self.close('}');
     }
-}
-
-/// An operator attribute to write.
-enum Attr<'a> {
-    Int(i64),
-    Index(usize),
-    Flag(bool),
-    Dim(&'a Dim),
-    Dims(&'a [Dim]),
-    Indices(&'a [usize]),
 }
 
 fn dtype_name(d: DType) -> &'static str {
@@ -900,8 +799,17 @@ fn decode_dim(r: &mut Reader<'_>) -> Result<Dim, String> {
     }
 }
 
+/// A list of sizes — a tensor's shape or a `Reshape` target — none of them
+/// a negative constant.
 fn decode_dims(r: &mut Reader<'_>) -> Result<Vec<Dim>, String> {
-    r.items(|r, _| decode_dim(r))
+    r.items(|r, _| {
+        let start = r.peek().map(|_| r.pos)?;
+        let dim = decode_dim(r)?;
+        match dim.as_const() {
+            Some(n) if n < 0 => Err(format!("negative dimension {n} at byte {start}")),
+            _ => Ok(dim),
+        }
+    })
 }
 
 fn decode_dtype(r: &mut Reader<'_>) -> Result<DType, String> {
@@ -913,92 +821,16 @@ fn decode_dtype(r: &mut Reader<'_>) -> Result<DType, String> {
     }
 }
 
-fn unit_op(tag: &str) -> Option<Op> {
-    Some(match tag {
-        "Add" => Op::Add,
-        "Sub" => Op::Sub,
-        "Mul" => Op::Mul,
-        "Div" => Op::Div,
-        "Maximum" => Op::Maximum,
-        "Neg" => Op::Neg,
-        "Exp" => Op::Exp,
-        "Sqrt" => Op::Sqrt,
-        "Rsqrt" => Op::Rsqrt,
-        "Tanh" => Op::Tanh,
-        "Gelu" => Op::Gelu,
-        "Silu" => Op::Silu,
-        "Relu" => Op::Relu,
-        "Sigmoid" => Op::Sigmoid,
-        "Step" => Op::Step,
-        "GeluGrad" => Op::GeluGrad,
-        "SiluGrad" => Op::SiluGrad,
-        "OnesLike" => Op::OnesLike,
-        "Cos" => Op::Cos,
-        "Sin" => Op::Sin,
-        "SumAll" => Op::SumAll,
-        "MeanAll" => Op::MeanAll,
-        "Identity" => Op::Identity,
-        "Matmul" => Op::Matmul,
-        "Embedding" => Op::Embedding,
-        "LayerNorm" => Op::LayerNorm,
-        "RmsNorm" => Op::RmsNorm,
-        "Rope" => Op::Rope,
-        "MseLoss" => Op::MseLoss,
-        "CrossEntropy" => Op::CrossEntropy,
-        "AllReduce" => Op::AllReduce,
-        _ => return None,
-    })
-}
-
-/// The attributes of an operator's body, read by name: a member's name
-/// fixes its type.
-#[derive(Default)]
-struct Attrs {
-    dim: Option<usize>,
-    keepdim: Option<bool>,
-    numer: Option<i64>,
-    denom: Option<i64>,
-    shape: Option<Vec<Dim>>,
-    d0: Option<usize>,
-    d1: Option<usize>,
-    perm: Option<Vec<usize>>,
-    start: Option<Dim>,
-    end: Option<Dim>,
-    before: Option<Dim>,
-    after: Option<Dim>,
-    vocab: Option<usize>,
-    heads: Option<usize>,
-    causal: Option<bool>,
-    rank: Option<usize>,
-    world: Option<usize>,
-}
-
-/// The members each attribute-carrying operator has; any other member of
-/// its body is skipped.
-fn attr_names(tag: &str) -> Option<&'static [&'static str]> {
-    Some(match tag {
-        "ScalarMul" => &["numer", "denom"],
-        "SumDim" | "MeanDim" => &["dim", "keepdim"],
-        "Softmax" | "Concat" | "AllGather" => &["dim"],
-        "Reshape" => &["shape"],
-        "Transpose" => &["d0", "d1"],
-        "Permute" => &["perm"],
-        "Slice" => &["dim", "start", "end"],
-        "Pad" => &["dim", "before", "after"],
-        "EmbeddingGrad" => &["vocab"],
-        "Attention" => &["heads", "causal"],
-        "ReduceScatter" => &["dim", "rank", "world"],
-        _ => return None,
-    })
-}
-
 fn decode_op(r: &mut Reader<'_>) -> Result<Op, String> {
     let not_an_op =
         |kind: &str| format!("expected operator (string or single-key object), found {kind}");
     match r.peek()? {
         Kind::String => {
             let tag = r.str()?;
-            unit_op(&tag).ok_or_else(|| format!("{tag:?} is not a unit operator"))
+            match OPS.iter().find(|row| row.tag == tag) {
+                Some(row) if row.attrs.is_empty() => Ok(row.op.clone()),
+                _ => Err(format!("{tag:?} is not a unit operator")),
+            }
         }
         Kind::Object => {
             r.begin_object()?;
@@ -1013,90 +845,32 @@ fn decode_op(r: &mut Reader<'_>) -> Result<Op, String> {
     }
 }
 
-/// The body of the attribute-carrying operator `tag`.
+/// The body of the attribute-carrying operator `tag`: its schema's members
+/// in any order, any other member skipped.
 fn decode_attrs(r: &mut Reader<'_>, tag: &str) -> Result<Op, String> {
-    let names = attr_names(tag).ok_or_else(|| format!("unknown operator {tag:?}"))?;
-    let mut a = Attrs::default();
+    let row = match OPS.iter().find(|row| row.tag == tag) {
+        Some(row) if !row.attrs.is_empty() => row,
+        _ => return Err(format!("unknown operator {tag:?}")),
+    };
+    let mut values = AttrValues::default();
     r.members(|r, key| {
-        if !names.contains(&key) {
+        let Some(i) = row.attrs.iter().position(|&(name, _)| name == key) else {
             return Ok(false);
-        }
-        match key {
-            "dim" => a.dim = Some(usize_of(r)?),
-            "keepdim" => a.keepdim = Some(r.bool()?),
-            "numer" => a.numer = Some(r.int()?),
-            "denom" => a.denom = Some(r.int()?),
-            "shape" => a.shape = Some(decode_dims(r)?),
-            "d0" => a.d0 = Some(usize_of(r)?),
-            "d1" => a.d1 = Some(usize_of(r)?),
-            "perm" => a.perm = Some(r.items(|r, _| usize_of(r))?),
-            "start" => a.start = Some(decode_dim(r)?),
-            "end" => a.end = Some(decode_dim(r)?),
-            "before" => a.before = Some(decode_dim(r)?),
-            "after" => a.after = Some(decode_dim(r)?),
-            "vocab" => a.vocab = Some(usize_of(r)?),
-            "heads" => a.heads = Some(usize_of(r)?),
-            "causal" => a.causal = Some(r.bool()?),
-            "rank" => a.rank = Some(usize_of(r)?),
-            _ => a.world = Some(usize_of(r)?),
-        }
+        };
+        values[i] = Some(match row.attrs[i].1 {
+            AttrKind::Index => Attr::Index(usize_of(r)?),
+            AttrKind::Int => Attr::Int(r.int()?),
+            AttrKind::Flag => Attr::Flag(r.bool()?),
+            AttrKind::Dim => Attr::Dim(decode_dim(r)?),
+            AttrKind::Dims => Attr::Dims(decode_dims(r)?),
+            AttrKind::Indices => Attr::Indices(r.items(|r, _| usize_of(r))?),
+        });
         Ok(true)
     })?;
-    Ok(match tag {
-        "ScalarMul" => Op::ScalarMul {
-            numer: need(a.numer, "numer")?,
-            denom: need(a.denom, "denom")?,
-        },
-        "SumDim" => Op::SumDim {
-            dim: need(a.dim, "dim")?,
-            keepdim: need(a.keepdim, "keepdim")?,
-        },
-        "MeanDim" => Op::MeanDim {
-            dim: need(a.dim, "dim")?,
-            keepdim: need(a.keepdim, "keepdim")?,
-        },
-        "Softmax" => Op::Softmax {
-            dim: need(a.dim, "dim")?,
-        },
-        "Reshape" => Op::Reshape {
-            shape: need(a.shape, "shape")?,
-        },
-        "Transpose" => Op::Transpose {
-            d0: need(a.d0, "d0")?,
-            d1: need(a.d1, "d1")?,
-        },
-        "Permute" => Op::Permute {
-            perm: need(a.perm, "perm")?,
-        },
-        "Slice" => Op::Slice {
-            dim: need(a.dim, "dim")?,
-            start: need(a.start, "start")?,
-            end: need(a.end, "end")?,
-        },
-        "Concat" => Op::Concat {
-            dim: need(a.dim, "dim")?,
-        },
-        "Pad" => Op::Pad {
-            dim: need(a.dim, "dim")?,
-            before: need(a.before, "before")?,
-            after: need(a.after, "after")?,
-        },
-        "EmbeddingGrad" => Op::EmbeddingGrad {
-            vocab: need(a.vocab, "vocab")?,
-        },
-        "Attention" => Op::Attention {
-            heads: need(a.heads, "heads")?,
-            causal: need(a.causal, "causal")?,
-        },
-        "AllGather" => Op::AllGather {
-            dim: need(a.dim, "dim")?,
-        },
-        _ => Op::ReduceScatter {
-            dim: need(a.dim, "dim")?,
-            rank: need(a.rank, "rank")?,
-            world: need(a.world, "world")?,
-        },
-    })
+    for (value, (key, _)) in values.iter().zip(row.attrs) {
+        need(value.as_ref(), key)?;
+    }
+    Ok(Op::from_attrs(row, values))
 }
 
 /// Decodes the interchange format into a [`Graph`].
@@ -1359,6 +1133,24 @@ mod tests {
     }
 
     #[test]
+    fn a_negative_size_is_refused_where_the_number_starts() {
+        let graph = r#"{"name": "g", "tensors": [{"id": 0, "name": "x", "shape": [2, 3], "dtype": "F32", "producer": null}], "nodes": [], "inputs": [0], "outputs": [0]}"#;
+        decode_graph(graph).expect("the well-formed graph loads");
+        let err = decode_graph(&graph.replace("[2, 3]", "[2, -3]"))
+            .expect_err("a negative size")
+            .to_string();
+        assert!(err.contains("negative dimension -3 at byte 62"), "{err}");
+        let reshape = r#"{"Reshape": {"shape": [6, -1]}}"#;
+        let err = decode_op(&mut Reader::new(reshape)).expect_err("a negative target");
+        assert_eq!(err, "Reshape: negative dimension -1 at byte 26");
+        // An offset may be negative; a symbolic size may have a negative constant part.
+        let slice = r#"{"Slice": {"dim": 0, "start": -1, "end": 4}}"#;
+        decode_op(&mut Reader::new(slice)).expect("a slice's offsets are not sizes");
+        let symbolic = r#"{"Reshape": {"shape": [{"constant": -1, "terms": [[0, 2]]}]}}"#;
+        decode_op(&mut Reader::new(symbolic)).expect("2·s0 - 1 is not a negative constant");
+    }
+
+    #[test]
     fn strings_keep_escapes_and_multibyte_runs() {
         // Runs between escapes are copied whole; every cut is at an ASCII
         // delimiter, so multi-byte characters on either side of one survive.
@@ -1400,35 +1192,35 @@ mod tests {
         assert!(check(&wide).is_ok());
     }
 
+    /// Every operator of the table with an attribute value of each kind
+    /// that is not a placeholder (a symbolic one for a single `Dim`).
+    fn every_op() -> Vec<Op> {
+        let symbolic = Dim(SymExpr::from_terms(3, [(SymVar::from_index(0), 2)]));
+        crate::OPS
+            .iter()
+            .map(|row| {
+                let mut values = AttrValues::default();
+                for (value, &(_, kind)) in values.iter_mut().zip(row.attrs) {
+                    *value = Some(match kind {
+                        AttrKind::Index => Attr::Index(1),
+                        AttrKind::Int => Attr::Int(-3),
+                        AttrKind::Flag => Attr::Flag(true),
+                        AttrKind::Dim => Attr::Dim(symbolic.clone()),
+                        AttrKind::Dims => Attr::Dims(vec![Dim::from(2), symbolic.clone()]),
+                        AttrKind::Indices => Attr::Indices(vec![1, 0]),
+                    });
+                }
+                Op::from_attrs(row, values)
+            })
+            .collect()
+    }
+
     #[test]
     fn op_codec_round_trips() {
-        let ops = vec![
-            Op::Matmul,
-            Op::ScalarMul { numer: 3, denom: 4 },
-            Op::SumDim {
-                dim: 1,
-                keepdim: true,
-            },
-            Op::Slice {
-                dim: 0,
-                start: Dim::from(0),
-                end: Dim::from(4),
-            },
-            Op::Reshape {
-                shape: vec![Dim::from(2), Dim::from(6)],
-            },
-            Op::Permute { perm: vec![1, 0] },
-            Op::ReduceScatter {
-                dim: 1,
-                rank: 0,
-                world: 2,
-            },
-            Op::Attention {
-                heads: 4,
-                causal: true,
-            },
-        ];
-        for op in ops {
+        let ops = every_op();
+        assert_eq!(ops.len(), 45);
+        for (row, op) in crate::OPS.iter().zip(ops) {
+            assert!(std::ptr::eq(op.row(), row), "{op:?} finds its own row");
             let mut w = Pretty {
                 out: String::new(),
                 indent: 0,
@@ -1436,7 +1228,7 @@ mod tests {
             };
             w.op(&op);
             let dec = decode_op(&mut Reader::new(&w.out)).unwrap();
-            assert_eq!(dec, op);
+            assert_eq!(dec, op, "{}", w.out);
         }
     }
 

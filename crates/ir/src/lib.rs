@@ -49,7 +49,7 @@ pub use dtype::DType;
 pub use graph::{Graph, GraphBuilder, IrError, Node, NodeId, Tensor, TensorId};
 pub use infer::infer_output;
 pub use layout::DeclaredLayout;
-pub use op::Op;
+pub use op::{Attr, AttrKind, AttrValues, Op, OpRow, OPS};
 pub use shape::{Dim, Shape};
 
 #[cfg(test)]

@@ -206,138 +206,249 @@ pub enum Op {
     },
 }
 
+/// How one attribute is held in an [`Op`], written in the graph format and
+/// encoded as term scalars.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AttrKind {
+    /// A dimension index or a count (`usize`): a non-negative integer.
+    Index,
+    /// A signed integer (`i64`).
+    Int,
+    /// A flag (`bool`): `true`/`false` in the graph format, `1`/`0` in a term.
+    Flag,
+    /// One size or offset ([`Dim`]), possibly symbolic.
+    Dim,
+    /// A list of sizes: every term scalar after the tensors.
+    Dims,
+    /// A list of dimension indices: every term scalar after the tensors.
+    Indices,
+}
+
+/// One attribute value, of the [`AttrKind`] of the same name.
+#[derive(Debug, Clone, PartialEq)]
+#[allow(missing_docs)]
+pub enum Attr {
+    Index(usize),
+    Int(i64),
+    Flag(bool),
+    Dim(Dim),
+    Dims(Vec<Dim>),
+    Indices(Vec<usize>),
+}
+
+/// An operator's attribute values in its row's order; the slots past its
+/// schema are `None`. Three is the most attributes an operator has.
+pub type AttrValues = [Option<Attr>; 3];
+
+/// One operator of the vocabulary: everything the graph format and the term
+/// language say about it. What it computes lives with each semantics
+/// (`infer`, the runtime, the numeric model, sharding, autodiff).
+#[derive(Debug)]
+pub struct OpRow {
+    /// The variant; for a unit operator the operator itself (the attribute
+    /// values of the others are placeholders).
+    pub op: Op,
+    /// The term head (`add`), in lemmas and in the e-graph encoding.
+    pub name: &'static str,
+    /// The graph format's tag (`Add`).
+    pub tag: &'static str,
+    /// The number of tensor inputs; `None` means variadic (at least one).
+    pub arity: Option<usize>,
+    /// The attributes, keyed as the graph format names them, in the order
+    /// it writes them and a term puts them after its tensor children.
+    pub attrs: &'static [(&'static str, AttrKind)],
+}
+
+/// The operator vocabulary, one row per [`Op`] variant. Adding an operator
+/// is a row here, an arm in [`Op::attrs`] and [`Op::from_attrs`] if it has
+/// attributes, and its semantics.
+#[rustfmt::skip]
+pub static OPS: &[OpRow] = {
+    use AttrKind::{Dim as D, Dims, Flag, Index as I, Indices, Int};
+    type Schema = &'static [(&'static str, AttrKind)];
+    const fn row(
+        op: Op, name: &'static str, tag: &'static str, arity: Option<usize>, attrs: Schema,
+    ) -> OpRow {
+        OpRow { op, name, tag, arity, attrs }
+    }
+    const D0: Dim = Dim(SymExpr::constant(0));
+    &[
+        // variant                                 term head         tag              tensors
+        row(Op::Add,                               "add",            "Add",           Some(2), &[]),
+        row(Op::Sub,                               "sub",            "Sub",           Some(2), &[]),
+        row(Op::Mul,                               "mul",            "Mul",           Some(2), &[]),
+        row(Op::Div,                               "div",            "Div",           Some(2), &[]),
+        row(Op::Maximum,                           "maximum",        "Maximum",       Some(2), &[]),
+        row(Op::Neg,                               "neg",            "Neg",           Some(1), &[]),
+        row(Op::Exp,                               "exp",            "Exp",           Some(1), &[]),
+        row(Op::Sqrt,                              "sqrt",           "Sqrt",          Some(1), &[]),
+        row(Op::Rsqrt,                             "rsqrt",          "Rsqrt",         Some(1), &[]),
+        row(Op::Tanh,                              "tanh",           "Tanh",          Some(1), &[]),
+        row(Op::Gelu,                              "gelu",           "Gelu",          Some(1), &[]),
+        row(Op::Silu,                              "silu",           "Silu",          Some(1), &[]),
+        row(Op::Relu,                              "relu",           "Relu",          Some(1), &[]),
+        row(Op::Sigmoid,                           "sigmoid",        "Sigmoid",       Some(1), &[]),
+        row(Op::Step,                              "step",           "Step",          Some(1), &[]),
+        row(Op::GeluGrad,                          "gelu_grad",      "GeluGrad",      Some(1), &[]),
+        row(Op::SiluGrad,                          "silu_grad",      "SiluGrad",      Some(1), &[]),
+        row(Op::OnesLike,                          "ones_like",      "OnesLike",      Some(1), &[]),
+        row(Op::Cos,                               "cos",            "Cos",           Some(1), &[]),
+        row(Op::Sin,                               "sin",            "Sin",           Some(1), &[]),
+        row(Op::ScalarMul { numer: 0, denom: 1 },  "scalar_mul",     "ScalarMul",     Some(1),
+            &[("numer", Int), ("denom", Int)]),
+        row(Op::SumDim { dim: 0, keepdim: false }, "sum_dim",        "SumDim",        Some(1),
+            &[("dim", I), ("keepdim", Flag)]),
+        row(Op::MeanDim { dim: 0, keepdim: false }, "mean_dim",       "MeanDim",       Some(1),
+            &[("dim", I), ("keepdim", Flag)]),
+        row(Op::SumAll,                            "sum_all",        "SumAll",        Some(1), &[]),
+        row(Op::MeanAll,                           "mean_all",       "MeanAll",       Some(1), &[]),
+        row(Op::Softmax { dim: 0 },                "softmax",        "Softmax",       Some(1),
+            &[("dim", I)]),
+        row(Op::Identity,                          "identity",       "Identity",      Some(1), &[]),
+        row(Op::Reshape { shape: Vec::new() },     "reshape",        "Reshape",       Some(1),
+            &[("shape", Dims)]),
+        row(Op::Transpose { d0: 0, d1: 0 },        "transpose",      "Transpose",     Some(1),
+            &[("d0", I), ("d1", I)]),
+        row(Op::Permute { perm: Vec::new() },      "permute",        "Permute",       Some(1),
+            &[("perm", Indices)]),
+        row(Op::Slice { dim: 0, start: D0, end: D0 }, "slice",         "Slice",         Some(1),
+            &[("dim", I), ("start", D), ("end", D)]),
+        row(Op::Concat { dim: 0 },                 "concat",         "Concat",        None,
+            &[("dim", I)]),
+        row(Op::Pad { dim: 0, before: D0, after: D0 }, "pad",          "Pad",           Some(1),
+            &[("dim", I), ("before", D), ("after", D)]),
+        row(Op::Matmul,                            "matmul",         "Matmul",        Some(2), &[]),
+        row(Op::Embedding,                         "embedding",      "Embedding",     Some(2), &[]),
+        row(Op::EmbeddingGrad { vocab: 0 },        "embedding_grad", "EmbeddingGrad", Some(2),
+            &[("vocab", I)]),
+        row(Op::LayerNorm,                         "layer_norm",     "LayerNorm",     Some(3), &[]),
+        row(Op::RmsNorm,                           "rms_norm",       "RmsNorm",       Some(2), &[]),
+        row(Op::Rope,                              "rope",           "Rope",          Some(3), &[]),
+        row(Op::Attention { heads: 0, causal: false }, "attention",    "Attention",     Some(3),
+            &[("heads", I), ("causal", Flag)]),
+        row(Op::MseLoss,                           "mse_loss",       "MseLoss",       Some(2), &[]),
+        row(Op::CrossEntropy,                      "cross_entropy",  "CrossEntropy",  Some(2), &[]),
+        row(Op::AllReduce,                         "all_reduce",     "AllReduce",     None,    &[]),
+        row(Op::AllGather { dim: 0 },              "all_gather",     "AllGather",     None,
+            &[("dim", I)]),
+        row(Op::ReduceScatter { dim: 0, rank: 0, world: 1 }, "reduce_scatter", "ReduceScatter",
+            None, &[("dim", I), ("rank", I), ("world", I)]),
+    ]
+};
+
+impl OpRow {
+    /// The row whose term head is `name`, if the term language has it: the
+    /// collectives are lowered to `add`/`concat` chains and `slice`s before
+    /// they become terms, so their heads are not in it.
+    pub fn by_term(name: &str) -> Option<&'static OpRow> {
+        OPS.iter()
+            .find(|row| row.name == name && !row.op.is_collective())
+    }
+}
+
 impl Op {
+    /// This operator's row in [`OPS`].
+    pub fn row(&self) -> &'static OpRow {
+        let variant = std::mem::discriminant(self);
+        OPS.iter()
+            .find(|row| std::mem::discriminant(&row.op) == variant)
+            .expect("a row per variant")
+    }
+
     /// The operator's s-expression head symbol, used in lemmas and in the
     /// e-graph encoding.
     pub fn name(&self) -> &'static str {
-        match self {
-            Op::Add => "add",
-            Op::Sub => "sub",
-            Op::Mul => "mul",
-            Op::Div => "div",
-            Op::Maximum => "maximum",
-            Op::Neg => "neg",
-            Op::Exp => "exp",
-            Op::Sqrt => "sqrt",
-            Op::Rsqrt => "rsqrt",
-            Op::Tanh => "tanh",
-            Op::Gelu => "gelu",
-            Op::Silu => "silu",
-            Op::Relu => "relu",
-            Op::Sigmoid => "sigmoid",
-            Op::Step => "step",
-            Op::GeluGrad => "gelu_grad",
-            Op::SiluGrad => "silu_grad",
-            Op::OnesLike => "ones_like",
-            Op::Cos => "cos",
-            Op::Sin => "sin",
-            Op::ScalarMul { .. } => "scalar_mul",
-            Op::SumDim { .. } => "sum_dim",
-            Op::MeanDim { .. } => "mean_dim",
-            Op::SumAll => "sum_all",
-            Op::MeanAll => "mean_all",
-            Op::Softmax { .. } => "softmax",
-            Op::Identity => "identity",
-            Op::Reshape { .. } => "reshape",
-            Op::Transpose { .. } => "transpose",
-            Op::Permute { .. } => "permute",
-            Op::Slice { .. } => "slice",
-            Op::Concat { .. } => "concat",
-            Op::Pad { .. } => "pad",
-            Op::Matmul => "matmul",
-            Op::Embedding => "embedding",
-            Op::EmbeddingGrad { .. } => "embedding_grad",
-            Op::LayerNorm => "layer_norm",
-            Op::RmsNorm => "rms_norm",
-            Op::Rope => "rope",
-            Op::Attention { .. } => "attention",
-            Op::MseLoss => "mse_loss",
-            Op::CrossEntropy => "cross_entropy",
-            Op::AllReduce => "all_reduce",
-            Op::AllGather { .. } => "all_gather",
-            Op::ReduceScatter { .. } => "reduce_scatter",
+        self.row().name
+    }
+
+    /// The number of tensor inputs this operator accepts; `None` means
+    /// variadic (at least one).
+    pub fn arity(&self) -> Option<usize> {
+        self.row().arity
+    }
+
+    /// The attribute values, in the order of the row's schema.
+    pub fn attrs(&self) -> AttrValues {
+        use Attr::{Dim as D, Dims, Flag, Index as I, Indices, Int};
+        match self.clone() {
+            Op::ScalarMul { numer, denom } => [Some(Int(numer)), Some(Int(denom)), None],
+            Op::SumDim { dim, keepdim } | Op::MeanDim { dim, keepdim } => {
+                [Some(I(dim)), Some(Flag(keepdim)), None]
+            }
+            Op::Softmax { dim } | Op::Concat { dim } | Op::AllGather { dim } => {
+                [Some(I(dim)), None, None]
+            }
+            Op::Reshape { shape } => [Some(Dims(shape)), None, None],
+            Op::Transpose { d0, d1 } => [Some(I(d0)), Some(I(d1)), None],
+            Op::Permute { perm } => [Some(Indices(perm)), None, None],
+            Op::Slice { dim, start, end } => [Some(I(dim)), Some(D(start)), Some(D(end))],
+            Op::Pad { dim, before, after } => [Some(I(dim)), Some(D(before)), Some(D(after))],
+            Op::EmbeddingGrad { vocab } => [Some(I(vocab)), None, None],
+            Op::Attention { heads, causal } => [Some(I(heads)), Some(Flag(causal)), None],
+            Op::ReduceScatter { dim, rank, world } => [Some(I(dim)), Some(I(rank)), Some(I(world))],
+            _ => AttrValues::default(),
+        }
+    }
+
+    /// The operator of `row` with these attribute values: the inverse of
+    /// [`Op::attrs`].
+    ///
+    /// # Panics
+    ///
+    /// If the values are not of the kinds `row.attrs` names, in its order:
+    /// a reader that reads each value by its kind cannot get here.
+    pub fn from_attrs(row: &OpRow, values: AttrValues) -> Op {
+        use Attr::{Dim as D, Dims, Flag, Index as I, Indices, Int};
+        match (&row.op, values) {
+            (Op::ScalarMul { .. }, [Some(Int(numer)), Some(Int(denom)), None]) => {
+                Op::ScalarMul { numer, denom }
+            }
+            (Op::SumDim { .. }, [Some(I(dim)), Some(Flag(keepdim)), None]) => {
+                Op::SumDim { dim, keepdim }
+            }
+            (Op::MeanDim { .. }, [Some(I(dim)), Some(Flag(keepdim)), None]) => {
+                Op::MeanDim { dim, keepdim }
+            }
+            (Op::Softmax { .. }, [Some(I(dim)), None, None]) => Op::Softmax { dim },
+            (Op::Reshape { .. }, [Some(Dims(shape)), None, None]) => Op::Reshape { shape },
+            (Op::Transpose { .. }, [Some(I(d0)), Some(I(d1)), None]) => Op::Transpose { d0, d1 },
+            (Op::Permute { .. }, [Some(Indices(perm)), None, None]) => Op::Permute { perm },
+            (Op::Slice { .. }, [Some(I(dim)), Some(D(start)), Some(D(end))]) => {
+                Op::Slice { dim, start, end }
+            }
+            (Op::Concat { .. }, [Some(I(dim)), None, None]) => Op::Concat { dim },
+            (Op::Pad { .. }, [Some(I(dim)), Some(D(before)), Some(D(after))]) => {
+                Op::Pad { dim, before, after }
+            }
+            (Op::EmbeddingGrad { .. }, [Some(I(vocab)), None, None]) => Op::EmbeddingGrad { vocab },
+            (Op::Attention { .. }, [Some(I(heads)), Some(Flag(causal)), None]) => {
+                Op::Attention { heads, causal }
+            }
+            (Op::AllGather { .. }, [Some(I(dim)), None, None]) => Op::AllGather { dim },
+            (Op::ReduceScatter { .. }, [Some(I(dim)), Some(I(rank)), Some(I(world))]) => {
+                Op::ReduceScatter { dim, rank, world }
+            }
+            (unit, [None, None, None]) if row.attrs.is_empty() => unit.clone(),
+            (op, values) => panic!("{} does not take {values:?}", op.name()),
         }
     }
 
     /// The attribute scalars appended after tensor children in the
     /// e-graph encoding (dims, bounds, scale factors).
     pub fn attr_scalars(&self) -> Vec<SymExpr> {
-        fn c(v: i64) -> SymExpr {
-            SymExpr::constant(v)
-        }
-        match self {
-            Op::ScalarMul { numer, denom } => vec![c(*numer), c(*denom)],
-            Op::SumDim { dim, keepdim } | Op::MeanDim { dim, keepdim } => {
-                vec![c(*dim as i64), c(*keepdim as i64)]
-            }
-            Op::Softmax { dim } | Op::Concat { dim } | Op::AllGather { dim } => {
-                vec![c(*dim as i64)]
-            }
-            Op::Reshape { shape } => shape.iter().map(|d| d.0.clone()).collect(),
-            Op::Transpose { d0, d1 } => vec![c(*d0 as i64), c(*d1 as i64)],
-            Op::Permute { perm } => perm.iter().map(|&p| c(p as i64)).collect(),
-            Op::Slice { dim, start, end } => {
-                vec![c(*dim as i64), start.0.clone(), end.0.clone()]
-            }
-            Op::Pad { dim, before, after } => {
-                vec![c(*dim as i64), before.0.clone(), after.0.clone()]
-            }
-            Op::ReduceScatter { dim, rank, world } => {
-                vec![c(*dim as i64), c(*rank as i64), c(*world as i64)]
-            }
-            Op::Attention { heads, causal } => vec![c(*heads as i64), c(*causal as i64)],
-            Op::EmbeddingGrad { vocab } => vec![c(*vocab as i64)],
-            _ => Vec::new(),
-        }
-    }
-
-    /// The number of tensor inputs this operator accepts; `None` means
-    /// variadic (at least one).
-    pub fn arity(&self) -> Option<usize> {
-        match self {
-            Op::Add
-            | Op::Sub
-            | Op::Mul
-            | Op::Div
-            | Op::Maximum
-            | Op::Matmul
-            | Op::Embedding
-            | Op::EmbeddingGrad { .. }
-            | Op::RmsNorm
-            | Op::MseLoss
-            | Op::CrossEntropy => Some(2),
-            Op::LayerNorm | Op::Rope | Op::Attention { .. } => Some(3),
-            Op::Neg
-            | Op::Exp
-            | Op::Sqrt
-            | Op::Rsqrt
-            | Op::Tanh
-            | Op::Gelu
-            | Op::Silu
-            | Op::Relu
-            | Op::Sigmoid
-            | Op::Step
-            | Op::GeluGrad
-            | Op::SiluGrad
-            | Op::OnesLike
-            | Op::Cos
-            | Op::Sin
-            | Op::ScalarMul { .. }
-            | Op::SumDim { .. }
-            | Op::MeanDim { .. }
-            | Op::SumAll
-            | Op::MeanAll
-            | Op::Softmax { .. }
-            | Op::Identity
-            | Op::Reshape { .. }
-            | Op::Transpose { .. }
-            | Op::Permute { .. }
-            | Op::Slice { .. }
-            | Op::Pad { .. } => Some(1),
-            Op::Concat { .. } | Op::AllReduce | Op::AllGather { .. } | Op::ReduceScatter { .. } => {
-                None
+        let c = SymExpr::constant;
+        let mut scalars = Vec::new();
+        for attr in self.attrs().into_iter().flatten() {
+            match attr {
+                Attr::Index(n) => scalars.push(c(n as i64)),
+                Attr::Int(n) => scalars.push(c(n)),
+                Attr::Flag(b) => scalars.push(c(i64::from(b))),
+                Attr::Dim(d) => scalars.push(d.0),
+                Attr::Dims(dims) => scalars.extend(dims.into_iter().map(|d| d.0)),
+                Attr::Indices(perm) => scalars.extend(perm.into_iter().map(|p| c(p as i64))),
             }
         }
+        scalars
     }
 
     /// `true` for communication kernels (collectives).

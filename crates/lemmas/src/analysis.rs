@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use entangle_egraph::{Analysis, EGraph, ENode, Id, Symbol, TermStore};
-use entangle_ir::{DType, Dim, Op, Shape};
+use entangle_ir::{Attr, AttrKind, AttrValues, DType, Dim, Op, OpRow, Shape};
 use entangle_symbolic::{SymCtx, SymExpr};
 
 use crate::term::infer_application;
@@ -121,174 +121,33 @@ impl Analysis for TensorAnalysis {
     }
 }
 
-/// Every operator name [`decode_op`] can decode — the e-graph-level
-/// operator vocabulary. A rewrite whose pattern mentions an operator
-/// outside this list can never match a term built by the checker (the
-/// `entangle-rules` RL01 *dead rule* diagnostic). Kept in sync with the
-/// `decode_op` match arms by `tests::vocabulary_matches_decode_op`.
-pub const OP_VOCABULARY: &[&str] = &[
-    "add",
-    "sub",
-    "mul",
-    "div",
-    "maximum",
-    "neg",
-    "exp",
-    "sqrt",
-    "rsqrt",
-    "tanh",
-    "gelu",
-    "silu",
-    "relu",
-    "sigmoid",
-    "step",
-    "gelu_grad",
-    "silu_grad",
-    "ones_like",
-    "cos",
-    "sin",
-    "identity",
-    "sum_all",
-    "mean_all",
-    "matmul",
-    "embedding",
-    "embedding_grad",
-    "rms_norm",
-    "mse_loss",
-    "cross_entropy",
-    "layer_norm",
-    "rope",
-    "scalar_mul",
-    "sum_dim",
-    "mean_dim",
-    "softmax",
-    "transpose",
-    "slice",
-    "concat",
-    "pad",
-    "attention",
-    "reshape",
-    "permute",
-];
-
-/// Reconstructs an [`Op`] from its e-graph head symbol and the metadata of
-/// its children; returns the op and the number of leading tensor children
-/// (`None` when there are fewer children than that, so callers may slice).
+/// Reconstructs an [`Op`] from its e-graph head symbol (an
+/// [`OpRow::by_term`] head) and the metadata of its children; returns the op
+/// and the number of leading tensor children (`None` when there are fewer
+/// children than that, so callers may slice).
 ///
-/// The e-graph encoding is: tensor children first, then attribute scalars
-/// (n-ary concat and the collectives are lowered to binary `concat`/`add`
-/// chains before entering the e-graph, so arities here are fixed except for
-/// `reshape`/`permute`, whose trailing children are all attributes).
+/// A term puts the tensor children first, then the row's attributes as
+/// scalars: one each, but a `Dims`/`Indices` list is every trailing child.
+/// n-ary concat is lowered to a binary chain first, so it has 2 tensors.
 pub fn decode_op(name: &str, metas: &[&Meta]) -> Option<(Op, usize)> {
-    let scalar_at = |i: usize| -> Option<SymExpr> { metas.get(i)?.scalar.clone() };
-    let int_at = |i: usize| -> Option<i64> { scalar_at(i)?.as_const() };
-    let usize_at = |i: usize| -> Option<usize> {
-        let v = int_at(i)?;
-        usize::try_from(v).ok()
-    };
-    let dim_at = |i: usize| -> Option<Dim> { Some(Dim(scalar_at(i)?)) };
-
-    let op = match name {
-        "add" => (Op::Add, 2),
-        "sub" => (Op::Sub, 2),
-        "mul" => (Op::Mul, 2),
-        "div" => (Op::Div, 2),
-        "maximum" => (Op::Maximum, 2),
-        "neg" => (Op::Neg, 1),
-        "exp" => (Op::Exp, 1),
-        "sqrt" => (Op::Sqrt, 1),
-        "rsqrt" => (Op::Rsqrt, 1),
-        "tanh" => (Op::Tanh, 1),
-        "gelu" => (Op::Gelu, 1),
-        "silu" => (Op::Silu, 1),
-        "relu" => (Op::Relu, 1),
-        "sigmoid" => (Op::Sigmoid, 1),
-        "step" => (Op::Step, 1),
-        "gelu_grad" => (Op::GeluGrad, 1),
-        "silu_grad" => (Op::SiluGrad, 1),
-        "ones_like" => (Op::OnesLike, 1),
-        "cos" => (Op::Cos, 1),
-        "sin" => (Op::Sin, 1),
-        "identity" => (Op::Identity, 1),
-        "sum_all" => (Op::SumAll, 1),
-        "mean_all" => (Op::MeanAll, 1),
-        "matmul" => (Op::Matmul, 2),
-        "embedding" => (Op::Embedding, 2),
-        "embedding_grad" => (
-            Op::EmbeddingGrad {
-                vocab: usize_at(2)?,
-            },
-            2,
-        ),
-        "rms_norm" => (Op::RmsNorm, 2),
-        "mse_loss" => (Op::MseLoss, 2),
-        "cross_entropy" => (Op::CrossEntropy, 2),
-        "layer_norm" => (Op::LayerNorm, 3),
-        "rope" => (Op::Rope, 3),
-        "scalar_mul" => (
-            Op::ScalarMul {
-                numer: int_at(1)?,
-                denom: int_at(2)?,
-            },
-            1,
-        ),
-        "sum_dim" => (
-            Op::SumDim {
-                dim: usize_at(1)?,
-                keepdim: int_at(2)? != 0,
-            },
-            1,
-        ),
-        "mean_dim" => (
-            Op::MeanDim {
-                dim: usize_at(1)?,
-                keepdim: int_at(2)? != 0,
-            },
-            1,
-        ),
-        "softmax" => (Op::Softmax { dim: usize_at(1)? }, 1),
-        "transpose" => (
-            Op::Transpose {
-                d0: usize_at(1)?,
-                d1: usize_at(2)?,
-            },
-            1,
-        ),
-        "slice" => (
-            Op::Slice {
-                dim: usize_at(1)?,
-                start: dim_at(2)?,
-                end: dim_at(3)?,
-            },
-            1,
-        ),
-        "concat" => (Op::Concat { dim: usize_at(2)? }, 2),
-        "pad" => (
-            Op::Pad {
-                dim: usize_at(1)?,
-                before: dim_at(2)?,
-                after: dim_at(3)?,
-            },
-            1,
-        ),
-        "attention" => (
-            Op::Attention {
-                heads: usize_at(3)?,
-                causal: int_at(4)? != 0,
-            },
-            3,
-        ),
-        "reshape" => {
-            let dims: Option<Vec<Dim>> = (1..metas.len()).map(dim_at).collect();
-            (Op::Reshape { shape: dims? }, 1)
-        }
-        "permute" => {
-            let perm: Option<Vec<usize>> = (1..metas.len()).map(usize_at).collect();
-            (Op::Permute { perm: perm? }, 1)
-        }
-        _ => return None,
-    };
-    (op.1 <= metas.len()).then_some(op)
+    let row = OpRow::by_term(name)?;
+    let tensors = row.arity.unwrap_or(2);
+    let scalar = |i: usize| metas.get(i)?.scalar.as_ref();
+    let index = |i: usize| usize::try_from(scalar(i)?.as_const()?).ok();
+    let dim = |i: usize| Some(Dim(scalar(i)?.clone()));
+    let mut values = AttrValues::default();
+    for (at, (value, &(_, kind))) in (tensors..).zip(values.iter_mut().zip(row.attrs)) {
+        let rest = at..metas.len();
+        *value = Some(match kind {
+            AttrKind::Index => Attr::Index(index(at)?),
+            AttrKind::Int => Attr::Int(scalar(at)?.as_const()?),
+            AttrKind::Flag => Attr::Flag(scalar(at)?.as_const()? != 0),
+            AttrKind::Dim => Attr::Dim(dim(at)?),
+            AttrKind::Dims => Attr::Dims(rest.map(dim).collect::<Option<_>>()?),
+            AttrKind::Indices => Attr::Indices(rest.map(index).collect::<Option<_>>()?),
+        });
+    }
+    (tensors <= metas.len()).then(|| (Op::from_attrs(row, values), tensors))
 }
 
 /// Convenience accessors used by lemma conditions and dynamic appliers, over

@@ -16,18 +16,39 @@ fn v(name: &str) -> Var {
     Var::new(name)
 }
 
-fn gcd(a: i64, b: i64) -> i64 {
+/// The greatest common divisor; `None` where a step leaves `i64` (an
+/// operand of `i64::MIN`), and an applier that needs it then declines.
+fn gcd(a: i64, b: i64) -> Option<i64> {
     if b == 0 {
-        a.abs()
+        a.checked_abs()
     } else {
-        gcd(b, a % b)
+        gcd(b, a.checked_rem(b)?)
     }
 }
 
 /// Reduces `n/d` to lowest terms (fractions in relations are canonical).
-fn reduced(n: i64, d: i64) -> (i64, i64) {
-    let g = gcd(n, d).max(1);
-    (n / g, d / g)
+fn reduced(n: i64, d: i64) -> Option<(i64, i64)> {
+    let g = gcd(n, d)?.max(1);
+    Some((n / g, d / g))
+}
+
+/// The product `a/b · c/e`, reduced.
+fn product((a, b): (i64, i64), (c, e): (i64, i64)) -> Option<(i64, i64)> {
+    reduced(a.checked_mul(c)?, b.checked_mul(e)?)
+}
+
+/// The sum `a/b + c/e`, reduced.
+fn sum((a, b): (i64, i64), (c, e): (i64, i64)) -> Option<(i64, i64)> {
+    reduced(
+        a.checked_mul(e)?.checked_add(c.checked_mul(b)?)?,
+        b.checked_mul(e)?,
+    )
+}
+
+/// The weights `a/(a+b)` and `b/(a+b)` of two parts, each reduced.
+fn weights(a: i64, b: i64) -> Option<((i64, i64), (i64, i64))> {
+    let n = a.checked_add(b)?;
+    Some((reduced(a, n)?, reduced(b, n)?))
 }
 
 pub(crate) fn install(b: &mut Builder) {
@@ -156,11 +177,11 @@ pub(crate) fn install(b: &mut Builder) {
             let (Some(na), Some(nb)) = (sa.numel(), sb.numel()) else {
                 return vec![];
             };
-            let n = na + nb;
+            let Some(((na_r, nda), (nb_r, ndb))) = weights(na, nb) else {
+                return vec![];
+            };
             let ma = add_op(eg, "mean_all", vec![subst[v("a")]]);
             let mb = add_op(eg, "mean_all", vec![subst[v("b")]]);
-            let (na_r, nda) = reduced(na, n);
-            let (nb_r, ndb) = reduced(nb, n);
             let (nac, nca) = (
                 add_scalar(eg, SymExpr::constant(na_r)),
                 add_scalar(eg, SymExpr::constant(nda)),
@@ -232,11 +253,11 @@ pub(crate) fn install(b: &mut Builder) {
             let (Some(n0), Some(n1)) = (sp0.numel(), sp1.numel()) else {
                 return vec![];
             };
-            let n = n0 + n1;
+            let Some(((n0_r, d0), (n1_r, d1))) = weights(n0, n1) else {
+                return vec![];
+            };
             let l0 = add_op(eg, "mse_loss", vec![subst[v("p0")], subst[v("t0")]]);
             let l1 = add_op(eg, "mse_loss", vec![subst[v("p1")], subst[v("t1")]]);
-            let (n0_r, d0) = reduced(n0, n);
-            let (n1_r, d1) = reduced(n1, n);
             let (n0c, d0c) = (
                 add_scalar(eg, SymExpr::constant(n0_r)),
                 add_scalar(eg, SymExpr::constant(d0)),
@@ -276,11 +297,15 @@ pub(crate) fn install(b: &mut Builder) {
             let (Some(n0), Some(n1)) = (sl0.numel(), sl1.numel()) else {
                 return vec![];
             };
-            let (r0, r1) = (n0 / v0, n1 / v1); // row counts
+            // Row counts.
+            let (Some(r0), Some(r1)) = (n0.checked_div(v0), n1.checked_div(v1)) else {
+                return vec![];
+            };
+            let Some(((r0_r, e0), (r1_r, e1))) = weights(r0, r1) else {
+                return vec![];
+            };
             let c0 = add_op(eg, "cross_entropy", vec![subst[v("l0")], subst[v("t0")]]);
             let c1 = add_op(eg, "cross_entropy", vec![subst[v("l1")], subst[v("t1")]]);
-            let (r0_r, e0) = reduced(r0, r0 + r1);
-            let (r1_r, e1) = reduced(r1, r0 + r1);
             let (r0c, e0c) = (
                 add_scalar(eg, SymExpr::constant(r0_r)),
                 add_scalar(eg, SymExpr::constant(e0)),
@@ -314,12 +339,9 @@ pub(crate) fn install(b: &mut Builder) {
             // Unreduced products can leave i64 under adversarial corpora
             // (unbounded fraction chains); composition past that range
             // simply isn't representable, so the rule does not fire.
-            let (Some(mut n), Some(mut d)) = (a.checked_mul(c), bb.checked_mul(e)) else {
+            let Some((n, d)) = product((a, bb), (c, e)) else {
                 return vec![];
             };
-            let g = gcd(n, d).max(1);
-            n /= g;
-            d /= g;
             let nc = add_scalar(eg, SymExpr::constant(n));
             let dc = add_scalar(eg, SymExpr::constant(d));
             vec![add_op(eg, "scalar_mul", vec![subst[v("x")], nc, dc])]
@@ -341,10 +363,9 @@ pub(crate) fn install(b: &mut Builder) {
             let (Some(n), Some(m)) = (int(eg, subst[v("n")]), int(eg, subst[v("m")])) else {
                 return vec![];
             };
-            let g = gcd(n, m);
-            if g <= 1 {
+            let Some(g) = gcd(n, m).filter(|&g| g > 1) else {
                 return vec![];
-            }
+            };
             let nc = add_scalar(eg, SymExpr::constant(n / g));
             let mc = add_scalar(eg, SymExpr::constant(m / g));
             vec![add_op(eg, "scalar_mul", vec![subst[v("x")], nc, mc])]
@@ -394,10 +415,9 @@ pub(crate) fn install(b: &mut Builder) {
             ) else {
                 return vec![];
             };
-            let (mut n, mut d) = (a * e + c * bb, bb * e);
-            let g = gcd(n, d).max(1);
-            n /= g;
-            d /= g;
+            let Some((n, d)) = sum((a, bb), (c, e)) else {
+                return vec![];
+            };
             let nc = add_scalar(eg, SymExpr::constant(n));
             let dc = add_scalar(eg, SymExpr::constant(d));
             vec![add_op(eg, "scalar_mul", vec![subst[v("x")], nc, dc])]

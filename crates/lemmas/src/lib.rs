@@ -51,7 +51,7 @@ mod analysis;
 mod corpus;
 mod term;
 
-pub use analysis::{cond, decode_op, Meta, TensorAnalysis, OP_VOCABULARY};
+pub use analysis::{cond, decode_op, Meta, TensorAnalysis};
 pub use corpus::{registry, rewrites_of, Category, Lemma};
 pub use term::{
     infer_application, mint_ones_leaf, parse_ones_leaf, ApplyError, MalformedLeaf,

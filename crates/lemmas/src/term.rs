@@ -12,8 +12,9 @@ use crate::analysis::{decode_op, Meta};
 /// Why [`infer_application`] has no answer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ApplyError {
-    /// The head is outside [`crate::OP_VOCABULARY`], or an attribute child
-    /// is not the scalar the operator's encoding puts there.
+    /// The head is outside the term vocabulary
+    /// ([`entangle_ir::OpRow::by_term`]), or an attribute child is not the
+    /// scalar the operator's encoding puts there.
     UnknownOperator(Symbol),
     /// A leading (tensor) child has no known shape.
     OperandLacksShape,

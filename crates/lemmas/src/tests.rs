@@ -416,6 +416,27 @@ fn pad_slice_roundtrip() {
 }
 
 #[test]
+fn scale_rules_decline_a_fraction_past_i64() {
+    // `i64::MIN / -1` overflows a remainder, and the products of composing
+    // or adding the second pair's scales leave `i64`: each rule declines.
+    let min = i64::MIN;
+    for (lhs, rhs) in [
+        (format!("(scalar_mul X {min} -1)"), "(scalar_mul X 1 1)"),
+        (
+            format!("(add (scalar_mul X {min} -1) (scalar_mul X 1 2))"),
+            "(scalar_mul X 3 2)",
+        ),
+        (
+            "(scalar_mul (scalar_mul X 4611686018427387904 3) 4 5)".to_owned(),
+            "(scalar_mul X 1 1)",
+        ),
+    ] {
+        let eg = eg_with(&[("X", &[4, 4])]);
+        assert!(!prove_equiv(eg, &lhs, rhs), "{lhs}");
+    }
+}
+
+#[test]
 fn decode_op_roundtrip() {
     use crate::analysis::Meta;
     use entangle_ir::Op;
@@ -467,37 +488,35 @@ fn analysis_infers_shapes_through_expressions() {
 
 #[test]
 fn vocabulary_matches_decode_op() {
-    use crate::{decode_op, Meta, OP_VOCABULARY};
-    use entangle_symbolic::SymExpr;
-    // Every vocabulary name must decode under at least one small palette of
-    // child metadata (tensor children first, then integer attributes) —
-    // i.e. the list has no entry `decode_op` does not actually know.
-    let tensor_f32 = Meta::tensor(Shape::of(&[4, 4]), DType::F32);
-    let tensor_i64 = Meta::tensor(Shape::of(&[4, 4]), DType::I64);
-    let int0 = Meta::scalar(SymExpr::constant(0));
-    let int1 = Meta::scalar(SymExpr::constant(1));
-    for name in OP_VOCABULARY {
-        let mut decoded = false;
-        'palettes: for tensors in 0..=3usize {
-            for attrs in 0..=4usize {
-                for ints in [&int0, &int1] {
-                    for tensor in [&tensor_f32, &tensor_i64] {
-                        let mut metas = vec![tensor; tensors];
-                        metas.extend(std::iter::repeat_n(ints, attrs));
-                        if decode_op(name, &metas).is_some() {
-                            decoded = true;
-                            break 'palettes;
-                        }
-                    }
-                }
-            }
+    use crate::{decode_op, Meta};
+    use entangle_ir::{Attr, AttrKind, AttrValues, Dim, Op, OPS};
+    use entangle_symbolic::{SymExpr, SymVar};
+    // The term form is the tensor children, then `attr_scalars`; the
+    // collectives are lowered before they become terms.
+    let tensor = Meta::tensor(Shape::of(&[4, 4]), DType::F32);
+    let symbolic = Dim(SymExpr::from_terms(3, [(SymVar::from_index(0), 2)]));
+    for row in OPS {
+        let mut values = AttrValues::default();
+        for (value, &(_, kind)) in values.iter_mut().zip(row.attrs) {
+            *value = Some(match kind {
+                AttrKind::Index => Attr::Index(1),
+                AttrKind::Int => Attr::Int(-3),
+                AttrKind::Flag => Attr::Flag(true),
+                AttrKind::Dim => Attr::Dim(symbolic.clone()),
+                AttrKind::Dims => Attr::Dims(vec![Dim::from(2), symbolic.clone()]),
+                AttrKind::Indices => Attr::Indices(vec![1, 0]),
+            });
         }
-        assert!(decoded, "vocabulary op {name:?} never decodes");
+        let op = Op::from_attrs(row, values);
+        let tensors = row.arity.unwrap_or(2);
+        let scalars: Vec<Meta> = op.attr_scalars().into_iter().map(Meta::scalar).collect();
+        let metas: Vec<&Meta> = std::iter::repeat_n(&tensor, tensors)
+            .chain(&scalars)
+            .collect();
+        let want = (!op.is_collective()).then(|| (op.clone(), tensors));
+        assert_eq!(decode_op(row.name, &metas), want, "{}", row.name);
     }
-    // And the duals the corpus relies on are present.
-    for required in ["scalar_mul", "concat", "slice", "matmul", "attention"] {
-        assert!(OP_VOCABULARY.contains(&required));
-    }
+    assert_eq!(OPS.iter().filter(|row| row.op.is_collective()).count(), 3);
 }
 
 mod condition_gating {

@@ -37,7 +37,7 @@ mod soundness;
 use std::collections::BTreeSet;
 
 use entangle_egraph::Rewrite;
-use entangle_lemmas::{TensorAnalysis, OP_VOCABULARY};
+use entangle_lemmas::TensorAnalysis;
 use entangle_lint::{json_str, Anchor, Diagnostic, LintReport};
 
 pub use classify::{classify, effective_rhs, GrowthClass, RuleClass};
@@ -231,7 +231,7 @@ pub fn analyze(rewrites: &[Rewrite<TensorAnalysis>]) -> RuleAnalysis {
         }
         let unknown: Vec<String> = ops
             .into_iter()
-            .filter(|o| !OP_VOCABULARY.contains(&o.as_str()))
+            .filter(|o| entangle_ir::OpRow::by_term(o).is_none())
             .collect();
         if !unknown.is_empty() {
             diagnostics.push(
@@ -243,7 +243,9 @@ pub fn analyze(rewrites: &[Rewrite<TensorAnalysis>]) -> RuleAnalysis {
                         unknown.join(", ")
                     ),
                 )
-                .with_suggestion("fix the operator name or extend decode_op / OP_VOCABULARY"),
+                .with_suggestion(
+                    "fix the operator name, or add the operator's row to entangle_ir::OPS",
+                ),
             );
         }
     }

@@ -107,17 +107,21 @@ impl TermTable {
     /// `numer/denom · t`, normalized: the fraction is reduced, nested
     /// `scalar_mul`s compose, and a unit scale is the identity. This is what
     /// lets `all_reduce(½·aux, ½·aux)` collapse back to `aux`.
+    ///
+    /// A scale past `i64` is an opaque fresh term.
     pub fn scaled(&mut self, t: TermId, numer: i64, denom: i64) -> TermId {
-        let (mut n, mut d) = (numer, denom);
-        if d < 0 {
-            n = -n;
-            d = -d;
-        }
+        let sign = if denom < 0 { -1 } else { 1 };
+        let (Some(n), Some(d)) = (numer.checked_mul(sign), denom.checked_mul(sign)) else {
+            return self.fresh_term();
+        };
         if let Head::Op("scalar_mul") = self.node(t).head {
             let inner = self.node(t);
             let (n2, d2) = (inner.attrs[0], inner.attrs[1]);
             let child = inner.children[0];
-            return self.scaled(child, n * n2, d * d2);
+            let (Some(n), Some(d)) = (n.checked_mul(n2), d.checked_mul(d2)) else {
+                return self.fresh_term();
+            };
+            return self.scaled(child, n, d);
         }
         let g = gcd(n.unsigned_abs(), d.unsigned_abs()).max(1) as i64;
         let (n, d) = (n / g, d / g);

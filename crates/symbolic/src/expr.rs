@@ -59,7 +59,7 @@ pub struct SymExpr {
 
 impl SymExpr {
     /// A constant expression.
-    pub fn constant(value: i64) -> Self {
+    pub const fn constant(value: i64) -> Self {
         SymExpr {
             terms: BTreeMap::new(),
             constant: value,

@@ -246,6 +246,26 @@ fi
 if grep -rn 'fn eval_expr' tests crates/*/src/tests.rs; then
   echo "a test grew its own term evaluator (call entangle_lint::eval_ground)"; exit 1
 fi
+# One operator table (DESIGN.md, *Term language*): an operator's term head,
+# graph-format tag, arity and attribute order are one `row(..)` of `OPS` in
+# crates/ir/src/op.rs, which the graph codec and `decode_op` read. A quoted
+# tag (`"ScalarMul"`) or a term head as a match arm (`"scalar_mul" =>`) in
+# non-test code anywhere else is a hand-copied vocabulary growing back.
+ops_table=crates/ir/src/op.rs
+tags=$(awk -F'"' '/^ *row\(Op::/ {print $4}' "$ops_table" | paste -sd'|')
+heads=$(awk -F'"' '/^ *row\(Op::/ {print $2}' "$ops_table" | paste -sd'|')
+case "|$tags|" in *'|ScalarMul|'*'|ReduceScatter|'*) ;; *)
+  echo "could not read the operator tags from the rows of $ops_table"; exit 1 ;;
+esac
+vocab_copies=$(find crates src examples -name '*.rs' -not -path "$ops_table" \
+    -not -name tests.rs -not -path '*/tests/*' | sort | while read -r f; do
+  awk -v f="$f" '/^#\[cfg\(test\)\]/{exit} {print f ":" FNR ": " $0}' "$f"
+done | grep -vE '^[^:]+:[0-9]+: *//' \
+  | grep -E "\"($tags)\"|\"($heads)\" *(=>|\|([^|]|$))" || true)
+if [ -n "$vocab_copies" ]; then
+  echo "$vocab_copies"
+  echo "an operator tag or term-head match arm outside $ops_table (read entangle_ir::OPS)"; exit 1
+fi
 
 echo "==> model-zoo shard sweep (entangle shard over exported strategies)"
 cargo run --release -q -p entangle-bench --bin export_zoo -- examples/graphs

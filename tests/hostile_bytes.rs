@@ -146,16 +146,23 @@ fn two_hundred_thousand_nested_applications_in_a_maps_file_are_a_usage_error() {
 /// Runs `entangle <args>` with `file` holding `bytes` substituted for the
 /// argument `"FILE"`.
 fn run_on_file(case: &str, bytes: &str, args: &[&str]) -> Output {
+    run_on_files(case, &[("FILE", bytes)], args)
+}
+
+/// Runs `entangle <args>` with each argument that names one of `files`
+/// replaced by the path of a file holding its bytes.
+fn run_on_files(case: &str, files: &[(&str, &str)], args: &[&str]) -> Output {
     let dir = std::env::temp_dir().join(format!("entangle-hostile-{}-{case}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let file = dir.join("hostile");
-    std::fs::write(&file, bytes).expect("writes");
+    for (name, bytes) in files {
+        std::fs::write(dir.join(name), bytes).expect("writes");
+    }
     let out = Command::new(entangle())
         .args(args.iter().map(|&a| {
-            if a == "FILE" {
-                file.as_os_str()
+            if files.iter().any(|(name, _)| *name == a) {
+                dir.join(a).into_os_string()
             } else {
-                a.as_ref()
+                a.into()
             }
         }))
         .output()
@@ -484,4 +491,63 @@ fn a_duplicated_member_is_refused() {
         stderr.contains("duplicate object key \"outputs\""),
         "{stderr}"
     );
+}
+
+/// A one-operator graph: `y = op(x)` over `x: [4, 4]`.
+fn one_op_graph(name: &str, op: Op) -> String {
+    let mut b = GraphBuilder::new(name);
+    let x = b.input("x", &[4, 4], DType::F32);
+    let y = b.apply("y", op, &[x]).expect("infers");
+    b.mark_output(y);
+    b.finish().expect("valid").to_json().expect("serializes")
+}
+
+#[test]
+fn a_scale_of_i64_min_over_minus_one_is_checked_not_a_panic() {
+    let scale = Op::ScalarMul {
+        numer: i64::MIN,
+        denom: -1,
+    };
+    let (gs, gd) = (one_op_graph("gs", scale.clone()), one_op_graph("gd", scale));
+    let out = run_on_files(
+        "scale-overflow",
+        &[("gs.json", &gs), ("gd.json", &gd)],
+        &["check", "gs.json", "gd.json", "--map", "x=x", "--no-ledger"],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn a_negative_size_is_a_usage_error_for_check_and_lint() {
+    // `y = x · w` with `x: [-4, 4]`, `w: [4, -3]`, `y: [-4, -3]`: consistent
+    // under shape inference, so only the reader can refuse it.
+    let graph = r#"{"name": "g", "tensors": [
+        {"id": 0, "name": "x", "shape": [-4, 4], "dtype": "F32", "producer": null},
+        {"id": 1, "name": "w", "shape": [4, -3], "dtype": "F32", "producer": null},
+        {"id": 2, "name": "y", "shape": [-4, -3], "dtype": "F32", "producer": 0}],
+      "nodes": [{"id": 0, "name": "y", "op": "Matmul", "inputs": [0, 1], "output": 2}],
+      "inputs": [0, 1], "outputs": [2]}"#;
+    let files = [("gs.json", graph), ("gd.json", graph)];
+    let check = [
+        "check",
+        "gs.json",
+        "gd.json",
+        "--map",
+        "x=x",
+        "--map",
+        "w=w",
+        "--no-ledger",
+    ];
+    for args in [&check[..], &["lint", "gd.json"]] {
+        let out = run_on_files("negative-size", &files, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let diagnostic = stderr.lines().next().unwrap_or_default();
+        assert!(
+            diagnostic.contains("tensor[0]: negative dimension -4 at byte 68"),
+            "{args:?}: {stderr}"
+        );
+    }
 }
