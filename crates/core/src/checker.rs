@@ -843,13 +843,17 @@ fn check_refinement_inner(
                 let analysis = entangle_num::analyze_certificate(c, gs, gd);
                 sp.attr("outputs", analysis.outputs.len());
                 sp.attr("steps", analysis.steps_analyzed);
+                sp.attr("rule_steps", analysis.rule_steps);
+                sp.attr("rule_keys", analysis.rule_keys);
+                sp.attr("rule_hits", analysis.rule_hits);
                 sp.attr("arena_nodes", analysis.arena_nodes);
                 sp.attr("modelled_nodes", analysis.modelled_nodes);
                 sp.attr("subterms", analysis.subterms);
                 sp.attr("subterm_hits", analysis.subterm_hits);
-                sp.attr("gd_pre_us", analysis.gd_pre_us);
+                sp.attr("key_us", analysis.key_us);
                 sp.attr("eval_us", analysis.eval_us);
                 sp.attr("classify_us", analysis.classify_us);
+                sp.attr("compose_us", analysis.compose_us);
                 sp.attr("dots", analysis.dots);
                 sp.attr("classified_pairs", analysis.classified_pairs);
                 sp.attr("expansions", analysis.expansions);

@@ -800,14 +800,22 @@ fn decode_dim(r: &mut Reader<'_>) -> Result<Dim, String> {
 }
 
 /// A list of sizes — a tensor's shape or a `Reshape` target — none of them
-/// a negative constant.
+/// a negative constant, and the product of the constant ones an `i64`, so
+/// every element count the checker computes from them fits.
 fn decode_dims(r: &mut Reader<'_>) -> Result<Vec<Dim>, String> {
+    let mut count = 1i64;
     r.items(|r, _| {
         let start = r.peek().map(|_| r.pos)?;
         let dim = decode_dim(r)?;
         match dim.as_const() {
             Some(n) if n < 0 => Err(format!("negative dimension {n} at byte {start}")),
-            _ => Ok(dim),
+            Some(n) => {
+                count = count.checked_mul(n).ok_or_else(|| {
+                    format!("dimension {n} at byte {start} takes the element count past i64")
+                })?;
+                Ok(dim)
+            }
+            None => Ok(dim),
         }
     })
 }
@@ -1130,6 +1138,25 @@ mod tests {
                 "{bad}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn an_element_count_past_i64_is_refused_where_the_size_starts() {
+        let graph = r#"{"name": "g", "tensors": [{"id": 0, "name": "x", "shape": [4611686018427387904, 1], "dtype": "F32", "producer": null}], "nodes": [], "inputs": [0], "outputs": [0]}"#;
+        decode_graph(graph).expect("2^62 elements fit");
+        let err = decode_graph(&graph.replace(", 1]", ", 4]"))
+            .expect_err("2^64 elements do not")
+            .to_string();
+        assert!(
+            err.contains("dimension 4 at byte 80 takes the element count past i64"),
+            "{err}"
+        );
+        let huge = r#"{"Reshape": {"shape": [4611686018427387904, 4]}}"#;
+        let err = decode_op(&mut Reader::new(huge)).expect_err("a target past i64");
+        assert_eq!(
+            err,
+            "Reshape: dimension 4 at byte 44 takes the element count past i64"
+        );
     }
 
     #[test]

@@ -100,11 +100,12 @@ impl Shape {
         &self.0[i]
     }
 
-    /// Total element count, if all dimensions are constant.
+    /// Total element count, if all dimensions are constant and the count
+    /// fits an `i64`.
     pub fn numel(&self) -> Option<i64> {
         self.0
             .iter()
-            .try_fold(1i64, |acc, d| Some(acc * d.as_const()?))
+            .try_fold(1i64, |acc, d| acc.checked_mul(d.as_const()?))
     }
 
     /// All dimensions as constants, if the shape is fully concrete.

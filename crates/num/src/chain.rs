@@ -3,19 +3,30 @@
 //! A verified certificate proves each `G_s` tensor *equal in the e-graph
 //! theory* to an expression over `G_d` tensors — but the theory includes
 //! reassociating lemmas that are only equalities over the reals. This pass
-//! walks the same proof chains the trusted kernel re-checks and classifies
-//! every step with the symbolic domain of [`crate::sym`]:
+//! walks the same proof chains the trusted kernel re-checks and gives every
+//! step kind its own rule, as the kernel does:
 //!
-//! - each [`ProofStep`] carries complete before/after terms over `G_d`
-//!   leaves, so adjacent terms are evaluated symbolically and compared —
-//!   no recursion into lemma semantics is needed;
-//! - `Given` steps are handled by fiat, mirroring the kernel's
-//!   `check_given`: a `G_d` definition relates a tensor leaf to its
-//!   defining operator application (bit-exact — both denote the very value
-//!   the runtime computed), and a "mappings of" fact bridges two accepted
-//!   mappings of one `G_s` tensor (its verdict composes theirs);
-//! - a mapping's verdict composes its chain verdict with the verdicts of
-//!   the input mappings its start term embeds.
+//! - a `Rule` step rewrites at the root of its `before` term, and the
+//!   lemma holds whatever its `G_d` leaves hold. Its two terms are
+//!   evaluated with every `G_d` tensor leaf an opaque atom tensor of the
+//!   tensor's shape (synthetic `~ones[..]` leaves stay exact ones) and
+//!   classified with the symbolic domain of [`crate::sym`]. The leaves are
+//!   renamed canonically first, so the verdict is memoised by rule,
+//!   direction and leaf-abstracted terms — their structure, attributes and
+//!   leaf shapes — and evaluated once per key;
+//! - a `Congruence` step composes the verdicts of its argument sub-proofs,
+//!   with no evaluation;
+//! - `Given` steps are handled by fiat, mirroring the kernel's `given`: a
+//!   `G_d` definition relates a tensor leaf to its defining operator
+//!   application (bit-exact — both denote the very value the runtime
+//!   computed), and a "mappings of" fact bridges two accepted mappings of
+//!   one `G_s` tensor (a lookup of their verdicts);
+//! - a mapping's verdict composes its chain with the verdicts of the input
+//!   mappings its start term embeds, over the mapping DAG: a verdict
+//!   carries its *cone*, the set of mappings whose own steps differ in
+//!   rounding, composition is set union, and `k` sums each cone member's
+//!   own count once, however many paths reach it (DESIGN.md,
+//!   *Numeric-soundness analysis*, argues the bound).
 //!
 //! The result is advisory: it never fails refinement checking, it tells
 //! the differential oracle *how* to compare (`bit-exact`, `within a
@@ -26,12 +37,16 @@ use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use entangle_cert::{exprs_eq, Certificate};
-use entangle_egraph::{ProofStep, RecExpr};
-use entangle_ir::Graph;
+use entangle_egraph::hashing::{FxHashMap, FxHashSet};
+use entangle_egraph::{ENode, Id, ProofStep, RecExpr, Symbol};
+use entangle_ir::{DType, Graph, Op, Shape};
+use entangle_lemmas::{infer_application, parse_ones_leaf, Meta};
 use entangle_lint::{codes, Anchor, Diagnostic};
 
-use crate::eval::{graph_tensors_sym, TermTable, ARENA_CAP_MSG};
-use crate::sym::{classify_tensors, Arena, NumClass, SymTensor, Verdict, ARENA_CAP};
+use crate::eval::{
+    const_dims, hash_term, leaf_tensor, op_hash, term_hashes, ElemHash, TermTable, ARENA_CAP_MSG,
+};
+use crate::sym::{classify_tensors, Arena, NumClass, Verdict};
 
 /// Rounding-site counts above this are reported as too loose to be
 /// meaningful ([`codes::NUM_LOOSE_BOUND`]): `(1+ε)^k − 1` at `k = 2³²` is
@@ -57,23 +72,34 @@ pub struct CertAnalysis {
     pub mappings: Vec<(String, Verdict)>,
     /// NU diagnostics raised while walking the chains.
     pub diagnostics: Vec<Diagnostic>,
-    /// Total proof steps classified.
+    /// Proof steps visited, congruence sub-proofs included.
     pub steps_analyzed: usize,
+    /// `Rule` steps among them.
+    pub rule_steps: usize,
+    /// Distinct rule-step memo keys: the rule instances evaluated.
+    pub rule_keys: usize,
+    /// `Rule` steps answered from the memo instead.
+    pub rule_hits: usize,
     /// Arena nodes the walk ended with, as stored.
     pub arena_nodes: usize,
-    /// Operations those nodes stand for (what [`ARENA_CAP`] counts): a
+    /// Operations those nodes stand for (what [`crate::sym::ARENA_CAP`] counts): a
     /// `Dot` node is the `2K − 1` multiply-adds of its fold.
     pub modelled_nodes: usize,
-    /// Distinct subterms of the proof-step terms, each evaluated once.
+    /// Distinct subterms of the rule-step keys, each evaluated once.
     pub subterms: usize,
     /// Subterm occurrences answered from the subterm table instead.
     pub subterm_hits: usize,
-    /// Microseconds evaluating every `G_d` tensor before the walk.
-    pub gd_pre_us: u64,
-    /// Microseconds evaluating proof-step terms.
+    /// Microseconds in rule steps outside evaluation and classification:
+    /// hashing their terms, building keys, looking them up.
+    pub key_us: u64,
+    /// Microseconds evaluating the terms of new keys: the hash pass, and
+    /// the arena for the keys it does not settle.
     pub eval_us: u64,
     /// Microseconds classifying the evaluated term pairs.
     pub classify_us: u64,
+    /// Microseconds of the walk outside rule steps: composing cones over
+    /// input mappings, `Given` and `Congruence` steps, outputs.
+    pub compose_us: u64,
     /// `Dot` nodes interned: one per distinct matmul element.
     pub dots: u64,
     /// Differing element pairs that ran the difference expansion.
@@ -125,39 +151,120 @@ impl CertAnalysis {
     }
 }
 
+/// What a verdict depends on: the class joined over every step it rests
+/// on, and its cone — the certificate mappings (by index) whose own steps
+/// contribute rounding sites, as a bitset.
+#[derive(Debug, Clone)]
+struct Cone {
+    class: NumClass,
+    bits: Vec<u64>,
+}
+
+impl Cone {
+    fn exact() -> Cone {
+        Cone {
+            class: NumClass::BitExact,
+            bits: Vec::new(),
+        }
+    }
+
+    /// Composition: classes join, cones unite.
+    fn union(&mut self, o: &Cone) {
+        self.class = self.class.max(o.class);
+        if self.bits.len() < o.bits.len() {
+            self.bits.resize(o.bits.len(), 0);
+        }
+        for (w, &x) in self.bits.iter_mut().zip(&o.bits) {
+            *w |= x;
+        }
+    }
+
+    fn insert(&mut self, mapping: usize) {
+        let word = mapping / 64;
+        if self.bits.len() <= word {
+            self.bits.resize(word + 1, 0);
+        }
+        self.bits[word] |= 1 << (mapping % 64);
+    }
+
+    /// The verdict: `k` is the sum of each member's own site count.
+    fn verdict(&self, own_k: &[u64]) -> Verdict {
+        let mut k = 0u64;
+        for (w, &word) in self.bits.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                k = k.saturating_add(own_k[w * 64 + rest.trailing_zeros() as usize]);
+                rest &= rest - 1;
+            }
+        }
+        Verdict {
+            class: self.class,
+            k,
+        }
+    }
+}
+
+/// The constant dims of a tensor's metadata.
+fn dims_of(meta: &Meta) -> Result<Vec<usize>, String> {
+    let shape = meta
+        .shape
+        .as_ref()
+        .ok_or("a scalar where a tensor was expected")?;
+    const_dims(shape).ok_or_else(|| format!("symbolic shape {shape}"))
+}
+
+/// A rule step's terms with bindings and leaves renamed
+/// ([`ChainCtx::abstract_step`]).
+struct Abstracted {
+    /// The structural hashes of the two renamed terms.
+    key: (ElemHash, ElemHash),
+    /// The renamed terms themselves, when asked for.
+    terms: Option<(RecExpr, RecExpr)>,
+}
+
+/// A rule step's memo key: the lemma, its direction, and the 128-bit
+/// structural hashes of its two abstracted terms.
+type RuleKey = (Symbol, bool, ElemHash, ElemHash);
+
 /// Shared state for one certificate walk.
 struct ChainCtx<'a> {
+    gd: &'a Graph,
     arena: Arena,
-    /// Every `G_d` tensor name, pre-evaluated to the symbolic value its
-    /// producer computes (graph inputs are leaves). Terms over `G_d`
-    /// leaves and the tensor names that abbreviate them hash-cons to the
-    /// same nodes, so `G_d`-definition substitutions classify bit-exact.
-    gd_values: HashMap<String, Result<Rc<SymTensor>, String>>,
-    /// Accepted mappings per `G_s` tensor with their verdicts, mirroring
-    /// the kernel's accepted-mapping table.
-    accepted: HashMap<String, Vec<(&'a RecExpr, Verdict)>>,
-    /// Every subterm of every step term, evaluated once.
+    /// Accepted mappings per `G_s` tensor with their cones, mirroring the
+    /// kernel's accepted-mapping table (`R_i` axioms have none).
+    accepted: HashMap<String, Vec<(&'a RecExpr, Cone)>>,
+    /// Each mapping's own rounding-site count, by certificate index.
+    own_k: Vec<u64>,
+    /// What each subterm of a binding, and each leaf, denotes, by
+    /// structural hash.
+    term_metas: FxHashMap<ElemHash, Result<Rc<Meta>, String>>,
+    /// Each atom by prefix, position and the value it stands for.
+    atoms: FxHashMap<(char, usize, ElemHash), Symbol>,
+    /// The shape of each atom, by name.
+    atom_dims: FxHashMap<String, Vec<usize>>,
+    /// Rule-step verdicts by the step's own terms (hashed as they are).
+    seen_steps: FxHashMap<RuleKey, Result<Verdict, String>>,
+    /// Rule-step verdicts by key.
+    rule_memo: FxHashMap<RuleKey, Result<Verdict, String>>,
+    /// Binding-abstracted keys whose verdict held no bound: their steps
+    /// are keyed by leaves alone.
+    specific: FxHashSet<RuleKey>,
+    /// Every subterm of every key's terms, evaluated once.
     table: TermTable,
     diagnostics: Vec<Diagnostic>,
-    /// The arena-cap warning is out: past the cap every later operator
-    /// step leaves the model for the same reason, reported once.
+    /// The arena-cap warning is out: past the cap every later rule step
+    /// leaves the model for the same reason, reported once.
     cap_reported: bool,
     steps: usize,
+    rule_steps: usize,
+    rule_hits: usize,
+    /// Time in rule steps, their evaluation and classification included.
+    rule_time: Duration,
     eval_time: Duration,
     classify_time: Duration,
 }
 
 impl<'a> ChainCtx<'a> {
-    fn eval(&mut self, term: &RecExpr) -> Result<Rc<SymTensor>, String> {
-        let gd_values = &self.gd_values;
-        self.table.eval(&mut self.arena, term, &mut |_, name| {
-            gd_values
-                .get(name)
-                .cloned()
-                .unwrap_or_else(|| Err(format!("unknown G_d tensor {name:?}")))
-        })
-    }
-
     /// NU05: `what` left the model because of `why`.
     fn left_model(&mut self, anchor: Anchor, what: String, why: &str) {
         if why == ARENA_CAP_MSG && std::mem::replace(&mut self.cap_reported, true) {
@@ -170,10 +277,273 @@ impl<'a> ChainCtx<'a> {
         ));
     }
 
-    /// Classifies one before/after term pair by symbolic evaluation.
-    fn classify_step(&mut self, before: &RecExpr, after: &RecExpr) -> Result<Verdict, String> {
+    /// What a term denotes: each distinct subterm is inferred once per
+    /// analysis, keyed by its structural hash, so a binding met again
+    /// costs a lookup.
+    fn term_meta(&mut self, term: &RecExpr, hashes: &[ElemHash]) -> Result<Rc<Meta>, String> {
+        if let Some(m) = hashes.last().and_then(|h| self.term_metas.get(h)) {
+            return m.clone();
+        }
+        let mut metas: Vec<Rc<Meta>> = Vec::with_capacity(term.len());
+        for (node, &h) in term.nodes().iter().zip(hashes) {
+            let meta = self.node_meta(node, h, &metas)?;
+            metas.push(meta);
+        }
+        metas.pop().ok_or_else(|| "empty term".to_owned())
+    }
+
+    /// What one node denotes, its children's metadata in `metas`.
+    fn node_meta(
+        &mut self,
+        node: &ENode,
+        h: ElemHash,
+        metas: &[Rc<Meta>],
+    ) -> Result<Rc<Meta>, String> {
+        if let Some(m) = self.term_metas.get(&h) {
+            return m.clone();
+        }
+        let meta = match node {
+            ENode::Int(i) => Ok(Meta::scalar((*i).into())),
+            ENode::Sym(e) => Ok(Meta::scalar(e.clone())),
+            ENode::Op(sym, ch) if ch.is_empty() => match parse_ones_leaf(sym.as_str()) {
+                Ok(Some(dims)) => {
+                    let dims: Vec<i64> = dims.iter().map(|&d| d as i64).collect();
+                    Ok(Meta::tensor(Shape::of(&dims), DType::F32))
+                }
+                Ok(None) => self
+                    .gd
+                    .tensor_by_name(sym.as_str())
+                    .map(|t| Meta::tensor(t.shape.clone(), t.dtype))
+                    .ok_or_else(|| format!("unknown G_d tensor {:?}", sym.as_str())),
+                Err(_) => Err(format!("unparseable synthetic leaf {:?}", sym.as_str())),
+            },
+            ENode::Op(sym, ch) => {
+                let children: Vec<&Meta> = ch.iter().map(|c| &*metas[c.index()]).collect();
+                infer_application(*sym, &children).map_err(|e| e.to_string())
+            }
+        };
+        let meta = meta.map(Rc::new);
+        self.term_metas.insert(h, meta.clone());
+        meta
+    }
+
+    /// The atom named `prefix` + position `at` for a value `of` (a leaf
+    /// symbol's or a binding's hash) of shape `dims`, cached per triple.
+    fn atom(
+        &mut self,
+        prefix: char,
+        at: usize,
+        of: ElemHash,
+        dims: impl FnOnce(&mut Self) -> Result<Vec<usize>, String>,
+    ) -> Result<Symbol, String> {
+        if let Some(&sym) = self.atoms.get(&(prefix, at, of)) {
+            return Ok(sym);
+        }
+        let dims = dims(self)?;
+        let name = format!("{prefix}{at}{dims:?}");
+        let sym = Symbol::new(&name);
+        self.atom_dims.entry(name).or_insert(dims);
+        self.atoms.insert((prefix, at, of), sym);
+        Ok(sym)
+    }
+
+    /// A rule step's key: the structural hashes of both terms with every
+    /// tensor binding of `subst` (when `generic`) and every other `G_d`
+    /// leaf renamed to an atom of its shape, named by position of first
+    /// occurrence (`?` bindings, `$` leaves); with the renamed terms
+    /// themselves when `build`.
+    fn abstract_step(
+        &mut self,
+        subst: &[(String, RecExpr)],
+        [before, after]: [(&RecExpr, &[ElemHash]); 2],
+        generic: bool,
+        build: bool,
+    ) -> Result<Abstracted, String> {
+        let mut bindings: Vec<(ElemHash, Rc<Meta>)> = Vec::new();
+        if generic {
+            for (_, term) in subst {
+                let hashes = term_hashes(term);
+                let meta = self.term_meta(term, &hashes)?;
+                if meta.shape.is_some() {
+                    bindings.push((*hashes.last().expect("a binding is a term"), meta));
+                }
+            }
+        }
+        let mut names = (Vec::new(), Vec::new());
+        let (hb, b) = self.abstract_term(before, &bindings, &mut names, build)?;
+        let (ha, a) = self.abstract_term(after, &bindings, &mut names, build)?;
+        Ok(Abstracted {
+            key: (hb, ha),
+            terms: b.zip(a),
+        })
+    }
+
+    /// One term of [`ChainCtx::abstract_step`]: the nodes reachable from
+    /// the root without entering a binding, with bindings and leaves
+    /// renamed; `names` holds the bindings and leaves named so far.
+    fn abstract_term(
+        &mut self,
+        (expr, hashes): (&RecExpr, &[ElemHash]),
+        bindings: &[(ElemHash, Rc<Meta>)],
+        (named, leaves): &mut (Vec<ElemHash>, Vec<Symbol>),
+        build: bool,
+    ) -> Result<(ElemHash, Option<RecExpr>), String> {
+        let nodes = expr.nodes();
+        let binding: Vec<Option<usize>> = hashes
+            .iter()
+            .map(|h| bindings.iter().position(|(b, _)| b == h))
+            .collect();
+        let mut live = vec![false; nodes.len()];
+        if let Some(root) = live.last_mut() {
+            *root = true;
+        }
+        for i in (0..nodes.len()).rev() {
+            if live[i] && binding[i].is_none() {
+                for c in nodes[i].children() {
+                    live[c.index()] = true;
+                }
+            }
+        }
+        let mut out = build.then(|| RecExpr::with_capacity(nodes.len()));
+        let mut slot: Vec<(ElemHash, Id)> = Vec::with_capacity(nodes.len());
+        for (i, node) in nodes.iter().enumerate() {
+            if !live[i] {
+                slot.push(((0, 0), Id::from_index(0)));
+                continue;
+            }
+            let atom = if let Some(j) = binding[i] {
+                let (h, meta) = &bindings[j];
+                let at = named.iter().position(|n| n == h).unwrap_or_else(|| {
+                    named.push(*h);
+                    named.len() - 1
+                });
+                Some(self.atom('?', at, *h, |_| dims_of(meta))?)
+            } else {
+                match node {
+                    ENode::Op(sym, ch)
+                        if ch.is_empty() && matches!(parse_ones_leaf(sym.as_str()), Ok(None)) =>
+                    {
+                        let at = leaves.iter().position(|l| l == sym).unwrap_or_else(|| {
+                            leaves.push(*sym);
+                            leaves.len() - 1
+                        });
+                        let dims =
+                            |ctx: &mut Self| dims_of(&*ctx.node_meta(node, hashes[i], &[])?);
+                        Some(self.atom('$', at, hashes[i], dims)?)
+                    }
+                    _ => None,
+                }
+            };
+            let h = match (atom, node) {
+                (Some(sym), _) => op_hash(sym, std::iter::empty()),
+                (None, ENode::Op(sym, ch)) => op_hash(*sym, ch.iter().map(|c| slot[c.index()].0)),
+                (None, _) => hashes[i],
+            };
+            let id = match &mut out {
+                Some(out) => out.add(match atom {
+                    Some(sym) => ENode::Op(sym, Vec::new()),
+                    None => node.map_children(|c| slot[c.index()].1),
+                }),
+                None => Id::from_index(0),
+            };
+            slot.push((h, id));
+        }
+        let root = slot.last().ok_or("empty term")?.0;
+        Ok((root, out))
+    }
+
+    /// The verdict of one rule instance, evaluated once per key. The key
+    /// abstracts the lemma's bindings: the lemma holds for any values of
+    /// its variables, so a bit-exact or reassociation verdict over opaque
+    /// bindings holds for these. Any other verdict may come from what the
+    /// abstraction hid (a binding of exact ones, a leaf shared with a
+    /// binding), so the step is classified again with only its leaves
+    /// abstracted, and keyed so.
+    fn rule_verdict(
+        &mut self,
+        name: &str,
+        forward: bool,
+        subst: &[(String, RecExpr)],
+        before: &RecExpr,
+        after: &RecExpr,
+    ) -> Result<Verdict, String> {
         let start = Instant::now();
-        let terms = self.eval(before).and_then(|a| Ok((a, self.eval(after)?)));
+        self.rule_steps += 1;
+        let rule = Symbol::new(name);
+        let (hb, ha) = (term_hashes(before), term_hashes(after));
+        let v = match (hb.last(), ha.last()) {
+            (Some(&b), Some(&a)) => match self.seen_steps.get(&(rule, forward, b, a)) {
+                Some(v) => {
+                    self.rule_hits += 1;
+                    v.clone()
+                }
+                None => {
+                    let terms = [(before, &hb[..]), (after, &ha[..])];
+                    let v = self.rule_instance(rule, forward, subst, terms);
+                    self.seen_steps.insert((rule, forward, b, a), v.clone());
+                    v
+                }
+            },
+            _ => Err("empty term".to_owned()),
+        };
+        self.rule_time += start.elapsed();
+        v
+    }
+
+    /// [`ChainCtx::rule_verdict`] of a step not met before.
+    fn rule_instance(
+        &mut self,
+        rule: Symbol,
+        forward: bool,
+        subst: &[(String, RecExpr)],
+        terms: [(&RecExpr, &[ElemHash]); 2],
+    ) -> Result<Verdict, String> {
+        for generic in [true, false] {
+            let (b, a) = self.abstract_step(subst, terms, generic, false)?.key;
+            let key = (rule, forward, b, a);
+            if let Some(v) = self.rule_memo.get(&key) {
+                self.rule_hits += 1;
+                return v.clone();
+            }
+            if generic && self.specific.contains(&key) {
+                continue;
+            }
+            let built = self.abstract_step(subst, terms, generic, true)?.terms;
+            let (b, a) = built.expect("built on request");
+            let v = self.classify(&b, &a);
+            if generic && v.as_ref().is_ok_and(|v| v.class > NumClass::Reassoc) {
+                self.specific.insert(key);
+                continue;
+            }
+            self.rule_memo.insert(key, v.clone());
+            return v;
+        }
+        unreachable!("the leaf-abstracted key always returns")
+    }
+
+    /// Evaluates an abstracted term pair and classifies it: bit-exact when
+    /// the element hashes of the two sides agree everywhere, else by the
+    /// arena.
+    fn classify(&mut self, before: &RecExpr, after: &RecExpr) -> Result<Verdict, String> {
+        let start = Instant::now();
+        let atom_dims = &self.atom_dims;
+        let dims = &mut |name: &str| atom_dims.get(name).cloned();
+        if let (Some(a), Some(b)) = (hash_term(before, dims), hash_term(after, dims)) {
+            if a == b {
+                self.eval_time += start.elapsed();
+                return Ok(Verdict::exact());
+            }
+        }
+        let leaves = &mut |arena: &mut Arena, name: &str| {
+            let dims = atom_dims
+                .get(name)
+                .ok_or_else(|| format!("unknown G_d tensor {name:?}"))?;
+            leaf_tensor(arena, name, dims.clone()).map(Rc::new)
+        };
+        let terms = self
+            .table
+            .eval(&mut self.arena, before, leaves)
+            .and_then(|a| Ok((a, self.table.eval(&mut self.arena, after, leaves)?)));
         let evaluated = Instant::now();
         self.eval_time += evaluated - start;
         let (a, b) = terms?;
@@ -182,16 +552,25 @@ impl<'a> ChainCtx<'a> {
         Ok(verdict)
     }
 
-    fn lookup(&self, tensor: &str, expr: &RecExpr) -> Option<Verdict> {
+    fn lookup(&self, tensor: &str, expr: &RecExpr) -> Option<&Cone> {
         self.accepted
             .get(tensor)?
             .iter()
             .find(|(e, _)| exprs_eq(e, expr))
-            .map(|&(_, v)| v)
+            .map(|(_, c)| c)
     }
 
-    /// Verdict of one proof step, with NU01/NU05 reporting.
-    fn step_verdict(&mut self, mapping: &str, step: &ProofStep) -> Verdict {
+    /// Composes a chain of steps into `cone` and returns the rounding sites
+    /// its own rule steps add.
+    fn chain(&mut self, mapping: &str, steps: &[ProofStep], cone: &mut Cone) -> u64 {
+        steps.iter().fold(0u64, |k, step| {
+            k.saturating_add(self.step(mapping, step, cone))
+        })
+    }
+
+    /// Composes one proof step into `cone` and returns the rounding sites
+    /// it adds, with NU01/NU05 reporting.
+    fn step(&mut self, mapping: &str, step: &ProofStep, cone: &mut Cone) -> u64 {
         self.steps += 1;
         match step {
             ProofStep::Given {
@@ -202,10 +581,13 @@ impl<'a> ChainCtx<'a> {
                 if fact.starts_with("G_d definition of ") {
                     // Both sides denote the value G_d actually computes for
                     // this operator's output: bit-exact by construction.
-                    Verdict::exact()
                 } else if let Some(t) = fact.strip_prefix("mappings of G_s tensor ") {
                     match (self.lookup(t, before), self.lookup(t, after)) {
-                        (Some(va), Some(vb)) => va.compose(&vb),
+                        (Some(ca), Some(cb)) => {
+                            let (ca, cb) = (ca.clone(), cb.clone());
+                            cone.union(&ca);
+                            cone.union(&cb);
+                        }
                         _ => {
                             self.diagnostics.push(Diagnostic::warning(
                                 codes::NUM_UNCLASSIFIED,
@@ -215,7 +597,7 @@ impl<'a> ChainCtx<'a> {
                                      mappings of {t}"
                                 ),
                             ));
-                            Verdict::unknown()
+                            cone.class = cone.class.max(NumClass::Unknown);
                         }
                     }
                 } else {
@@ -224,15 +606,17 @@ impl<'a> ChainCtx<'a> {
                         Anchor::Graph,
                         format!("mapping {mapping}: unrecognized given fact {fact:?}"),
                     ));
-                    Verdict::unknown()
+                    cone.class = cone.class.max(NumClass::Unknown);
                 }
+                0
             }
             ProofStep::Rule {
                 name,
+                forward,
+                subst,
                 before,
                 after,
-                ..
-            } => match self.classify_step(before, after) {
+            } => match self.rule_verdict(name, *forward, subst, before, after) {
                 Ok(v) => {
                     if v.class == NumClass::ValueChanging {
                         self.diagnostics.push(
@@ -250,7 +634,8 @@ impl<'a> ChainCtx<'a> {
                             ),
                         );
                     }
-                    v
+                    cone.class = cone.class.max(v.class);
+                    v.k
                 }
                 Err(why) => {
                     self.left_model(
@@ -258,36 +643,29 @@ impl<'a> ChainCtx<'a> {
                         format!("mapping {mapping}: step by lemma {name}"),
                         &why,
                     );
-                    Verdict::unknown()
+                    cone.class = cone.class.max(NumClass::Unknown);
+                    0
                 }
             },
-            // Congruence steps also carry complete before/after terms, so
-            // they are classified directly — no need to recurse into the
-            // child sub-proofs.
-            ProofStep::Congruence { before, after, .. } => {
-                match self.classify_step(before, after) {
-                    Ok(v) => {
-                        if v.class == NumClass::ValueChanging {
-                            self.diagnostics.push(Diagnostic::error(
-                                codes::NUM_VALUE_CHANGING,
-                                Anchor::Graph,
-                                format!(
-                                    "mapping {mapping}: congruence step changes the computed \
-                                     value: {before} vs {after}"
-                                ),
-                            ));
-                        }
-                        v
-                    }
-                    Err(why) => {
-                        self.left_model(
-                            Anchor::Graph,
-                            format!("mapping {mapping}: congruence step"),
-                            &why,
-                        );
-                        Verdict::unknown()
-                    }
+            // Each argument's sub-proof rewrites one child of the operator.
+            // An element of a concatenation is an element of exactly one
+            // argument, so it carries that argument's sites only; any other
+            // operator may read every argument into one element.
+            ProofStep::Congruence {
+                before, children, ..
+            } => {
+                let concat = matches!(before.root(), ENode::Op(sym, _)
+                    if sym.as_str() == Op::Concat { dim: 0 }.name());
+                let mut k = 0u64;
+                for child in children {
+                    let ck = self.chain(mapping, &child.steps, cone);
+                    k = if concat {
+                        k.max(ck)
+                    } else {
+                        k.saturating_add(ck)
+                    };
                 }
+                k
             }
         }
     }
@@ -301,50 +679,54 @@ impl<'a> ChainCtx<'a> {
 /// `gs` is the sequential graph (for operator input lookup), `gd` the
 /// distributed graph (for leaf shapes).
 pub fn analyze_certificate(cert: &Certificate, gs: &Graph, gd: &Graph) -> CertAnalysis {
-    let mut arena = Arena::new();
-    let start = Instant::now();
-    let gd_values = graph_tensors_sym(&mut arena, gd);
-    let gd_pre = start.elapsed();
     let mut ctx = ChainCtx {
-        arena,
-        gd_values,
+        gd,
+        arena: Arena::new(),
         accepted: HashMap::new(),
+        own_k: Vec::with_capacity(cert.mappings.len()),
+        term_metas: FxHashMap::default(),
+        atoms: FxHashMap::default(),
+        atom_dims: FxHashMap::default(),
+        seen_steps: FxHashMap::default(),
+        rule_memo: FxHashMap::default(),
+        specific: FxHashSet::default(),
         table: TermTable::default(),
         diagnostics: Vec::new(),
         cap_reported: false,
         steps: 0,
+        rule_steps: 0,
+        rule_hits: 0,
+        rule_time: Duration::ZERO,
         eval_time: Duration::ZERO,
         classify_time: Duration::ZERO,
     };
-    if ctx.arena.modelled() > ARENA_CAP {
-        let what = format!("G_d pre-evaluation ({} nodes)", ctx.arena.modelled());
-        ctx.left_model(Anchor::Graph, what, ARENA_CAP_MSG);
-    }
 
+    let start = Instant::now();
     // R_i mappings are the certificate's axioms: the related inputs are
     // fed bit-identically on both sides, so they are exact by fiat.
     for (tensor, mappings) in &cert.inputs {
         let entry = ctx.accepted.entry(tensor.clone()).or_default();
         for m in mappings {
-            entry.push((m, Verdict::exact()));
+            entry.push((m, Cone::exact()));
         }
     }
 
     let mut mapping_verdicts = Vec::with_capacity(cert.mappings.len());
-    for mc in &cert.mappings {
-        // Input verdicts: the chain's start term applies the G_s operator
-        // to these already-accepted expressions, so their errors feed
+    for (index, mc) in cert.mappings.iter().enumerate() {
+        // Input cones: the chain's start term applies the G_s operator to
+        // these already-accepted expressions, so their errors feed
         // straight into this mapping's output.
-        let mut verdict = Verdict::exact();
+        let mut cone = Cone::exact();
         if let Some(node) = gs.node_by_name(&mc.operator) {
             for (i, input_expr) in mc.inputs.iter().enumerate() {
-                let v = node
+                let input = node
                     .inputs
                     .get(i)
-                    .map(|&t| gs.tensor(t).name.clone())
-                    .and_then(|name| ctx.lookup(&name, input_expr));
-                match v {
-                    Some(v) => verdict = verdict.compose(&v),
+                    .map(|&t| gs.tensor(t).name.as_str())
+                    .and_then(|name| ctx.lookup(name, input_expr))
+                    .cloned();
+                match input {
+                    Some(c) => cone.union(&c),
                     None => {
                         ctx.diagnostics.push(Diagnostic::warning(
                             codes::NUM_UNCLASSIFIED,
@@ -354,7 +736,7 @@ pub fn analyze_certificate(cert: &Certificate, gs: &Graph, gd: &Graph) -> CertAn
                                 mc.tensor
                             ),
                         ));
-                        verdict = verdict.compose(&Verdict::unknown());
+                        cone.class = cone.class.max(NumClass::Unknown);
                     }
                 }
             }
@@ -367,13 +749,15 @@ pub fn analyze_certificate(cert: &Certificate, gs: &Graph, gd: &Graph) -> CertAn
                     mc.tensor, mc.operator
                 ),
             ));
-            verdict = verdict.compose(&Verdict::unknown());
+            cone.class = cone.class.max(NumClass::Unknown);
         }
 
-        for step in &mc.proof.steps {
-            let sv = ctx.step_verdict(&mc.tensor, step);
-            verdict = verdict.compose(&sv);
+        let own = ctx.chain(&mc.tensor, &mc.proof.steps, &mut cone);
+        ctx.own_k.push(own);
+        if own > 0 {
+            cone.insert(index);
         }
+        let verdict = cone.verdict(&ctx.own_k);
 
         if verdict.class == NumClass::Reassoc && verdict.k > K_LOOSE {
             ctx.diagnostics.push(Diagnostic::warning(
@@ -390,14 +774,14 @@ pub fn analyze_certificate(cert: &Certificate, gs: &Graph, gd: &Graph) -> CertAn
         ctx.accepted
             .entry(mc.tensor.clone())
             .or_default()
-            .push((&mc.expr, verdict));
+            .push((&mc.expr, cone));
         mapping_verdicts.push((mc.tensor.clone(), verdict));
     }
 
     let mut outputs = Vec::with_capacity(cert.outputs.len());
     for (tensor, expr) in &cert.outputs {
         let verdict = match ctx.lookup(tensor, expr) {
-            Some(v) => v,
+            Some(c) => c.verdict(&ctx.own_k),
             None => {
                 ctx.diagnostics.push(Diagnostic::warning(
                     codes::NUM_UNCLASSIFIED,
@@ -413,19 +797,28 @@ pub fn analyze_certificate(cert: &Certificate, gs: &Graph, gd: &Graph) -> CertAn
         });
     }
 
+    let walk = start.elapsed();
+    let micros = |d: Duration| d.as_micros() as u64;
     let stats = ctx.arena.stats();
     CertAnalysis {
         outputs,
         mappings: mapping_verdicts,
         diagnostics: ctx.diagnostics,
         steps_analyzed: ctx.steps,
+        rule_steps: ctx.rule_steps,
+        rule_keys: ctx.rule_memo.len(),
+        rule_hits: ctx.rule_hits,
         arena_nodes: ctx.arena.len(),
         modelled_nodes: ctx.arena.modelled(),
         subterms: ctx.table.subterms(),
         subterm_hits: ctx.table.hits(),
-        gd_pre_us: gd_pre.as_micros() as u64,
-        eval_us: ctx.eval_time.as_micros() as u64,
-        classify_us: ctx.classify_time.as_micros() as u64,
+        key_us: micros(
+            ctx.rule_time
+                .saturating_sub(ctx.eval_time + ctx.classify_time),
+        ),
+        eval_us: micros(ctx.eval_time),
+        classify_us: micros(ctx.classify_time),
+        compose_us: micros(walk.saturating_sub(ctx.rule_time)),
         dots: stats.dots,
         classified_pairs: stats.classified_pairs,
         expansions: stats.expansions,

@@ -12,19 +12,20 @@
 //! What differs between the two sides is confined to `impl Algebra for
 //! Arena` below and the canonicalisations of [`Arena`]'s own methods, each
 //! a bitwise IEEE identity. The rest of this module is what the kernels do
-//! not know about: leaves, whole graphs and certificate terms.
+//! not know about: leaves and certificate terms, and `Hashes`, a third
+//! algebra whose elements are structural hashes, which settles a bit-exact
+//! rule instance without the arena.
 
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use entangle_egraph::hashing::FxHashMap;
-use entangle_egraph::{ENode, Id, RecExpr};
-use entangle_ir::{DType, Graph, Op, Shape};
+use entangle_egraph::{ENode, Id, RecExpr, Symbol};
+use entangle_ir::{DType, Op, Shape};
 use entangle_lemmas::{decode_op, parse_ones_leaf, Meta};
 use entangle_runtime::kernels::{eval_op_in, Algebra, Atom, View};
 use entangle_runtime::EvalError;
 
-use crate::sym::{Arena, ExprId, ListId, Rat, SymTensor, ARENA_CAP};
+use crate::sym::{mix, Arena, ExprId, ListId, Rat, SymTensor, ARENA_CAP};
 
 /// Per-tensor element cap: larger tensors leave the model (pessimistic).
 pub const NUMEL_CAP: usize = 1 << 16;
@@ -48,171 +49,12 @@ pub fn leaf_tensor(arena: &mut Arena, name: &str, shape: Vec<usize>) -> Result<S
 }
 
 /// The dims of a fully constant shape.
-fn const_dims(shape: &Shape) -> Option<Vec<usize>> {
+pub(crate) fn const_dims(shape: &Shape) -> Option<Vec<usize>> {
     shape
         .dims()
         .iter()
         .map(|d| d.as_const().and_then(|c| usize::try_from(c).ok()))
         .collect()
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Percentage of [`graph_nodes_hint`] that [`graph_tensors_sym`]
-    /// reserves: the tests force it to nothing and to a multiple to show
-    /// the hint is behaviour-free.
-    pub(crate) static HINT_PERCENT: std::cell::Cell<usize> = const { std::cell::Cell::new(100) };
-}
-
-/// How many nodes [`graph_tensors_sym`] interns for `g` if no two of its
-/// operators compute the same element: one leaf per input element, and per
-/// operator the nodes the algebra calls of its kernel
-/// (`entangle_runtime::kernels`) intern, from the declared shapes
-/// (symbolic or oversized tensors count as the element cap). Only ever a
-/// **capacity hint**, in nodes as stored — not the operations
-/// [`ARENA_CAP`] counts ([`Arena::modelled`]), and not a bound on those
-/// either: hash-consing merges replicated work, so the true count is lower
-/// (2–5 % on the zoo, 90 % on the `gpt_tp8` benchmark input), and an
-/// estimate in the cap's place could leave the model when the arena never
-/// would.
-pub(crate) fn graph_nodes_hint(g: &Graph) -> usize {
-    let dims = |t: entangle_ir::TensorId| -> Vec<u64> {
-        match const_dims(&g.tensor(t).shape) {
-            Some(d) if d.iter().product::<usize>() <= NUMEL_CAP => {
-                d.iter().map(|&x| x as u64).collect()
-            }
-            _ => vec![NUMEL_CAP as u64],
-        }
-    };
-    let numel = |shape: &[u64]| shape.iter().product::<u64>();
-    let mut total = 0u64;
-    for &t in g.inputs() {
-        total = total.saturating_add(numel(&dims(t)));
-    }
-    for node in g.nodes() {
-        let ins: Vec<Vec<u64>> = node.inputs.iter().map(|&t| dims(t)).collect();
-        let out = numel(&dims(node.output));
-        let x = ins.first().map_or(0, |s| numel(s));
-        let last = ins.first().and_then(|s| s.last().copied()).unwrap_or(1);
-        let rows = x.checked_div(last).unwrap_or(0);
-        let nodes = match &node.op {
-            Op::Identity
-            | Op::OnesLike
-            | Op::Reshape { .. }
-            | Op::Transpose { .. }
-            | Op::Permute { .. }
-            | Op::Slice { .. }
-            | Op::Concat { .. }
-            | Op::Pad { .. }
-            | Op::AllGather { .. } => 0,
-            Op::Sub | Op::Rsqrt => 2 * out,
-            Op::Add
-            | Op::Mul
-            | Op::Div
-            | Op::Maximum
-            | Op::Neg
-            | Op::Exp
-            | Op::Sqrt
-            | Op::Tanh
-            | Op::Gelu
-            | Op::Silu
-            | Op::Relu
-            | Op::Sigmoid
-            | Op::Step
-            | Op::GeluGrad
-            | Op::SiluGrad
-            | Op::Cos
-            | Op::Sin
-            | Op::ScalarMul { .. } => out,
-            Op::SumDim { .. } | Op::SumAll => x,
-            Op::MeanDim { .. } | Op::MeanAll => x + out,
-            Op::Softmax { .. } => 5 * out,
-            // One `Dot` per output element.
-            Op::Matmul => out,
-            Op::Embedding => out + ins.get(1).map_or(0, |w| numel(w)),
-            // Opaque ids: an indicator per (id, row), a multiply-add per
-            // (id, row, column).
-            Op::EmbeddingGrad { vocab } => {
-                let grad = ins.get(1).map_or(0, |s| numel(s));
-                (*vocab as u64).saturating_mul(2 * grad + x + 1)
-            }
-            Op::LayerNorm => 7 * x + 4 * rows,
-            Op::RmsNorm => 4 * x + 2 * rows,
-            // Seven nodes per rotated pair.
-            Op::Rope => 4 * x,
-            // Per query row and head, over its `limit` visible keys: the
-            // score dot products (2·hd each), max, shift, exp, sum and
-            // weight (5), the weighted value sum (2·hd).
-            Op::Attention { heads, causal } => {
-                let s = ins
-                    .first()
-                    .and_then(|q| q.len().checked_sub(2).map(|i| q[i]))
-                    .unwrap_or(0);
-                let batches = rows.checked_div(s).unwrap_or(0);
-                let pairs = if *causal { s * (s + 1) / 2 } else { s * s };
-                let hd = last.checked_div(*heads as u64).unwrap_or(0);
-                (batches * pairs)
-                    .saturating_mul(*heads as u64)
-                    .saturating_mul(4 * hd + 5)
-            }
-            Op::MseLoss => 4 * x + 1,
-            Op::CrossEntropy => 4 * x + 8 * rows + 1,
-            Op::AllReduce | Op::ReduceScatter { .. } => {
-                (node.inputs.len() as u64).saturating_sub(1) * x
-            }
-        };
-        // The constants a kernel seeds its folds with.
-        total = total.saturating_add(nodes).saturating_add(2);
-    }
-    usize::try_from(total).unwrap_or(usize::MAX)
-}
-
-/// Symbolically evaluates every tensor of `g` in topological order: graph
-/// inputs become named leaf tensors, and every operator output the
-/// expression its producer computes. A tensor *name* therefore denotes the
-/// bit-level value the runtime materializes for it — which is what makes
-/// `G_d`-definition steps (`(matmul x w)` ↔ `y`) classify as bit-exact.
-/// Tensors whose evaluation leaves the model (symbolic shapes, cap
-/// overflows) map to `Err` and poison only their consumers.
-pub fn graph_tensors_sym(
-    arena: &mut Arena,
-    g: &Graph,
-) -> HashMap<String, Result<Rc<SymTensor>, String>> {
-    let hint = graph_nodes_hint(g);
-    #[cfg(test)]
-    let hint = hint.saturating_mul(HINT_PERCENT.get()) / 100;
-    // A quarter more than `g` itself: terms over its tensors are evaluated
-    // into the same arena next, and where a step reassociates a matmul its
-    // products are interned as the `Dot`s unfold (14–54 % on top on the zoo:
-    // past the reservation the table doubles, once).
-    let hint = hint.saturating_add(hint / 4).min(ARENA_CAP + NUMEL_CAP);
-    arena.reserve(arena.len() + hint);
-    let mut out: HashMap<String, Result<Rc<SymTensor>, String>> = HashMap::new();
-    for &t in g.inputs() {
-        let tensor = g.tensor(t);
-        let r = match const_dims(&tensor.shape) {
-            Some(dims) => leaf_tensor(arena, &tensor.name, dims),
-            None => Err(format!("symbolic shape on {:?}", tensor.name)),
-        };
-        out.insert(tensor.name.clone(), r.map(Rc::new));
-    }
-    for node in g.nodes() {
-        let ins: Result<Vec<&SymTensor>, String> = node
-            .inputs
-            .iter()
-            .map(|&t| match out.get(&g.tensor(t).name) {
-                Some(Ok(v)) => Ok(&**v),
-                Some(Err(e)) => Err(e.clone()),
-                None => Err(format!(
-                    "tensor {:?} referenced before definition",
-                    g.tensor(t).name
-                )),
-            })
-            .collect();
-        let r = ins.and_then(|ins| eval_op_sym(arena, &node.op, &ins));
-        out.insert(g.tensor(node.output).name.clone(), r.map(Rc::new));
-    }
-    out
 }
 
 /// Why an evaluation past [`ARENA_CAP`] leaves the model.
@@ -362,7 +204,11 @@ pub fn eval_op_sym(arena: &mut Arena, op: &Op, inputs: &[&SymTensor]) -> Result<
 
 /// The metadata `decode_op` reads off a tensor child.
 pub(crate) fn tensor_meta(t: &SymTensor) -> Meta {
-    let dims: Vec<i64> = t.shape.iter().map(|&d| d as i64).collect();
+    shape_meta(&t.shape)
+}
+
+fn shape_meta(shape: &[usize]) -> Meta {
+    let dims: Vec<i64> = shape.iter().map(|&d| d as i64).collect();
     Meta::tensor(Shape::of(&dims), DType::F32)
 }
 
@@ -382,15 +228,26 @@ pub(crate) fn apply_op(
     metas: &[&Meta],
     tensors: &[Option<&SymTensor>],
 ) -> Result<(Meta, SymTensor), String> {
+    let (op, inputs) = decode(sym, metas, tensors)?;
+    let t = eval_op_sym(arena, &op, &inputs)?;
+    Ok((tensor_meta(&t), t))
+}
+
+/// Decodes `sym` against its children's metadata and picks out the
+/// leading tensor children it applies to.
+fn decode<'t, T>(
+    sym: &str,
+    metas: &[&Meta],
+    tensors: &[Option<&'t T>],
+) -> Result<(Op, Vec<&'t T>), String> {
     let (op, tensor_count) = decode_op(sym, metas).ok_or_else(|| format!("cannot decode {sym}"))?;
-    let inputs: Vec<&SymTensor> = tensors
+    let inputs = tensors
         .get(..tensor_count)
         .ok_or_else(|| format!("{sym}: missing tensor children"))?
         .iter()
         .map(|t| t.ok_or_else(|| "tensor child has no value".to_owned()))
         .collect::<Result<_, _>>()?;
-    let t = eval_op_sym(arena, &op, &inputs)?;
-    Ok((tensor_meta(&t), t))
+    Ok((op, inputs))
 }
 
 /// Resolves a leaf tensor name to its symbolic value.
@@ -514,4 +371,234 @@ pub fn eval_term(
     TermTable::default()
         .eval(arena, expr, &mut |a, n| leaves(a, n).map(Rc::new))
         .map(Rc::unwrap_or_clone)
+}
+
+/// A 128-bit structural hash of one element's computation: what
+/// [`Hashes`] computes in place of an [`Arena`] node.
+pub(crate) type ElemHash = (u64, u64);
+
+/// The structural-hash algebra: every element is a 128-bit hash of the
+/// operations that produced it, built without a table. It keeps the
+/// structure the [`Arena`] interns — an `Add` or `Mul` has its children
+/// sorted, a matmul element is one `Dot` of its row and column with the
+/// two lists sorted, a fold of fewer than two pairs is written out — and
+/// none of the arena's other canonicalisations (constant folding, `x + 0`,
+/// `x + x`, unit scales, division by `±1`, readable constant ids), so two
+/// elements with equal hashes intern to one arena node, and so do the
+/// elements of two tensors whose hashes agree everywhere: the pair is
+/// bit-exact, exactly as the arena would classify it. Unequal hashes
+/// decide nothing; the arena classifies those pairs.
+#[derive(Default)]
+pub(crate) struct Hashes;
+
+const H_INT: u64 = 1;
+const H_LEAF: u64 = 2;
+const H_ADD: u64 = 3;
+const H_NEG: u64 = 4;
+const H_MUL: u64 = 5;
+const H_SCALE_MUL: u64 = 6;
+const H_SCALE_DIV: u64 = 7;
+const H_FUN: u64 = 8;
+const H_LIST: u64 = 9;
+const H_DOT: u64 = 10;
+const H_SYM: u64 = 11;
+const H_TERM: u64 = 12;
+
+/// A node: its tag folded with its children in order.
+fn elem(tag: u64, children: &[ElemHash]) -> ElemHash {
+    children.iter().fold((tag, !tag), |h, &c| mix(h, c))
+}
+
+/// An ordered list of elements, hashed as one handle.
+fn list(ids: &[ElemHash]) -> ElemHash {
+    elem(H_LIST, ids)
+}
+
+/// A word as a value [`mix`] folds in.
+fn word(w: u64) -> ElemHash {
+    (w, w.rotate_left(32) ^ 0x1d8e_4e27_c47d_124f)
+}
+
+impl Hashes {
+    /// The element `flat` of the leaf tensor `name`.
+    pub(crate) fn leaf(name: Symbol, flat: u64) -> ElemHash {
+        elem(H_LEAF, &[symbol_word(name), word(flat)])
+    }
+
+    /// The exact constant one (synthetic `~ones[..]` elements).
+    pub(crate) fn one() -> ElemHash {
+        elem(H_INT, &[word(1)])
+    }
+}
+
+impl Algebra for Hashes {
+    type Elem = ElemHash;
+
+    fn int(&mut self, v: i64) -> ElemHash {
+        elem(H_INT, &[word(v as u64)])
+    }
+
+    fn add(&mut self, a: ElemHash, b: ElemHash) -> ElemHash {
+        elem(H_ADD, &[a.min(b), a.max(b)])
+    }
+
+    fn neg(&mut self, a: ElemHash) -> ElemHash {
+        elem(H_NEG, &[a])
+    }
+
+    fn mul(&mut self, a: ElemHash, b: ElemHash) -> ElemHash {
+        elem(H_MUL, &[a.min(b), a.max(b)])
+    }
+
+    fn scale_mul(&mut self, x: ElemHash, numer: i64, denom: i64) -> ElemHash {
+        let r = Rat::new(i128::from(numer), i128::from(denom))
+            .expect("the kernels pass a non-zero denominator");
+        let (n, d) = (r.numer(), r.denom());
+        let ratio = |v: i128| (v as u64, (v >> 64) as u64);
+        elem(H_SCALE_MUL, &[x, ratio(n), ratio(d)])
+    }
+
+    fn scale_div(&mut self, x: ElemHash, n: u64) -> ElemHash {
+        elem(H_SCALE_DIV, &[x, word(n)])
+    }
+
+    fn fun(&mut self, atom: Atom, args: &[ElemHash]) -> ElemHash {
+        mix(elem(H_FUN, args), word(atom as u64))
+    }
+
+    fn dot(
+        &mut self,
+        rows: &[ElemHash],
+        cols: &[ElemHash],
+        (m, k, n): (usize, usize, usize),
+        out: &mut Vec<ElemHash>,
+    ) {
+        if k < 2 {
+            // The arena folds these into their multiply-adds.
+            for i in 0..m {
+                for j in 0..n {
+                    let mut acc = self.int(0);
+                    for p in 0..k {
+                        let prod = self.mul(rows[i * k + p], cols[j * k + p]);
+                        acc = self.add(acc, prod);
+                    }
+                    out.push(acc);
+                }
+            }
+            return;
+        }
+        let rows: Vec<ElemHash> = (0..m).map(|i| list(&rows[i * k..][..k])).collect();
+        let cols: Vec<ElemHash> = (0..n).map(|j| list(&cols[j * k..][..k])).collect();
+        for &row in &rows {
+            out.extend(
+                cols.iter()
+                    .map(|&col| elem(H_DOT, &[row.min(col), row.max(col)])),
+            );
+        }
+    }
+
+    /// No id is readable: both sides of a comparison take the opaque
+    /// path, where the arena might read a constant id.
+    fn index(&self, _: ElemHash) -> Option<usize> {
+        None
+    }
+
+    fn admit(&self, shape: &[usize]) -> Result<(), String> {
+        let n: usize = shape.iter().product();
+        if n > NUMEL_CAP {
+            return Err(format!("tensor exceeds element cap ({n})"));
+        }
+        Ok(())
+    }
+}
+
+/// The structural hash of every node of a term, in node order: equal
+/// subterms, equal hashes.
+pub(crate) fn term_hashes(expr: &RecExpr) -> Vec<ElemHash> {
+    let mut out: Vec<ElemHash> = Vec::with_capacity(expr.len());
+    for node in expr.nodes() {
+        let h = match node {
+            ENode::Int(i) => elem(H_INT, &[word(*i as u64)]),
+            ENode::Sym(e) => {
+                let mut h = entangle_egraph::hashing::FxHasher::default();
+                std::hash::Hash::hash(e, &mut h);
+                elem(H_SYM, &[word(std::hash::Hasher::finish(&h))])
+            }
+            ENode::Op(sym, ch) => op_hash(*sym, ch.iter().map(|c| out[c.index()])),
+        };
+        out.push(h);
+    }
+    out
+}
+
+/// The structural hash of the application of `sym` to children of these
+/// hashes (a leaf when there are none).
+pub(crate) fn op_hash(sym: Symbol, children: impl Iterator<Item = ElemHash>) -> ElemHash {
+    children.fold(elem(H_TERM, &[symbol_word(sym)]), mix)
+}
+
+/// A symbol as a value [`mix`] folds in: its interned string's address,
+/// which one name and only that name has for the life of the process.
+fn symbol_word(sym: Symbol) -> ElemHash {
+    let s = sym.as_str();
+    (s.as_ptr() as u64, s.len() as u64)
+}
+
+/// A tensor of element hashes.
+type HashTensor = entangle_runtime::kernels::Tensor<ElemHash>;
+
+/// Evaluates a ground term to its element hashes, `leaf` giving each
+/// non-synthetic leaf's shape; `None` where the hash algebra cannot (an
+/// unknown leaf, a cap, a shape error), which leaves the pair to the
+/// arena and its diagnostics.
+pub(crate) fn hash_term(
+    expr: &RecExpr,
+    leaf: &mut dyn FnMut(&str) -> Option<Vec<usize>>,
+) -> Option<HashTensor> {
+    let mut slots: Vec<(Meta, Option<HashTensor>)> = Vec::with_capacity(expr.len());
+    for node in expr.nodes() {
+        let slot = match node {
+            ENode::Int(i) => (Meta::scalar((*i).into()), None),
+            ENode::Sym(e) => (Meta::scalar(e.clone()), None),
+            ENode::Op(sym, ch) if ch.is_empty() => {
+                let name = sym.as_str();
+                let t = match parse_ones_leaf(name).ok()? {
+                    Some(dims) => {
+                        let n = dims.iter().product();
+                        HashTensor {
+                            shape: dims,
+                            data: vec![Hashes::one(); n],
+                        }
+                    }
+                    None => {
+                        let dims = leaf(name)?;
+                        let n: usize = dims.iter().product();
+                        if n > NUMEL_CAP {
+                            return None;
+                        }
+                        let data = (0..n as u64).map(|i| Hashes::leaf(*sym, i)).collect();
+                        HashTensor { shape: dims, data }
+                    }
+                };
+                (shape_meta(&t.shape), Some(t))
+            }
+            ENode::Op(sym, ch) => {
+                let metas: Vec<&Meta> = ch.iter().map(|c| &slots[c.index()].0).collect();
+                let tensors: Vec<Option<&HashTensor>> =
+                    ch.iter().map(|c| slots[c.index()].1.as_ref()).collect();
+                let (op, inputs) = decode(sym.as_str(), &metas, &tensors).ok()?;
+                let views: Vec<View<'_, ElemHash>> = inputs
+                    .iter()
+                    .map(|t| View {
+                        shape: &t.shape,
+                        data: &t.data,
+                    })
+                    .collect();
+                let t = eval_op_in(&mut Hashes, &op, &views).ok()?;
+                (shape_meta(&t.shape), Some(t))
+            }
+        };
+        slots.push(slot);
+    }
+    slots.pop()?.1
 }

@@ -14,7 +14,8 @@
 //! The fingerprint hashes exactly the inputs the analysis *reads* —
 //! graph structure (tensors, shapes, dtypes, operators, wiring), the
 //! certificate's input/output relations, and each proof step's kind,
-//! fact/lemma label, and complete before/after terms. Fields the
+//! fact/lemma label, direction, complete before/after terms and
+//! congruence sub-proofs. Fields the
 //! analysis never looks at (e-graph ids, substitutions, the advisory
 //! `numeric` section itself) are deliberately excluded: two certificates
 //! differing only there analyze identically by construction.
@@ -40,9 +41,10 @@ pub fn analyze_certificate_cached(cert: &Certificate, gs: &Graph, gd: &Graph) ->
         // The counts describe the analysis; the times are this call's,
         // and a replay spends none.
         return CertAnalysis {
-            gd_pre_us: 0,
+            key_us: 0,
             eval_us: 0,
             classify_us: 0,
+            compose_us: 0,
             replayed: true,
             ..hit.clone()
         };
@@ -86,9 +88,54 @@ fn hash_graph(h: &mut DefaultHasher, g: &Graph) {
     }
 }
 
+/// Each step's kind, fact or lemma and direction, terms, and a
+/// congruence step's sub-proofs.
+fn hash_steps(h: &mut DefaultHasher, steps: &[ProofStep]) {
+    steps.len().hash(h);
+    for step in steps {
+        match step {
+            ProofStep::Given {
+                fact,
+                before,
+                after,
+            } => {
+                0u8.hash(h);
+                fact.hash(h);
+                hash_expr(h, before);
+                hash_expr(h, after);
+            }
+            ProofStep::Rule {
+                name,
+                forward,
+                before,
+                after,
+                ..
+            } => {
+                1u8.hash(h);
+                name.hash(h);
+                forward.hash(h);
+                hash_expr(h, before);
+                hash_expr(h, after);
+            }
+            ProofStep::Congruence {
+                before,
+                after,
+                children,
+            } => {
+                2u8.hash(h);
+                hash_expr(h, before);
+                hash_expr(h, after);
+                for child in children {
+                    hash_steps(h, &child.steps);
+                }
+            }
+        }
+    }
+}
+
 fn fingerprint(cert: &Certificate, gs: &Graph, gd: &Graph) -> u64 {
     let mut h = DefaultHasher::new();
-    "entangle-num analysis v1".hash(&mut h);
+    "entangle-num analysis v2".hash(&mut h);
     hash_graph(&mut h, gs);
     hash_graph(&mut h, gd);
 
@@ -109,37 +156,7 @@ fn fingerprint(cert: &Certificate, gs: &Graph, gd: &Graph) -> u64 {
             hash_expr(&mut h, e);
         }
         hash_expr(&mut h, &mc.expr);
-        mc.proof.steps.len().hash(&mut h);
-        for step in &mc.proof.steps {
-            match step {
-                ProofStep::Given {
-                    fact,
-                    before,
-                    after,
-                } => {
-                    0u8.hash(&mut h);
-                    fact.hash(&mut h);
-                    hash_expr(&mut h, before);
-                    hash_expr(&mut h, after);
-                }
-                ProofStep::Rule {
-                    name,
-                    before,
-                    after,
-                    ..
-                } => {
-                    1u8.hash(&mut h);
-                    name.hash(&mut h);
-                    hash_expr(&mut h, before);
-                    hash_expr(&mut h, after);
-                }
-                ProofStep::Congruence { before, after, .. } => {
-                    2u8.hash(&mut h);
-                    hash_expr(&mut h, before);
-                    hash_expr(&mut h, after);
-                }
-            }
-        }
+        hash_steps(&mut h, &mc.proof.steps);
     }
     cert.outputs.len().hash(&mut h);
     for (tensor, expr) in &cert.outputs {

@@ -436,6 +436,25 @@ const EMPTY: Slot = Slot {
 /// nodes.
 const INITIAL_SLOTS: usize = 64;
 
+/// Nodes [`Arena::pair_shape`] walks before it gives up and the pair is
+/// classified as it is.
+const SHAPE_CAP: usize = 1 << 12;
+
+/// Folds one 128-bit value into a 128-bit state: a multiply-fold (the
+/// wyhash step) per lane, each lane reading both halves of the value. The
+/// structural hashes of `crate::eval` and [`Arena::pair_shape`] are folds
+/// of it.
+pub(crate) fn mix((h0, h1): (u64, u64), (x0, x1): (u64, u64)) -> (u64, u64) {
+    fn mum(a: u64, b: u64) -> u64 {
+        let r = u128::from(a) * u128::from(b);
+        (r as u64) ^ ((r >> 64) as u64)
+    }
+    (
+        mum(h0 ^ x0 ^ 0xa076_1d64_78bd_642f, x1 ^ 0xe703_7ed1_a0b4_28db),
+        mum(h1 ^ x1 ^ 0x8ebc_6af0_9c88_c6e3, x0 ^ 0x5899_65cc_7537_4cc3),
+    )
+}
+
 /// The high 32 bits of the value's FxHash (which ends in a multiply, so the
 /// well-mixed bits are the high ones).
 fn hash_tag<T: Hash + ?Sized>(value: &T) -> u32 {
@@ -458,18 +477,9 @@ struct InternTable {
 
 impl InternTable {
     /// Home slot of `tag` among `slots`: the tag scaled onto the table, so
-    /// any size serves (a capacity hint is not rounded up to a power of
-    /// two) and homes ascend with the tag.
+    /// any size serves and homes ascend with the tag.
     fn home(tag: u32, slots: usize) -> usize {
         ((u64::from(tag) * slots as u64) >> 32) as usize
-    }
-
-    /// Makes room for `n` entries in all, in one step.
-    fn reserve(&mut self, n: usize) {
-        let slots = n.saturating_add(n / 3 + 1).max(INITIAL_SLOTS);
-        if slots > self.slots.len() {
-            self.resize(slots);
-        }
     }
 
     /// Doubles the table (or creates it) when one more entry would fill it
@@ -697,6 +707,12 @@ pub struct Arena {
     names: Vec<String>,
     name_ids: HashMap<String, NameId>,
     pair_memo: FxHashMap<(ExprId, ExprId), (NumClass, u64)>,
+    /// Classifications by pair shape ([`Arena::pair_shape`]).
+    shape_memo: FxHashMap<(u64, u64), (NumClass, u64)>,
+    /// Per node, the walk of [`Arena::pair_shape`] that last met it and its
+    /// position there.
+    seen: Vec<(u32, u32)>,
+    walk: u32,
     /// Operations the interned `Dot`s stand for beyond their one node
     /// each: `2K − 2` per `Dot` over `K` pairs.
     folded_ops: usize,
@@ -730,15 +746,6 @@ impl Arena {
     /// `true` when no nodes exist yet.
     pub fn is_empty(&self) -> bool {
         self.nodes.values.is_empty()
-    }
-
-    /// Sizes the node storage for `nodes` nodes in all, so that interning
-    /// them never regrows it. A capacity hint and nothing else: fewer
-    /// nodes leave slack, more grow the storage as if never reserved.
-    pub(crate) fn reserve(&mut self, nodes: usize) {
-        let more = nodes.saturating_sub(self.nodes.values.len());
-        self.nodes.values.reserve(more);
-        self.nodes.table.reserve(nodes);
     }
 
     /// Bytes held by the nodes, their intern table and the side tables.
@@ -1223,6 +1230,113 @@ impl Arena {
         result
     }
 
+    /// Classifies one element pair of two tensors: [`Arena::classify_pair`],
+    /// answered from an earlier pair of the same shape where there is one.
+    /// Two pairs of one shape compute the same functions of their leaves,
+    /// so they differ at the same rounding sites, and a verdict either's
+    /// classification derives bounds both.
+    fn classify_element(&mut self, a: ExprId, b: ExprId) -> (NumClass, u64) {
+        if a == b {
+            return (NumClass::BitExact, 0);
+        }
+        let key = if a <= b { (a, b) } else { (b, a) };
+        if let Some(&r) = self.pair_memo.get(&key) {
+            return r;
+        }
+        let Some(shape) = self.pair_shape(a, b) else {
+            return self.classify_pair(a, b);
+        };
+        if let Some(&r) = self.shape_memo.get(&shape) {
+            return r;
+        }
+        let r = self.classify_pair(a, b);
+        self.shape_memo.insert(shape, r);
+        r
+    }
+
+    /// A 128-bit hash of the pair `(a, b)` up to renaming leaves: the
+    /// nodes reachable from `a`, then from `b`, in depth-first preorder,
+    /// each as its kind and payload (a constant's value, a fun's name, a
+    /// list's length, a scale) with its children after it, and a node met
+    /// again as its position in that order — so two pairs hash alike
+    /// exactly when one is the other with its leaves renamed one to one.
+    /// `None` past [`SHAPE_CAP`] nodes.
+    fn pair_shape(&mut self, a: ExprId, b: ExprId) -> Option<(u64, u64)> {
+        if self.seen.len() < self.len() {
+            self.seen.resize(self.len(), (0, 0));
+        }
+        self.walk = self.walk.wrapping_add(1);
+        if self.walk == 0 {
+            self.seen.iter_mut().for_each(|s| *s = (0, 0));
+            self.walk = 1;
+        }
+        let mut h: (u64, u64) = (0x243f_6a88_85a3_08d3, 0x1319_8a2e_0370_7344);
+        let mut at = 0u32;
+        let mut stack = vec![b, a];
+        while let Some(id) = stack.pop() {
+            let seen = &mut self.seen[id as usize];
+            if seen.0 == self.walk {
+                h = mix(h, (0, u64::from(seen.1)));
+                continue;
+            }
+            *seen = (self.walk, at);
+            at += 1;
+            if at as usize > SHAPE_CAP {
+                return None;
+            }
+            let rat = |arena: &Arena, h, kind, r: RatId| {
+                let r = arena.rats.get(r);
+                [r.numer(), r.denom()].iter().fold(h, |h, &v| {
+                    mix(mix(h, (kind, v as u64)), (kind, (v >> 64) as u64))
+                })
+            };
+            let list_of = |arena: &Arena, l: ListId, stack: &mut Vec<ExprId>| {
+                let ids = arena.list(l);
+                stack.extend(ids.iter().rev());
+                ids.len() as u64
+            };
+            h = match *self.node(id) {
+                Node::Rat(r) => rat(self, h, 1, r),
+                Node::Leaf(..) => mix(h, (2, 0)),
+                Node::Add(x, y) => {
+                    stack.extend([y, x]);
+                    mix(h, (3, 0))
+                }
+                Node::Neg(x) => {
+                    stack.push(x);
+                    mix(h, (4, 0))
+                }
+                Node::Mul(x, y) => {
+                    stack.extend([y, x]);
+                    mix(h, (5, 0))
+                }
+                Node::ScaleMul(x, r) => {
+                    stack.push(x);
+                    rat(self, h, 6, r)
+                }
+                Node::ScaleDiv(x, n) => {
+                    stack.push(x);
+                    mix(h, (7, n))
+                }
+                Node::Fun(f, l) => {
+                    let len = list_of(self, l, &mut stack);
+                    mix(mix(h, (8, u64::from(f))), (8, len))
+                }
+                Node::Dot(r, c) | Node::Sum(r, c) => {
+                    let kind = if matches!(self.node(id), Node::Dot(..)) {
+                        9
+                    } else {
+                        10
+                    };
+                    let cols = list_of(self, c, &mut stack);
+                    let rows = list_of(self, r, &mut stack);
+                    mix(mix(h, (kind, rows)), (kind, cols))
+                }
+            };
+        }
+        Some(h)
+    }
+
     /// Lazy lockstep difference: maintain `D = expand(a) − expand(b)` with
     /// unexpanded nodes as opaque atoms, always expanding the reducible
     /// atom with the largest [`Arena::cand_key`] first. That order is
@@ -1586,7 +1700,7 @@ pub fn classify_tensors(arena: &mut Arena, a: &SymTensor, b: &SymTensor) -> Verd
     let mut class = NumClass::BitExact;
     let mut k = 0u64;
     for (&ea, &eb) in a.elems.iter().zip(&b.elems) {
-        let (c, ke) = arena.classify_pair(ea, eb);
+        let (c, ke) = arena.classify_element(ea, eb);
         class = class.max(c);
         k = k.max(ke);
     }

@@ -114,8 +114,7 @@ fi
 
 # One operator evaluator: `entangle_runtime::kernels::eval_op_in`, which the
 # f64 oracle and the symbolic model both run. An arm that reads an operator's
-# attribute is an evaluator's (the capacity hint in crates/num names every
-# operator too, as `Op::Softmax { .. }`): a second one must not grow back.
+# attribute is an evaluator's: a second one must not grow back.
 evaluators=$(grep -rn 'Op::Softmax { dim }' crates/runtime/src crates/num/src --include='*.rs' \
   | grep -v 'tests.rs' | wc -l)
 if [ "$evaluators" -ne 1 ]; then
@@ -127,6 +126,12 @@ fi
 # not come back as a second path beside the node.
 if grep -rnE 'dot_memo|bypass_dot_memo|dot_hits' crates/ tests/ benchmark/src; then
   echo "the dot-product memo is back (interning a Dot node is the memo)"; exit 1
+fi
+# The numeric stage classifies rule instances over opaque `G_d` atoms
+# (DESIGN.md, *Numeric-soundness analysis*): no pass evaluates `G_d` itself,
+# nor sizes an arena from it, ahead of the proof steps.
+if grep -rnE 'graph_tensors_sym|graph_nodes_hint|gd_pre' crates/ tests/; then
+  echo "G_d pre-evaluation is back in the numeric stage (classify rule instances over opaque atoms)"; exit 1
 fi
 # The differential oracle stays the algorithm the classifier replaced: it
 # unfolds a `Dot` into one product per pair and never writes a run of them as

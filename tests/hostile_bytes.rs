@@ -520,6 +520,34 @@ fn a_scale_of_i64_min_over_minus_one_is_checked_not_a_panic() {
 }
 
 #[test]
+fn an_element_count_past_i64_is_a_usage_error_for_check_and_lint() {
+    // `x: [2^62, 4]` reshaped to `[0]`: 2^64 elements wrap to 0 in `i64`,
+    // so an unchecked count makes the reshape look element-preserving and
+    // lint clean. Only the reader can refuse it.
+    let graph = r#"{"name": "g", "tensors": [
+        {"id": 0, "name": "x", "shape": [4611686018427387904, 4], "dtype": "F32", "producer": null},
+        {"id": 1, "name": "y", "shape": [0], "dtype": "F32", "producer": 0}],
+      "nodes": [{"id": 0, "name": "y", "op": {"Reshape": {"shape": [0]}}, "inputs": [0], "output": 1}],
+      "inputs": [0], "outputs": [1]}"#;
+    let at =
+        graph.find("4611686018427387904, 4]").expect("the size") + "4611686018427387904, ".len();
+    let files = [("gs.json", graph), ("gd.json", graph)];
+    let check = ["check", "gs.json", "gd.json", "--map", "x=x", "--no-ledger"];
+    for args in [&check[..], &["lint", "gd.json"]] {
+        let out = run_on_files("huge-count", &files, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let diagnostic = stderr.lines().next().unwrap_or_default();
+        assert!(
+            diagnostic.contains(&format!(
+                "tensor[0]: dimension 4 at byte {at} takes the element count past i64"
+            )),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn a_negative_size_is_a_usage_error_for_check_and_lint() {
     // `y = x · w` with `x: [-4, 4]`, `w: [4, -3]`, `y: [-4, -3]`: consistent
     // under shape inference, so only the reader can refuse it.

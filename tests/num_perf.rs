@@ -1,39 +1,32 @@
 //! Regression pin for the cold numeric stage.
 //!
-//! `entangle_num::analyze_certificate` is what a cold `entangle check`
-//! spends most of its time in (`stage:numeric`, 86–98 % of every verifying
-//! check before PR 13). What keeps it cheap: every distinct subterm of the
-//! proof-step terms is evaluated once through one hash-consed table
-//! (adjacent terms differ in one small subterm), the element kernels index
-//! flat storage without allocating, the arena interns 16-byte nodes
-//! through one open-addressing table sized from the graph's shapes, a
-//! matmul element is one `Dot` node that only a proof step reassociating
-//! it ever unfolds, the shards of a split contraction cancel against the
-//! full fold as whole `Sum` segments instead of product by product, and
-//! the difference classifier reuses its containers from pair to pair.
-//! Together they took the first-in-process analysis of `gpt_tp2` from
-//! ~770 ms to 12–25 ms (release, 2-core box); the `benchmark/` rows
-//! `num.analyze_ms` and `core.stage_numeric_ms` on `zoo_tp2` and `gpt_tp8`
-//! are the measured cold figure this test guards.
+//! `entangle_num::analyze_certificate` runs once per verifying `entangle
+//! check` (`stage:numeric`). What keeps it cheap is that its work scales
+//! with the distinct rule instances of a certificate, not with `G_d`: no
+//! `G_d` tensor is evaluated, a `Rule` step is classified once per key —
+//! lemma, direction, and both terms with the lemma's bindings and every
+//! other `G_d` leaf opaque atoms of their shapes — a `Congruence` step
+//! composes its sub-proofs, and a `Given` step is a lookup. A key whose
+//! two sides hash alike element by element is bit-exact without touching
+//! the arena; one that does not is evaluated into it, where a matmul
+//! element is one `Dot` node, a split contraction cancels as whole `Sum`
+//! segments, and element pairs of one shape are classified once.
 //!
 //! What is pinned, and always runs: the `logits` verdict of the two
 //! workloads below — class and `k`, which depend on the order the
-//! classifier expands in (`Arena::cand_key`) and on which `Dot` is still
-//! whole when a longer one unfolds — with the nodes the arena physically
-//! holds (the storage the stage pays for; a product that cancels inside a
-//! `Sum` is never interned), that `Sum` segments were written at all, and
-//! its bytes per node (nodes, intern slots and side tables); and where the
-//! model ends — the 16-layer Llama leaves it during `G_d` pre-evaluation at
-//! the count of *modelled operations* it always did (a `Dot` counts as the
-//! `2K − 1` multiply-adds it stands for), however few nodes now store
-//! them. The time budget is asserted only in release builds, on the
-//! *uncached* entry point so the process-global analysis memo cannot make
-//! it warm, with the same ~3x headroom `tests/ematch_perf.rs` leaves itself
-//! on this noisy box.
+//! classifier expands in (`Arena::cand_key`) and on the mapping DAG the
+//! verdicts compose over — with the rule steps, the distinct keys they
+//! came down to, and the nodes the arena physically holds; and that the
+//! 16-layer Llama, which left the model while `G_d` was pre-evaluated,
+//! reads `reassoc`; and that `logits` `k` grows at most linearly with
+//! depth. In release builds only: the time budget, on the *uncached* entry
+//! point so the process-global analysis memo cannot make it warm, with the
+//! same ~3x headroom `tests/ematch_perf.rs` leaves itself on this noisy
+//! box.
 
 use std::time::{Duration, Instant};
 
-use entangle::{check_refinement, CheckOptions, NumClass};
+use entangle::{check_refinement, CheckOptions, NumClass, Verdict};
 use entangle_bench::{gpt_workload, llama_workload, zoo};
 use entangle_ir::Graph;
 use entangle_num::CertAnalysis;
@@ -57,17 +50,38 @@ fn analyze_cold(name: &str, gs: &Graph, dist: &Distributed) -> (CertAnalysis, Du
     (analysis, start.elapsed())
 }
 
-/// [`analyze_cold`], checked against the pinned arena size and `logits`
-/// verdict.
-fn analyze_pinned(name: &str, gs: &Graph, dist: &Distributed, nodes: usize, k: u64) -> Duration {
+/// The counts [`analyze_pinned`] holds an analysis to.
+struct Pins {
+    rule_steps: usize,
+    rule_keys: usize,
+    arena_nodes: usize,
+    k: u64,
+}
+
+/// [`analyze_cold`], checked against its pins and the `logits` verdict.
+fn analyze_pinned(name: &str, gs: &Graph, dist: &Distributed, pins: Pins) -> Duration {
     let (analysis, elapsed) = analyze_cold(name, gs, dist);
     assert!(analysis.is_clean(), "{name}: {}", analysis.render());
     assert_eq!(
-        analysis.arena_nodes, nodes,
-        "{name}: the analysis interned a different set of nodes"
+        (
+            analysis.rule_steps,
+            analysis.rule_keys,
+            analysis.arena_nodes
+        ),
+        (pins.rule_steps, pins.rule_keys, pins.arena_nodes),
+        "{name}: (rule steps, distinct keys, arena nodes)"
+    );
+    assert_eq!(
+        analysis.rule_hits + analysis.rule_keys,
+        analysis.rule_steps,
+        "{name}: every rule step is a key or a hit"
     );
     let logits = analysis.output_verdict("logits").expect("logits output");
-    assert_eq!((logits.class, logits.k), (NumClass::Reassoc, k), "{name}");
+    assert_eq!(
+        (logits.class, logits.k),
+        (NumClass::Reassoc, pins.k),
+        "{name}"
+    );
     assert!(
         analysis.sum_atoms > 0,
         "{name}: no split contraction cancelled as whole segments"
@@ -77,12 +91,6 @@ fn analyze_pinned(name: &str, gs: &Graph, dist: &Distributed, nodes: usize, k: u
         "{name}: {} bytes for {} nodes",
         analysis.arena_bytes,
         analysis.arena_nodes
-    );
-    assert!(
-        analysis.subterm_hits > analysis.subterms,
-        "{name}: the subterm table did not engage ({} hits over {} subterms)",
-        analysis.subterm_hits,
-        analysis.subterms
     );
     elapsed
 }
@@ -94,22 +102,33 @@ fn cold_analysis_keeps_its_arena_and_stays_under_budget() {
         .into_iter()
         .find(|c| c.name == "gpt_tp2")
         .expect("gpt_tp2 is in the workload zoo");
-    let elapsed = analyze_pinned("gpt_tp2", &tp2.gs, &tp2.dist, 99_650, 128);
+    let pins = Pins {
+        rule_steps: 17,
+        rule_keys: 8,
+        arena_nodes: 14_339,
+        k: 96,
+    };
+    let elapsed = analyze_pinned("gpt_tp2", &tp2.gs, &tp2.dist, pins);
     if !cfg!(debug_assertions) {
         assert!(
             elapsed < Duration::from_millis(350),
             "cold gpt_tp2 numeric analysis regressed: {elapsed:?} (budget 350 ms); \
-             check the subterm table, the capacity hint, what unfolds a `Dot`, and the \
-             classifier's scratch reuse"
+             check the rule-step keys, the hash pass, what unfolds a `Dot`, and the \
+             pair-shape memo"
         );
     }
     // The `gpt_tp8` benchmark input.
     let tp8 = gpt_workload(8, 2);
-    analyze_pinned("gpt_tp8", &tp8.gs, &tp8.dist, 313_282, 2304);
+    let pins = Pins {
+        rule_steps: 717,
+        rule_keys: 82,
+        arena_nodes: 61_187,
+        k: 840,
+    };
+    analyze_pinned("gpt_tp8", &tp8.gs, &tp8.dist, pins);
 
-    // The `llama_deep` benchmark input: `G_d` alone stands for more than
-    // `ARENA_CAP` operations. That count is the cap's, taken as the arena
-    // interns, and must not move with how a matmul element is stored.
+    // The `llama_deep` benchmark input, which left the model while `G_d`
+    // was pre-evaluated: it reads `reassoc` now, with no note.
     let deep = llama_workload(8, 16);
     let (analysis, _) = analyze_cold("llama3_tp8_l16", &deep.gs, &deep.dist);
     let notes: Vec<&str> = analysis
@@ -118,16 +137,31 @@ fn cold_analysis_keeps_its_arena_and_stays_under_budget() {
         .filter(|d| d.code == entangle_lint::codes::NUM_UNCLASSIFIED)
         .map(|d| d.message.as_str())
         .collect();
-    assert_eq!(
-        notes,
-        ["G_d pre-evaluation (4006546 nodes) left the model: arena node cap exceeded"]
-    );
-    assert_eq!(analysis.modelled_nodes, 4_006_546);
-    assert!(
-        analysis.arena_nodes < 1_000_000,
-        "{} nodes stored",
-        analysis.arena_nodes
-    );
+    assert!(notes.is_empty(), "{notes:?}");
     let logits = analysis.output_verdict("logits").expect("logits output");
-    assert_eq!(logits.class, NumClass::Unknown);
+    assert_eq!(logits.class, NumClass::Reassoc);
+    assert!(logits.k < 100_000, "llama3_tp8_l16 logits k = {}", logits.k);
+}
+
+/// The `logits` verdict of a check of `gpt_workload(8, layers)`.
+fn gpt_logits(layers: usize) -> Verdict {
+    let w = gpt_workload(8, layers);
+    let (analysis, _) = analyze_cold(&format!("gpt_tp8_l{layers}"), &w.gs, &w.dist);
+    assert!(analysis.is_clean(), "{}", analysis.render());
+    *analysis.output_verdict("logits").expect("logits output")
+}
+
+#[test]
+fn numeric_verdicts_survive_depth() {
+    // Each layer adds its own sites once: `k` grows at most linearly.
+    let [k1, k2, k4] = [1, 2, 4].map(|layers| {
+        let v = gpt_logits(layers);
+        assert_eq!(v.class, NumClass::Reassoc, "gpt_tp8_l{layers}");
+        v.k
+    });
+    assert!(k1 < k2 && k2 < k4, "k by depth: {k1}, {k2}, {k4}");
+    assert!(
+        k4 - k2 <= 2 * (k2 - k1),
+        "k grows faster than linearly in depth: {k1}, {k2}, {k4}"
+    );
 }
