@@ -798,24 +798,41 @@ fn check_options(tracer: &Tracer) -> CheckOptions {
     }
 }
 
-/// The `Numeric verdicts:` block of a successful check/certify: one line
-/// per `R_o` output and, when any of them is `unknown`, a note with why
-/// the analysis left the model.
+/// The `Numeric verdicts:` block of a successful check/certify.
 fn print_numeric_verdicts(num: &entangle::CertAnalysis) {
     outln!("\nNumeric verdicts:");
+    for line in numeric_verdict_lines(num) {
+        outln!("{line}");
+    }
+}
+
+/// The lines under `Numeric verdicts:`: one per `R_o` output, a note under
+/// one whose bound is too loose to mean anything (NU03) and, when any of
+/// them is `unknown`, a note with why the analysis left the model.
+fn numeric_verdict_lines(num: &entangle::CertAnalysis) -> Vec<String> {
+    let mut lines = Vec::new();
     for o in &num.outputs {
-        outln!(
+        let v = &o.verdict;
+        lines.push(format!(
             "  {} : {}",
             o.tensor,
-            entangle::describe_verdict(&o.verdict)
-        );
+            entangle::describe_verdict(v)
+        ));
+        if v.class == entangle::NumClass::Reassoc && v.k > entangle::K_LOOSE {
+            lines.push(format!(
+                "  note: {}: k is past the looseness threshold {}; the bound is not meaningful (NU03)",
+                o.tensor,
+                entangle::K_LOOSE
+            ));
+        }
     }
     let unknown = |o: &entangle::OutputVerdict| o.verdict.class == entangle::NumClass::Unknown;
     if num.outputs.iter().any(unknown) {
         if let Some(why) = num.unclassified_reason() {
-            outln!("  note: {why}");
+            lines.push(format!("  note: {why}"));
         }
     }
+    lines
 }
 
 /// One human-readable line summarizing the checker's cross-operator memo,

@@ -657,3 +657,26 @@ fn lint_subcommand_end_to_end() {
 
     fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_bound_past_the_looseness_threshold_is_noted_under_its_output() {
+    let output = |tensor: &str, k| entangle::OutputVerdict {
+        tensor: tensor.to_owned(),
+        verdict: entangle::Verdict {
+            class: entangle::NumClass::Reassoc,
+            k,
+        },
+    };
+    let num = entangle::CertAnalysis {
+        outputs: vec![output("loss", 96), output("logits", entangle::K_LOOSE + 1)],
+        ..entangle::CertAnalysis::default()
+    };
+    let lines = crate::numeric_verdict_lines(&num);
+    assert_eq!(lines.len(), 3, "{lines:?}");
+    assert!(lines[0].starts_with("  loss : reassoc (k=96"), "{lines:?}");
+    assert!(lines[1].starts_with("  logits : reassoc"), "{lines:?}");
+    assert!(
+        lines[2].starts_with("  note: logits: k is past the looseness threshold"),
+        "{lines:?}"
+    );
+}

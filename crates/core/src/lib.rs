@@ -87,7 +87,7 @@ pub use encode::{clean_cost, encode_def, encode_node, CleanOps};
 pub use entangle_egraph::{SaturationReport, StopReason};
 pub use entangle_num::{
     analyze_certificate, analyze_registry, describe_verdict, CertAnalysis, CorpusNumAnalysis,
-    NumClass, OutputVerdict, Verdict,
+    NumClass, OutputVerdict, Verdict, K_LOOSE,
 };
 pub use expect::{append_expr, check_expectation, ExpectationError};
 pub use relation::{Relation, RelationBuilder};

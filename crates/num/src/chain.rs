@@ -23,10 +23,14 @@
 //!   one `G_s` tensor (a lookup of their verdicts);
 //! - a mapping's verdict composes its chain with the verdicts of the input
 //!   mappings its start term embeds, over the mapping DAG: a verdict
-//!   carries its *cone*, the set of mappings whose own steps differ in
-//!   rounding, composition is set union, and `k` sums each cone member's
-//!   own count once, however many paths reach it (DESIGN.md,
-//!   *Numeric-soundness analysis*, argues the bound).
+//!   carries its *cone*, the mappings whose own steps differ in rounding,
+//!   each with the number of times its error enters the value. An
+//!   operator linear in its inputs (an add, a concatenation) joins its
+//!   input cones, each member as often as along either; any other (a
+//!   product, a matmul of two computed values, attention) adds them, so a
+//!   value read by two of its inputs counts twice. `k` sums each member's
+//!   own count times its multiplicity (DESIGN.md, *Numeric-soundness
+//!   analysis*, argues the bound).
 //!
 //! The result is advisory: it never fails refinement checking, it tells
 //! the differential oracle *how* to compare (`bit-exact`, `within a
@@ -153,55 +157,98 @@ impl CertAnalysis {
 
 /// What a verdict depends on: the class joined over every step it rests
 /// on, and its cone — the certificate mappings (by index) whose own steps
-/// contribute rounding sites, as a bitset.
+/// contribute rounding sites, each with the number of times its error
+/// enters the value (a multiset, sorted by index).
 #[derive(Debug, Clone)]
 struct Cone {
     class: NumClass,
-    bits: Vec<u64>,
+    members: Vec<(u32, u64)>,
 }
 
 impl Cone {
     fn exact() -> Cone {
         Cone {
             class: NumClass::BitExact,
-            bits: Vec::new(),
+            members: Vec::new(),
         }
     }
 
-    /// Composition: classes join, cones unite.
-    fn union(&mut self, o: &Cone) {
+    /// Classes join; each member's multiplicity becomes `f` of its two.
+    fn merge(&mut self, o: &Cone, f: impl Fn(u64, u64) -> u64) {
         self.class = self.class.max(o.class);
-        if self.bits.len() < o.bits.len() {
-            self.bits.resize(o.bits.len(), 0);
-        }
-        for (w, &x) in self.bits.iter_mut().zip(&o.bits) {
-            *w |= x;
-        }
-    }
-
-    fn insert(&mut self, mapping: usize) {
-        let word = mapping / 64;
-        if self.bits.len() <= word {
-            self.bits.resize(word + 1, 0);
-        }
-        self.bits[word] |= 1 << (mapping % 64);
-    }
-
-    /// The verdict: `k` is the sum of each member's own site count.
-    fn verdict(&self, own_k: &[u64]) -> Verdict {
-        let mut k = 0u64;
-        for (w, &word) in self.bits.iter().enumerate() {
-            let mut rest = word;
-            while rest != 0 {
-                k = k.saturating_add(own_k[w * 64 + rest.trailing_zeros() as usize]);
-                rest &= rest - 1;
+        let (a, b) = (std::mem::take(&mut self.members), &o.members);
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() || j < b.len() {
+            let x = a.get(i).map_or(u32::MAX, |m| m.0);
+            let y = b.get(j).map_or(u32::MAX, |m| m.0);
+            let at = x.min(y);
+            let p = if x == at {
+                i += 1;
+                a[i - 1].1
+            } else {
+                0
+            };
+            let q = if y == at {
+                j += 1;
+                b[j - 1].1
+            } else {
+                0
+            };
+            let n = f(p, q);
+            if n > 0 {
+                self.members.push((at, n));
             }
         }
+    }
+
+    /// A linear join (an add, a concatenation): each member enters as
+    /// often as along either side.
+    fn join(&mut self, o: &Cone) {
+        self.merge(o, u64::max);
+    }
+
+    /// A product-like join: the relative errors of the factors add, so
+    /// do the multiplicities.
+    fn add(&mut self, o: &Cone) {
+        self.merge(o, u64::saturating_add);
+    }
+
+    /// A "mappings of" bridge swaps the value `from` for `to` where it is
+    /// read: `from` is joined in (the running cone already holds it when
+    /// the start term read it), then what `to` has beyond it is added.
+    fn swap(&mut self, from: &Cone, to: &Cone) {
+        self.join(from);
+        let mut beyond = to.clone();
+        beyond.merge(from, u64::saturating_sub);
+        self.add(&beyond);
+    }
+
+    /// The verdict: `k` sums each member's own site count times its
+    /// multiplicity.
+    fn verdict(&self, own_k: &[u64]) -> Verdict {
+        let k = self.members.iter().fold(0u64, |k, &(m, n)| {
+            k.saturating_add(own_k[m as usize].saturating_mul(n))
+        });
         Verdict {
             class: self.class,
             k,
         }
     }
+}
+
+/// Whether `op` is linear in its tensor inputs — a value read by two of
+/// them enters its output no more often than along one — so input cones
+/// join instead of adding. Single-input operators never join two cones.
+fn joins_linearly(op: &Op) -> bool {
+    matches!(
+        op,
+        Op::Add
+            | Op::Sub
+            | Op::Maximum
+            | Op::Concat { .. }
+            | Op::AllReduce
+            | Op::ReduceScatter { .. }
+    )
 }
 
 /// The constant dims of a tensor's metadata.
@@ -242,8 +289,6 @@ struct ChainCtx<'a> {
     atoms: FxHashMap<(char, usize, ElemHash), Symbol>,
     /// The shape of each atom, by name.
     atom_dims: FxHashMap<String, Vec<usize>>,
-    /// Rule-step verdicts by the step's own terms (hashed as they are).
-    seen_steps: FxHashMap<RuleKey, Result<Verdict, String>>,
     /// Rule-step verdicts by key.
     rule_memo: FxHashMap<RuleKey, Result<Verdict, String>>,
     /// Binding-abstracted keys whose verdict held no bound: their steps
@@ -469,28 +514,18 @@ impl<'a> ChainCtx<'a> {
     ) -> Result<Verdict, String> {
         let start = Instant::now();
         self.rule_steps += 1;
-        let rule = Symbol::new(name);
         let (hb, ha) = (term_hashes(before), term_hashes(after));
-        let v = match (hb.last(), ha.last()) {
-            (Some(&b), Some(&a)) => match self.seen_steps.get(&(rule, forward, b, a)) {
-                Some(v) => {
-                    self.rule_hits += 1;
-                    v.clone()
-                }
-                None => {
-                    let terms = [(before, &hb[..]), (after, &ha[..])];
-                    let v = self.rule_instance(rule, forward, subst, terms);
-                    self.seen_steps.insert((rule, forward, b, a), v.clone());
-                    v
-                }
-            },
-            _ => Err("empty term".to_owned()),
-        };
+        let v = self.rule_instance(
+            Symbol::new(name),
+            forward,
+            subst,
+            [(before, &hb), (after, &ha)],
+        );
         self.rule_time += start.elapsed();
         v
     }
 
-    /// [`ChainCtx::rule_verdict`] of a step not met before.
+    /// [`ChainCtx::rule_verdict`], the terms with their node hashes.
     fn rule_instance(
         &mut self,
         rule: Symbol,
@@ -585,8 +620,7 @@ impl<'a> ChainCtx<'a> {
                     match (self.lookup(t, before), self.lookup(t, after)) {
                         (Some(ca), Some(cb)) => {
                             let (ca, cb) = (ca.clone(), cb.clone());
-                            cone.union(&ca);
-                            cone.union(&cb);
+                            cone.swap(&ca, &cb);
                         }
                         _ => {
                             self.diagnostics.push(Diagnostic::warning(
@@ -687,7 +721,6 @@ pub fn analyze_certificate(cert: &Certificate, gs: &Graph, gd: &Graph) -> CertAn
         term_metas: FxHashMap::default(),
         atoms: FxHashMap::default(),
         atom_dims: FxHashMap::default(),
-        seen_steps: FxHashMap::default(),
         rule_memo: FxHashMap::default(),
         specific: FxHashSet::default(),
         table: TermTable::default(),
@@ -715,9 +748,11 @@ pub fn analyze_certificate(cert: &Certificate, gs: &Graph, gd: &Graph) -> CertAn
     for (index, mc) in cert.mappings.iter().enumerate() {
         // Input cones: the chain's start term applies the G_s operator to
         // these already-accepted expressions, so their errors feed
-        // straight into this mapping's output.
+        // straight into this mapping's output — joined by a linear
+        // operator, added by any other.
         let mut cone = Cone::exact();
         if let Some(node) = gs.node_by_name(&mc.operator) {
+            let linear = joins_linearly(&node.op);
             for (i, input_expr) in mc.inputs.iter().enumerate() {
                 let input = node
                     .inputs
@@ -726,7 +761,8 @@ pub fn analyze_certificate(cert: &Certificate, gs: &Graph, gd: &Graph) -> CertAn
                     .and_then(|name| ctx.lookup(name, input_expr))
                     .cloned();
                 match input {
-                    Some(c) => cone.union(&c),
+                    Some(c) if linear => cone.join(&c),
+                    Some(c) => cone.add(&c),
                     None => {
                         ctx.diagnostics.push(Diagnostic::warning(
                             codes::NUM_UNCLASSIFIED,
@@ -755,7 +791,10 @@ pub fn analyze_certificate(cert: &Certificate, gs: &Graph, gd: &Graph) -> CertAn
         let own = ctx.chain(&mc.tensor, &mc.proof.steps, &mut cone);
         ctx.own_k.push(own);
         if own > 0 {
-            cone.insert(index);
+            cone.add(&Cone {
+                class: NumClass::BitExact,
+                members: vec![(index as u32, 1)],
+            });
         }
         let verdict = cone.verdict(&ctx.own_k);
 

@@ -14,11 +14,11 @@
 //! The fingerprint hashes exactly the inputs the analysis *reads* —
 //! graph structure (tensors, shapes, dtypes, operators, wiring), the
 //! certificate's input/output relations, and each proof step's kind,
-//! fact/lemma label, direction, complete before/after terms and
-//! congruence sub-proofs. Fields the
-//! analysis never looks at (e-graph ids, substitutions, the advisory
-//! `numeric` section itself) are deliberately excluded: two certificates
-//! differing only there analyze identically by construction.
+//! fact/lemma label, direction, substitution (a rule step's key abstracts
+//! its bindings), complete before/after terms and congruence sub-proofs.
+//! Fields the analysis never looks at (e-graph ids, the advisory `numeric`
+//! section itself) are deliberately excluded: two certificates differing
+//! only there analyze identically by construction.
 
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -88,8 +88,8 @@ fn hash_graph(h: &mut DefaultHasher, g: &Graph) {
     }
 }
 
-/// Each step's kind, fact or lemma and direction, terms, and a
-/// congruence step's sub-proofs.
+/// Each step's kind, fact or lemma, direction and substitution, terms,
+/// and a congruence step's sub-proofs.
 fn hash_steps(h: &mut DefaultHasher, steps: &[ProofStep]) {
     steps.len().hash(h);
     for step in steps {
@@ -107,13 +107,18 @@ fn hash_steps(h: &mut DefaultHasher, steps: &[ProofStep]) {
             ProofStep::Rule {
                 name,
                 forward,
+                subst,
                 before,
                 after,
-                ..
             } => {
                 1u8.hash(h);
                 name.hash(h);
                 forward.hash(h);
+                subst.len().hash(h);
+                for (var, term) in subst {
+                    var.hash(h);
+                    hash_expr(h, term);
+                }
                 hash_expr(h, before);
                 hash_expr(h, after);
             }
@@ -135,7 +140,7 @@ fn hash_steps(h: &mut DefaultHasher, steps: &[ProofStep]) {
 
 fn fingerprint(cert: &Certificate, gs: &Graph, gd: &Graph) -> u64 {
     let mut h = DefaultHasher::new();
-    "entangle-num analysis v2".hash(&mut h);
+    "entangle-num analysis v3".hash(&mut h);
     hash_graph(&mut h, gs);
     hash_graph(&mut h, gd);
 

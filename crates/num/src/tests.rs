@@ -583,13 +583,17 @@ fn folded_dots_classify_every_zoo_step_like_the_eager_fold() {
     }
 }
 
-#[test]
-fn a_binding_of_exact_ones_is_classified_with_its_leaves() {
-    // A step `(mul x ~ones[4, 4]) → x` under bindings `a ↦ x`, `o ↦
-    // ~ones[4, 4]`. Over opaque bindings, `a · o` against `a` is a
-    // different real: the abstraction hid that `o` is exact ones. The step
-    // must be classified again with only its leaves abstracted, where the
-    // ones are ones and the product is `x` itself.
+/// `G_s` and `G_d` both `y = relu(x)` over `x[4, 4]`, and a certificate
+/// whose one mapping rewrites `(mul x ~ones[4, 4])` to `x` by a lemma
+/// whose substitution binds `a` to `x` and `o` to the ones leaf when
+/// `with_ones`, and is empty otherwise.
+fn ones_certificate(
+    with_ones: bool,
+) -> (
+    entangle_ir::Graph,
+    entangle_ir::Graph,
+    entangle_cert::Certificate,
+) {
     use entangle_ir::{DType, GraphBuilder};
     let graph = |name: &str| {
         let mut b = GraphBuilder::new(name);
@@ -611,7 +615,11 @@ fn a_binding_of_exact_ones_is_classified_with_its_leaves() {
     let step = ProofStep::Rule {
         name: "mul-by-ones".to_owned(),
         forward: true,
-        subst: vec![("a".to_owned(), term("x")), ("o".to_owned(), one)],
+        subst: if with_ones {
+            vec![("a".to_owned(), term("x")), ("o".to_owned(), one)]
+        } else {
+            Vec::new()
+        },
         before: product,
         after: term("x"),
     };
@@ -629,10 +637,32 @@ fn a_binding_of_exact_ones_is_classified_with_its_leaves() {
         outputs: vec![("y".to_owned(), term("x"))],
         numeric: Vec::new(),
     };
+    (gs, gd, cert)
+}
+
+#[test]
+fn a_binding_of_exact_ones_is_classified_with_its_leaves() {
+    // A step `(mul x ~ones[4, 4]) → x` under bindings `a ↦ x`, `o ↦
+    // ~ones[4, 4]`. Over opaque bindings, `a · o` against `a` is a
+    // different real: the abstraction hid that `o` is exact ones. The step
+    // must be classified again with only its leaves abstracted, where the
+    // ones are ones and the product is `x` itself.
+    let (gs, gd, cert) = ones_certificate(true);
     let analysis = crate::analyze_certificate(&cert, &gs, &gd);
     assert!(analysis.is_clean(), "{}", analysis.render());
     assert_eq!(analysis.output_verdict("y"), Some(&Verdict::exact()));
     assert_eq!((analysis.rule_steps, analysis.rule_keys), (1, 1));
+}
+
+#[test]
+fn the_analysis_memo_tells_substitutions_apart() {
+    // A rule step's key abstracts the bindings of its substitution, so two
+    // certificates that differ only there are two analyses, not a replay.
+    let (gs, gd, bound) = ones_certificate(true);
+    let (_, _, unbound) = ones_certificate(false);
+    assert!(!crate::analyze_certificate_cached(&bound, &gs, &gd).replayed);
+    assert!(crate::analyze_certificate_cached(&bound, &gs, &gd).replayed);
+    assert!(!crate::analyze_certificate_cached(&unbound, &gs, &gd).replayed);
 }
 
 #[test]

@@ -114,3 +114,38 @@ fn zoo_reductions_get_finite_reassoc_bounds() {
         );
     }
 }
+
+/// A product's relative error is the sum of its factors', so where two
+/// inputs of an operator carry errors from one upstream mapping, that
+/// mapping counts once per input: Llama's `mlp_mul = silu(gate) · up`
+/// reads the second norm twice, and attention reads the first norm three
+/// times (`q`, `k`, `v`). Their `k` is the sum of their inputs' `k`, not
+/// the largest.
+#[test]
+fn a_product_counts_a_shared_upstream_once_per_factor() {
+    let cases = golden_cases();
+    // The `k` of each mapping's first verdict, by tensor, for one case.
+    let ks = |name: &str| -> Vec<(String, u64)> {
+        let case = cases.iter().find(|c| c.name == name).expect("golden case");
+        let ri = case.dist.relation(&case.gs).expect("relation");
+        let outcome =
+            entangle::check_refinement(&case.gs, &case.dist.graph, &ri, &CheckOptions::default())
+                .expect("golden case checks");
+        let num = outcome.numeric.expect("numeric analysis ran");
+        num.mappings.into_iter().map(|(t, v)| (t, v.k)).collect()
+    };
+    let k = |ks: &[(String, u64)], tensor: &str| -> u64 {
+        ks.iter()
+            .find(|(t, _)| t == tensor)
+            .unwrap_or_else(|| panic!("no mapping of {tensor}"))
+            .1
+    };
+    let llama = ks("llama3_tp2");
+    let (silu, up) = (k(&llama, "L0.mlp_silu"), k(&llama, "L0.mlp_upproj"));
+    assert!(silu > 0 && up > 0, "{silu}, {up}");
+    assert_eq!(k(&llama, "L0.mlp_mul"), silu + up);
+    let gpt = ks("gpt_tp8_l2");
+    let qkv = ["L1.q", "L1.k", "L1.v"].map(|t| k(&gpt, t));
+    assert!(qkv.iter().all(|&k| k > 0), "{qkv:?}");
+    assert_eq!(k(&gpt, "L1.attn"), qkv.iter().sum::<u64>(), "{qkv:?}");
+}
