@@ -1,15 +1,18 @@
 //! Shared harness utilities for regenerating the paper's evaluation
 //! (Figures 3–6, Table 3) and the DESIGN.md ablations.
 //!
-//! Each figure/table has a dedicated binary under `src/bin/`. See
-//! EXPERIMENTS.md for the paper-vs-measured comparison.
+//! The `reproduce` binary runs every section and writes its exact counts to
+//! `results/reproduce.tsv`; `tests/reproduce.rs` checks the paper's claims
+//! against that file. See EXPERIMENTS.md for the paper-vs-measured
+//! comparison.
 
 #![forbid(unsafe_code)]
 
 use std::time::{Duration, Instant};
 
-use entangle::{check_refinement, CheckOptions, CheckOutcome};
+use entangle::{check_refinement_counted, CheckOptions, CheckOutcome, RefinementError};
 use entangle_ir::Graph;
+use entangle_metrics::Snapshot;
 use entangle_models::{gpt, llama3, moe, qwen2, Arch, ModelConfig, MoeConfig, RegressionConfig};
 use entangle_parallel::{grad_accumulation, parallelize, parallelize_moe, Distributed, Strategy};
 
@@ -33,17 +36,21 @@ impl Workload {
         self.gs.num_nodes() + self.dist.graph.num_nodes()
     }
 
-    /// Runs the checker, returning the outcome and wall-clock time.
+    /// Runs the checker, returning its verdict, the check's metrics
+    /// snapshot (kept on failure too) and the wall-clock time.
     ///
     /// # Panics
     ///
-    /// Panics if the (bug-free) workload fails to verify.
-    pub fn check(&self, opts: &CheckOptions) -> (CheckOutcome, Duration) {
+    /// Panics if the workload's input relation does not build (a
+    /// construction bug, not a verdict).
+    pub fn check(
+        &self,
+        opts: &CheckOptions,
+    ) -> (Result<CheckOutcome, RefinementError>, Snapshot, Duration) {
         let ri = self.dist.relation(&self.gs).expect("relation builds");
         let start = Instant::now();
-        let outcome = check_refinement(&self.gs, &self.dist.graph, &ri, opts)
-            .unwrap_or_else(|e| panic!("workload {} failed: {e}", self.name));
-        (outcome, start.elapsed())
+        let (result, metrics) = check_refinement_counted(&self.gs, &self.dist.graph, &ri, opts);
+        (result, metrics, start.elapsed())
     }
 }
 
@@ -292,8 +299,9 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
 /// Options measuring the *saturation* pipeline alone (Listings 1-3): the
 /// sharding pre-pass runs before saturation starts, and certificate
 /// extraction + kernel re-checking adds work after it finishes — both are
-/// exactly what the figure benchmarks are *not* timing. The `benchmark/`
-/// rows `core.stage_shard_ms` and `core.stage_certify_ms` measure them.
+/// exactly what the figure sections of `reproduce` are *not* timing. The
+/// `benchmark/` rows `core.stage_shard_ms` and `core.stage_certify_ms`
+/// measure them.
 pub fn saturation_opts() -> CheckOptions {
     CheckOptions {
         shard: false,
@@ -314,7 +322,7 @@ mod tests {
     #[test]
     fn figure3_suite_builds() {
         // Full verification of the suite is minutes of work in debug mode;
-        // the binaries run it in release. Here we
+        // `reproduce` runs it in release. Here we
         // only check the workloads construct and their relations validate.
         let suite = figure3_suite();
         assert_eq!(suite.len(), 6);
@@ -326,8 +334,8 @@ mod tests {
 
     #[test]
     fn lightest_workload_verifies() {
-        let (outcome, _) = regression_workload(2).check(&CheckOptions::default());
-        assert!(!outcome.output_relation.is_empty());
+        let (outcome, _, _) = regression_workload(2).check(&CheckOptions::default());
+        assert!(!outcome.expect("verifies").output_relation.is_empty());
     }
 
     #[test]

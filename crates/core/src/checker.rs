@@ -58,8 +58,8 @@ pub struct CheckOptions {
     /// `entangle-cert` trusted kernel before reporting success. A rejected
     /// certificate fails the check with [`RefinementError::CertRejected`] —
     /// the engine found a "proof" the independent kernel could not validate.
-    /// Turn off to measure the uncertified engine (the figure bins'
-    /// `saturation_opts`).
+    /// Turn off to measure the uncertified engine
+    /// (`entangle_bench::saturation_opts`).
     pub certify: bool,
     /// Structured-tracing sink (`entangle-trace`). The default null tracer
     /// is a true no-op; a real sink receives one span per pipeline stage,

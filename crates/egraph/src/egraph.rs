@@ -767,14 +767,6 @@ impl<A: Analysis> EGraph<A> {
         }
         Proof { steps }
     }
-
-    /// Checks whether two expressions are currently known equivalent.
-    pub fn equivs(&self, a: &RecExpr, b: &RecExpr) -> bool {
-        match (self.lookup_expr(a), self.lookup_expr(b)) {
-            (Some(x), Some(y)) => self.find(x) == self.find(y),
-            _ => false,
-        }
-    }
 }
 
 impl<A: Analysis> fmt::Debug for EGraph<A> {

@@ -129,11 +129,6 @@ impl<'a, A: Analysis, C: CostFunction> Extractor<'a, A, C> {
         self.best.get(self.egraph.find(id).index())?.as_ref()
     }
 
-    /// The best cost for a class, if any finite-cost term exists.
-    pub fn best_cost(&self, id: Id) -> Option<f64> {
-        self.best_of(id).map(|(c, _)| *c)
-    }
-
     /// The minimum-cost term for a class, if one exists.
     pub fn find_best(&self, id: Id) -> Option<(f64, RecExpr)> {
         let (cost, _) = self.best_of(id)?;

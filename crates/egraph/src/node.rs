@@ -209,15 +209,6 @@ impl RecExpr {
         out.add(node)
     }
 
-    /// Counts nodes, excluding scalar attribute leaves — the "number of
-    /// nested expressions" size used for simplest-representative pruning.
-    pub fn ast_size(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| !matches!(n, ENode::Int(_) | ENode::Sym(_)))
-            .count()
-    }
-
     fn fmt_node(&self, id: Id, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let node = self.node(id);
         match node {

@@ -60,14 +60,6 @@ impl JsonValue {
         }
     }
 
-    /// The value's elements, when it is an array.
-    pub fn as_array(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
     /// Looks up an object member by key.
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         self.as_object()?

@@ -93,9 +93,9 @@ fn throttle_set_spares_simplifying_rules() {
 }
 
 /// The driver derivation reads rule bodies, not names: a corpus that keeps
-/// a driver's name and swaps its body for an inert one (what the
-/// `ablations` bin does with `add-assoc`) gets its own drivers — nothing is
-/// remembered between derivations.
+/// a driver's name and swaps its body for an inert one (what the ablations
+/// section of `reproduce` does with `add-assoc`) gets its own drivers —
+/// nothing is remembered between derivations.
 #[test]
 fn schedule_tells_same_named_corpora_apart() {
     let shipped = corpus();
@@ -197,7 +197,8 @@ fn subsumption_instantiates_in_one_pass() {
     };
     let shipped = findings(&corpus());
     assert_eq!(findings(&double_negation_corpus()), shipped);
-    // What `ablations` does: the constrained association, freed.
+    // What the ablations section of `reproduce` does: the constrained
+    // association, freed.
     assert_eq!(findings(&free_assoc_corpus()), shipped);
 }
 

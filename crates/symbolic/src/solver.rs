@@ -206,11 +206,6 @@ impl SymCtx {
         self.names.get(var.0 as usize).map(String::as_str)
     }
 
-    /// Number of interned variables.
-    pub fn num_vars(&self) -> usize {
-        self.names.len()
-    }
-
     /// Records the user constraint `lhs rel rhs`.
     ///
     /// `Ne` assumptions are not representable in the conjunctive fragment and

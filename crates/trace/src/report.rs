@@ -190,11 +190,6 @@ impl TraceReport {
         self.spans.iter().find(|s| s.name == name)
     }
 
-    /// A span's direct children, in close order.
-    pub fn children_of(&self, id: u64) -> Vec<&TraceSpan> {
-        self.spans.iter().filter(|s| s.parent == Some(id)).collect()
-    }
-
     /// Total duration of all spans with this name (µs).
     pub fn total_us(&self, name: &str) -> u64 {
         self.spans_named(name).map(|s| s.dur_us).sum()

@@ -15,6 +15,20 @@ cargo test -q
 echo "==> release-only checks (the debug run above skips every timing assert)"
 cargo test --release -q --test ematch_perf --test moe_perf --test num_perf --test parallelism16
 
+echo "==> the paper's evaluation (reproduce: every section, exact counts in results/reproduce.tsv)"
+cargo run --release -q -p entangle-bench --bin reproduce >/dev/null
+git diff --exit-code results/reproduce.tsv \
+  || { echo "results/reproduce.tsv is stale: commit what reproduce wrote (tests/reproduce.rs checks the claims against it)"; exit 1; }
+echo "    results/reproduce.tsv regenerated, identical to the tracked file"
+# One evaluation command (EXPERIMENTS.md): `reproduce` replaced seven
+# per-figure bins, and neither the bins nor a doc naming them grows back.
+old_bins='fig3_verification_time|fig4_scalability|fig5_lemma_effort|fig6_lemma_heatmap|table3_bugs|beyond_paper'
+if ls crates/bench/src/bin | grep -E "^($old_bins|ablations)\.rs$" \
+  || grep -nE "\b($old_bins)\b|--bin +ablations\b|bin/ablations\b|\`ablations\` bin" \
+    crates/bench/src/bin/*.rs README.md DESIGN.md EXPERIMENTS.md; then
+  echo "a per-figure bin is back (run the section in reproduce)"; exit 1
+fi
+
 echo "==> benchmark package smoke (stand-alone build against the public API, one round)"
 cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- run --smoke >/dev/null \
   || { echo "benchmark smoke FAILED (a public-API change broke benchmark/?)"; exit 1; }

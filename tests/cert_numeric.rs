@@ -244,59 +244,66 @@ fn subtree_dim_size(gd: &Graph, expr: &RecExpr, id: Id, dim: usize) -> usize {
     }
 }
 
+/// One layer and two deep: the derived bound of every mapping holds on a
+/// random-input replay at depths 1, 2 and 4.
 #[test]
 fn certified_gpt_tp2_mappings_replay_numerically() {
-    let cfg = ModelConfig::tiny();
-    let gs = gpt(&cfg);
-    let dist = parallelize(&cfg, Arch::Gpt, &Strategy::tp(2));
-    let ri = dist.relation(&gs).expect("relation builds");
-    let outcome = check_refinement(&gs, &dist.graph, &ri, &CheckOptions::default())
-        .expect("gpt tp2 certifies");
-    let cert = outcome.certificate.expect("certificate emitted");
-    let analysis = outcome.numeric.expect("numeric analysis runs by default");
-    // Partial-sum reductions are reassociation-only with a finite derived
-    // bound — far tighter than the 1e-6 allclose this replay used to use.
-    let logits = analysis.output_verdict("logits").expect("logits verdict");
-    assert_eq!(logits.class, NumClass::Reassoc);
-    match logits.tolerance() {
-        Some(entangle_runtime::Tolerance::Relative(b)) => {
-            assert!(b.is_finite() && b > 0.0 && b < 1e-6, "derived bound {b}");
+    for layers in [1, 2, 4] {
+        let cfg = ModelConfig::tiny().with_layers(layers);
+        let gs = gpt(&cfg);
+        let dist = parallelize(&cfg, Arch::Gpt, &Strategy::tp(2));
+        let ri = dist.relation(&gs).expect("relation builds");
+        let outcome = check_refinement(&gs, &dist.graph, &ri, &CheckOptions::default())
+            .unwrap_or_else(|e| panic!("gpt tp2 at {layers} layers does not certify: {e}"));
+        let cert = outcome.certificate.expect("certificate emitted");
+        let analysis = outcome.numeric.expect("numeric analysis runs by default");
+        // Partial-sum reductions are reassociation-only with a finite derived
+        // bound — far tighter than the 1e-6 allclose this replay used to use.
+        let logits = analysis.output_verdict("logits").expect("logits verdict");
+        assert_eq!(logits.class, NumClass::Reassoc, "{layers} layers");
+        match logits.tolerance() {
+            Some(entangle_runtime::Tolerance::Relative(b)) => {
+                assert!(
+                    b.is_finite() && b > 0.0 && b < 1e-6,
+                    "derived bound {b} at {layers} layers"
+                );
+            }
+            other => panic!("unexpected tolerance {other:?} at {layers} layers"),
         }
-        other => panic!("unexpected tolerance {other:?}"),
-    }
 
-    let mut rng = StdRng::seed_from_u64(17);
-    let mut gs_in = HashMap::new();
-    for &i in gs.inputs() {
-        let t = gs.tensor(i);
-        let dims: Vec<usize> = t
-            .shape
-            .as_concrete()
-            .unwrap()
-            .iter()
-            .map(|&d| d as usize)
-            .collect();
-        let v = match t.dtype {
-            DType::I64 => random_ids(&mut rng, &dims, 8),
-            _ => random_value(&mut rng, &dims),
-        };
-        gs_in.insert(i, v);
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut gs_in = HashMap::new();
+        for &i in gs.inputs() {
+            let t = gs.tensor(i);
+            let dims: Vec<usize> = t
+                .shape
+                .as_concrete()
+                .unwrap()
+                .iter()
+                .map(|&d| d as usize)
+                .collect();
+            let v = match t.dtype {
+                DType::I64 => random_ids(&mut rng, &dims, 8),
+                _ => random_value(&mut rng, &dims),
+            };
+            gs_in.insert(i, v);
+        }
+        let mut gd_in = HashMap::new();
+        for (gs_name, expr) in &dist.input_maps {
+            let gs_t = gs.tensor_by_name(gs_name).unwrap();
+            let parsed: RecExpr = expr.parse().unwrap();
+            split_by_map(
+                &dist.graph,
+                &parsed,
+                parsed.root_id(),
+                &gs_in[&gs_t.id],
+                &mut gd_in,
+            );
+        }
+        let gs_env = eval_graph(&gs, &gs_in).unwrap();
+        let gd_env = eval_graph(&dist.graph, &gd_in).unwrap();
+        replay_certificate(&gs, &dist.graph, &cert, &analysis, &gs_env, &gd_env);
     }
-    let mut gd_in = HashMap::new();
-    for (gs_name, expr) in &dist.input_maps {
-        let gs_t = gs.tensor_by_name(gs_name).unwrap();
-        let parsed: RecExpr = expr.parse().unwrap();
-        split_by_map(
-            &dist.graph,
-            &parsed,
-            parsed.root_id(),
-            &gs_in[&gs_t.id],
-            &mut gd_in,
-        );
-    }
-    let gs_env = eval_graph(&gs, &gs_in).unwrap();
-    let gd_env = eval_graph(&dist.graph, &gd_in).unwrap();
-    replay_certificate(&gs, &dist.graph, &cert, &analysis, &gs_env, &gd_env);
 }
 
 // ----- every lemma application, sampled on its own -----
