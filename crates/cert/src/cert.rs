@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use entangle_egraph::{ENode, Id, Proof, RecExpr};
+use entangle_egraph::{Proof, RecExpr};
 
 /// One certified `R_o` mapping: the checker's claim that `G_s` tensor
 /// `tensor` (produced by operator `operator`) is computed by the clean
@@ -114,24 +114,3 @@ impl fmt::Display for CertError {
 }
 
 impl std::error::Error for CertError {}
-
-/// Structural equality of two subterms, insensitive to how the trees are
-/// laid out in their [`RecExpr`] slot vectors (proof extraction shares
-/// repeated subterms; independently built terms do not).
-pub fn term_eq(a: &RecExpr, ai: Id, b: &RecExpr, bi: Id) -> bool {
-    match (a.node(ai), b.node(bi)) {
-        (ENode::Int(x), ENode::Int(y)) => x == y,
-        (ENode::Sym(x), ENode::Sym(y)) => x == y,
-        (ENode::Op(sa, ca), ENode::Op(sb, cb)) => {
-            sa == sb
-                && ca.len() == cb.len()
-                && ca.iter().zip(cb).all(|(&x, &y)| term_eq(a, x, b, y))
-        }
-        _ => false,
-    }
-}
-
-/// Structural equality of two whole terms.
-pub fn exprs_eq(a: &RecExpr, b: &RecExpr) -> bool {
-    term_eq(a, a.root_id(), b, b.root_id())
-}

@@ -67,7 +67,7 @@ use entangle_egraph::{ENode, Id, Proof, ProofStep, RecExpr};
 use entangle_ir::json::{write_escaped, Kind, Reader};
 
 use crate::cert::{CertError, Certificate, MappingCert, NumericVerdict};
-use crate::kernel::{proof_size, Mapping, Step};
+use crate::kernel::{proof_size, Fact, Mapping, Positions, Step};
 use crate::table::{PostOrder, TermTable};
 
 /// Deepest term the reader accepts (a leaf is depth 1): the s-expression
@@ -313,11 +313,13 @@ pub fn from_json(text: &str) -> Result<Certificate, CertError> {
         gs: file.gs.into_owned(),
         gd: file.gd.into_owned(),
         inputs: file
+            .positions
             .inputs
             .iter()
             .map(|(name, ids)| (name.to_string(), terms.all(ids)))
             .collect(),
         mappings: file
+            .positions
             .mappings
             .iter()
             .map(|m| MappingCert {
@@ -329,6 +331,7 @@ pub fn from_json(text: &str) -> Result<Certificate, CertError> {
             })
             .collect(),
         outputs: file
+            .positions
             .outputs
             .iter()
             .map(|(name, id)| (name.to_string(), terms.term(*id)))
@@ -349,9 +352,7 @@ pub struct CertFile<'t> {
     entries: usize,
     gs: Cow<'t, str>,
     gd: Cow<'t, str>,
-    pub(crate) inputs: Vec<(Cow<'t, str>, Vec<Id>)>,
-    pub(crate) mappings: Vec<Mapping<'t>>,
-    pub(crate) outputs: Vec<(Cow<'t, str>, Id)>,
+    pub(crate) positions: Positions<'t>,
     numeric: Vec<NumericVerdict>,
 }
 
@@ -364,13 +365,17 @@ impl CertFile<'_> {
 
     /// Number of mapping certificates.
     pub fn mapping_count(&self) -> usize {
-        self.mappings.len()
+        self.positions.mappings.len()
     }
 
     /// Total number of proof steps across all mappings, congruence
     /// sub-proofs included ([`Certificate::total_steps`]).
     pub fn total_steps(&self) -> usize {
-        self.mappings.iter().map(|m| proof_size(&m.proof)).sum()
+        self.positions
+            .mappings
+            .iter()
+            .map(|m| proof_size(&m.proof))
+            .sum()
     }
 }
 
@@ -463,9 +468,11 @@ fn read(text: &str) -> Result<CertFile<'_>, String> {
         entries: entries.len(),
         gs,
         gd,
-        inputs,
-        mappings,
-        outputs,
+        positions: Positions {
+            inputs,
+            mappings,
+            outputs,
+        },
         numeric: numeric.unwrap_or_default(),
     })
 }
@@ -614,7 +621,7 @@ fn step<'t>(r: &mut Reader<'t>) -> Result<Step<'t, Pos>, String> {
             children: need(children, "children")?,
         },
         "given" => Step::Given {
-            fact: need(fact, "fact")?,
+            fact: Fact::parse(need(fact, "fact")?),
             before,
             after,
         },

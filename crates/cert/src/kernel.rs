@@ -13,11 +13,12 @@
 //! certificate in one form, [`Mapping`] and [`Step`], whose every term
 //! position is an entry of that store. Two entry points produce it:
 //! [`verify`] interns the [`RecExpr`] positions of an in-memory
-//! [`Certificate`], mapping by mapping and once per storage, and
-//! [`verify_file`] takes the table the JSON reader hash-consed as the
-//! store's own, with the positions the reader resolved into it. A file's
-//! own indices only address entries while it is read; equality rests on
-//! the node-keyed table alone.
+//! [`Certificate`] in document order, once per storage, and [`verify_file`]
+//! takes the table the JSON reader hash-consed as the store's own, with the
+//! positions the reader resolved into it. A file's own indices only address
+//! entries while it is read; equality rests on the node-keyed table alone.
+//! An accepted in-memory certificate comes back in that form, a
+//! [`Resolved`], for the numeric analysis to read.
 //!
 //! Every rule step is checked one way, whatever its lemma: the lemma's
 //! pattern matches the source term, the bindings agree with the recorded
@@ -34,6 +35,7 @@
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use std::fmt;
 
 use entangle_egraph::{
     ENode, Id, PatternAst, Proof, ProofStep, RecExpr, Rewrite, Subst, Symbol, TermStore,
@@ -54,17 +56,18 @@ pub(crate) type Accepted<'a> = HashMap<&'a str, Vec<Id>>;
 /// every term position `T` — an entry of the kernel's table ([`Id`]), or a
 /// file index while the reader resolves it.
 #[derive(Debug)]
-pub(crate) struct Mapping<'a, T = Id> {
-    pub(crate) tensor: Cow<'a, str>,
-    pub(crate) operator: Cow<'a, str>,
-    pub(crate) inputs: Vec<T>,
-    pub(crate) expr: T,
-    pub(crate) proof: Vec<Step<'a, T>>,
+pub struct Mapping<'a, T = Id> {
+    pub tensor: Cow<'a, str>,
+    pub operator: Cow<'a, str>,
+    pub inputs: Vec<T>,
+    pub expr: T,
+    pub proof: Vec<Step<'a, T>>,
 }
 
-/// A proof step in the kernel's form; see [`Mapping`] and [`ProofStep`].
+/// A proof step in the kernel's form: a [`ProofStep`] over positions `T`,
+/// a `Given` step's fact parsed; see [`Mapping`].
 #[derive(Debug)]
-pub(crate) enum Step<'a, T = Id> {
+pub enum Step<'a, T = Id> {
     Rule {
         name: Cow<'a, str>,
         forward: bool,
@@ -78,10 +81,52 @@ pub(crate) enum Step<'a, T = Id> {
         children: Vec<Vec<Step<'a, T>>>,
     },
     Given {
-        fact: Cow<'a, str>,
+        fact: Fact<'a>,
         before: T,
         after: T,
     },
+}
+
+/// What a `Given` step cites, read off its text once: the definition of a
+/// `G_d` node, the accepted mappings of a `G_s` tensor, or any other text
+/// (which the kernel refuses). [`fmt::Display`] writes the text back.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Fact<'a> {
+    /// `G_d definition of NODE`.
+    Definition(Cow<'a, str>),
+    /// `mappings of G_s tensor T`.
+    Mappings(Cow<'a, str>),
+    /// Anything else, kept whole.
+    Unrecognized(Cow<'a, str>),
+}
+
+const DEFINITION: &str = "G_d definition of ";
+const MAPPINGS: &str = "mappings of G_s tensor ";
+
+impl<'a> Fact<'a> {
+    pub(crate) fn parse(text: Cow<'a, str>) -> Fact<'a> {
+        let strip = |prefix: &str| match &text {
+            Cow::Borrowed(s) => s.strip_prefix(prefix).map(Cow::Borrowed),
+            Cow::Owned(s) => s.strip_prefix(prefix).map(|n| Cow::Owned(n.to_owned())),
+        };
+        if let Some(node) = strip(DEFINITION) {
+            Fact::Definition(node)
+        } else if let Some(tensor) = strip(MAPPINGS) {
+            Fact::Mappings(tensor)
+        } else {
+            Fact::Unrecognized(text)
+        }
+    }
+}
+
+impl fmt::Display for Fact<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Fact::Definition(node) => write!(f, "{DEFINITION}{node}"),
+            Fact::Mappings(tensor) => write!(f, "{MAPPINGS}{tensor}"),
+            Fact::Unrecognized(text) => f.write_str(text),
+        }
+    }
 }
 
 impl Step<'_> {
@@ -158,21 +203,95 @@ pub fn verify(
     lemmas: &[Rewrite<TensorAnalysis>],
     ctx: &SymCtx,
 ) -> Result<(), CertError> {
-    verify_reporting(cert, gs, gd, lemmas, ctx).0
+    verify_reporting(cert, gs, gd, lemmas, ctx).0.map(drop)
 }
 
 /// [`verify`], also returning the run's [`KernelReport`] (filled as far as
-/// the verification got when it refuses the certificate).
-pub fn verify_reporting(
-    cert: &Certificate,
-    gs: &Graph,
-    gd: &Graph,
-    lemmas: &[Rewrite<TensorAnalysis>],
+/// the verification got when it refuses the certificate) and, when it
+/// accepts, the certificate in the form the kernel checked it in.
+pub fn verify_reporting<'a>(
+    cert: &'a Certificate,
+    gs: &'a Graph,
+    gd: &'a Graph,
+    lemmas: &'a [Rewrite<TensorAnalysis>],
     ctx: &SymCtx,
-) -> (Result<(), CertError>, KernelReport) {
+) -> (Result<Resolved<'a>, CertError>, KernelReport) {
     let mut kernel = Kernel::new(gs, gd, lemmas, ctx, TermTable::default());
-    let verdict = kernel.certificate(cert);
-    (verdict, kernel.report())
+    let positions = kernel.store.resolve(cert);
+    let verdict = kernel.check(&positions);
+    let report = kernel.report();
+    let store = kernel.store;
+    (verdict.map(|()| Resolved::new(store, positions)), report)
+}
+
+/// The form [`verify_reporting`] returns, made without checking anything.
+pub fn resolve<'a>(cert: &'a Certificate, gd: &'a Graph) -> Resolved<'a> {
+    let mut store = Store::new(gd, &SymCtx::default(), TermTable::default());
+    let positions = store.resolve(cert);
+    Resolved::new(store, positions)
+}
+
+/// A certificate's relations and mapping certificates, every term position
+/// an entry of one table: the form the kernel checks.
+#[derive(Debug)]
+pub(crate) struct Positions<'a> {
+    pub(crate) inputs: Vec<(Cow<'a, str>, Vec<Id>)>,
+    pub(crate) mappings: Vec<Mapping<'a>>,
+    pub(crate) outputs: Vec<(Cow<'a, str>, Id)>,
+}
+
+/// A certificate in the kernel's form, with its table: every term position
+/// an entry, each entry's shape and dtype inferred once. The numeric
+/// analysis reads it; nothing outside this crate can change it.
+pub struct Resolved<'a> {
+    table: TermTable,
+    metas: Vec<Result<Meta, String>>,
+    positions: Positions<'a>,
+}
+
+impl<'a> Resolved<'a> {
+    fn new(store: Store<'_>, positions: Positions<'a>) -> Resolved<'a> {
+        let (table, metas) = store.into_entries();
+        Resolved {
+            table,
+            metas,
+            positions,
+        }
+    }
+
+    /// `R_i`: per `G_s` tensor, the entries of its mappings.
+    pub fn inputs(&self) -> &[(Cow<'a, str>, Vec<Id>)] {
+        &self.positions.inputs
+    }
+
+    /// The mapping certificates, in derivation order.
+    pub fn mappings(&self) -> &[Mapping<'a>] {
+        &self.positions.mappings
+    }
+
+    /// `R_o`: per `G_s` output, the entry of its expression.
+    pub fn outputs(&self) -> &[(Cow<'a, str>, Id)] {
+        &self.positions.outputs
+    }
+
+    /// The node of entry `id`, its children entries.
+    pub fn node(&self, id: Id) -> &ENode {
+        self.table.node(id)
+    }
+
+    /// What entry `id` denotes, as the kernel inferred it.
+    ///
+    /// # Errors
+    ///
+    /// Why inference failed for the entry.
+    pub fn meta(&self, id: Id) -> Result<&Meta, &str> {
+        self.metas[id.index()].as_ref().map_err(String::as_str)
+    }
+
+    /// The term at `id`, copied out of the table to be printed.
+    pub fn show(&self, id: Id) -> RecExpr {
+        self.table.materialise(id, &mut PostOrder::default())
+    }
 }
 
 /// Re-checks a certificate file as [`crate::read_json`] read it, under the
@@ -188,7 +307,7 @@ pub fn verify_file(
 ) -> (Result<(), CertError>, KernelReport) {
     let table = std::mem::take(&mut file.table);
     let mut kernel = Kernel::new(gs, gd, lemmas, ctx, table);
-    let verdict = kernel.file(&file);
+    let verdict = kernel.check(&file.positions);
     (verdict, kernel.report())
 }
 
@@ -218,11 +337,11 @@ pub fn verify_mapping(
     let accepted: Accepted = accepted
         .iter()
         .map(|(name, exprs)| {
-            let ids = exprs.iter().map(|e| kernel.intern(e)).collect();
+            let ids = kernel.store.intern_all(exprs);
             (name.as_str(), ids)
         })
         .collect();
-    let mapping = kernel.resolve(mc);
+    let mapping = kernel.store.resolve_mapping(mc);
     kernel.mapping(&mapping, &accepted).map(|_| ())
 }
 
@@ -232,12 +351,7 @@ pub(crate) struct Kernel<'a> {
     gd: &'a Graph,
     lemmas: HashMap<&'a str, &'a Rewrite<TensorAnalysis>>,
     /// Every term met so far. Equality of terms is equality of entries.
-    store: Store<'a>,
-    /// The entry of every [`RecExpr`] storage interned so far, by
-    /// [`RecExpr::storage_key`]. Each value keeps a clone of the expression,
-    /// so no keyed storage is freed, and its key reused, while the kernel
-    /// lives: one key is one storage is one list of nodes.
-    interned: HashMap<usize, (RecExpr, Id)>,
+    pub(crate) store: Store<'a>,
     /// Count for the [`KernelReport`].
     replays: usize,
 }
@@ -256,7 +370,6 @@ impl<'a> Kernel<'a> {
             gd,
             lemmas: lemmas.iter().map(|r| (r.name(), r)).collect(),
             store: Store::new(gd, ctx, table),
-            interned: HashMap::new(),
             replays: 0,
         }
     }
@@ -274,40 +387,18 @@ impl<'a> Kernel<'a> {
         }
     }
 
-    /// Checks an in-memory certificate, interning its positions mapping by
-    /// mapping, so a rejection interns nothing past the mapping it is in.
-    fn certificate(&mut self, cert: &Certificate) -> Result<(), CertError> {
+    /// Checks a certificate whose positions are entries of the store's
+    /// table already.
+    fn check(&mut self, cert: &Positions<'_>) -> Result<(), CertError> {
         let mut accepted = Accepted::new();
-        for (name, exprs) in &cert.inputs {
-            let ids: Vec<Id> = exprs.iter().map(|e| self.intern(e)).collect();
-            self.input(name, &ids, &mut accepted)?;
-        }
-        for mc in &cert.mappings {
-            let mapping = self.resolve(mc);
-            let expr = self.mapping(&mapping, &accepted)?;
-            accepted.entry(mc.tensor.as_str()).or_default().push(expr);
-        }
-        let outputs: Vec<(&str, Id)> = cert
-            .outputs
-            .iter()
-            .map(|(name, e)| (name.as_str(), self.intern(e)))
-            .collect();
-        self.outputs(&outputs, &accepted)
-    }
-
-    /// Checks a certificate file whose positions are entries of the
-    /// store's table already.
-    fn file(&mut self, file: &CertFile<'_>) -> Result<(), CertError> {
-        let mut accepted = Accepted::new();
-        for (name, ids) in &file.inputs {
+        for (name, ids) in &cert.inputs {
             self.input(name, ids, &mut accepted)?;
         }
-        for mapping in &file.mappings {
+        for mapping in &cert.mappings {
             let expr = self.mapping(mapping, &accepted)?;
             accepted.entry(&mapping.tensor).or_default().push(expr);
         }
-        let outputs: Vec<(&str, Id)> = file.outputs.iter().map(|(n, id)| (&**n, *id)).collect();
-        self.outputs(&outputs, &accepted)
+        self.outputs(&cert.outputs, &accepted)
     }
 
     /// Takes `R_i`'s mappings of the `G_s` tensor `name` as axioms, once
@@ -353,7 +444,11 @@ impl<'a> Kernel<'a> {
 
     /// `R_o`: accepted mappings over `G_d` outputs, covering every `G_s`
     /// output.
-    fn outputs(&mut self, outputs: &[(&str, Id)], accepted: &Accepted) -> Result<(), CertError> {
+    fn outputs(
+        &mut self,
+        outputs: &[(Cow<'_, str>, Id)],
+        accepted: &Accepted,
+    ) -> Result<(), CertError> {
         let gs = self.gs;
         let gd_outputs: HashSet<&str> = self
             .gd
@@ -361,7 +456,8 @@ impl<'a> Kernel<'a> {
             .iter()
             .map(|&t| self.gd.tensor(t).name.as_str())
             .collect();
-        for &(name, id) in outputs {
+        for (name, id) in outputs {
+            let (name, id) = (&**name, *id);
             self.store.meet(id);
             let t = gs.tensor_by_name(name).ok_or_else(|| {
                 CertError::Malformed(format!("unknown G_s tensor {name} in certificate outputs"))
@@ -563,41 +659,43 @@ impl<'a> Kernel<'a> {
 
     fn given(
         &mut self,
-        fact: &str,
+        fact: &Fact<'_>,
         before: Id,
         after: Id,
         accepted: &Accepted,
     ) -> Result<(), String> {
-        if let Some(op_name) = fact.strip_prefix("G_d definition of ") {
-            let gd = self.gd;
-            let node = gd
-                .node_by_name(op_name)
-                .ok_or_else(|| format!("no G_d operator named {op_name}"))?;
-            let leaf = self.add(ENode::leaf(&gd.tensor(node.output).name));
-            let input_leaves: Vec<Id> = node
-                .inputs
-                .iter()
-                .map(|&t| self.add(ENode::leaf(&gd.tensor(t).name)))
-                .collect();
-            let app = self.encode_op(&node.op, &input_leaves)?;
-            if (before, after) == (leaf, app) || (before, after) == (app, leaf) {
-                Ok(())
-            } else {
-                Err(format!("terms do not restate the definition of {op_name}"))
+        match fact {
+            Fact::Definition(op_name) => {
+                let gd = self.gd;
+                let node = gd
+                    .node_by_name(op_name)
+                    .ok_or_else(|| format!("no G_d operator named {op_name}"))?;
+                let leaf = self.add(ENode::leaf(&gd.tensor(node.output).name));
+                let input_leaves: Vec<Id> = node
+                    .inputs
+                    .iter()
+                    .map(|&t| self.add(ENode::leaf(&gd.tensor(t).name)))
+                    .collect();
+                let app = self.encode_op(&node.op, &input_leaves)?;
+                if (before, after) == (leaf, app) || (before, after) == (app, leaf) {
+                    Ok(())
+                } else {
+                    Err(format!("terms do not restate the definition of {op_name}"))
+                }
             }
-        } else if let Some(tname) = fact.strip_prefix("mappings of G_s tensor ") {
-            let ms = accepted
-                .get(tname)
-                .ok_or_else(|| format!("no accepted mappings for G_s tensor {tname}"))?;
-            if ms.contains(&before) && ms.contains(&after) {
-                Ok(())
-            } else {
-                Err(format!(
-                    "terms are not both accepted mappings of G_s tensor {tname}"
-                ))
+            Fact::Mappings(tname) => {
+                let ms = accepted
+                    .get(&**tname)
+                    .ok_or_else(|| format!("no accepted mappings for G_s tensor {tname}"))?;
+                if ms.contains(&before) && ms.contains(&after) {
+                    Ok(())
+                } else {
+                    Err(format!(
+                        "terms are not both accepted mappings of G_s tensor {tname}"
+                    ))
+                }
             }
-        } else {
-            Err(format!("unrecognized given fact {fact:?}"))
+            Fact::Unrecognized(fact) => Err(format!("unrecognized given fact {fact:?}")),
         }
     }
 
@@ -658,76 +756,6 @@ impl<'a> Kernel<'a> {
                 "lemma {} does not rewrite the source to the step's target term",
                 rw.name()
             ))
-        }
-    }
-
-    /// Interns a term the certificate (or the caller) supplied: once per
-    /// storage, so the positions a reader made clones of one term cost one
-    /// walk.
-    pub(crate) fn intern(&mut self, expr: &RecExpr) -> Id {
-        if let Some(&(_, id)) = self.interned.get(&expr.storage_key()) {
-            return id;
-        }
-        let id = self.store.intern(expr);
-        self.interned.insert(expr.storage_key(), (expr.clone(), id));
-        id
-    }
-
-    /// The kernel's form of an in-memory mapping, its positions interned.
-    fn resolve<'c>(&mut self, mc: &'c MappingCert) -> Mapping<'c> {
-        Mapping {
-            tensor: Cow::Borrowed(&mc.tensor),
-            operator: Cow::Borrowed(&mc.operator),
-            inputs: mc.inputs.iter().map(|e| self.intern(e)).collect(),
-            expr: self.intern(&mc.expr),
-            proof: self.resolve_proof(&mc.proof),
-        }
-    }
-
-    fn resolve_proof<'c>(&mut self, proof: &'c Proof) -> Vec<Step<'c>> {
-        let mut steps: Vec<Step<'c>> = Vec::with_capacity(proof.steps.len());
-        for (k, step) in proof.steps.iter().enumerate() {
-            // A step usually repeats the previous step's `after` slot for
-            // slot; comparing the nodes says so without interning it again.
-            let before = match steps.last() {
-                Some(prev) if step.before() == proof.steps[k - 1].after() => prev.after(),
-                _ => self.intern(step.before()),
-            };
-            let resolved = self.resolve_step(step, before);
-            steps.push(resolved);
-        }
-        steps
-    }
-
-    /// The kernel's form of one step whose `before` is the entry `before`.
-    pub(crate) fn resolve_step<'c>(&mut self, step: &'c ProofStep, before: Id) -> Step<'c> {
-        let after = self.intern(step.after());
-        match step {
-            ProofStep::Rule {
-                name,
-                forward,
-                subst,
-                ..
-            } => Step::Rule {
-                name: Cow::Borrowed(name),
-                forward: *forward,
-                subst: subst
-                    .iter()
-                    .map(|(var, term)| (Cow::Borrowed(var.as_str()), self.intern(term)))
-                    .collect(),
-                before,
-                after,
-            },
-            ProofStep::Congruence { children, .. } => Step::Congruence {
-                before,
-                after,
-                children: children.iter().map(|c| self.resolve_proof(c)).collect(),
-            },
-            ProofStep::Given { fact, .. } => Step::Given {
-                fact: Cow::Borrowed(fact),
-                before,
-                after,
-            },
         }
     }
 
@@ -829,6 +857,93 @@ impl<'a> Kernel<'a> {
             acc = self.add(ENode::op(name, children));
         }
         Ok(acc)
+    }
+}
+
+/// Resolution: a certificate's [`RecExpr`] positions as entries.
+impl Store<'_> {
+    /// The kernel's form of an in-memory certificate, its positions
+    /// interned in document order.
+    fn resolve<'c>(&mut self, cert: &'c Certificate) -> Positions<'c> {
+        Positions {
+            inputs: cert
+                .inputs
+                .iter()
+                .map(|(name, exprs)| (Cow::Borrowed(name.as_str()), self.intern_all(exprs)))
+                .collect(),
+            mappings: cert
+                .mappings
+                .iter()
+                .map(|mc| self.resolve_mapping(mc))
+                .collect(),
+            outputs: cert
+                .outputs
+                .iter()
+                .map(|(name, e)| (Cow::Borrowed(name.as_str()), self.intern(e)))
+                .collect(),
+        }
+    }
+
+    pub(crate) fn intern_all(&mut self, exprs: &[RecExpr]) -> Vec<Id> {
+        exprs.iter().map(|e| self.intern(e)).collect()
+    }
+
+    /// The kernel's form of an in-memory mapping, its positions interned.
+    fn resolve_mapping<'c>(&mut self, mc: &'c MappingCert) -> Mapping<'c> {
+        Mapping {
+            tensor: Cow::Borrowed(&mc.tensor),
+            operator: Cow::Borrowed(&mc.operator),
+            inputs: self.intern_all(&mc.inputs),
+            expr: self.intern(&mc.expr),
+            proof: self.resolve_proof(&mc.proof),
+        }
+    }
+
+    fn resolve_proof<'c>(&mut self, proof: &'c Proof) -> Vec<Step<'c>> {
+        let mut steps: Vec<Step<'c>> = Vec::with_capacity(proof.steps.len());
+        for (k, step) in proof.steps.iter().enumerate() {
+            // A step usually repeats the previous step's `after` slot for
+            // slot; comparing the nodes says so without interning it again.
+            let before = match steps.last() {
+                Some(prev) if step.before() == proof.steps[k - 1].after() => prev.after(),
+                _ => self.intern(step.before()),
+            };
+            let resolved = self.resolve_step(step, before);
+            steps.push(resolved);
+        }
+        steps
+    }
+
+    /// The kernel's form of one step whose `before` is the entry `before`.
+    pub(crate) fn resolve_step<'c>(&mut self, step: &'c ProofStep, before: Id) -> Step<'c> {
+        let after = self.intern(step.after());
+        match step {
+            ProofStep::Rule {
+                name,
+                forward,
+                subst,
+                ..
+            } => Step::Rule {
+                name: Cow::Borrowed(name),
+                forward: *forward,
+                subst: subst
+                    .iter()
+                    .map(|(var, term)| (Cow::Borrowed(var.as_str()), self.intern(term)))
+                    .collect(),
+                before,
+                after,
+            },
+            ProofStep::Congruence { children, .. } => Step::Congruence {
+                before,
+                after,
+                children: children.iter().map(|c| self.resolve_proof(c)).collect(),
+            },
+            ProofStep::Given { fact, .. } => Step::Given {
+                fact: Fact::parse(Cow::Borrowed(fact)),
+                before,
+                after,
+            },
+        }
     }
 }
 

@@ -27,6 +27,10 @@
 //! - [`read_json`] / [`verify_file`]: the out-of-process audit itself. The
 //!   reader's hash-consed table becomes the kernel's, so a re-check copies
 //!   no term out of it.
+//! - [`Resolved`]: a certificate in the kernel's form, every term position
+//!   an entry of its table with its shape inferred once. [`verify_reporting`]
+//!   returns the one it checked, [`resolve`] makes one without checking;
+//!   `entangle-num` walks it, read-only.
 //!
 //! The trusted computing base deliberately excludes the saturation engine:
 //! see DESIGN.md ("Certificates and the trusted kernel") for the exact
@@ -42,6 +46,9 @@ mod table;
 #[cfg(test)]
 mod tests;
 
-pub use cert::{exprs_eq, term_eq, CertError, Certificate, MappingCert, NumericVerdict};
+pub use cert::{CertError, Certificate, MappingCert, NumericVerdict};
 pub use json::{from_json, read_json, to_json, CertFile, MAX_TERM_DEPTH};
-pub use kernel::{verify, verify_file, verify_mapping, verify_reporting, KernelReport};
+pub use kernel::{
+    resolve, verify, verify_file, verify_mapping, verify_reporting, Fact, KernelReport, Mapping,
+    Resolved, Step,
+};

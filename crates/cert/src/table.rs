@@ -198,6 +198,11 @@ pub(crate) struct Store<'g> {
     analysis: TensorAnalysis,
     /// What an uninferable entry's data reads as.
     unknown: Meta,
+    /// The entry of every [`RecExpr`] storage interned so far, by
+    /// [`RecExpr::storage_key`]. Each value keeps a clone of the expression,
+    /// so no keyed storage is freed, and its key reused, while the store
+    /// lives: one key is one storage is one list of nodes.
+    interned: HashMap<usize, (RecExpr, Id)>,
 }
 
 impl<'g> Store<'g> {
@@ -214,6 +219,7 @@ impl<'g> Store<'g> {
             gd,
             analysis: TensorAnalysis::with_ctx(ctx.clone()),
             unknown: Meta::unknown(),
+            interned: HashMap::new(),
         };
         store.index_new_entries();
         store
@@ -223,10 +229,24 @@ impl<'g> Store<'g> {
         &self.table
     }
 
-    /// Interns a whole term, returning its root's entry.
+    /// What reading the checked terms needs: the table's nodes and each
+    /// entry's inference. The node-keyed memo, the scopes and the counts
+    /// only checking needs are freed.
+    pub(crate) fn into_entries(self) -> (TermTable, Vec<Result<Meta, String>>) {
+        let mut table = self.table;
+        table.memo = HashMap::new();
+        (table, self.metas)
+    }
+
+    /// Interns a whole term, returning its root's entry: once per storage,
+    /// so the positions a reader made clones of one term cost one walk.
     pub(crate) fn intern(&mut self, expr: &RecExpr) -> Id {
+        if let Some(&(_, id)) = self.interned.get(&expr.storage_key()) {
+            return id;
+        }
         let id = self.table.intern(expr);
         self.index_new_entries();
+        self.interned.insert(expr.storage_key(), (expr.clone(), id));
         id
     }
 

@@ -1519,47 +1519,62 @@ fn run_trace(
     Ok(code)
 }
 
-/// Prints the per-stage wall-clock table from a collected trace. The
-/// indented encode/saturate/extract rows are children of `stage:map` (per
-/// sequential operator), so they sub-divide it rather than add to it. A
-/// `saturate` span marked `replayed` repeats the duration of the run it
-/// replays: it counts as a span, and adds no time.
+/// Prints the per-stage wall-clock table from a collected trace
+/// ([`stage_rows`]).
 fn print_stage_table(report: &TraceReport) {
     let total = report
         .find("check_refinement")
         .map(|s| s.dur_us)
         .unwrap_or(0)
         .max(1);
-    let stages = [
-        ("lint", "stage:lint"),
-        ("shard", "stage:shard"),
-        ("setup", "stage:setup"),
-        ("map", "stage:map"),
-        ("  encode", "encode"),
-        ("  saturate", "saturate"),
-        ("  extract", "extract"),
-        ("outputs", "stage:outputs"),
-        ("certify", "stage:certify"),
-    ];
-    let mut rows = Vec::new();
-    for (label, span) in stages {
-        let n = report.spans_named(span).count();
-        if n == 0 {
-            continue; // stage skipped (e.g. shard short-circuited the run)
-        }
-        let us: u64 = report
-            .spans_named(span)
-            .filter(|s| s.attr("replayed").is_none())
-            .map(|s| s.dur_us)
-            .sum();
-        rows.push(vec![
-            label.to_owned(),
-            n.to_string(),
-            format!("{:.1}ms", us as f64 / 1e3),
-            format!("{:.1}%", us as f64 * 100.0 / total as f64),
-        ]);
-    }
+    let rows: Vec<Vec<String>> = stage_rows(report)
+        .into_iter()
+        .map(|(label, n, us)| {
+            vec![
+                label,
+                n.to_string(),
+                format!("{:.1}ms", us as f64 / 1e3),
+                format!("{:.1}%", us as f64 * 100.0 / total as f64),
+            ]
+        })
+        .collect();
     entangle_bench::print_table(&["stage", "spans", "time", "% of check"], &rows);
+}
+
+/// The rows of the stage table as `(label, spans, µs)`. The top-level rows
+/// are the `stage:*` children of `check_refinement`, in trace order, so
+/// every stage the check ran has one and a skipped stage none. Under `map`,
+/// indented encode/saturate/extract rows sub-divide it rather than add to
+/// it; a `saturate` span marked `replayed` repeats the duration of the run
+/// it replays: it counts as a span, and adds no time.
+fn stage_rows(report: &TraceReport) -> Vec<(String, usize, u64)> {
+    let Some(check) = report.find("check_refinement") else {
+        return Vec::new();
+    };
+    let mut rows = Vec::new();
+    for span in &report.spans {
+        let Some(stage) = span.name.strip_prefix("stage:") else {
+            continue;
+        };
+        if span.parent != Some(check.id) {
+            continue;
+        }
+        rows.push((stage.to_owned(), 1, span.dur_us));
+        if stage == "map" {
+            for part in ["encode", "saturate", "extract"] {
+                let n = report.spans_named(part).count();
+                let us = report
+                    .spans_named(part)
+                    .filter(|s| s.attr("replayed").is_none())
+                    .map(|s| s.dur_us)
+                    .sum();
+                if n > 0 {
+                    rows.push((format!("  {part}"), n, us));
+                }
+            }
+        }
+    }
+    rows
 }
 
 /// Prints the hot-rule table, the stop-reason tally and the e-graph growth

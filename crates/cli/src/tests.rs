@@ -207,6 +207,41 @@ fn parse_invocation_extracts_global_flags() {
 }
 
 #[test]
+fn the_stage_table_accounts_for_the_check() {
+    // Every stage the check ran is a top-level row of `entangle trace`'s
+    // table, the numeric stage included, so together they are the check.
+    let dir = tmpdir("the_stage_table_accounts_for_the_check");
+    let trace_path = dir.join("trace.jsonl");
+    let cmd = Command::Trace {
+        workload: Some("gpt_tp2".to_owned()),
+        gs: None,
+        gd: None,
+        maps: vec![],
+        top: 1,
+        json: false,
+        perfetto: None,
+        check: None,
+    };
+    assert_eq!(run_traced(&cmd, Some(trace_path.to_str().unwrap())), 0);
+    let report = entangle_trace::TraceReport::from_jsonl(&fs::read_to_string(&trace_path).unwrap())
+        .expect("emitted trace is valid");
+    let rows = crate::stage_rows(&report);
+    let top: Vec<&(String, usize, u64)> = rows.iter().filter(|r| !r.0.starts_with(' ')).collect();
+    let labels: Vec<&str> = top.iter().map(|r| r.0.as_str()).collect();
+    assert_eq!(
+        labels,
+        ["lint", "shard", "setup", "map", "outputs", "certify", "numeric"]
+    );
+    let staged: u64 = top.iter().map(|r| r.2).sum();
+    let check = report.find("check_refinement").expect("a check ran").dur_us;
+    assert!(
+        staged * 100 >= check * 95,
+        "the stages account for {staged} of the check's {check} µs"
+    );
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn trace_subcommand_end_to_end() {
     let dir = tmpdir("trace_subcommand_end_to_end");
     let cfg = ModelConfig::tiny();

@@ -810,6 +810,7 @@ fn check_refinement_inner(
     // Proof-carrying refinement: hand the assembled certificate to the
     // independent trusted kernel. Only a kernel-accepted derivation counts
     // as a verified refinement.
+    let mut numeric = None;
     if let Some(c) = &mut certificate {
         c.outputs = output_relation
             .iter()
@@ -818,7 +819,7 @@ fn check_refinement_inner(
                 exprs.iter().map(move |e| (name.clone(), e.clone()))
             })
             .collect();
-        stage(opts, "certify", |sp| {
+        let resolved = stage(opts, "certify", |sp| {
             sp.attr("mappings", c.mappings.len());
             sp.attr("steps", c.total_steps());
             let (r, kernel) = entangle_cert::verify_reporting(c, gs, gd, &rewrites, &opts.sym_ctx);
@@ -830,17 +831,16 @@ fn check_refinement_inner(
             r
         })
         .map_err(|error| RefinementError::CertRejected { error })?;
-    }
 
-    // Static numeric-soundness analysis of the accepted derivation. Runs
-    // strictly after the kernel's verdict and can only annotate: per-output
-    // verdicts land in the outcome and (as plain tags) in the certificate's
-    // advisory `numeric` section.
-    let mut numeric = None;
-    if opts.numeric {
-        if let Some(c) = &mut certificate {
+        // Static numeric-soundness analysis of the accepted derivation, on
+        // the form the kernel checked it in. Runs strictly after the
+        // kernel's verdict and can only annotate: per-output verdicts land
+        // in the outcome and (as plain tags) in the certificate's advisory
+        // `numeric` section.
+        if opts.numeric {
             let analysis = stage(opts, "numeric", |sp| {
-                let analysis = entangle_num::analyze_certificate(c, gs, gd);
+                let analysis = entangle_num::analyze_resolved(&resolved, gs);
+                drop(resolved);
                 sp.attr("outputs", analysis.outputs.len());
                 sp.attr("steps", analysis.steps_analyzed);
                 sp.attr("rule_steps", analysis.rule_steps);

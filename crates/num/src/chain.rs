@@ -3,8 +3,10 @@
 //! A verified certificate proves each `G_s` tensor *equal in the e-graph
 //! theory* to an expression over `G_d` tensors — but the theory includes
 //! reassociating lemmas that are only equalities over the reals. This pass
-//! walks the same proof chains the trusted kernel re-checks and gives every
-//! step kind its own rule, as the kernel does:
+//! walks the same proof chains the trusted kernel re-checks, in the form
+//! the kernel resolved them into ([`Resolved`]: a term is a table entry, a
+//! shape the kernel's inference), and gives every step kind its own rule,
+//! as the kernel does:
 //!
 //! - a `Rule` step rewrites at the root of its `before` term, and the
 //!   lemma holds whatever its `G_d` leaves hold. Its two terms are
@@ -36,19 +38,20 @@
 //! the differential oracle *how* to compare (`bit-exact`, `within a
 //! derived relative bound`, or `don't trust a tolerance at all`).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-use entangle_cert::{exprs_eq, Certificate};
+use entangle_cert::{Certificate, Fact, Resolved, Step};
 use entangle_egraph::hashing::{FxHashMap, FxHashSet};
-use entangle_egraph::{ENode, Id, ProofStep, RecExpr, Symbol};
-use entangle_ir::{DType, Graph, Op, Shape};
-use entangle_lemmas::{infer_application, parse_ones_leaf, Meta};
+use entangle_egraph::{ENode, Id, RecExpr, Symbol};
+use entangle_ir::{Graph, Op};
+use entangle_lemmas::{parse_ones_leaf, Meta};
 use entangle_lint::{codes, Anchor, Diagnostic};
 
 use crate::eval::{
-    const_dims, hash_term, leaf_tensor, op_hash, term_hashes, ElemHash, TermTable, ARENA_CAP_MSG,
+    const_dims, hash_term, leaf_tensor, node_hash, op_hash, ElemHash, TermTable, ARENA_CAP_MSG,
 };
 use crate::sym::{classify_tensors, Arena, NumClass, Verdict};
 
@@ -274,19 +277,17 @@ struct Abstracted {
 type RuleKey = (Symbol, bool, ElemHash, ElemHash);
 
 /// Shared state for one certificate walk.
-struct ChainCtx<'a> {
-    gd: &'a Graph,
+struct ChainCtx<'r> {
+    /// The certificate as the kernel resolved it: terms are its entries.
+    cert: &'r Resolved<'r>,
     arena: Arena,
     /// Accepted mappings per `G_s` tensor with their cones, mirroring the
     /// kernel's accepted-mapping table (`R_i` axioms have none).
-    accepted: HashMap<String, Vec<(&'a RecExpr, Cone)>>,
+    accepted: HashMap<&'r str, Vec<(Id, Cone)>>,
     /// Each mapping's own rounding-site count, by certificate index.
     own_k: Vec<u64>,
-    /// What each subterm of a binding, and each leaf, denotes, by
-    /// structural hash.
-    term_metas: FxHashMap<ElemHash, Result<Rc<Meta>, String>>,
-    /// Each atom by prefix, position and the value it stands for.
-    atoms: FxHashMap<(char, usize, ElemHash), Symbol>,
+    /// Each atom by prefix, position and the entry it stands for.
+    atoms: FxHashMap<(char, usize, Id), Symbol>,
     /// The shape of each atom, by name.
     atom_dims: FxHashMap<String, Vec<usize>>,
     /// Rule-step verdicts by key.
@@ -309,7 +310,7 @@ struct ChainCtx<'a> {
     classify_time: Duration,
 }
 
-impl<'a> ChainCtx<'a> {
+impl<'r> ChainCtx<'r> {
     /// NU05: `what` left the model because of `why`.
     fn left_model(&mut self, anchor: Anchor, what: String, why: &str) {
         if why == ARENA_CAP_MSG && std::mem::replace(&mut self.cap_reported, true) {
@@ -322,69 +323,14 @@ impl<'a> ChainCtx<'a> {
         ));
     }
 
-    /// What a term denotes: each distinct subterm is inferred once per
-    /// analysis, keyed by its structural hash, so a binding met again
-    /// costs a lookup.
-    fn term_meta(&mut self, term: &RecExpr, hashes: &[ElemHash]) -> Result<Rc<Meta>, String> {
-        if let Some(m) = hashes.last().and_then(|h| self.term_metas.get(h)) {
-            return m.clone();
-        }
-        let mut metas: Vec<Rc<Meta>> = Vec::with_capacity(term.len());
-        for (node, &h) in term.nodes().iter().zip(hashes) {
-            let meta = self.node_meta(node, h, &metas)?;
-            metas.push(meta);
-        }
-        metas.pop().ok_or_else(|| "empty term".to_owned())
-    }
-
-    /// What one node denotes, its children's metadata in `metas`.
-    fn node_meta(
-        &mut self,
-        node: &ENode,
-        h: ElemHash,
-        metas: &[Rc<Meta>],
-    ) -> Result<Rc<Meta>, String> {
-        if let Some(m) = self.term_metas.get(&h) {
-            return m.clone();
-        }
-        let meta = match node {
-            ENode::Int(i) => Ok(Meta::scalar((*i).into())),
-            ENode::Sym(e) => Ok(Meta::scalar(e.clone())),
-            ENode::Op(sym, ch) if ch.is_empty() => match parse_ones_leaf(sym.as_str()) {
-                Ok(Some(dims)) => {
-                    let dims: Vec<i64> = dims.iter().map(|&d| d as i64).collect();
-                    Ok(Meta::tensor(Shape::of(&dims), DType::F32))
-                }
-                Ok(None) => self
-                    .gd
-                    .tensor_by_name(sym.as_str())
-                    .map(|t| Meta::tensor(t.shape.clone(), t.dtype))
-                    .ok_or_else(|| format!("unknown G_d tensor {:?}", sym.as_str())),
-                Err(_) => Err(format!("unparseable synthetic leaf {:?}", sym.as_str())),
-            },
-            ENode::Op(sym, ch) => {
-                let children: Vec<&Meta> = ch.iter().map(|c| &*metas[c.index()]).collect();
-                infer_application(*sym, &children).map_err(|e| e.to_string())
-            }
-        };
-        let meta = meta.map(Rc::new);
-        self.term_metas.insert(h, meta.clone());
-        meta
-    }
-
-    /// The atom named `prefix` + position `at` for a value `of` (a leaf
-    /// symbol's or a binding's hash) of shape `dims`, cached per triple.
-    fn atom(
-        &mut self,
-        prefix: char,
-        at: usize,
-        of: ElemHash,
-        dims: impl FnOnce(&mut Self) -> Result<Vec<usize>, String>,
-    ) -> Result<Symbol, String> {
+    /// The atom named `prefix` + position `at` for the entry `of` (a leaf
+    /// or a binding) of the shape the kernel inferred for it, cached per
+    /// triple.
+    fn atom(&mut self, prefix: char, at: usize, of: Id) -> Result<Symbol, String> {
         if let Some(&sym) = self.atoms.get(&(prefix, at, of)) {
             return Ok(sym);
         }
-        let dims = dims(self)?;
+        let dims = dims_of(self.cert.meta(of)?)?;
         let name = format!("{prefix}{at}{dims:?}");
         let sym = Symbol::new(&name);
         self.atom_dims.entry(name).or_insert(dims);
@@ -399,18 +345,16 @@ impl<'a> ChainCtx<'a> {
     /// themselves when `build`.
     fn abstract_step(
         &mut self,
-        subst: &[(String, RecExpr)],
-        [before, after]: [(&RecExpr, &[ElemHash]); 2],
+        subst: &[(Cow<'_, str>, Id)],
+        [before, after]: [Id; 2],
         generic: bool,
         build: bool,
     ) -> Result<Abstracted, String> {
-        let mut bindings: Vec<(ElemHash, Rc<Meta>)> = Vec::new();
+        let mut bindings: Vec<Id> = Vec::new();
         if generic {
-            for (_, term) in subst {
-                let hashes = term_hashes(term);
-                let meta = self.term_meta(term, &hashes)?;
-                if meta.shape.is_some() {
-                    bindings.push((*hashes.last().expect("a binding is a term"), meta));
+            for &(_, term) in subst {
+                if self.cert.meta(term)?.shape.is_some() {
+                    bindings.push(term);
                 }
             }
         }
@@ -423,46 +367,63 @@ impl<'a> ChainCtx<'a> {
         })
     }
 
-    /// One term of [`ChainCtx::abstract_step`]: the nodes reachable from
-    /// the root without entering a binding, with bindings and leaves
-    /// renamed; `names` holds the bindings and leaves named so far.
+    /// One term of [`ChainCtx::abstract_step`]: the entries reachable from
+    /// `root` without entering a binding, with bindings and leaves renamed;
+    /// `names` holds the bindings and leaves named so far. Positions count
+    /// in first-visit post-order (children left to right) over the whole
+    /// term, bindings' insides included: the order in which a term spelled
+    /// with shared subterms lists its slots.
     fn abstract_term(
         &mut self,
-        (expr, hashes): (&RecExpr, &[ElemHash]),
-        bindings: &[(ElemHash, Rc<Meta>)],
-        (named, leaves): &mut (Vec<ElemHash>, Vec<Symbol>),
+        root: Id,
+        bindings: &[Id],
+        (named, leaves): &mut (Vec<Id>, Vec<Symbol>),
         build: bool,
     ) -> Result<(ElemHash, Option<RecExpr>), String> {
-        let nodes = expr.nodes();
-        let binding: Vec<Option<usize>> = hashes
-            .iter()
-            .map(|h| bindings.iter().position(|(b, _)| b == h))
-            .collect();
-        let mut live = vec![false; nodes.len()];
-        if let Some(root) = live.last_mut() {
-            *root = true;
-        }
-        for i in (0..nodes.len()).rev() {
-            if live[i] && binding[i].is_none() {
-                for c in nodes[i].children() {
-                    live[c.index()] = true;
+        let cert = self.cert;
+        let mut order: Vec<Id> = Vec::new();
+        let mut pos: FxHashMap<Id, usize> = FxHashMap::default();
+        let mut stack = vec![(root, 0)];
+        while let Some((id, next)) = stack.last_mut() {
+            match cert.node(*id).children().get(*next) {
+                Some(child) => {
+                    *next += 1;
+                    if !pos.contains_key(child) {
+                        stack.push((*child, 0));
+                    }
+                }
+                None => {
+                    pos.insert(*id, order.len());
+                    order.push(*id);
+                    stack.pop();
                 }
             }
         }
-        let mut out = build.then(|| RecExpr::with_capacity(nodes.len()));
-        let mut slot: Vec<(ElemHash, Id)> = Vec::with_capacity(nodes.len());
-        for (i, node) in nodes.iter().enumerate() {
+        let binding = |id: Id| bindings.iter().position(|&b| b == id);
+        let mut live = vec![false; order.len()];
+        live[order.len() - 1] = true;
+        for i in (0..order.len()).rev() {
+            if live[i] && binding(order[i]).is_none() {
+                for c in cert.node(order[i]).children() {
+                    live[pos[c]] = true;
+                }
+            }
+        }
+        let mut out = build.then(|| RecExpr::with_capacity(order.len()));
+        let mut slot: Vec<(ElemHash, Id)> = Vec::with_capacity(order.len());
+        for (i, &id) in order.iter().enumerate() {
             if !live[i] {
                 slot.push(((0, 0), Id::from_index(0)));
                 continue;
             }
-            let atom = if let Some(j) = binding[i] {
-                let (h, meta) = &bindings[j];
-                let at = named.iter().position(|n| n == h).unwrap_or_else(|| {
-                    named.push(*h);
+            let node = cert.node(id);
+            let atom = if let Some(j) = binding(id) {
+                let b = bindings[j];
+                let at = named.iter().position(|&n| n == b).unwrap_or_else(|| {
+                    named.push(b);
                     named.len() - 1
                 });
-                Some(self.atom('?', at, *h, |_| dims_of(meta))?)
+                Some(self.atom('?', at, b)?)
             } else {
                 match node {
                     ENode::Op(sym, ch)
@@ -472,29 +433,25 @@ impl<'a> ChainCtx<'a> {
                             leaves.push(*sym);
                             leaves.len() - 1
                         });
-                        let dims =
-                            |ctx: &mut Self| dims_of(&*ctx.node_meta(node, hashes[i], &[])?);
-                        Some(self.atom('$', at, hashes[i], dims)?)
+                        Some(self.atom('$', at, id)?)
                     }
                     _ => None,
                 }
             };
-            let h = match (atom, node) {
-                (Some(sym), _) => op_hash(sym, std::iter::empty()),
-                (None, ENode::Op(sym, ch)) => op_hash(*sym, ch.iter().map(|c| slot[c.index()].0)),
-                (None, _) => hashes[i],
+            let h = match atom {
+                Some(sym) => op_hash(sym, std::iter::empty()),
+                None => node_hash(node, |c| slot[pos[&c]].0),
             };
-            let id = match &mut out {
+            let built = match &mut out {
                 Some(out) => out.add(match atom {
                     Some(sym) => ENode::Op(sym, Vec::new()),
-                    None => node.map_children(|c| slot[c.index()].1),
+                    None => node.map_children(|c| slot[pos[&c]].1),
                 }),
                 None => Id::from_index(0),
             };
-            slot.push((h, id));
+            slot.push((h, built));
         }
-        let root = slot.last().ok_or("empty term")?.0;
-        Ok((root, out))
+        Ok((slot[slot.len() - 1].0, out))
     }
 
     /// The verdict of one rule instance, evaluated once per key. The key
@@ -508,30 +465,23 @@ impl<'a> ChainCtx<'a> {
         &mut self,
         name: &str,
         forward: bool,
-        subst: &[(String, RecExpr)],
-        before: &RecExpr,
-        after: &RecExpr,
+        subst: &[(Cow<'_, str>, Id)],
+        terms: [Id; 2],
     ) -> Result<Verdict, String> {
         let start = Instant::now();
         self.rule_steps += 1;
-        let (hb, ha) = (term_hashes(before), term_hashes(after));
-        let v = self.rule_instance(
-            Symbol::new(name),
-            forward,
-            subst,
-            [(before, &hb), (after, &ha)],
-        );
+        let v = self.rule_instance(Symbol::new(name), forward, subst, terms);
         self.rule_time += start.elapsed();
         v
     }
 
-    /// [`ChainCtx::rule_verdict`], the terms with their node hashes.
+    /// [`ChainCtx::rule_verdict`], untimed.
     fn rule_instance(
         &mut self,
         rule: Symbol,
         forward: bool,
-        subst: &[(String, RecExpr)],
-        terms: [(&RecExpr, &[ElemHash]); 2],
+        subst: &[(Cow<'_, str>, Id)],
+        terms: [Id; 2],
     ) -> Result<Verdict, String> {
         for generic in [true, false] {
             let (b, a) = self.abstract_step(subst, terms, generic, false)?.key;
@@ -587,17 +537,18 @@ impl<'a> ChainCtx<'a> {
         Ok(verdict)
     }
 
-    fn lookup(&self, tensor: &str, expr: &RecExpr) -> Option<&Cone> {
+    /// The cone of the accepted mapping `expr` of `tensor`.
+    fn lookup(&self, tensor: &str, expr: Id) -> Option<&Cone> {
         self.accepted
             .get(tensor)?
             .iter()
-            .find(|(e, _)| exprs_eq(e, expr))
+            .find(|&&(e, _)| e == expr)
             .map(|(_, c)| c)
     }
 
     /// Composes a chain of steps into `cone` and returns the rounding sites
     /// its own rule steps add.
-    fn chain(&mut self, mapping: &str, steps: &[ProofStep], cone: &mut Cone) -> u64 {
+    fn chain(&mut self, mapping: &str, steps: &[Step<'_>], cone: &mut Cone) -> u64 {
         steps.iter().fold(0u64, |k, step| {
             k.saturating_add(self.step(mapping, step, cone))
         })
@@ -605,19 +556,19 @@ impl<'a> ChainCtx<'a> {
 
     /// Composes one proof step into `cone` and returns the rounding sites
     /// it adds, with NU01/NU05 reporting.
-    fn step(&mut self, mapping: &str, step: &ProofStep, cone: &mut Cone) -> u64 {
+    fn step(&mut self, mapping: &str, step: &Step<'_>, cone: &mut Cone) -> u64 {
         self.steps += 1;
         match step {
-            ProofStep::Given {
+            Step::Given {
                 fact,
                 before,
                 after,
             } => {
-                if fact.starts_with("G_d definition of ") {
+                match fact {
                     // Both sides denote the value G_d actually computes for
                     // this operator's output: bit-exact by construction.
-                } else if let Some(t) = fact.strip_prefix("mappings of G_s tensor ") {
-                    match (self.lookup(t, before), self.lookup(t, after)) {
+                    Fact::Definition(_) => {}
+                    Fact::Mappings(t) => match (self.lookup(t, *before), self.lookup(t, *after)) {
                         (Some(ca), Some(cb)) => {
                             let (ca, cb) = (ca.clone(), cb.clone());
                             cone.swap(&ca, &cb);
@@ -633,30 +584,32 @@ impl<'a> ChainCtx<'a> {
                             ));
                             cone.class = cone.class.max(NumClass::Unknown);
                         }
+                    },
+                    Fact::Unrecognized(fact) => {
+                        self.diagnostics.push(Diagnostic::warning(
+                            codes::NUM_UNCLASSIFIED,
+                            Anchor::Graph,
+                            format!("mapping {mapping}: unrecognized given fact {fact:?}"),
+                        ));
+                        cone.class = cone.class.max(NumClass::Unknown);
                     }
-                } else {
-                    self.diagnostics.push(Diagnostic::warning(
-                        codes::NUM_UNCLASSIFIED,
-                        Anchor::Graph,
-                        format!("mapping {mapping}: unrecognized given fact {fact:?}"),
-                    ));
-                    cone.class = cone.class.max(NumClass::Unknown);
                 }
                 0
             }
-            ProofStep::Rule {
+            Step::Rule {
                 name,
                 forward,
                 subst,
                 before,
                 after,
-            } => match self.rule_verdict(name, *forward, subst, before, after) {
+            } => match self.rule_verdict(name, *forward, subst, [*before, *after]) {
                 Ok(v) => {
                     if v.class == NumClass::ValueChanging {
+                        let (before, after) = (self.cert.show(*before), self.cert.show(*after));
                         self.diagnostics.push(
                             Diagnostic::error(
                                 codes::NUM_VALUE_CHANGING,
-                                Anchor::Lemma(name.clone()),
+                                Anchor::Lemma(name.to_string()),
                                 format!(
                                     "mapping {mapping}: step by lemma {name} changes the \
                                          computed value: {before} vs {after}"
@@ -673,7 +626,7 @@ impl<'a> ChainCtx<'a> {
                 }
                 Err(why) => {
                     self.left_model(
-                        Anchor::Lemma(name.clone()),
+                        Anchor::Lemma(name.to_string()),
                         format!("mapping {mapping}: step by lemma {name}"),
                         &why,
                     );
@@ -685,14 +638,14 @@ impl<'a> ChainCtx<'a> {
             // An element of a concatenation is an element of exactly one
             // argument, so it carries that argument's sites only; any other
             // operator may read every argument into one element.
-            ProofStep::Congruence {
+            Step::Congruence {
                 before, children, ..
             } => {
-                let concat = matches!(before.root(), ENode::Op(sym, _)
+                let concat = matches!(self.cert.node(*before), ENode::Op(sym, _)
                     if sym.as_str() == Op::Concat { dim: 0 }.name());
                 let mut k = 0u64;
                 for child in children {
-                    let ck = self.chain(mapping, &child.steps, cone);
+                    let ck = self.chain(mapping, child, cone);
                     k = if concat {
                         k.max(ck)
                     } else {
@@ -711,14 +664,22 @@ impl<'a> ChainCtx<'a> {
 /// output.
 ///
 /// `gs` is the sequential graph (for operator input lookup), `gd` the
-/// distributed graph (for leaf shapes).
+/// distributed graph (for leaf shapes). The certificate is resolved first,
+/// as the kernel resolves it ([`entangle_cert::resolve`]); a caller that
+/// has the kernel's own resolution calls [`analyze_resolved`] on it.
 pub fn analyze_certificate(cert: &Certificate, gs: &Graph, gd: &Graph) -> CertAnalysis {
+    analyze_resolved(&entangle_cert::resolve(cert, gd), gs)
+}
+
+/// [`analyze_certificate`] on a certificate the kernel has resolved: every
+/// term is an entry of its table, every leaf and binding shape the kernel's
+/// inference.
+pub fn analyze_resolved(cert: &Resolved<'_>, gs: &Graph) -> CertAnalysis {
     let mut ctx = ChainCtx {
-        gd,
+        cert,
         arena: Arena::new(),
         accepted: HashMap::new(),
-        own_k: Vec::with_capacity(cert.mappings.len()),
-        term_metas: FxHashMap::default(),
+        own_k: Vec::with_capacity(cert.mappings().len()),
         atoms: FxHashMap::default(),
         atom_dims: FxHashMap::default(),
         rule_memo: FxHashMap::default(),
@@ -737,15 +698,13 @@ pub fn analyze_certificate(cert: &Certificate, gs: &Graph, gd: &Graph) -> CertAn
     let start = Instant::now();
     // R_i mappings are the certificate's axioms: the related inputs are
     // fed bit-identically on both sides, so they are exact by fiat.
-    for (tensor, mappings) in &cert.inputs {
-        let entry = ctx.accepted.entry(tensor.clone()).or_default();
-        for m in mappings {
-            entry.push((m, Cone::exact()));
-        }
+    for (tensor, ids) in cert.inputs() {
+        let entry = ctx.accepted.entry(tensor).or_default();
+        entry.extend(ids.iter().map(|&id| (id, Cone::exact())));
     }
 
-    let mut mapping_verdicts = Vec::with_capacity(cert.mappings.len());
-    for (index, mc) in cert.mappings.iter().enumerate() {
+    let mut mapping_verdicts = Vec::with_capacity(cert.mappings().len());
+    for (index, mc) in cert.mappings().iter().enumerate() {
         // Input cones: the chain's start term applies the G_s operator to
         // these already-accepted expressions, so their errors feed
         // straight into this mapping's output — joined by a linear
@@ -753,7 +712,7 @@ pub fn analyze_certificate(cert: &Certificate, gs: &Graph, gd: &Graph) -> CertAn
         let mut cone = Cone::exact();
         if let Some(node) = gs.node_by_name(&mc.operator) {
             let linear = joins_linearly(&node.op);
-            for (i, input_expr) in mc.inputs.iter().enumerate() {
+            for (i, &input_expr) in mc.inputs.iter().enumerate() {
                 let input = node
                     .inputs
                     .get(i)
@@ -788,7 +747,7 @@ pub fn analyze_certificate(cert: &Certificate, gs: &Graph, gd: &Graph) -> CertAn
             cone.class = cone.class.max(NumClass::Unknown);
         }
 
-        let own = ctx.chain(&mc.tensor, &mc.proof.steps, &mut cone);
+        let own = ctx.chain(&mc.tensor, &mc.proof, &mut cone);
         ctx.own_k.push(own);
         if own > 0 {
             cone.add(&Cone {
@@ -811,15 +770,15 @@ pub fn analyze_certificate(cert: &Certificate, gs: &Graph, gd: &Graph) -> CertAn
         }
 
         ctx.accepted
-            .entry(mc.tensor.clone())
+            .entry(&mc.tensor)
             .or_default()
-            .push((&mc.expr, cone));
-        mapping_verdicts.push((mc.tensor.clone(), verdict));
+            .push((mc.expr, cone));
+        mapping_verdicts.push((mc.tensor.to_string(), verdict));
     }
 
-    let mut outputs = Vec::with_capacity(cert.outputs.len());
-    for (tensor, expr) in &cert.outputs {
-        let verdict = match ctx.lookup(tensor, expr) {
+    let mut outputs = Vec::with_capacity(cert.outputs().len());
+    for (tensor, expr) in cert.outputs() {
+        let verdict = match ctx.lookup(tensor, *expr) {
             Some(c) => c.verdict(&ctx.own_k),
             None => {
                 ctx.diagnostics.push(Diagnostic::warning(
@@ -831,7 +790,7 @@ pub fn analyze_certificate(cert: &Certificate, gs: &Graph, gd: &Graph) -> CertAn
             }
         };
         outputs.push(OutputVerdict {
-            tensor: tensor.clone(),
+            tensor: tensor.to_string(),
             verdict,
         });
     }

@@ -512,23 +512,18 @@ impl Algebra for Hashes {
     }
 }
 
-/// The structural hash of every node of a term, in node order: equal
-/// subterms, equal hashes.
-pub(crate) fn term_hashes(expr: &RecExpr) -> Vec<ElemHash> {
-    let mut out: Vec<ElemHash> = Vec::with_capacity(expr.len());
-    for node in expr.nodes() {
-        let h = match node {
-            ENode::Int(i) => elem(H_INT, &[word(*i as u64)]),
-            ENode::Sym(e) => {
-                let mut h = entangle_egraph::hashing::FxHasher::default();
-                std::hash::Hash::hash(e, &mut h);
-                elem(H_SYM, &[word(std::hash::Hasher::finish(&h))])
-            }
-            ENode::Op(sym, ch) => op_hash(*sym, ch.iter().map(|c| out[c.index()])),
-        };
-        out.push(h);
+/// The structural hash of one term node, `child` giving each child's:
+/// equal subterms, equal hashes.
+pub(crate) fn node_hash(node: &ENode, child: impl Fn(Id) -> ElemHash) -> ElemHash {
+    match node {
+        ENode::Int(i) => elem(H_INT, &[word(*i as u64)]),
+        ENode::Sym(e) => {
+            let mut h = entangle_egraph::hashing::FxHasher::default();
+            std::hash::Hash::hash(e, &mut h);
+            elem(H_SYM, &[word(std::hash::Hasher::finish(&h))])
+        }
+        ENode::Op(sym, ch) => op_hash(*sym, ch.iter().map(|&c| child(c))),
     }
-    out
 }
 
 /// The structural hash of the application of `sym` to children of these

@@ -38,7 +38,7 @@ pub mod eval;
 pub mod memo;
 pub mod sym;
 
-pub use chain::{analyze_certificate, CertAnalysis, OutputVerdict, K_LOOSE};
+pub use chain::{analyze_certificate, analyze_resolved, CertAnalysis, OutputVerdict, K_LOOSE};
 pub use corpus::{analyze_corpus, analyze_registry, CorpusNumAnalysis, RuleMode, RuleNumEntry};
 pub use eval::{eval_op_sym, eval_term, leaf_tensor, ones_tensor, NUMEL_CAP};
 pub use memo::analyze_certificate_cached;

@@ -8,7 +8,7 @@
 //!
 //! The checker does not use it: a one-shot `entangle check` always misses
 //! and would pay the fingerprint for nothing, so its `numeric` stage calls
-//! [`crate::analyze_certificate`] directly. Only `benchmark/src/layers.rs`
+//! [`crate::analyze_resolved`] on the kernel's own resolution directly. Only `benchmark/src/layers.rs`
 //! still calls it, to print the replay cost beside the cold one.
 //!
 //! The fingerprint hashes exactly the inputs the analysis *reads* —

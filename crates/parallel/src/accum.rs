@@ -4,7 +4,7 @@
 use entangle_ir::{DType, GraphBuilder, Op, TensorId};
 use entangle_models::RegressionConfig;
 
-use crate::dist::Distributed;
+use crate::dist::{join_shards, Distributed};
 
 /// Splits the batch into `microbatches` and accumulates per-microbatch
 /// losses, scaled by `1/microbatches` — the correct discipline whose absence
@@ -34,16 +34,10 @@ pub fn grad_accumulation(cfg: &RegressionConfig, microbatches: usize, scaled: bo
     maps.push(("w".to_owned(), "w".to_owned()));
     maps.push(("b".to_owned(), "b".to_owned()));
 
-    let mut x_expr = "x.0".to_owned();
-    let mut y_expr = "y.0".to_owned();
     let mut losses: Vec<TensorId> = Vec::with_capacity(microbatches);
     for i in 0..microbatches {
         let x = g.input(&format!("x.{i}"), &[nm, f], DType::F32);
         let y = g.input(&format!("y.{i}"), &[nm, 1], DType::F32);
-        if i > 0 {
-            x_expr = format!("(concat {x_expr} x.{i} 0)");
-            y_expr = format!("(concat {y_expr} y.{i} 0)");
-        }
         let xw = g
             .apply(&format!("xw.{i}"), Op::Matmul, &[x, w])
             .expect("valid");
@@ -55,8 +49,8 @@ pub fn grad_accumulation(cfg: &RegressionConfig, microbatches: usize, scaled: bo
                 .expect("valid"),
         );
     }
-    maps.push(("x".to_owned(), x_expr));
-    maps.push(("y".to_owned(), y_expr));
+    maps.push(("x".to_owned(), join_shards("x", microbatches, 0)));
+    maps.push(("y".to_owned(), join_shards("y", microbatches, 0)));
 
     let mut acc = losses[0];
     for (i, &l) in losses.iter().enumerate().skip(1) {

@@ -3,6 +3,16 @@
 use entangle::Relation;
 use entangle_ir::{DeclaredLayout, Graph, IrError, TensorId};
 
+/// The input-relation expression joining the shards `name.0`, …,
+/// `name.{parts - 1}` along `dim`: a left-nested `concat` chain
+/// (`(concat (concat name.0 name.1 dim) name.2 dim)`), `name.0` alone for
+/// one shard. Every strategy writes its sharded inputs' maps through it.
+pub(crate) fn join_shards(name: &str, parts: usize, dim: usize) -> String {
+    (1..parts).fold(format!("{name}.0"), |expr, r| {
+        format!("(concat {expr} {name}.{r} {dim})")
+    })
+}
+
 /// A distributed implementation together with the clean input-relation
 /// specification relating it back to the sequential model.
 #[derive(Debug, Clone)]

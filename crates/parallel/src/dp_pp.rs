@@ -11,7 +11,7 @@
 use entangle_ir::{DType, GraphBuilder, Op, TensorId};
 use entangle_models::{Arch, ModelConfig, RegressionConfig};
 
-use crate::dist::Distributed;
+use crate::dist::{join_shards, Distributed};
 
 /// Data parallelism over the regression *training step*: each replica
 /// computes its loss and weight gradient on a batch shard; losses and
@@ -43,17 +43,11 @@ pub fn data_parallel(cfg: &RegressionConfig, replicas: usize, average: bool) -> 
     maps.push(("w".to_owned(), "w".to_owned()));
     maps.push(("b".to_owned(), "b".to_owned()));
 
-    let mut x_expr = "x.0".to_owned();
-    let mut y_expr = "y.0".to_owned();
     let mut losses = Vec::with_capacity(replicas);
     let mut grads = Vec::with_capacity(replicas);
     for i in 0..replicas {
         let x = g.input(&format!("x.{i}"), &[nm, f], DType::F32);
         let y = g.input(&format!("y.{i}"), &[nm, 1], DType::F32);
-        if i > 0 {
-            x_expr = format!("(concat {x_expr} x.{i} 0)");
-            y_expr = format!("(concat {y_expr} y.{i} 0)");
-        }
         let xw = g
             .apply(&format!("xw.{i}"), Op::Matmul, &[x, w])
             .expect("valid");
@@ -85,8 +79,8 @@ pub fn data_parallel(cfg: &RegressionConfig, replicas: usize, average: bool) -> 
         losses.push(loss);
         grads.push(grad);
     }
-    maps.push(("x".to_owned(), x_expr));
-    maps.push(("y".to_owned(), y_expr));
+    maps.push(("x".to_owned(), join_shards("x", replicas, 0)));
+    maps.push(("y".to_owned(), join_shards("y", replicas, 0)));
 
     // Loss: equal-share average of replica losses.
     let total_loss = weighted_average(&mut g, "loss", &losses, r, true);
@@ -233,15 +227,9 @@ pub fn pipeline(cfg: &ModelConfig, arch: Arch, microbatches: usize) -> Distribut
     };
     let wlm = weight(&mut g, &mut maps, "wlm", &[h, v]);
 
-    let mut ids_expr = String::new();
     let mut outputs = Vec::with_capacity(m);
     for i in 0..m {
         let ids = g.input(&format!("ids.{i}"), &[bm, s], DType::I64);
-        ids_expr = if i == 0 {
-            format!("ids.{i}")
-        } else {
-            format!("(concat {ids_expr} ids.{i} 0)")
-        };
         let mut x = g
             .apply(&format!("mb{i}.embed"), Op::Embedding, &[wtok, ids])
             .expect("valid");
@@ -349,7 +337,7 @@ pub fn pipeline(cfg: &ModelConfig, arch: Arch, microbatches: usize) -> Distribut
                 .expect("valid"),
         );
     }
-    maps.push(("ids".to_owned(), ids_expr));
+    maps.push(("ids".to_owned(), join_shards("ids", m, 0)));
     let logits = if m == 1 {
         outputs[0]
     } else {

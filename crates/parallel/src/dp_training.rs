@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use entangle_autodiff::{backward, AutodiffError, GradGraph};
 use entangle_ir::{Dim, Graph, GraphBuilder, IrError, Op, TensorId};
 
-use crate::dist::Distributed;
+use crate::dist::{join_shards, Distributed};
 
 /// Errors from the generated-DP transform.
 #[derive(Debug)]
@@ -150,11 +150,7 @@ pub fn data_parallel_training(
 
     // Input maps for the sharded batch inputs.
     for name in batch_inputs {
-        let mut expr = format!("{name}.0");
-        for rep in 1..replicas {
-            expr = format!("(concat {expr} {name}.{rep} 0)");
-        }
-        maps.push(((*name).to_owned(), expr));
+        maps.push(((*name).to_owned(), join_shards(name, replicas, 0)));
     }
 
     // Combine: average the losses and the parameter gradients; scale and

@@ -4,7 +4,7 @@
 use entangle_ir::{DType, DeclaredLayout, GraphBuilder, Op, TensorId};
 use entangle_models::{Arch, ModelConfig, MoeConfig};
 
-use crate::dist::Distributed;
+use crate::dist::{join_shards, Distributed};
 
 /// A combination of distribution strategies.
 ///
@@ -131,11 +131,7 @@ impl<'a> DistBuilder<'a> {
                 id
             })
             .collect();
-        let mut expr = format!("{name}.0");
-        for r in 1..t {
-            expr = format!("(concat {expr} {name}.{r} {dim})");
-        }
-        self.maps.push((name.to_owned(), expr));
+        self.maps.push((name.to_owned(), join_shards(name, t, dim)));
         shards
     }
 
@@ -394,8 +390,6 @@ impl<'a> DistBuilder<'a> {
             // Rope tables are hidden-sharded per TP rank.
             if t > 1 {
                 let hs = h / t as i64;
-                let mut cos_expr = "rope_cos.0".to_owned();
-                let mut sin_expr = "rope_sin.0".to_owned();
                 for r in 0..t {
                     let cos = self.g.input(&format!("rope_cos.{r}"), &[s, hs], DType::F32);
                     let sin = self.g.input(&format!("rope_sin.{r}"), &[s, hs], DType::F32);
@@ -410,13 +404,11 @@ impl<'a> DistBuilder<'a> {
                         ));
                     }
                     self.rope.push((cos, sin));
-                    if r > 0 {
-                        cos_expr = format!("(concat {cos_expr} rope_cos.{r} 1)");
-                        sin_expr = format!("(concat {sin_expr} rope_sin.{r} 1)");
-                    }
                 }
-                self.maps.push(("rope_cos".to_owned(), cos_expr));
-                self.maps.push(("rope_sin".to_owned(), sin_expr));
+                self.maps
+                    .push(("rope_cos".to_owned(), join_shards("rope_cos", t, 1)));
+                self.maps
+                    .push(("rope_sin".to_owned(), join_shards("rope_sin", t, 1)));
             } else {
                 let cos = self.replicated("rope_cos", &[s, h], DType::F32);
                 let sin = self.replicated("rope_sin", &[s, h], DType::F32);
@@ -426,7 +418,6 @@ impl<'a> DistBuilder<'a> {
         if self.s.sp {
             let t = self.t();
             let ss = s / t as i64;
-            let mut ids_expr = "ids.0".to_owned();
             let mut shards = Vec::with_capacity(t);
             for r in 0..t {
                 let ids = self.g.input(&format!("ids.{r}"), &[b, ss], DType::I64);
@@ -438,12 +429,9 @@ impl<'a> DistBuilder<'a> {
                         parts: t,
                     },
                 ));
-                if r > 0 {
-                    ids_expr = format!("(concat {ids_expr} ids.{r} 1)");
-                }
                 shards.push(self.apply(&format!("embed.{r}"), Op::Embedding, &[wtok, ids]));
             }
-            self.maps.push(("ids".to_owned(), ids_expr));
+            self.maps.push(("ids".to_owned(), join_shards("ids", t, 1)));
             if matches!(self.arch, Arch::Gpt) {
                 let wpos = self.sharded("wpos", &[s, h], 0);
                 // `sharded` made F32 inputs named wpos.r of [ss, h].

@@ -147,6 +147,19 @@ fi
 if grep -rnE 'graph_tensors_sym|graph_nodes_hint|gd_pre' crates/ tests/; then
   echo "G_d pre-evaluation is back in the numeric stage (classify rule instances over opaque atoms)"; exit 1
 fi
+# One certificate walk (DESIGN.md, *Numeric-soundness analysis*): the numeric
+# stage reads the kernel's resolved certificate (`entangle_cert::Resolved`),
+# so no second term identity, shape rule or structural term comparison grows
+# back in non-test code. A file is read up to its inline `#[cfg(test)] mod`,
+# not its first `#[cfg(test)]`: `num/src/sym.rs` gates a module at line 22
+# and `cert/src/table.rs` a counter before `Store`.
+second_walk=$(find crates -path '*/src/*' -name '*.rs' ! -name tests.rs | sort | while read -r f; do
+  awk -v f="$f" '/^#\[cfg\(test\)\]$/{t=1; next} t && /^mod [a-z_]+ *\{/{exit} {t=0; print f ":" FNR ": " $0}' "$f"
+done | grep -wE 'node_meta|term_metas|term_hashes|exprs_eq|term_eq' || true)
+if [ -n "$second_walk" ]; then
+  echo "$second_walk"
+  echo "a second term identity or shape rule is back beside the kernel's resolution (read entangle_cert::Resolved)"; exit 1
+fi
 # The differential oracle stays the algorithm the classifier replaced: it
 # unfolds a `Dot` into one product per pair and never writes a run of them as
 # a `Sum`, so the tests keep holding the `Sum` path to product-by-product

@@ -17,14 +17,27 @@
 use std::sync::OnceLock;
 
 use entangle::{check_refinement, CheckOptions};
-use entangle_cert::{exprs_eq, CertError, Certificate, KernelReport, MappingCert};
-use entangle_egraph::{Proof, ProofStep, RecExpr};
+use entangle_cert::{CertError, Certificate, KernelReport, MappingCert};
+use entangle_egraph::{ENode, Proof, ProofStep, RecExpr};
 use entangle_ir::{DType, Graph, GraphBuilder, Op};
 use entangle_lemmas::{registry, rewrites_of};
 use entangle_models::{gpt, Arch, ModelConfig};
 use entangle_parallel::{parallelize, Strategy};
 use entangle_symbolic::SymCtx;
 use proptest::prelude::*;
+
+/// Structural equality of two terms, however their slots are laid out.
+fn exprs_eq(a: &RecExpr, b: &RecExpr) -> bool {
+    fn eq(a: &RecExpr, ai: entangle_egraph::Id, b: &RecExpr, bi: entangle_egraph::Id) -> bool {
+        match (a.node(ai), b.node(bi)) {
+            (ENode::Op(sa, ca), ENode::Op(sb, cb)) => {
+                sa == sb && ca.len() == cb.len() && ca.iter().zip(cb).all(|(&x, &y)| eq(a, x, b, y))
+            }
+            (x, y) => x == y,
+        }
+    }
+    eq(a, a.root_id(), b, b.root_id())
+}
 
 fn base() -> &'static (Graph, Graph, Certificate) {
     static CELL: OnceLock<(Graph, Graph, Certificate)> = OnceLock::new();

@@ -9,8 +9,8 @@
 //! Regenerate after an intentional change with:
 //! `UPDATE_GOLDEN=1 cargo test --test num_golden`
 
-use entangle::{CheckOptions, NumClass};
-use entangle_bench::{gpt_workload, zoo, ZooCase};
+use entangle::{CertAnalysis, CheckOptions, NumClass};
+use entangle_bench::{gpt_workload, llama_workload, zoo, ZooCase};
 
 /// The zoo plus `gpt_tp8_l2`, the `gpt_workload` the benchmark runs.
 fn golden_cases() -> Vec<ZooCase> {
@@ -57,6 +57,45 @@ fn zoo_numeric_verdicts_match_golden() {
              regenerate with UPDATE_GOLDEN=1 cargo test --test num_golden",
             case.name
         );
+    }
+}
+
+/// An analysis with its timings zeroed: what two runs must agree on.
+fn untimed(analysis: CertAnalysis) -> CertAnalysis {
+    CertAnalysis {
+        key_us: 0,
+        eval_us: 0,
+        classify_us: 0,
+        compose_us: 0,
+        ..analysis
+    }
+}
+
+#[test]
+fn the_check_and_the_standalone_analysis_agree() {
+    // One analysis by two routes: the check's numeric stage walks the
+    // kernel's own resolution of the certificate, `analyze_certificate`
+    // resolves the emitted certificate itself. Everything but the time
+    // must be the same: verdicts, diagnostics, every count. The deep Llama
+    // runs in release builds only.
+    let mut cases = golden_cases();
+    if !cfg!(debug_assertions) {
+        let deep = llama_workload(8, 16);
+        cases.push(ZooCase {
+            name: "llama3_tp8_l16".to_owned(),
+            gs: deep.gs,
+            dist: deep.dist,
+        });
+    }
+    for case in &cases {
+        let ri = case.dist.relation(&case.gs).expect("relation");
+        let outcome =
+            entangle::check_refinement(&case.gs, &case.dist.graph, &ri, &CheckOptions::default())
+                .expect("case checks");
+        let cert = outcome.certificate.expect("certify is on by default");
+        let alone = entangle_num::analyze_certificate(&cert, &case.gs, &case.dist.graph);
+        let checked = outcome.numeric.expect("numeric analysis ran");
+        assert_eq!(untimed(checked), untimed(alone), "{}", case.name);
     }
 }
 
