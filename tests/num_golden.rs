@@ -2,7 +2,9 @@
 //! `entangle-num-cert-v1` JSON derived for every zoo workload, and for the
 //! benchmark's `gpt_tp8` input (par 8, two layers: the one whose
 //! row-parallel contractions fold over eight shards), is checked in under
-//! `tests/golden/num/`. Any analysis change — a class flip, a
+//! `tests/golden/num/`, beside the registry sweep's `entangle-num-corpus-v1`
+//! JSON (`corpus.json`: every lemma's class, `k`, evaluated and skipped
+//! palette bindings, and every NU diagnostic). Any analysis change — a class flip, a
 //! different composed `k`, a new NU diagnostic — shows up as a diff here
 //! and must be reviewed deliberately.
 //!
@@ -34,30 +36,38 @@ fn case_json(case: &ZooCase) -> String {
     json
 }
 
+/// Holds `got` to `tests/golden/num/{name}.json`, or writes it there under
+/// `UPDATE_GOLDEN`.
+fn check_golden(name: &str, got: &str) {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/num");
+    let path = format!("{dir}/{name}.json");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::create_dir_all(dir).expect("golden dir");
+        std::fs::write(&path, got).expect("golden written");
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|_| {
+        panic!("{path} missing — run UPDATE_GOLDEN=1 cargo test --test num_golden")
+    });
+    assert_eq!(
+        got, want,
+        "numeric analysis for {name} drifted from the golden; if intentional, \
+         regenerate with UPDATE_GOLDEN=1 cargo test --test num_golden"
+    );
+}
+
 #[test]
 fn zoo_numeric_verdicts_match_golden() {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/num");
-    let update = std::env::var_os("UPDATE_GOLDEN").is_some();
-    if update {
-        std::fs::create_dir_all(dir).expect("golden dir");
-    }
     for case in &golden_cases() {
-        let got = case_json(case);
-        let path = format!("{dir}/{}.json", case.name);
-        if update {
-            std::fs::write(&path, &got).expect("golden written");
-            continue;
-        }
-        let want = std::fs::read_to_string(&path).unwrap_or_else(|_| {
-            panic!("{path} missing — run UPDATE_GOLDEN=1 cargo test --test num_golden")
-        });
-        assert_eq!(
-            got, want,
-            "numeric analysis for {} drifted from the golden; if intentional, \
-             regenerate with UPDATE_GOLDEN=1 cargo test --test num_golden",
-            case.name
-        );
+        check_golden(&case.name, &case_json(case));
     }
+}
+
+#[test]
+fn registry_numeric_verdicts_match_golden() {
+    let mut json = entangle_num::analyze_registry().to_json();
+    json.push('\n');
+    check_golden("corpus", &json);
 }
 
 /// An analysis with its timings zeroed: what two runs must agree on.
