@@ -20,9 +20,9 @@ use std::time::Instant;
 
 use entangle::{CheckOptions, ExpectationError, RefinementError};
 use entangle_bench::{
-    bench_config, figure3_suite, gpt_workload, gpt_workload_of, llama_workload, llama_workload_of,
-    moe_workload, print_table, qwen2_workload, regression_workload, saturation_opts, scaled_config,
-    secs, Workload,
+    bench_config, figure3_suite, format_table, gpt_workload, gpt_workload_of, llama_workload,
+    llama_workload_of, moe_workload, qwen2_workload, regression_workload, saturation_opts,
+    scaled_config, secs, Workload,
 };
 use entangle_lemmas::{registry, rewrites_of, Category};
 use entangle_models::{gpt, llama3, regression_sum_loss, Arch, ModelConfig, RegressionConfig};
@@ -126,7 +126,7 @@ fn check_section(tsv: &mut Tsv, section: &str, title: &str, cases: &[(Workload, 
         "lemma apps",
         "e-nodes/op mean/max",
     ];
-    print_table(&headers, &rows);
+    print!("{}", format_table(&headers, &rows));
 }
 
 fn figure3(tsv: &mut Tsv) {
@@ -198,9 +198,12 @@ fn figure5(tsv: &mut Tsv) {
             format!("{:.1}", complexity as f64 / added.len().max(1) as f64),
         ]);
     }
-    print_table(
-        &["model", "#operators", "#lemmas added", "avg ops/lemma"],
-        &rows,
+    print!(
+        "{}",
+        format_table(
+            &["model", "#operators", "#lemmas added", "avg ops/lemma"],
+            &rows,
+        )
     );
 
     for l in &lemmas {
@@ -226,7 +229,7 @@ fn figure5(tsv: &mut Tsv) {
             vec![format!("<= {t} LOC"), format!("{share:.0}%")]
         })
         .collect();
-    print_table(&["LOC", "fraction of lemmas"], &rows);
+    print!("{}", format_table(&["LOC", "fraction of lemmas"], &rows));
     let max = lemmas.iter().map(|l| l.loc).max().unwrap_or(0);
     println!("max LOC: {max}");
 }
@@ -284,7 +287,7 @@ fn figure6(tsv: &mut Tsv) {
         "vLLM (v)",
         "HLO (h)",
     ];
-    print_table(&headers, &rows);
+    print!("{}", format_table(&headers, &rows));
 }
 
 /// How a Table 3 program was flagged, and where: the failing operator,
@@ -336,7 +339,10 @@ fn table3(tsv: &mut Tsv) {
             fixed_verdict.to_owned(),
         ]);
     }
-    print_table(&["#", "bug", "time(s)", "buggy", "at", "fixed twin"], &rows);
+    print!(
+        "{}",
+        format_table(&["#", "bug", "time(s)", "buggy", "at", "fixed twin"], &rows)
+    );
 }
 
 /// DP over an autodiff-generated training step, hand-written DP with

@@ -272,8 +272,11 @@ pub fn figure3_suite() -> Vec<Workload> {
     ]
 }
 
-/// Renders an aligned text table.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
+/// Renders an aligned text table, one line per row, each ending in a
+/// newline. It returns the text rather than printing it, so a caller with
+/// its own writer (the CLI's, which exits quietly on a closed stdout)
+/// prints it.
+pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -282,18 +285,21 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
             }
         }
     }
-    let line = |cells: Vec<String>| {
-        let mut out = String::new();
+    let mut out = String::new();
+    let mut line = |cells: Vec<String>| {
+        let mut text = String::new();
         for (i, c) in cells.iter().enumerate() {
-            out.push_str(&format!("{:<width$}  ", c, width = widths[i]));
+            text.push_str(&format!("{:<width$}  ", c, width = widths[i]));
         }
-        println!("{}", out.trim_end());
+        out.push_str(text.trim_end());
+        out.push('\n');
     };
     line(headers.iter().map(|s| s.to_string()).collect());
     line(widths.iter().map(|w| "-".repeat(*w)).collect());
     for row in rows {
         line(row.clone());
     }
+    out
 }
 
 /// Options measuring the *saturation* pipeline alone (Listings 1-3): the

@@ -621,7 +621,7 @@ fn step<'t>(r: &mut Reader<'t>) -> Result<Step<'t, Pos>, String> {
             children: need(children, "children")?,
         },
         "given" => Step::Given {
-            fact: Fact::parse(need(fact, "fact")?),
+            fact: Fact::from_text(need(fact, "fact")?),
             before,
             after,
         },

@@ -104,7 +104,7 @@ const DEFINITION: &str = "G_d definition of ";
 const MAPPINGS: &str = "mappings of G_s tensor ";
 
 impl<'a> Fact<'a> {
-    pub(crate) fn parse(text: Cow<'a, str>) -> Fact<'a> {
+    pub(crate) fn from_text(text: Cow<'a, str>) -> Fact<'a> {
         let strip = |prefix: &str| match &text {
             Cow::Borrowed(s) => s.strip_prefix(prefix).map(Cow::Borrowed),
             Cow::Owned(s) => s.strip_prefix(prefix).map(|n| Cow::Owned(n.to_owned())),
@@ -939,7 +939,7 @@ impl Store<'_> {
                 children: children.iter().map(|c| self.resolve_proof(c)).collect(),
             },
             ProofStep::Given { fact, .. } => Step::Given {
-                fact: Fact::parse(Cow::Borrowed(fact)),
+                fact: Fact::from_text(Cow::Borrowed(fact)),
                 before,
                 after,
             },

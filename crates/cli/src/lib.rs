@@ -1538,7 +1538,10 @@ fn print_stage_table(report: &TraceReport) {
             ]
         })
         .collect();
-    entangle_bench::print_table(&["stage", "spans", "time", "% of check"], &rows);
+    out!(
+        "{}",
+        entangle_bench::format_table(&["stage", "spans", "time", "% of check"], &rows)
+    );
 }
 
 /// The rows of the stage table as `(label, spans, µs)`. The top-level rows
@@ -1619,9 +1622,12 @@ fn print_saturation_profile(summary: &entangle::SaturationSummary, top: usize) {
             ]
         })
         .collect();
-    entangle_bench::print_table(
-        &["rule", "matches", "applications", "search", "apply"],
-        &rows,
+    out!(
+        "{}",
+        entangle_bench::format_table(
+            &["rule", "matches", "applications", "search", "apply"],
+            &rows,
+        )
     );
 }
 

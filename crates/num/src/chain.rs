@@ -12,7 +12,8 @@
 //!   lemma holds whatever its `G_d` leaves hold. Its two terms are
 //!   evaluated with every `G_d` tensor leaf an opaque atom tensor of the
 //!   tensor's shape (synthetic `~ones[..]` leaves stay exact ones) and
-//!   classified with the symbolic domain of [`crate::sym`]. The leaves are
+//!   classified with the symbolic domain of [`crate::sym`], through the
+//!   classifier a palette binding of [`crate::corpus`] takes. The leaves are
 //!   renamed canonically first, so the verdict is memoised by rule,
 //!   direction and leaf-abstracted terms — their structure, attributes and
 //!   leaf shapes — and evaluated once per key;
@@ -40,7 +41,6 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use entangle_cert::{Certificate, Fact, Resolved, Step};
@@ -50,10 +50,8 @@ use entangle_ir::{Graph, Op};
 use entangle_lemmas::{parse_ones_leaf, Meta};
 use entangle_lint::{codes, Anchor, Diagnostic};
 
-use crate::eval::{
-    const_dims, hash_term, leaf_tensor, node_hash, op_hash, ElemHash, TermTable, ARENA_CAP_MSG,
-};
-use crate::sym::{classify_tensors, Arena, NumClass, Verdict};
+use crate::eval::{const_dims, hash_term, node_hash, op_hash, Classifier, ElemHash, ARENA_CAP_MSG};
+use crate::sym::{NumClass, Verdict};
 
 /// Rounding-site counts above this are reported as too loose to be
 /// meaningful ([`codes::NUM_LOOSE_BOUND`]): `(1+ε)^k − 1` at `k = 2³²` is
@@ -280,7 +278,8 @@ type RuleKey = (Symbol, bool, ElemHash, ElemHash);
 struct ChainCtx<'r> {
     /// The certificate as the kernel resolved it: terms are its entries.
     cert: &'r Resolved<'r>,
-    arena: Arena,
+    /// Evaluates and classifies the rule instances of new keys.
+    instances: Classifier,
     /// Accepted mappings per `G_s` tensor with their cones, mirroring the
     /// kernel's accepted-mapping table (`R_i` axioms have none).
     accepted: HashMap<&'r str, Vec<(Id, Cone)>>,
@@ -288,15 +287,11 @@ struct ChainCtx<'r> {
     own_k: Vec<u64>,
     /// Each atom by prefix, position and the entry it stands for.
     atoms: FxHashMap<(char, usize, Id), Symbol>,
-    /// The shape of each atom, by name.
-    atom_dims: FxHashMap<String, Vec<usize>>,
     /// Rule-step verdicts by key.
     rule_memo: FxHashMap<RuleKey, Result<Verdict, String>>,
     /// Binding-abstracted keys whose verdict held no bound: their steps
     /// are keyed by leaves alone.
     specific: FxHashSet<RuleKey>,
-    /// Every subterm of every key's terms, evaluated once.
-    table: TermTable,
     diagnostics: Vec<Diagnostic>,
     /// The arena-cap warning is out: past the cap every later rule step
     /// leaves the model for the same reason, reported once.
@@ -306,8 +301,6 @@ struct ChainCtx<'r> {
     rule_hits: usize,
     /// Time in rule steps, their evaluation and classification included.
     rule_time: Duration,
-    eval_time: Duration,
-    classify_time: Duration,
 }
 
 impl<'r> ChainCtx<'r> {
@@ -331,9 +324,7 @@ impl<'r> ChainCtx<'r> {
             return Ok(sym);
         }
         let dims = dims_of(self.cert.meta(of)?)?;
-        let name = format!("{prefix}{at}{dims:?}");
-        let sym = Symbol::new(&name);
-        self.atom_dims.entry(name).or_insert(dims);
+        let sym = self.instances.atom(prefix, at, dims);
         self.atoms.insert((prefix, at, of), sym);
         Ok(sym)
     }
@@ -506,35 +497,21 @@ impl<'r> ChainCtx<'r> {
         unreachable!("the leaf-abstracted key always returns")
     }
 
-    /// Evaluates an abstracted term pair and classifies it: bit-exact when
-    /// the element hashes of the two sides agree everywhere, else by the
-    /// arena.
+    /// Classifies an abstracted term pair: bit-exact when the element
+    /// hashes of the two sides agree everywhere, else by the shared
+    /// [`Classifier`]. The hash pass stays in front of it, here only: it
+    /// pays on certificate keys, most of them data movement, and not on
+    /// palette bindings, which never repeat.
     fn classify(&mut self, before: &RecExpr, after: &RecExpr) -> Result<Verdict, String> {
         let start = Instant::now();
-        let atom_dims = &self.atom_dims;
-        let dims = &mut |name: &str| atom_dims.get(name).cloned();
-        if let (Some(a), Some(b)) = (hash_term(before, dims), hash_term(after, dims)) {
-            if a == b {
-                self.eval_time += start.elapsed();
-                return Ok(Verdict::exact());
-            }
+        let instances = &self.instances;
+        let dims = &mut |name: &str| instances.atom_dims(name);
+        let hashes = (hash_term(before, dims), hash_term(after, dims));
+        self.instances.eval_time += start.elapsed();
+        match hashes {
+            (Some(a), Some(b)) if a == b => Ok(Verdict::exact()),
+            _ => self.instances.classify(before, after),
         }
-        let leaves = &mut |arena: &mut Arena, name: &str| {
-            let dims = atom_dims
-                .get(name)
-                .ok_or_else(|| format!("unknown G_d tensor {name:?}"))?;
-            leaf_tensor(arena, name, dims.clone()).map(Rc::new)
-        };
-        let terms = self
-            .table
-            .eval(&mut self.arena, before, leaves)
-            .and_then(|a| Ok((a, self.table.eval(&mut self.arena, after, leaves)?)));
-        let evaluated = Instant::now();
-        self.eval_time += evaluated - start;
-        let (a, b) = terms?;
-        let verdict = classify_tensors(&mut self.arena, &a, &b);
-        self.classify_time += evaluated.elapsed();
-        Ok(verdict)
     }
 
     /// The cone of the accepted mapping `expr` of `tensor`.
@@ -677,22 +654,18 @@ pub fn analyze_certificate(cert: &Certificate, gs: &Graph, gd: &Graph) -> CertAn
 pub fn analyze_resolved(cert: &Resolved<'_>, gs: &Graph) -> CertAnalysis {
     let mut ctx = ChainCtx {
         cert,
-        arena: Arena::new(),
+        instances: Classifier::default(),
         accepted: HashMap::new(),
         own_k: Vec::with_capacity(cert.mappings().len()),
         atoms: FxHashMap::default(),
-        atom_dims: FxHashMap::default(),
         rule_memo: FxHashMap::default(),
         specific: FxHashSet::default(),
-        table: TermTable::default(),
         diagnostics: Vec::new(),
         cap_reported: false,
         steps: 0,
         rule_steps: 0,
         rule_hits: 0,
         rule_time: Duration::ZERO,
-        eval_time: Duration::ZERO,
-        classify_time: Duration::ZERO,
     };
 
     let start = Instant::now();
@@ -797,7 +770,14 @@ pub fn analyze_resolved(cert: &Resolved<'_>, gs: &Graph) -> CertAnalysis {
 
     let walk = start.elapsed();
     let micros = |d: Duration| d.as_micros() as u64;
-    let stats = ctx.arena.stats();
+    let Classifier {
+        arena,
+        table,
+        eval_time,
+        classify_time,
+        ..
+    } = ctx.instances;
+    let stats = arena.stats();
     CertAnalysis {
         outputs,
         mappings: mapping_verdicts,
@@ -806,23 +786,20 @@ pub fn analyze_resolved(cert: &Resolved<'_>, gs: &Graph) -> CertAnalysis {
         rule_steps: ctx.rule_steps,
         rule_keys: ctx.rule_memo.len(),
         rule_hits: ctx.rule_hits,
-        arena_nodes: ctx.arena.len(),
-        modelled_nodes: ctx.arena.modelled(),
-        subterms: ctx.table.subterms(),
-        subterm_hits: ctx.table.hits(),
-        key_us: micros(
-            ctx.rule_time
-                .saturating_sub(ctx.eval_time + ctx.classify_time),
-        ),
-        eval_us: micros(ctx.eval_time),
-        classify_us: micros(ctx.classify_time),
+        arena_nodes: arena.len(),
+        modelled_nodes: arena.modelled(),
+        subterms: table.subterms(),
+        subterm_hits: table.hits(),
+        key_us: micros(ctx.rule_time.saturating_sub(eval_time + classify_time)),
+        eval_us: micros(eval_time),
+        classify_us: micros(classify_time),
         compose_us: micros(walk.saturating_sub(ctx.rule_time)),
         dots: stats.dots,
         classified_pairs: stats.classified_pairs,
         expansions: stats.expansions,
         dots_unfolded: stats.dots_unfolded,
         sum_atoms: stats.sum_atoms,
-        arena_bytes: ctx.arena.bytes(),
+        arena_bytes: arena.bytes(),
         replayed: false,
     }
 }

@@ -2,9 +2,12 @@
 //! over the shared ground palette of `entangle_rules::ground` and
 //! classified with the symbolic domain.
 //!
-//! Static pattern rules are instantiated binding by binding (variables
-//! become fresh leaf tensors of the palette shapes, or the palette ints)
-//! and both sides are evaluated symbolically:
+//! Static pattern rules are instantiated binding by binding: both sides
+//! are written as terms, each tensor variable an atom of its palette shape
+//! (`?0[4, 4]`) and each int variable the palette int, and the pair takes
+//! the path a certificate's rule step takes to its verdict
+//! (`eval::Classifier`: the subterm table, the arena, the classifier), one
+//! classifier per lemma:
 //!
 //! - an **unconditioned** rule must be sound under *every* instantiation,
 //!   so its verdict is the worst class over the evaluable bindings — a
@@ -24,15 +27,14 @@
 //! on both sides; hint-less ones are opaque
 //! ([`codes::NUM_OPAQUE_DYNAMIC`]) and classified pessimistically.
 
-use std::collections::HashMap;
-
-use entangle_egraph::{PatternAst, Var};
-use entangle_lemmas::{registry, Lemma, Meta};
+use entangle_egraph::{ENode, Id, PatternAst, RecExpr, Var};
+use entangle_lemmas::{registry, Lemma};
 use entangle_lint::{codes, Anchor, Diagnostic};
+use entangle_rules::ground;
 
 use crate::chain::K_LOOSE;
-use crate::eval::{apply_op, leaf_tensor, synthetic_leaf, tensor_meta};
-use crate::sym::{classify_tensors, Arena, NumClass, SymTensor, Verdict};
+use crate::eval::Classifier;
+use crate::sym::{NumClass, Verdict};
 
 /// How a rule was classified.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,48 +112,20 @@ impl CorpusNumAnalysis {
     }
 }
 
-/// A ground binding for one pattern variable.
-#[derive(Debug, Clone)]
-enum Binding {
-    Tensor(SymTensor),
-    Int(i64),
-}
-
-/// Evaluates a pattern bottom-up under a ground binding, mirroring the
-/// term evaluator of [`crate::eval`]. Returns the tensor plus the metadata
-/// needed by `decode_op` at each application.
-fn eval_pattern(
-    arena: &mut Arena,
-    ast: &PatternAst,
-    env: &HashMap<Var, Binding>,
-) -> Result<(Meta, Option<SymTensor>), String> {
-    match ast {
-        PatternAst::Var(v) => match env.get(v) {
-            Some(Binding::Tensor(t)) => Ok((tensor_meta(t), Some(t.clone()))),
-            Some(Binding::Int(i)) => Ok((Meta::scalar((*i).into()), None)),
-            None => Err(format!("unbound pattern variable {v}")),
-        },
-        PatternAst::Int(i) => Ok((Meta::scalar((*i).into()), None)),
-        PatternAst::Op(sym, ch) if ch.is_empty() => {
-            let name = sym.as_str();
-            let t = synthetic_leaf(arena, name)?
-                .ok_or_else(|| format!("concrete leaf {name:?} in pattern"))?;
-            Ok((tensor_meta(&t), Some(t)))
-        }
-        PatternAst::Op(sym, ch) => {
-            let mut metas = Vec::with_capacity(ch.len());
-            let mut tensors = Vec::with_capacity(ch.len());
-            for c in ch {
-                let (m, t) = eval_pattern(arena, c, env)?;
-                metas.push(m);
-                tensors.push(t);
-            }
-            let tensors: Vec<Option<&SymTensor>> = tensors.iter().map(Option::as_ref).collect();
-            let metas: Vec<&Meta> = metas.iter().collect();
-            let (m, t) = apply_op(arena, sym.as_str(), &metas, &tensors)?;
-            Ok((m, Some(t)))
-        }
-    }
+/// Writes one side of a rule as a term, each variable `vars[i]` the node
+/// `leaves[i]`; `None` for a variable the binding does not cover.
+fn instantiate(ast: &PatternAst, vars: &[Var], leaves: &[&ENode], out: &mut RecExpr) -> Option<Id> {
+    let node = match ast {
+        PatternAst::Var(v) => leaves[vars.iter().position(|x| x == v)?].clone(),
+        PatternAst::Int(i) => ENode::Int(*i),
+        PatternAst::Op(sym, ch) => ENode::Op(
+            *sym,
+            ch.iter()
+                .map(|c| instantiate(c, vars, leaves, out))
+                .collect::<Option<_>>()?,
+        ),
+    };
+    Some(out.add(node))
 }
 
 /// Counts operator applications in a pattern — the structural
@@ -171,68 +145,49 @@ fn pattern_app_count(ast: &PatternAst) -> u64 {
 /// `(evaluated, skipped, worst, best)` verdicts.
 fn sweep_static(lemma: &Lemma) -> (usize, usize, Option<Verdict>, Option<Verdict>) {
     let rw = &lemma.rewrite;
-    let rhs = rw.rhs().expect("static rule has an rhs");
-    let lhs = rw.searcher().ast();
-    let vars = lhs.vars();
+    let sides = [
+        rw.searcher().ast(),
+        rw.rhs().expect("static rule has an rhs").ast(),
+    ];
+    let vars = sides[0].vars();
 
     let mut evaluated = 0usize;
     let mut skipped = 0usize;
     let mut worst: Option<Verdict> = None;
     let mut best: Option<Verdict> = None;
 
-    // The palette: each variable is a fresh leaf tensor of one of the
-    // shared shapes, or one of the shared ints. The symbolic domain is
-    // dtype-blind (elements are opaque leaves either way), so a single
-    // sweep covers both dtypes of the shape/dtype pass.
-    let shape_count = entangle_rules::ground::SHAPES.len();
-    let choice_count = shape_count + entangle_rules::ground::INTS.len();
-    for picks in entangle_rules::ground::assignments(vars.len(), choice_count) {
-        let mut arena = Arena::new();
-        let mut env = HashMap::new();
-        let mut ok = true;
-        for (slot, (&v, &p)) in vars.iter().zip(&picks).enumerate() {
-            if p < shape_count {
-                let dims: Vec<usize> = entangle_rules::ground::SHAPES[p]
-                    .iter()
-                    .map(|&d| d as usize)
-                    .collect();
-                let name = format!("v{slot}");
-                match leaf_tensor(&mut arena, &name, dims) {
-                    Ok(t) => {
-                        env.insert(v, Binding::Tensor(t));
-                    }
-                    Err(_) => {
-                        ok = false;
-                        break;
-                    }
-                }
-            } else {
-                env.insert(
-                    v,
-                    Binding::Int(entangle_rules::ground::INTS[p - shape_count]),
-                );
-            }
-        }
-        if !ok {
-            skipped += 1;
-            continue;
-        }
-        let l = eval_pattern(&mut arena, lhs, &env);
-        let r = eval_pattern(&mut arena, rhs.ast(), &env);
-        match (l, r) {
-            (Ok((_, Some(lt))), Ok((_, Some(rt)))) => {
-                let v = classify_tensors(&mut arena, &lt, &rt);
+    // The palette: each variable is an atom of one of the shared shapes,
+    // named by its position, or one of the shared ints. The symbolic
+    // domain is dtype-blind (elements are opaque leaves either way), so a
+    // single sweep covers both dtypes of the shape/dtype pass.
+    let mut instances = Classifier::default();
+    let choices: Vec<Vec<ENode>> = (0..vars.len())
+        .map(|at| {
+            let shapes = ground::SHAPES.iter().map(|dims| {
+                let dims = dims.iter().map(|&d| d as usize).collect();
+                ENode::Op(instances.atom('?', at, dims), Vec::new())
+            });
+            shapes.chain(ground::INTS.map(ENode::Int)).collect()
+        })
+        .collect();
+    let choice_count = ground::SHAPES.len() + ground::INTS.len();
+    for picks in ground::assignments(vars.len(), choice_count) {
+        let leaves: Vec<&ENode> = picks.iter().zip(&choices).map(|(&p, c)| &c[p]).collect();
+        let terms = sides.map(|ast| {
+            let mut term = RecExpr::default();
+            instantiate(ast, &vars, &leaves, &mut term).map(|_| term)
+        });
+        let verdict = match terms {
+            [Some(l), Some(r)] => instances.classify(&l, &r).ok(),
+            _ => None,
+        };
+        match verdict {
+            Some(v) => {
                 evaluated += 1;
-                worst = Some(match worst {
-                    Some(w) => w.join(&v),
-                    None => v,
-                });
-                best = Some(match best {
-                    Some(b) => b.meet(&v),
-                    None => v,
-                });
+                worst = Some(worst.map_or(v, |w| w.join(&v)));
+                best = Some(best.map_or(v, |b| b.meet(&v)));
             }
-            _ => skipped += 1,
+            None => skipped += 1,
         }
     }
     (evaluated, skipped, worst, best)

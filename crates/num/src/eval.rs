@@ -12,11 +12,14 @@
 //! What differs between the two sides is confined to `impl Algebra for
 //! Arena` below and the canonicalisations of [`Arena`]'s own methods, each
 //! a bitwise IEEE identity. The rest of this module is what the kernels do
-//! not know about: leaves and certificate terms, and `Hashes`, a third
-//! algebra whose elements are structural hashes, which settles a bit-exact
-//! rule instance without the arena.
+//! not know about: leaves and terms ([`TermTable`], the one evaluator of a
+//! term at the arena), `Classifier`, through which the certificate walk
+//! and the registry sweep both take a lemma instance to its verdict, and
+//! `Hashes`, a third algebra whose elements are structural hashes, which
+//! settles a bit-exact certificate rule instance without the arena.
 
 use std::rc::Rc;
+use std::time::{Duration, Instant};
 
 use entangle_egraph::hashing::FxHashMap;
 use entangle_egraph::{ENode, Id, RecExpr, Symbol};
@@ -25,7 +28,9 @@ use entangle_lemmas::{decode_op, parse_ones_leaf, Meta};
 use entangle_runtime::kernels::{eval_op_in, Algebra, Atom, View};
 use entangle_runtime::EvalError;
 
-use crate::sym::{mix, Arena, ExprId, ListId, Rat, SymTensor, ARENA_CAP};
+use crate::sym::{
+    classify_tensors, mix, Arena, ExprId, ListId, Rat, SymTensor, Verdict, ARENA_CAP,
+};
 
 /// Per-tensor element cap: larger tensors leave the model (pessimistic).
 pub const NUMEL_CAP: usize = 1 << 16;
@@ -202,35 +207,9 @@ pub fn eval_op_sym(arena: &mut Arena, op: &Op, inputs: &[&SymTensor]) -> Result<
     }
 }
 
-/// The metadata `decode_op` reads off a tensor child.
-pub(crate) fn tensor_meta(t: &SymTensor) -> Meta {
-    shape_meta(&t.shape)
-}
-
 fn shape_meta(shape: &[usize]) -> Meta {
     let dims: Vec<i64> = shape.iter().map(|&d| d as i64).collect();
     Meta::tensor(Shape::of(&dims), DType::F32)
-}
-
-/// The exact-ones tensor a synthetic `~ones[...]` leaf denotes; `None`
-/// when `name` is not synthetic.
-pub(crate) fn synthetic_leaf(arena: &mut Arena, name: &str) -> Result<Option<SymTensor>, String> {
-    let dims = parse_ones_leaf(name).map_err(|_| format!("unparseable synthetic leaf {name:?}"))?;
-    Ok(dims.map(|dims| ones_tensor(arena, dims)))
-}
-
-/// One operator application, shared by the term and the pattern evaluator:
-/// decodes `sym` against its children's metadata, evaluates it over the
-/// leading tensor children, and describes the result for its own parent.
-pub(crate) fn apply_op(
-    arena: &mut Arena,
-    sym: &str,
-    metas: &[&Meta],
-    tensors: &[Option<&SymTensor>],
-) -> Result<(Meta, SymTensor), String> {
-    let (op, inputs) = decode(sym, metas, tensors)?;
-    let t = eval_op_sym(arena, &op, &inputs)?;
-    Ok((tensor_meta(&t), t))
 }
 
 /// Decodes `sym` against its children's metadata and picks out the
@@ -330,16 +309,19 @@ impl TermTable {
     }
 
     /// Evaluates one node whose children are slots of this table (all of
-    /// them `Ok`: [`TermTable::eval`] stops at the first error).
+    /// them `Ok`: [`TermTable::eval`] stops at the first error). A synthetic
+    /// `~ones[..]` leaf is exact ones, any other leaf is `leaves`'s.
     fn eval_node(&self, arena: &mut Arena, node: &ENode, leaves: &mut Leaves) -> Slot {
-        let tensor = |t: Rc<SymTensor>| (tensor_meta(&t), Some(t));
+        let tensor = |t: Rc<SymTensor>| (shape_meta(&t.shape), Some(t));
         match node {
             ENode::Int(i) => Ok((Meta::scalar((*i).into()), None)),
             ENode::Sym(e) => Ok((Meta::scalar(e.clone()), None)),
             ENode::Op(sym, ch) if ch.is_empty() => {
                 let name = sym.as_str();
-                match synthetic_leaf(arena, name)? {
-                    Some(ones) => Ok(tensor(Rc::new(ones))),
+                match parse_ones_leaf(name)
+                    .map_err(|_| format!("unparseable synthetic leaf {name:?}"))?
+                {
+                    Some(dims) => Ok(tensor(Rc::new(ones_tensor(arena, dims)))),
                     None => leaves(arena, name).map(tensor),
                 }
             }
@@ -352,25 +334,78 @@ impl TermTable {
                 let metas: Vec<&Meta> = ch.iter().map(|c| &child(c).0).collect();
                 let tensors: Vec<Option<&SymTensor>> =
                     ch.iter().map(|c| child(c).1.as_deref()).collect();
-                apply_op(arena, sym.as_str(), &metas, &tensors).map(|(m, t)| (m, Some(Rc::new(t))))
+                let (op, inputs) = decode(sym.as_str(), &metas, &tensors)?;
+                eval_op_sym(arena, &op, &inputs).map(|t| tensor(Rc::new(t)))
             }
         }
     }
 }
 
-/// [`TermTable::eval`] of a single term over a fresh table.
-///
-/// # Errors
-///
-/// As [`TermTable::eval`].
-pub fn eval_term(
-    arena: &mut Arena,
-    expr: &RecExpr,
-    leaves: &mut dyn FnMut(&mut Arena, &str) -> Result<SymTensor, String>,
-) -> Result<SymTensor, String> {
-    TermTable::default()
-        .eval(arena, expr, &mut |a, n| leaves(a, n).map(Rc::new))
-        .map(Rc::unwrap_or_clone)
+/// Evaluates and classifies lemma instances over opaque atoms: the one path
+/// by which a certificate's rule step and a palette binding of the registry
+/// sweep get their verdict. One per analysis unit (a certificate, one
+/// lemma's sweep): the arena, the subterm table and the atoms grow across
+/// the instances it classifies.
+#[derive(Default)]
+pub(crate) struct Classifier {
+    pub(crate) arena: Arena,
+    pub(crate) table: TermTable,
+    /// The shape of each atom, by name.
+    atom_dims: FxHashMap<String, Vec<usize>>,
+    /// Time evaluating terms: the arena's, and what a caller adds for its
+    /// own passes in front of [`Classifier::classify`].
+    pub(crate) eval_time: Duration,
+    /// Time classifying evaluated pairs.
+    pub(crate) classify_time: Duration,
+}
+
+impl Classifier {
+    /// The atom `prefix` + position `at` + `dims` (`?0[4, 4]`): an opaque
+    /// tensor of that shape. The shape is part of the name, so one name is
+    /// one tensor however many instances use it.
+    pub(crate) fn atom(&mut self, prefix: char, at: usize, dims: Vec<usize>) -> Symbol {
+        let name = format!("{prefix}{at}{dims:?}");
+        let sym = Symbol::new(&name);
+        self.atom_dims.entry(name).or_insert(dims);
+        sym
+    }
+
+    /// The shape of the atom `name`, if it is one.
+    pub(crate) fn atom_dims(&self, name: &str) -> Option<Vec<usize>> {
+        self.atom_dims.get(name).cloned()
+    }
+
+    /// Evaluates two terms over atoms and synthetic leaves, then classifies
+    /// the pair.
+    ///
+    /// # Errors
+    ///
+    /// As [`TermTable::eval`] on either term: the instance is outside the
+    /// model.
+    pub(crate) fn classify(
+        &mut self,
+        before: &RecExpr,
+        after: &RecExpr,
+    ) -> Result<Verdict, String> {
+        let start = Instant::now();
+        let atom_dims = &self.atom_dims;
+        let leaves = &mut |arena: &mut Arena, name: &str| {
+            let dims = atom_dims
+                .get(name)
+                .ok_or_else(|| format!("unknown leaf {name:?}"))?;
+            leaf_tensor(arena, name, dims.clone()).map(Rc::new)
+        };
+        let terms = self
+            .table
+            .eval(&mut self.arena, before, leaves)
+            .and_then(|a| Ok((a, self.table.eval(&mut self.arena, after, leaves)?)));
+        let evaluated = Instant::now();
+        self.eval_time += evaluated - start;
+        let (a, b) = terms?;
+        let verdict = classify_tensors(&mut self.arena, &a, &b);
+        self.classify_time += evaluated.elapsed();
+        Ok(verdict)
+    }
 }
 
 /// A 128-bit structural hash of one element's computation: what

@@ -21,11 +21,13 @@
 //! The domain ([`sym`]) is hash-consed symbolic f64 expressions with exact
 //! rational coefficients; [`eval`] runs `entangle-runtime`'s own operator
 //! kernels over it, so model and oracle are one piece of code at two
-//! element types; [`chain`] composes per-step
+//! element types, and evaluates and classifies a lemma instance over
+//! opaque atoms; [`chain`] composes per-step
 //! verdicts along `entangle-cert` proof chains into one verdict and one
 //! derived tolerance per `R_o` output; [`corpus`] sweeps the whole lemma
 //! registry over a ground palette, catching forged lemmas before they are
-//! ever applied.
+//! ever applied. A rule step of a certificate and a palette binding of a
+//! lemma reach their verdict through the same evaluator and classifier.
 //!
 //! Everything here is *advisory*: the analysis never fails refinement
 //! checking, it tells the differential oracle how strictly to compare.
@@ -40,7 +42,7 @@ pub mod sym;
 
 pub use chain::{analyze_certificate, analyze_resolved, CertAnalysis, OutputVerdict, K_LOOSE};
 pub use corpus::{analyze_corpus, analyze_registry, CorpusNumAnalysis, RuleMode, RuleNumEntry};
-pub use eval::{eval_op_sym, eval_term, leaf_tensor, ones_tensor, NUMEL_CAP};
+pub use eval::{eval_op_sym, leaf_tensor, ones_tensor, NUMEL_CAP};
 pub use memo::analyze_certificate_cached;
 pub use sym::{classify_tensors, Arena, NumClass, Rat, SymTensor, Verdict};
 

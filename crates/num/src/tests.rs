@@ -5,7 +5,7 @@ use entangle_egraph::{ENode, ProofStep, RecExpr};
 use entangle_ir::Op;
 use entangle_runtime::{eval_op, reassoc_rel_bound, Tolerance, Value};
 
-use crate::eval::{const_dims, eval_op_sym, eval_term, leaf_tensor, TermTable};
+use crate::eval::{const_dims, eval_op_sym, leaf_tensor, TermTable};
 use crate::sym::{classify_tensors, Arena, ExprId, Node, NumClass, Rat, SymTensor, Verdict};
 
 // ---------------------------------------------------------------------------
@@ -437,14 +437,15 @@ fn term_evaluator_resolves_leaves_and_ones() {
     let expr: RecExpr = "(mul X ~ones[2,2])".parse().unwrap();
     let mut shapes: HashMap<String, Vec<usize>> = HashMap::new();
     shapes.insert("X".to_owned(), vec![2, 2]);
-    let t = eval_term(&mut a, &expr, &mut |arena, name| {
-        let dims = shapes
-            .get(name)
-            .cloned()
-            .ok_or_else(|| format!("unknown {name}"))?;
-        leaf_tensor(arena, name, dims)
-    })
-    .unwrap();
+    let t = TermTable::default()
+        .eval(&mut a, &expr, &mut |arena, name| {
+            let dims = shapes
+                .get(name)
+                .cloned()
+                .ok_or_else(|| format!("unknown {name}"))?;
+            leaf_tensor(arena, name, dims).map(Rc::new)
+        })
+        .unwrap();
     let x = leaf_tensor(&mut a, "X", vec![2, 2]).unwrap();
     // mul by exact ones is 1*x = x bitwise.
     assert_eq!(classify_tensors(&mut a, &t, &x), Verdict::exact());
@@ -525,15 +526,10 @@ fn memoised_evaluation_matches_from_scratch_evaluation_on_the_zoo() {
             let memoised = table.eval(&mut shared, term, &mut |arena, name| {
                 gd_leaf(arena, &case.gd, name).map(Rc::new)
             });
-            let fresh = eval_term(&mut scratch, term, &mut |arena, name| {
-                gd_leaf(arena, &case.gd, name)
+            let fresh = TermTable::default().eval(&mut scratch, term, &mut |arena, name| {
+                gd_leaf(arena, &case.gd, name).map(Rc::new)
             });
-            assert_eq!(
-                memoised.map(Rc::unwrap_or_clone),
-                fresh,
-                "{}: {term}",
-                case.name
-            );
+            assert_eq!(memoised, fresh, "{}: {term}", case.name);
         }
         assert_eq!(
             shared.len(),
@@ -1337,11 +1333,10 @@ mod prop {
             let (mut shared, mut scratch) = (Arena::new(), Arena::new());
             let mut table = TermTable::default();
             for term in build_terms(&program) {
-                let fresh = eval_term(&mut scratch, &term, &mut small_leaves);
+                let leaves = &mut |a: &mut Arena, n: &str| small_leaves(a, n).map(Rc::new);
+                let fresh = TermTable::default().eval(&mut scratch, &term, leaves);
                 for _ in 0..2 {
-                    let cached = table
-                        .eval(&mut shared, &term, &mut |a, n| small_leaves(a, n).map(Rc::new))
-                        .map(Rc::unwrap_or_clone);
+                    let cached = table.eval(&mut shared, &term, leaves);
                     prop_assert_eq!(&cached, &fresh, "{}", term);
                 }
             }

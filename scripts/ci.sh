@@ -160,6 +160,38 @@ if [ -n "$second_walk" ]; then
   echo "$second_walk"
   echo "a second term identity or shape rule is back beside the kernel's resolution (read entangle_cert::Resolved)"; exit 1
 fi
+# One lemma-instance classifier (DESIGN.md, *Classification*): the registry
+# sweep writes each palette binding as two terms and classifies them through
+# `eval::Classifier`, as the certificate walk does, one classifier per lemma.
+# Its pattern evaluator, binding enum and per-binding arena stay gone, and in
+# non-test crates/num/src a term reaches the arena only through
+# `TermTable::eval` (`eval_node` is the one caller of `eval_op_sym`;
+# `eval_op_in` runs at the arena in `eval_op_sym` and at the hash algebra in
+# `hash_term`), so no second recursive evaluator grows back.
+if grep -nE '\beval_pattern\b|\benum Binding\b|Arena::(new|default)\(' crates/num/src/corpus.rs; then
+  echo "the registry sweep evaluates patterns on its own again (classify each binding through eval::Classifier)"; exit 1
+fi
+arena_evals=$(find crates/num/src -name '*.rs' ! -name tests.rs | sort | while read -r f; do
+  awk '/^#\[cfg\(test\)\]$/{t=1; next} t && /^mod [a-z_]+ *\{/{exit} {t=0}
+    /^ *(pub(\(crate\))? )?fn [a-z_]+/ {match($0, /fn [a-z_]+/); fn=substr($0, RSTART + 3, RLENGTH - 3)}
+    /^ *pub fn eval_op_sym\(/ {next}
+    match($0, /eval_op_(sym|in)\(/) {print fn "->" substr($0, RSTART, RLENGTH - 1)}' "$f"
+done | sort | tr '\n' ' ')
+if [ "$arena_evals" != "eval_node->eval_op_sym eval_op_sym->eval_op_in hash_term->eval_op_in " ]; then
+  echo "crates/num/src evaluates operators from: $arena_evals(expected eval_node->eval_op_sym, eval_op_sym->eval_op_in, hash_term->eval_op_in)"; exit 1
+fi
+# Every table the CLI prints goes through its own writer (`crates/cli/src/out.rs`):
+# a closed stdout exits 141 quietly instead of panicking, so neither the CLI
+# nor `entangle-bench`'s `format_table`, which it prints, writes with
+# `print!`/`println!` directly.
+direct_prints=$(for f in crates/bench/src/lib.rs crates/cli/src/*.rs; do
+  case "$(basename "$f")" in tests.rs|out.rs) continue ;; esac
+  awk -v f="$f" '/^#\[cfg\(test\)\]$/{t=1; next} t && /^mod [a-z_]+ *\{/{exit} {t=0; print f ":" FNR ": " $0}' "$f"
+done | grep -vE '^[^:]+:[0-9]+: *//' | grep -E '\be?print(ln)?!\(' || true)
+if [ -n "$direct_prints" ]; then
+  echo "$direct_prints"
+  echo "a direct print! is back on the CLI's path (format a String; the CLI prints it with out!/outln!)"; exit 1
+fi
 # The differential oracle stays the algorithm the classifier replaced: it
 # unfolds a `Dot` into one product per pair and never writes a run of them as
 # a `Sum`, so the tests keep holding the `Sum` path to product-by-product
@@ -263,7 +295,7 @@ fi
 # application is `entangle_lemmas::infer_application`, the `~ones[…]` leaf
 # grammar `mint_ones_leaf`/`parse_ones_leaf` beside it, the ground f64
 # evaluator `entangle_lint::eval_ground`. Who still needs the `Op` itself
-# decodes it: the rule, num's `apply_op`, the ground evaluator, and
+# decodes it: the rule, num's `TermTable`, the ground evaluator, and
 # `append_expr` — a fifth `decode_op(` is a hand-copied term walker growing back
 # (crates/ir's `decode_op` is the JSON reader's, another function).
 if grep -rnE 'fn parse_ones|strip_prefix\("ones' crates tests src examples benchmark/src \

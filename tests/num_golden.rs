@@ -4,9 +4,9 @@
 //! row-parallel contractions fold over eight shards), is checked in under
 //! `tests/golden/num/`, beside the registry sweep's `entangle-num-corpus-v1`
 //! JSON (`corpus.json`: every lemma's class, `k`, evaluated and skipped
-//! palette bindings, and every NU diagnostic). Any analysis change — a class flip, a
-//! different composed `k`, a new NU diagnostic — shows up as a diff here
-//! and must be reviewed deliberately.
+//! palette bindings, and every NU diagnostic). Any analysis change — a
+//! class flip, a different composed `k`, a new NU diagnostic — shows up as
+//! a diff here and must be reviewed deliberately.
 //!
 //! Regenerate after an intentional change with:
 //! `UPDATE_GOLDEN=1 cargo test --test num_golden`
