@@ -22,14 +22,13 @@
 use std::collections::HashMap;
 
 use entangle_egraph::{AstSize, EGraph, ENode, Extractor, RecExpr};
-use entangle_ir::{DType, Dim, Shape};
-use entangle_lemmas::{decode_op, parse_ones_leaf, registry, Lemma, Meta, TensorAnalysis};
-use entangle_runtime::{eval_op, random_ids, random_value, reassoc_rel_bound, Tolerance, Value};
-use entangle_symbolic::SymExpr;
+use entangle_ir::{DType, Shape};
+use entangle_lemmas::{registry, Lemma, Meta, TensorAnalysis};
+use entangle_runtime::{random_ids, random_value, reassoc_rel_bound, Tolerance, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::{codes, Anchor, Diagnostic, Severity};
+use crate::{codes, eval_ground, Anchor, Diagnostic, Severity};
 
 /// Upper bound on the width of any single reduction or contraction the
 /// ground seed corpus exercises. The widest real reduction in [`leaf_env`]
@@ -593,68 +592,4 @@ fn rounding_ops(expr: &RecExpr) -> u64 {
                 if !ch.is_empty() && !EXACT_OPS.contains(&sym.as_str()))
         })
         .count() as u64
-}
-
-/// Evaluates a *ground* term (no pattern variables) bottom-up through the
-/// runtime interpreter: the `f64` meaning of a clean expression. `leaf`
-/// resolves a tensor name to its value; synthetic `~ones[...]` leaves
-/// evaluate to ones tensors; scalar children are attributes, not values.
-///
-/// # Errors
-///
-/// Describes the first subterm, in postorder, without a value: an unknown
-/// or malformed leaf, an undecodable application, operands the runtime
-/// rejects, a scalar where a tensor is needed.
-pub fn eval_ground<'v>(
-    expr: &RecExpr,
-    leaf: impl Fn(&str) -> Option<&'v Value>,
-) -> Result<Value, String> {
-    // A tensor slot: its value, and what `decode_op` reads off it as a child
-    // (the runtime is dtype-erased; the decoder only reads scalars).
-    let tensor = |v: Value| {
-        let shape = Shape(v.shape().iter().map(|&d| Dim::from(d)).collect());
-        (Meta::tensor(shape, DType::F32), Some(v))
-    };
-    let mut slots: Vec<(Meta, Option<Value>)> = Vec::with_capacity(expr.len());
-    for node in expr.nodes() {
-        let slot = match node {
-            ENode::Int(i) => (Meta::scalar(SymExpr::constant(*i)), None),
-            ENode::Sym(e) => (Meta::scalar(e.clone()), None),
-            ENode::Op(sym, ch) if ch.is_empty() => {
-                let name = sym.as_str();
-                let ones = parse_ones_leaf(name)
-                    .map_err(|_| format!("unparseable synthetic leaf {name:?}"))?;
-                tensor(match ones {
-                    Some(dims) => dims
-                        .iter()
-                        .try_fold(1usize, |n, &d| n.checked_mul(d))
-                        .and_then(|n| Value::new(dims, vec![1.0; n]))
-                        .ok_or_else(|| format!("{name:?} overflows"))?,
-                    None => leaf(name)
-                        .ok_or_else(|| format!("unknown leaf {name:?}"))?
-                        .clone(),
-                })
-            }
-            ENode::Op(sym, ch) => {
-                let metas: Vec<&Meta> = ch.iter().map(|&c| &slots[c.index()].0).collect();
-                let (op, tensor_count) = decode_op(sym.as_str(), &metas)
-                    .ok_or_else(|| format!("cannot decode {}", sym.as_str()))?;
-                let inputs: Vec<&Value> = ch[..tensor_count]
-                    .iter()
-                    .map(|&c| {
-                        slots[c.index()]
-                            .1
-                            .as_ref()
-                            .ok_or_else(|| "tensor child has no value".to_owned())
-                    })
-                    .collect::<Result<_, _>>()?;
-                tensor(eval_op(&op, &inputs).map_err(|e| e.to_string())?)
-            }
-        };
-        slots.push(slot);
-    }
-    slots
-        .pop()
-        .and_then(|(_, v)| v)
-        .ok_or_else(|| "root has no value".to_owned())
 }

@@ -29,11 +29,11 @@
 
 pub mod audit;
 mod graph_lint;
+mod ground;
 
-pub use audit::{
-    audit_lemmas, audit_registry, eval_ground, AuditOptions, AuditReport, LemmaAuditEntry,
-};
+pub use audit::{audit_lemmas, audit_registry, AuditOptions, AuditReport, LemmaAuditEntry};
 pub use graph_lint::lint_graph;
+pub use ground::{eval_ground, eval_ground_in, ground_step, Slot};
 
 use std::fmt;
 

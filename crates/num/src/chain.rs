@@ -263,11 +263,11 @@ fn dims_of(meta: &Meta) -> Result<Vec<usize>, String> {
 
 /// A rule step's terms with bindings and leaves renamed
 /// ([`ChainCtx::abstract_step`]).
-struct Abstracted {
+pub(crate) struct Abstracted {
     /// The structural hashes of the two renamed terms.
     key: (ElemHash, ElemHash),
     /// The renamed terms themselves, when asked for.
-    terms: Option<(RecExpr, RecExpr)>,
+    pub(crate) terms: Option<(RecExpr, RecExpr)>,
 }
 
 /// A rule step's memo key: the lemma, its direction, and the 128-bit
@@ -275,11 +275,11 @@ struct Abstracted {
 type RuleKey = (Symbol, bool, ElemHash, ElemHash);
 
 /// Shared state for one certificate walk.
-struct ChainCtx<'r> {
+pub(crate) struct ChainCtx<'r> {
     /// The certificate as the kernel resolved it: terms are its entries.
     cert: &'r Resolved<'r>,
     /// Evaluates and classifies the rule instances of new keys.
-    instances: Classifier,
+    pub(crate) instances: Classifier,
     /// Accepted mappings per `G_s` tensor with their cones, mirroring the
     /// kernel's accepted-mapping table (`R_i` axioms have none).
     accepted: HashMap<&'r str, Vec<(Id, Cone)>>,
@@ -304,6 +304,25 @@ struct ChainCtx<'r> {
 }
 
 impl<'r> ChainCtx<'r> {
+    /// A walk of `cert` that has visited nothing yet.
+    pub(crate) fn new(cert: &'r Resolved<'r>) -> ChainCtx<'r> {
+        ChainCtx {
+            cert,
+            instances: Classifier::default(),
+            accepted: HashMap::new(),
+            own_k: Vec::with_capacity(cert.mappings().len()),
+            atoms: FxHashMap::default(),
+            rule_memo: FxHashMap::default(),
+            specific: FxHashSet::default(),
+            diagnostics: Vec::new(),
+            cap_reported: false,
+            steps: 0,
+            rule_steps: 0,
+            rule_hits: 0,
+            rule_time: Duration::ZERO,
+        }
+    }
+
     /// NU05: `what` left the model because of `why`.
     fn left_model(&mut self, anchor: Anchor, what: String, why: &str) {
         if why == ARENA_CAP_MSG && std::mem::replace(&mut self.cap_reported, true) {
@@ -334,7 +353,7 @@ impl<'r> ChainCtx<'r> {
     /// leaf renamed to an atom of its shape, named by position of first
     /// occurrence (`?` bindings, `$` leaves); with the renamed terms
     /// themselves when `build`.
-    fn abstract_step(
+    pub(crate) fn abstract_step(
         &mut self,
         subst: &[(Cow<'_, str>, Id)],
         [before, after]: [Id; 2],
@@ -505,12 +524,14 @@ impl<'r> ChainCtx<'r> {
     fn classify(&mut self, before: &RecExpr, after: &RecExpr) -> Result<Verdict, String> {
         let start = Instant::now();
         let instances = &self.instances;
-        let dims = &mut |name: &str| instances.atom_dims(name);
-        let hashes = (hash_term(before, dims), hash_term(after, dims));
+        let dims = &|name: &str| instances.atom_dims(name);
+        // `after` is hashed only when `before` has hashes to compare with.
+        let exact = hash_term(before, dims).is_some_and(|b| hash_term(after, dims) == Some(b));
         self.instances.eval_time += start.elapsed();
-        match hashes {
-            (Some(a), Some(b)) if a == b => Ok(Verdict::exact()),
-            _ => self.instances.classify(before, after),
+        if exact {
+            Ok(Verdict::exact())
+        } else {
+            self.instances.classify(before, after)
         }
     }
 
@@ -652,21 +673,7 @@ pub fn analyze_certificate(cert: &Certificate, gs: &Graph, gd: &Graph) -> CertAn
 /// term is an entry of its table, every leaf and binding shape the kernel's
 /// inference.
 pub fn analyze_resolved(cert: &Resolved<'_>, gs: &Graph) -> CertAnalysis {
-    let mut ctx = ChainCtx {
-        cert,
-        instances: Classifier::default(),
-        accepted: HashMap::new(),
-        own_k: Vec::with_capacity(cert.mappings().len()),
-        atoms: FxHashMap::default(),
-        rule_memo: FxHashMap::default(),
-        specific: FxHashSet::default(),
-        diagnostics: Vec::new(),
-        cap_reported: false,
-        steps: 0,
-        rule_steps: 0,
-        rule_hits: 0,
-        rule_time: Duration::ZERO,
-    };
+    let mut ctx = ChainCtx::new(cert);
 
     let start = Instant::now();
     // R_i mappings are the certificate's axioms: the related inputs are

@@ -2,55 +2,53 @@
 //!
 //! The runtime writes the operator semantics once, generic over the
 //! element algebra ([`entangle_runtime::kernels`]), and interprets them at
-//! `f64`. [`eval_op_sym`] runs the same function over [`Arena`] nodes, so
-//! the node an element evaluates to stands for the very sequence of IEEE
-//! operations, in the very order, that the oracle performs for it — which
-//! is what the bit-exact classification and every derived rounding-site
-//! count `k` rest on. That correspondence is a property of the build:
-//! there is no second transcription of an operator to keep in step.
+//! `f64`. `impl Algebra for Arena` below runs the same functions over
+//! [`Arena`] nodes, so the node an element evaluates to stands for the
+//! very sequence of IEEE operations, in the very order, that the oracle
+//! performs for it — which is what the bit-exact classification and every
+//! derived rounding-site count `k` rest on. That correspondence is a
+//! property of the build: there is no second transcription of an operator
+//! to keep in step, nor of the term around it — a term reaches either
+//! algebra through [`entangle_lint::ground_step`].
 //!
 //! What differs between the two sides is confined to `impl Algebra for
 //! Arena` below and the canonicalisations of [`Arena`]'s own methods, each
 //! a bitwise IEEE identity. The rest of this module is what the kernels do
-//! not know about: leaves and terms ([`TermTable`], the one evaluator of a
-//! term at the arena), `Classifier`, through which the certificate walk
-//! and the registry sweep both take a lemma instance to its verdict, and
-//! `Hashes`, a third algebra whose elements are structural hashes, which
-//! settles a bit-exact certificate rule instance without the arena.
+//! not know about: the leaves of a term and its subterm memo
+//! ([`TermTable`], the one evaluator of a term at the arena),
+//! `Classifier`, through which the certificate walk and the registry sweep
+//! both take a lemma instance to its verdict, and `Hashes`, a third
+//! algebra whose elements are structural hashes, which settles a bit-exact
+//! certificate rule instance without the arena.
 
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use entangle_egraph::hashing::FxHashMap;
 use entangle_egraph::{ENode, Id, RecExpr, Symbol};
-use entangle_ir::{DType, Op, Shape};
-use entangle_lemmas::{decode_op, parse_ones_leaf, Meta};
-use entangle_runtime::kernels::{eval_op_in, Algebra, Atom, View};
-use entangle_runtime::EvalError;
+use entangle_ir::Shape;
+use entangle_lemmas::Meta;
+use entangle_lint::{eval_ground_in, ground_step};
+use entangle_runtime::kernels::{Algebra, Atom, Tensor};
 
-use crate::sym::{
-    classify_tensors, mix, Arena, ExprId, ListId, Rat, SymTensor, Verdict, ARENA_CAP,
-};
+use crate::sym::{classify_tensors, mix, Arena, ExprId, ListId, Rat, Verdict, ARENA_CAP};
 
 /// Per-tensor element cap: larger tensors leave the model (pessimistic).
 pub const NUMEL_CAP: usize = 1 << 16;
 
-/// A ones-filled tensor (synthetic `~ones[..]` leaves, `ones_like`).
-pub fn ones_tensor(arena: &mut Arena, shape: Vec<usize>) -> SymTensor {
-    let one = arena.rat(Rat::one());
-    let n = shape.iter().product();
-    SymTensor::new(shape, vec![one; n])
-}
-
 /// A fresh leaf tensor: one [`crate::sym::Node::Leaf`] per element.
-pub fn leaf_tensor(arena: &mut Arena, name: &str, shape: Vec<usize>) -> Result<SymTensor, String> {
+pub fn leaf_tensor(
+    arena: &mut Arena,
+    name: &str,
+    shape: Vec<usize>,
+) -> Result<Tensor<ExprId>, String> {
     let n: usize = shape.iter().product();
     if n > NUMEL_CAP {
         return Err(format!("leaf {name} exceeds element cap ({n})"));
     }
     let nid = arena.name(name);
-    let elems = (0..n).map(|i| arena.leaf(nid, i as u64)).collect();
-    Ok(SymTensor::new(shape, elems))
+    let data = (0..n).map(|i| arena.leaf(nid, i as u64)).collect();
+    Ok(Tensor { shape, data })
 }
 
 /// The dims of a fully constant shape.
@@ -180,61 +178,12 @@ impl Algebra for Arena {
     }
 }
 
-/// Evaluates one operator symbolically: `entangle_runtime`'s operator
-/// kernels, the ones its f64 interpreter runs, at the [`Arena`] algebra.
-/// The node an element evaluates to therefore stands for exactly the
-/// sequence of float operations the runtime performs for it.
-///
-/// # Errors
-///
-/// Returns `Err` on shape violations (the binding/term is invalid) and on
-/// model caps (the computation is too large to track — callers classify
-/// pessimistically).
-pub fn eval_op_sym(arena: &mut Arena, op: &Op, inputs: &[&SymTensor]) -> Result<SymTensor, String> {
-    if arena.modelled() > ARENA_CAP {
-        return Err(ARENA_CAP_MSG.to_owned());
-    }
-    let views: Vec<View<'_, ExprId>> = inputs
-        .iter()
-        .map(|t| View {
-            shape: &t.shape,
-            data: &t.elems,
-        })
-        .collect();
-    match eval_op_in(arena, op, &views) {
-        Ok(t) => Ok(SymTensor::new(t.shape, t.data)),
-        Err(EvalError::Shape(m) | EvalError::Symbolic(m) | EvalError::MissingInput(m)) => Err(m),
-    }
-}
+/// Resolves a leaf tensor to its symbolic value.
+pub type Leaves<'a> = dyn FnMut(&mut Arena, Symbol) -> Result<Tensor<ExprId>, String> + 'a;
 
-fn shape_meta(shape: &[usize]) -> Meta {
-    let dims: Vec<i64> = shape.iter().map(|&d| d as i64).collect();
-    Meta::tensor(Shape::of(&dims), DType::F32)
-}
-
-/// Decodes `sym` against its children's metadata and picks out the
-/// leading tensor children it applies to.
-fn decode<'t, T>(
-    sym: &str,
-    metas: &[&Meta],
-    tensors: &[Option<&'t T>],
-) -> Result<(Op, Vec<&'t T>), String> {
-    let (op, tensor_count) = decode_op(sym, metas).ok_or_else(|| format!("cannot decode {sym}"))?;
-    let inputs = tensors
-        .get(..tensor_count)
-        .ok_or_else(|| format!("{sym}: missing tensor children"))?
-        .iter()
-        .map(|t| t.ok_or_else(|| "tensor child has no value".to_owned()))
-        .collect::<Result<_, _>>()?;
-    Ok((op, inputs))
-}
-
-/// Resolves a leaf tensor name to its symbolic value.
-pub type Leaves<'a> = dyn FnMut(&mut Arena, &str) -> Result<Rc<SymTensor>, String> + 'a;
-
-/// What one evaluated subterm is to its parents: the metadata `decode_op`
-/// reads, and the value when it is a tensor.
-type Slot = Result<(Meta, Option<Rc<SymTensor>>), String>;
+/// What one evaluated subterm is to its parents (an
+/// [`entangle_lint::Slot`], the tensor shared), or why it has no value.
+type Slot = Result<(Meta, Option<Rc<Tensor<ExprId>>>), String>;
 
 /// The hash-consed subterm table of one analysis: every distinct ground
 /// subterm (an [`ENode`] over table slots) is evaluated once, success or
@@ -260,9 +209,9 @@ impl TermTable {
     }
 
     /// Evaluates a *ground* s-expression term (no pattern variables)
-    /// bottom-up into a symbolic tensor — the static analogue of the
-    /// runtime's ground evaluator. Leaf tensors are resolved by `leaves`;
-    /// synthetic `~ones[...]` leaves become exact-ones tensors.
+    /// bottom-up into a symbolic tensor — the runtime's ground evaluator
+    /// at the arena, each distinct subterm once. Leaf tensors are resolved
+    /// by `leaves`; synthetic `~ones[...]` leaves become exact-ones tensors.
     ///
     /// # Errors
     ///
@@ -274,7 +223,7 @@ impl TermTable {
         arena: &mut Arena,
         expr: &RecExpr,
         leaves: &mut Leaves,
-    ) -> Result<Rc<SymTensor>, String> {
+    ) -> Result<Rc<Tensor<ExprId>>, String> {
         let mut slot_of: Vec<Id> = Vec::with_capacity(expr.len());
         for node in expr.nodes() {
             let key = node.map_children(|c| slot_of[c.index()]);
@@ -309,35 +258,17 @@ impl TermTable {
     }
 
     /// Evaluates one node whose children are slots of this table (all of
-    /// them `Ok`: [`TermTable::eval`] stops at the first error). A synthetic
-    /// `~ones[..]` leaf is exact ones, any other leaf is `leaves`'s.
+    /// them `Ok`: [`TermTable::eval`] stops at the first error) through
+    /// [`ground_step`] at the arena.
     fn eval_node(&self, arena: &mut Arena, node: &ENode, leaves: &mut Leaves) -> Slot {
-        let tensor = |t: Rc<SymTensor>| (shape_meta(&t.shape), Some(t));
-        match node {
-            ENode::Int(i) => Ok((Meta::scalar((*i).into()), None)),
-            ENode::Sym(e) => Ok((Meta::scalar(e.clone()), None)),
-            ENode::Op(sym, ch) if ch.is_empty() => {
-                let name = sym.as_str();
-                match parse_ones_leaf(name)
-                    .map_err(|_| format!("unparseable synthetic leaf {name:?}"))?
-                {
-                    Some(dims) => Ok(tensor(Rc::new(ones_tensor(arena, dims)))),
-                    None => leaves(arena, name).map(tensor),
-                }
-            }
-            ENode::Op(sym, ch) => {
-                let child = |c: &Id| {
-                    self.slots[c.index()]
-                        .as_ref()
-                        .expect("children evaluated without error")
-                };
-                let metas: Vec<&Meta> = ch.iter().map(|c| &child(c).0).collect();
-                let tensors: Vec<Option<&SymTensor>> =
-                    ch.iter().map(|c| child(c).1.as_deref()).collect();
-                let (op, inputs) = decode(sym.as_str(), &metas, &tensors)?;
-                eval_op_sym(arena, &op, &inputs).map(|t| tensor(Rc::new(t)))
-            }
-        }
+        let child = |c: Id| {
+            let (meta, t) = self.slots[c.index()]
+                .as_ref()
+                .expect("children evaluated without error");
+            (meta, t.as_deref())
+        };
+        let (meta, t) = ground_step(arena, node, child, leaves)?;
+        Ok((meta, t.map(Rc::new)))
     }
 }
 
@@ -389,11 +320,12 @@ impl Classifier {
     ) -> Result<Verdict, String> {
         let start = Instant::now();
         let atom_dims = &self.atom_dims;
-        let leaves = &mut |arena: &mut Arena, name: &str| {
+        let leaves = &mut |arena: &mut Arena, sym: Symbol| {
+            let name = sym.as_str();
             let dims = atom_dims
                 .get(name)
                 .ok_or_else(|| format!("unknown leaf {name:?}"))?;
-            leaf_tensor(arena, name, dims.clone()).map(Rc::new)
+            leaf_tensor(arena, name, dims.clone())
         };
         let terms = self
             .table
@@ -452,18 +384,6 @@ fn list(ids: &[ElemHash]) -> ElemHash {
 /// A word as a value [`mix`] folds in.
 fn word(w: u64) -> ElemHash {
     (w, w.rotate_left(32) ^ 0x1d8e_4e27_c47d_124f)
-}
-
-impl Hashes {
-    /// The element `flat` of the leaf tensor `name`.
-    pub(crate) fn leaf(name: Symbol, flat: u64) -> ElemHash {
-        elem(H_LEAF, &[symbol_word(name), word(flat)])
-    }
-
-    /// The exact constant one (synthetic `~ones[..]` elements).
-    pub(crate) fn one() -> ElemHash {
-        elem(H_INT, &[word(1)])
-    }
 }
 
 impl Algebra for Hashes {
@@ -574,61 +494,22 @@ fn symbol_word(sym: Symbol) -> ElemHash {
     (s.as_ptr() as u64, s.len() as u64)
 }
 
-/// A tensor of element hashes.
-type HashTensor = entangle_runtime::kernels::Tensor<ElemHash>;
-
-/// Evaluates a ground term to its element hashes, `leaf` giving each
-/// non-synthetic leaf's shape; `None` where the hash algebra cannot (an
-/// unknown leaf, a cap, a shape error), which leaves the pair to the
-/// arena and its diagnostics.
+/// Evaluates a ground term to its element hashes, `dims` giving each
+/// non-synthetic leaf's shape (the element `i` of the leaf `name` hashes
+/// `name`'s interned address and `i`); `None` where the hash algebra
+/// cannot (an unknown leaf, a cap, a shape error), which leaves the pair
+/// to the arena and its diagnostics.
 pub(crate) fn hash_term(
     expr: &RecExpr,
-    leaf: &mut dyn FnMut(&str) -> Option<Vec<usize>>,
-) -> Option<HashTensor> {
-    let mut slots: Vec<(Meta, Option<HashTensor>)> = Vec::with_capacity(expr.len());
-    for node in expr.nodes() {
-        let slot = match node {
-            ENode::Int(i) => (Meta::scalar((*i).into()), None),
-            ENode::Sym(e) => (Meta::scalar(e.clone()), None),
-            ENode::Op(sym, ch) if ch.is_empty() => {
-                let name = sym.as_str();
-                let t = match parse_ones_leaf(name).ok()? {
-                    Some(dims) => {
-                        let n = dims.iter().product();
-                        HashTensor {
-                            shape: dims,
-                            data: vec![Hashes::one(); n],
-                        }
-                    }
-                    None => {
-                        let dims = leaf(name)?;
-                        let n: usize = dims.iter().product();
-                        if n > NUMEL_CAP {
-                            return None;
-                        }
-                        let data = (0..n as u64).map(|i| Hashes::leaf(*sym, i)).collect();
-                        HashTensor { shape: dims, data }
-                    }
-                };
-                (shape_meta(&t.shape), Some(t))
-            }
-            ENode::Op(sym, ch) => {
-                let metas: Vec<&Meta> = ch.iter().map(|c| &slots[c.index()].0).collect();
-                let tensors: Vec<Option<&HashTensor>> =
-                    ch.iter().map(|c| slots[c.index()].1.as_ref()).collect();
-                let (op, inputs) = decode(sym.as_str(), &metas, &tensors).ok()?;
-                let views: Vec<View<'_, ElemHash>> = inputs
-                    .iter()
-                    .map(|t| View {
-                        shape: &t.shape,
-                        data: &t.data,
-                    })
-                    .collect();
-                let t = eval_op_in(&mut Hashes, &op, &views).ok()?;
-                (shape_meta(&t.shape), Some(t))
-            }
-        };
-        slots.push(slot);
-    }
-    slots.pop()?.1
+    dims: &dyn Fn(&str) -> Option<Vec<usize>>,
+) -> Option<Tensor<ElemHash>> {
+    eval_ground_in(&mut Hashes, expr, |alg, sym| {
+        let shape = dims(sym.as_str()).ok_or_else(String::new)?;
+        alg.admit(&shape)?;
+        let n = shape.iter().product::<usize>() as u64;
+        let name = symbol_word(sym);
+        let data = (0..n).map(|i| elem(H_LEAF, &[name, word(i)])).collect();
+        Ok(Tensor { shape, data })
+    })
+    .ok()
 }

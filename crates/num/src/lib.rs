@@ -42,9 +42,9 @@ pub mod sym;
 
 pub use chain::{analyze_certificate, analyze_resolved, CertAnalysis, OutputVerdict, K_LOOSE};
 pub use corpus::{analyze_corpus, analyze_registry, CorpusNumAnalysis, RuleMode, RuleNumEntry};
-pub use eval::{eval_op_sym, leaf_tensor, ones_tensor, NUMEL_CAP};
+pub use eval::{leaf_tensor, NUMEL_CAP};
 pub use memo::analyze_certificate_cached;
-pub use sym::{classify_tensors, Arena, NumClass, Rat, SymTensor, Verdict};
+pub use sym::{classify_tensors, Arena, NumClass, Rat, Verdict};
 
 use entangle_lint::json_str;
 use entangle_runtime::Tolerance;

@@ -18,6 +18,7 @@ use std::collections::{BinaryHeap, HashMap};
 use std::hash::{Hash, Hasher};
 
 use entangle_egraph::hashing::{FxHashMap, FxHasher};
+use entangle_runtime::kernels::Tensor;
 
 #[cfg(test)]
 mod oracle;
@@ -1628,70 +1629,10 @@ fn poly_mul(a: &Terms, b: &Terms, out: &mut Vec<(Mono, Rat)>) -> Option<()> {
     Some(())
 }
 
-/// A tensor of symbolic elements, row-major: what
-/// `entangle_runtime::Value` is to `f64`. The operator kernels read either
-/// through the same borrowed `entangle_runtime::kernels::View`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SymTensor {
-    /// The shape.
-    pub shape: Vec<usize>,
-    /// Row-major elements.
-    pub elems: Vec<ExprId>,
-}
-
-impl SymTensor {
-    /// A tensor; element count must match the shape.
-    pub fn new(shape: Vec<usize>, elems: Vec<ExprId>) -> SymTensor {
-        assert_eq!(
-            shape.iter().product::<usize>(),
-            elems.len(),
-            "SymTensor shape/element mismatch"
-        );
-        SymTensor { shape, elems }
-    }
-
-    /// A rank-0 scalar.
-    pub fn scalar(e: ExprId) -> SymTensor {
-        SymTensor {
-            shape: vec![],
-            elems: vec![e],
-        }
-    }
-
-    /// Number of elements.
-    pub fn numel(&self) -> usize {
-        self.elems.len()
-    }
-
-    /// Row-major strides.
-    pub fn strides(&self) -> Vec<usize> {
-        let mut s = vec![1; self.shape.len()];
-        for i in (0..self.shape.len().saturating_sub(1)).rev() {
-            s[i] = s[i + 1] * self.shape[i + 1];
-        }
-        s
-    }
-
-    /// Flat offset of a full-rank multi-index (Horner over the shape: the
-    /// same number as Σ index·stride, without building the strides).
-    pub fn offset(&self, index: &[usize]) -> usize {
-        debug_assert_eq!(index.len(), self.shape.len(), "full-rank index");
-        index
-            .iter()
-            .zip(&self.shape)
-            .fold(0, |acc, (&ix, &dim)| acc * dim + ix)
-    }
-
-    /// Element at a multi-index.
-    pub fn get(&self, index: &[usize]) -> ExprId {
-        self.elems[self.offset(index)]
-    }
-}
-
 /// Classifies a whole tensor pair: the per-element class join, with `k`
 /// the *maximum* per-element site count (the runtime comparison bound is
 /// per-element, so the worst element governs).
-pub fn classify_tensors(arena: &mut Arena, a: &SymTensor, b: &SymTensor) -> Verdict {
+pub fn classify_tensors(arena: &mut Arena, a: &Tensor<ExprId>, b: &Tensor<ExprId>) -> Verdict {
     if a.shape != b.shape {
         return Verdict {
             class: NumClass::ValueChanging,
@@ -1700,7 +1641,7 @@ pub fn classify_tensors(arena: &mut Arena, a: &SymTensor, b: &SymTensor) -> Verd
     }
     let mut class = NumClass::BitExact;
     let mut k = 0u64;
-    for (&ea, &eb) in a.elems.iter().zip(&b.elems) {
+    for (&ea, &eb) in a.data.iter().zip(&b.data) {
         let (c, ke) = arena.classify_element(ea, eb);
         class = class.max(c);
         k = k.max(ke);

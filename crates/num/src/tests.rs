@@ -1,12 +1,13 @@
 use std::collections::HashMap;
-use std::rc::Rc;
 
-use entangle_egraph::{ENode, ProofStep, RecExpr};
+use entangle_egraph::{ENode, ProofStep, RecExpr, Symbol};
 use entangle_ir::Op;
 use entangle_runtime::{eval_op, reassoc_rel_bound, Tolerance, Value};
 
-use crate::eval::{const_dims, eval_op_sym, leaf_tensor, TermTable};
-use crate::sym::{classify_tensors, Arena, ExprId, Node, NumClass, Rat, SymTensor, Verdict};
+use entangle_runtime::kernels::{eval_op_in, Tensor};
+
+use crate::eval::{const_dims, leaf_tensor, TermTable};
+use crate::sym::{classify_tensors, Arena, ExprId, Node, NumClass, Rat, Verdict};
 
 // ---------------------------------------------------------------------------
 // Rational layer
@@ -270,11 +271,17 @@ fn concrete(shape: &[usize], salt: f64) -> Value {
     Value::new(shape.to_vec(), data).unwrap()
 }
 
+/// `op` on symbolic tensors: the runtime's kernels at the arena.
+fn sym_op(a: &mut Arena, op: &Op, inputs: &[&Tensor<ExprId>]) -> Result<Tensor<ExprId>, String> {
+    let views: Vec<_> = inputs.iter().map(|t| t.view()).collect();
+    eval_op_in(a, op, &views).map_err(|e| e.to_string())
+}
+
 #[test]
 fn concat_of_slices_is_bit_exact() {
     let mut a = Arena::new();
     let x = leaf_tensor(&mut a, "x", vec![4, 4]).unwrap();
-    let top = eval_op_sym(
+    let top = sym_op(
         &mut a,
         &Op::Slice {
             dim: 0,
@@ -284,7 +291,7 @@ fn concat_of_slices_is_bit_exact() {
         &[&x],
     )
     .unwrap();
-    let bot = eval_op_sym(
+    let bot = sym_op(
         &mut a,
         &Op::Slice {
             dim: 0,
@@ -294,7 +301,7 @@ fn concat_of_slices_is_bit_exact() {
         &[&x],
     )
     .unwrap();
-    let glued = eval_op_sym(&mut a, &Op::Concat { dim: 0 }, &[&top, &bot]).unwrap();
+    let glued = sym_op(&mut a, &Op::Concat { dim: 0 }, &[&top, &bot]).unwrap();
     let v = classify_tensors(&mut a, &x, &glued);
     assert_eq!(v, Verdict::exact());
 }
@@ -303,8 +310,8 @@ fn concat_of_slices_is_bit_exact() {
 fn transpose_roundtrip_is_bit_exact() {
     let mut a = Arena::new();
     let x = leaf_tensor(&mut a, "x", vec![2, 4]).unwrap();
-    let t = eval_op_sym(&mut a, &Op::Transpose { d0: 0, d1: 1 }, &[&x]).unwrap();
-    let tt = eval_op_sym(&mut a, &Op::Transpose { d0: 0, d1: 1 }, &[&t]).unwrap();
+    let t = sym_op(&mut a, &Op::Transpose { d0: 0, d1: 1 }, &[&x]).unwrap();
+    let tt = sym_op(&mut a, &Op::Transpose { d0: 0, d1: 1 }, &[&t]).unwrap();
     assert_eq!(classify_tensors(&mut a, &x, &tt), Verdict::exact());
 }
 
@@ -341,8 +348,8 @@ fn row_matmul_split_matches_runtime_bitwise() {
     let mut ar = Arena::new();
     let a_s = leaf_tensor(&mut ar, "a", vec![2, 4]).unwrap();
     let b_s = leaf_tensor(&mut ar, "b", vec![4, 4]).unwrap();
-    let whole_s = eval_op_sym(&mut ar, &Op::Matmul, &[&a_s, &b_s]).unwrap();
-    let bl_s = eval_op_sym(
+    let whole_s = sym_op(&mut ar, &Op::Matmul, &[&a_s, &b_s]).unwrap();
+    let bl_s = sym_op(
         &mut ar,
         &Op::Slice {
             dim: 1,
@@ -352,7 +359,7 @@ fn row_matmul_split_matches_runtime_bitwise() {
         &[&b_s],
     )
     .unwrap();
-    let br_s = eval_op_sym(
+    let br_s = sym_op(
         &mut ar,
         &Op::Slice {
             dim: 1,
@@ -362,9 +369,9 @@ fn row_matmul_split_matches_runtime_bitwise() {
         &[&b_s],
     )
     .unwrap();
-    let pl_s = eval_op_sym(&mut ar, &Op::Matmul, &[&a_s, &bl_s]).unwrap();
-    let pr_s = eval_op_sym(&mut ar, &Op::Matmul, &[&a_s, &br_s]).unwrap();
-    let glued_s = eval_op_sym(&mut ar, &Op::Concat { dim: 1 }, &[&pl_s, &pr_s]).unwrap();
+    let pl_s = sym_op(&mut ar, &Op::Matmul, &[&a_s, &bl_s]).unwrap();
+    let pr_s = sym_op(&mut ar, &Op::Matmul, &[&a_s, &br_s]).unwrap();
+    let glued_s = sym_op(&mut ar, &Op::Concat { dim: 1 }, &[&pl_s, &pr_s]).unwrap();
     assert_eq!(
         classify_tensors(&mut ar, &whole_s, &glued_s),
         Verdict::exact()
@@ -400,9 +407,9 @@ fn inner_matmul_split_bound_covers_runtime_divergence() {
     let mut ar = Arena::new();
     let a_s = leaf_tensor(&mut ar, "a", vec![2, 4]).unwrap();
     let b_s = leaf_tensor(&mut ar, "b", vec![4, 2]).unwrap();
-    let whole_s = eval_op_sym(&mut ar, &Op::Matmul, &[&a_s, &b_s]).unwrap();
-    let ssym = |ar: &mut Arena, t: &SymTensor, dim: usize, s: i64, e: i64| {
-        eval_op_sym(
+    let whole_s = sym_op(&mut ar, &Op::Matmul, &[&a_s, &b_s]).unwrap();
+    let ssym = |ar: &mut Arena, t: &Tensor<ExprId>, dim: usize, s: i64, e: i64| {
+        sym_op(
             ar,
             &Op::Slice {
                 dim,
@@ -417,9 +424,9 @@ fn inner_matmul_split_bound_covers_runtime_divergence() {
     let ar_s = ssym(&mut ar, &a_s, 1, 2, 4);
     let bt_s = ssym(&mut ar, &b_s, 0, 0, 2);
     let bb_s = ssym(&mut ar, &b_s, 0, 2, 4);
-    let p1_s = eval_op_sym(&mut ar, &Op::Matmul, &[&al_s, &bt_s]).unwrap();
-    let p2_s = eval_op_sym(&mut ar, &Op::Matmul, &[&ar_s, &bb_s]).unwrap();
-    let summed_s = eval_op_sym(&mut ar, &Op::Add, &[&p1_s, &p2_s]).unwrap();
+    let p1_s = sym_op(&mut ar, &Op::Matmul, &[&al_s, &bt_s]).unwrap();
+    let p2_s = sym_op(&mut ar, &Op::Matmul, &[&ar_s, &bb_s]).unwrap();
+    let summed_s = sym_op(&mut ar, &Op::Add, &[&p1_s, &p2_s]).unwrap();
     let v = classify_tensors(&mut ar, &whole_s, &summed_s);
     assert_eq!(v.class, NumClass::Reassoc);
     assert!(v.k > 0);
@@ -440,10 +447,10 @@ fn term_evaluator_resolves_leaves_and_ones() {
     let t = TermTable::default()
         .eval(&mut a, &expr, &mut |arena, name| {
             let dims = shapes
-                .get(name)
+                .get(name.as_str())
                 .cloned()
                 .ok_or_else(|| format!("unknown {name}"))?;
-            leaf_tensor(arena, name, dims).map(Rc::new)
+            leaf_tensor(arena, name.as_str(), dims)
         })
         .unwrap();
     let x = leaf_tensor(&mut a, "X", vec![2, 2]).unwrap();
@@ -476,7 +483,12 @@ fn step_terms(cert: &entangle_cert::Certificate) -> Vec<&RecExpr> {
 
 /// A `G_d` tensor leaf as the chain walk sees it: an opaque atom tensor of
 /// the tensor's shape.
-fn gd_leaf(arena: &mut Arena, gd: &entangle_ir::Graph, name: &str) -> Result<SymTensor, String> {
+fn gd_leaf(
+    arena: &mut Arena,
+    gd: &entangle_ir::Graph,
+    name: Symbol,
+) -> Result<Tensor<ExprId>, String> {
+    let name = name.as_str();
     let t = gd.tensor_by_name(name).ok_or("unknown G_d tensor")?;
     leaf_tensor(arena, name, const_dims(&t.shape).ok_or("symbolic shape")?)
 }
@@ -524,10 +536,10 @@ fn memoised_evaluation_matches_from_scratch_evaluation_on_the_zoo() {
         let mut table = TermTable::default();
         for term in step_terms(&case.cert) {
             let memoised = table.eval(&mut shared, term, &mut |arena, name| {
-                gd_leaf(arena, &case.gd, name).map(Rc::new)
+                gd_leaf(arena, &case.gd, name)
             });
             let fresh = TermTable::default().eval(&mut scratch, term, &mut |arena, name| {
-                gd_leaf(arena, &case.gd, name).map(Rc::new)
+                gd_leaf(arena, &case.gd, name)
             });
             assert_eq!(memoised, fresh, "{}: {term}", case.name);
         }
@@ -557,9 +569,8 @@ fn folded_dots_classify_every_zoo_step_like_the_eager_fold() {
         for step in step_terms(&case.cert).chunks(2) {
             let verdicts = sides.each_mut().map(|(arena, table)| {
                 let mut eval = |term: &RecExpr| {
-                    let leaves = &mut |arena: &mut Arena, name: &str| {
-                        gd_leaf(arena, &case.gd, name).map(Rc::new)
-                    };
+                    let leaves =
+                        &mut |arena: &mut Arena, name: Symbol| gd_leaf(arena, &case.gd, name);
                     table.eval(arena, term, leaves).expect("step term")
                 };
                 let (before, after) = (eval(step[0]), eval(step[1]));
@@ -577,6 +588,77 @@ fn folded_dots_classify_every_zoo_step_like_the_eager_fold() {
         assert!(folded.stats().dots_unfolded > 0, "{}", case.name);
         assert_eq!(eager.stats().dots, 0, "{}", case.name);
     }
+}
+
+#[test]
+fn equal_element_hashes_are_a_bit_exact_arena_verdict_on_the_zoo() {
+    // The walk settles a rule instance as bit-exact, without the arena,
+    // wherever the element hashes of its two sides agree: `Hashes` keeps
+    // the structure the arena interns, so equal hashes are one arena node.
+    // Every abstraction the walk makes of a zoo rule step is held to the
+    // arena's verdict there, and each certificate meets that case.
+    use crate::chain::ChainCtx;
+    use crate::eval::hash_term;
+    use entangle_cert::Step;
+    for case in zoo_certs() {
+        let resolved = entangle_cert::resolve(&case.cert, &case.gd);
+        let mut ctx = ChainCtx::new(&resolved);
+        let mut settled = 0;
+        let mut steps: Vec<&Step<'_>> = resolved.mappings().iter().flat_map(|m| &m.proof).collect();
+        while let Some(step) = steps.pop() {
+            let (subst, terms) = match step {
+                Step::Rule {
+                    subst,
+                    before,
+                    after,
+                    ..
+                } => (subst, [*before, *after]),
+                Step::Congruence { children, .. } => {
+                    steps.extend(children.iter().flatten());
+                    continue;
+                }
+                Step::Given { .. } => continue,
+            };
+            for generic in [true, false] {
+                let abstracted = ctx.abstract_step(subst, terms, generic, true);
+                let (before, after) = abstracted.expect("abstracts").terms.expect("built");
+                let dims = |name: &str| ctx.instances.atom_dims(name);
+                let hashes = hash_term(&before, &dims);
+                if hashes.is_none() || hashes != hash_term(&after, &dims) {
+                    continue;
+                }
+                assert_eq!(
+                    ctx.instances.classify(&before, &after),
+                    Ok(Verdict::exact()),
+                    "{}: {before} vs {after}",
+                    case.name
+                );
+                settled += 1;
+            }
+        }
+        assert!(settled > 0, "{}: no step's hashes agree", case.name);
+    }
+}
+
+#[test]
+fn an_oversized_ones_leaf_is_refused_by_admit_not_allocated() {
+    // `o = ones_like(x)` against `o = ones_like(neg(x))` at `x: [2³¹, 2]`
+    // certifies through a step whose term is this leaf: 2³² elements, past
+    // the element cap of the arena and of the hash algebra alike. Both
+    // refuse it before making one element.
+    use crate::eval::{hash_term, Hashes};
+    let mut term = RecExpr::new();
+    let ones = term.add(ENode::leaf("~ones[2147483648, 2]"));
+    term.add(ENode::op("neg", vec![ones]));
+    let refusal = "tensor exceeds element cap (4294967296)".to_owned();
+    let mut arena = Arena::new();
+    let no_leaf = &mut |_: &mut Arena, name: Symbol| Err(format!("unknown leaf {name}"));
+    let at_arena = TermTable::default().eval(&mut arena, &term, no_leaf);
+    assert_eq!(at_arena, Err(refusal.clone()));
+    assert_eq!(arena.len(), 0, "no element was interned");
+    let at_hashes = entangle_lint::eval_ground_in(&mut Hashes, &term, |_, _| Err(String::new()));
+    assert_eq!(at_hashes, Err(refusal));
+    assert_eq!(hash_term(&term, &|_| None), None);
 }
 
 /// `G_s` and `G_d` both `y = relu(x)` over `x[4, 4]`, and a certificate
@@ -666,14 +748,14 @@ fn cross_entropy_on_zero_rows_is_rejected_not_panicking() {
     let mut a = Arena::new();
     let logits = leaf_tensor(&mut a, "l", vec![0, 4]).unwrap();
     let targets = leaf_tensor(&mut a, "t", vec![0]).unwrap();
-    assert!(eval_op_sym(&mut a, &Op::CrossEntropy, &[&logits, &targets]).is_err());
+    assert!(sym_op(&mut a, &Op::CrossEntropy, &[&logits, &targets]).is_err());
 }
 
 #[test]
 fn width_zero_reduction_is_finite() {
     let mut a = Arena::new();
     let x = leaf_tensor(&mut a, "x", vec![0, 4]).unwrap();
-    let s = eval_op_sym(
+    let s = sym_op(
         &mut a,
         &Op::SumDim {
             dim: 0,
@@ -685,8 +767,8 @@ fn width_zero_reduction_is_finite() {
     assert_eq!(s.shape, vec![4]);
     // Every element is the exact zero seed.
     let zero = a.rat(Rat::zero());
-    assert!(s.elems.iter().all(|&e| e == zero));
-    let m = eval_op_sym(
+    assert!(s.data.iter().all(|&e| e == zero));
+    let m = sym_op(
         &mut a,
         &Op::MeanDim {
             dim: 0,
@@ -777,16 +859,16 @@ fn split_contraction(
 ) -> (Verdicts, Verdicts, u64) {
     let a = &mut Arena::new();
     a.eager_dots = eager;
-    let op = |a: &mut Arena, op: Op, ins: &[&SymTensor]| eval_op_sym(a, &op, ins).unwrap();
+    let op = |a: &mut Arena, op: Op, ins: &[&Tensor<ExprId>]| sym_op(a, &op, ins).unwrap();
     let mut operands = vec![None; widths.len()];
-    let mut shard = |a: &mut Arena, i: usize| -> (SymTensor, SymTensor) {
+    let mut shard = |a: &mut Arena, i: usize| -> (Tensor<ExprId>, Tensor<ExprId>) {
         let x = leaf_tensor(a, &format!("x.{i}"), vec![m, widths[i]]).unwrap();
         let w = leaf_tensor(a, &format!("w.{i}"), vec![widths[i], n]).unwrap();
         operands[i] = Some((x.clone(), w.clone()));
         (x, w)
     };
-    let mut sum = None::<SymTensor>;
-    let mut add = |a: &mut Arena, partial: SymTensor| {
+    let mut sum = None::<Tensor<ExprId>>;
+    let mut add = |a: &mut Arena, partial: Tensor<ExprId>| {
         sum = Some(match sum.take() {
             Some(sum) => op(a, Op::Add, &[&sum, &partial]),
             None => partial,
@@ -806,8 +888,9 @@ fn split_contraction(
             .collect();
         partials.into_iter().for_each(|partial| add(a, partial));
     }
-    let (xs, ws): (Vec<SymTensor>, Vec<SymTensor>) = operands.into_iter().flatten().unzip();
-    let concat = |a: &mut Arena, parts: &[SymTensor], dim: usize| {
+    let (xs, ws): (Vec<Tensor<ExprId>>, Vec<Tensor<ExprId>>) =
+        operands.into_iter().flatten().unzip();
+    let concat = |a: &mut Arena, parts: &[Tensor<ExprId>], dim: usize| {
         parts[1..].iter().fold(parts[0].clone(), |acc, t| {
             op(a, Op::Concat { dim }, &[&acc, t])
         })
@@ -815,7 +898,7 @@ fn split_contraction(
     let (x, w) = (concat(a, &xs, 1), concat(a, &ws, 0));
     let full = op(a, Op::Matmul, &[&x, &w]);
     let sum = sum.expect("one shard or more");
-    let pairs = full.elems.iter().zip(&sum.elems);
+    let pairs = full.data.iter().zip(&sum.data);
     let oracle = pairs
         .clone()
         .map(|(&f, &s)| a.classify_pair_oracle(f, s))
@@ -847,8 +930,8 @@ struct Pairs(Vec<ExprId>, Vec<ExprId>);
 
 impl Pairs {
     fn new(a: &mut Arena, len: usize) -> Pairs {
-        let y = leaf_tensor(a, "y", vec![len]).unwrap().elems;
-        Pairs(y, leaf_tensor(a, "z", vec![len]).unwrap().elems)
+        let y = leaf_tensor(a, "y", vec![len]).unwrap().data;
+        Pairs(y, leaf_tensor(a, "z", vec![len]).unwrap().data)
     }
 
     /// The `Dot` over the pairs in `range`.
@@ -1014,7 +1097,8 @@ mod prop {
 
     /// Resolves the leaves of [`build_terms`]: `X`, `Y` are 2x2, `Z` is 2x3
     /// (so mixing it in is a shape error), anything else is unknown.
-    fn small_leaves(arena: &mut Arena, name: &str) -> Result<SymTensor, String> {
+    fn small_leaves(arena: &mut Arena, name: Symbol) -> Result<Tensor<ExprId>, String> {
+        let name = name.as_str();
         match name {
             "X" | "Y" => leaf_tensor(arena, name, vec![2, 2]),
             "Z" => leaf_tensor(arena, name, vec![2, 3]),
@@ -1225,8 +1309,8 @@ mod prop {
             (m, n, p, width, batch) in (1usize..4, 2usize..4, 2usize..5, 2usize..5, 1usize..3),
         ) {
             let k = p * width;
-            let op = |a: &mut Arena, op: Op, ins: &[&SymTensor]| eval_op_sym(a, &op, ins).unwrap();
-            let slice = |a: &mut Arena, t: &SymTensor, dim: usize, start: usize, end: usize| {
+            let op = |a: &mut Arena, op: Op, ins: &[&Tensor<ExprId>]| sym_op(a, &op, ins).unwrap();
+            let slice = |a: &mut Arena, t: &Tensor<ExprId>, dim: usize, start: usize, end: usize| {
                 let (start, end) = ((start as i64).into(), (end as i64).into());
                 op(a, Op::Slice { dim, start, end }, &[t])
             };
@@ -1241,7 +1325,7 @@ mod prop {
                 let w = leaf_tensor(a, "w", vec![k, n]).unwrap();
                 let full = op(a, Op::Matmul, &[&x, &w]);
 
-                let shards: Vec<SymTensor> = (0..p)
+                let shards: Vec<Tensor<ExprId>> = (0..p)
                     .map(|i| {
                         let xs = slice(a, &x, 1, i * width, (i + 1) * width);
                         let ws = slice(a, &w, 0, i * width, (i + 1) * width);
@@ -1259,13 +1343,13 @@ mod prop {
                 prop_assert_eq!(op(a, Op::Concat { dim: 1 }, &[&left, &right]), full.clone());
 
                 let xb = leaf_tensor(a, "b", vec![batch, m, k]).unwrap();
-                let slices: Vec<SymTensor> = (0..batch)
+                let slices: Vec<Tensor<ExprId>> = (0..batch)
                     .map(|i| {
                         let xi = slice(a, &xb, 0, i, i + 1);
                         op(a, Op::Matmul, &[&xi, &w])
                     })
                     .collect();
-                let slices: Vec<&SymTensor> = slices.iter().collect();
+                let slices: Vec<&Tensor<ExprId>> = slices.iter().collect();
                 prop_assert_eq!(op(a, Op::Concat { dim: 0 }, &slices), op(a, Op::Matmul, &[&xb, &w]));
 
                 let xx = op(a, Op::Concat { dim: 0 }, &[&x, &x]);
@@ -1273,17 +1357,17 @@ mod prop {
                 let wide = op(a, Op::Concat { dim: 1 }, &[&full, &full]);
                 prop_assert_eq!(op(a, Op::Matmul, &[&xx, &ww]), op(a, Op::Concat { dim: 0 }, &[&wide, &wide]));
 
-                let row = a.list_id(&x.elems[..k]);
-                let col: Vec<ExprId> = (0..k).map(|i| w.elems[i * n]).collect();
+                let row = a.list_id(&x.data[..k]);
+                let col: Vec<ExprId> = (0..k).map(|i| w.data[i * n]).collect();
                 let col = a.list_id(&col);
-                prop_assert_eq!(a.dot(row, col), full.elems[0]);
-                prop_assert_eq!(a.dot(col, row), full.elems[0]);
+                prop_assert_eq!(a.dot(row, col), full.data[0]);
+                prop_assert_eq!(a.dot(col, row), full.data[0]);
 
                 // Shards whose lists were interned column first keep their
                 // handles the other way round than the full fold does, and
                 // the first is still the prefix the two share.
-                let y = leaf_tensor(a, "y", vec![k]).unwrap().elems;
-                let z = leaf_tensor(a, "z", vec![k]).unwrap().elems;
+                let y = leaf_tensor(a, "y", vec![k]).unwrap().data;
+                let z = leaf_tensor(a, "z", vec![k]).unwrap().data;
                 let (row, col) = (a.list_id(&y), a.list_id(&z));
                 let whole = a.dot(row, col);
                 let mut sum = None;
@@ -1333,7 +1417,7 @@ mod prop {
             let (mut shared, mut scratch) = (Arena::new(), Arena::new());
             let mut table = TermTable::default();
             for term in build_terms(&program) {
-                let leaves = &mut |a: &mut Arena, n: &str| small_leaves(a, n).map(Rc::new);
+                let leaves = &mut small_leaves;
                 let fresh = TermTable::default().eval(&mut scratch, &term, leaves);
                 for _ in 0..2 {
                     let cached = table.eval(&mut shared, &term, leaves);
@@ -1341,20 +1425,6 @@ mod prop {
                 }
             }
             prop_assert_eq!(shared.len(), scratch.len());
-        }
-
-        /// Horner over the shape is the strides dot product, on every
-        /// shape including size-1 dims and rank 0.
-        #[test]
-        fn offset_equals_strides_form(
-            dims in proptest::collection::vec((1usize..5, 0usize..5), 0..5),
-        ) {
-            let shape: Vec<usize> = dims.iter().map(|&(d, _)| d).collect();
-            let index: Vec<usize> = dims.iter().map(|&(d, i)| i % d).collect();
-            let t = SymTensor::new(shape.clone(), vec![0; shape.iter().product()]);
-            let by_strides: usize = index.iter().zip(t.strides()).map(|(i, s)| i * s).sum();
-            prop_assert_eq!(t.offset(&index), by_strides);
-            prop_assert!(by_strides < t.numel());
         }
 
         /// Derived k grows (weakly) with shard count: finer splits can

@@ -32,7 +32,7 @@ impl fmt::Display for EvalError {
 impl std::error::Error for EvalError {}
 
 /// The `f64` algebra: every method is the IEEE-754 operation it names.
-struct F64;
+pub struct F64;
 
 impl Algebra for F64 {
     type Elem = f64;

@@ -136,7 +136,7 @@ impl<E: Copy> View<'_, E> {
     }
 
     /// Flat offset of a full-rank multi-index (Horner over the shape).
-    fn offset(&self, index: &[usize]) -> usize {
+    pub(crate) fn offset(&self, index: &[usize]) -> usize {
         debug_assert_eq!(index.len(), self.shape.len(), "full-rank index");
         index
             .iter()
@@ -181,7 +181,8 @@ impl<E: Copy> Tensor<E> {
         }
     }
 
-    fn view(&self) -> View<'_, E> {
+    /// The tensor as the kernels read it.
+    pub fn view(&self) -> View<'_, E> {
         View {
             shape: &self.shape,
             data: &self.data,

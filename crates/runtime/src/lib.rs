@@ -47,7 +47,7 @@ mod eval;
 pub mod kernels;
 mod value;
 
-pub use eval::{eval_graph, eval_op, EvalError};
+pub use eval::{eval_graph, eval_op, EvalError, F64};
 pub use value::{reassoc_rel_bound, Tolerance, Value, REASSOC_SLACK};
 
 use rand::Rng;

@@ -4,6 +4,7 @@ use entangle_ir::{DType, Dim, GraphBuilder, Op};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::kernels::View;
 use crate::{eval_graph, eval_op, random_value, reassoc_rel_bound, Tolerance, Value};
 
 fn v(shape: &[usize], data: &[f64]) -> Value {
@@ -548,6 +549,21 @@ mod proptests {
             // sites from the unsplit fold.
             let tol = Tolerance::Relative(reassoc_rel_bound(2 * n as u64));
             prop_assert!(sum_parts.within(&sum_full, &tol));
+        }
+
+        /// Horner over the shape is the strides dot product, on every
+        /// shape including size-1 dims and rank 0.
+        #[test]
+        fn offset_equals_strides_form(
+            dims in proptest::collection::vec((1usize..5, 0usize..5), 0..5),
+        ) {
+            let shape: Vec<usize> = dims.iter().map(|&(d, _)| d).collect();
+            let index: Vec<usize> = dims.iter().map(|&(d, i)| i % d).collect();
+            let t = Value::zeros(shape);
+            let view = View { shape: t.shape(), data: t.data() };
+            let by_strides: usize = index.iter().zip(t.strides()).map(|(i, s)| i * s).sum();
+            prop_assert_eq!(view.offset(&index), by_strides);
+            prop_assert!(by_strides < t.numel());
         }
 
         /// Matmul distributes over a row-split of the left operand

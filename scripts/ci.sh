@@ -163,22 +163,25 @@ fi
 # One lemma-instance classifier (DESIGN.md, *Classification*): the registry
 # sweep writes each palette binding as two terms and classifies them through
 # `eval::Classifier`, as the certificate walk does, one classifier per lemma.
-# Its pattern evaluator, binding enum and per-binding arena stay gone, and in
-# non-test crates/num/src a term reaches the arena only through
-# `TermTable::eval` (`eval_node` is the one caller of `eval_op_sym`;
-# `eval_op_in` runs at the arena in `eval_op_sym` and at the hash algebra in
-# `hash_term`), so no second recursive evaluator grows back.
+# Its pattern evaluator, binding enum and per-binding arena stay gone.
 if grep -nE '\beval_pattern\b|\benum Binding\b|Arena::(new|default)\(' crates/num/src/corpus.rs; then
   echo "the registry sweep evaluates patterns on its own again (classify each binding through eval::Classifier)"; exit 1
 fi
-arena_evals=$(find crates/num/src -name '*.rs' ! -name tests.rs | sort | while read -r f; do
-  awk '/^#\[cfg\(test\)\]$/{t=1; next} t && /^mod [a-z_]+ *\{/{exit} {t=0}
+# One ground-term walker (DESIGN.md, *Term language*): outside the runtime,
+# non-test code runs the operator kernels in one place, the walker's step
+# `entangle_lint::ground_step`, which the f64 oracle, the arena's subterm
+# table and the hash pass all call; the arena's own term evaluator, operator
+# wrapper, ones builder and tensor type stay gone.
+kernel_calls=$(find crates/*/src src -name '*.rs' ! -name tests.rs ! -path 'crates/runtime/*' | sort | while read -r f; do
+  awk -v f="$f" '/^#\[cfg\(test\)\]$/{t=1; next} t && /^mod [a-z_]+ *\{/{exit} {t=0}
     /^ *(pub(\(crate\))? )?fn [a-z_]+/ {match($0, /fn [a-z_]+/); fn=substr($0, RSTART + 3, RLENGTH - 3)}
-    /^ *pub fn eval_op_sym\(/ {next}
-    match($0, /eval_op_(sym|in)\(/) {print fn "->" substr($0, RSTART, RLENGTH - 1)}' "$f"
-done | sort | tr '\n' ' ')
-if [ "$arena_evals" != "eval_node->eval_op_sym eval_op_sym->eval_op_in hash_term->eval_op_in " ]; then
-  echo "crates/num/src evaluates operators from: $arena_evals(expected eval_node->eval_op_sym, eval_op_sym->eval_op_in, hash_term->eval_op_in)"; exit 1
+    /eval_op_in\(/ {print f ":" fn}' "$f"
+done | tr '\n' ' ')
+if [ "$kernel_calls" != "crates/lint/src/ground.rs:ground_step " ]; then
+  echo "non-test code outside the runtime runs the kernels from: $kernel_calls(expected crates/lint/src/ground.rs:ground_step only)"; exit 1
+fi
+if grep -rnwE 'SymTensor|eval_op_sym|ones_tensor' crates/ src/ tests/; then
+  echo "a second ground-term walker is back (evaluate terms through entangle_lint::ground_step)"; exit 1
 fi
 # Every table the CLI prints goes through its own writer (`crates/cli/src/out.rs`):
 # a closed stdout exits 141 quietly instead of panicking, so neither the CLI
@@ -293,19 +296,19 @@ fi
 
 # One term semantics (DESIGN.md, *Term language*): the shape rule of an
 # application is `entangle_lemmas::infer_application`, the `~ones[…]` leaf
-# grammar `mint_ones_leaf`/`parse_ones_leaf` beside it, the ground f64
-# evaluator `entangle_lint::eval_ground`. Who still needs the `Op` itself
-# decodes it: the rule, num's `TermTable`, the ground evaluator, and
-# `append_expr` — a fifth `decode_op(` is a hand-copied term walker growing back
-# (crates/ir's `decode_op` is the JSON reader's, another function).
+# grammar `mint_ones_leaf`/`parse_ones_leaf` beside it, ground evaluation at
+# any algebra `entangle_lint::ground_step`. Who still needs the `Op` itself
+# decodes it: the rule, the ground step, and `append_expr` — a fourth
+# `decode_op(` is a hand-copied term walker growing back (crates/ir's
+# `decode_op` is the JSON reader's, another function).
 if grep -rnE 'fn parse_ones|strip_prefix\("ones' crates tests src examples benchmark/src \
     --include='*.rs' | grep -v '^crates/lemmas/'; then
   echo "a synthetic-leaf parser outside crates/lemmas (call entangle_lemmas::parse_ones_leaf)"; exit 1
 fi
 decoders=$(grep -rn 'decode_op(' crates --include='*.rs' \
   | grep -v -e '/tests\.rs:' -e '^crates/ir/' -e 'pub fn decode_op(' | cut -d: -f1 | sort | tr '\n' ' ')
-if [ "$decoders" != "crates/core/src/expect.rs crates/lemmas/src/term.rs crates/lint/src/audit.rs crates/num/src/eval.rs " ]; then
-  echo "decode_op is called from: $decoders(expected once each in expect.rs, term.rs, audit.rs, num's eval.rs)"; exit 1
+if [ "$decoders" != "crates/core/src/expect.rs crates/lemmas/src/term.rs crates/lint/src/ground.rs " ]; then
+  echo "decode_op is called from: $decoders(expected once each in expect.rs, term.rs, ground.rs)"; exit 1
 fi
 if grep -rn 'fn eval_expr' tests crates/*/src/tests.rs; then
   echo "a test grew its own term evaluator (call entangle_lint::eval_ground)"; exit 1

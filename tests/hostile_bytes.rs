@@ -579,3 +579,39 @@ fn a_negative_size_is_a_usage_error_for_check_and_lint() {
         );
     }
 }
+
+#[test]
+fn an_oversized_ones_leaf_leaves_the_model_not_the_process() {
+    // `o = ones_like(x)` against `o = ones_like(neg(x))` at `x: [2³¹, 2]`
+    // verifies through the synthetic leaf `~ones[2147483648, 2]`. Its 2³²
+    // elements are past the numeric model's element cap, so the output is
+    // `unknown` with a note, not a 64 GiB allocation (SIGABRT, 134).
+    let graph = |name: &str, neg: bool| {
+        let mut b = GraphBuilder::new(name);
+        let mut x = b.input("x", &[1 << 31, 2], DType::F32);
+        if neg {
+            x = b.apply("n", Op::Neg, &[x]).expect("infers");
+        }
+        let o = b.apply("o", Op::OnesLike, &[x]).expect("infers");
+        b.mark_output(o);
+        b.finish().expect("valid").to_json().expect("serializes")
+    };
+    let (gs, gd) = (graph("gs", false), graph("gd", true));
+    let out = run_on_files(
+        "huge-ones",
+        &[("gs.json", &gs), ("gd.json", &gd)],
+        &["check", "gs.json", "gd.json", "--map", "x=x", "--no-ledger"],
+    );
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert_eq!(out.status.code(), Some(0), "{stdout}{stderr}");
+    assert!(
+        stdout.contains(
+            "  o : unknown\n  note: mapping o: step by lemma ones_like-canonical left the \
+             model: leaf ?0[2147483648, 2] exceeds element cap (4294967296)\n"
+        ),
+        "{stdout}"
+    );
+}
